@@ -123,12 +123,32 @@ pub struct AlsSession {
     finished: bool,
 }
 
+/// The dense input a session sweeps over: the policy's stored layouts, led
+/// by `evolving` when the tensor will grow along that mode (streaming).
+fn dense_input(t: &DenseTensor, policy: TreePolicy, evolving: Option<usize>) -> InputTensor {
+    match (evolving, policy) {
+        (Some(e), _) => InputTensor::evolving(t, e, policy == TreePolicy::MultiSweep),
+        (None, TreePolicy::Standard) => InputTensor::new(t.clone()),
+        (None, TreePolicy::MultiSweep) => InputTensor::with_msdt_copies(t.clone()),
+    }
+}
+
 impl AlsSession {
     /// New session with the default seeded uniform factor initialization.
     pub fn new(t: &DenseTensor, cfg: &AlsConfig, kind: SessionKind) -> Self {
-        let dims: Vec<usize> = t.shape().dims().to_vec();
-        let init = crate::als::init_factors(&dims, cfg.rank, cfg.seed);
-        Self::with_init(t, cfg, kind, init)
+        Self::new_dense(t, cfg, kind, None)
+    }
+
+    /// [`AlsSession::new`], over a tensor that will grow along `evolving`
+    /// when one is named (see [`crate::stream::StreamingSession`]).
+    pub(crate) fn new_dense(
+        t: &DenseTensor,
+        cfg: &AlsConfig,
+        kind: SessionKind,
+        evolving: Option<usize>,
+    ) -> Self {
+        let init = crate::als::init_factors(t.shape().dims(), cfg.rank, cfg.seed);
+        Self::build(t, cfg, kind, init, evolving)
     }
 
     /// New session from caller-provided initial factors.
@@ -138,6 +158,16 @@ impl AlsSession {
         kind: SessionKind,
         init: Vec<Matrix>,
     ) -> Self {
+        Self::build(t, cfg, kind, init, None)
+    }
+
+    fn build(
+        t: &DenseTensor,
+        cfg: &AlsConfig,
+        kind: SessionKind,
+        init: Vec<Matrix>,
+        evolving: Option<usize>,
+    ) -> Self {
         let n_modes = t.order();
         assert!(n_modes >= 2);
         if kind == SessionKind::Pp {
@@ -146,14 +176,12 @@ impl AlsSession {
         assert_eq!(init.len(), n_modes);
         let _threads = cfg.thread_guard();
 
-        let input = match cfg.policy {
-            TreePolicy::Standard => InputTensor::new(t.clone()),
-            TreePolicy::MultiSweep => InputTensor::with_msdt_copies(t.clone()),
-        };
+        // ‖T‖² is one serial pass; it rides beside the layout construction.
+        let (input, t_norm_sq) =
+            rayon::join(|| dense_input(t, cfg.policy, evolving), || t.norm_sq());
         let engine = DimTreeEngine::new(cfg.policy, n_modes);
         let fs = FactorState::new(init);
         let grams: Vec<Matrix> = fs.factors().iter().map(|a| a.gram()).collect();
-        let t_norm_sq = t.norm_sq();
         let d_factors = if kind == SessionKind::Pp {
             fs.factors().to_vec()
         } else {
@@ -370,7 +398,7 @@ impl AlsSession {
         // resume against a sparse tensor (or vice versa).
         w.u64_(match self.input.sparse() {
             Some(sp) => sparse_fingerprint(&sp.coo),
-            None => tensor_fingerprint(self.input.base()),
+            None => tensor_fingerprint(&self.input.canonical()),
         });
         w.f64_(self.t_norm_sq);
         // Factors with versions, Grams, PP regime state.
@@ -435,11 +463,19 @@ impl AlsSession {
 
     /// [`AlsSession::resume_from_disk`] on in-memory bytes.
     pub fn resume_from_bytes(bytes: &[u8], t: &DenseTensor) -> Result<(AlsSession, u64), String> {
+        Self::resume_dense(bytes, t, None)
+    }
+
+    /// [`AlsSession::resume_from_bytes`] for a session made by
+    /// [`AlsSession::new_dense`] with the same `evolving`: the input is
+    /// laid out as the cached intermediates in the checkpoint expect.
+    pub(crate) fn resume_dense(
+        bytes: &[u8],
+        t: &DenseTensor,
+        evolving: Option<usize>,
+    ) -> Result<(AlsSession, u64), String> {
         Self::resume_core(bytes, tensor_fingerprint(t), t.order(), |cfg| {
-            match cfg.policy {
-                TreePolicy::Standard => InputTensor::new(t.clone()),
-                TreePolicy::MultiSweep => InputTensor::with_msdt_copies(t.clone()),
-            }
+            dense_input(t, cfg.policy, evolving)
         })
     }
 

@@ -4,14 +4,17 @@
 //! one designated **evolving mode** (for a time-lapse, the time mode):
 //! slices arrive, the time-mode factor gains warm-started rows, and ALS
 //! resumes on the extended tensor. The interesting part is what does *not*
-//! get recomputed: first-level dimension-tree contractions over mode sets
-//! that contain the evolving mode are extended by contracting **only the
-//! new slice** and concatenating onto the cached intermediate
-//! ([`DimTreeEngine::extend_mode`] with [`CacheUpdate::Incremental`]) —
-//! per-arrival cache-update work proportional to the slice, not the
-//! tensor. Deeper intermediates and PP pair operators are dropped: the PP
-//! regime re-enters through the ordinary §IV drift gate once the factors
-//! settle around the extended tensor (see DESIGN.md §1j).
+//! get recomputed or moved. The input is stored **evolving-mode-major**
+//! ([`InputTensor::evolving`]): every layout leads with the evolving mode,
+//! so absorbing a slice is a tail append per layout, and first-level
+//! dimension-tree contractions over mode sets that contain the evolving
+//! mode are extended by contracting **only the new slice** and appending
+//! onto the cached intermediate in place ([`DimTreeEngine::extend_mode`]
+//! with [`CacheUpdate::Incremental`]) — an arrival costs in proportion to
+//! the slice, not the tensor. Deeper intermediates and PP pair operators
+//! are dropped: the PP regime re-enters through the ordinary §IV drift
+//! gate once the factors settle around the extended tensor (see DESIGN.md
+//! §1j).
 //!
 //! The correctness contract is the one the rest of the repo uses
 //! everywhere: the incremental path is **bit-identical** to the
@@ -83,7 +86,7 @@ impl StreamingSession {
         let mut cfg = cfg.clone();
         cfg.max_sweeps = sweeps_per_arrival;
         StreamingSession {
-            session: AlsSession::new(initial, &cfg, kind),
+            session: AlsSession::new_dense(initial, &cfg, kind, Some(evolving)),
             evolving,
             update,
             sweeps_per_arrival,
@@ -200,6 +203,15 @@ impl StreamingSession {
         }
         assert!(slice.dim(e) > 0, "arriving slice must be non-empty");
 
+        // The slice, laid out like the input — once, for the warm start,
+        // the input append and the cache extension alike (its norm, one
+        // serial pass, rides beside).
+        let copies = p.cfg.policy == TreePolicy::MultiSweep;
+        let (mut slice_input, slice_norm_sq) = rayon::join(
+            || InputTensor::evolving(slice, e, copies),
+            || slice.norm_sq(),
+        );
+
         // Warm-start rows for the evolving mode: solve the normal
         // equations of the slice against the frozen other factors —
         // `rows = M_slice · Γ^{-1}` with `M_slice` the slice's MTTKRP for
@@ -217,27 +229,30 @@ impl StreamingSession {
             })
             .collect();
         let fs_slice = FactorState::new(init);
-        let mut slice_input = InputTensor::new(slice.clone());
         let mut scratch = DimTreeEngine::new(TreePolicy::Standard, order).with_caching_disabled();
         let m_slice = scratch.mttkrp(&mut slice_input, &fs_slice, e);
         let gamma = hadamard_chain_skip(p.grams, e);
         let new_rows = solve_gram(&gamma, &m_slice).0;
 
-        // Extend the input, the factor, its Gram, and the tree cache —
-        // in that order, so `extend_mode` sees post-bump versions and the
-        // extended layouts it delta-contracts against.
-        p.input.extend_mode(e, slice);
-        p.fs.extend_rows(e, &new_rows);
-        p.grams[e] = p.fs.factor(e).gram();
-        p.engine.extend_mode(p.input, p.fs, e, slice, update);
-        *p.t_norm_sq += slice.norm_sq();
-
         // PP regime reset (Alg. 2 line 2 against the extended tensor):
         // the frozen reference A_p and its pair operators describe the old
-        // tensor, so drop them and re-enter through the drift gate.
+        // tensor, so drop them and re-enter through the drift gate. Before
+        // the cache extension, because an order-3 pair operator *is* a
+        // cached first-level intermediate, and a shared payload would be
+        // copied rather than extended in place.
         *p.ops = None;
         p.factors_p.clear();
         *p.phase = crate::session::PpPhase::Gate;
+
+        // Extend the input, the factor, its Gram, and the tree cache —
+        // in that order, so `extend_mode` sees post-bump versions and the
+        // extended layouts it delta-contracts against.
+        p.input.append(&slice_input);
+        p.fs.extend_rows(e, &new_rows);
+        p.grams[e] = p.fs.factor(e).gram();
+        p.engine
+            .extend_mode(p.input, p.fs, e, &mut slice_input, update);
+        *p.t_norm_sq += slice_norm_sq;
         if p.kind == SessionKind::Pp {
             *p.d_factors = p.fs.factors().to_vec();
         }
@@ -323,7 +338,7 @@ impl StreamingSession {
                 "rebuilt tensor does not match the checkpoint (want extent {extent} on mode {evolving})"
             ));
         }
-        let (session, inner_tag) = AlsSession::resume_from_bytes(&inner, &t)?;
+        let (session, inner_tag) = AlsSession::resume_dense(&inner, &t, Some(evolving))?;
         if inner_tag != tag {
             return Err("stream checkpoint tag does not match its inner session".into());
         }

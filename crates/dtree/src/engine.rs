@@ -28,7 +28,7 @@ use crate::modeset::ModeSet;
 use crate::stats::{Kernel, KernelStats};
 use pp_tensor::kernels::mttv::mttv;
 use pp_tensor::semisparse::{ss_mttv, thread_ss_counters};
-use pp_tensor::{DenseTensor, Matrix};
+use pp_tensor::Matrix;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,9 +45,9 @@ pub enum TreePolicy {
 /// when the evolving mode grows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheUpdate {
-    /// Contract **only the new slice** and append the result into the
-    /// cached intermediate along the evolving mode — per-arrival work
-    /// scales with the slice, not the full tensor.
+    /// Contract **only the new slice** and append the result onto the
+    /// cached intermediate, in place (the evolving mode leads it) —
+    /// per-arrival work scales with the slice, not the full tensor.
     Incremental,
     /// Recontract the same cache keys from the **full grown tensor** — the
     /// from-scratch oracle the incremental path must match bitwise.
@@ -337,6 +337,21 @@ impl DimTreeEngine {
                 self.stats.spec_wasted += 1;
             }
         }
+        let inter = self.contract_recorded(input, fs, k);
+        if self.caching {
+            self.cache.insert(inter.clone());
+        }
+        inter
+    }
+
+    /// Contract mode `k` out of `input` on this thread, with the kernel
+    /// ledger updated; the result carries the current factor versions.
+    fn contract_recorded(
+        &mut self,
+        input: &mut InputTensor,
+        fs: &FactorState,
+        k: usize,
+    ) -> Intermediate {
         let g0 = pp_tensor::gemm::thread_gemm_counters();
         let s0 = thread_ss_counters();
         let fl = input.contract_mode(k, fs.factor(k));
@@ -347,45 +362,45 @@ impl DimTreeEngine {
             self.stats.record(Kernel::Transpose, fl.transpose_time, 0);
         }
         self.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
-        let inter = Intermediate {
+        Intermediate {
             payload: fl.payload,
             mode_order: fl.mode_order,
             versions: fs.versions().to_vec(),
-        };
-        if self.caching {
-            self.cache.insert(inter.clone());
         }
-        inter
     }
 
     /// Streaming arrival along original mode `e`: refresh the intermediate
-    /// cache after the input tensor grew by `slice` (canonical layout).
+    /// cache after the input tensor grew by `slice`.
     ///
     /// Preconditions: the caller has already grown `input`
-    /// ([`InputTensor::extend_mode`]) and extended + version-bumped mode
-    /// `e`'s factor in `fs`, and no speculation is in flight.
+    /// ([`InputTensor::append`] of this same `slice`) and extended +
+    /// version-bumped mode `e`'s factor in `fs`, and no speculation is in
+    /// flight. `slice` is the arriving slice laid out like `input`
+    /// ([`InputTensor::evolving`] with the same arguments), so a plan picks
+    /// the same layout and kernel on both.
     ///
     /// First-level entries whose mode set *contains* `e` and whose
     /// contracted-away factors are still current are the reusable ones:
     /// `e`'s version bump does not invalidate them (member modes are
     /// ignored by the validity rule) but their extent along `e` is stale.
-    /// Under [`CacheUpdate::Incremental`] each such entry is delta-extended
-    /// by contracting only `slice` (through a layout-mirrored input, so
-    /// the plan — and hence the result's mode order and per-row arithmetic
-    /// — matches the full contraction exactly) and appending along `e`;
-    /// under [`CacheUpdate::Recompute`] it is recontracted whole from the
-    /// grown tensor. Both paths record the same versions a fresh
-    /// contraction would, so the two modes leave bitwise-identical caches
-    /// — that equality is the streaming correctness contract. Every other
-    /// entry containing `e` (lower tree levels with a stale extent) is
-    /// evicted, and entries not containing `e` are invalid via the version
-    /// bump and swept out.
+    /// Under [`CacheUpdate::Incremental`] each such entry is delta-extended:
+    /// only `slice` is contracted and the result is appended in place —
+    /// `e` leads every layout of a streaming input, hence every
+    /// intermediate that kept it, and the kernels' per-row arithmetic does
+    /// not see the extent of `e`. Under [`CacheUpdate::Recompute`] the entry
+    /// is recontracted whole from the grown tensor (as is an entry that was
+    /// not produced from `e`-leading layouts). Both paths record the same
+    /// versions a fresh contraction would, so the two modes leave
+    /// bitwise-identical caches — that equality is the streaming
+    /// correctness contract. Every other entry containing `e` (lower tree
+    /// levels with a stale extent) is evicted, and entries not containing
+    /// `e` are invalid via the version bump and swept out.
     pub fn extend_mode(
         &mut self,
         input: &mut InputTensor,
         fs: &FactorState,
         e: usize,
-        slice: &DenseTensor,
+        slice: &mut InputTensor,
         update: CacheUpdate,
     ) {
         assert!(e < self.n_modes);
@@ -414,45 +429,27 @@ impl DimTreeEngine {
         for set in drop_keys {
             self.cache.remove(set);
         }
-        let mut slice_input = match update {
-            CacheUpdate::Incremental if !extendable.is_empty() => Some(input.slice_like(slice)),
-            _ => None,
-        };
         for set in extendable {
             let k = full.minus(set).min().expect("one contracted mode");
-            let inter = match (&mut slice_input, update) {
-                (Some(si), CacheUpdate::Incremental) => {
-                    let old = self.cache.remove(set).expect("extendable entry present");
-                    let g0 = pp_tensor::gemm::thread_gemm_counters();
-                    let fl = si.contract_mode(k, fs.factor(k));
-                    self.stats
-                        .add_gemm_delta(&pp_tensor::gemm::thread_gemm_counters().since(&g0));
-                    self.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
-                    debug_assert_eq!(old.mode_order, fl.mode_order);
-                    let pos = old.position_of(e);
-                    let merged = old.dense().concat_along(fl.payload.dense(), pos);
-                    Intermediate {
-                        payload: Payload::Dense(Arc::new(merged)),
-                        mode_order: fl.mode_order,
-                        versions: versions.clone(),
-                    }
+            let old = self.cache.remove(set).expect("extendable entry present");
+            let appended = match (update, old.payload) {
+                (CacheUpdate::Incremental, Payload::Dense(mut grown))
+                    if old.mode_order.first() == Some(&e) =>
+                {
+                    let delta = self.contract_recorded(slice, fs, k);
+                    (delta.mode_order == old.mode_order).then(|| {
+                        Arc::make_mut(&mut grown).append_leading(delta.dense());
+                        Intermediate {
+                            payload: Payload::Dense(grown),
+                            ..delta
+                        }
+                    })
                 }
-                _ => {
-                    self.cache.remove(set);
-                    let g0 = pp_tensor::gemm::thread_gemm_counters();
-                    let fl = input.contract_mode(k, fs.factor(k));
-                    self.stats
-                        .add_gemm_delta(&pp_tensor::gemm::thread_gemm_counters().since(&g0));
-                    if fl.transpose_words > 0 {
-                        self.stats.record(Kernel::Transpose, fl.transpose_time, 0);
-                    }
-                    self.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
-                    Intermediate {
-                        payload: fl.payload,
-                        mode_order: fl.mode_order,
-                        versions: versions.clone(),
-                    }
-                }
+                _ => None,
+            };
+            let inter = match appended {
+                Some(inter) => inter,
+                None => self.contract_recorded(input, fs, k),
             };
             if self.caching {
                 self.cache.insert(inter);
@@ -959,10 +956,7 @@ mod tests {
         let d_e = dims[e];
         let initial = t_full.slice_along(e, 0, d_e - grow);
         let slice = t_full.slice_along(e, d_e - grow, grow);
-        let make_input = |t: &DenseTensor| match policy {
-            TreePolicy::Standard => InputTensor::new(t.clone()),
-            TreePolicy::MultiSweep => InputTensor::with_msdt_copies(t.clone()),
-        };
+        let copies = policy == TreePolicy::MultiSweep;
         // Factors: the evolving mode starts with the first d_e-grow rows of
         // the full factor and is extended with the last rows, so both arms
         // end at the exact same factor values as the cold full-tensor run.
@@ -983,8 +977,9 @@ mod tests {
         };
 
         let mut arms = Vec::new();
+        let mut refresh_flops = Vec::new();
         for update in [CacheUpdate::Incremental, CacheUpdate::Recompute] {
-            let mut input = make_input(&initial);
+            let mut input = InputTensor::evolving(&initial, e, copies);
             let mut fs = make_fs();
             let mut engine = DimTreeEngine::new(policy, dims.len());
             // Warm sweep on the small tensor populates the cache.
@@ -1000,9 +995,12 @@ mod tests {
                 .iter()
                 .filter(|i| i.set().contains(e) && i.set().len() == dims.len() - 1)
                 .count();
-            input.extend_mode(e, &slice);
+            let mut slice_input = InputTensor::evolving(&slice, e, copies);
+            input.append(&slice_input);
             fs.extend_rows(e, &extra_e);
-            engine.extend_mode(&mut input, &fs, e, &slice, update);
+            engine.take_stats();
+            engine.extend_mode(&mut input, &fs, e, &mut slice_input, update);
+            refresh_flops.push(engine.take_stats().ttm_flops);
             assert_eq!(
                 engine.cache().len(),
                 expect_keep,
@@ -1010,6 +1008,12 @@ mod tests {
             );
             arms.push((input, fs, engine));
         }
+        // The incremental refresh contracted the slice only.
+        assert_eq!(
+            refresh_flops[0] * d_e as u64,
+            refresh_flops[1] * grow as u64,
+            "{policy:?} e={e}: incremental refresh must cost slice/full of a recompute"
+        );
 
         // (a) Both arms leave bitwise-identical caches.
         {
@@ -1080,6 +1084,61 @@ mod tests {
     fn streaming_extension_msdt_order4() {
         for e in 0..4 {
             streaming_extension_matches(TreePolicy::MultiSweep, &[8, 6, 5, 4], e, 8);
+        }
+    }
+
+    #[test]
+    fn extension_recontracts_entries_cached_before_a_relayout() {
+        // An input built without naming the evolving mode re-lays itself
+        // out on its first `extend_mode`; entries cached from the old
+        // layouts do not lead with `e`, so the incremental refresh must
+        // recontract them whole rather than append — same cache as the
+        // recompute oracle, correct MTTKRPs afterwards.
+        let (dims, e, r, grow) = ([8usize, 6, 5, 4], 2usize, 8usize, 2usize);
+        let (t_full, fs_full) = setup(&dims, r, 61);
+        let initial = t_full.slice_along(e, 0, dims[e] - grow);
+        let slice = t_full.slice_along(e, dims[e] - grow, grow);
+        let full_e = fs_full.factor(e);
+        let mut caches = Vec::new();
+        for update in [CacheUpdate::Incremental, CacheUpdate::Recompute] {
+            let mut input = InputTensor::with_msdt_copies(initial.clone());
+            let factors: Vec<Matrix> = (0..dims.len())
+                .map(|n| {
+                    if n == e {
+                        Matrix::from_fn(dims[e] - grow, r, |i, j| full_e.get(i, j))
+                    } else {
+                        fs_full.factor(n).clone()
+                    }
+                })
+                .collect();
+            let mut fs = FactorState::new(factors);
+            let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, dims.len());
+            for n in 0..dims.len() {
+                let _ = engine.mttkrp(&mut input, &fs, n);
+            }
+            input.extend_mode(e, &slice);
+            assert_eq!(input.canonical().data(), t_full.data());
+            fs.extend_rows(
+                e,
+                &Matrix::from_fn(grow, r, |i, j| full_e.get(dims[e] - grow + i, j)),
+            );
+            let mut slice_input = InputTensor::evolving(&slice, e, true);
+            engine.extend_mode(&mut input, &fs, e, &mut slice_input, update);
+            for n in 0..dims.len() {
+                let got = engine.mttkrp(&mut input, &fs, n);
+                let naive = naive_mttkrp(&t_full, fs_full.factors(), n);
+                assert!(got.max_abs_diff(&naive) < 1e-9, "{update:?} mode {n}");
+            }
+            caches.push(engine);
+        }
+        let (a, b) = (
+            caches[0].cache().entries_sorted(),
+            caches[1].cache().entries_sorted(),
+        );
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.mode_order, y.mode_order);
+            assert_eq!(x.dense().data(), y.dense().data());
         }
     }
 

@@ -8,13 +8,22 @@
 //! copies of the input tensor to avoid per-sweep transposes (§IV). One copy
 //! suffices for orders 3 and 4 (each copy exposes two more modes: one
 //! first, one last).
+//!
+//! A **streaming** input ([`InputTensor::evolving`]) grows along one mode
+//! `e`, so every one of its layouts is `[e, a, ..., b]`: appending a slice
+//! is a tail append on each layout, `e` contracts with `ttm_first`, `b`
+//! with `ttm_last`, and `a` with `ttm_first_batched` (one transposed GEMM
+//! per `e`-slab). Each layout exposes two modes besides `e`, so orders up
+//! to 3 need one layout and orders 4 and 5 two. The layouts are a pure
+//! function of (order, `e`, copies or not) — never of arrival history.
 
 use crate::cache::Payload;
-use pp_tensor::kernels::ttm::{ttm_first, ttm_last};
+use pp_tensor::kernels::ttm::{ttm_first, ttm_first_batched, ttm_last};
 use pp_tensor::semisparse::{csf_ttm, TtmPlan};
 use pp_tensor::sparse::{CsfTensor, SparseTensor};
-use pp_tensor::transpose::permute;
+use pp_tensor::transpose::{move_mode_first, permute};
 use pp_tensor::{DenseTensor, Matrix};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,6 +34,32 @@ struct Layout {
     /// `mode_order[k]` = which original tensor mode sits at position `k`.
     mode_order: Vec<usize>,
     tensor: Arc<DenseTensor>,
+}
+
+/// The mode orders an input stores, base layout first. `lead` is the
+/// evolving mode of a streaming input (it heads every layout) or `None`
+/// for a fixed one. The base keeps the remaining modes ascending, which
+/// makes the first and the last of them contractible; with `copies`, the
+/// modes in between are covered pairwise by `[lead, a, ..., b]` layouts.
+fn layout_orders(order: usize, lead: Option<usize>, copies: bool) -> Vec<Vec<usize>> {
+    let others: Vec<usize> = (0..order).filter(|&m| Some(m) != lead).collect();
+    let with_lead = |tail: Vec<usize>| -> Vec<usize> { lead.into_iter().chain(tail).collect() };
+    let mut orders = vec![with_lead(others.clone())];
+    if copies {
+        let mut uncovered: Vec<usize> = others
+            .get(1..others.len().saturating_sub(1))
+            .unwrap_or_default()
+            .to_vec();
+        while !uncovered.is_empty() {
+            let a = uncovered.remove(0);
+            let b = uncovered.pop();
+            let mut tail = vec![a];
+            tail.extend(others.iter().filter(|&&m| m != a && Some(m) != b));
+            tail.extend(b);
+            orders.push(with_lead(tail));
+        }
+    }
+    orders
 }
 
 /// A sparse input: the sorted-coordinate ingest form plus either the CSF
@@ -64,6 +99,8 @@ pub struct InputTensor {
     /// would otherwise need an explicit transpose.
     cache_transposes: bool,
     sparse: Option<Arc<SparseInput>>,
+    /// The mode a streaming input grows along; it heads every layout.
+    evolving: Option<usize>,
 }
 
 /// Outcome of a first-level contraction.
@@ -92,6 +129,9 @@ pub enum ContractEnd {
     First,
     /// The contracted mode is the layout's last mode (`ttm_last`).
     Last,
+    /// The contracted mode is the layout's second mode, right behind the
+    /// evolving mode of a streaming input (`ttm_first_batched`).
+    Second,
 }
 
 /// The data a [`ContractPlan`] executes over: a dense stored layout with
@@ -126,6 +166,7 @@ impl ContractPlan {
             PlanSource::Dense { tensor, end } => Payload::Dense(Arc::new(match end {
                 ContractEnd::Last => ttm_last(tensor, factor),
                 ContractEnd::First => ttm_first(tensor, factor),
+                ContractEnd::Second => ttm_first_batched(tensor, factor),
             })),
             PlanSource::Sparse { input, mode } => {
                 Payload::SemiSparse(Arc::new(csf_ttm(&input.coo, &input.plans[*mode], factor)))
@@ -164,6 +205,7 @@ impl InputTensor {
             order,
             cache_transposes: false,
             sparse: None,
+            evolving: None,
         }
     }
 
@@ -182,6 +224,7 @@ impl InputTensor {
                 csf: Some(csf),
                 plans: Vec::new(),
             })),
+            evolving: None,
         }
     }
 
@@ -202,6 +245,7 @@ impl InputTensor {
                 csf: None,
                 plans,
             })),
+            evolving: None,
         }
     }
 
@@ -226,27 +270,10 @@ impl InputTensor {
     /// independent reads of the base tensor, so they are built in parallel
     /// on the persistent pool (each permutation is itself pool-parallel).
     pub fn with_msdt_copies(t: DenseTensor) -> Self {
-        let order = t.order();
         let mut input = InputTensor::new(t);
         input.cache_transposes = true;
-        // Base layout covers modes 0 and order-1. Cover the rest pairwise:
-        // a copy laid out [a, ..., b] exposes a (first) and b (last).
-        let mut perms: Vec<Vec<usize>> = Vec::new();
-        let mut uncovered: Vec<usize> = (1..order.saturating_sub(1)).collect();
-        while !uncovered.is_empty() {
-            let a = uncovered.remove(0);
-            let b = if uncovered.is_empty() {
-                None
-            } else {
-                Some(uncovered.pop().unwrap())
-            };
-            let mut perm = vec![a];
-            perm.extend((0..order).filter(|&m| m != a && Some(m) != b));
-            if let Some(b) = b {
-                perm.push(b);
-            }
-            perms.push(perm);
-        }
+        // Base layout covers modes 0 and order-1; the copies the rest.
+        let perms = layout_orders(input.order, None, true).split_off(1);
         let tensors = {
             let base = &input.layouts[0].tensor;
             crate::par_collect(perms.len(), |i| permute(base, &perms[i]))
@@ -258,6 +285,50 @@ impl InputTensor {
             });
         }
         input
+    }
+
+    /// Lay `t` out for **growth along mode `e`**: every layout leads with
+    /// `e` (see the module docs), with the MSDT copies when `copies` is set
+    /// (the multi-sweep tree; the standard tree's two first-level modes are
+    /// already extremal in the base layout). Used alike for the initial
+    /// tensor, a tensor rebuilt at resume, and each arriving slice — the
+    /// slice's layouts then mirror the input's, so [`InputTensor::append`]
+    /// is a tail append per layout and a slice contraction is the
+    /// row-for-row sub-computation of the full one.
+    ///
+    /// The base layout is built straight from the borrowed tensor (one
+    /// de-interleaving pass), the copies from the base layout, whose
+    /// trailing modes they keep contiguous.
+    pub fn evolving(t: &DenseTensor, e: usize, copies: bool) -> Self {
+        let order = t.order();
+        assert!(
+            e < order,
+            "evolving mode {e} out of range for order {order}"
+        );
+        let orders = layout_orders(order, Some(e), copies);
+        let base = move_mode_first(t, e);
+        let tensors = crate::par_collect(orders.len() - 1, |i| {
+            let from_base: Vec<usize> = orders[i + 1]
+                .iter()
+                .map(|m| orders[0].iter().position(|x| x == m).unwrap())
+                .collect();
+            permute(&base, &from_base)
+        });
+        let layouts = orders
+            .into_iter()
+            .zip(std::iter::once(base).chain(tensors))
+            .map(|(mode_order, tensor)| Layout {
+                mode_order,
+                tensor: Arc::new(tensor),
+            })
+            .collect();
+        InputTensor {
+            layouts,
+            order,
+            cache_transposes: copies,
+            sparse: None,
+            evolving: Some(e),
+        }
     }
 
     /// Tensor order.
@@ -278,14 +349,24 @@ impl InputTensor {
         self.layouts[0].tensor.dim(pos)
     }
 
-    /// The base tensor (original layout). Panics on a sparse-backed input
-    /// (which stores no dense layout); see [`InputTensor::sparse`].
-    pub fn base(&self) -> &DenseTensor {
+    /// The tensor in the canonical ascending-mode order — borrowed when the
+    /// base layout already is canonical, un-permuted from it otherwise (a
+    /// streaming input leads with its evolving mode). Panics on a
+    /// sparse-backed input (which stores no dense layout); see
+    /// [`InputTensor::sparse`].
+    pub fn canonical(&self) -> Cow<'_, DenseTensor> {
         assert!(
             self.sparse.is_none(),
             "sparse input has no dense base tensor"
         );
-        &self.layouts[0].tensor
+        let base = &self.layouts[0];
+        if base.mode_order.iter().enumerate().all(|(k, &m)| k == m) {
+            return Cow::Borrowed(&base.tensor);
+        }
+        let to_canonical: Vec<usize> = (0..self.order)
+            .map(|m| base.mode_order.iter().position(|&x| x == m).unwrap())
+            .collect();
+        Cow::Owned(permute(&base.tensor, &to_canonical))
     }
 
     /// Number of stored layouts (1 = no copies; 0 = sparse-backed).
@@ -358,6 +439,25 @@ impl InputTensor {
                 mode_order: l.mode_order[1..].to_vec(),
             });
         }
+        // 3. Streaming input: a layout with `mode` right behind the
+        //    evolving mode? (Fixed inputs keep to the two ends.)
+        if self.evolving.is_some() {
+            if let Some(l) = self
+                .layouts
+                .iter()
+                .find(|l| l.mode_order.get(1) == Some(&mode))
+            {
+                let mut mode_order = l.mode_order.clone();
+                mode_order.remove(1);
+                return Some(ContractPlan {
+                    source: PlanSource::Dense {
+                        tensor: l.tensor.clone(),
+                        end: ContractEnd::Second,
+                    },
+                    mode_order,
+                });
+            }
+        }
         None
     }
 
@@ -426,57 +526,33 @@ impl InputTensor {
     }
 
     /// Grow original mode `e` by appending `slice` (given in the canonical
-    /// ascending-mode layout) along it in **every** stored layout. The
-    /// slice is permuted into each layout's order and concatenated at `e`'s
-    /// position there, so all layouts stay element-for-element consistent
-    /// views of the grown tensor. Dense inputs only.
+    /// ascending-mode layout). An input not yet laid out for growth along
+    /// `e` re-lays itself out once through [`InputTensor::evolving`]
+    /// (keeping its copies-or-not choice); from then on every call is the
+    /// O(slice) [`InputTensor::append`]. Dense inputs only.
     pub fn extend_mode(&mut self, e: usize, slice: &DenseTensor) {
         assert!(self.sparse.is_none(), "streaming growth is dense-only");
-        assert!(e < self.order);
         assert_eq!(slice.order(), self.order, "slice order mismatch");
-        for layout in &mut self.layouts {
-            let pos = layout.mode_order.iter().position(|&m| m == e).unwrap();
-            let canonical = layout.mode_order.iter().enumerate().all(|(k, &m)| k == m);
-            let permuted = if canonical {
-                slice.clone()
-            } else {
-                permute(slice, &layout.mode_order)
-            };
-            layout.tensor = Arc::new(layout.tensor.concat_along(&permuted, pos));
+        if self.evolving != Some(e) {
+            *self = InputTensor::evolving(&self.canonical(), e, self.cache_transposes);
         }
+        self.append(&InputTensor::evolving(slice, e, self.cache_transposes));
     }
 
-    /// An input wrapping `slice` (canonical layout) that mirrors this
-    /// input's stored layouts exactly. [`InputTensor::plan_contract`] then
-    /// selects the same layout and contraction end for every mode as on
-    /// the full input — the property that makes a slice contraction the
-    /// row-for-row sub-computation of the full one (packed-GEMM values are
-    /// per-row, so delta-extension of a cached intermediate is bitwise
-    /// identical to recontracting the grown tensor).
-    pub fn slice_like(&self, slice: &DenseTensor) -> InputTensor {
-        assert!(self.sparse.is_none(), "streaming growth is dense-only");
-        assert_eq!(slice.order(), self.order, "slice order mismatch");
-        let layouts = self
-            .layouts
-            .iter()
-            .map(|l| {
-                let canonical = l.mode_order.iter().enumerate().all(|(k, &m)| k == m);
-                let tensor = if canonical {
-                    slice.clone()
-                } else {
-                    permute(slice, &l.mode_order)
-                };
-                Layout {
-                    mode_order: l.mode_order.clone(),
-                    tensor: Arc::new(tensor),
-                }
-            })
-            .collect();
-        InputTensor {
-            layouts,
-            order: self.order,
-            cache_transposes: false,
-            sparse: None,
+    /// Append a slice already laid out like this input (same evolving mode,
+    /// same layouts — [`InputTensor::evolving`] with the same arguments):
+    /// one tail append per layout, in place. A layout still shared with a
+    /// live [`ContractPlan`] is copied first, so the plan keeps the tensor
+    /// it was made for.
+    pub fn append(&mut self, slice: &InputTensor) {
+        assert!(
+            self.evolving.is_some() && self.evolving == slice.evolving,
+            "append needs two inputs laid out along the same evolving mode"
+        );
+        assert_eq!(self.layouts.len(), slice.layouts.len(), "layout mismatch");
+        for (layout, piece) in self.layouts.iter_mut().zip(&slice.layouts) {
+            assert_eq!(layout.mode_order, piece.mode_order, "layout mismatch");
+            Arc::make_mut(&mut layout.tensor).append_leading(&piece.tensor);
         }
     }
 
@@ -490,7 +566,12 @@ impl InputTensor {
         let mut v: Vec<usize> = self
             .layouts
             .iter()
-            .flat_map(|l| [l.mode_order[0], *l.mode_order.last().unwrap()])
+            .flat_map(|l| {
+                let second = self.evolving.and(l.mode_order.get(1).copied());
+                [l.mode_order[0], *l.mode_order.last().unwrap()]
+                    .into_iter()
+                    .chain(second)
+            })
             .collect();
         v.sort_unstable();
         v.dedup();
@@ -571,6 +652,121 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn evolving_layouts_lead_with_the_evolving_mode() {
+        // The layout rule, spelled out: the paper's one-copy count for
+        // order 4 carries over, order 3 needs no copy at all, and every
+        // layout keeps `e` in front.
+        let orders = |order, e, copies| layout_orders(order, Some(e), copies);
+        assert_eq!(orders(3, 2, true), vec![vec![2, 0, 1]]);
+        assert_eq!(orders(4, 3, true), vec![vec![3, 0, 1, 2], vec![3, 1, 0, 2]]);
+        assert_eq!(
+            orders(5, 1, true),
+            vec![vec![1, 0, 2, 3, 4], vec![1, 2, 0, 4, 3]]
+        );
+        assert_eq!(orders(4, 1, false), vec![vec![1, 0, 2, 3]]);
+        // Fixed inputs keep the layouts they always had.
+        assert_eq!(
+            layout_orders(4, None, true),
+            vec![vec![0, 1, 2, 3], vec![1, 0, 3, 2]]
+        );
+        assert_eq!(
+            layout_orders(5, None, true),
+            vec![
+                vec![0, 1, 2, 3, 4],
+                vec![1, 0, 2, 4, 3],
+                vec![2, 0, 1, 3, 4]
+            ]
+        );
+    }
+
+    #[test]
+    fn evolving_input_contracts_every_mode_without_a_transpose() {
+        for dims in [vec![3, 4, 5], vec![3, 4, 5, 2], vec![2, 3, 2, 3, 2]] {
+            let base = seq_tensor(dims.clone());
+            for e in 0..dims.len() {
+                for copies in [false, true] {
+                    let mut input = InputTensor::evolving(&base, e, copies);
+                    assert_eq!(input.canonical().data(), base.data());
+                    let free = input.free_modes();
+                    for (mode, &dim) in dims.iter().enumerate() {
+                        let a = factor(dim, 3);
+                        let fl = input.contract_mode(mode, &a);
+                        let want = ttm(&base, mode, &a).tensor;
+                        assert!(
+                            canonicalize(&fl).max_abs_diff(&want) < 1e-10,
+                            "{dims:?} e={e} copies={copies} mode {mode}"
+                        );
+                        assert_eq!(fl.transpose_words == 0, free.contains(&mode));
+                        if mode != e {
+                            assert_eq!(fl.mode_order[0], e, "e must stay in front");
+                        }
+                    }
+                    // The standard tree's two first-level modes are free
+                    // without copies; with copies every mode is.
+                    assert!(free.contains(&0) && free.contains(&(dims.len() - 1)));
+                    if copies {
+                        assert_eq!(free.len(), dims.len());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appends_reproduce_the_layouts_of_the_whole_tensor() {
+        for dims in [vec![4, 3, 5], vec![3, 4, 2, 5], vec![2, 3, 2, 4, 2]] {
+            let whole = seq_tensor(dims.clone());
+            for e in 0..dims.len() {
+                for copies in [false, true] {
+                    // Start canonical (the re-layout path), then one row of
+                    // `e` at a time.
+                    let mut grown = if copies {
+                        InputTensor::with_msdt_copies(whole.slice_along(e, 0, 1))
+                    } else {
+                        InputTensor::new(whole.slice_along(e, 0, 1))
+                    };
+                    for i in 1..dims[e] {
+                        grown.extend_mode(e, &whole.slice_along(e, i, 1));
+                    }
+                    let built = InputTensor::evolving(&whole, e, copies);
+                    assert_eq!(grown.layouts.len(), built.layouts.len());
+                    for (g, b) in grown.layouts.iter().zip(&built.layouts) {
+                        assert_eq!(g.mode_order, b.mode_order);
+                        assert_eq!(g.tensor.shape(), b.tensor.shape());
+                        assert_eq!(g.tensor.data(), b.tensor.data(), "{dims:?} e={e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn append_leaves_a_live_plan_its_tensor() {
+        // A plan made before the append shares the layout's `Arc`; the
+        // append must copy rather than grow the tensor under it.
+        let whole = seq_tensor(vec![3, 4, 5, 6]);
+        let e = 3;
+        let old = whole.slice_along(e, 0, 4);
+        let mut input = InputTensor::evolving(&old, e, true);
+        let a = factor(4, 3);
+        let plan = input.plan_contract(1).expect("mode 1 is free");
+        input.append(&InputTensor::evolving(&whole.slice_along(e, 4, 2), e, true));
+        assert_eq!(input.canonical().data(), whole.data());
+        assert_eq!(input.dim(e), 6);
+        let before = InputTensor::evolving(&old, e, true)
+            .contract_mode(1, &a)
+            .payload;
+        assert_eq!(plan.run(&a).dense().data(), before.dense().data());
+        let after = InputTensor::evolving(&whole, e, true)
+            .contract_mode(1, &a)
+            .payload;
+        assert_eq!(
+            input.contract_mode(1, &a).payload.dense().data(),
+            after.dense().data()
+        );
     }
 
     #[test]

@@ -159,35 +159,22 @@ impl DenseTensor {
         }
     }
 
-    /// Concatenate `other` after `self` along mode `axis`. All other mode
-    /// extents must match. Element values are copied verbatim, so the
-    /// result is bit-identical to a tensor built whole — the primitive
-    /// behind streaming growth along an evolving mode.
-    pub fn concat_along(&self, other: &DenseTensor, axis: usize) -> DenseTensor {
-        let n = self.order();
-        assert_eq!(n, other.order(), "concat_along order mismatch");
-        assert!(axis < n, "concat_along axis {axis} out of range");
-        for k in 0..n {
-            if k != axis {
-                assert_eq!(
-                    self.dim(k),
-                    other.dim(k),
-                    "concat_along extent mismatch on mode {k}"
-                );
-            }
-        }
-        let inner: usize = self.shape.dims()[axis + 1..].iter().product();
-        let outer: usize = self.shape.dims()[..axis].iter().product();
-        let a_block = self.dim(axis) * inner;
-        let b_block = other.dim(axis) * inner;
+    /// Grow the leading mode in place: append `other` (same trailing
+    /// extents) after `self`'s last leading index. Row-major storage makes
+    /// this a tail copy of `other`'s buffer — amortised O(`other`), values
+    /// verbatim, so the result is bit-identical to a tensor built whole.
+    /// The primitive behind streaming growth along an evolving mode.
+    pub fn append_leading(&mut self, other: &DenseTensor) {
         let mut dims = self.shape.dims().to_vec();
-        dims[axis] += other.dim(axis);
-        let mut data = Vec::with_capacity(self.len() + other.len());
-        for o in 0..outer {
-            data.extend_from_slice(&self.data[o * a_block..(o + 1) * a_block]);
-            data.extend_from_slice(&other.data[o * b_block..(o + 1) * b_block]);
-        }
-        DenseTensor::from_vec(Shape::new(dims), data)
+        assert!(!dims.is_empty(), "append_leading needs a leading mode");
+        assert_eq!(
+            dims[1..],
+            other.shape.dims()[1..],
+            "append_leading trailing-extent mismatch"
+        );
+        dims[0] += other.dim(0);
+        self.data.extend_from_slice(&other.data);
+        self.shape = Shape::new(dims);
     }
 
     /// Copy out the sub-tensor covering indices `[start, start+len)` of
@@ -281,18 +268,15 @@ mod tests {
     }
 
     #[test]
-    fn slice_then_concat_roundtrips_every_axis() {
-        let t = DenseTensor::from_fn(vec![3, 4, 5], |idx| {
+    fn slice_then_append_roundtrips_the_leading_mode() {
+        let t = DenseTensor::from_fn(vec![4, 3, 5], |idx| {
             (idx[0] * 100 + idx[1] * 10 + idx[2]) as f64
         });
-        for axis in 0..3 {
-            for cut in 1..t.dim(axis) {
-                let a = t.slice_along(axis, 0, cut);
-                let b = t.slice_along(axis, cut, t.dim(axis) - cut);
-                let back = a.concat_along(&b, axis);
-                assert_eq!(back.shape().dims(), t.shape().dims());
-                assert_eq!(back.data(), t.data(), "axis {axis} cut {cut}");
-            }
+        for cut in 1..t.dim(0) {
+            let mut grown = t.slice_along(0, 0, cut);
+            grown.append_leading(&t.slice_along(0, cut, t.dim(0) - cut));
+            assert_eq!(grown.shape().dims(), t.shape().dims());
+            assert_eq!(grown.data(), t.data(), "cut {cut}");
         }
     }
 
@@ -314,9 +298,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "extent mismatch")]
-    fn concat_rejects_mismatched_extents() {
-        let a = DenseTensor::zeros(vec![2, 3]);
-        let b = DenseTensor::zeros(vec![3, 3]);
-        let _ = a.concat_along(&b, 1);
+    fn append_rejects_mismatched_trailing_extents() {
+        let mut a = DenseTensor::zeros(vec![2, 3]);
+        let b = DenseTensor::zeros(vec![2, 4]);
+        a.append_leading(&b);
     }
 }

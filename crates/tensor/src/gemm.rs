@@ -181,15 +181,23 @@ pub fn thread_gemm_counters() -> GemmCounters {
     COUNTERS.with(|c| c.get())
 }
 
-fn bump_counters(m: usize, n: usize, k: usize, fixed: bool) {
+/// Credit `calls` products of logical shape `m×n×k` to this thread's
+/// counters. [`gemm_slice`] credits its own call; a kernel that fans
+/// [`gemm_slice_uncounted`] calls out over the pool credits them here, on
+/// the thread that issued the batch, so the tally does not depend on which
+/// worker ran what.
+pub(crate) fn count_gemm_calls(calls: u64, m: usize, n: usize, k: usize) {
+    // The rank-specialized micro-kernels serve n ∈ {8, 16, 32} above the
+    // small-work threshold; everything else is a generic call.
+    let fixed = m * n * k >= SMALL_WORK && matches!(n, 8 | 16 | 32);
     COUNTERS.with(|c| {
         let mut v = c.get();
-        v.calls += 1;
-        v.flops += gemm_flops(m, n, k);
+        v.calls += calls;
+        v.flops += calls * gemm_flops(m, n, k);
         if fixed {
-            v.fixed_n_calls += 1;
+            v.fixed_n_calls += calls;
         } else {
-            v.generic_calls += 1;
+            v.generic_calls += calls;
         }
         c.set(v);
     });
@@ -310,6 +318,31 @@ pub fn gemm_slice(
     )
 }
 
+/// [`gemm_slice`] without the counter bump — for kernels that issue many
+/// products from pool tasks and credit them once with
+/// [`count_gemm_calls`]. Arithmetic is identical.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_slice_uncounted(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    b: &[f64],
+    b_rows: usize,
+    b_cols: usize,
+    beta: f64,
+    c: &mut [f64],
+    c_rows: usize,
+    c_cols: usize,
+) {
+    let (mc_c, kc_c) = panel_constants();
+    gemm_core(
+        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, mc_c, kc_c,
+    );
+}
+
 /// [`gemm_slice`] with explicit `(MC, KC)` panel constants — the body
 /// behind the `PP_GEMM_MC`/`PP_GEMM_KC` override, exposed so tests can
 /// exercise arbitrary (including pathological) panel geometries against
@@ -333,6 +366,33 @@ pub fn gemm_slice_with_panels(
     mc_c: usize,
     kc_c: usize,
 ) {
+    if let Some((m, n, k)) = gemm_core(
+        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, mc_c, kc_c,
+    ) {
+        count_gemm_calls(1, m, n, k);
+    }
+}
+
+/// The product itself; returns its logical `(m, n, k)` unless the shape
+/// was degenerate (nothing multiplied, nothing to count).
+#[allow(clippy::too_many_arguments)]
+fn gemm_core(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    b: &[f64],
+    b_rows: usize,
+    b_cols: usize,
+    beta: f64,
+    c: &mut [f64],
+    c_rows: usize,
+    c_cols: usize,
+    mc_c: usize,
+    kc_c: usize,
+) -> Option<(usize, usize, usize)> {
     assert!(
         mc_c >= MR && mc_c.is_multiple_of(MR),
         "MC must cover micro-panels"
@@ -342,18 +402,17 @@ pub fn gemm_slice_with_panels(
         ta, tb, a, a_rows, a_cols, b, b_rows, b_cols, c, c_rows, c_cols,
     );
     if m == 0 || n == 0 {
-        return;
+        return None;
     }
     if k == 0 {
         beta_scale(c, beta);
-        return;
+        return None;
     }
 
     let work = m * n * k;
     if work < SMALL_WORK {
         small_serial(ta, tb, alpha, a, a_cols, b, b_cols, beta, c, m, n, k);
-        bump_counters(m, n, k, false);
-        return;
+        return Some((m, n, k));
     }
 
     // Rank-specialization: every path runs MR×NR register tiles, but for
@@ -361,7 +420,6 @@ pub fn gemm_slice_with_panels(
     // 4 fully unrolled NR-wide panels); other widths take the generic
     // runtime-count loop with a zero-padded edge panel. Size-based only —
     // never thread-dependent.
-    let fixed = matches!(n, 8 | 16 | 32);
     let npad = n.div_ceil(NR) * NR;
 
     // `op(B)` untransposed with a single full-width panel is already in
@@ -436,7 +494,7 @@ pub fn gemm_slice_with_panels(
             run(pb);
         });
     }
-    bump_counters(m, n, k, fixed);
+    Some((m, n, k))
 }
 
 /// Pack the k-panel `[kp, kp+kc)` of `op(B)` into `nr`-wide column panels:

@@ -13,10 +13,11 @@
 //! of the input tensor (paper §IV).
 
 use crate::dense::DenseTensor;
-use crate::gemm::{gemm_slice, Trans};
+use crate::gemm::{count_gemm_calls, gemm_slice, gemm_slice_uncounted, Trans};
 use crate::matrix::Matrix;
 use crate::shape::Shape;
 use crate::transpose::move_mode_last;
+use rayon::prelude::*;
 
 /// Result of a TTM together with the bookkeeping the cost ledgers need.
 pub struct TtmOutput {
@@ -131,6 +132,54 @@ pub fn ttm_first(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     DenseTensor::from_vec(Shape::new(dims), out)
 }
 
+/// [`ttm_first`] batched over the leading mode: contract the *second* mode
+/// of `t` (`[E, s, rest...]`) with `factor` (`s × R`), giving
+/// `[E, rest..., R]`. Each leading index owns a contiguous `s × K` slab, so
+/// this is one transposed GEMM per slab and — like [`ttm_first`] and
+/// [`ttm_last`] — moves no data. Slabs fan out over the pool.
+///
+/// This is what lets a streaming input keep its evolving mode leading in
+/// every stored layout (appending a slice is then a tail append) and still
+/// contract a second mode per layout without a transpose. A slab's result
+/// does not depend on `E`, so contracting an appended slice alone equals
+/// the matching rows of contracting the grown tensor, bit for bit.
+pub fn ttm_first_batched(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
+    let n = t.order();
+    assert!(n >= 2, "batched TTM needs a leading and a contracted mode");
+    let (batch, s) = (t.dim(0), t.dim(1));
+    assert_eq!(factor.rows(), s);
+    let r = factor.cols();
+    let k: usize = t.shape().dims()[2..].iter().product();
+
+    let mut dims = vec![batch];
+    dims.extend_from_slice(&t.shape().dims()[2..]);
+    dims.push(r);
+    let mut out = vec![0.0f64; batch * k * r];
+    if !out.is_empty() && s > 0 {
+        let src = t.data();
+        // Per slab: view it as an (s × K) matrix; out_slab = slabᵀ · factor.
+        out.par_chunks_mut(k * r).enumerate().for_each(|(i, c)| {
+            gemm_slice_uncounted(
+                Trans::Yes,
+                Trans::No,
+                1.0,
+                &src[i * s * k..(i + 1) * s * k],
+                s,
+                k,
+                factor.data(),
+                s,
+                r,
+                0.0,
+                c,
+                k,
+                r,
+            );
+        });
+        count_gemm_calls(batch as u64, k, r, s);
+    }
+    DenseTensor::from_vec(Shape::new(dims), out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,6 +266,53 @@ mod tests {
         let fast = ttm_first(&t, &a);
         assert!(general.tensor.max_abs_diff(&fast) < 1e-12);
         assert_eq!(fast.shape().dims(), &[4, 5, 2]);
+    }
+
+    #[test]
+    fn ttm_first_batched_matches_naive_orders_3_to_5() {
+        // Slabs below and above the packed-GEMM threshold, ranks on the
+        // generic (3) and the rank-specialized (8) paths.
+        for dims in [
+            vec![3, 4, 5],
+            vec![2, 5, 3, 4],
+            vec![2, 3, 2, 3, 2],
+            vec![3, 9, 8, 7],
+        ] {
+            let t = seq_tensor(dims.clone());
+            for r in [3, 8] {
+                let a = Matrix::from_fn(dims[1], r, |i, j| ((i * 3 + j) % 7) as f64 * 0.5 - 1.0);
+                let got = ttm_first_batched(&t, &a);
+                let want = naive_ttm(&t, 1, &a);
+                assert_eq!(got.shape().dims(), want.shape().dims());
+                assert!(
+                    got.max_abs_diff(&want) < 1e-9,
+                    "batched ttm mismatch on {dims:?} r={r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ttm_first_batched_slabs_do_not_see_the_batch_extent() {
+        // The streaming contract: contracting the trailing slabs alone is
+        // bit-identical to the same rows of the whole contraction.
+        let t = seq_tensor(vec![5, 9, 8, 7]);
+        let a = Matrix::from_fn(9, 8, |i, j| ((i * 5 + j) % 11) as f64 * 0.25 - 1.0);
+        let whole = ttm_first_batched(&t, &a);
+        let tail = ttm_first_batched(&t.slice_along(0, 3, 2), &a);
+        assert_eq!(whole.slice_along(0, 3, 2).data(), tail.data());
+    }
+
+    #[test]
+    fn ttm_first_batched_credits_one_product_per_slab() {
+        let t = seq_tensor(vec![4, 9, 8, 7]);
+        let a = Matrix::from_fn(9, 8, |i, j| (i + j) as f64);
+        let before = crate::gemm::thread_gemm_counters();
+        let _ = ttm_first_batched(&t, &a);
+        let d = crate::gemm::thread_gemm_counters().since(&before);
+        assert_eq!(d.calls, 4);
+        assert_eq!(d.fixed_n_calls, 4);
+        assert_eq!(d.flops, 2 * t.len() as u64 * 8);
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! Blocked N-dimensional permutations (the role HPTT plays in the paper).
+//! N-dimensional permutations (the role HPTT plays in the paper): an
+//! odometer gather over the output for general permutations
+//! ([`permute`]), and a de-interleaving pass over the input for the one
+//! permutation the streaming layouts are built from, "rotate a mode to the
+//! front" ([`move_mode_first`]).
 //!
 //! Tensor transposes matter for two algorithms here: the PP initialization
 //! step needs them for orders ≥ 4, and MSDT needs them to contract the input
@@ -11,6 +15,9 @@ use rayon::prelude::*;
 
 /// Minimum tensor elements before a permutation fans out to the pool.
 const PAR_ELEMS: usize = 1 << 16;
+
+/// Source elements [`move_mode_first`] deals out per pass (16 KiB).
+const TILE_ELEMS: usize = 1 << 11;
 
 /// Permute the modes of a tensor: `out[i_{perm[0]}, ..., i_{perm[N-1]}] = t[i_0, ..., i_{N-1}]`
 /// — i.e. mode `k` of the output is mode `perm[k]` of the input.
@@ -117,9 +124,73 @@ pub fn move_mode_last(t: &DenseTensor, mode: usize) -> DenseTensor {
     permute(t, &perm_mode_last(t.order(), mode))
 }
 
-/// Copy of the tensor with `mode` moved to the first position.
+/// Copy of the tensor with `mode` moved to the first position, the others
+/// keeping their order — the evolving-mode-major layout of a streaming
+/// input.
+///
+/// Viewed as `[A, E, B]` (`A` the volume before `mode`, `B` the volume
+/// after it) the result is `[E, A, B]`. A gather over the output would
+/// re-read every source line `E` times when `B` is small (the time mode of
+/// a time-lapse is last: `B = 1`); instead each source line `a` — `E` runs
+/// of `B` — is read once and dealt out to the `E` output slabs. Blocks of
+/// `a` own disjoint pieces of every slab, so they fan out over the pool;
+/// every element is a verbatim copy, identical at any thread count.
 pub fn move_mode_first(t: &DenseTensor, mode: usize) -> DenseTensor {
-    permute(t, &perm_mode_first(t.order(), mode))
+    let n = t.order();
+    assert!(mode < n, "mode {mode} out of range for order {n}");
+    let out_shape = t.shape().permuted(&perm_mode_first(n, mode));
+    let dims = t.shape().dims();
+    let a: usize = dims[..mode].iter().product();
+    let e = dims[mode];
+    let b: usize = dims[mode + 1..].iter().product();
+    if a == 1 || t.is_empty() {
+        // Already leading (or nothing to move): a plain copy.
+        return DenseTensor::from_vec(out_shape, t.data().to_vec());
+    }
+
+    let src = t.data();
+    let mut out = vec![0.0f64; t.len()];
+    let nthreads = rayon::current_num_threads().max(1);
+    let a_per_block = if t.len() >= PAR_ELEMS && nthreads > 1 {
+        a.div_ceil(nthreads * 4)
+    } else {
+        a
+    };
+    let blocks = a.div_ceil(a_per_block);
+
+    // pieces[j][x] = the rows of output slab `x` that block `j` fills.
+    let mut pieces: Vec<Vec<&mut [f64]>> = (0..blocks).map(|_| Vec::with_capacity(e)).collect();
+    for slab in out.chunks_mut(a * b) {
+        let mut rest = slab;
+        for block in pieces.iter_mut() {
+            let (head, tail) = rest.split_at_mut((a_per_block * b).min(rest.len()));
+            block.push(head);
+            rest = tail;
+        }
+    }
+    pieces.par_chunks_mut(1).enumerate().for_each(|(j, block)| {
+        let rows = &mut block[0];
+        let n_lines = rows[0].len() / b;
+        let lines = &src[j * a_per_block * e * b..][..n_lines * e * b];
+        // A tile of lines stays in L1 while its `E` runs are dealt out.
+        let tile = (TILE_ELEMS / (e * b)).max(1);
+        for i0 in (0..n_lines).step_by(tile) {
+            let i1 = (i0 + tile).min(n_lines);
+            for (x, row) in rows.iter_mut().enumerate() {
+                let runs = lines[i0 * e * b..i1 * e * b].chunks_exact(e * b);
+                if b == 1 {
+                    for (dst, line) in row[i0..i1].iter_mut().zip(runs) {
+                        *dst = line[x];
+                    }
+                } else {
+                    for (dst, line) in row[i0 * b..i1 * b].chunks_exact_mut(b).zip(runs) {
+                        dst.copy_from_slice(&line[x * b..(x + 1) * b]);
+                    }
+                }
+            }
+        }
+    });
+    DenseTensor::from_vec(out_shape, out)
 }
 
 /// Swap the first two modes of a tensor (used to obtain `𝓜p^(i,n)` from
@@ -221,6 +292,21 @@ mod tests {
         // Roundtrip through the inverse also exercises inner_stride == 1.
         let back = permute(&p, &[1, 2, 0]);
         assert_eq!(back.data(), t.data());
+    }
+
+    #[test]
+    fn move_mode_first_matches_permute_every_mode() {
+        // Small (serial) and ≥ PAR_ELEMS (pooled, uneven blocks) shapes,
+        // every mode including the last (B = 1) and the first (copy).
+        for dims in [vec![3, 4, 5], vec![2, 3, 4, 5], vec![37, 29, 67]] {
+            let t = seq_tensor(dims.clone());
+            for mode in 0..dims.len() {
+                let got = move_mode_first(&t, mode);
+                let want = permute(&t, &perm_mode_first(dims.len(), mode));
+                assert_eq!(got.shape().dims(), want.shape().dims());
+                assert_eq!(got.data(), want.data(), "dims {dims:?} mode {mode}");
+            }
+        }
     }
 
     #[test]

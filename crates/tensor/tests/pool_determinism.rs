@@ -8,6 +8,7 @@
 use pp_tensor::gemm::{gemm, Trans};
 use pp_tensor::kernels::krp::khatri_rao;
 use pp_tensor::kernels::mttv::mttv;
+use pp_tensor::kernels::ttm::ttm_first_batched;
 use pp_tensor::rng::{seeded, uniform_matrix, uniform_tensor};
 use pp_tensor::sparse::{sparse_mttkrp, CsfTensor, SparseTensor};
 use pp_tensor::Matrix;
@@ -135,6 +136,28 @@ fn mttv_bit_identical_across_thread_counts() {
             par.data(),
             "fixed-r mttv differs at {threads} threads"
         );
+    }
+}
+
+#[test]
+fn ttm_first_batched_bit_identical_1_vs_4_threads() {
+    // Slabs fan out over the pool and each slab's GEMM (40·24·16 multiply-
+    // adds ≥ 2^16 with the prime trailing volume below) fans out again
+    // inside it; which worker runs which slab or row chunk must not show.
+    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = seeded(31);
+    let t = uniform_tensor(&[5, 40, 7, 41], &mut rng);
+    for r in [16usize, 24] {
+        let fac = uniform_matrix(40, r, &mut rng);
+        let serial = with_threads(1, || ttm_first_batched(&t, &fac));
+        for threads in [2, 4, 8] {
+            let par = with_threads(threads, || ttm_first_batched(&t, &fac));
+            assert_eq!(
+                serial.data(),
+                par.data(),
+                "batched ttm r={r} differs at {threads} threads"
+            );
+        }
     }
 }
 

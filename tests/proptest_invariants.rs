@@ -4,6 +4,9 @@
 //!   histories (the MSDT exactness claim);
 //! * the amortized Eq. (3) residual matches the dense residual;
 //! * Khatri-Rao / Gram / Hadamard algebraic identities;
+//! * an evolving-mode-major input contracts every mode like the TTM
+//!   oracle, needs no transpose with its copies, and grows by appends into
+//!   exactly the input built from the concatenated tensor;
 //! * block distributions tile every index exactly once;
 //! * collectives preserve content for arbitrary sizes and rank counts.
 
@@ -12,8 +15,10 @@ use parallel_pp::dtree::{DimTreeEngine, FactorState, InputTensor, TreePolicy};
 use parallel_pp::grid::BlockDist;
 use parallel_pp::tensor::kernels::krp::khatri_rao;
 use parallel_pp::tensor::kernels::naive::{mttkrp, unfold};
+use parallel_pp::tensor::kernels::ttm::ttm;
 use parallel_pp::tensor::rng::{seeded, uniform_matrix, uniform_tensor};
 use parallel_pp::tensor::solve::{cholesky, solve_gram};
+use parallel_pp::tensor::transpose::permute;
 use parallel_pp::tensor::Matrix;
 use proptest::prelude::*;
 use rand::Rng;
@@ -36,6 +41,22 @@ proptest! {
     #[test]
     fn dt_msdt_naive_agree_order4(dims in small_dims(4), seed in 0u64..1000, r in 1usize..4) {
         check_tree_agreement(&dims, r, seed);
+    }
+
+    #[test]
+    fn evolving_input_matches_oracle_and_grows_by_appends(
+        dims in prop::collection::vec(2usize..5, 5..=5),
+        order in 3usize..6,
+        e_pick in 0usize..5,
+        copies in 0usize..2,
+        appends in 1usize..4,
+        r in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let e = e_pick % order;
+        let mut dims = dims[..order].to_vec();
+        dims[e] += appends; // room for `appends` one-row slices after the start
+        check_evolving_input(&dims, e, copies == 1, appends, r, seed);
     }
 
     #[test]
@@ -277,6 +298,63 @@ fn check_tree_agreement(dims: &[usize], r: usize, seed: u64) {
             let upd = uniform_matrix(dim, r, &mut rng);
             fs_dt.update(n, upd.clone());
             fs_ms.update(n, upd);
+        }
+    }
+}
+
+/// An input laid out along `e`: every mode contracts to the TTM oracle
+/// (without a transpose when the copies are kept), and the input grown from
+/// a prefix by `appends` one-row slices is — layout for layout, as far as
+/// any contraction can tell — the input built from the whole tensor.
+fn check_evolving_input(
+    dims: &[usize],
+    e: usize,
+    copies: bool,
+    appends: usize,
+    r: usize,
+    seed: u64,
+) {
+    let mut rng = seeded(seed);
+    let t = uniform_tensor(dims, &mut rng);
+    let factors: Vec<Matrix> = dims
+        .iter()
+        .map(|&d| uniform_matrix(d, r, &mut rng))
+        .collect();
+
+    let mut whole = InputTensor::evolving(&t, e, copies);
+    for (mode, a) in factors.iter().enumerate() {
+        let fl = whole.contract_mode(mode, a);
+        if copies {
+            assert_eq!(fl.transpose_words, 0, "mode {mode} transposed");
+        }
+        // Back to ascending mode order (rank stays last) for the oracle.
+        let mut sorted = fl.mode_order.clone();
+        sorted.sort_unstable();
+        let mut perm: Vec<usize> = sorted
+            .iter()
+            .map(|m| fl.mode_order.iter().position(|x| x == m).unwrap())
+            .collect();
+        perm.push(fl.mode_order.len());
+        let got = permute(fl.payload.dense(), &perm);
+        let want = ttm(&t, mode, a).tensor;
+        assert!(got.max_abs_diff(&want) < 1e-9, "e={e} mode {mode}");
+    }
+
+    let start = dims[e] - appends;
+    let mut grown = InputTensor::evolving(&t.slice_along(e, 0, start), e, copies);
+    for i in 0..appends {
+        grown.extend_mode(e, &t.slice_along(e, start + i, 1));
+    }
+    assert_eq!(grown.layout_count(), whole.layout_count());
+    assert_eq!(grown.canonical().data(), t.data());
+    for (mode, a) in factors.iter().enumerate() {
+        match (grown.plan_contract(mode), whole.plan_contract(mode)) {
+            (Some(g), Some(w)) => {
+                assert_eq!(g.mode_order, w.mode_order);
+                assert_eq!(g.run(a).dense().data(), w.run(a).dense().data());
+            }
+            (None, None) => assert!(!copies, "copies leave no mode unplanned"),
+            _ => panic!("grown and whole inputs plan mode {mode} differently"),
         }
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! * the incremental dimension-tree cache extension equals the
 //!   full-recompute oracle **bitwise** over randomized arrival schedules
-//!   (property-based), for the exact and PP session kinds;
+//!   (property-based), for the exact and PP session kinds, both tree
+//!   policies, and the evolving mode at every position of a permuted
+//!   time-lapse;
 //! * streamed traces are bit-identical under a 1-thread and a 4-thread
 //!   pool (the threshold-crossing slice sizes actually exercise the
 //!   pooled kernels);
@@ -12,7 +14,9 @@
 
 use parallel_pp::core::{AlsConfig, AlsOutput, SessionKind, StreamingSession};
 use parallel_pp::datagen::timelapse::{TimelapseConfig, TimelapseStream, TIME_MODE};
-use parallel_pp::dtree::CacheUpdate;
+use parallel_pp::dtree::{CacheUpdate, TreePolicy};
+use parallel_pp::tensor::transpose::permute;
+use parallel_pp::tensor::DenseTensor;
 use proptest::prelude::*;
 
 mod common;
@@ -26,10 +30,29 @@ fn drive(
     spa: usize,
     update: CacheUpdate,
 ) -> AlsOutput {
-    let mut s = StreamingSession::new(&feed.initial(), cfg, kind, TIME_MODE, spa, update);
+    drive_along(feed, TIME_MODE, cfg, kind, spa, update)
+}
+
+/// A time-lapse piece with its time mode moved to position `e`.
+fn time_at(t: &DenseTensor, e: usize) -> DenseTensor {
+    let mut perm: Vec<usize> = (0..t.order()).filter(|&m| m != TIME_MODE).collect();
+    perm.insert(e, TIME_MODE);
+    permute(t, &perm)
+}
+
+/// [`drive`] over the feed permuted so that it evolves along mode `e`.
+fn drive_along(
+    feed: &TimelapseStream,
+    e: usize,
+    cfg: &AlsConfig,
+    kind: SessionKind,
+    spa: usize,
+    update: CacheUpdate,
+) -> AlsOutput {
+    let mut s = StreamingSession::new(&time_at(&feed.initial(), e), cfg, kind, e, spa, update);
     s.run_window();
     for i in 0..feed.n_arrivals() {
-        s.arrive(&feed.slice(i));
+        s.arrive(&time_at(&feed.slice(i), e));
         s.run_window();
     }
     s.finish()
@@ -54,7 +77,11 @@ fn midsize_feed() -> TimelapseStream {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Incremental == recompute, bitwise, over random arrival schedules.
+    /// Incremental == recompute, bitwise, over random arrival schedules,
+    /// with the evolving mode at any position. Rank 8 over a 6×6×4 frame
+    /// keeps even a one-step slice's first-level GEMMs on the packed path
+    /// (144·8 ≥ 2^10), so the multi-sweep arm — the one that consumes
+    /// extended entries — compares the same kernel on slice and whole.
     #[test]
     fn incremental_matches_recompute_oracle(
         initial in 1usize..5,
@@ -62,21 +89,28 @@ proptest! {
         n_arrivals in 1usize..4,
         spa in 1usize..4,
         pp in 0usize..2,
+        msdt in 0usize..2,
+        e in 0usize..4,
         seed in 0u64..1000,
     ) {
         let tcfg = TimelapseConfig {
             height: 6,
-            width: 5,
+            width: 6,
             bands: 4,
             times: initial + arrive * n_arrivals,
             materials: 2,
             noise: 1e-2,
         };
         let feed = TimelapseStream::new(&tcfg, seed, initial, arrive).unwrap();
-        let cfg = AlsConfig::new(3).with_tol(0.0).with_pp_tol(0.3).with_seed(seed ^ 0x9e37);
+        let policy = if msdt == 1 { TreePolicy::MultiSweep } else { TreePolicy::Standard };
+        let cfg = AlsConfig::new(8)
+            .with_policy(policy)
+            .with_tol(0.0)
+            .with_pp_tol(0.3)
+            .with_seed(seed ^ 0x9e37);
         let kind = if pp == 1 { SessionKind::Pp } else { SessionKind::Exact };
-        let a = drive(&feed, &cfg, kind, spa, CacheUpdate::Incremental);
-        let b = drive(&feed, &cfg, kind, spa, CacheUpdate::Recompute);
+        let a = drive_along(&feed, e, &cfg, kind, spa, CacheUpdate::Incremental);
+        let b = drive_along(&feed, e, &cfg, kind, spa, CacheUpdate::Recompute);
         prop_assert_eq!(a.report.sweeps.len(), b.report.sweeps.len());
         for (x, y) in a.report.sweeps.iter().zip(b.report.sweeps.iter()) {
             prop_assert_eq!(x.kind, y.kind);
