@@ -392,13 +392,9 @@ impl<'a> Reader<'a> {
                 let r = self.usize_()?;
                 let inds = self.u32s()?;
                 let panels = self.f64s()?;
-                let l = dims.len();
-                if l == 0 || r == 0 || inds.len() % l != 0 || panels.len() != (inds.len() / l) * r {
-                    return Err("inconsistent semi-sparse intermediate".into());
-                }
-                Payload::SemiSparse(Arc::new(SemiSparseTensor::from_parts(
-                    dims, inds, panels, r,
-                )))
+                let ss = SemiSparseTensor::from_parts(dims, inds, panels, r)
+                    .map_err(|e| format!("inconsistent semi-sparse intermediate: {e}"))?;
+                Payload::SemiSparse(Arc::new(ss))
             }
             v => return Err(format!("invalid intermediate representation tag {v}")),
         };
@@ -578,6 +574,38 @@ mod tests {
         let mut r2 = Reader::open(&bytes2).unwrap();
         let e = r2.bytes().expect_err("oversized blob length");
         assert!(e.contains("mid-field"), "{e}");
+    }
+
+    #[test]
+    fn corrupt_semisparse_intermediate_is_a_decode_error() {
+        // A checksum-valid frame whose semi-sparse payload is inconsistent
+        // (an index past its extent, tuples out of order) must fail the
+        // decode — before, it panicked deep inside a later scatter.
+        let encode = |inds: &[u32]| {
+            let mut w = Writer::new();
+            w.usizes(&[0, 1]); // mode_order
+            w.u64s(&[0, 0, 0]); // versions
+            w.u8_(1); // semi-sparse
+            w.usizes(&[3, 4]); // level extents
+            w.usize_(2); // rank
+            w.u32s(inds);
+            w.f64s(&[1.0, 2.0, 3.0, 4.0]);
+            w.frame()
+        };
+        let decode = |bytes: &[u8]| Reader::open(bytes).unwrap().intermediate();
+        let good = decode(&encode(&[0, 1, 2, 3])).expect("well-formed payload");
+        assert!(good.payload.is_semisparse());
+        let e = decode(&encode(&[0, 1, 2, 9]))
+            .err()
+            .expect("index 9 ≥ extent 4");
+        assert!(
+            e.contains("inconsistent") && e.contains("out of range"),
+            "{e}"
+        );
+        let e = decode(&encode(&[2, 3, 0, 1]))
+            .err()
+            .expect("unsorted tuples");
+        assert!(e.contains("ascending"), "{e}");
     }
 
     #[test]

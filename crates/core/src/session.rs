@@ -29,7 +29,7 @@ use crate::fitness::{fitness_from_residual, relative_residual};
 use crate::nonneg::hals_update;
 use crate::result::{AlsOutput, AlsReport, SweepKind, SweepRecord};
 use pp_dtree::correct::{approx_mttkrp, d_gram};
-use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
+use pp_dtree::pp_tree::{build_pp_operators, rebuild_pp_operators, PpOperators};
 use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel, TreePolicy};
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
@@ -846,11 +846,15 @@ impl AlsSession {
         for d in self.d_factors.iter_mut() {
             d.fill_zero();
         }
-        self.ops = Some(build_pp_operators(
-            &mut self.input,
-            &self.fs,
-            &mut self.engine,
-        ));
+        // A regime re-entered hands the operators it is leaving to the
+        // build, which recycles their buffers (sparse inputs) or frees them
+        // before it allocates (dense inputs).
+        self.ops = Some(match self.ops.take() {
+            Some(previous) => {
+                rebuild_pp_operators(&mut self.input, &self.fs, &mut self.engine, previous)
+            }
+            None => build_pp_operators(&mut self.input, &self.fs, &mut self.engine),
+        });
         let secs = t0.elapsed().as_secs_f64();
         self.cumulative += secs;
         self.phase = PpPhase::Approx;

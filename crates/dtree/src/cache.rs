@@ -10,6 +10,7 @@
 //! the preceding exact sweep (paper footnote 1).
 
 use crate::modeset::ModeSet;
+use pp_tensor::semisparse::SsPattern;
 use pp_tensor::{DenseTensor, SemiSparseTensor};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -248,9 +249,23 @@ impl InterCache {
     }
 
     /// Total f64-equivalent words held (auxiliary-memory metric of
-    /// Table I) — semi-sparse entries count index words at true size.
+    /// Table I) — semi-sparse entries count index words at true size, and
+    /// a pattern several entries share is counted once.
     pub fn memory_elems(&self) -> usize {
-        self.map.values().map(|e| e.memory_words()).sum()
+        let mut seen: Vec<*const SsPattern> = Vec::new();
+        self.map
+            .values()
+            .map(|e| match &e.payload {
+                Payload::SemiSparse(ss) if seen.contains(&Arc::as_ptr(ss.pattern())) => {
+                    ss.panels().len()
+                }
+                Payload::SemiSparse(ss) => {
+                    seen.push(Arc::as_ptr(ss.pattern()));
+                    ss.memory_words()
+                }
+                Payload::Dense(t) => t.len(),
+            })
+            .sum()
     }
 
     /// Drop entries invalid under `current` versions.

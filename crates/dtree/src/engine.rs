@@ -258,7 +258,7 @@ impl DimTreeEngine {
         let entries = plan.input_entries();
         let handle = rayon::submit(move || {
             let t0 = Instant::now();
-            let payload = plan.run(&factor);
+            let payload = plan.run(&factor, None);
             SpecPayload {
                 payload,
                 ttm_time: t0.elapsed(),

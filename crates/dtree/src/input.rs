@@ -19,7 +19,7 @@
 
 use crate::cache::Payload;
 use pp_tensor::kernels::ttm::{ttm_first, ttm_first_batched, ttm_last};
-use pp_tensor::semisparse::{csf_ttm, TtmPlan};
+use pp_tensor::semisparse::{csf_ttm_into, TtmPlan};
 use pp_tensor::sparse::{CsfTensor, SparseTensor};
 use pp_tensor::transpose::{move_mode_first, permute};
 use pp_tensor::{DenseTensor, Matrix};
@@ -80,8 +80,9 @@ pub struct SparseInput {
 }
 
 impl SparseInput {
-    /// Auxiliary structure memory in f64-equivalent words (forest or
-    /// plans) — the admission-control estimate.
+    /// Auxiliary structure memory in f64-equivalent words (forest, or
+    /// plans with their grouped nonzero values and memoized patterns) —
+    /// the admission-control estimate.
     pub fn memory_words(&self) -> usize {
         self.csf.as_ref().map_or(0, |c| c.memory_words())
             + self.plans.iter().map(|p| p.memory_words()).sum::<usize>()
@@ -160,17 +161,22 @@ pub struct ContractPlan {
 impl ContractPlan {
     /// Execute the planned contraction — the identical kernel call
     /// [`InputTensor::contract_mode`] would issue on the same layout/plan,
-    /// so the result is bit-identical to the non-speculative path.
-    pub fn run(&self, factor: &Matrix) -> Payload {
+    /// so the result is bit-identical to the non-speculative path. A
+    /// semi-sparse contraction writes into `spare`'s allocation when given
+    /// one (`csf_ttm_into`); dense ones ignore it.
+    pub fn run(&self, factor: &Matrix, spare: Option<Vec<f64>>) -> Payload {
         match &self.source {
             PlanSource::Dense { tensor, end } => Payload::Dense(Arc::new(match end {
                 ContractEnd::Last => ttm_last(tensor, factor),
                 ContractEnd::First => ttm_first(tensor, factor),
                 ContractEnd::Second => ttm_first_batched(tensor, factor),
             })),
-            PlanSource::Sparse { input, mode } => {
-                Payload::SemiSparse(Arc::new(csf_ttm(&input.coo, &input.plans[*mode], factor)))
-            }
+            PlanSource::Sparse { input, mode } => Payload::SemiSparse(Arc::new(csf_ttm_into(
+                &input.coo,
+                &input.plans[*mode],
+                factor,
+                spare,
+            ))),
         }
     }
 
@@ -235,7 +241,7 @@ impl InputTensor {
     /// and `msdt` methods on sparse inputs. The input is never densified.
     pub fn new_sparse_chained(sp: SparseTensor) -> Self {
         let order = sp.order();
-        let plans: Vec<TtmPlan> = (0..order).map(|m| TtmPlan::build(&sp, m)).collect();
+        let plans = crate::par_collect(order, |m| TtmPlan::build(&sp, m));
         InputTensor {
             layouts: Vec::new(),
             order,
@@ -465,6 +471,17 @@ impl InputTensor {
     /// choosing a stored layout where `mode` is extremal if possible and
     /// transposing (with cost accounted) otherwise.
     pub fn contract_mode(&mut self, mode: usize, factor: &Matrix) -> FirstLevel {
+        self.contract_mode_into(mode, factor, None)
+    }
+
+    /// [`InputTensor::contract_mode`] with a `spare` buffer for the result
+    /// (see [`ContractPlan::run`]).
+    pub fn contract_mode_into(
+        &mut self,
+        mode: usize,
+        factor: &Matrix,
+        spare: Option<Vec<f64>>,
+    ) -> FirstLevel {
         assert!(mode < self.order);
         assert!(
             self.sparse.is_none() || self.is_sparse_chained(),
@@ -477,7 +494,7 @@ impl InputTensor {
         if let Some(plan) = self.plan_contract(mode) {
             let entries = plan.input_entries();
             let t0 = Instant::now();
-            let out = plan.run(factor);
+            let out = plan.run(factor, spare);
             let ttm_time = t0.elapsed();
             return FirstLevel {
                 payload: out,
@@ -759,7 +776,7 @@ mod tests {
         let before = InputTensor::evolving(&old, e, true)
             .contract_mode(1, &a)
             .payload;
-        assert_eq!(plan.run(&a).dense().data(), before.dense().data());
+        assert_eq!(plan.run(&a, None).dense().data(), before.dense().data());
         let after = InputTensor::evolving(&whole, e, true)
             .contract_mode(1, &a)
             .payload;

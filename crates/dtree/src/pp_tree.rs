@@ -30,7 +30,7 @@ use crate::par_collect;
 use crate::stats::Kernel;
 use pp_tensor::kernels::mttv::mttv;
 use pp_tensor::semisparse::{ss_mttv, thread_ss_counters};
-use pp_tensor::Matrix;
+use pp_tensor::{Matrix, SemiSparseTensor};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,9 +91,60 @@ pub fn build_pp_operators_with(
     engine: &mut DimTreeEngine,
     memory: PpTreeMemory,
 ) -> PpOperators {
+    build(input, fs, engine, memory, None)
+}
+
+/// [`build_pp_operators`] on re-entering the PP regime, consuming the
+/// operators of the regime being left: on a sparse input each new pair is
+/// densified into the buffer of the pair it replaces (same key, same
+/// size) instead of a fresh multi-megabyte mapping. Same operators, bit
+/// for bit.
+pub fn rebuild_pp_operators(
+    input: &mut InputTensor,
+    fs: &FactorState,
+    engine: &mut DimTreeEngine,
+    previous: PpOperators,
+) -> PpOperators {
+    build(input, fs, engine, PpTreeMemory::Full, Some(previous))
+}
+
+/// Allocations a build may write into instead of mapping fresh ones (whose
+/// every page would fault on first touch). Only semi-sparse chains have a
+/// use for them: their pairs are scattered dense at completion.
+#[derive(Default)]
+struct Spares {
+    /// Dense pair operators of the regime being left, by pair key.
+    pairs: HashMap<(usize, usize), Vec<f64>>,
+    /// Panels of the last first-level pair densified and released — the
+    /// next pair's first-level TTM writes into them.
+    panels: Option<Vec<f64>>,
+}
+
+impl Spares {
+    fn from_previous(previous: Option<PpOperators>) -> Self {
+        let mut spares = Spares::default();
+        for (key, pair) in previous.into_iter().flat_map(|p| p.pairs) {
+            if let Payload::Dense(t) = pair.payload {
+                if let Ok(t) = Arc::try_unwrap(t) {
+                    spares.pairs.insert(key, t.into_vec());
+                }
+            }
+        }
+        spares
+    }
+}
+
+fn build(
+    input: &mut InputTensor,
+    fs: &FactorState,
+    engine: &mut DimTreeEngine,
+    memory: PpTreeMemory,
+    previous: Option<PpOperators>,
+) -> PpOperators {
     let n_modes = fs.order();
     assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
     let mut fresh_ttms = 0usize;
+    let mut spares = Spares::from_previous(previous);
 
     // ---- Phase A (sequential): secure each pair's starting intermediate.
     // First-level TTMs mutate `input` (layout caching) and the shared
@@ -106,7 +157,7 @@ pub fn build_pp_operators_with(
             let set = ModeSet::from_modes([i, j]);
             match memory {
                 PpTreeMemory::Full => {
-                    match obtain_pp_start(input, fs, engine, set, &mut fresh_ttms) {
+                    match obtain_pp_start(input, fs, engine, (i, j), &mut fresh_ttms, &mut spares) {
                         PairStart::Done(inter) => ready.push(((i, j), inter)),
                         PairStart::From(start) => deferred.push(((i, j), start)),
                     }
@@ -136,10 +187,11 @@ pub fn build_pp_operators_with(
         }
         engine.stats.semisparse_ttv_flops += done.ss_flops;
         engine.stats.semisparse_entries_visited += done.ss_entries;
+        let (inter, _) = densify_pair(done.inter, spares.pairs.remove(&done.key));
         if memory == PpTreeMemory::Full {
-            engine.cache_mut().insert(done.inter.clone());
+            engine.cache_mut().insert(inter.clone());
         }
-        pairs.insert(done.key, done.inter);
+        pairs.insert(done.key, inter);
     }
 
     // Anchors Mp^(n): contract the partner mode out of a pair operator —
@@ -193,17 +245,30 @@ struct PairDone {
 /// Pair operators have a hard dense contract — the approximated step's
 /// first-order corrections and the anchors below run dense mTTVs over
 /// them — so a pair completed on the semi-sparse chain is scattered dense
-/// here. This densifies an *operator* (`s_i · s_j · R` words, factor-matrix
-/// scale), never the input tensor.
-fn densify_pair(inter: Intermediate) -> Intermediate {
-    match &inter.payload {
-        Payload::Dense(_) => inter,
-        Payload::SemiSparse(ss) => Intermediate {
-            payload: Payload::Dense(Arc::new(ss.to_dense())),
-            mode_order: inter.mode_order.clone(),
-            versions: inter.versions.clone(),
-        },
-    }
+/// here (into `spare`'s allocation when given one). This densifies an
+/// *operator* (`s_i · s_j · R` words, factor-matrix scale), never the input
+/// tensor. Also returns the semi-sparse source's panel buffer when nothing
+/// else holds it.
+fn densify_pair(inter: Intermediate, spare: Option<Vec<f64>>) -> (Intermediate, Option<Vec<f64>>) {
+    let Intermediate {
+        payload,
+        mode_order,
+        versions,
+    } = inter;
+    let (payload, released) = match payload {
+        Payload::Dense(_) => (payload, None),
+        Payload::SemiSparse(ss) => {
+            let dense = Arc::new(ss.to_dense_into(spare));
+            let released = Arc::try_unwrap(ss).ok().map(SemiSparseTensor::into_panels);
+            (Payload::Dense(dense), released)
+        }
+    };
+    let dense = Intermediate {
+        payload,
+        mode_order,
+        versions,
+    };
+    (dense, released)
 }
 
 /// Contract every mode outside `key` out of `start` (batched TTVs). Pure
@@ -249,7 +314,7 @@ fn finish_pair(key: (usize, usize), start: Intermediate, fs: &FactorState) -> Pa
     debug_assert_eq!(current.set(), set);
     PairDone {
         key,
-        inter: densify_pair(current),
+        inter: current,
         steps,
         ss_flops,
         ss_entries,
@@ -295,10 +360,11 @@ fn first_level_ttm(
     engine: &mut DimTreeEngine,
     contract: usize,
     fresh_ttms: &mut usize,
+    spare: Option<Vec<f64>>,
 ) -> Intermediate {
     *fresh_ttms += 1;
     let s0 = thread_ss_counters();
-    let fl = input.contract_mode(contract, fs.factor(contract));
+    let fl = input.contract_mode_into(contract, fs.factor(contract), spare);
     engine.stats.add_ss_delta(&thread_ss_counters().since(&s0));
     if fl.transpose_words > 0 {
         engine.stats.record(Kernel::Transpose, fl.transpose_time, 0);
@@ -334,7 +400,7 @@ fn obtain_pp(
     if parent_set == ModeSet::full(n_modes) {
         // The parent is the input tensor itself: a single first-level TTM
         // contracting `choice` produces exactly `set`.
-        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms);
+        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms, None);
         debug_assert_eq!(inter.set(), set);
         return inter;
     }
@@ -350,25 +416,48 @@ fn obtain_pp_start(
     input: &mut InputTensor,
     fs: &FactorState,
     engine: &mut DimTreeEngine,
-    set: ModeSet,
+    key: (usize, usize),
     fresh_ttms: &mut usize,
+    spares: &mut Spares,
 ) -> PairStart {
-    debug_assert_eq!(set.len(), 2);
+    let set = ModeSet::from_modes([key.0, key.1]);
     let n_modes = fs.order();
 
     if let Some(c) = engine.cache_mut().get_valid(set, fs.versions()) {
-        return PairStart::Done(densify_pair(c.clone()));
+        let cached = c.clone();
+        return PairStart::Done(stand_in_dense(engine, cached, key, spares));
     }
 
     let choice = pick_parent_mode(engine, fs, set, n_modes);
     let parent_set = set.with(choice);
     if parent_set == ModeSet::full(n_modes) {
         // Order-3 tensors: the pair is itself a first-level intermediate.
-        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms);
+        let spare = spares.panels.take();
+        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms, spare);
         debug_assert_eq!(inter.set(), set);
-        return PairStart::Done(densify_pair(inter));
+        return PairStart::Done(stand_in_dense(engine, inter, key, spares));
     }
     PairStart::From(obtain_pp(input, fs, engine, parent_set, fresh_ttms))
+}
+
+/// Densify a first-level or cached pair and release its semi-sparse copy
+/// from the cache: the dense operator stands in for it from here on. No
+/// later contraction could have read the entry — a build looks each pair
+/// set up once, and the first approximated sweep bumps every factor, which
+/// invalidates whatever the cache holds — so only memory changes. The
+/// released panels become the next pair's TTM buffer.
+fn stand_in_dense(
+    engine: &mut DimTreeEngine,
+    pair: Intermediate,
+    key: (usize, usize),
+    spares: &mut Spares,
+) -> Intermediate {
+    if pair.payload.is_semisparse() {
+        engine.cache_mut().remove(pair.set());
+    }
+    let (dense, released) = densify_pair(pair, spares.pairs.remove(&key));
+    spares.panels = released.or(spares.panels.take());
+    dense
 }
 
 /// Level-combined construction, Phase A (paper §IV): secure the pair's
@@ -411,7 +500,7 @@ fn combined_start(
                 .find(|s| s.is_pp_form())
                 .unwrap_or(parent_sets[0]);
             let k = full.minus(target).min().unwrap();
-            first_level_ttm(input, fs, engine, k, fresh_ttms)
+            first_level_ttm(input, fs, engine, k, fresh_ttms, None)
         }
     }
 }
@@ -464,7 +553,7 @@ mod tests {
     use pp_tensor::kernels::naive::mttkrp as naive_mttkrp;
     use pp_tensor::kernels::ttm::ttm;
     use pp_tensor::rng::{seeded, uniform_matrix, uniform_tensor};
-    use pp_tensor::DenseTensor;
+    use pp_tensor::{DenseTensor, SparseTensor};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, FactorState) {
         let mut rng = seeded(seed);
@@ -635,6 +724,88 @@ mod tests {
         }
         for (a, b) in serial.firsts.iter().zip(parallel.firsts.iter()) {
             assert_eq!(a.data(), b.data());
+        }
+    }
+
+    fn sparse_setup(dims: &[usize], r: usize, seed: u64) -> (SparseTensor, FactorState) {
+        use rand::Rng;
+        let mut rng = seeded(seed);
+        let volume: usize = dims.iter().product();
+        let mut inds = Vec::new();
+        let mut vals = Vec::new();
+        for _ in 0..volume / 3 {
+            inds.extend(dims.iter().map(|&d| rng.random_range(0..d)));
+            vals.push(rng.random::<f64>() - 0.5);
+        }
+        let factors = dims
+            .iter()
+            .map(|&d| uniform_matrix(d, r, &mut rng))
+            .collect();
+        (
+            SparseTensor::from_coo(dims.to_vec(), inds, vals),
+            FactorState::new(factors),
+        )
+    }
+
+    #[test]
+    fn sparse_rebuild_recycles_buffers_and_matches_a_fresh_build() {
+        // Re-entering the regime with the old operators in hand must give
+        // the operators a from-scratch build gives, bit for bit — the old
+        // buffers are scratch space, never data. Order 3 takes the
+        // first-level (Done) path, order 4 the deferred chains.
+        for dims in [vec![6usize, 5, 7], vec![5, 4, 3, 4]] {
+            let (sp, mut fs) = sparse_setup(&dims, 3, 71);
+            let n_modes = dims.len();
+            let mut input = InputTensor::new_sparse_chained(sp.clone());
+            let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, n_modes);
+            let first = build_pp_operators(&mut input, &fs, &mut engine);
+            if n_modes == 3 {
+                // Dense pairs stand in for the semi-sparse first levels.
+                assert_eq!(
+                    engine.cache_memory_elems(),
+                    0,
+                    "semi-sparse copies released"
+                );
+            }
+            let mut rng = seeded(72);
+            for (n, &d) in dims.iter().enumerate() {
+                fs.update(n, uniform_matrix(d, 3, &mut rng));
+            }
+            let rebuilt = rebuild_pp_operators(&mut input, &fs, &mut engine, first);
+
+            let mut fresh_input = InputTensor::new_sparse_chained(sp);
+            let mut fresh_engine = DimTreeEngine::new(TreePolicy::MultiSweep, n_modes);
+            let fresh = build_pp_operators(&mut fresh_input, &fs, &mut fresh_engine);
+            assert_eq!(rebuilt.fresh_ttms, fresh.fresh_ttms);
+            for (key, a) in &fresh.pairs {
+                let b = &rebuilt.pairs[key];
+                assert_eq!(a.mode_order, b.mode_order, "pair {key:?} layout");
+                assert_eq!(a.dense().data(), b.dense().data(), "pair {key:?} data");
+            }
+            for (a, b) in fresh.firsts.iter().zip(&rebuilt.firsts) {
+                assert_eq!(a.data(), b.data());
+            }
+            let (a, b) = (fresh_engine.take_stats(), engine.take_stats());
+            assert_eq!(a.ttm_count * 2, b.ttm_count, "two builds, same TTMs each");
+            assert_eq!(a.mttv_count * 2, b.mttv_count);
+        }
+    }
+
+    #[test]
+    fn mttv_memo_is_built_once_under_par_collect() {
+        // Pool workers racing for a pattern's first mTTV plan at one
+        // position must all end up with the one child pattern a single
+        // build produced (the pair chains of Phase B do exactly this).
+        // (At whatever width the pool has — pinning one here would overlap
+        // the pins of the thread-count test; pp-tensor forces the race with
+        // a barrier.)
+        let (sp, fs) = sparse_setup(&[9, 8, 7, 6], 4, 73);
+        let plan = pp_tensor::TtmPlan::build(&sp, 3);
+        let ss = pp_tensor::semisparse::csf_ttm(&sp, &plan, fs.factor(3));
+        let results = par_collect(8, |_| ss_mttv(&ss, 0, fs.factor(0)));
+        for r in &results {
+            assert!(Arc::ptr_eq(r.pattern(), results[0].pattern()));
+            assert_eq!(r.panels(), results[0].panels());
         }
     }
 

@@ -383,12 +383,17 @@ impl JobSpec {
                 // kernel bypasses the tree).
                 return order * (order + 1) * nnz;
             }
-            // Semi-sparse chain (pp/msdt): per-mode TTM plans (sorted
-            // tuple index, permutation, and fiber pointers — O(order·nnz)
-            // words each) plus the cached semi-sparse intermediates: at
-            // most `nnz` surviving tuples, each an R-panel with its
-            // index tuple, held twice across the MSDT sweep boundary.
-            let mut est = order * (order + 1) * nnz + 2 * nnz * (self.rank + order);
+            // Semi-sparse chain (pp/msdt): per-mode TTM plans — output
+            // tuples, group pointers and contracted coordinates
+            // (O(order·nnz) index words each), the `nnz` values laid out in
+            // group order, and the mTTV plans memoized under each output
+            // pattern (per surviving position a permutation, pointers and a
+            // child pattern, each over at most `nnz` tuples) — plus the
+            // cached semi-sparse intermediates: at most `nnz` surviving
+            // tuples, each an R-panel (tuples are shared with the plan's
+            // pattern), held twice across the MSDT sweep boundary.
+            let plans = order * (order + 1) * nnz + order * nnz + order * (order - 1) * nnz;
+            let mut est = plans + 2 * nnz * (self.rank + order);
             if self.method == JobMethod::Pp {
                 // PP pair operators densify at completion (they are
                 // operator-sized, not input-sized): s_i·s_j·R dense
@@ -1054,11 +1059,12 @@ mod tests {
             j.est_cache_elems() < legacy,
             "dt must reserve less than the old formula (no tree cache)"
         );
+        // Plans: index structure, values in group order, memoized mTTV plans.
+        let plans = 3 * 4 * 500 + 3 * 500 + 3 * 2 * 500;
         j.method = JobMethod::Msdt;
-        assert_eq!(j.est_cache_elems(), 3 * 4 * 500 + 2 * 500 * (4 + 3));
+        assert_eq!(j.est_cache_elems(), plans + 2 * 500 * (4 + 3));
         j.method = JobMethod::Pp;
-        let sparse_pp =
-            3 * 4 * 500 + 2 * 500 * (4 + 3) + (100 + 100 + 100) * 4 + 3 * (100 * 100) * 4;
+        let sparse_pp = plans + 2 * 500 * (4 + 3) + (100 + 100 + 100) * 4 + 3 * (100 * 100) * 4;
         assert_eq!(j.est_cache_elems(), sparse_pp);
         assert!(
             j.est_cache_elems() > legacy,

@@ -48,8 +48,11 @@ fn slab_axpy_avx2(out: &mut [f64], inp: &[f64], a_row: &[f64]) {
     slab_axpy_body::<true>(out, inp, a_row)
 }
 
+/// The row op itself, for callers that are already inside a
+/// `#[target_feature]` clone (the semi-sparse mTTV): `FMA` must be `true`
+/// only there — see the `simd` module docs.
 #[inline(always)]
-fn slab_axpy_body<const FMA: bool>(out: &mut [f64], inp: &[f64], a_row: &[f64]) {
+pub(crate) fn slab_axpy_body<const FMA: bool>(out: &mut [f64], inp: &[f64], a_row: &[f64]) {
     match a_row.len() {
         8 => slab_axpy_fixed::<8, FMA>(out, inp, a_row),
         16 => slab_axpy_fixed::<16, FMA>(out, inp, a_row),

@@ -7,6 +7,19 @@
 //! data or thread count), so kernel determinism across thread counts is
 //! unaffected; levels differ across *machines* only in whether `mul_add`
 //! maps to a hardware FMA.
+//!
+//! # The `mul_add` rule
+//!
+//! `mul_add` appears only in bodies reached through a `#[target_feature]`
+//! clone; on the baseline build a bare `mul_add` is a libm call (`fma` in
+//! `compiler_builtins`, tens of nanoseconds per element instead of a
+//! fraction of one). Concretely a kernel's inner loop is an
+//! `#[inline(always)] fn body<const FMA: bool>` whose only callers are the
+//! `avx512f,fma` / `avx2,fma` clones (`FMA = true`) and the scalar arm of
+//! the `simd_level()` dispatch (`FMA = false`, separate multiply and add).
+//! Closures do not carry the rule: a closure is a function of its own and
+//! is not compiled with its caller's features unless it is inlined, so a
+//! body that fuses must loop, not call a closure.
 
 /// Best vector extension the running CPU supports (with FMA, which every
 /// AVX2/AVX-512 part of interest has — both are required together so the

@@ -10,6 +10,7 @@ use pp_tensor::kernels::krp::khatri_rao;
 use pp_tensor::kernels::mttv::mttv;
 use pp_tensor::kernels::ttm::ttm_first_batched;
 use pp_tensor::rng::{seeded, uniform_matrix, uniform_tensor};
+use pp_tensor::semisparse::{csf_ttm, semisparse_mttkrp, ss_mttv, TtmPlan};
 use pp_tensor::sparse::{sparse_mttkrp, CsfTensor, SparseTensor};
 use pp_tensor::Matrix;
 use std::sync::Mutex;
@@ -161,6 +162,25 @@ fn ttm_first_batched_bit_identical_1_vs_4_threads() {
     }
 }
 
+/// `nnz` pseudo-random nonzeros over `dims` (duplicates merge at ingest).
+fn lcg_sparse(dims: &[usize], nnz: usize, seed: u64) -> SparseTensor {
+    let mut lcg = seed;
+    let mut next = |m: usize| {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((lcg >> 33) as usize) % m
+    };
+    let vals_src = uniform_matrix(nnz, 1, &mut seeded(77));
+    let mut inds = Vec::with_capacity(nnz * dims.len());
+    for _ in 0..nnz {
+        for &d in dims {
+            inds.push(next(d));
+        }
+    }
+    SparseTensor::from_coo(dims.to_vec(), inds, vals_src.data().to_vec())
+}
+
 #[test]
 fn sparse_mttkrp_bit_identical_1_vs_4_threads() {
     // CSF MTTKRP splits the root level into per-thread output-row blocks;
@@ -170,23 +190,8 @@ fn sparse_mttkrp_bit_identical_1_vs_4_threads() {
     // the serial fallback — outputs must still match bit for bit.
     let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dims = [101usize, 64, 32];
-    let nnz = 1500;
-    let mut lcg = 0x5EED_1234_u64;
-    let mut next = |m: usize| {
-        lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((lcg >> 33) as usize) % m
-    };
-    let mut rng = seeded(77);
-    let vals_src = uniform_matrix(nnz, 1, &mut rng);
-    let mut inds = Vec::with_capacity(nnz * dims.len());
-    for _ in 0..nnz {
-        for &d in &dims {
-            inds.push(next(d));
-        }
-    }
-    let sp = SparseTensor::from_coo(dims.to_vec(), inds, vals_src.data().to_vec());
+    let sp = lcg_sparse(&dims, 1500, 0x5EED_1234);
+    let mut rng = seeded(78);
     let csf = CsfTensor::build(&sp);
     let factors: Vec<Matrix> = dims
         .iter()
@@ -205,6 +210,49 @@ fn sparse_mttkrp_bit_identical_1_vs_4_threads() {
                 par.data(),
                 "sparse MTTKRP mode {n} differs at {threads} threads"
             );
+        }
+    }
+}
+
+#[test]
+fn semisparse_chain_bit_identical_across_thread_counts() {
+    // csf_ttm and ss_mttv split their *output entries* into per-thread
+    // blocks; prime extents and a skewed group-size distribution keep block
+    // boundaries off group boundaries at every width. R = 16 runs the
+    // rank-specialised bodies, R = 5 the generic ones; both clear the 2^14
+    // parallel threshold on the first level.
+    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dims = [53usize, 47, 31, 11];
+    let sp = lcg_sparse(&dims, 6000, 0xC0FF_EE11);
+    for r in [16usize, 5] {
+        assert!(sp.nnz() * r >= 1 << 14, "case must clear the par threshold");
+        let mut rng = seeded(79);
+        let factors: Vec<Matrix> = dims
+            .iter()
+            .map(|&d| uniform_matrix(d, r, &mut rng))
+            .collect();
+        for k in 0..dims.len() {
+            let plan = TtmPlan::build(&sp, k);
+            let mode_order: Vec<usize> = (0..dims.len()).filter(|&m| m != k).collect();
+            let n = mode_order[1];
+            let chain = |threads: usize| {
+                with_threads(threads, || {
+                    let first = csf_ttm(&sp, &plan, &factors[k]);
+                    let head = ss_mttv(&first, 0, &factors[mode_order[0]]);
+                    let tail = ss_mttv(&first, 2, &factors[mode_order[2]]);
+                    let m = semisparse_mttkrp(&first, &mode_order, &factors, n);
+                    (first, head, tail, m)
+                })
+            };
+            let one = chain(1);
+            for threads in [2, 4, 8] {
+                let par = chain(threads);
+                let what = format!("r {r} ttm {k} at {threads} threads");
+                assert_eq!(one.0.panels(), par.0.panels(), "csf_ttm {what}");
+                assert_eq!(one.1.panels(), par.1.panels(), "ss_mttv head {what}");
+                assert_eq!(one.2.panels(), par.2.panels(), "ss_mttv tail {what}");
+                assert_eq!(one.3.data(), par.3.data(), "mttkrp {what}");
+            }
         }
     }
 }

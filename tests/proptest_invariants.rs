@@ -351,7 +351,7 @@ fn check_evolving_input(
         match (grown.plan_contract(mode), whole.plan_contract(mode)) {
             (Some(g), Some(w)) => {
                 assert_eq!(g.mode_order, w.mode_order);
-                assert_eq!(g.run(a).dense().data(), w.run(a).dense().data());
+                assert_eq!(g.run(a, None).dense().data(), w.run(a, None).dense().data());
             }
             (None, None) => assert!(!copies, "copies leave no mode unplanned"),
             _ => panic!("grown and whole inputs plan mode {mode} differently"),

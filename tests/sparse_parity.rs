@@ -10,7 +10,7 @@ use parallel_pp::tensor::kernels::mttv::mttv;
 use parallel_pp::tensor::kernels::naive::mttkrp_pointwise;
 use parallel_pp::tensor::kernels::ttm::ttm;
 use parallel_pp::tensor::rng::{seeded, uniform_matrix};
-use parallel_pp::tensor::semisparse::{csf_ttm, semisparse_mttkrp, TtmPlan};
+use parallel_pp::tensor::semisparse::{csf_ttm, semisparse_mttkrp, ss_mttv, TtmPlan};
 use parallel_pp::tensor::sparse::{sparse_mttkrp, CsfTensor, SparseTensor};
 use parallel_pp::tensor::Matrix;
 use proptest::prelude::*;
@@ -26,6 +26,9 @@ const SHAPES: &[&[usize]] = &[
     &[5, 4, 3, 3],
     &[7, 6, 5, 4],
 ];
+/// Orders 3–5 for the free-position mTTV chain (first levels of 2–4
+/// surviving levels).
+const CHAIN_SHAPES: &[&[usize]] = &[&[9, 8, 7], &[7, 6, 5, 4], &[5, 4, 3, 4, 3]];
 const SAMPLES: &[usize] = &[0, 1, 7, 40, 150, 600];
 const SKEWS: &[f64] = &[1.0, 1.6, 2.5];
 
@@ -134,6 +137,48 @@ proptest! {
                 got.data() == want.data(),
                 "dims {:?} nnz {} rank {} n {} k {}: chain diverges from dense",
                 dims, sp.nnz(), rank, n, k
+            );
+        }
+    }
+
+    #[test]
+    fn ss_mttv_matches_densified_mttv_at_every_position(
+        si in 0usize..CHAIN_SHAPES.len(),
+        ci in 0usize..SAMPLES.len(),
+        rank in 1usize..7,
+        data_seed in 0u64..500,
+        factor_seed in 0u64..500,
+        k_pick in 0usize..5,
+        pos_picks in prop::collection::vec(0usize..12, 3..=3),
+    ) {
+        // Walk a whole contraction chain with the position drawn freely at
+        // every step (first, middle, last — not just the sort-free last
+        // one): after each `ss_mttv` the semi-sparse tensor must densify to
+        // exactly what the dense `mttv` makes of the densified parent.
+        let dims = CHAIN_SHAPES[si];
+        let order = dims.len();
+        let sp = powerlaw_sparse(dims, SAMPLES[ci], SKEWS[1], data_seed);
+        let mut rng = seeded(factor_seed);
+        let factors: Vec<_> = dims
+            .iter()
+            .map(|&d| uniform_matrix(d, rank, &mut rng))
+            .collect();
+        let k = k_pick % order;
+        let mut ss = csf_ttm(&sp, &TtmPlan::build(&sp, k), &factors[k]);
+        let mut dense = ttm(&sp.to_dense(), k, &factors[k]).tensor;
+        let mut modes: Vec<usize> = (0..order).filter(|&m| m != k).collect();
+        for pick in pos_picks {
+            if modes.len() < 2 {
+                break;
+            }
+            let pos = pick % modes.len();
+            let factor = &factors[modes.remove(pos)];
+            ss = ss_mttv(&ss, pos, factor);
+            dense = mttv(&dense, pos, factor).tensor;
+            prop_assert!(
+                ss.to_dense().data() == dense.data(),
+                "dims {:?} nnz {} rank {} k {} pos {} ({} levels left): ss_mttv diverges",
+                dims, sp.nnz(), rank, k, pos, modes.len()
             );
         }
     }
