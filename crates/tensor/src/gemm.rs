@@ -1,31 +1,40 @@
-//! Packed, register-tiled GEMM (BLIS-style), standing in for MKL.
+//! Register-strip GEMM (standing in for MKL), shaped for ALS.
 //!
-//! `C ← α·op(A)·op(B) + β·C` is driven by an `MR×NR` micro-kernel over
-//! *packed* operand panels:
+//! Every hot product here is tall-skinny: `m` is a tensor matricization
+//! (10⁴–10⁶ rows), `n` is the CP rank (8–50) and `k` one tensor extent. So
+//! `C ← α·op(A)·op(B) + β·C` is driven by one kernel that keeps a `TM × n`
+//! strip of C — the *whole* rank-wide row strip, `n` padded to the vector
+//! width; `n > 32` in column blocks — in registers across a `KC` panel of
+//! `k`:
 //!
-//! * `op(A)` is packed into `MC×KC` row blocks of `MR`-row micro-panels
-//!   (`ap[l·MR + i]`), so the micro-kernel reads A unit-stride even when
-//!   `Trans::Yes` stores it k-major;
-//! * `op(B)` is packed into `KC×NR` column panels (`bp[l·NR + j]`) — or
-//!   used in place when it is untransposed and a single panel covers all
-//!   of `n`, the tall-skinny ALS shape (`n = rank`);
-//! * the micro-kernel keeps an `MR×NR` accumulator block in registers and
-//!   streams both panels with unit stride, writing C once per `KC` panel
-//!   instead of once per `k` step.
+//! * an untransposed `op(A)` is **not packed**: the kernel broadcasts
+//!   straight from `TM` row-major rows of A. With `n = rank` every A
+//!   element feeds a single strip, so a packing pass would cost as much
+//!   memory traffic as the product itself;
+//! * a transposed `op(A)` (stored `k × m`) is copied `MC × kc` block by
+//!   block, `l` outermost — each source page is visited once per block in
+//!   contiguous `MC`-double runs — and broadcast from the copy;
+//! * `op(B)` is laid out once per call as `k × ⌈n/8⌉·8` row-major,
+//!   zero-padded — or used in place when it already is (`Trans::No`,
+//!   `8 | n`: the ALS factor matrix);
+//! * C is touched once per `KC` panel; with `β = 0` the first panel stores
+//!   `0.0 + α·acc` without reading (or pre-zeroing) C.
 //!
-//! Every ALS matmul here is tall-skinny with `n = rank` (16–50), so the
-//! panel width is **rank-specialized**: `n ∈ {8, 16, 32}` dispatches to
-//! monomorphized fixed-`n` micro-kernels (the whole C row-strip lives in
-//! the accumulator block and the `j` loops unroll); other widths run
-//! `NR = 8` panels with a zero-padded edge panel.
+//! Tile shape (`TM` per strip width, `MC`) is a constant of the SIMD level
+//! (`simd.rs`); nothing about it is configurable, and nothing about it is
+//! visible in the result:
 //!
-//! **Determinism.** Row chunks of C are distributed over the persistent
-//! pool, but each output element is produced by the same arithmetic
-//! regardless of chunk boundaries: one scalar accumulator per element,
-//! `k` traversed in `KC`-panel order, `c += α·acc` once per panel, and
-//! zero-padded edge micro-tiles that never touch real elements. Results
-//! are therefore bit-identical for any thread count (see
-//! `crates/tensor/tests/pool_determinism.rs`).
+//! **Determinism.** Each output element is produced by the same arithmetic
+//! whatever the tile shape, chunking or thread count: one scalar
+//! accumulator starting at `0`, `l` ascending within global `KC = 256`
+//! panels, `c += α·acc` once per panel (after `c ← β·c`), padded lanes and
+//! rows never stored. `KC` *is* part of the result — it places the
+//! roundings — so it is a constant, mirrored by the semi-sparse TTM through
+//! [`panel_kc`]. Products below [`small_work_limit`] multiply-adds take a
+//! serial triple loop with its own (equally fixed) order. Results are
+//! bit-identical for any thread count
+//! (`crates/tensor/tests/pool_determinism.rs`) and equal, bit for bit, the
+//! contract written out as a scalar loop (`tests/gemm_packed_parity.rs`).
 
 use crate::matrix::Matrix;
 use crate::simd::{simd_level, SimdLevel};
@@ -41,75 +50,32 @@ pub enum Trans {
     Yes,
 }
 
-/// Micro-kernel row count: each micro-tile update keeps `MR` rows of C in
-/// the accumulator block.
-const MR: usize = 8;
-/// Generic panel width (the fixed-`n` paths use `n` itself).
-const NR: usize = 8;
-/// Default rows per packed-A block (multiple of `MR`); with `KC` chosen so
-/// an `MC×KC` A block (128 KiB) stays L2-resident while B panels stay in
-/// L1. Tuned for this container's cache ladder.
-const MC_DEFAULT: usize = 64;
-/// Default depth of one k panel.
-const KC_DEFAULT: usize = 256;
+/// Depth of one k panel. Part of the numeric contract, not a tuning knob:
+/// it decides where each element's running sum is rounded into C.
+const KC: usize = 256;
+/// Rows per copied block of a transposed A: a multiple of every strip
+/// height, sized so an `MC × KC` block (384 KiB) stays L2-resident.
+const MC: usize = 192;
+/// Least common multiple of the strip heights in use (6, 8, 12): the
+/// leading dimension of a copied A block is rounded up to it, so a short
+/// last strip reads zeros instead of running off the row.
+const TM_LCM: usize = 24;
+/// Column granule: strip widths are multiples of it (one AVX-512 vector).
+const NV: usize = 8;
 
-/// Resolved `(MC, KC)` panel constants. Fleet hardware with a different
-/// cache ladder retunes **without a rebuild** via the `PP_GEMM_MC` /
-/// `PP_GEMM_KC` environment variables, read once at first use. Overrides
-/// are validated by [`resolve_panel`]; a malformed value warns on stderr
-/// and falls back to the default (same policy as `PP_NUM_THREADS`).
-static PANELS: std::sync::OnceLock<(usize, usize)> = std::sync::OnceLock::new();
-
-fn panel_constants() -> (usize, usize) {
-    *PANELS.get_or_init(|| {
-        (
-            resolve_panel(
-                "PP_GEMM_MC",
-                std::env::var("PP_GEMM_MC").ok().as_deref(),
-                MC_DEFAULT,
-                MR,
-            ),
-            resolve_panel(
-                "PP_GEMM_KC",
-                std::env::var("PP_GEMM_KC").ok().as_deref(),
-                KC_DEFAULT,
-                1,
-            ),
-        )
-    })
-}
-
-/// Validate one panel override: positive integers are clamped to
-/// `[round_to, 4096]` and rounded **up** to a multiple of `round_to` (MC
-/// must cover whole `MR`-row micro-panels); anything else keeps the
-/// default with a warning. Pure, so the policy is unit-testable without
-/// touching process environment.
-fn resolve_panel(name: &str, raw: Option<&str>, default: usize, round_to: usize) -> usize {
-    let Some(raw) = raw else {
-        return default;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(v) if v > 0 => v.clamp(1, 4096).div_ceil(round_to) * round_to,
-        _ => {
-            eprintln!("warning: ignoring invalid {name}={raw:?} (want a positive integer)");
-            default
-        }
-    }
-}
-
-/// Below this many multiply-adds the packing overhead is not worth it and
+/// Below this many multiply-adds the strip machinery is not worth it and
 /// a plain serial triple loop runs instead (size-based, so the choice is
 /// deterministic and thread-count independent).
 const SMALL_WORK: usize = 1 << 10;
 
-/// The resolved KC panel depth (after any `PP_GEMM_KC` override) — exposed
-/// so kernels on other representations (the semi-sparse TTM) can replay
-/// the packed path's per-panel accumulation order bit for bit.
+/// The KC panel depth — exposed so kernels on other representations (the
+/// semi-sparse TTM) can replay the per-panel accumulation order bit for
+/// bit.
 pub fn panel_kc() -> usize {
-    panel_constants().1
+    KC
 }
 
-/// The small-vs-packed dispatch threshold in multiply-adds (`m·n·k`) —
+/// The small-vs-strip dispatch threshold in multiply-adds (`m·n·k`) —
 /// exposed for the same bitwise-mirroring reason as [`panel_kc`].
 pub fn small_work_limit() -> usize {
     SMALL_WORK
@@ -126,8 +92,8 @@ const PAR_WORK_THRESHOLD: usize = 1 << 16;
 /// at negligible cost (one atomic op per chunk).
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Per-thread tally of packed-GEMM activity, sampled by the dimension-tree
-/// engine (`KernelStats`) and the bench binaries. Counters are
+/// Per-thread tally of GEMM activity, sampled by the dimension-tree
+/// engine (`KernelStats`) and the benchmark. Counters are
 /// thread-local and bumped by the *calling* thread once per `gemm_slice`,
 /// so a driver thread sampling [`thread_gemm_counters`] around a kernel
 /// call sees exactly its own calls even while other ranks compute
@@ -138,11 +104,11 @@ pub struct GemmCounters {
     pub calls: u64,
     /// Multiply-add flops issued (`2·m·n·k` per call).
     pub flops: u64,
-    /// Calls dispatched to a monomorphized fixed-`n` micro-kernel
-    /// (`n ∈ {8, 16, 32}`).
+    /// Strip-kernel calls at a power-of-two rank width (`n ∈ {8, 16, 32}`;
+    /// a ledger category checkpoints and `KernelStats` carry, not a
+    /// separate code path).
     pub fixed_n_calls: u64,
-    /// Calls running generic `NR = 8` panels (including the small-size
-    /// serial path).
+    /// Every other call (including the small-size serial path).
     pub generic_calls: u64,
 }
 
@@ -167,15 +133,17 @@ impl GemmCounters {
 
 thread_local! {
     static COUNTERS: Cell<GemmCounters> = const { Cell::new(GemmCounters::ZERO) };
-    /// Reusable packing buffers. `PACK_A` is borrowed by whichever thread
-    /// executes a row chunk; `PACK_B` by the calling thread for the
-    /// duration of the call. Distinct keys, so a caller participating in
-    /// its own batch never re-borrows.
+    /// Reusable operand buffers. `PACK_A` holds one copied block of a
+    /// *transposed* A (at most `MC × KC` doubles; never allocated for an
+    /// untransposed A) and is borrowed by whichever thread executes a row
+    /// chunk; `PACK_B` holds a re-laid-out `op(B)` and is borrowed by the
+    /// calling thread for the duration of the call. Distinct keys, so a
+    /// caller participating in its own batch never re-borrows.
     static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Snapshot of this thread's packed-GEMM counters (monotonic; diff two
+/// Snapshot of this thread's GEMM counters (monotonic; diff two
 /// snapshots with [`GemmCounters::since`]).
 pub fn thread_gemm_counters() -> GemmCounters {
     COUNTERS.with(|c| c.get())
@@ -187,8 +155,8 @@ pub fn thread_gemm_counters() -> GemmCounters {
 /// the thread that issued the batch, so the tally does not depend on which
 /// worker ran what.
 pub(crate) fn count_gemm_calls(calls: u64, m: usize, n: usize, k: usize) {
-    // The rank-specialized micro-kernels serve n ∈ {8, 16, 32} above the
-    // small-work threshold; everything else is a generic call.
+    // "Fixed" is n ∈ {8, 16, 32} above the small-work threshold;
+    // everything else is a generic call.
     let fixed = m * n * k >= SMALL_WORK && matches!(n, 8 | 16 | 32);
     COUNTERS.with(|c| {
         let mut v = c.get();
@@ -248,8 +216,7 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
     );
 }
 
-/// Validate shapes shared by the packed and reference kernels; returns the
-/// logical `(m, n, k)`.
+/// Validate operand shapes; returns the logical `(m, n, k)`.
 #[allow(clippy::too_many_arguments)]
 fn check_shapes(
     ta: Trans,
@@ -281,7 +248,8 @@ fn check_shapes(
     (m, n, ka)
 }
 
-/// β-scale a C block in place (shared prologue of every path).
+/// β-scale a C block in place (the `k = 0` product and the serial path's
+/// prologue; the strip kernel folds β into its first panel's store).
 fn beta_scale(c: &mut [f64], beta: f64) {
     if beta == 0.0 {
         c.fill(0.0);
@@ -294,8 +262,7 @@ fn beta_scale(c: &mut [f64], beta: f64) {
 
 /// Slice-based GEMM core: operands are row-major buffers with explicit
 /// dimensions, letting tensor kernels multiply matricized views without
-/// copying into `Matrix` values. This is the packed micro-kernel engine;
-/// [`gemm_slice_ref`] keeps the cache-blocked predecessor as an oracle.
+/// copying into `Matrix` values.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_slice(
     ta: Trans,
@@ -312,10 +279,11 @@ pub fn gemm_slice(
     c_rows: usize,
     c_cols: usize,
 ) {
-    let (mc_c, kc_c) = panel_constants();
-    gemm_slice_with_panels(
-        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, mc_c, kc_c,
-    )
+    if let Some((m, n, k)) = gemm_core(
+        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, KC,
+    ) {
+        count_gemm_calls(1, m, n, k);
+    }
 }
 
 /// [`gemm_slice`] without the counter bump — for kernels that issue many
@@ -337,44 +305,15 @@ pub(crate) fn gemm_slice_uncounted(
     c_rows: usize,
     c_cols: usize,
 ) {
-    let (mc_c, kc_c) = panel_constants();
     gemm_core(
-        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, mc_c, kc_c,
+        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, KC,
     );
 }
 
-/// [`gemm_slice`] with explicit `(MC, KC)` panel constants — the body
-/// behind the `PP_GEMM_MC`/`PP_GEMM_KC` override, exposed so tests can
-/// exercise arbitrary (including pathological) panel geometries against
-/// the reference kernel without mutating process environment.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_slice_with_panels(
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: &[f64],
-    a_rows: usize,
-    a_cols: usize,
-    b: &[f64],
-    b_rows: usize,
-    b_cols: usize,
-    beta: f64,
-    c: &mut [f64],
-    c_rows: usize,
-    c_cols: usize,
-    mc_c: usize,
-    kc_c: usize,
-) {
-    if let Some((m, n, k)) = gemm_core(
-        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, mc_c, kc_c,
-    ) {
-        count_gemm_calls(1, m, n, k);
-    }
-}
-
 /// The product itself; returns its logical `(m, n, k)` unless the shape
-/// was degenerate (nothing multiplied, nothing to count).
+/// was degenerate (nothing multiplied, nothing to count). `kc_c` is always
+/// [`KC`] outside this module's tests, which use shallow panels to cross
+/// many panel boundaries with small operands.
 #[allow(clippy::too_many_arguments)]
 fn gemm_core(
     ta: Trans,
@@ -390,14 +329,8 @@ fn gemm_core(
     c: &mut [f64],
     c_rows: usize,
     c_cols: usize,
-    mc_c: usize,
     kc_c: usize,
 ) -> Option<(usize, usize, usize)> {
-    assert!(
-        mc_c >= MR && mc_c.is_multiple_of(MR),
-        "MC must cover micro-panels"
-    );
-    assert!(kc_c >= 1, "KC must be positive");
     let (m, n, k) = check_shapes(
         ta, tb, a, a_rows, a_cols, b, b_rows, b_cols, c, c_rows, c_cols,
     );
@@ -415,50 +348,20 @@ fn gemm_core(
         return Some((m, n, k));
     }
 
-    // Rank-specialization: every path runs MR×NR register tiles, but for
-    // `n ∈ {8, 16, 32}` the per-tile panel count is monomorphized (1, 2 or
-    // 4 fully unrolled NR-wide panels); other widths take the generic
-    // runtime-count loop with a zero-padded edge panel. Size-based only —
-    // never thread-dependent.
-    let npad = n.div_ceil(NR) * NR;
-
-    // `op(B)` untransposed with a single full-width panel is already in
-    // packed layout: use it in place (the `n = NR` case).
-    let b_in_place = matches!(tb, Trans::No) && n == NR;
-
-    let mut run = |b_packed: &[f64]| {
-        let body = |row_start: usize, c_chunk: &mut [f64]| {
-            let rows_here = c_chunk.len() / n;
-            beta_scale(c_chunk, beta);
-            // Scratch covers one MC×KC block, clamped to what this call
-            // can actually fill — a large PP_GEMM_MC/KC override must not
-            // pin panel-sized thread-local buffers under small matrices.
-            let mc_eff = mc_c.min(rows_here.div_ceil(MR) * MR);
-            let a_buf_len = mc_eff.div_ceil(MR) * MR * kc_c.min(k);
-            with_scratch(&PACK_A, a_buf_len, |ap_buf| {
-                let mut kp = 0;
-                while kp < k {
-                    let kc = kc_c.min(k - kp);
-                    let bp = &b_packed[kp * npad..kp * npad + kc * npad];
-                    let mut ip = 0;
-                    while ip < rows_here {
-                        let mc = mc_c.min(rows_here - ip);
-                        let ap = &mut ap_buf[..mc.div_ceil(MR) * MR * kc];
-                        pack_a(ta, a, a_cols, row_start + ip, mc, kp, kc, ap);
-                        match n {
-                            8 => block_panel::<1>(kc, mc, n, alpha, ap, bp, c_chunk, ip),
-                            16 => block_panel::<2>(kc, mc, n, alpha, ap, bp, c_chunk, ip),
-                            32 => block_panel::<4>(kc, mc, n, alpha, ap, bp, c_chunk, ip),
-                            // 0 = runtime panel count (generic widths).
-                            _ => block_panel::<0>(kc, mc, n, alpha, ap, bp, c_chunk, ip),
-                        }
-                        ip += mc;
-                    }
-                    kp += kc;
-                }
-            });
+    let ldb = n.next_multiple_of(NV);
+    let mut run = |b: &[f64]| {
+        let p = Product {
+            ta,
+            alpha,
+            beta,
+            a,
+            lda: a_cols,
+            b,
+            ldb,
+            n,
+            k,
+            kc: kc_c,
         };
-
         if work >= PAR_WORK_THRESHOLD && m > 1 {
             // Split C into contiguous row chunks, claimed dynamically off
             // the persistent pool.
@@ -466,257 +369,325 @@ fn gemm_core(
             let rows_per_chunk = m.div_ceil(nthreads * CHUNKS_PER_THREAD).max(1);
             c.par_chunks_mut(rows_per_chunk * n)
                 .enumerate()
-                .for_each(|(ci, chunk)| body(ci * rows_per_chunk, chunk));
+                .for_each(|(ci, chunk)| row_chunk(&p, ci * rows_per_chunk, chunk));
         } else {
-            body(0, c);
+            row_chunk(&p, 0, c);
         }
     };
 
-    if b_in_place {
+    // An untransposed `op(B)` whose width is a whole number of granules is
+    // already `k × ldb` row-major — the ALS factor matrix. Use it in place.
+    if matches!(tb, Trans::No) && ldb == n {
         run(b);
     } else {
-        with_scratch(&PACK_B, k * npad, |pb| {
-            let mut kp = 0;
-            while kp < k {
-                let kc = kc_c.min(k - kp);
-                pack_b(
-                    tb,
-                    b,
-                    b_cols,
-                    kp,
-                    kc,
-                    n,
-                    NR,
-                    &mut pb[kp * npad..kp * npad + kc * npad],
-                );
-                kp += kc;
-            }
+        with_scratch(&PACK_B, k * ldb, |pb| {
+            pack_b(tb, b, b_cols, n, ldb, pb);
             run(pb);
         });
     }
     Some((m, n, k))
 }
 
-/// Pack the k-panel `[kp, kp+kc)` of `op(B)` into `nr`-wide column panels:
-/// panel `jp` occupies `dst[jp·kc·nr ..]` with element `(l, j)` at
-/// `l·nr + j`. Edge columns beyond `n` are zero-filled so the micro-kernel
-/// never branches on width.
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    tb: Trans,
-    b: &[f64],
-    ld: usize,
-    kp: usize,
-    kc: usize,
-    n: usize,
-    nr: usize,
-    dst: &mut [f64],
-) {
-    let npanels = n.div_ceil(nr);
-    for jp in 0..npanels {
-        let j0 = jp * nr;
-        let jw = nr.min(n - j0);
-        let block = &mut dst[jp * kc * nr..(jp + 1) * kc * nr];
-        match tb {
-            Trans::No => {
-                for (l, row) in block.chunks_exact_mut(nr).enumerate() {
-                    let src = &b[(kp + l) * ld + j0..(kp + l) * ld + j0 + jw];
-                    row[..jw].copy_from_slice(src);
-                    row[jw..].fill(0.0);
-                }
+/// Lay `op(B)` out as `k × ldb` row-major, columns `n..ldb` zero, so the
+/// kernel never branches on width.
+fn pack_b(tb: Trans, b: &[f64], ld: usize, n: usize, ldb: usize, dst: &mut [f64]) {
+    match tb {
+        Trans::No => {
+            for (row, src) in dst.chunks_exact_mut(ldb).zip(b.chunks_exact(ld)) {
+                row[..n].copy_from_slice(src);
+                row[n..].fill(0.0);
             }
-            Trans::Yes => {
-                // Stored n×k: column j of op(B) is a contiguous stored row.
-                if jw < nr {
-                    block.fill(0.0);
+        }
+        Trans::Yes => {
+            // Stored n×k: column j of op(B) is a contiguous stored row.
+            for (l, row) in dst.chunks_exact_mut(ldb).enumerate() {
+                for (j, v) in row[..n].iter_mut().enumerate() {
+                    *v = b[j * ld + l];
                 }
-                for jj in 0..jw {
-                    let col = &b[(j0 + jj) * ld + kp..(j0 + jj) * ld + kp + kc];
-                    for (l, &v) in col.iter().enumerate() {
-                        block[l * nr + jj] = v;
-                    }
-                }
+                row[n..].fill(0.0);
             }
         }
     }
 }
 
-/// Pack rows `[gr0, gr0+mc)` × k-panel `[kp, kp+kc)` of `op(A)` into
-/// `MR`-row micro-panels: micro-panel `ib` occupies `dst[ib·kc·MR ..]`
-/// with element `(i, l)` at `l·MR + i`. Edge rows beyond `mc` are
-/// zero-filled (their accumulator rows are discarded at writeback).
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
+/// One product as a row chunk sees it.
+struct Product<'a> {
     ta: Trans,
-    a: &[f64],
-    ld: usize,
-    gr0: usize,
-    mc: usize,
-    kp: usize,
+    alpha: f64,
+    beta: f64,
+    a: &'a [f64],
+    /// Stored row length of A.
+    lda: usize,
+    /// `op(B)`, `k × ldb` row-major with `ldb = ⌈n/NV⌉·NV`.
+    b: &'a [f64],
+    ldb: usize,
+    n: usize,
+    k: usize,
     kc: usize,
-    dst: &mut [f64],
-) {
-    let npanels = mc.div_ceil(MR);
-    for ib in 0..npanels {
-        let i0 = ib * MR;
-        let iw = MR.min(mc - i0);
-        let block = &mut dst[ib * kc * MR..(ib + 1) * kc * MR];
-        match ta {
-            Trans::No => {
-                if iw < MR {
-                    block.fill(0.0);
-                }
-                for ii in 0..iw {
-                    let row = &a[(gr0 + i0 + ii) * ld + kp..(gr0 + i0 + ii) * ld + kp + kc];
-                    for (l, &v) in row.iter().enumerate() {
-                        block[l * MR + ii] = v;
-                    }
-                }
-            }
-            Trans::Yes => {
-                // Stored k×m: row l of op(A)ᵀ is contiguous, so the inner
-                // copy is unit-stride — the whole point of packing the
-                // transposed operand.
-                for (l, mrow) in block.chunks_exact_mut(MR).enumerate() {
-                    let src = &a[(kp + l) * ld + gr0 + i0..(kp + l) * ld + gr0 + i0 + iw];
-                    mrow[..iw].copy_from_slice(src);
-                    mrow[iw..].fill(0.0);
-                }
-            }
-        }
-    }
 }
 
-/// One packed A block × all B panels of one k panel: an `MR×NR`
-/// register-tiled micro-kernel over every tile, then `c += α·acc` on the
-/// real rows/columns. `NPAN` monomorphizes the per-tile panel count for
-/// the rank-specialized widths (`n = NPAN·NR` for `NPAN ∈ {1, 2, 4}`);
-/// `NPAN = 0` is the generic runtime-count path. Dispatches to a
-/// feature-specialized clone of [`block_panel_body`].
-#[allow(clippy::too_many_arguments)]
-fn block_panel<const NPAN: usize>(
-    kc: usize,
-    mc: usize,
-    n: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c_chunk: &mut [f64],
-    row0: usize,
-) {
-    match simd_level() {
+/// Rows `[row0, row0 + c_chunk.len()/n)` of the product, on the calling
+/// thread. Borrows the A-block scratch (empty unless A is transposed) and
+/// enters the clone of [`chunk_body`] compiled for this CPU.
+fn row_chunk(p: &Product, row0: usize, c_chunk: &mut [f64]) {
+    let a_len = match p.ta {
+        Trans::No => 0,
+        Trans::Yes => MC.min(c_chunk.len() / p.n).next_multiple_of(TM_LCM) * p.kc.min(p.k),
+    };
+    with_scratch(&PACK_A, a_len, |a_blk| match simd_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level` returned this variant only after
         // `is_x86_feature_detected!` confirmed the features are present.
-        SimdLevel::Avx512 => unsafe {
-            block_panel_avx512::<NPAN>(kc, mc, n, alpha, ap, bp, c_chunk, row0)
-        },
+        SimdLevel::Avx512 => unsafe { chunk_avx512(p, row0, c_chunk, a_blk) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — AVX2+FMA were detected at runtime.
-        SimdLevel::Avx2 => unsafe {
-            block_panel_avx2::<NPAN>(kc, mc, n, alpha, ap, bp, c_chunk, row0)
-        },
-        SimdLevel::Scalar => {
-            block_panel_body::<NPAN, false>(kc, mc, n, alpha, ap, bp, c_chunk, row0)
-        }
-    }
+        SimdLevel::Avx2 => unsafe { chunk_avx2(p, row0, c_chunk, a_blk) },
+        SimdLevel::Scalar => chunk_body::<false, false>(p, row0, c_chunk, a_blk),
+    })
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-#[allow(clippy::too_many_arguments)]
-fn block_panel_avx512<const NPAN: usize>(
-    kc: usize,
-    mc: usize,
-    n: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c_chunk: &mut [f64],
-    row0: usize,
-) {
-    block_panel_body::<NPAN, true>(kc, mc, n, alpha, ap, bp, c_chunk, row0)
+fn chunk_avx512(p: &Product, row0: usize, c_chunk: &mut [f64], a_blk: &mut [f64]) {
+    chunk_body::<true, true>(p, row0, c_chunk, a_blk)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-fn block_panel_avx2<const NPAN: usize>(
-    kc: usize,
-    mc: usize,
-    n: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c_chunk: &mut [f64],
-    row0: usize,
-) {
-    block_panel_body::<NPAN, true>(kc, mc, n, alpha, ap, bp, c_chunk, row0)
+fn chunk_avx2(p: &Product, row0: usize, c_chunk: &mut [f64], a_blk: &mut [f64]) {
+    chunk_body::<true, false>(p, row0, c_chunk, a_blk)
 }
 
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn block_panel_body<const NPAN: usize, const FMA: bool>(
-    kc: usize,
+/// Where a strip reads `op(A)` from.
+#[derive(Clone, Copy)]
+enum ASrc<'a> {
+    /// Untransposed A, offset to the block's first row and the panel's
+    /// first column: element `(i, l)` at `a[i·lda + l]`.
+    Rows { a: &'a [f64], lda: usize },
+    /// The `l`-major copy of a transposed block: `(i, l)` at `buf[l·ld + i]`.
+    Cols { buf: &'a [f64], ld: usize },
+}
+
+/// How a panel's `α·acc` meets C.
+#[derive(Clone, Copy)]
+enum Store {
+    /// First panel, `β = 0`: `c = 0.0 + α·acc`, C never read. (The `0.0 +`
+    /// is what filling with zeros and then accumulating gives: a `-0.0`
+    /// product comes out `+0.0`.)
+    Overwrite,
+    /// First panel, `β ∉ {0, 1}`: `c = β·c + α·acc`.
+    Scale(f64),
+    /// Later panels, and the first under `β = 1`: `c += α·acc`.
+    Add,
+}
+
+/// One `mc`-row block of `op(A)` against one column block of one panel of
+/// `op(B)`: the unit [`strips`] cuts into register strips.
+struct Block<'a> {
+    a: ASrc<'a>,
     mc: usize,
-    n: usize,
+    kc: usize,
+    /// `op(B)` from the panel's first row and the block's first column on;
+    /// rows `ldb` apart.
+    b: &'a [f64],
+    ldb: usize,
     alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c_chunk: &mut [f64],
+    store: Store,
+    /// Row length of C, and the block's first column and real width in it.
+    n: usize,
+    j0: usize,
+    w: usize,
+}
+
+/// Panel loop of one row chunk: `KC` panels outermost (so `op(B)` streams
+/// once), `MC` row blocks inside, then column blocks × strips.
+/// `WIDE` selects the tile table: 32-register AVX-512 holds strips up to
+/// 32 wide (24 accumulator registers at every width), the 16-register
+/// levels run 6 × 8 strips (12 accumulators).
+#[inline(always)]
+fn chunk_body<const FMA: bool, const WIDE: bool>(
+    p: &Product,
     row0: usize,
+    c_chunk: &mut [f64],
+    a_blk: &mut [f64],
 ) {
-    let npan_i = mc.div_ceil(MR);
-    let npan_j = if NPAN > 0 { NPAN } else { n.div_ceil(NR) };
-    for ib in 0..npan_i {
-        let iw = MR.min(mc - ib * MR);
-        let apanel = &ap[ib * kc * MR..(ib + 1) * kc * MR];
-        for jp in 0..npan_j {
-            let j0 = jp * NR;
-            let jw = NR.min(n - j0);
-            let bpanel = &bp[jp * kc * NR..(jp + 1) * kc * NR];
-            let mut acc = [[0.0f64; NR]; MR];
-            microkernel::<FMA>(kc, apanel, bpanel, &mut acc);
-            for (ii, arow) in acc.iter().enumerate().take(iw) {
-                let ci = (row0 + ib * MR + ii) * n + j0;
-                let crow = &mut c_chunk[ci..ci + jw];
-                for (cv, av) in crow.iter_mut().zip(arow[..jw].iter()) {
-                    *cv += alpha * av;
+    let n = p.n;
+    let rows = c_chunk.len() / n;
+    let mut kp = 0;
+    while kp < p.k {
+        let kc = p.kc.min(p.k - kp);
+        let store = if kp > 0 || p.beta == 1.0 {
+            Store::Add
+        } else if p.beta == 0.0 {
+            Store::Overwrite
+        } else {
+            Store::Scale(p.beta)
+        };
+        let b_panel = &p.b[kp * p.ldb..(kp + kc) * p.ldb];
+        let mut ip = 0;
+        while ip < rows {
+            let mc = MC.min(rows - ip);
+            let c_blk = &mut c_chunk[ip * n..(ip + mc) * n];
+            let a = match p.ta {
+                Trans::No => ASrc::Rows {
+                    a: &p.a[(row0 + ip) * p.lda + kp..],
+                    lda: p.lda,
+                },
+                Trans::Yes => {
+                    // Stored k×m: row l of the block is a contiguous run.
+                    let ld = mc.next_multiple_of(TM_LCM);
+                    for (l, dst) in a_blk[..ld * kc].chunks_exact_mut(ld).enumerate() {
+                        let at = (kp + l) * p.lda + row0 + ip;
+                        dst[..mc].copy_from_slice(&p.a[at..at + mc]);
+                        dst[mc..].fill(0.0);
+                    }
+                    ASrc::Cols {
+                        buf: &a_blk[..ld * kc],
+                        ld,
+                    }
+                }
+            };
+            let mut j0 = 0;
+            while j0 < n {
+                let w = if WIDE { 4 * NV } else { NV }.min(n - j0);
+                let blk = Block {
+                    a,
+                    mc,
+                    kc,
+                    b: &b_panel[j0..],
+                    ldb: p.ldb,
+                    alpha: p.alpha,
+                    store,
+                    n,
+                    j0,
+                    w,
+                };
+                match (WIDE, w.div_ceil(NV)) {
+                    (true, 4) => strips::<FMA, 6, 32>(&blk, c_blk),
+                    (true, 3) => strips::<FMA, 8, 24>(&blk, c_blk),
+                    (true, 2) => strips::<FMA, 12, 16>(&blk, c_blk),
+                    (true, _) => strips::<FMA, 12, 8>(&blk, c_blk),
+                    (false, _) => strips::<FMA, 6, 8>(&blk, c_blk),
+                }
+                j0 += w;
+            }
+            ip += mc;
+        }
+        kp += kc;
+    }
+}
+
+/// The register-tiled core. For each `TM`-row strip of the block:
+/// `acc[i][j] = Σ_l a(i, l) · b(l, j)` over the panel — one scalar
+/// accumulator per element starting at 0, `l` strictly ascending, the
+/// arithmetic contract the determinism argument rests on — then one
+/// `α·acc` store per real element.
+///
+/// The `TM × NP` accumulator block must live in vector registers for the
+/// whole `l` loop, and in safe Rust that is a property of how the code is
+/// written, not of an annotation: `acc` is only ever indexed by constants
+/// (after unrolling), so it is split into registers; one run-time index —
+/// or a panic edge in the `l` loop — pins it to the stack and stores it
+/// back after every FMA (3× slower). After touching this function check
+/// that the `vfmadd231pd` runs of `chunk_avx512` have no stack stores
+/// between them.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // `l` indexes all TM rows at once
+fn strips<const FMA: bool, const TM: usize, const NP: usize>(blk: &Block, c_blk: &mut [f64]) {
+    let &Block { mc, kc, ldb, .. } = blk;
+    debug_assert!(blk.b.len() >= (kc - 1) * ldb + NP);
+    let mut i0 = 0;
+    while i0 < mc {
+        let tm = TM.min(mc - i0);
+        let mut acc = [[0.0f64; NP]; TM];
+        // Lockstep iterators and `let-else` exits that never fire: nothing
+        // in the `l` loops can panic.
+        let mut b_rows = blk.b.chunks(ldb);
+        match blk.a {
+            ASrc::Rows { a, lda } => {
+                // A short last strip re-reads its last real row; the extra
+                // accumulator rows are never stored.
+                let rows: [&[f64]; TM] = std::array::from_fn(|i| {
+                    let at = (i0 + i.min(tm - 1)) * lda;
+                    &a[at..at + kc]
+                });
+                for l in 0..kc {
+                    let Some(brow) = b_rows.next().and_then(<[f64]>::first_chunk::<NP>) else {
+                        break;
+                    };
+                    for i in 0..TM {
+                        fma_row::<FMA, NP>(rows[i][l], brow, &mut acc[i]);
+                    }
                 }
             }
+            ASrc::Cols { buf, ld } => {
+                // `ld` is a multiple of every TM, so a short last strip
+                // reads the block's zero padding.
+                debug_assert!(i0 + TM <= ld && buf.len() >= kc * ld);
+                let mut a_cols = buf[i0..].chunks(ld);
+                for _ in 0..kc {
+                    let Some(brow) = b_rows.next().and_then(<[f64]>::first_chunk::<NP>) else {
+                        break;
+                    };
+                    let Some(acol) = a_cols.next().and_then(<[f64]>::first_chunk::<TM>) else {
+                        break;
+                    };
+                    for i in 0..TM {
+                        fma_row::<FMA, NP>(acol[i], brow, &mut acc[i]);
+                    }
+                }
+            }
+        }
+        // Scale through constant indices (`j` outermost keeps the
+        // vectorizer on the unit-stride axis), then let the ragged store
+        // index the scaled copy at run time.
+        let mut out = [[0.0f64; NP]; TM];
+        for j in 0..NP {
+            for i in 0..TM {
+                out[i][j] = blk.alpha * acc[i][j];
+            }
+        }
+        for (i, orow) in out.iter().enumerate().take(tm) {
+            let at = (i0 + i) * blk.n + blk.j0;
+            let crow = &mut c_blk[at..at + blk.w];
+            match blk.store {
+                Store::Overwrite => {
+                    for (cv, ov) in crow.iter_mut().zip(orow) {
+                        *cv = 0.0 + ov;
+                    }
+                }
+                Store::Scale(beta) => {
+                    for (cv, ov) in crow.iter_mut().zip(orow) {
+                        *cv = *cv * beta + ov;
+                    }
+                }
+                Store::Add => {
+                    for (cv, ov) in crow.iter_mut().zip(orow) {
+                        *cv += ov;
+                    }
+                }
+            }
+        }
+        i0 += TM;
+    }
+}
+
+/// `acc[j] += a · b[j]` across one strip row.
+#[inline(always)]
+fn fma_row<const FMA: bool, const NP: usize>(a: f64, b: &[f64; NP], acc: &mut [f64; NP]) {
+    for j in 0..NP {
+        // `mul_add` emits a hardware FMA only inside the feature-gated
+        // clones; the scalar clone keeps separate mul+add (a
+        // software-emulated fused op would be ~100× slower there).
+        if FMA {
+            acc[j] = a.mul_add(b[j], acc[j]);
+        } else {
+            acc[j] += a * b[j];
         }
     }
 }
 
-/// The register-tiled core: `acc[i][j] += Σ_l ap[l·MR+i] · bp[l·NR+j]`,
-/// one scalar accumulator per element, `l` strictly ascending — the
-/// arithmetic contract the determinism argument rests on. The `MR×NR`
-/// accumulator block (64 doubles) lives entirely in vector registers on
-/// AVX-512 and mostly so on AVX2.
-#[inline(always)]
-fn microkernel<const FMA: bool>(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    debug_assert!(ap.len() == kc * MR && bp.len() == kc * NR);
-    for (arow, brow) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        let arow: &[f64; MR] = arow.try_into().unwrap();
-        let brow: &[f64; NR] = brow.try_into().unwrap();
-        for i in 0..MR {
-            let ai = arow[i];
-            for j in 0..NR {
-                // `mul_add` emits a hardware FMA only inside the
-                // feature-gated clones; the scalar clone keeps separate
-                // mul+add (a software-emulated fused op would be ~100×
-                // slower there).
-                if FMA {
-                    acc[i][j] = ai.mul_add(brow[j], acc[i][j]);
-                } else {
-                    acc[i][j] += ai * brow[j];
-                }
-            }
-        }
-    }
-}
-
-/// Serial triple loop for products too small to amortize packing.
+/// Serial triple loop for products too small to amortize the strip set-up.
 #[allow(clippy::too_many_arguments)]
 fn small_serial(
     ta: Trans,
@@ -758,110 +729,17 @@ fn small_serial(
     }
 }
 
-/// The pre-packing cache-blocked kernel (PRs 1–3), kept verbatim as the
-/// comparison baseline for `bench_gemm`/EXPERIMENTS.md and as a second
-/// oracle for parity tests. Semantics identical to [`gemm_slice`]; only
-/// the flop rate differs.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_slice_ref(
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: &[f64],
-    a_rows: usize,
-    a_cols: usize,
-    b: &[f64],
-    b_rows: usize,
-    b_cols: usize,
-    beta: f64,
-    c: &mut [f64],
-    c_rows: usize,
-    c_cols: usize,
-) {
-    let (m, n, k) = check_shapes(
-        ta, tb, a, a_rows, a_cols, b, b_rows, b_cols, c, c_rows, c_cols,
-    );
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        beta_scale(c, beta);
-        return;
-    }
-
-    const REF_MC: usize = 64;
-    const REF_KC: usize = 256;
-
-    // Pack `op(B)` once if it is transposed, so the inner loop always
-    // streams unit-stride rows of B.
-    let b_packed: Option<Vec<f64>> = match tb {
-        Trans::No => None,
-        Trans::Yes => {
-            let mut packed = vec![0.0; k * n];
-            for j in 0..n {
-                for l in 0..k {
-                    packed[l * n + j] = b[j * b_cols + l];
-                }
-            }
-            Some(packed)
-        }
-    };
-    let b_slice: &[f64] = match &b_packed {
-        Some(p) => p,
-        None => b,
-    };
-
-    let a_data = a;
-
-    let body = |row_start: usize, c_chunk: &mut [f64]| {
-        let rows_here = c_chunk.len() / c_cols;
-        beta_scale(c_chunk, beta);
-        let mut kp = 0;
-        while kp < k {
-            let kend = (kp + REF_KC).min(k);
-            let mut ip = 0;
-            while ip < rows_here {
-                let iend = (ip + REF_MC).min(rows_here);
-                for i in ip..iend {
-                    let gi = row_start + i;
-                    let crow = &mut c_chunk[i * c_cols..(i + 1) * c_cols];
-                    for l in kp..kend {
-                        let aval = match ta {
-                            Trans::No => a_data[gi * a_cols + l],
-                            Trans::Yes => a_data[l * a_cols + gi],
-                        };
-                        if aval == 0.0 {
-                            continue;
-                        }
-                        let scaled = alpha * aval;
-                        let brow = &b_slice[l * n..(l + 1) * n];
-                        for (cv, bv) in crow.iter_mut().zip(brow.iter()) {
-                            *cv += scaled * bv;
-                        }
-                    }
-                }
-                ip = iend;
-            }
-            kp = kend;
-        }
-    };
-
-    if m * n * k >= PAR_WORK_THRESHOLD && m > 1 {
-        let nthreads = rayon::current_num_threads().max(1);
-        let rows_per_chunk = m.div_ceil(nthreads * CHUNKS_PER_THREAD).max(1);
-        c.par_chunks_mut(rows_per_chunk * c_cols)
-            .enumerate()
-            .for_each(|(ci, chunk)| body(ci * rows_per_chunk, chunk));
-    } else {
-        body(0, c);
-    }
-}
-
 /// Flop count of a GEMM with the given logical dimensions (`2·m·n·k`).
 #[inline]
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
     2 * (m as u64) * (n as u64) * (k as u64)
 }
+
+/// The numeric contract as a scalar loop (shared with the integration
+/// tests).
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod contract;
 
 #[cfg(test)]
 mod tests {
@@ -939,16 +817,16 @@ mod tests {
 
     #[test]
     fn matches_naive_packed_path_prime_dims() {
-        // Big enough for the packed path (≥ SMALL_WORK), dims prime so
-        // every edge micro-tile and padded panel is exercised.
+        // Big enough for the strip path (≥ SMALL_WORK), dims prime so
+        // short strips and padded widths are exercised.
         check_all_transposes(37, 13, 23, 1e-10);
         check_all_transposes(67, 7, 31, 1e-10);
     }
 
     #[test]
     fn matches_naive_fixed_n_variants() {
-        // n = 8/16/32 dispatch to the monomorphized micro-kernels; k
-        // crossing KC exercises multi-panel accumulation.
+        // n = 8/16/32 are whole-vector strip widths; k crossing KC
+        // exercises multi-panel accumulation.
         for n in [8usize, 16, 32] {
             check_all_transposes(41, n, 300, 1e-9);
         }
@@ -971,7 +849,7 @@ mod tests {
 
     #[test]
     fn alpha_beta_accumulate_packed_path() {
-        // Same α/β semantics above the packing threshold.
+        // Same α/β semantics above the small-work threshold.
         let (m, n, k) = (70, 11, 37);
         let a = test_mat(m, k, 6);
         let b = test_mat(k, n, 7);
@@ -986,17 +864,12 @@ mod tests {
         assert!(c.max_abs_diff(&expected) < 1e-9);
     }
 
-    #[test]
-    fn packed_matches_reference_kernel() {
-        // The packed engine and the retained blocked kernel agree to
-        // rounding on every transpose combination.
-        for &(m, n, k) in &[(64usize, 16usize, 96usize), (33, 19, 257), (128, 32, 64)] {
-            for &(ta, tb) in &[
-                (Trans::No, Trans::No),
-                (Trans::Yes, Trans::No),
-                (Trans::No, Trans::Yes),
-                (Trans::Yes, Trans::Yes),
-            ] {
+    /// `gemm_core` at panel depth `kc` against the contract oracle, all
+    /// four transpose combinations, bitwise.
+    fn check_against_contract(m: usize, n: usize, k: usize, alpha: f64, beta: f64, kc: usize) {
+        let mut rng = crate::rng::seeded((m * 31 + n * 7 + k) as u64);
+        for ta in [Trans::No, Trans::Yes] {
+            for tb in [Trans::No, Trans::Yes] {
                 let (ar, ac) = match ta {
                     Trans::No => (m, k),
                     Trans::Yes => (k, m),
@@ -1005,45 +878,51 @@ mod tests {
                     Trans::No => (k, n),
                     Trans::Yes => (n, k),
                 };
-                let a = test_mat(ar, ac, 11);
-                let b = test_mat(br, bc, 12);
-                let mut c_new = test_mat(m, n, 13);
-                let mut c_ref = c_new.clone();
-                gemm_slice(
+                let a = crate::rng::uniform_matrix(ar, ac, &mut rng);
+                let b = crate::rng::uniform_matrix(br, bc, &mut rng);
+                let mut got = crate::rng::uniform_matrix(m, n, &mut rng);
+                let mut want = got.clone();
+                gemm_core(
                     ta,
                     tb,
-                    1.25,
+                    alpha,
                     a.data(),
                     ar,
                     ac,
                     b.data(),
                     br,
                     bc,
-                    0.5,
-                    c_new.data_mut(),
+                    beta,
+                    got.data_mut(),
                     m,
                     n,
+                    kc,
                 );
-                gemm_slice_ref(
-                    ta,
-                    tb,
-                    1.25,
-                    a.data(),
-                    ar,
-                    ac,
-                    b.data(),
-                    br,
-                    bc,
-                    0.5,
-                    c_ref.data_mut(),
-                    m,
-                    n,
+                contract::contract_gemm(
+                    (m, n, k),
+                    (a.data(), ta == Trans::Yes),
+                    (b.data(), tb == Trans::Yes),
+                    alpha,
+                    beta,
+                    want.data_mut(),
+                    kc,
+                    SMALL_WORK,
                 );
-                assert!(
-                    c_new.max_abs_diff(&c_ref) < 1e-9,
-                    "packed vs ref ({m},{n},{k}) {ta:?},{tb:?}"
+                assert_eq!(
+                    got.data(),
+                    want.data(),
+                    "({m},{n},{k}) {ta:?},{tb:?} KC={kc} left the contract"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn packed_matches_reference_kernel() {
+        // The strip kernel (B packed, A not) and the contract's scalar
+        // loop agree bit for bit on every transpose combination.
+        for &(m, n, k) in &[(64usize, 16usize, 96usize), (33, 19, 257), (128, 32, 64)] {
+            check_against_contract(m, n, k, 1.25, 0.5, KC);
         }
     }
 
@@ -1089,117 +968,53 @@ mod tests {
         assert_eq!(d.flops, gemm_flops(40, 16, 64) + gemm_flops(40, 24, 64));
     }
 
-    #[test]
-    fn resolve_panel_policy() {
-        // Absent → default, untouched.
-        assert_eq!(resolve_panel("PP_GEMM_MC", None, MC_DEFAULT, MR), 64);
-        assert_eq!(resolve_panel("PP_GEMM_KC", None, KC_DEFAULT, 1), 256);
-        // Valid values pass through.
-        assert_eq!(resolve_panel("PP_GEMM_KC", Some("128"), KC_DEFAULT, 1), 128);
-        assert_eq!(
-            resolve_panel("PP_GEMM_MC", Some(" 96 "), MC_DEFAULT, MR),
-            96
-        );
-        // MC is rounded *up* to whole MR-row micro-panels.
-        assert_eq!(resolve_panel("PP_GEMM_MC", Some("20"), MC_DEFAULT, MR), 24);
-        assert_eq!(resolve_panel("PP_GEMM_MC", Some("1"), MC_DEFAULT, MR), MR);
-        // Oversized values are clamped (then rounded).
-        assert_eq!(
-            resolve_panel("PP_GEMM_KC", Some("999999"), KC_DEFAULT, 1),
-            4096
-        );
-        // Garbage and zero keep the default.
-        assert_eq!(resolve_panel("PP_GEMM_MC", Some("abc"), MC_DEFAULT, MR), 64);
-        assert_eq!(resolve_panel("PP_GEMM_KC", Some("0"), KC_DEFAULT, 1), 256);
-        assert_eq!(resolve_panel("PP_GEMM_KC", Some("-4"), KC_DEFAULT, 1), 256);
-    }
-
-    /// Any validated (MC, KC) geometry must produce the same numbers as
-    /// the blocked reference kernel — the override can mistune
-    /// performance, never correctness.
+    /// Panel depth places the roundings and nothing else: at any depth the
+    /// kernel equals the contract evaluated at that depth. Shallow panels
+    /// cross many panel boundaries (first-panel store, then accumulate)
+    /// with operands small enough for a unit test.
     #[test]
     fn overridden_panels_match_reference() {
-        let mut rng = crate::rng::seeded(77);
-        // Odd shapes crossing every panel boundary for the small overrides.
-        let (m, n, k) = (61, 13, 67);
-        for (mc, kc) in [(8usize, 1usize), (8, 16), (24, 7), (64, 256), (4096, 4096)] {
-            for ta in [Trans::No, Trans::Yes] {
-                for tb in [Trans::No, Trans::Yes] {
-                    let (ar, ac) = match ta {
-                        Trans::No => (m, k),
-                        Trans::Yes => (k, m),
-                    };
-                    let (br, bc) = match tb {
-                        Trans::No => (k, n),
-                        Trans::Yes => (n, k),
-                    };
-                    let a = crate::rng::uniform_matrix(ar, ac, &mut rng);
-                    let b = crate::rng::uniform_matrix(br, bc, &mut rng);
-                    let mut c1 = crate::rng::uniform_matrix(m, n, &mut rng);
-                    let mut c2 = c1.clone();
-                    gemm_slice_with_panels(
-                        ta,
-                        tb,
-                        1.25,
-                        a.data(),
-                        ar,
-                        ac,
-                        b.data(),
-                        br,
-                        bc,
-                        0.5,
-                        c1.data_mut(),
-                        m,
-                        n,
-                        mc,
-                        kc,
-                    );
-                    gemm_slice_ref(
-                        ta,
-                        tb,
-                        1.25,
-                        a.data(),
-                        ar,
-                        ac,
-                        b.data(),
-                        br,
-                        bc,
-                        0.5,
-                        c2.data_mut(),
-                        m,
-                        n,
-                    );
-                    assert!(
-                        c1.max_abs_diff(&c2) < 1e-10,
-                        "MC={mc} KC={kc} {ta:?}{tb:?} diverged"
-                    );
-                }
-            }
+        // Odd shapes crossing every strip, block and panel boundary.
+        for kc in [1usize, 7, 16, KC, 4096] {
+            check_against_contract(61, 13, 67, 1.25, 0.5, kc);
+            check_against_contract(29, 40, 67, -0.5, 0.0, kc);
         }
     }
 
+    /// `op(A)` untransposed is read in place: the A scratch is never
+    /// allocated. Transposed, it holds one copied block, at most `MC × KC`.
     #[test]
-    #[should_panic(expected = "MC must cover micro-panels")]
-    fn unvalidated_mc_is_rejected() {
-        let a = [0.0; 4];
-        let b = [0.0; 4];
-        let mut c = [0.0; 4];
-        gemm_slice_with_panels(
-            Trans::No,
-            Trans::No,
-            1.0,
-            &a,
-            2,
-            2,
-            &b,
-            2,
-            2,
-            0.0,
-            &mut c,
-            2,
-            2,
-            3, // not a multiple of MR
-            16,
-        );
+    fn a_scratch_is_only_for_transposed_a() {
+        // A fresh thread owns fresh thread-locals; the products stay below
+        // the pool threshold, so they run on it.
+        std::thread::spawn(|| {
+            let capacity = || PACK_A.with(|buf| buf.borrow().capacity());
+            let (m, n, k) = (50, 4, 300);
+            assert!((SMALL_WORK..PAR_WORK_THRESHOLD).contains(&(m * n * k)));
+            let b = test_mat(k, n, 2);
+            let mut c = Matrix::zeros(m, n);
+            gemm(
+                Trans::No,
+                Trans::No,
+                1.0,
+                &test_mat(m, k, 1),
+                &b,
+                0.0,
+                &mut c,
+            );
+            assert_eq!(capacity(), 0, "Trans::No must not touch the A scratch");
+            gemm(
+                Trans::Yes,
+                Trans::No,
+                1.0,
+                &test_mat(k, m, 1),
+                &b,
+                0.0,
+                &mut c,
+            );
+            assert!((1..=MC * KC).contains(&capacity()));
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -1,20 +1,25 @@
-//! Property-based parity of the packed register-tiled GEMM against the
-//! retained cache-blocked reference kernel (`gemm_slice_ref`) and, through
-//! it, the seed implementation's semantics: all four `Trans` combinations,
-//! odd/prime edge dimensions (every zero-padded edge micro-tile and panel
-//! shape), and α/β ∈ {0, 1, other} — accumulate, overwrite, and scale
-//! semantics.
+//! Property-based parity of the strip GEMM against its numeric contract,
+//! written out as a scalar loop (`contract_gemm`: one accumulator per
+//! element from 0, `l` ascending within 256-deep panels, `c += α·acc` per
+//! panel; fused at the AVX levels, multiply-then-add at the scalar one) and
+//! compared **bitwise**: all four `Trans` combinations, odd/prime edge
+//! dimensions (every short strip, padded width and column block), and
+//! α/β ∈ {0, 1, other} — accumulate, overwrite, and scale semantics.
 
-use parallel_pp::tensor::gemm::{gemm_slice, gemm_slice_ref, Trans};
+use parallel_pp::tensor::gemm::{gemm_slice, panel_kc, small_work_limit, Trans};
 use parallel_pp::tensor::rng::{seeded, uniform_matrix};
 use parallel_pp::tensor::Matrix;
 use proptest::prelude::*;
 
-/// Odd/prime-heavy dimension menus: m crosses micro-tile (8) and block
-/// (64) boundaries, n covers the fixed-`n` widths 8/16/32 and ragged
-/// widths around them, k crosses the 256-deep panel boundary.
-const MS: &[usize] = &[1, 3, 7, 8, 9, 17, 31, 64, 67, 129];
-const NS: &[usize] = &[1, 2, 5, 7, 8, 9, 13, 16, 17, 23, 32, 37, 48];
+#[path = "../crates/tensor/tests/common/mod.rs"]
+mod common;
+
+/// Odd/prime-heavy dimension menus: m crosses strip (6/8/12) and block
+/// (192) boundaries, n covers the whole-vector widths 8/16/24/32, ragged
+/// widths around them and two column blocks, k crosses the 256-deep panel
+/// boundary.
+const MS: &[usize] = &[1, 3, 7, 8, 9, 17, 31, 64, 67, 129, 197];
+const NS: &[usize] = &[1, 2, 5, 7, 8, 9, 13, 16, 17, 23, 24, 32, 37, 48];
 const KS: &[usize] = &[1, 2, 5, 11, 37, 96, 131, 256, 257, 300];
 const ALPHAS: &[f64] = &[0.0, 1.0, -1.5];
 const BETAS: &[f64] = &[0.0, 1.0, 0.5];
@@ -31,7 +36,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn packed_matches_blocked_reference(
+    fn gemm_matches_contract_oracle_bitwise(
         mi in 0usize..MS.len(),
         ni in 0usize..NS.len(),
         ki in 0usize..KS.len(),
@@ -57,31 +62,29 @@ proptest! {
         let b = uniform_matrix(br, bc, &mut rng);
         let c0 = uniform_matrix(m, n, &mut rng);
 
-        let mut c_packed = c0.clone();
+        let mut got = c0.clone();
         gemm_slice(
             ta, tb, alpha,
             a.data(), ar, ac,
             b.data(), br, bc,
             beta,
-            c_packed.data_mut(), m, n,
+            got.data_mut(), m, n,
         );
-        let mut c_ref = c0.clone();
-        gemm_slice_ref(
-            ta, tb, alpha,
-            a.data(), ar, ac,
-            b.data(), br, bc,
+        let mut want = c0.clone();
+        common::contract_gemm(
+            (m, n, k),
+            (a.data(), ta == Trans::Yes),
+(b.data(), tb == Trans::Yes),
+            alpha,
             beta,
-            c_ref.data_mut(), m, n,
+            want.data_mut(),
+            panel_kc(),
+            small_work_limit(),
         );
-
-        // Both kernels accumulate each element with |k| same-magnitude
-        // products (inputs are O(1)); FMA vs mul+add and different
-        // blocking give O(k·ε) rounding differences at most.
-        let tol = 1e-12 * (k as f64).max(1.0) * alpha.abs().max(1.0);
-        let diff = c_packed.max_abs_diff(&c_ref);
         prop_assert!(
-            diff < tol.max(1e-12),
-            "({m},{n},{k}) {ta:?},{tb:?} α={alpha} β={beta}: diff {diff}"
+            got.data().iter().zip(want.data()).all(|(g, w)| g.to_bits() == w.to_bits()),
+            "({m},{n},{k}) {ta:?},{tb:?} α={alpha} β={beta}: max diff {}",
+            got.max_abs_diff(&want)
         );
     }
 
@@ -91,7 +94,7 @@ proptest! {
         ni in 0usize..NS.len(),
         seed in 0u64..1000,
     ) {
-        // A·I = A through the packed path (n picks the panel dispatch).
+        // A·I = A through the strip path (n picks the strip shape).
         let (m, n) = (MS[mi], NS[ni]);
         let mut rng = seeded(seed);
         let a = uniform_matrix(m, n, &mut rng);
