@@ -169,6 +169,7 @@ impl ParSession {
                 }
             }
         };
+        self.st.engine.end_sweep();
         self.report.sweeps.push(rec);
         self.sweeps_done += 1;
 
@@ -263,6 +264,9 @@ impl ParSession {
     /// then a barrier so the regime switch is a superstep boundary.
     fn pp_init(&mut self, ctx: &mut RankCtx) -> SweepRecord {
         let t0 = Instant::now();
+        // The operators of the regime being left go back to the workspace
+        // before the build draws from it.
+        self.snap = None;
         self.snap = Some(PpSnapshot {
             p_p: self.st.dist_factors.iter().map(|f| f.p().clone()).collect(),
             q_p: self.st.dist_factors.iter().map(|f| f.q().clone()).collect(),

@@ -29,12 +29,12 @@ use crate::fitness::{fitness_from_residual, relative_residual};
 use crate::nonneg::hals_update;
 use crate::result::{AlsOutput, AlsReport, SweepKind, SweepRecord};
 use pp_dtree::correct::{approx_mttkrp, d_gram};
-use pp_dtree::pp_tree::{build_pp_operators, rebuild_pp_operators, PpOperators};
+use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
 use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel, TreePolicy};
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
 use pp_tensor::sparse::SparseTensor;
-use pp_tensor::{DenseTensor, Matrix};
+use pp_tensor::{DenseTensor, Matrix, Workspace};
 use std::time::Instant;
 
 /// Which update rule the session runs each sweep.
@@ -320,6 +320,12 @@ impl AlsSession {
         self.fs.factors()
     }
 
+    /// The pool the session's intermediates are drawn from (a handle: its
+    /// counters stay readable after the session is gone).
+    pub fn workspace(&self) -> &Workspace {
+        self.engine.workspace()
+    }
+
     /// Whether a speculative lookahead contraction is still in flight.
     pub fn spec_pending(&self) -> bool {
         self.engine.spec_pending()
@@ -335,9 +341,10 @@ impl AlsSession {
     }
 
     /// Auxiliary memory this session currently holds, in f64 elements:
-    /// the engine's intermediate cache plus any PP pair operators. This is
-    /// the Table I cache-memory metric the batch scheduler's admission
-    /// control budgets against.
+    /// the engine's intermediate cache, the buffers its workspace holds
+    /// for reuse, and any PP pair operators. This is the Table I
+    /// cache-memory metric the batch scheduler's admission control budgets
+    /// against.
     pub fn cache_memory_elems(&self) -> usize {
         self.engine.cache_memory_elems() + self.ops.as_ref().map_or(0, |o| o.memory_elems())
     }
@@ -704,6 +711,7 @@ impl AlsSession {
             }
             _ => self.exact_sweep(),
         };
+        self.engine.end_sweep();
         self.report.sweeps.push(rec);
         self.sweeps_done += 1;
 
@@ -846,15 +854,14 @@ impl AlsSession {
         for d in self.d_factors.iter_mut() {
             d.fill_zero();
         }
-        // A regime re-entered hands the operators it is leaving to the
-        // build, which recycles their buffers (sparse inputs) or frees them
-        // before it allocates (dense inputs).
-        self.ops = Some(match self.ops.take() {
-            Some(previous) => {
-                rebuild_pp_operators(&mut self.input, &self.fs, &mut self.engine, previous)
-            }
-            None => build_pp_operators(&mut self.input, &self.fs, &mut self.engine),
-        });
+        // A regime re-entered drops the operators it is leaving first:
+        // their buffers go back to the workspace the build draws from.
+        self.ops = None;
+        self.ops = Some(build_pp_operators(
+            &mut self.input,
+            &self.fs,
+            &mut self.engine,
+        ));
         let secs = t0.elapsed().as_secs_f64();
         self.cumulative += secs;
         self.phase = PpPhase::Approx;

@@ -26,9 +26,9 @@ use crate::factor::FactorState;
 use crate::input::InputTensor;
 use crate::modeset::ModeSet;
 use crate::stats::{Kernel, KernelStats};
-use pp_tensor::kernels::mttv::mttv;
-use pp_tensor::semisparse::{ss_mttv, thread_ss_counters};
-use pp_tensor::Matrix;
+use pp_tensor::kernels::mttv::mttv_in;
+use pp_tensor::semisparse::{ss_mttv_in, thread_ss_counters};
+use pp_tensor::{Matrix, Workspace};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,10 +62,15 @@ pub enum CacheUpdate {
 /// decomposition and may park it indefinitely. The only live resource an
 /// engine can hold is the in-flight speculation; see
 /// [`DimTreeEngine::drain_lookahead`].
+///
+/// The engine also owns the [`Workspace`] every intermediate it (or the PP
+/// tree, or a speculation it launched) produces is drawn from: one pool per
+/// engine, so nothing is shared between sessions or ranks.
 pub struct DimTreeEngine {
     policy: TreePolicy,
     n_modes: usize,
     cache: InterCache,
+    workspace: Workspace,
     /// Per-kernel timing/flop ledger (drained by the driver).
     pub stats: KernelStats,
     /// Ablation switch: with the cache disabled every MTTKRP recontracts
@@ -81,14 +86,17 @@ impl DimTreeEngine {
             policy,
             n_modes,
             cache: InterCache::new(),
+            workspace: Workspace::new(),
             stats: KernelStats::default(),
             caching: true,
         }
     }
 
-    /// Disable intermediate caching (ablation baseline).
+    /// Disable intermediate caching (ablation baseline): every MTTKRP
+    /// recontracts from the input into freshly allocated buffers.
     pub fn with_caching_disabled(mut self) -> Self {
         self.caching = false;
+        self.workspace = Workspace::unpooled();
         self
     }
 
@@ -97,9 +105,21 @@ impl DimTreeEngine {
         self.policy
     }
 
-    /// Cached auxiliary memory in f64 elements (Table I column 3).
+    /// Auxiliary memory in f64 elements (Table I column 3): the cached
+    /// intermediates plus the buffers the workspace holds for reuse.
     pub fn cache_memory_elems(&self) -> usize {
-        self.cache.memory_elems()
+        self.cache.memory_elems() + self.workspace.stats().held_elems
+    }
+
+    /// The pool this engine's intermediates are drawn from.
+    pub fn workspace(&self) -> &Workspace {
+        &self.workspace
+    }
+
+    /// A sweep ended: let the workspace drop what a whole tree period
+    /// (`N` sweeps — MSDT's cycle) did not ask for again.
+    pub fn end_sweep(&mut self) {
+        self.workspace.end_sweep(self.n_modes as u64);
     }
 
     /// Access the shared intermediate cache (the PP tree reuses it).
@@ -256,9 +276,10 @@ impl DimTreeEngine {
         let factor = fs.factor(k).clone();
         let flops = 2 * plan.input_elems() as u64 * factor.cols() as u64;
         let entries = plan.input_entries();
+        let ws = self.workspace.clone();
         let handle = rayon::submit(move || {
             let t0 = Instant::now();
-            let payload = plan.run(&factor, None);
+            let payload = plan.run(&factor, &ws);
             SpecPayload {
                 payload,
                 ttm_time: t0.elapsed(),
@@ -354,7 +375,7 @@ impl DimTreeEngine {
     ) -> Intermediate {
         let g0 = pp_tensor::gemm::thread_gemm_counters();
         let s0 = thread_ss_counters();
-        let fl = input.contract_mode(k, fs.factor(k));
+        let fl = input.contract_mode_in(&self.workspace, k, fs.factor(k));
         self.stats
             .add_gemm_delta(&pp_tensor::gemm::thread_gemm_counters().since(&g0));
         self.stats.add_ss_delta(&thread_ss_counters().since(&s0));
@@ -394,7 +415,8 @@ impl DimTreeEngine {
     /// bitwise-identical caches — that equality is the streaming
     /// correctness contract. Every other entry containing `e` (lower tree
     /// levels with a stale extent) is evicted, and entries not containing
-    /// `e` are invalid via the version bump and swept out.
+    /// `e` are invalid via the version bump and swept out. The engine's
+    /// workspace is dropped for good: see the first lines of the body.
     pub fn extend_mode(
         &mut self,
         input: &mut InputTensor,
@@ -408,6 +430,13 @@ impl DimTreeEngine {
             self.cache.spec().is_none(),
             "extend_mode requires a parked engine (no speculation in flight)"
         );
+        // A growing input has nothing for an exact-length pool: every
+        // intermediate that keeps `e` changes length with each arrival.
+        // From the first arrival on the engine allocates as it did without
+        // one; what the old pool held is freed here, what is still out
+        // frees when dropped.
+        self.workspace = Workspace::unpooled();
+
         let versions = fs.versions().to_vec();
         let full = ModeSet::full(self.n_modes);
         let mut extendable: Vec<ModeSet> = Vec::new();
@@ -470,14 +499,14 @@ impl DimTreeEngine {
         let payload = match &current.payload {
             Payload::Dense(t) => {
                 let t0 = Instant::now();
-                let out = mttv(t, pos, fs.factor(j));
+                let out = mttv_in(&self.workspace, t, pos, fs.factor(j));
                 self.stats.record(Kernel::Mttv, t0.elapsed(), out.flops);
                 Payload::Dense(Arc::new(out.tensor))
             }
             Payload::SemiSparse(ss) => {
                 let s0 = thread_ss_counters();
                 let t0 = Instant::now();
-                let out = ss_mttv(ss, pos, fs.factor(j));
+                let out = ss_mttv_in(&self.workspace, ss, pos, fs.factor(j));
                 let elapsed = t0.elapsed();
                 let d = thread_ss_counters().since(&s0);
                 self.stats.record(Kernel::Mttv, elapsed, d.ttv_flops);
@@ -1140,6 +1169,34 @@ mod tests {
             assert_eq!(x.mode_order, y.mode_order);
             assert_eq!(x.dense().data(), y.dense().data());
         }
+    }
+
+    #[test]
+    fn held_buffers_are_accounted_and_released_after_an_idle_tree_period() {
+        // The {0,1} first level is 64·64·32 doubles: pooled in release
+        // builds too.
+        let dims = [64, 64, 8];
+        let (t, fs) = setup(&dims, 32, 43);
+        let mut input = InputTensor::new(t);
+        let mut engine = DimTreeEngine::new(TreePolicy::Standard, 3);
+        let _ = engine.mttkrp(&mut input, &fs, 0);
+        let cached = engine.cache().memory_elems();
+        assert!(cached >= 64 * 64 * 32);
+        let held = engine.workspace().stats().held_elems;
+        assert_eq!(engine.cache_memory_elems(), cached + held);
+
+        // Evicted entries go to the workspace and still count...
+        engine.clear_cache();
+        let held = engine.workspace().stats().held_elems;
+        assert!(held >= cached, "held {held} < evicted {cached}");
+        assert_eq!(engine.cache_memory_elems(), held);
+        // ...until a whole tree period (N = 3 sweeps) has not drawn them.
+        engine.end_sweep();
+        engine.end_sweep();
+        assert_eq!(engine.cache_memory_elems(), held);
+        engine.end_sweep();
+        assert_eq!(engine.cache_memory_elems(), 0);
+        assert_eq!(engine.workspace().stats().live_elems, 0);
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! function of (order, `e`, copies or not) — never of arrival history.
 
 use crate::cache::Payload;
-use pp_tensor::kernels::ttm::{ttm_first, ttm_first_batched, ttm_last};
-use pp_tensor::semisparse::{csf_ttm_into, TtmPlan};
+use pp_tensor::kernels::ttm::{ttm_first_batched_in, ttm_first_in, ttm_last_in};
+use pp_tensor::semisparse::{csf_ttm_in, TtmPlan};
 use pp_tensor::sparse::{CsfTensor, SparseTensor};
 use pp_tensor::transpose::{move_mode_first, permute};
-use pp_tensor::{DenseTensor, Matrix};
+use pp_tensor::{DenseTensor, Matrix, Workspace};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -161,21 +161,20 @@ pub struct ContractPlan {
 impl ContractPlan {
     /// Execute the planned contraction — the identical kernel call
     /// [`InputTensor::contract_mode`] would issue on the same layout/plan,
-    /// so the result is bit-identical to the non-speculative path. A
-    /// semi-sparse contraction writes into `spare`'s allocation when given
-    /// one (`csf_ttm_into`); dense ones ignore it.
-    pub fn run(&self, factor: &Matrix, spare: Option<Vec<f64>>) -> Payload {
+    /// so the result is bit-identical to the non-speculative path. The
+    /// output is drawn from `ws`.
+    pub fn run(&self, factor: &Matrix, ws: &Workspace) -> Payload {
         match &self.source {
             PlanSource::Dense { tensor, end } => Payload::Dense(Arc::new(match end {
-                ContractEnd::Last => ttm_last(tensor, factor),
-                ContractEnd::First => ttm_first(tensor, factor),
-                ContractEnd::Second => ttm_first_batched(tensor, factor),
+                ContractEnd::Last => ttm_last_in(ws, tensor, factor),
+                ContractEnd::First => ttm_first_in(ws, tensor, factor),
+                ContractEnd::Second => ttm_first_batched_in(ws, tensor, factor),
             })),
-            PlanSource::Sparse { input, mode } => Payload::SemiSparse(Arc::new(csf_ttm_into(
+            PlanSource::Sparse { input, mode } => Payload::SemiSparse(Arc::new(csf_ttm_in(
+                ws,
                 &input.coo,
                 &input.plans[*mode],
                 factor,
-                spare,
             ))),
         }
     }
@@ -471,17 +470,11 @@ impl InputTensor {
     /// choosing a stored layout where `mode` is extremal if possible and
     /// transposing (with cost accounted) otherwise.
     pub fn contract_mode(&mut self, mode: usize, factor: &Matrix) -> FirstLevel {
-        self.contract_mode_into(mode, factor, None)
+        self.contract_mode_in(&Workspace::unpooled(), mode, factor)
     }
 
-    /// [`InputTensor::contract_mode`] with a `spare` buffer for the result
-    /// (see [`ContractPlan::run`]).
-    pub fn contract_mode_into(
-        &mut self,
-        mode: usize,
-        factor: &Matrix,
-        spare: Option<Vec<f64>>,
-    ) -> FirstLevel {
+    /// [`InputTensor::contract_mode`] with the result drawn from `ws`.
+    pub fn contract_mode_in(&mut self, ws: &Workspace, mode: usize, factor: &Matrix) -> FirstLevel {
         assert!(mode < self.order);
         assert!(
             self.sparse.is_none() || self.is_sparse_chained(),
@@ -494,7 +487,7 @@ impl InputTensor {
         if let Some(plan) = self.plan_contract(mode) {
             let entries = plan.input_entries();
             let t0 = Instant::now();
-            let out = plan.run(factor, spare);
+            let out = plan.run(factor, ws);
             let ttm_time = t0.elapsed();
             return FirstLevel {
                 payload: out,
@@ -522,7 +515,7 @@ impl InputTensor {
         let transpose_words = 2 * total as u64;
 
         let t1 = Instant::now();
-        let out = ttm_last(&moved, factor);
+        let out = ttm_last_in(ws, &moved, factor);
         let ttm_time = t1.elapsed();
         let result_modes = mode_order_new[..self.order - 1].to_vec();
         if self.cache_transposes {
@@ -776,7 +769,8 @@ mod tests {
         let before = InputTensor::evolving(&old, e, true)
             .contract_mode(1, &a)
             .payload;
-        assert_eq!(plan.run(&a, None).dense().data(), before.dense().data());
+        let ran = plan.run(&a, &Workspace::unpooled());
+        assert_eq!(ran.dense().data(), before.dense().data());
         let after = InputTensor::evolving(&whole, e, true)
             .contract_mode(1, &a)
             .payload;

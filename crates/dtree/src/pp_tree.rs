@@ -28,9 +28,9 @@ use crate::input::InputTensor;
 use crate::modeset::ModeSet;
 use crate::par_collect;
 use crate::stats::Kernel;
-use pp_tensor::kernels::mttv::mttv;
-use pp_tensor::semisparse::{ss_mttv, thread_ss_counters};
-use pp_tensor::{Matrix, SemiSparseTensor};
+use pp_tensor::kernels::mttv::mttv_in;
+use pp_tensor::semisparse::{ss_mttv_in, thread_ss_counters};
+use pp_tensor::{Matrix, Workspace};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,60 +91,9 @@ pub fn build_pp_operators_with(
     engine: &mut DimTreeEngine,
     memory: PpTreeMemory,
 ) -> PpOperators {
-    build(input, fs, engine, memory, None)
-}
-
-/// [`build_pp_operators`] on re-entering the PP regime, consuming the
-/// operators of the regime being left: on a sparse input each new pair is
-/// densified into the buffer of the pair it replaces (same key, same
-/// size) instead of a fresh multi-megabyte mapping. Same operators, bit
-/// for bit.
-pub fn rebuild_pp_operators(
-    input: &mut InputTensor,
-    fs: &FactorState,
-    engine: &mut DimTreeEngine,
-    previous: PpOperators,
-) -> PpOperators {
-    build(input, fs, engine, PpTreeMemory::Full, Some(previous))
-}
-
-/// Allocations a build may write into instead of mapping fresh ones (whose
-/// every page would fault on first touch). Only semi-sparse chains have a
-/// use for them: their pairs are scattered dense at completion.
-#[derive(Default)]
-struct Spares {
-    /// Dense pair operators of the regime being left, by pair key.
-    pairs: HashMap<(usize, usize), Vec<f64>>,
-    /// Panels of the last first-level pair densified and released — the
-    /// next pair's first-level TTM writes into them.
-    panels: Option<Vec<f64>>,
-}
-
-impl Spares {
-    fn from_previous(previous: Option<PpOperators>) -> Self {
-        let mut spares = Spares::default();
-        for (key, pair) in previous.into_iter().flat_map(|p| p.pairs) {
-            if let Payload::Dense(t) = pair.payload {
-                if let Ok(t) = Arc::try_unwrap(t) {
-                    spares.pairs.insert(key, t.into_vec());
-                }
-            }
-        }
-        spares
-    }
-}
-
-fn build(
-    input: &mut InputTensor,
-    fs: &FactorState,
-    engine: &mut DimTreeEngine,
-    memory: PpTreeMemory,
-    previous: Option<PpOperators>,
-) -> PpOperators {
     let n_modes = fs.order();
     assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
     let mut fresh_ttms = 0usize;
-    let mut spares = Spares::from_previous(previous);
 
     // ---- Phase A (sequential): secure each pair's starting intermediate.
     // First-level TTMs mutate `input` (layout caching) and the shared
@@ -157,7 +106,7 @@ fn build(
             let set = ModeSet::from_modes([i, j]);
             match memory {
                 PpTreeMemory::Full => {
-                    match obtain_pp_start(input, fs, engine, (i, j), &mut fresh_ttms, &mut spares) {
+                    match obtain_pp_start(input, fs, engine, (i, j), &mut fresh_ttms) {
                         PairStart::Done(inter) => ready.push(((i, j), inter)),
                         PairStart::From(start) => deferred.push(((i, j), start)),
                     }
@@ -174,9 +123,10 @@ fn build(
     // batched TTVs. The (i, j) chains are independent (they only read the
     // frozen factors and their own starting intermediate), so they fan out
     // over the persistent pool.
+    let ws = engine.workspace().clone();
     let finished = par_collect(deferred.len(), |k| {
         let (key, start) = &deferred[k];
-        finish_pair(*key, start.clone(), fs)
+        finish_pair(*key, start.clone(), fs, &ws)
     });
 
     // ---- Phase C (sequential): merge bookkeeping in deterministic order.
@@ -187,7 +137,7 @@ fn build(
         }
         engine.stats.semisparse_ttv_flops += done.ss_flops;
         engine.stats.semisparse_entries_visited += done.ss_entries;
-        let (inter, _) = densify_pair(done.inter, spares.pairs.remove(&done.key));
+        let inter = densify_pair(done.inter, &ws);
         if memory == PpTreeMemory::Full {
             engine.cache_mut().insert(inter.clone());
         }
@@ -202,7 +152,7 @@ fn build(
         let pair = &pairs[&key];
         let pos = pair.position_of(partner);
         let t0 = Instant::now();
-        let out = mttv(pair.dense(), pos, fs.factor(partner));
+        let out = mttv_in(&ws, pair.dense(), pos, fs.factor(partner));
         (t0.elapsed(), out.flops, out.tensor)
     });
     let mut firsts = Vec::with_capacity(n_modes);
@@ -211,7 +161,8 @@ fn build(
         debug_assert_eq!(tensor.order(), 2);
         let rows = tensor.dim(0);
         let r = tensor.dim(1);
-        firsts.push(Matrix::from_vec(rows, r, tensor.into_vec()));
+        // Copied out, so the drawn buffer goes back for the next build.
+        firsts.push(Matrix::from_vec(rows, r, tensor.data().to_vec()));
     }
 
     PpOperators {
@@ -245,35 +196,23 @@ struct PairDone {
 /// Pair operators have a hard dense contract — the approximated step's
 /// first-order corrections and the anchors below run dense mTTVs over
 /// them — so a pair completed on the semi-sparse chain is scattered dense
-/// here (into `spare`'s allocation when given one). This densifies an
-/// *operator* (`s_i · s_j · R` words, factor-matrix scale), never the input
-/// tensor. Also returns the semi-sparse source's panel buffer when nothing
-/// else holds it.
-fn densify_pair(inter: Intermediate, spare: Option<Vec<f64>>) -> (Intermediate, Option<Vec<f64>>) {
-    let Intermediate {
-        payload,
-        mode_order,
-        versions,
-    } = inter;
-    let (payload, released) = match payload {
-        Payload::Dense(_) => (payload, None),
-        Payload::SemiSparse(ss) => {
-            let dense = Arc::new(ss.to_dense_into(spare));
-            let released = Arc::try_unwrap(ss).ok().map(SemiSparseTensor::into_panels);
-            (Payload::Dense(dense), released)
-        }
-    };
-    let dense = Intermediate {
-        payload,
-        mode_order,
-        versions,
-    };
-    (dense, released)
+/// here. This densifies an *operator* (`s_i · s_j · R` words, factor-matrix
+/// scale), never the input tensor.
+fn densify_pair(mut inter: Intermediate, ws: &Workspace) -> Intermediate {
+    if let Payload::SemiSparse(ss) = &inter.payload {
+        inter.payload = Payload::Dense(Arc::new(ss.to_dense_in(ws)));
+    }
+    inter
 }
 
 /// Contract every mode outside `key` out of `start` (batched TTVs). Pure
 /// function of the frozen factors — no cache or stats access.
-fn finish_pair(key: (usize, usize), start: Intermediate, fs: &FactorState) -> PairDone {
+fn finish_pair(
+    key: (usize, usize),
+    start: Intermediate,
+    fs: &FactorState,
+    ws: &Workspace,
+) -> PairDone {
     let set = ModeSet::from_modes([key.0, key.1]);
     let mut current = start;
     let mut steps = Vec::new();
@@ -285,7 +224,7 @@ fn finish_pair(key: (usize, usize), start: Intermediate, fs: &FactorState) -> Pa
         let payload = match &current.payload {
             Payload::Dense(t) => {
                 let t0 = Instant::now();
-                let out = mttv(t, pos, fs.factor(gone));
+                let out = mttv_in(ws, t, pos, fs.factor(gone));
                 steps.push((t0.elapsed(), out.flops));
                 Payload::Dense(Arc::new(out.tensor))
             }
@@ -294,7 +233,7 @@ fn finish_pair(key: (usize, usize), start: Intermediate, fs: &FactorState) -> Pa
                 // account explicitly so Phase C can merge them.
                 let flops = 2 * ss.n_entries() as u64 * ss.rank() as u64;
                 let t0 = Instant::now();
-                let out = ss_mttv(ss, pos, fs.factor(gone));
+                let out = ss_mttv_in(ws, ss, pos, fs.factor(gone));
                 steps.push((t0.elapsed(), flops));
                 ss_flops += flops;
                 ss_entries += ss.n_entries() as u64;
@@ -360,11 +299,10 @@ fn first_level_ttm(
     engine: &mut DimTreeEngine,
     contract: usize,
     fresh_ttms: &mut usize,
-    spare: Option<Vec<f64>>,
 ) -> Intermediate {
     *fresh_ttms += 1;
     let s0 = thread_ss_counters();
-    let fl = input.contract_mode_into(contract, fs.factor(contract), spare);
+    let fl = input.contract_mode_in(engine.workspace(), contract, fs.factor(contract));
     engine.stats.add_ss_delta(&thread_ss_counters().since(&s0));
     if fl.transpose_words > 0 {
         engine.stats.record(Kernel::Transpose, fl.transpose_time, 0);
@@ -400,7 +338,7 @@ fn obtain_pp(
     if parent_set == ModeSet::full(n_modes) {
         // The parent is the input tensor itself: a single first-level TTM
         // contracting `choice` produces exactly `set`.
-        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms, None);
+        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms);
         debug_assert_eq!(inter.set(), set);
         return inter;
     }
@@ -418,24 +356,22 @@ fn obtain_pp_start(
     engine: &mut DimTreeEngine,
     key: (usize, usize),
     fresh_ttms: &mut usize,
-    spares: &mut Spares,
 ) -> PairStart {
     let set = ModeSet::from_modes([key.0, key.1]);
     let n_modes = fs.order();
 
     if let Some(c) = engine.cache_mut().get_valid(set, fs.versions()) {
         let cached = c.clone();
-        return PairStart::Done(stand_in_dense(engine, cached, key, spares));
+        return PairStart::Done(stand_in_dense(engine, cached));
     }
 
     let choice = pick_parent_mode(engine, fs, set, n_modes);
     let parent_set = set.with(choice);
     if parent_set == ModeSet::full(n_modes) {
         // Order-3 tensors: the pair is itself a first-level intermediate.
-        let spare = spares.panels.take();
-        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms, spare);
+        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms);
         debug_assert_eq!(inter.set(), set);
-        return PairStart::Done(stand_in_dense(engine, inter, key, spares));
+        return PairStart::Done(stand_in_dense(engine, inter));
     }
     PairStart::From(obtain_pp(input, fs, engine, parent_set, fresh_ttms))
 }
@@ -444,20 +380,13 @@ fn obtain_pp_start(
 /// from the cache: the dense operator stands in for it from here on. No
 /// later contraction could have read the entry — a build looks each pair
 /// set up once, and the first approximated sweep bumps every factor, which
-/// invalidates whatever the cache holds — so only memory changes. The
-/// released panels become the next pair's TTM buffer.
-fn stand_in_dense(
-    engine: &mut DimTreeEngine,
-    pair: Intermediate,
-    key: (usize, usize),
-    spares: &mut Spares,
-) -> Intermediate {
+/// invalidates whatever the cache holds — so only memory changes: the
+/// panels go back to the workspace as the last reference drops here.
+fn stand_in_dense(engine: &mut DimTreeEngine, pair: Intermediate) -> Intermediate {
     if pair.payload.is_semisparse() {
         engine.cache_mut().remove(pair.set());
     }
-    let (dense, released) = densify_pair(pair, spares.pairs.remove(&key));
-    spares.panels = released.or(spares.panels.take());
-    dense
+    densify_pair(pair, engine.workspace())
 }
 
 /// Level-combined construction, Phase A (paper §IV): secure the pair's
@@ -500,7 +429,7 @@ fn combined_start(
                 .find(|s| s.is_pp_form())
                 .unwrap_or(parent_sets[0]);
             let k = full.minus(target).min().unwrap();
-            first_level_ttm(input, fs, engine, k, fresh_ttms, None)
+            first_level_ttm(input, fs, engine, k, fresh_ttms)
         }
     }
 }
@@ -517,14 +446,14 @@ fn contract_step(
     let payload = match &parent.payload {
         Payload::Dense(t) => {
             let t0 = Instant::now();
-            let out = mttv(t, pos, fs.factor(gone));
+            let out = mttv_in(engine.workspace(), t, pos, fs.factor(gone));
             engine.stats.record(Kernel::Mttv, t0.elapsed(), out.flops);
             Payload::Dense(Arc::new(out.tensor))
         }
         Payload::SemiSparse(ss) => {
             let s0 = thread_ss_counters();
             let t0 = Instant::now();
-            let out = ss_mttv(ss, pos, fs.factor(gone));
+            let out = ss_mttv_in(engine.workspace(), ss, pos, fs.factor(gone));
             let elapsed = t0.elapsed();
             let d = thread_ss_counters().since(&s0);
             engine.stats.record(Kernel::Mttv, elapsed, d.ttv_flops);
@@ -550,9 +479,11 @@ fn contract_step(
 mod tests {
     use super::*;
     use crate::engine::TreePolicy;
+    use pp_tensor::kernels::mttv::mttv;
     use pp_tensor::kernels::naive::mttkrp as naive_mttkrp;
     use pp_tensor::kernels::ttm::ttm;
     use pp_tensor::rng::{seeded, uniform_matrix, uniform_tensor};
+    use pp_tensor::semisparse::ss_mttv;
     use pp_tensor::{DenseTensor, SparseTensor};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, FactorState) {
@@ -749,10 +680,11 @@ mod tests {
 
     #[test]
     fn sparse_rebuild_recycles_buffers_and_matches_a_fresh_build() {
-        // Re-entering the regime with the old operators in hand must give
-        // the operators a from-scratch build gives, bit for bit — the old
-        // buffers are scratch space, never data. Order 3 takes the
-        // first-level (Done) path, order 4 the deferred chains.
+        // Re-entering the regime must give the operators a from-scratch
+        // build gives, bit for bit — what the first build returned to the
+        // workspace is scratch space, never data — and must find every
+        // buffer it needs there. Order 3 takes the first-level (Done) path,
+        // order 4 the deferred chains.
         for dims in [vec![6usize, 5, 7], vec![5, 4, 3, 4]] {
             let (sp, mut fs) = sparse_setup(&dims, 3, 71);
             let n_modes = dims.len();
@@ -762,7 +694,7 @@ mod tests {
             if n_modes == 3 {
                 // Dense pairs stand in for the semi-sparse first levels.
                 assert_eq!(
-                    engine.cache_memory_elems(),
+                    engine.cache().memory_elems(),
                     0,
                     "semi-sparse copies released"
                 );
@@ -771,7 +703,15 @@ mod tests {
             for (n, &d) in dims.iter().enumerate() {
                 fs.update(n, uniform_matrix(d, 3, &mut rng));
             }
-            let rebuilt = rebuild_pp_operators(&mut input, &fs, &mut engine, first);
+            let after_first = engine.workspace().stats();
+            drop(first); // as `AlsSession::pp_init` does
+            let rebuilt = build_pp_operators(&mut input, &fs, &mut engine);
+            let after_second = engine.workspace().stats();
+            assert_eq!(after_second.draws, 2 * after_first.draws);
+            assert_eq!(after_second.misses, after_first.misses, "{dims:?}");
+            assert!(
+                after_second.live_elems + after_second.held_elems <= after_second.high_water_elems
+            );
 
             let mut fresh_input = InputTensor::new_sparse_chained(sp);
             let mut fresh_engine = DimTreeEngine::new(TreePolicy::MultiSweep, n_modes);

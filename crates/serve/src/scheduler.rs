@@ -833,12 +833,26 @@ pub fn run_batch(specs: &[JobSpec], cfg: &ServeConfig) -> Result<BatchReport, St
         drive(&sh, 0);
     } else {
         std::thread::scope(|scope| {
-            for driver in 0..cfg.drivers {
-                let sh = &sh;
-                scope.spawn(move || {
-                    let _quiet = silence_panic_hook();
-                    drive(sh, driver);
-                });
+            let drivers: Vec<_> = (0..cfg.drivers)
+                .map(|driver| {
+                    let sh = &sh;
+                    scope.spawn(move || {
+                        let _quiet = silence_panic_hook();
+                        drive(sh, driver);
+                    })
+                })
+                .collect();
+            // Join the OS threads, not just their closures: the scope's own
+            // wait ends when the last closure returns, while that thread is
+            // still tearing down. A batch started right after (serve loops,
+            // the benchmark's laps) then spawns its drivers before the old
+            // one has handed its malloc arena back, glibc gives the new
+            // thread a fresh arena, and the process keeps one more 64 MiB
+            // heap of freed session memory resident from then on.
+            for d in drivers {
+                if let Err(panic) = d.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
     }

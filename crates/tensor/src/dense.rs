@@ -1,16 +1,19 @@
 //! Dense, owned, row-major `f64` tensors.
 
 use crate::shape::Shape;
+use crate::workspace::Buffer;
 
 /// A dense tensor of `f64` values in row-major layout.
 ///
 /// This is the storage type used for input tensors and for all dimension-tree
 /// intermediates. Intermediates 𝓜^(S) of the paper are stored with the CP
-/// rank as a trailing mode, i.e. shape `[s_{i1}, ..., s_{im}, R]`.
+/// rank as a trailing mode, i.e. shape `[s_{i1}, ..., s_{im}, R]`. The
+/// storage is a [`Buffer`]: one drawn from a [`crate::Workspace`] goes back
+/// to it when the tensor is dropped.
 #[derive(Clone, PartialEq)]
 pub struct DenseTensor {
     shape: Shape,
-    data: Vec<f64>,
+    data: Buffer,
 }
 
 impl DenseTensor {
@@ -18,7 +21,7 @@ impl DenseTensor {
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         let data = vec![0.0; shape.len()];
-        DenseTensor { shape, data }
+        DenseTensor::from_vec(shape, data)
     }
 
     /// Build a tensor from a function of the multi-index.
@@ -28,11 +31,16 @@ impl DenseTensor {
         for idx in shape.indices() {
             data.push(f(&idx));
         }
-        DenseTensor { shape, data }
+        DenseTensor::from_vec(shape, data)
     }
 
     /// Wrap an existing buffer. Panics if the buffer length does not match.
     pub fn from_vec(shape: impl Into<Shape>, data: Vec<f64>) -> Self {
+        DenseTensor::from_buffer(shape, data.into())
+    }
+
+    /// [`DenseTensor::from_vec`] over a (possibly workspace-drawn) buffer.
+    pub fn from_buffer(shape: impl Into<Shape>, data: Buffer) -> Self {
         let shape = shape.into();
         assert_eq!(
             shape.len(),
@@ -88,7 +96,7 @@ impl DenseTensor {
 
     /// Consume the tensor, returning its buffer.
     pub fn into_vec(self) -> Vec<f64> {
-        self.data
+        self.data.into_vec()
     }
 
     /// Element access by multi-index.
@@ -134,7 +142,7 @@ impl DenseTensor {
 
     /// Scale every element by `alpha`.
     pub fn scale(&mut self, alpha: f64) {
-        for x in &mut self.data {
+        for x in self.data.iter_mut() {
             *x *= alpha;
         }
     }
@@ -173,7 +181,7 @@ impl DenseTensor {
             "append_leading trailing-extent mismatch"
         );
         dims[0] += other.dim(0);
-        self.data.extend_from_slice(&other.data);
+        self.data.vec_mut().extend_from_slice(&other.data);
         self.shape = Shape::new(dims);
     }
 

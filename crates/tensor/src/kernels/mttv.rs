@@ -15,6 +15,7 @@ use crate::dense::DenseTensor;
 use crate::matrix::Matrix;
 use crate::shape::Shape;
 use crate::simd::{simd_level, SimdLevel};
+use crate::workspace::Workspace;
 use rayon::prelude::*;
 
 /// Columnwise accumulate `out[i, :] += in[i, :] ∗ a_row` over row pairs of
@@ -100,6 +101,12 @@ pub struct MttvOutput {
 /// mode) of intermediate `inter` with `factor` whose rows match that extent
 /// and whose columns match the trailing rank extent.
 pub fn mttv(inter: &DenseTensor, pos: usize, factor: &Matrix) -> MttvOutput {
+    mttv_in(&Workspace::unpooled(), inter, pos, factor)
+}
+
+/// [`mttv`] with the output drawn from `ws` — zero-filled, because the
+/// kernel accumulates into it.
+pub fn mttv_in(ws: &Workspace, inter: &DenseTensor, pos: usize, factor: &Matrix) -> MttvOutput {
     let order = inter.order();
     assert!(
         order >= 2,
@@ -127,7 +134,7 @@ pub fn mttv(inter: &DenseTensor, pos: usize, factor: &Matrix) -> MttvOutput {
     out_dims.extend_from_slice(&dims[pos + 1..order - 1]);
     out_dims.push(r);
     let out_shape = Shape::new(out_dims);
-    let mut out = vec![0.0f64; out_shape.len()];
+    let mut out = ws.draw_zeroed(out_shape.len());
 
     let src = inter.data();
     let fac = factor.data();
@@ -179,7 +186,7 @@ pub fn mttv(inter: &DenseTensor, pos: usize, factor: &Matrix) -> MttvOutput {
     let flops = 2 * inter.len() as u64;
     let mem_words = inter.len() as u64 + out_shape.len() as u64 + (factor.rows() * r) as u64;
     MttvOutput {
-        tensor: DenseTensor::from_vec(out_shape, out),
+        tensor: DenseTensor::from_buffer(out_shape, out),
         flops,
         mem_words,
     }

@@ -17,6 +17,7 @@ use crate::gemm::{count_gemm_calls, gemm_slice, gemm_slice_uncounted, Trans};
 use crate::matrix::Matrix;
 use crate::shape::Shape;
 use crate::transpose::move_mode_last;
+use crate::workspace::Workspace;
 use rayon::prelude::*;
 
 /// Result of a TTM together with the bookkeeping the cost ledgers need.
@@ -66,6 +67,12 @@ pub fn ttm(t: &DenseTensor, mode: usize, factor: &Matrix) -> TtmOutput {
 /// TTM specialization for a tensor whose *last* mode is the contracted one
 /// (e.g. a pre-permuted copy kept by MSDT). No transpose is performed.
 pub fn ttm_last(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
+    ttm_last_in(&Workspace::unpooled(), t, factor)
+}
+
+/// [`ttm_last`] with the output drawn from `ws`. The GEMM runs with β = 0,
+/// which never reads C, so a recycled buffer is taken as it is.
+pub fn ttm_last_in(ws: &Workspace, t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     let n = t.order();
     assert!(n >= 1);
     let s_last = t.dim(n - 1);
@@ -74,7 +81,7 @@ pub fn ttm_last(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     let k = t.len() / s_last.max(1);
 
     // View t as a (K × s_last) matrix (zero-copy) and multiply by factor.
-    let mut out = vec![0.0f64; k * r];
+    let mut out = ws.draw(k * r);
     gemm_slice(
         Trans::No,
         Trans::No,
@@ -93,7 +100,7 @@ pub fn ttm_last(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
 
     let mut dims: Vec<usize> = t.shape().dims()[..n - 1].to_vec();
     dims.push(r);
-    DenseTensor::from_vec(Shape::new(dims), out)
+    DenseTensor::from_buffer(Shape::new(dims), out)
 }
 
 /// TTM specialization for a tensor whose *first* mode is the contracted one.
@@ -102,6 +109,11 @@ pub fn ttm_last(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
 /// first-level contraction hits either the first or the last mode of some
 /// stored layout (paper §IV).
 pub fn ttm_first(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
+    ttm_first_in(&Workspace::unpooled(), t, factor)
+}
+
+/// [`ttm_first`] with the output drawn from `ws` (β = 0, as [`ttm_last_in`]).
+pub fn ttm_first_in(ws: &Workspace, t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     let n = t.order();
     assert!(n >= 1);
     let s_first = t.dim(0);
@@ -110,7 +122,7 @@ pub fn ttm_first(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     let k = t.len() / s_first.max(1);
 
     // View t as an (s_first × K) matrix; out = tᵀ · factor.
-    let mut out = vec![0.0f64; k * r];
+    let mut out = ws.draw(k * r);
     gemm_slice(
         Trans::Yes,
         Trans::No,
@@ -129,7 +141,7 @@ pub fn ttm_first(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
 
     let mut dims: Vec<usize> = t.shape().dims()[1..].to_vec();
     dims.push(r);
-    DenseTensor::from_vec(Shape::new(dims), out)
+    DenseTensor::from_buffer(Shape::new(dims), out)
 }
 
 /// [`ttm_first`] batched over the leading mode: contract the *second* mode
@@ -144,6 +156,12 @@ pub fn ttm_first(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
 /// does not depend on `E`, so contracting an appended slice alone equals
 /// the matching rows of contracting the grown tensor, bit for bit.
 pub fn ttm_first_batched(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
+    ttm_first_batched_in(&Workspace::unpooled(), t, factor)
+}
+
+/// [`ttm_first_batched`] with the output drawn from `ws`. Every slab GEMM
+/// runs with β = 0; a degenerate call (nothing to contract) zero-fills.
+pub fn ttm_first_batched_in(ws: &Workspace, t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     let n = t.order();
     assert!(n >= 2, "batched TTM needs a leading and a contracted mode");
     let (batch, s) = (t.dim(0), t.dim(1));
@@ -154,8 +172,10 @@ pub fn ttm_first_batched(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     let mut dims = vec![batch];
     dims.extend_from_slice(&t.shape().dims()[2..]);
     dims.push(r);
-    let mut out = vec![0.0f64; batch * k * r];
-    if !out.is_empty() && s > 0 {
+    let mut out = ws.draw(batch * k * r);
+    if s == 0 {
+        out.fill(0.0);
+    } else if !out.is_empty() {
         let src = t.data();
         // Per slab: view it as an (s × K) matrix; out_slab = slabᵀ · factor.
         out.par_chunks_mut(k * r).enumerate().for_each(|(i, c)| {
@@ -177,7 +197,7 @@ pub fn ttm_first_batched(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
         });
         count_gemm_calls(batch as u64, k, r, s);
     }
-    DenseTensor::from_vec(Shape::new(dims), out)
+    DenseTensor::from_buffer(Shape::new(dims), out)
 }
 
 #[cfg(test)]

@@ -43,12 +43,14 @@ pub(crate) mod simd;
 pub mod solve;
 pub mod sparse;
 pub mod transpose;
+pub mod workspace;
 
 pub use dense::DenseTensor;
 pub use matrix::Matrix;
 pub use semisparse::{SemiSparseTensor, TtmPlan};
 pub use shape::Shape;
 pub use sparse::{CsfTensor, SparseTensor};
+pub use workspace::{Workspace, WorkspaceStats};
 
 /// Commonly used items, for glob import in downstream crates and examples.
 pub mod prelude {

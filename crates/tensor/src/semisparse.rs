@@ -68,6 +68,7 @@ use crate::matrix::Matrix;
 use crate::shape::Shape;
 use crate::simd::{simd_level, SimdLevel};
 use crate::sparse::SparseTensor;
+use crate::workspace::{Buffer, Workspace};
 use rayon::prelude::*;
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -239,7 +240,7 @@ fn group_by_kept(
 pub struct SemiSparseTensor {
     pattern: Arc<SsPattern>,
     /// `E × R` dense rank panels aligned with the pattern's tuples.
-    panels: Vec<f64>,
+    panels: Buffer,
     r: usize,
 }
 
@@ -274,7 +275,7 @@ impl SemiSparseTensor {
         }
         Ok(SemiSparseTensor {
             pattern: Arc::new(SsPattern::new(dims, inds)),
-            panels,
+            panels: panels.into(),
             r,
         })
     }
@@ -338,26 +339,20 @@ impl SemiSparseTensor {
         self.pattern.memory_words() + self.panels.len()
     }
 
-    /// Give up the tensor for its panel buffer — a `spare` for the
-    /// contraction that replaces it ([`csf_ttm_into`]).
-    pub fn into_panels(self) -> Vec<f64> {
-        self.panels
-    }
-
     /// Densify: scatter the panels into a `[dims..., R]` dense tensor
     /// (the oracle path for parity tests, and PP pair operators).
     pub fn to_dense(&self) -> DenseTensor {
-        self.to_dense_into(None)
+        self.to_dense_in(&Workspace::unpooled())
     }
 
-    /// [`SemiSparseTensor::to_dense`] into `spare`'s allocation when one
-    /// is given (its contents are discarded).
-    pub fn to_dense_into(&self, spare: Option<Vec<f64>>) -> DenseTensor {
+    /// [`SemiSparseTensor::to_dense`] with the (zero-filled) output drawn
+    /// from `ws`.
+    pub fn to_dense_in(&self, ws: &Workspace) -> DenseTensor {
         let mut dims = self.dims().to_vec();
         dims.push(self.r);
         let shape = Shape::new(dims);
         let strides = shape.strides();
-        let mut t = DenseTensor::from_vec(shape.clone(), zeroed(spare, shape.len()));
+        let mut t = DenseTensor::from_buffer(shape.clone(), ws.draw_zeroed(shape.len()));
         let data = t.data_mut();
         for e in 0..self.n_entries() {
             let base: usize = self
@@ -538,21 +533,6 @@ const ENTRY_BLOCK_OVERSUB: usize = 4;
 /// stay serial.
 const PAR_THRESHOLD: usize = 1 << 14;
 
-/// `len` zeros, in `spare`'s allocation when it is given. A multi-megabyte
-/// `vec![0.0; len]` is a fresh mapping whose every page faults on first
-/// touch; a buffer handed over from the tensor being replaced is already
-/// resident.
-fn zeroed(spare: Option<Vec<f64>>, len: usize) -> Vec<f64> {
-    match spare {
-        Some(mut v) => {
-            v.clear();
-            v.resize(len, 0.0);
-            v
-        }
-        None => vec![0.0; len],
-    }
-}
-
 /// Run `block(e0, out)` over contiguous blocks of `R`-wide output panels
 /// (`e0` = first output entry of the block), fanned over the pool when
 /// `work` clears [`PAR_THRESHOLD`]. Each panel belongs to one block, so the
@@ -597,24 +577,23 @@ enum TtmPath {
 /// fuse) flushed with one `+=` per panel — and skipped structural zeros
 /// are exact no-ops (module docs). `plan` must have been built from `sp`.
 pub fn csf_ttm(sp: &SparseTensor, plan: &TtmPlan, factor: &Matrix) -> SemiSparseTensor {
-    csf_ttm_into(sp, plan, factor, None)
+    csf_ttm_in(&Workspace::unpooled(), sp, plan, factor)
 }
 
-/// [`csf_ttm`] writing its panels into `spare`'s allocation when one is
-/// given (its contents are discarded) — for a caller that holds the panel
-/// buffer of the intermediate this result replaces.
-pub fn csf_ttm_into(
+/// [`csf_ttm`] with the panels drawn from `ws` — zero-filled: both
+/// accumulation paths add into them.
+pub fn csf_ttm_in(
+    ws: &Workspace,
     sp: &SparseTensor,
     plan: &TtmPlan,
     factor: &Matrix,
-    spare: Option<Vec<f64>>,
 ) -> SemiSparseTensor {
     assert_eq!(factor.rows(), plan.k_dim, "factor rows");
     assert_eq!(sp.dim(plan.mode), plan.k_dim, "plan/tensor mismatch");
     assert_eq!(sp.nnz(), plan.vals.len(), "plan/tensor mismatch");
     let r = factor.cols();
     let nnz = plan.vals.len();
-    let mut panels = zeroed(spare, plan.n_out() * r);
+    let mut panels = ws.draw_zeroed(plan.n_out() * r);
 
     // The dense dispatch this call mirrors: m·n·k of the matricized GEMM.
     let dense_work = plan.dense_rows.saturating_mul(r).saturating_mul(plan.k_dim);
@@ -768,6 +747,16 @@ fn ttm_rows<const FMA: bool>(
 /// row operation. The grouping comes from the pattern's memo (module
 /// docs); results at one position share one child pattern.
 pub fn ss_mttv(ss: &SemiSparseTensor, pos: usize, factor: &Matrix) -> SemiSparseTensor {
+    ss_mttv_in(&Workspace::unpooled(), ss, pos, factor)
+}
+
+/// [`ss_mttv`] with the (zero-filled) panels drawn from `ws`.
+pub fn ss_mttv_in(
+    ws: &Workspace,
+    ss: &SemiSparseTensor,
+    pos: usize,
+    factor: &Matrix,
+) -> SemiSparseTensor {
     let l = ss.levels();
     assert!(l >= 2, "contraction needs at least two surviving levels");
     assert!(pos < l, "pos {pos} out of range ({l} levels)");
@@ -780,7 +769,7 @@ pub fn ss_mttv(ss: &SemiSparseTensor, pos: usize, factor: &Matrix) -> SemiSparse
     );
     let e_in = ss.n_entries();
     let plan = ss.pattern.mttv_plan(pos);
-    let mut panels = vec![0.0f64; plan.child.n_entries() * r];
+    let mut panels = ws.draw_zeroed(plan.child.n_entries() * r);
 
     let fac = factor.data();
     for_entry_blocks(&mut panels, r, e_in * r, |e0, out| {

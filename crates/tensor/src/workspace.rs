@@ -1,0 +1,429 @@
+//! Recycled output buffers for a session's large intermediates.
+//!
+//! With the kernels at the FMA ceiling, a sweep's remaining cost is fresh
+//! memory: every multi-megabyte `vec![0.0; n]` is a new mapping whose every
+//! page faults on first touch (2–6 µs per 4 KiB page — more than the kernel
+//! that fills it). A [`Workspace`] keeps the buffers a session's kernels
+//! drew and hands them out again, so from the second sweep on the outputs
+//! land in resident memory.
+//!
+//! * **Exact-length classes.** The free list is keyed by element count. A
+//!   session's intermediates recur at exactly the same lengths sweep after
+//!   sweep, so no rounding, no splitting, no best-fit search.
+//! * **Return on drop.** A drawn [`Buffer`] carries a weak handle home and
+//!   gives itself back when dropped — cache eviction, a cancelled
+//!   speculation, dropping the PP operators and engine teardown need no
+//!   return-site code. A buffer whose workspace is gone simply frees; one
+//!   that leaves as a `Vec` ([`Buffer::into_vec`]) is no longer counted.
+//! * **Memory stays what it was.** A draw either takes a held buffer
+//!   (held − 1, live + 1) or, with none held, allocates (live + 1); a return
+//!   moves one from live to held. So per class `live + held` never exceeds
+//!   that class's own live high-water mark — what the session already
+//!   peaked at without a workspace. A class nobody draws from for a whole
+//!   tree period is dropped by [`Workspace::end_sweep`].
+//! * **Stale contents are safe.** [`Workspace::draw`] hands a recycled
+//!   buffer out as it is: its takers are the β = 0 GEMM calls, which store
+//!   `0.0 + α·acc` without reading C. Accumulating kernels take
+//!   [`Workspace::draw_zeroed`]. Debug builds fill a returning buffer with
+//!   NaN and pool every length, so the whole test suite runs over poisoned
+//!   memory; release builds let requests under 1 MiB go straight to the
+//!   allocator, which never maps those fresh.
+
+use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+
+/// Requests shorter than this bypass the pool (1 MiB of `f64`s; glibc serves
+/// them from the heap it already holds). Debug builds pool everything so the
+/// poison reaches every kernel the tests run.
+const MIN_POOLED_ELEMS: usize = if cfg!(debug_assertions) { 1 } else { 1 << 17 };
+
+/// The buffers of one exact length.
+#[derive(Default)]
+struct Class {
+    free: Vec<Vec<f64>>,
+    /// Buffers of this length currently out.
+    live: usize,
+    /// The most that were ever out at once.
+    high: usize,
+    /// Sweep index of the latest draw.
+    last_draw: u64,
+}
+
+#[derive(Default)]
+struct State {
+    classes: HashMap<usize, Class>,
+    sweep: u64,
+    draws: u64,
+    misses: u64,
+    high_water_bufs: usize,
+    high_water_elems: usize,
+}
+
+#[derive(Default)]
+struct Shared {
+    state: Mutex<State>,
+}
+
+impl Shared {
+    /// Every update under the lock is a counter bump or a `Vec` push/pop, so
+    /// the state is valid at every step and a poisoned lock is still usable.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Counters of a [`Workspace`]; all of them repeat exactly for a given
+/// schedule of draws and drops.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkspaceStats {
+    /// Pooled requests served (bypassing ones are not counted).
+    pub draws: u64,
+    /// Draws that found nothing held and allocated.
+    pub misses: u64,
+    /// Elements in held (returned, not yet redrawn) buffers.
+    pub held_elems: usize,
+    /// Elements in drawn buffers that have not come back.
+    pub live_elems: usize,
+    /// Σ over classes of the most buffers ever out at once.
+    pub high_water_bufs: usize,
+    /// The same in elements: the bound on `live_elems + held_elems`.
+    pub high_water_elems: usize,
+}
+
+/// A pool of recycled `f64` buffers (module docs). Cloning clones the
+/// handle: both name the same pool, which lives as long as any handle.
+#[derive(Clone)]
+pub struct Workspace {
+    shared: Option<Arc<Shared>>,
+}
+
+impl Default for Workspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Workspace {
+    /// An empty pool. Allocates nothing until the first draw.
+    pub fn new() -> Self {
+        Workspace {
+            shared: Some(Arc::default()),
+        }
+    }
+
+    /// The workspace-less case: every draw is a plain allocation and every
+    /// drop a plain free. What the public allocating kernels run in.
+    pub const fn unpooled() -> Self {
+        Workspace { shared: None }
+    }
+
+    /// A buffer of `len` elements with **unspecified contents** — for
+    /// kernels that overwrite every element without reading it.
+    pub fn draw(&self, len: usize) -> Buffer {
+        let (held, home) = self.take(len);
+        let data = held.unwrap_or_else(|| vec![0.0; len]);
+        Buffer { data, home }
+    }
+
+    /// A buffer of `len` zeros — for kernels that accumulate into it.
+    pub fn draw_zeroed(&self, len: usize) -> Buffer {
+        let (held, home) = self.take(len);
+        let data = match held {
+            Some(mut data) => {
+                data.fill(0.0);
+                data
+            }
+            None => vec![0.0; len],
+        };
+        Buffer { data, home }
+    }
+
+    /// A held allocation of exactly `len` elements if there is one, and the
+    /// home a buffer of this request carries (`None` when it bypasses).
+    fn take(&self, len: usize) -> (Option<Vec<f64>>, Option<Weak<Shared>>) {
+        let Some(shared) = self.shared.as_ref().filter(|_| len >= MIN_POOLED_ELEMS) else {
+            return (None, None);
+        };
+        let mut guard = shared.lock();
+        let st = &mut *guard;
+        let class = st.classes.entry(len).or_default();
+        st.draws += 1;
+        class.last_draw = st.sweep;
+        class.live += 1;
+        if class.live > class.high {
+            class.high = class.live;
+            st.high_water_bufs += 1;
+            st.high_water_elems += len;
+        }
+        let held = class.free.pop();
+        st.misses += u64::from(held.is_none());
+        (held, Some(Arc::downgrade(shared)))
+    }
+
+    /// A sweep ended: drop the held buffers of every class that has not
+    /// been drawn from for `idle_sweeps` sweeps (a tree period — nothing a
+    /// steady-state schedule still uses stays idle that long).
+    pub fn end_sweep(&self, idle_sweeps: u64) {
+        let Some(shared) = &self.shared else { return };
+        let released: Vec<Vec<f64>> = {
+            let mut guard = shared.lock();
+            let st = &mut *guard;
+            st.sweep += 1;
+            let sweep = st.sweep;
+            let idle = st
+                .classes
+                .values_mut()
+                .filter(|c| sweep - c.last_draw >= idle_sweeps);
+            let released = idle.flat_map(|c| c.free.drain(..)).collect();
+            st.classes.retain(|_, c| c.live > 0 || !c.free.is_empty());
+            released
+        };
+        drop(released); // unmapping happens outside the lock
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> WorkspaceStats {
+        let Some(shared) = &self.shared else {
+            return WorkspaceStats::default();
+        };
+        let st = shared.lock();
+        let (mut held_elems, mut live_elems) = (0, 0);
+        for (len, class) in &st.classes {
+            held_elems += len * class.free.len();
+            live_elems += len * class.live;
+        }
+        WorkspaceStats {
+            draws: st.draws,
+            misses: st.misses,
+            held_elems,
+            live_elems,
+            high_water_bufs: st.high_water_bufs,
+            high_water_elems: st.high_water_elems,
+        }
+    }
+}
+
+/// An owned `f64` buffer that returns to the [`Workspace`] it was drawn
+/// from when dropped. A `Vec<f64>` converts into a buffer with no home.
+pub struct Buffer {
+    data: Vec<f64>,
+    home: Option<Weak<Shared>>,
+}
+
+impl Buffer {
+    /// Leave the workspace (it stops counting this buffer) and return the
+    /// allocation.
+    pub fn into_vec(mut self) -> Vec<f64> {
+        std::mem::take(self.vec_mut())
+    }
+
+    /// The underlying `Vec`, for growth in place. The buffer leaves its
+    /// workspace first: its length is about to stop matching its class.
+    pub fn vec_mut(&mut self) -> &mut Vec<f64> {
+        if let Some(shared) = self.home.take().and_then(|h| h.upgrade()) {
+            if let Some(class) = shared.lock().classes.get_mut(&self.data.len()) {
+                class.live -= 1;
+            }
+        }
+        &mut self.data
+    }
+}
+
+impl Drop for Buffer {
+    fn drop(&mut self) {
+        let Some(shared) = self.home.take().and_then(|h| h.upgrade()) else {
+            return;
+        };
+        let mut data = std::mem::take(&mut self.data);
+        if cfg!(debug_assertions) {
+            data.fill(f64::NAN);
+        }
+        let mut st = shared.lock();
+        if let Some(class) = st.classes.get_mut(&data.len()) {
+            class.live -= 1;
+            class.free.push(data);
+        }
+    }
+}
+
+impl From<Vec<f64>> for Buffer {
+    fn from(data: Vec<f64>) -> Self {
+        Buffer { data, home: None }
+    }
+}
+
+impl Deref for Buffer {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.data
+    }
+}
+
+impl DerefMut for Buffer {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+}
+
+/// A copy is a plain allocation: it belongs to whoever asked for it.
+impl Clone for Buffer {
+    fn clone(&self) -> Self {
+        self.data.clone().into()
+    }
+}
+
+impl PartialEq for Buffer {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+    }
+}
+
+impl std::fmt::Debug for Buffer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.data.fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pooled in release builds too (1 MiB).
+    const LEN: usize = 1 << 17;
+
+    /// The memory bound, and — while nothing was released or left — every
+    /// miss having raised a class's high-water mark.
+    fn invariant(ws: &Workspace) {
+        let s = ws.stats();
+        assert!(s.live_elems + s.held_elems <= s.high_water_elems, "{s:?}");
+        assert!(s.misses as usize <= s.high_water_bufs, "{s:?}");
+    }
+
+    #[test]
+    fn a_dropped_buffer_comes_back_for_the_next_draw_of_its_length() {
+        let ws = Workspace::new();
+        let a = ws.draw(LEN);
+        let addr = a.as_ptr();
+        assert_eq!(ws.stats().live_elems, LEN);
+        drop(a);
+        let s = ws.stats();
+        assert_eq!((s.live_elems, s.held_elems), (0, LEN));
+        // Another length is another class: a miss, and `a` stays held.
+        let other = ws.draw(LEN + 8);
+        assert_eq!(ws.stats().held_elems, LEN);
+        let b = ws.draw(LEN);
+        assert_eq!(b.as_ptr(), addr, "same allocation");
+        let s = ws.stats();
+        assert_eq!((s.draws, s.misses, s.held_elems), (3, 2, 0));
+        assert_eq!(s.live_elems, 2 * LEN + 8);
+        drop((b, other));
+        invariant(&ws);
+    }
+
+    #[test]
+    fn stale_draws_are_poisoned_in_debug_and_zeroed_draws_are_zero() {
+        let ws = Workspace::new();
+        let mut a = ws.draw(LEN);
+        a.fill(3.5);
+        drop(a);
+        let stale = ws.draw(LEN);
+        if cfg!(debug_assertions) {
+            assert!(
+                stale.iter().all(|x| x.is_nan()),
+                "returned buffers are poisoned"
+            );
+        }
+        drop(stale);
+        let zeroed = ws.draw_zeroed(LEN);
+        assert!(zeroed.iter().all(|&x| x == 0.0 && x.is_sign_positive()));
+        assert_eq!(ws.stats().misses, 1);
+    }
+
+    #[test]
+    fn live_plus_held_never_passes_the_high_water_mark() {
+        let ws = Workspace::new();
+        let mut out = Vec::new();
+        for round in 0..4 {
+            for k in 0..3 {
+                out.push(ws.draw_zeroed(LEN + 8 * k));
+                out.push(ws.draw(LEN));
+                invariant(&ws);
+            }
+            out.truncate(round); // return most, keep a few more each round
+            invariant(&ws);
+        }
+        let s = ws.stats();
+        assert_eq!(s.draws, 24);
+        assert!(s.misses < s.draws, "later rounds reuse");
+    }
+
+    #[test]
+    fn a_class_idle_for_the_period_is_released_and_a_busy_one_kept() {
+        let ws = Workspace::new();
+        drop(ws.draw(LEN));
+        drop(ws.draw(LEN + 8));
+        for _ in 0..2 {
+            ws.end_sweep(3);
+            drop(ws.draw(LEN + 8)); // drawn every sweep
+        }
+        assert_eq!(ws.stats().held_elems, 2 * LEN + 8);
+        ws.end_sweep(3); // third boundary since `LEN` was last drawn
+        assert_eq!(ws.stats().held_elems, LEN + 8);
+        // A live buffer of a released class still finds its way home.
+        let live = ws.draw(LEN);
+        for _ in 0..3 {
+            ws.end_sweep(3);
+        }
+        assert_eq!(ws.stats().held_elems, 0);
+        drop(live);
+        assert_eq!(ws.stats().held_elems, LEN);
+    }
+
+    #[test]
+    fn buffers_that_leave_are_not_counted_and_orphans_just_free() {
+        let ws = Workspace::new();
+        let v = ws.draw(LEN).into_vec();
+        assert_eq!(v.len(), LEN);
+        let mut grown = ws.draw(LEN);
+        grown.vec_mut().push(1.0);
+        assert_eq!(grown.len(), LEN + 1);
+        drop(grown);
+        let s = ws.stats();
+        assert_eq!((s.live_elems, s.held_elems), (0, 0));
+
+        let orphan = ws.draw(LEN);
+        let copy = orphan.clone(); // a copy has no home
+        drop(ws);
+        drop(orphan);
+        drop(copy);
+    }
+
+    #[test]
+    fn the_unpooled_workspace_and_short_requests_bypass() {
+        let none = Workspace::unpooled();
+        drop(none.draw(LEN));
+        assert_eq!(none.stats(), WorkspaceStats::default());
+        none.end_sweep(1);
+        if !cfg!(debug_assertions) {
+            let ws = Workspace::new();
+            drop(ws.draw(LEN - 1));
+            assert_eq!(ws.stats().draws, 0, "under 1 MiB goes to the allocator");
+        }
+    }
+
+    #[test]
+    fn handles_share_one_pool_across_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Workspace>();
+        assert_send_sync::<Buffer>();
+        let ws = Workspace::new();
+        let theirs = ws.clone();
+        std::thread::spawn(move || drop(theirs.draw(LEN)))
+            .join()
+            .unwrap();
+        assert_eq!(ws.stats().held_elems, LEN);
+        drop(ws.draw(LEN));
+        assert_eq!(ws.stats().misses, 1);
+    }
+}

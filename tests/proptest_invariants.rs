@@ -19,7 +19,7 @@ use parallel_pp::tensor::kernels::ttm::ttm;
 use parallel_pp::tensor::rng::{seeded, uniform_matrix, uniform_tensor};
 use parallel_pp::tensor::solve::{cholesky, solve_gram};
 use parallel_pp::tensor::transpose::permute;
-use parallel_pp::tensor::Matrix;
+use parallel_pp::tensor::{Matrix, Workspace};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -347,11 +347,13 @@ fn check_evolving_input(
     }
     assert_eq!(grown.layout_count(), whole.layout_count());
     assert_eq!(grown.canonical().data(), t.data());
+    // One pool for every run: later results land in returned buffers.
+    let ws = Workspace::new();
     for (mode, a) in factors.iter().enumerate() {
         match (grown.plan_contract(mode), whole.plan_contract(mode)) {
             (Some(g), Some(w)) => {
                 assert_eq!(g.mode_order, w.mode_order);
-                assert_eq!(g.run(a, None).dense().data(), w.run(a, None).dense().data());
+                assert_eq!(g.run(a, &ws).dense().data(), w.run(a, &ws).dense().data());
             }
             (None, None) => assert!(!copies, "copies leave no mode unplanned"),
             _ => panic!("grown and whole inputs plan mode {mode} differently"),
