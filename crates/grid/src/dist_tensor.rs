@@ -28,29 +28,14 @@ impl DistTensor {
         let dists: Vec<BlockDist> = (0..t.order())
             .map(|k| BlockDist::new(t.dim(k), grid.dim(k)))
             .collect();
-        let local_dims: Vec<usize> = dists.iter().map(|d| d.block()).collect();
-        let local_shape = Shape::new(local_dims);
-        let mut local = DenseTensor::zeros(local_shape.clone());
-        // Walk local (padded) indices; copy real entries.
-        {
-            let data = local.data_mut();
-            for (lin, lidx) in local_shape.indices().enumerate() {
-                let mut gidx = Vec::with_capacity(lidx.len());
-                let mut in_range = true;
-                for (k, &l) in lidx.iter().enumerate() {
-                    match dists[k].global_of(coords[k], l) {
-                        Some(g) => gidx.push(g),
-                        None => {
-                            in_range = false;
-                            break;
-                        }
-                    }
-                }
-                if in_range {
-                    data[lin] = t.get(&gidx);
-                }
-            }
-        }
+        let local_shape = Shape::new(dists.iter().map(|d| d.block()).collect::<Vec<_>>());
+        // Padding stays the zeros the block is born as; real entries come
+        // over one contiguous run at a time.
+        let mut local = DenseTensor::zeros(local_shape);
+        let (src, dst) = (t.data(), local.data_mut());
+        for_each_run(&dists, &coords, |l, g, len| {
+            dst[l..l + len].copy_from_slice(&src[g..g + len]);
+        });
         DistTensor {
             global_shape: t.shape().clone(),
             grid: grid.clone(),
@@ -91,27 +76,59 @@ impl DistTensor {
         assert_eq!(world.size(), self.grid.size());
         let blocks = world.all_gather_v(self.local.data());
         let mut out = DenseTensor::zeros(self.global_shape.clone());
-        let local_shape = self.local.shape().clone();
+        let dst = out.data_mut();
         for (rank, block) in blocks.iter().enumerate() {
-            let coords = self.grid.coords_of(rank);
-            for (lin, lidx) in local_shape.indices().enumerate() {
-                let mut gidx = Vec::with_capacity(lidx.len());
-                let mut in_range = true;
-                for (k, &l) in lidx.iter().enumerate() {
-                    match self.dists[k].global_of(coords[k], l) {
-                        Some(g) => gidx.push(g),
-                        None => {
-                            in_range = false;
-                            break;
-                        }
-                    }
-                }
-                if in_range {
-                    out.set(&gidx, block[lin]);
-                }
-            }
+            for_each_run(&self.dists, &self.grid.coords_of(rank), |l, g, len| {
+                dst[g..g + len].copy_from_slice(&block[l..l + len]);
+            });
         }
         out
+    }
+}
+
+/// Visit the real (unpadded) entries of the block at grid position
+/// `coords` as maximal contiguous runs: `run(local offset, global offset,
+/// length)`, both offsets row-major. Behind the last mode that is split or
+/// padded every mode is whole in the block and in the global tensor alike,
+/// so a run spans that mode's real rows times everything after it — the
+/// whole block for a grid split along mode 0 only.
+fn for_each_run(dists: &[BlockDist], coords: &[usize], mut run: impl FnMut(usize, usize, usize)) {
+    let n = dists.len();
+    let real: Vec<usize> = (0..n).map(|k| dists[k].real_len(coords[k])).collect();
+    if real.contains(&0) {
+        return; // a block of padding only
+    }
+    let (mut lstride, mut gstride) = (vec![1usize; n], vec![1usize; n]);
+    for k in (0..n - 1).rev() {
+        lstride[k] = lstride[k + 1] * dists[k + 1].block();
+        gstride[k] = gstride[k + 1] * dists[k + 1].global();
+    }
+    let j = (0..n)
+        .rev()
+        .find(|&k| dists[k].block() != dists[k].global())
+        .unwrap_or(0);
+    let len = real[j] * lstride[j];
+    let origin: usize = (0..n)
+        .map(|k| coords[k] * dists[k].block() * gstride[k])
+        .sum();
+    // Odometer over the modes before `j`, real rows only.
+    let mut idx = vec![0usize; j];
+    loop {
+        let offset =
+            |stride: &[usize]| -> usize { idx.iter().zip(stride).map(|(i, s)| i * s).sum() };
+        run(offset(&lstride), origin + offset(&gstride), len);
+        let mut k = j;
+        loop {
+            if k == 0 {
+                return;
+            }
+            k -= 1;
+            idx[k] += 1;
+            if idx[k] < real[k] {
+                break;
+            }
+            idx[k] = 0;
+        }
     }
 }
 
@@ -120,6 +137,50 @@ mod tests {
     use super::*;
     use pp_comm::Runtime;
     use std::sync::Arc;
+
+    /// The element-by-element walk `from_global` used to be: every local
+    /// (padded) index mapped to its global one, or left zero.
+    fn from_global_walk(t: &DenseTensor, grid: &ProcGrid, rank: usize) -> DenseTensor {
+        let coords = grid.coords_of(rank);
+        let dists: Vec<BlockDist> = (0..t.order())
+            .map(|k| BlockDist::new(t.dim(k), grid.dim(k)))
+            .collect();
+        let shape = Shape::new(dists.iter().map(|d| d.block()).collect::<Vec<_>>());
+        DenseTensor::from_fn(shape, |lidx| {
+            let gidx: Option<Vec<usize>> = (0..lidx.len())
+                .map(|k| dists[k].global_of(coords[k], lidx[k]))
+                .collect();
+            gidx.map_or(0.0, |g| t.get(&g))
+        })
+    }
+
+    #[test]
+    fn run_copies_equal_the_element_walk_bit_for_bit() {
+        let cases: [(&[usize], &[usize]); 9] = [
+            (&[5, 4, 3], &[2, 1, 1]), // padded, one run per block
+            (&[5, 4, 3], &[2, 1, 2]), // padded first and last
+            (&[5, 4, 3], &[1, 2, 1]), // unpadded middle split
+            (&[5, 4, 3], &[3, 3, 2]), // padded everywhere
+            (&[6, 4, 2], &[2, 1, 1]), // unpadded
+            (&[5, 3], &[2, 2]),       // padded
+            (&[4, 6], &[2, 2]),       // unpadded
+            (&[3, 2], &[5, 1]),       // more owners than rows: empty blocks
+            (&[7], &[3]),
+        ];
+        for (dims, grid) in cases {
+            let t = seq_tensor(dims.to_vec());
+            let grid = ProcGrid::new(grid.to_vec());
+            for rank in 0..grid.size() {
+                let got = DistTensor::from_global(&t, &grid, rank);
+                let want = from_global_walk(&t, &grid, rank);
+                assert_eq!(got.local().shape(), want.shape());
+                let bits = |x: &DenseTensor| -> Vec<u64> {
+                    x.data().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(got.local()), bits(&want), "{dims:?} rank {rank}");
+            }
+        }
+    }
 
     fn seq_tensor(dims: Vec<usize>) -> DenseTensor {
         let shape = Shape::new(dims);

@@ -9,7 +9,9 @@ use crate::workspace::Buffer;
 /// intermediates. Intermediates 𝓜^(S) of the paper are stored with the CP
 /// rank as a trailing mode, i.e. shape `[s_{i1}, ..., s_{im}, R]`. The
 /// storage is a [`Buffer`]: one drawn from a [`crate::Workspace`] goes back
-/// to it when the tensor is dropped.
+/// to it when the tensor is dropped, and every tensor made inside the
+/// crates (all but [`DenseTensor::from_vec`]'s adopted `Vec`) starts on a
+/// 64-byte boundary and sits in huge pages from 2 MiB up.
 #[derive(Clone, PartialEq)]
 pub struct DenseTensor {
     shape: Shape,
@@ -20,21 +22,21 @@ impl DenseTensor {
     /// All-zeros tensor of the given shape.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        let data = vec![0.0; shape.len()];
-        DenseTensor::from_vec(shape, data)
+        let data = Buffer::zeroed(shape.len());
+        DenseTensor { shape, data }
     }
 
     /// Build a tensor from a function of the multi-index.
     pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(&[usize]) -> f64) -> Self {
-        let shape = shape.into();
-        let mut data = Vec::with_capacity(shape.len());
-        for idx in shape.indices() {
-            data.push(f(&idx));
+        let mut t = DenseTensor::zeros(shape);
+        for (x, idx) in t.data.iter_mut().zip(t.shape.indices()) {
+            *x = f(&idx);
         }
-        DenseTensor::from_vec(shape, data)
+        t
     }
 
-    /// Wrap an existing buffer. Panics if the buffer length does not match.
+    /// Wrap an existing buffer as it is (no copy, so no alignment promise).
+    /// Panics if the buffer length does not match.
     pub fn from_vec(shape: impl Into<Shape>, data: Vec<f64>) -> Self {
         DenseTensor::from_buffer(shape, data.into())
     }
@@ -94,7 +96,8 @@ impl DenseTensor {
         &mut self.data
     }
 
-    /// Consume the tensor, returning its buffer.
+    /// Consume the tensor, returning its elements (by copy unless the
+    /// tensor was built by [`DenseTensor::from_vec`]).
     pub fn into_vec(self) -> Vec<f64> {
         self.data.into_vec()
     }
@@ -169,7 +172,8 @@ impl DenseTensor {
 
     /// Grow the leading mode in place: append `other` (same trailing
     /// extents) after `self`'s last leading index. Row-major storage makes
-    /// this a tail copy of `other`'s buffer — amortised O(`other`), values
+    /// this a tail copy of `other`'s buffer — amortised O(`other`): the
+    /// buffer reserves geometrically and moves once per doubling — values
     /// verbatim, so the result is bit-identical to a tensor built whole.
     /// The primitive behind streaming growth along an evolving mode.
     pub fn append_leading(&mut self, other: &DenseTensor) {
@@ -181,7 +185,7 @@ impl DenseTensor {
             "append_leading trailing-extent mismatch"
         );
         dims[0] += other.dim(0);
-        self.data.vec_mut().extend_from_slice(&other.data);
+        self.data.extend_from_slice(&other.data);
         self.shape = Shape::new(dims);
     }
 
@@ -195,16 +199,17 @@ impl DenseTensor {
             self.dim(axis)
         );
         let inner: usize = self.shape.dims()[axis + 1..].iter().product();
-        let outer: usize = self.shape.dims()[..axis].iter().product();
         let src_block = self.dim(axis) * inner;
         let mut dims = self.shape.dims().to_vec();
         dims[axis] = len;
-        let mut data = Vec::with_capacity(outer * len * inner);
-        for o in 0..outer {
-            let base = o * src_block + start * inner;
-            data.extend_from_slice(&self.data[base..base + len * inner]);
+        let mut out = DenseTensor::zeros(dims);
+        if len * inner > 0 {
+            for (o, run) in out.data.chunks_exact_mut(len * inner).enumerate() {
+                let base = o * src_block + start * inner;
+                run.copy_from_slice(&self.data[base..base + len * inner]);
+            }
         }
-        DenseTensor::from_vec(Shape::new(dims), data)
+        out
     }
 
     /// Maximum absolute difference against another tensor of the same shape.
@@ -227,6 +232,139 @@ impl std::fmt::Debug for DenseTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::mttv::mttv_in;
+    use crate::kernels::ttm::{ttm, ttm_first_batched_in, ttm_first_in, ttm_last_in};
+    use crate::matrix::Matrix;
+    use crate::store::{is_mapped, ALIGN, HUGE_BYTES, MAP_MIN_BYTES};
+    use crate::transpose::{move_mode_first, move_mode_last, permute};
+    use crate::Workspace;
+
+    /// Where a tensor made inside the crate starts: on a cache line, and
+    /// from the size rule up on a huge-page boundary.
+    fn assert_placed(t: &DenseTensor, what: &str) {
+        let addr = t.data().as_ptr() as usize;
+        assert_eq!(addr % ALIGN, 0, "{what} ({}): cache line", t.shape());
+        if is_mapped(t.len() * 8) {
+            assert_eq!(addr % HUGE_BYTES, 0, "{what} ({}): huge page", t.shape());
+        }
+    }
+
+    #[test]
+    fn every_tensor_made_in_the_crate_is_aligned() {
+        // Under the size rule, and with every output at or over it.
+        for (dims, r) in [(vec![3usize, 5, 7], 3usize), (vec![64, 65, 64], 64)] {
+            let mapped = is_mapped(dims.iter().product::<usize>() * 8);
+            assert_eq!(mapped, is_mapped(MAP_MIN_BYTES) && dims[0] > 3);
+            let fill = |idx: &[usize]| (idx[0] * 31 + idx[1] * 7 + idx[2]) as f64 / 64.0;
+            let zeros = DenseTensor::zeros(dims.clone());
+            assert!(zeros
+                .data()
+                .iter()
+                .all(|&x| x == 0.0 && x.is_sign_positive()));
+            assert_placed(&zeros, "zeros");
+            let t = DenseTensor::from_fn(dims.clone(), fill);
+            assert_placed(&t, "from_fn");
+            // A caller's `Vec` is adopted where it lies; its copy is placed.
+            let adopted = DenseTensor::from_vec(dims.clone(), t.data().to_vec());
+            assert_placed(&adopted.clone(), "clone");
+            assert_placed(&t.slice_along(1, 0, dims[1] - 1), "slice_along");
+            assert_placed(&permute(&t, &[2, 0, 1]), "permute");
+            assert_placed(&permute(&t, &[0, 1, 2]), "identity permute");
+            assert_placed(&move_mode_first(&t, 1), "move_mode_first");
+            assert_placed(&move_mode_last(&t, 0), "move_mode_last");
+
+            let factor = |rows| Matrix::from_fn(rows, r, |i, j| ((i + 2 * j) % 5) as f64 - 2.0);
+            let ws = Workspace::new();
+            for lap in ["miss", "hit"] {
+                let last = ttm_last_in(&ws, &t, &factor(dims[2]));
+                assert_placed(&last, &format!("ttm_last {lap}"));
+                assert_placed(
+                    &ttm_first_in(&ws, &t, &factor(dims[0])),
+                    &format!("ttm_first {lap}"),
+                );
+                assert_placed(
+                    &ttm_first_batched_in(&ws, &t, &factor(dims[1])),
+                    &format!("ttm_first_batched {lap}"),
+                );
+                assert_placed(&ttm(&t, 1, &factor(dims[1])).tensor, "ttm");
+                // An mTTV output as large as its input: a mode of extent 1.
+                let inter = last.reshape(vec![dims[0] * dims[1], 1, r]);
+                let out = mttv_in(&ws, &inter, 1, &factor(1)).tensor;
+                assert_eq!(is_mapped(out.len() * 8), mapped, "mttv output size");
+                assert_placed(&out, &format!("mttv {lap}"));
+                let drawn = DenseTensor::from_buffer(dims.clone(), ws.draw(t.len()));
+                assert_placed(&drawn, &format!("draw {lap}"));
+                let drawn = DenseTensor::from_buffer(dims.clone(), ws.draw_zeroed(t.len()));
+                assert_placed(&drawn, &format!("draw_zeroed {lap}"));
+            }
+            // (Release builds let the small case bypass the pool.)
+            let s = ws.stats();
+            if mapped || cfg!(debug_assertions) {
+                assert!(s.draws > s.misses, "the second lap drew recycled buffers");
+            }
+        }
+    }
+
+    #[test]
+    fn growth_across_the_size_rule_equals_the_tensor_built_whole() {
+        // Rows of 4 KiB: from a quarter of the rule, through it, to more
+        // than four times it (two doublings past the first move).
+        let row = 512;
+        let rows = 5 * MAP_MIN_BYTES / (8 * row);
+        let whole = DenseTensor::from_fn(vec![rows, row], |idx| {
+            (idx[0] * row + idx[1]) as f64 * 0.5 - 7.0
+        });
+        for start_adopted in [false, true] {
+            let head = whole.slice_along(0, 0, rows / 20);
+            let mut grown = if start_adopted {
+                DenseTensor::from_vec(head.shape().clone(), head.into_vec())
+            } else {
+                head
+            };
+            let mut at = grown.dim(0);
+            let mut moves = 0;
+            while at < rows {
+                let step = (rows / 16 + 1).min(rows - at);
+                let before = grown.data().as_ptr();
+                grown.append_leading(&whole.slice_along(0, at, step));
+                moves += usize::from(grown.data().as_ptr() != before);
+                at += step;
+            }
+            assert_eq!(grown.shape(), whole.shape());
+            let bits =
+                |t: &DenseTensor| -> Vec<u64> { t.data().iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&grown), bits(&whole));
+            assert!(
+                moves <= 7,
+                "{moves} moves: growth is geometric, not per append"
+            );
+            if !start_adopted {
+                assert_placed(&grown, "grown");
+            }
+        }
+    }
+
+    #[test]
+    fn vec_round_trips() {
+        // Adopted: the very allocation goes in and comes back out.
+        let v: Vec<f64> = (0..24).map(|x| x as f64).collect();
+        let (at, want) = (v.as_ptr(), v.clone());
+        let t = DenseTensor::from_vec(vec![2, 3, 4], v);
+        assert_eq!(t.data().as_ptr(), at, "from_vec does not copy");
+        let back = t.into_vec();
+        assert_eq!(back.as_ptr(), at, "nor does into_vec of an adopted Vec");
+        assert_eq!(back, want);
+        // Made in the crate: the elements come out by copy, under and over
+        // the size rule.
+        for n in [24, MAP_MIN_BYTES / 8 + 3] {
+            let t = DenseTensor::from_fn(vec![n], |idx| idx[0] as f64 - 1.5);
+            let want = t.data().to_vec();
+            assert_eq!(t.clone().into_vec(), want);
+            let again = DenseTensor::from_vec(vec![n], t.into_vec());
+            assert_eq!(again.data(), &want[..]);
+        }
+        assert_eq!(DenseTensor::zeros(vec![0, 4]).into_vec(), Vec::<f64>::new());
+    }
 
     #[test]
     fn zeros_and_set_get() {

@@ -42,6 +42,7 @@ pub mod shape;
 pub(crate) mod simd;
 pub mod solve;
 pub mod sparse;
+pub(crate) mod store;
 pub mod transpose;
 pub mod workspace;
 

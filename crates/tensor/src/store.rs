@@ -1,0 +1,471 @@
+//! The owned `f64` allocation behind every [`crate::workspace::Buffer`]:
+//! 64-byte aligned, and huge-page backed from [`MAP_MIN_BYTES`] up.
+//!
+//! * **Below the size rule** a [`Store`] is a `std::alloc` allocation at
+//!   [`ALIGN`] bytes, so a kernel's rows start on a cache line whatever the
+//!   allocator's mood (an mTTV read 0.6 or 1.4–2.0 ms with its input at 32
+//!   or 16 bytes mod 64).
+//! * **At or above it** (Linux on x86-64 / aarch64) it is a private anonymous `mmap`, trimmed
+//!   so it starts on a 2 MiB boundary, with `MADV_HUGEPAGE` over its whole
+//!   2 MiB pages: fresh memory then costs one fault per 2 MiB instead of
+//!   one per 4 KiB, and `munmap` gives it back in as many steps. The tail
+//!   past the last whole huge page stays small pages, so resident memory
+//!   does not round up. A refused `madvise` (THP `never`, an old kernel) is
+//!   ignored: the mapping is then ordinary memory, which is what the
+//!   allocator served before.
+//! * **Fresh memory is known zero.** [`Store::zeroed`] never writes to a
+//!   mapping (anonymous pages arrive zeroed), so a tensor of zeros that is
+//!   only partly written touches only those pages.
+//! * **Growth is geometric.** [`Store::extend_from_slice`] reserves twice
+//!   the capacity when it runs out and moves once per doubling (map, copy,
+//!   unmap — `mremap` could move a huge-page region off its 2 MiB boundary);
+//!   reserved pages that were never written are not resident.
+//!
+//! Every `unsafe` block of the storage layer is in this file. Each raw
+//! pointer site has a debug-assert shadow: alignment and `len ≤ cap` where
+//! a slice is formed, and a registry of live allocations that checks every
+//! release against the address and size it was made with, exactly once.
+
+use std::alloc::{self, Layout};
+use std::ops::{Deref, DerefMut};
+use std::ptr::NonNull;
+
+/// Alignment of every store: one cache line, one AVX-512 vector.
+pub(crate) const ALIGN: usize = 64;
+
+/// One x86-64 / aarch64 huge page.
+pub(crate) const HUGE_BYTES: usize = 2 << 20;
+
+/// The size rule: allocations of at least this many bytes are their own
+/// huge-page-advised mapping (where [`MAPS`]; elsewhere everything is
+/// `std::alloc`).
+/// Measured at 2, 8 and 32 MiB (DESIGN.md §1k "Storage"): one huge page is
+/// the smallest size the advice can act on and the one that reaches every
+/// workload's buffers.
+pub(crate) const MAP_MIN_BYTES: usize = HUGE_BYTES;
+
+/// Whether this target maps at all: the `mmap` ABI constants in [`sys`] are
+/// those of Linux on these two architectures. Everywhere else every store
+/// is a `std::alloc` allocation.
+const MAPS: bool = cfg!(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+));
+
+/// A type aligned like a store: what an empty one dangles at.
+#[repr(align(64))]
+struct Line;
+
+/// An owned, 64-byte-aligned run of `f64`s (module docs).
+pub(crate) struct Store {
+    /// Start of the allocation ([`ALIGN`]ed; dangling when `cap == 0`).
+    ptr: NonNull<f64>,
+    /// Initialised elements — what the slice views cover.
+    len: usize,
+    /// Elements the allocation has room for; it was made for exactly this.
+    cap: usize,
+}
+
+// SAFETY: a `Store` owns its allocation exclusively (no aliasing pointer
+// escapes the borrow rules of `Deref`/`DerefMut`), and `f64` is `Send`, so
+// moving it to another thread moves sole ownership, as with `Vec<f64>`.
+unsafe impl Send for Store {}
+// SAFETY: `&Store` gives out only `&[f64]`, and `f64` is `Sync`.
+unsafe impl Sync for Store {}
+
+/// Bytes of an allocation for `cap` elements.
+fn bytes_of(cap: usize) -> usize {
+    cap.checked_mul(std::mem::size_of::<f64>())
+        .expect("store capacity overflows usize")
+}
+
+fn heap_layout(bytes: usize) -> Layout {
+    Layout::from_size_align(bytes, ALIGN).expect("store capacity overflows isize")
+}
+
+/// Whether an allocation of `bytes` is a mapping of its own.
+pub(crate) fn is_mapped(bytes: usize) -> bool {
+    MAPS && bytes >= MAP_MIN_BYTES
+}
+
+impl Store {
+    /// `len` zeros.
+    pub(crate) fn zeroed(len: usize) -> Store {
+        Store {
+            ptr: allocate(len, true),
+            len,
+            cap: len,
+        }
+    }
+
+    /// No elements yet, room for `cap`.
+    fn with_capacity(cap: usize) -> Store {
+        Store {
+            ptr: allocate(cap, false),
+            len: 0,
+            cap,
+        }
+    }
+
+    /// A copy of `src`.
+    pub(crate) fn copy_of(src: &[f64]) -> Store {
+        let mut store = Store::with_capacity(src.len());
+        store.write_tail(src);
+        store
+    }
+
+    /// Append `src`, growing geometrically: when the capacity runs out the
+    /// store moves to one of at least twice the size.
+    pub(crate) fn extend_from_slice(&mut self, src: &[f64]) {
+        let need = self
+            .len
+            .checked_add(src.len())
+            .expect("store length overflows usize");
+        if need > self.cap {
+            let mut grown = Store::with_capacity(need.max(self.cap.saturating_mul(2)));
+            grown.write_tail(self);
+            *self = grown; // drops (releases) the old allocation
+        }
+        self.write_tail(src);
+    }
+
+    /// Elements this store can hold before it moves.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    /// Copy `src` behind the initialised elements; the room must be there.
+    fn write_tail(&mut self, src: &[f64]) {
+        assert!(src.len() <= self.cap - self.len, "store tail overrun");
+        // SAFETY: `ptr .. ptr + cap` is one live allocation owned by `self`
+        // and the assert above keeps `len + src.len() ≤ cap`, so the
+        // destination range is inside it; `src` is a shared borrow of other
+        // memory (`&mut self` excludes an overlap with this store).
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.as_ptr().add(self.len), src.len());
+        }
+        self.len += src.len();
+    }
+}
+
+impl Default for Store {
+    fn default() -> Self {
+        Store::zeroed(0)
+    }
+}
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        release(self.ptr, self.cap);
+    }
+}
+
+impl Deref for Store {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        debug_assert!(self.len <= self.cap && (self.ptr.as_ptr() as usize).is_multiple_of(ALIGN));
+        // SAFETY: `ptr` is aligned and non-null (dangling only when `len`
+        // is 0), the first `len ≤ cap` elements of the allocation are
+        // initialised (zeroed or copied in), and the borrow of `self` keeps
+        // the allocation alive and unaliased by a writer.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl DerefMut for Store {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        debug_assert!(self.len <= self.cap && (self.ptr.as_ptr() as usize).is_multiple_of(ALIGN));
+        // SAFETY: as in `deref`, and `&mut self` makes this the only view.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+/// An allocation for `cap` elements: all zero when `zeroed` (a mapping is
+/// zero either way). Aborts through `handle_alloc_error` when memory is out.
+fn allocate(cap: usize, zeroed: bool) -> NonNull<f64> {
+    let bytes = bytes_of(cap);
+    if bytes == 0 {
+        return NonNull::<Line>::dangling().cast();
+    }
+    let layout = heap_layout(bytes);
+    let raw = if is_mapped(bytes) {
+        sys::map(bytes)
+    } else if zeroed {
+        // SAFETY: `layout` has a non-zero size (checked above).
+        unsafe { alloc::alloc_zeroed(layout) }
+    } else {
+        // SAFETY: `layout` has a non-zero size (checked above).
+        unsafe { alloc::alloc(layout) }
+    };
+    let Some(ptr) = NonNull::new(raw.cast::<f64>()) else {
+        alloc::handle_alloc_error(layout)
+    };
+    debug_assert!((raw as usize).is_multiple_of(if is_mapped(bytes) { HUGE_BYTES } else { ALIGN }));
+    shadow::made(raw as usize, bytes);
+    ptr
+}
+
+/// Give back what [`allocate`]`(cap, _)` returned.
+fn release(ptr: NonNull<f64>, cap: usize) {
+    let bytes = bytes_of(cap);
+    if bytes == 0 {
+        return;
+    }
+    shadow::released(ptr.as_ptr() as usize, bytes);
+    if is_mapped(bytes) {
+        sys::unmap(ptr.as_ptr().cast(), bytes);
+    } else {
+        // SAFETY: `ptr` came from `alloc`/`alloc_zeroed` with this very
+        // layout (`cap` is stored at allocation and never changed), and
+        // `Store::drop` is its only release.
+        unsafe { alloc::dealloc(ptr.as_ptr().cast(), heap_layout(bytes)) }
+    }
+}
+
+/// Debug builds keep the address and size of every live allocation, so a
+/// release that does not match one — a second release, a wrong length — is
+/// caught where it happens.
+mod shadow {
+    use std::collections::BTreeMap;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    static LIVE: Mutex<BTreeMap<usize, usize>> = Mutex::new(BTreeMap::new());
+
+    /// The map is valid after every statement that touches it, so a lock
+    /// poisoned by a failed assert below is still usable.
+    fn live() -> MutexGuard<'static, BTreeMap<usize, usize>> {
+        LIVE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(super) fn made(addr: usize, bytes: usize) {
+        if cfg!(debug_assertions) {
+            let previous = live().insert(addr, bytes);
+            assert_eq!(previous, None, "allocator returned a live address");
+        }
+    }
+
+    pub(super) fn released(addr: usize, bytes: usize) {
+        if cfg!(debug_assertions) {
+            let made = live().remove(&addr);
+            assert_eq!(
+                made,
+                Some(bytes),
+                "{addr:#x} is not a live allocation of {bytes} bytes"
+            );
+        }
+    }
+}
+
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod sys {
+    use super::HUGE_BYTES;
+    use std::ffi::{c_int, c_void};
+
+    /// Mapping lengths are rounded up to this, the largest base page Linux
+    /// runs with, so a trim never needs the page size. Pages past the data
+    /// are never touched, hence never resident.
+    const MAP_GRANULE: usize = 64 << 10;
+
+    // Declared here rather than through a crate: std already links libc.
+    // The constants are the Linux ABI of the two architectures of the `cfg`.
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    const PROT_READ_WRITE: c_int = 0x1 | 0x2;
+    const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
+    const MADV_HUGEPAGE: c_int = 14;
+
+    /// The length actually mapped for `bytes` of data.
+    fn mapped_len(bytes: usize) -> usize {
+        bytes
+            .checked_next_multiple_of(MAP_GRANULE)
+            .expect("store capacity overflows usize")
+    }
+
+    /// A fresh (zero) private mapping of at least `bytes`, starting on a
+    /// 2 MiB boundary, huge-page advised over its whole huge pages. Null
+    /// when the kernel refuses the mapping.
+    pub(super) fn map(bytes: usize) -> *mut u8 {
+        let len = mapped_len(bytes);
+        let Some(span) = len.checked_add(HUGE_BYTES) else {
+            return std::ptr::null_mut();
+        };
+        // SAFETY: a null hint with MAP_PRIVATE|MAP_ANONYMOUS touches no
+        // existing mapping; the kernel picks a free range or fails.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                span,
+                PROT_READ_WRITE,
+                MAP_PRIVATE_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if base as isize == -1 {
+            return std::ptr::null_mut();
+        }
+        let head = (base as usize).wrapping_neg() % HUGE_BYTES;
+        let start = base.cast::<u8>().wrapping_add(head);
+        let tail = span - head - len;
+        debug_assert!((start as usize).is_multiple_of(HUGE_BYTES) && head + len + tail == span);
+        // SAFETY: `[base, base + head)` and `[start + len, start + len +
+        // tail)` are the two ends of the span mapped just above — page
+        // aligned (`head`, `len` and `span` are multiples of the granule),
+        // inside it, and referenced by nothing yet — so unmapping them
+        // leaves exactly `[start, start + len)`. A failing `munmap` only
+        // leaves address space reserved.
+        unsafe {
+            if head > 0 {
+                munmap(base, head);
+            }
+            if tail > 0 {
+                munmap(start.wrapping_add(len).cast(), tail);
+            }
+        }
+        let whole = bytes - bytes % HUGE_BYTES;
+        // SAFETY: `[start, start + whole)` lies inside the mapping kept
+        // above (`whole ≤ bytes ≤ len`). The advice changes how the kernel
+        // backs the range, not its contents; a refusal (THP off or absent)
+        // leaves an ordinary mapping, so the result is ignored.
+        unsafe {
+            madvise(start.cast(), whole, MADV_HUGEPAGE);
+        }
+        start
+    }
+
+    /// Unmap what [`map`]`(bytes)` returned.
+    pub(super) fn unmap(start: *mut u8, bytes: usize) {
+        debug_assert!((start as usize).is_multiple_of(HUGE_BYTES));
+        // SAFETY: `[start, start + mapped_len(bytes))` is exactly what
+        // `map(bytes)` kept, the caller (`release`, from `Store::drop`)
+        // owns it and forms no reference into it afterwards.
+        let rc = unsafe { munmap(start.cast(), mapped_len(bytes)) };
+        debug_assert_eq!(rc, 0, "munmap of a store failed");
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod sys {
+    pub(super) fn map(_bytes: usize) -> *mut u8 {
+        unreachable!("is_mapped is false on this target")
+    }
+    pub(super) fn unmap(_start: *mut u8, _bytes: usize) {
+        unreachable!("is_mapped is false on this target")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const RULE: usize = MAP_MIN_BYTES / 8;
+
+    fn ramp(n: usize) -> Vec<f64> {
+        (0..n).map(|i| i as f64 - 3.0).collect()
+    }
+
+    fn addr(s: &Store) -> usize {
+        s.as_ptr() as usize
+    }
+
+    #[test]
+    fn every_length_is_aligned_zero_and_writable() {
+        for len in [0, 1, 7, 8, 9, RULE - 1, RULE, RULE + 1, 3 * RULE + 5] {
+            let mut s = Store::zeroed(len);
+            assert_eq!(s.len(), len);
+            assert_eq!(addr(&s) % ALIGN, 0, "len {len}");
+            if is_mapped(len * 8) {
+                assert_eq!(addr(&s) % HUGE_BYTES, 0, "len {len}");
+            }
+            assert!(s.iter().all(|&x| x == 0.0 && x.is_sign_positive()));
+            if let Some(last) = s.last_mut() {
+                *last = 2.5;
+            }
+            s.iter_mut().step_by(4096 / 8).for_each(|x| *x += 1.0);
+            let copy = Store::copy_of(&s);
+            assert_eq!(addr(&copy) % ALIGN, 0);
+            assert_eq!(&*copy, &*s, "len {len}");
+        }
+    }
+
+    #[test]
+    fn the_size_rule_is_one_byte_sharp() {
+        assert!(!is_mapped(MAP_MIN_BYTES - 1));
+        assert_eq!(is_mapped(MAP_MIN_BYTES), MAPS);
+        // One element (the smallest step a store can take) under and over.
+        let under = Store::zeroed(RULE - 1);
+        let over = Store::zeroed(RULE);
+        assert_eq!(addr(&under) % ALIGN, 0);
+        if MAPS {
+            assert_eq!(addr(&over) % HUGE_BYTES, 0);
+        }
+    }
+
+    #[test]
+    fn growth_doubles_and_keeps_every_element() {
+        // From under the rule, across it, through more than two doublings.
+        let whole = ramp(5 * RULE);
+        let mut s = Store::copy_of(&whole[..RULE / 2]);
+        let (mut moves, mut at) = (0, RULE / 2);
+        let step = RULE / 8 + 3;
+        while at < whole.len() {
+            let next = (at + step).min(whole.len());
+            let (before, cap) = (addr(&s), s.capacity());
+            s.extend_from_slice(&whole[at..next]);
+            if s.capacity() != cap {
+                assert!(
+                    s.capacity() >= 2 * cap,
+                    "geometric: {cap} → {}",
+                    s.capacity()
+                );
+                moves += 1;
+            } else {
+                assert_eq!(addr(&s), before, "no move while there is room");
+            }
+            assert_eq!(addr(&s) % ALIGN, 0);
+            at = next;
+        }
+        assert_eq!(&*s, &whole[..]);
+        assert!((3..=5).contains(&moves), "{moves} moves for a 10× growth");
+        if MAPS {
+            assert_eq!(addr(&s) % HUGE_BYTES, 0);
+        }
+    }
+
+    #[test]
+    fn growing_an_empty_store_and_appending_nothing() {
+        let mut s = Store::default();
+        s.extend_from_slice(&[]);
+        assert!(s.is_empty());
+        s.extend_from_slice(&[1.0, 2.0]);
+        s.extend_from_slice(&[]);
+        s.extend_from_slice(&[3.0]);
+        assert_eq!(&*s, &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn stores_move_between_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Store>();
+        let s = Store::copy_of(&ramp(RULE + 9));
+        let sum: f64 = std::thread::spawn(move || s.iter().sum()).join().unwrap();
+        assert_eq!(sum, ramp(RULE + 9).iter().sum::<f64>());
+    }
+}

@@ -38,7 +38,7 @@ pub fn permute(t: &DenseTensor, perm: &[usize]) -> DenseTensor {
 
     let out_shape = t.shape().permuted(perm);
     if n <= 1 || is_identity(perm) {
-        return DenseTensor::from_vec(out_shape, t.data().to_vec());
+        return t.clone().reshape(out_shape);
     }
 
     let in_strides = t.shape().strides();
@@ -46,7 +46,7 @@ pub fn permute(t: &DenseTensor, perm: &[usize]) -> DenseTensor {
     let strides_for_out: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
     let out_dims: Vec<usize> = out_shape.dims().to_vec();
 
-    let mut out = vec![0.0f64; t.len()];
+    let mut out = DenseTensor::zeros(out_shape);
     let src = t.data();
 
     // Walk the output row-major; the innermost output mode reads the input
@@ -93,14 +93,14 @@ pub fn permute(t: &DenseTensor, perm: &[usize]) -> DenseTensor {
     let nthreads = rayon::current_num_threads().max(1);
     if t.len() >= PAR_ELEMS && outer_count > 1 && nthreads > 1 {
         let outers_per_chunk = outer_count.div_ceil(nthreads * 4).max(1);
-        out.par_chunks_mut(outers_per_chunk * inner_len)
+        out.data_mut()
+            .par_chunks_mut(outers_per_chunk * inner_len)
             .enumerate()
             .for_each(|(ci, block)| fill(ci * outers_per_chunk, block));
     } else {
-        fill(0, &mut out);
+        fill(0, out.data_mut());
     }
-
-    DenseTensor::from_vec(out_shape, out)
+    out
 }
 
 /// Permutation that moves `mode` to the end, keeping the others in order.
@@ -145,11 +145,11 @@ pub fn move_mode_first(t: &DenseTensor, mode: usize) -> DenseTensor {
     let b: usize = dims[mode + 1..].iter().product();
     if a == 1 || t.is_empty() {
         // Already leading (or nothing to move): a plain copy.
-        return DenseTensor::from_vec(out_shape, t.data().to_vec());
+        return t.clone().reshape(out_shape);
     }
 
     let src = t.data();
-    let mut out = vec![0.0f64; t.len()];
+    let mut out = DenseTensor::zeros(out_shape);
     let nthreads = rayon::current_num_threads().max(1);
     let a_per_block = if t.len() >= PAR_ELEMS && nthreads > 1 {
         a.div_ceil(nthreads * 4)
@@ -160,7 +160,7 @@ pub fn move_mode_first(t: &DenseTensor, mode: usize) -> DenseTensor {
 
     // pieces[j][x] = the rows of output slab `x` that block `j` fills.
     let mut pieces: Vec<Vec<&mut [f64]>> = (0..blocks).map(|_| Vec::with_capacity(e)).collect();
-    for slab in out.chunks_mut(a * b) {
+    for slab in out.data_mut().chunks_mut(a * b) {
         let mut rest = slab;
         for block in pieces.iter_mut() {
             let (head, tail) = rest.split_at_mut((a_per_block * b).min(rest.len()));
@@ -190,7 +190,7 @@ pub fn move_mode_first(t: &DenseTensor, mode: usize) -> DenseTensor {
             }
         }
     });
-    DenseTensor::from_vec(out_shape, out)
+    out
 }
 
 /// Swap the first two modes of a tensor (used to obtain `𝓜p^(i,n)` from

@@ -1,11 +1,14 @@
 //! Recycled output buffers for a session's large intermediates.
 //!
 //! With the kernels at the FMA ceiling, a sweep's remaining cost is fresh
-//! memory: every multi-megabyte `vec![0.0; n]` is a new mapping whose every
-//! page faults on first touch (2–6 µs per 4 KiB page — more than the kernel
-//! that fills it). A [`Workspace`] keeps the buffers a session's kernels
-//! drew and hands them out again, so from the second sweep on the outputs
-//! land in resident memory.
+//! memory: every multi-megabyte output is a new mapping that faults on
+//! first touch — once per 2 MiB where the store (`store.rs`) got huge
+//! pages (0.1–0.5 ms each on the benchmark VM, mostly the kernel zeroing
+//! them), once per 4 KiB page (2–6 µs each, 1–3 ms per 2 MiB — more than
+//! the kernel that fills it) where it did not. A
+//! [`Workspace`] keeps the buffers a session's kernels drew and hands them
+//! out again, so from the second sweep on the outputs land in resident
+//! memory.
 //!
 //! * **Exact-length classes.** The free list is keyed by element count. A
 //!   session's intermediates recur at exactly the same lengths sweep after
@@ -14,7 +17,8 @@
 //!   gives itself back when dropped — cache eviction, a cancelled
 //!   speculation, dropping the PP operators and engine teardown need no
 //!   return-site code. A buffer whose workspace is gone simply frees; one
-//!   that leaves as a `Vec` ([`Buffer::into_vec`]) is no longer counted.
+//!   that leaves as a `Vec` ([`Buffer::into_vec`]) or grows
+//!   ([`Buffer::extend_from_slice`]) is no longer counted.
 //! * **Memory stays what it was.** A draw either takes a held buffer
 //!   (held − 1, live + 1) or, with none held, allocates (live + 1); a return
 //!   moves one from live to held. So per class `live + held` never exceeds
@@ -27,21 +31,23 @@
 //!   [`Workspace::draw_zeroed`]. Debug builds fill a returning buffer with
 //!   NaN and pool every length, so the whole test suite runs over poisoned
 //!   memory; release builds let requests under 1 MiB go straight to the
-//!   allocator, which never maps those fresh.
+//!   allocator, which never maps those fresh. A miss is a fresh, known-zero
+//!   store either way, so [`Workspace::draw_zeroed`] writes only on a hit.
 
+use crate::store::Store;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
-/// Requests shorter than this bypass the pool (1 MiB of `f64`s; glibc serves
-/// them from the heap it already holds). Debug builds pool everything so the
+/// Requests shorter than this bypass the pool (1 MiB of `f64`s; the
+/// allocator serves them from the heap it already holds). Debug builds pool everything so the
 /// poison reaches every kernel the tests run.
 const MIN_POOLED_ELEMS: usize = if cfg!(debug_assertions) { 1 } else { 1 << 17 };
 
 /// The buffers of one exact length.
 #[derive(Default)]
 struct Class {
-    free: Vec<Vec<f64>>,
+    free: Vec<Store>,
     /// Buffers of this length currently out.
     live: usize,
     /// The most that were ever out at once.
@@ -122,26 +128,29 @@ impl Workspace {
     /// kernels that overwrite every element without reading it.
     pub fn draw(&self, len: usize) -> Buffer {
         let (held, home) = self.take(len);
-        let data = held.unwrap_or_else(|| vec![0.0; len]);
-        Buffer { data, home }
+        let store = held.unwrap_or_else(|| Store::zeroed(len));
+        Buffer {
+            data: Data::Store(store),
+            home,
+        }
     }
 
     /// A buffer of `len` zeros — for kernels that accumulate into it.
     pub fn draw_zeroed(&self, len: usize) -> Buffer {
-        let (held, home) = self.take(len);
-        let data = match held {
-            Some(mut data) => {
-                data.fill(0.0);
-                data
-            }
-            None => vec![0.0; len],
-        };
-        Buffer { data, home }
+        let (mut held, home) = self.take(len);
+        if let Some(stale) = &mut held {
+            stale.fill(0.0);
+        }
+        let store = held.unwrap_or_else(|| Store::zeroed(len));
+        Buffer {
+            data: Data::Store(store),
+            home,
+        }
     }
 
     /// A held allocation of exactly `len` elements if there is one, and the
     /// home a buffer of this request carries (`None` when it bypasses).
-    fn take(&self, len: usize) -> (Option<Vec<f64>>, Option<Weak<Shared>>) {
+    fn take(&self, len: usize) -> (Option<Store>, Option<Weak<Shared>>) {
         let Some(shared) = self.shared.as_ref().filter(|_| len >= MIN_POOLED_ELEMS) else {
             return (None, None);
         };
@@ -166,7 +175,7 @@ impl Workspace {
     /// steady-state schedule still uses stays idle that long).
     pub fn end_sweep(&self, idle_sweeps: u64) {
         let Some(shared) = &self.shared else { return };
-        let released: Vec<Vec<f64>> = {
+        let released: Vec<Store> = {
             let mut guard = shared.lock();
             let st = &mut *guard;
             st.sweep += 1;
@@ -204,29 +213,56 @@ impl Workspace {
     }
 }
 
+/// What a [`Buffer`] holds: the crate's own aligned store, or a `Vec` a
+/// caller built and handed over ([`From<Vec<f64>>`], no copy).
+enum Data {
+    Store(Store),
+    Adopted(Vec<f64>),
+}
+
 /// An owned `f64` buffer that returns to the [`Workspace`] it was drawn
-/// from when dropped. A `Vec<f64>` converts into a buffer with no home.
+/// from when dropped. Buffers made inside the crate are 64-byte aligned and,
+/// from 2 MiB up, huge-page backed (the `store` module); a `Vec<f64>`
+/// converts into a buffer with no home, as it is.
 pub struct Buffer {
-    data: Vec<f64>,
+    data: Data,
     home: Option<Weak<Shared>>,
 }
 
 impl Buffer {
-    /// Leave the workspace (it stops counting this buffer) and return the
-    /// allocation.
-    pub fn into_vec(mut self) -> Vec<f64> {
-        std::mem::take(self.vec_mut())
+    /// `len` zeros in a fresh store, with no home.
+    pub(crate) fn zeroed(len: usize) -> Buffer {
+        Workspace::unpooled().draw_zeroed(len)
     }
 
-    /// The underlying `Vec`, for growth in place. The buffer leaves its
-    /// workspace first: its length is about to stop matching its class.
-    pub fn vec_mut(&mut self) -> &mut Vec<f64> {
+    /// Leave the workspace (it stops counting this buffer) and return the
+    /// elements as a `Vec` — the adopted one as it is, a store's by copy.
+    pub fn into_vec(mut self) -> Vec<f64> {
+        self.leave();
+        match &mut self.data {
+            Data::Store(store) => store.to_vec(),
+            Data::Adopted(vec) => std::mem::take(vec),
+        }
+    }
+
+    /// Append `src` in place, reserving geometrically (one move per
+    /// doubling). The buffer leaves its workspace first: its length stops
+    /// matching its class.
+    pub fn extend_from_slice(&mut self, src: &[f64]) {
+        self.leave();
+        match &mut self.data {
+            Data::Store(store) => store.extend_from_slice(src),
+            Data::Adopted(vec) => vec.extend_from_slice(src),
+        }
+    }
+
+    /// Stop being counted by the workspace this buffer was drawn from.
+    fn leave(&mut self) {
         if let Some(shared) = self.home.take().and_then(|h| h.upgrade()) {
-            if let Some(class) = shared.lock().classes.get_mut(&self.data.len()) {
+            if let Some(class) = shared.lock().classes.get_mut(&self.len()) {
                 class.live -= 1;
             }
         }
-        &mut self.data
     }
 }
 
@@ -235,53 +271,69 @@ impl Drop for Buffer {
         let Some(shared) = self.home.take().and_then(|h| h.upgrade()) else {
             return;
         };
-        let mut data = std::mem::take(&mut self.data);
+        // Only drawn buffers have a home, and a draw is always a store.
+        let Data::Store(store) = &mut self.data else {
+            return;
+        };
+        let mut store = std::mem::take(store);
         if cfg!(debug_assertions) {
-            data.fill(f64::NAN);
+            store.fill(f64::NAN);
         }
         let mut st = shared.lock();
-        if let Some(class) = st.classes.get_mut(&data.len()) {
+        if let Some(class) = st.classes.get_mut(&store.len()) {
             class.live -= 1;
-            class.free.push(data);
+            class.free.push(store);
         }
     }
 }
 
 impl From<Vec<f64>> for Buffer {
     fn from(data: Vec<f64>) -> Self {
-        Buffer { data, home: None }
+        Buffer {
+            data: Data::Adopted(data),
+            home: None,
+        }
     }
 }
 
 impl Deref for Buffer {
     type Target = [f64];
     fn deref(&self) -> &[f64] {
-        &self.data
+        match &self.data {
+            Data::Store(store) => store,
+            Data::Adopted(vec) => vec,
+        }
     }
 }
 
 impl DerefMut for Buffer {
     fn deref_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        match &mut self.data {
+            Data::Store(store) => store,
+            Data::Adopted(vec) => vec,
+        }
     }
 }
 
-/// A copy is a plain allocation: it belongs to whoever asked for it.
+/// A copy is a fresh store: it belongs to whoever asked for it.
 impl Clone for Buffer {
     fn clone(&self) -> Self {
-        self.data.clone().into()
+        Buffer {
+            data: Data::Store(Store::copy_of(self)),
+            home: None,
+        }
     }
 }
 
 impl PartialEq for Buffer {
     fn eq(&self, other: &Self) -> bool {
-        self.data == other.data
+        **self == **other
     }
 }
 
 impl std::fmt::Debug for Buffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.data.fmt(f)
+        (**self).fmt(f)
     }
 }
 
@@ -341,6 +393,27 @@ mod tests {
     }
 
     #[test]
+    fn zeroed_draws_are_zero_fresh_and_recycled_over_the_size_rule_too() {
+        use crate::store::MAP_MIN_BYTES;
+        let positive_zero = |b: &Buffer| b.iter().all(|&x| x == 0.0 && x.is_sign_positive());
+        for len in [1, LEN, MAP_MIN_BYTES / 8, MAP_MIN_BYTES / 8 + 513] {
+            let ws = Workspace::new();
+            let mut fresh = ws.draw_zeroed(len);
+            assert!(positive_zero(&fresh), "fresh, len {len}");
+            let addr = fresh.as_ptr();
+            fresh.fill(-4.25);
+            drop(fresh);
+            let pooled = ws.stats().draws > 0; // release builds bypass short ones
+            let recycled = ws.draw_zeroed(len);
+            assert!(positive_zero(&recycled), "recycled, len {len}");
+            if pooled {
+                assert_eq!(recycled.as_ptr(), addr, "same store");
+                assert_eq!(ws.stats().misses, 1);
+            }
+        }
+    }
+
+    #[test]
     fn live_plus_held_never_passes_the_high_water_mark() {
         let ws = Workspace::new();
         let mut out = Vec::new();
@@ -386,7 +459,7 @@ mod tests {
         let v = ws.draw(LEN).into_vec();
         assert_eq!(v.len(), LEN);
         let mut grown = ws.draw(LEN);
-        grown.vec_mut().push(1.0);
+        grown.extend_from_slice(&[1.0]);
         assert_eq!(grown.len(), LEN + 1);
         drop(grown);
         let s = ws.stats();

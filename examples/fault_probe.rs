@@ -1,12 +1,17 @@
 //! Where a sweep's page faults go: run every job of a benchmark manifest
 //! as a solo session for a few warm laps and print, per sweep,
-//! `kind : ms / minor faults / workspace misses` — plus the session's
-//! set-up, each streaming arrival, and `finish`.
+//! `kind : ms / minor faults / workspace misses / huge of resident MiB` — plus the
+//! session's set-up, each streaming arrival, and `finish` — under a header
+//! naming the transparent-huge-page mode the kernel runs with.
 //!
 //! Minor faults are field 10 of `/proc/self/stat` (process-wide, so a
 //! speculative TTM on a pool thread is counted in the sweep it overlaps);
-//! elsewhere than Linux the column reads `-`. Workspace misses are draws
-//! that had to allocate ([`WorkspaceStats::misses`]).
+//! the last column is `AnonHugePages` of `Rss` from `/proc/self/smaps_rollup`
+//! at the end of the phase, i.e. how much of the resident process is backed
+//! by 2 MiB pages (the tensor store asks for them from 2 MiB up; with THP
+//! `never` it reads 0 and the fault counts are those of 4 KiB pages). Elsewhere than Linux the columns
+//! read `-`. Workspace misses are draws that had to allocate
+//! ([`WorkspaceStats::misses`]).
 //!
 //! Run: `cargo run --release --example fault_probe --
 //!       benchmark/workloads/dense4-pp.manifest [--seed S] [--laps K]`
@@ -24,6 +29,27 @@ fn minor_faults() -> Option<u64> {
     let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
     let after_comm = &stat[stat.rfind(')')? + 1..];
     after_comm.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// `Rss` and `AnonHugePages` of `/proc/self/smaps_rollup` in MiB, or
+/// `None` where there is no such file.
+fn resident_and_huge_mib() -> Option<(f64, f64)> {
+    let rollup = std::fs::read_to_string("/proc/self/smaps_rollup").ok()?;
+    let mib = |key: &str| -> Option<f64> {
+        let line = rollup.lines().find(|l| l.starts_with(key))?;
+        let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+        Some(kib / 1024.0)
+    };
+    Some((mib("Rss:")?, mib("AnonHugePages:")?))
+}
+
+/// The bracketed choice of `/sys/kernel/mm/transparent_hugepage/enabled`
+/// (`always`, `madvise` or `never`), or `None` where THP does not exist.
+fn thp_mode() -> Option<String> {
+    let modes = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled").ok()?;
+    let open = modes.find('[')?;
+    let close = open + modes[open..].find(']')?;
+    Some(modes[open + 1..close].to_string())
 }
 
 /// Wall time, fault and miss counters at one instant.
@@ -51,7 +77,10 @@ impl Mark {
             _ => "-".into(),
         };
         let misses = now.misses - self.misses;
-        println!("  {label:<10}: {ms:8.2} ms / {faults:>7} faults / {misses:>3} misses");
+        let memory = resident_and_huge_mib().map_or("-".into(), |(rss, huge)| {
+            format!("{huge:.0} of {rss:.0} MiB huge")
+        });
+        println!("  {label:<10}: {ms:8.2} ms / {faults:>7} faults / {misses:>3} misses / {memory}");
         now
     }
 }
@@ -161,6 +190,10 @@ fn run() -> Result<(), String> {
     let path = path.ok_or("usage: fault_probe <manifest> [--seed S] [--laps K]")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let specs = parse_manifest(&instantiate(&text, seed)?)?;
+    println!(
+        "transparent_hugepage: {}",
+        thp_mode().as_deref().unwrap_or("unavailable")
+    );
 
     for spec in &specs {
         println!(
