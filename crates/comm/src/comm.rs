@@ -627,17 +627,6 @@ macro_rules! delegate {
 }
 
 impl Communicator {
-    /// Create the world communicators for `size` ranks on the default
-    /// (rendezvous) backend. Returned in rank order; each must be moved to
-    /// its own thread.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CommWorld::new(size).build()` (add `.backend(..)` to choose a backend)"
-    )]
-    pub fn world(size: usize) -> Vec<Communicator> {
-        CommWorld::new(size).build()
-    }
-
     /// This rank's index within the group.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -837,9 +826,8 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_world_shim_builds_rendezvous() {
-        #[allow(deprecated)]
-        let comms = Communicator::world(2);
+    fn world_builder_defaults_to_rendezvous() {
+        let comms = CommWorld::new(2).build();
         assert_eq!(comms.len(), 2);
         assert_eq!(comms[0].backend(), Backend::Rendezvous);
     }

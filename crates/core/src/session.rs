@@ -179,7 +179,20 @@ impl AlsSession {
         // ‖T‖² is one serial pass; it rides beside the layout construction.
         let (input, t_norm_sq) =
             rayon::join(|| dense_input(t, cfg.policy, evolving), || t.norm_sq());
-        let engine = DimTreeEngine::new(cfg.policy, n_modes);
+        Self::from_input(input, t_norm_sq, cfg, kind, init)
+    }
+
+    /// The one place a fresh session is assembled: `input` is whatever the
+    /// caller's tensor kind and tree policy produced (the input-specific
+    /// asserts stay with the callers).
+    fn from_input(
+        input: InputTensor,
+        t_norm_sq: f64,
+        cfg: &AlsConfig,
+        kind: SessionKind,
+        init: Vec<Matrix>,
+    ) -> Self {
+        let engine = DimTreeEngine::new(cfg.policy, init.len());
         let fs = FactorState::new(init);
         let grams: Vec<Matrix> = fs.factors().iter().map(|a| a.gram()).collect();
         let d_factors = if kind == SessionKind::Pp {
@@ -249,35 +262,12 @@ impl AlsSession {
             TreePolicy::Standard => InputTensor::new_sparse(sp.clone()),
             TreePolicy::MultiSweep => InputTensor::new_sparse_chained(sp.clone()),
         };
-        let engine = DimTreeEngine::new(cfg.policy, n_modes);
-        let fs = FactorState::new(init);
-        let grams: Vec<Matrix> = fs.factors().iter().map(|a| a.gram()).collect();
-        let t_norm_sq = sp.norm_sq();
-        let d_factors = if kind == SessionKind::Pp {
-            fs.factors().to_vec()
-        } else {
-            Vec::new()
-        };
+        Self::from_input(input, sp.norm_sq(), cfg, kind, init)
+    }
 
-        AlsSession {
-            cfg: cfg.clone(),
-            kind,
-            input,
-            engine,
-            fs,
-            grams,
-            t_norm_sq,
-            d_factors,
-            factors_p: Vec::new(),
-            ops: None,
-            phase: PpPhase::Gate,
-            report: AlsReport::default(),
-            fitness_old: f64::NEG_INFINITY,
-            cumulative: 0.0,
-            converged: false,
-            sweeps_done: 0,
-            finished: false,
-        }
+    /// Stored nonzeros of a sparse input; `None` over a dense tensor.
+    pub fn input_nnz(&self) -> Option<usize> {
+        self.input.sparse().map(|sp| sp.coo.nnz())
     }
 
     /// The session's update rule.

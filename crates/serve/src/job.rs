@@ -15,8 +15,26 @@
 //!
 //! (No line continuations — the `\` above is for readability only.)
 //! Unknown keys, unknown dataset/method values, and unparsable numbers are
-//! hard errors naming the offending line, mirroring the `ppcp` CLI's
-//! no-silent-fallback policy.
+//! hard errors naming the offending line and token — no silent fallbacks.
+//!
+//! The same vocabulary is the `ppcp` command line: `--key value` there is
+//! the token `key=value` here, both read by [`JobSpec::from_tokens`], so a
+//! CLI run *is* a one-job manifest. The keys (defaults are a manifest
+//! line's; `ppcp` applies its own presets first):
+//!
+//! | keys | meaning |
+//! |------|---------|
+//! | `method` | `dt\|msdt\|pp\|nncp` (sparse and stream jobs: not `nncp`) |
+//! | `rank` `sweeps` `tol` `pp-tol` `seed` | CP rank, sweep limit, Δ, PP ε, factor-init seed |
+//! | `lookahead` | `on\|off`, the cross-mode speculation (bit-identical either way) |
+//! | `threads` | per-job pool width (manifest only — `ppcp --threads` pins the run) |
+//! | `dataset` | one of [`DATASET_NAMES`]; `chemistry` and `coil` have a fixed size |
+//! | `data-seed` | generator seed, every dataset but `coil` |
+//! | `dims` `gen-rank` `noise` | `lowrank`; `dims` `gen-rank` `density` for `sparse-lowrank`; `dims` `nnz` `skew` for `sparse-powerlaw` |
+//! | `s` `r` `order` `lo` `hi` | `collinearity` |
+//! | `height` `width` `bands` `times` `materials` `noise` | `timelapse` |
+//! | `stream` `initial-times` `arrive` `sweeps-per-arrival` `update` | the arrival schedule of a streaming `timelapse` job |
+//! | `name` `policy` `priority` `deadline` `fail-after` | scheduler-only (manifest only) |
 
 use pp_core::{AlsConfig, SessionKind};
 use pp_datagen::timelapse::{TimelapseConfig, TimelapseStream};
@@ -111,6 +129,13 @@ pub enum DatasetSpec {
         density: f64,
         seed: u64,
     },
+    /// Density-fitting surrogate at its one size in use, 640 × 40 × 40
+    /// (auxiliary × orbital²).
+    Chemistry { seed: u64 },
+    /// COIL-style image stack at its one size in use, 32 × 32 × 3 × 144
+    /// (6 objects × 24 poses); the renderer is deterministic, so there is
+    /// no seed.
+    Coil,
     /// Time-lapse hyperspectral surrogate (`height × width × bands ×
     /// times`) — the only dataset that can also feed streaming jobs
     /// (`stream=on`), arriving slice-by-slice along the time mode.
@@ -125,7 +150,48 @@ pub enum DatasetSpec {
     },
 }
 
+// `chemistry` and `coil` have one size in use, so constants rather than
+// keys: orbital / auxiliary extents; image size, objects, poses per object.
+const CHEMISTRY_ORB: usize = 40;
+const CHEMISTRY_AUX: usize = 640;
+const COIL_SIZE: usize = 32;
+const COIL_OBJECTS: usize = 6;
+const COIL_POSES: usize = 24;
+
 impl DatasetSpec {
+    /// The `dataset=` name of this spec.
+    pub fn name(&self) -> &'static str {
+        match self {
+            DatasetSpec::Lowrank { .. } => "lowrank",
+            DatasetSpec::Collinearity { .. } => "collinearity",
+            DatasetSpec::Chemistry { .. } => "chemistry",
+            DatasetSpec::Coil => "coil",
+            DatasetSpec::Timelapse { .. } => "timelapse",
+            DatasetSpec::SparsePowerlaw { .. } => "sparse-powerlaw",
+            DatasetSpec::SparseLowrank { .. } => "sparse-lowrank",
+        }
+    }
+
+    /// Mode extents of the tensor this spec builds (a streaming timelapse:
+    /// of the full horizon).
+    pub fn dims(&self) -> Vec<usize> {
+        match self {
+            DatasetSpec::Lowrank { dims, .. }
+            | DatasetSpec::SparsePowerlaw { dims, .. }
+            | DatasetSpec::SparseLowrank { dims, .. } => dims.clone(),
+            DatasetSpec::Collinearity { s, order, .. } => vec![*s; *order],
+            DatasetSpec::Chemistry { .. } => vec![CHEMISTRY_AUX, CHEMISTRY_ORB, CHEMISTRY_ORB],
+            DatasetSpec::Coil => vec![COIL_SIZE, COIL_SIZE, 3, COIL_OBJECTS * COIL_POSES],
+            DatasetSpec::Timelapse {
+                height,
+                width,
+                bands,
+                times,
+                ..
+            } => vec![*height, *width, *bands, *times],
+        }
+    }
+
     /// Whether this spec materializes a sparse tensor (CSF path).
     pub fn is_sparse(&self) -> bool {
         matches!(
@@ -162,6 +228,19 @@ impl DatasetSpec {
                 };
                 pp_datagen::collinearity::collinearity_tensor(&cfg, *seed).0
             }
+            DatasetSpec::Chemistry { seed } => pp_datagen::chemistry::density_fitting_tensor(
+                &pp_datagen::chemistry::ChemistryConfig {
+                    n_orb: CHEMISTRY_ORB,
+                    n_aux: CHEMISTRY_AUX,
+                    ..Default::default()
+                },
+                *seed,
+            ),
+            DatasetSpec::Coil => pp_datagen::coil::coil_tensor(&pp_datagen::coil::CoilConfig {
+                size: COIL_SIZE,
+                objects: COIL_OBJECTS,
+                poses: COIL_POSES,
+            }),
             DatasetSpec::Timelapse { seed, .. } => {
                 pp_datagen::timelapse::timelapse_tensor(&self.timelapse_config(), *seed)
             }
@@ -312,7 +391,7 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Reasonable defaults matching the `ppcp` CLI.
+    /// The defaults a manifest line starts from.
     pub fn new(name: impl Into<String>) -> Self {
         JobSpec {
             name: name.into(),
@@ -369,12 +448,8 @@ impl JobSpec {
         // Sparse jobs: the footprint depends on the method, not just the
         // nonzero count. Density-aware by construction: for the planted
         // sparse model `nnz = volume · density`.
+        let dims = self.dataset.dims();
         if let Some(nnz) = self.dataset.est_nnz() {
-            let dims = match &self.dataset {
-                DatasetSpec::SparsePowerlaw { dims, .. }
-                | DatasetSpec::SparseLowrank { dims, .. } => dims.clone(),
-                _ => unreachable!("est_nnz is Some only for sparse specs"),
-            };
             let order = dims.len();
             if self.method == JobMethod::Dt {
                 // Direct CSF kernel: one fiber tree per mode, each at
@@ -407,20 +482,8 @@ impl JobSpec {
             }
             return est;
         }
-        let dims: Vec<usize> = match &self.dataset {
-            DatasetSpec::Lowrank { dims, .. } => dims.clone(),
-            DatasetSpec::Collinearity { s, order, .. } => vec![*s; *order],
-            // Streaming jobs grow toward the full horizon, so the
-            // reservation is sized for the final extent up front.
-            DatasetSpec::Timelapse {
-                height,
-                width,
-                bands,
-                times,
-                ..
-            } => vec![*height, *width, *bands, *times],
-            _ => unreachable!("sparse specs returned above"),
-        };
+        // Streaming jobs grow toward the full horizon (`dims` is the final
+        // extent), so the reservation is sized for it up front.
         let total: usize = dims.iter().product();
         let min_dim = dims.iter().copied().min().unwrap_or(1).max(1);
         let mut est = 2 * (total / min_dim) * self.rank;
@@ -451,8 +514,9 @@ impl JobSpec {
     }
 }
 
-/// The dataset vocabulary, shared by the rejection message.
-pub const DATASET_NAMES: &str = "lowrank|collinearity|timelapse|sparse-powerlaw|sparse-lowrank";
+/// The dataset vocabulary — of manifests and of `ppcp --dataset` alike.
+pub const DATASET_NAMES: &str =
+    "lowrank|collinearity|chemistry|coil|timelapse|sparse-powerlaw|sparse-lowrank";
 
 fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String>
 where
@@ -547,6 +611,10 @@ impl DatasetKeys {
                 hi: self.hi,
                 seed: self.data_seed,
             },
+            "chemistry" => DatasetSpec::Chemistry {
+                seed: self.data_seed,
+            },
+            "coil" => DatasetSpec::Coil,
             "sparse-powerlaw" => DatasetSpec::SparsePowerlaw {
                 dims: self.dims,
                 nnz: self.nnz,
@@ -584,12 +652,12 @@ fn apply_token(
     match key {
         "name" => job.name = value.to_string(),
         "method" => job.method = JobMethod::parse(value)?,
-        "dataset" => match value {
-            "lowrank" | "collinearity" | "timelapse" | "sparse-powerlaw" | "sparse-lowrank" => {
-                dk.dataset = value.to_string()
+        "dataset" => {
+            if !DATASET_NAMES.split('|').any(|name| name == value) {
+                return Err(format!("unknown dataset '{value}' ({DATASET_NAMES})"));
             }
-            other => return Err(format!("unknown dataset '{other}' ({DATASET_NAMES})")),
-        },
+            dk.dataset = value.to_string()
+        }
         "dims" => dk.dims = parse_dims(value)?,
         "gen-rank" => dk.gen_rank = parse_num(key, value)?,
         "noise" => dk.noise = parse_num(key, value)?,
@@ -644,7 +712,12 @@ fn apply_token(
                 other => return Err(format!("unknown update '{other}' (incremental|recompute)")),
             }
         }
-        "rank" => job.rank = parse_num(key, value)?,
+        "rank" => {
+            job.rank = parse_num(key, value)?;
+            if job.rank == 0 {
+                return Err("rank must be at least 1".into());
+            }
+        }
         "sweeps" => job.max_sweeps = parse_num(key, value)?,
         "tol" => job.tol = parse_num(key, value)?,
         "pp-tol" => job.pp_tol = parse_num(key, value)?,
@@ -672,64 +745,62 @@ fn apply_token(
     Ok(())
 }
 
-/// Parse a jobs manifest. See the module docs for the format.
-pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, String> {
-    let mut jobs = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        match tokens.next() {
-            Some("job") => {}
-            Some(other) => {
-                return Err(format!(
-                    "line {line_no}: expected a 'job' declaration, found '{other}'"
-                ))
-            }
-            None => continue,
-        }
-        let mut job = JobSpec::new(format!("job{}", jobs.len()));
+impl JobSpec {
+    /// Whether `key` is in the job vocabulary. Asks the token reader itself,
+    /// so the answer cannot drift from what a manifest accepts.
+    pub fn knows_key(key: &str) -> bool {
+        let (mut job, mut dk) = (JobSpec::new(""), DatasetKeys::default());
+        !matches!(apply_token(&mut job, &mut dk, key, ""), Err(e) if e.starts_with("unknown key"))
+    }
+
+    /// Assemble one job from `key=value` tokens over the defaults of
+    /// [`JobSpec::new`] — the one reader behind a manifest line and a
+    /// `ppcp` command line. Later tokens win; key order does not matter
+    /// otherwise. Token errors quote the offending token.
+    pub fn from_tokens<'a>(
+        name: impl Into<String>,
+        tokens: impl IntoIterator<Item = &'a str>,
+    ) -> Result<JobSpec, String> {
+        let mut job = JobSpec::new(name);
         let mut dk = DatasetKeys::default();
         for tok in tokens {
             let (key, value) = tok
                 .split_once('=')
-                .ok_or_else(|| format!("line {line_no}: expected key=value, found '{tok}'"))?;
+                .ok_or_else(|| format!("expected key=value, found '{tok}'"))?;
             apply_token(&mut job, &mut dk, key, value)
-                .map_err(|e| format!("line {line_no}: {e} (offending token '{tok}')"))?;
+                .map_err(|e| format!("{e} (offending token '{tok}')"))?;
         }
         let sparse = matches!(dk.dataset.as_str(), "sparse-powerlaw" | "sparse-lowrank");
         if sparse && job.method == JobMethod::Nncp {
             return Err(format!(
-                "line {line_no}: dataset '{}' supports method=dt|pp|msdt (nncp's row-wise \
-                 HALS needs the dense residual and cannot run on sparse inputs)",
+                "dataset '{}' supports method=dt|pp|msdt (nncp's row-wise HALS needs the \
+                 dense residual and cannot run on sparse inputs)",
                 dk.dataset
             ));
         }
         if dk.stream {
             if dk.dataset != "timelapse" {
                 return Err(format!(
-                    "line {line_no}: stream=on requires dataset=timelapse, got '{}'",
+                    "stream=on requires dataset=timelapse, got '{}'",
                     dk.dataset
                 ));
             }
             if job.method == JobMethod::Nncp {
-                return Err(format!(
-                    "line {line_no}: stream jobs support method=dt|pp|msdt \
-                     (streaming warm-starts are unconstrained least-squares rows)"
-                ));
+                return Err(
+                    "stream jobs support method=dt|pp|msdt (streaming warm-starts \
+                            are unconstrained least-squares rows)"
+                        .into(),
+                );
             }
             if dk.initial_times == 0 || dk.initial_times >= dk.times {
                 return Err(format!(
-                    "line {line_no}: streaming needs 0 < initial-times < times, got {} of {}",
+                    "streaming needs 0 < initial-times < times, got {} of {}",
                     dk.initial_times, dk.times
                 ));
             }
             if dk.arrive == 0 || (dk.times - dk.initial_times) % dk.arrive != 0 {
                 return Err(format!(
-                    "line {line_no}: remaining {} time points do not divide into slices of {}",
+                    "remaining {} time points do not divide into slices of arrive={}",
                     dk.times - dk.initial_times,
                     dk.arrive
                 ));
@@ -742,6 +813,27 @@ pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, String> {
             });
         }
         job.dataset = dk.into_spec();
+        Ok(job)
+    }
+}
+
+/// Parse a jobs manifest. See the module docs for the format.
+pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, String> {
+    let mut jobs = Vec::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line_no = idx + 1;
+        let mut tokens = raw.split_whitespace();
+        match tokens.next() {
+            Some("job") => {}
+            Some(other) if !other.starts_with('#') => {
+                return Err(format!(
+                    "line {line_no}: expected a 'job' declaration, found '{other}'"
+                ))
+            }
+            _ => continue,
+        }
+        let job = JobSpec::from_tokens(format!("job{}", jobs.len()), tokens)
+            .map_err(|e| format!("line {line_no}: {e}"))?;
         jobs.push(job);
     }
     Ok(jobs)
@@ -843,6 +935,7 @@ mod tests {
                 "invalid value for fail-after",
                 Some("fail-after=x"),
             ),
+            ("job rank=0", "rank must be at least 1", Some("rank=0")),
             ("job nnz=0", "nnz must be at least 1", Some("nnz=0")),
             (
                 "job skew=0.5",
@@ -876,14 +969,45 @@ mod tests {
         assert!(err.contains("offending token 'rank=abc'"), "{err}");
         // The dataset rejection enumerates the full vocabulary.
         let err = parse_manifest("job dataset=netflix").unwrap_err();
-        for name in [
-            "lowrank",
-            "collinearity",
-            "sparse-powerlaw",
-            "sparse-lowrank",
-        ] {
-            assert!(err.contains(name), "{err}");
+        assert!(err.contains(DATASET_NAMES), "{err}");
+    }
+
+    #[test]
+    fn from_tokens_is_the_manifest_line_reader() {
+        // Later tokens win — how `ppcp` lays its presets under the user's.
+        let job = JobSpec::from_tokens("cli", ["rank=16", "method=pp", "rank=5"]).unwrap();
+        assert_eq!(
+            (job.name.as_str(), job.rank, job.method),
+            ("cli", 5, JobMethod::Pp)
+        );
+        // Errors carry the token but no line number (the manifest adds it).
+        let err = JobSpec::from_tokens("cli", ["rank=abc"]).unwrap_err();
+        assert!(err.starts_with("invalid value for rank"), "{err}");
+        assert!(err.ends_with("(offending token 'rank=abc')"), "{err}");
+        // The key test is the reader's own, value-blind.
+        for key in ["rank", "dims", "stream", "fail-after", "lookahead"] {
+            assert!(JobSpec::knows_key(key), "{key}");
         }
+        for key in ["", "ranks", "backend", "frobnicate"] {
+            assert!(!JobSpec::knows_key(key), "{key}");
+        }
+    }
+
+    #[test]
+    fn fixed_size_datasets_parse_and_build() {
+        let jobs = parse_manifest("job dataset=chemistry data-seed=9\njob dataset=coil\n").unwrap();
+        assert_eq!(jobs[0].dataset, DatasetSpec::Chemistry { seed: 9 });
+        assert_eq!(jobs[1].dataset, DatasetSpec::Coil);
+        for job in &jobs {
+            let name = job.dataset.name();
+            assert!(DATASET_NAMES.split('|').any(|n| n == name), "{name}");
+            assert!(!job.dataset.is_sparse());
+        }
+        // The admission estimate knows their shapes: 640×40×40 drops a 40.
+        assert_eq!(jobs[0].dataset.dims(), [640, 40, 40]);
+        assert_eq!(jobs[0].est_cache_elems(), 2 * 640 * 40 * jobs[0].rank);
+        assert_eq!(jobs[1].dataset.dims(), [32, 32, 3, 144]);
+        assert_eq!(jobs[1].dataset.build().shape().dims(), [32, 32, 3, 144]);
     }
 
     #[test]

@@ -38,14 +38,19 @@
 //!   online jobs interleave with batch jobs at sweep granularity, park and
 //!   checkpoint mid-arrival, and resume bit-identically.
 //!
-//! Job batches are described by a plain-text manifest ([`job`]) consumed by
-//! the `ppcp batch` subcommand, and `bench_serve` measures batch throughput
-//! against back-to-back sequential execution and across driver counts.
+//! A job is described once, by a [`JobSpec`] read from `key=value` tokens
+//! ([`job`]): a line of the plain-text manifest `ppcp batch` consumes, or
+//! the `--key value` flags of a `ppcp` run. [`Tenant`] is the one road from
+//! that description to a live session — dense, sparse or streaming, fresh
+//! or resumed from a checkpoint — for the scheduler and the CLI alike.
 
 pub mod job;
 pub mod scheduler;
 
-pub use job::{parse_manifest, DatasetSpec, JobMethod, JobSpec, SchedPolicy, StreamSpec};
+pub use job::{
+    parse_manifest, DatasetSpec, JobMethod, JobSpec, SchedPolicy, StreamSpec, DATASET_NAMES,
+};
 pub use scheduler::{
     run_batch, run_sequential, BatchReport, JobResult, JobStatus, ScheduleEvent, ServeConfig,
+    Tenant,
 };

@@ -59,7 +59,7 @@
 
 use crate::job::{JobSpec, SchedPolicy};
 use pp_core::checkpoint::fnv1a;
-use pp_core::{AlsOutput, AlsSession, Step, StreamingSession, SweepKind};
+use pp_core::{AlsConfig, AlsOutput, AlsSession, Step, StreamingSession, SweepKind};
 use pp_datagen::timelapse::{TimelapseStream, TIME_MODE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -296,7 +296,7 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Fingerprint binding a checkpoint file to the spec that produced it, so
-/// a resumed batch refuses checkpoints from a different manifest.
+/// a resume refuses checkpoints from a different manifest or command line.
 fn spec_fingerprint(spec: &JobSpec) -> u64 {
     fnv1a(format!("{spec:?}").as_bytes())
 }
@@ -311,10 +311,13 @@ fn checkpoint_path(dir: &Path, idx: usize) -> PathBuf {
 /// deadline-class job is only ever aged past, never priority-beaten.
 const DEADLINE_BASE: u64 = 1 << 40;
 
-/// A live admitted tenant: an ordinary batch session, or a streaming
-/// session together with its arrival feed.
-enum Tenant {
+/// One job's live session — the one road from a [`JobSpec`] to something
+/// that sweeps: the scheduler's tenants, a `ppcp` run and `ppcp stream`
+/// all open and drive this type.
+pub enum Tenant {
+    /// A dense or sparse session over the fully materialized tensor.
     Batch(AlsSession),
+    /// A streaming session together with its arrival feed.
     Stream {
         session: StreamingSession,
         feed: TimelapseStream,
@@ -322,11 +325,63 @@ enum Tenant {
 }
 
 impl Tenant {
+    /// Build `spec`'s input and open its session under `als_cfg` (normally
+    /// [`JobSpec::als_config`]; callers adjust run-only fields such as the
+    /// pool width) — or, when `checkpoint` names an existing file, resume
+    /// from it. Checkpoint failures are plain `Err`s: an unreadable file, a
+    /// corrupt or truncated `PPCK` payload, a fingerprint from a different
+    /// spec — a bad checkpoint never partially resumes. Generator and
+    /// session panics (degenerate parameters) propagate.
+    pub fn open(
+        spec: &JobSpec,
+        als_cfg: &AlsConfig,
+        checkpoint: Option<&Path>,
+    ) -> Result<Tenant, String> {
+        let kind = spec.method.session_kind();
+        let resume = checkpoint.filter(|p| p.exists());
+        let tenant = if let Some(stream) = spec.stream {
+            let feed = spec.build_stream()?;
+            let session = match resume {
+                Some(path) => verified(
+                    StreamingSession::resume_from_disk(path, |extent| feed.prefix(extent)),
+                    spec,
+                    path,
+                )?,
+                None => StreamingSession::new(
+                    &feed.initial(),
+                    als_cfg,
+                    kind,
+                    TIME_MODE,
+                    stream.sweeps_per_arrival,
+                    stream.update,
+                ),
+            };
+            Tenant::Stream { session, feed }
+        } else if spec.dataset.is_sparse() {
+            // The tensor never densifies: dt runs the direct CSF kernel
+            // over the standard tree; pp and msdt run the semi-sparse TTM
+            // chain over the multi-sweep tree (the policy in `als_cfg`
+            // selects the input shape inside the session).
+            let sp = spec.dataset.build_sparse();
+            Tenant::Batch(match resume {
+                Some(path) => verified(AlsSession::resume_from_disk_sparse(path, &sp), spec, path)?,
+                None => AlsSession::new_sparse(&sp, als_cfg, kind),
+            })
+        } else {
+            let tensor = spec.dataset.build();
+            Tenant::Batch(match resume {
+                Some(path) => verified(AlsSession::resume_from_disk(path, &tensor), spec, path)?,
+                None => AlsSession::new(&tensor, als_cfg, kind),
+            })
+        };
+        Ok(tenant)
+    }
+
     /// One sweep of the tenant. A streaming tenant whose window has closed
     /// consumes its next arrival first (on its own turn, so arrivals
     /// interleave with other tenants at sweep granularity); `Done` means
     /// the whole arrival schedule is spent.
-    fn step(&mut self) -> Step {
+    pub fn step(&mut self) -> Step {
         match self {
             Tenant::Batch(s) => s.step(),
             Tenant::Stream { session, feed } => {
@@ -338,40 +393,65 @@ impl Tenant {
         }
     }
 
-    fn sweeps_done(&self) -> usize {
+    /// Sweeps performed so far (a stream: across all windows).
+    pub fn sweeps_done(&self) -> usize {
         match self {
             Tenant::Batch(s) => s.sweeps_done(),
             Tenant::Stream { session, .. } => session.sweeps_done(),
         }
     }
 
-    fn park(&mut self) {
+    /// Settle in-flight speculation so the tenant holds no pool slot.
+    pub fn park(&mut self) {
         match self {
             Tenant::Batch(s) => s.park(),
             Tenant::Stream { session, .. } => session.park(),
         }
     }
 
-    fn park_to_disk(&mut self, path: &Path, tag: u64) -> std::io::Result<()> {
+    /// Park, then write the checkpoint [`Tenant::open`] resumes from,
+    /// stamped with `spec`'s fingerprint.
+    pub fn park_to_disk(&mut self, path: &Path, spec: &JobSpec) -> Result<(), String> {
+        let tag = spec_fingerprint(spec);
         match self {
             Tenant::Batch(s) => s.park_to_disk(path, tag),
             Tenant::Stream { session, .. } => session.park_to_disk(path, tag),
         }
+        .map_err(|e| format!("checkpoint {}: {e}", path.display()))
     }
 
-    fn cache_memory_elems(&self) -> usize {
+    /// Auxiliary memory currently held (cache + PP operators), in f64
+    /// elements — the admission-control metric.
+    pub fn cache_memory_elems(&self) -> usize {
         match self {
             Tenant::Batch(s) => s.cache_memory_elems(),
             Tenant::Stream { session, .. } => session.cache_memory_elems(),
         }
     }
 
-    fn finish(self) -> AlsOutput {
+    /// Seal the session into its output (factors plus the whole trace).
+    pub fn finish(self) -> AlsOutput {
         match self {
             Tenant::Batch(s) => s.finish(),
             Tenant::Stream { session, .. } => session.finish(),
         }
     }
+}
+
+/// A resumed session, once its stored tag matches `spec`'s fingerprint.
+fn verified<S>(
+    resumed: Result<(S, u64), String>,
+    spec: &JobSpec,
+    path: &Path,
+) -> Result<S, String> {
+    let (session, tag) = resumed.map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
+    if tag != spec_fingerprint(spec) {
+        return Err(format!(
+            "checkpoint {} was written by a different job spec",
+            path.display()
+        ));
+    }
+    Ok(session)
 }
 
 /// An admitted job holding a live session, parked between turns.
@@ -446,90 +526,29 @@ impl SchedState {
     }
 }
 
-/// Build (or resume) job `idx`'s session. Generator/session panics are
-/// caught (`catch_unwind`); checkpoint I/O and validation failures —
-/// unreadable files, corrupt or truncated `PPCK` payloads, a fingerprint
-/// from a different manifest — are plain `Err`s, so a bad checkpoint can
-/// never partially resume or take a driver thread down.
+/// Open (or resume) job `idx`'s tenant. Generator/session panics are
+/// caught here and checkpoint failures are [`Tenant::open`]'s plain
+/// `Err`s, so neither can take a driver thread down.
 fn construct(sh: &Shared<'_>, idx: usize) -> Result<(Tenant, usize), String> {
     let spec = &sh.specs[idx];
-    let built = catch_unwind(AssertUnwindSafe(|| -> Result<Tenant, String> {
-        let mut als_cfg = spec.als_config();
-        if sh.cfg.drivers > 1 {
-            // Concurrent per-job pool pins of different widths would
-            // contradict each other; the width is a pure perf knob, so
-            // dropping the pin is numerically safe.
-            als_cfg.threads = None;
-        }
-        let ckpt = sh
-            .cfg
-            .checkpoint_dir
-            .as_ref()
-            .map(|d| checkpoint_path(d, idx))
-            .filter(|p| p.exists());
-        let verify_tag = |tag: u64, path: &Path| -> Result<(), String> {
-            if tag != spec_fingerprint(spec) {
-                return Err(format!(
-                    "checkpoint {} was written by a different job spec",
-                    path.display()
-                ));
-            }
-            Ok(())
-        };
-        if spec.dataset.is_sparse() {
-            // Sparse path: the tensor never densifies. dt runs the direct
-            // CSF kernel over the standard tree; pp and msdt run the
-            // semi-sparse TTM chain over the multi-sweep tree (the policy
-            // in `als_cfg` selects the input shape inside the session).
-            let sp = spec.dataset.build_sparse();
-            if let Some(path) = ckpt {
-                let (session, tag) = AlsSession::resume_from_disk_sparse(&path, &sp)
-                    .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-                verify_tag(tag, &path)?;
-                Ok(Tenant::Batch(session))
-            } else {
-                Ok(Tenant::Batch(AlsSession::new_sparse(
-                    &sp,
-                    &als_cfg,
-                    spec.method.session_kind(),
-                )))
-            }
-        } else if let Some(stream) = spec.stream {
-            let feed = spec.build_stream()?;
-            if let Some(path) = ckpt {
-                let (session, tag) =
-                    StreamingSession::resume_from_disk(&path, |extent| feed.prefix(extent))
-                        .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-                verify_tag(tag, &path)?;
-                Ok(Tenant::Stream { session, feed })
-            } else {
-                let session = StreamingSession::new(
-                    &feed.initial(),
-                    &als_cfg,
-                    spec.method.session_kind(),
-                    TIME_MODE,
-                    stream.sweeps_per_arrival,
-                    stream.update,
-                );
-                Ok(Tenant::Stream { session, feed })
-            }
-        } else {
-            let tensor = spec.dataset.build();
-            if let Some(path) = ckpt {
-                let (session, tag) = AlsSession::resume_from_disk(&path, &tensor)
-                    .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-                verify_tag(tag, &path)?;
-                Ok(Tenant::Batch(session))
-            } else {
-                Ok(Tenant::Batch(AlsSession::new(
-                    &tensor,
-                    &als_cfg,
-                    spec.method.session_kind(),
-                )))
-            }
-        }
-    }));
-    built.map_err(panic_message).and_then(|r| r).map(|session| {
+    let mut als_cfg = spec.als_config();
+    if sh.cfg.drivers > 1 {
+        // Concurrent per-job pool pins of different widths would
+        // contradict each other; the width is a pure perf knob, so
+        // dropping the pin is numerically safe.
+        als_cfg.threads = None;
+    }
+    let ckpt = sh
+        .cfg
+        .checkpoint_dir
+        .as_ref()
+        .map(|d| checkpoint_path(d, idx));
+    catch_unwind(AssertUnwindSafe(|| {
+        Tenant::open(spec, &als_cfg, ckpt.as_deref())
+    }))
+    .map_err(panic_message)
+    .and_then(|r| r)
+    .map(|session| {
         let elems = session.cache_memory_elems().max(spec.est_cache_elems());
         (session, elems)
     })
@@ -619,11 +638,8 @@ fn drain<'g>(
             drop(st);
             let parked = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
                 if let Some(dir) = &sh.cfg.checkpoint_dir {
-                    let path = checkpoint_path(dir, job.idx);
-                    let tag = spec_fingerprint(&sh.specs[job.idx]);
                     job.session
-                        .park_to_disk(&path, tag)
-                        .map_err(|e| format!("checkpoint {}: {e}", path.display()))
+                        .park_to_disk(&checkpoint_path(dir, job.idx), &sh.specs[job.idx])
                 } else {
                     job.session.park();
                     Ok(())
@@ -702,10 +718,8 @@ fn drive(sh: &Shared<'_>, driver: usize) {
                 }
             }
             if let (Step::Swept(_), Some(dir)) = (&step, &sh.cfg.checkpoint_dir) {
-                let path = checkpoint_path(dir, job.idx);
                 job.session
-                    .park_to_disk(&path, spec_fingerprint(spec))
-                    .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
+                    .park_to_disk(&checkpoint_path(dir, job.idx), spec)?;
             } else if park {
                 job.session.park();
             }
@@ -867,7 +881,7 @@ pub fn run_batch(specs: &[JobSpec], cfg: &ServeConfig) -> Result<BatchReport, St
 }
 
 /// Run the same jobs back-to-back (J = 1, one driver, no interleaving):
-/// the baseline `bench_serve` compares batch throughput against.
+/// the baseline batch throughput is compared against.
 pub fn run_sequential(specs: &[JobSpec]) -> BatchReport {
     run_batch(specs, &ServeConfig::new(1)).expect("sequential config is always valid")
 }

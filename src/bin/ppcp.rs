@@ -1,262 +1,77 @@
 //! `ppcp` — command-line CP decomposition driver.
 //!
+//! A run *is* a one-job manifest: every job key of [`parallel_pp::serve::job`]
+//! (`method`, `rank`, `sweeps`, `tol`, `pp-tol`, `seed`, `lookahead`,
+//! `dataset` and its keys, the stream schedule — the table is in that
+//! module's docs) is `--key value` here and `key=value` there, read by the
+//! same `JobSpec::from_tokens`. This file adds the presets each mode lays
+//! under the user's keys, and the run-only flags, which are not properties
+//! of a job:
+//!
 //! ```text
-//! ppcp batch --manifest <path>             (multi-tenant batch mode;
-//!      [--jobs <J>]                         J concurrent jobs, default 4)
-//!      [--drivers <N>]                     (driver threads stepping tenants
-//!                                           concurrently; default: all
-//!                                           available cores; 1 = the
-//!                                           deterministic golden path)
-//!      [--cache-budget-mb <MB>]            (admission cache-memory budget;
-//!                                           jobs queue rather than OOM)
-//!      [--checkpoint-dir <DIR>]            (persist per-job checkpoints
-//!                                           each sweep; re-running the same
-//!                                           manifest resumes in-flight jobs
-//!                                           bit-identically)
-//!      [--stop-after-turns <N>]            (graceful drain: park in-flight
-//!                                           jobs after N batch-wide sweeps)
-//!      [--no-park]                         (let lookahead speculation ride
-//!                                           across tenant turns)
-//!      [--trace]                           (print the schedule trace)
-//!      [--threads <T>]
-//!
-//! ppcp stream                              (online CP: the timelapse tensor
-//!      [--method <dt|msdt|pp>]              grows along the time mode,
-//!      [--rank <R>]                         `--arrive` slices at a time,
-//!      [--height H] [--width W]             starting from `--initial-times`
-//!      [--bands B] [--times T]              time points; each arrival's rows
-//!      [--materials M] [--noise N]          are warm-started and the
-//!      [--data-seed S]                      dimension-tree cache extended
-//!      [--initial-times <I>]                in place)
-//!      [--arrive <K>]
-//!      [--sweeps-per-arrival <S>]
-//!      [--update <incremental|recompute>]  (incremental cache extension or
-//!                                           the full-recompute oracle;
-//!                                           bit-identical either way)
-//!      [--checkpoint <FILE>]               (park to FILE after each window;
-//!                                           re-running resumes mid-stream —
-//!                                           corrupt or foreign checkpoints
-//!                                           are refused with exit 2)
-//!      [--stop-after-arrivals <N>]         (graceful drain after N arrivals)
-//!      [--tol D] [--pp-tol E] [--seed S] [--threads T]
-//!      [--backend <rendezvous|p2p>] [--trace]
-//!
-//! ppcp [--version] [--help]
-//!      --dataset <lowrank|collinearity|chemistry|coil|timelapse|
-//!                 sparse-powerlaw|sparse-lowrank>
-//!                                          (sparse datasets never densify:
-//!                                           dt runs the direct CSF kernel,
-//!                                           pp/msdt run the semi-sparse
-//!                                           TTM chain; nncp is rejected
-//!                                           and --ranks must be 1)
-//!      --method  <dt|msdt|pp|nncp>          (default msdt)
-//!      --rank    <R>                        (default 16)
-//!      --sweeps  <max>                      (default 100)
-//!      --tol     <Δ>                        (default 1e-5)
-//!      --pp-tol  <ε>                        (default 0.1)
-//!      --ranks   <P>                        (default 1; >1 runs the
-//!                                            in-process distributed runtime)
-//!      --backend <rendezvous|p2p>           (default rendezvous; collective
-//!                                            implementation for --ranks > 1:
-//!                                            the rendezvous oracle or the
-//!                                            point-to-point channel
-//!                                            transport — results are
-//!                                            bit-identical either way)
-//!      --threads <T>                        (default: PP_NUM_THREADS or
-//!                                            hardware; pins the kernel
-//!                                            thread pool per rank, scoped
-//!                                            to this run via
-//!                                            AlsConfig::threads)
-//!      --no-lookahead                       (disable the cross-mode
-//!                                            lookahead speculation;
-//!                                            ablation — results are
-//!                                            bit-identical either way)
-//!      --seed    <u64>                      (default 42)
-//!      --trace                              (print the fitness trace)
+//! ppcp [--key value]...           one decomposition. Presets: rank 16, 100 sweeps,
+//!                                 data-seed = seed; 60³ lowrank, 80³ collinearity,
+//!                                 48×64×33×9 timelapse, 512×256×64 / 256×256×64
+//!                                 sparse, generated at rank max(rank, 4)
+//!   --ranks P                     P > 1: the in-process distributed runtime
+//!                                 (dense dt|msdt|pp only)
+//!   --backend rendezvous|p2p      its collectives; bit-identical either way
+//!   --no-lookahead                ≡ --lookahead off
+//! ppcp stream [--key value]...    online CP of a timelapse growing along time.
+//!                                 Presets: rank 8, 24×24×16×9, 3 initial time
+//!                                 points, arrivals of 2, 5 sweeps per arrival
+//!   --checkpoint FILE             park to FILE after each window; a re-run resumes
+//!                                 mid-stream, a corrupt or foreign file exits 2
+//!   --stop-after-arrivals N       graceful drain after N arrivals
+//! ppcp batch --manifest PATH      multi-tenant batch mode
+//!   --jobs J --drivers N          admission window (4); driver threads (all
+//!                                 cores; 1 is the deterministic golden path)
+//!   --cache-budget-mb MB          jobs queue rather than OOM
+//!   --checkpoint-dir DIR          persist each job every sweep; re-running the
+//!                                 same manifest resumes
+//!   --stop-after-turns N          graceful drain after N batch-wide sweeps
+//!   --no-park                     let speculation ride across tenant turns
+//! all modes: --threads T  --trace  --help  --version
 //! ```
 //!
-//! `--version` prints the crate version and exits 0; like `--help` it
-//! short-circuits all other argument validation.
-//!
-//! Argument errors (unknown flags, unknown `--dataset`/`--method` values,
-//! unparsable numbers, malformed manifests) exit with status 2. In batch
-//! mode a failed *job* does not abort the batch; the exit status is 1 when
-//! any job failed, 0 otherwise.
-//!
-//! Examples:
-//! ```text
-//! cargo run --release --bin ppcp -- --dataset chemistry --method pp --rank 24
-//! cargo run --release --bin ppcp -- --dataset collinearity --method msdt --ranks 8
-//! cargo run --release --bin ppcp -- batch --manifest jobs.txt --jobs 4 --trace
-//! ```
-//! See the README's "Serving" section for the manifest format.
+//! `--help` and `--version` short-circuit all other validation. Argument
+//! errors (unknown flags or values, unparsable numbers, malformed manifests,
+//! unusable checkpoints) exit 2 — no silent fallbacks. A failed batch *job*
+//! does not abort the batch; the exit status is then 1.
 
 use parallel_pp::comm::{Backend, Runtime};
 use parallel_pp::core::par_als::par_cp_als;
 use parallel_pp::core::par_pp::par_pp_cp_als;
-use parallel_pp::core::{cp_als, nn_cp_als, pp_cp_als, AlsConfig, SweepKind};
-use parallel_pp::datagen::chemistry::{density_fitting_tensor, ChemistryConfig};
-use parallel_pp::datagen::coil::{coil_tensor, CoilConfig};
-use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
-use parallel_pp::datagen::lowrank::noisy_rank;
-use parallel_pp::datagen::timelapse::{timelapse_tensor, TimelapseConfig};
-use parallel_pp::dtree::{CacheUpdate, TreePolicy};
+use parallel_pp::core::{AlsConfig, AlsReport, Step, StreamingSession, SweepKind};
+use parallel_pp::datagen::timelapse::TimelapseStream;
 use parallel_pp::grid::{DistTensor, ProcGrid};
-use parallel_pp::tensor::DenseTensor;
+use parallel_pp::serve::{JobMethod, JobSpec, JobStatus, ServeConfig, Tenant};
+use parallel_pp::tensor::{DenseTensor, Shape};
+use std::path::Path;
 use std::sync::Arc;
 
-#[derive(Debug)]
-struct Args {
-    dataset: String,
-    method: String,
-    rank: usize,
-    sweeps: usize,
-    tol: f64,
-    pp_tol: f64,
-    ranks: usize,
-    backend: Backend,
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Mode {
+    #[default]
+    Run,
+    Batch,
+    Stream,
+}
+
+/// A parsed command line: the job (absent in batch mode and under
+/// `--help`/`--version`) and the run-only flags of all three modes.
+#[derive(Debug, Default)]
+struct Cli {
+    mode: Mode,
+    job: Option<JobSpec>,
     threads: Option<usize>,
-    no_lookahead: bool,
-    seed: u64,
     trace: bool,
     help: bool,
     version: bool,
-}
-
-const DATASETS: &[&str] = &[
-    "lowrank",
-    "collinearity",
-    "chemistry",
-    "coil",
-    "timelapse",
-    "sparse-powerlaw",
-    "sparse-lowrank",
-];
-const METHODS: &[&str] = &["dt", "msdt", "pp", "nncp"];
-
-/// Parse and validate a CLI argument vector (without the program name).
-/// Unknown flags, unknown `--dataset`/`--method` values, and unparsable
-/// numbers are all hard errors — no silent fallbacks.
-fn parse_args_from(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        help: argv.iter().any(|a| a == "--help" || a == "-h"),
-        version: argv.iter().any(|a| a == "--version" || a == "-V"),
-        dataset: "lowrank".into(),
-        method: "msdt".into(),
-        rank: 16,
-        sweeps: 100,
-        tol: 1e-5,
-        pp_tol: 0.1,
-        ranks: 1,
-        backend: Backend::default(),
-        threads: None,
-        no_lookahead: false,
-        seed: 42,
-        trace: false,
-    };
-    // `--help`/`--version` short-circuit all validation, per CLI
-    // convention.
-    if args.help || args.version {
-        return Ok(args);
-    }
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i].as_str();
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {key}"))
-        };
-        match key {
-            "--dataset" => args.dataset = take(&mut i)?,
-            "--method" => args.method = take(&mut i)?,
-            "--rank" => {
-                args.rank = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--sweeps" => {
-                args.sweeps = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--tol" => {
-                args.tol = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--pp-tol" => {
-                args.pp_tol = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--ranks" => {
-                args.ranks = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--backend" => args.backend = take(&mut i)?.parse()?,
-            "--threads" => {
-                let t: usize = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?;
-                if t == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = Some(t);
-            }
-            "--seed" => {
-                args.seed = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--no-lookahead" => args.no_lookahead = true,
-            "--trace" => args.trace = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    if !DATASETS.contains(&args.dataset.as_str()) {
-        return Err(format!(
-            "unknown dataset '{}' (expected one of {})",
-            args.dataset,
-            DATASETS.join("|")
-        ));
-    }
-    if !METHODS.contains(&args.method.as_str()) {
-        return Err(format!(
-            "unknown method '{}' (expected one of {})",
-            args.method,
-            METHODS.join("|")
-        ));
-    }
-    if args.dataset.starts_with("sparse-") {
-        if args.method == "nncp" {
-            return Err(format!(
-                "dataset '{}' supports --method dt|pp|msdt (nncp's row-wise HALS \
-                 needs the dense residual and cannot run on sparse inputs)",
-                args.dataset
-            ));
-        }
-        if args.ranks > 1 {
-            return Err(format!(
-                "dataset '{}' is sequential-only (--ranks 1)",
-                args.dataset
-            ));
-        }
-    }
-    Ok(args)
-}
-
-fn parse_args() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    parse_args_from(&argv)
-}
-
-/// Arguments of the `batch` subcommand.
-#[derive(Debug)]
-struct BatchArgs {
+    // ppcp
+    ranks: usize,
+    backend: Backend,
+    // ppcp batch
     manifest: String,
     jobs: usize,
     drivers: usize,
@@ -264,10 +79,44 @@ struct BatchArgs {
     checkpoint_dir: Option<String>,
     stop_after_turns: Option<usize>,
     park: bool,
-    trace: bool,
-    threads: Option<usize>,
-    help: bool,
-    version: bool,
+    // ppcp stream
+    checkpoint: Option<String>,
+    stop_after_arrivals: Option<usize>,
+}
+
+/// What `ppcp stream` lays under the user's keys.
+const STREAM_PRESET: &str = "dataset=timelapse stream=on rank=8 height=24 width=24 bands=16 \
+     times=9 materials=6 noise=5e-3 data-seed=42 initial-times=3 arrive=2 sweeps-per-arrival=5";
+
+/// What plain `ppcp` lays under the user's keys: the dataset's size in use,
+/// generated at the run's rank (at least 4) from the run's seed.
+fn run_preset(dataset: &str, rank: usize, seed: u64) -> String {
+    let gen_rank = rank.max(4);
+    let data = match dataset {
+        "lowrank" => format!("dims=60x60x60 gen-rank={gen_rank} noise=0.05"),
+        "collinearity" => format!("s=80 r={gen_rank} order=3 lo=0.6 hi=0.8"),
+        "timelapse" => "height=48 width=64 bands=33 times=9 materials=12 noise=5e-3".into(),
+        "sparse-powerlaw" => "dims=512x256x64 nnz=100000 skew=2.0".into(),
+        "sparse-lowrank" => format!("dims=256x256x64 gen-rank={gen_rank} density=0.005"),
+        _ => String::new(), // fixed-size, or unknown and rejected by the reader
+    };
+    format!("rank=16 sweeps=100 data-seed={seed} {data}")
+}
+
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("invalid value for {flag}: {e}"))
+}
+
+fn positive(flag: &str, value: &str) -> Result<usize, String> {
+    match num(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 /// Default driver count: every available core (work-conserving serving).
@@ -275,193 +124,246 @@ fn default_drivers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Parse `ppcp batch ...` arguments (everything after the subcommand).
-/// Like the main mode, `--help`/`--version` short-circuit all other
-/// validation.
-fn parse_batch_args_from(argv: &[String]) -> Result<BatchArgs, String> {
-    let mut args = BatchArgs {
-        manifest: String::new(),
-        jobs: 4,
-        drivers: default_drivers(),
-        cache_budget_mb: None,
-        checkpoint_dir: None,
-        stop_after_turns: None,
-        park: true,
-        trace: false,
-        threads: None,
+/// Parse and validate a command line (without the program name): one walk
+/// over `argv` for all three modes. A run-only flag lands in its [`Cli`]
+/// field; any other `--key value` is the job token `key=value`.
+fn parse(argv: &[String]) -> Result<Cli, String> {
+    let (mode, argv) = match argv.first().map(String::as_str) {
+        Some("batch") => (Mode::Batch, &argv[1..]),
+        Some("stream") => (Mode::Stream, &argv[1..]),
+        _ => (Mode::Run, argv),
+    };
+    let mut cli = Cli {
+        mode,
         help: argv.iter().any(|a| a == "--help" || a == "-h"),
         version: argv.iter().any(|a| a == "--version" || a == "-V"),
+        ranks: 1,
+        jobs: 4,
+        drivers: default_drivers(),
+        park: true,
+        ..Cli::default()
     };
-    if args.help || args.version {
-        return Ok(args);
+    if cli.help || cli.version {
+        return Ok(cli);
     }
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i].as_str();
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {key}"))
+    let mut user: Vec<String> = Vec::new();
+    let mut args = argv.iter();
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("missing value for {flag}"))
         };
-        match key {
-            "--manifest" => args.manifest = take(&mut i)?,
-            "--jobs" => {
-                args.jobs = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?;
-                if args.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
+        match (flag, mode) {
+            ("--threads", _) => cli.threads = Some(positive(flag, value()?)?),
+            ("--trace", _) => cli.trace = true,
+            ("--ranks", Mode::Run) => cli.ranks = num(flag, value()?)?,
+            ("--backend", Mode::Run) => cli.backend = value()?.parse()?,
+            ("--no-lookahead", Mode::Run) => user.push("lookahead=off".into()),
+            ("--manifest", Mode::Batch) => cli.manifest = value()?.clone(),
+            ("--jobs", Mode::Batch) => cli.jobs = positive(flag, value()?)?,
+            ("--drivers", Mode::Batch) => cli.drivers = positive(flag, value()?)?,
+            ("--cache-budget-mb", Mode::Batch) => {
+                cli.cache_budget_mb = Some(positive(flag, value()?)?)
+            }
+            ("--checkpoint-dir", Mode::Batch) => cli.checkpoint_dir = Some(value()?.clone()),
+            ("--stop-after-turns", Mode::Batch) => {
+                cli.stop_after_turns = Some(num(flag, value()?)?)
+            }
+            ("--no-park", Mode::Batch) => cli.park = false,
+            ("--checkpoint", Mode::Stream) => cli.checkpoint = Some(value()?.clone()),
+            ("--stop-after-arrivals", Mode::Stream) => {
+                cli.stop_after_arrivals = Some(num(flag, value()?)?)
+            }
+            (_, Mode::Run | Mode::Stream) => match flag.strip_prefix("--") {
+                // Job keys, but the scheduler's. (`threads` is one too; on a
+                // command line it is the run flag above.)
+                Some("name" | "policy" | "priority" | "deadline" | "fail-after" | "stream") => {
+                    return Err(format!("{flag} only means something in a batch manifest"))
                 }
-            }
-            "--drivers" => {
-                args.drivers = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?;
-                if args.drivers == 0 {
-                    return Err("--drivers must be at least 1".into());
-                }
-            }
-            "--cache-budget-mb" => {
-                let mb: usize = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?;
-                if mb == 0 {
-                    return Err("--cache-budget-mb must be at least 1".into());
-                }
-                args.cache_budget_mb = Some(mb);
-            }
-            "--checkpoint-dir" => args.checkpoint_dir = Some(take(&mut i)?),
-            "--stop-after-turns" => {
-                args.stop_after_turns = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("invalid value for {key}: {e}"))?,
-                );
-            }
-            "--threads" => {
-                let t: usize = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?;
-                if t == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = Some(t);
-            }
-            "--no-park" => args.park = false,
-            "--trace" => args.trace = true,
-            other => return Err(format!("unknown flag {other}")),
+                Some(key) if JobSpec::knows_key(key) => user.push(format!("{key}={}", value()?)),
+                _ => return Err(format!("unknown flag {flag}")),
+            },
+            _ => return Err(format!("unknown flag {flag}")),
         }
-        i += 1;
     }
-    if args.manifest.is_empty() {
-        return Err("batch mode requires --manifest <path>".into());
+    if mode == Mode::Batch {
+        if cli.manifest.is_empty() {
+            return Err("batch mode requires --manifest <path>".into());
+        }
+        return Ok(cli);
     }
-    Ok(args)
+    // The presets depend on three of the user's own keys; an unparsable one
+    // falls back here and is reported by the reader below.
+    let given = |key: &str| -> Option<&str> {
+        let mut values = user.iter().rev();
+        values.find_map(|t| t.strip_prefix(key)?.strip_prefix('='))
+    };
+    let preset = match mode {
+        Mode::Stream => STREAM_PRESET.to_string(),
+        _ => run_preset(
+            given("dataset").unwrap_or("lowrank"),
+            given("rank").and_then(|v| v.parse().ok()).unwrap_or(16),
+            given("seed").and_then(|v| v.parse().ok()).unwrap_or(42),
+        ),
+    };
+    let tokens = preset
+        .split_whitespace()
+        .chain(user.iter().map(String::as_str));
+    let job = JobSpec::from_tokens("ppcp", tokens)?;
+    if cli.ranks > 1 && job.dataset.is_sparse() {
+        return Err(format!(
+            "dataset '{}' is sequential-only (--ranks 1)",
+            job.dataset.name()
+        ));
+    }
+    if cli.ranks > 1 && job.method == JobMethod::Nncp {
+        return Err("method nncp is sequential-only (--ranks 1)".into());
+    }
+    cli.job = Some(job);
+    Ok(cli)
+}
+
+impl Cli {
+    /// The job's `AlsConfig` under this run's `--threads`. The width is a
+    /// run flag, not a job property: it stays out of the fingerprinted spec
+    /// (a checkpoint resumes under any width) and routes through
+    /// `AlsConfig::threads`, whose scoped pin is released when the run
+    /// returns.
+    fn als_config(&self, job: &JobSpec) -> AlsConfig {
+        let mut cfg = job.als_config();
+        cfg.threads = self.threads;
+        cfg
+    }
+
+    fn threads_shown(&self) -> usize {
+        self.threads.unwrap_or_else(rayon::current_num_threads)
+    }
+}
+
+/// `N sweeps (… exact, … PP-init, … PP-approx), fitness F` — the summary
+/// every mode prints.
+fn sweep_summary(report: &AlsReport) -> String {
+    format!(
+        "{} sweeps ({} exact, {} PP-init, {} PP-approx), fitness {:.5}",
+        report.sweeps.len(),
+        report.count(SweepKind::Exact),
+        report.count(SweepKind::PpInit),
+        report.count(SweepKind::PpApprox),
+        report.final_fitness,
+    )
+}
+
+/// The end-of-run report of a single decomposition: summary, the kernel
+/// counter lines of whichever path ran, and under `--trace` the fitness
+/// trace.
+fn print_report(report: &AlsReport, job: &JobSpec, trace: bool) {
+    let stream = job.stream.is_some();
+    println!(
+        "finished: {}, {:.2}s total{}",
+        sweep_summary(report),
+        report.total_secs(),
+        match (stream, report.converged) {
+            (true, _) => "", // a stream ends with its schedule, not a criterion
+            (false, true) => " (converged)",
+            (false, false) => " (sweep limit)",
+        },
+    );
+    let stats = &report.stats;
+    if !stream && !job.dataset.is_sparse() {
+        if job.lookahead {
+            println!(
+                "lookahead: {} speculative TTMs launched, {} hit, {} wasted",
+                stats.spec_launched, stats.spec_hits, stats.spec_wasted,
+            );
+        }
+        println!(
+            "packed GEMM (sync engine TTMs): {:.2} Gflop, {} fixed-n / {} generic calls",
+            stats.gemm_packed_flops as f64 / 1e9,
+            stats.gemm_fixed_n_calls,
+            stats.gemm_generic_calls,
+        );
+    }
+    print_sparse_counters(stats);
+    if trace {
+        for s in &report.sweeps {
+            println!(
+                "  {:9} t={:8.3}s fitness={:.6}",
+                s.kind.label(),
+                s.cumulative_secs,
+                s.fitness
+            );
+        }
+    }
 }
 
 /// Run `ppcp batch`: parse the manifest, schedule the jobs, report.
-/// Returns the process exit code.
-fn run_batch_mode(args: &BatchArgs) -> i32 {
-    let text = match std::fs::read_to_string(&args.manifest) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read manifest {}: {e}", args.manifest);
-            return 2;
-        }
-    };
-    let jobs = match parallel_pp::serve::parse_manifest(&text) {
-        Ok(j) if !j.is_empty() => j,
-        Ok(_) => {
-            eprintln!("error: manifest {} declares no jobs", args.manifest);
-            return 2;
-        }
-        Err(e) => {
-            eprintln!("error: {}: {e}", args.manifest);
-            return 2;
-        }
-    };
-    // Batch-wide width pin; per-job `threads=` pins nest inside per turn
-    // (single-driver only — concurrent drivers drop per-job pins).
-    let _threads = args.threads.map(rayon::scoped_num_threads);
+/// Like the other two modes: `Ok` is the process exit code, `Err` an
+/// argument-class error (exit 2).
+fn run_batch_mode(cli: &Cli) -> Result<i32, String> {
+    let path = &cli.manifest;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read manifest {path}: {e}"))?;
+    let jobs = parallel_pp::serve::parse_manifest(&text).map_err(|e| format!("{path}: {e}"))?;
+    if jobs.is_empty() {
+        return Err(format!("manifest {path} declares no jobs"));
+    }
+    // `--threads` is the batch-wide pin; per-job `threads=` pins nest inside
+    // per turn (single-driver only — concurrent drivers drop per-job pins).
     println!(
         "batch: {} jobs, window {}, drivers {}, park={}, threads={}{}{}",
         jobs.len(),
-        args.jobs,
-        args.drivers,
-        args.park,
-        args.threads.unwrap_or_else(rayon::current_num_threads),
-        args.cache_budget_mb
+        cli.jobs,
+        cli.drivers,
+        cli.park,
+        cli.threads_shown(),
+        cli.cache_budget_mb
             .map(|mb| format!(", cache-budget {mb} MB"))
             .unwrap_or_default(),
-        args.checkpoint_dir
+        cli.checkpoint_dir
             .as_deref()
             .map(|d| format!(", checkpoints in {d}"))
             .unwrap_or_default(),
     );
-    let mut cfg = parallel_pp::serve::ServeConfig::new(args.jobs)
-        .with_park(args.park)
-        .with_drivers(args.drivers);
-    if let Some(mb) = args.cache_budget_mb {
+    let mut cfg = ServeConfig::new(cli.jobs)
+        .with_park(cli.park)
+        .with_drivers(cli.drivers);
+    if let Some(mb) = cli.cache_budget_mb {
         // MB of f64 cache elements (8 bytes each).
         cfg = cfg.with_cache_budget_elems(mb * 1024 * 1024 / 8);
     }
-    if let Some(dir) = &args.checkpoint_dir {
+    if let Some(dir) = &cli.checkpoint_dir {
         cfg = cfg.with_checkpoint_dir(dir);
     }
-    if let Some(turns) = args.stop_after_turns {
+    if let Some(turns) = cli.stop_after_turns {
         cfg = cfg.with_stop_after_turns(turns);
     }
-    let report = match parallel_pp::serve::run_batch(&jobs, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let report = parallel_pp::serve::run_batch(&jobs, &cfg)?;
 
     for (spec, res) in jobs.iter().zip(report.jobs.iter()) {
-        match &res.status {
-            parallel_pp::serve::JobStatus::Completed { converged } => {
-                let out = res.output.as_ref().unwrap();
-                println!(
-                    "  {:<12} {:<5} ok: {} sweeps ({} exact, {} PP-init, {} PP-approx), \
-                     fitness {:.5}, {:.3}s{}",
-                    res.name,
-                    spec.method.label(),
-                    out.report.sweeps.len(),
-                    out.report.count(SweepKind::Exact),
-                    out.report.count(SweepKind::PpInit),
-                    out.report.count(SweepKind::PpApprox),
-                    out.report.final_fitness,
-                    res.secs,
-                    if *converged {
-                        " (converged)"
-                    } else {
-                        " (sweep limit)"
-                    },
-                );
+        let outcome = match &res.status {
+            JobStatus::Completed { converged } => format!(
+                "ok: {}, {:.3}s{}",
+                sweep_summary(
+                    &res.output
+                        .as_ref()
+                        .expect("a completed job has output")
+                        .report
+                ),
+                res.secs,
+                if *converged {
+                    " (converged)"
+                } else {
+                    " (sweep limit)"
+                },
+            ),
+            JobStatus::Failed { error } => format!("FAILED: {error}"),
+            JobStatus::Parked if cli.checkpoint_dir.is_some() => {
+                "parked (resumable from checkpoint dir)".into()
             }
-            parallel_pp::serve::JobStatus::Failed { error } => {
-                println!(
-                    "  {:<12} {:<5} FAILED: {error}",
-                    res.name,
-                    spec.method.label()
-                );
-            }
-            parallel_pp::serve::JobStatus::Parked => {
-                println!(
-                    "  {:<12} {:<5} parked{}",
-                    res.name,
-                    spec.method.label(),
-                    if args.checkpoint_dir.is_some() {
-                        " (resumable from checkpoint dir)"
-                    } else {
-                        ""
-                    },
-                );
-            }
-        }
+            JobStatus::Parked => "parked".into(),
+        };
+        println!("  {:<12} {:<5} {outcome}", res.name, spec.method.label());
     }
     println!(
         "batch finished: {} completed, {} failed, {} parked, {:.3}s total ({:.2} jobs/s)",
@@ -471,7 +373,7 @@ fn run_batch_mode(args: &BatchArgs) -> i32 {
         report.total_secs,
         report.jobs_per_sec(),
     );
-    if args.trace {
+    if cli.trace {
         for e in &report.schedule {
             println!(
                 "  turn {:4}  drv {}  job {} ({})  sweep {:3}  {}",
@@ -486,479 +388,158 @@ fn run_batch_mode(args: &BatchArgs) -> i32 {
     }
     // A drained (parked) batch is a successful graceful stop, not a
     // failure: only failed jobs flip the exit code.
-    i32::from(report.failed() > 0)
-}
-
-/// Arguments of the `stream` subcommand.
-#[derive(Debug)]
-struct StreamArgs {
-    method: String,
-    rank: usize,
-    height: usize,
-    width: usize,
-    bands: usize,
-    times: usize,
-    materials: usize,
-    noise: f64,
-    data_seed: u64,
-    initial_times: usize,
-    arrive: usize,
-    sweeps_per_arrival: usize,
-    update: CacheUpdate,
-    tol: f64,
-    pp_tol: f64,
-    seed: u64,
-    threads: Option<usize>,
-    backend: Backend,
-    checkpoint: Option<String>,
-    stop_after_arrivals: Option<usize>,
-    trace: bool,
-    help: bool,
-    version: bool,
-}
-
-/// Parse `ppcp stream ...` arguments (everything after the subcommand).
-fn parse_stream_args_from(argv: &[String]) -> Result<StreamArgs, String> {
-    let mut args = StreamArgs {
-        method: "msdt".into(),
-        rank: 8,
-        height: 24,
-        width: 24,
-        bands: 16,
-        times: 9,
-        materials: 6,
-        noise: 5e-3,
-        data_seed: 42,
-        initial_times: 3,
-        arrive: 2,
-        sweeps_per_arrival: 5,
-        update: CacheUpdate::Incremental,
-        tol: 1e-5,
-        pp_tol: 0.1,
-        seed: 42,
-        threads: None,
-        backend: Backend::default(),
-        checkpoint: None,
-        stop_after_arrivals: None,
-        trace: false,
-        help: argv.iter().any(|a| a == "--help" || a == "-h"),
-        version: argv.iter().any(|a| a == "--version" || a == "-V"),
-    };
-    if args.help || args.version {
-        return Ok(args);
-    }
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i].as_str();
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {key}"))
-        };
-        let num = |i: &mut usize| -> Result<usize, String> {
-            *i += 1;
-            argv.get(*i)
-                .ok_or_else(|| format!("missing value for {key}"))?
-                .parse()
-                .map_err(|e| format!("invalid value for {key}: {e}"))
-        };
-        match key {
-            "--method" => args.method = take(&mut i)?,
-            "--rank" => args.rank = num(&mut i)?,
-            "--height" => args.height = num(&mut i)?,
-            "--width" => args.width = num(&mut i)?,
-            "--bands" => args.bands = num(&mut i)?,
-            "--times" => args.times = num(&mut i)?,
-            "--materials" => args.materials = num(&mut i)?,
-            "--noise" => {
-                args.noise = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--data-seed" => {
-                args.data_seed = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--initial-times" => args.initial_times = num(&mut i)?,
-            "--arrive" => args.arrive = num(&mut i)?,
-            "--sweeps-per-arrival" => {
-                args.sweeps_per_arrival = num(&mut i)?;
-                if args.sweeps_per_arrival == 0 {
-                    return Err("--sweeps-per-arrival must be at least 1".into());
-                }
-            }
-            "--update" => {
-                args.update = match take(&mut i)?.as_str() {
-                    "incremental" => CacheUpdate::Incremental,
-                    "recompute" => CacheUpdate::Recompute,
-                    other => {
-                        return Err(format!(
-                            "unknown update '{other}' (expected incremental|recompute)"
-                        ))
-                    }
-                }
-            }
-            "--tol" => {
-                args.tol = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--pp-tol" => {
-                args.pp_tol = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--seed" => {
-                args.seed = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("invalid value for {key}: {e}"))?
-            }
-            "--threads" => {
-                let t = num(&mut i)?;
-                if t == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = Some(t);
-            }
-            "--backend" => args.backend = take(&mut i)?.parse()?,
-            "--checkpoint" => args.checkpoint = Some(take(&mut i)?),
-            "--stop-after-arrivals" => args.stop_after_arrivals = Some(num(&mut i)?),
-            "--trace" => args.trace = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    match args.method.as_str() {
-        "dt" | "msdt" | "pp" => {}
-        "nncp" => {
-            return Err(
-                "streaming supports --method dt|msdt|pp (nncp's row-wise HALS has no \
-                 warm-start path for arriving rows)"
-                    .into(),
-            )
-        }
-        other => {
-            return Err(format!(
-                "unknown method '{other}' (expected one of dt|msdt|pp)"
-            ))
-        }
-    }
-    if args.rank == 0 {
-        return Err("--rank must be at least 1".into());
-    }
-    Ok(args)
-}
-
-/// The configuration fingerprint a stream checkpoint is tagged with:
-/// resuming under different shape/schedule/solver flags is refused.
-fn stream_tag(args: &StreamArgs) -> u64 {
-    parallel_pp::core::checkpoint::fnv1a(
-        format!(
-            "stream|{}|r{}|{}x{}x{}x{}|m{}|n{}|ds{}|i{}|a{}|spa{}|{:?}|tol{}|pp{}|s{}",
-            args.method,
-            args.rank,
-            args.height,
-            args.width,
-            args.bands,
-            args.times,
-            args.materials,
-            args.noise,
-            args.data_seed,
-            args.initial_times,
-            args.arrive,
-            args.sweeps_per_arrival,
-            args.update,
-            args.tol,
-            args.pp_tol,
-            args.seed,
-        )
-        .as_bytes(),
-    )
+    Ok(i32::from(report.failed() > 0))
 }
 
 /// Run `ppcp stream`: an online CP decomposition of the timelapse tensor,
-/// slices arriving along the time mode. Returns the process exit code.
-fn run_stream_mode(args: &StreamArgs) -> i32 {
-    use parallel_pp::core::{SessionKind, StreamingSession};
-    use parallel_pp::datagen::timelapse::{TimelapseStream, TIME_MODE};
-
-    let tcfg = TimelapseConfig {
-        height: args.height,
-        width: args.width,
-        bands: args.bands,
-        times: args.times,
-        materials: args.materials,
-        noise: args.noise,
-    };
-    let feed = {
-        let _gen = args.threads.map(rayon::scoped_num_threads);
-        match TimelapseStream::new(&tcfg, args.data_seed, args.initial_times, args.arrive) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
+/// slices arriving along the time mode.
+fn run_stream_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
+    fn parts(tenant: &Tenant) -> (&StreamingSession, &TimelapseStream) {
+        match tenant {
+            Tenant::Stream { session, feed } => (session, feed),
+            Tenant::Batch(_) => unreachable!("a stream job opens a stream tenant"),
         }
-    };
-    let mut cfg = AlsConfig::new(args.rank)
-        .with_tol(args.tol)
-        .with_pp_tol(args.pp_tol)
-        .with_seed(args.seed)
-        .with_policy(match args.method.as_str() {
-            "dt" => TreePolicy::Standard,
-            _ => TreePolicy::MultiSweep,
-        });
-    if let Some(t) = args.threads {
-        cfg = cfg.with_threads(t);
     }
-    let kind = if args.method == "pp" {
-        SessionKind::Pp
-    } else {
-        SessionKind::Exact
-    };
-    let tag = stream_tag(args);
-    let ckpt = args.checkpoint.as_ref().map(std::path::Path::new);
-
-    let mut session = match ckpt.filter(|p| p.exists()) {
-        Some(path) => {
-            match StreamingSession::resume_from_disk(path, |extent| feed.prefix(extent)) {
-                Ok((s, t)) if t == tag => {
-                    println!(
-                        "resumed {} at extent {} ({} arrivals, {} sweeps done)",
-                        path.display(),
-                        s.extent(),
-                        s.arrivals_done(),
-                        s.sweeps_done(),
-                    );
-                    s
-                }
-                Ok(_) => {
-                    eprintln!(
-                        "error: checkpoint {} was written by a different configuration",
-                        path.display()
-                    );
-                    return 2;
-                }
-                Err(e) => {
-                    eprintln!("error: checkpoint {}: {e}", path.display());
-                    return 2;
-                }
-            }
-        }
-        None => StreamingSession::new(
-            &feed.initial(),
-            &cfg,
-            kind,
-            TIME_MODE,
-            args.sweeps_per_arrival,
-            args.update,
-        ),
-    };
+    let ckpt = cli.checkpoint.as_deref().map(Path::new);
+    let resumed = ckpt.is_some_and(Path::exists);
+    let mut tenant = Tenant::open(job, &cli.als_config(job), ckpt)?;
+    let (session, feed) = parts(&tenant);
+    if resumed {
+        println!(
+            "resumed {} at extent {} ({} arrivals, {} sweeps done)",
+            cli.checkpoint.as_deref().unwrap_or_default(),
+            session.extent(),
+            session.arrivals_done(),
+            session.sweeps_done(),
+        );
+    }
+    let schedule = job.stream.expect("the stream preset sets a schedule");
     println!(
-        "stream: timelapse {}x{}x{}x{} → {} initial time points + {} arrivals of {}, \
-         method {}, R={}, {} sweeps/arrival, update {:?}, backend {}, threads={}",
-        args.height,
-        args.width,
-        args.bands,
-        args.times,
-        args.initial_times,
+        "stream: timelapse {} → {} initial time points + {} arrivals of {}, \
+         method {}, R={}, {} sweeps/arrival, update {:?}, threads={}",
+        Shape::new(job.dataset.dims()),
+        schedule.initial,
         feed.n_arrivals(),
-        args.arrive,
-        args.method,
-        args.rank,
-        args.sweeps_per_arrival,
-        args.update,
-        args.backend,
-        args.threads.unwrap_or_else(rayon::current_num_threads),
+        schedule.arrive,
+        job.method.label(),
+        job.rank,
+        schedule.sweeps_per_arrival,
+        schedule.update,
+        cli.threads_shown(),
     );
 
-    let mut parked = false;
-    loop {
-        session.run_window();
-        if let Some(path) = ckpt {
-            if let Err(e) = session.park_to_disk(path, tag) {
-                eprintln!("error: checkpoint {}: {e}", path.display());
-                return 1;
+    // Sweep until a window closes; there checkpoint and report it, and stop
+    // when the schedule is spent or the drain point reached. Stepping past
+    // a closed window takes the next arrival first.
+    let drained = loop {
+        if parts(&tenant).0.is_finished() {
+            if let Some(path) = ckpt {
+                if let Err(e) = tenant.park_to_disk(path, job) {
+                    eprintln!("error: {e}");
+                    return Ok(1);
+                }
+            }
+            let (session, feed) = parts(&tenant);
+            println!(
+                "  window {:2}: extent {:3}, {:3} sweeps, fitness {:.5}",
+                session.arrivals_done(),
+                session.extent(),
+                session.sweeps_done(),
+                session.last_fitness(),
+            );
+            let done = session.arrivals_done();
+            if done >= feed.n_arrivals() {
+                break false;
+            }
+            if cli.stop_after_arrivals.is_some_and(|n| done >= n) {
+                break true;
             }
         }
-        println!(
-            "  window {:2}: extent {:3}, {:3} sweeps, fitness {:.5}",
-            session.arrivals_done(),
-            session.extent(),
-            session.sweeps_done(),
-            session.last_fitness(),
-        );
-        let done = session.arrivals_done();
-        if done >= feed.n_arrivals() {
-            break;
-        }
-        if args.stop_after_arrivals.is_some_and(|n| done >= n) {
-            parked = true;
-            break;
-        }
-        session.arrive(&feed.slice(done));
-    }
-    if parked {
+        tenant.step();
+    };
+    if drained {
         println!(
             "drained after {} arrivals{}",
-            session.arrivals_done(),
-            if args.checkpoint.is_some() {
+            parts(&tenant).0.arrivals_done(),
+            if ckpt.is_some() {
                 " (resumable from checkpoint)"
             } else {
                 ""
             },
         );
-        return 0;
+        return Ok(0);
     }
-    let out = session.finish();
-    let report = out.report;
-    println!(
-        "finished: {} sweeps ({} exact, {} PP-init, {} PP-approx), fitness {:.5}, {:.2}s total",
-        report.sweeps.len(),
-        report.count(SweepKind::Exact),
-        report.count(SweepKind::PpInit),
-        report.count(SweepKind::PpApprox),
-        report.final_fitness,
-        report.total_secs(),
-    );
-    if args.trace {
-        for s in &report.sweeps {
-            println!(
-                "  {:9} t={:8.3}s fitness={:.6}",
-                s.kind.label(),
-                s.cumulative_secs,
-                s.fitness
-            );
-        }
-    }
+    print_report(&tenant.finish().report, job, cli.trace);
     if let Some(path) = ckpt {
         // The run is complete; a stale checkpoint would otherwise resume
         // a finished session on the next invocation.
         let _ = std::fs::remove_file(path);
     }
-    0
+    Ok(0)
 }
 
-fn make_tensor(args: &Args) -> DenseTensor {
-    match args.dataset.as_str() {
-        "lowrank" => noisy_rank(&[60, 60, 60], args.rank.max(4), 0.05, args.seed),
-        "collinearity" => {
-            let cfg = CollinearityConfig {
-                s: 80,
-                r: args.rank.max(4),
-                order: 3,
-                lo: 0.6,
-                hi: 0.8,
-            };
-            collinearity_tensor(&cfg, args.seed).0
-        }
-        "chemistry" => density_fitting_tensor(
-            &ChemistryConfig {
-                n_orb: 40,
-                n_aux: 640,
-                ..ChemistryConfig::default()
-            },
-            args.seed,
-        ),
-        "coil" => coil_tensor(&CoilConfig {
-            size: 32,
-            objects: 6,
-            poses: 24,
-        }),
-        "timelapse" => timelapse_tensor(
-            &TimelapseConfig {
-                height: 48,
-                width: 64,
-                bands: 33,
-                times: 9,
-                materials: 12,
-                noise: 5e-3,
-            },
-            args.seed,
-        ),
-        // Parse-time validation rejects unknown names and `main` routes
-        // sparse datasets through `run_sparse` before reaching here.
-        other => unreachable!("dataset '{other}' has no dense generator"),
-    }
-}
-
-/// Generate the sparse CLI presets: a power-law user×item×time sample and
-/// a planted low-rank CP model at 0.5% density.
-fn make_sparse_tensor(args: &Args) -> parallel_pp::tensor::sparse::SparseTensor {
-    use parallel_pp::datagen::sparse::{powerlaw_sparse, sparse_lowrank};
-    match args.dataset.as_str() {
-        "sparse-powerlaw" => powerlaw_sparse(&[512, 256, 64], 100_000, 2.0, args.seed),
-        _ => sparse_lowrank(&[256, 256, 64], args.rank.max(4), 0.005, args.seed).0,
-    }
-}
-
-/// The sparse single-run driver. The input never densifies: `dt` routes
-/// every MTTKRP through the pool-parallel CSF kernel over the standard
-/// tree; `pp` and `msdt` run the semi-sparse TTM chain over the
-/// multi-sweep tree.
-fn run_sparse(args: &Args) {
-    use parallel_pp::core::{AlsSession, SessionKind};
-    let sp = {
-        let _gen = args.threads.map(rayon::scoped_num_threads);
-        make_sparse_tensor(args)
+/// Run plain `ppcp`: one decomposition, sequential through a [`Tenant`]
+/// (dense and sparse alike) or, at `--ranks P > 1`, on the in-process
+/// distributed runtime.
+fn run_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
+    let cfg = cli.als_config(job);
+    let shape = Shape::new(job.dataset.dims());
+    let dense_header = || {
+        println!(
+            "dataset {} → tensor {} ({} elements), method {}, R={}, P={}, threads={}, lookahead={}",
+            job.dataset.name(),
+            shape,
+            shape.len(),
+            job.method.label(),
+            job.rank,
+            cli.ranks,
+            cli.threads_shown(),
+            job.lookahead,
+        )
     };
-    let dims: Vec<String> = sp.dims().iter().map(|d| d.to_string()).collect();
-    println!(
-        "dataset {} → sparse tensor {} ({} nnz, density {:.4}%), method {}, R={}, threads={}",
-        args.dataset,
-        dims.join("x"),
-        sp.nnz(),
-        sp.density() * 100.0,
-        args.method,
-        args.rank,
-        args.threads.unwrap_or_else(rayon::current_num_threads),
-    );
-    let mut cfg = AlsConfig::new(args.rank)
-        .with_max_sweeps(args.sweeps)
-        .with_tol(args.tol)
-        .with_pp_tol(args.pp_tol)
-        .with_seed(args.seed)
-        .with_lookahead(!args.no_lookahead)
-        .with_policy(match args.method.as_str() {
-            "dt" => TreePolicy::Standard,
-            _ => TreePolicy::MultiSweep,
+    let report = if cli.ranks > 1 {
+        let t = job.dataset.build();
+        dense_header();
+        let grid = grid_for(&t, cli.ranks);
+        println!(
+            "processor grid: {:?}, backend: {}",
+            grid.dims(),
+            cli.backend
+        );
+        let (t, pp) = (Arc::new(t), job.method == JobMethod::Pp);
+        let out = Runtime::with_backend(cli.ranks, cli.backend).run(move |ctx| {
+            let local = DistTensor::from_global(&t, &grid, ctx.rank());
+            if pp {
+                par_pp_cp_als(ctx, &grid, &local, &cfg).report
+            } else {
+                par_cp_als(ctx, &grid, &local, &cfg).report
+            }
         });
-    if let Some(t) = args.threads {
-        cfg = cfg.with_threads(t);
-    }
-    let kind = match args.method.as_str() {
-        "pp" => SessionKind::Pp,
-        _ => SessionKind::Exact,
-    };
-    let out = AlsSession::new_sparse(&sp, &cfg, kind).run();
-    let report = out.report;
-    println!(
-        "finished: {} sweeps ({} exact, {} PP-init, {} PP-approx), fitness {:.5}, {:.2}s total{}",
-        report.sweeps.len(),
-        report.count(SweepKind::Exact),
-        report.count(SweepKind::PpInit),
-        report.count(SweepKind::PpApprox),
-        report.final_fitness,
-        report.total_secs(),
-        if report.converged {
-            " (converged)"
-        } else {
-            " (sweep limit)"
-        },
-    );
-    print_sparse_counters(&report.stats);
-    if args.trace {
-        for s in &report.sweeps {
-            println!(
-                "  {:9} t={:8.3}s fitness={:.6}",
-                s.kind.label(),
-                s.cumulative_secs,
-                s.fitness
-            );
+        out.results.into_iter().next().expect("P > 1 ranks ran")
+    } else {
+        let mut tenant = Tenant::open(job, &cfg, None)?;
+        match &tenant {
+            Tenant::Batch(session) if job.dataset.is_sparse() => {
+                let nnz = session.input_nnz().unwrap_or(0);
+                println!(
+                    "dataset {} → sparse tensor {} ({} nnz, density {:.4}%), method {}, R={}, \
+                     threads={}",
+                    job.dataset.name(),
+                    shape,
+                    nnz,
+                    nnz as f64 / shape.len() as f64 * 100.0,
+                    job.method.label(),
+                    job.rank,
+                    cli.threads_shown(),
+                );
+            }
+            _ => dense_header(),
         }
-    }
+        while let Step::Swept(_) = tenant.step() {}
+        tenant.finish().report
+    };
+    print_report(&report, job, cli.trace);
+    Ok(0)
 }
 
 /// The sparse kernel counter lines: the direct CSF MTTKRP (dt) and the
@@ -1000,247 +581,92 @@ fn grid_for(t: &DenseTensor, p: usize) -> ProcGrid {
     for f in factors {
         // Assign to the mode with the largest extent-per-current-split.
         let k = (0..n)
-            .max_by(|&a, &b| {
-                let ra = t.dim(a) / dims[a];
-                let rb = t.dim(b) / dims[b];
-                ra.cmp(&rb)
-            })
-            .unwrap();
+            .max_by_key(|&m| t.dim(m) / dims[m])
+            .expect("order ≥ 1");
         dims[k] *= f;
     }
     ProcGrid::new(dims)
 }
 
+const USAGE: &str = "\
+ppcp        [--key value]... [--ranks P] [--backend rendezvous|p2p] [--no-lookahead]
+ppcp stream [--key value]... [--checkpoint FILE] [--stop-after-arrivals N]
+ppcp batch  --manifest PATH [--jobs J] [--drivers N] [--cache-budget-mb MB]
+            [--checkpoint-dir DIR] [--stop-after-turns N] [--no-park]
+all modes:  [--threads T] [--trace] [--help] [--version]
+`--key value` is a job key of the pp-serve `job` module docs (`key=value` in a manifest):
+--dataset NAME, --method dt|msdt|pp|nncp, --rank R, --sweeps N, --tol D, --pp-tol E, --seed S, ...";
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().is_some_and(|a| a == "batch") {
-        let bargs = match parse_batch_args_from(&argv[1..]) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
-        if bargs.version {
-            println!("ppcp {}", env!("CARGO_PKG_VERSION"));
-            return;
-        }
-        if bargs.help {
-            println!(
-                "ppcp batch --manifest <path> [--jobs J] [--drivers N] [--cache-budget-mb MB]\n\
-                 \x20          [--checkpoint-dir DIR] [--stop-after-turns N] [--no-park]\n\
-                 \x20          [--trace] [--threads T]\n\
-                 see the pp-serve::job module docs for the manifest format"
-            );
-            return;
-        }
-        std::process::exit(run_batch_mode(&bargs));
-    }
-    if argv.first().is_some_and(|a| a == "stream") {
-        let sargs = match parse_stream_args_from(&argv[1..]) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
-        if sargs.version {
-            println!("ppcp {}", env!("CARGO_PKG_VERSION"));
-            return;
-        }
-        if sargs.help {
-            println!(
-                "ppcp stream [--method dt|msdt|pp] [--rank R] [--update incremental|recompute]\n\
-                 \x20           [--height H] [--width W] [--bands B] [--times T] [--materials M]\n\
-                 \x20           [--noise N] [--data-seed S] [--initial-times I] [--arrive K]\n\
-                 \x20           [--sweeps-per-arrival S] [--checkpoint FILE]\n\
-                 \x20           [--stop-after-arrivals N] [--tol D] [--pp-tol E] [--seed S]\n\
-                 \x20           [--threads T] [--backend rendezvous|p2p] [--trace]\n\
-                 online CP of the timelapse tensor; slices arrive along the time mode"
-            );
-            return;
-        }
-        std::process::exit(run_stream_mode(&sargs));
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let fail = |e: String| -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(2)
     };
-    if args.version {
+    let cli = parse(&argv).unwrap_or_else(|e| fail(e));
+    if cli.version {
         println!("ppcp {}", env!("CARGO_PKG_VERSION"));
         return;
     }
-    if args.help {
-        println!(
-            "see module docs: ppcp [--version] --dataset <name> --method <dt|msdt|pp|nncp> ...\n\
-             \x20                 ppcp batch --manifest <path> [--jobs J] [--no-park] [--trace]"
-        );
+    if cli.help {
+        println!("{USAGE}");
         return;
     }
-    if args.dataset.starts_with("sparse-") {
-        run_sparse(&args);
-        return;
-    }
-    // `--threads` routes through `AlsConfig::threads`: the pin is scoped
-    // to each driver run (per rank) and released when it returns, so one
-    // run cannot leak a global width into later in-process runs. Dataset
-    // generation runs at the default width, so pin it here briefly too.
-    let t = {
-        let _gen = args.threads.map(rayon::scoped_num_threads);
-        make_tensor(&args)
+    // Dataset generation runs outside any session, so `--threads` also pins
+    // the pool for the whole process here.
+    let _threads = cli.threads.map(rayon::scoped_num_threads);
+    let code = match (cli.mode, &cli.job) {
+        (Mode::Batch, _) => run_batch_mode(&cli),
+        (Mode::Stream, Some(job)) => run_stream_mode(&cli, job),
+        (Mode::Run, Some(job)) => run_mode(&cli, job),
+        (_, None) => unreachable!("parse builds the job outside batch mode"),
     };
-    println!(
-        "dataset {} → tensor {} ({} elements), method {}, R={}, P={}, threads={}, lookahead={}",
-        args.dataset,
-        t.shape(),
-        t.len(),
-        args.method,
-        args.rank,
-        args.ranks,
-        args.threads.unwrap_or_else(rayon::current_num_threads),
-        !args.no_lookahead,
-    );
-
-    let mut cfg = AlsConfig::new(args.rank)
-        .with_max_sweeps(args.sweeps)
-        .with_tol(args.tol)
-        .with_pp_tol(args.pp_tol)
-        .with_seed(args.seed)
-        .with_lookahead(!args.no_lookahead)
-        .with_policy(match args.method.as_str() {
-            "dt" => TreePolicy::Standard,
-            _ => TreePolicy::MultiSweep,
-        });
-    if let Some(t) = args.threads {
-        cfg = cfg.with_threads(t);
-    }
-
-    let report = if args.ranks > 1 {
-        let grid = grid_for(&t, args.ranks);
-        println!(
-            "processor grid: {:?}, backend: {}",
-            grid.dims(),
-            args.backend
-        );
-        let t = Arc::new(t);
-        let method = args.method.clone();
-        let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
-        let out = Runtime::with_backend(args.ranks, args.backend).run(move |ctx| {
-            let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-            match method.as_str() {
-                "pp" => par_pp_cp_als(ctx, &g2, &local, &c2).report,
-                "nncp" => {
-                    eprintln!("nncp is sequential-only; running dt instead");
-                    par_cp_als(ctx, &g2, &local, &c2).report
-                }
-                _ => par_cp_als(ctx, &g2, &local, &c2).report,
-            }
-        });
-        out.results.into_iter().next().unwrap()
-    } else {
-        match args.method.as_str() {
-            "pp" => pp_cp_als(&t, &cfg).report,
-            "nncp" => nn_cp_als(&t, &cfg).report,
-            _ => cp_als(&t, &cfg).report,
-        }
-    };
-
-    println!(
-        "finished: {} sweeps ({} exact, {} PP-init, {} PP-approx), fitness {:.5}, {:.2}s total{}",
-        report.sweeps.len(),
-        report.count(SweepKind::Exact),
-        report.count(SweepKind::PpInit),
-        report.count(SweepKind::PpApprox),
-        report.final_fitness,
-        report.total_secs(),
-        if report.converged {
-            " (converged)"
-        } else {
-            " (sweep limit)"
-        },
-    );
-    if !args.no_lookahead {
-        println!(
-            "lookahead: {} speculative TTMs launched, {} hit, {} wasted",
-            report.stats.spec_launched, report.stats.spec_hits, report.stats.spec_wasted,
-        );
-    }
-    println!(
-        "packed GEMM (sync engine TTMs): {:.2} Gflop, {} fixed-n / {} generic calls",
-        report.stats.gemm_packed_flops as f64 / 1e9,
-        report.stats.gemm_fixed_n_calls,
-        report.stats.gemm_generic_calls,
-    );
-    print_sparse_counters(&report.stats);
-    if args.trace {
-        for s in &report.sweeps {
-            println!(
-                "  {:9} t={:8.3}s fitness={:.6}",
-                s.kind.label(),
-                s.cumulative_secs,
-                s.fitness
-            );
-        }
-    }
+    std::process::exit(code.unwrap_or_else(|e| fail(e)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parallel_pp::dtree::CacheUpdate;
+    use parallel_pp::serve::{DatasetSpec, DATASET_NAMES};
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    /// Parse a command line written as one string.
+    fn cli(line: &str) -> Result<Cli, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&argv)
+    }
+
+    fn job(line: &str) -> JobSpec {
+        cli(line).unwrap().job.unwrap()
+    }
+
+    /// `line` is a parse error whose message contains `needle`.
+    fn rejects(line: &str, needle: &str) {
+        let err = cli(line).expect_err(line);
+        assert!(err.contains(needle), "{line}: {err}");
     }
 
     #[test]
     fn batch_args_parse() {
-        let a = parse_batch_args_from(&argv(&["--manifest", "jobs.txt"])).unwrap();
-        assert_eq!(a.manifest, "jobs.txt");
+        let a = cli("batch --manifest jobs.txt").unwrap();
+        assert_eq!((a.mode, a.manifest.as_str()), (Mode::Batch, "jobs.txt"));
         assert_eq!(a.jobs, 4, "default window");
-        assert!(a.park);
-        assert!(!a.trace);
-        let a = parse_batch_args_from(&argv(&[
-            "--manifest",
-            "m.txt",
-            "--jobs",
-            "2",
-            "--no-park",
-            "--trace",
-            "--threads",
-            "3",
-        ]))
-        .unwrap();
-        assert_eq!(a.jobs, 2);
-        assert!(!a.park);
-        assert!(a.trace);
+        assert!(a.park && !a.trace && a.job.is_none());
+        let a = cli("batch --manifest m.txt --jobs 2 --no-park --trace --threads 3").unwrap();
+        assert_eq!((a.jobs, a.park, a.trace), (2, false, true));
         assert_eq!(a.threads, Some(3));
     }
 
     #[test]
     fn batch_scheduler_flags_parse() {
-        let a = parse_batch_args_from(&argv(&["--manifest", "m.txt"])).unwrap();
+        let a = cli("batch --manifest m.txt").unwrap();
         assert_eq!(a.drivers, default_drivers(), "default is all cores");
-        assert_eq!(a.cache_budget_mb, None);
+        assert_eq!((a.cache_budget_mb, a.stop_after_turns), (None, None));
         assert_eq!(a.checkpoint_dir, None);
-        assert_eq!(a.stop_after_turns, None);
-        let a = parse_batch_args_from(&argv(&[
-            "--manifest",
-            "m.txt",
-            "--drivers",
-            "4",
-            "--cache-budget-mb",
-            "64",
-            "--checkpoint-dir",
-            "/tmp/ckpt",
-            "--stop-after-turns",
-            "12",
-        ]))
+        let a = cli("batch --manifest m.txt --drivers 4 --cache-budget-mb 64 \
+                     --checkpoint-dir /tmp/ckpt --stop-after-turns 12")
         .unwrap();
-        assert_eq!(a.drivers, 4);
-        assert_eq!(a.cache_budget_mb, Some(64));
+        assert_eq!((a.drivers, a.cache_budget_mb), (4, Some(64)));
         assert_eq!(a.checkpoint_dir.as_deref(), Some("/tmp/ckpt"));
         assert_eq!(a.stop_after_turns, Some(12));
     }
@@ -1249,285 +675,181 @@ mod tests {
     fn zero_and_garbage_scheduler_flags_are_rejected() {
         // Exit-2 paths: zero or unparsable values must be argument errors,
         // never a panic inside the scheduler.
-        for (flags, needle) in [
-            (vec!["--drivers", "0"], "--drivers must be at least 1"),
-            (vec!["--drivers", "many"], "invalid value for --drivers"),
-            (
-                vec!["--cache-budget-mb", "0"],
-                "--cache-budget-mb must be at least 1",
-            ),
-            (
-                vec!["--cache-budget-mb", "big"],
-                "invalid value for --cache-budget-mb",
-            ),
-            (
-                vec!["--stop-after-turns", "soon"],
-                "invalid value for --stop-after-turns",
-            ),
-        ] {
-            let mut full = vec!["--manifest", "m.txt"];
-            full.extend(flags.iter());
-            let err = parse_batch_args_from(&argv(&full)).unwrap_err();
-            assert!(err.contains(needle), "{flags:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn batch_help_and_version_short_circuit() {
-        // Like the main mode: `--help`/`--version` win over anything else,
-        // including a missing manifest and invalid flags.
-        for argv_case in [
-            vec!["--help"],
-            vec!["-h"],
-            vec!["--version"],
-            vec!["-V"],
-            vec!["--help", "--frobnicate"],
-            vec!["--version", "--jobs", "abc"],
-        ] {
-            let a = parse_batch_args_from(&argv(&argv_case)).unwrap();
-            assert!(a.help || a.version, "{argv_case:?}");
-        }
+        rejects(
+            "batch --manifest m --drivers 0",
+            "--drivers must be at least 1",
+        );
+        rejects(
+            "batch --manifest m --drivers many",
+            "invalid value for --drivers",
+        );
+        rejects(
+            "batch --manifest m --cache-budget-mb 0",
+            "--cache-budget-mb must be",
+        );
+        rejects(
+            "batch --manifest m --cache-budget-mb big",
+            "invalid value for",
+        );
+        rejects(
+            "batch --manifest m --stop-after-turns soon",
+            "--stop-after-turns",
+        );
     }
 
     #[test]
     fn batch_args_rejected() {
-        assert!(parse_batch_args_from(&argv(&[]))
-            .unwrap_err()
-            .contains("requires --manifest"));
-        assert!(
-            parse_batch_args_from(&argv(&["--manifest", "m", "--jobs", "0"]))
-                .unwrap_err()
-                .contains("--jobs must be at least 1")
+        rejects("batch", "requires --manifest");
+        rejects("batch --manifest", "missing value for --manifest");
+        rejects("batch --manifest m --jobs 0", "--jobs must be at least 1");
+        rejects(
+            "batch --manifest m --frobnicate",
+            "unknown flag --frobnicate",
         );
-        assert!(
-            parse_batch_args_from(&argv(&["--manifest", "m", "--frobnicate"]))
-                .unwrap_err()
-                .contains("unknown flag")
-        );
-        assert!(parse_batch_args_from(&argv(&["--manifest"]))
-            .unwrap_err()
-            .contains("missing value"));
+        // Job keys and the other modes' run flags are not batch flags.
+        rejects("batch --manifest m --rank 3", "unknown flag --rank");
+        rejects("batch --manifest m --ranks 2", "unknown flag --ranks");
     }
 
     #[test]
     fn stream_args_parse() {
-        let a = parse_stream_args_from(&argv(&[])).unwrap();
-        assert_eq!(a.method, "msdt");
-        assert_eq!(a.rank, 8);
-        assert_eq!(a.initial_times, 3);
-        assert_eq!(a.arrive, 2);
-        assert_eq!(a.sweeps_per_arrival, 5);
-        assert_eq!(a.update, CacheUpdate::Incremental);
+        let a = cli("stream").unwrap();
         assert!(a.checkpoint.is_none() && a.stop_after_arrivals.is_none());
+        let j = a.job.unwrap();
+        assert_eq!((j.method, j.rank, j.seed), (JobMethod::Msdt, 8, 42));
+        assert_eq!(j.dataset.dims(), [24, 24, 16, 9]);
+        let s = j.stream.unwrap();
+        assert_eq!((s.initial, s.arrive, s.sweeps_per_arrival), (3, 2, 5));
+        assert_eq!(s.update, CacheUpdate::Incremental);
 
-        let a = parse_stream_args_from(&argv(&[
-            "--method",
-            "pp",
-            "--rank",
-            "6",
-            "--height",
-            "12",
-            "--width",
-            "10",
-            "--bands",
-            "8",
-            "--times",
-            "11",
-            "--materials",
-            "3",
-            "--noise",
-            "1e-3",
-            "--data-seed",
-            "7",
-            "--initial-times",
-            "5",
-            "--arrive",
-            "3",
-            "--sweeps-per-arrival",
-            "4",
-            "--update",
-            "recompute",
-            "--checkpoint",
-            "s.ppck",
-            "--stop-after-arrivals",
-            "1",
-            "--backend",
-            "p2p",
-            "--threads",
-            "2",
-            "--trace",
-        ]))
+        let a = cli(
+            "stream --method pp --rank 6 --height 12 --width 10 --bands 8 --times 11 \
+                     --materials 3 --noise 1e-3 --data-seed 7 --initial-times 5 --arrive 3 \
+                     --sweeps-per-arrival 4 --update recompute --checkpoint s.ppck \
+                     --stop-after-arrivals 1 --threads 2 --trace",
+        )
         .unwrap();
-        assert_eq!(a.method, "pp");
-        assert_eq!(a.rank, 6);
-        assert_eq!(
-            (a.height, a.width, a.bands, a.times, a.materials),
-            (12, 10, 8, 11, 3)
-        );
-        assert_eq!(a.noise, 1e-3);
-        assert_eq!(a.data_seed, 7);
-        assert_eq!((a.initial_times, a.arrive, a.sweeps_per_arrival), (5, 3, 4));
-        assert_eq!(a.update, CacheUpdate::Recompute);
         assert_eq!(a.checkpoint.as_deref(), Some("s.ppck"));
-        assert_eq!(a.stop_after_arrivals, Some(1));
-        assert_eq!(a.backend, Backend::P2p);
-        assert_eq!(a.threads, Some(2));
+        assert_eq!((a.stop_after_arrivals, a.threads), (Some(1), Some(2)));
         assert!(a.trace);
+        let j = a.job.unwrap();
+        assert_eq!((j.method, j.rank), (JobMethod::Pp, 6));
+        assert_eq!(j.dataset.dims(), [12, 10, 8, 11]);
+        let timelapse = "dataset=timelapse height=12 width=10 bands=8 times=11 materials=3 \
+                         noise=1e-3 data-seed=7";
+        let same = JobSpec::from_tokens("m", timelapse.split_whitespace()).unwrap();
+        assert_eq!(j.dataset, same.dataset);
+        let s = j.stream.unwrap();
+        assert_eq!((s.initial, s.arrive, s.sweeps_per_arrival), (5, 3, 4));
+        assert_eq!(s.update, CacheUpdate::Recompute);
+        assert_eq!(j.threads, None, "--threads stays out of the spec");
     }
 
     #[test]
     fn stream_args_rejected() {
-        assert!(parse_stream_args_from(&argv(&["--method", "nncp"]))
-            .unwrap_err()
-            .contains("dt|msdt|pp"));
-        assert!(parse_stream_args_from(&argv(&["--method", "gradient"]))
-            .unwrap_err()
-            .contains("unknown method"));
-        assert!(
-            parse_stream_args_from(&argv(&["--sweeps-per-arrival", "0"]))
-                .unwrap_err()
-                .contains("at least 1")
-        );
-        assert!(parse_stream_args_from(&argv(&["--update", "lazy"]))
-            .unwrap_err()
-            .contains("incremental|recompute"));
-        assert!(parse_stream_args_from(&argv(&["--rank", "0"]))
-            .unwrap_err()
-            .contains("--rank must be at least 1"));
-        assert!(parse_stream_args_from(&argv(&["--backend", "mpi"])).is_err());
-        assert!(parse_stream_args_from(&argv(&["--arrive"]))
-            .unwrap_err()
-            .contains("missing value"));
-        assert!(parse_stream_args_from(&argv(&["--frobnicate"]))
-            .unwrap_err()
-            .contains("unknown flag"));
-    }
-
-    #[test]
-    fn stream_help_and_version_short_circuit() {
-        for argv_case in [
-            vec!["--help"],
-            vec!["--version"],
-            vec!["--method", "nncp", "--help"],
-            vec!["--sweeps-per-arrival", "0", "-V"],
-        ] {
-            let a = parse_stream_args_from(&argv(&argv_case)).unwrap();
-            assert!(a.help || a.version, "{argv_case:?}");
-        }
-    }
-
-    #[test]
-    fn stream_tag_separates_configurations() {
-        let a = parse_stream_args_from(&argv(&[])).unwrap();
-        let b = parse_stream_args_from(&argv(&["--rank", "9"])).unwrap();
-        let c = parse_stream_args_from(&argv(&["--update", "recompute"])).unwrap();
-        assert_ne!(stream_tag(&a), stream_tag(&b));
-        assert_ne!(stream_tag(&a), stream_tag(&c));
-        assert_eq!(
-            stream_tag(&a),
-            stream_tag(&parse_stream_args_from(&argv(&[])).unwrap())
-        );
+        rejects("stream --method nncp", "dt|pp|msdt");
+        rejects("stream --method gradient", "unknown method");
+        rejects("stream --sweeps-per-arrival 0", "at least 1");
+        rejects("stream --update lazy", "incremental|recompute");
+        rejects("stream --rank 0", "rank must be at least 1");
+        rejects("stream --arrive", "missing value for --arrive");
+        rejects("stream --arrive 4", "do not divide");
+        rejects("stream --dataset lowrank", "requires dataset=timelapse");
+        rejects("stream --frobnicate", "unknown flag");
+        // The flag that did nothing is gone; `--ranks` never was one here.
+        rejects("stream --backend p2p", "unknown flag --backend");
+        rejects("stream --ranks 2", "unknown flag --ranks");
     }
 
     #[test]
     fn defaults_parse() {
-        let a = parse_args_from(&argv(&[])).unwrap();
-        assert_eq!(a.dataset, "lowrank");
-        assert_eq!(a.method, "msdt");
-        assert_eq!(a.rank, 16);
-        assert_eq!(a.threads, None);
-        assert!(!a.no_lookahead, "lookahead is on by default");
+        let a = cli("").unwrap();
+        assert_eq!((a.mode, a.ranks, a.threads), (Mode::Run, 1, None));
+        let j = a.job.unwrap();
+        assert_eq!((j.method, j.rank, j.max_sweeps), (JobMethod::Msdt, 16, 100));
+        assert_eq!((j.tol, j.pp_tol, j.seed), (1e-5, 0.1, 42));
+        assert!(j.lookahead, "lookahead is on by default");
+        // The lowrank preset: 60³, generated at the run's rank from its seed.
+        let lowrank = |gen_rank, seed| DatasetSpec::Lowrank {
+            dims: vec![60, 60, 60],
+            gen_rank,
+            noise: 0.05,
+            seed,
+        };
+        assert_eq!(j.dataset, lowrank(16, 42));
+        assert_eq!(job("--rank 3 --seed 7").dataset, lowrank(4, 7));
+        // A preset is a default: the user's own key still wins.
+        assert_eq!(job("--gen-rank 9 --data-seed 1").dataset, lowrank(9, 1));
     }
 
     #[test]
     fn no_lookahead_flag_parses() {
-        let a = parse_args_from(&argv(&["--no-lookahead"])).unwrap();
-        assert!(a.no_lookahead);
+        assert!(!job("--no-lookahead").lookahead);
+        assert!(!job("--lookahead off").lookahead);
     }
 
     #[test]
     fn threads_flag_routes_into_config_not_a_global() {
-        // The CLI must not leave a process-global width behind: `--threads`
+        // Parsing must not leave a process-global width behind: `--threads`
         // becomes `AlsConfig::threads`, whose scoped guard is released when
         // each run returns.
-        let a = parse_args_from(&argv(&["--threads", "3"])).unwrap();
         let before = rayon::current_num_threads();
-        let cfg = AlsConfig::new(a.rank).with_threads(a.threads.unwrap());
-        assert_eq!(cfg.threads, Some(3));
-        assert_eq!(
-            rayon::current_num_threads(),
-            before,
-            "parsing/config-building must not change the pool width"
-        );
+        let a = cli("--threads 3").unwrap();
+        assert_eq!(a.als_config(a.job.as_ref().unwrap()).threads, Some(3));
+        assert_eq!(rayon::current_num_threads(), before);
     }
 
     #[test]
     fn full_flag_set_parses() {
-        let a = parse_args_from(&argv(&[
-            "--dataset",
-            "chemistry",
-            "--method",
-            "pp",
-            "--rank",
-            "24",
-            "--sweeps",
-            "50",
-            "--tol",
-            "1e-4",
-            "--pp-tol",
-            "0.2",
-            "--ranks",
-            "4",
-            "--backend",
-            "p2p",
-            "--threads",
-            "8",
-            "--no-lookahead",
-            "--seed",
-            "7",
-            "--trace",
-        ]))
+        let a = cli(
+            "--dataset chemistry --method pp --rank 24 --sweeps 50 --tol 1e-4 \
+                     --pp-tol 0.2 --ranks 4 --backend p2p --threads 8 --no-lookahead --seed 7 \
+                     --trace",
+        )
         .unwrap();
-        assert_eq!(a.dataset, "chemistry");
-        assert_eq!(a.method, "pp");
-        assert_eq!(a.rank, 24);
-        assert_eq!(a.ranks, 4);
-        assert_eq!(a.backend, Backend::P2p);
-        assert_eq!(a.threads, Some(8));
-        assert!(a.no_lookahead);
+        assert_eq!((a.ranks, a.backend, a.threads), (4, Backend::P2p, Some(8)));
         assert!(a.trace);
+        let j = a.job.unwrap();
+        assert_eq!(j.dataset, DatasetSpec::Chemistry { seed: 7 });
+        assert_eq!((j.method, j.rank, j.max_sweeps), (JobMethod::Pp, 24, 50));
+        assert_eq!(
+            (j.tol, j.pp_tol, j.seed, j.lookahead),
+            (1e-4, 0.2, 7, false)
+        );
+    }
+
+    /// `flag` anywhere on the line wins in `mode`, even next to arguments
+    /// that would otherwise be rejected (a missing manifest included).
+    fn assert_short_circuits(mode: &str, flag: &str, seen: fn(&Cli) -> bool) {
+        for rest in ["{}", "{} --method x", "--rank abc {}", "{} --frob"] {
+            let line = format!("{mode} {}", rest.replace("{}", flag));
+            assert!(seen(&cli(&line).unwrap()), "{line}");
+        }
     }
 
     #[test]
     fn help_short_circuits_validation() {
-        // `--help` anywhere on the line wins, even next to invalid args.
-        for argv_case in [
-            vec!["--help"],
-            vec!["-h"],
-            vec!["--help", "--method", "turbo"],
-            vec!["--rank", "abc", "--help"],
-            vec!["--help", "--frobnicate"],
-        ] {
-            let a = parse_args_from(&argv(&argv_case)).unwrap();
-            assert!(a.help, "{argv_case:?}");
-        }
+        assert_short_circuits("", "--help", |a| a.help);
+        assert_short_circuits("", "-h", |a| a.help);
     }
 
     #[test]
     fn version_flag_parses_and_short_circuits() {
-        // `--version` behaves like `--help`: it wins over any other
-        // argument, valid or not, so `ppcp --version` can never exit 2.
-        for argv_case in [
-            vec!["--version"],
-            vec!["-V"],
-            vec!["--version", "--method", "turbo"],
-            vec!["--rank", "abc", "--version"],
-            vec!["--version", "--frobnicate"],
-        ] {
-            let a = parse_args_from(&argv(&argv_case)).unwrap();
-            assert!(a.version, "{argv_case:?}");
-        }
-        assert!(!parse_args_from(&argv(&[])).unwrap().version);
+        assert_short_circuits("", "--version", |a| a.version);
+        assert_short_circuits("", "-V", |a| a.version);
+        assert!(!cli("").unwrap().version);
+    }
+
+    #[test]
+    fn batch_help_and_version_short_circuit() {
+        assert_short_circuits("batch", "--help", |a| a.help);
+        assert_short_circuits("batch", "-V", |a| a.version);
+    }
+
+    #[test]
+    fn stream_help_and_version_short_circuit() {
+        assert_short_circuits("stream", "-h", |a| a.help);
+        assert_short_circuits("stream", "--version", |a| a.version);
     }
 
     #[test]
@@ -1535,91 +857,85 @@ mod tests {
         // A typo'd version flag is still an argument error (exit 2), not
         // a silent fallback into a run.
         for bad in ["--versio", "--versions", "-v"] {
-            let err = parse_args_from(&argv(&[bad])).unwrap_err();
-            assert!(err.contains("unknown flag"), "{bad}: {err}");
+            rejects(bad, "unknown flag");
         }
     }
 
     #[test]
     fn backend_defaults_to_rendezvous_and_parses_both_names() {
+        assert_eq!(cli("").unwrap().backend, Backend::Rendezvous);
         assert_eq!(
-            parse_args_from(&argv(&[])).unwrap().backend,
-            Backend::default()
-        );
-        assert_eq!(
-            parse_args_from(&argv(&[])).unwrap().backend,
+            cli("--backend rendezvous").unwrap().backend,
             Backend::Rendezvous
         );
-        let a = parse_args_from(&argv(&["--backend", "rendezvous"])).unwrap();
-        assert_eq!(a.backend, Backend::Rendezvous);
-        let a = parse_args_from(&argv(&["--backend", "p2p"])).unwrap();
-        assert_eq!(a.backend, Backend::P2p);
+        assert_eq!(cli("--backend p2p").unwrap().backend, Backend::P2p);
     }
 
     #[test]
     fn unknown_backend_is_rejected_enumerating_names() {
-        let err = parse_args_from(&argv(&["--backend", "mpi"])).unwrap_err();
-        assert!(err.contains("unknown backend 'mpi'"), "{err}");
-        assert!(err.contains("rendezvous|p2p"), "{err}");
+        rejects("--backend mpi", "unknown backend 'mpi'");
+        rejects("--backend mpi", "rendezvous|p2p");
     }
 
     #[test]
     fn unknown_method_is_rejected_not_defaulted() {
-        let err = parse_args_from(&argv(&["--method", "turbo"])).unwrap_err();
-        assert!(err.contains("unknown method 'turbo'"), "{err}");
-        assert!(err.contains("dt|msdt|pp|nncp"), "{err}");
+        rejects("--method turbo", "unknown method 'turbo'");
+        rejects("--method turbo", "dt|msdt|pp|nncp");
     }
 
     #[test]
     fn unknown_dataset_is_rejected() {
-        // The rejection enumerates every valid dataset name, including the
-        // sparse ones.
-        let err = parse_args_from(&argv(&["--dataset", "netflix"])).unwrap_err();
-        assert!(err.contains("unknown dataset 'netflix'"), "{err}");
-        for name in DATASETS {
-            assert!(err.contains(name), "missing '{name}' in: {err}");
+        // The rejection enumerates every valid dataset name — the manifest's
+        // own vocabulary, sparse and fixed-size ones included.
+        rejects("--dataset netflix", "unknown dataset 'netflix'");
+        rejects("--dataset netflix", DATASET_NAMES);
+        for name in DATASET_NAMES.split('|') {
+            assert_eq!(job(&format!("--dataset {name}")).dataset.name(), name);
         }
     }
 
     #[test]
     fn sparse_datasets_admit_dt_pp_msdt_and_reject_nncp() {
         for ds in ["sparse-powerlaw", "sparse-lowrank"] {
-            // dt, pp, and msdt are all legal (msdt is also the default).
             for m in ["dt", "pp", "msdt"] {
-                let a = parse_args_from(&argv(&["--dataset", ds, "--method", m])).unwrap();
-                assert_eq!(a.dataset, ds);
-                assert_eq!(a.method, m);
+                let line = format!("--dataset {ds} --method {m}");
+                let j = job(&line);
+                assert_eq!((j.dataset.name(), j.method.label()), (ds, m));
+                // Sparse runs are sequential-only, whatever the method.
+                rejects(&format!("{line} --ranks 4"), "--ranks 1");
             }
-            let a = parse_args_from(&argv(&["--dataset", ds])).unwrap();
-            assert_eq!(a.method, "msdt");
-            // nncp stays rejected, and the message enumerates the legal set.
-            let err = parse_args_from(&argv(&["--dataset", ds, "--method", "nncp"])).unwrap_err();
-            assert!(err.contains("supports --method dt|pp|msdt"), "{ds}: {err}");
-            // Sparse runs are still sequential-only, whatever the method.
-            for m in ["dt", "pp", "msdt"] {
-                let err = parse_args_from(&argv(&["--dataset", ds, "--method", m, "--ranks", "4"]))
-                    .unwrap_err();
-                assert!(err.contains("sequential-only"), "{ds} {m}: {err}");
-            }
+            assert_eq!(job(&format!("--dataset {ds}")).method, JobMethod::Msdt);
+            let nncp = format!("--dataset {ds} --method nncp");
+            rejects(&nncp, "method=dt|pp|msdt");
         }
+        let dims = |ds: &str| job(&format!("--dataset {ds}")).dataset.dims();
+        assert_eq!(dims("sparse-powerlaw"), [512, 256, 64]);
+        assert_eq!(dims("sparse-lowrank"), [256, 256, 64]);
+    }
+
+    #[test]
+    fn nncp_on_several_ranks_is_rejected_not_swapped_for_dt() {
+        rejects("--method nncp --ranks 2", "sequential-only (--ranks 1)");
+        assert_eq!(job("--method nncp --ranks 1").method, JobMethod::Nncp);
     }
 
     #[test]
     fn unknown_flag_is_rejected() {
-        let err = parse_args_from(&argv(&["--frobnicate"])).unwrap_err();
-        assert!(err.contains("unknown flag --frobnicate"), "{err}");
+        rejects("--frobnicate", "unknown flag --frobnicate");
+        rejects("--frobnicate 1", "unknown flag --frobnicate");
+        rejects("rank=3", "unknown flag rank=3");
+        // Scheduler keys are job keys, but not of a single run.
+        rejects("--policy rr", "--policy only means something in a batch");
+        rejects("--stream on", "--stream only means");
+        rejects("--fail-after 2", "--fail-after only means");
     }
 
     #[test]
     fn bad_numbers_and_missing_values_are_rejected() {
-        assert!(parse_args_from(&argv(&["--rank", "abc"]))
-            .unwrap_err()
-            .contains("invalid value for --rank"));
-        assert!(parse_args_from(&argv(&["--seed"]))
-            .unwrap_err()
-            .contains("missing value for --seed"));
-        assert!(parse_args_from(&argv(&["--threads", "0"]))
-            .unwrap_err()
-            .contains("--threads must be at least 1"));
+        rejects("--rank abc", "invalid value for rank");
+        rejects("--ranks two", "invalid value for --ranks");
+        rejects("--seed", "missing value for --seed");
+        rejects("--threads 0", "--threads must be at least 1");
+        rejects("--dims 7", "invalid dims");
     }
 }
