@@ -312,9 +312,11 @@ macro_rules! golden_case {
     };
 }
 
-/// Sparse golden cases: PP and MSDT over the semi-sparse chain. The input
-/// never densifies inside the session; these traces pin the PR 8
-/// representation-polymorphic planner bit for bit.
+/// Sparse golden cases: PP and MSDT over the semi-sparse chain, and DT
+/// over the direct CSF MTTKRP. The input never densifies inside the
+/// session; the chain traces pin the representation-polymorphic planner
+/// and the DT traces (at rank 8, a rank-specialised width of the CSF walk)
+/// pin the sparse MTTKRP kernel, bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SparseDataset {
     /// `powerlaw_sparse(&[24, 20, 16], 800, 1.8, 5)`.
@@ -347,6 +349,12 @@ fn run_sparse_case(method: Method, dataset: SparseDataset) -> (AlsReport, Vec<Ma
     use parallel_pp::core::{AlsSession, SessionKind};
     let sp = dataset.tensor();
     let out = match method {
+        Method::Dt => AlsSession::new_sparse(
+            &sp,
+            &AlsConfig::new(8).with_max_sweeps(10).with_tol(0.0),
+            SessionKind::Exact,
+        )
+        .run(),
         Method::Msdt => AlsSession::new_sparse(
             &sp,
             &AlsConfig::new(3)
@@ -369,11 +377,14 @@ fn run_sparse_case(method: Method, dataset: SparseDataset) -> (AlsReport, Vec<Ma
         other => unreachable!("no sparse golden case for {other:?}"),
     };
     // The traces pin a run that stayed sparse end to end: the chain
-    // counters must be live and the dense-volume GEMM counter absent.
-    assert!(
-        out.report.stats.semisparse_ttm_flops > 0,
-        "sparse case densified its input"
-    );
+    // counters (or, for DT, the CSF kernel's) must be live.
+    let stats = &out.report.stats;
+    let sparse_flops = if method == Method::Dt {
+        stats.sparse_mttkrp_flops
+    } else {
+        stats.semisparse_ttm_flops
+    };
+    assert!(sparse_flops > 0, "sparse case densified its input");
     (out.report, out.factors)
 }
 
@@ -405,6 +416,8 @@ sparse_golden_case!(sparse_pp_powerlaw, Method::Pp, SparseDataset::Powerlaw);
 sparse_golden_case!(sparse_pp_lowrank, Method::Pp, SparseDataset::Lowrank);
 sparse_golden_case!(sparse_msdt_powerlaw, Method::Msdt, SparseDataset::Powerlaw);
 sparse_golden_case!(sparse_msdt_lowrank, Method::Msdt, SparseDataset::Lowrank);
+sparse_golden_case!(sparse_dt_powerlaw, Method::Dt, SparseDataset::Powerlaw);
+sparse_golden_case!(sparse_dt_lowrank, Method::Dt, SparseDataset::Lowrank);
 
 /// The sparse PP cases must actually enter the PP regime.
 #[test]
