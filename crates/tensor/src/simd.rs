@@ -8,6 +8,12 @@
 //! unaffected; levels differ across *machines* only in whether `mul_add`
 //! maps to a hardware FMA.
 //!
+//! The clones: the GEMM strip chunk (`gemm`), the mTTV slab row op
+//! (`kernels::mttv`), the Khatri-Rao row fill (`kernels::krp`), the
+//! semi-sparse TTM and mTTV blocks (`semisparse`), and the CSF MTTKRP walk
+//! (`sparse`). The Khatri-Rao fill and the CSF walk never fuse, so their
+//! clones enable no FMA and every level gives the same bits.
+//!
 //! # The `mul_add` rule
 //!
 //! `mul_add` appears only in bodies reached through a `#[target_feature]`
@@ -23,8 +29,8 @@
 
 /// Best vector extension the running CPU supports (with FMA, which every
 /// AVX2/AVX-512 part of interest has — both are required together so the
-/// feature-gated kernel clones may use `f64::mul_add`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// feature-gated kernel clones may use `f64::mul_add`). Ordered by width.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) enum SimdLevel {
     /// Baseline codegen, separate mul+add.
     Scalar,

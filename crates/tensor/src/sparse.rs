@@ -22,17 +22,30 @@
 //!   and never become `-0.0` (a `±0.0` contribution never flips the sign
 //!   of a `+0.0` accumulator under round-to-nearest), so dropping the
 //!   zero terms leaves every partial sum bit-identical.
-//! * Parallelism follows the packed GEMM's one-accumulator-per-element
-//!   discipline: the output rows are partitioned into contiguous blocks
-//!   and each row is written by exactly one task, which accumulates its
-//!   fibers in the same order the serial loop would — bit-identical at
-//!   any thread count.
+//! * Parallelism keeps one accumulator per output element: the output
+//!   rows are partitioned into contiguous blocks and each row is written
+//!   by exactly one task, which accumulates its fibers in the same order
+//!   the serial loop would — bit-identical at any thread count.
+//!
+//! # One walk at vector width
+//!
+//! Every order runs the same iterative depth-first CSF walk, compiled
+//! behind `avx512f` / `avx2` `#[target_feature]` clones dispatched on
+//! the runtime SIMD probe, at a constant width of 8, 16 or 32 lanes so a
+//! root row's accumulator stays in registers and is stored once (other
+//! ranks run over zero-padded factors at the next width). The path's
+//! factor rows are held per level and re-read only where the path
+//! changes. Per leaf the product is `p = v`, then `p *= row` for each
+//! level in ascending mode order, then `acc += p` — never fused (no
+//! `mul_add`), so every SIMD level gives the scalar arm's bits.
 
 use crate::dense::DenseTensor;
 use crate::matrix::Matrix;
 use crate::shape::Shape;
+use crate::simd::{simd_level, SimdLevel};
 use rayon::prelude::*;
 use std::cell::Cell;
+use std::ops::Range;
 
 /// A sparse tensor in sorted-coordinate (COO) form: lexicographically
 /// sorted index tuples with duplicate coordinates merged (summed in sorted
@@ -225,6 +238,12 @@ impl CsfTree {
             0
         }
     }
+
+    /// Factor row of node `node` at level `l ≥ 1`.
+    #[inline(always)]
+    fn row_at<'a>(&self, factors: &'a [Matrix], l: usize, node: usize) -> &'a [f64] {
+        factors[self.sub_modes[l - 1]].row(self.levels[l].inds[node] as usize)
+    }
 }
 
 /// The per-mode CSF forest: one fiber tree per MTTKRP target mode, all
@@ -233,7 +252,8 @@ impl CsfTree {
 /// exactly one root node) and keeps the remaining levels ascending; its
 /// sorted entry order is recovered from the canonical order with a single
 /// stable counting sort on the root coordinate — `O(nnz + Iₙ)` per tree
-/// rather than a full comparison sort.
+/// rather than a full comparison sort, and none at all for tree 0, whose
+/// order is the canonical one.
 pub struct CsfTensor {
     dims: Vec<usize>,
     nnz: usize,
@@ -287,12 +307,15 @@ impl CsfTensor {
 }
 
 /// Build the CSF tree for target mode `n`: stable counting sort of the
-/// canonical entry order by the mode-`n` coordinate, then one compression
-/// scan per level.
+/// canonical entry order by the mode-`n` coordinate (tree 0 skips it),
+/// then one compression scan per level.
 fn build_tree(sp: &SparseTensor, n: usize) -> CsfTree {
-    let order = sp.order();
+    // Tree 0's entry order (i_0, canonical) is the canonical order itself.
+    if n == 0 {
+        return compress(sp, n, 0..sp.nnz());
+    }
     let nnz = sp.nnz();
-    let sub_modes: Vec<usize> = (0..order).filter(|&m| m != n).collect();
+    assert!(nnz <= u32::MAX as usize, "nnz exceeds u32");
     // Counting sort: entry order becomes (i_n, canonical) — i.e. for a
     // fixed root index, sub-level coordinates stay in ascending-mode
     // lexicographic order, which is exactly the dense kernel's row-major
@@ -304,12 +327,21 @@ fn build_tree(sp: &SparseTensor, n: usize) -> CsfTree {
     for k in 1..counts.len() {
         counts[k] += counts[k - 1];
     }
-    let mut entry_at = vec![0usize; nnz];
+    let mut entry_at = vec![0u32; nnz];
     for e in 0..nnz {
         let i = sp.idx(e)[n] as usize;
-        entry_at[counts[i]] = e;
+        entry_at[counts[i]] = e as u32;
         counts[i] += 1;
     }
+    compress(sp, n, entry_at.iter().map(|&e| e as usize))
+}
+
+/// The compression scan of tree `n` over `entries`, the COO entries in
+/// the tree's sorted order.
+fn compress(sp: &SparseTensor, n: usize, entries: impl Iterator<Item = usize>) -> CsfTree {
+    let order = sp.order();
+    let nnz = sp.nnz();
+    let sub_modes: Vec<usize> = (0..order).filter(|&m| m != n).collect();
     // Level order: root mode n, then sub_modes ascending.
     let level_mode = |l: usize| if l == 0 { n } else { sub_modes[l - 1] };
     let mut levels: Vec<CsfLevel> = (0..order)
@@ -318,21 +350,24 @@ fn build_tree(sp: &SparseTensor, n: usize) -> CsfTree {
             ptr: Vec::new(),
         })
         .collect();
+    // The leaf level holds exactly one node per entry.
+    levels[order - 1].inds.reserve_exact(nnz);
     let mut vals = Vec::with_capacity(nnz);
-    for (pos, &e) in entry_at.iter().enumerate() {
+    let mut prev: Option<&[u32]> = None;
+    for e in entries {
         let idx = sp.idx(e);
         // First level whose path coordinate differs from the previous
         // entry (entries are sorted in level order); a fresh node there
         // forces fresh nodes at every deeper level. Duplicates were merged
         // at ingest, so every entry opens at least a fresh leaf.
         let mut split = 0;
-        if pos > 0 {
-            let prev = sp.idx(entry_at[pos - 1]);
+        if let Some(prev) = prev {
             while split < order && idx[level_mode(split)] == prev[level_mode(split)] {
                 split += 1;
             }
             debug_assert!(split < order, "duplicate coordinate in sorted COO");
         }
+        prev = Some(idx);
         for l in split..order {
             if l + 1 < order {
                 // Child span of the fresh node starts at the next level's
@@ -423,8 +458,15 @@ const PAR_THRESHOLD: usize = 1 << 14;
 /// Sparse MTTKRP `M^(n) = X_(n) · ⨀_{j≠n} A^(j)` over the CSF forest.
 ///
 /// Bit-identical to `mttkrp_pointwise(&csf_source.to_dense(), factors, n)`
-/// at any thread count — see the module docs for the argument.
+/// at any thread count and SIMD level — see the module docs for the
+/// argument.
 pub fn sparse_mttkrp(csf: &CsfTensor, factors: &[Matrix], n: usize) -> Matrix {
+    mttkrp_at(simd_level(), csf, factors, n)
+}
+
+/// [`sparse_mttkrp`] on the clone for `level`, or on the best one the CPU
+/// runs if that is lower (the unit tests walk every level).
+fn mttkrp_at(level: SimdLevel, csf: &CsfTensor, factors: &[Matrix], n: usize) -> Matrix {
     let order = csf.order();
     assert_eq!(factors.len(), order, "one factor per mode");
     assert!(n < order);
@@ -436,114 +478,232 @@ pub fn sparse_mttkrp(csf: &CsfTensor, factors: &[Matrix], n: usize) -> Matrix {
     let tree = csf.tree(n);
     debug_assert_eq!(tree.root_mode, n);
     let rows = csf.dims()[n];
-    let mut out = Matrix::zeros(rows, r);
+    // The walk runs 8, 16 or 32 lanes wide (32-lane blocks above rank 32).
+    // Other ranks run over zero-padded copies of the factors: each lane is
+    // computed on its own, so the real lanes keep their bits and the pad
+    // lanes are dropped.
+    let width = match r {
+        0..=8 => 8,
+        9..=16 => 16,
+        _ => r.next_multiple_of(32),
+    };
+    let padded: Vec<Matrix>;
+    let factors = if width == r {
+        factors
+    } else {
+        padded = factors.iter().map(|f| pad_cols(f, width)).collect();
+        &padded
+    };
+    let mut out = Matrix::zeros(rows, width);
     let threads = rayon::current_num_threads();
     if threads <= 1 || csf.nnz() * r < PAR_THRESHOLD || rows == 0 {
-        accumulate_root_range(
-            tree,
-            factors,
-            0,
-            tree.levels[0].inds.len(),
-            0,
-            out.data_mut(),
-            r,
-        );
+        let roots = 0..tree.levels[0].inds.len();
+        walk_block(level, tree, factors, roots, 0, out.data_mut(), width);
     } else {
         let block_rows = rows.div_ceil(ROW_BLOCK_OVERSUB * threads).max(1);
         out.data_mut()
-            .par_chunks_mut(block_rows * r)
+            .par_chunks_mut(block_rows * width)
             .enumerate()
             .for_each(|(b, chunk)| {
                 let row0 = b * block_rows;
-                let row1 = row0 + chunk.len() / r;
+                let row1 = row0 + chunk.len() / width;
                 let roots = &tree.levels[0].inds;
                 let lo = roots.partition_point(|&i| (i as usize) < row0);
                 let hi = roots.partition_point(|&i| (i as usize) < row1);
-                accumulate_root_range(tree, factors, lo, hi, row0, chunk, r);
+                walk_block(level, tree, factors, lo..hi, row0, chunk, width);
             });
     }
     bump_counters(
         csf.nnz() as u64 * r as u64 * order as u64,
         tree.fiber_count() as u64,
     );
-    out
+    if width == r {
+        out
+    } else {
+        Matrix::from_fn(rows, r, |i, j| out.get(i, j))
+    }
 }
 
-/// Accumulate root nodes `[lo, hi)` into `out`, a row-major block of `r`
-/// wide rows starting at output row `row0`. Each root node owns exactly
-/// one output row; fibers under it are visited in sorted order.
-fn accumulate_root_range(
+/// `m` with zero columns appended up to `width`.
+fn pad_cols(m: &Matrix, width: usize) -> Matrix {
+    let mut p = Matrix::zeros(m.rows(), width);
+    for i in 0..m.rows() {
+        p.row_mut(i)[..m.cols()].copy_from_slice(m.row(i));
+    }
+    p
+}
+
+/// One block of root nodes, on the clone for `level` or the best one the
+/// CPU runs if that is lower.
+fn walk_block(
+    level: SimdLevel,
     tree: &CsfTree,
     factors: &[Matrix],
-    lo: usize,
-    hi: usize,
+    roots: Range<usize>,
     row0: usize,
     out: &mut [f64],
     r: usize,
 ) {
-    let order = tree.levels.len();
-    for root in lo..hi {
-        let row = tree.levels[0].inds[root] as usize - row0;
-        let out_row = &mut out[row * r..(row + 1) * r];
-        if order == 3 {
-            // The dominant order-3 fast path: fiber = (mid, leaf range).
-            let fa = &factors[tree.sub_modes[0]];
-            let fb = &factors[tree.sub_modes[1]];
-            let roots = &tree.levels[0];
-            let mids = &tree.levels[1];
-            let leaves = &tree.levels[2];
-            for mid in roots.ptr[root]..roots.ptr[root + 1] {
-                let row_a = fa.row(mids.inds[mid] as usize);
-                for leaf in mids.ptr[mid]..mids.ptr[mid + 1] {
-                    let v = tree.vals[leaf];
-                    let row_b = fb.row(leaves.inds[leaf] as usize);
-                    for rr in 0..r {
-                        out_row[rr] += v * row_a[rr] * row_b[rr];
-                    }
-                }
+    match simd_level().min(level) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: at most the level `simd_level` probed: AVX-512F at runtime.
+        SimdLevel::Avx512 => unsafe { walk_avx512(tree, factors, roots, row0, out, r) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: at most the level `simd_level` probed: AVX2 at runtime.
+        SimdLevel::Avx2 => unsafe { walk_avx2(tree, factors, roots, row0, out, r) },
+        SimdLevel::Scalar => walk_body(tree, factors, roots, row0, out, r),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn walk_avx512(
+    tree: &CsfTree,
+    factors: &[Matrix],
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    r: usize,
+) {
+    walk_body(tree, factors, roots, row0, out, r)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn walk_avx2(
+    tree: &CsfTree,
+    factors: &[Matrix],
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    r: usize,
+) {
+    walk_body(tree, factors, roots, row0, out, r)
+}
+
+/// Width dispatch: `r` is 8, 16, 32 or a multiple of 32, and [`walk`]
+/// runs at a constant width — once, or per 32-lane block — so a root row's
+/// accumulator stays in registers.
+#[inline(always)]
+fn walk_body(
+    tree: &CsfTree,
+    factors: &[Matrix],
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    r: usize,
+) {
+    match r {
+        8 => walk::<8>(tree, factors, roots, row0, out, 8, 0),
+        16 => walk::<16>(tree, factors, roots, row0, out, 16, 0),
+        32 => walk::<32>(tree, factors, roots, row0, out, 32, 0),
+        _ => {
+            for c0 in (0..r).step_by(32) {
+                walk::<32>(tree, factors, roots.clone(), row0, out, r, c0);
             }
-        } else {
-            let mut path = vec![0usize; order];
-            path[0] = root;
-            descend(tree, factors, 1, root, &mut path, out_row, r);
         }
     }
 }
 
-/// Generic-order depth-first walk: at the leaf level, multiply the path's
-/// factor rows in ascending-mode (= level) order, exactly like the dense
-/// pointwise kernel.
-fn descend(
+/// An order-2 tree's fibers are its roots, which have no factor row of
+/// their own: they read this row of ones, an exact no-op in the product.
+const ONES: [f64; 32] = [1.0; 32];
+
+/// The CSF walk: accumulate root nodes `roots` into lanes `c0..c0 + W` of
+/// `out`, a row-major block of `r`-wide rows starting at output row `row0`.
+///
+/// Under each root the walk holds the path above the fibers (leaf-parent
+/// nodes) with each level's factor row, and steps it only where a node's
+/// children run out; the fibers under the path's deepest node and their
+/// leaves are two plain loops. Per leaf: `p = v`, `p *= row` for each level
+/// in ascending mode order, then `acc += p` — the pointwise oracle's
+/// sequence, unfused. The `[f64; W]` accumulator starts at `+0.0` and is
+/// stored once per root, which equals the oracle's in-place sum because
+/// each root owns its row and `out` is zeroed.
+#[inline(always)]
+fn walk<const W: usize>(
     tree: &CsfTree,
     factors: &[Matrix],
-    level: usize,
-    node: usize,
-    path: &mut Vec<usize>,
-    out_row: &mut [f64],
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
     r: usize,
+    c0: usize,
 ) {
-    let order = tree.levels.len();
-    let span = tree.levels[level - 1].ptr[node]..tree.levels[level - 1].ptr[node + 1];
-    if level == order - 1 {
-        let leaves = &tree.levels[level];
-        for leaf in span {
-            let v = tree.vals[leaf];
-            let row_last = factors[tree.sub_modes[level - 1]].row(leaves.inds[leaf] as usize);
-            for rr in 0..r {
-                let mut prod = v;
-                for (sub, &nd) in path[1..level].iter().enumerate() {
-                    prod *= factors[tree.sub_modes[sub]]
-                        .row(tree.levels[sub + 1].inds[nd] as usize)[rr];
+    let levels = &tree.levels;
+    let leaf = levels.len() - 1;
+    let (vals, leaf_inds) = (&tree.vals, &levels[leaf].inds);
+    let leaf_factor = factors[tree.sub_modes[leaf - 1]].data();
+    let fibers = &levels[leaf - 1];
+    let fiber_factor = match leaf {
+        1 => None,
+        _ => Some(factors[tree.sub_modes[leaf - 2]].data()),
+    };
+    // The path above the fibers: `nodes[l]` at levels `0..=leaf - 2`, the
+    // root first, and `stems[l - 1]` the factor row of each below the root.
+    let mut nodes = vec![0; leaf.max(2) - 1];
+    let mut stems: Vec<&[f64]> = Vec::with_capacity(leaf.max(2) - 2);
+    for root in roots {
+        nodes[0] = root;
+        stems.clear();
+        for l in 1..leaf - 1 {
+            nodes[l] = levels[l - 1].ptr[nodes[l - 1]];
+            stems.push(tree.row_at(factors, l, nodes[l]));
+        }
+        let mut end = root + 1;
+        for level in &levels[..leaf - 1] {
+            end = level.ptr[end];
+        }
+        let mut f = match leaf {
+            1 => root,
+            _ => levels[leaf - 2].ptr[nodes[leaf - 2]],
+        };
+        let mut acc = [0.0; W];
+        loop {
+            // The fibers under the path's deepest node.
+            let stop = match leaf {
+                1 => end,
+                _ => levels[leaf - 2].ptr[nodes[leaf - 2] + 1],
+            };
+            let spans = fibers.ptr[f..=stop].windows(2);
+            for (span, &fi) in spans.zip(&fibers.inds[f..stop]) {
+                let fiber_row = match fiber_factor {
+                    Some(fac) => &fac[fi as usize * r + c0..][..W],
+                    None => &ONES[..W],
+                };
+                let (lo, hi) = (span[0], span[1]);
+                for (&v, &i) in vals[lo..hi].iter().zip(&leaf_inds[lo..hi]) {
+                    let mut p = [v; W];
+                    for row in &stems {
+                        for (p, &x) in p.iter_mut().zip(&row[c0..][..W]) {
+                            *p *= x;
+                        }
+                    }
+                    for (p, &x) in p.iter_mut().zip(fiber_row) {
+                        *p *= x;
+                    }
+                    let last = &leaf_factor[i as usize * r + c0..][..W];
+                    for ((a, &p), &x) in acc.iter_mut().zip(&p).zip(last) {
+                        *a += p * x;
+                    }
                 }
-                prod *= row_last[rr];
-                out_row[rr] += prod;
+            }
+            if stop == end {
+                break;
+            }
+            // Step the deepest node to its next sibling; an ancestor steps
+            // too when that exhausts its children.
+            f = stop;
+            for l in (1..leaf - 1).rev() {
+                nodes[l] += 1;
+                stems[l - 1] = tree.row_at(factors, l, nodes[l]);
+                if levels[l - 1].ptr[nodes[l - 1] + 1] > nodes[l] {
+                    break;
+                }
             }
         }
-    } else {
-        for child in span {
-            path[level] = child;
-            descend(tree, factors, level + 1, child, path, out_row, r);
-        }
+        let row = levels[0].inds[root] as usize - row0;
+        out[row * r + c0..][..W].copy_from_slice(&acc);
     }
 }
 
@@ -631,6 +791,67 @@ mod tests {
                 assert_eq!(got.data(), want.data(), "dims {dims:?} mode {n}");
             }
         }
+    }
+
+    /// The scalar arm and every clone the CPU runs give the pointwise
+    /// oracle's bits — at the walk's own widths, padded ones and 32-lane
+    /// blocks, orders 2–5, serial and (the order-3 case at R ≥ 12) pooled.
+    #[test]
+    fn every_simd_level_matches_pointwise_oracle_bitwise() {
+        let levels = [
+            SimdLevel::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512,
+        ];
+        let best = simd_level();
+        for (dims, nnz, seed) in [
+            (vec![9, 7], 30usize, 21u64),
+            (vec![40, 30, 20], 1500, 22),
+            (vec![7, 6, 5, 4], 120, 23),
+            (vec![5, 4, 3, 4, 3], 150, 24),
+        ] {
+            let sp = random_sparse(&dims, nnz, seed);
+            let dense = sp.to_dense();
+            let csf = CsfTensor::build(&sp);
+            for r in [3, 8, 12, 16, 32, 40] {
+                let factors = factors_for(&dims, r, seed + r as u64);
+                for n in 0..dims.len() {
+                    let want: Vec<u64> = mttkrp_pointwise(&dense, &factors, n)
+                        .data()
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect();
+                    for &level in levels.iter().filter(|&&l| l <= best) {
+                        let got: Vec<u64> = mttkrp_at(level, &csf, &factors, n)
+                            .data()
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect();
+                        assert_eq!(got, want, "{level:?} dims {dims:?} r {r} mode {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tree_zero_follows_the_canonical_order() {
+        // Tree 0 is built straight from the canonical order; every tree's
+        // root level lists each occupied row once, ascending, and its leaf
+        // level holds exactly one node per nonzero.
+        let sp = random_sparse(&[6, 5, 4, 3], 90, 31);
+        let csf = CsfTensor::build(&sp);
+        for n in 0..4 {
+            let t = csf.tree(n);
+            assert!(t.levels[0].inds.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(t.levels[3].inds.len(), sp.nnz());
+            assert_eq!(t.vals.len(), sp.nnz());
+        }
+        let leaf: Vec<u32> = (0..sp.nnz()).map(|e| sp.idx(e)[3]).collect();
+        assert_eq!(csf.tree(0).levels[3].inds, leaf);
+        assert_eq!(csf.tree(0).vals, sp.vals());
     }
 
     #[test]

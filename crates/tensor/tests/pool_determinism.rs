@@ -324,29 +324,29 @@ fn sparse_mttkrp_bit_identical_1_vs_4_threads() {
     // a prime leading extent keeps block boundaries misaligned with fiber
     // boundaries at every width. nnz·R clears the 2^14 parallel threshold,
     // so 4 threads genuinely takes the pooled path while 1 thread takes
-    // the serial fallback — outputs must still match bit for bit.
+    // the serial fallback — outputs must still match bit for bit. R = 16
+    // and 32 are widths of the CSF walk, R = 12 runs zero-padded to 16.
     let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dims = [101usize, 64, 32];
     let sp = lcg_sparse(&dims, 1500, 0x5EED_1234);
     let mut rng = seeded(78);
     let csf = CsfTensor::build(&sp);
-    let factors: Vec<Matrix> = dims
-        .iter()
-        .map(|&d| uniform_matrix(d, 16, &mut rng))
-        .collect();
-    for n in 0..dims.len() {
-        assert!(
-            sp.nnz() * 16 >= 1 << 14,
-            "case must clear the par threshold"
-        );
-        let one = with_threads(1, || sparse_mttkrp(&csf, &factors, n));
-        for threads in [2, 4, 8] {
-            let par = with_threads(threads, || sparse_mttkrp(&csf, &factors, n));
-            assert_eq!(
-                one.data(),
-                par.data(),
-                "sparse MTTKRP mode {n} differs at {threads} threads"
-            );
+    for r in [12, 16, 32] {
+        assert!(sp.nnz() * r >= 1 << 14, "case must clear the par threshold");
+        let factors: Vec<Matrix> = dims
+            .iter()
+            .map(|&d| uniform_matrix(d, r, &mut rng))
+            .collect();
+        for n in 0..dims.len() {
+            let one = with_threads(1, || sparse_mttkrp(&csf, &factors, n));
+            for threads in [2, 4, 8] {
+                let par = with_threads(threads, || sparse_mttkrp(&csf, &factors, n));
+                assert_eq!(
+                    one.data(),
+                    par.data(),
+                    "sparse MTTKRP r={r} mode {n} differs at {threads} threads"
+                );
+            }
         }
     }
 }

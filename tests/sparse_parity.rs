@@ -15,7 +15,7 @@ use parallel_pp::tensor::sparse::{sparse_mttkrp, CsfTensor, SparseTensor};
 use parallel_pp::tensor::Matrix;
 use proptest::prelude::*;
 
-/// Shape menus spanning order 3 and 4, with ragged/prime extents so fiber
+/// Shape menus spanning orders 3 to 5, with ragged/prime extents so fiber
 /// boundaries never align with chunk boundaries. Sample counts run from
 /// empty through ~10% density on the smallest shape.
 const SHAPES: &[&[usize]] = &[
@@ -25,12 +25,16 @@ const SHAPES: &[&[usize]] = &[
     &[17, 16, 3],
     &[5, 4, 3, 3],
     &[7, 6, 5, 4],
+    &[5, 4, 3, 4, 3],
 ];
 /// Orders 3–5 for the free-position mTTV chain (first levels of 2–4
 /// surviving levels).
 const CHAIN_SHAPES: &[&[usize]] = &[&[9, 8, 7], &[7, 6, 5, 4], &[5, 4, 3, 4, 3]];
 const SAMPLES: &[usize] = &[0, 1, 7, 40, 150, 600];
 const SKEWS: &[f64] = &[1.0, 1.6, 2.5];
+/// CSF MTTKRP ranks: every rank up to 9, the walk's own widths (8, 16,
+/// 32) and ranks it runs zero-padded (12, 24).
+const RANKS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 24, 32];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -40,11 +44,12 @@ proptest! {
         si in 0usize..SHAPES.len(),
         ci in 0usize..SAMPLES.len(),
         ki in 0usize..SKEWS.len(),
-        rank in 1usize..9,
+        ri in 0usize..RANKS.len(),
         data_seed in 0u64..500,
         factor_seed in 0u64..500,
     ) {
         let dims = SHAPES[si];
+        let rank = RANKS[ri];
         let sp = powerlaw_sparse(dims, SAMPLES[ci], SKEWS[ki], data_seed);
         let csf = CsfTensor::build(&sp);
         let dense = sp.to_dense();
