@@ -62,6 +62,9 @@ enum Dataset {
     Lowrank,
     /// Collinearity tensor, s=12, r=3, [0.5, 0.7], seed 3.
     Collin,
+    /// Order-4 collinearity tensor, s=24, r=8, [0.5, 0.7], seed 3: every
+    /// first-level contraction of an order-4 MSDT, interior modes included.
+    Collin4,
 }
 
 impl Dataset {
@@ -69,22 +72,25 @@ impl Dataset {
         match self {
             Dataset::Lowrank => "lowrank",
             Dataset::Collin => "collin",
+            Dataset::Collin4 => "collin4",
         }
     }
 
     fn tensor(&self) -> DenseTensor {
+        let collin = |s, r, order| {
+            let cfg = CollinearityConfig {
+                s,
+                r,
+                order,
+                lo: 0.5,
+                hi: 0.7,
+            };
+            collinearity_tensor(&cfg, 3).0
+        };
         match self {
             Dataset::Lowrank => noisy_rank(&[12, 10, 11], 4, 0.05, 7),
-            Dataset::Collin => {
-                let cfg = CollinearityConfig {
-                    s: 12,
-                    r: 3,
-                    order: 3,
-                    lo: 0.5,
-                    hi: 0.7,
-                };
-                collinearity_tensor(&cfg, 3).0
-            }
+            Dataset::Collin => collin(12, 3, 3),
+            Dataset::Collin4 => collin(24, 8, 4),
         }
     }
 
@@ -93,6 +99,7 @@ impl Dataset {
         match self {
             Dataset::Lowrank => 4,
             Dataset::Collin => 3,
+            Dataset::Collin4 => 8,
         }
     }
 }
@@ -439,13 +446,83 @@ golden_case!(nncp_lowrank, Method::Nncp, Dataset::Lowrank);
 golden_case!(nncp_collin, Method::Nncp, Dataset::Collin);
 golden_case!(par_lowrank, Method::Par, Dataset::Lowrank);
 golden_case!(par_collin, Method::Par, Dataset::Collin);
+golden_case!(msdt_collin4, Method::Msdt, Dataset::Collin4);
+golden_case!(pp_collin4, Method::Pp, Dataset::Collin4);
+
+/// A streamed time-lapse (12×10×8, 3 initial frames, 4 arrivals of 2) at
+/// rank 8, two sweeps per window, the incremental cache refresh: pins the
+/// evolving-mode-major input, its slice contractions and the in-place cache
+/// extension, which no fixed-input case reaches.
+fn run_stream_case(method: Method) -> (AlsReport, Vec<Matrix>) {
+    use parallel_pp::core::{SessionKind, StreamingSession};
+    use parallel_pp::datagen::timelapse::{TimelapseConfig, TimelapseStream, TIME_MODE};
+    use parallel_pp::dtree::CacheUpdate;
+    let tl = TimelapseConfig {
+        height: 12,
+        width: 10,
+        bands: 8,
+        times: 11,
+        materials: 3,
+        noise: 1e-3,
+    };
+    let feed = TimelapseStream::new(&tl, 19, 3, 2).unwrap();
+    let cfg = AlsConfig::new(8)
+        .with_policy(TreePolicy::MultiSweep)
+        .with_pp_tol(0.5)
+        .with_tol(0.0);
+    let kind = match method {
+        Method::Msdt => SessionKind::Exact,
+        Method::Pp => SessionKind::Pp,
+        other => unreachable!("no stream golden case for {other:?}"),
+    };
+    let mut s = StreamingSession::new(
+        &feed.initial(),
+        &cfg,
+        kind,
+        TIME_MODE,
+        2,
+        CacheUpdate::Incremental,
+    );
+    s.run_window();
+    for i in 0..feed.n_arrivals() {
+        s.arrive(&feed.slice(i));
+        s.run_window();
+    }
+    let out = s.finish();
+    (out.report, out.factors)
+}
+
+fn check_stream_case(method: Method) {
+    let (report, factors) = run_stream_case(method);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("stream_{}_timelapse.json", method.tag()));
+    check_trace(
+        &path,
+        &format!("stream {method:?}/timelapse"),
+        method.tag(),
+        "stream-timelapse",
+        &report,
+        &factors,
+    );
+}
+
+#[test]
+fn stream_msdt_timelapse() {
+    check_stream_case(Method::Msdt);
+}
+
+#[test]
+fn stream_pp_timelapse() {
+    check_stream_case(Method::Pp);
+}
 
 /// The PP cases must actually exercise the PP regime, otherwise the golden
 /// trace pins nothing interesting — guard against silently losing coverage
 /// to a future config tweak.
 #[test]
 fn pp_cases_reach_pp_regime() {
-    for dataset in [Dataset::Lowrank, Dataset::Collin] {
+    for dataset in [Dataset::Lowrank, Dataset::Collin, Dataset::Collin4] {
         let (report, _) = run_case(Method::Pp, dataset);
         let has_init = report.sweeps.iter().any(|s| s.kind.label() == "PP-init");
         let has_approx = report.sweeps.iter().any(|s| s.kind.label() == "PP-approx");
