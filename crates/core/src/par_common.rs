@@ -4,7 +4,7 @@
 use crate::config::{AlsConfig, SolveStrategy};
 use crate::fitness::{fitness_from_residual, relative_residual};
 use pp_comm::{Collectives, RankCtx};
-use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel, TreePolicy};
+use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel};
 use pp_grid::{DistFactor, DistTensor, FactorLayout, ProcGrid};
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::rng::{seeded, uniform_matrix};
@@ -27,7 +27,7 @@ pub struct ParState {
     pub grams: Vec<Matrix>,
     /// Local dimension-tree engine.
     pub engine: DimTreeEngine,
-    /// Local tensor block (with MSDT copies when requested).
+    /// Local tensor block, in its one layout for either tree.
     pub input: InputTensor,
     /// Global `‖T‖²_F`.
     pub t_norm_sq: f64,
@@ -72,10 +72,7 @@ impl ParState {
             .map(|f| f.gram_allreduce(&ctx.comm))
             .collect();
 
-        let input = match cfg.policy {
-            TreePolicy::Standard => InputTensor::new(local.local().clone()),
-            TreePolicy::MultiSweep => InputTensor::with_msdt_copies(local.local().clone()),
-        };
+        let input = InputTensor::new(local.local().clone());
         let engine = DimTreeEngine::new(cfg.policy, n_modes);
 
         let t_norm_sq = ctx.comm.all_reduce_sum(&[local.local().norm_sq()])[0];

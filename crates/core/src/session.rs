@@ -2,7 +2,7 @@
 //! sequential driver.
 //!
 //! An [`AlsSession`] owns *all* state a CP decomposition needs between
-//! sweeps — the input tensor (with MSDT layout copies), the dimension-tree
+//! sweeps — the input tensor in its one stored layout, the dimension-tree
 //! engine with its intermediate cache and in-flight lookahead slot, the
 //! versioned factors, the replicated Gram matrices, the PP regime state
 //! (`A_p` reference, `dA` drifts, pair operators), and the fitness trace.
@@ -123,13 +123,12 @@ pub struct AlsSession {
     finished: bool,
 }
 
-/// The dense input a session sweeps over: the policy's stored layouts, led
+/// The dense input a session sweeps over: one layout for either tree, led
 /// by `evolving` when the tensor will grow along that mode (streaming).
-fn dense_input(t: &DenseTensor, policy: TreePolicy, evolving: Option<usize>) -> InputTensor {
-    match (evolving, policy) {
-        (Some(e), _) => InputTensor::evolving(t, e, policy == TreePolicy::MultiSweep),
-        (None, TreePolicy::Standard) => InputTensor::new(t.clone()),
-        (None, TreePolicy::MultiSweep) => InputTensor::with_msdt_copies(t.clone()),
+fn dense_input(t: &DenseTensor, evolving: Option<usize>) -> InputTensor {
+    match evolving {
+        Some(e) => InputTensor::evolving(t, e),
+        None => InputTensor::new(t.clone()),
     }
 }
 
@@ -177,8 +176,7 @@ impl AlsSession {
         let _threads = cfg.thread_guard();
 
         // ‖T‖² is one serial pass; it rides beside the layout construction.
-        let (input, t_norm_sq) =
-            rayon::join(|| dense_input(t, cfg.policy, evolving), || t.norm_sq());
+        let (input, t_norm_sq) = rayon::join(|| dense_input(t, evolving), || t.norm_sq());
         Self::from_input(input, t_norm_sq, cfg, kind, init)
     }
 
@@ -229,8 +227,8 @@ impl AlsSession {
     ///   routes through the direct CSF kernel.
     /// * `Exact` + [`TreePolicy::MultiSweep`] (the `msdt` method): the
     ///   dimension tree runs over **semi-sparse** intermediates (dense rank
-    ///   panels on the surviving fiber structure) — no layout copies are
-    ///   materialized and the input is never densified.
+    ///   panels on the surviving fiber structure) — the input is never
+    ///   densified.
     /// * `Pp` + [`TreePolicy::MultiSweep`] (the `pp` method): exact sweeps
     ///   and PP operator construction both contract over the semi-sparse
     ///   chain; only the operator-sized pair tensors are dense.
@@ -471,8 +469,8 @@ impl AlsSession {
         t: &DenseTensor,
         evolving: Option<usize>,
     ) -> Result<(AlsSession, u64), String> {
-        Self::resume_core(bytes, tensor_fingerprint(t), t.order(), |cfg| {
-            dense_input(t, cfg.policy, evolving)
+        Self::resume_core(bytes, tensor_fingerprint(t), t.order(), |_| {
+            dense_input(t, evolving)
         })
     }
 
@@ -617,7 +615,7 @@ impl AlsSession {
             return Err("checkpoint has trailing bytes".into());
         }
 
-        // Rebuild the runtime-only pieces (MSDT layout copies / CSF trees,
+        // Rebuild the runtime-only pieces (input layout / CSF trees,
         // engine) exactly as construction does, then reinstall the cached
         // intermediates and stats the checkpoint captured.
         let input = build_input(&cfg);
@@ -1229,7 +1227,6 @@ mod tests {
         assert!(s.semisparse_ttm_flops > 0, "first levels must be sparse");
         assert!(s.semisparse_ttv_flops > 0, "lower levels must be sparse");
         assert_eq!(s.sparse_mttkrp_flops, 0, "direct CSF kernel not used");
-        assert_eq!(s.transpose_count, 0, "no layout copies on sparse input");
     }
 
     #[test]

@@ -206,11 +206,8 @@ impl StreamingSession {
         // The slice, laid out like the input — once, for the warm start,
         // the input append and the cache extension alike (its norm, one
         // serial pass, rides beside).
-        let copies = p.cfg.policy == TreePolicy::MultiSweep;
-        let (mut slice_input, slice_norm_sq) = rayon::join(
-            || InputTensor::evolving(slice, e, copies),
-            || slice.norm_sq(),
-        );
+        let (mut slice_input, slice_norm_sq) =
+            rayon::join(|| InputTensor::evolving(slice, e), || slice.norm_sq());
 
         // Warm-start rows for the evolving mode: solve the normal
         // equations of the slice against the frozen other factors —

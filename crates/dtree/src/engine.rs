@@ -270,7 +270,7 @@ impl DimTreeEngine {
             self.stats.spec_wasted += 1; // superseded before use
         }
         let Some(plan) = input.plan_contract(k) else {
-            return; // would need an explicit transpose: not worth it
+            return; // a direct-CSF input has no first-level TTM
         };
         let mode_order = plan.mode_order.clone();
         let factor = fs.factor(k).clone();
@@ -379,9 +379,6 @@ impl DimTreeEngine {
         self.stats
             .add_gemm_delta(&pp_tensor::gemm::thread_gemm_counters().since(&g0));
         self.stats.add_ss_delta(&thread_ss_counters().since(&s0));
-        if fl.transpose_words > 0 {
-            self.stats.record(Kernel::Transpose, fl.transpose_time, 0);
-        }
         self.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
         Intermediate {
             payload: fl.payload,
@@ -397,8 +394,8 @@ impl DimTreeEngine {
     /// ([`InputTensor::append`] of this same `slice`) and extended +
     /// version-bumped mode `e`'s factor in `fs`, and no speculation is in
     /// flight. `slice` is the arriving slice laid out like `input`
-    /// ([`InputTensor::evolving`] with the same arguments), so a plan picks
-    /// the same layout and kernel on both.
+    /// ([`InputTensor::evolving`] along the same mode), so a plan picks
+    /// the same kernel on both.
     ///
     /// First-level entries whose mode set *contains* `e` and whose
     /// contracted-away factors are still current are the reusable ones:
@@ -712,10 +709,7 @@ mod tests {
     /// and compare every M^(n) against the naive oracle.
     fn sweep_matches_oracle(policy: TreePolicy, dims: &[usize], r: usize) {
         let (t, mut fs) = setup(dims, r, 42);
-        let mut input = match policy {
-            TreePolicy::Standard => InputTensor::new(t.clone()),
-            TreePolicy::MultiSweep => InputTensor::with_msdt_copies(t.clone()),
-        };
+        let mut input = InputTensor::new(t.clone());
         let mut engine = DimTreeEngine::new(policy, dims.len());
         let mut rng = seeded(7);
         for _sweep in 0..3 {
@@ -762,10 +756,7 @@ mod tests {
     fn ttm_counts(policy: TreePolicy, n_modes: usize, sweeps: usize) -> u64 {
         let dims = vec![6; n_modes];
         let (t, mut fs) = setup(&dims, 2, 3);
-        let mut input = match policy {
-            TreePolicy::Standard => InputTensor::new(t),
-            TreePolicy::MultiSweep => InputTensor::with_msdt_copies(t),
-        };
+        let mut input = InputTensor::new(t);
         let mut engine = DimTreeEngine::new(policy, n_modes);
         let mut rng = seeded(11);
         // Warm up one sweep, then count.
@@ -800,9 +791,10 @@ mod tests {
 
     #[test]
     fn msdt_avoids_transposes_with_copies() {
+        // No copies needed: every mode contracts in place in one layout.
         let dims = vec![5, 5, 5, 5];
         let (t, mut fs) = setup(&dims, 2, 9);
-        let mut input = InputTensor::with_msdt_copies(t);
+        let mut input = InputTensor::new(t);
         let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, 4);
         let mut rng = seeded(13);
         for _ in 0..4 {
@@ -833,12 +825,8 @@ mod tests {
     fn sweep_with_lookahead(policy: TreePolicy, dims: &[usize], r: usize) {
         let (t, fs0) = setup(dims, r, 77);
         let n_modes = dims.len();
-        let make_input = |policy| match policy {
-            TreePolicy::Standard => InputTensor::new(t.clone()),
-            TreePolicy::MultiSweep => InputTensor::with_msdt_copies(t.clone()),
-        };
-        let mut in_plain = make_input(policy);
-        let mut in_spec = make_input(policy);
+        let mut in_plain = InputTensor::new(t.clone());
+        let mut in_spec = InputTensor::new(t.clone());
         let mut e_plain = DimTreeEngine::new(policy, n_modes);
         let mut e_spec = DimTreeEngine::new(policy, n_modes);
         let mut fs_plain = fs0.clone();
@@ -895,7 +883,7 @@ mod tests {
         // still produce the oracle MTTKRP.
         let dims = [5, 4, 6];
         let (t, mut fs) = setup(&dims, 2, 23);
-        let mut input = InputTensor::with_msdt_copies(t.clone());
+        let mut input = InputTensor::new(t.clone());
         let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, 3);
         let mut rng = seeded(29);
 
@@ -985,7 +973,6 @@ mod tests {
         let d_e = dims[e];
         let initial = t_full.slice_along(e, 0, d_e - grow);
         let slice = t_full.slice_along(e, d_e - grow, grow);
-        let copies = policy == TreePolicy::MultiSweep;
         // Factors: the evolving mode starts with the first d_e-grow rows of
         // the full factor and is extended with the last rows, so both arms
         // end at the exact same factor values as the cold full-tensor run.
@@ -1008,7 +995,7 @@ mod tests {
         let mut arms = Vec::new();
         let mut refresh_flops = Vec::new();
         for update in [CacheUpdate::Incremental, CacheUpdate::Recompute] {
-            let mut input = InputTensor::evolving(&initial, e, copies);
+            let mut input = InputTensor::evolving(&initial, e);
             let mut fs = make_fs();
             let mut engine = DimTreeEngine::new(policy, dims.len());
             // Warm sweep on the small tensor populates the cache.
@@ -1024,7 +1011,7 @@ mod tests {
                 .iter()
                 .filter(|i| i.set().contains(e) && i.set().len() == dims.len() - 1)
                 .count();
-            let mut slice_input = InputTensor::evolving(&slice, e, copies);
+            let mut slice_input = InputTensor::evolving(&slice, e);
             input.append(&slice_input);
             fs.extend_rows(e, &extra_e);
             engine.take_stats();
@@ -1130,7 +1117,7 @@ mod tests {
         let full_e = fs_full.factor(e);
         let mut caches = Vec::new();
         for update in [CacheUpdate::Incremental, CacheUpdate::Recompute] {
-            let mut input = InputTensor::with_msdt_copies(initial.clone());
+            let mut input = InputTensor::new(initial.clone());
             let factors: Vec<Matrix> = (0..dims.len())
                 .map(|n| {
                     if n == e {
@@ -1151,7 +1138,7 @@ mod tests {
                 e,
                 &Matrix::from_fn(grow, r, |i, j| full_e.get(dims[e] - grow + i, j)),
             );
-            let mut slice_input = InputTensor::evolving(&slice, e, true);
+            let mut slice_input = InputTensor::evolving(&slice, e);
             engine.extend_mode(&mut input, &fs, e, &mut slice_input, update);
             for n in 0..dims.len() {
                 let got = engine.mttkrp(&mut input, &fs, n);
@@ -1207,7 +1194,7 @@ mod tests {
         let mut fs1 = fs0.clone();
         let mut fs2 = fs0.clone();
         let mut in1 = InputTensor::new(t.clone());
-        let mut in2 = InputTensor::with_msdt_copies(t);
+        let mut in2 = InputTensor::new(t);
         let mut e1 = DimTreeEngine::new(TreePolicy::Standard, 3);
         let mut e2 = DimTreeEngine::new(TreePolicy::MultiSweep, 3);
         let mut rng = seeded(5);

@@ -1,24 +1,22 @@
-//! The input tensor with optional pre-permuted copies.
+//! The input tensor, stored in exactly one layout.
 //!
-//! First-level dimension-tree contractions (TTMs) are free of data movement
-//! only when the contracted mode is the first or last mode of some stored
-//! layout. The standard dimension tree only ever contracts extreme modes,
-//! so it needs no copies; MSDT cycles through *every* mode as the
-//! first-level contraction, so the paper's implementation stores permuted
-//! copies of the input tensor to avoid per-sweep transposes (§IV). One copy
-//! suffices for orders 3 and 4 (each copy exposes two more modes: one
-//! first, one last).
+//! Every first-level dimension-tree contraction (TTM) contracts its mode
+//! where it sits in that layout: the first mode with `ttm_first`, the last
+//! with `ttm_last`, and any interior mode with `ttm_at` — one transposed
+//! GEMM per slab of the modes in front of it. None moves data, so MSDT,
+//! which makes every mode the first-contracted one in turn, needs no more
+//! than the standard tree does. (The paper's implementation stores permuted
+//! copies of the input for MSDT instead, §IV; its Table I cost model never
+//! counted them.)
 //!
-//! A **streaming** input ([`InputTensor::evolving`]) grows along one mode
-//! `e`, so every one of its layouts is `[e, a, ..., b]`: appending a slice
-//! is a tail append on each layout, `e` contracts with `ttm_first`, `b`
-//! with `ttm_last`, and `a` with `ttm_first_batched` (one transposed GEMM
-//! per `e`-slab). Each layout exposes two modes besides `e`, so orders up
-//! to 3 need one layout and orders 4 and 5 two. The layouts are a pure
-//! function of (order, `e`, copies or not) — never of arrival history.
+//! A fixed input keeps the canonical mode order. A **streaming** input
+//! ([`InputTensor::evolving`]) grows along one mode `e` and is stored
+//! `[e, others ascending]`, so appending a slice is a tail append and every
+//! intermediate that keeps `e` keeps it in front. The layout is a pure
+//! function of (order, `e`) — never of arrival history.
 
 use crate::cache::Payload;
-use pp_tensor::kernels::ttm::{ttm_first_batched_in, ttm_first_in, ttm_last_in};
+use pp_tensor::kernels::ttm::ttm_at_in;
 use pp_tensor::semisparse::{csf_ttm_in, TtmPlan};
 use pp_tensor::sparse::{CsfTensor, SparseTensor};
 use pp_tensor::transpose::{move_mode_first, permute};
@@ -26,41 +24,6 @@ use pp_tensor::{DenseTensor, Matrix, Workspace};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One stored layout: a permutation of the base tensor's modes. The
-/// tensor sits behind an `Arc` so a [`ContractPlan`] can ship it to a pool
-/// worker (cross-mode lookahead) without copying gigabytes.
-struct Layout {
-    /// `mode_order[k]` = which original tensor mode sits at position `k`.
-    mode_order: Vec<usize>,
-    tensor: Arc<DenseTensor>,
-}
-
-/// The mode orders an input stores, base layout first. `lead` is the
-/// evolving mode of a streaming input (it heads every layout) or `None`
-/// for a fixed one. The base keeps the remaining modes ascending, which
-/// makes the first and the last of them contractible; with `copies`, the
-/// modes in between are covered pairwise by `[lead, a, ..., b]` layouts.
-fn layout_orders(order: usize, lead: Option<usize>, copies: bool) -> Vec<Vec<usize>> {
-    let others: Vec<usize> = (0..order).filter(|&m| Some(m) != lead).collect();
-    let with_lead = |tail: Vec<usize>| -> Vec<usize> { lead.into_iter().chain(tail).collect() };
-    let mut orders = vec![with_lead(others.clone())];
-    if copies {
-        let mut uncovered: Vec<usize> = others
-            .get(1..others.len().saturating_sub(1))
-            .unwrap_or_default()
-            .to_vec();
-        while !uncovered.is_empty() {
-            let a = uncovered.remove(0);
-            let b = uncovered.pop();
-            let mut tail = vec![a];
-            tail.extend(others.iter().filter(|&&m| m != a && Some(m) != b));
-            tail.extend(b);
-            orders.push(with_lead(tail));
-        }
-    }
-    orders
-}
 
 /// A sparse input: the sorted-coordinate ingest form plus either the CSF
 /// forest the direct sparse-MTTKRP fast path runs over (`method=dt`), or
@@ -89,18 +52,19 @@ impl SparseInput {
     }
 }
 
-/// The CP input tensor plus any pre-permuted copies, with a uniform
-/// "contract one mode" entry point that picks the cheapest path. A
-/// sparse-backed input stores no dense layouts; the engine routes its
-/// MTTKRPs through the CSF kernel instead of the dimension tree.
+/// The CP input tensor in its one stored layout, with a uniform "contract
+/// one mode" entry point. A sparse-backed input stores no dense layout; the
+/// engine routes its MTTKRPs through the CSF kernel or the semi-sparse
+/// chain instead.
 pub struct InputTensor {
-    layouts: Vec<Layout>,
-    order: usize,
-    /// Whether to create (and keep) a permuted copy when a contraction
-    /// would otherwise need an explicit transpose.
-    cache_transposes: bool,
+    /// `mode_order[k]` = which original tensor mode sits at position `k`
+    /// of the stored layout (canonical for fixed and sparse inputs).
+    mode_order: Vec<usize>,
+    /// The dense layout, behind an `Arc` so a [`ContractPlan`] can ship it
+    /// to a pool worker (cross-mode lookahead) without copying gigabytes.
+    dense: Option<Arc<DenseTensor>>,
     sparse: Option<Arc<SparseInput>>,
-    /// The mode a streaming input grows along; it heads every layout.
+    /// The mode a streaming input grows along; it heads the layout.
     evolving: Option<usize>,
 }
 
@@ -113,35 +77,19 @@ pub struct FirstLevel {
     pub mode_order: Vec<usize>,
     /// Flops spent (useful flops for semi-sparse: `2 · nnz · R`).
     pub flops: u64,
-    /// Time spent in an explicit transpose, if one was needed.
-    pub transpose_time: Duration,
-    /// Main-memory words moved by that transpose.
-    pub transpose_words: u64,
-    /// Contraction time (excluding the transpose).
+    /// Contraction time.
     pub ttm_time: Duration,
     /// Input entries visited (semi-sparse contractions only; 0 for dense).
     pub entries: u64,
 }
 
-/// Which end of a stored layout a planned first-level contraction touches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ContractEnd {
-    /// The contracted mode is the layout's first mode (`ttm_first`).
-    First,
-    /// The contracted mode is the layout's last mode (`ttm_last`).
-    Last,
-    /// The contracted mode is the layout's second mode, right behind the
-    /// evolving mode of a streaming input (`ttm_first_batched`).
-    Second,
-}
-
-/// The data a [`ContractPlan`] executes over: a dense stored layout with
-/// the contracted mode extremal, or the sparse input with its precomputed
-/// per-mode semi-sparse TTM plan.
+/// The data a [`ContractPlan`] executes over: the dense layout with the
+/// contracted mode's position in it, or the sparse input with its
+/// precomputed per-mode semi-sparse TTM plan.
 enum PlanSource {
     Dense {
         tensor: Arc<DenseTensor>,
-        end: ContractEnd,
+        at: usize,
     },
     Sparse {
         input: Arc<SparseInput>,
@@ -160,16 +108,14 @@ pub struct ContractPlan {
 
 impl ContractPlan {
     /// Execute the planned contraction — the identical kernel call
-    /// [`InputTensor::contract_mode`] would issue on the same layout/plan,
-    /// so the result is bit-identical to the non-speculative path. The
-    /// output is drawn from `ws`.
+    /// [`InputTensor::contract_mode`] issues, so the result is
+    /// bit-identical to the non-speculative path. The output is drawn from
+    /// `ws`.
     pub fn run(&self, factor: &Matrix, ws: &Workspace) -> Payload {
         match &self.source {
-            PlanSource::Dense { tensor, end } => Payload::Dense(Arc::new(match end {
-                ContractEnd::Last => ttm_last_in(ws, tensor, factor),
-                ContractEnd::First => ttm_first_in(ws, tensor, factor),
-                ContractEnd::Second => ttm_first_batched_in(ws, tensor, factor),
-            })),
+            PlanSource::Dense { tensor, at } => {
+                Payload::Dense(Arc::new(ttm_at_in(ws, tensor, *at, factor)))
+            }
             PlanSource::Sparse { input, mode } => Payload::SemiSparse(Arc::new(csf_ttm_in(
                 ws,
                 &input.coo,
@@ -199,38 +145,36 @@ impl ContractPlan {
 }
 
 impl InputTensor {
-    /// Wrap a tensor with no extra copies (standard dimension tree).
+    /// Wrap a tensor in its canonical layout.
     pub fn new(t: DenseTensor) -> Self {
-        let order = t.order();
         InputTensor {
-            layouts: vec![Layout {
-                mode_order: (0..order).collect(),
-                tensor: Arc::new(t),
-            }],
-            order,
-            cache_transposes: false,
+            mode_order: (0..t.order()).collect(),
+            dense: Some(Arc::new(t)),
             sparse: None,
+            evolving: None,
+        }
+    }
+
+    /// Wrap a sparse input (no dense layout).
+    fn sparse_backed(sp: SparseInput) -> Self {
+        InputTensor {
+            mode_order: (0..sp.coo.order()).collect(),
+            dense: None,
+            sparse: Some(Arc::new(sp)),
             evolving: None,
         }
     }
 
     /// Wrap a sparse tensor: builds the CSF forest (one fiber tree per
     /// mode) the engine's sparse MTTKRP fast path runs over. No dense
-    /// layouts are materialized.
+    /// layout is materialized.
     pub fn new_sparse(sp: SparseTensor) -> Self {
-        let order = sp.order();
         let csf = CsfTensor::build(&sp);
-        InputTensor {
-            layouts: Vec::new(),
-            order,
-            cache_transposes: false,
-            sparse: Some(Arc::new(SparseInput {
-                coo: sp,
-                csf: Some(csf),
-                plans: Vec::new(),
-            })),
-            evolving: None,
-        }
+        Self::sparse_backed(SparseInput {
+            coo: sp,
+            csf: Some(csf),
+            plans: Vec::new(),
+        })
     }
 
     /// Wrap a sparse tensor for **dimension-tree planning**: instead of
@@ -239,19 +183,12 @@ impl InputTensor {
     /// tree asks for executes over the sparse representation — the `pp`
     /// and `msdt` methods on sparse inputs. The input is never densified.
     pub fn new_sparse_chained(sp: SparseTensor) -> Self {
-        let order = sp.order();
-        let plans = crate::par_collect(order, |m| TtmPlan::build(&sp, m));
-        InputTensor {
-            layouts: Vec::new(),
-            order,
-            cache_transposes: false,
-            sparse: Some(Arc::new(SparseInput {
-                coo: sp,
-                csf: None,
-                plans,
-            })),
-            evolving: None,
-        }
+        let plans = crate::par_collect(sp.order(), |m| TtmPlan::build(&sp, m));
+        Self::sparse_backed(SparseInput {
+            coo: sp,
+            csf: None,
+            plans,
+        })
     }
 
     /// Whether this sparse input plans dimension-tree chains (semi-sparse
@@ -270,67 +207,30 @@ impl InputTensor {
         self.sparse.is_some()
     }
 
-    /// Wrap a tensor and pre-create the permuted copies MSDT needs so every
-    /// mode is the first or last mode of some stored layout. The copies are
-    /// independent reads of the base tensor, so they are built in parallel
-    /// on the persistent pool (each permutation is itself pool-parallel).
+    /// The same as [`InputTensor::new`]: MSDT contracts every mode in
+    /// place, so it stores no copies.
     pub fn with_msdt_copies(t: DenseTensor) -> Self {
-        let mut input = InputTensor::new(t);
-        input.cache_transposes = true;
-        // Base layout covers modes 0 and order-1; the copies the rest.
-        let perms = layout_orders(input.order, None, true).split_off(1);
-        let tensors = {
-            let base = &input.layouts[0].tensor;
-            crate::par_collect(perms.len(), |i| permute(base, &perms[i]))
-        };
-        for (perm, tensor) in perms.into_iter().zip(tensors) {
-            input.layouts.push(Layout {
-                mode_order: perm,
-                tensor: Arc::new(tensor),
-            });
-        }
-        input
+        Self::new(t)
     }
 
-    /// Lay `t` out for **growth along mode `e`**: every layout leads with
-    /// `e` (see the module docs), with the MSDT copies when `copies` is set
-    /// (the multi-sweep tree; the standard tree's two first-level modes are
-    /// already extremal in the base layout). Used alike for the initial
-    /// tensor, a tensor rebuilt at resume, and each arriving slice — the
-    /// slice's layouts then mirror the input's, so [`InputTensor::append`]
-    /// is a tail append per layout and a slice contraction is the
-    /// row-for-row sub-computation of the full one.
-    ///
-    /// The base layout is built straight from the borrowed tensor (one
-    /// de-interleaving pass), the copies from the base layout, whose
-    /// trailing modes they keep contiguous.
-    pub fn evolving(t: &DenseTensor, e: usize, copies: bool) -> Self {
+    /// Lay `t` out for **growth along mode `e`**: `[e, others ascending]`
+    /// (see the module docs), built from the borrowed tensor in one
+    /// de-interleaving pass. Used alike for the initial tensor, a tensor
+    /// rebuilt at resume, and each arriving slice — the slice's layout then
+    /// mirrors the input's, so [`InputTensor::append`] is a tail append and
+    /// a slice contraction is the row-for-row sub-computation of the full
+    /// one.
+    pub fn evolving(t: &DenseTensor, e: usize) -> Self {
         let order = t.order();
         assert!(
             e < order,
             "evolving mode {e} out of range for order {order}"
         );
-        let orders = layout_orders(order, Some(e), copies);
-        let base = move_mode_first(t, e);
-        let tensors = crate::par_collect(orders.len() - 1, |i| {
-            let from_base: Vec<usize> = orders[i + 1]
-                .iter()
-                .map(|m| orders[0].iter().position(|x| x == m).unwrap())
-                .collect();
-            permute(&base, &from_base)
-        });
-        let layouts = orders
-            .into_iter()
-            .zip(std::iter::once(base).chain(tensors))
-            .map(|(mode_order, tensor)| Layout {
-                mode_order,
-                tensor: Arc::new(tensor),
-            })
-            .collect();
         InputTensor {
-            layouts,
-            order,
-            cache_transposes: copies,
+            mode_order: std::iter::once(e)
+                .chain((0..order).filter(|&m| m != e))
+                .collect(),
+            dense: Some(Arc::new(move_mode_first(t, e))),
             sparse: None,
             evolving: Some(e),
         }
@@ -338,71 +238,67 @@ impl InputTensor {
 
     /// Tensor order.
     pub fn order(&self) -> usize {
-        self.order
+        self.mode_order.len()
+    }
+
+    /// The dense layout; panics on a sparse-backed input.
+    fn layout(&self) -> &Arc<DenseTensor> {
+        self.dense
+            .as_ref()
+            .expect("sparse input has no dense layout")
+    }
+
+    /// Position of original mode `m` in the stored layout.
+    fn position(&self, m: usize) -> usize {
+        self.mode_order.iter().position(|&x| x == m).unwrap()
     }
 
     /// Extent of original mode `m`.
     pub fn dim(&self, m: usize) -> usize {
-        if let Some(sp) = &self.sparse {
-            return sp.coo.dim(m);
+        match &self.sparse {
+            Some(sp) => sp.coo.dim(m),
+            None => self.layout().dim(self.position(m)),
         }
-        let pos = self.layouts[0]
-            .mode_order
-            .iter()
-            .position(|&x| x == m)
-            .unwrap();
-        self.layouts[0].tensor.dim(pos)
     }
 
     /// The tensor in the canonical ascending-mode order — borrowed when the
-    /// base layout already is canonical, un-permuted from it otherwise (a
+    /// layout already is canonical, un-permuted from it otherwise (a
     /// streaming input leads with its evolving mode). Panics on a
     /// sparse-backed input (which stores no dense layout); see
     /// [`InputTensor::sparse`].
     pub fn canonical(&self) -> Cow<'_, DenseTensor> {
-        assert!(
-            self.sparse.is_none(),
-            "sparse input has no dense base tensor"
-        );
-        let base = &self.layouts[0];
-        if base.mode_order.iter().enumerate().all(|(k, &m)| k == m) {
-            return Cow::Borrowed(&base.tensor);
+        let layout = self.layout();
+        if self.mode_order.iter().enumerate().all(|(k, &m)| k == m) {
+            return Cow::Borrowed(layout);
         }
-        let to_canonical: Vec<usize> = (0..self.order)
-            .map(|m| base.mode_order.iter().position(|&x| x == m).unwrap())
-            .collect();
-        Cow::Owned(permute(&base.tensor, &to_canonical))
+        let to_canonical: Vec<usize> = (0..self.order()).map(|m| self.position(m)).collect();
+        Cow::Owned(permute(layout, &to_canonical))
     }
 
-    /// Number of stored layouts (1 = no copies; 0 = sparse-backed).
+    /// Number of stored dense layouts: 1, or 0 when sparse-backed.
     pub fn layout_count(&self) -> usize {
-        self.layouts.len()
+        usize::from(self.dense.is_some())
     }
 
-    /// Stored elements: dense volume of one copy, or `nnz` when sparse.
+    /// Stored elements: dense volume, or `nnz` when sparse.
     pub fn len(&self) -> usize {
-        if let Some(sp) = &self.sparse {
-            return sp.coo.nnz();
+        match &self.sparse {
+            Some(sp) => sp.coo.nnz(),
+            None => self.layout().len(),
         }
-        self.layouts[0].tensor.len()
     }
 
     /// True if the tensor holds no elements.
     pub fn is_empty(&self) -> bool {
-        if let Some(sp) = &self.sparse {
-            return sp.coo.is_empty();
-        }
-        self.layouts[0].tensor.is_empty()
+        self.len() == 0
     }
 
-    /// Plan contracting `mode` without mutating or copying: `Some` iff
-    /// some stored layout has `mode` extremal — chosen with the same
-    /// layout-selection order as [`InputTensor::contract_mode`], so a plan
-    /// executed speculatively reproduces the sync path bit for bit.
-    /// `None` when an explicit transpose would be needed (not worth
-    /// speculating).
+    /// Plan contracting `mode` without mutating or copying — the same
+    /// kernel call [`InputTensor::contract_mode`] makes, so a plan executed
+    /// speculatively reproduces the sync path bit for bit. `None` only for
+    /// a direct-CSF sparse input, which has no first-level TTM.
     pub fn plan_contract(&self, mode: usize) -> Option<ContractPlan> {
-        assert!(mode < self.order);
+        assert!(mode < self.order());
         if let Some(sp) = &self.sparse {
             if sp.plans.is_empty() {
                 // Direct-CSF input: sparse MTTKRPs bypass the dimension
@@ -417,175 +313,69 @@ impl InputTensor {
                     input: sp.clone(),
                     mode,
                 },
-                mode_order: (0..self.order).filter(|&m| m != mode).collect(),
+                mode_order: (0..self.order()).filter(|&m| m != mode).collect(),
             });
         }
-        // 1. A layout with `mode` last?
-        if let Some(l) = self
-            .layouts
-            .iter()
-            .find(|l| *l.mode_order.last().unwrap() == mode)
-        {
-            return Some(ContractPlan {
-                source: PlanSource::Dense {
-                    tensor: l.tensor.clone(),
-                    end: ContractEnd::Last,
-                },
-                mode_order: l.mode_order[..self.order - 1].to_vec(),
-            });
-        }
-        // 2. A layout with `mode` first?
-        if let Some(l) = self.layouts.iter().find(|l| l.mode_order[0] == mode) {
-            return Some(ContractPlan {
-                source: PlanSource::Dense {
-                    tensor: l.tensor.clone(),
-                    end: ContractEnd::First,
-                },
-                mode_order: l.mode_order[1..].to_vec(),
-            });
-        }
-        // 3. Streaming input: a layout with `mode` right behind the
-        //    evolving mode? (Fixed inputs keep to the two ends.)
-        if self.evolving.is_some() {
-            if let Some(l) = self
-                .layouts
-                .iter()
-                .find(|l| l.mode_order.get(1) == Some(&mode))
-            {
-                let mut mode_order = l.mode_order.clone();
-                mode_order.remove(1);
-                return Some(ContractPlan {
-                    source: PlanSource::Dense {
-                        tensor: l.tensor.clone(),
-                        end: ContractEnd::Second,
-                    },
-                    mode_order,
-                });
-            }
-        }
-        None
+        // Contract the mode where it sits; the rest keep their order.
+        let at = self.position(mode);
+        let mut mode_order = self.mode_order.clone();
+        mode_order.remove(at);
+        Some(ContractPlan {
+            source: PlanSource::Dense {
+                tensor: self.layout().clone(),
+                at,
+            },
+            mode_order,
+        })
     }
 
-    /// Contract original mode `mode` with `factor` (first-level TTM),
-    /// choosing a stored layout where `mode` is extremal if possible and
-    /// transposing (with cost accounted) otherwise.
-    pub fn contract_mode(&mut self, mode: usize, factor: &Matrix) -> FirstLevel {
+    /// Contract original mode `mode` with `factor` (first-level TTM) in
+    /// place in the stored layout.
+    pub fn contract_mode(&self, mode: usize, factor: &Matrix) -> FirstLevel {
         self.contract_mode_in(&Workspace::unpooled(), mode, factor)
     }
 
     /// [`InputTensor::contract_mode`] with the result drawn from `ws`.
-    pub fn contract_mode_in(&mut self, ws: &Workspace, mode: usize, factor: &Matrix) -> FirstLevel {
-        assert!(mode < self.order);
-        assert!(
-            self.sparse.is_none() || self.is_sparse_chained(),
-            "first-level contraction on a direct-CSF sparse input (engine bug)"
-        );
-        let r = factor.cols();
-        let total = self.len();
-        let flops = 2 * total as u64 * r as u64;
-
-        if let Some(plan) = self.plan_contract(mode) {
-            let entries = plan.input_entries();
-            let t0 = Instant::now();
-            let out = plan.run(factor, ws);
-            let ttm_time = t0.elapsed();
-            return FirstLevel {
-                payload: out,
-                mode_order: plan.mode_order,
-                flops,
-                transpose_time: Duration::ZERO,
-                transpose_words: 0,
-                ttm_time,
-                entries,
-            };
-        }
-        // Transpose: move `mode` last in a fresh copy.
+    pub fn contract_mode_in(&self, ws: &Workspace, mode: usize, factor: &Matrix) -> FirstLevel {
+        let plan = self
+            .plan_contract(mode)
+            .expect("first-level contraction on a direct-CSF sparse input (engine bug)");
         let t0 = Instant::now();
-        let mut perm: Vec<usize> = Vec::with_capacity(self.order);
-        let base = &self.layouts[0];
-        // Positions in the base layout.
-        let pos_of = |m: usize| base.mode_order.iter().position(|&x| x == m).unwrap();
-        for &m in base.mode_order.iter().filter(|&&m| m != mode) {
-            perm.push(pos_of(m));
-        }
-        perm.push(pos_of(mode));
-        let mode_order_new: Vec<usize> = perm.iter().map(|&p| base.mode_order[p]).collect();
-        let moved = Arc::new(permute(&base.tensor, &perm));
-        let transpose_time = t0.elapsed();
-        let transpose_words = 2 * total as u64;
-
-        let t1 = Instant::now();
-        let out = ttm_last_in(ws, &moved, factor);
-        let ttm_time = t1.elapsed();
-        let result_modes = mode_order_new[..self.order - 1].to_vec();
-        if self.cache_transposes {
-            self.layouts.push(Layout {
-                mode_order: mode_order_new,
-                tensor: moved,
-            });
-        }
+        let payload = plan.run(factor, ws);
         FirstLevel {
-            payload: Payload::Dense(Arc::new(out)),
-            mode_order: result_modes,
-            flops,
-            transpose_time,
-            transpose_words,
-            ttm_time,
-            entries: 0,
+            payload,
+            flops: 2 * self.len() as u64 * factor.cols() as u64,
+            ttm_time: t0.elapsed(),
+            entries: plan.input_entries(),
+            mode_order: plan.mode_order,
         }
     }
 
     /// Grow original mode `e` by appending `slice` (given in the canonical
     /// ascending-mode layout). An input not yet laid out for growth along
-    /// `e` re-lays itself out once through [`InputTensor::evolving`]
-    /// (keeping its copies-or-not choice); from then on every call is the
-    /// O(slice) [`InputTensor::append`]. Dense inputs only.
+    /// `e` re-lays itself out once through [`InputTensor::evolving`]; from
+    /// then on every call is the O(slice) [`InputTensor::append`]. Dense
+    /// inputs only.
     pub fn extend_mode(&mut self, e: usize, slice: &DenseTensor) {
         assert!(self.sparse.is_none(), "streaming growth is dense-only");
-        assert_eq!(slice.order(), self.order, "slice order mismatch");
+        assert_eq!(slice.order(), self.order(), "slice order mismatch");
         if self.evolving != Some(e) {
-            *self = InputTensor::evolving(&self.canonical(), e, self.cache_transposes);
+            *self = InputTensor::evolving(&self.canonical(), e);
         }
-        self.append(&InputTensor::evolving(slice, e, self.cache_transposes));
+        self.append(&InputTensor::evolving(slice, e));
     }
 
-    /// Append a slice already laid out like this input (same evolving mode,
-    /// same layouts — [`InputTensor::evolving`] with the same arguments):
-    /// one tail append per layout, in place. A layout still shared with a
-    /// live [`ContractPlan`] is copied first, so the plan keeps the tensor
-    /// it was made for.
+    /// Append a slice laid out like this input ([`InputTensor::evolving`]
+    /// along the same mode): a tail append, in place. A layout still
+    /// shared with a live [`ContractPlan`] is copied first, so the plan
+    /// keeps the tensor it was made for.
     pub fn append(&mut self, slice: &InputTensor) {
         assert!(
             self.evolving.is_some() && self.evolving == slice.evolving,
             "append needs two inputs laid out along the same evolving mode"
         );
-        assert_eq!(self.layouts.len(), slice.layouts.len(), "layout mismatch");
-        for (layout, piece) in self.layouts.iter_mut().zip(&slice.layouts) {
-            assert_eq!(layout.mode_order, piece.mode_order, "layout mismatch");
-            Arc::make_mut(&mut layout.tensor).append_leading(&piece.tensor);
-        }
-    }
-
-    /// Which original modes are contractible without a transpose. Every
-    /// mode of a sparse input qualifies (the CSF forest has a tree rooted
-    /// at each).
-    pub fn free_modes(&self) -> Vec<usize> {
-        if self.sparse.is_some() {
-            return (0..self.order).collect();
-        }
-        let mut v: Vec<usize> = self
-            .layouts
-            .iter()
-            .flat_map(|l| {
-                let second = self.evolving.and(l.mode_order.get(1).copied());
-                [l.mode_order[0], *l.mode_order.last().unwrap()]
-                    .into_iter()
-                    .chain(second)
-            })
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        let layout = self.dense.as_mut().expect("evolving inputs are dense");
+        Arc::make_mut(layout).append_leading(slice.layout());
     }
 }
 
@@ -626,39 +416,104 @@ mod tests {
         permute(fl.payload.dense(), &perm)
     }
 
+    /// One tensor of each order 2–5.
+    fn tensors() -> Vec<DenseTensor> {
+        [
+            vec![3, 4],
+            vec![3, 4, 5],
+            vec![3, 4, 5, 2],
+            vec![2, 3, 2, 3, 2],
+        ]
+        .into_iter()
+        .map(seq_tensor)
+        .collect()
+    }
+
     #[test]
     fn msdt_copy_count_matches_paper() {
-        // One copy for order 3 and order 4 (paper §IV).
-        let t3 = InputTensor::with_msdt_copies(seq_tensor(vec![3, 4, 5]));
-        assert_eq!(t3.layout_count(), 2);
-        assert_eq!(t3.free_modes(), vec![0, 1, 2]);
-        let t4 = InputTensor::with_msdt_copies(seq_tensor(vec![2, 3, 4, 3]));
-        assert_eq!(t4.layout_count(), 2);
-        assert_eq!(t4.free_modes(), vec![0, 1, 2, 3]);
-        // Order 5 needs two copies (modes 1, 2, 3 to cover).
-        let t5 = InputTensor::with_msdt_copies(seq_tensor(vec![2, 2, 2, 2, 2]));
-        assert_eq!(t5.layout_count(), 3);
-        assert_eq!(t5.free_modes(), vec![0, 1, 2, 3, 4]);
+        // The paper (§IV) stores one permuted copy at orders 3–4 and two at
+        // order 5; its Table I cost model counts none. Here an MSDT input
+        // stores no copy at any order: one layout, the canonical one.
+        for t in tensors() {
+            let order = t.order();
+            let msdt = InputTensor::with_msdt_copies(t.clone());
+            assert_eq!(msdt.layout_count(), 1, "order {order}");
+            assert_eq!(msdt.mode_order, (0..order).collect::<Vec<_>>());
+            assert_eq!(msdt.len(), t.len());
+            assert!(matches!(msdt.canonical(), Cow::Borrowed(_)));
+            for e in 0..order {
+                assert_eq!(InputTensor::evolving(&t, e).layout_count(), 1);
+            }
+        }
+        let sp = SparseTensor::from_coo(vec![2, 3], vec![0, 1, 1, 2], vec![1.0, 2.0]);
+        assert_eq!(InputTensor::new_sparse(sp).layout_count(), 0);
+    }
+
+    #[test]
+    fn plain_input_transposes_middle_modes() {
+        // No longer: a plain input plans every interior mode at its own
+        // position over the one stored tensor (no transposed copy), and the
+        // in-place contraction is the oracle's, bit for bit.
+        for base in tensors().into_iter().filter(|t| t.order() >= 3) {
+            let input = InputTensor::new(base.clone());
+            for mode in 1..base.order() - 1 {
+                let plan = input.plan_contract(mode).expect("dense inputs always plan");
+                match &plan.source {
+                    PlanSource::Dense { tensor, at } => {
+                        assert_eq!(*at, mode);
+                        assert!(Arc::ptr_eq(tensor, input.layout()));
+                    }
+                    PlanSource::Sparse { .. } => panic!("dense input planned sparse"),
+                }
+                let a = factor(base.dim(mode), 2);
+                let fl = input.contract_mode(mode, &a);
+                let want = ttm(&base, mode, &a).tensor;
+                assert_eq!(fl.payload.dense().data(), want.data(), "mode {mode}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_caching_learns_layouts() {
+        // Nothing is learned: contracting every mode leaves the one stored
+        // tensor as it was, and growth keeps the count at one.
+        for t in tensors() {
+            let order = t.order();
+            let mut inputs = vec![
+                InputTensor::new(t.clone()),
+                InputTensor::with_msdt_copies(t.clone()),
+            ];
+            inputs.extend((0..order).map(|e| InputTensor::evolving(&t, e)));
+            for mut input in inputs {
+                let stored = input.layout().clone();
+                for mode in 0..order {
+                    let _ = input.contract_mode(mode, &factor(t.dim(mode), 2));
+                }
+                assert_eq!(input.layout_count(), 1, "order {order}");
+                assert!(Arc::ptr_eq(&stored, input.layout()));
+                input.extend_mode(order - 1, &t.slice_along(order - 1, 0, 1));
+                assert_eq!(input.layout_count(), 1, "order {order}");
+            }
+        }
     }
 
     #[test]
     fn contract_all_modes_matches_ttm_oracle() {
-        let dims = vec![3, 4, 5, 2];
-        for msdt in [false, true] {
-            let base = seq_tensor(dims.clone());
-            let mut input = if msdt {
-                InputTensor::with_msdt_copies(base.clone())
-            } else {
-                InputTensor::new(base.clone())
-            };
-            for (mode, &dim) in dims.iter().enumerate() {
-                let a = factor(dim, 3);
-                let fl = input.contract_mode(mode, &a);
-                let got = canonicalize(&fl);
-                let want = ttm(&base, mode, &a).tensor;
-                assert!(got.max_abs_diff(&want) < 1e-10, "mode {mode}, msdt={msdt}");
-                if msdt {
-                    assert_eq!(fl.transpose_words, 0, "MSDT copies must avoid transposes");
+        // A fixed input contracts every mode where it sits in the canonical
+        // layout: the remaining modes stay ascending and every element is
+        // the oracle's, bit for bit.
+        for base in tensors() {
+            for input in [
+                InputTensor::new(base.clone()),
+                InputTensor::with_msdt_copies(base.clone()),
+            ] {
+                for mode in 0..base.order() {
+                    let a = factor(base.dim(mode), 3);
+                    let fl = input.contract_mode(mode, &a);
+                    let rest: Vec<usize> = (0..base.order()).filter(|&m| m != mode).collect();
+                    assert_eq!(fl.mode_order, rest);
+                    let want = ttm(&base, mode, &a).tensor;
+                    assert_eq!(fl.payload.dense().data(), want.data(), "mode {mode}");
                 }
             }
         }
@@ -666,59 +521,38 @@ mod tests {
 
     #[test]
     fn evolving_layouts_lead_with_the_evolving_mode() {
-        // The layout rule, spelled out: the paper's one-copy count for
-        // order 4 carries over, order 3 needs no copy at all, and every
-        // layout keeps `e` in front.
-        let orders = |order, e, copies| layout_orders(order, Some(e), copies);
-        assert_eq!(orders(3, 2, true), vec![vec![2, 0, 1]]);
-        assert_eq!(orders(4, 3, true), vec![vec![3, 0, 1, 2], vec![3, 1, 0, 2]]);
-        assert_eq!(
-            orders(5, 1, true),
-            vec![vec![1, 0, 2, 3, 4], vec![1, 2, 0, 4, 3]]
-        );
-        assert_eq!(orders(4, 1, false), vec![vec![1, 0, 2, 3]]);
-        // Fixed inputs keep the layouts they always had.
-        assert_eq!(
-            layout_orders(4, None, true),
-            vec![vec![0, 1, 2, 3], vec![1, 0, 3, 2]]
-        );
-        assert_eq!(
-            layout_orders(5, None, true),
-            vec![
-                vec![0, 1, 2, 3, 4],
-                vec![1, 0, 2, 4, 3],
-                vec![2, 0, 1, 3, 4]
-            ]
-        );
+        // `[e, others ascending]`, whatever the order and `e`; one layout,
+        // and the canonical tensor comes back unchanged.
+        for t in tensors() {
+            for e in 0..t.order() {
+                let input = InputTensor::evolving(&t, e);
+                let mut want = vec![e];
+                want.extend((0..t.order()).filter(|&m| m != e));
+                assert_eq!(input.mode_order, want);
+                assert_eq!(input.layout_count(), 1);
+                assert_eq!(input.canonical().data(), t.data());
+                assert!((0..t.order()).all(|m| input.dim(m) == t.dim(m)));
+            }
+        }
     }
 
     #[test]
     fn evolving_input_contracts_every_mode_without_a_transpose() {
-        for dims in [vec![3, 4, 5], vec![3, 4, 5, 2], vec![2, 3, 2, 3, 2]] {
-            let base = seq_tensor(dims.clone());
-            for e in 0..dims.len() {
-                for copies in [false, true] {
-                    let mut input = InputTensor::evolving(&base, e, copies);
-                    assert_eq!(input.canonical().data(), base.data());
-                    let free = input.free_modes();
-                    for (mode, &dim) in dims.iter().enumerate() {
-                        let a = factor(dim, 3);
-                        let fl = input.contract_mode(mode, &a);
-                        let want = ttm(&base, mode, &a).tensor;
-                        assert!(
-                            canonicalize(&fl).max_abs_diff(&want) < 1e-10,
-                            "{dims:?} e={e} copies={copies} mode {mode}"
-                        );
-                        assert_eq!(fl.transpose_words == 0, free.contains(&mode));
-                        if mode != e {
-                            assert_eq!(fl.mode_order[0], e, "e must stay in front");
-                        }
-                    }
-                    // The standard tree's two first-level modes are free
-                    // without copies; with copies every mode is.
-                    assert!(free.contains(&0) && free.contains(&(dims.len() - 1)));
-                    if copies {
-                        assert_eq!(free.len(), dims.len());
+        for base in tensors() {
+            for e in 0..base.order() {
+                let input = InputTensor::evolving(&base, e);
+                for mode in 0..base.order() {
+                    let a = factor(base.dim(mode), 3);
+                    let fl = input.contract_mode(mode, &a);
+                    let want = ttm(&base, mode, &a).tensor;
+                    assert_eq!(
+                        canonicalize(&fl).data(),
+                        want.data(),
+                        "{:?} e={e} mode {mode}",
+                        base.shape()
+                    );
+                    if mode != e {
+                        assert_eq!(fl.mode_order[0], e, "e must stay in front");
                     }
                 }
             }
@@ -730,25 +564,17 @@ mod tests {
         for dims in [vec![4, 3, 5], vec![3, 4, 2, 5], vec![2, 3, 2, 4, 2]] {
             let whole = seq_tensor(dims.clone());
             for e in 0..dims.len() {
-                for copies in [false, true] {
-                    // Start canonical (the re-layout path), then one row of
-                    // `e` at a time.
-                    let mut grown = if copies {
-                        InputTensor::with_msdt_copies(whole.slice_along(e, 0, 1))
-                    } else {
-                        InputTensor::new(whole.slice_along(e, 0, 1))
-                    };
-                    for i in 1..dims[e] {
-                        grown.extend_mode(e, &whole.slice_along(e, i, 1));
-                    }
-                    let built = InputTensor::evolving(&whole, e, copies);
-                    assert_eq!(grown.layouts.len(), built.layouts.len());
-                    for (g, b) in grown.layouts.iter().zip(&built.layouts) {
-                        assert_eq!(g.mode_order, b.mode_order);
-                        assert_eq!(g.tensor.shape(), b.tensor.shape());
-                        assert_eq!(g.tensor.data(), b.tensor.data(), "{dims:?} e={e}");
-                    }
+                // Start canonical (the re-layout path), then one row of `e`
+                // at a time.
+                let mut grown = InputTensor::new(whole.slice_along(e, 0, 1));
+                for i in 1..dims[e] {
+                    grown.extend_mode(e, &whole.slice_along(e, i, 1));
                 }
+                let built = InputTensor::evolving(&whole, e);
+                assert_eq!(grown.mode_order, built.mode_order);
+                let (g, b) = (grown.layout(), built.layout());
+                assert_eq!(g.shape(), b.shape());
+                assert_eq!(g.data(), b.data(), "{dims:?} e={e}");
             }
         }
     }
@@ -760,43 +586,21 @@ mod tests {
         let whole = seq_tensor(vec![3, 4, 5, 6]);
         let e = 3;
         let old = whole.slice_along(e, 0, 4);
-        let mut input = InputTensor::evolving(&old, e, true);
+        let mut input = InputTensor::evolving(&old, e);
         let a = factor(4, 3);
-        let plan = input.plan_contract(1).expect("mode 1 is free");
-        input.append(&InputTensor::evolving(&whole.slice_along(e, 4, 2), e, true));
+        let plan = input.plan_contract(1).expect("dense inputs always plan");
+        input.append(&InputTensor::evolving(&whole.slice_along(e, 4, 2), e));
         assert_eq!(input.canonical().data(), whole.data());
         assert_eq!(input.dim(e), 6);
-        let before = InputTensor::evolving(&old, e, true)
-            .contract_mode(1, &a)
-            .payload;
+        let before = InputTensor::evolving(&old, e).contract_mode(1, &a).payload;
         let ran = plan.run(&a, &Workspace::unpooled());
         assert_eq!(ran.dense().data(), before.dense().data());
-        let after = InputTensor::evolving(&whole, e, true)
+        let after = InputTensor::evolving(&whole, e)
             .contract_mode(1, &a)
             .payload;
         assert_eq!(
             input.contract_mode(1, &a).payload.dense().data(),
             after.dense().data()
         );
-    }
-
-    #[test]
-    fn plain_input_transposes_middle_modes() {
-        let dims = vec![3, 4, 5];
-        let mut input = InputTensor::new(seq_tensor(dims));
-        let a = factor(4, 2);
-        let fl = input.contract_mode(1, &a);
-        assert!(fl.transpose_words > 0);
-    }
-
-    #[test]
-    fn transpose_caching_learns_layouts() {
-        let dims = vec![3, 4, 5, 2, 2];
-        let mut input = InputTensor::with_msdt_copies(seq_tensor(dims.clone()));
-        // Order 5 with copies: all modes free already.
-        assert_eq!(input.free_modes().len(), 5);
-        let a = factor(dims[2], 2);
-        let fl = input.contract_mode(2, &a);
-        assert_eq!(fl.transpose_words, 0);
     }
 }

@@ -12,8 +12,8 @@
 //! * [`correct`] — the PP approximated step: first-order corrections
 //!   `U^(n,i)` (Eq. 6), second-order corrections `V^(n)` (Eq. 7), and the
 //!   assembly of `˜M^(n)` (Eq. 5);
-//! * [`input::InputTensor`] — the input tensor with the pre-permuted
-//!   copies MSDT uses to avoid first-level transposes (§IV);
+//! * [`input::InputTensor`] — the input tensor in one stored layout, every
+//!   mode contracted in place (where the paper stores permuted copies, §IV);
 //! * [`stats`] — the per-kernel time breakdown of Fig. 3c–f.
 
 pub mod cache;

@@ -304,9 +304,6 @@ fn first_level_ttm(
     let s0 = thread_ss_counters();
     let fl = input.contract_mode_in(engine.workspace(), contract, fs.factor(contract));
     engine.stats.add_ss_delta(&thread_ss_counters().since(&s0));
-    if fl.transpose_words > 0 {
-        engine.stats.record(Kernel::Transpose, fl.transpose_time, 0);
-    }
     engine.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
     let inter = Intermediate {
         payload: fl.payload,

@@ -233,7 +233,7 @@ impl std::fmt::Debug for DenseTensor {
 mod tests {
     use super::*;
     use crate::kernels::mttv::mttv_in;
-    use crate::kernels::ttm::{ttm, ttm_first_batched_in, ttm_first_in, ttm_last_in};
+    use crate::kernels::ttm::{ttm, ttm_at_in, ttm_first_in, ttm_last_in};
     use crate::matrix::Matrix;
     use crate::store::{is_mapped, ALIGN, HUGE_BYTES, MAP_MIN_BYTES};
     use crate::transpose::{move_mode_first, move_mode_last, permute};
@@ -283,8 +283,8 @@ mod tests {
                     &format!("ttm_first {lap}"),
                 );
                 assert_placed(
-                    &ttm_first_batched_in(&ws, &t, &factor(dims[1])),
-                    &format!("ttm_first_batched {lap}"),
+                    &ttm_at_in(&ws, &t, 1, &factor(dims[1])),
+                    &format!("ttm_at {lap}"),
                 );
                 assert_placed(&ttm(&t, 1, &factor(dims[1])).tensor, "ttm");
                 // An mTTV output as large as its input: a mode of extent 1.

@@ -11,9 +11,10 @@
 //!   straight from `TM` row-major rows of A. With `n = rank` every A
 //!   element feeds a single strip, so a packing pass would cost as much
 //!   memory traffic as the product itself;
-//! * a transposed `op(A)` (stored `k × m`) is copied `MC × kc` block by
-//!   block, `l` outermost — each source page is visited once per block in
-//!   contiguous `MC`-double runs — and broadcast from the copy;
+//! * a transposed `op(A)` (stored `k × m`, or a batch of such slabs whose
+//!   rows stack) is copied `MC × kc` block by block, `l` outermost — each
+//!   source page is visited once per block in contiguous runs of up to `MC`
+//!   doubles — and broadcast from the copy;
 //! * `op(B)` is laid out once per call as `k × ⌈n/8⌉·8` row-major,
 //!   zero-padded — or used in place when it already is (`Trans::No`,
 //!   `8 | n`: the ALS factor matrix);
@@ -31,7 +32,9 @@
 //! rows never stored. `KC` *is* part of the result — it places the
 //! roundings — so it is a constant, mirrored by the semi-sparse TTM through
 //! [`panel_kc`]. Products below [`small_work_limit`] multiply-adds take a
-//! serial triple loop with its own (equally fixed) order. Results are
+//! serial triple loop with its own (equally fixed) order; a batch of
+//! products (one per slab of an in-place TTM) runs, and is judged, as one
+//! product over its stacked rows. Results are
 //! bit-identical for any thread count
 //! (`crates/tensor/tests/pool_determinism.rs`) and equal, bit for bit, the
 //! contract written out as a scalar loop (`tests/gemm_packed_parity.rs`).
@@ -94,10 +97,9 @@ const CHUNKS_PER_THREAD: usize = 4;
 
 /// Per-thread tally of GEMM activity, sampled by the dimension-tree
 /// engine (`KernelStats`) and the benchmark. Counters are
-/// thread-local and bumped by the *calling* thread once per `gemm_slice`,
-/// so a driver thread sampling [`thread_gemm_counters`] around a kernel
-/// call sees exactly its own calls even while other ranks compute
-/// concurrently.
+/// thread-local and bumped by the *calling* thread once per call, so a
+/// driver thread sampling [`thread_gemm_counters`] around a kernel call
+/// sees exactly its own calls even while other ranks compute concurrently.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GemmCounters {
     /// GEMM invocations (any path).
@@ -149,28 +151,6 @@ pub fn thread_gemm_counters() -> GemmCounters {
     COUNTERS.with(|c| c.get())
 }
 
-/// Credit `calls` products of logical shape `m×n×k` to this thread's
-/// counters. [`gemm_slice`] credits its own call; a kernel that fans
-/// [`gemm_slice_uncounted`] calls out over the pool credits them here, on
-/// the thread that issued the batch, so the tally does not depend on which
-/// worker ran what.
-pub(crate) fn count_gemm_calls(calls: u64, m: usize, n: usize, k: usize) {
-    // "Fixed" is n ∈ {8, 16, 32} above the small-work threshold;
-    // everything else is a generic call.
-    let fixed = m * n * k >= SMALL_WORK && matches!(n, 8 | 16 | 32);
-    COUNTERS.with(|c| {
-        let mut v = c.get();
-        v.calls += calls;
-        v.flops += calls * gemm_flops(m, n, k);
-        if fixed {
-            v.fixed_n_calls += calls;
-        } else {
-            v.generic_calls += calls;
-        }
-        c.set(v);
-    });
-}
-
 /// Run `f` on a zeroable scratch slice of `len` f64s, reusing the given
 /// thread-local buffer when it is free and falling back to a fresh
 /// allocation under re-entrancy (defensive: the kernel never calls itself,
@@ -216,9 +196,11 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
     );
 }
 
-/// Validate operand shapes; returns the logical `(m, n, k)`.
+/// Validate operand shapes (`a` and `c` hold `batch` blocks each); returns
+/// the logical `(m, n, k)` of one product.
 #[allow(clippy::too_many_arguments)]
 fn check_shapes(
+    batch: usize,
     ta: Trans,
     tb: Trans,
     a: &[f64],
@@ -231,9 +213,9 @@ fn check_shapes(
     c_rows: usize,
     c_cols: usize,
 ) -> (usize, usize, usize) {
-    assert_eq!(a.len(), a_rows * a_cols, "A buffer length mismatch");
+    assert_eq!(a.len(), batch * a_rows * a_cols, "A buffer length mismatch");
     assert_eq!(b.len(), b_rows * b_cols, "B buffer length mismatch");
-    assert_eq!(c.len(), c_rows * c_cols, "C buffer length mismatch");
+    assert_eq!(c.len(), batch * c_rows * c_cols, "C buffer length mismatch");
     let (m, ka) = match ta {
         Trans::No => (a_rows, a_cols),
         Trans::Yes => (a_cols, a_rows),
@@ -279,18 +261,32 @@ pub fn gemm_slice(
     c_rows: usize,
     c_cols: usize,
 ) {
-    if let Some((m, n, k)) = gemm_core(
-        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, KC,
-    ) {
-        count_gemm_calls(1, m, n, k);
-    }
+    gemm_batched(
+        1, ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols,
+    );
 }
 
-/// [`gemm_slice`] without the counter bump — for kernels that issue many
-/// products from pool tasks and credit them once with
-/// [`count_gemm_calls`]. Arithmetic is identical.
+/// `batch` products sharing one `op(B)`: `C_i ← α·op(A_i)·op(B) + β·C_i`,
+/// where `A_i` is the `i`-th `a_rows × a_cols` block of `a` and `C_i` the
+/// `i`-th `c_rows × c_cols` block of `c` — one product per slab of a TTM
+/// that contracts a mode in place. They run as **one** product over the
+/// `batch·m` stacked rows of C: C is contiguous already, an untransposed A
+/// too, and a transposed A's copied blocks gather each row's run from the
+/// product it belongs to. So:
+///
+/// * small vs strip is decided on the whole product `batch·m·n·k`, and
+///   every element comes out of the arithmetic one GEMM over the same
+///   elements would use. Two batches that both clear
+///   [`small_work_limit`] therefore agree, bit for bit, on every product
+///   they share;
+/// * rows, not products, are the parallel unit: row chunks run across
+///   product boundaries, so a batch of many small products never pays a
+///   dispatch per product, and nothing fans out inside anything else.
+///
+/// The batch counts as one call of shape `batch·m × n × k`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_slice_uncounted(
+pub(crate) fn gemm_batched(
+    batch: usize,
     ta: Trans,
     tb: Trans,
     alpha: f64,
@@ -305,17 +301,35 @@ pub(crate) fn gemm_slice_uncounted(
     c_rows: usize,
     c_cols: usize,
 ) {
-    gemm_core(
-        ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, KC,
-    );
+    let Some((m, n, k)) = gemm_core(
+        batch, ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, KC,
+    ) else {
+        return;
+    };
+    // "Fixed" is a strip-kernel call at n ∈ {8, 16, 32}; everything else,
+    // the small serial path included, is a generic call.
+    let fixed = m * n * k >= SMALL_WORK && matches!(n, 8 | 16 | 32);
+    COUNTERS.with(|c| {
+        let mut v = c.get();
+        v.calls += 1;
+        v.flops += gemm_flops(m, n, k);
+        if fixed {
+            v.fixed_n_calls += 1;
+        } else {
+            v.generic_calls += 1;
+        }
+        c.set(v);
+    });
 }
 
-/// The product itself; returns its logical `(m, n, k)` unless the shape
-/// was degenerate (nothing multiplied, nothing to count). `kc_c` is always
+/// The products themselves; returns the logical `(m, n, k)` of their
+/// stacked product (`m` summed over the batch) unless the shape was
+/// degenerate (nothing multiplied, nothing to count). `kc_c` is always
 /// [`KC`] outside this module's tests, which use shallow panels to cross
 /// many panel boundaries with small operands.
 #[allow(clippy::too_many_arguments)]
 fn gemm_core(
+    batch: usize,
     ta: Trans,
     tb: Trans,
     alpha: f64,
@@ -332,9 +346,9 @@ fn gemm_core(
     kc_c: usize,
 ) -> Option<(usize, usize, usize)> {
     let (m, n, k) = check_shapes(
-        ta, tb, a, a_rows, a_cols, b, b_rows, b_cols, c, c_rows, c_cols,
+        batch, ta, tb, a, a_rows, a_cols, b, b_rows, b_cols, c, c_rows, c_cols,
     );
-    if m == 0 || n == 0 {
+    if batch == 0 || m == 0 || n == 0 {
         return None;
     }
     if k == 0 {
@@ -342,10 +356,15 @@ fn gemm_core(
         return None;
     }
 
-    let work = m * n * k;
+    // One product over the stacked rows of every slab: row `i` of C is row
+    // `i % m` of product `i / m`.
+    let (a_len, rows) = (a_rows * a_cols, batch * m);
+    let work = rows * n * k;
     if work < SMALL_WORK {
-        small_serial(ta, tb, alpha, a, a_cols, b, b_cols, beta, c, m, n, k);
-        return Some((m, n, k));
+        for (a, c) in a.chunks_exact(a_len).zip(c.chunks_exact_mut(m * n)) {
+            small_serial(ta, tb, alpha, a, a_cols, b, b_cols, beta, c, m, n, k);
+        }
+        return Some((rows, n, k));
     }
 
     let ldb = n.next_multiple_of(NV);
@@ -356,17 +375,19 @@ fn gemm_core(
             beta,
             a,
             lda: a_cols,
+            slab_rows: m,
+            slab_len: a_len,
             b,
             ldb,
             n,
             k,
             kc: kc_c,
         };
-        if work >= PAR_WORK_THRESHOLD && m > 1 {
+        if work >= PAR_WORK_THRESHOLD && rows > 1 {
             // Split C into contiguous row chunks, claimed dynamically off
             // the persistent pool.
             let nthreads = rayon::current_num_threads().max(1);
-            let rows_per_chunk = m.div_ceil(nthreads * CHUNKS_PER_THREAD).max(1);
+            let rows_per_chunk = rows.div_ceil(nthreads * CHUNKS_PER_THREAD).max(1);
             c.par_chunks_mut(rows_per_chunk * n)
                 .enumerate()
                 .for_each(|(ci, chunk)| row_chunk(&p, ci * rows_per_chunk, chunk));
@@ -385,7 +406,7 @@ fn gemm_core(
             run(pb);
         });
     }
-    Some((m, n, k))
+    Some((rows, n, k))
 }
 
 /// Lay `op(B)` out as `k × ldb` row-major, columns `n..ldb` zero, so the
@@ -418,6 +439,11 @@ struct Product<'a> {
     a: &'a [f64],
     /// Stored row length of A.
     lda: usize,
+    /// Rows of C per stacked product, and stored elements of A per product
+    /// (only a transposed A needs them: its rows do not run on across
+    /// products).
+    slab_rows: usize,
+    slab_len: usize,
     /// `op(B)`, `k × ldb` row-major with `ldb = ⌈n/NV⌉·NV`.
     b: &'a [f64],
     ldb: usize,
@@ -534,11 +560,18 @@ fn chunk_body<const FMA: bool, const WIDE: bool>(
                     lda: p.lda,
                 },
                 Trans::Yes => {
-                    // Stored k×m: row l of the block is a contiguous run.
+                    // Stored k×m per product: row l of the block is one
+                    // contiguous run per product its rows fall in.
                     let ld = mc.next_multiple_of(TM_LCM);
                     for (l, dst) in a_blk[..ld * kc].chunks_exact_mut(ld).enumerate() {
-                        let at = (kp + l) * p.lda + row0 + ip;
-                        dst[..mc].copy_from_slice(&p.a[at..at + mc]);
+                        let (mut i, mut d) = (row0 + ip, 0);
+                        while d < mc {
+                            let (slab, j) = (i / p.slab_rows, i % p.slab_rows);
+                            let run = (p.slab_rows - j).min(mc - d);
+                            let at = slab * p.slab_len + (kp + l) * p.lda + j;
+                            dst[d..d + run].copy_from_slice(&p.a[at..at + run]);
+                            (i, d) = (i + run, d + run);
+                        }
                         dst[mc..].fill(0.0);
                     }
                     ASrc::Cols {
@@ -883,6 +916,7 @@ mod tests {
                 let mut got = crate::rng::uniform_matrix(m, n, &mut rng);
                 let mut want = got.clone();
                 gemm_core(
+                    1,
                     ta,
                     tb,
                     alpha,
@@ -978,6 +1012,59 @@ mod tests {
         for kc in [1usize, 7, 16, KC, 4096] {
             check_against_contract(61, 13, 67, 1.25, 0.5, kc);
             check_against_contract(29, 40, 67, -0.5, 0.0, kc);
+        }
+    }
+
+    /// A batch runs as one product over its stacked rows, so strips, copied
+    /// blocks and row chunks straddle product boundaries; each product must
+    /// still equal the contract on its own, bit for bit.
+    #[test]
+    fn stacked_products_match_the_contract_one_by_one() {
+        let (n, k) = (13, 67);
+        for (batch, m) in [(5usize, 7usize), (3, 61), (40, 13), (2, 300)] {
+            for kc in [7, KC] {
+                let mut rng = crate::rng::seeded((batch * 131 + m) as u64);
+                for ta in [Trans::No, Trans::Yes] {
+                    let a = crate::rng::uniform_matrix(batch * m, k, &mut rng);
+                    let b = crate::rng::uniform_matrix(k, n, &mut rng);
+                    let (ar, ac) = match ta {
+                        Trans::No => (m, k),
+                        Trans::Yes => (k, m),
+                    };
+                    let mut got = vec![f64::NAN; batch * m * n];
+                    gemm_core(
+                        batch,
+                        ta,
+                        Trans::No,
+                        1.0,
+                        a.data(),
+                        ar,
+                        ac,
+                        b.data(),
+                        k,
+                        n,
+                        0.0,
+                        &mut got,
+                        m,
+                        n,
+                        kc,
+                    );
+                    for (i, (ai, ci)) in a.data().chunks(m * k).zip(got.chunks(m * n)).enumerate() {
+                        let mut want = vec![0.0; m * n];
+                        contract::contract_gemm(
+                            (m, n, k),
+                            (ai, ta == Trans::Yes),
+                            (b.data(), false),
+                            1.0,
+                            0.0,
+                            &mut want,
+                            kc,
+                            SMALL_WORK,
+                        );
+                        assert_eq!(ci, &want[..], "product {i} of {batch}×{m} {ta:?} KC={kc}");
+                    }
+                }
+            }
         }
     }
 

@@ -6,19 +6,21 @@
 //! trailing mode. This is the `O(s^N R)` kernel that dominates CP-ALS
 //! (Fig. 3c–f of the paper: the "TTM" bar).
 //!
-//! Layout note: contracting the *last* mode needs no data movement — the
-//! row-major tensor is already the `K × s_n` matricization. Contracting any
-//! other mode requires a transpose (vertical-communication overhead), which
-//! is what the multi-sweep dimension tree avoids by keeping permuted copies
-//! of the input tensor (paper §IV).
+//! Layout note: no mode needs data movement. The row-major tensor is
+//! already the `K × s_n` matricization of its last mode ([`ttm_last`]), and
+//! the modes in front of any other mode `p` cut it into contiguous `s_p × K`
+//! slabs whose transposed products stack into one GEMM ([`ttm_at`];
+//! [`ttm_first`] is its one-slab case). So every mode of one stored layout contracts in
+//! place — where the paper's implementation keeps permuted copies of the
+//! input tensor instead (§IV). [`ttm`], which permutes the mode last and
+//! calls [`ttm_last`], stays as the oracle.
 
 use crate::dense::DenseTensor;
-use crate::gemm::{count_gemm_calls, gemm_slice, gemm_slice_uncounted, Trans};
+use crate::gemm::{gemm_batched, gemm_slice, Trans};
 use crate::matrix::Matrix;
 use crate::shape::Shape;
 use crate::transpose::move_mode_last;
 use crate::workspace::Workspace;
-use rayon::prelude::*;
 
 /// Result of a TTM together with the bookkeeping the cost ledgers need.
 pub struct TtmOutput {
@@ -64,8 +66,8 @@ pub fn ttm(t: &DenseTensor, mode: usize, factor: &Matrix) -> TtmOutput {
     }
 }
 
-/// TTM specialization for a tensor whose *last* mode is the contracted one
-/// (e.g. a pre-permuted copy kept by MSDT). No transpose is performed.
+/// TTM specialization for a tensor whose *last* mode is the contracted one:
+/// one GEMM on the tensor as it is stored, no transpose.
 pub fn ttm_last(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     ttm_last_in(&Workspace::unpooled(), t, factor)
 }
@@ -103,35 +105,65 @@ pub fn ttm_last_in(ws: &Workspace, t: &DenseTensor, factor: &Matrix) -> DenseTen
     DenseTensor::from_buffer(Shape::new(dims), out)
 }
 
-/// TTM specialization for a tensor whose *first* mode is the contracted one.
-/// Uses a transposed GEMM, so — like [`ttm_last`] — it moves no data. MSDT
-/// exploits this: together with pre-permuted copies of the input, every
-/// first-level contraction hits either the first or the last mode of some
-/// stored layout (paper §IV).
+/// TTM specialization for a tensor whose *first* mode is the contracted one:
+/// one transposed GEMM, so — like [`ttm_last`] — it moves no data. It is
+/// [`ttm_at`] at position 0 (a single slab).
 pub fn ttm_first(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
     ttm_first_in(&Workspace::unpooled(), t, factor)
 }
 
 /// [`ttm_first`] with the output drawn from `ws` (β = 0, as [`ttm_last_in`]).
 pub fn ttm_first_in(ws: &Workspace, t: &DenseTensor, factor: &Matrix) -> DenseTensor {
-    let n = t.order();
-    assert!(n >= 1);
-    let s_first = t.dim(0);
-    assert_eq!(factor.rows(), s_first);
-    let r = factor.cols();
-    let k = t.len() / s_first.max(1);
+    ttm_at_in(ws, t, 0, factor)
+}
 
-    // View t as an (s_first × K) matrix; out = tᵀ · factor.
-    let mut out = ws.draw(k * r);
-    gemm_slice(
+/// Contract the mode at position `p` of `t` (`[front.., s, back..]`) with
+/// `factor` (`s × R`) where it sits, giving `[front.., back.., R]`: the
+/// remaining modes keep their order, as in [`ttm`]. Each index of the front
+/// modes owns a contiguous `s × K` slab, so this is [`ttm_first`] batched
+/// over the slabs — one transposed product per slab, run as one GEMM over
+/// their stacked output rows, no data moved — and [`ttm_last`] at
+/// `p = N−1`. Every element is the sum one GEMM over the permuted tensor
+/// forms (one accumulator from 0, `l` ascending within `KC` panels, the
+/// small-vs-strip choice made on the whole product), so the result equals
+/// [`ttm`] bit for bit.
+///
+/// A slab's result does not see the front extents once its own batch
+/// clears the GEMM small-work threshold: contracting a slice along the
+/// leading mode then equals the matching rows of contracting the whole
+/// tensor, bit for bit — what a streaming input's tail appends rely on.
+pub fn ttm_at(t: &DenseTensor, p: usize, factor: &Matrix) -> DenseTensor {
+    ttm_at_in(&Workspace::unpooled(), t, p, factor)
+}
+
+/// [`ttm_at`] with the output drawn from `ws`. The GEMM runs with β = 0; a
+/// degenerate call (nothing to contract) zero-fills.
+pub fn ttm_at_in(ws: &Workspace, t: &DenseTensor, p: usize, factor: &Matrix) -> DenseTensor {
+    let n = t.order();
+    assert!(p < n, "mode position {p} out of range for order {n}");
+    if p == n - 1 {
+        return ttm_last_in(ws, t, factor);
+    }
+    let dims = t.shape().dims();
+    let s = dims[p];
+    assert_eq!(factor.rows(), s);
+    let r = factor.cols();
+    let batch: usize = dims[..p].iter().product();
+    let k: usize = dims[p + 1..].iter().product();
+
+    // Per slab: view it as an (s × K) matrix; out_slab = slabᵀ · factor.
+    // The output slabs stack into one (batch·K × R) matrix.
+    let mut out = ws.draw(batch * k * r);
+    gemm_batched(
+        batch,
         Trans::Yes,
         Trans::No,
         1.0,
         t.data(),
-        s_first,
+        s,
         k,
         factor.data(),
-        s_first,
+        s,
         r,
         0.0,
         &mut out,
@@ -139,65 +171,9 @@ pub fn ttm_first_in(ws: &Workspace, t: &DenseTensor, factor: &Matrix) -> DenseTe
         r,
     );
 
-    let mut dims: Vec<usize> = t.shape().dims()[1..].to_vec();
-    dims.push(r);
-    DenseTensor::from_buffer(Shape::new(dims), out)
-}
-
-/// [`ttm_first`] batched over the leading mode: contract the *second* mode
-/// of `t` (`[E, s, rest...]`) with `factor` (`s × R`), giving
-/// `[E, rest..., R]`. Each leading index owns a contiguous `s × K` slab, so
-/// this is one transposed GEMM per slab and — like [`ttm_first`] and
-/// [`ttm_last`] — moves no data. Slabs fan out over the pool.
-///
-/// This is what lets a streaming input keep its evolving mode leading in
-/// every stored layout (appending a slice is then a tail append) and still
-/// contract a second mode per layout without a transpose. A slab's result
-/// does not depend on `E`, so contracting an appended slice alone equals
-/// the matching rows of contracting the grown tensor, bit for bit.
-pub fn ttm_first_batched(t: &DenseTensor, factor: &Matrix) -> DenseTensor {
-    ttm_first_batched_in(&Workspace::unpooled(), t, factor)
-}
-
-/// [`ttm_first_batched`] with the output drawn from `ws`. Every slab GEMM
-/// runs with β = 0; a degenerate call (nothing to contract) zero-fills.
-pub fn ttm_first_batched_in(ws: &Workspace, t: &DenseTensor, factor: &Matrix) -> DenseTensor {
-    let n = t.order();
-    assert!(n >= 2, "batched TTM needs a leading and a contracted mode");
-    let (batch, s) = (t.dim(0), t.dim(1));
-    assert_eq!(factor.rows(), s);
-    let r = factor.cols();
-    let k: usize = t.shape().dims()[2..].iter().product();
-
-    let mut dims = vec![batch];
-    dims.extend_from_slice(&t.shape().dims()[2..]);
-    dims.push(r);
-    let mut out = ws.draw(batch * k * r);
-    if s == 0 {
-        out.fill(0.0);
-    } else if !out.is_empty() {
-        let src = t.data();
-        // Per slab: view it as an (s × K) matrix; out_slab = slabᵀ · factor.
-        out.par_chunks_mut(k * r).enumerate().for_each(|(i, c)| {
-            gemm_slice_uncounted(
-                Trans::Yes,
-                Trans::No,
-                1.0,
-                &src[i * s * k..(i + 1) * s * k],
-                s,
-                k,
-                factor.data(),
-                s,
-                r,
-                0.0,
-                c,
-                k,
-                r,
-            );
-        });
-        count_gemm_calls(batch as u64, k, r, s);
-    }
-    DenseTensor::from_buffer(Shape::new(dims), out)
+    let mut out_dims: Vec<usize> = dims[..p].iter().chain(&dims[p + 1..]).copied().collect();
+    out_dims.push(r);
+    DenseTensor::from_buffer(Shape::new(out_dims), out)
 }
 
 #[cfg(test)]
@@ -290,7 +266,8 @@ mod tests {
 
     #[test]
     fn ttm_first_batched_matches_naive_orders_3_to_5() {
-        // Slabs below and above the packed-GEMM threshold, ranks on the
+        // `ttm_at` at position 1 is `ttm_first` batched over the leading
+        // mode. Slabs below and above the strip threshold, ranks on the
         // generic (3) and the rank-specialized (8) paths.
         for dims in [
             vec![3, 4, 5],
@@ -301,7 +278,7 @@ mod tests {
             let t = seq_tensor(dims.clone());
             for r in [3, 8] {
                 let a = Matrix::from_fn(dims[1], r, |i, j| ((i * 3 + j) % 7) as f64 * 0.5 - 1.0);
-                let got = ttm_first_batched(&t, &a);
+                let got = ttm_at(&t, 1, &a);
                 let want = naive_ttm(&t, 1, &a);
                 assert_eq!(got.shape().dims(), want.shape().dims());
                 assert!(
@@ -313,26 +290,70 @@ mod tests {
     }
 
     #[test]
-    fn ttm_first_batched_slabs_do_not_see_the_batch_extent() {
-        // The streaming contract: contracting the trailing slabs alone is
-        // bit-identical to the same rows of the whole contraction.
-        let t = seq_tensor(vec![5, 9, 8, 7]);
-        let a = Matrix::from_fn(9, 8, |i, j| ((i * 5 + j) % 11) as f64 * 0.25 - 1.0);
-        let whole = ttm_first_batched(&t, &a);
-        let tail = ttm_first_batched(&t.slice_along(0, 3, 2), &a);
-        assert_eq!(whole.slice_along(0, 3, 2).data(), tail.data());
+    fn ttm_at_equals_the_permuting_oracle_bitwise() {
+        // Every position of orders 3–5 at the generic and every
+        // whole-vector rank, against `ttm` (move the mode last, then
+        // `ttm_last`). 12×10×11 / R = 4 has slabs below the small-work
+        // threshold and a whole product above it; 9×8×7 / R = 2 is below
+        // it as a whole.
+        let mut rng = crate::rng::seeded(28);
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[12, 10, 11], &[4]),
+            (&[9, 8, 7], &[2]),
+            (&[7, 9, 10], &[3, 8, 12, 24, 32]),
+            (&[5, 6, 7, 8], &[3, 8, 12, 24, 32]),
+            (&[3, 40, 7, 41], &[8, 32]),
+            (&[3, 4, 5, 6, 4], &[3, 8, 12, 24, 32]),
+        ];
+        for (dims, ranks) in cases {
+            let t = crate::rng::uniform_tensor(dims, &mut rng);
+            for p in 0..dims.len() {
+                for &r in ranks {
+                    let a = crate::rng::uniform_matrix(dims[p], r, &mut rng);
+                    let got = ttm_at(&t, p, &a);
+                    let want = ttm(&t, p, &a).tensor;
+                    assert_eq!(got.shape().dims(), want.shape().dims());
+                    assert_eq!(got.data(), want.data(), "{dims:?} p={p} r={r}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn ttm_first_batched_credits_one_product_per_slab() {
+    fn ttm_first_batched_slabs_do_not_see_the_batch_extent() {
+        // The streaming contract, at every interior position: contracting
+        // trailing slices of the leading mode alone is bit-identical to the
+        // same rows of the whole contraction.
+        let mut rng = crate::rng::seeded(5);
+        for dims in [vec![5, 9, 8, 7], vec![4, 6, 5, 4, 6]] {
+            let t = crate::rng::uniform_tensor(&dims, &mut rng);
+            for p in 1..dims.len() - 1 {
+                let a = crate::rng::uniform_matrix(dims[p], 8, &mut rng);
+                let whole = ttm_at(&t, p, &a);
+                let tail = ttm_at(&t.slice_along(0, 3, dims[0] - 3), p, &a);
+                assert_eq!(
+                    whole.slice_along(0, 3, dims[0] - 3).data(),
+                    tail.data(),
+                    "{dims:?} p={p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ttm_at_credits_one_product() {
+        // However many slabs, the stacked product is one GEMM call with
+        // the whole contraction's flops.
         let t = seq_tensor(vec![4, 9, 8, 7]);
-        let a = Matrix::from_fn(9, 8, |i, j| (i + j) as f64);
-        let before = crate::gemm::thread_gemm_counters();
-        let _ = ttm_first_batched(&t, &a);
-        let d = crate::gemm::thread_gemm_counters().since(&before);
-        assert_eq!(d.calls, 4);
-        assert_eq!(d.fixed_n_calls, 4);
-        assert_eq!(d.flops, 2 * t.len() as u64 * 8);
+        for p in 0..4 {
+            let a = Matrix::from_fn(t.dim(p), 8, |i, j| (i + j) as f64);
+            let before = crate::gemm::thread_gemm_counters();
+            let _ = ttm_at(&t, p, &a);
+            let d = crate::gemm::thread_gemm_counters().since(&before);
+            assert_eq!(d.calls, 1);
+            assert_eq!(d.fixed_n_calls, 1);
+            assert_eq!(d.flops, 2 * t.len() as u64 * 8);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use pp_tensor::gemm::{gemm, panel_kc, small_work_limit, Trans};
 use pp_tensor::kernels::krp::khatri_rao;
 use pp_tensor::kernels::mttv::mttv;
-use pp_tensor::kernels::ttm::{ttm, ttm_first, ttm_first_batched};
+use pp_tensor::kernels::ttm::{ttm, ttm_at, ttm_first};
 use pp_tensor::rng::{seeded, uniform_matrix, uniform_tensor};
 use pp_tensor::semisparse::{csf_ttm, semisparse_mttkrp, ss_mttv, TtmPlan};
 use pp_tensor::sparse::{sparse_mttkrp, CsfTensor, SparseTensor};
@@ -279,22 +279,28 @@ fn mttv_bit_identical_across_thread_counts() {
 
 #[test]
 fn ttm_first_batched_bit_identical_1_vs_4_threads() {
-    // Slabs fan out over the pool and each slab's GEMM (40·24·16 multiply-
-    // adds ≥ 2^16 with the prime trailing volume below) fans out again
-    // inside it; which worker runs which slab or row chunk must not show.
+    // `ttm_at` at positions 1 and N−2, over 1/2/4/8 threads. The slabs run
+    // as one product over their stacked rows, so row chunks (and strips)
+    // cut across slab boundaries at thread-count-dependent places — many
+    // small slabs, or `[2, 300, 300]`'s two large ones. Which worker runs
+    // which rows must not show.
     let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded(31);
-    let t = uniform_tensor(&[5, 40, 7, 41], &mut rng);
-    for r in [16usize, 24] {
-        let fac = uniform_matrix(40, r, &mut rng);
-        let serial = with_threads(1, || ttm_first_batched(&t, &fac));
-        for threads in [2, 4, 8] {
-            let par = with_threads(threads, || ttm_first_batched(&t, &fac));
-            assert_eq!(
-                serial.data(),
-                par.data(),
-                "batched ttm r={r} differs at {threads} threads"
-            );
+    for dims in [vec![5, 40, 7, 41], vec![2, 300, 300], vec![3, 5, 40, 7, 9]] {
+        let t = uniform_tensor(&dims, &mut rng);
+        for p in [1, dims.len() - 2] {
+            for r in [16usize, 24] {
+                let fac = uniform_matrix(dims[p], r, &mut rng);
+                let serial = with_threads(1, || ttm_at(&t, p, &fac));
+                for threads in [2, 4, 8] {
+                    let par = with_threads(threads, || ttm_at(&t, p, &fac));
+                    assert_eq!(
+                        serial.data(),
+                        par.data(),
+                        "{dims:?} p={p} r={r} differs at {threads} threads"
+                    );
+                }
+            }
         }
     }
 }
@@ -413,7 +419,7 @@ fn first_level_contractions_agree_bitwise_at_every_whole_vector_rank() {
         let deep_fac = uniform_matrix(deep[2], r, &mut rng);
         for threads in [1, 2, 4, 8] {
             with_threads(threads, || {
-                let batched = ttm_first_batched(&t, &fac);
+                let batched = ttm_at(&t, 1, &fac);
                 for i in 0..3 {
                     assert_eq!(
                         batched.slice_along(0, i, 1).data(),

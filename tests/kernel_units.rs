@@ -126,7 +126,7 @@ fn dt_msdt_pp_first_sweep_identical() {
 
         let fs = FactorState::new(factors.clone());
         let mut in_dt = InputTensor::new(t.clone());
-        let mut in_ms = InputTensor::with_msdt_copies(t.clone());
+        let mut in_ms = InputTensor::new(t.clone());
         let mut in_pp = InputTensor::new(t.clone());
         let mut e_dt = DimTreeEngine::new(TreePolicy::Standard, order);
         let mut e_ms = DimTreeEngine::new(TreePolicy::MultiSweep, order);
@@ -172,7 +172,7 @@ fn engines_stay_exact_across_a_full_sweep_of_updates() {
     let mut fs_dt = FactorState::new(factors.clone());
     let mut fs_ms = FactorState::new(factors);
     let mut in_dt = InputTensor::new(t.clone());
-    let mut in_ms = InputTensor::with_msdt_copies(t.clone());
+    let mut in_ms = InputTensor::new(t.clone());
     let mut e_dt = DimTreeEngine::new(TreePolicy::Standard, dims.len());
     let mut e_ms = DimTreeEngine::new(TreePolicy::MultiSweep, dims.len());
 

@@ -48,7 +48,6 @@ proptest! {
         dims in prop::collection::vec(2usize..5, 5..=5),
         order in 3usize..6,
         e_pick in 0usize..5,
-        copies in 0usize..2,
         appends in 1usize..4,
         r in 1usize..5,
         seed in 0u64..1000,
@@ -56,7 +55,7 @@ proptest! {
         let e = e_pick % order;
         let mut dims = dims[..order].to_vec();
         dims[e] += appends; // room for `appends` one-row slices after the start
-        check_evolving_input(&dims, e, copies == 1, appends, r, seed);
+        check_evolving_input(&dims, e, appends, r, seed);
     }
 
     #[test]
@@ -282,7 +281,7 @@ fn check_tree_agreement(dims: &[usize], r: usize, seed: u64) {
     let mut fs_dt = FactorState::new(factors.clone());
     let mut fs_ms = FactorState::new(factors);
     let mut in_dt = InputTensor::new(t.clone());
-    let mut in_ms = InputTensor::with_msdt_copies(t.clone());
+    let mut in_ms = InputTensor::new(t.clone());
     let mut e_dt = DimTreeEngine::new(TreePolicy::Standard, dims.len());
     let mut e_ms = DimTreeEngine::new(TreePolicy::MultiSweep, dims.len());
     for _sweep in 0..2 {
@@ -302,18 +301,11 @@ fn check_tree_agreement(dims: &[usize], r: usize, seed: u64) {
     }
 }
 
-/// An input laid out along `e`: every mode contracts to the TTM oracle
-/// (without a transpose when the copies are kept), and the input grown from
-/// a prefix by `appends` one-row slices is — layout for layout, as far as
-/// any contraction can tell — the input built from the whole tensor.
-fn check_evolving_input(
-    dims: &[usize],
-    e: usize,
-    copies: bool,
-    appends: usize,
-    r: usize,
-    seed: u64,
-) {
+/// An input laid out along `e`: every mode contracts in place to the TTM
+/// oracle, bit for bit, and the input grown from a prefix by `appends`
+/// one-row slices is — as far as any contraction can tell — the input
+/// built from the whole tensor.
+fn check_evolving_input(dims: &[usize], e: usize, appends: usize, r: usize, seed: u64) {
     let mut rng = seeded(seed);
     let t = uniform_tensor(dims, &mut rng);
     let factors: Vec<Matrix> = dims
@@ -321,12 +313,9 @@ fn check_evolving_input(
         .map(|&d| uniform_matrix(d, r, &mut rng))
         .collect();
 
-    let mut whole = InputTensor::evolving(&t, e, copies);
+    let whole = InputTensor::evolving(&t, e);
     for (mode, a) in factors.iter().enumerate() {
         let fl = whole.contract_mode(mode, a);
-        if copies {
-            assert_eq!(fl.transpose_words, 0, "mode {mode} transposed");
-        }
         // Back to ascending mode order (rank stays last) for the oracle.
         let mut sorted = fl.mode_order.clone();
         sorted.sort_unstable();
@@ -337,26 +326,22 @@ fn check_evolving_input(
         perm.push(fl.mode_order.len());
         let got = permute(fl.payload.dense(), &perm);
         let want = ttm(&t, mode, a).tensor;
-        assert!(got.max_abs_diff(&want) < 1e-9, "e={e} mode {mode}");
+        assert_eq!(got.data(), want.data(), "e={e} mode {mode}");
     }
 
     let start = dims[e] - appends;
-    let mut grown = InputTensor::evolving(&t.slice_along(e, 0, start), e, copies);
+    let mut grown = InputTensor::evolving(&t.slice_along(e, 0, start), e);
     for i in 0..appends {
         grown.extend_mode(e, &t.slice_along(e, start + i, 1));
     }
-    assert_eq!(grown.layout_count(), whole.layout_count());
+    assert_eq!(grown.layout_count(), 1);
     assert_eq!(grown.canonical().data(), t.data());
     // One pool for every run: later results land in returned buffers.
     let ws = Workspace::new();
     for (mode, a) in factors.iter().enumerate() {
-        match (grown.plan_contract(mode), whole.plan_contract(mode)) {
-            (Some(g), Some(w)) => {
-                assert_eq!(g.mode_order, w.mode_order);
-                assert_eq!(g.run(a, &ws).dense().data(), w.run(a, &ws).dense().data());
-            }
-            (None, None) => assert!(!copies, "copies leave no mode unplanned"),
-            _ => panic!("grown and whole inputs plan mode {mode} differently"),
-        }
+        let (g, w) = (grown.plan_contract(mode), whole.plan_contract(mode));
+        let (g, w) = (g.expect("dense inputs plan"), w.expect("dense inputs plan"));
+        assert_eq!(g.mode_order, w.mode_order);
+        assert_eq!(g.run(a, &ws).dense().data(), w.run(a, &ws).dense().data());
     }
 }
