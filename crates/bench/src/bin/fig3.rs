@@ -6,11 +6,10 @@
 //! runtime; the full paper ladder (up to 8×8×16 = 1024 ranks) is reported
 //! through the calibrated Table I cost model (see DESIGN.md §1).
 //!
-//! Run: `cargo run --release -p pp-bench --bin fig3 [-- --full]
-//!       [--no-lookahead]` (disable cross-mode lookahead for ablation)
+//! Run: `cargo run --release -p pp-bench --bin fig3 [-- --full]`
 
 use pp_bench::{
-    fmt_secs, measure_per_sweep_with, modeled_per_sweep, order3_grids_measured, order3_grids_paper,
+    fmt_secs, measure_per_sweep, modeled_per_sweep, order3_grids_measured, order3_grids_paper,
     order4_grids_measured, order4_grids_paper, Fig3Method,
 };
 use pp_comm::CostModel;
@@ -22,7 +21,6 @@ fn grid_name(g: &[usize]) -> String {
         .join("x")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn weak_scaling(
     title: &str,
     measured: &[Vec<usize>],
@@ -30,12 +28,9 @@ fn weak_scaling(
     s_local: usize,
     rank: usize,
     sweeps: usize,
-    lookahead: bool,
     model: &CostModel,
 ) {
-    println!(
-        "\n== {title}: measured per-sweep time (s_local={s_local}, R={rank}, lookahead={lookahead}) =="
-    );
+    println!("\n== {title}: measured per-sweep time (s_local={s_local}, R={rank}) ==");
     println!(
         "{:12} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "grid", "PLANC", "DT", "MSDT", "PP-init", "PP-approx"
@@ -43,7 +38,7 @@ fn weak_scaling(
     for g in measured {
         let mut row = format!("{:12}", grid_name(g));
         for m in Fig3Method::all() {
-            let meas = measure_per_sweep_with(m, g, s_local, rank, sweeps, lookahead);
+            let meas = measure_per_sweep(m, g, s_local, rank, sweeps);
             row.push_str(&format!(" {:>12}", fmt_secs(meas.secs)));
         }
         println!("{row}");
@@ -73,14 +68,7 @@ fn weak_scaling(
     }
 }
 
-fn breakdown(
-    title: &str,
-    grid: &[usize],
-    s_local: usize,
-    rank: usize,
-    sweeps: usize,
-    lookahead: bool,
-) {
+fn breakdown(title: &str, grid: &[usize], s_local: usize, rank: usize, sweeps: usize) {
     println!(
         "\n== {title}: per-sweep kernel breakdown (grid {}) ==",
         grid_name(grid)
@@ -90,11 +78,11 @@ fn breakdown(
         "method", "TTM", "mTTV", "hadamard", "solve", "others", "total"
     );
     for m in [Fig3Method::Planc, Fig3Method::Dt, Fig3Method::Msdt] {
-        let meas = measure_per_sweep_with(m, grid, s_local, rank, sweeps, lookahead);
+        let meas = measure_per_sweep(m, grid, s_local, rank, sweeps);
         let five = meas.stats.five_way();
         let total: f64 = five.iter().map(|(_, s)| s).sum();
         println!(
-            "{:12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} (spec {}/{} hit/wasted; packed GEMM {:.2} Gflop, {}/{} fixed-n/generic; sparse MTTKRP {:.2} Gflop, {} fibers)",
+            "{:12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} (packed GEMM {:.2} Gflop, {}/{} fixed-n/generic; sparse MTTKRP {:.2} Gflop, {} fibers)",
             m.label(),
             fmt_secs(five[0].1),
             fmt_secs(five[1].1),
@@ -102,8 +90,6 @@ fn breakdown(
             fmt_secs(five[3].1),
             fmt_secs(five[4].1),
             fmt_secs(total),
-            meas.stats.spec_hits,
-            meas.stats.spec_wasted,
             meas.stats.gemm_packed_flops as f64 / 1e9,
             meas.stats.gemm_fixed_n_calls,
             meas.stats.gemm_generic_calls,
@@ -113,7 +99,7 @@ fn breakdown(
     }
     // PP kernels timed as whole steps (their internals are mTTV-dominated).
     for m in [Fig3Method::PpInit, Fig3Method::PpApprox] {
-        let meas = measure_per_sweep_with(m, grid, s_local, rank, sweeps, lookahead);
+        let meas = measure_per_sweep(m, grid, s_local, rank, sweeps);
         println!(
             "{:12} {:>12} (whole step; mTTV-dominated, see paper §IV)",
             m.label(),
@@ -124,8 +110,7 @@ fn breakdown(
 
 fn main() {
     let threads = pp_bench::apply_threads_flag();
-    let lookahead = !pp_bench::no_lookahead_flag();
-    eprintln!("[pool] {threads} kernel threads, lookahead={lookahead}");
+    eprintln!("[pool] {threads} kernel threads");
     let full = std::env::args().any(|a| a == "--full");
     let model = CostModel::stampede2_like();
     // Reproduction-scale parameters (paper scale needs 1024 KNL nodes).
@@ -140,7 +125,6 @@ fn main() {
         s3,
         r3,
         sweeps,
-        lookahead,
         &model,
     );
     weak_scaling(
@@ -150,12 +134,11 @@ fn main() {
         s4,
         r4,
         sweeps,
-        lookahead,
         &model,
     );
 
-    breakdown("Fig. 3c analogue", &[1, 2, 2], s3, r3, sweeps, lookahead);
-    breakdown("Fig. 3d analogue", &[2, 2, 4], s3, r3, sweeps, lookahead);
-    breakdown("Fig. 3e analogue", &[1, 1, 2, 2], s4, r4, sweeps, lookahead);
-    breakdown("Fig. 3f analogue", &[2, 2, 2, 2], s4, r4, sweeps, lookahead);
+    breakdown("Fig. 3c analogue", &[1, 2, 2], s3, r3, sweeps);
+    breakdown("Fig. 3d analogue", &[2, 2, 4], s3, r3, sweeps);
+    breakdown("Fig. 3e analogue", &[1, 1, 2, 2], s4, r4, sweeps);
+    breakdown("Fig. 3f analogue", &[2, 2, 2, 2], s4, r4, sweeps);
 }

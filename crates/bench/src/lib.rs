@@ -22,12 +22,6 @@ use pp_tensor::DenseTensor;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Honor a `--no-lookahead` flag (shared by the bench binaries): when
-/// present, drivers run with `AlsConfig::lookahead` off (ablation).
-pub fn no_lookahead_flag() -> bool {
-    std::env::args().any(|a| a == "--no-lookahead")
-}
-
 /// Honor a `--threads <n>` flag (shared by every bench binary): installs
 /// the process-wide *base* pool width (the bench process is single
 /// purpose; library callers should prefer the scoped
@@ -97,27 +91,13 @@ pub fn weak_scaling_tensor(s_local: usize, grid: &ProcGrid, seed: u64) -> DenseT
     uniform_tensor(&dims, &mut rng)
 }
 
-/// Measure mean per-sweep time for one method on one grid (Fig. 3a/b)
-/// with cross-mode lookahead on (the default).
+/// Measure mean per-sweep time for one method on one grid (Fig. 3a/b).
 pub fn measure_per_sweep(
     method: Fig3Method,
     grid_dims: &[usize],
     s_local: usize,
     rank: usize,
     sweeps: usize,
-) -> SweepMeasurement {
-    measure_per_sweep_with(method, grid_dims, s_local, rank, sweeps, true)
-}
-
-/// [`measure_per_sweep`] with an explicit lookahead setting (ablation:
-/// `--no-lookahead` rows of EXPERIMENTS.md).
-pub fn measure_per_sweep_with(
-    method: Fig3Method,
-    grid_dims: &[usize],
-    s_local: usize,
-    rank: usize,
-    sweeps: usize,
-    lookahead: bool,
 ) -> SweepMeasurement {
     let grid = ProcGrid::new(grid_dims.to_vec());
     let t = Arc::new(weak_scaling_tensor(s_local, &grid, 7));
@@ -133,8 +113,7 @@ pub fn measure_per_sweep_with(
         }
     }
     .with_max_sweeps(sweeps)
-    .with_tol(0.0)
-    .with_lookahead(lookahead);
+    .with_tol(0.0);
 
     match method {
         Fig3Method::Planc | Fig3Method::Dt | Fig3Method::Msdt => {
@@ -146,9 +125,6 @@ pub fn measure_per_sweep_with(
                 for n in 0..g2.order() {
                     let _ = st.update_mode_exact(ctx, &c2, n);
                 }
-                // The warm-up's trailing speculation must not run into
-                // the timed region.
-                st.engine.drain_lookahead();
                 st.engine.take_stats();
                 ctx.comm.barrier();
                 let t0 = Instant::now();
@@ -159,7 +135,6 @@ pub fn measure_per_sweep_with(
                 }
                 ctx.comm.barrier();
                 let secs = t0.elapsed().as_secs_f64() / c2.max_sweeps as f64;
-                st.engine.drain_lookahead(); // nothing leaks past this run
                 (
                     secs,
                     st.engine.take_stats().scaled(1.0 / c2.max_sweeps as f64),

@@ -25,7 +25,10 @@ use std::sync::Arc;
 pub(crate) const MAGIC: [u8; 4] = *b"PPCK";
 /// Format 2 added the representation tag to cached intermediates (dense
 /// vs semi-sparse) and the semi-sparse kernel counters to the stats block.
-pub(crate) const VERSION: u32 = 2;
+/// Format 3 dropped the fields the program can no longer set: the
+/// lookahead and fitness-tracking config bytes, and the transpose and
+/// speculation counters of the stats block.
+pub(crate) const VERSION: u32 = 3;
 
 /// FNV-1a 64-bit over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -178,16 +181,11 @@ impl Writer {
         self.f64_(s.mttv_secs);
         self.f64_(s.hadamard_secs);
         self.f64_(s.solve_secs);
-        self.f64_(s.transpose_secs);
         self.f64_(s.other_secs);
         self.u64_(s.ttm_flops);
         self.u64_(s.mttv_flops);
         self.u64_(s.ttm_count);
         self.u64_(s.mttv_count);
-        self.u64_(s.transpose_count);
-        self.u64_(s.spec_launched);
-        self.u64_(s.spec_hits);
-        self.u64_(s.spec_wasted);
         self.u64_(s.gemm_packed_flops);
         self.u64_(s.gemm_fixed_n_calls);
         self.u64_(s.gemm_generic_calls);
@@ -411,16 +409,11 @@ impl<'a> Reader<'a> {
             mttv_secs: self.f64_()?,
             hadamard_secs: self.f64_()?,
             solve_secs: self.f64_()?,
-            transpose_secs: self.f64_()?,
             other_secs: self.f64_()?,
             ttm_flops: self.u64_()?,
             mttv_flops: self.u64_()?,
             ttm_count: self.u64_()?,
             mttv_count: self.u64_()?,
-            transpose_count: self.u64_()?,
-            spec_launched: self.u64_()?,
-            spec_hits: self.u64_()?,
-            spec_wasted: self.u64_()?,
             gemm_packed_flops: self.u64_()?,
             gemm_fixed_n_calls: self.u64_()?,
             gemm_generic_calls: self.u64_()?,
@@ -523,6 +516,13 @@ mod tests {
         bytes[0] = b'P';
         bytes[4] = 9; // version
         assert!(open_err(&bytes).contains("version"));
+        // A frame of the previous format, whose stats block and config
+        // carried fields this one dropped, is refused by its version.
+        bytes[4] = 2;
+        assert_eq!(
+            open_err(&bytes),
+            "unsupported checkpoint version 2 (expected 3)"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`planc`] — the PLANC-style baseline (standard DT + replicated solve);
 //! * [`session`] / [`par_session`] — the resumable sweep-granular state
 //!   machines every driver above is a thin step-loop over: explicit owned
-//!   state, `step()` advances one sweep, `finish()` drains speculation.
+//!   state, `step()` advances one sweep, `finish()` seals the report.
 //!   Sessions are the scheduling unit of the `pp-serve` batch driver;
 //! * [`stream`] — streaming/online CP for tensors that grow along one
 //!   mode: warm-started factor rows, incremental dimension-tree cache

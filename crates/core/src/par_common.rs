@@ -125,14 +125,6 @@ impl ParState {
         // Local MTTKRP through the dimension tree (no communication).
         let m_local = self.engine.mttkrp(&mut self.input, &self.fs_local, n);
 
-        // Cross-mode lookahead: overlap the next mode's first-level
-        // contraction with this mode's collectives + solve.
-        let next = (n + 1) % self.n_modes();
-        if cfg.lookahead {
-            self.engine
-                .lookahead(&self.input, &self.fs_local, next, Some(n));
-        }
-
         // Sum over the mode slice, scatter Q rows (line 14).
         let c0 = Instant::now();
         let m_q = self.dist_factors[n].reduce_scatter_rows(&m_local, &self.slices[n]);
@@ -140,10 +132,6 @@ impl ParState {
 
         let q_new = self.solve(ctx, cfg, &gamma, &m_q);
         self.commit_update(ctx, n, q_new);
-        if cfg.lookahead {
-            self.engine
-                .lookahead(&self.input, &self.fs_local, next, None);
-        }
         self.sync_ledger_flops();
         (gamma, m_q)
     }

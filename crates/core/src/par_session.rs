@@ -174,7 +174,7 @@ impl ParSession {
         self.sweeps_done += 1;
 
         if rec.kind != SweepKind::PpInit {
-            if self.cfg.track_fitness && (rec.fitness - self.fitness_old).abs() < self.cfg.tol {
+            if (rec.fitness - self.fitness_old).abs() < self.cfg.tol {
                 self.converged = true;
                 self.finished = true;
                 return Step::Swept(rec);
@@ -201,10 +201,9 @@ impl ParSession {
         self.finish(ctx)
     }
 
-    /// Drain speculation, gather global factors, seal the report.
+    /// Gather global factors and seal the report.
     pub fn finish(mut self, ctx: &mut RankCtx) -> ParAlsOutput {
         let _threads = self.cfg.thread_guard();
-        self.st.engine.drain_lookahead(); // settle any final-mode speculation
         let factors = self.st.gather_factors(ctx);
         self.report.stats = self.st.engine.take_stats();
         self.report.final_fitness = self.report.sweeps.last().map_or(f64::NAN, |s| s.fitness);
@@ -225,28 +224,15 @@ impl ParSession {
             None
         };
         let t0 = Instant::now();
-        // The final mode of the final permitted sweep must not speculate —
-        // its consumer can never run and drain_lookahead would have to
-        // join the wasted TTM.
-        let cfg_last = self.cfg.clone().with_lookahead(false);
         let mut last: Option<(Matrix, Matrix)> = None;
         for n in 0..n_modes {
-            let c = if self.sweeps_done + 1 >= self.cfg.max_sweeps && n == n_modes - 1 {
-                &cfg_last
-            } else {
-                &self.cfg
-            };
-            let out = self.st.update_mode_exact(ctx, c, n);
+            let out = self.st.update_mode_exact(ctx, &self.cfg, n);
             if n == n_modes - 1 {
                 last = Some(out);
             }
         }
         let (gamma_last, m_q_last) = last.unwrap();
-        let fitness = if self.cfg.track_fitness {
-            self.st.fitness(ctx, &gamma_last, &m_q_last)
-        } else {
-            f64::NAN
-        };
+        let fitness = self.st.fitness(ctx, &gamma_last, &m_q_last);
         let secs = t0.elapsed().as_secs_f64();
         self.cumulative += secs;
         if let Some(q_before) = q_before {
@@ -342,11 +328,7 @@ impl ParSession {
         }
         self.snap = Some(snap);
         let (gamma_last, m_q_last) = last.unwrap();
-        let fitness = if self.cfg.track_fitness {
-            self.st.fitness(ctx, &gamma_last, &m_q_last)
-        } else {
-            f64::NAN
-        };
+        let fitness = self.st.fitness(ctx, &gamma_last, &m_q_last);
         let secs = sweep_t0.elapsed().as_secs_f64();
         self.cumulative += secs;
         SweepRecord {

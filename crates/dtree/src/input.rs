@@ -29,8 +29,6 @@ use std::time::{Duration, Instant};
 /// forest the direct sparse-MTTKRP fast path runs over (`method=dt`), or
 /// per-mode semi-sparse TTM plans that let the dimension-tree engine plan
 /// first-level contractions over the sparse representation (`pp`/`msdt`).
-/// Shared by `Arc` so sessions can hand it to the engine — and contraction
-/// plans can ship it to pool workers — without copying the nonzeros.
 pub struct SparseInput {
     /// Sorted COO form (fingerprinting, norms, densify-for-oracle).
     pub coo: SparseTensor,
@@ -60,10 +58,8 @@ pub struct InputTensor {
     /// `mode_order[k]` = which original tensor mode sits at position `k`
     /// of the stored layout (canonical for fixed and sparse inputs).
     mode_order: Vec<usize>,
-    /// The dense layout, behind an `Arc` so a [`ContractPlan`] can ship it
-    /// to a pool worker (cross-mode lookahead) without copying gigabytes.
-    dense: Option<Arc<DenseTensor>>,
-    sparse: Option<Arc<SparseInput>>,
+    dense: Option<DenseTensor>,
+    sparse: Option<SparseInput>,
     /// The mode a streaming input grows along; it heads the layout.
     evolving: Option<usize>,
 }
@@ -79,69 +75,6 @@ pub struct FirstLevel {
     pub flops: u64,
     /// Contraction time.
     pub ttm_time: Duration,
-    /// Input entries visited (semi-sparse contractions only; 0 for dense).
-    pub entries: u64,
-}
-
-/// The data a [`ContractPlan`] executes over: the dense layout with the
-/// contracted mode's position in it, or the sparse input with its
-/// precomputed per-mode semi-sparse TTM plan.
-enum PlanSource {
-    Dense {
-        tensor: Arc<DenseTensor>,
-        at: usize,
-    },
-    Sparse {
-        input: Arc<SparseInput>,
-        mode: usize,
-    },
-}
-
-/// A zero-copy plan for a first-level contraction. The data is shared by
-/// `Arc`, so the plan can outlive `&self` and execute on another thread —
-/// the speculative half of the engine's cross-mode lookahead.
-pub struct ContractPlan {
-    source: PlanSource,
-    /// Original tensor modes of the *result*, in its layout order.
-    pub mode_order: Vec<usize>,
-}
-
-impl ContractPlan {
-    /// Execute the planned contraction — the identical kernel call
-    /// [`InputTensor::contract_mode`] issues, so the result is
-    /// bit-identical to the non-speculative path. The output is drawn from
-    /// `ws`.
-    pub fn run(&self, factor: &Matrix, ws: &Workspace) -> Payload {
-        match &self.source {
-            PlanSource::Dense { tensor, at } => {
-                Payload::Dense(Arc::new(ttm_at_in(ws, tensor, *at, factor)))
-            }
-            PlanSource::Sparse { input, mode } => Payload::SemiSparse(Arc::new(csf_ttm_in(
-                ws,
-                &input.coo,
-                &input.plans[*mode],
-                factor,
-            ))),
-        }
-    }
-
-    /// Elements of the input (dense layout volume, or `nnz`) — for flop
-    /// accounting: flops = `2 · input_elems · R` either way.
-    pub fn input_elems(&self) -> usize {
-        match &self.source {
-            PlanSource::Dense { tensor, .. } => tensor.len(),
-            PlanSource::Sparse { input, .. } => input.coo.nnz(),
-        }
-    }
-
-    /// Input entries a semi-sparse execution visits (0 for dense plans) —
-    /// feeds the engine's semi-sparse fiber counter on speculative hits.
-    pub fn input_entries(&self) -> u64 {
-        match &self.source {
-            PlanSource::Dense { .. } => 0,
-            PlanSource::Sparse { input, .. } => input.coo.nnz() as u64,
-        }
-    }
 }
 
 impl InputTensor {
@@ -149,7 +82,7 @@ impl InputTensor {
     pub fn new(t: DenseTensor) -> Self {
         InputTensor {
             mode_order: (0..t.order()).collect(),
-            dense: Some(Arc::new(t)),
+            dense: Some(t),
             sparse: None,
             evolving: None,
         }
@@ -160,7 +93,7 @@ impl InputTensor {
         InputTensor {
             mode_order: (0..sp.coo.order()).collect(),
             dense: None,
-            sparse: Some(Arc::new(sp)),
+            sparse: Some(sp),
             evolving: None,
         }
     }
@@ -199,7 +132,7 @@ impl InputTensor {
 
     /// The sparse backing, when this input is sparse.
     pub fn sparse(&self) -> Option<&SparseInput> {
-        self.sparse.as_deref()
+        self.sparse.as_ref()
     }
 
     /// Whether this input is sparse-backed.
@@ -230,7 +163,7 @@ impl InputTensor {
             mode_order: std::iter::once(e)
                 .chain((0..order).filter(|&m| m != e))
                 .collect(),
-            dense: Some(Arc::new(move_mode_first(t, e))),
+            dense: Some(move_mode_first(t, e)),
             sparse: None,
             evolving: Some(e),
         }
@@ -242,7 +175,7 @@ impl InputTensor {
     }
 
     /// The dense layout; panics on a sparse-backed input.
-    fn layout(&self) -> &Arc<DenseTensor> {
+    fn layout(&self) -> &DenseTensor {
         self.dense
             .as_ref()
             .expect("sparse input has no dense layout")
@@ -293,42 +226,6 @@ impl InputTensor {
         self.len() == 0
     }
 
-    /// Plan contracting `mode` without mutating or copying — the same
-    /// kernel call [`InputTensor::contract_mode`] makes, so a plan executed
-    /// speculatively reproduces the sync path bit for bit. `None` only for
-    /// a direct-CSF sparse input, which has no first-level TTM.
-    pub fn plan_contract(&self, mode: usize) -> Option<ContractPlan> {
-        assert!(mode < self.order());
-        if let Some(sp) = &self.sparse {
-            if sp.plans.is_empty() {
-                // Direct-CSF input: sparse MTTKRPs bypass the dimension
-                // tree entirely, so there is no first-level TTM to plan.
-                return None;
-            }
-            // Chain-planned input: semi-sparse TTM over the plan for
-            // `mode`. The result's surviving levels keep the canonical
-            // ascending mode order (the plan's stable sort preserves it).
-            return Some(ContractPlan {
-                source: PlanSource::Sparse {
-                    input: sp.clone(),
-                    mode,
-                },
-                mode_order: (0..self.order()).filter(|&m| m != mode).collect(),
-            });
-        }
-        // Contract the mode where it sits; the rest keep their order.
-        let at = self.position(mode);
-        let mut mode_order = self.mode_order.clone();
-        mode_order.remove(at);
-        Some(ContractPlan {
-            source: PlanSource::Dense {
-                tensor: self.layout().clone(),
-                at,
-            },
-            mode_order,
-        })
-    }
-
     /// Contract original mode `mode` with `factor` (first-level TTM) in
     /// place in the stored layout.
     pub fn contract_mode(&self, mode: usize, factor: &Matrix) -> FirstLevel {
@@ -336,18 +233,38 @@ impl InputTensor {
     }
 
     /// [`InputTensor::contract_mode`] with the result drawn from `ws`.
+    /// Panics on a direct-CSF sparse input, whose MTTKRPs bypass the
+    /// dimension tree and so never ask for a first-level contraction.
     pub fn contract_mode_in(&self, ws: &Workspace, mode: usize, factor: &Matrix) -> FirstLevel {
-        let plan = self
-            .plan_contract(mode)
-            .expect("first-level contraction on a direct-CSF sparse input (engine bug)");
+        assert!(mode < self.order());
         let t0 = Instant::now();
-        let payload = plan.run(factor, ws);
+        let (payload, mode_order) = match &self.sparse {
+            Some(sp) => {
+                assert!(
+                    !sp.plans.is_empty(),
+                    "first-level contraction on a direct-CSF sparse input (engine bug)"
+                );
+                // Semi-sparse TTM over the plan for `mode`. The result's
+                // surviving levels keep the canonical ascending mode order
+                // (the plan's stable sort preserves it).
+                let ss = csf_ttm_in(ws, &sp.coo, &sp.plans[mode], factor);
+                let rest = (0..self.order()).filter(|&m| m != mode).collect();
+                (Payload::SemiSparse(Arc::new(ss)), rest)
+            }
+            None => {
+                // Contract the mode where it sits; the rest keep their order.
+                let at = self.position(mode);
+                let mut rest = self.mode_order.clone();
+                rest.remove(at);
+                let t = ttm_at_in(ws, self.layout(), at, factor);
+                (Payload::Dense(Arc::new(t)), rest)
+            }
+        };
         FirstLevel {
             payload,
+            mode_order,
             flops: 2 * self.len() as u64 * factor.cols() as u64,
             ttm_time: t0.elapsed(),
-            entries: plan.input_entries(),
-            mode_order: plan.mode_order,
         }
     }
 
@@ -366,16 +283,14 @@ impl InputTensor {
     }
 
     /// Append a slice laid out like this input ([`InputTensor::evolving`]
-    /// along the same mode): a tail append, in place. A layout still
-    /// shared with a live [`ContractPlan`] is copied first, so the plan
-    /// keeps the tensor it was made for.
+    /// along the same mode): a tail append, in place.
     pub fn append(&mut self, slice: &InputTensor) {
         assert!(
             self.evolving.is_some() && self.evolving == slice.evolving,
             "append needs two inputs laid out along the same evolving mode"
         );
         let layout = self.dense.as_mut().expect("evolving inputs are dense");
-        Arc::make_mut(layout).append_leading(slice.layout());
+        layout.append_leading(slice.layout());
     }
 }
 
@@ -457,14 +372,7 @@ mod tests {
         for base in tensors().into_iter().filter(|t| t.order() >= 3) {
             let input = InputTensor::new(base.clone());
             for mode in 1..base.order() - 1 {
-                let plan = input.plan_contract(mode).expect("dense inputs always plan");
-                match &plan.source {
-                    PlanSource::Dense { tensor, at } => {
-                        assert_eq!(*at, mode);
-                        assert!(Arc::ptr_eq(tensor, input.layout()));
-                    }
-                    PlanSource::Sparse { .. } => panic!("dense input planned sparse"),
-                }
+                assert_eq!(input.position(mode), mode);
                 let a = factor(base.dim(mode), 2);
                 let fl = input.contract_mode(mode, &a);
                 let want = ttm(&base, mode, &a).tensor;
@@ -485,12 +393,12 @@ mod tests {
             ];
             inputs.extend((0..order).map(|e| InputTensor::evolving(&t, e)));
             for mut input in inputs {
-                let stored = input.layout().clone();
+                let stored = input.layout().data().as_ptr();
                 for mode in 0..order {
                     let _ = input.contract_mode(mode, &factor(t.dim(mode), 2));
                 }
                 assert_eq!(input.layout_count(), 1, "order {order}");
-                assert!(Arc::ptr_eq(&stored, input.layout()));
+                assert_eq!(stored, input.layout().data().as_ptr());
                 input.extend_mode(order - 1, &t.slice_along(order - 1, 0, 1));
                 assert_eq!(input.layout_count(), 1, "order {order}");
             }
@@ -577,30 +485,5 @@ mod tests {
                 assert_eq!(g.data(), b.data(), "{dims:?} e={e}");
             }
         }
-    }
-
-    #[test]
-    fn append_leaves_a_live_plan_its_tensor() {
-        // A plan made before the append shares the layout's `Arc`; the
-        // append must copy rather than grow the tensor under it.
-        let whole = seq_tensor(vec![3, 4, 5, 6]);
-        let e = 3;
-        let old = whole.slice_along(e, 0, 4);
-        let mut input = InputTensor::evolving(&old, e);
-        let a = factor(4, 3);
-        let plan = input.plan_contract(1).expect("dense inputs always plan");
-        input.append(&InputTensor::evolving(&whole.slice_along(e, 4, 2), e));
-        assert_eq!(input.canonical().data(), whole.data());
-        assert_eq!(input.dim(e), 6);
-        let before = InputTensor::evolving(&old, e).contract_mode(1, &a).payload;
-        let ran = plan.run(&a, &Workspace::unpooled());
-        assert_eq!(ran.dense().data(), before.dense().data());
-        let after = InputTensor::evolving(&whole, e)
-            .contract_mode(1, &a)
-            .payload;
-        assert_eq!(
-            input.contract_mode(1, &a).payload.dense().data(),
-            after.dense().data()
-        );
     }
 }

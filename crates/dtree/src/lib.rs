@@ -53,7 +53,7 @@ where
         .collect()
 }
 
-pub use cache::{InterCache, Intermediate, Payload, SpecPayload, SpecSlot};
+pub use cache::{InterCache, Intermediate, Payload};
 pub use engine::{CacheUpdate, DimTreeEngine, TreePolicy};
 pub use factor::FactorState;
 pub use input::InputTensor;

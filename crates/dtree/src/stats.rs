@@ -1,8 +1,7 @@
 //! Per-kernel timing and flop ledger — the categories of the paper's
 //! Fig. 3c–f time breakdown: TTM, mTTV, Hadamard, solve, and others. The
-//! ledger keeps a transpose bucket (the figure folds it into mTTV) that
-//! stays at zero: every first-level contraction runs in place, so nothing
-//! transposes, and the bucket only holds the checkpoint layout.
+//! figure also has a transpose bucket (folded into mTTV); it has no
+//! counterpart here, because every first-level contraction runs in place.
 
 use std::time::Duration;
 
@@ -42,23 +41,13 @@ pub struct KernelStats {
     pub mttv_secs: f64,
     pub hadamard_secs: f64,
     pub solve_secs: f64,
-    pub transpose_secs: f64,
     pub other_secs: f64,
     pub ttm_flops: u64,
     pub mttv_flops: u64,
     pub ttm_count: u64,
     pub mttv_count: u64,
-    pub transpose_count: u64,
-    /// Cross-mode lookahead: speculative first-level TTMs launched.
-    pub spec_launched: u64,
-    /// Speculations consumed in place of a synchronous TTM (hits).
-    pub spec_hits: u64,
-    /// Speculations discarded as stale or superseded (wasted).
-    pub spec_wasted: u64,
-    /// Flops issued through the packed GEMM engine by synchronous engine
-    /// kernel calls (sampled from the calling thread's
-    /// `pp_tensor::gemm` counters; speculative TTMs execute on pool
-    /// workers and are accounted via their payload flops instead).
+    /// Flops issued through the packed GEMM engine by engine kernel calls
+    /// (sampled from the calling thread's `pp_tensor::gemm` counters).
     pub gemm_packed_flops: u64,
     /// Packed-GEMM calls that hit a rank-specialized fixed-`n`
     /// micro-kernel (`n ∈ {8, 16, 32}`).
@@ -73,8 +62,7 @@ pub struct KernelStats {
     pub sparse_fibers_visited: u64,
     /// Useful flops issued by semi-sparse TTM contractions (`2·nnz·R` per
     /// call) — the first-level contractions of PP/MSDT on sparse inputs.
-    /// Sampled from the calling thread's `pp_tensor::semisparse` counters;
-    /// speculative TTMs are accounted via their payload like GEMM flops.
+    /// Sampled from the calling thread's `pp_tensor::semisparse` counters.
     pub semisparse_ttm_flops: u64,
     /// Useful flops issued by semi-sparse mTTV contractions (`2·E·R` per
     /// call) — the lower dimension-tree levels on sparse inputs.
@@ -107,12 +95,7 @@ impl KernelStats {
 
     /// Total seconds across all categories.
     pub fn total_secs(&self) -> f64 {
-        self.ttm_secs
-            + self.mttv_secs
-            + self.hadamard_secs
-            + self.solve_secs
-            + self.transpose_secs
-            + self.other_secs
+        self.ttm_secs + self.mttv_secs + self.hadamard_secs + self.solve_secs + self.other_secs
     }
 
     /// Component-wise sum.
@@ -121,16 +104,11 @@ impl KernelStats {
         self.mttv_secs += other.mttv_secs;
         self.hadamard_secs += other.hadamard_secs;
         self.solve_secs += other.solve_secs;
-        self.transpose_secs += other.transpose_secs;
         self.other_secs += other.other_secs;
         self.ttm_flops += other.ttm_flops;
         self.mttv_flops += other.mttv_flops;
         self.ttm_count += other.ttm_count;
         self.mttv_count += other.mttv_count;
-        self.transpose_count += other.transpose_count;
-        self.spec_launched += other.spec_launched;
-        self.spec_hits += other.spec_hits;
-        self.spec_wasted += other.spec_wasted;
         self.gemm_packed_flops += other.gemm_packed_flops;
         self.gemm_fixed_n_calls += other.gemm_fixed_n_calls;
         self.gemm_generic_calls += other.gemm_generic_calls;
@@ -171,18 +149,16 @@ impl KernelStats {
             mttv_secs: self.mttv_secs * factor,
             hadamard_secs: self.hadamard_secs * factor,
             solve_secs: self.solve_secs * factor,
-            transpose_secs: self.transpose_secs * factor,
             other_secs: self.other_secs * factor,
             ..*self
         }
     }
 
-    /// The five-category breakdown of Fig. 3c–f, with transposes folded
-    /// into the mTTV bucket (where the paper's PP-init transposes surface).
+    /// The five-category breakdown of Fig. 3c–f.
     pub fn five_way(&self) -> [(&'static str, f64); 5] {
         [
             ("TTM", self.ttm_secs),
-            ("mTTV", self.mttv_secs + self.transpose_secs),
+            ("mTTV", self.mttv_secs),
             ("hadamard", self.hadamard_secs),
             ("solve", self.solve_secs),
             ("others", self.other_secs),
@@ -218,12 +194,25 @@ mod tests {
     }
 
     #[test]
-    fn five_way_folds_transposes() {
+    fn five_way_sums_to_the_total() {
         let mut s = KernelStats::default();
-        s.record(Kernel::Mttv, Duration::from_millis(10), 0);
-        s.transpose_secs = 0.005;
+        for (i, k) in [
+            Kernel::Ttm,
+            Kernel::Mttv,
+            Kernel::Hadamard,
+            Kernel::Solve,
+            Kernel::Other,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            s.record(k, Duration::from_millis(10 * (i as u64 + 1)), 0);
+        }
         let five = s.five_way();
-        assert_eq!(five[1].0, "mTTV");
-        assert!((five[1].1 - 0.015).abs() < 1e-9);
+        let labels: Vec<&str> = five.iter().map(|&(l, _)| l).collect();
+        assert_eq!(labels, ["TTM", "mTTV", "hadamard", "solve", "others"]);
+        assert!((five[1].1 - 0.02).abs() < 1e-9);
+        let sum: f64 = five.iter().map(|&(_, v)| v).sum();
+        assert!((sum - s.total_secs()).abs() < 1e-12);
     }
 }

@@ -26,7 +26,6 @@
 //! |------|---------|
 //! | `method` | `dt\|msdt\|pp\|nncp` (sparse and stream jobs: not `nncp`) |
 //! | `rank` `sweeps` `tol` `pp-tol` `seed` | CP rank, sweep limit, Δ, PP ε, factor-init seed |
-//! | `lookahead` | `on\|off`, the cross-mode speculation (bit-identical either way) |
 //! | `threads` | per-job pool width (manifest only — `ppcp --threads` pins the run) |
 //! | `dataset` | one of [`DATASET_NAMES`]; `chemistry` and `coil` have a fixed size |
 //! | `data-seed` | generator seed, every dataset but `coil` |
@@ -373,7 +372,6 @@ pub struct JobSpec {
     /// different widths would contradict each other — which is numerically
     /// safe: the pool width is a pure performance knob.
     pub threads: Option<usize>,
-    pub lookahead: bool,
     /// Scheduling class (`policy=rr|priority|deadline`).
     pub policy: SchedPolicy,
     /// Weight for [`SchedPolicy::Priority`] (higher steps first).
@@ -408,7 +406,6 @@ impl JobSpec {
             pp_tol: 0.1,
             seed: 42,
             threads: None,
-            lookahead: true,
             policy: SchedPolicy::Rr,
             priority: 0,
             deadline: u64::MAX,
@@ -505,8 +502,7 @@ impl JobSpec {
             .with_max_sweeps(self.max_sweeps)
             .with_tol(self.tol)
             .with_pp_tol(self.pp_tol)
-            .with_seed(self.seed)
-            .with_lookahead(self.lookahead);
+            .with_seed(self.seed);
         if let Some(t) = self.threads {
             cfg = cfg.with_threads(t);
         }
@@ -733,13 +729,6 @@ fn apply_token(
         "priority" => job.priority = parse_num(key, value)?,
         "deadline" => job.deadline = parse_num(key, value)?,
         "fail-after" => job.fail_after = Some(parse_num(key, value)?),
-        "lookahead" => {
-            job.lookahead = match value {
-                "on" | "true" | "1" => true,
-                "off" | "false" | "0" => false,
-                other => return Err(format!("invalid lookahead '{other}' (on|off)")),
-            }
-        }
         other => return Err(format!("unknown key '{other}'")),
     }
     Ok(())
@@ -911,9 +900,9 @@ mod tests {
             ),
             ("job dims=7", "invalid dims", Some("dims=7")),
             (
-                "job lookahead=maybe",
-                "invalid lookahead",
-                Some("lookahead=maybe"),
+                "job lookahead=off",
+                "unknown key 'lookahead'",
+                Some("lookahead=off"),
             ),
             (
                 "job policy=fifo",
@@ -985,10 +974,10 @@ mod tests {
         assert!(err.starts_with("invalid value for rank"), "{err}");
         assert!(err.ends_with("(offending token 'rank=abc')"), "{err}");
         // The key test is the reader's own, value-blind.
-        for key in ["rank", "dims", "stream", "fail-after", "lookahead"] {
+        for key in ["rank", "dims", "stream", "fail-after", "policy"] {
             assert!(JobSpec::knows_key(key), "{key}");
         }
-        for key in ["", "ranks", "backend", "frobnicate"] {
+        for key in ["", "ranks", "backend", "frobnicate", "lookahead"] {
             assert!(!JobSpec::knows_key(key), "{key}");
         }
     }
@@ -1222,11 +1211,9 @@ mod tests {
         job.method = JobMethod::Dt;
         job.rank = 6;
         job.threads = Some(2);
-        job.lookahead = false;
         let cfg = job.als_config();
         assert_eq!(cfg.rank, 6);
         assert_eq!(cfg.policy, TreePolicy::Standard);
         assert_eq!(cfg.threads, Some(2));
-        assert!(!cfg.lookahead);
     }
 }

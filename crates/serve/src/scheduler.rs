@@ -39,7 +39,7 @@
 //! progress.
 //!
 //! **Checkpoint/restore.** With [`ServeConfig::checkpoint_dir`] set,
-//! every swept turn parks the session and rewrites `job<idx>.ppck`
+//! every swept turn rewrites `job<idx>.ppck`
 //! ([`pp_core::AlsSession::park_to_disk`]); the file carries a fingerprint
 //! of the job spec and is removed when the job reaches a terminal status.
 //! Re-running the same manifest against the same directory resumes every
@@ -48,14 +48,9 @@
 //! parks all in-flight jobs to disk mid-batch and reports them as
 //! [`JobStatus::Parked`].
 //!
-//! **Fairness.** Between turns the outgoing job is parked
-//! ([`pp_core::AlsSession::park`]): its speculative lookahead TTM is
-//! cancelled (or joined if already claimed) so a suspended tenant holds no
-//! pool slot while others run. Parking is numerically free — a discarded
-//! speculation is recomputed synchronously by the job's next sweep. Set
-//! [`ServeConfig::park_between_steps`] to `false` to let speculation ride
-//! across turns (maximal overlap, single-tenant-biased); checkpointing
-//! implies parking, since an in-flight pool handle cannot be serialized.
+//! **Fairness.** A tenant between turns holds no pool slot: every
+//! contraction of a sweep finishes inside its [`Tenant::step`], so there
+//! is nothing to settle when a turn ends.
 
 use crate::job::{JobSpec, SchedPolicy};
 use pp_core::checkpoint::fnv1a;
@@ -124,8 +119,6 @@ impl Drop for HookSilence {
 pub struct ServeConfig {
     /// Admission window `J`: how many jobs hold sessions at once.
     pub max_concurrent: usize,
-    /// Park each job's lookahead speculation when its turn ends.
-    pub park_between_steps: bool,
     /// Driver threads stepping tenants concurrently. 1 (the default) is
     /// the deterministic golden path; results are bit-identical either way.
     pub drivers: usize,
@@ -143,7 +136,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_concurrent: 4,
-            park_between_steps: true,
             drivers: 1,
             cache_budget_elems: None,
             checkpoint_dir: None,
@@ -161,11 +153,6 @@ impl ServeConfig {
             max_concurrent,
             ..Default::default()
         }
-    }
-
-    pub fn with_park(mut self, park: bool) -> Self {
-        self.park_between_steps = park;
-        self
     }
 
     pub fn with_drivers(mut self, drivers: usize) -> Self {
@@ -401,15 +388,7 @@ impl Tenant {
         }
     }
 
-    /// Settle in-flight speculation so the tenant holds no pool slot.
-    pub fn park(&mut self) {
-        match self {
-            Tenant::Batch(s) => s.park(),
-            Tenant::Stream { session, .. } => session.park(),
-        }
-    }
-
-    /// Park, then write the checkpoint [`Tenant::open`] resumes from,
+    /// Write the checkpoint [`Tenant::open`] resumes from,
     /// stamped with `spec`'s fingerprint.
     pub fn park_to_disk(&mut self, path: &Path, spec: &JobSpec) -> Result<(), String> {
         let tag = spec_fingerprint(spec);
@@ -454,7 +433,7 @@ fn verified<S>(
     Ok(session)
 }
 
-/// An admitted job holding a live session, parked between turns.
+/// An admitted job holding a live session, waiting for its next turn.
 struct ReadyJob {
     idx: usize,
     session: Tenant,
@@ -615,8 +594,9 @@ fn lock_state<'g>(sh: &'g Shared<'_>) -> std::sync::MutexGuard<'g, SchedState> {
     sh.state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Drain mode: park every ready job (to disk when checkpointing), mark
-/// pending jobs parked, and return once no job is in flight anywhere.
+/// Drain mode: park every ready job (to disk when checkpointing, else just
+/// report it), mark pending jobs parked, and return once no job is in
+/// flight anywhere.
 fn drain<'g>(
     sh: &'g Shared<'_>,
     mut st: std::sync::MutexGuard<'g, SchedState>,
@@ -637,12 +617,11 @@ fn drain<'g>(
             st.running += 1;
             drop(st);
             let parked = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
-                if let Some(dir) = &sh.cfg.checkpoint_dir {
-                    job.session
-                        .park_to_disk(&checkpoint_path(dir, job.idx), &sh.specs[job.idx])
-                } else {
-                    job.session.park();
-                    Ok(())
+                match &sh.cfg.checkpoint_dir {
+                    Some(dir) => job
+                        .session
+                        .park_to_disk(&checkpoint_path(dir, job.idx), &sh.specs[job.idx]),
+                    None => Ok(()),
                 }
             }));
             let status = match parked.map_err(panic_message).and_then(|r| r) {
@@ -697,15 +676,6 @@ fn drive(sh: &Shared<'_>, driver: usize) {
         let prev_elems = job.cache_elems;
         st.running += 1;
         st.running_elems += prev_elems;
-        // Parking exists to keep one tenant's speculation from occupying
-        // workers during *other* tenants' turns — with a single admitted
-        // job there is no such tenant, and parking would only cancel a
-        // useful lookahead, so it is skipped (this also keeps the J=1
-        // `run_sequential` baseline a faithful monolithic-driver run).
-        // Checkpointing parks regardless: a pool handle cannot be
-        // serialized.
-        let others = st.ready.len() + st.running - 1 > 0;
-        let park = sh.cfg.park_between_steps && others;
         drop(st);
 
         let spec = &sh.specs[job.idx];
@@ -720,8 +690,6 @@ fn drive(sh: &Shared<'_>, driver: usize) {
             if let (Step::Swept(_), Some(dir)) = (&step, &sh.cfg.checkpoint_dir) {
                 job.session
                     .park_to_disk(&checkpoint_path(dir, job.idx), spec)?;
-            } else if park {
-                job.session.park();
             }
             Ok(step)
         }));
@@ -788,12 +756,6 @@ fn drive(sh: &Shared<'_>, driver: usize) {
                 sh.cv.notify_all();
             }
             Err(error) => {
-                // The failed step may have left a speculative TTM in
-                // flight (notably under `park_between_steps = false`);
-                // settle the spec slot before the session drops, or a
-                // detached speculation outlives its job's removal and
-                // keeps burning a pool worker.
-                let _ = catch_unwind(AssertUnwindSafe(|| job.session.park()));
                 if let Some(dir) = &sh.cfg.checkpoint_dir {
                     let _ = std::fs::remove_file(checkpoint_path(dir, job.idx));
                 }

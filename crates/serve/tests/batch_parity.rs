@@ -79,18 +79,6 @@ fn batch_of_four_matches_solo_runs_bitwise() {
     );
 }
 
-#[test]
-fn parity_holds_without_parking() {
-    // Letting each tenant's speculation ride across other tenants' turns
-    // must still be bit-identical (stale speculations are discarded).
-    let jobs = parse_manifest(MANIFEST).unwrap();
-    let report = run_batch(&jobs, &ServeConfig::new(4).with_park(false)).unwrap();
-    assert_eq!(report.failed(), 0);
-    for (spec, result) in jobs.iter().zip(report.jobs.iter()) {
-        assert_bitwise(&spec.name, &solo(spec), result.output.as_ref().unwrap());
-    }
-}
-
 /// Sparse CSF jobs alongside a dense tenant in one batch.
 const SPARSE_MANIFEST: &str = "\
 job name=sp-pl dataset=sparse-powerlaw dims=24x20x16 nnz=300 skew=1.5 data-seed=5 method=dt rank=3 sweeps=5 tol=0.0

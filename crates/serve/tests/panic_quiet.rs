@@ -8,24 +8,42 @@
 //! scenario re-executes this test binary as a child with a marker env var
 //! and asserts on the child's captured stderr.
 
+use rayon::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 const CHILD_ENV: &str = "PP_PANIC_QUIET_CHILD";
 
 /// Child scenario: a batch is live and a panic fires on a pool worker
-/// (via a detached submit) and on a driver (via fault injection). Nothing
+/// (inside a parallel loop) and on a driver (via fault injection). Nothing
 /// may reach stderr.
 fn child_quiet() {
     let _guard = pp_serve::scheduler::quiet_hook_for_tests();
-    // Worker-side: a detached unit panics on a persistent pool worker
-    // while the batch guard is registered.
+    // Worker-side: a unit panics only where a persistent pool worker runs
+    // it, while the batch guard is registered. The calling thread holds
+    // its own unit until a worker has taken one, so the case cannot pass
+    // by the caller draining the loop alone.
     let _w = rayon::scoped_num_threads(2);
-    let handle = rayon::submit::<(), _>(|| panic!("worker-side panic (must be quiet)"));
-    let t0 = std::time::Instant::now();
-    while !handle.is_settled() && t0.elapsed().as_secs() < 10 {
-        std::thread::yield_now();
-    }
-    drop(handle);
+    let worker_ran = AtomicBool::new(false);
+    let mut units = [0u8; 64];
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        units.par_chunks_mut(1).for_each(|_| {
+            if rayon::is_pool_worker() {
+                worker_ran.store(true, Ordering::SeqCst);
+                panic!("worker-side panic (must be quiet)");
+            }
+            let t0 = Instant::now();
+            while !worker_ran.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::yield_now();
+            }
+        });
+    }));
+    assert!(
+        caught.is_err() && worker_ran.load(Ordering::SeqCst),
+        "no unit ran on a pool worker"
+    );
 
     // Driver-side: a real batch whose job panics mid-step.
     let mut doomed = pp_serve::JobSpec::new("doomed");

@@ -28,10 +28,9 @@
 //!   position is not the last level — canonical order already groups
 //!   that one), the group pointers, and the child pattern. The sort and
 //!   the grouping therefore run once per (pattern, position) for the life
-//!   of the input: every later sweep, PP pair chain and lookahead
-//!   speculation reuses them. A tensor rebuilt by
-//!   [`SemiSparseTensor::from_parts`] (checkpoint resume) starts with an
-//!   empty memo and refills it on first use.
+//!   of the input: every later sweep and PP pair chain reuses them. A
+//!   tensor rebuilt by [`SemiSparseTensor::from_parts`] (checkpoint
+//!   resume) starts with an empty memo and refills it on first use.
 //! * The numeric phase streams through `#[target_feature]` clones
 //!   dispatched on `simd_level()`, rank-specialised for `R ∈ {8, 16, 32}`
 //!   like [`crate::kernels::mttv`] — so every fused multiply-add is one
@@ -388,8 +387,7 @@ impl SemiSparseTensor {
 
 /// Precomputed contraction plan for one mode of a sorted-COO sparse
 /// tensor: the output pattern plus the nonzeros re-laid in group order, so
-/// [`csf_ttm`] streams through it in `O(nnz · R)` from shared references
-/// (usable inside speculative lookahead closures).
+/// [`csf_ttm`] streams through it in `O(nnz · R)` from shared references.
 pub struct TtmPlan {
     /// The contracted mode.
     mode: usize,

@@ -14,11 +14,11 @@
 //!   session's intermediates recur at exactly the same lengths sweep after
 //!   sweep, so no rounding, no splitting, no best-fit search.
 //! * **Return on drop.** A drawn [`Buffer`] carries a weak handle home and
-//!   gives itself back when dropped — cache eviction, a cancelled
-//!   speculation, dropping the PP operators and engine teardown need no
-//!   return-site code. A buffer whose workspace is gone simply frees; one
-//!   that leaves as a `Vec` ([`Buffer::into_vec`]) or grows
-//!   ([`Buffer::extend_from_slice`]) is no longer counted.
+//!   gives itself back when dropped — cache eviction, dropping the PP
+//!   operators and engine teardown need no return-site code. A buffer
+//!   whose workspace is gone simply frees; one that leaves as a `Vec`
+//!   ([`Buffer::into_vec`]) or grows ([`Buffer::extend_from_slice`]) is no
+//!   longer counted.
 //! * **Memory stays what it was.** A draw either takes a held buffer
 //!   (held − 1, live + 1) or, with none held, allocates (live + 1); a return
 //!   moves one from live to held. So per class `live + held` never exceeds

@@ -4,8 +4,8 @@
 //! session's set-up, each streaming arrival, and `finish` — under a header
 //! naming the transparent-huge-page mode the kernel runs with.
 //!
-//! Minor faults are field 10 of `/proc/self/stat` (process-wide, so a
-//! speculative TTM on a pool thread is counted in the sweep it overlaps);
+//! Minor faults are field 10 of `/proc/self/stat` (process-wide, so the
+//! faults of pool threads count in the sweep that fanned out to them);
 //! the last column is `AnonHugePages` of `Rss` from `/proc/self/smaps_rollup`
 //! at the end of the phase, i.e. how much of the resident process is backed
 //! by 2 MiB pages (the tensor store asks for them from 2 MiB up; with THP

@@ -1,8 +1,8 @@
 //! `ppcp` — command-line CP decomposition driver.
 //!
 //! A run *is* a one-job manifest: every job key of [`parallel_pp::serve::job`]
-//! (`method`, `rank`, `sweeps`, `tol`, `pp-tol`, `seed`, `lookahead`,
-//! `dataset` and its keys, the stream schedule — the table is in that
+//! (`method`, `rank`, `sweeps`, `tol`, `pp-tol`, `seed`, `dataset` and
+//! its keys, the stream schedule — the table is in that
 //! module's docs) is `--key value` here and `key=value` there, read by the
 //! same `JobSpec::from_tokens`. This file adds the presets each mode lays
 //! under the user's keys, and the run-only flags, which are not properties
@@ -16,7 +16,6 @@
 //!   --ranks P                     P > 1: the in-process distributed runtime
 //!                                 (dense dt|msdt|pp only)
 //!   --backend rendezvous|p2p      its collectives; bit-identical either way
-//!   --no-lookahead                ≡ --lookahead off
 //! ppcp stream [--key value]...    online CP of a timelapse growing along time.
 //!                                 Presets: rank 8, 24×24×16×9, 3 initial time
 //!                                 points, arrivals of 2, 5 sweeps per arrival
@@ -30,7 +29,6 @@
 //!   --checkpoint-dir DIR          persist each job every sweep; re-running the
 //!                                 same manifest resumes
 //!   --stop-after-turns N          graceful drain after N batch-wide sweeps
-//!   --no-park                     let speculation ride across tenant turns
 //! all modes: --threads T  --trace  --help  --version
 //! ```
 //!
@@ -78,7 +76,6 @@ struct Cli {
     cache_budget_mb: Option<usize>,
     checkpoint_dir: Option<String>,
     stop_after_turns: Option<usize>,
-    park: bool,
     // ppcp stream
     checkpoint: Option<String>,
     stop_after_arrivals: Option<usize>,
@@ -140,7 +137,6 @@ fn parse(argv: &[String]) -> Result<Cli, String> {
         ranks: 1,
         jobs: 4,
         drivers: default_drivers(),
-        park: true,
         ..Cli::default()
     };
     if cli.help || cli.version {
@@ -159,7 +155,6 @@ fn parse(argv: &[String]) -> Result<Cli, String> {
             ("--trace", _) => cli.trace = true,
             ("--ranks", Mode::Run) => cli.ranks = num(flag, value()?)?,
             ("--backend", Mode::Run) => cli.backend = value()?.parse()?,
-            ("--no-lookahead", Mode::Run) => user.push("lookahead=off".into()),
             ("--manifest", Mode::Batch) => cli.manifest = value()?.clone(),
             ("--jobs", Mode::Batch) => cli.jobs = positive(flag, value()?)?,
             ("--drivers", Mode::Batch) => cli.drivers = positive(flag, value()?)?,
@@ -170,7 +165,6 @@ fn parse(argv: &[String]) -> Result<Cli, String> {
             ("--stop-after-turns", Mode::Batch) => {
                 cli.stop_after_turns = Some(num(flag, value()?)?)
             }
-            ("--no-park", Mode::Batch) => cli.park = false,
             ("--checkpoint", Mode::Stream) => cli.checkpoint = Some(value()?.clone()),
             ("--stop-after-arrivals", Mode::Stream) => {
                 cli.stop_after_arrivals = Some(num(flag, value()?)?)
@@ -271,14 +265,8 @@ fn print_report(report: &AlsReport, job: &JobSpec, trace: bool) {
     );
     let stats = &report.stats;
     if !stream && !job.dataset.is_sparse() {
-        if job.lookahead {
-            println!(
-                "lookahead: {} speculative TTMs launched, {} hit, {} wasted",
-                stats.spec_launched, stats.spec_hits, stats.spec_wasted,
-            );
-        }
         println!(
-            "packed GEMM (sync engine TTMs): {:.2} Gflop, {} fixed-n / {} generic calls",
+            "packed GEMM (engine TTMs): {:.2} Gflop, {} fixed-n / {} generic calls",
             stats.gemm_packed_flops as f64 / 1e9,
             stats.gemm_fixed_n_calls,
             stats.gemm_generic_calls,
@@ -311,11 +299,10 @@ fn run_batch_mode(cli: &Cli) -> Result<i32, String> {
     // `--threads` is the batch-wide pin; per-job `threads=` pins nest inside
     // per turn (single-driver only — concurrent drivers drop per-job pins).
     println!(
-        "batch: {} jobs, window {}, drivers {}, park={}, threads={}{}{}",
+        "batch: {} jobs, window {}, drivers {}, threads={}{}{}",
         jobs.len(),
         cli.jobs,
         cli.drivers,
-        cli.park,
         cli.threads_shown(),
         cli.cache_budget_mb
             .map(|mb| format!(", cache-budget {mb} MB"))
@@ -325,9 +312,7 @@ fn run_batch_mode(cli: &Cli) -> Result<i32, String> {
             .map(|d| format!(", checkpoints in {d}"))
             .unwrap_or_default(),
     );
-    let mut cfg = ServeConfig::new(cli.jobs)
-        .with_park(cli.park)
-        .with_drivers(cli.drivers);
+    let mut cfg = ServeConfig::new(cli.jobs).with_drivers(cli.drivers);
     if let Some(mb) = cli.cache_budget_mb {
         // MB of f64 cache elements (8 bytes each).
         cfg = cfg.with_cache_budget_elems(mb * 1024 * 1024 / 8);
@@ -486,7 +471,7 @@ fn run_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
     let shape = Shape::new(job.dataset.dims());
     let dense_header = || {
         println!(
-            "dataset {} → tensor {} ({} elements), method {}, R={}, P={}, threads={}, lookahead={}",
+            "dataset {} → tensor {} ({} elements), method {}, R={}, P={}, threads={}",
             job.dataset.name(),
             shape,
             shape.len(),
@@ -494,7 +479,6 @@ fn run_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
             job.rank,
             cli.ranks,
             cli.threads_shown(),
-            job.lookahead,
         )
     };
     let report = if cli.ranks > 1 {
@@ -589,10 +573,10 @@ fn grid_for(t: &DenseTensor, p: usize) -> ProcGrid {
 }
 
 const USAGE: &str = "\
-ppcp        [--key value]... [--ranks P] [--backend rendezvous|p2p] [--no-lookahead]
+ppcp        [--key value]... [--ranks P] [--backend rendezvous|p2p]
 ppcp stream [--key value]... [--checkpoint FILE] [--stop-after-arrivals N]
 ppcp batch  --manifest PATH [--jobs J] [--drivers N] [--cache-budget-mb MB]
-            [--checkpoint-dir DIR] [--stop-after-turns N] [--no-park]
+            [--checkpoint-dir DIR] [--stop-after-turns N]
 all modes:  [--threads T] [--trace] [--help] [--version]
 `--key value` is a job key of the pp-serve `job` module docs (`key=value` in a manifest):
 --dataset NAME, --method dt|msdt|pp|nncp, --rank R, --sweeps N, --tol D, --pp-tol E, --seed S, ...";
@@ -651,9 +635,9 @@ mod tests {
         let a = cli("batch --manifest jobs.txt").unwrap();
         assert_eq!((a.mode, a.manifest.as_str()), (Mode::Batch, "jobs.txt"));
         assert_eq!(a.jobs, 4, "default window");
-        assert!(a.park && !a.trace && a.job.is_none());
-        let a = cli("batch --manifest m.txt --jobs 2 --no-park --trace --threads 3").unwrap();
-        assert_eq!((a.jobs, a.park, a.trace), (2, false, true));
+        assert!(!a.trace && a.job.is_none());
+        let a = cli("batch --manifest m.txt --jobs 2 --trace --threads 3").unwrap();
+        assert_eq!((a.jobs, a.trace), (2, true));
         assert_eq!(a.threads, Some(3));
     }
 
@@ -768,7 +752,6 @@ mod tests {
         let j = a.job.unwrap();
         assert_eq!((j.method, j.rank, j.max_sweeps), (JobMethod::Msdt, 16, 100));
         assert_eq!((j.tol, j.pp_tol, j.seed), (1e-5, 0.1, 42));
-        assert!(j.lookahead, "lookahead is on by default");
         // The lowrank preset: 60³, generated at the run's rank from its seed.
         let lowrank = |gen_rank, seed| DatasetSpec::Lowrank {
             dims: vec![60, 60, 60],
@@ -783,9 +766,10 @@ mod tests {
     }
 
     #[test]
-    fn no_lookahead_flag_parses() {
-        assert!(!job("--no-lookahead").lookahead);
-        assert!(!job("--lookahead off").lookahead);
+    fn lookahead_and_park_flags_are_rejected() {
+        rejects("--no-lookahead", "unknown flag --no-lookahead");
+        rejects("--lookahead off", "unknown flag --lookahead");
+        rejects("batch --manifest m --no-park", "unknown flag --no-park");
     }
 
     #[test]
@@ -803,7 +787,7 @@ mod tests {
     fn full_flag_set_parses() {
         let a = cli(
             "--dataset chemistry --method pp --rank 24 --sweeps 50 --tol 1e-4 \
-                     --pp-tol 0.2 --ranks 4 --backend p2p --threads 8 --no-lookahead --seed 7 \
+                     --pp-tol 0.2 --ranks 4 --backend p2p --threads 8 --seed 7 \
                      --trace",
         )
         .unwrap();
@@ -812,10 +796,7 @@ mod tests {
         let j = a.job.unwrap();
         assert_eq!(j.dataset, DatasetSpec::Chemistry { seed: 7 });
         assert_eq!((j.method, j.rank, j.max_sweeps), (JobMethod::Pp, 24, 50));
-        assert_eq!(
-            (j.tol, j.pp_tol, j.seed, j.lookahead),
-            (1e-4, 0.2, 7, false)
-        );
+        assert_eq!((j.tol, j.pp_tol, j.seed), (1e-4, 0.2, 7));
     }
 
     /// `flag` anywhere on the line wins in `mode`, even next to arguments

@@ -69,14 +69,14 @@ fn a_cli_run_is_a_one_job_manifest() {
             "dense",
             "",
             "--dataset lowrank --dims 14x12x10 --gen-rank 3 --noise 0.05 --data-seed 11 \
-             --method pp --rank 3 --sweeps 14 --tol 1e-9 --pp-tol 0.3 --seed 5 --lookahead on",
+             --method pp --rank 3 --sweeps 14 --tol 1e-9 --pp-tol 0.3 --seed 5",
             "",
         ),
         (
             "sparse",
             "",
             "--dataset sparse-lowrank --dims 20x18x16 --gen-rank 3 --density 0.05 --data-seed 4 \
-             --method msdt --rank 3 --sweeps 6 --tol 0 --pp-tol 0.1 --seed 9 --lookahead off",
+             --method msdt --rank 3 --sweeps 6 --tol 0 --pp-tol 0.1 --seed 9",
             "",
         ),
         (
@@ -158,6 +158,9 @@ fn argument_errors_exit_2_and_name_the_flag_or_key() {
         ("stream --arrive 4", "arrive"),
         ("stream --backend p2p", "--backend"),
         ("--policy priority", "--policy"),
+        ("--no-lookahead", "--no-lookahead"),
+        ("--lookahead off", "--lookahead"),
+        ("batch --manifest m --no-park", "--no-park"),
         ("batch", "--manifest"),
         (
             "batch --manifest /nonexistent/jobs.txt",
@@ -184,6 +187,11 @@ fn argument_errors_exit_2_and_name_the_flag_or_key() {
         err.contains("bad.manifest: line 2") && err.contains("'rank=abc'"),
         "{err}"
     );
+    std::fs::write(&manifest, "job lookahead=off\n").unwrap();
+    let out = ppcp(&format!("batch --manifest {}", manifest.display()));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown key 'lookahead'"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

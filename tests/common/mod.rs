@@ -1,6 +1,5 @@
-//! Helpers shared by the end-to-end parity suites (`thread_parity`,
-//! `lookahead_parity`): bitwise run comparison and serialization of
-//! sections that pin the process-global pool width.
+//! Helpers shared by the end-to-end parity suites: bitwise run comparison
+//! and serialization of sections that pin the process-global pool width.
 
 use parallel_pp::core::AlsOutput;
 use std::sync::Mutex;

@@ -339,9 +339,9 @@ fn check_evolving_input(dims: &[usize], e: usize, appends: usize, r: usize, seed
     // One pool for every run: later results land in returned buffers.
     let ws = Workspace::new();
     for (mode, a) in factors.iter().enumerate() {
-        let (g, w) = (grown.plan_contract(mode), whole.plan_contract(mode));
-        let (g, w) = (g.expect("dense inputs plan"), w.expect("dense inputs plan"));
+        let g = grown.contract_mode_in(&ws, mode, a);
+        let w = whole.contract_mode_in(&ws, mode, a);
         assert_eq!(g.mode_order, w.mode_order);
-        assert_eq!(g.run(a, &ws).dense().data(), w.run(a, &ws).dense().data());
+        assert_eq!(g.payload.dense().data(), w.payload.dense().data());
     }
 }

@@ -1,5 +1,5 @@
 //! Session-parity suite: stepping an [`AlsSession`] — under arbitrary
-//! pause/park/resume/interleave schedules — is **bitwise identical** to
+//! pause/resume/interleave schedules — is **bitwise identical** to
 //! the one-shot drivers, for randomized dims, rank, method, and pool
 //! width.
 //!
@@ -68,16 +68,10 @@ impl Method {
     }
 }
 
-/// Step-loop with a park after every `park_every`-th sweep (0 = never).
-fn stepped(t: &DenseTensor, cfg: &AlsConfig, kind: SessionKind, park_every: usize) -> AlsOutput {
+/// Step-loop to the end of the session.
+fn stepped(t: &DenseTensor, cfg: &AlsConfig, kind: SessionKind) -> AlsOutput {
     let mut s = AlsSession::new(t, cfg, kind);
-    let mut i = 0usize;
-    while let Step::Swept(_) = s.step() {
-        i += 1;
-        if park_every > 0 && i.is_multiple_of(park_every) {
-            s.park();
-        }
-    }
+    while let Step::Swept(_) = s.step() {}
     s.finish()
 }
 
@@ -86,8 +80,8 @@ fn stepped(t: &DenseTensor, cfg: &AlsConfig, kind: SessionKind, park_every: usiz
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Randomized dims/rank/method/threads: one-shot driver ==
-    /// park-every-sweep step loop, bitwise.
+    /// Randomized dims/rank/method/threads: one-shot driver == step loop,
+    /// bitwise.
     #[test]
     fn step_loop_matches_driver(
         dims in prop::collection::vec(4usize..8, 3..=4),
@@ -102,12 +96,12 @@ proptest! {
         let t = noisy_rank(&dims, rank, 0.05, seed);
         let cfg = method.config(rank, sweeps).with_threads(threads).with_seed(seed);
         let a = method.driver(&t, &cfg);
-        let b = stepped(&t, &cfg, method.session_kind(), 1);
+        let b = stepped(&t, &cfg, method.session_kind());
         assert_identical(&a, &b);
     }
 
     /// Stop at sweep k, run an unrelated decomposition in between (dirties
-    /// the pool and the speculation slot), resume, compare the tail.
+    /// the pool), resume, compare the tail.
     #[test]
     fn stop_at_k_resume_tail_matches(
         k in 1usize..5,
@@ -124,7 +118,6 @@ proptest! {
         for _ in 0..k {
             let _ = s.step();
         }
-        s.park();
         // Intermission: a different tensor decomposed to completion.
         let other = noisy_rank(&[6, 5, 7], 2, 0.05, seed.wrapping_add(1));
         let _ = cp_als(&other, &AlsConfig::new(2).with_max_sweeps(3).with_tol(0.0));
@@ -158,11 +151,9 @@ proptest! {
         while !(da && db) {
             if !da {
                 da = matches!(sa.step(), Step::Done(_));
-                sa.park();
             }
             if !db {
                 db = matches!(sb.step(), Step::Done(_));
-                sb.park();
             }
         }
         assert_identical(&solo_a, &sa.finish());
@@ -193,7 +184,6 @@ fn pause_inside_pp_regime_matches() {
     for _ in 0..=init_pos {
         let _ = s.step();
     }
-    s.park();
     // Intermission inside the approximated regime.
     let other = noisy_rank(&[5, 6, 5], 2, 0.05, 9);
     let _ = cp_als(&other, &AlsConfig::new(2).with_max_sweeps(2).with_tol(0.0));
@@ -209,7 +199,7 @@ fn convergence_matches_under_stepping() {
     let (t, _) = parallel_pp::datagen::lowrank::exact_rank(&[7, 7, 7], 2, 5);
     let cfg = AlsConfig::new(2).with_max_sweeps(300).with_tol(1e-5);
     let a = cp_als(&t, &cfg);
-    let b = stepped(&t, &cfg, SessionKind::Exact, 2);
+    let b = stepped(&t, &cfg, SessionKind::Exact);
     assert!(a.report.converged);
     assert_identical(&a, &b);
 }

@@ -10,7 +10,7 @@
 
 use parallel_pp::core::{cp_als, pp_cp_als, AlsConfig, AlsSession, SessionKind};
 use parallel_pp::datagen::lowrank::noisy_rank;
-use parallel_pp::dtree::TreePolicy;
+use parallel_pp::dtree::{KernelStats, TreePolicy};
 
 mod common;
 use common::{assert_identical, override_lock};
@@ -137,4 +137,70 @@ fn sparse_pp_trace_identical_under_1_and_n_threads() {
         "PP regime never engaged; loosen pp_tol"
     );
     assert_identical(&serial, &run(4));
+}
+
+/// Every count of the kernel ledger. The destructuring names each field,
+/// so a field added to `KernelStats` does not compile here until it is
+/// sorted into a count (compared) or a wall time (not).
+fn ledger_counts(s: &KernelStats) -> [(&'static str, u64); 12] {
+    let KernelStats {
+        ttm_secs: _,
+        mttv_secs: _,
+        hadamard_secs: _,
+        solve_secs: _,
+        other_secs: _,
+        ttm_flops,
+        mttv_flops,
+        ttm_count,
+        mttv_count,
+        gemm_packed_flops,
+        gemm_fixed_n_calls,
+        gemm_generic_calls,
+        sparse_mttkrp_flops,
+        sparse_fibers_visited,
+        semisparse_ttm_flops,
+        semisparse_ttv_flops,
+        semisparse_entries_visited,
+    } = *s;
+    [
+        ("ttm_flops", ttm_flops),
+        ("mttv_flops", mttv_flops),
+        ("ttm_count", ttm_count),
+        ("mttv_count", mttv_count),
+        ("gemm_packed_flops", gemm_packed_flops),
+        ("gemm_fixed_n_calls", gemm_fixed_n_calls),
+        ("gemm_generic_calls", gemm_generic_calls),
+        ("sparse_mttkrp_flops", sparse_mttkrp_flops),
+        ("sparse_fibers_visited", sparse_fibers_visited),
+        ("semisparse_ttm_flops", semisparse_ttm_flops),
+        ("semisparse_ttv_flops", semisparse_ttv_flops),
+        ("semisparse_entries_visited", semisparse_entries_visited),
+    ]
+}
+
+#[test]
+fn kernel_ledger_counts_every_ttm_once_at_any_width() {
+    // Every first-level TTM of a dense exact session is one GEMM run from
+    // the sweeping thread, so the GEMM ledger carries all of its flops
+    // (both are 2·len·R per TTM), and every count repeats exactly across
+    // pool widths.
+    let _serial = override_lock();
+    let t = noisy_rank(&[64, 60, 56], 6, 0.05, 91);
+    for policy in [TreePolicy::Standard, TreePolicy::MultiSweep] {
+        let run = |threads: usize| {
+            let cfg = AlsConfig::new(16)
+                .with_policy(policy)
+                .with_max_sweeps(6)
+                .with_tol(0.0)
+                .with_threads(threads);
+            AlsSession::new(&t, &cfg, SessionKind::Exact)
+                .run()
+                .report
+                .stats
+        };
+        let (one, four) = (run(1), run(4));
+        assert!(one.ttm_count > 0, "{policy:?}: no TTM ran");
+        assert_eq!(one.gemm_packed_flops, one.ttm_flops, "{policy:?}");
+        assert_eq!(ledger_counts(&one), ledger_counts(&four), "{policy:?}");
+    }
 }

@@ -20,8 +20,6 @@ use parallel_pp::datagen::timelapse::{TimelapseConfig, TimelapseStream, TIME_MOD
 use parallel_pp::dtree::{CacheUpdate, TreePolicy};
 use parallel_pp::tensor::{DenseTensor, Workspace, WorkspaceStats};
 
-use std::time::{Duration, Instant};
-
 mod common;
 use common::{assert_identical, override_lock};
 
@@ -72,33 +70,27 @@ fn pp_case() -> (DenseTensor, AlsConfig) {
 fn msdt_session_stops_missing_once_its_classes_are_warm() {
     // Order 3, 64³ at rank 32: every first-level output is exactly 1 MiB.
     let t = noisy_rank(&[64, 64, 64], 8, 0.05, 11);
-    for lookahead in [true, false] {
-        let cfg = AlsConfig::new(32)
-            .with_policy(TreePolicy::MultiSweep)
-            .with_max_sweeps(6)
-            .with_tol(0.0)
-            .with_lookahead(lookahead);
-        let mut session = AlsSession::new(&t, &cfg, SessionKind::Exact);
-        let ws = session.workspace().clone();
-        assert_eq!(ws.stats(), WorkspaceStats::default(), "nothing at set-up");
-        let sweeps = sweep_misses(&mut session);
-        assert_eq!(sweeps.len(), 6);
-        let s = ws.stats();
-        // MSDT at order 3: three TTMs per two sweeps, every one drawn.
-        assert!(s.draws >= 9, "lookahead={lookahead}: {s:?}");
-        assert!(
-            s.misses as usize <= s.high_water_bufs,
-            "lookahead={lookahead}: a draw missed below the high-water mark: {s:?}"
-        );
-        let late: u64 = sweeps[4..].iter().map(|(_, m)| m).sum();
-        assert_eq!(
-            late, 0,
-            "lookahead={lookahead}: misses per sweep {sweeps:?}"
-        );
-        let out = session.finish();
-        assert_eq!(out.report.sweeps.len(), 6);
-        assert_eq!(ws.stats().live_elems, 0, "finish returned everything");
-    }
+    let cfg = AlsConfig::new(32)
+        .with_policy(TreePolicy::MultiSweep)
+        .with_max_sweeps(6)
+        .with_tol(0.0);
+    let mut session = AlsSession::new(&t, &cfg, SessionKind::Exact);
+    let ws = session.workspace().clone();
+    assert_eq!(ws.stats(), WorkspaceStats::default(), "nothing at set-up");
+    let sweeps = sweep_misses(&mut session);
+    assert_eq!(sweeps.len(), 6);
+    let s = ws.stats();
+    // MSDT at order 3: three TTMs per two sweeps, every one drawn.
+    assert!(s.draws >= 9, "{s:?}");
+    assert!(
+        s.misses as usize <= s.high_water_bufs,
+        "a draw missed below the high-water mark: {s:?}"
+    );
+    let late: u64 = sweeps[4..].iter().map(|(_, m)| m).sum();
+    assert_eq!(late, 0, "misses per sweep {sweeps:?}");
+    let out = session.finish();
+    assert_eq!(out.report.sweeps.len(), 6);
+    assert_eq!(ws.stats().live_elems, 0, "finish returned everything");
 }
 
 #[test]
@@ -130,16 +122,14 @@ fn pp_second_init_finds_the_first_inits_buffers() {
 }
 
 #[test]
-fn nothing_stays_out_after_a_session_ends_mid_speculation() {
+fn nothing_stays_out_after_a_session_ends_short_of_its_budget() {
     let t = noisy_rank(&[64, 64, 64], 8, 0.05, 13);
     let cfg = AlsConfig::new(32)
         .with_policy(TreePolicy::MultiSweep)
         .with_max_sweeps(6)
-        .with_tol(0.0)
-        .with_lookahead(true);
+        .with_tol(0.0);
 
-    // Stopped short of its budget: the last sweep launched a speculation
-    // for a sweep that never runs. `finish` cancels or joins it.
+    // Finished early.
     let mut session = AlsSession::new(&t, &cfg, SessionKind::Exact);
     let ws = session.workspace().clone();
     for _ in 0..3 {
@@ -149,29 +139,14 @@ fn nothing_stays_out_after_a_session_ends_mid_speculation() {
     drop(session.finish());
     assert_eq!(ws.stats().live_elems, 0);
 
-    // Parked and dropped instead: same.
+    // Dropped instead: same.
     let mut session = AlsSession::new(&t, &cfg, SessionKind::Exact);
     let ws = session.workspace().clone();
     for _ in 0..3 {
         assert!(matches!(session.step(), Step::Swept(_)));
     }
-    session.park();
-    assert!(!session.spec_pending());
     drop(session);
     assert_eq!(ws.stats().live_elems, 0);
-
-    // Dropped with the speculation still in flight: a batch the pool has
-    // not claimed is cancelled, a claimed one runs on detached with its
-    // own handle to the pool and its buffer comes back when it is done.
-    let mut session = AlsSession::new(&t, &cfg, SessionKind::Exact);
-    let ws = session.workspace().clone();
-    assert!(matches!(session.step(), Step::Swept(_)));
-    drop(session);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while ws.stats().live_elems != 0 {
-        assert!(Instant::now() < deadline, "a speculation kept its buffer");
-        std::thread::yield_now();
-    }
 }
 
 #[test]
@@ -184,7 +159,6 @@ fn a_resumed_session_starts_with_an_empty_workspace() {
         assert!(matches!(session.step(), Step::Swept(_)));
     }
     assert_eq!(session.report().sweeps[5].kind, SweepKind::PpApprox);
-    session.park();
     let bytes = session.checkpoint_bytes(9);
     let parked = session.workspace().stats();
     assert!(parked.draws > 0 && parked.live_elems > 0);
