@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release -p pp-bench --bin fig4 [-- --full]`
 
-use pp_core::{cp_als, pp_cp_als, AlsConfig, SweepKind};
+use pp_core::{AlsConfig, AlsSession, SessionKind, SweepKind};
 use pp_datagen::collinearity::{collinearity_tensor, CollinearityConfig};
 use pp_dtree::TreePolicy;
 
@@ -69,9 +69,11 @@ fn main() {
                 .with_seed(seed)
                 .with_pp_tol(pp_tol);
 
-            let dt = cp_als(&t, &base.clone().with_policy(TreePolicy::Standard));
-            let msdt = cp_als(&t, &base.clone().with_policy(TreePolicy::MultiSweep));
-            let pp = pp_cp_als(&t, &base.clone().with_policy(TreePolicy::MultiSweep));
+            let run =
+                |policy, kind| AlsSession::new(&t, &base.clone().with_policy(policy), kind).run();
+            let dt = run(TreePolicy::Standard, SessionKind::Exact);
+            let msdt = run(TreePolicy::MultiSweep, SessionKind::Exact);
+            let pp = run(TreePolicy::MultiSweep, SessionKind::Pp);
 
             res.speedups_pp
                 .push(dt.report.total_secs() / pp.report.total_secs());

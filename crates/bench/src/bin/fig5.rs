@@ -5,8 +5,7 @@
 //!
 //! Run: `cargo run --release -p pp-bench --bin fig5 [-- col|chem|coil|timelapse|all] [--full]`
 
-use pp_core::result::AlsOutput;
-use pp_core::{cp_als, pp_cp_als, AlsConfig, SweepKind};
+use pp_core::{AlsConfig, AlsOutput, AlsSession, SessionKind, SweepKind};
 use pp_datagen::chemistry::{density_fitting_tensor, ChemistryConfig};
 use pp_datagen::coil::{coil_tensor, CoilConfig};
 use pp_datagen::collinearity::{collinearity_tensor, CollinearityConfig};
@@ -21,9 +20,10 @@ fn run_all(name: &str, t: &DenseTensor, rank: usize, max_sweeps: usize, pp_tol: 
         .with_max_sweeps(max_sweeps)
         .with_pp_tol(pp_tol);
 
-    let dt = cp_als(t, &base.clone().with_policy(TreePolicy::Standard));
-    let msdt = cp_als(t, &base.clone().with_policy(TreePolicy::MultiSweep));
-    let pp = pp_cp_als(t, &base.clone().with_policy(TreePolicy::MultiSweep));
+    let run = |policy, kind| AlsSession::new(t, &base.clone().with_policy(policy), kind).run();
+    let dt = run(TreePolicy::Standard, SessionKind::Exact);
+    let msdt = run(TreePolicy::MultiSweep, SessionKind::Exact);
+    let pp = run(TreePolicy::MultiSweep, SessionKind::Pp);
 
     // Fitness-vs-time series (downsampled print).
     let print_series = |label: &str, out: &AlsOutput| {

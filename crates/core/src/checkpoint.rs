@@ -1,13 +1,15 @@
-//! Binary session-checkpoint codec (the `PPCK` format).
+//! Binary session-checkpoint codec (the `PPCK` format) and its one file
+//! write and read.
 //!
-//! [`crate::session::AlsSession::park_to_disk`] snapshots a parked
-//! session's complete sweep-to-sweep state — config, factors with their
-//! version counters, Gram matrices, PP regime state, the dimension-tree
-//! engine's intermediate cache, kernel stats, and the fitness trace — so
-//! [`crate::session::AlsSession::resume_from_disk`] can continue the run
-//! **bit-identically**: the cache must travel with the factors, or the
-//! first post-restore sweep would recontract intermediates the
-//! uninterrupted run reused.
+//! [`crate::session::AlsSession::checkpoint_bytes`] snapshots a session's
+//! complete sweep-to-sweep state between steps — config, factors with
+//! their version counters, Gram matrices, PP regime state, the
+//! dimension-tree engine's intermediate cache, kernel stats, and the
+//! fitness trace — so [`crate::session::AlsSession::resume_from_bytes`] can
+//! continue the run **bit-identically**: the cache must travel with the
+//! factors, or the first post-restore sweep would recontract intermediates
+//! the uninterrupted run reused. [`write_file`] stores such bytes through a
+//! temp-file rename and [`read_file`] loads them back.
 //!
 //! Layout: `b"PPCK"` magic, a `u32` format version, the payload length,
 //! an FNV-1a-64 checksum of the payload, then the payload. All integers
@@ -20,6 +22,7 @@
 use crate::result::{SweepKind, SweepRecord};
 use pp_dtree::{Intermediate, KernelStats, Payload};
 use pp_tensor::{DenseTensor, Matrix, SemiSparseTensor, Shape};
+use std::path::Path;
 use std::sync::Arc;
 
 pub(crate) const MAGIC: [u8; 4] = *b"PPCK";
@@ -29,6 +32,19 @@ pub(crate) const MAGIC: [u8; 4] = *b"PPCK";
 /// lookahead and fitness-tracking config bytes, and the transpose and
 /// speculation counters of the stats block.
 pub(crate) const VERSION: u32 = 3;
+
+/// Write checkpoint `bytes` to `path` through a temporary file and a
+/// rename, so a torn write never shadows the previous good checkpoint.
+pub fn write_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("ppck.tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// Read the checkpoint bytes at `path`; the error names the file.
+pub fn read_file(path: &Path) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))
+}
 
 /// FNV-1a 64-bit over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

@@ -24,6 +24,15 @@ pub enum InitStrategy {
     SketchedRange,
 }
 
+/// Uniform `[0,1)` random factors for a tensor of extents `dims` (Alg. 1
+/// line 2): the initialization every session and rank starts from.
+pub fn init_factors(dims: &[usize], rank: usize, seed: u64) -> Vec<Matrix> {
+    let mut rng = seeded(seed);
+    dims.iter()
+        .map(|&d| uniform_matrix(d, rank, &mut rng))
+        .collect()
+}
+
 /// Generate initial factors for `t` at CP rank `rank`.
 pub fn init_factors_with(
     t: &DenseTensor,
@@ -31,13 +40,10 @@ pub fn init_factors_with(
     seed: u64,
     strategy: InitStrategy,
 ) -> Vec<Matrix> {
-    let dims: Vec<usize> = t.shape().dims().to_vec();
+    let dims = t.shape().dims();
     let mut rng = seeded(seed);
     match strategy {
-        InitStrategy::Uniform => dims
-            .iter()
-            .map(|&d| uniform_matrix(d, rank, &mut rng))
-            .collect(),
+        InitStrategy::Uniform => init_factors(dims, rank, seed),
         InitStrategy::Gaussian => dims
             .iter()
             .map(|&d| gaussian_matrix(d, rank, &mut rng))
@@ -119,8 +125,8 @@ fn orthonormalize_or_pad(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::als::cp_als_with_init;
     use crate::config::AlsConfig;
+    use crate::session::{AlsSession, SessionKind};
     use pp_datagen::lowrank::noisy_rank;
 
     #[test]
@@ -158,16 +164,11 @@ mod tests {
         let t = noisy_rank(&[14, 13, 12], 4, 0.02, 9);
         let cfg = AlsConfig::new(4).with_max_sweeps(80).with_tol(1e-7);
 
-        let u = cp_als_with_init(
-            &t,
-            &cfg,
-            init_factors_with(&t, 4, 11, InitStrategy::Uniform),
-        );
-        let s = cp_als_with_init(
-            &t,
-            &cfg,
-            init_factors_with(&t, 4, 11, InitStrategy::SketchedRange),
-        );
+        let run = |strategy| {
+            let init = init_factors_with(&t, 4, 11, strategy);
+            AlsSession::with_init(&t, &cfg, SessionKind::Exact, init).run()
+        };
+        let (u, s) = (run(InitStrategy::Uniform), run(InitStrategy::SketchedRange));
         let target = 0.97;
         let sweeps_to = |out: &crate::result::AlsOutput| {
             out.report

@@ -11,12 +11,11 @@
 //!
 //! instead of the unconstrained solve. HALS keeps the monotone-descent
 //! property under nonnegativity and needs only `M` and `Γ` — so MSDT's
-//! cost advantage and PP's approximated `˜M` carry over unchanged.
+//! cost advantage and PP's approximated `˜M` carry over unchanged. An
+//! [`crate::AlsSession`] in [`crate::SessionKind::NonNeg`] runs it; its
+//! uniform `[0,1)` initial factors are already nonnegative.
 
-use crate::config::AlsConfig;
-use crate::result::AlsOutput;
-use crate::session::{AlsSession, SessionKind};
-use pp_tensor::{DenseTensor, Matrix};
+use pp_tensor::Matrix;
 
 /// One full HALS pass over the columns of `A^(n)` given `M^(n)` and
 /// `Γ^(n)`. Repeated `inner_iters` times (2 is the PLANC default).
@@ -48,23 +47,20 @@ pub fn hals_update(a: &Matrix, m: &Matrix, gamma: &Matrix, inner_iters: usize) -
     out
 }
 
-/// Nonnegative CP-ALS: Algorithm 1 with HALS updates in place of the
-/// unconstrained normal-equation solve. Initial factors are uniform
-/// `[0,1)` (already nonnegative). A step-loop over an [`AlsSession`] in
-/// [`SessionKind::NonNeg`].
-pub fn nn_cp_als(t: &DenseTensor, cfg: &AlsConfig) -> AlsOutput {
-    let _threads = cfg.thread_guard();
-    let dims: Vec<usize> = t.shape().dims().to_vec();
-    let init = crate::als::init_factors(&dims, cfg.rank, cfg.seed);
-    AlsSession::with_init(t, cfg, SessionKind::NonNeg, init).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AlsConfig;
+    use crate::result::AlsOutput;
+    use crate::session::{AlsSession, SessionKind};
     use pp_dtree::TreePolicy;
     use pp_tensor::kernels::naive::reconstruct;
     use pp_tensor::rng::{seeded, uniform_matrix};
+    use pp_tensor::DenseTensor;
+
+    fn nncp(t: &DenseTensor, cfg: &AlsConfig) -> AlsOutput {
+        AlsSession::new(t, cfg, SessionKind::NonNeg).run()
+    }
 
     fn nonneg_tensor(dims: &[usize], r: usize, seed: u64) -> DenseTensor {
         // Product of nonnegative factors is nonnegative.
@@ -79,7 +75,7 @@ mod tests {
     #[test]
     fn hals_keeps_factors_nonnegative() {
         let t = nonneg_tensor(&[8, 7, 6], 3, 3);
-        let out = nn_cp_als(&t, &AlsConfig::new(3).with_max_sweeps(40).with_tol(1e-8));
+        let out = nncp(&t, &AlsConfig::new(3).with_max_sweeps(40).with_tol(1e-8));
         for f in &out.factors {
             assert!(f.data().iter().all(|&x| x >= 0.0), "negative entry");
         }
@@ -88,7 +84,7 @@ mod tests {
     #[test]
     fn hals_fits_nonnegative_low_rank_tensor() {
         let t = nonneg_tensor(&[10, 9, 8], 3, 7);
-        let out = nn_cp_als(&t, &AlsConfig::new(3).with_max_sweeps(120).with_tol(1e-10));
+        let out = nncp(&t, &AlsConfig::new(3).with_max_sweeps(120).with_tol(1e-10));
         assert!(
             out.report.final_fitness > 0.98,
             "fitness {}",
@@ -99,7 +95,7 @@ mod tests {
     #[test]
     fn hals_fitness_monotone() {
         let t = nonneg_tensor(&[8, 8, 8], 4, 11);
-        let out = nn_cp_als(&t, &AlsConfig::new(4).with_max_sweeps(30).with_tol(0.0));
+        let out = nncp(&t, &AlsConfig::new(4).with_max_sweeps(30).with_tol(0.0));
         let fits: Vec<f64> = out.report.sweeps.iter().map(|s| s.fitness).collect();
         for w in fits.windows(2) {
             assert!(w[1] >= w[0] - 1e-6, "fitness decreased: {w:?}");
@@ -121,8 +117,8 @@ mod tests {
     #[test]
     fn msdt_nncp_matches_dt_nncp() {
         let t = nonneg_tensor(&[7, 6, 8], 2, 5);
-        let a = nn_cp_als(&t, &AlsConfig::new(2).with_max_sweeps(10).with_tol(0.0));
-        let b = nn_cp_als(
+        let a = nncp(&t, &AlsConfig::new(2).with_max_sweeps(10).with_tol(0.0));
+        let b = nncp(
             &t,
             &AlsConfig::new(2)
                 .with_max_sweeps(10)

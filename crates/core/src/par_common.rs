@@ -1,13 +1,14 @@
-//! Shared per-rank state and update steps for the parallel drivers
-//! (Algorithms 3 and 4 of the paper).
+//! Shared per-rank state and update steps of the parallel algorithms
+//! (Algorithms 3 and 4 of the paper): [`crate::ParSession`] and the
+//! reference PP timings of [`crate::ref_pp`] run over it.
 
 use crate::config::{AlsConfig, SolveStrategy};
-use crate::fitness::{fitness_from_residual, relative_residual};
+use crate::fitness::fitness_from_residual;
+use crate::init::init_factors;
 use pp_comm::{Collectives, RankCtx};
 use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel};
 use pp_grid::{DistFactor, DistTensor, FactorLayout, ProcGrid};
 use pp_tensor::matrix::hadamard_chain_skip;
-use pp_tensor::rng::{seeded, uniform_matrix};
 use pp_tensor::solve::{solve_flops, solve_gram};
 use pp_tensor::Matrix;
 use std::time::Instant;
@@ -54,17 +55,10 @@ impl ParState {
             .map(|i| FactorLayout::new(local.global_shape().dim(i), grid, i, cfg.rank))
             .collect();
 
-        let mut rng = seeded(cfg.seed);
-        let mut dist_factors = Vec::with_capacity(n_modes);
-        for i in 0..n_modes {
-            let global = uniform_matrix(local.global_shape().dim(i), cfg.rank, &mut rng);
-            dist_factors.push(DistFactor::from_global(
-                &global,
-                layouts[i],
-                coords[i],
-                slices[i].rank(),
-            ));
-        }
+        let globals = init_factors(local.global_shape().dims(), cfg.rank, cfg.seed);
+        let dist_factors: Vec<DistFactor> = (0..n_modes)
+            .map(|i| DistFactor::from_global(&globals[i], layouts[i], coords[i], slices[i].rank()))
+            .collect();
 
         let fs_local = FactorState::new(dist_factors.iter().map(|f| f.p().clone()).collect());
         let grams: Vec<Matrix> = dist_factors
@@ -199,29 +193,4 @@ impl ParState {
             .map(|n| self.dist_factors[n].gather_global(&ctx.comm, &self.grid, n))
             .collect()
     }
-
-    /// Frobenius norm of a factor from its Q blocks (world All-Reduce).
-    pub fn factor_norm(&self, ctx: &mut RankCtx, n: usize) -> f64 {
-        let local = self.dist_factors[n].q().norm_sq();
-        ctx.comm.all_reduce_sum(&[local])[0].sqrt()
-    }
-
-    /// Frobenius norm of an arbitrary Q-block matrix across ranks.
-    pub fn q_block_norm(&self, ctx: &mut RankCtx, q_block: &Matrix) -> f64 {
-        ctx.comm.all_reduce_sum(&[q_block.norm_sq()])[0].sqrt()
-    }
-}
-
-/// The residual helper shared with sequential drivers, re-exported for the
-/// parallel modules' tests.
-pub fn seq_fitness(
-    t_norm_sq: f64,
-    gamma_last: &Matrix,
-    gram_last: &Matrix,
-    m_last: &Matrix,
-    a_last: &Matrix,
-) -> f64 {
-    fitness_from_residual(relative_residual(
-        t_norm_sq, gamma_last, gram_last, m_last, a_last,
-    ))
 }

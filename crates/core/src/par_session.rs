@@ -1,5 +1,18 @@
-//! Resumable per-rank sessions for the parallel BSP drivers
-//! (Algorithms 3 and 4).
+//! Resumable per-rank sessions for the parallel algorithms: parallel
+//! CP-ALS (Algorithm 3) and communication-efficient parallel pairwise
+//! perturbation (Algorithm 4).
+//!
+//! The input tensor is block-distributed over an order-`N` processor grid;
+//! each rank runs a *local* dimension tree over its tensor block and
+//! slice-replicated factor blocks, so the only communication per exact
+//! factor update is one Reduce-Scatter (MTTKRP rows), one All-Reduce (Gram
+//! matrix), and one All-Gather (P-block refresh). The dimension-tree
+//! policy (DT vs MSDT) plugs straight into the local computation — MSDT
+//! changes no communication (§IV). Under PP, both the initialization and
+//! the first-order corrections run locally; the pair operators are never
+//! communicated. The PLANC baseline (Eswar et al.) is
+//! [`ParKind::Exact`] over the standard tree with
+//! [`crate::SolveStrategy::Replicated`].
 //!
 //! A [`ParSession`] is the SPMD analogue of [`crate::session::AlsSession`]:
 //! every rank owns one session wrapping its [`ParState`] (local tensor
@@ -9,16 +22,12 @@
 //! lockstep**: all ranks of a grid must step their sessions together,
 //! because a sweep issues the same sequence of collectives on every rank.
 //! The step boundary is a full BSP superstep, so pausing between steps is
-//! always safe.
-//!
-//! `par_cp_als` and `par_pp_cp_als` are thin step-loops over this type;
-//! `tests/golden_traces.rs` pins their pre-session traces.
+//! always safe. `tests/golden_traces.rs` pins the PP traces bitwise.
 
 use crate::config::AlsConfig;
-use crate::par_als::ParAlsOutput;
 use crate::par_common::ParState;
-use crate::result::{AlsReport, SweepKind, SweepRecord};
-use crate::session::{Step, StopReason};
+use crate::result::{AlsOutput, AlsReport, SweepKind};
+use crate::session::{Progress, Step};
 use pp_comm::{Collectives, RankCtx};
 use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
 use pp_dtree::Kernel;
@@ -84,12 +93,7 @@ pub struct ParSession {
     snap: Option<PpSnapshot>,
     /// Whether the next step is a PP approximated sweep.
     in_pp: bool,
-    report: AlsReport,
-    fitness_old: f64,
-    cumulative: f64,
-    converged: bool,
-    sweeps_done: usize,
-    finished: bool,
+    progress: Progress,
 }
 
 impl ParSession {
@@ -102,6 +106,12 @@ impl ParSession {
         cfg: &AlsConfig,
         kind: ParKind,
     ) -> Self {
+        if kind == ParKind::Pp {
+            assert!(
+                local.global_shape().order() >= 3,
+                "pairwise perturbation needs order ≥ 3"
+            );
+        }
         let _threads = cfg.thread_guard();
         let st = ParState::init(ctx, grid, local, cfg);
         let n_modes = st.n_modes();
@@ -112,12 +122,7 @@ impl ParSession {
             last_drift: vec![1.0; n_modes],
             snap: None,
             in_pp: false,
-            report: AlsReport::default(),
-            fitness_old: f64::NEG_INFINITY,
-            cumulative: 0.0,
-            converged: false,
-            sweeps_done: 0,
-            finished: false,
+            progress: Progress::new(),
         }
     }
 
@@ -128,95 +133,75 @@ impl ParSession {
 
     /// Sweeps performed so far.
     pub fn sweeps_done(&self) -> usize {
-        self.sweeps_done
+        self.progress.sweeps_done()
     }
 
     /// Whether stepping has stopped.
     pub fn is_finished(&self) -> bool {
-        self.finished || self.sweeps_done >= self.cfg.max_sweeps
+        self.progress.is_finished(self.cfg.max_sweeps)
     }
 
     /// The trace accumulated so far.
     pub fn report(&self) -> &AlsReport {
-        &self.report
+        self.progress.report()
     }
 
     /// Advance exactly one sweep. Collective-lockstep: every rank of the
     /// grid must call this the same number of times.
     pub fn step(&mut self, ctx: &mut RankCtx) -> Step {
-        if self.finished {
-            return Step::Done(if self.converged {
-                StopReason::Converged
-            } else {
-                StopReason::SweepLimit
-            });
-        }
-        if self.sweeps_done >= self.cfg.max_sweeps {
-            self.finished = true;
-            return Step::Done(StopReason::SweepLimit);
+        if let Some(reason) = self.progress.stop(self.cfg.max_sweeps) {
+            return Step::Done(reason);
         }
         let _threads = self.cfg.thread_guard();
 
-        let rec = match self.kind {
-            ParKind::Exact => self.exact_sweep(ctx),
-            ParKind::Pp => {
-                if self.in_pp {
-                    self.pp_approx_sweep(ctx)
-                } else if self.last_drift.iter().all(|&d| d < self.cfg.pp_tol) {
-                    self.pp_init(ctx)
-                } else {
-                    self.exact_sweep(ctx)
-                }
-            }
+        let (kind, (secs, fitness)) = match self.kind {
+            ParKind::Pp if self.in_pp => (SweepKind::PpApprox, self.pp_approx_sweep(ctx)),
+            ParKind::Pp if self.pp_gate_open() => (SweepKind::PpInit, self.pp_init(ctx)),
+            _ => (SweepKind::Exact, self.exact_sweep(ctx)),
         };
         self.st.engine.end_sweep();
-        self.report.sweeps.push(rec);
-        self.sweeps_done += 1;
-
-        if rec.kind != SweepKind::PpInit {
-            if (rec.fitness - self.fitness_old).abs() < self.cfg.tol {
-                self.converged = true;
-                self.finished = true;
-                return Step::Swept(rec);
-            }
-            self.fitness_old = rec.fitness;
-        }
-        // Post-approx drift gate (Alg. 4 line 17). Ordering matters for
-        // lockstep: the monolithic driver measured drift only when the
-        // sweep did not converge, so the session must too — `drift` issues
-        // collectives.
-        if rec.kind == SweepKind::PpApprox {
+        let rec = self.progress.push(kind, secs, fitness, self.cfg.tol);
+        // Post-approx drift gate (Alg. 4 line 17), measured only when the
+        // sweep did not converge: `drift` issues collectives, so every rank
+        // must reach it under the same condition (fitness is replicated).
+        if kind == SweepKind::PpApprox && !self.progress.converged() {
             let snap = self.snap.as_ref().expect("approx sweep requires snapshot");
             self.last_drift = drift(ctx, &self.st, &snap.q_p);
-            if !self.last_drift.iter().all(|&d| d < self.cfg.pp_tol) {
+            if !self.pp_gate_open() {
                 self.in_pp = false;
             }
         }
         Step::Swept(rec)
     }
 
-    /// Run to completion: the monolithic driver as a step loop.
-    pub fn run(mut self, ctx: &mut RankCtx) -> ParAlsOutput {
+    /// The PP activation gate on the last measured drift: every mode's
+    /// relative drift below ε.
+    fn pp_gate_open(&self) -> bool {
+        self.last_drift.iter().all(|&d| d < self.cfg.pp_tol)
+    }
+
+    /// Run to completion and produce the output.
+    pub fn run(mut self, ctx: &mut RankCtx) -> AlsOutput {
         while let Step::Swept(_) = self.step(ctx) {}
         self.finish(ctx)
     }
 
-    /// Gather global factors and seal the report.
-    pub fn finish(mut self, ctx: &mut RankCtx) -> ParAlsOutput {
+    /// Gather the global factors (replicated on every rank) and seal the
+    /// report; sweep times are this rank's wall clock, fitness values are
+    /// identical across ranks.
+    pub fn finish(mut self, ctx: &mut RankCtx) -> AlsOutput {
         let _threads = self.cfg.thread_guard();
         let factors = self.st.gather_factors(ctx);
-        self.report.stats = self.st.engine.take_stats();
-        self.report.final_fitness = self.report.sweeps.last().map_or(f64::NAN, |s| s.fitness);
-        self.report.converged = self.converged;
-        ParAlsOutput {
+        AlsOutput {
             factors,
-            report: self.report,
+            report: self.progress.seal(self.st.engine.take_stats()),
         }
     }
 
     /// One exact sweep (Alg. 3 lines 10-19). For PP sessions this also
-    /// refreshes the drift against the pre-sweep Q blocks.
-    fn exact_sweep(&mut self, ctx: &mut RankCtx) -> SweepRecord {
+    /// refreshes the drift against the pre-sweep Q blocks. Returns the
+    /// sweep's seconds and fitness.
+    fn exact_sweep(&mut self, ctx: &mut RankCtx) -> (f64, f64) {
         let n_modes = self.st.n_modes();
         let q_before: Option<Vec<Matrix>> = if self.kind == ParKind::Pp {
             Some(self.st.dist_factors.iter().map(|f| f.q().clone()).collect())
@@ -234,21 +219,16 @@ impl ParSession {
         let (gamma_last, m_q_last) = last.unwrap();
         let fitness = self.st.fitness(ctx, &gamma_last, &m_q_last);
         let secs = t0.elapsed().as_secs_f64();
-        self.cumulative += secs;
         if let Some(q_before) = q_before {
             self.last_drift = drift(ctx, &self.st, &q_before);
         }
-        SweepRecord {
-            kind: SweepKind::Exact,
-            secs,
-            fitness,
-            cumulative_secs: self.cumulative,
-        }
+        (secs, fitness)
     }
 
     /// PP initialization (Alg. 4 line 2): local operator construction,
-    /// then a barrier so the regime switch is a superstep boundary.
-    fn pp_init(&mut self, ctx: &mut RankCtx) -> SweepRecord {
+    /// then a barrier so the regime switch is a superstep boundary. It
+    /// carries the previous sweep's fitness.
+    fn pp_init(&mut self, ctx: &mut RankCtx) -> (f64, f64) {
         let t0 = Instant::now();
         // The operators of the regime being left go back to the workspace
         // before the build draws from it.
@@ -260,19 +240,13 @@ impl ParSession {
         });
         ctx.comm.barrier();
         let secs = t0.elapsed().as_secs_f64();
-        self.cumulative += secs;
         self.in_pp = true;
-        SweepRecord {
-            kind: SweepKind::PpInit,
-            secs,
-            fitness: self.report.sweeps.last().map_or(f64::NAN, |s| s.fitness),
-            cumulative_secs: self.cumulative,
-        }
+        (secs, self.progress.last_fitness())
     }
 
     /// One PP approximated sweep (Alg. 4 lines 3-17): local first-order
     /// corrections, Reduce-Scatter, global second-order correction.
-    fn pp_approx_sweep(&mut self, ctx: &mut RankCtx) -> SweepRecord {
+    fn pp_approx_sweep(&mut self, ctx: &mut RankCtx) -> (f64, f64) {
         let n_modes = self.st.n_modes();
         // Taken out for the sweep so the operator reads borrow disjointly
         // from the factor/Gram updates.
@@ -330,64 +304,6 @@ impl ParSession {
         let (gamma_last, m_q_last) = last.unwrap();
         let fitness = self.st.fitness(ctx, &gamma_last, &m_q_last);
         let secs = sweep_t0.elapsed().as_secs_f64();
-        self.cumulative += secs;
-        SweepRecord {
-            kind: SweepKind::PpApprox,
-            secs,
-            fitness,
-            cumulative_secs: self.cumulative,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::par_als::par_cp_als;
-    use crate::par_pp::par_pp_cp_als;
-    use pp_comm::Runtime;
-    use pp_datagen::lowrank::noisy_rank;
-    use pp_dtree::TreePolicy;
-    use std::sync::Arc;
-
-    /// Stepping the sessions rank-locked, with a pause after every sweep,
-    /// must match the one-shot wrappers bitwise.
-    #[test]
-    fn stepped_sessions_match_wrappers() {
-        let t = Arc::new(noisy_rank(&[6, 7, 5], 3, 0.1, 3));
-        let grid = ProcGrid::new(vec![2, 2, 1]);
-        let cfg = AlsConfig::new(3)
-            .with_policy(TreePolicy::MultiSweep)
-            .with_pp_tol(0.3)
-            .with_max_sweeps(12)
-            .with_tol(0.0);
-
-        for kind in [ParKind::Exact, ParKind::Pp] {
-            let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
-            let whole = Runtime::from_env(4).run(move |ctx| {
-                let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-                match kind {
-                    ParKind::Exact => par_cp_als(ctx, &g2, &local, &c2),
-                    ParKind::Pp => par_pp_cp_als(ctx, &g2, &local, &c2),
-                }
-            });
-            let (t3, g3, c3) = (t.clone(), grid.clone(), cfg.clone());
-            let stepped = Runtime::from_env(4).run(move |ctx| {
-                let local = DistTensor::from_global(&t3, &g3, ctx.rank());
-                let mut s = ParSession::new(ctx, &g3, &local, &c3, kind);
-                while let Step::Swept(_) = s.step(ctx) {}
-                s.finish(ctx)
-            });
-            let a = &whole.results[0];
-            let b = &stepped.results[0];
-            assert_eq!(a.report.sweeps.len(), b.report.sweeps.len());
-            for (x, y) in a.report.sweeps.iter().zip(b.report.sweeps.iter()) {
-                assert_eq!(x.kind, y.kind, "{kind:?}");
-                assert_eq!(x.fitness.to_bits(), y.fitness.to_bits(), "{kind:?}");
-            }
-            for (fa, fb) in a.factors.iter().zip(b.factors.iter()) {
-                assert_eq!(fa.data(), fb.data(), "{kind:?}");
-            }
-        }
+        (secs, fitness)
     }
 }

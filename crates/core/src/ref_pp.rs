@@ -10,7 +10,8 @@
 //! reducing each `U^(n,i)` with its own world collective (`N²` collectives
 //! per sweep instead of `N`).
 //!
-//! The functions here compute **identical results** to [`crate::par_pp`] —
+//! The functions here compute **identical results** to a
+//! [`crate::ParSession`] in [`crate::ParKind::Pp`] (Algorithm 4) —
 //! the extra collectives are semantically identity redistributions and
 //! equivalent reductions — so the measured time difference isolates
 //! exactly the communication overhead the paper's Table II quantifies.

@@ -31,7 +31,8 @@ pub struct SweepRecord {
     pub kind: SweepKind,
     /// Wall-clock seconds of this sweep.
     pub secs: f64,
-    /// Fitness `1 − r` after this sweep (NaN when tracking is off).
+    /// Fitness `1 − r` after this sweep. A PP initialization computes
+    /// none and repeats the previous sweep's (NaN if it comes first).
     pub fitness: f64,
     /// Cumulative seconds since the run started.
     pub cumulative_secs: f64,
@@ -94,7 +95,8 @@ impl AlsReport {
 
 /// Output of a run: the factor matrices plus the report.
 pub struct AlsOutput {
-    /// Final factor matrices `A^(0..N)`.
+    /// Final factor matrices `A^(0..N)` (of a parallel run: gathered, the
+    /// same on every rank).
     pub factors: Vec<Matrix>,
     /// Trace and statistics.
     pub report: AlsReport,

@@ -1,5 +1,5 @@
-//! Resumable ALS sessions: the sweep-granular state machine behind every
-//! sequential driver.
+//! Resumable ALS sessions: the sweep-granular state machine every
+//! decomposition runs as.
 //!
 //! An [`AlsSession`] owns *all* state a CP decomposition needs between
 //! sweeps — the input tensor in its one stored layout, the dimension-tree
@@ -8,14 +8,16 @@
 //! drifts, pair operators), and the fitness trace.
 //! [`AlsSession::step`] advances **exactly one sweep** (an exact ALS
 //! sweep, a PP initialization, or a PP approximated sweep — the same
-//! categories as [`crate::result::SweepKind`]) and [`AlsSession::finish`]
-//! produces the [`AlsOutput`].
+//! categories as [`crate::result::SweepKind`]), [`AlsSession::run`] steps
+//! to the end, and [`AlsSession::finish`] produces the [`AlsOutput`].
+//! `tests/golden_traces.rs` pins the traces bitwise and
+//! `tests/session_parity.rs` checks arbitrary pause/resume schedules
+//! against `run`.
 //!
-//! Repeatedly stepping a session is **bit-identical** to the historical
-//! monolithic drivers (`cp_als`, `pp_cp_als`, `nn_cp_als`), which are now
-//! thin step-loops over this type; `tests/golden_traces.rs` pins the
-//! pre-session traces and `tests/session_parity.rs` checks the step-loop
-//! against arbitrary pause/resume schedules.
+//! The trace and the stop rule (the Δ criterion, the sweep budget, the
+//! sealed report and their checkpoint bytes) are one crate-private type,
+//! `Progress`, shared with [`crate::par_session::ParSession`] and, through
+//! its inner session, [`crate::stream::StreamingSession`].
 //!
 //! Sessions are what make decompositions *schedulable*: a session between
 //! steps holds no pool resource (every contraction runs to completion
@@ -26,11 +28,12 @@
 use crate::checkpoint::{sparse_fingerprint, tensor_fingerprint, Reader, Writer};
 use crate::config::{AlsConfig, SolveStrategy};
 use crate::fitness::{fitness_from_residual, relative_residual};
+use crate::init::init_factors;
 use crate::nonneg::hals_update;
 use crate::result::{AlsOutput, AlsReport, SweepKind, SweepRecord};
 use pp_dtree::correct::{approx_mttkrp, d_gram};
 use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
-use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel, TreePolicy};
+use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel, KernelStats, TreePolicy};
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
 use pp_tensor::sparse::SparseTensor;
@@ -67,6 +70,155 @@ pub enum Step {
     Done(StopReason),
 }
 
+/// The trace and the stop rule of a session: the report being built, the
+/// Δ criterion's reference fitness, and whether stepping has stopped.
+pub(crate) struct Progress {
+    report: AlsReport,
+    /// Fitness of the last sweep that carried one (Alg. 2 line 2: −∞).
+    fitness_old: f64,
+    cumulative: f64,
+    converged: bool,
+    sweeps_done: usize,
+    finished: bool,
+}
+
+impl Progress {
+    pub(crate) fn new() -> Self {
+        Progress {
+            report: AlsReport::default(),
+            fitness_old: f64::NEG_INFINITY,
+            cumulative: 0.0,
+            converged: false,
+            sweeps_done: 0,
+            finished: false,
+        }
+    }
+
+    /// The head of every `step`: why no sweep may run under a budget of
+    /// `max_sweeps`, or `None` when one may. Idempotent once finished.
+    pub(crate) fn stop(&mut self, max_sweeps: usize) -> Option<StopReason> {
+        if self.finished {
+            return Some(if self.converged {
+                StopReason::Converged
+            } else {
+                StopReason::SweepLimit
+            });
+        }
+        if self.sweeps_done >= max_sweeps {
+            self.finished = true;
+            return Some(StopReason::SweepLimit);
+        }
+        None
+    }
+
+    /// The tail of every `step`: append the sweep to the trace and apply
+    /// the Δ criterion (Alg. 1 line 11 / Alg. 2 lines 15 and 21). A PP
+    /// initialization carries no fresh fitness, so it neither checks the
+    /// criterion nor shifts the reference.
+    pub(crate) fn push(
+        &mut self,
+        kind: SweepKind,
+        secs: f64,
+        fitness: f64,
+        tol: f64,
+    ) -> SweepRecord {
+        self.cumulative += secs;
+        let rec = SweepRecord {
+            kind,
+            secs,
+            fitness,
+            cumulative_secs: self.cumulative,
+        };
+        self.report.sweeps.push(rec);
+        self.sweeps_done += 1;
+        if kind != SweepKind::PpInit {
+            if (fitness - self.fitness_old).abs() < tol {
+                self.converged = true;
+                self.finished = true;
+            } else {
+                self.fitness_old = fitness;
+            }
+        }
+        rec
+    }
+
+    /// Open a new window of `budget` sweeps after the ones done (a
+    /// streaming arrival): the criterion restarts without a reference.
+    /// Returns the new sweep limit.
+    pub(crate) fn reopen(&mut self, budget: usize) -> usize {
+        self.fitness_old = f64::NEG_INFINITY;
+        self.converged = false;
+        self.finished = false;
+        self.sweeps_done + budget
+    }
+
+    /// Seal the trace into the run's report.
+    pub(crate) fn seal(mut self, stats: KernelStats) -> AlsReport {
+        self.report.stats = stats;
+        self.report.final_fitness = self.last_fitness();
+        self.report.converged = self.converged;
+        self.report
+    }
+
+    pub(crate) fn report(&self) -> &AlsReport {
+        &self.report
+    }
+
+    pub(crate) fn last_fitness(&self) -> f64 {
+        self.report.sweeps.last().map_or(f64::NAN, |s| s.fitness)
+    }
+
+    pub(crate) fn sweeps_done(&self) -> usize {
+        self.sweeps_done
+    }
+
+    pub(crate) fn converged(&self) -> bool {
+        self.converged
+    }
+
+    pub(crate) fn is_finished(&self, max_sweeps: usize) -> bool {
+        self.finished || self.sweeps_done >= max_sweeps
+    }
+
+    /// The last fields of a session checkpoint.
+    pub(crate) fn write(&self, w: &mut Writer) {
+        w.usize_(self.report.sweeps.len());
+        for rec in &self.report.sweeps {
+            w.sweep(rec);
+        }
+        w.stats(&self.report.stats);
+        w.f64_(self.report.final_fitness);
+        w.bool_(self.report.converged);
+        w.f64_(self.fitness_old);
+        w.f64_(self.cumulative);
+        w.bool_(self.converged);
+        w.usize_(self.sweeps_done);
+        w.bool_(self.finished);
+    }
+
+    /// The inverse of [`Progress::write`].
+    pub(crate) fn read(r: &mut Reader) -> Result<Self, String> {
+        let n_sweeps = r.usize_()?;
+        let mut sweeps = Vec::with_capacity(n_sweeps);
+        for _ in 0..n_sweeps {
+            sweeps.push(r.sweep()?);
+        }
+        Ok(Progress {
+            report: AlsReport {
+                sweeps,
+                stats: r.stats()?,
+                final_fitness: r.f64_()?,
+                converged: r.bool_()?,
+            },
+            fitness_old: r.f64_()?,
+            cumulative: r.f64_()?,
+            converged: r.bool_()?,
+            sweeps_done: r.usize_()?,
+            finished: r.bool_()?,
+        })
+    }
+}
+
 /// Phase of the PP regime between steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PpPhase {
@@ -92,10 +244,7 @@ pub(crate) struct StreamParts<'a> {
     pub(crate) factors_p: &'a mut Vec<Matrix>,
     pub(crate) ops: &'a mut Option<PpOperators>,
     pub(crate) phase: &'a mut PpPhase,
-    pub(crate) fitness_old: &'a mut f64,
-    pub(crate) converged: &'a mut bool,
-    pub(crate) finished: &'a mut bool,
-    pub(crate) sweeps_done: usize,
+    pub(crate) progress: &'a mut Progress,
 }
 
 /// A resumable CP-ALS / PP-CP-ALS / NNCP run. See the module docs.
@@ -115,12 +264,7 @@ pub struct AlsSession {
     /// Pair operators `𝓜p^(i,j)` of the current PP regime.
     ops: Option<PpOperators>,
     phase: PpPhase,
-    report: AlsReport,
-    fitness_old: f64,
-    cumulative: f64,
-    converged: bool,
-    sweeps_done: usize,
-    finished: bool,
+    progress: Progress,
 }
 
 /// The dense input a session sweeps over: one layout for either tree, led
@@ -146,7 +290,7 @@ impl AlsSession {
         kind: SessionKind,
         evolving: Option<usize>,
     ) -> Self {
-        let init = crate::als::init_factors(t.shape().dims(), cfg.rank, cfg.seed);
+        let init = init_factors(t.shape().dims(), cfg.rank, cfg.seed);
         Self::build(t, cfg, kind, init, evolving)
     }
 
@@ -211,12 +355,7 @@ impl AlsSession {
             factors_p: Vec::new(),
             ops: None,
             phase: PpPhase::Gate,
-            report: AlsReport::default(),
-            fitness_old: f64::NEG_INFINITY,
-            cumulative: 0.0,
-            converged: false,
-            sweeps_done: 0,
-            finished: false,
+            progress: Progress::new(),
         }
     }
 
@@ -250,7 +389,7 @@ impl AlsSession {
             );
             assert!(sp.order() >= 3, "pairwise perturbation needs order ≥ 3");
         }
-        let init = crate::als::init_factors(sp.dims(), cfg.rank, cfg.seed);
+        let init = init_factors(sp.dims(), cfg.rank, cfg.seed);
         let n_modes = sp.order();
         assert!(n_modes >= 2);
         let _threads = cfg.thread_guard();
@@ -280,27 +419,27 @@ impl AlsSession {
 
     /// Sweeps performed so far (PP initializations count, as in Alg. 2).
     pub fn sweeps_done(&self) -> usize {
-        self.sweeps_done
+        self.progress.sweeps_done()
     }
 
     /// Whether stepping has stopped (converged or out of budget).
     pub fn is_finished(&self) -> bool {
-        self.finished || self.sweeps_done >= self.cfg.max_sweeps
+        self.progress.is_finished(self.cfg.max_sweeps)
     }
 
     /// Whether the Δ criterion has been met.
     pub fn converged(&self) -> bool {
-        self.converged
+        self.progress.converged()
     }
 
     /// Fitness after the most recent sweep (NaN before the first).
     pub fn last_fitness(&self) -> f64 {
-        self.report.sweeps.last().map_or(f64::NAN, |s| s.fitness)
+        self.progress.last_fitness()
     }
 
     /// The trace accumulated so far.
     pub fn report(&self) -> &AlsReport {
-        &self.report
+        self.progress.report()
     }
 
     /// Current factor matrices.
@@ -329,19 +468,11 @@ impl AlsSession {
         self.engine.cache_memory_elems() + self.ops.as_ref().map_or(0, |o| o.memory_elems())
     }
 
-    /// Write a `PPCK` checkpoint (versioned binary format with
-    /// an FNV-1a integrity check — see [`crate::checkpoint`]) via a
-    /// temp-file rename, so a torn write cannot shadow a good checkpoint.
-    /// `tag` is an opaque caller fingerprint (e.g. of the job spec)
-    /// returned verbatim by [`AlsSession::resume_from_disk`].
-    pub fn park_to_disk(&mut self, path: &std::path::Path, tag: u64) -> std::io::Result<()> {
-        let bytes = self.checkpoint_bytes(tag);
-        let tmp = path.with_extension("ppck.tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Serialize the complete sweep-to-sweep state.
+    /// Serialize the complete sweep-to-sweep state as a `PPCK` checkpoint
+    /// (versioned binary format with an FNV-1a integrity check — see
+    /// [`crate::checkpoint`], whose `write_file` stores it). `tag` is an
+    /// opaque caller fingerprint (e.g. of the job spec) returned verbatim
+    /// by [`AlsSession::resume_from_bytes`].
     pub fn checkpoint_bytes(&self, tag: u64) -> Vec<u8> {
         let mut w = Writer::new();
         w.u64_(tag);
@@ -410,19 +541,7 @@ impl AlsSession {
             w.intermediate(e);
         }
         w.stats(&self.engine.stats);
-        // Trace and convergence bookkeeping.
-        w.usize_(self.report.sweeps.len());
-        for rec in &self.report.sweeps {
-            w.sweep(rec);
-        }
-        w.stats(&self.report.stats);
-        w.f64_(self.report.final_fitness);
-        w.bool_(self.report.converged);
-        w.f64_(self.fitness_old);
-        w.f64_(self.cumulative);
-        w.bool_(self.converged);
-        w.usize_(self.sweeps_done);
-        w.bool_(self.finished);
+        self.progress.write(&mut w);
         w.frame()
     }
 
@@ -430,16 +549,7 @@ impl AlsSession {
     /// `t` must be the same input tensor the checkpointed session ran on
     /// (rebuilt deterministically from its dataset spec); its fingerprint
     /// is verified. Returns the session and the caller `tag` stored by
-    /// [`AlsSession::park_to_disk`].
-    pub fn resume_from_disk(
-        path: &std::path::Path,
-        t: &DenseTensor,
-    ) -> Result<(AlsSession, u64), String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::resume_from_bytes(&bytes, t)
-    }
-
-    /// [`AlsSession::resume_from_disk`] on in-memory bytes.
+    /// [`AlsSession::checkpoint_bytes`].
     pub fn resume_from_bytes(bytes: &[u8], t: &DenseTensor) -> Result<(AlsSession, u64), String> {
         Self::resume_dense(bytes, t, None)
     }
@@ -457,18 +567,9 @@ impl AlsSession {
         })
     }
 
-    /// [`AlsSession::resume_from_disk`] for a **sparse** input. The
+    /// [`AlsSession::resume_from_bytes`] for a **sparse** input. The
     /// domain-separated sparse fingerprint refuses dense checkpoints and
     /// mismatched sparse tensors alike.
-    pub fn resume_from_disk_sparse(
-        path: &std::path::Path,
-        sp: &SparseTensor,
-    ) -> Result<(AlsSession, u64), String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::resume_from_bytes_sparse(&bytes, sp)
-    }
-
-    /// [`AlsSession::resume_from_disk_sparse`] on in-memory bytes.
     pub fn resume_from_bytes_sparse(
         bytes: &[u8],
         sp: &SparseTensor,
@@ -574,22 +675,7 @@ impl AlsSession {
             cached.push(r.intermediate()?);
         }
         let engine_stats = r.stats()?;
-        let n_sweeps = r.usize_()?;
-        let mut sweeps = Vec::with_capacity(n_sweeps);
-        for _ in 0..n_sweeps {
-            sweeps.push(r.sweep()?);
-        }
-        let report = AlsReport {
-            sweeps,
-            stats: r.stats()?,
-            final_fitness: r.f64_()?,
-            converged: r.bool_()?,
-        };
-        let fitness_old = r.f64_()?;
-        let cumulative = r.f64_()?;
-        let converged = r.bool_()?;
-        let sweeps_done = r.usize_()?;
-        let finished = r.bool_()?;
+        let progress = Progress::read(&mut r)?;
         if !r.exhausted() {
             return Err("checkpoint has trailing bytes".into());
         }
@@ -617,12 +703,7 @@ impl AlsSession {
                 factors_p,
                 ops,
                 phase,
-                report,
-                fitness_old,
-                cumulative,
-                converged,
-                sweeps_done,
-                finished,
+                progress,
             },
             tag,
         ))
@@ -645,66 +726,37 @@ impl AlsSession {
             factors_p: &mut self.factors_p,
             ops: &mut self.ops,
             phase: &mut self.phase,
-            fitness_old: &mut self.fitness_old,
-            converged: &mut self.converged,
-            finished: &mut self.finished,
-            sweeps_done: self.sweeps_done,
+            progress: &mut self.progress,
         }
     }
 
     /// Advance exactly one sweep. Idempotent once the session is finished.
     pub fn step(&mut self) -> Step {
-        if self.finished {
-            return Step::Done(if self.converged {
-                StopReason::Converged
-            } else {
-                StopReason::SweepLimit
-            });
-        }
-        if self.sweeps_done >= self.cfg.max_sweeps {
-            self.finished = true;
-            return Step::Done(StopReason::SweepLimit);
+        if let Some(reason) = self.progress.stop(self.cfg.max_sweeps) {
+            return Step::Done(reason);
         }
         let _threads = self.cfg.thread_guard();
 
-        let rec = match (self.kind, self.phase) {
-            (SessionKind::Pp, PpPhase::Approx) => self.pp_approx_sweep(),
-            (SessionKind::Pp, PpPhase::Gate) => {
-                if self.pp_gate_open() {
-                    self.pp_init()
-                } else {
-                    self.exact_sweep()
-                }
+        let (kind, (secs, fitness)) = match (self.kind, self.phase) {
+            (SessionKind::Pp, PpPhase::Approx) => (SweepKind::PpApprox, self.pp_approx_sweep()),
+            (SessionKind::Pp, PpPhase::Gate) if self.pp_gate_open() => {
+                (SweepKind::PpInit, self.pp_init())
             }
-            _ => self.exact_sweep(),
+            _ => (SweepKind::Exact, self.exact_sweep()),
         };
         self.engine.end_sweep();
-        self.report.sweeps.push(rec);
-        self.sweeps_done += 1;
-
-        // Convergence bookkeeping (Alg. 1 line 11 / Alg. 2 lines 15 and
-        // 21): a PP initialization carries no fresh fitness, so it neither
-        // checks the criterion nor shifts `fitness_old`.
-        if rec.kind != SweepKind::PpInit {
-            if (rec.fitness - self.fitness_old).abs() < self.cfg.tol {
-                self.converged = true;
-                self.finished = true;
-                return Step::Swept(rec);
-            }
-            self.fitness_old = rec.fitness;
-        }
-        // Drift gate after an approximated sweep (Alg. 2 line 16): leaving
-        // the regime falls through to an exact sweep, which is exactly what
-        // `PpPhase::Gate` does next step (the gate re-evaluates the same
-        // condition that just failed).
-        if rec.kind == SweepKind::PpApprox && !self.pp_gate_open() {
+        let rec = self.progress.push(kind, secs, fitness, self.cfg.tol);
+        // Drift gate after an approximated sweep that did not converge
+        // (Alg. 2 line 16): leaving the regime falls through to an exact
+        // sweep, which is exactly what `PpPhase::Gate` does next step (the
+        // gate re-evaluates the same condition that just failed).
+        if kind == SweepKind::PpApprox && !self.progress.converged() && !self.pp_gate_open() {
             self.phase = PpPhase::Gate;
         }
         Step::Swept(rec)
     }
 
-    /// Run the session to completion and produce the output — the
-    /// monolithic driver, expressed as a step loop.
+    /// Run the session to completion and produce the output.
     pub fn run(mut self) -> AlsOutput {
         while let Step::Swept(_) = self.step() {}
         self.finish()
@@ -712,12 +764,9 @@ impl AlsSession {
 
     /// Seal the report and return the output.
     pub fn finish(mut self) -> AlsOutput {
-        self.report.stats = self.engine.take_stats();
-        self.report.final_fitness = self.report.sweeps.last().map_or(f64::NAN, |s| s.fitness);
-        self.report.converged = self.converged;
         AlsOutput {
             factors: self.fs.factors().to_vec(),
-            report: self.report,
+            report: self.progress.seal(self.engine.take_stats()),
         }
     }
 
@@ -742,8 +791,8 @@ impl AlsSession {
 
     /// One exact sweep (Alg. 1 lines 5-10), shared by every kind. For PP
     /// sessions it additionally refreshes `dA` against the pre-sweep
-    /// factors (Alg. 2 line 20).
-    fn exact_sweep(&mut self) -> SweepRecord {
+    /// factors (Alg. 2 line 20). Returns the sweep's seconds and fitness.
+    fn exact_sweep(&mut self) -> (f64, f64) {
         let n_modes = self.fs.order();
         let sweep_t0 = Instant::now();
         let before: Option<Vec<Matrix>> = if self.kind == SessionKind::Pp {
@@ -782,19 +831,14 @@ impl AlsSession {
             }
         }
         let secs = sweep_t0.elapsed().as_secs_f64();
-        self.cumulative += secs;
         let fitness = self.trace_fitness(last_gamma.as_ref().unwrap(), last_m.as_ref().unwrap());
-        SweepRecord {
-            kind: SweepKind::Exact,
-            secs,
-            fitness,
-            cumulative_secs: self.cumulative,
-        }
+        (secs, fitness)
     }
 
     /// PP initialization (Alg. 2 lines 6-9): freeze `A_p`, zero `dA`,
-    /// build the pair operators, and enter the approximated regime.
-    fn pp_init(&mut self) -> SweepRecord {
+    /// build the pair operators, and enter the approximated regime. It
+    /// carries the previous sweep's fitness.
+    fn pp_init(&mut self) -> (f64, f64) {
         let t0 = Instant::now();
         self.factors_p = self.fs.factors().to_vec();
         for d in self.d_factors.iter_mut() {
@@ -809,19 +853,13 @@ impl AlsSession {
             &mut self.engine,
         ));
         let secs = t0.elapsed().as_secs_f64();
-        self.cumulative += secs;
         self.phase = PpPhase::Approx;
-        SweepRecord {
-            kind: SweepKind::PpInit,
-            secs,
-            fitness: self.last_fitness(),
-            cumulative_secs: self.cumulative,
-        }
+        (secs, self.progress.last_fitness())
     }
 
     /// One PP approximated sweep (Alg. 2 lines 10-17): Eq. (5) first- plus
     /// second-order corrections in place of tensor contractions.
-    fn pp_approx_sweep(&mut self) -> SweepRecord {
+    fn pp_approx_sweep(&mut self) -> (f64, f64) {
         let n_modes = self.fs.order();
         // Taken out for the duration so the borrow checker sees the reads
         // of `ops` as disjoint from the factor/Gram updates.
@@ -869,23 +907,15 @@ impl AlsSession {
         }
         self.ops = Some(ops);
         let secs = sweep_t0.elapsed().as_secs_f64();
-        self.cumulative += secs;
         let fitness = self.trace_fitness(last_gamma.as_ref().unwrap(), last_m.as_ref().unwrap());
-        SweepRecord {
-            kind: SweepKind::PpApprox,
-            secs,
-            fitness,
-            cumulative_secs: self.cumulative,
-        }
+        (secs, fitness)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::als::cp_als;
-    use crate::nonneg::nn_cp_als;
-    use crate::pp_als::pp_cp_als;
+    use crate::checkpoint;
     use pp_datagen::collinearity::{collinearity_tensor, CollinearityConfig};
     use pp_datagen::lowrank::noisy_rank;
 
@@ -902,45 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_session_matches_driver_bitwise() {
-        let t = noisy_rank(&[8, 7, 6], 3, 0.05, 11);
-        let cfg = AlsConfig::new(3).with_max_sweeps(10).with_tol(0.0);
-        let a = cp_als(&t, &cfg);
-        let b = AlsSession::new(&t, &cfg, SessionKind::Exact).run();
-        assert_bitwise(&a, &b);
-    }
-
-    #[test]
-    fn pp_session_matches_driver_bitwise() {
-        let ccfg = CollinearityConfig {
-            s: 12,
-            r: 3,
-            order: 3,
-            lo: 0.5,
-            hi: 0.7,
-        };
-        let (t, _, _) = collinearity_tensor(&ccfg, 3);
-        let cfg = AlsConfig::new(3)
-            .with_policy(TreePolicy::MultiSweep)
-            .with_pp_tol(0.3)
-            .with_max_sweeps(30)
-            .with_tol(1e-9);
-        let a = pp_cp_als(&t, &cfg);
-        let b = AlsSession::new(&t, &cfg, SessionKind::Pp).run();
-        assert_bitwise(&a, &b);
-        assert!(b.report.count(SweepKind::PpApprox) >= 1);
-    }
-
-    #[test]
-    fn nonneg_session_matches_driver_bitwise() {
-        let t = noisy_rank(&[7, 6, 8], 2, 0.05, 5);
-        let cfg = AlsConfig::new(2).with_max_sweeps(8).with_tol(0.0);
-        let a = nn_cp_als(&t, &cfg);
-        let b = AlsSession::new(&t, &cfg, SessionKind::NonNeg).run();
-        assert_bitwise(&a, &b);
-    }
-
-    #[test]
     fn park_is_a_no_op_between_steps() {
         // `park` stays callable for embedders; stepping on after it
         // changes nothing.
@@ -949,7 +940,7 @@ mod tests {
             .with_policy(TreePolicy::MultiSweep)
             .with_max_sweeps(8)
             .with_tol(0.0);
-        let a = cp_als(&t, &cfg);
+        let a = AlsSession::new(&t, &cfg, SessionKind::Exact).run();
         let mut s = AlsSession::new(&t, &cfg, SessionKind::Exact);
         while let Step::Swept(_) = s.step() {
             s.park();
@@ -993,7 +984,7 @@ mod tests {
     fn checkpoint_roundtrip_is_bit_identical() {
         // Interrupt a PP run at several cut points (before, at, and inside
         // the approximated regime), serialize, resume from bytes, and
-        // compare the completed run against the uninterrupted driver.
+        // compare the completed run against the uninterrupted one.
         let ccfg = CollinearityConfig {
             s: 12,
             r: 3,
@@ -1007,7 +998,7 @@ mod tests {
             .with_pp_tol(0.3)
             .with_max_sweeps(30)
             .with_tol(1e-9);
-        let a = pp_cp_als(&t, &cfg);
+        let a = AlsSession::new(&t, &cfg, SessionKind::Pp).run();
         for cut in [1, 3, 7, 12] {
             let mut s = AlsSession::new(&t, &cfg, SessionKind::Pp);
             for _ in 0..cut {
@@ -1030,16 +1021,21 @@ mod tests {
             .with_policy(TreePolicy::MultiSweep)
             .with_max_sweeps(10)
             .with_tol(0.0);
-        let a = cp_als(&t, &cfg);
+        let a = AlsSession::new(&t, &cfg, SessionKind::Exact).run();
         let dir = std::env::temp_dir().join(format!("ppck-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("job.ppck");
         let mut s = AlsSession::new(&t, &cfg, SessionKind::Exact);
         let _ = s.step();
         let _ = s.step();
-        s.park_to_disk(&path, 7).unwrap();
+        checkpoint::write_file(&path, &s.checkpoint_bytes(7)).unwrap();
+        assert!(
+            !path.with_extension("ppck.tmp").exists(),
+            "the temp file is renamed"
+        );
         // A resumed session continues bit-identically.
-        let (mut resumed, tag) = AlsSession::resume_from_disk(&path, &t).unwrap();
+        let bytes = checkpoint::read_file(&path).unwrap();
+        let (mut resumed, tag) = AlsSession::resume_from_bytes(&bytes, &t).unwrap();
         assert_eq!(tag, 7);
         while let Step::Swept(_) = resumed.step() {}
         assert_bitwise(&a, &resumed.finish());
@@ -1049,15 +1045,18 @@ mod tests {
         };
         // The wrong input tensor is refused by fingerprint.
         let other = noisy_rank(&[8, 7, 6], 3, 0.05, 12);
-        let err = resume_err(AlsSession::resume_from_disk(&path, &other));
+        let err = resume_err(AlsSession::resume_from_bytes(&bytes, &other));
         assert!(err.contains("fingerprint"), "{err}");
         // Corruption is refused by checksum.
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = bytes;
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         let err = resume_err(AlsSession::resume_from_bytes(&bytes, &t));
         assert!(err.contains("checksum"), "{err}");
+        // A missing file is an error naming it.
         std::fs::remove_dir_all(&dir).unwrap();
+        let err = checkpoint::read_file(&path).unwrap_err();
+        assert!(err.contains("job.ppck"), "{err}");
     }
 
     #[test]
@@ -1073,7 +1072,7 @@ mod tests {
         let cfg = AlsConfig::new(3).with_max_sweeps(sweeps).with_tol(0.0);
         let out = AlsSession::new_sparse(&sp, &cfg, SessionKind::Exact).run();
 
-        let mut factors = crate::als::init_factors(sp.dims(), cfg.rank, cfg.seed);
+        let mut factors = init_factors(sp.dims(), cfg.rank, cfg.seed);
         let mut grams: Vec<Matrix> = factors.iter().map(|a| a.gram()).collect();
         let t_norm_sq = dense.norm_sq();
         let mut fits = Vec::new();

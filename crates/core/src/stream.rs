@@ -249,20 +249,8 @@ impl StreamingSession {
         }
 
         // Open the next sweep window.
-        *p.fitness_old = f64::NEG_INFINITY;
-        *p.converged = false;
-        *p.finished = false;
-        p.cfg.max_sweeps = p.sweeps_done + sweeps_per_arrival;
+        p.cfg.max_sweeps = p.progress.reopen(sweeps_per_arrival);
         self.arrivals_done += 1;
-    }
-
-    /// Write a streaming `PPCK` checkpoint via temp-file rename (same
-    /// torn-write discipline as [`AlsSession::park_to_disk`]).
-    pub fn park_to_disk(&mut self, path: &std::path::Path, tag: u64) -> std::io::Result<()> {
-        let bytes = self.checkpoint_bytes(tag);
-        let tmp = path.with_extension("ppck.tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)
     }
 
     /// Serialize the streaming state: an outer `PPCK` frame carrying the
@@ -288,15 +276,6 @@ impl StreamingSession {
     /// reproduce the input tensor as of `extent` evolving-mode indices
     /// (e.g. `pp_datagen::timelapse::TimelapseStream::prefix`); the
     /// inner session's fingerprint check verifies it.
-    pub fn resume_from_disk(
-        path: &std::path::Path,
-        rebuild: impl FnOnce(usize) -> DenseTensor,
-    ) -> Result<(StreamingSession, u64), String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::resume_from_bytes(&bytes, rebuild)
-    }
-
-    /// [`StreamingSession::resume_from_disk`] on in-memory bytes.
     pub fn resume_from_bytes(
         bytes: &[u8],
         rebuild: impl FnOnce(usize) -> DenseTensor,

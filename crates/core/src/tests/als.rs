@@ -1,42 +1,17 @@
-//! Sequential CP-ALS (Algorithm 1 of the paper), parameterized by the
-//! dimension-tree policy (standard DT or MSDT) — the single-process
-//! baseline every parallel variant is validated against.
+//! Algorithm 1, sequential CP-ALS, end to end: an `AlsSession` in
+//! `SessionKind::Exact` run over either dimension tree — the
+//! single-process baseline every parallel variant is validated against.
 
-use crate::config::AlsConfig;
-use crate::result::AlsOutput;
-use crate::session::{AlsSession, SessionKind};
-use pp_tensor::rng::{seeded, uniform_matrix};
-use pp_tensor::{DenseTensor, Matrix};
-
-/// Initialize factor matrices as uniform `[0,1)` random (Alg. 1 line 2).
-pub fn init_factors(dims: &[usize], rank: usize, seed: u64) -> Vec<Matrix> {
-    let mut rng = seeded(seed);
-    dims.iter()
-        .map(|&d| uniform_matrix(d, rank, &mut rng))
-        .collect()
-}
-
-/// Run CP-ALS on a dense tensor. Returns the factors and the trace.
-pub fn cp_als(t: &DenseTensor, cfg: &AlsConfig) -> AlsOutput {
-    let dims: Vec<usize> = t.shape().dims().to_vec();
-    let factors = init_factors(&dims, cfg.rank, cfg.seed);
-    cp_als_with_init(t, cfg, factors)
-}
-
-/// CP-ALS from caller-provided initial factors: a straight step-loop over
-/// an [`AlsSession`] (which owns all sweep-to-sweep state — see
-/// `crate::session`).
-pub fn cp_als_with_init(t: &DenseTensor, cfg: &AlsConfig, init: Vec<Matrix>) -> AlsOutput {
-    let _threads = cfg.thread_guard();
-    AlsSession::with_init(t, cfg, SessionKind::Exact, init).run()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{AlsConfig, AlsOutput, AlsSession, SessionKind};
     use pp_datagen::lowrank::{exact_rank, noisy_rank};
     use pp_dtree::TreePolicy;
     use pp_tensor::kernels::naive::dense_relative_residual;
+    use pp_tensor::DenseTensor;
+
+    fn exact_als(t: &DenseTensor, cfg: &AlsConfig) -> AlsOutput {
+        AlsSession::new(t, cfg, SessionKind::Exact).run()
+    }
 
     #[test]
     fn recovers_exact_low_rank_tensor() {
@@ -44,7 +19,7 @@ mod tests {
         // exact-rank tensors, so ask for high — not perfect — fitness.
         let (t, _) = exact_rank(&[8, 9, 7], 3, 5);
         let cfg = AlsConfig::new(3).with_max_sweeps(200).with_tol(1e-12);
-        let out = cp_als(&t, &cfg);
+        let out = exact_als(&t, &cfg);
         assert!(
             out.report.final_fitness > 0.995,
             "fitness {}",
@@ -60,7 +35,7 @@ mod tests {
     fn fitness_is_monotonically_nondecreasing() {
         let t = noisy_rank(&[7, 6, 8], 3, 0.1, 11);
         let cfg = AlsConfig::new(3).with_max_sweeps(40).with_tol(0.0);
-        let out = cp_als(&t, &cfg);
+        let out = exact_als(&t, &cfg);
         let fits: Vec<f64> = out.report.sweeps.iter().map(|s| s.fitness).collect();
         for w in fits.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "fitness decreased: {w:?}");
@@ -71,8 +46,8 @@ mod tests {
     fn msdt_matches_dt_trajectory_exactly() {
         // The central MSDT claim: same results as the standard tree.
         let t = noisy_rank(&[6, 7, 5], 2, 0.05, 13);
-        let dt = cp_als(&t, &AlsConfig::new(2).with_max_sweeps(15).with_tol(0.0));
-        let ms = cp_als(
+        let dt = exact_als(&t, &AlsConfig::new(2).with_max_sweeps(15).with_tol(0.0));
+        let ms = exact_als(
             &t,
             &AlsConfig::new(2)
                 .with_max_sweeps(15)
@@ -96,8 +71,8 @@ mod tests {
     #[test]
     fn msdt_matches_dt_order4() {
         let t = noisy_rank(&[5, 4, 5, 4], 2, 0.05, 17);
-        let dt = cp_als(&t, &AlsConfig::new(2).with_max_sweeps(10).with_tol(0.0));
-        let ms = cp_als(
+        let dt = exact_als(&t, &AlsConfig::new(2).with_max_sweeps(10).with_tol(0.0));
+        let ms = exact_als(
             &t,
             &AlsConfig::new(2)
                 .with_max_sweeps(10)
@@ -113,7 +88,7 @@ mod tests {
     fn convergence_flag_and_tol() {
         let (t, _) = exact_rank(&[6, 6, 6], 2, 3);
         let cfg = AlsConfig::new(2).with_max_sweeps(300).with_tol(1e-5);
-        let out = cp_als(&t, &cfg);
+        let out = exact_als(&t, &cfg);
         assert!(out.report.converged);
         assert!(out.report.sweeps.len() < 300);
     }
@@ -121,7 +96,7 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let (t, _) = exact_rank(&[6, 5, 7], 2, 9);
-        let out = cp_als(&t, &AlsConfig::new(2).with_max_sweeps(5).with_tol(0.0));
+        let out = exact_als(&t, &AlsConfig::new(2).with_max_sweeps(5).with_tol(0.0));
         let s = &out.report.stats;
         assert!(s.ttm_count >= 10, "2 TTMs per sweep expected");
         assert!(s.ttm_secs > 0.0);

@@ -1,51 +1,13 @@
-//! Parallel CP-ALS (Algorithm 3 of the paper).
-//!
-//! The input tensor is block-distributed over an order-`N` processor grid;
-//! each rank runs a *local* dimension tree over its tensor block and
-//! slice-replicated factor blocks, so the only communication per factor
-//! update is one Reduce-Scatter (MTTKRP rows), one All-Reduce (Gram
-//! matrix), and one All-Gather (P-block refresh). The dimension-tree
-//! policy (DT vs MSDT) plugs straight into the local computation — MSDT
-//! changes no communication (§IV).
+//! Algorithm 3, parallel CP-ALS, end to end: a `ParSession` per rank in
+//! `ParKind::Exact`, run in lockstep, must trace the sequential session.
 
-use crate::config::AlsConfig;
-use crate::par_session::{ParKind, ParSession};
-use crate::result::AlsReport;
-use pp_comm::RankCtx;
-use pp_grid::{DistTensor, ProcGrid};
-use pp_tensor::Matrix;
-
-/// Output of a parallel run (per rank; factor gathers are replicated).
-pub struct ParAlsOutput {
-    /// Gathered global factor matrices.
-    pub factors: Vec<Matrix>,
-    /// This rank's trace (sweep times are per-rank wall clock; fitness
-    /// values are identical across ranks).
-    pub report: AlsReport,
-}
-
-/// Run Algorithm 3 inside a rank context: a step-loop over a
-/// [`ParSession`] in [`ParKind::Exact`]. All ranks must call with the
-/// same `grid` and `cfg`, and with their own block of the same tensor.
-pub fn par_cp_als(
-    ctx: &mut RankCtx,
-    grid: &ProcGrid,
-    local: &DistTensor,
-    cfg: &AlsConfig,
-) -> ParAlsOutput {
-    // Every rank pins the same pool width, so the guard churn is idempotent.
-    let _threads = cfg.thread_guard();
-    ParSession::new(ctx, grid, local, cfg, ParKind::Exact).run(ctx)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::als::cp_als;
     use crate::config::SolveStrategy;
+    use crate::{AlsConfig, AlsOutput, AlsSession, ParKind, ParSession, SessionKind};
     use pp_comm::Runtime;
     use pp_datagen::lowrank::noisy_rank;
     use pp_dtree::TreePolicy;
+    use pp_grid::{DistTensor, ProcGrid};
     use std::sync::Arc;
 
     fn run_parallel(
@@ -53,9 +15,9 @@ mod tests {
         grid_dims: &[usize],
         cfg: AlsConfig,
         seed: u64,
-    ) -> (crate::result::AlsOutput, ParAlsOutput) {
+    ) -> (AlsOutput, AlsOutput) {
         let t = Arc::new(noisy_rank(dims, cfg.rank, 0.1, seed));
-        let seq = cp_als(&t, &cfg);
+        let seq = AlsSession::new(&t, &cfg, SessionKind::Exact).run();
 
         let grid = ProcGrid::new(grid_dims.to_vec());
         let p = grid.size();
@@ -64,7 +26,7 @@ mod tests {
         let grid2 = grid.clone();
         let out = Runtime::from_env(p).run(move |ctx| {
             let local = DistTensor::from_global(&t2, &grid2, ctx.rank());
-            par_cp_als(ctx, &grid2, &local, &cfg2)
+            ParSession::new(ctx, &grid2, &local, &cfg2, ParKind::Exact).run(ctx)
         });
         let mut results = out.results;
         (seq, results.remove(0))

@@ -1,45 +1,20 @@
-//! Sequential PP-CP-ALS (Algorithm 2 of the paper).
-//!
-//! The driver alternates between regimes:
-//!
-//! * **exact sweeps** through a dimension tree (MSDT by default, matching
-//!   the paper's implementation), tracking `dA^(i)` = the change of each
-//!   factor over one sweep;
-//! * when every mode satisfies `‖dA^(i)‖F < ε‖A^(i)‖F`, the factors are
-//!   frozen as reference `A_p`, the **PP initialization** builds the pair
-//!   operators `𝓜p^(i,j)` (Fig. 1b), and **PP approximated sweeps** run —
-//!   each using Eq. (5)'s first- plus second-order corrections instead of
-//!   tensor contractions — until some `dA` drifts past the tolerance, at
-//!   which point control returns to exact sweeps.
+//! Algorithm 2, sequential PP-CP-ALS, end to end: an `AlsSession` in
+//! `SessionKind::Pp` alternates exact sweeps (tracking each factor's
+//! change `dA` over a sweep), PP initializations (freeze `A_p` once every
+//! `‖dA‖ < ε‖A‖`, build the pair operators of Fig. 1b) and approximated
+//! sweeps (Eq. 5's first- plus second-order corrections in place of tensor
+//! contractions) until some `dA` drifts past ε.
 
-use crate::config::AlsConfig;
-use crate::result::AlsOutput;
-use crate::session::{AlsSession, SessionKind};
-use pp_tensor::{DenseTensor, Matrix};
-
-/// Run PP-CP-ALS on a dense tensor.
-pub fn pp_cp_als(t: &DenseTensor, cfg: &AlsConfig) -> AlsOutput {
-    let dims: Vec<usize> = t.shape().dims().to_vec();
-    let init = crate::als::init_factors(&dims, cfg.rank, cfg.seed);
-    pp_cp_als_with_init(t, cfg, init)
-}
-
-/// PP-CP-ALS from caller-provided initial factors: a step-loop over an
-/// [`AlsSession`] in [`SessionKind::Pp`], whose state machine realizes
-/// Alg. 2's regime alternation one sweep at a time (see `crate::session`).
-pub fn pp_cp_als_with_init(t: &DenseTensor, cfg: &AlsConfig, init: Vec<Matrix>) -> AlsOutput {
-    let _threads = cfg.thread_guard();
-    AlsSession::with_init(t, cfg, SessionKind::Pp, init).run()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::als::cp_als;
-    use crate::result::SweepKind;
+    use crate::{AlsConfig, AlsOutput, AlsSession, SessionKind, SweepKind};
     use pp_datagen::collinearity::{collinearity_tensor, CollinearityConfig};
     use pp_datagen::lowrank::noisy_rank;
     use pp_dtree::TreePolicy;
+    use pp_tensor::DenseTensor;
+
+    fn pp(t: &DenseTensor, cfg: &AlsConfig) -> AlsOutput {
+        AlsSession::new(t, cfg, SessionKind::Pp).run()
+    }
 
     fn pp_cfg(rank: usize) -> AlsConfig {
         AlsConfig::new(rank)
@@ -59,7 +34,7 @@ mod tests {
             hi: 0.7,
         };
         let (t, _, _) = collinearity_tensor(&cfg, 3);
-        let out = pp_cp_als(&t, &pp_cfg(4));
+        let out = pp(&t, &pp_cfg(4));
         assert!(out.report.count(SweepKind::PpInit) >= 1, "PP must activate");
         assert!(out.report.count(SweepKind::PpApprox) >= 1);
         assert!(
@@ -72,8 +47,9 @@ mod tests {
     #[test]
     fn pp_fitness_stays_close_to_exact_als() {
         let t = noisy_rank(&[10, 9, 11], 3, 0.05, 7);
-        let exact = cp_als(&t, &AlsConfig::new(3).with_max_sweeps(60).with_tol(1e-9));
-        let pp = pp_cp_als(&t, &pp_cfg(3));
+        let cfg = AlsConfig::new(3).with_max_sweeps(60).with_tol(1e-9);
+        let exact = AlsSession::new(&t, &cfg, SessionKind::Exact).run();
+        let pp = pp(&t, &pp_cfg(3));
         assert!(
             (pp.report.final_fitness - exact.report.final_fitness).abs() < 0.02,
             "PP {} vs exact {}",
@@ -95,7 +71,7 @@ mod tests {
             hi: 0.6,
         };
         let (t, _, _) = collinearity_tensor(&cfg, 5);
-        let out = pp_cp_als(&t, &pp_cfg(3));
+        let out = pp(&t, &pp_cfg(3));
         let fits: Vec<f64> = out.report.sweeps.iter().map(|s| s.fitness).collect();
         let max_so_far = fits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let last = *fits.last().unwrap();
@@ -108,7 +84,7 @@ mod tests {
     #[test]
     fn order4_pp_works() {
         let t = noisy_rank(&[6, 5, 6, 5], 2, 0.05, 9);
-        let out = pp_cp_als(&t, &pp_cfg(2));
+        let out = pp(&t, &pp_cfg(2));
         assert!(out.report.final_fitness > 0.9);
         assert!(out.report.count(SweepKind::PpApprox) >= 1);
     }
@@ -125,7 +101,7 @@ mod tests {
             hi: 0.8,
         };
         let (t, _, _) = collinearity_tensor(&cfg, 11);
-        let out = pp_cp_als(&t, &pp_cfg(6).with_max_sweeps(60));
+        let out = pp(&t, &pp_cfg(6).with_max_sweeps(60));
         let exact_mean = out.report.mean_secs(SweepKind::Exact);
         let approx_mean = out.report.mean_secs(SweepKind::PpApprox);
         if out.report.count(SweepKind::PpApprox) >= 3 {

@@ -24,7 +24,7 @@
 //!
 //! | keys | meaning |
 //! |------|---------|
-//! | `method` | `dt\|msdt\|pp\|nncp` (sparse and stream jobs: not `nncp`) |
+//! | `method` | `dt\|msdt\|pp\|nncp` (sparse and stream jobs: not `nncp`; `pp`: order ≥ 3) |
 //! | `rank` `sweeps` `tol` `pp-tol` `seed` | CP rank, sweep limit, Δ, PP ε, factor-init seed |
 //! | `threads` | per-job pool width (manifest only — `ppcp --threads` pins the run) |
 //! | `dataset` | one of [`DATASET_NAMES`]; `chemistry` and `coil` have a fixed size |
@@ -802,6 +802,13 @@ impl JobSpec {
             });
         }
         job.dataset = dk.into_spec();
+        let order = job.dataset.dims().len();
+        if job.method == JobMethod::Pp && order < 3 {
+            return Err(format!(
+                "method=pp needs a tensor of order 3 or more, dataset '{}' has order {order}",
+                job.dataset.name()
+            ));
+        }
         Ok(job)
     }
 }
@@ -939,6 +946,16 @@ mod tests {
             (
                 "job dataset=sparse-powerlaw method=nncp",
                 "supports method=dt|pp|msdt",
+                None,
+            ),
+            (
+                "job method=pp dims=12x11",
+                "method=pp needs a tensor of order 3 or more",
+                None,
+            ),
+            (
+                "job method=pp dataset=collinearity order=2",
+                "dataset 'collinearity' has order 2",
                 None,
             ),
         ] {

@@ -39,8 +39,9 @@
 //! progress.
 //!
 //! **Checkpoint/restore.** With [`ServeConfig::checkpoint_dir`] set,
-//! every swept turn rewrites `job<idx>.ppck`
-//! ([`pp_core::AlsSession::park_to_disk`]); the file carries a fingerprint
+//! every swept turn rewrites `job<idx>.ppck` ([`Tenant::park_to_disk`]:
+//! the session's [`pp_core::AlsSession::checkpoint_bytes`] through
+//! [`pp_core::checkpoint::write_file`]); the file carries a fingerprint
 //! of the job spec and is removed when the job reaches a terminal status.
 //! Re-running the same manifest against the same directory resumes every
 //! in-flight job from its checkpoint, bit-identically. A graceful drain
@@ -53,7 +54,7 @@
 //! is nothing to settle when a turn ends.
 
 use crate::job::{JobSpec, SchedPolicy};
-use pp_core::checkpoint::fnv1a;
+use pp_core::checkpoint::{self, fnv1a};
 use pp_core::{AlsConfig, AlsOutput, AlsSession, Step, StreamingSession, SweepKind};
 use pp_datagen::timelapse::{TimelapseStream, TIME_MODE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -329,11 +330,9 @@ impl Tenant {
         let tenant = if let Some(stream) = spec.stream {
             let feed = spec.build_stream()?;
             let session = match resume {
-                Some(path) => verified(
-                    StreamingSession::resume_from_disk(path, |extent| feed.prefix(extent)),
-                    spec,
-                    path,
-                )?,
+                Some(path) => resumed(path, spec, |bytes| {
+                    StreamingSession::resume_from_bytes(bytes, |extent| feed.prefix(extent))
+                })?,
                 None => StreamingSession::new(
                     &feed.initial(),
                     als_cfg,
@@ -351,13 +350,17 @@ impl Tenant {
             // selects the input shape inside the session).
             let sp = spec.dataset.build_sparse();
             Tenant::Batch(match resume {
-                Some(path) => verified(AlsSession::resume_from_disk_sparse(path, &sp), spec, path)?,
+                Some(path) => resumed(path, spec, |bytes| {
+                    AlsSession::resume_from_bytes_sparse(bytes, &sp)
+                })?,
                 None => AlsSession::new_sparse(&sp, als_cfg, kind),
             })
         } else {
             let tensor = spec.dataset.build();
             Tenant::Batch(match resume {
-                Some(path) => verified(AlsSession::resume_from_disk(path, &tensor), spec, path)?,
+                Some(path) => resumed(path, spec, |bytes| {
+                    AlsSession::resume_from_bytes(bytes, &tensor)
+                })?,
                 None => AlsSession::new(&tensor, als_cfg, kind),
             })
         };
@@ -390,13 +393,14 @@ impl Tenant {
 
     /// Write the checkpoint [`Tenant::open`] resumes from,
     /// stamped with `spec`'s fingerprint.
-    pub fn park_to_disk(&mut self, path: &Path, spec: &JobSpec) -> Result<(), String> {
+    pub fn park_to_disk(&self, path: &Path, spec: &JobSpec) -> Result<(), String> {
         let tag = spec_fingerprint(spec);
-        match self {
-            Tenant::Batch(s) => s.park_to_disk(path, tag),
-            Tenant::Stream { session, .. } => session.park_to_disk(path, tag),
-        }
-        .map_err(|e| format!("checkpoint {}: {e}", path.display()))
+        let bytes = match self {
+            Tenant::Batch(s) => s.checkpoint_bytes(tag),
+            Tenant::Stream { session, .. } => session.checkpoint_bytes(tag),
+        };
+        checkpoint::write_file(path, &bytes)
+            .map_err(|e| format!("checkpoint {}: {e}", path.display()))
     }
 
     /// Auxiliary memory currently held (cache + PP operators), in f64
@@ -417,13 +421,16 @@ impl Tenant {
     }
 }
 
-/// A resumed session, once its stored tag matches `spec`'s fingerprint.
-fn verified<S>(
-    resumed: Result<(S, u64), String>,
-    spec: &JobSpec,
+/// The session `from_bytes` resumes from the checkpoint file at `path`,
+/// once its stored tag matches `spec`'s fingerprint.
+fn resumed<S>(
     path: &Path,
+    spec: &JobSpec,
+    from_bytes: impl FnOnce(&[u8]) -> Result<(S, u64), String>,
 ) -> Result<S, String> {
-    let (session, tag) = resumed.map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
+    let (session, tag) = checkpoint::read_file(path)
+        .and_then(|bytes| from_bytes(&bytes))
+        .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
     if tag != spec_fingerprint(spec) {
         return Err(format!(
             "checkpoint {} was written by a different job spec",
@@ -613,7 +620,7 @@ fn drain<'g>(
         });
     }
     loop {
-        if let Some(mut job) = st.ready.pop() {
+        if let Some(job) = st.ready.pop() {
             st.running += 1;
             drop(st);
             let parked = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {

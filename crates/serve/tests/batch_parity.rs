@@ -1,23 +1,17 @@
 //! The serving correctness contract: a job's trace inside a J-way
-//! interleaved batch is **bit-identical** to running that job alone with
-//! the monolithic driver (acceptance criterion of the session refactor).
+//! interleaved batch is **bit-identical** to running that job's session
+//! alone.
 
-use pp_core::{cp_als, nn_cp_als, pp_cp_als, AlsOutput, AlsSession};
-use pp_serve::{parse_manifest, run_batch, JobMethod, JobSpec, ServeConfig};
+use pp_core::{AlsOutput, AlsSession};
+use pp_serve::{parse_manifest, run_batch, JobSpec, ServeConfig};
 
-/// Run `spec` alone through the matching monolithic driver.
+/// Run `spec` alone: its session, run to the end.
 fn solo(spec: &JobSpec) -> AlsOutput {
+    let (cfg, kind) = (spec.als_config(), spec.method.session_kind());
     if spec.dataset.is_sparse() {
-        let sp = spec.dataset.build_sparse();
-        return AlsSession::new_sparse(&sp, &spec.als_config(), spec.method.session_kind()).run();
+        return AlsSession::new_sparse(&spec.dataset.build_sparse(), &cfg, kind).run();
     }
-    let t = spec.dataset.build();
-    let cfg = spec.als_config();
-    match spec.method {
-        JobMethod::Dt | JobMethod::Msdt => cp_als(&t, &cfg),
-        JobMethod::Pp => pp_cp_als(&t, &cfg),
-        JobMethod::Nncp => nn_cp_als(&t, &cfg),
-    }
+    AlsSession::new(&spec.dataset.build(), &cfg, kind).run()
 }
 
 fn assert_bitwise(name: &str, a: &AlsOutput, b: &AlsOutput) {

@@ -3,18 +3,17 @@
 //! exactly one terminal status, and a batch drained mid-flight resumes
 //! from its checkpoint directory bit-identically.
 
-use pp_core::{cp_als, nn_cp_als, pp_cp_als, AlsOutput};
+use pp_core::{AlsOutput, AlsSession};
 use pp_serve::{parse_manifest, run_batch, JobMethod, JobSpec, JobStatus, ServeConfig};
 
-/// Run `spec` alone through the matching monolithic driver.
+/// Run `spec` alone: its session, run to the end.
 fn solo(spec: &JobSpec) -> AlsOutput {
-    let t = spec.dataset.build();
-    let cfg = spec.als_config();
-    match spec.method {
-        JobMethod::Dt | JobMethod::Msdt => cp_als(&t, &cfg),
-        JobMethod::Pp => pp_cp_als(&t, &cfg),
-        JobMethod::Nncp => nn_cp_als(&t, &cfg),
-    }
+    AlsSession::new(
+        &spec.dataset.build(),
+        &spec.als_config(),
+        spec.method.session_kind(),
+    )
+    .run()
 }
 
 fn assert_bitwise(name: &str, a: &AlsOutput, b: &AlsOutput) {

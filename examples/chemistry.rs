@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example chemistry`
 
-use parallel_pp::core::{cp_als, pp_cp_als, AlsConfig, SweepKind};
+use parallel_pp::core::{AlsConfig, AlsSession, SessionKind, SweepKind};
 use parallel_pp::datagen::chemistry::{density_fitting_tensor, ChemistryConfig};
 use parallel_pp::dtree::TreePolicy;
 
@@ -27,9 +27,10 @@ fn main() {
             .with_max_sweeps(80)
             .with_pp_tol(0.1);
 
-        let dt = cp_als(&t, &base.clone().with_policy(TreePolicy::Standard));
-        let msdt = cp_als(&t, &base.clone().with_policy(TreePolicy::MultiSweep));
-        let pp = pp_cp_als(&t, &base.clone().with_policy(TreePolicy::MultiSweep));
+        let run = |policy, kind| AlsSession::new(&t, &base.clone().with_policy(policy), kind).run();
+        let dt = run(TreePolicy::Standard, SessionKind::Exact);
+        let msdt = run(TreePolicy::MultiSweep, SessionKind::Exact);
+        let pp = run(TreePolicy::MultiSweep, SessionKind::Pp);
 
         println!(
             "DT   : fitness {:.4} in {:6.2}s ({} sweeps)",

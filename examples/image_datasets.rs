@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example image_datasets`
 
-use parallel_pp::core::{cp_als, pp_cp_als, AlsConfig, SweepKind};
+use parallel_pp::core::{AlsConfig, AlsSession, SessionKind, SweepKind};
 use parallel_pp::datagen::coil::{coil_tensor, CoilConfig};
 use parallel_pp::datagen::timelapse::{timelapse_tensor, TimelapseConfig};
 use parallel_pp::dtree::TreePolicy;
@@ -15,8 +15,9 @@ fn compare(name: &str, t: &DenseTensor, rank: usize, pp_tol: f64) {
         .with_tol(1e-5)
         .with_max_sweeps(60)
         .with_pp_tol(pp_tol);
-    let dt = cp_als(t, &base.clone().with_policy(TreePolicy::Standard));
-    let pp = pp_cp_als(t, &base.clone().with_policy(TreePolicy::MultiSweep));
+    let run = |policy, kind| AlsSession::new(t, &base.clone().with_policy(policy), kind).run();
+    let dt = run(TreePolicy::Standard, SessionKind::Exact);
+    let pp = run(TreePolicy::MultiSweep, SessionKind::Pp);
     println!(
         "DT : fitness {:.4} in {:6.2}s ({} sweeps)",
         dt.report.final_fitness,

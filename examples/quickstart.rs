@@ -1,9 +1,11 @@
 //! Quickstart: decompose a noisy low-rank tensor with CP-ALS and with
-//! pairwise perturbation, and compare.
+//! pairwise perturbation, and compare. Each decomposition is an
+//! `AlsSession` run to the end (`step()` it instead to pause between
+//! sweeps).
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use parallel_pp::core::{cp_als, pp_cp_als, AlsConfig, SweepKind};
+use parallel_pp::core::{AlsConfig, AlsSession, SessionKind, SweepKind};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::TreePolicy;
 
@@ -17,7 +19,7 @@ fn main() {
         .with_policy(TreePolicy::MultiSweep)
         .with_tol(1e-6)
         .with_max_sweeps(100);
-    let exact = cp_als(&t, &cfg);
+    let exact = AlsSession::new(&t, &cfg, SessionKind::Exact).run();
     println!(
         "\nMSDT CP-ALS: {} sweeps, final fitness {:.5}, total {:.2}s",
         exact.report.sweeps.len(),
@@ -26,7 +28,7 @@ fn main() {
     );
 
     // --- pairwise-perturbation CP-ALS -------------------------------------
-    let pp = pp_cp_als(&t, &cfg.clone().with_pp_tol(0.2));
+    let pp = AlsSession::new(&t, &cfg.clone().with_pp_tol(0.2), SessionKind::Pp).run();
     println!(
         "PP-CP-ALS:   {} sweeps ({} exact, {} PP-init, {} PP-approx), final fitness {:.5}, total {:.2}s",
         pp.report.sweeps.len(),

@@ -38,9 +38,9 @@
 //! does not abort the batch; the exit status is then 1.
 
 use parallel_pp::comm::{Backend, Runtime};
-use parallel_pp::core::par_als::par_cp_als;
-use parallel_pp::core::par_pp::par_pp_cp_als;
-use parallel_pp::core::{AlsConfig, AlsReport, Step, StreamingSession, SweepKind};
+use parallel_pp::core::{
+    AlsConfig, AlsReport, ParKind, ParSession, Step, StreamingSession, SweepKind,
+};
 use parallel_pp::datagen::timelapse::TimelapseStream;
 use parallel_pp::grid::{DistTensor, ProcGrid};
 use parallel_pp::serve::{JobMethod, JobSpec, JobStatus, ServeConfig, Tenant};
@@ -153,7 +153,7 @@ fn parse(argv: &[String]) -> Result<Cli, String> {
         match (flag, mode) {
             ("--threads", _) => cli.threads = Some(positive(flag, value()?)?),
             ("--trace", _) => cli.trace = true,
-            ("--ranks", Mode::Run) => cli.ranks = num(flag, value()?)?,
+            ("--ranks", Mode::Run) => cli.ranks = positive(flag, value()?)?,
             ("--backend", Mode::Run) => cli.backend = value()?.parse()?,
             ("--manifest", Mode::Batch) => cli.manifest = value()?.clone(),
             ("--jobs", Mode::Batch) => cli.jobs = positive(flag, value()?)?,
@@ -490,14 +490,16 @@ fn run_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
             grid.dims(),
             cli.backend
         );
-        let (t, pp) = (Arc::new(t), job.method == JobMethod::Pp);
+        let kind = match job.method {
+            JobMethod::Pp => ParKind::Pp,
+            _ => ParKind::Exact,
+        };
+        let t = Arc::new(t);
         let out = Runtime::with_backend(cli.ranks, cli.backend).run(move |ctx| {
             let local = DistTensor::from_global(&t, &grid, ctx.rank());
-            if pp {
-                par_pp_cp_als(ctx, &grid, &local, &cfg).report
-            } else {
-                par_cp_als(ctx, &grid, &local, &cfg).report
-            }
+            ParSession::new(ctx, &grid, &local, &cfg, kind)
+                .run(ctx)
+                .report
         });
         out.results.into_iter().next().expect("P > 1 ranks ran")
     } else {
@@ -915,6 +917,7 @@ mod tests {
     fn bad_numbers_and_missing_values_are_rejected() {
         rejects("--rank abc", "invalid value for rank");
         rejects("--ranks two", "invalid value for --ranks");
+        rejects("--ranks 0", "--ranks must be at least 1");
         rejects("--seed", "missing value for --seed");
         rejects("--threads 0", "--threads must be at least 1");
         rejects("--dims 7", "invalid dims");

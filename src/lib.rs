@@ -16,8 +16,9 @@
 //! * [`dtree`] — dimension-tree engines: the standard dimension tree (DT),
 //!   the multi-sweep dimension tree (MSDT), and the pairwise-perturbation
 //!   (PP) operator trees and corrections;
-//! * [`core`] — sequential and parallel CP-ALS / PP-CP-ALS drivers plus the
-//!   PLANC-style and Cyclops-style reference baselines;
+//! * [`core`] — sequential and parallel CP-ALS / PP-CP-ALS as resumable
+//!   sessions (`AlsSession`, `ParSession`), plus the Cyclops-style
+//!   reference PP baseline;
 //! * [`datagen`] — the paper's workloads: collinearity tensors, a
 //!   quantum-chemistry density-fitting surrogate, COIL-like and
 //!   time-lapse-like image tensors;
@@ -40,7 +41,8 @@ pub use pp_tensor as tensor;
 pub mod prelude {
     pub use pp_comm::{Backend, Collectives, CommWorld, CostModel, Runtime};
     pub use pp_core::{
-        cp_als, nn_cp_als, pp_cp_als, AlsConfig, InitStrategy, SolveStrategy, SweepKind,
+        AlsConfig, AlsSession, InitStrategy, ParKind, ParSession, SessionKind, SolveStrategy, Step,
+        SweepKind,
     };
     pub use pp_dtree::TreePolicy;
     pub use pp_grid::{DistTensor, ProcGrid};

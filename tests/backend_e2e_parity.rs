@@ -1,5 +1,5 @@
-//! End-to-end determinism of the distributed drivers across comm backends:
-//! every driver must produce **bitwise identical** fitness traces (and
+//! End-to-end determinism of the parallel sessions across comm backends:
+//! every method must produce **bitwise identical** fitness traces (and
 //! identical model-cost ledgers) whether the collectives run on the
 //! rendezvous oracle or on the p2p channel transport. The p2p algorithms
 //! move raw per-rank contributions and reduce them in ascending rank order
@@ -11,12 +11,9 @@
 //! are poisoned awake), not hang.
 
 use parallel_pp::comm::{Backend, CostCounters, Runtime};
-use parallel_pp::core::par_als::par_cp_als;
 use parallel_pp::core::par_common::ParState;
-use parallel_pp::core::par_pp::par_pp_cp_als;
-use parallel_pp::core::planc::planc_cp_als;
 use parallel_pp::core::ref_pp::{ref_pp_approx_correction, ref_pp_init};
-use parallel_pp::core::{AlsConfig, AlsReport};
+use parallel_pp::core::{AlsConfig, AlsReport, ParKind, ParSession, SolveStrategy};
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
 use parallel_pp::dtree::TreePolicy;
 use parallel_pp::grid::{DistTensor, ProcGrid};
@@ -44,29 +41,29 @@ fn base_cfg() -> AlsConfig {
         .with_pp_tol(0.3)
 }
 
-/// Run one distributed driver on both backends (P=4, 2×2×1 grid) and
+/// Run one parallel method on both backends (P=4, 2×2×1 grid) and
 /// assert the per-rank reports and model ledgers match bitwise.
 fn assert_driver_parity(which: &str) {
     let t = Arc::new(workload());
     let grid = ProcGrid::new(vec![2, 2, 1]);
-    let cfg = base_cfg();
+    let base = base_cfg();
+    let (kind, cfg) = match which {
+        "dt" => (ParKind::Exact, base),
+        "msdt" => (ParKind::Exact, base.with_policy(TreePolicy::MultiSweep)),
+        // PLANC: the standard tree with a replicated solve.
+        "planc" => (
+            ParKind::Exact,
+            base.with_policy(TreePolicy::Standard)
+                .with_solve(SolveStrategy::Replicated),
+        ),
+        "pp" => (ParKind::Pp, base.with_policy(TreePolicy::MultiSweep)),
+        other => panic!("unknown method {other}"),
+    };
     let run = |backend: Backend| -> (Vec<AlsReport>, Vec<CostCounters>) {
-        let (t2, g2, c2, which) = (t.clone(), grid.clone(), cfg.clone(), which.to_string());
+        let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
         let out = Runtime::with_backend(4, backend).run(move |ctx| {
             let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-            match which.as_str() {
-                "dt" => par_cp_als(ctx, &g2, &local, &c2).report,
-                "msdt" => {
-                    let c = c2.clone().with_policy(TreePolicy::MultiSweep);
-                    par_cp_als(ctx, &g2, &local, &c).report
-                }
-                "planc" => planc_cp_als(ctx, &g2, &local, &c2).report,
-                "pp" => {
-                    let c = c2.clone().with_policy(TreePolicy::MultiSweep);
-                    par_pp_cp_als(ctx, &g2, &local, &c).report
-                }
-                other => panic!("unknown driver {other}"),
-            }
+            ParSession::new(ctx, &g2, &local, &c2, kind).run(ctx).report
         });
         (out.results, out.costs)
     };
@@ -159,8 +156,8 @@ fn ref_pp_corrections_identical_across_backends() {
 #[test]
 #[should_panic(expected = "rank thread panicked")]
 fn p2p_rank_panic_surfaces_instead_of_hanging() {
-    // Fault injection through a real driver: rank 2 dies mid-initialization
-    // while its peers sit in driver collectives on the channel transport.
+    // Fault injection through a real session: rank 2 dies mid-initialization
+    // while its peers sit in session collectives on the channel transport.
     // The poison must wake them and the launcher must report the panic.
     let t = Arc::new(workload());
     let grid = ProcGrid::new(vec![2, 2, 1]);
@@ -171,6 +168,8 @@ fn p2p_rank_panic_surfaces_instead_of_hanging() {
             panic!("injected rank failure");
         }
         let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-        par_cp_als(ctx, &g2, &local, &c2).report
+        ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact)
+            .run(ctx)
+            .report
     });
 }

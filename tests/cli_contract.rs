@@ -5,6 +5,8 @@
 //!   sparse and streaming;
 //! * every argument error exits 2 and names the flag or key on stderr;
 //! * `--help` / `--version` short-circuit in all three modes;
+//! * a distributed run (`--ranks P`) prints the same on either collective
+//!   backend;
 //! * a stream drained to a checkpoint resumes (under any `--threads`) to
 //!   the uninterrupted result and removes the file; a foreign or corrupt
 //!   checkpoint is refused with exit 2.
@@ -154,6 +156,9 @@ fn argument_errors_exit_2_and_name_the_flag_or_key() {
         ("--dataset sparse-powerlaw --method nncp", "nncp"),
         ("--dataset sparse-lowrank --ranks 2", "--ranks 1"),
         ("--method nncp --ranks 2", "--ranks 1"),
+        ("--ranks 0", "--ranks"),
+        ("--method pp --dims 12x11", "method=pp"),
+        ("--method pp --dims 12x11 --ranks 2", "method=pp"),
         ("stream --method nncp", "method"),
         ("stream --arrive 4", "arrive"),
         ("stream --backend p2p", "--backend"),
@@ -193,6 +198,47 @@ fn argument_errors_exit_2_and_name_the_flag_or_key() {
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("unknown key 'lookahead'"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Stdout lines with the wall times (`t=…s`, `…s total`) and the backend
+/// name masked, padding normalized.
+fn masked(text: &str) -> Vec<String> {
+    text.lines()
+        .map(|line| {
+            let line = line.split(", backend: ").next().unwrap();
+            line.split_whitespace()
+                .filter(|w| *w != "t=")
+                .map(|w| {
+                    let secs = w.trim_start_matches("t=").strip_suffix('s');
+                    if secs.is_some_and(|n| n.parse::<f64>().is_ok()) {
+                        "…s"
+                    } else {
+                        w
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect()
+}
+
+#[test]
+fn distributed_runs_print_the_same_on_either_backend() {
+    let run = "--ranks 4 --trace --dataset collinearity --s 16 --r 3 --lo 0.5 --hi 0.7 \
+               --rank 3 --pp-tol 0.3 --tol 0 --sweeps 12";
+    for method in ["pp", "msdt"] {
+        let on = |backend: &str| ok(&format!("{run} --method {method} --backend {backend}"));
+        let (p2p, rendezvous) = (on("p2p"), on("rendezvous"));
+        assert!(p2p.contains("P=4") && p2p.contains("backend: p2p"), "{p2p}");
+        assert_eq!(trace(&p2p).len(), 12, "{p2p}");
+        if method == "pp" {
+            assert!(
+                p2p.contains("PP-approx t="),
+                "PP regime never entered: {p2p}"
+            );
+        }
+        assert_eq!(masked(&p2p), masked(&rendezvous), "{method}");
+    }
 }
 
 #[test]

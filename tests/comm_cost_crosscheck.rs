@@ -1,4 +1,4 @@
-//! Driver-level cross-check of the measured communication ledger against
+//! Session-level cross-check of the measured communication ledger against
 //! the closed-form Table I model (`pp_comm::model::sweep_cost`).
 //!
 //! `crates/comm/tests/collective_costs.rs` pins each collective's ledger
@@ -18,9 +18,7 @@
 
 use parallel_pp::comm::model::{sweep_cost, Method};
 use parallel_pp::comm::{CostCounters, Runtime};
-use parallel_pp::core::par_als::par_cp_als;
-use parallel_pp::core::par_pp::par_pp_cp_als;
-use parallel_pp::core::{AlsConfig, SweepKind};
+use parallel_pp::core::{AlsConfig, ParKind, ParSession, SweepKind};
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::grid::{DistTensor, ProcGrid};
@@ -37,7 +35,7 @@ fn measure_exact(p: usize, grid_dims: Vec<usize>, sweeps: usize) -> CostCounters
     let grid = ProcGrid::new(grid_dims);
     let out = Runtime::new(p).run(move |ctx| {
         let local = DistTensor::from_global(&t, &grid, ctx.rank());
-        let _ = par_cp_als(ctx, &grid, &local, &cfg);
+        let _ = ParSession::new(ctx, &grid, &local, &cfg, ParKind::Exact).run(ctx);
     });
     out.costs[0]
 }
@@ -115,7 +113,9 @@ fn pp_approx_sweeps_add_no_asymptotic_communication() {
         Runtime::new(4)
             .run(move |ctx| {
                 let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-                par_pp_cp_als(ctx, &g2, &local, &c2).report
+                ParSession::new(ctx, &g2, &local, &c2, ParKind::Pp)
+                    .run(ctx)
+                    .report
             })
             .results
             .remove(0)
@@ -140,7 +140,7 @@ fn pp_approx_sweeps_add_no_asymptotic_communication() {
         Runtime::new(4)
             .run(move |ctx| {
                 let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-                let _ = par_pp_cp_als(ctx, &g2, &local, &c2);
+                let _ = ParSession::new(ctx, &g2, &local, &c2, ParKind::Pp).run(ctx);
             })
             .costs[0]
     };

@@ -2,10 +2,9 @@
 //! PP accuracy on realistic workloads, and planted-factor recovery.
 
 use parallel_pp::comm::Runtime;
-use parallel_pp::core::par_als::par_cp_als;
-use parallel_pp::core::par_pp::par_pp_cp_als;
-use parallel_pp::core::planc::planc_cp_als;
-use parallel_pp::core::{cp_als, pp_cp_als, AlsConfig, SweepKind};
+use parallel_pp::core::{
+    AlsConfig, AlsOutput, AlsSession, ParKind, ParSession, SessionKind, SolveStrategy, SweepKind,
+};
 use parallel_pp::datagen::chemistry::{density_fitting_tensor, ChemistryConfig};
 use parallel_pp::datagen::coil::{coil_tensor, CoilConfig};
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
@@ -13,13 +12,18 @@ use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::datagen::timelapse::{timelapse_tensor, TimelapseConfig};
 use parallel_pp::dtree::TreePolicy;
 use parallel_pp::grid::{DistTensor, ProcGrid};
+use parallel_pp::tensor::DenseTensor;
 use std::sync::Arc;
+
+fn exact_als(t: &DenseTensor, cfg: &AlsConfig) -> AlsOutput {
+    AlsSession::new(t, cfg, SessionKind::Exact).run()
+}
 
 #[test]
 fn all_four_parallel_drivers_agree_on_one_workload() {
-    // One tensor, four drivers (DT, MSDT, PLANC, PP) on a 2x2x1 grid: the
-    // exact drivers must agree with each other sweep-by-sweep; PP must end
-    // within approximation distance.
+    // One tensor, four parallel methods (DT, MSDT, PLANC, PP) on a 2x2x1
+    // grid: the exact ones must agree with each other sweep-by-sweep; PP
+    // must end within approximation distance.
     let (t, _, _) = collinearity_tensor(
         &CollinearityConfig {
             s: 12,
@@ -37,30 +41,27 @@ fn all_four_parallel_drivers_agree_on_one_workload() {
         .with_tol(0.0)
         .with_pp_tol(0.3);
 
-    let run = |which: usize| {
-        let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
+    let run = |kind: ParKind, cfg: AlsConfig| {
+        let (t2, g2) = (t.clone(), grid.clone());
         let out = Runtime::new(4).run(move |ctx| {
             let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-            match which {
-                0 => par_cp_als(ctx, &g2, &local, &c2).report,
-                1 => {
-                    let c = c2.clone().with_policy(TreePolicy::MultiSweep);
-                    par_cp_als(ctx, &g2, &local, &c).report
-                }
-                2 => planc_cp_als(ctx, &g2, &local, &c2).report,
-                _ => {
-                    let c = c2.clone().with_policy(TreePolicy::MultiSweep);
-                    par_pp_cp_als(ctx, &g2, &local, &c).report
-                }
-            }
+            ParSession::new(ctx, &g2, &local, &cfg, kind)
+                .run(ctx)
+                .report
         });
         out.results.into_iter().next().unwrap()
     };
 
-    let dt = run(0);
-    let msdt = run(1);
-    let planc = run(2);
-    let pp = run(3);
+    let msdt_cfg = cfg.clone().with_policy(TreePolicy::MultiSweep);
+    // PLANC: the standard tree with a replicated solve.
+    let planc_cfg = cfg
+        .clone()
+        .with_policy(TreePolicy::Standard)
+        .with_solve(SolveStrategy::Replicated);
+    let dt = run(ParKind::Exact, cfg);
+    let msdt = run(ParKind::Exact, msdt_cfg.clone());
+    let planc = run(ParKind::Exact, planc_cfg);
+    let pp = run(ParKind::Pp, msdt_cfg);
 
     for ((a, b), c) in dt
         .sweeps
@@ -95,12 +96,14 @@ fn parallel_pp_chemistry_matches_sequential() {
         .with_tol(1e-9)
         .with_pp_tol(0.15);
 
-    let seq = pp_cp_als(&t, &cfg);
+    let seq = AlsSession::new(&t, &cfg, SessionKind::Pp).run();
     let grid = ProcGrid::new(vec![2, 2, 1]);
     let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
     let out = Runtime::new(4).run(move |ctx| {
         let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-        par_pp_cp_als(ctx, &g2, &local, &c2).report
+        ParSession::new(ctx, &g2, &local, &c2, ParKind::Pp)
+            .run(ctx)
+            .report
     });
     let par = &out.results[0];
     assert!(
@@ -119,7 +122,7 @@ fn coil_and_timelapse_decompose_sanely() {
         poses: 8,
     });
     let cfg = AlsConfig::new(6).with_max_sweeps(30).with_tol(1e-6);
-    let out = cp_als(&coil, &cfg);
+    let out = exact_als(&coil, &cfg);
     assert!(
         out.report.final_fitness > 0.5,
         "COIL fitness {}",
@@ -137,7 +140,7 @@ fn coil_and_timelapse_decompose_sanely() {
         },
         3,
     );
-    let out = cp_als(&tl, &AlsConfig::new(5).with_max_sweeps(40).with_tol(1e-7));
+    let out = exact_als(&tl, &AlsConfig::new(5).with_max_sweeps(40).with_tol(1e-7));
     assert!(
         out.report.final_fitness > 0.95,
         "timelapse fitness {}",
@@ -163,7 +166,7 @@ fn pp_speedup_appears_on_slow_converging_tensor() {
         .with_max_sweeps(100)
         .with_tol(1e-7)
         .with_pp_tol(0.2);
-    let out = pp_cp_als(&t, &cfg);
+    let out = AlsSession::new(&t, &cfg, SessionKind::Pp).run();
     let approx = out.report.count(SweepKind::PpApprox);
     let exact = out.report.count(SweepKind::Exact);
     assert!(
@@ -178,12 +181,14 @@ fn grid_larger_than_mode_extent() {
     // rows at all — everything must still match the sequential run.
     let t = Arc::new(noisy_rank(&[3, 8, 8], 2, 0.1, 41));
     let cfg = AlsConfig::new(2).with_max_sweeps(5).with_tol(0.0);
-    let seq = cp_als(&t, &cfg);
+    let seq = exact_als(&t, &cfg);
     let grid = ProcGrid::new(vec![4, 1, 2]);
     let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
     let out = Runtime::new(8).run(move |ctx| {
         let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-        par_cp_als(ctx, &g2, &local, &c2).report
+        ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact)
+            .run(ctx)
+            .report
     });
     for (a, b) in seq.report.sweeps.iter().zip(out.results[0].sweeps.iter()) {
         assert!(
@@ -199,7 +204,7 @@ fn grid_larger_than_mode_extent() {
 fn rank_one_decomposition_works() {
     // Degenerate CP rank R = 1 end to end.
     let (t, _) = parallel_pp::datagen::lowrank::exact_rank(&[6, 5, 7], 1, 13);
-    let out = cp_als(&t, &AlsConfig::new(1).with_max_sweeps(60).with_tol(1e-10));
+    let out = exact_als(&t, &AlsConfig::new(1).with_max_sweeps(60).with_tol(1e-10));
     assert!(
         out.report.final_fitness > 0.999,
         "fitness {}",
@@ -212,12 +217,14 @@ fn order4_parallel_grid_with_padding() {
     // Odd sizes on an uneven grid exercise every padding path at order 4.
     let t = Arc::new(noisy_rank(&[5, 7, 6, 5], 3, 0.1, 31));
     let cfg = AlsConfig::new(3).with_max_sweeps(6).with_tol(0.0);
-    let seq = cp_als(&t, &cfg);
+    let seq = exact_als(&t, &cfg);
     let grid = ProcGrid::new(vec![2, 2, 2, 1]);
     let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
     let out = Runtime::new(8).run(move |ctx| {
         let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-        par_cp_als(ctx, &g2, &local, &c2).report
+        ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact)
+            .run(ctx)
+            .report
     });
     for (a, b) in seq.report.sweeps.iter().zip(out.results[0].sweeps.iter()) {
         assert!((a.fitness - b.fitness).abs() < 1e-8);

@@ -1,16 +1,23 @@
 //! Integration tests for the production extensions: nonnegative CP on the
-//! image workloads, initialization strategies feeding every driver, CLI
-//! grid factorization properties, and higher-order parallel runs.
+//! image workloads, initialization strategies feeding a session, and
+//! higher-order parallel runs.
 
 use parallel_pp::comm::Runtime;
-use parallel_pp::core::par_als::par_cp_als;
-use parallel_pp::core::{cp_als_with_init, init_factors_with, nn_cp_als, AlsConfig, InitStrategy};
+use parallel_pp::core::{
+    init_factors_with, AlsConfig, AlsOutput, AlsSession, InitStrategy, ParKind, ParSession,
+    SessionKind,
+};
 use parallel_pp::datagen::coil::{coil_tensor, CoilConfig};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::datagen::timelapse::{timelapse_tensor, TimelapseConfig};
 use parallel_pp::dtree::TreePolicy;
 use parallel_pp::grid::{DistTensor, ProcGrid};
+use parallel_pp::tensor::DenseTensor;
 use std::sync::Arc;
+
+fn run(t: &DenseTensor, cfg: &AlsConfig, kind: SessionKind) -> AlsOutput {
+    AlsSession::new(t, cfg, kind).run()
+}
 
 #[test]
 fn nncp_on_coil_stays_nonnegative_and_fits() {
@@ -23,7 +30,7 @@ fn nncp_on_coil_stays_nonnegative_and_fits() {
         poses: 12,
     });
     let cfg = AlsConfig::new(8).with_max_sweeps(40).with_tol(1e-6);
-    let nn = nn_cp_als(&t, &cfg);
+    let nn = run(&t, &cfg, SessionKind::NonNeg);
     for f in &nn.factors {
         assert!(f.data().iter().all(|&x| x >= 0.0));
     }
@@ -48,8 +55,8 @@ fn nncp_on_timelapse_close_to_unconstrained() {
         5,
     );
     let cfg = AlsConfig::new(5).with_max_sweeps(60).with_tol(1e-8);
-    let un = parallel_pp::core::cp_als(&t, &cfg);
-    let nn = nn_cp_als(&t, &cfg);
+    let un = run(&t, &cfg, SessionKind::Exact);
+    let nn = run(&t, &cfg, SessionKind::NonNeg);
     // The scene is a sum of nonnegative rank-one terms, so the constraint
     // costs almost nothing.
     assert!(
@@ -69,11 +76,8 @@ fn every_init_strategy_feeds_als() {
         InitStrategy::SketchedRange,
     ] {
         let init = init_factors_with(&t, 3, 7, s);
-        let out = cp_als_with_init(
-            &t,
-            &AlsConfig::new(3).with_max_sweeps(50).with_tol(1e-7),
-            init,
-        );
+        let cfg = AlsConfig::new(3).with_max_sweeps(50).with_tol(1e-7);
+        let out = AlsSession::with_init(&t, &cfg, SessionKind::Exact, init).run();
         assert!(
             out.report.final_fitness > 0.9,
             "{s:?} fitness {}",
@@ -90,12 +94,14 @@ fn order5_parallel_matches_sequential() {
         .with_max_sweeps(4)
         .with_tol(0.0)
         .with_policy(TreePolicy::MultiSweep);
-    let seq = parallel_pp::core::cp_als(&t, &cfg);
+    let seq = run(&t, &cfg, SessionKind::Exact);
     let grid = ProcGrid::new(vec![2, 1, 2, 1, 2]);
     let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
     let out = Runtime::new(8).run(move |ctx| {
         let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-        par_cp_als(ctx, &g2, &local, &c2).report
+        ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact)
+            .run(ctx)
+            .report
     });
     for (a, b) in seq.report.sweeps.iter().zip(out.results[0].sweeps.iter()) {
         assert!(
@@ -112,8 +118,8 @@ fn fitness_is_deterministic_across_reruns() {
     // Same seed → identical trajectory, sequential and parallel.
     let t = Arc::new(noisy_rank(&[8, 8, 8], 2, 0.1, 23));
     let cfg = AlsConfig::new(2).with_max_sweeps(5).with_tol(0.0);
-    let a = parallel_pp::core::cp_als(&t, &cfg);
-    let b = parallel_pp::core::cp_als(&t, &cfg);
+    let a = run(&t, &cfg, SessionKind::Exact);
+    let b = run(&t, &cfg, SessionKind::Exact);
     for (x, y) in a.report.sweeps.iter().zip(b.report.sweeps.iter()) {
         assert_eq!(x.fitness, y.fitness);
     }
@@ -122,7 +128,9 @@ fn fitness_is_deterministic_across_reruns() {
         let out = Runtime::new(4).run(move |ctx| {
             let g = ProcGrid::new(vec![2, 2, 1]);
             let local = DistTensor::from_global(&t2, &g, ctx.rank());
-            par_cp_als(ctx, &g, &local, &c2).report
+            ParSession::new(ctx, &g, &local, &c2, ParKind::Exact)
+                .run(ctx)
+                .report
         });
         out.results.into_iter().next().unwrap()
     };

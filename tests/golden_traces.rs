@@ -5,8 +5,8 @@
 //! fitness bit patterns, convergence flag, and an FNV-1a digest of the
 //! final factor matrices — against a committed JSON trace under
 //! `tests/golden/`. The committed traces were generated from the
-//! pre-session monolithic drivers, so any kernel, driver, or session
-//! refactor that drifts numerics by even one ulp fails loudly here.
+//! pre-session monolithic drivers, so any kernel or session refactor that
+//! drifts numerics by even one ulp fails loudly here.
 //!
 //! Kernel results are bit-identical across pool widths (see
 //! `tests/thread_parity.rs`), so these traces hold under the CI
@@ -19,8 +19,7 @@
 //! ```
 
 use parallel_pp::comm::Runtime;
-use parallel_pp::core::par_pp::par_pp_cp_als;
-use parallel_pp::core::{cp_als, nn_cp_als, pp_cp_als, AlsConfig, AlsReport};
+use parallel_pp::core::{AlsConfig, AlsReport, AlsSession, ParKind, ParSession, SessionKind};
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::TreePolicy;
@@ -29,7 +28,7 @@ use parallel_pp::tensor::{DenseTensor, Matrix};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The five driver methods the golden suite pins.
+/// The five methods the golden suite pins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Method {
     /// Exact CP-ALS through the standard dimension tree.
@@ -40,7 +39,7 @@ enum Method {
     Pp,
     /// Nonnegative CP (HALS) on MSDT.
     Nncp,
-    /// The parallel BSP wrapper: Algorithm 4 on a 2×2×1 grid, 4 ranks.
+    /// Parallel PP: Algorithm 4 on a 2×2×1 grid, 4 ranks.
     Par,
 }
 
@@ -115,35 +114,30 @@ fn run_case(method: Method, dataset: Dataset) -> (AlsReport, Vec<Matrix>) {
         .with_pp_tol(0.3)
         .with_max_sweeps(30)
         .with_tol(1e-9);
-    match method {
-        Method::Dt => {
-            let out = cp_als(&t, &exact_cfg);
-            (out.report, out.factors)
-        }
-        Method::Msdt => {
-            let out = cp_als(&t, &exact_cfg.with_policy(TreePolicy::MultiSweep));
-            (out.report, out.factors)
-        }
-        Method::Pp => {
-            let out = pp_cp_als(&t, &pp_cfg);
-            (out.report, out.factors)
-        }
-        Method::Nncp => {
-            let out = nn_cp_als(&t, &exact_cfg.with_policy(TreePolicy::MultiSweep));
-            (out.report, out.factors)
-        }
+    let (cfg, kind) = match method {
+        Method::Dt => (exact_cfg, SessionKind::Exact),
+        Method::Msdt => (
+            exact_cfg.with_policy(TreePolicy::MultiSweep),
+            SessionKind::Exact,
+        ),
+        Method::Pp => (pp_cfg, SessionKind::Pp),
+        Method::Nncp => (
+            exact_cfg.with_policy(TreePolicy::MultiSweep),
+            SessionKind::NonNeg,
+        ),
         Method::Par => {
             let t = Arc::new(t);
             let grid = ProcGrid::new(vec![2, 2, 1]);
-            let (t2, g2, c2) = (t.clone(), grid.clone(), pp_cfg.clone());
             let out = Runtime::new(4).run(move |ctx| {
-                let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-                par_pp_cp_als(ctx, &g2, &local, &c2)
+                let local = DistTensor::from_global(&t, &grid, ctx.rank());
+                ParSession::new(ctx, &grid, &local, &pp_cfg, ParKind::Pp).run(ctx)
             });
             let r = out.results.into_iter().next().unwrap();
-            (r.report, r.factors)
+            return (r.report, r.factors);
         }
-    }
+    };
+    let out = AlsSession::new(&t, &cfg, kind).run();
+    (out.report, out.factors)
 }
 
 /// FNV-1a 64 over the bit patterns of every factor entry, mode order.

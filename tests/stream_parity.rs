@@ -12,6 +12,7 @@
 //!   and resumed from disk replays the remaining arrivals bit-identically
 //!   to an uninterrupted run.
 
+use parallel_pp::core::checkpoint;
 use parallel_pp::core::{AlsConfig, AlsOutput, SessionKind, StreamingSession};
 use parallel_pp::datagen::timelapse::{TimelapseConfig, TimelapseStream, TIME_MODE};
 use parallel_pp::dtree::{CacheUpdate, TreePolicy};
@@ -162,10 +163,11 @@ fn checkpoint_mid_stream_resumes_bit_identically() {
         s.run_window();
         s.arrive(&feed.slice(0));
         s.step(); // window half-done: 1 of 3 sweeps
-        s.park_to_disk(&path, tag).unwrap();
+        checkpoint::write_file(&path, &s.checkpoint_bytes(tag)).unwrap();
     }
+    let bytes = checkpoint::read_file(&path).unwrap();
     let (mut s, read_tag) =
-        StreamingSession::resume_from_disk(&path, |extent| feed.prefix(extent)).unwrap();
+        StreamingSession::resume_from_bytes(&bytes, |extent| feed.prefix(extent)).unwrap();
     assert_eq!(read_tag, tag);
     assert_eq!(s.arrivals_done(), 1);
     s.run_window();
@@ -176,7 +178,6 @@ fn checkpoint_mid_stream_resumes_bit_identically() {
     assert_identical(&full, &s.finish());
 
     // A truncated file must be refused cleanly, not panic or half-resume.
-    let bytes = std::fs::read(&path).unwrap();
     let err = StreamingSession::resume_from_bytes(&bytes[..bytes.len() / 2], |e| feed.prefix(e))
         .err()
         .unwrap();

@@ -1,5 +1,5 @@
-//! End-to-end determinism of the solvers across pool widths: `cp_als` and
-//! `pp_cp_als` must produce **identical** fitness traces and factors under
+//! End-to-end determinism of the sessions across pool widths: exact and
+//! PP sessions must produce **identical** fitness traces and factors under
 //! a 1-thread pool and an N-thread pool. Every parallel kernel partitions
 //! its output disjointly and computes each element with a fixed-order
 //! sequential loop, so equality is exact (bitwise), not approximate.
@@ -8,7 +8,7 @@
 //! threshold (K·s·R = 1600·40·8 ≈ 5×10⁵ ≥ 2¹⁶), so the N-thread run
 //! really exercises the pooled parallel paths.
 
-use parallel_pp::core::{cp_als, pp_cp_als, AlsConfig, AlsSession, SessionKind};
+use parallel_pp::core::{AlsConfig, AlsSession, SessionKind};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::{KernelStats, TreePolicy};
 
@@ -20,13 +20,15 @@ fn cp_als_trace_identical_under_1_and_n_threads() {
     let _serial = override_lock();
     let t = noisy_rank(&[40, 40, 40], 6, 0.05, 21);
     let run = |threads: usize| {
-        cp_als(
+        AlsSession::new(
             &t,
             &AlsConfig::new(8)
                 .with_max_sweeps(8)
                 .with_tol(0.0)
                 .with_threads(threads),
+            SessionKind::Exact,
         )
+        .run()
     };
     let serial = run(1);
     let parallel = run(4);
@@ -38,14 +40,16 @@ fn msdt_cp_als_trace_identical_under_1_and_n_threads() {
     let _serial = override_lock();
     let t = noisy_rank(&[40, 40, 40], 6, 0.05, 33);
     let run = |threads: usize| {
-        cp_als(
+        AlsSession::new(
             &t,
             &AlsConfig::new(8)
                 .with_policy(TreePolicy::MultiSweep)
                 .with_max_sweeps(8)
                 .with_tol(0.0)
                 .with_threads(threads),
+            SessionKind::Exact,
         )
+        .run()
     };
     let serial = run(1);
     let parallel = run(4);
@@ -57,7 +61,7 @@ fn pp_cp_als_trace_identical_under_1_and_n_threads() {
     let _serial = override_lock();
     let t = noisy_rank(&[40, 40, 40], 6, 0.05, 55);
     let run = |threads: usize| {
-        pp_cp_als(
+        AlsSession::new(
             &t,
             &AlsConfig::new(8)
                 .with_max_sweeps(20)
@@ -66,7 +70,9 @@ fn pp_cp_als_trace_identical_under_1_and_n_threads() {
                 // parallel pair-operator construction is exercised.
                 .with_pp_tol(0.5)
                 .with_threads(threads),
+            SessionKind::Pp,
         )
+        .run()
     };
     let serial = run(1);
     let parallel = run(4);
