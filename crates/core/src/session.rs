@@ -950,6 +950,30 @@ mod tests {
     }
 
     #[test]
+    fn a_session_sweeps_the_callers_buffer() {
+        // No copy at construction or resume, and none later: a write would
+        // have moved the session onto a store of its own.
+        let t = noisy_rank(&[8, 6, 7], 3, 0.05, 13);
+        let cfg = AlsConfig::new(3).with_max_sweeps(6).with_tol(0.0);
+        let msdt = cfg.clone().with_policy(TreePolicy::MultiSweep);
+        for (kind, cfg) in [
+            (SessionKind::Exact, &cfg),
+            (SessionKind::Exact, &msdt),
+            (SessionKind::Pp, &msdt.clone().with_pp_tol(0.5)),
+            (SessionKind::NonNeg, &cfg),
+        ] {
+            let mut s = AlsSession::new(&t, cfg, kind);
+            s.step();
+            let bytes = s.checkpoint_bytes(0);
+            let (mut resumed, _) = AlsSession::resume_from_bytes(&bytes, &t).unwrap();
+            for s in [&mut s, &mut resumed] {
+                while let Step::Swept(_) = s.step() {}
+                assert_eq!(s.input.canonical().data().as_ptr(), t.data().as_ptr());
+            }
+        }
+    }
+
+    #[test]
     fn step_is_idempotent_after_finish() {
         let (t, _) = pp_datagen::lowrank::exact_rank(&[6, 6, 6], 2, 3);
         let cfg = AlsConfig::new(2).with_max_sweeps(300).with_tol(1e-5);

@@ -44,26 +44,27 @@ pub struct CollinearityConfig {
 
 impl CollinearityConfig {
     /// Reject degenerate configurations with a clear message instead of a
-    /// downstream construction panic.
+    /// downstream construction panic. Messages name the fields, which are
+    /// also the job keys.
     pub fn validate(&self) -> Result<(), String> {
         if self.r == 0 {
-            return Err("collinearity config: rank must be positive".into());
+            return Err("collinearity config: r must be at least 1".into());
         }
         if self.s <= self.r {
             return Err(format!(
-                "collinearity config: mode size {} must exceed rank {} (construction needs s >= R+1)",
+                "collinearity config: s={} must exceed r={} (the construction needs s >= r+1)",
                 self.s, self.r
             ));
         }
         if self.order < 2 {
             return Err(format!(
-                "collinearity config: order must be >= 2, got {}",
+                "collinearity config: order must be at least 2, got {}",
                 self.order
             ));
         }
         if !(0.0..1.0).contains(&self.lo) || !(0.0..1.0).contains(&self.hi) || self.lo > self.hi {
             return Err(format!(
-                "collinearity config: need 0 <= lo <= hi < 1, got [{}, {})",
+                "collinearity config: need 0 <= lo <= hi < 1, got lo={} hi={}",
                 self.lo, self.hi
             ));
         }

@@ -365,6 +365,25 @@ mod tests {
     }
 
     #[test]
+    fn a_fixed_input_shares_the_callers_tensor() {
+        // A session wraps `t.clone()`: the same store, never written. Growth
+        // moves the input to a copy of its own and leaves the caller's alone.
+        for t in tensors() {
+            let t = t.clone(); // onto the store: an adopted `Vec` is copied
+            let want = t.data().to_vec();
+            let mut input = InputTensor::new(t.clone());
+            assert_eq!(input.layout().data().as_ptr(), t.data().as_ptr());
+            for mode in 0..t.order() {
+                let _ = input.contract_mode(mode, &factor(t.dim(mode), 2));
+            }
+            assert_eq!(input.layout().data().as_ptr(), t.data().as_ptr());
+            input.extend_mode(0, &t.slice_along(0, 0, 1));
+            assert_ne!(input.layout().data().as_ptr(), t.data().as_ptr());
+            assert_eq!(t.data(), &want[..]);
+        }
+    }
+
+    #[test]
     fn plain_input_transposes_middle_modes() {
         // No longer: a plain input plans every interior mode at its own
         // position over the one stored tensor (no transposed copy), and the

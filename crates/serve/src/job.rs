@@ -36,6 +36,7 @@
 //! | `name` `policy` `priority` `deadline` `fail-after` | scheduler-only (manifest only) |
 
 use pp_core::{AlsConfig, SessionKind};
+use pp_datagen::collinearity::CollinearityConfig;
 use pp_datagen::timelapse::{TimelapseConfig, TimelapseStream};
 use pp_dtree::{CacheUpdate, TreePolicy};
 use pp_tensor::DenseTensor;
@@ -210,22 +211,8 @@ impl DatasetSpec {
                 noise,
                 seed,
             } => pp_datagen::lowrank::noisy_rank(dims, *gen_rank, *noise, *seed),
-            DatasetSpec::Collinearity {
-                s,
-                r,
-                order,
-                lo,
-                hi,
-                seed,
-            } => {
-                let cfg = pp_datagen::collinearity::CollinearityConfig {
-                    s: *s,
-                    r: *r,
-                    order: *order,
-                    lo: *lo,
-                    hi: *hi,
-                };
-                pp_datagen::collinearity::collinearity_tensor(&cfg, *seed).0
+            DatasetSpec::Collinearity { seed, .. } => {
+                pp_datagen::collinearity::collinearity_tensor(&self.collinearity_config(), *seed).0
             }
             DatasetSpec::Chemistry { seed } => pp_datagen::chemistry::density_fitting_tensor(
                 &pp_datagen::chemistry::ChemistryConfig {
@@ -263,6 +250,38 @@ impl DatasetSpec {
                 seed,
             } => pp_datagen::sparse::sparse_lowrank(dims, *gen_rank, *density, *seed).0,
             other => panic!("dense dataset {other:?} has no sparse build"),
+        }
+    }
+
+    /// Refuse what the generator would assert on across keys (one key's
+    /// own range is checked as the token is read).
+    fn validate(&self) -> Result<(), String> {
+        match self {
+            DatasetSpec::Collinearity { .. } => self.collinearity_config().validate(),
+            DatasetSpec::Timelapse { .. } => self.timelapse_config().validate(),
+            _ => Ok(()),
+        }
+    }
+
+    /// The generator config of a [`DatasetSpec::Collinearity`] spec.
+    /// Panics on other variants (callers gate on the variant first).
+    fn collinearity_config(&self) -> CollinearityConfig {
+        match self {
+            DatasetSpec::Collinearity {
+                s,
+                r,
+                order,
+                lo,
+                hi,
+                ..
+            } => CollinearityConfig {
+                s: *s,
+                r: *r,
+                order: *order,
+                lo: *lo,
+                hi: *hi,
+            },
+            other => panic!("dataset {other:?} is not a collinearity tensor"),
         }
     }
 
@@ -522,12 +541,38 @@ where
         .map_err(|e| format!("invalid value for {key}: {e}"))
 }
 
+/// A count key that must be at least 1.
+fn parse_positive(key: &str, v: &str) -> Result<usize, String> {
+    match parse_num(key, v)? {
+        0 => Err(format!("{key} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// A real key that must be a number `>= 0` (NaN is refused; `finite`
+/// refuses infinity too).
+fn parse_nonneg(key: &str, v: &str, finite: bool) -> Result<f64, String> {
+    let x: f64 = parse_num(key, v)?;
+    if x >= 0.0 && (x.is_finite() || !finite) {
+        Ok(x)
+    } else {
+        let what = if finite {
+            "a finite number"
+        } else {
+            "a number"
+        };
+        Err(format!("{key} must be {what} >= 0, got {x}"))
+    }
+}
+
 /// Parse `AxBxC` dims.
 fn parse_dims(v: &str) -> Result<Vec<usize>, String> {
     let dims: Result<Vec<usize>, _> = v.split('x').map(|d| d.parse::<usize>()).collect();
     match dims {
-        Ok(d) if d.len() >= 2 => Ok(d),
-        _ => Err(format!("invalid dims '{v}' (expected e.g. 16x14x15)")),
+        Ok(d) if d.len() >= 2 && !d.contains(&0) => Ok(d),
+        _ => Err(format!(
+            "invalid dims '{v}' (expected e.g. 16x14x15, every extent at least 1)"
+        )),
     }
 }
 
@@ -655,23 +700,18 @@ fn apply_token(
             dk.dataset = value.to_string()
         }
         "dims" => dk.dims = parse_dims(value)?,
-        "gen-rank" => dk.gen_rank = parse_num(key, value)?,
-        "noise" => dk.noise = parse_num(key, value)?,
+        "gen-rank" => dk.gen_rank = parse_positive(key, value)?,
+        "noise" => dk.noise = parse_nonneg(key, value, true)?,
         "data-seed" => dk.data_seed = parse_num(key, value)?,
-        "s" => dk.s = parse_num(key, value)?,
-        "r" => dk.r = parse_num(key, value)?,
+        "s" => dk.s = parse_positive(key, value)?,
+        "r" => dk.r = parse_positive(key, value)?,
         "order" => dk.order = parse_num(key, value)?,
         "lo" => dk.lo = parse_num(key, value)?,
         "hi" => dk.hi = parse_num(key, value)?,
-        "nnz" => {
-            dk.nnz = parse_num(key, value)?;
-            if dk.nnz == 0 {
-                return Err("nnz must be at least 1".into());
-            }
-        }
+        "nnz" => dk.nnz = parse_positive(key, value)?,
         "skew" => {
             dk.skew = parse_num(key, value)?;
-            if dk.skew < 1.0 {
+            if dk.skew.is_nan() || dk.skew < 1.0 {
                 return Err(format!("skew must be at least 1.0, got {}", dk.skew));
             }
         }
@@ -681,11 +721,11 @@ fn apply_token(
                 return Err(format!("density must be in (0, 1], got {}", dk.density));
             }
         }
-        "height" => dk.height = parse_num(key, value)?,
-        "width" => dk.width = parse_num(key, value)?,
-        "bands" => dk.bands = parse_num(key, value)?,
-        "times" => dk.times = parse_num(key, value)?,
-        "materials" => dk.materials = parse_num(key, value)?,
+        "height" => dk.height = parse_positive(key, value)?,
+        "width" => dk.width = parse_positive(key, value)?,
+        "bands" => dk.bands = parse_positive(key, value)?,
+        "times" => dk.times = parse_positive(key, value)?,
+        "materials" => dk.materials = parse_positive(key, value)?,
         "stream" => {
             dk.stream = match value {
                 "on" | "true" | "1" => true,
@@ -695,12 +735,7 @@ fn apply_token(
         }
         "initial-times" => dk.initial_times = parse_num(key, value)?,
         "arrive" => dk.arrive = parse_num(key, value)?,
-        "sweeps-per-arrival" => {
-            dk.sweeps_per_arrival = parse_num(key, value)?;
-            if dk.sweeps_per_arrival == 0 {
-                return Err("sweeps-per-arrival must be at least 1".into());
-            }
-        }
+        "sweeps-per-arrival" => dk.sweeps_per_arrival = parse_positive(key, value)?,
         "update" => {
             dk.update = match value {
                 "incremental" => CacheUpdate::Incremental,
@@ -708,23 +743,12 @@ fn apply_token(
                 other => return Err(format!("unknown update '{other}' (incremental|recompute)")),
             }
         }
-        "rank" => {
-            job.rank = parse_num(key, value)?;
-            if job.rank == 0 {
-                return Err("rank must be at least 1".into());
-            }
-        }
+        "rank" => job.rank = parse_positive(key, value)?,
         "sweeps" => job.max_sweeps = parse_num(key, value)?,
-        "tol" => job.tol = parse_num(key, value)?,
-        "pp-tol" => job.pp_tol = parse_num(key, value)?,
+        "tol" => job.tol = parse_nonneg(key, value, false)?,
+        "pp-tol" => job.pp_tol = parse_nonneg(key, value, false)?,
         "seed" => job.seed = parse_num(key, value)?,
-        "threads" => {
-            let t: usize = parse_num(key, value)?;
-            if t == 0 {
-                return Err("threads must be at least 1".into());
-            }
-            job.threads = Some(t);
-        }
+        "threads" => job.threads = Some(parse_positive(key, value)?),
         "policy" => job.policy = SchedPolicy::parse(value)?,
         "priority" => job.priority = parse_num(key, value)?,
         "deadline" => job.deadline = parse_num(key, value)?,
@@ -802,6 +826,7 @@ impl JobSpec {
             });
         }
         job.dataset = dk.into_spec();
+        job.dataset.validate()?;
         let order = job.dataset.dims().len();
         if job.method == JobMethod::Pp && order < 3 {
             return Err(format!(
@@ -976,6 +1001,64 @@ mod tests {
         // The dataset rejection enumerates the full vocabulary.
         let err = parse_manifest("job dataset=netflix").unwrap_err();
         assert!(err.contains(DATASET_NAMES), "{err}");
+    }
+
+    #[test]
+    fn degenerate_dataset_keys_are_refused_by_name() {
+        // Every value a generator would assert on, and every NaN that
+        // would pass silently, is a line error naming its key.
+        for (text, needle) in [
+            ("dims=0x4x4", "invalid dims '0x4x4'"),
+            ("gen-rank=0", "gen-rank must be at least 1"),
+            ("noise=-1", "noise must be a finite number >= 0"),
+            ("noise=nan", "noise must be a finite number >= 0"),
+            ("noise=inf", "noise must be a finite number >= 0"),
+            ("tol=nan", "tol must be a number >= 0"),
+            ("tol=-1e-6", "tol must be a number >= 0"),
+            ("pp-tol=nan", "pp-tol must be a number >= 0"),
+            (
+                "dataset=sparse-powerlaw skew=nan",
+                "skew must be at least 1.0",
+            ),
+            (
+                "dataset=sparse-lowrank gen-rank=0",
+                "gen-rank must be at least 1",
+            ),
+            ("dataset=collinearity s=0", "s must be at least 1"),
+            ("dataset=collinearity r=0", "r must be at least 1"),
+            ("dataset=collinearity s=4 r=4", "s=4 must exceed r=4"),
+            ("dataset=collinearity order=1", "order must be at least 2"),
+            ("dataset=collinearity lo=0.9 hi=0.1", "lo=0.9 hi=0.1"),
+            ("dataset=collinearity hi=1", "need 0 <= lo <= hi < 1"),
+            ("dataset=collinearity lo=nan", "need 0 <= lo <= hi < 1"),
+            ("dataset=timelapse height=0", "height must be at least 1"),
+            ("dataset=timelapse width=0", "width must be at least 1"),
+            ("dataset=timelapse bands=0", "bands must be at least 1"),
+            ("dataset=timelapse times=0", "times must be at least 1"),
+            (
+                "dataset=timelapse materials=0",
+                "materials must be at least 1",
+            ),
+            (
+                "dataset=timelapse noise=-0.5",
+                "noise must be a finite number >= 0",
+            ),
+        ] {
+            let err = parse_manifest(&format!("job {text}")).unwrap_err();
+            assert!(
+                err.contains(needle) && err.contains("line 1"),
+                "{text}: {err}"
+            );
+        }
+        // The edges themselves are fine.
+        for text in [
+            "noise=0 tol=0 pp-tol=0",
+            "tol=inf pp-tol=inf",
+            "dataset=collinearity s=2 r=1 order=2 lo=0 hi=0",
+            "dataset=timelapse height=1 width=1 bands=1 times=1 materials=1 noise=0",
+        ] {
+            parse_manifest(&format!("job {text}")).unwrap();
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Dense, owned, row-major `f64` tensors.
+//! Dense, row-major `f64` tensors with copy-on-write storage.
 
 use crate::shape::Shape;
 use crate::workspace::Buffer;
+use std::sync::Arc;
 
 /// A dense tensor of `f64` values in row-major layout.
 ///
@@ -9,27 +10,49 @@ use crate::workspace::Buffer;
 /// intermediates. Intermediates 𝓜^(S) of the paper are stored with the CP
 /// rank as a trailing mode, i.e. shape `[s_{i1}, ..., s_{im}, R]`. The
 /// storage is a [`Buffer`]: one drawn from a [`crate::Workspace`] goes back
-/// to it when the tensor is dropped, and every tensor made inside the
-/// crates (all but [`DenseTensor::from_vec`]'s adopted `Vec`) starts on a
-/// 64-byte boundary and sits in huge pages from 2 MiB up.
-#[derive(Clone, PartialEq)]
+/// to it when the last tensor holding it is dropped, and every tensor made
+/// inside the crates (all but [`DenseTensor::from_vec`]'s adopted `Vec`)
+/// starts on a 64-byte boundary and sits in huge pages from 2 MiB up.
+///
+/// Storage is copy-on-write. A clone shares the buffer (a refcount bump),
+/// except that an adopted `Vec` is copied onto the store, so a clone is
+/// always placed. The first write through either side of a shared buffer
+/// ([`DenseTensor::data_mut`], `set`, `axpy`, `scale`, `fill_zero`,
+/// `append_leading`) copies it onto a fresh store, and the other side never
+/// sees the write. A sole owner writes in place.
+#[derive(PartialEq)]
 pub struct DenseTensor {
     shape: Shape,
-    data: Buffer,
+    data: Arc<Buffer>,
+}
+
+impl Clone for DenseTensor {
+    fn clone(&self) -> Self {
+        let data = if self.data.is_adopted() {
+            Arc::new(Buffer::clone(&self.data))
+        } else {
+            Arc::clone(&self.data)
+        };
+        DenseTensor {
+            shape: self.shape.clone(),
+            data,
+        }
+    }
 }
 
 impl DenseTensor {
     /// All-zeros tensor of the given shape.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        let data = Buffer::zeroed(shape.len());
+        let data = Arc::new(Buffer::zeroed(shape.len()));
         DenseTensor { shape, data }
     }
 
     /// Build a tensor from a function of the multi-index.
     pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(&[usize]) -> f64) -> Self {
-        let mut t = DenseTensor::zeros(shape);
-        for (x, idx) in t.data.iter_mut().zip(t.shape.indices()) {
+        let shape = shape.into();
+        let mut t = DenseTensor::zeros(shape.clone());
+        for (x, idx) in t.data_mut().iter_mut().zip(shape.indices()) {
             *x = f(&idx);
         }
         t
@@ -51,7 +74,10 @@ impl DenseTensor {
             data.len(),
             shape
         );
-        DenseTensor { shape, data }
+        DenseTensor {
+            shape,
+            data: Arc::new(data),
+        }
     }
 
     /// The tensor's shape.
@@ -90,16 +116,25 @@ impl DenseTensor {
         &self.data
     }
 
-    /// Mutable view of the flat row-major buffer.
+    /// Mutable view of the flat row-major buffer. If a clone shares the
+    /// buffer, this tensor first moves to a copy of its own on the store.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        self.buffer_mut()
     }
 
-    /// Consume the tensor, returning its elements (by copy unless the
-    /// tensor was built by [`DenseTensor::from_vec`]).
+    /// The one way to write: the buffer itself when this tensor is its
+    /// sole owner, a fresh store copy of it otherwise.
+    #[inline]
+    fn buffer_mut(&mut self) -> &mut Buffer {
+        Arc::make_mut(&mut self.data)
+    }
+
+    /// Consume the tensor, returning its elements: without a copy when the
+    /// tensor is the sole owner of a [`DenseTensor::from_vec`] buffer, by
+    /// copy otherwise (a store, or a buffer a clone still shares).
     pub fn into_vec(self) -> Vec<f64> {
-        self.data.into_vec()
+        Arc::try_unwrap(self.data).map_or_else(|shared| shared.to_vec(), Buffer::into_vec)
     }
 
     /// Element access by multi-index.
@@ -112,7 +147,7 @@ impl DenseTensor {
     #[inline]
     pub fn set(&mut self, idx: &[usize], v: f64) {
         let lin = self.shape.linearize(idx);
-        self.data[lin] = v;
+        self.buffer_mut()[lin] = v;
     }
 
     /// Frobenius norm.
@@ -138,21 +173,22 @@ impl DenseTensor {
     /// `self += alpha * other` (shapes must match).
     pub fn axpy(&mut self, alpha: f64, other: &DenseTensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, b) in self.buffer_mut().iter_mut().zip(other.data.iter()) {
             *a += alpha * b;
         }
     }
 
     /// Scale every element by `alpha`.
     pub fn scale(&mut self, alpha: f64) {
-        for x in self.data.iter_mut() {
+        for x in self.buffer_mut().iter_mut() {
             *x *= alpha;
         }
     }
 
-    /// Set every element to zero, keeping the allocation.
+    /// Set every element to zero, keeping the allocation (unless a clone
+    /// shares it).
     pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
+        self.buffer_mut().fill(0.0);
     }
 
     /// Reinterpret the buffer under a new shape with the same element count.
@@ -175,6 +211,7 @@ impl DenseTensor {
     /// this a tail copy of `other`'s buffer — amortised O(`other`): the
     /// buffer reserves geometrically and moves once per doubling — values
     /// verbatim, so the result is bit-identical to a tensor built whole.
+    /// A buffer a clone shares is copied once first, as any write does.
     /// The primitive behind streaming growth along an evolving mode.
     pub fn append_leading(&mut self, other: &DenseTensor) {
         let mut dims = self.shape.dims().to_vec();
@@ -185,7 +222,7 @@ impl DenseTensor {
             "append_leading trailing-extent mismatch"
         );
         dims[0] += other.dim(0);
-        self.data.extend_from_slice(&other.data);
+        self.buffer_mut().extend_from_slice(&other.data);
         self.shape = Shape::new(dims);
     }
 
@@ -204,7 +241,7 @@ impl DenseTensor {
         dims[axis] = len;
         let mut out = DenseTensor::zeros(dims);
         if len * inner > 0 {
-            for (o, run) in out.data.chunks_exact_mut(len * inner).enumerate() {
+            for (o, run) in out.data_mut().chunks_exact_mut(len * inner).enumerate() {
                 let base = o * src_block + start * inner;
                 run.copy_from_slice(&self.data[base..base + len * inner]);
             }
@@ -364,6 +401,104 @@ mod tests {
             assert_eq!(again.data(), &want[..]);
         }
         assert_eq!(DenseTensor::zeros(vec![0, 4]).into_vec(), Vec::<f64>::new());
+    }
+
+    fn bits(t: &DenseTensor) -> Vec<u64> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn clones_share_until_one_side_writes() {
+        type Write = fn(&mut DenseTensor);
+        let writes: [(&str, Write); 6] = [
+            ("data_mut", |t| t.data_mut()[1] = -3.0),
+            ("set", |t| t.set(&[0, 1], -3.0)),
+            ("axpy", |t| {
+                let ones = DenseTensor::from_fn(t.shape().clone(), |_| 1.0);
+                t.axpy(0.5, &ones)
+            }),
+            ("scale", |t| t.scale(-2.0)),
+            ("fill_zero", |t| t.fill_zero()),
+            ("append_leading", |t| {
+                let row = t.slice_along(0, 0, 1);
+                t.append_leading(&row)
+            }),
+        ];
+        // Under the size rule and over it.
+        for rows in [3, MAP_MIN_BYTES / (8 * 64) + 1] {
+            let make = || DenseTensor::from_fn(vec![rows, 64], |idx| (idx[0] * 64 + idx[1]) as f64);
+            for (name, write) in writes {
+                // What the write gives a sole owner, which writes in place
+                // (growth may move, at its doubling).
+                let mut alone = make();
+                let at = alone.data().as_ptr();
+                write(&mut alone);
+                if name != "append_leading" {
+                    assert_eq!(
+                        alone.data().as_ptr(),
+                        at,
+                        "{name}: a sole owner writes in place"
+                    );
+                }
+                for writer_is_the_clone in [false, true] {
+                    let original = make();
+                    let clone = original.clone();
+                    let shared = original.data().as_ptr();
+                    assert_eq!(clone.data().as_ptr(), shared, "a clone shares the store");
+                    let (mut writer, reader) = if writer_is_the_clone {
+                        (clone, original)
+                    } else {
+                        (original, clone)
+                    };
+                    write(&mut writer);
+                    assert_eq!(bits(&reader), bits(&make()), "{name}: the reader's bits");
+                    assert_eq!(
+                        reader.data().as_ptr(),
+                        shared,
+                        "{name}: the reader keeps the store"
+                    );
+                    assert_ne!(writer.data().as_ptr(), shared, "{name}: the writer moves");
+                    assert_eq!(bits(&writer), bits(&alone), "{name}: the write itself");
+                    assert_placed(&writer, name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn into_vec_of_a_shared_tensor_copies_and_leaves_the_other_intact() {
+        for n in [24, MAP_MIN_BYTES / 8 + 3] {
+            let t = DenseTensor::from_fn(vec![n], |idx| idx[0] as f64 * 0.75 - 2.0);
+            let want = bits(&t);
+            let v = t.clone().into_vec();
+            assert_eq!(v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
+            assert_eq!(bits(&t), want);
+            assert_placed(&t, "the other side");
+        }
+    }
+
+    #[test]
+    fn a_shared_workspace_buffer_goes_home_once_on_the_last_drop() {
+        let len = 1 << 17; // pooled in release builds too
+        let ws = Workspace::new();
+        let a = DenseTensor::from_buffer(vec![len], ws.draw_zeroed(len));
+        let addr = a.data().as_ptr();
+        let b = a.clone();
+        let s = ws.stats();
+        assert_eq!((s.draws, s.live_elems, s.held_elems), (1, len, 0));
+        drop(a);
+        assert_eq!(ws.stats().live_elems, len, "the clone still holds it");
+        // A writer leaves with a copy that has no home.
+        let mut c = b.clone();
+        c.scale(2.0);
+        drop(c);
+        assert_eq!(ws.stats().held_elems, 0);
+        drop(b);
+        let s = ws.stats();
+        assert_eq!((s.live_elems, s.held_elems), (0, len), "home exactly once");
+        assert_eq!(ws.draw(len).as_ptr(), addr, "and drawn again");
+        let s = ws.stats();
+        assert_eq!((s.draws, s.misses, s.high_water_bufs), (2, 1, 1));
     }
 
     #[test]

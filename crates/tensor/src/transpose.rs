@@ -38,6 +38,7 @@ pub fn permute(t: &DenseTensor, perm: &[usize]) -> DenseTensor {
 
     let out_shape = t.shape().permuted(perm);
     if n <= 1 || is_identity(perm) {
+        // Nothing moves: the result shares `t`'s storage (copy-on-write).
         return t.clone().reshape(out_shape);
     }
 
@@ -124,7 +125,7 @@ pub fn move_mode_last(t: &DenseTensor, mode: usize) -> DenseTensor {
     permute(t, &perm_mode_last(t.order(), mode))
 }
 
-/// Copy of the tensor with `mode` moved to the first position, the others
+/// The tensor with `mode` moved to the first position, the others
 /// keeping their order — the evolving-mode-major layout of a streaming
 /// input.
 ///
@@ -144,7 +145,7 @@ pub fn move_mode_first(t: &DenseTensor, mode: usize) -> DenseTensor {
     let e = dims[mode];
     let b: usize = dims[mode + 1..].iter().product();
     if a == 1 || t.is_empty() {
-        // Already leading (or nothing to move): a plain copy.
+        // Already leading (or nothing to move): shares `t`'s storage.
         return t.clone().reshape(out_shape);
     }
 

@@ -15,7 +15,9 @@
 //!   sweep, so no rounding, no splitting, no best-fit search.
 //! * **Return on drop.** A drawn [`Buffer`] carries a weak handle home and
 //!   gives itself back when dropped — cache eviction, dropping the PP
-//!   operators and engine teardown need no return-site code. A buffer
+//!   operators and engine teardown need no return-site code. Tensors that
+//!   share one buffer (a [`crate::DenseTensor`] clone) give it back once,
+//!   when the last of them drops. A buffer
 //!   whose workspace is gone simply frees; one that leaves as a `Vec`
 //!   ([`Buffer::into_vec`]) or grows ([`Buffer::extend_from_slice`]) is no
 //!   longer counted.
@@ -233,6 +235,12 @@ impl Buffer {
     /// `len` zeros in a fresh store, with no home.
     pub(crate) fn zeroed(len: usize) -> Buffer {
         Workspace::unpooled().draw_zeroed(len)
+    }
+
+    /// Whether this is a caller's `Vec`, adopted as it lay (no alignment
+    /// promise), rather than a store.
+    pub(crate) fn is_adopted(&self) -> bool {
+        matches!(self.data, Data::Adopted(_))
     }
 
     /// Leave the workspace (it stops counting this buffer) and return the

@@ -159,6 +159,16 @@ fn argument_errors_exit_2_and_name_the_flag_or_key() {
         ("--ranks 0", "--ranks"),
         ("--method pp --dims 12x11", "method=pp"),
         ("--method pp --dims 12x11 --ranks 2", "method=pp"),
+        ("--gen-rank 0", "gen-rank"),
+        ("--dims 0x4x4", "dims"),
+        ("--noise -1", "noise"),
+        ("--noise nan", "noise"),
+        ("--tol nan", "tol"),
+        ("--pp-tol nan", "pp-tol"),
+        ("--dataset collinearity --lo 0.9 --hi 0.1", "lo=0.9 hi=0.1"),
+        ("--dataset collinearity --order 1", "order"),
+        ("--dataset collinearity --s 0", "s must be at least 1"),
+        ("stream --times 0", "times"),
         ("stream --method nncp", "method"),
         ("stream --arrive 4", "arrive"),
         ("stream --backend p2p", "--backend"),

@@ -200,6 +200,61 @@ fn grid_larger_than_mode_extent() {
     }
 }
 
+fn bits(t: &DenseTensor) -> Vec<u64> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn sessions_never_write_their_input() {
+    // Every session shares the caller's tensor rather than copying it, so
+    // each run, and each resume, must leave it as it was, bit for bit.
+    let (t, _, _) = collinearity_tensor(
+        &CollinearityConfig {
+            s: 10,
+            r: 3,
+            order: 3,
+            lo: 0.5,
+            hi: 0.7,
+        },
+        17,
+    );
+    let before = bits(&t);
+    let cfg = AlsConfig::new(3)
+        .with_max_sweeps(10)
+        .with_tol(0.0)
+        .with_pp_tol(0.3);
+    let msdt = cfg.clone().with_policy(TreePolicy::MultiSweep);
+    for (kind, cfg) in [
+        (SessionKind::Exact, &cfg),
+        (SessionKind::Exact, &msdt),
+        (SessionKind::Pp, &msdt),
+        (SessionKind::NonNeg, &cfg),
+    ] {
+        let mut s = AlsSession::new(&t, cfg, kind);
+        s.step();
+        let bytes = s.checkpoint_bytes(0);
+        let _ = s.run();
+        assert_eq!(bits(&t), before, "{kind:?} run");
+        let (resumed, _) = AlsSession::resume_from_bytes(&bytes, &t).unwrap();
+        let _ = resumed.run();
+        assert_eq!(bits(&t), before, "{kind:?} resume");
+    }
+
+    let t = Arc::new(t);
+    for kind in [ParKind::Exact, ParKind::Pp] {
+        let (t2, c2) = (t.clone(), msdt.clone());
+        let out = Runtime::new(2).run(move |ctx| {
+            let grid = ProcGrid::new(vec![2, 1, 1]);
+            let local = DistTensor::from_global(&t2, &grid, ctx.rank());
+            let block = bits(local.local());
+            let _ = ParSession::new(ctx, &grid, &local, &c2, kind).run(ctx);
+            bits(local.local()) == block
+        });
+        assert!(out.results.iter().all(|&same| same), "{kind:?} blocks");
+        assert_eq!(bits(&t), before, "{kind:?} global");
+    }
+}
+
 #[test]
 fn rank_one_decomposition_works() {
     // Degenerate CP rank R = 1 end to end.
