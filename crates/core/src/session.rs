@@ -276,6 +276,17 @@ fn dense_input(t: &DenseTensor, evolving: Option<usize>) -> InputTensor {
     }
 }
 
+/// The sparse input a session sweeps over, at construction and at resume
+/// alike: the semi-sparse chain's TTM plans for exact ALS on the
+/// multi-sweep tree (`msdt`), the CSF forest otherwise — `dt`'s direct
+/// MTTKRP, and `pp`'s, whose pair operators are walks of the same trees.
+fn sparse_input(sp: &SparseTensor, policy: TreePolicy, kind: SessionKind) -> InputTensor {
+    match (policy, kind) {
+        (TreePolicy::MultiSweep, SessionKind::Exact) => InputTensor::new_sparse_chained(sp.clone()),
+        _ => InputTensor::new_sparse(sp.clone()),
+    }
+}
+
 impl AlsSession {
     /// New session with the default seeded uniform factor initialization.
     pub fn new(t: &DenseTensor, cfg: &AlsConfig, kind: SessionKind) -> Self {
@@ -369,12 +380,13 @@ impl AlsSession {
     ///   panels on the surviving fiber structure) — the input is never
     ///   densified.
     /// * `Pp` + [`TreePolicy::MultiSweep`] (the `pp` method): exact sweeps
-    ///   and PP operator construction both contract over the semi-sparse
-    ///   chain; only the operator-sized pair tensors are dense.
+    ///   run the direct CSF kernel, as `dt` does, and each PP pair operator
+    ///   is one walk of a fiber tree of the same forest; only the
+    ///   operator-sized pair tensors are dense.
     ///
-    /// Non-negative ALS is not supported on sparse inputs, and sparse PP is
-    /// pinned to the multi-sweep policy so a checkpoint's tree policy alone
-    /// determines how the input is rebuilt at resume.
+    /// Non-negative ALS is not supported on sparse inputs. Sparse PP keeps
+    /// the multi-sweep policy its jobs have always carried; a checkpoint's
+    /// policy and kind determine how the input is rebuilt at resume.
     pub fn new_sparse(sp: &SparseTensor, cfg: &AlsConfig, kind: SessionKind) -> Self {
         assert_ne!(
             kind,
@@ -393,12 +405,7 @@ impl AlsSession {
         let n_modes = sp.order();
         assert!(n_modes >= 2);
         let _threads = cfg.thread_guard();
-        // Standard policy takes the direct CSF fast path; the multi-sweep
-        // policy plans semi-sparse first-level contractions per mode.
-        let input = match cfg.policy {
-            TreePolicy::Standard => InputTensor::new_sparse(sp.clone()),
-            TreePolicy::MultiSweep => InputTensor::new_sparse_chained(sp.clone()),
-        };
+        let input = sparse_input(sp, cfg.policy, kind);
         Self::from_input(input, sp.norm_sq(), cfg, kind, init)
     }
 
@@ -562,7 +569,7 @@ impl AlsSession {
         t: &DenseTensor,
         evolving: Option<usize>,
     ) -> Result<(AlsSession, u64), String> {
-        Self::resume_core(bytes, tensor_fingerprint(t), t.order(), |_| {
+        Self::resume_core(bytes, tensor_fingerprint(t), t.order(), |_, _| {
             dense_input(t, evolving)
         })
     }
@@ -574,14 +581,8 @@ impl AlsSession {
         bytes: &[u8],
         sp: &SparseTensor,
     ) -> Result<(AlsSession, u64), String> {
-        Self::resume_core(bytes, sparse_fingerprint(sp), sp.order(), |cfg| {
-            // The tree policy alone determines the sparse input shape:
-            // Standard ⇒ direct CSF (dt); MultiSweep ⇒ semi-sparse chain
-            // plans (pp and msdt) — the same dispatch `new_sparse` uses.
-            match cfg.policy {
-                TreePolicy::Standard => InputTensor::new_sparse(sp.clone()),
-                TreePolicy::MultiSweep => InputTensor::new_sparse_chained(sp.clone()),
-            }
+        Self::resume_core(bytes, sparse_fingerprint(sp), sp.order(), |cfg, kind| {
+            sparse_input(sp, cfg.policy, kind)
         })
     }
 
@@ -592,7 +593,7 @@ impl AlsSession {
         bytes: &[u8],
         fp_expected: u64,
         order: usize,
-        build_input: impl FnOnce(&AlsConfig) -> InputTensor,
+        build_input: impl FnOnce(&AlsConfig, SessionKind) -> InputTensor,
     ) -> Result<(AlsSession, u64), String> {
         let mut r = Reader::open(bytes)?;
         let tag = r.u64_()?;
@@ -683,7 +684,7 @@ impl AlsSession {
         // Rebuild the runtime-only pieces (input layout / CSF trees,
         // engine) exactly as construction does, then reinstall the cached
         // intermediates and stats the checkpoint captured.
-        let input = build_input(&cfg);
+        let input = build_input(&cfg, kind);
         let mut engine = DimTreeEngine::new(cfg.policy, n_modes);
         for e in cached {
             engine.cache_mut().insert(e);
@@ -1206,26 +1207,46 @@ mod tests {
     }
 
     #[test]
-    fn sparse_pp_session_matches_densified_bitwise() {
-        // PP on a sparse input: exact sweeps and operator construction run
-        // over the semi-sparse chain; the trace (including approximated
-        // sweeps) must match the dense PP session on the densified tensor.
+    fn sparse_pp_exact_sweeps_match_sparse_dt_bitwise() {
+        // PP on a sparse input runs its exact sweeps on the CSF forest, as
+        // DT does: up to the first PP initialization the two sessions (same
+        // rank and seed) give the same trace and factors, bit for bit. The
+        // pair operators are fiber walks of the same forest; nothing runs
+        // on the semi-sparse chain.
         let (sp, _) = pp_datagen::sparse::sparse_lowrank(&[9, 8, 7], 2, 0.2, 29);
         let cfg = AlsConfig::new(2)
             .with_policy(TreePolicy::MultiSweep)
             .with_pp_tol(0.5)
             .with_max_sweeps(20)
             .with_tol(0.0);
-        let a = AlsSession::new(&sp.to_dense(), &cfg, SessionKind::Pp).run();
-        let b = AlsSession::new_sparse(&sp, &cfg, SessionKind::Pp).run();
-        assert_bitwise(&a, &b);
+        let pp = AlsSession::new_sparse(&sp, &cfg, SessionKind::Pp).run();
         assert!(
-            b.report.count(SweepKind::PpApprox) >= 1,
+            pp.report.count(SweepKind::PpApprox) >= 1,
             "PP regime never entered — pp_tol too tight for the test"
         );
-        let s = &b.report.stats;
-        assert!(s.semisparse_ttm_flops > 0);
-        assert_eq!(s.sparse_mttkrp_flops, 0);
+        let exact = pp
+            .report
+            .sweeps
+            .iter()
+            .position(|r| r.kind == SweepKind::PpInit)
+            .expect("regime must open");
+        let dt_cfg = cfg
+            .clone()
+            .with_policy(TreePolicy::Standard)
+            .with_max_sweeps(exact);
+        let dt = AlsSession::new_sparse(&sp, &dt_cfg, SessionKind::Exact).run();
+        let mut s = AlsSession::new_sparse(&sp, &cfg, SessionKind::Pp);
+        for _ in 0..exact {
+            let _ = s.step();
+        }
+        let head = AlsOutput {
+            factors: s.factors().to_vec(),
+            report: s.report().clone(),
+        };
+        assert_bitwise(&dt, &head);
+        let s = &pp.report.stats;
+        assert!(s.sparse_mttkrp_flops > 0);
+        assert_eq!(s.semisparse_ttm_flops + s.semisparse_ttv_flops, 0);
     }
 
     #[test]

@@ -26,9 +26,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A sparse input: the sorted-coordinate ingest form plus either the CSF
-/// forest the direct sparse-MTTKRP fast path runs over (`method=dt`), or
-/// per-mode semi-sparse TTM plans that let the dimension-tree engine plan
-/// first-level contractions over the sparse representation (`pp`/`msdt`).
+/// forest the direct sparse-MTTKRP fast path and the PP pair walks run
+/// over (`method=dt` and `pp`), or per-mode semi-sparse TTM plans that let
+/// the dimension-tree engine plan first-level contractions over the sparse
+/// representation (`msdt`).
 pub struct SparseInput {
     /// Sorted COO form (fingerprinting, norms, densify-for-oracle).
     pub coo: SparseTensor,
@@ -99,8 +100,8 @@ impl InputTensor {
     }
 
     /// Wrap a sparse tensor: builds the CSF forest (one fiber tree per
-    /// mode) the engine's sparse MTTKRP fast path runs over. No dense
-    /// layout is materialized.
+    /// mode) the engine's sparse MTTKRP fast path and the PP pair walks
+    /// run over. No dense layout is materialized.
     pub fn new_sparse(sp: SparseTensor) -> Self {
         let csf = CsfTensor::build(&sp);
         Self::sparse_backed(SparseInput {
@@ -113,8 +114,8 @@ impl InputTensor {
     /// Wrap a sparse tensor for **dimension-tree planning**: instead of
     /// the CSF forest, build one semi-sparse TTM plan per mode, so every
     /// first-level contraction the standard/MSDT chains or the PP operator
-    /// tree asks for executes over the sparse representation — the `pp`
-    /// and `msdt` methods on sparse inputs. The input is never densified.
+    /// tree asks for executes over the sparse representation — the `msdt`
+    /// method on sparse inputs. The input is never densified.
     pub fn new_sparse_chained(sp: SparseTensor) -> Self {
         let plans = crate::par_collect(sp.order(), |m| TtmPlan::build(&sp, m));
         Self::sparse_backed(SparseInput {

@@ -20,6 +20,12 @@
 //! rayon pool, and finally stats/cache bookkeeping merges back in
 //! deterministic key order (so traces and cache contents are identical for
 //! any thread count).
+//!
+//! A sparse input held as the CSF forest (`InputTensor::new_sparse`, the
+//! input of sparse `dt` and `pp` sessions) skips the tree: each pair
+//! operator is one walk of a fiber tree
+//! ([`pp_tensor::sparse::csf_pair_in`]), the anchors follow as above, and
+//! the cache is left alone.
 
 use crate::cache::{Intermediate, Payload};
 use crate::engine::DimTreeEngine;
@@ -30,7 +36,8 @@ use crate::par_collect;
 use crate::stats::Kernel;
 use pp_tensor::kernels::mttv::mttv_in;
 use pp_tensor::semisparse::{ss_mttv_in, thread_ss_counters};
-use pp_tensor::{Matrix, Workspace};
+use pp_tensor::sparse::csf_pair_in;
+use pp_tensor::{CsfTensor, Matrix, Workspace};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +50,8 @@ pub struct PpOperators {
     /// `Mp^(n)` for every mode `n`.
     pub firsts: Vec<Matrix>,
     /// Number of first-level TTMs actually recomputed (diagnostics; the
-    /// rest were reused from the shared cache).
+    /// rest were reused from the shared cache). 0 on a CSF-forest input,
+    /// whose pairs come from fiber walks instead.
     pub fresh_ttms: usize,
 }
 
@@ -93,6 +101,15 @@ pub fn build_pp_operators_with(
 ) -> PpOperators {
     let n_modes = fs.order();
     assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
+    if let Some(csf) = input.sparse().and_then(|sp| sp.csf.as_ref()) {
+        let pairs = forest_pairs(csf, fs, engine);
+        let firsts = anchors(&pairs, fs, engine);
+        return PpOperators {
+            pairs,
+            firsts,
+            fresh_ttms: 0,
+        };
+    }
     let mut fresh_ttms = 0usize;
 
     // ---- Phase A (sequential): secure each pair's starting intermediate.
@@ -144,8 +161,52 @@ pub fn build_pp_operators_with(
         pairs.insert(done.key, inter);
     }
 
-    // Anchors Mp^(n): contract the partner mode out of a pair operator —
-    // one independent mTTV per mode, also fanned over the pool.
+    let firsts = anchors(&pairs, fs, engine);
+    PpOperators {
+        pairs,
+        firsts,
+        fresh_ttms,
+    }
+}
+
+/// Every pair operator of a sparse input held as the CSF forest: one walk
+/// of tree `i` per pair `(i, j)`, each split over the pool by root. No
+/// first-level TTM, cached intermediate or densified payload is involved.
+fn forest_pairs(
+    csf: &CsfTensor,
+    fs: &FactorState,
+    engine: &mut DimTreeEngine,
+) -> HashMap<(usize, usize), Intermediate> {
+    let n_modes = fs.order();
+    let r = fs.factor(0).cols();
+    // Per leaf and lane: N − 2 multiplies and one add.
+    let flops = (n_modes as u64 - 1) * csf.nnz() as u64 * r as u64;
+    let mut pairs = HashMap::new();
+    for i in 0..n_modes {
+        for j in i + 1..n_modes {
+            let t0 = Instant::now();
+            let t = csf_pair_in(engine.workspace(), csf, fs.factors(), i, j);
+            engine.stats.record(Kernel::Ttm, t0.elapsed(), flops);
+            let inter = Intermediate {
+                payload: Payload::Dense(Arc::new(t)),
+                mode_order: vec![i, j],
+                versions: fs.versions().to_vec(),
+            };
+            pairs.insert((i, j), inter);
+        }
+    }
+    pairs
+}
+
+/// Anchors `Mp^(n)`: contract the partner mode out of a pair operator —
+/// one independent mTTV per mode, fanned over the pool.
+fn anchors(
+    pairs: &HashMap<(usize, usize), Intermediate>,
+    fs: &FactorState,
+    engine: &mut DimTreeEngine,
+) -> Vec<Matrix> {
+    let n_modes = fs.order();
+    let ws = engine.workspace().clone();
     let anchors = par_collect(n_modes, |n| {
         let partner = if n == 0 { 1 } else { 0 };
         let key = (n.min(partner), n.max(partner));
@@ -164,12 +225,7 @@ pub fn build_pp_operators_with(
         // Copied out, so the drawn buffer goes back for the next build.
         firsts.push(Matrix::from_vec(rows, r, tensor.data().to_vec()));
     }
-
-    PpOperators {
-        pairs,
-        firsts,
-        fresh_ttms,
-    }
+    firsts
 }
 
 /// How a pair operator's construction proceeds after Phase A.
@@ -680,22 +736,16 @@ mod tests {
         // Re-entering the regime must give the operators a from-scratch
         // build gives, bit for bit — what the first build returned to the
         // workspace is scratch space, never data — and must find every
-        // buffer it needs there. Order 3 takes the first-level (Done) path,
-        // order 4 the deferred chains.
+        // buffer it needs there. The pairs are walks of the CSF forest
+        // (order 3 replays the TTM, order 4 the pointwise product), and
+        // the cache stays empty.
         for dims in [vec![6usize, 5, 7], vec![5, 4, 3, 4]] {
             let (sp, mut fs) = sparse_setup(&dims, 3, 71);
             let n_modes = dims.len();
-            let mut input = InputTensor::new_sparse_chained(sp.clone());
+            let mut input = InputTensor::new_sparse(sp.clone());
             let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, n_modes);
             let first = build_pp_operators(&mut input, &fs, &mut engine);
-            if n_modes == 3 {
-                // Dense pairs stand in for the semi-sparse first levels.
-                assert_eq!(
-                    engine.cache().memory_elems(),
-                    0,
-                    "semi-sparse copies released"
-                );
-            }
+            assert_eq!(engine.cache().memory_elems(), 0, "nothing cached");
             let mut rng = seeded(72);
             for (n, &d) in dims.iter().enumerate() {
                 fs.update(n, uniform_matrix(d, 3, &mut rng));
@@ -710,10 +760,10 @@ mod tests {
                 after_second.live_elems + after_second.held_elems <= after_second.high_water_elems
             );
 
-            let mut fresh_input = InputTensor::new_sparse_chained(sp);
+            let mut fresh_input = InputTensor::new_sparse(sp);
             let mut fresh_engine = DimTreeEngine::new(TreePolicy::MultiSweep, n_modes);
             let fresh = build_pp_operators(&mut fresh_input, &fs, &mut fresh_engine);
-            assert_eq!(rebuilt.fresh_ttms, fresh.fresh_ttms);
+            assert_eq!((rebuilt.fresh_ttms, fresh.fresh_ttms), (0, 0));
             for (key, a) in &fresh.pairs {
                 let b = &rebuilt.pairs[key];
                 assert_eq!(a.mode_order, b.mode_order, "pair {key:?} layout");
@@ -723,8 +773,50 @@ mod tests {
                 assert_eq!(a.data(), b.data());
             }
             let (a, b) = (fresh_engine.take_stats(), engine.take_stats());
-            assert_eq!(a.ttm_count * 2, b.ttm_count, "two builds, same TTMs each");
+            assert_eq!(
+                a.ttm_count,
+                (n_modes * (n_modes - 1) / 2) as u64,
+                "one walk a pair"
+            );
+            assert_eq!(a.ttm_count * 2, b.ttm_count, "two builds, same walks each");
             assert_eq!(a.mttv_count * 2, b.mttv_count);
+            assert_eq!(a.semisparse_ttm_flops + a.semisparse_ttv_flops, 0);
+        }
+    }
+
+    #[test]
+    fn forest_operators_match_the_chains() {
+        // The same operators from either sparse input: bit for bit at
+        // order 3, where a pair walk replays the chain's one TTM (and the
+        // anchors contract identical pairs), to 1e-12 relative above, where
+        // the chain contracts a TTM first and then mTTVs.
+        for dims in [vec![9usize, 8, 7], vec![6, 5, 4, 5], vec![5, 4, 3, 4, 3]] {
+            let (sp, fs) = sparse_setup(&dims, 4, 75);
+            let n_modes = dims.len();
+            let build = |mut input: InputTensor| {
+                let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, n_modes);
+                build_pp_operators(&mut input, &fs, &mut engine)
+            };
+            let forest = build(InputTensor::new_sparse(sp.clone()));
+            let chain = build(InputTensor::new_sparse_chained(sp));
+            let tol = if n_modes == 3 { 0.0 } else { 1e-12 };
+            for (key, a) in &forest.pairs {
+                let b = &chain.pairs[key];
+                assert_eq!(a.mode_order, vec![key.0, key.1]);
+                let bt = if b.mode_order == a.mode_order {
+                    b.dense().clone()
+                } else {
+                    pp_tensor::transpose::swap_first_two(b.dense())
+                };
+                let scale = bt.norm();
+                assert!(
+                    a.dense().max_abs_diff(&bt) <= tol * scale,
+                    "{dims:?} pair {key:?}"
+                );
+            }
+            for (a, b) in forest.firsts.iter().zip(&chain.firsts) {
+                assert!(a.max_abs_diff(b) <= tol * b.norm(), "{dims:?} anchor");
+            }
         }
     }
 

@@ -467,36 +467,32 @@ impl JobSpec {
         let dims = self.dataset.dims();
         if let Some(nnz) = self.dataset.est_nnz() {
             let order = dims.len();
-            if self.method == JobMethod::Dt {
-                // Direct CSF kernel: one fiber tree per mode, each at
-                // most `order` index levels of `nnz` entries plus the
-                // value array — and no dimension-tree cache at all (the
-                // kernel bypasses the tree).
-                return order * (order + 1) * nnz;
-            }
-            // Semi-sparse chain (pp/msdt): per-mode TTM plans — output
-            // tuples, group pointers and contracted coordinates
-            // (O(order·nnz) index words each), the `nnz` values laid out in
-            // group order, and the mTTV plans memoized under each output
-            // pattern (per surviving position a permutation, pointers and a
-            // child pattern, each over at most `nnz` tuples) — plus the
-            // cached semi-sparse intermediates: at most `nnz` surviving
-            // tuples, each an R-panel (tuples are shared with the plan's
-            // pattern), held twice across the MSDT sweep boundary.
-            let plans = order * (order + 1) * nnz + order * nnz + order * (order - 1) * nnz;
-            let mut est = plans + 2 * nnz * (self.rank + order);
-            if self.method == JobMethod::Pp {
-                // PP pair operators densify at completion (they are
-                // operator-sized, not input-sized): s_i·s_j·R dense
-                // blocks plus the s_i·R anchors.
-                for (i, &si) in dims.iter().enumerate() {
-                    est += si * self.rank;
-                    for &sj in dims.iter().skip(i + 1) {
-                        est += si * sj * self.rank;
-                    }
+            // The CSF forest (dt and pp): one fiber tree per mode, each at
+            // most `order` index levels of `nnz` entries plus the value
+            // array — and no dimension-tree cache at all (the direct
+            // kernel bypasses the tree).
+            let forest = order * (order + 1) * nnz;
+            return match self.method {
+                JobMethod::Msdt => {
+                    // Semi-sparse chain: per-mode TTM plans — output tuples,
+                    // group pointers and contracted coordinates
+                    // (O(order·nnz) index words each), the `nnz` values laid
+                    // out in group order, and the mTTV plans memoized under
+                    // each output pattern (per surviving position a
+                    // permutation, pointers and a child pattern, each over at
+                    // most `nnz` tuples) — plus the cached semi-sparse
+                    // intermediates: at most `nnz` surviving tuples, each an
+                    // R-panel (tuples are shared with the plan's pattern),
+                    // held twice across the MSDT sweep boundary.
+                    let plans = forest + order * nnz + order * (order - 1) * nnz;
+                    plans + 2 * nnz * (self.rank + order)
                 }
-            }
-            return est;
+                // PP walks its pair operators out of the forest: dense
+                // s_i·s_j·R blocks (operator-sized, not input-sized) plus
+                // the s_i·R anchors.
+                JobMethod::Pp => forest + self.pp_operator_elems(),
+                _ => forest,
+            };
         }
         // Streaming jobs grow toward the full horizon (`dims` is the final
         // extent), so the reservation is sized for it up front.
@@ -504,11 +500,20 @@ impl JobSpec {
         let min_dim = dims.iter().copied().min().unwrap_or(1).max(1);
         let mut est = 2 * (total / min_dim) * self.rank;
         if self.method == JobMethod::Pp {
-            for (i, &si) in dims.iter().enumerate() {
-                est += si * self.rank; // anchor Mp^(i)
-                for &sj in dims.iter().skip(i + 1) {
-                    est += si * sj * self.rank; // pair operator
-                }
+            est += self.pp_operator_elems();
+        }
+        est
+    }
+
+    /// The PP operators of this job's dataset, in f64 elements: a pair
+    /// operator `s_i·s_j·R` per mode pair and an anchor `s_i·R` per mode.
+    fn pp_operator_elems(&self) -> usize {
+        let dims = self.dataset.dims();
+        let mut est = 0;
+        for (i, &si) in dims.iter().enumerate() {
+            est += si * self.rank; // anchor Mp^(i)
+            for &sj in dims.iter().skip(i + 1) {
+                est += si * sj * self.rank; // pair operator
             }
         }
         est
@@ -1256,9 +1261,9 @@ mod tests {
         let pp_extra = (10 + 8 + 12) * 4 + (10 * 8 + 10 * 12 + 8 * 12) * 4;
         assert_eq!(j.est_cache_elems(), 2 * 10 * 12 * 4 + pp_extra);
         // Sparse estimates scale with nnz, not volume, and are
-        // per-method: dt holds only the CSF forest, msdt adds the TTM
-        // plans and cached semi-sparse intermediates, pp further adds
-        // the densified pair operators and anchors.
+        // per-method: dt holds only the CSF forest, msdt the TTM plans
+        // and cached semi-sparse intermediates instead, pp the forest
+        // plus the dense pair operators and anchors.
         let legacy = 3 * 7 * 500; // the old method-blind formula
         j.method = JobMethod::Dt;
         j.dataset = DatasetSpec::SparsePowerlaw {
@@ -1277,7 +1282,7 @@ mod tests {
         j.method = JobMethod::Msdt;
         assert_eq!(j.est_cache_elems(), plans + 2 * 500 * (4 + 3));
         j.method = JobMethod::Pp;
-        let sparse_pp = plans + 2 * 500 * (4 + 3) + (100 + 100 + 100) * 4 + 3 * (100 * 100) * 4;
+        let sparse_pp = 3 * 4 * 500 + (100 + 100 + 100) * 4 + 3 * (100 * 100) * 4;
         assert_eq!(j.est_cache_elems(), sparse_pp);
         assert!(
             j.est_cache_elems() > legacy,
@@ -1294,6 +1299,35 @@ mod tests {
         assert!(
             j.est_cache_elems() < 2 * 100 * 100 * 4,
             "sparse estimate must undercut the dense formula at low density"
+        );
+    }
+
+    #[test]
+    fn sparse_pp_estimate_is_the_forest_plus_the_operators() {
+        // A sparse PP session holds the CSF forest dt holds, plus its pair
+        // operators and anchors — no TTM plan and no cached semi-sparse
+        // intermediate. At the 512×512×256, 0.8 % density, rank-16 scale
+        // that is about 15 M elements (the chain's plans and residents
+        // would add some 25 M more).
+        let mut j = JobSpec::new("x");
+        j.rank = 16;
+        j.dataset = DatasetSpec::SparseLowrank {
+            dims: vec![512, 512, 256],
+            gen_rank: 16,
+            density: 0.008,
+            seed: 1,
+        };
+        j.method = JobMethod::Dt;
+        let forest = j.est_cache_elems();
+        j.method = JobMethod::Pp;
+        let pairs = (512 * 512 + 2 * 512 * 256) * 16;
+        let anchors = (512 + 512 + 256) * 16;
+        assert_eq!(j.est_cache_elems(), forest + pairs + anchors);
+        assert!((14_000_000..16_000_000).contains(&j.est_cache_elems()));
+        j.method = JobMethod::Msdt;
+        assert!(
+            j.est_cache_elems() > 2 * forest,
+            "msdt still charges the chain"
         );
     }
 

@@ -38,11 +38,25 @@
 //! changes. Per leaf the product is `p = v`, then `p *= row` for each
 //! level in ascending mode order, then `acc += p` — never fused (no
 //! `mul_add`), so every SIMD level gives the scalar arm's bits.
+//!
+//! # Pair operators from the same forest
+//!
+//! Pairwise perturbation's operators `𝓜^(i,j)` (`s_i × s_j × R`) come
+//! from one walk of tree `i` each ([`csf_pair_in`]): the level holding
+//! mode `j` selects a row of the root's `s_j × R` slab and every other
+//! level contracts. Roots own disjoint slabs, so blocks of rows split the
+//! walk over the pool like the MTTKRP's. At order 3 the single contracted
+//! mode is a TTM, and the walk replays the semi-sparse TTM's accumulation
+//! (KC panels, fused exactly where the dense GEMM fuses), so the operator
+//! is the one the semi-sparse chain densifies, bit for bit; above order 3
+//! it follows the pointwise oracle's unfused product, like the MTTKRP.
 
 use crate::dense::DenseTensor;
+use crate::gemm::{panel_kc, small_work_limit};
 use crate::matrix::Matrix;
 use crate::shape::Shape;
 use crate::simd::{simd_level, SimdLevel};
+use crate::workspace::Workspace;
 use rayon::prelude::*;
 use std::cell::Cell;
 use std::ops::Range;
@@ -261,14 +275,25 @@ pub struct CsfTensor {
 }
 
 impl CsfTensor {
-    /// Build the full forest (one tree per mode).
+    /// Build the full forest (one tree per mode), the trees in parallel.
+    ///
+    /// Every array is allocated here, on the calling thread, and the pool
+    /// only fills them: a worker that allocated a tree would grow its own
+    /// malloc arena, which glibc rarely trims, and the process's peak RSS
+    /// with it. So each level reserves its bound — one node per distinct
+    /// coordinate prefix: at most `nnz`, and at most the product of its
+    /// modes' extents. The part of a reserve a level does not fill is never
+    /// written; shrinking it to fit cost more resident memory than it saved.
     pub fn build(sp: &SparseTensor) -> Self {
-        let order = sp.order();
-        let trees = (0..order).map(|n| build_tree(sp, n)).collect();
+        let nnz = sp.nnz();
+        assert!(nnz <= u32::MAX as usize, "nnz exceeds u32");
+        let mut builds: Vec<TreeBuild> =
+            (0..sp.order()).map(|n| TreeBuild::reserve(sp, n)).collect();
+        builds.par_chunks_mut(1).for_each(|build| build[0].run(sp));
         CsfTensor {
             dims: sp.dims().to_vec(),
-            nnz: sp.nnz(),
-            trees,
+            nnz,
+            trees: builds.into_iter().map(|b| b.tree).collect(),
         }
     }
 
@@ -306,55 +331,97 @@ impl CsfTensor {
     }
 }
 
-/// Build the CSF tree for target mode `n`: stable counting sort of the
-/// canonical entry order by the mode-`n` coordinate (tree 0 skips it),
-/// then one compression scan per level.
-fn build_tree(sp: &SparseTensor, n: usize) -> CsfTree {
-    // Tree 0's entry order (i_0, canonical) is the canonical order itself.
-    if n == 0 {
-        return compress(sp, n, 0..sp.nnz());
-    }
-    let nnz = sp.nnz();
-    assert!(nnz <= u32::MAX as usize, "nnz exceeds u32");
-    // Counting sort: entry order becomes (i_n, canonical) — i.e. for a
-    // fixed root index, sub-level coordinates stay in ascending-mode
-    // lexicographic order, which is exactly the dense kernel's row-major
-    // visit order restricted to that output row.
-    let mut counts = vec![0usize; sp.dim(n) + 1];
-    for e in 0..nnz {
-        counts[sp.idx(e)[n] as usize + 1] += 1;
-    }
-    for k in 1..counts.len() {
-        counts[k] += counts[k - 1];
-    }
-    let mut entry_at = vec![0u32; nnz];
-    for e in 0..nnz {
-        let i = sp.idx(e)[n] as usize;
-        entry_at[counts[i]] = e as u32;
-        counts[i] += 1;
-    }
-    compress(sp, n, entry_at.iter().map(|&e| e as usize))
+/// One tree of [`CsfTensor::build`] with its counting-sort buckets.
+struct TreeBuild {
+    tree: CsfTree,
+    /// Buckets over the root coordinate (empty for tree 0, whose order is
+    /// the canonical one).
+    counts: Vec<usize>,
 }
 
-/// The compression scan of tree `n` over `entries`, the COO entries in
-/// the tree's sorted order.
-fn compress(sp: &SparseTensor, n: usize, entries: impl Iterator<Item = usize>) -> CsfTree {
-    let order = sp.order();
-    let nnz = sp.nnz();
-    let sub_modes: Vec<usize> = (0..order).filter(|&m| m != n).collect();
-    // Level order: root mode n, then sub_modes ascending.
-    let level_mode = |l: usize| if l == 0 { n } else { sub_modes[l - 1] };
-    let mut levels: Vec<CsfLevel> = (0..order)
-        .map(|_| CsfLevel {
-            inds: Vec::new(),
+impl TreeBuild {
+    /// Every buffer the tree rooted at mode `n` needs, at its bound. The
+    /// leaf level, one node per nonzero, is sized outright: the sort uses
+    /// it as its output before the scan overwrites it.
+    fn reserve(sp: &SparseTensor, n: usize) -> Self {
+        let (order, nnz) = (sp.order(), sp.nnz());
+        let sub_modes: Vec<usize> = (0..order).filter(|&m| m != n).collect();
+        let mut prefixes = 1usize;
+        let mut levels: Vec<CsfLevel> = std::iter::once(n)
+            .chain(sub_modes[..order - 2].iter().copied())
+            .map(|m| {
+                prefixes = prefixes.saturating_mul(sp.dim(m));
+                let nodes = prefixes.min(nnz);
+                CsfLevel {
+                    inds: Vec::with_capacity(nodes),
+                    ptr: Vec::with_capacity(nodes + 1),
+                }
+            })
+            .collect();
+        levels.push(CsfLevel {
+            inds: vec![0; nnz],
             ptr: Vec::new(),
-        })
-        .collect();
-    // The leaf level holds exactly one node per entry.
-    levels[order - 1].inds.reserve_exact(nnz);
-    let mut vals = Vec::with_capacity(nnz);
+        });
+        let tree = CsfTree {
+            root_mode: n,
+            sub_modes,
+            levels,
+            vals: Vec::with_capacity(nnz),
+        };
+        let counts = match n {
+            0 => Vec::new(),
+            _ => vec![0; sp.dim(n) + 1],
+        };
+        TreeBuild { tree, counts }
+    }
+
+    /// Sort the entries into the tree's order — a stable counting sort of
+    /// the canonical order by the root coordinate, so for a fixed root
+    /// index the sub-level coordinates stay in ascending-mode lexicographic
+    /// order, the dense kernel's row-major visit order restricted to that
+    /// output row — then compress them into the levels.
+    fn run(&mut self, sp: &SparseTensor) {
+        let n = self.tree.root_mode;
+        if n > 0 {
+            let counts = &mut self.counts;
+            let leaf = self.tree.levels.last_mut().unwrap();
+            for e in 0..sp.nnz() {
+                counts[sp.idx(e)[n] as usize + 1] += 1;
+            }
+            for k in 1..counts.len() {
+                counts[k] += counts[k - 1];
+            }
+            for e in 0..sp.nnz() {
+                let i = sp.idx(e)[n] as usize;
+                leaf.inds[counts[i]] = e as u32;
+                counts[i] += 1;
+            }
+        }
+        compress(&mut self.tree, sp);
+    }
+}
+
+/// The compression scan of `tree` in its sorted order, into levels with
+/// room for every node. The leaf level comes in holding the COO entry at
+/// each position (tree 0's are the canonical ones, so it is not read)
+/// and leaves holding the coordinates: position `p` is read before it is
+/// written.
+fn compress(tree: &mut CsfTree, sp: &SparseTensor) {
+    let n = tree.root_mode;
+    let levels = &mut tree.levels;
+    let leaf = levels.len() - 1;
+    // Level order: root mode n, then the others ascending.
+    let level_mode = |l: usize| match l {
+        0 => n,
+        _ if l <= n => l - 1,
+        _ => l,
+    };
     let mut prev: Option<&[u32]> = None;
-    for e in entries {
+    for p in 0..sp.nnz() {
+        let e = match n {
+            0 => p,
+            _ => levels[leaf].inds[p] as usize,
+        };
         let idx = sp.idx(e);
         // First level whose path coordinate differs from the previous
         // entry (entries are sorted in level order); a fresh node there
@@ -362,33 +429,37 @@ fn compress(sp: &SparseTensor, n: usize, entries: impl Iterator<Item = usize>) -
         // at ingest, so every entry opens at least a fresh leaf.
         let mut split = 0;
         if let Some(prev) = prev {
-            while split < order && idx[level_mode(split)] == prev[level_mode(split)] {
+            while split < leaf && idx[level_mode(split)] == prev[level_mode(split)] {
                 split += 1;
             }
-            debug_assert!(split < order, "duplicate coordinate in sorted COO");
+            debug_assert!(
+                split < leaf || idx[level_mode(leaf)] != prev[level_mode(leaf)],
+                "duplicate coordinate in sorted COO"
+            );
         }
         prev = Some(idx);
-        for l in split..order {
-            if l + 1 < order {
-                // Child span of the fresh node starts at the next level's
-                // current length (its first child is pushed right after).
-                let start = levels[l + 1].inds.len();
-                levels[l].ptr.push(start);
-            }
+        for l in split..leaf {
+            // Child span of the fresh node starts at the next level's
+            // current length (its first child is placed right after).
+            let start = if l + 1 == leaf {
+                p
+            } else {
+                levels[l + 1].inds.len()
+            };
+            levels[l].ptr.push(start);
             levels[l].inds.push(idx[level_mode(l)]);
         }
-        vals.push(sp.vals()[e]);
+        levels[leaf].inds[p] = idx[level_mode(leaf)];
+        tree.vals.push(sp.vals()[e]);
     }
     // Close the last open node at each non-leaf level.
-    for l in 0..order - 1 {
-        let end = levels[l + 1].inds.len();
+    for l in 0..leaf {
+        let end = if l + 1 == leaf {
+            sp.nnz()
+        } else {
+            levels[l + 1].inds.len()
+        };
         levels[l].ptr.push(end);
-    }
-    CsfTree {
-        root_mode: n,
-        sub_modes,
-        levels,
-        vals,
     }
 }
 
@@ -707,6 +778,347 @@ fn walk<const W: usize>(
     }
 }
 
+/// The pair operator `𝓜^(i,j)` of pairwise perturbation: every mode but
+/// `i` and `j` contracted with its factor, as a dense `s_i × s_j × R`
+/// tensor laid out `[i, j, R]` and drawn zeroed from `ws`. `factors` holds
+/// one factor per mode; those of `i` and `j` are not read.
+///
+/// One walk of tree `i` (module docs): each root owns its `s_j × R` slab,
+/// the level holding mode `j` picks the slab row, and every other level
+/// contracts. At order 3 the result is bit-identical to the semi-sparse
+/// TTM of the third mode, densified ([`crate::semisparse::csf_ttm`]): both
+/// fuse exactly where the CPU's GEMM clone does. At higher orders it is
+/// the pointwise oracle's, unfused, on every SIMD level. Both hold at any
+/// thread count.
+pub fn csf_pair_in(
+    ws: &Workspace,
+    csf: &CsfTensor,
+    factors: &[Matrix],
+    i: usize,
+    j: usize,
+) -> DenseTensor {
+    let order = csf.order();
+    assert_eq!(factors.len(), order, "one factor per mode");
+    assert!(order >= 3, "pair operators need order >= 3");
+    assert!(
+        i < order && j < order && i != j,
+        "pair ({i}, {j}) out of range"
+    );
+    let dims = csf.dims();
+    let contracted: Vec<usize> = (0..order).filter(|&m| m != i && m != j).collect();
+    let r = factors[contracted[0]].cols();
+    for &m in &contracted {
+        assert_eq!(factors[m].rows(), dims[m], "factor {m} rows");
+        assert_eq!(factors[m].cols(), r, "factor {m} rank");
+    }
+    let tree = csf.tree(i);
+    let lj = 1 + tree.sub_modes.iter().position(|&m| m == j).unwrap();
+    // Order 3 contracts one mode, a TTM: replay the dispatch of the dense
+    // GEMM `csf_ttm` mirrors — its small path is one panel, unfused.
+    let (kc, fused) = match &contracted[..] {
+        &[k] => {
+            let rows = (0..order)
+                .filter(|&m| m != k)
+                .fold(1usize, |a, m| a.saturating_mul(dims[m]));
+            let work = rows.saturating_mul(r).saturating_mul(dims[k]);
+            if work < small_work_limit() {
+                (usize::MAX, false)
+            } else {
+                (panel_kc(), true)
+            }
+        }
+        _ => (usize::MAX, false),
+    };
+    let walk = PairWalk {
+        tree,
+        factors,
+        lj,
+        kc,
+        fused,
+        sj: dims[j],
+        r,
+    };
+    let (si, slab) = (dims[i], dims[j] * r);
+    let shape = Shape::new(vec![si, dims[j], r]);
+    let mut out = DenseTensor::from_buffer(shape, ws.draw_zeroed(si * slab));
+    let threads = rayon::current_num_threads();
+    if threads <= 1 || csf.nnz() * r < PAR_THRESHOLD || slab == 0 {
+        let roots = 0..tree.levels[0].inds.len();
+        pair_block(&walk, roots, 0, out.data_mut());
+    } else {
+        // Roots own disjoint slabs: blocks of rows split the walk.
+        let block_rows = si.div_ceil(ROW_BLOCK_OVERSUB * threads).max(1);
+        out.data_mut()
+            .par_chunks_mut(block_rows * slab)
+            .enumerate()
+            .for_each(|(b, chunk)| {
+                let row0 = b * block_rows;
+                let row1 = row0 + chunk.len() / slab;
+                let roots = &tree.levels[0].inds;
+                let lo = roots.partition_point(|&x| (x as usize) < row0);
+                let hi = roots.partition_point(|&x| (x as usize) < row1);
+                pair_block(&walk, lo..hi, row0, chunk);
+            });
+    }
+    out
+}
+
+/// What a pair walk needs besides its block of roots.
+struct PairWalk<'a> {
+    tree: &'a CsfTree,
+    factors: &'a [Matrix],
+    /// The level of the tree holding mode `j`.
+    lj: usize,
+    /// Order 3: the KC panel depth of the mirrored GEMM (`usize::MAX` on
+    /// its small path, one panel).
+    kc: usize,
+    /// Order 3: whether the mirrored GEMM's SIMD clones fuse (packed path).
+    fused: bool,
+    sj: usize,
+    r: usize,
+}
+
+/// One block of roots of a pair walk, on the best clone the CPU runs.
+fn pair_block(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `simd_level` probed AVX-512F+FMA at runtime.
+        SimdLevel::Avx512 => unsafe { pair_avx512(w, roots, row0, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `simd_level` probed AVX2+FMA at runtime.
+        SimdLevel::Avx2 => unsafe { pair_avx2(w, roots, row0, out) },
+        SimdLevel::Scalar => pair_body::<false>(w, roots, row0, out),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+fn pair_avx512(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
+    match w.fused {
+        true => pair_body::<true>(w, roots, row0, out),
+        false => pair_body::<false>(w, roots, row0, out),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn pair_avx2(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
+    match w.fused {
+        true => pair_body::<true>(w, roots, row0, out),
+        false => pair_body::<false>(w, roots, row0, out),
+    }
+}
+
+/// Order and rank dispatch: at order 3, `R ∈ {8, 16, 32}` hand
+/// [`pair3`] a constant width and a stack accumulator. No closures in
+/// here or below: a closure body is a function of its own, outside the
+/// caller's `#[target_feature]` set, and its `mul_add` would be a libm call.
+#[inline(always)]
+fn pair_body<const FMA: bool>(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
+    match (w.tree.levels.len(), w.r) {
+        (3, 8) => pair3::<FMA>(w, roots, row0, out, 8, &mut [0.0; 8]),
+        (3, 16) => pair3::<FMA>(w, roots, row0, out, 16, &mut [0.0; 16]),
+        (3, 32) => pair3::<FMA>(w, roots, row0, out, 32, &mut [0.0; 32]),
+        (3, r) => pair3::<FMA>(w, roots, row0, out, r, &mut vec![0.0; r]),
+        (_, r) => pair_deep(w, roots, row0, out, r, &mut vec![0.0; r]),
+    }
+}
+
+/// `y += v · x`, fused iff `FMA` — the semi-sparse TTM's row operation.
+#[inline(always)]
+fn axpy<const FMA: bool>(y: &mut [f64], v: f64, x: &[f64]) {
+    for q in 0..y.len() {
+        if FMA {
+            y[q] = v.mul_add(x[q], y[q]);
+        } else {
+            y[q] += v * x[q];
+        }
+    }
+}
+
+/// `y += x`, then `x = 0`.
+#[inline(always)]
+fn flush(y: &mut [f64], x: &mut [f64]) {
+    for q in 0..y.len() {
+        y[q] += x[q];
+        x[q] = 0.0;
+    }
+}
+
+/// The order-3 pair walk: for each output row `(a, b)`, the contributions
+/// `v · A_k[c]` in ascending `c`, accumulated as `csf_ttm` does — from
+/// `+0.0` per KC panel of `c`, fused iff `FMA`, each panel added into the
+/// row with one `+=` (panels without a nonzero contribute an exact +0.0
+/// and are skipped, as there). `acc` (at least `r` long) holds a panel.
+#[inline(always)]
+fn pair3<const FMA: bool>(
+    w: &PairWalk,
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    r: usize,
+    acc: &mut [f64],
+) {
+    let acc = &mut acc[..r];
+    let tree = w.tree;
+    let (top, fibers, leaves) = (&tree.levels[0], &tree.levels[1], &tree.levels[2]);
+    // The contracted mode sits at the level `j` does not.
+    let fac = w.factors[tree.sub_modes[2 - w.lj]].data();
+    let slab_len = w.sj * r;
+    let mut scratch: Vec<f64> = Vec::new();
+    for root in roots {
+        let slab = &mut out[(top.inds[root] as usize - row0) * slab_len..][..slab_len];
+        let (mut f, end) = (top.ptr[root], top.ptr[root + 1]);
+        if w.lj == 1 {
+            // `j` at the fiber level: a fiber is one output row, its
+            // leaves the contracted coordinates — `csf_ttm`'s row loop.
+            for f in f..end {
+                let row = &mut slab[fibers.inds[f] as usize * r..][..r];
+                let mut panel_end = 0;
+                for e in fibers.ptr[f]..fibers.ptr[f + 1] {
+                    let c = leaves.inds[e] as usize;
+                    if c >= panel_end {
+                        if panel_end != 0 {
+                            flush(row, acc);
+                        }
+                        panel_end = (c / w.kc + 1) * w.kc;
+                    }
+                    axpy::<FMA>(acc, tree.vals[e], &fac[c * r..][..r]);
+                }
+                if panel_end != 0 {
+                    flush(row, acc);
+                }
+            }
+            continue;
+        }
+        // `j` at the leaf level: the fibers are the contracted coordinates,
+        // ascending, and each leaf scatters into its row. The root's first
+        // panel accumulates in the slab itself, which starts at +0.0 as a
+        // panel accumulator does; each later one in `scratch`, flushed into
+        // the slab at the panel's end by re-walking its leaves (a row seen
+        // twice adds an exact +0.0 the second time).
+        f = scatter_panel::<FMA>(tree, fac, w.kc, f..end, slab, r);
+        while f < end {
+            if scratch.is_empty() {
+                scratch = vec![0.0; slab_len];
+            }
+            let start = f;
+            f = scatter_panel::<FMA>(tree, fac, w.kc, f..end, &mut scratch, r);
+            for &b in &leaves.inds[fibers.ptr[start]..fibers.ptr[f]] {
+                let b = b as usize * r;
+                flush(&mut slab[b..][..r], &mut scratch[b..][..r]);
+            }
+        }
+    }
+}
+
+/// Scatter the leaves of the fibers in `fibers` that share the first one's
+/// KC panel into the rows of `target`; returns the first fiber past it.
+#[inline(always)]
+fn scatter_panel<const FMA: bool>(
+    tree: &CsfTree,
+    fac: &[f64],
+    kc: usize,
+    fibers: Range<usize>,
+    target: &mut [f64],
+    r: usize,
+) -> usize {
+    let (level, leaves) = (&tree.levels[1], &tree.levels[2]);
+    let panel_end = (level.inds[fibers.start] as usize / kc + 1) * kc;
+    let mut f = fibers.start;
+    while f < fibers.end && (level.inds[f] as usize) < panel_end {
+        let x = &fac[level.inds[f] as usize * r..][..r];
+        for e in level.ptr[f]..level.ptr[f + 1] {
+            let b = leaves.inds[e] as usize * r;
+            axpy::<FMA>(&mut target[b..][..r], tree.vals[e], x);
+        }
+        f += 1;
+    }
+    f
+}
+
+/// The pair walk at order 4 and up, the pointwise oracle's sequence: per
+/// leaf `p = v`, `p *= row` for every level but the root and `j`'s in
+/// ascending mode order, then `out[a, b] += p` — unfused, in the tree's
+/// (lexicographic) order. `p` is at least `r` long.
+#[inline(always)]
+fn pair_deep(
+    w: &PairWalk,
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    r: usize,
+    p: &mut [f64],
+) {
+    let p = &mut p[..r];
+    let tree = w.tree;
+    let levels = &tree.levels;
+    let leaf = levels.len() - 1;
+    let leaf_factor = &w.factors[tree.sub_modes[leaf - 1]];
+    let slab_len = w.sj * r;
+    // The path to a leaf parent, root first, and its factor rows below
+    // the root (without `j`'s).
+    let mut nodes = vec![0usize; leaf];
+    let mut rows: Vec<&[f64]> = Vec::with_capacity(leaf);
+    for root in roots {
+        let slab = &mut out[(levels[0].inds[root] as usize - row0) * slab_len..][..slab_len];
+        nodes[0] = root;
+        for l in 1..leaf {
+            nodes[l] = levels[l - 1].ptr[nodes[l - 1]];
+        }
+        'path: loop {
+            rows.clear();
+            let mut b = 0;
+            for l in 1..leaf {
+                let x = levels[l].inds[nodes[l]] as usize;
+                if l == w.lj {
+                    b = x;
+                } else {
+                    rows.push(w.factors[tree.sub_modes[l - 1]].row(x));
+                }
+            }
+            let parent = nodes[leaf - 1];
+            for e in levels[leaf - 1].ptr[parent]..levels[leaf - 1].ptr[parent + 1] {
+                let x = levels[leaf].inds[e] as usize;
+                p.fill(tree.vals[e]);
+                for row in &rows {
+                    for q in 0..r {
+                        p[q] *= row[q];
+                    }
+                }
+                if leaf == w.lj {
+                    b = x;
+                } else {
+                    let row = leaf_factor.row(x);
+                    for q in 0..r {
+                        p[q] *= row[q];
+                    }
+                }
+                let y = &mut slab[b * r..][..r];
+                for q in 0..r {
+                    y[q] += p[q];
+                }
+            }
+            // Step the deepest path node that has a next sibling; the
+            // nodes below it restart at their first child.
+            let mut l = leaf - 1;
+            loop {
+                if l == 0 {
+                    break 'path;
+                }
+                nodes[l] += 1;
+                if nodes[l] < levels[l - 1].ptr[nodes[l - 1] + 1] {
+                    break;
+                }
+                l -= 1;
+            }
+            for m in l + 1..leaf {
+                nodes[m] = levels[m - 1].ptr[nodes[m - 1]];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -852,6 +1264,33 @@ mod tests {
         let leaf: Vec<u32> = (0..sp.nnz()).map(|e| sp.idx(e)[3]).collect();
         assert_eq!(csf.tree(0).levels[3].inds, leaf);
         assert_eq!(csf.tree(0).vals, sp.vals());
+    }
+
+    #[test]
+    fn forest_builds_alike_at_any_width() {
+        // The trees build in parallel into arrays sized on the calling
+        // thread: the same arrays at every pool width.
+        for (dims, nnz) in [
+            (vec![9, 7], 40usize),
+            (vec![8, 6, 5], 150),
+            (vec![5, 4, 3, 4], 120),
+        ] {
+            let sp = random_sparse(&dims, nnz, 41);
+            let serial = {
+                let _w = rayon::scoped_num_threads(1);
+                CsfTensor::build(&sp)
+            };
+            for width in [2, 4] {
+                let _w = rayon::scoped_num_threads(width);
+                let wide = CsfTensor::build(&sp);
+                for (a, b) in serial.trees.iter().zip(&wide.trees) {
+                    assert_eq!(a.vals, b.vals, "{dims:?} width {width}");
+                    for (la, lb) in a.levels.iter().zip(&b.levels) {
+                        assert_eq!((&la.inds, &la.ptr), (&lb.inds, &lb.ptr));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

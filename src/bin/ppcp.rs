@@ -528,8 +528,9 @@ fn run_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
     Ok(0)
 }
 
-/// The sparse kernel counter lines: the direct CSF MTTKRP (dt) and the
-/// semi-sparse TTM/TTV chain (pp/msdt) — whichever actually ran.
+/// The sparse kernel counter lines: the direct CSF MTTKRP (dt, and pp's
+/// exact sweeps) and the semi-sparse TTM/TTV chain (msdt) — whichever
+/// actually ran.
 fn print_sparse_counters(stats: &parallel_pp::dtree::KernelStats) {
     if stats.sparse_mttkrp_flops > 0 {
         println!(

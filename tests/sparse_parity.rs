@@ -4,16 +4,27 @@
 //! `mttkrp_pointwise` on the densified tensor — the same
 //! one-accumulator-per-element / ascending-mode-product contract that
 //! makes `PP_NUM_THREADS` a pure performance knob for sparse inputs.
+//!
+//! The PP pair walk over the same forest is pinned the same way: at
+//! order 3 against the semi-sparse TTM it replaces, above against the
+//! pointwise pair oracle of `tests/common`.
 
 use parallel_pp::datagen::powerlaw_sparse;
+use parallel_pp::dtree::pp_tree::build_pp_operators;
+use parallel_pp::dtree::{DimTreeEngine, FactorState, InputTensor, TreePolicy};
+use parallel_pp::tensor::gemm::{panel_kc, small_work_limit};
 use parallel_pp::tensor::kernels::mttv::mttv;
 use parallel_pp::tensor::kernels::naive::mttkrp_pointwise;
 use parallel_pp::tensor::kernels::ttm::ttm;
 use parallel_pp::tensor::rng::{seeded, uniform_matrix};
 use parallel_pp::tensor::semisparse::{csf_ttm, semisparse_mttkrp, ss_mttv, TtmPlan};
-use parallel_pp::tensor::sparse::{sparse_mttkrp, CsfTensor, SparseTensor};
-use parallel_pp::tensor::Matrix;
+use parallel_pp::tensor::sparse::{csf_pair_in, sparse_mttkrp, CsfTensor, SparseTensor};
+use parallel_pp::tensor::transpose::swap_first_two;
+use parallel_pp::tensor::{Matrix, Workspace};
 use proptest::prelude::*;
+
+mod common;
+use common::{override_lock, pair_pointwise};
 
 /// Shape menus spanning orders 3 to 5, with ragged/prime extents so fiber
 /// boundaries never align with chunk boundaries. Sample counts run from
@@ -233,5 +244,105 @@ proptest! {
         prop_assert!(sp.nnz() <= volume);
         let dense = sp.to_dense();
         prop_assert_eq!(dense.data(), &manual[..]);
+    }
+}
+
+/// Pair-walk ranks: the walk's constant widths and a generic one.
+const PAIR_RANKS: &[usize] = &[8, 16, 32, 5];
+/// Pool widths every pair case runs at.
+const WIDTHS: &[usize] = &[1, 2, 4];
+
+fn factors_for(dims: &[usize], rank: usize, seed: u64) -> Vec<Matrix> {
+    let mut rng = seeded(seed);
+    dims.iter()
+        .map(|&d| uniform_matrix(d, rank, &mut rng))
+        .collect()
+}
+
+fn pairs(order: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..order).flat_map(move |i| (i + 1..order).map(move |j| (i, j)))
+}
+
+/// At order 3 the pair walk is the semi-sparse TTM of the third mode,
+/// densified, bit for bit: on both sides of the dense GEMM's small/packed
+/// dispatch, with the contracted mode inside one KC panel or across three
+/// (at the fiber level of some trees and the leaf level of others), at
+/// every pool width.
+#[test]
+fn order3_pair_walk_matches_the_semisparse_ttm_bitwise() {
+    let _serial = override_lock();
+    let deep = 2 * panel_kc() + 5;
+    let small: &[usize] = &[3, 4, 2];
+    let cases: [(&[usize], usize); 5] = [
+        (small, 20),
+        (&[40, 30, 20], 6000),
+        (&[deep, 40, 30], 6000),
+        (&[40, deep, 30], 6000),
+        (&[40, 30, deep], 6000),
+    ];
+    for (dims, samples) in cases {
+        let sp = powerlaw_sparse(dims, samples, 1.0, 7);
+        let csf = CsfTensor::build(&sp);
+        let volume: usize = dims.iter().product();
+        for &r in PAIR_RANKS {
+            assert_eq!(volume * r < small_work_limit(), dims == small, "{dims:?}");
+            let factors = factors_for(dims, r, 100 + r as u64);
+            for (i, j) in pairs(3) {
+                let k = 3 - i - j;
+                let want = csf_ttm(&sp, &TtmPlan::build(&sp, k), &factors[k]).to_dense();
+                for &width in WIDTHS {
+                    let _w = rayon::scoped_num_threads(width);
+                    let got = csf_pair_in(&Workspace::new(), &csf, &factors, i, j);
+                    assert_eq!(got.shape(), want.shape());
+                    assert!(
+                        got.data() == want.data(),
+                        "dims {dims:?} rank {r} pair ({i}, {j}) width {width}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// At orders 4 and 5 the pair walk is the pointwise oracle's, bit for bit,
+/// at every pool width, and agrees with the semi-sparse chain (a TTM, then
+/// mTTVs: another association) to 1e-12 relative.
+#[test]
+fn deep_pair_walk_matches_the_pointwise_oracle_and_the_chain() {
+    let _serial = override_lock();
+    let cases: [(&[usize], usize); 2] = [(&[12, 9, 10, 8], 6000), (&[9, 8, 7, 6, 5], 6000)];
+    for (dims, samples) in cases {
+        let order = dims.len();
+        let sp = powerlaw_sparse(dims, samples, 1.0, 11);
+        let csf = CsfTensor::build(&sp);
+        for &r in PAIR_RANKS {
+            let factors = factors_for(dims, r, 200 + r as u64);
+            let fs = FactorState::new(factors.clone());
+            let mut input = InputTensor::new_sparse_chained(sp.clone());
+            let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, order);
+            let chain = build_pp_operators(&mut input, &fs, &mut engine);
+            for (i, j) in pairs(order) {
+                let want = pair_pointwise(&sp, &factors, i, j);
+                let chained = chain.pair(i, j);
+                let chained = match chained.mode_order[..] {
+                    [a, _] if a == i => chained.dense().clone(),
+                    _ => swap_first_two(chained.dense()),
+                };
+                let scale = want.data().iter().fold(0.0f64, |a, x| a.max(x.abs()));
+                let diff = chained.max_abs_diff(&want);
+                assert!(
+                    diff <= 1e-12 * scale,
+                    "dims {dims:?} rank {r} pair ({i}, {j}): chain off by {diff:e}"
+                );
+                for &width in WIDTHS {
+                    let _w = rayon::scoped_num_threads(width);
+                    let got = csf_pair_in(&Workspace::new(), &csf, &factors, i, j);
+                    assert!(
+                        got.data() == want.data(),
+                        "dims {dims:?} rank {r} pair ({i}, {j}) width {width}"
+                    );
+                }
+            }
+        }
     }
 }
