@@ -87,6 +87,11 @@ fn slab_axpy_fixed<const R: usize, const FMA: bool>(out: &mut [f64], inp: &[f64]
     }
 }
 
+/// Input length from which the kernel runs on the pool. Pooled dispatch is
+/// an enqueue + atomic chunk claims, so the parallel path pays off 4×
+/// earlier than under per-call thread spawning (256K).
+const PAR_ELEMS: usize = 64 * 1024;
+
 /// Result of an mTTV with cost bookkeeping.
 pub struct MttvOutput {
     /// The contracted intermediate: input shape with position `pos` removed.
@@ -151,9 +156,6 @@ pub fn mttv_in(ws: &Workspace, inter: &DenseTensor, pos: usize, factor: &Matrix)
         }
     };
 
-    // Pooled dispatch is an enqueue + atomic chunk claims, so the parallel
-    // path pays off 4× earlier than under per-call thread spawning (256K).
-    const PAR_ELEMS: usize = 64 * 1024;
     if outer > 1 && inter.len() >= PAR_ELEMS {
         out.par_chunks_mut(slab)
             .enumerate()
@@ -195,24 +197,44 @@ pub fn mttv_in(ws: &Workspace, inter: &DenseTensor, pos: usize, factor: &Matrix)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{seeded, uniform_matrix, uniform_tensor};
 
-    fn naive_mttv(inter: &DenseTensor, pos: usize, a: &Matrix) -> DenseTensor {
-        let order = inter.order();
-        let r = inter.dim(order - 1);
-        let mut out_dims: Vec<usize> = inter.shape().dims()[..pos].to_vec();
-        out_dims.extend_from_slice(&inter.shape().dims()[pos + 1..order - 1]);
-        out_dims.push(r);
-        let mut out = DenseTensor::zeros(out_dims);
-        for idx in inter.shape().indices() {
-            let y = idx[pos];
-            let rr = idx[order - 1];
-            let mut oidx: Vec<usize> = idx[..pos].to_vec();
-            oidx.extend_from_slice(&idx[pos + 1..order - 1]);
-            oidx.push(rr);
-            let cur = out.get(&oidx);
-            out.set(&oidx, cur + inter.get(&idx) * a.get(y, rr));
+    /// The bitwise oracle: one scalar fold per output element, starting at
+    /// 0 and running `y` ascending, fused (`mul_add`) exactly where the
+    /// kernel's clones fuse and a separate multiply and add elsewhere.
+    fn oracle(inter: &DenseTensor, pos: usize, a: &Matrix) -> DenseTensor {
+        let fuse = simd_level() != SimdLevel::Scalar;
+        let dims = inter.shape().dims();
+        let order = dims.len();
+        let r = dims[order - 1];
+        let outer: usize = dims[..pos].iter().product();
+        let mid = dims[pos];
+        let inner: usize = dims[pos + 1..order - 1].iter().product();
+        let src = inter.data();
+        let mut out = Vec::with_capacity(outer * inner * r);
+        for o in 0..outer {
+            for i in 0..inner {
+                for j in 0..r {
+                    let mut acc = 0.0f64;
+                    for y in 0..mid {
+                        let x = src[((o * mid + y) * inner + i) * r + j];
+                        let w = a.get(y, j);
+                        acc = if fuse { x.mul_add(w, acc) } else { acc + x * w };
+                    }
+                    out.push(acc);
+                }
+            }
         }
-        out
+        let mut out_dims = dims[..pos].to_vec();
+        out_dims.extend_from_slice(&dims[pos + 1..]);
+        DenseTensor::from_vec(out_dims, out)
+    }
+
+    fn assert_bitwise(got: &DenseTensor, want: &DenseTensor, what: &str) {
+        assert_eq!(got.shape().dims(), want.shape().dims(), "{what}");
+        for (k, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {k}: {g} vs {w}");
+        }
     }
 
     fn seq_tensor(dims: Vec<usize>) -> DenseTensor {
@@ -233,8 +255,7 @@ mod tests {
         for pos in 0..2 {
             let a = Matrix::from_fn(inter.dim(pos), 3, |i, j| ((i + j) % 4) as f64 - 1.5);
             let got = mttv(&inter, pos, &a);
-            let want = naive_mttv(&inter, pos, &a);
-            assert!(got.tensor.max_abs_diff(&want) < 1e-10, "pos {pos}");
+            assert_bitwise(&got.tensor, &oracle(&inter, pos, &a), &format!("pos {pos}"));
             assert_eq!(got.flops, 2 * 60);
         }
     }
@@ -244,9 +265,8 @@ mod tests {
         let inter = seq_tensor(vec![3, 4, 2, 5]);
         for pos in 0..3 {
             let a = Matrix::from_fn(inter.dim(pos), 5, |i, j| (i * 5 + j) as f64 * 0.1);
-            let got = mttv(&inter, pos, &a);
-            let want = naive_mttv(&inter, pos, &a);
-            assert!(got.tensor.max_abs_diff(&want) < 1e-10, "pos {pos}");
+            let got = mttv(&inter, pos, &a).tensor;
+            assert_bitwise(&got, &oracle(&inter, pos, &a), &format!("pos {pos}"));
         }
     }
 
@@ -256,10 +276,9 @@ mod tests {
         // dimension-tree step producing an MTTKRP result.
         let inter = seq_tensor(vec![6, 4, 2]);
         let a = Matrix::from_fn(4, 2, |i, j| (i + 1) as f64 * (j + 1) as f64);
-        let got = mttv(&inter, 1, &a);
-        assert_eq!(got.tensor.shape().dims(), &[6, 2]);
-        let want = naive_mttv(&inter, 1, &a);
-        assert!(got.tensor.max_abs_diff(&want) < 1e-12);
+        let got = mttv(&inter, 1, &a).tensor;
+        assert_eq!(got.shape().dims(), &[6, 2]);
+        assert_bitwise(&got, &oracle(&inter, 1, &a), "pos 1");
     }
 
     #[test]
@@ -267,13 +286,57 @@ mod tests {
         // Big enough (≥ PAR_ELEMS) to trigger both parallel branches.
         let inter = seq_tensor(vec![128, 64, 32]); // outer path via pos=1
         let a1 = Matrix::from_fn(64, 32, |i, j| ((i * 17 + j * 3) % 7) as f64 - 3.0);
-        let got1 = mttv(&inter, 1, &a1);
-        let want1 = naive_mttv(&inter, 1, &a1);
-        assert!(got1.tensor.max_abs_diff(&want1) < 1e-9);
+        let got1 = mttv(&inter, 1, &a1).tensor;
+        assert_bitwise(&got1, &oracle(&inter, 1, &a1), "pos 1");
 
         let a0 = Matrix::from_fn(128, 32, |i, j| ((i * 5 + j) % 9) as f64 / 4.0);
-        let got0 = mttv(&inter, 0, &a0); // leading-mode path
-        let want0 = naive_mttv(&inter, 0, &a0);
-        assert!(got0.tensor.max_abs_diff(&want0) < 1e-9);
+        let got0 = mttv(&inter, 0, &a0).tensor; // leading-mode path
+        assert_bitwise(&got0, &oracle(&inter, 0, &a0), "pos 0");
+    }
+
+    #[test]
+    fn mttv_is_the_oracle_bit_for_bit_at_every_shape_and_width() {
+        // Every position of order-2 to order-5 intermediates, fixed and
+        // generic ranks, contracted extents that are no multiple of a small
+        // power of two, and inputs on both sides of `PAR_ELEMS`. Random
+        // entries make any change of summation order or fusion visible;
+        // every 17th is zero, so signed zeros are produced too.
+        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rng = seeded(33);
+        for r in [8usize, 16, 32, 5, 24] {
+            let shapes: [&[usize]; 8] = [
+                &[29],
+                &[13_111],
+                &[21, 13],
+                &[331, 41],
+                &[3, 7, 5],
+                &[45, 23, 13],
+                &[4, 3, 5, 7],
+                &[9, 11, 6, 10],
+            ];
+            for tensor_dims in shapes {
+                let mut dims = tensor_dims.to_vec();
+                dims.push(r);
+                let mut inter = uniform_tensor(&dims, &mut rng);
+                for x in inter.data_mut().iter_mut().step_by(17) {
+                    *x = 0.0;
+                }
+                for pos in 0..tensor_dims.len() {
+                    let mut a = uniform_matrix(dims[pos], r, &mut rng);
+                    for x in a.data_mut().iter_mut().skip(3).step_by(11) {
+                        *x = -*x;
+                    }
+                    let want = oracle(&inter, pos, &a);
+                    for threads in [1, 2, 4] {
+                        let _w = rayon::scoped_num_threads(threads);
+                        let got = mttv(&inter, pos, &a).tensor;
+                        let what = format!("dims {dims:?} pos {pos} threads {threads}");
+                        assert_bitwise(&got, &want, &what);
+                    }
+                }
+            }
+        }
+        // The shape list spans the pooled threshold at every rank.
+        const { assert!(29 * 32 < PAR_ELEMS && 13_111 * 5 >= PAR_ELEMS) };
     }
 }

@@ -1270,6 +1270,7 @@ mod tests {
     fn forest_builds_alike_at_any_width() {
         // The trees build in parallel into arrays sized on the calling
         // thread: the same arrays at every pool width.
+        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for (dims, nnz) in [
             (vec![9, 7], 40usize),
             (vec![8, 6, 5], 150),
