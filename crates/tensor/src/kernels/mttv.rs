@@ -7,9 +7,43 @@
 //!
 //! `out(..., r) = Σ_y in(..., y, ..., r) · A(y, r)`
 //!
-//! This kernel is memory-bandwidth bound (arithmetic intensity ≈ 1 flop per
-//! word), which is why the paper finds PP's approximated step — made of
-//! mTTVs — limited by vertical communication (§IV, Fig. 3c–f).
+//! # The loop
+//!
+//! Viewed as `(outer, mid, inner, R)` with `y` the contracted index, the
+//! output is `outer · inner` rows of width `R`, row `(o, i)` the fold
+//! `Σ_y in[o, y, i, :] ∗ A[y, :]`. A pool task is a run of output rows —
+//! whole `outer` slabs when there are enough of them, row ranges inside a
+//! slab otherwise — and makes one `simd_level()` dispatch: the whole `y`
+//! loop runs inside one `#[target_feature]` clone, monomorphised for
+//! `R ∈ {8, 16, 32}` with a generic arm for any other rank.
+//!
+//! * `inner == 1` (the last tensor mode: every final dimension-tree step,
+//!   and `U^(n,i)` for `n < i`): a row's input is one contiguous run of
+//!   `mid` rows, so each output row keeps its `R`-wide accumulator in
+//!   registers across all of `y`, like a GEMV.
+//! * `inner > 1`: `y` runs in blocks of `YB` = 4. Per block, each output row
+//!   is loaded once, takes its `YB` FMAs while `YB` input rows stream side
+//!   by side, and is stored once — not once per `y`.
+//!
+//! Either way rows go in tiles of `32 / R` (four 512-bit accumulators), so
+//! that independent FMA chains overlap, and the `y` loop is a run-time
+//! length reduction behind lockstep iterators: it cannot panic, the loop
+//! vectorizer leaves it alone, and the tile never leaves the registers
+//! (no `zmm` stack traffic in `fold_avx512`). Any other rank folds one
+//! `y` at a time across the task's rows.
+//!
+//! Every output element is one chain from the zero-drawn output through
+//! `y` ascending (fused on the FMA clones, a multiply and an add on the
+//! scalar one), whatever the task split or block, so the output is the
+//! same bits at any pool width.
+//!
+//! One FMA per input word: the kernel streams its input. Measured on a
+//! 2-vCPU AVX-512 host (two pool threads, input resident), 512×512×16
+//! contracts in 0.41 ms at position 0 and 0.21–0.29 ms at position 1
+//! (≈ 80 and 110–160 GB/s of input), 256×256×32 in 0.12–0.14 and
+//! 0.11 ms; EXPERIMENTS.md "PR 33" has the table. The paper finds PP's
+//! approximated step — made of mTTVs — limited by vertical communication
+//! for this reason (§IV, Fig. 3c–f).
 
 use crate::dense::DenseTensor;
 use crate::matrix::Matrix;
@@ -18,56 +52,228 @@ use crate::simd::{simd_level, SimdLevel};
 use crate::workspace::Workspace;
 use rayon::prelude::*;
 
-/// Columnwise accumulate `out[i, :] += in[i, :] ∗ a_row` over row pairs of
-/// width `r` — the inner loop of every mTTV step. Rank-specialized
-/// (`r ∈ {8, 16, 32}` run fully unrolled monomorphized bodies) and
-/// SIMD-multiversioned like the GEMM micro-kernel: the dispatch depends
-/// only on `r` and the CPU, and every variant performs the same
-/// per-element operation order, so outputs stay bit-identical across
-/// thread counts.
-fn slab_axpy(out: &mut [f64], inp: &[f64], a_row: &[f64]) {
+/// Contracted rows per register block when `inner > 1`: each output row is
+/// loaded and stored once per block. Chosen by measurement (EXPERIMENTS.md,
+/// "PR 33").
+const YB: usize = 4;
+
+/// Contract output rows `row0 ..` (flat `(outer, inner)` index) of the
+/// `(outer, mid, inner, r)` input `src` into `out`, a whole number of rows;
+/// `fac` is the `mid × r` factor. One dispatch for the whole run: the
+/// clone depends only on the CPU, and every clone makes the same chains.
+fn fold_rows(out: &mut [f64], row0: usize, src: &[f64], fac: &[f64], r: usize, inner: usize) {
     match simd_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level` probed AVX-512F+FMA at runtime.
-        SimdLevel::Avx512 => unsafe { slab_axpy_avx512(out, inp, a_row) },
+        SimdLevel::Avx512 => unsafe { fold_avx512(out, row0, src, fac, r, inner) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level` probed AVX2+FMA at runtime.
-        SimdLevel::Avx2 => unsafe { slab_axpy_avx2(out, inp, a_row) },
-        SimdLevel::Scalar => slab_axpy_body::<false>(out, inp, a_row),
+        SimdLevel::Avx2 => unsafe { fold_avx2(out, row0, src, fac, r, inner) },
+        SimdLevel::Scalar => fold_body::<false>(out, row0, src, fac, r, inner),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-fn slab_axpy_avx512(out: &mut [f64], inp: &[f64], a_row: &[f64]) {
-    slab_axpy_body::<true>(out, inp, a_row)
+fn fold_avx512(out: &mut [f64], row0: usize, src: &[f64], fac: &[f64], r: usize, inner: usize) {
+    fold_body::<true>(out, row0, src, fac, r, inner)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn slab_axpy_avx2(out: &mut [f64], inp: &[f64], a_row: &[f64]) {
-    slab_axpy_body::<true>(out, inp, a_row)
+fn fold_avx2(out: &mut [f64], row0: usize, src: &[f64], fac: &[f64], r: usize, inner: usize) {
+    fold_body::<true>(out, row0, src, fac, r, inner)
 }
 
-/// The row op itself, for callers that are already inside a
-/// `#[target_feature]` clone (the semi-sparse mTTV): `FMA` must be `true`
-/// only there — see the `simd` module docs.
+#[inline(always)]
+fn fold_body<const FMA: bool>(
+    out: &mut [f64],
+    row0: usize,
+    src: &[f64],
+    fac: &[f64],
+    r: usize,
+    inner: usize,
+) {
+    let mid = fac.len() / r;
+    if inner == 1 {
+        // Output row `o` folds the contiguous run `src[o, .., :]`.
+        let runs = &src[row0 * mid * r..][..out.len() * mid];
+        match r {
+            8 => return gemv::<8, 4, FMA>(out, runs, fac),
+            16 => return gemv::<16, 2, FMA>(out, runs, fac),
+            32 => return gemv::<32, 1, FMA>(out, runs, fac),
+            _ => {}
+        }
+    }
+    // One segment per `outer` slab the run of rows touches.
+    let slab_len = mid * inner * r;
+    let mut rest = out;
+    let mut row = row0;
+    while !rest.is_empty() {
+        let (o, i0) = (row / inner, row % inner);
+        let n = (rest.len() / r).min(inner - i0);
+        let (seg, tail) = std::mem::take(&mut rest).split_at_mut(n * r);
+        let slab = &src[o * slab_len..][..slab_len];
+        match r {
+            8 => y_blocks::<8, 4, FMA>(seg, slab, fac, inner, i0),
+            16 => y_blocks::<16, 2, FMA>(seg, slab, fac, inner, i0),
+            32 => y_blocks::<32, 1, FMA>(seg, slab, fac, inner, i0),
+            _ => {
+                for (y, a_row) in fac.chunks_exact(r).enumerate() {
+                    let rows = &slab[(y * inner + i0) * r..][..n * r];
+                    axpy_rows::<FMA>(seg, rows, a_row);
+                }
+            }
+        }
+        rest = tail;
+        row += n;
+    }
+}
+
+/// `acc + x · a` as one FMA on the FMA clones, a multiply and an add on
+/// the scalar one.
+#[inline(always)]
+fn fma<const FMA: bool>(x: f64, a: f64, acc: f64) -> f64 {
+    if FMA {
+        x.mul_add(a, acc)
+    } else {
+        acc + x * a
+    }
+}
+
+/// `inner == 1`: output row `o` is `Σ_y runs[o · mid + y] ∗ fac[y]`. Rows
+/// go in tiles of `TM`, whose `TM × R` accumulator lives in registers
+/// across the whole `y` loop; leftover rows go one at a time. `mid > 0`.
+#[inline(always)]
+fn gemv<const R: usize, const TM: usize, const FMA: bool>(
+    out: &mut [f64],
+    runs: &[f64],
+    fac: &[f64],
+) {
+    let out = out.as_chunks_mut::<R>().0;
+    let runs = runs.as_chunks::<R>().0;
+    let fac = fac.as_chunks::<R>().0;
+    let mid = fac.len();
+    let tiled = out.len() / TM * TM;
+    let (head, tail) = out.split_at_mut(tiled);
+    let (runs_head, runs_tail) = runs.split_at(tiled * mid);
+    for (rows, run) in head
+        .as_chunks_mut::<TM>()
+        .0
+        .iter_mut()
+        .zip(runs_head.chunks_exact(TM * mid))
+    {
+        gemv_tile::<R, TM, FMA>(rows, run, fac);
+    }
+    for (row, run) in tail.iter_mut().zip(runs_tail.chunks_exact(mid)) {
+        gemv_tile::<R, 1, FMA>(std::array::from_mut(row), run, fac);
+    }
+}
+
+#[inline(always)]
+fn gemv_tile<const R: usize, const TM: usize, const FMA: bool>(
+    rows: &mut [[f64; R]; TM],
+    run: &[[f64; R]],
+    fac: &[[f64; R]],
+) {
+    // Lockstep iterators and a `let-else` exit that never fires: nothing
+    // in the `y` loop can panic.
+    let mut parts = run.chunks_exact(fac.len());
+    let mut xs: [_; TM] = std::array::from_fn(|_| parts.next().unwrap_or_default().iter());
+    let mut acc = *rows;
+    'y: for a in fac {
+        for t in 0..TM {
+            let Some(x) = xs[t].next() else {
+                break 'y;
+            };
+            fma_row::<R, FMA>(x, a, &mut acc[t]);
+        }
+    }
+    *rows = acc;
+}
+
+/// `inner > 1`: fold all `mid` factor rows into the output rows `seg`,
+/// which are rows `i0 ..` of the `(mid, inner, R)` input slab `slab`. `y`
+/// runs in blocks of [`YB`]; per block, tiles of `TM` rows keep their
+/// accumulators in registers while the block's input rows stream.
+#[inline(always)]
+fn y_blocks<const R: usize, const TM: usize, const FMA: bool>(
+    seg: &mut [f64],
+    slab: &[f64],
+    fac: &[f64],
+    inner: usize,
+    i0: usize,
+) {
+    let seg = seg.as_chunks_mut::<R>().0;
+    let slab = slab.as_chunks::<R>().0;
+    let fac = fac.as_chunks::<R>().0;
+    let tiled = seg.len() / TM * TM;
+    for (b, a) in fac.chunks(YB).enumerate() {
+        let first = b * YB * inner + i0;
+        let (head, tail) = seg.split_at_mut(tiled);
+        for (t, rows) in head.as_chunks_mut::<TM>().0.iter_mut().enumerate() {
+            block_tile::<R, TM, FMA>(rows, a, &slab[first + t * TM..], inner);
+        }
+        for (t, row) in tail.iter_mut().enumerate() {
+            let x = &slab[first + tiled + t..];
+            block_tile::<R, 1, FMA>(std::array::from_mut(row), a, x, inner);
+        }
+    }
+}
+
+/// Fold the factor rows `a` into the `TM` consecutive output rows `rows`,
+/// whose input rows against `a[k]` start at `x[k · inner]`. The `y` loop is
+/// a run-time-length reduction, so the vectorizer leaves it (and the row
+/// loop around it) alone and the `TM × R` accumulator stays in registers.
+#[inline(always)]
+fn block_tile<const R: usize, const TM: usize, const FMA: bool>(
+    rows: &mut [[f64; R]; TM],
+    a: &[[f64; R]],
+    x: &[[f64; R]],
+    inner: usize,
+) {
+    let mut acc = *rows;
+    for (a, xs) in a.iter().zip(x.chunks(inner)) {
+        let Some(xs) = xs.first_chunk::<TM>() else {
+            break;
+        };
+        for t in 0..TM {
+            fma_row::<R, FMA>(&xs[t], a, &mut acc[t]);
+        }
+    }
+    *rows = acc;
+}
+
+/// `acc[j] = x[j] · a[j] + acc[j]` across one row.
+#[inline(always)]
+fn fma_row<const R: usize, const FMA: bool>(x: &[f64; R], a: &[f64; R], acc: &mut [f64; R]) {
+    for ((acc, &x), &a) in acc.iter_mut().zip(x).zip(a) {
+        *acc = fma::<FMA>(x, a, *acc);
+    }
+}
+
+/// Columnwise accumulate `out[i, :] += in[i, :] ∗ a_row` over row pairs of
+/// width `r`, for callers that are already inside a `#[target_feature]`
+/// clone (the semi-sparse mTTV): `FMA` must be `true` only there — see the
+/// `simd` module docs. `r ∈ {8, 16, 32}` run fully unrolled monomorphized
+/// bodies.
 #[inline(always)]
 pub(crate) fn slab_axpy_body<const FMA: bool>(out: &mut [f64], inp: &[f64], a_row: &[f64]) {
     match a_row.len() {
         8 => slab_axpy_fixed::<8, FMA>(out, inp, a_row),
         16 => slab_axpy_fixed::<16, FMA>(out, inp, a_row),
         32 => slab_axpy_fixed::<32, FMA>(out, inp, a_row),
-        r => {
-            for (ob, ib) in out.chunks_exact_mut(r).zip(inp.chunks_exact(r)) {
-                for ((ov, iv), av) in ob.iter_mut().zip(ib.iter()).zip(a_row.iter()) {
-                    if FMA {
-                        *ov = iv.mul_add(*av, *ov);
-                    } else {
-                        *ov += iv * av;
-                    }
-                }
-            }
+        _ => axpy_rows::<FMA>(out, inp, a_row),
+    }
+}
+
+/// [`slab_axpy_body`] at a run-time width.
+#[inline(always)]
+fn axpy_rows<const FMA: bool>(out: &mut [f64], inp: &[f64], a_row: &[f64]) {
+    let r = a_row.len();
+    for (ob, ib) in out.chunks_exact_mut(r).zip(inp.chunks_exact(r)) {
+        for ((ov, iv), av) in ob.iter_mut().zip(ib.iter()).zip(a_row.iter()) {
+            *ov = fma::<FMA>(*iv, *av, *ov);
         }
     }
 }
@@ -78,11 +284,7 @@ fn slab_axpy_fixed<const R: usize, const FMA: bool>(out: &mut [f64], inp: &[f64]
     for (ob, ib) in out.chunks_exact_mut(R).zip(inp.chunks_exact(R)) {
         let ib: &[f64; R] = ib.try_into().unwrap();
         for j in 0..R {
-            if FMA {
-                ob[j] = ib[j].mul_add(a[j], ob[j]);
-            } else {
-                ob[j] += ib[j] * a[j];
-            }
+            ob[j] = fma::<FMA>(ib[j], a[j], ob[j]);
         }
     }
 }
@@ -143,46 +345,24 @@ pub fn mttv_in(ws: &Workspace, inter: &DenseTensor, pos: usize, factor: &Matrix)
 
     let src = inter.data();
     let fac = factor.data();
-    let slab = inner * r; // contiguous (inner, R) slab length
-
-    let work = |o: usize, out_block: &mut [f64]| {
-        // out_block is the (inner, R) slab for outer index o.
-        let base_in = o * mid * slab;
-        for y in 0..mid {
-            let in_slab = &src[base_in + y * slab..base_in + (y + 1) * slab];
-            let a_row = &fac[y * r..(y + 1) * r];
-            // out[i, r] += in[i, r] * a[y, r]; r is innermost and unit stride.
-            slab_axpy(out_block, in_slab, a_row);
-        }
-    };
-
-    if outer > 1 && inter.len() >= PAR_ELEMS {
-        out.par_chunks_mut(slab)
+    let rows = outer * inner;
+    if mid == 0 || rows == 0 || r == 0 {
+        // Nothing to fold: the output stays zero.
+    } else if inter.len() >= PAR_ELEMS && rows > 1 {
+        // ~4× task oversubscription lets the pool's dynamic claiming
+        // balance the workers. A task is whole slabs when one slab is at
+        // most its share, else a row range (which may span a slab border).
+        let per_task = rows.div_ceil(4 * rayon::current_num_threads().max(1));
+        let task_rows = if per_task >= inner {
+            per_task / inner * inner
+        } else {
+            per_task
+        };
+        out.par_chunks_mut(task_rows * r)
             .enumerate()
-            .for_each(|(o, block)| work(o, block));
-    } else if outer == 1 && inter.len() >= PAR_ELEMS && inner > 1 {
-        // Contraction over the leading mode: parallelize over inner slabs.
-        // Each task owns a contiguous chunk of the output's (inner, R) plane
-        // and strides over y in the input. ~4× chunk oversubscription lets
-        // the pool's dynamic claiming balance the workers.
-        let nthreads = rayon::current_num_threads().max(1);
-        let chunk_rows = inner.div_ceil(nthreads * 4).max(1);
-        out.par_chunks_mut(chunk_rows * r)
-            .enumerate()
-            .for_each(|(ci, block)| {
-                let i0 = ci * chunk_rows;
-                let rows_here = block.len() / r;
-                for y in 0..mid {
-                    let a_row = &fac[y * r..(y + 1) * r];
-                    let in_off = y * slab + i0 * r;
-                    let in_block = &src[in_off..in_off + rows_here * r];
-                    slab_axpy(block, in_block, a_row);
-                }
-            });
+            .for_each(|(t, rows)| fold_rows(rows, t * task_rows, src, fac, r, inner));
     } else {
-        for o in 0..outer {
-            work(o, &mut out[o * slab..(o + 1) * slab]);
-        }
+        fold_rows(&mut out, 0, src, fac, r, inner);
     }
 
     let flops = 2 * inter.len() as u64;

@@ -53,8 +53,9 @@
 //!   dropping them is an exact no-op (the same argument as
 //!   [`crate::sparse`]).
 //! * [`ss_mttv`] mirrors [`crate::kernels::mttv`]: per output element, one
-//!   accumulator, contributions in ascending contracted-index order,
-//!   through the very row operation (`slab_axpy`) the dense kernel runs.
+//!   accumulator, contributions in ascending contracted-index order, each
+//!   one FMA exactly where the dense kernel's clones fuse (the row op
+//!   `slab_axpy_body` from that module).
 //! * Both kernels partition *output entries* into contiguous blocks; each
 //!   output panel is written by exactly one task in a fixed order, so
 //!   results are bit-identical at any thread count (the packed GEMM's
@@ -847,7 +848,7 @@ fn mttv_block_body<const FMA: bool>(
                 Some(perm) => perm[g] as usize,
                 None => g,
             };
-            // out[j] += in[p, j] · a[y, j] — the dense kernel's `slab_axpy`,
+            // out[j] += in[p, j] · a[y, j] — the dense kernel's chain step,
             // with y read from the parent tuple of the gathered entry.
             let y = inds[p * l + pos] as usize;
             slab_axpy_body::<FMA>(

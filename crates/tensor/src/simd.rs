@@ -8,8 +8,9 @@
 //! unaffected; levels differ across *machines* only in whether `mul_add`
 //! maps to a hardware FMA.
 //!
-//! The clones: the GEMM strip chunk (`gemm`), the mTTV slab row op
-//! (`kernels::mttv`), the Khatri-Rao row fill (`kernels::krp`), the
+//! The clones: the GEMM strip chunk (`gemm`), the mTTV row fold — one
+//! task's whole contracted loop (`kernels::mttv`), the Khatri-Rao row fill
+//! (`kernels::krp`), the
 //! semi-sparse TTM and mTTV blocks (`semisparse`), and the CSF MTTKRP walk
 //! (`sparse`). The Khatri-Rao fill and the CSF walk never fuse, so their
 //! clones enable no FMA and every level gives the same bits.
