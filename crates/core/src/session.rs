@@ -868,16 +868,21 @@ impl AlsSession {
         let sweep_t0 = Instant::now();
         let mut last_gamma: Option<Matrix> = None;
         let mut last_m: Option<Matrix> = None;
+        // Each `dS^(k)` depends only on mode k's factor and update, so the
+        // N of them are formed once and mode n's is refreshed after its
+        // update, not all N at every mode step.
+        let h0 = Instant::now();
+        let mut d_grams: Vec<Matrix> = self
+            .fs
+            .factors()
+            .iter()
+            .zip(self.d_factors.iter())
+            .map(|(a, d)| d_gram(a, d))
+            .collect();
+        self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
         for n in 0..n_modes {
             let h0 = Instant::now();
             let gamma = hadamard_chain_skip(&self.grams, n);
-            let d_grams: Vec<Matrix> = self
-                .fs
-                .factors()
-                .iter()
-                .zip(self.d_factors.iter())
-                .map(|(a, d)| d_gram(a, d))
-                .collect();
             self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
 
             let c0 = Instant::now();
@@ -900,6 +905,9 @@ impl AlsSession {
 
             self.d_factors[n] = a_new.sub(&self.factors_p[n]);
             self.grams[n] = a_new.gram();
+            let h0 = Instant::now();
+            d_grams[n] = d_gram(&a_new, &self.d_factors[n]);
+            self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
             self.fs.update(n, a_new);
             if n == n_modes - 1 {
                 last_gamma = Some(gamma);
