@@ -10,7 +10,7 @@
 //! converge slower (more sweeps), which is exactly the regime where
 //! pairwise perturbation pays off (paper Fig. 4 / Table III).
 
-use pp_tensor::kernels::naive::reconstruct;
+use pp_tensor::kernels::krp::reconstruct;
 use pp_tensor::rng::{orthonormal_cols, seeded};
 use pp_tensor::{DenseTensor, Matrix};
 use rand::Rng;

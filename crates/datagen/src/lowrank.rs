@@ -1,6 +1,6 @@
 //! Exact-rank and noisy low-rank test tensors.
 
-use pp_tensor::kernels::naive::reconstruct;
+use pp_tensor::kernels::krp::reconstruct;
 use pp_tensor::rng::{gaussian_tensor, seeded, uniform_matrix};
 use pp_tensor::{DenseTensor, Matrix};
 

@@ -6,10 +6,15 @@
 //! unfolding times one Khatri-Rao product), usable as a baseline; the
 //! pointwise variant `mttkrp_pointwise` is the slowest, most obviously
 //! correct formulation for tiny test tensors.
+//!
+//! [`reconstruct`] here is the oracle: a scalar loop straight from the
+//! definition, kept for tests and [`dense_relative_residual`]. Generators
+//! build their model tensors with [`crate::kernels::krp::reconstruct`],
+//! which returns the same bits at kernel speed.
 
 use crate::dense::DenseTensor;
 use crate::gemm::{gemm_slice, Trans};
-use crate::kernels::krp::khatri_rao;
+use crate::kernels::krp::{khatri_rao, model_rank};
 use crate::matrix::Matrix;
 use crate::shape::Shape;
 use crate::transpose::move_mode_first;
@@ -119,10 +124,11 @@ pub fn mttkrp_pointwise(t: &DenseTensor, factors: &[Matrix], n: usize) -> Matrix
 }
 
 /// Reconstruct the dense tensor `[[A^(1), ..., A^(N)]]` from factor
-/// matrices (the CP model tensor).
+/// matrices (the CP model tensor): per element, the product over modes
+/// taken left to right from `1.0`, summed from `0.0` with `r` ascending.
+/// Panics on an empty list or on factors of different widths.
 pub fn reconstruct(factors: &[Matrix]) -> DenseTensor {
-    assert!(!factors.is_empty());
-    let r = factors[0].cols();
+    let r = model_rank(factors);
     let dims: Vec<usize> = factors.iter().map(|f| f.rows()).collect();
     let shape = Shape::new(dims);
     let mut out = DenseTensor::zeros(shape.clone());

@@ -63,9 +63,9 @@ pub(crate) static WIDTH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 pub mod prelude {
     pub use crate::dense::DenseTensor;
     pub use crate::gemm::{gemm, gemm_slice, Trans};
-    pub use crate::kernels::krp::{gamma, khatri_rao};
+    pub use crate::kernels::krp::{gamma, khatri_rao, reconstruct};
     pub use crate::kernels::mttv::mttv;
-    pub use crate::kernels::naive::{mttkrp, reconstruct};
+    pub use crate::kernels::naive::mttkrp;
     pub use crate::kernels::ttm::{ttm, ttm_first, ttm_last};
     pub use crate::matrix::{hadamard_chain_skip, Matrix};
     pub use crate::semisparse::{csf_ttm, semisparse_mttkrp, ss_mttv, SemiSparseTensor, TtmPlan};
