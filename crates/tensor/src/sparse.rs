@@ -73,11 +73,48 @@ pub struct SparseTensor {
     vals: Vec<f64>,
 }
 
+/// The stable lexicographic order of the `dims.len()`-wide tuples in
+/// `inds`: a least-significant-digit radix sort, one stable counting sort
+/// per mode with the last mode first. Tuples that compare equal keep their
+/// input order, so this is exactly the permutation a stable comparison sort
+/// of the tuples gives. Scratch is one more `nnz`-length index array and
+/// one count per coordinate of the mode being sorted; a mode much longer
+/// than the entry count (hypersparse) takes a stable comparison sort on its
+/// coordinate instead, which keeps the LSD invariant.
+fn lex_order(dims: &[usize], inds: &[usize]) -> Vec<usize> {
+    let order = dims.len();
+    let nnz = inds.len() / order;
+    let mut perm: Vec<usize> = (0..nnz).collect();
+    let mut next = vec![0usize; nnz];
+    for (m, &d) in dims.iter().enumerate().rev() {
+        let key = |e: usize| inds[e * order + m];
+        if d > 4 * nnz + 1024 {
+            perm.sort_by_key(|&e| key(e));
+            continue;
+        }
+        let mut counts = vec![0usize; d + 1];
+        for &e in &perm {
+            counts[key(e) + 1] += 1;
+        }
+        for k in 1..d {
+            counts[k] += counts[k - 1];
+        }
+        for &e in &perm {
+            let slot = &mut counts[key(e)];
+            next[*slot] = e;
+            *slot += 1;
+        }
+        std::mem::swap(&mut perm, &mut next);
+    }
+    perm
+}
+
 impl SparseTensor {
     /// Ingest unsorted COO data: `inds` holds `vals.len()` index tuples of
     /// `dims.len()` coordinates each, flattened. Entries are sorted
-    /// lexicographically; duplicates are merged by summation (in sorted
-    /// order, so the merge is deterministic) and zero values are dropped.
+    /// lexicographically by a stable radix sort; duplicates are merged by
+    /// summation in their input order (so the merge is deterministic) and
+    /// zero values are dropped.
     pub fn from_coo(dims: Vec<usize>, inds: Vec<usize>, vals: Vec<f64>) -> Self {
         let order = dims.len();
         assert!(order >= 2, "sparse tensors need order >= 2");
@@ -93,10 +130,7 @@ impl SparseTensor {
             }
         }
         let nnz_in = vals.len();
-        let mut perm: Vec<usize> = (0..nnz_in).collect();
-        perm.sort_by(|&a, &b| {
-            inds[a * order..(a + 1) * order].cmp(&inds[b * order..(b + 1) * order])
-        });
+        let perm = lex_order(&dims, &inds);
         let mut out_inds: Vec<u32> = Vec::with_capacity(inds.len());
         let mut out_vals: Vec<f64> = Vec::with_capacity(nnz_in);
         for &e in &perm {
@@ -1160,6 +1194,103 @@ mod tests {
         assert_eq!(sp.idx(1), &[1, 0]);
         assert_eq!(sp.idx(2), &[2, 2]);
         assert_eq!(sp.vals(), &[2.0, 5.0, 4.0]);
+    }
+
+    /// The stable comparison sort `lex_order` replaces.
+    fn comparator_order(order: usize, inds: &[usize]) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..inds.len() / order).collect();
+        perm.sort_by(|&a, &b| {
+            inds[a * order..(a + 1) * order].cmp(&inds[b * order..(b + 1) * order])
+        });
+        perm
+    }
+
+    #[test]
+    fn radix_order_is_the_stable_comparison_order() {
+        // Orders 2 to 5, extents small enough that most tuples repeat, one
+        // mode long enough to take the comparison-sort pass, and no entries.
+        // That long mode draws from five far-apart coordinates, so its pass
+        // sees equal keys and must be stable too.
+        let mut rng = seeded(36);
+        let shapes: [&[usize]; 7] = [
+            &[3, 4],
+            &[50, 40],
+            &[4, 3, 5],
+            &[2, 1 << 20, 3],
+            &[3, 2, 3, 2],
+            &[9, 7, 8, 6],
+            &[2, 3, 2, 3, 2],
+        ];
+        for dims in shapes {
+            for nnz in [0usize, 1, 7, 500] {
+                let inds: Vec<usize> = (0..nnz * dims.len())
+                    .map(|k| {
+                        let d = dims[k % dims.len()];
+                        let span = if d > 1 << 16 { 5 } else { d };
+                        rng.random_range(0..span) * (d / span)
+                    })
+                    .collect();
+                assert_eq!(
+                    lex_order(dims, &inds),
+                    comparator_order(dims.len(), &inds),
+                    "dims {dims:?} nnz {nnz}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn duplicates_merge_in_input_order_and_cancellations_drop() {
+        // A coordinate given 1 + 1e16 − 1e16 sums to 0 in input order and
+        // to 1 in reverse, and 2.5 − 2.5 cancels exactly; both must drop.
+        // The parts of one coordinate are spread far apart in the input.
+        for order in 2..=5 {
+            let mut rng = seeded(order as u64);
+            let mut inds = Vec::new();
+            let mut vals = Vec::new();
+            for c in 0..40 {
+                let idx: Vec<usize> = (0..order).map(|_| rng.random_range(0..3)).collect();
+                let parts: &[f64] = match c % 3 {
+                    0 => &[1.0, 1e16, -1e16],
+                    1 => &[2.5, -2.5],
+                    _ => &[0.75],
+                };
+                for &v in parts {
+                    inds.extend_from_slice(&idx);
+                    vals.push(v);
+                }
+            }
+            let n = vals.len();
+            assert!(n % 7 != 0, "the stride must visit every entry");
+            let spread: Vec<usize> = (0..n).map(|k| (k * 7) % n).collect();
+            let inds: Vec<usize> = spread
+                .iter()
+                .flat_map(|&e| inds[e * order..(e + 1) * order].to_vec())
+                .collect();
+            let vals: Vec<f64> = spread.iter().map(|&e| vals[e]).collect();
+            let mut oracle: Vec<(Vec<usize>, f64)> = Vec::new();
+            for &e in &comparator_order(order, &inds) {
+                let idx = inds[e * order..(e + 1) * order].to_vec();
+                match oracle.last_mut() {
+                    Some((last, sum)) if *last == idx => *sum += vals[e],
+                    _ => oracle.push((idx, vals[e])),
+                }
+            }
+            let distinct = oracle.len();
+            oracle.retain(|&(_, v)| v != 0.0);
+            assert!(oracle.len() < distinct, "order {order}: nothing cancelled");
+            let sp = SparseTensor::from_coo(vec![3; order], inds, vals);
+            assert_eq!(sp.nnz(), oracle.len(), "order {order}");
+            for (e, (idx, v)) in oracle.iter().enumerate() {
+                let got: Vec<usize> = sp.idx(e).iter().map(|&i| i as usize).collect();
+                assert_eq!(&got, idx, "order {order} entry {e}");
+                assert_eq!(
+                    sp.vals()[e].to_bits(),
+                    v.to_bits(),
+                    "order {order} entry {e}"
+                );
+            }
+        }
     }
 
     #[test]
