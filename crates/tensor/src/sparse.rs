@@ -1379,6 +1379,86 @@ mod tests {
         }
     }
 
+    /// `samples` draws of coordinate `⌊d · u^skew⌋` per mode (skew 1 is
+    /// uniform), dropping every draw that lands on an index `≡ 6 (mod 7)`
+    /// in any mode, so every tree has empty root rows.
+    fn holey_sparse(dims: &[usize], samples: usize, skew: f64, seed: u64) -> SparseTensor {
+        let mut rng = seeded(seed);
+        let (mut inds, mut vals) = (Vec::new(), Vec::new());
+        for _ in 0..samples {
+            let idx: Vec<usize> = dims
+                .iter()
+                .map(|&d| (d as f64 * rng.random::<f64>().powf(skew)) as usize)
+                .collect();
+            let v = rng.random::<f64>() * 2.0 - 1.0;
+            if idx.iter().all(|&i| i % 7 != 6) {
+                inds.extend(idx);
+                vals.push(v);
+            }
+        }
+        SparseTensor::from_coo(dims.to_vec(), inds, vals)
+    }
+
+    /// The walk at `sparse3`-like statistics — uniform at about 1 % (1–3
+    /// leaves per fiber), skew 2 (long and short fibers), orders 2–4, all
+    /// with empty root rows — gives the pointwise oracle's bits on every
+    /// clone the CPU runs, at the walk's own widths, padded ones and
+    /// 32-lane blocks, on pooled root blocks at widths 1, 2 and 4 (every
+    /// `nnz · R` is above `PAR_THRESHOLD`). The fiber counts are pinned.
+    /// Each rank runs the first `R` columns of one set of rank-40 factors:
+    /// the oracle computes every column on its own, so one call at rank 40
+    /// holds the oracle's bits for all of them.
+    #[test]
+    fn walk_at_sparse3_statistics_matches_the_oracle_at_every_level_and_width() {
+        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let levels = [
+            SimdLevel::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512,
+        ];
+        let best = simd_level();
+        let cases: [(&[usize], f64, &[usize]); 4] = [
+            (&[96, 80, 64], 1.0, &[2858, 2858, 2630]),
+            (&[96, 80, 64], 2.0, &[2356, 2356, 2126]),
+            (&[700, 600], 1.0, &[600, 514]),
+            (&[40, 32, 24, 16], 1.0, &[3297, 3297, 3297, 3186]),
+        ];
+        for (case, (dims, skew, fibers)) in cases.into_iter().enumerate() {
+            let samples = dims.iter().product::<usize>() / 80;
+            let sp = holey_sparse(dims, samples, skew, 50 + case as u64);
+            assert!(sp.nnz() * 5 > PAR_THRESHOLD, "{dims:?}: {} nnz", sp.nnz());
+            let csf = CsfTensor::build(&sp);
+            let got: Vec<usize> = (0..dims.len()).map(|n| csf.tree(n).fiber_count()).collect();
+            assert_eq!(got, fibers, "{dims:?} skew {skew}");
+            let dense = sp.to_dense();
+            let full = factors_for(dims, 40, 60 + case as u64);
+            for n in 0..dims.len() {
+                let want = mttkrp_pointwise(&dense, &full, n);
+                for r in [5, 8, 12, 16, 24, 32, 40] {
+                    let factors: Vec<Matrix> = full
+                        .iter()
+                        .map(|f| Matrix::from_fn(f.rows(), r, |i, j| f.get(i, j)))
+                        .collect();
+                    for &level in levels.iter().filter(|&&l| l <= best) {
+                        for width in [1, 2, 4] {
+                            let _w = rayon::scoped_num_threads(width);
+                            let got = mttkrp_at(level, &csf, &factors, n);
+                            let same = (0..dims[n]).all(|i| {
+                                (0..r).all(|j| got.get(i, j).to_bits() == want.get(i, j).to_bits())
+                            });
+                            assert!(
+                                same,
+                                "{level:?} dims {dims:?} skew {skew} r {r} mode {n} width {width}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn tree_zero_follows_the_canonical_order() {
         // Tree 0 is built straight from the canonical order; every tree's

@@ -9,6 +9,7 @@
 //! order 3 against the semi-sparse TTM it replaces, above against the
 //! pointwise pair oracle of `tests/common`.
 
+use parallel_pp::core::{AlsConfig, AlsSession, SessionKind};
 use parallel_pp::datagen::powerlaw_sparse;
 use parallel_pp::dtree::pp_tree::build_pp_operators;
 use parallel_pp::dtree::{DimTreeEngine, FactorState, InputTensor, TreePolicy};
@@ -345,4 +346,29 @@ fn deep_pair_walk_matches_the_pointwise_oracle_and_the_chain() {
             }
         }
     }
+}
+
+/// A `dt` session on a `sparse3`-like tensor (uniform at 1 %, 96×80×64)
+/// visits a pinned number of leaf-parent fibers: each sweep walks every
+/// tree once, and the count is the forest's, whatever layout carries it.
+#[test]
+fn dt_session_visits_the_pinned_fiber_count() {
+    let (sp, _) = parallel_pp::datagen::sparse::sparse_lowrank(&[96, 80, 64], 6, 0.01, 37);
+    let csf = CsfTensor::build(&sp);
+    let per_sweep: Vec<usize> = (0..3).map(|n| csf.tree(n).fiber_count()).collect();
+    assert_eq!(per_sweep, [3580, 3580, 3355]);
+    let out = AlsSession::new_sparse(
+        &sp,
+        &AlsConfig::new(8)
+            .with_policy(TreePolicy::Standard)
+            .with_max_sweeps(4)
+            .with_tol(0.0),
+        SessionKind::Exact,
+    )
+    .run();
+    // Four sweeps, each walking the three trees once.
+    assert_eq!(
+        out.report.stats.sparse_fibers_visited,
+        4 * (3580 + 3580 + 3355)
+    );
 }
