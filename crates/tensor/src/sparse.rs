@@ -13,9 +13,9 @@
 //! [`crate::kernels::naive::mttkrp_pointwise`] on the result:
 //!
 //! * Each CSF tree roots at the MTTKRP target mode `n` and orders the
-//!   remaining levels by **ascending** original mode — so a depth-first
-//!   traversal visits the nonzeros of each output row in the dense
-//!   kernel's row-major order, and the per-leaf product
+//!   remaining modes **ascending** — so walking each root's leaves in
+//!   order visits the nonzeros of its output row in the dense kernel's
+//!   row-major order, and the per-leaf product
 //!   `v · ∏_{m≠n} A^(m)[i_m, r]` multiplies factors in the dense kernel's
 //!   ascending-mode order.
 //! * Skipping structural zeros is IEEE-safe: accumulators start at `+0.0`
@@ -24,27 +24,40 @@
 //!   zero terms leaves every partial sum bit-identical.
 //! * Parallelism keeps one accumulator per output element: the output
 //!   rows are partitioned into contiguous blocks and each row is written
-//!   by exactly one task, which accumulates its fibers in the same order
+//!   by exactly one task, which accumulates its leaves in the same order
 //!   the serial loop would — bit-identical at any thread count.
+//!
+//! # The layout
+//!
+//! A tree keeps its root level — the occupied root coordinates, ascending,
+//! with one span of leaves each — and below it one `u32` coordinate per
+//! leaf in every other mode, aligned with the values. The inner levels of
+//! a classic CSF tree (one node per distinct coordinate prefix, each with
+//! a child span) are gone: at the 2–4 leaves per fiber of the sparse
+//! benchmark tensors, 4 bytes per leaf cost less than the 12 per fiber
+//! they replace. The number of fibers (distinct leaf-parent prefixes) is
+//! counted once at build for the kernel counters.
 //!
 //! # One walk at vector width
 //!
-//! Every order runs the same iterative depth-first CSF walk, compiled
-//! behind `avx512f` / `avx2` `#[target_feature]` clones dispatched on
-//! the runtime SIMD probe, at a constant width of 8, 16 or 32 lanes so a
-//! root row's accumulator stays in registers and is stored once (other
-//! ranks run over zero-padded factors at the next width). The path's
-//! factor rows are held per level and re-read only where the path
-//! changes. Per leaf the product is `p = v`, then `p *= row` for each
-//! level in ascending mode order, then `acc += p` — never fused (no
-//! `mul_add`), so every SIMD level gives the scalar arm's bits.
+//! Every order runs the same walk: one loop over each root's leaves,
+//! compiled behind `avx512f` / `avx2` `#[target_feature]` clones
+//! dispatched on the runtime SIMD probe, at a constant width of 8, 16 or
+//! 32 lanes so a root row's accumulator stays in registers and is stored
+//! once (other ranks run over zero-padded factors at the next width). Per
+//! leaf the product is `p = v`, then `p *= row` for each mode but the last
+//! in ascending order, then `acc += p · row` of the last — never fused (no
+//! `mul_add`), so every SIMD level gives the scalar arm's bits. Each leaf
+//! re-reads its rows from cache. A walk over fibers held the rows above
+//! the leaves instead, but its inner loop ended on a data-dependent branch
+//! every few leaves and ran at about half the speed.
 //!
 //! # Pair operators from the same forest
 //!
 //! Pairwise perturbation's operators `𝓜^(i,j)` (`s_i × s_j × R`) come
-//! from one walk of tree `i` each ([`csf_pair_in`]): the level holding
-//! mode `j` selects a row of the root's `s_j × R` slab and every other
-//! level contracts. Roots own disjoint slabs, so blocks of rows split the
+//! from one walk of tree `i` each ([`csf_pair_in`]): a leaf's coordinate
+//! in mode `j` selects a row of the root's `s_j × R` slab and every other
+//! mode contracts. Roots own disjoint slabs, so blocks of rows split the
 //! walk over the pool like the MTTKRP's. At order 3 the single contracted
 //! mode is a TTM, and the walk replays the semi-sparse TTM's accumulation
 //! (KC panels, fused exactly where the dense GEMM fuses), so the operator
@@ -60,17 +73,19 @@ use crate::workspace::Workspace;
 use rayon::prelude::*;
 use std::cell::Cell;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A sparse tensor in sorted-coordinate (COO) form: lexicographically
 /// sorted index tuples with duplicate coordinates merged (summed in sorted
-/// order) and explicit zeros dropped at ingest.
+/// order) and explicit zeros dropped at ingest. It is immutable, so a
+/// clone shares the entries: a session over a caller's tensor copies none.
 #[derive(Clone, Debug)]
 pub struct SparseTensor {
     dims: Vec<usize>,
     /// `nnz × order` flattened index tuples, lexicographically sorted.
-    inds: Vec<u32>,
+    inds: Arc<Vec<u32>>,
     /// Values aligned with `inds` chunks.
-    vals: Vec<f64>,
+    vals: Arc<Vec<f64>>,
 }
 
 /// The stable lexicographic order of the `dims.len()`-wide tuples in
@@ -114,7 +129,8 @@ impl SparseTensor {
     /// `dims.len()` coordinates each, flattened. Entries are sorted
     /// lexicographically by a stable radix sort; duplicates are merged by
     /// summation in their input order (so the merge is deterministic) and
-    /// zero values are dropped.
+    /// zero values are dropped. Panics on an index out of range or a value
+    /// that is not finite, naming the entry.
     pub fn from_coo(dims: Vec<usize>, inds: Vec<usize>, vals: Vec<f64>) -> Self {
         let order = dims.len();
         assert!(order >= 2, "sparse tensors need order >= 2");
@@ -124,10 +140,11 @@ impl SparseTensor {
             "mode extent exceeds u32"
         );
         assert_eq!(inds.len(), vals.len() * order, "ragged COO input");
-        for (e, tuple) in inds.chunks_exact(order).enumerate() {
+        for (e, (tuple, &v)) in inds.chunks_exact(order).zip(&vals).enumerate() {
             for (m, (&i, &d)) in tuple.iter().zip(dims.iter()).enumerate() {
                 assert!(i < d, "entry {e}: index {i} out of range for mode {m}");
             }
+            assert!(v.is_finite(), "entry {e}: value {v} is not finite");
         }
         let nnz_in = vals.len();
         let perm = lex_order(&dims, &inds);
@@ -159,7 +176,11 @@ impl SparseTensor {
                 vals.push(v);
             }
         }
-        SparseTensor { dims, inds, vals }
+        SparseTensor {
+            dims,
+            inds: Arc::new(inds),
+            vals: Arc::new(vals),
+        }
     }
 
     /// Extract the nonzero pattern of a dense tensor.
@@ -254,54 +275,69 @@ impl SparseTensor {
     }
 }
 
-/// One level of a CSF tree: node indices plus (for non-leaf levels) the
-/// child span of each node in the next level. The leaf level's "children"
-/// are value slots, aligned with the tree's `vals`.
-struct CsfLevel {
-    inds: Vec<u32>,
-    /// `ptr[k]..ptr[k+1]` = children of node `k`; `len = inds.len() + 1`.
-    ptr: Vec<usize>,
-}
-
-/// A compressed-sparse-fiber tree rooted at one target mode.
+/// A compressed-sparse-fiber tree rooted at one target mode, flat below the
+/// root: the occupied root coordinates with one leaf span each, then one
+/// coordinate per leaf in every other mode.
 pub struct CsfTree {
     /// The MTTKRP target mode this tree serves (its root level).
     root_mode: usize,
-    /// Remaining modes in root→leaf level order: ascending, the
-    /// parity-preserving choice (see the module docs).
+    /// Remaining modes, ascending: the parity-preserving order (see the
+    /// module docs).
     sub_modes: Vec<usize>,
-    /// `levels[0]` is the root; `levels[order-1]` is the leaf level.
-    levels: Vec<CsfLevel>,
-    /// Leaf values, aligned with the leaf level's `inds`.
+    /// Occupied root coordinates, ascending.
+    roots: Vec<u32>,
+    /// `spans[k]..spans[k + 1]` = the leaves of root `k`; `len = roots.len() + 1`.
+    spans: Vec<usize>,
+    /// `coords[s][e]` = leaf `e`'s coordinate in mode `sub_modes[s]`.
+    coords: Vec<Vec<u32>>,
+    /// Leaf values.
     vals: Vec<f64>,
+    /// Distinct leaf-parent prefixes: the root and every sub-mode but the
+    /// last (the roots themselves at order 2).
+    fibers: usize,
 }
 
 impl CsfTree {
-    /// Number of leaf-parent fibers (the unit of kernel inner loops).
+    /// Number of leaf-parent fibers (the unit of the kernel counters).
     pub fn fiber_count(&self) -> usize {
-        let order = self.levels.len();
-        if order >= 2 {
-            self.levels[order - 2].inds.len()
-        } else {
-            0
-        }
+        self.fibers
     }
 
-    /// Factor row of node `node` at level `l ≥ 1`.
-    #[inline(always)]
-    fn row_at<'a>(&self, factors: &'a [Matrix], l: usize, node: usize) -> &'a [f64] {
-        factors[self.sub_modes[l - 1]].row(self.levels[l].inds[node] as usize)
+    /// Run `f(roots, row0, block)` over `out`, rows of `row_len` indexed by
+    /// the root coordinate: on every root at once, or — from `work`
+    /// (`nnz · R`) of `PAR_THRESHOLD` up — over the pool in blocks of rows,
+    /// each with the roots inside it. Roots own disjoint rows.
+    fn for_root_blocks<F>(&self, out: &mut [f64], row_len: usize, work: usize, f: F)
+    where
+        F: Fn(Range<usize>, usize, &mut [f64]) + Sync,
+    {
+        let threads = rayon::current_num_threads();
+        if threads <= 1 || work < PAR_THRESHOLD || row_len == 0 {
+            return f(0..self.roots.len(), 0, out);
+        }
+        let block_rows = (out.len() / row_len)
+            .div_ceil(ROW_BLOCK_OVERSUB * threads)
+            .max(1);
+        out.par_chunks_mut(block_rows * row_len)
+            .enumerate()
+            .for_each(|(b, block)| {
+                let row0 = b * block_rows;
+                let row1 = row0 + block.len() / row_len;
+                let lo = self.roots.partition_point(|&i| (i as usize) < row0);
+                let hi = self.roots.partition_point(|&i| (i as usize) < row1);
+                f(lo..hi, row0, block);
+            });
     }
 }
 
 /// The per-mode CSF forest: one fiber tree per MTTKRP target mode, all
 /// derived from one canonically sorted coordinate list. Ordering
 /// heuristic: tree `n` roots at mode `n` (so each output row is owned by
-/// exactly one root node) and keeps the remaining levels ascending; its
-/// sorted entry order is recovered from the canonical order with a single
-/// stable counting sort on the root coordinate — `O(nnz + Iₙ)` per tree
-/// rather than a full comparison sort, and none at all for tree 0, whose
-/// order is the canonical one.
+/// exactly one root) and keeps the remaining modes ascending; its sorted
+/// entry order is recovered from the canonical order with a single stable
+/// counting sort on the root coordinate — `O(nnz + Iₙ)` per tree rather
+/// than a full comparison sort, and none at all for tree 0, whose order is
+/// the canonical one.
 pub struct CsfTensor {
     dims: Vec<usize>,
     nnz: usize,
@@ -314,10 +350,11 @@ impl CsfTensor {
     /// Every array is allocated here, on the calling thread, and the pool
     /// only fills them: a worker that allocated a tree would grow its own
     /// malloc arena, which glibc rarely trims, and the process's peak RSS
-    /// with it. So each level reserves its bound — one node per distinct
-    /// coordinate prefix: at most `nnz`, and at most the product of its
-    /// modes' extents. The part of a reserve a level does not fill is never
-    /// written; shrinking it to fit cost more resident memory than it saved.
+    /// with it. The per-leaf arrays reserve exactly `nnz`; the root level
+    /// reserves its bound, the smaller of the root extent and `nnz`. Only
+    /// the last coordinate array, the sort's output, is zeroed up front:
+    /// the others fill in order, and zeroing recycled memory is a serial
+    /// write of every page on this thread.
     pub fn build(sp: &SparseTensor) -> Self {
         let nnz = sp.nnz();
         assert!(nnz <= u32::MAX as usize, "nnz exceeds u32");
@@ -356,10 +393,8 @@ impl CsfTensor {
     pub fn memory_words(&self) -> usize {
         let mut bytes = 0usize;
         for t in &self.trees {
-            for l in &t.levels {
-                bytes += l.inds.len() * 4 + l.ptr.len() * 8;
-            }
-            bytes += t.vals.len() * 8;
+            bytes += t.roots.len() * 4 + t.spans.len() * 8 + t.vals.len() * 8;
+            bytes += t.coords.iter().map(|c| c.len() * 4).sum::<usize>();
         }
         bytes / 8
     }
@@ -374,33 +409,21 @@ struct TreeBuild {
 }
 
 impl TreeBuild {
-    /// Every buffer the tree rooted at mode `n` needs, at its bound. The
-    /// leaf level, one node per nonzero, is sized outright: the sort uses
-    /// it as its output before the scan overwrites it.
+    /// Every buffer the tree rooted at mode `n` needs (see
+    /// [`CsfTensor::build`]).
     fn reserve(sp: &SparseTensor, n: usize) -> Self {
         let (order, nnz) = (sp.order(), sp.nnz());
-        let sub_modes: Vec<usize> = (0..order).filter(|&m| m != n).collect();
-        let mut prefixes = 1usize;
-        let mut levels: Vec<CsfLevel> = std::iter::once(n)
-            .chain(sub_modes[..order - 2].iter().copied())
-            .map(|m| {
-                prefixes = prefixes.saturating_mul(sp.dim(m));
-                let nodes = prefixes.min(nnz);
-                CsfLevel {
-                    inds: Vec::with_capacity(nodes),
-                    ptr: Vec::with_capacity(nodes + 1),
-                }
-            })
-            .collect();
-        levels.push(CsfLevel {
-            inds: vec![0; nnz],
-            ptr: Vec::new(),
-        });
+        let roots = sp.dim(n).min(nnz);
+        let mut coords: Vec<Vec<u32>> = (2..order).map(|_| Vec::with_capacity(nnz)).collect();
+        coords.push(vec![0; nnz]);
         let tree = CsfTree {
             root_mode: n,
-            sub_modes,
-            levels,
+            sub_modes: (0..order).filter(|&m| m != n).collect(),
+            roots: Vec::with_capacity(roots),
+            spans: Vec::with_capacity(roots + 1),
+            coords,
             vals: Vec::with_capacity(nnz),
+            fibers: 0,
         };
         let counts = match n {
             0 => Vec::new(),
@@ -411,89 +434,59 @@ impl TreeBuild {
 
     /// Sort the entries into the tree's order — a stable counting sort of
     /// the canonical order by the root coordinate, so for a fixed root
-    /// index the sub-level coordinates stay in ascending-mode lexicographic
+    /// index the other coordinates stay in ascending-mode lexicographic
     /// order, the dense kernel's row-major visit order restricted to that
-    /// output row — then compress them into the levels.
+    /// output row — then gather their coordinates and values. The sort
+    /// leaves the entry at each position in the last coordinate array,
+    /// where the gather reads each position before it writes it.
     fn run(&mut self, sp: &SparseTensor) {
-        let n = self.tree.root_mode;
-        if n > 0 {
+        let CsfTree {
+            root_mode: n,
+            sub_modes,
+            roots,
+            spans,
+            coords,
+            vals,
+            fibers,
+        } = &mut self.tree;
+        let (heads, last) = coords.split_at_mut(sub_modes.len() - 1);
+        let last = &mut last[0];
+        if *n > 0 {
             let counts = &mut self.counts;
-            let leaf = self.tree.levels.last_mut().unwrap();
             for e in 0..sp.nnz() {
-                counts[sp.idx(e)[n] as usize + 1] += 1;
+                counts[sp.idx(e)[*n] as usize + 1] += 1;
             }
             for k in 1..counts.len() {
                 counts[k] += counts[k - 1];
             }
             for e in 0..sp.nnz() {
-                let i = sp.idx(e)[n] as usize;
-                leaf.inds[counts[i]] = e as u32;
+                let i = sp.idx(e)[*n] as usize;
+                last[counts[i]] = e as u32;
                 counts[i] += 1;
             }
         }
-        compress(&mut self.tree, sp);
-    }
-}
-
-/// The compression scan of `tree` in its sorted order, into levels with
-/// room for every node. The leaf level comes in holding the COO entry at
-/// each position (tree 0's are the canonical ones, so it is not read)
-/// and leaves holding the coordinates: position `p` is read before it is
-/// written.
-fn compress(tree: &mut CsfTree, sp: &SparseTensor) {
-    let n = tree.root_mode;
-    let levels = &mut tree.levels;
-    let leaf = levels.len() - 1;
-    // Level order: root mode n, then the others ascending.
-    let level_mode = |l: usize| match l {
-        0 => n,
-        _ if l <= n => l - 1,
-        _ => l,
-    };
-    let mut prev: Option<&[u32]> = None;
-    for p in 0..sp.nnz() {
-        let e = match n {
-            0 => p,
-            _ => levels[leaf].inds[p] as usize,
-        };
-        let idx = sp.idx(e);
-        // First level whose path coordinate differs from the previous
-        // entry (entries are sorted in level order); a fresh node there
-        // forces fresh nodes at every deeper level. Duplicates were merged
-        // at ingest, so every entry opens at least a fresh leaf.
-        let mut split = 0;
-        if let Some(prev) = prev {
-            while split < leaf && idx[level_mode(split)] == prev[level_mode(split)] {
-                split += 1;
-            }
-            debug_assert!(
-                split < leaf || idx[level_mode(leaf)] != prev[level_mode(leaf)],
-                "duplicate coordinate in sorted COO"
-            );
-        }
-        prev = Some(idx);
-        for l in split..leaf {
-            // Child span of the fresh node starts at the next level's
-            // current length (its first child is placed right after).
-            let start = if l + 1 == leaf {
-                p
-            } else {
-                levels[l + 1].inds.len()
+        for (p, slot) in last.iter_mut().enumerate() {
+            let e = match n {
+                0 => p,
+                _ => *slot as usize,
             };
-            levels[l].ptr.push(start);
-            levels[l].inds.push(idx[level_mode(l)]);
+            let idx = sp.idx(e);
+            // A fresh root or a fresh coordinate in any mode but the last
+            // opens a fiber.
+            let mut fresh = roots.last() != Some(&idx[*n]);
+            if fresh {
+                roots.push(idx[*n]);
+                spans.push(p);
+            }
+            for (c, &m) in heads.iter_mut().zip(sub_modes.iter()) {
+                fresh = fresh || c.last() != Some(&idx[m]);
+                c.push(idx[m]);
+            }
+            *fibers += fresh as usize;
+            *slot = idx[sub_modes[sub_modes.len() - 1]];
+            vals.push(sp.vals()[e]);
         }
-        levels[leaf].inds[p] = idx[level_mode(leaf)];
-        tree.vals.push(sp.vals()[e]);
-    }
-    // Close the last open node at each non-leaf level.
-    for l in 0..leaf {
-        let end = if l + 1 == leaf {
-            sp.nnz()
-        } else {
-            levels[l + 1].inds.len()
-        };
-        levels[l].ptr.push(end);
+        spans.push(sp.nnz());
     }
 }
 
@@ -600,24 +593,12 @@ fn mttkrp_at(level: SimdLevel, csf: &CsfTensor, factors: &[Matrix], n: usize) ->
         &padded
     };
     let mut out = Matrix::zeros(rows, width);
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || csf.nnz() * r < PAR_THRESHOLD || rows == 0 {
-        let roots = 0..tree.levels[0].inds.len();
-        walk_block(level, tree, factors, roots, 0, out.data_mut(), width);
-    } else {
-        let block_rows = rows.div_ceil(ROW_BLOCK_OVERSUB * threads).max(1);
-        out.data_mut()
-            .par_chunks_mut(block_rows * width)
-            .enumerate()
-            .for_each(|(b, chunk)| {
-                let row0 = b * block_rows;
-                let row1 = row0 + chunk.len() / width;
-                let roots = &tree.levels[0].inds;
-                let lo = roots.partition_point(|&i| (i as usize) < row0);
-                let hi = roots.partition_point(|&i| (i as usize) < row1);
-                walk_block(level, tree, factors, lo..hi, row0, chunk, width);
-            });
-    }
+    tree.for_root_blocks(
+        out.data_mut(),
+        width,
+        csf.nnz() * r,
+        |roots, row0, block| walk_block(level, tree, factors, roots, row0, block, width),
+    );
     bump_counters(
         csf.nnz() as u64 * r as u64 * order as u64,
         tree.fiber_count() as u64,
@@ -710,21 +691,13 @@ fn walk_body(
     }
 }
 
-/// An order-2 tree's fibers are its roots, which have no factor row of
-/// their own: they read this row of ones, an exact no-op in the product.
-const ONES: [f64; 32] = [1.0; 32];
-
-/// The CSF walk: accumulate root nodes `roots` into lanes `c0..c0 + W` of
-/// `out`, a row-major block of `r`-wide rows starting at output row `row0`.
+/// The CSF walk: accumulate roots `roots` into lanes `c0..c0 + W` of `out`,
+/// a row-major block of `r`-wide rows starting at output row `row0`.
 ///
-/// Under each root the walk holds the path above the fibers (leaf-parent
-/// nodes) with each level's factor row, and steps it only where a node's
-/// children run out; the fibers under the path's deepest node and their
-/// leaves are two plain loops. Per leaf: `p = v`, `p *= row` for each level
-/// in ascending mode order, then `acc += p` — the pointwise oracle's
-/// sequence, unfused. The `[f64; W]` accumulator starts at `+0.0` and is
-/// stored once per root, which equals the oracle's in-place sum because
-/// each root owns its row and `out` is zeroed.
+/// Each root's sum ([`root_sum`]) is stored once, which equals the
+/// oracle's in-place sum because each root owns its row and `out` is
+/// zeroed. Orders 2 and 3 hand it a constant number of head modes (none or
+/// one), so its mode loop unrolls away.
 #[inline(always)]
 fn walk<const W: usize>(
     tree: &CsfTree,
@@ -735,81 +708,53 @@ fn walk<const W: usize>(
     r: usize,
     c0: usize,
 ) {
-    let levels = &tree.levels;
-    let leaf = levels.len() - 1;
-    let (vals, leaf_inds) = (&tree.vals, &levels[leaf].inds);
-    let leaf_factor = factors[tree.sub_modes[leaf - 1]].data();
-    let fibers = &levels[leaf - 1];
-    let fiber_factor = match leaf {
-        1 => None,
-        _ => Some(factors[tree.sub_modes[leaf - 2]].data()),
-    };
-    // The path above the fibers: `nodes[l]` at levels `0..=leaf - 2`, the
-    // root first, and `stems[l - 1]` the factor row of each below the root.
-    let mut nodes = vec![0; leaf.max(2) - 1];
-    let mut stems: Vec<&[f64]> = Vec::with_capacity(leaf.max(2) - 2);
+    let k = tree.sub_modes.len() - 1;
+    let heads: Vec<(&[u32], &[f64])> = tree.coords[..k]
+        .iter()
+        .zip(&tree.sub_modes)
+        .map(|(c, &m)| (&c[..], factors[m].data()))
+        .collect();
+    let last = (&tree.coords[k][..], factors[tree.sub_modes[k]].data());
     for root in roots {
-        nodes[0] = root;
-        stems.clear();
-        for l in 1..leaf - 1 {
-            nodes[l] = levels[l - 1].ptr[nodes[l - 1]];
-            stems.push(tree.row_at(factors, l, nodes[l]));
-        }
-        let mut end = root + 1;
-        for level in &levels[..leaf - 1] {
-            end = level.ptr[end];
-        }
-        let mut f = match leaf {
-            1 => root,
-            _ => levels[leaf - 2].ptr[nodes[leaf - 2]],
+        let leaves = tree.spans[root]..tree.spans[root + 1];
+        let acc = match k {
+            0 => root_sum::<W>(&[], last, &tree.vals, leaves, r, c0),
+            1 => root_sum::<W>(&heads[..1], last, &tree.vals, leaves, r, c0),
+            _ => root_sum::<W>(&heads, last, &tree.vals, leaves, r, c0),
         };
-        let mut acc = [0.0; W];
-        loop {
-            // The fibers under the path's deepest node.
-            let stop = match leaf {
-                1 => end,
-                _ => levels[leaf - 2].ptr[nodes[leaf - 2] + 1],
-            };
-            let spans = fibers.ptr[f..=stop].windows(2);
-            for (span, &fi) in spans.zip(&fibers.inds[f..stop]) {
-                let fiber_row = match fiber_factor {
-                    Some(fac) => &fac[fi as usize * r + c0..][..W],
-                    None => &ONES[..W],
-                };
-                let (lo, hi) = (span[0], span[1]);
-                for (&v, &i) in vals[lo..hi].iter().zip(&leaf_inds[lo..hi]) {
-                    let mut p = [v; W];
-                    for row in &stems {
-                        for (p, &x) in p.iter_mut().zip(&row[c0..][..W]) {
-                            *p *= x;
-                        }
-                    }
-                    for (p, &x) in p.iter_mut().zip(fiber_row) {
-                        *p *= x;
-                    }
-                    let last = &leaf_factor[i as usize * r + c0..][..W];
-                    for ((a, &p), &x) in acc.iter_mut().zip(&p).zip(last) {
-                        *a += p * x;
-                    }
-                }
-            }
-            if stop == end {
-                break;
-            }
-            // Step the deepest node to its next sibling; an ancestor steps
-            // too when that exhausts its children.
-            f = stop;
-            for l in (1..leaf - 1).rev() {
-                nodes[l] += 1;
-                stems[l - 1] = tree.row_at(factors, l, nodes[l]);
-                if levels[l - 1].ptr[nodes[l - 1] + 1] > nodes[l] {
-                    break;
-                }
-            }
-        }
-        let row = levels[0].inds[root] as usize - row0;
+        let row = tree.roots[root] as usize - row0;
         out[row * r + c0..][..W].copy_from_slice(&acc);
     }
+}
+
+/// One root's row, over its `leaves`: per leaf `p = v`, `p *= row` for
+/// each head mode (every sub-mode but the last, ascending), then
+/// `acc += p · row` of the last — the pointwise oracle's sequence,
+/// unfused. The `[f64; W]` accumulator starts at `+0.0`.
+#[inline(always)]
+fn root_sum<const W: usize>(
+    heads: &[(&[u32], &[f64])],
+    (last, last_factor): (&[u32], &[f64]),
+    vals: &[f64],
+    leaves: Range<usize>,
+    r: usize,
+    c0: usize,
+) -> [f64; W] {
+    let mut acc = [0.0; W];
+    for ((e, &v), &i) in leaves.clone().zip(&vals[leaves.clone()]).zip(&last[leaves]) {
+        let mut p = [v; W];
+        for &(coords, fac) in heads {
+            let row = &fac[coords[e] as usize * r + c0..][..W];
+            for (p, &x) in p.iter_mut().zip(row) {
+                *p *= x;
+            }
+        }
+        let row = &last_factor[i as usize * r + c0..][..W];
+        for ((a, &p), &x) in acc.iter_mut().zip(&p).zip(row) {
+            *a += p * x;
+        }
+    }
+    acc
 }
 
 /// The pair operator `𝓜^(i,j)` of pairwise perturbation: every mode but
@@ -818,10 +763,11 @@ fn walk<const W: usize>(
 /// one factor per mode; those of `i` and `j` are not read.
 ///
 /// One walk of tree `i` (module docs): each root owns its `s_j × R` slab,
-/// the level holding mode `j` picks the slab row, and every other level
-/// contracts. At order 3 the result is bit-identical to the semi-sparse
-/// TTM of the third mode, densified ([`crate::semisparse::csf_ttm`]): both
-/// fuse exactly where the CPU's GEMM clone does. At higher orders it is
+/// a leaf's coordinate in mode `j` picks the slab row, and every other
+/// mode contracts. At order 3 the result is bit-identical to the
+/// semi-sparse TTM of the third mode, densified
+/// ([`crate::semisparse::csf_ttm`]): both fuse exactly where the CPU's
+/// GEMM clone does. At higher orders it is
 /// the pointwise oracle's, unfused, on every SIMD level. Both hold at any
 /// thread count.
 pub fn csf_pair_in(
@@ -846,7 +792,7 @@ pub fn csf_pair_in(
         assert_eq!(factors[m].cols(), r, "factor {m} rank");
     }
     let tree = csf.tree(i);
-    let lj = 1 + tree.sub_modes.iter().position(|&m| m == j).unwrap();
+    let js = tree.sub_modes.iter().position(|&m| m == j).unwrap();
     // Order 3 contracts one mode, a TTM: replay the dispatch of the dense
     // GEMM `csf_ttm` mirrors — its small path is one panel, unfused.
     let (kc, fused) = match &contracted[..] {
@@ -866,7 +812,7 @@ pub fn csf_pair_in(
     let walk = PairWalk {
         tree,
         factors,
-        lj,
+        js,
         kc,
         fused,
         sj: dims[j],
@@ -875,25 +821,9 @@ pub fn csf_pair_in(
     let (si, slab) = (dims[i], dims[j] * r);
     let shape = Shape::new(vec![si, dims[j], r]);
     let mut out = DenseTensor::from_buffer(shape, ws.draw_zeroed(si * slab));
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || csf.nnz() * r < PAR_THRESHOLD || slab == 0 {
-        let roots = 0..tree.levels[0].inds.len();
-        pair_block(&walk, roots, 0, out.data_mut());
-    } else {
-        // Roots own disjoint slabs: blocks of rows split the walk.
-        let block_rows = si.div_ceil(ROW_BLOCK_OVERSUB * threads).max(1);
-        out.data_mut()
-            .par_chunks_mut(block_rows * slab)
-            .enumerate()
-            .for_each(|(b, chunk)| {
-                let row0 = b * block_rows;
-                let row1 = row0 + chunk.len() / slab;
-                let roots = &tree.levels[0].inds;
-                let lo = roots.partition_point(|&x| (x as usize) < row0);
-                let hi = roots.partition_point(|&x| (x as usize) < row1);
-                pair_block(&walk, lo..hi, row0, chunk);
-            });
-    }
+    tree.for_root_blocks(out.data_mut(), slab, csf.nnz() * r, |roots, row0, block| {
+        pair_block(&walk, roots, row0, block)
+    });
     out
 }
 
@@ -901,8 +831,8 @@ pub fn csf_pair_in(
 struct PairWalk<'a> {
     tree: &'a CsfTree,
     factors: &'a [Matrix],
-    /// The level of the tree holding mode `j`.
-    lj: usize,
+    /// The position of mode `j` among the tree's sub-modes.
+    js: usize,
     /// Order 3: the KC panel depth of the mirrored GEMM (`usize::MAX` on
     /// its small path, one panel).
     kc: usize,
@@ -949,7 +879,7 @@ fn pair_avx2(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
 /// caller's `#[target_feature]` set, and its `mul_add` would be a libm call.
 #[inline(always)]
 fn pair_body<const FMA: bool>(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
-    match (w.tree.levels.len(), w.r) {
+    match (w.tree.sub_modes.len() + 1, w.r) {
         (3, 8) => pair3::<FMA>(w, roots, row0, out, 8, &mut [0.0; 8]),
         (3, 16) => pair3::<FMA>(w, roots, row0, out, 16, &mut [0.0; 16]),
         (3, 32) => pair3::<FMA>(w, roots, row0, out, 32, &mut [0.0; 32]),
@@ -995,22 +925,24 @@ fn pair3<const FMA: bool>(
 ) {
     let acc = &mut acc[..r];
     let tree = w.tree;
-    let (top, fibers, leaves) = (&tree.levels[0], &tree.levels[1], &tree.levels[2]);
-    // The contracted mode sits at the level `j` does not.
-    let fac = w.factors[tree.sub_modes[2 - w.lj]].data();
+    let (mid, leaf) = (&tree.coords[0], &tree.coords[1]);
+    // The contracted mode is the sub-mode `j` is not.
+    let fac = w.factors[tree.sub_modes[1 - w.js]].data();
     let slab_len = w.sj * r;
     let mut scratch: Vec<f64> = Vec::new();
     for root in roots {
-        let slab = &mut out[(top.inds[root] as usize - row0) * slab_len..][..slab_len];
-        let (mut f, end) = (top.ptr[root], top.ptr[root + 1]);
-        if w.lj == 1 {
-            // `j` at the fiber level: a fiber is one output row, its
-            // leaves the contracted coordinates — `csf_ttm`'s row loop.
-            for f in f..end {
-                let row = &mut slab[fibers.inds[f] as usize * r..][..r];
+        let slab = &mut out[(tree.roots[root] as usize - row0) * slab_len..][..slab_len];
+        let (mut e, end) = (tree.spans[root], tree.spans[root + 1]);
+        if w.js == 0 {
+            // `j` in the middle: a run of equal middle coordinates is one
+            // output row, its leaves the contracted coordinates —
+            // `csf_ttm`'s row loop.
+            while e < end {
+                let b = mid[e];
+                let row = &mut slab[b as usize * r..][..r];
                 let mut panel_end = 0;
-                for e in fibers.ptr[f]..fibers.ptr[f + 1] {
-                    let c = leaves.inds[e] as usize;
+                while e < end && mid[e] == b {
+                    let c = leaf[e] as usize;
                     if c >= panel_end {
                         if panel_end != 0 {
                             flush(row, acc);
@@ -1018,6 +950,7 @@ fn pair3<const FMA: bool>(
                         panel_end = (c / w.kc + 1) * w.kc;
                     }
                     axpy::<FMA>(acc, tree.vals[e], &fac[c * r..][..r]);
+                    e += 1;
                 }
                 if panel_end != 0 {
                     flush(row, acc);
@@ -1025,20 +958,20 @@ fn pair3<const FMA: bool>(
             }
             continue;
         }
-        // `j` at the leaf level: the fibers are the contracted coordinates,
-        // ascending, and each leaf scatters into its row. The root's first
-        // panel accumulates in the slab itself, which starts at +0.0 as a
-        // panel accumulator does; each later one in `scratch`, flushed into
-        // the slab at the panel's end by re-walking its leaves (a row seen
-        // twice adds an exact +0.0 the second time).
-        f = scatter_panel::<FMA>(tree, fac, w.kc, f..end, slab, r);
-        while f < end {
+        // `j` at the leaves: the middle coordinates are the contracted
+        // ones, ascending, and each leaf scatters into its row. The root's
+        // first panel accumulates in the slab itself, which starts at +0.0
+        // as a panel accumulator does; each later one in `scratch`, flushed
+        // into the slab at the panel's end by re-walking its leaves (a row
+        // seen twice adds an exact +0.0 the second time).
+        e = scatter_panel::<FMA>(tree, fac, w.kc, e..end, slab, r);
+        while e < end {
             if scratch.is_empty() {
                 scratch = vec![0.0; slab_len];
             }
-            let start = f;
-            f = scatter_panel::<FMA>(tree, fac, w.kc, f..end, &mut scratch, r);
-            for &b in &leaves.inds[fibers.ptr[start]..fibers.ptr[f]] {
+            let start = e;
+            e = scatter_panel::<FMA>(tree, fac, w.kc, e..end, &mut scratch, r);
+            for &b in &leaf[start..e] {
                 let b = b as usize * r;
                 flush(&mut slab[b..][..r], &mut scratch[b..][..r]);
             }
@@ -1046,35 +979,34 @@ fn pair3<const FMA: bool>(
     }
 }
 
-/// Scatter the leaves of the fibers in `fibers` that share the first one's
-/// KC panel into the rows of `target`; returns the first fiber past it.
+/// Scatter the leaves in `leaves` that share the first one's KC panel of
+/// the middle coordinate into the rows of `target`; returns the first leaf
+/// past it.
 #[inline(always)]
 fn scatter_panel<const FMA: bool>(
     tree: &CsfTree,
     fac: &[f64],
     kc: usize,
-    fibers: Range<usize>,
+    leaves: Range<usize>,
     target: &mut [f64],
     r: usize,
 ) -> usize {
-    let (level, leaves) = (&tree.levels[1], &tree.levels[2]);
-    let panel_end = (level.inds[fibers.start] as usize / kc + 1) * kc;
-    let mut f = fibers.start;
-    while f < fibers.end && (level.inds[f] as usize) < panel_end {
-        let x = &fac[level.inds[f] as usize * r..][..r];
-        for e in level.ptr[f]..level.ptr[f + 1] {
-            let b = leaves.inds[e] as usize * r;
-            axpy::<FMA>(&mut target[b..][..r], tree.vals[e], x);
-        }
-        f += 1;
+    let (mid, leaf) = (&tree.coords[0], &tree.coords[1]);
+    let panel_end = (mid[leaves.start] as usize / kc + 1) * kc;
+    let mut e = leaves.start;
+    while e < leaves.end && (mid[e] as usize) < panel_end {
+        let x = &fac[mid[e] as usize * r..][..r];
+        let b = leaf[e] as usize * r;
+        axpy::<FMA>(&mut target[b..][..r], tree.vals[e], x);
+        e += 1;
     }
-    f
+    e
 }
 
 /// The pair walk at order 4 and up, the pointwise oracle's sequence: per
-/// leaf `p = v`, `p *= row` for every level but the root and `j`'s in
-/// ascending mode order, then `out[a, b] += p` — unfused, in the tree's
-/// (lexicographic) order. `p` is at least `r` long.
+/// leaf `p = v`, `p *= row` for every sub-mode but `j` in ascending mode
+/// order, then `out[a, b] += p` — unfused, in the tree's (lexicographic)
+/// order. `p` is at least `r` long.
 #[inline(always)]
 fn pair_deep(
     w: &PairWalk,
@@ -1086,68 +1018,26 @@ fn pair_deep(
 ) {
     let p = &mut p[..r];
     let tree = w.tree;
-    let levels = &tree.levels;
-    let leaf = levels.len() - 1;
-    let leaf_factor = &w.factors[tree.sub_modes[leaf - 1]];
     let slab_len = w.sj * r;
-    // The path to a leaf parent, root first, and its factor rows below
-    // the root (without `j`'s).
-    let mut nodes = vec![0usize; leaf];
-    let mut rows: Vec<&[f64]> = Vec::with_capacity(leaf);
     for root in roots {
-        let slab = &mut out[(levels[0].inds[root] as usize - row0) * slab_len..][..slab_len];
-        nodes[0] = root;
-        for l in 1..leaf {
-            nodes[l] = levels[l - 1].ptr[nodes[l - 1]];
-        }
-        'path: loop {
-            rows.clear();
+        let slab = &mut out[(tree.roots[root] as usize - row0) * slab_len..][..slab_len];
+        for e in tree.spans[root]..tree.spans[root + 1] {
+            p.fill(tree.vals[e]);
             let mut b = 0;
-            for l in 1..leaf {
-                let x = levels[l].inds[nodes[l]] as usize;
-                if l == w.lj {
+            for (s, (coords, &m)) in tree.coords.iter().zip(&tree.sub_modes).enumerate() {
+                let x = coords[e] as usize;
+                if s == w.js {
                     b = x;
-                } else {
-                    rows.push(w.factors[tree.sub_modes[l - 1]].row(x));
+                    continue;
                 }
-            }
-            let parent = nodes[leaf - 1];
-            for e in levels[leaf - 1].ptr[parent]..levels[leaf - 1].ptr[parent + 1] {
-                let x = levels[leaf].inds[e] as usize;
-                p.fill(tree.vals[e]);
-                for row in &rows {
-                    for q in 0..r {
-                        p[q] *= row[q];
-                    }
-                }
-                if leaf == w.lj {
-                    b = x;
-                } else {
-                    let row = leaf_factor.row(x);
-                    for q in 0..r {
-                        p[q] *= row[q];
-                    }
-                }
-                let y = &mut slab[b * r..][..r];
+                let row = w.factors[m].row(x);
                 for q in 0..r {
-                    y[q] += p[q];
+                    p[q] *= row[q];
                 }
             }
-            // Step the deepest path node that has a next sibling; the
-            // nodes below it restart at their first child.
-            let mut l = leaf - 1;
-            loop {
-                if l == 0 {
-                    break 'path;
-                }
-                nodes[l] += 1;
-                if nodes[l] < levels[l - 1].ptr[nodes[l - 1] + 1] {
-                    break;
-                }
-                l -= 1;
-            }
-            for m in l + 1..leaf {
-                nodes[m] = levels[m - 1].ptr[nodes[m - 1]];
+            let y = &mut slab[b * r..][..r];
+            for q in 0..r {
+                y[q] += p[q];
             }
         }
     }
@@ -1194,6 +1084,18 @@ mod tests {
         assert_eq!(sp.idx(1), &[1, 0]);
         assert_eq!(sp.idx(2), &[2, 2]);
         assert_eq!(sp.vals(), &[2.0, 5.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 1: value NaN is not finite")]
+    fn ingest_rejects_nan() {
+        SparseTensor::from_coo(vec![2, 2], vec![0, 0, 1, 1], vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 0: value -inf is not finite")]
+    fn ingest_rejects_infinity() {
+        SparseTensor::from_coo(vec![2, 2], vec![0, 0, 1, 1], vec![f64::NEG_INFINITY, 1.0]);
     }
 
     /// The stable comparison sort `lex_order` replaces.
@@ -1304,16 +1206,27 @@ mod tests {
 
     #[test]
     fn csf_counts_fibers() {
-        // 2 nonzeros sharing a (root, mid) prefix → 1 fiber in tree 0.
+        // Entries (0,1,0) (0,1,1) (0,3,1) (2,0,0) (2,2,1). Tree 0 has roots
+        // {0, 2} and fibers (0,1) (0,3) (2,0) (2,2); tree 1 roots {0..3},
+        // one fiber each; tree 2 roots {0, 1} and fibers (0,0) (0,2) (1,0)
+        // (1,2).
         let sp = SparseTensor::from_coo(
-            vec![2, 2, 2],
-            vec![0, 1, 0, 0, 1, 1, 1, 0, 0],
-            vec![1.0, 2.0, 3.0],
+            vec![3, 4, 2],
+            vec![0, 1, 0, 0, 1, 1, 0, 3, 1, 2, 0, 0, 2, 2, 1],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
         );
         let csf = CsfTensor::build(&sp);
-        assert_eq!(csf.nnz(), 3);
-        assert_eq!(csf.tree(0).fiber_count(), 2);
-        assert!(csf.memory_words() > 0);
+        assert_eq!(csf.nnz(), 5);
+        let fibers: Vec<usize> = (0..3).map(|n| csf.tree(n).fiber_count()).collect();
+        assert_eq!(fibers, [4, 4, 4]);
+        // Per tree: 4 B per root, 8 B per span bound (roots + 1), 4 B per
+        // leaf in each of two sub-modes, 8 B per value.
+        let bytes: usize = [2, 4, 2]
+            .iter()
+            .map(|&k| k * 4 + (k + 1) * 8 + 5 * 2 * 4 + 5 * 8)
+            .sum();
+        assert_eq!(bytes, 360);
+        assert_eq!(csf.memory_words(), bytes / 8);
     }
 
     #[test]
@@ -1461,19 +1374,22 @@ mod tests {
 
     #[test]
     fn tree_zero_follows_the_canonical_order() {
-        // Tree 0 is built straight from the canonical order; every tree's
-        // root level lists each occupied row once, ascending, and its leaf
-        // level holds exactly one node per nonzero.
+        // Tree 0 is built straight from the canonical order; every tree
+        // lists each occupied root once, ascending, and its spans tile the
+        // leaves, one per nonzero.
         let sp = random_sparse(&[6, 5, 4, 3], 90, 31);
         let csf = CsfTensor::build(&sp);
         for n in 0..4 {
             let t = csf.tree(n);
-            assert!(t.levels[0].inds.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(t.levels[3].inds.len(), sp.nnz());
-            assert_eq!(t.vals.len(), sp.nnz());
+            assert!(t.roots.windows(2).all(|w| w[0] < w[1]));
+            assert!(t.spans.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!((t.spans[0], t.spans[t.roots.len()]), (0, sp.nnz()));
+            assert!(t.coords.iter().all(|c| c.len() == sp.nnz()));
         }
-        let leaf: Vec<u32> = (0..sp.nnz()).map(|e| sp.idx(e)[3]).collect();
-        assert_eq!(csf.tree(0).levels[3].inds, leaf);
+        for (s, c) in csf.tree(0).coords.iter().enumerate() {
+            let canonical: Vec<u32> = (0..sp.nnz()).map(|e| sp.idx(e)[s + 1]).collect();
+            assert_eq!(c, &canonical);
+        }
         assert_eq!(csf.tree(0).vals, sp.vals());
     }
 
@@ -1497,9 +1413,8 @@ mod tests {
                 let wide = CsfTensor::build(&sp);
                 for (a, b) in serial.trees.iter().zip(&wide.trees) {
                     assert_eq!(a.vals, b.vals, "{dims:?} width {width}");
-                    for (la, lb) in a.levels.iter().zip(&b.levels) {
-                        assert_eq!((&la.inds, &la.ptr), (&lb.inds, &lb.ptr));
-                    }
+                    assert_eq!((&a.roots, &a.spans), (&b.roots, &b.spans));
+                    assert_eq!((&a.coords, a.fibers), (&b.coords, b.fibers));
                 }
             }
         }
