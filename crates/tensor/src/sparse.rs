@@ -777,6 +777,19 @@ pub fn csf_pair_in(
     i: usize,
     j: usize,
 ) -> DenseTensor {
+    pair_at(simd_level(), ws, csf, factors, i, j)
+}
+
+/// [`csf_pair_in`] on the clone for `level`, or on the best one the CPU
+/// runs if that is lower (the unit tests walk every level).
+fn pair_at(
+    level: SimdLevel,
+    ws: &Workspace,
+    csf: &CsfTensor,
+    factors: &[Matrix],
+    i: usize,
+    j: usize,
+) -> DenseTensor {
     let order = csf.order();
     assert_eq!(factors.len(), order, "one factor per mode");
     assert!(order >= 3, "pair operators need order >= 3");
@@ -822,7 +835,7 @@ pub fn csf_pair_in(
     let shape = Shape::new(vec![si, dims[j], r]);
     let mut out = DenseTensor::from_buffer(shape, ws.draw_zeroed(si * slab));
     tree.for_root_blocks(out.data_mut(), slab, csf.nnz() * r, |roots, row0, block| {
-        pair_block(&walk, roots, row0, block)
+        pair_block(level, &walk, roots, row0, block)
     });
     out
 }
@@ -842,9 +855,10 @@ struct PairWalk<'a> {
     r: usize,
 }
 
-/// One block of roots of a pair walk, on the best clone the CPU runs.
-fn pair_block(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
-    match simd_level() {
+/// One block of roots of a pair walk, on the clone for `level` or the best
+/// one the CPU runs if that is lower.
+fn pair_block(level: SimdLevel, w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
+    match simd_level().min(level) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level` probed AVX-512F+FMA at runtime.
         SimdLevel::Avx512 => unsafe { pair_avx512(w, roots, row0, out) },
@@ -1046,8 +1060,10 @@ fn pair_deep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::mttv::mttv_in;
     use crate::kernels::naive::mttkrp_pointwise;
     use crate::rng::{seeded, uniform_matrix};
+    use crate::semisparse::{csf_ttm, TtmPlan};
     use rand::Rng;
 
     fn random_sparse(dims: &[usize], nnz: usize, seed: u64) -> SparseTensor {
@@ -1370,6 +1386,237 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `𝓜^(i,j)` (layout `[i, j, R]`) as a CPU whose clones fuse iff
+    /// `fused` computes it. At order 3 that is the semi-sparse TTM's packed
+    /// accumulation: per row, contracted index ascending, from +0.0 per KC
+    /// panel (fused iff `fused`), each panel added into the row. Above, it is
+    /// the pointwise product `v · ∏ A^(m)` over the modes but `i` and `j`,
+    /// unfused, added into the row in lexicographic order.
+    fn pair_oracle(
+        sp: &SparseTensor,
+        factors: &[Matrix],
+        i: usize,
+        j: usize,
+        fused: bool,
+    ) -> Vec<f64> {
+        let dims = sp.dims();
+        let r = factors[0].cols();
+        let rows = dims[i] * dims[j];
+        let mut out = vec![0.0; rows * r];
+        let mut acc = vec![0.0; rows * r];
+        let mut panel = vec![usize::MAX; rows];
+        let mut p = vec![0.0; r];
+        for (e, &v) in sp.vals().iter().enumerate() {
+            let idx = sp.idx(e);
+            let row = idx[i] as usize * dims[j] + idx[j] as usize;
+            let (y, acc) = (&mut out[row * r..][..r], &mut acc[row * r..][..r]);
+            if sp.order() == 3 {
+                // Lexicographic order visits a row's contracted index
+                // ascending.
+                let k = 3 - i - j;
+                let c = idx[k] as usize;
+                if c / panel_kc() != panel[row] {
+                    for (y, a) in y.iter_mut().zip(acc.iter_mut()) {
+                        *y += *a;
+                        *a = 0.0;
+                    }
+                    panel[row] = c / panel_kc();
+                }
+                for (a, &x) in acc.iter_mut().zip(factors[k].row(c)) {
+                    *a = if fused { v.mul_add(x, *a) } else { *a + v * x };
+                }
+                continue;
+            }
+            p.fill(v);
+            for (m, f) in factors.iter().enumerate() {
+                if m != i && m != j {
+                    for (p, &x) in p.iter_mut().zip(f.row(idx[m] as usize)) {
+                        *p *= x;
+                    }
+                }
+            }
+            for (y, &p) in y.iter_mut().zip(&p) {
+                *y += p;
+            }
+        }
+        for (y, a) in out.iter_mut().zip(&acc) {
+            *y += *a;
+        }
+        out
+    }
+
+    /// The mTTV of `pair` (`[s_i, s_j, R]`) at position `pos` with `a`, as
+    /// a CPU whose clones fuse iff `fused` runs it: per output element one
+    /// chain from +0.0 over the contracted index ascending.
+    fn fold_oracle(pair: &DenseTensor, pos: usize, a: &Matrix, fused: bool) -> Vec<f64> {
+        let (si, sj, r) = (pair.dim(0), pair.dim(1), pair.dim(2));
+        let x = pair.data();
+        let rows = if pos == 0 { sj } else { si };
+        let mut out = vec![0.0; rows * r];
+        for (o, acc) in out.chunks_exact_mut(r).enumerate() {
+            for y in 0..a.rows() {
+                let row = if pos == 0 { y * sj + o } else { o * sj + y };
+                for ((acc, &x), &a) in acc.iter_mut().zip(&x[row * r..][..r]).zip(a.row(y)) {
+                    *acc = if fused {
+                        x.mul_add(a, *acc)
+                    } else {
+                        *acc + x * a
+                    };
+                }
+            }
+        }
+        out
+    }
+
+    /// A PP build over the forest on the clone for `level`, as `pp_tree`
+    /// runs it: the walk of every pair `(i, j)`, `i < j`, drawn from `ws`,
+    /// then the anchors `M^(n)` — mode 0 contracting position 1 of
+    /// `𝓜^(0,1)` with `A^(1)`, every other mode position 0 of `𝓜^(0,n)`
+    /// with `A^(0)`.
+    fn forest_build(
+        level: SimdLevel,
+        ws: &Workspace,
+        csf: &CsfTensor,
+        factors: &[Matrix],
+    ) -> (Vec<DenseTensor>, Vec<DenseTensor>) {
+        let order = csf.order();
+        let pairs: Vec<DenseTensor> = (0..order)
+            .flat_map(|i| (i + 1..order).map(move |j| (i, j)))
+            .map(|(i, j)| pair_at(level, ws, csf, factors, i, j))
+            .collect();
+        let anchors = (0..order)
+            .map(|n| match n {
+                0 => mttv_in(ws, &pairs[0], 1, &factors[1]).tensor,
+                _ => mttv_in(ws, &pairs[n - 1], 0, &factors[0]).tensor,
+            })
+            .collect();
+        (pairs, anchors)
+    }
+
+    /// Every pair operator and all `N` anchors of a forest build give the
+    /// oracle's bits on every clone the CPU runs, from a workspace whose
+    /// buffers are all recycled (NaN-poisoned in debug builds, so a row
+    /// the walk leaves unwritten shows), at pool widths 1, 2 and 4. The
+    /// tensors have empty roots in every mode (`holey_sparse`) and rows
+    /// `(a, b)` with no fiber, at orders 3 and 4. The order-3 shapes put a
+    /// contracted extent above KC on the row path of `𝓜^(0,1)` and on the
+    /// scatter path of `𝓜^(1,2)`, so both accumulate two panels. Each rank
+    /// takes the first `R` columns of rank-40 factors, whose oracle holds
+    /// every column's bits; the oracle itself is checked against
+    /// `csf_ttm` (order 3) and `mttv_in` at the CPU's fusion.
+    #[test]
+    fn pair_walks_and_anchors_match_the_oracle_from_recycled_buffers() {
+        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let levels = [
+            SimdLevel::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512,
+        ];
+        let best = simd_level();
+        let fuses = |level: SimdLevel| level != SimdLevel::Scalar;
+        let kc = panel_kc();
+        let cases: [&[usize]; 3] = [&[24, 20, kc + 44], &[kc + 44, 20, 24], &[16, 14, 12, 10]];
+        for (case, dims) in cases.into_iter().enumerate() {
+            let order = dims.len();
+            let samples = dims.iter().product::<usize>() / [25, 4][order - 3];
+            let sp = holey_sparse(dims, samples, 1.0, 80 + case as u64);
+            assert!(sp.nnz() * 5 > PAR_THRESHOLD, "{dims:?}: {} nnz", sp.nnz());
+            let csf = CsfTensor::build(&sp);
+            let full = factors_for(dims, 40, 90 + case as u64);
+            let keys: Vec<(usize, usize)> = (0..order)
+                .flat_map(|i| (i + 1..order).map(move |j| (i, j)))
+                .collect();
+            // The oracle at both fusions, each pair's rows with an empty
+            // row among them, and the oracle pinned to the kernels.
+            let oracle = |fused: bool| -> Vec<DenseTensor> {
+                keys.iter()
+                    .map(|&(i, j)| {
+                        let shape = Shape::new(vec![dims[i], dims[j], 40]);
+                        DenseTensor::from_vec(shape, pair_oracle(&sp, &full, i, j, fused))
+                    })
+                    .collect()
+            };
+            let want_pairs = [oracle(false), oracle(true)];
+            for (p, &(i, j)) in want_pairs[0].iter().zip(&keys) {
+                let empty = p
+                    .data()
+                    .chunks_exact(40)
+                    .any(|row| row.iter().all(|&x| x == 0.0));
+                assert!(empty, "{dims:?} pair ({i}, {j}): every row has a fiber");
+            }
+            let want_anchors = |pairs: &[DenseTensor], fused: bool| -> Vec<Vec<f64>> {
+                (0..order)
+                    .map(|n| match n {
+                        0 => fold_oracle(&pairs[0], 1, &full[1], fused),
+                        _ => fold_oracle(&pairs[n - 1], 0, &full[0], fused),
+                    })
+                    .collect()
+            };
+            let at_best = &want_pairs[usize::from(fuses(best))];
+            for (p, &(i, j)) in at_best.iter().zip(&keys) {
+                if order == 3 {
+                    let k = 3 - i - j;
+                    let ttm = csf_ttm(&sp, &TtmPlan::build(&sp, k), &full[k]).to_dense();
+                    assert!(
+                        bits_eq(p.data(), ttm.data()),
+                        "{dims:?} pair ({i}, {j}) vs csf_ttm"
+                    );
+                }
+            }
+            let ws = Workspace::new();
+            let anchors_at_best = want_anchors(at_best, fuses(best));
+            for (n, want) in anchors_at_best.iter().enumerate() {
+                let (src, pos, a) = match n {
+                    0 => (&at_best[0], 1, &full[1]),
+                    _ => (&at_best[n - 1], 0, &full[0]),
+                };
+                let got = mttv_in(&ws, src, pos, a).tensor;
+                assert!(bits_eq(got.data(), want), "{dims:?} anchor {n} vs mttv_in");
+            }
+            for r in [5, 8, 12, 16, 24, 32, 40] {
+                let factors: Vec<Matrix> = full
+                    .iter()
+                    .map(|f| Matrix::from_fn(f.rows(), r, |i, j| f.get(i, j)))
+                    .collect();
+                // Every length the build draws is held from here on.
+                drop(forest_build(best, &ws, &csf, &factors));
+                for &level in levels.iter().filter(|&&l| l <= best) {
+                    let want = &want_pairs[usize::from(fuses(level))];
+                    let anchors = want_anchors(want, fuses(best));
+                    for width in [1, 2, 4] {
+                        let _w = rayon::scoped_num_threads(width);
+                        let misses = ws.stats().misses;
+                        let (pairs, got_anchors) = forest_build(level, &ws, &csf, &factors);
+                        assert_eq!(ws.stats().misses, misses, "a fresh buffer was drawn");
+                        let what = format!("{level:?} dims {dims:?} r {r} width {width}");
+                        for ((got, want), key) in pairs.iter().zip(want).zip(&keys) {
+                            assert!(lanes_eq(got.data(), want.data(), r), "{what} pair {key:?}");
+                        }
+                        for (n, (got, want)) in got_anchors.iter().zip(&anchors).enumerate() {
+                            assert!(lanes_eq(got.data(), want, r), "{what} anchor {n}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// `got`'s `r`-wide rows equal the first `r` lanes of `want`'s 40-wide
+    /// ones, bit for bit.
+    fn lanes_eq(got: &[f64], want: &[f64], r: usize) -> bool {
+        got.len() / r == want.len() / 40
+            && got
+                .chunks_exact(r)
+                .zip(want.chunks_exact(40))
+                .all(|(g, w)| bits_eq(g, &w[..r]))
     }
 
     #[test]
