@@ -24,8 +24,9 @@
 //! A sparse input held as the CSF forest (`InputTensor::new_sparse`, the
 //! input of sparse `dt` and `pp` sessions) skips the tree: each pair
 //! operator is one walk of a fiber tree
-//! ([`pp_tensor::sparse::csf_pair_in`]), the anchors follow as above, and
-//! the cache is left alone.
+//! ([`pp_tensor::sparse::csf_pair_in`]), the walk of `(0, 1)` folds the
+//! anchor of mode 0 in ([`pp_tensor::sparse::csf_pair_anchored_in`]), the
+//! other anchors follow as above, and the cache is left alone.
 
 use crate::cache::{Intermediate, Payload};
 use crate::engine::DimTreeEngine;
@@ -36,7 +37,7 @@ use crate::par_collect;
 use crate::stats::Kernel;
 use pp_tensor::kernels::mttv::mttv_in;
 use pp_tensor::semisparse::{ss_mttv_in, thread_ss_counters};
-use pp_tensor::sparse::csf_pair_in;
+use pp_tensor::sparse::{csf_pair_anchored_in, csf_pair_in};
 use pp_tensor::{CsfTensor, Matrix, Workspace};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -102,8 +103,9 @@ pub fn build_pp_operators_with(
     let n_modes = fs.order();
     assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
     if let Some(csf) = input.sparse().and_then(|sp| sp.csf.as_ref()) {
-        let pairs = forest_pairs(csf, fs, engine);
-        let firsts = anchors(&pairs, fs, engine);
+        let (pairs, first) = forest_pairs(csf, fs, engine);
+        let mut firsts = vec![first];
+        firsts.extend(anchors(&pairs, fs, engine, 1));
         return PpOperators {
             pairs,
             firsts,
@@ -161,7 +163,7 @@ pub fn build_pp_operators_with(
         pairs.insert(done.key, inter);
     }
 
-    let firsts = anchors(&pairs, fs, engine);
+    let firsts = anchors(&pairs, fs, engine, 0);
     PpOperators {
         pairs,
         firsts,
@@ -169,24 +171,37 @@ pub fn build_pp_operators_with(
     }
 }
 
-/// Every pair operator of a sparse input held as the CSF forest: one walk
-/// of tree `i` per pair `(i, j)`, each split over the pool by root. No
+/// Every pair operator of a sparse input held as the CSF forest, and the
+/// anchor `Mp^(0)`: one walk of tree `i` per pair `(i, j)`, each split over
+/// the pool by root, the walk of `(0, 1)` folding the anchor as it goes. No
 /// first-level TTM, cached intermediate or densified payload is involved.
 fn forest_pairs(
     csf: &CsfTensor,
     fs: &FactorState,
     engine: &mut DimTreeEngine,
-) -> HashMap<(usize, usize), Intermediate> {
+) -> (HashMap<(usize, usize), Intermediate>, Matrix) {
     let n_modes = fs.order();
     let r = fs.factor(0).cols();
     // Per leaf and lane: N − 2 multiplies and one add.
     let flops = (n_modes as u64 - 1) * csf.nnz() as u64 * r as u64;
     let mut pairs = HashMap::new();
+    let mut first = None;
     for i in 0..n_modes {
         for j in i + 1..n_modes {
             let t0 = Instant::now();
-            let t = csf_pair_in(engine.workspace(), csf, fs.factors(), i, j);
-            engine.stats.record(Kernel::Ttm, t0.elapsed(), flops);
+            let ws = engine.workspace();
+            let (t, fold_flops) = if (i, j) == (0, 1) {
+                let (t, anchor) = csf_pair_anchored_in(ws, csf, fs.factors(), i, j);
+                first = Some(anchor);
+                // The fold: one multiply-add per operator element.
+                let fold_flops = 2 * t.len() as u64;
+                (t, fold_flops)
+            } else {
+                (csf_pair_in(ws, csf, fs.factors(), i, j), 0)
+            };
+            engine
+                .stats
+                .record(Kernel::Ttm, t0.elapsed(), flops + fold_flops);
             let inter = Intermediate {
                 payload: Payload::Dense(Arc::new(t)),
                 mode_order: vec![i, j],
@@ -195,19 +210,22 @@ fn forest_pairs(
             pairs.insert((i, j), inter);
         }
     }
-    pairs
+    (pairs, first.expect("order >= 3 walks the pair (0, 1)"))
 }
 
-/// Anchors `Mp^(n)`: contract the partner mode out of a pair operator —
-/// one independent mTTV per mode, fanned over the pool.
+/// Anchors `Mp^(n)` for the modes `from..N`: contract the partner mode out
+/// of a pair operator — one independent mTTV per mode, fanned over the
+/// pool.
 fn anchors(
     pairs: &HashMap<(usize, usize), Intermediate>,
     fs: &FactorState,
     engine: &mut DimTreeEngine,
+    from: usize,
 ) -> Vec<Matrix> {
     let n_modes = fs.order();
     let ws = engine.workspace().clone();
-    let anchors = par_collect(n_modes, |n| {
+    let anchors = par_collect(n_modes - from, |k| {
+        let n = from + k;
         let partner = if n == 0 { 1 } else { 0 };
         let key = (n.min(partner), n.max(partner));
         let pair = &pairs[&key];

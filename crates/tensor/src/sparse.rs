@@ -63,6 +63,19 @@
 //! (KC panels, fused exactly where the dense GEMM fuses), so the operator
 //! is the one the semi-sparse chain densifies, bit for bit; above order 3
 //! it follows the pointwise oracle's unfused product, like the MTTKRP.
+//!
+//! Each operator is written in one pass, at the MTTKRP walk's constant
+//! widths. A pool task writes every row of its block of slabs — a root's
+//! slab from its leaves, a row without a root as zeros — so the operator is
+//! drawn with [`Workspace::draw`], unzeroed, instead of zero-filled on one
+//! thread first (on `sparse3`, ~64 MB a build). Where `j` is
+//! the tree's first sub-mode, a slab row is one run of leaves, accumulated
+//! in registers and stored once, and a row without one is stored as zeros;
+//! elsewhere the leaves scatter into a slab the task zeroes first, in
+//! cache. The walk of `𝓜^(0,1)` also folds in the anchor `M^(0)`
+//! ([`csf_pair_anchored_in`]): each slab row, as it is finished, takes its
+//! link of the anchor row's chain, in the order of the mTTV that used to
+//! re-read the whole operator after the walk.
 
 use crate::dense::DenseTensor;
 use crate::gemm::{panel_kc, small_work_limit};
@@ -303,30 +316,40 @@ impl CsfTree {
         self.fibers
     }
 
-    /// Run `f(roots, row0, block)` over `out`, rows of `row_len` indexed by
-    /// the root coordinate: on every root at once, or — from `work`
-    /// (`nnz · R`) of `PAR_THRESHOLD` up — over the pool in blocks of rows,
-    /// each with the roots inside it. Roots own disjoint rows.
-    fn for_root_blocks<F>(&self, out: &mut [f64], row_len: usize, work: usize, f: F)
-    where
-        F: Fn(Range<usize>, usize, &mut [f64]) + Sync,
+    /// Run `f(roots, row0, block, side)` over `out`, rows of `row_len`
+    /// indexed by the root coordinate, and `side`, empty or one row per row
+    /// of `out`: on every root at once, or — from `work` (`nnz · R`) of
+    /// `PAR_THRESHOLD` up — over the pool in blocks of rows, each with the
+    /// roots inside it and its rows of `side`. Roots own disjoint rows.
+    fn for_root_blocks<F>(
+        &self,
+        out: &mut [f64],
+        row_len: usize,
+        side: &mut [f64],
+        work: usize,
+        f: F,
+    ) where
+        F: Fn(Range<usize>, usize, &mut [f64], &mut [f64]) + Sync,
     {
         let threads = rayon::current_num_threads();
-        if threads <= 1 || work < PAR_THRESHOLD || row_len == 0 {
-            return f(0..self.roots.len(), 0, out);
+        if threads <= 1 || work < PAR_THRESHOLD || row_len == 0 || out.is_empty() {
+            return f(0..self.roots.len(), 0, out, side);
         }
-        let block_rows = (out.len() / row_len)
-            .div_ceil(ROW_BLOCK_OVERSUB * threads)
-            .max(1);
-        out.par_chunks_mut(block_rows * row_len)
-            .enumerate()
-            .for_each(|(b, block)| {
-                let row0 = b * block_rows;
-                let row1 = row0 + block.len() / row_len;
-                let lo = self.roots.partition_point(|&i| (i as usize) < row0);
-                let hi = self.roots.partition_point(|&i| (i as usize) < row1);
-                f(lo..hi, row0, block);
-            });
+        let rows = out.len() / row_len;
+        let block_rows = rows.div_ceil(ROW_BLOCK_OVERSUB * threads).max(1);
+        let side_rows = side.chunks_mut((block_rows * side.len() / rows).max(1));
+        let mut blocks: Vec<(&mut [f64], &mut [f64])> = out
+            .chunks_mut(block_rows * row_len)
+            .zip(side_rows.chain(std::iter::repeat_with(Default::default)))
+            .collect();
+        blocks.par_chunks_mut(1).enumerate().for_each(|(b, one)| {
+            let (block, side) = &mut one[0];
+            let row0 = b * block_rows;
+            let row1 = row0 + block.len() / row_len;
+            let lo = self.roots.partition_point(|&i| (i as usize) < row0);
+            let hi = self.roots.partition_point(|&i| (i as usize) < row1);
+            f(lo..hi, row0, block, side);
+        });
     }
 }
 
@@ -580,11 +603,7 @@ fn mttkrp_at(level: SimdLevel, csf: &CsfTensor, factors: &[Matrix], n: usize) ->
     // Other ranks run over zero-padded copies of the factors: each lane is
     // computed on its own, so the real lanes keep their bits and the pad
     // lanes are dropped.
-    let width = match r {
-        0..=8 => 8,
-        9..=16 => 16,
-        _ => r.next_multiple_of(32),
-    };
+    let width = lane_width(r);
     let padded: Vec<Matrix>;
     let factors = if width == r {
         factors
@@ -596,8 +615,9 @@ fn mttkrp_at(level: SimdLevel, csf: &CsfTensor, factors: &[Matrix], n: usize) ->
     tree.for_root_blocks(
         out.data_mut(),
         width,
+        &mut [],
         csf.nnz() * r,
-        |roots, row0, block| walk_block(level, tree, factors, roots, row0, block, width),
+        |roots, row0, block, _| walk_block(level, tree, factors, roots, row0, block, width),
     );
     bump_counters(
         csf.nnz() as u64 * r as u64 * order as u64,
@@ -607,6 +627,15 @@ fn mttkrp_at(level: SimdLevel, csf: &CsfTensor, factors: &[Matrix], n: usize) ->
         out
     } else {
         Matrix::from_fn(rows, r, |i, j| out.get(i, j))
+    }
+}
+
+/// The lanes a walk runs rank `r` in: 8, 16, or 32-lane blocks.
+fn lane_width(r: usize) -> usize {
+    match r {
+        0..=8 => 8,
+        9..=16 => 16,
+        _ => r.next_multiple_of(32),
     }
 }
 
@@ -759,8 +788,9 @@ fn root_sum<const W: usize>(
 
 /// The pair operator `𝓜^(i,j)` of pairwise perturbation: every mode but
 /// `i` and `j` contracted with its factor, as a dense `s_i × s_j × R`
-/// tensor laid out `[i, j, R]` and drawn zeroed from `ws`. `factors` holds
-/// one factor per mode; those of `i` and `j` are not read.
+/// tensor laid out `[i, j, R]` and drawn from `ws` (the walk writes every
+/// element). `factors` holds one factor per mode; those of `i` and `j` are
+/// not read.
 ///
 /// One walk of tree `i` (module docs): each root owns its `s_j × R` slab,
 /// a leaf's coordinate in mode `j` picks the slab row, and every other
@@ -777,11 +807,29 @@ pub fn csf_pair_in(
     i: usize,
     j: usize,
 ) -> DenseTensor {
-    pair_at(simd_level(), ws, csf, factors, i, j)
+    pair_at(simd_level(), ws, csf, factors, i, j, false).0
 }
 
-/// [`csf_pair_in`] on the clone for `level`, or on the best one the CPU
-/// runs if that is lower (the unit tests walk every level).
+/// [`csf_pair_in`], and the anchor `M^(i)` of pairwise perturbation: the
+/// operator's position 1 contracted with `A^(j)`, bit for bit what
+/// [`crate::kernels::mttv::mttv_in`] gives on the returned operator. The
+/// walk folds the anchor in the mTTV's chain order, each slab row as it is
+/// finished where `j` is the tree's first sub-mode (the pair `(0, 1)` of
+/// PP), else each slab once it is, while it is still in cache.
+pub fn csf_pair_anchored_in(
+    ws: &Workspace,
+    csf: &CsfTensor,
+    factors: &[Matrix],
+    i: usize,
+    j: usize,
+) -> (DenseTensor, Matrix) {
+    let (pair, anchor) = pair_at(simd_level(), ws, csf, factors, i, j, true);
+    (pair, anchor.expect("an anchored walk folds the anchor"))
+}
+
+/// The pair walk on the clone for `level`, or on the best one the CPU
+/// runs if that is lower (the unit tests walk every level); with the
+/// anchor iff `anchored`.
 fn pair_at(
     level: SimdLevel,
     ws: &Workspace,
@@ -789,7 +837,8 @@ fn pair_at(
     factors: &[Matrix],
     i: usize,
     j: usize,
-) -> DenseTensor {
+    anchored: bool,
+) -> (DenseTensor, Option<Matrix>) {
     let order = csf.order();
     assert_eq!(factors.len(), order, "one factor per mode");
     assert!(order >= 3, "pair operators need order >= 3");
@@ -800,7 +849,8 @@ fn pair_at(
     let dims = csf.dims();
     let contracted: Vec<usize> = (0..order).filter(|&m| m != i && m != j).collect();
     let r = factors[contracted[0]].cols();
-    for &m in &contracted {
+    let read = if anchored { &[j][..] } else { &[] };
+    for &m in contracted.iter().chain(read) {
         assert_eq!(factors[m].rows(), dims[m], "factor {m} rows");
         assert_eq!(factors[m].cols(), r, "factor {m} rank");
     }
@@ -822,27 +872,48 @@ fn pair_at(
         }
         _ => (usize::MAX, false),
     };
+    // As in the MTTKRP, other ranks run over zero-padded factors at the
+    // next lane width, each lane on its own; their rows go through a
+    // padded slab and keep the real lanes.
+    let width = lane_width(r);
+    let padded: Vec<Matrix>;
+    let factors = if width == r {
+        factors
+    } else {
+        padded = factors.iter().map(|f| pad_cols(f, width)).collect();
+        &padded
+    };
     let walk = PairWalk {
         tree,
         factors,
         js,
         kc,
         fused,
+        fold: anchored.then(|| factors[j].data()),
         sj: dims[j],
         r,
+        width,
     };
     let (si, slab) = (dims[i], dims[j] * r);
     let shape = Shape::new(vec![si, dims[j], r]);
-    let mut out = DenseTensor::from_buffer(shape, ws.draw_zeroed(si * slab));
-    tree.for_root_blocks(out.data_mut(), slab, csf.nnz() * r, |roots, row0, block| {
-        pair_block(level, &walk, roots, row0, block)
-    });
-    out
+    let mut out = DenseTensor::from_buffer(shape, ws.draw(si * slab));
+    let mut anchor = vec![0.0; if anchored { si * r } else { 0 }];
+    if slab > 0 {
+        tree.for_root_blocks(
+            out.data_mut(),
+            slab,
+            &mut anchor,
+            csf.nnz() * r,
+            |roots, row0, block, anchor| pair_block(level, &walk, roots, row0, block, anchor),
+        );
+    }
+    (out, anchored.then(|| Matrix::from_vec(si, r, anchor)))
 }
 
 /// What a pair walk needs besides its block of roots.
 struct PairWalk<'a> {
     tree: &'a CsfTree,
+    /// One factor per mode, `width` columns.
     factors: &'a [Matrix],
     /// The position of mode `j` among the tree's sub-modes.
     js: usize,
@@ -851,61 +922,188 @@ struct PairWalk<'a> {
     kc: usize,
     /// Order 3: whether the mirrored GEMM's SIMD clones fuse (packed path).
     fused: bool,
+    /// `A^(j)`, `width` wide, when the walk folds the anchor.
+    fold: Option<&'a [f64]>,
     sj: usize,
     r: usize,
+    /// The lanes a row is computed in: `r` rounded up to 8, 16 or a
+    /// multiple of 32.
+    width: usize,
 }
 
 /// One block of roots of a pair walk, on the clone for `level` or the best
 /// one the CPU runs if that is lower.
-fn pair_block(level: SimdLevel, w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
+fn pair_block(
+    level: SimdLevel,
+    w: &PairWalk,
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    anchor: &mut [f64],
+) {
     match simd_level().min(level) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level` probed AVX-512F+FMA at runtime.
-        SimdLevel::Avx512 => unsafe { pair_avx512(w, roots, row0, out) },
+        SimdLevel::Avx512 => unsafe { pair_avx512(w, roots, row0, out, anchor) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level` probed AVX2+FMA at runtime.
-        SimdLevel::Avx2 => unsafe { pair_avx2(w, roots, row0, out) },
-        SimdLevel::Scalar => pair_body::<false>(w, roots, row0, out),
+        SimdLevel::Avx2 => unsafe { pair_avx2(w, roots, row0, out, anchor) },
+        SimdLevel::Scalar => pair_body::<false, false, true>(w, roots, row0, out, anchor),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-fn pair_avx512(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
+fn pair_avx512(
+    w: &PairWalk,
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    anchor: &mut [f64],
+) {
     match w.fused {
-        true => pair_body::<true>(w, roots, row0, out),
-        false => pair_body::<false>(w, roots, row0, out),
+        true => pair_body::<true, true, true>(w, roots, row0, out, anchor),
+        false => pair_body::<false, true, true>(w, roots, row0, out, anchor),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn pair_avx2(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
+fn pair_avx2(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64], anchor: &mut [f64]) {
     match w.fused {
-        true => pair_body::<true>(w, roots, row0, out),
-        false => pair_body::<false>(w, roots, row0, out),
+        true => pair_body::<true, true, false>(w, roots, row0, out, anchor),
+        false => pair_body::<false, true, false>(w, roots, row0, out, anchor),
     }
 }
 
-/// Order and rank dispatch: at order 3, `R ∈ {8, 16, 32}` hand
-/// [`pair3`] a constant width and a stack accumulator. No closures in
-/// here or below: a closure body is a function of its own, outside the
-/// caller's `#[target_feature]` set, and its `mul_add` would be a libm call.
+/// Width dispatch: [`pair_rows`] runs at a constant 8, 16 or 32 lanes
+/// (32-lane blocks above), or in 16-lane blocks from 32 up unless `WIDE`:
+/// the row walk holds a panel and an anchor accumulator, and two 32-lane
+/// ones would not fit in the sixteen AVX2 registers. `FMA` fuses the
+/// order-3 TTM replay, `FOLD_FMA` the anchor fold — the mTTV fuses on
+/// every SIMD clone. No closures in here or below: a closure body is a
+/// function of its own, outside the caller's `#[target_feature]` set, and
+/// its `mul_add` would be a libm call.
 #[inline(always)]
-fn pair_body<const FMA: bool>(w: &PairWalk, roots: Range<usize>, row0: usize, out: &mut [f64]) {
-    match (w.tree.sub_modes.len() + 1, w.r) {
-        (3, 8) => pair3::<FMA>(w, roots, row0, out, 8, &mut [0.0; 8]),
-        (3, 16) => pair3::<FMA>(w, roots, row0, out, 16, &mut [0.0; 16]),
-        (3, 32) => pair3::<FMA>(w, roots, row0, out, 32, &mut [0.0; 32]),
-        (3, r) => pair3::<FMA>(w, roots, row0, out, r, &mut vec![0.0; r]),
-        (_, r) => pair_deep(w, roots, row0, out, r, &mut vec![0.0; r]),
+fn pair_body<const FMA: bool, const FOLD_FMA: bool, const WIDE: bool>(
+    w: &PairWalk,
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    anchor: &mut [f64],
+) {
+    match w.width {
+        8 => pair_rows::<8, FMA, FOLD_FMA>(w, roots, row0, out, anchor),
+        16 => pair_rows::<16, FMA, FOLD_FMA>(w, roots, row0, out, anchor),
+        _ if WIDE => pair_rows::<32, FMA, FOLD_FMA>(w, roots, row0, out, anchor),
+        _ => pair_rows::<16, FMA, FOLD_FMA>(w, roots, row0, out, anchor),
     }
 }
 
-/// `y += v · x`, fused iff `FMA` — the semi-sparse TTM's row operation.
+/// Every slab of a block of rows starting at `row0`, with its anchor row
+/// when the walk folds one: a row with a root from its leaves, a row
+/// without one all zeros (its anchor the fold of zeros). Nothing is read
+/// from `out` or `anchor` before it is written, so they may hold anything.
 #[inline(always)]
-fn axpy<const FMA: bool>(y: &mut [f64], v: f64, x: &[f64]) {
-    for q in 0..y.len() {
+fn pair_rows<const W: usize, const FMA: bool, const FOLD_FMA: bool>(
+    w: &PairWalk,
+    roots: Range<usize>,
+    row0: usize,
+    out: &mut [f64],
+    anchor: &mut [f64],
+) {
+    let tree = w.tree;
+    let (r, width) = (w.r, w.width);
+    // Padded ranks compute a slab and its anchor row in `pad`; a second KC
+    // panel of the order-3 scatter accumulates in `panel`.
+    let mut pad = vec![0.0; if width == r { 0 } else { (w.sj + 1) * width }];
+    let mut panel = Vec::new();
+    let mut anchors = anchor.chunks_exact_mut(r);
+    let mut next = roots.start;
+    for (a, slab) in out.chunks_exact_mut(w.sj * r).enumerate() {
+        let mut leaves = 0..0;
+        if next < roots.end && tree.roots[next] as usize == row0 + a {
+            leaves = tree.spans[next]..tree.spans[next + 1];
+            next += 1;
+        }
+        let anchor_row = anchors.next();
+        if pad.is_empty() {
+            root_slab::<W, FMA, FOLD_FMA>(w, leaves, slab, &mut panel, anchor_row);
+            continue;
+        }
+        let (pad_slab, pad_anchor) = pad.split_at_mut(w.sj * width);
+        root_slab::<W, FMA, FOLD_FMA>(w, leaves, pad_slab, &mut panel, Some(pad_anchor));
+        for (row, padded) in slab.chunks_exact_mut(r).zip(pad_slab.chunks_exact(width)) {
+            row.copy_from_slice(&padded[..r]);
+        }
+        if let Some(row) = anchor_row {
+            row.copy_from_slice(&pad_anchor[..r]);
+        }
+    }
+}
+
+/// One root's slab (`s_j` rows of `width`) from its `leaves`, in blocks of
+/// `W` lanes, each with its lanes of the anchor row when there is one.
+#[inline(always)]
+fn root_slab<const W: usize, const FMA: bool, const FOLD_FMA: bool>(
+    w: &PairWalk,
+    leaves: Range<usize>,
+    slab: &mut [f64],
+    panel: &mut Vec<f64>,
+    anchor: Option<&mut [f64]>,
+) {
+    let mut anchor = anchor;
+    for c0 in (0..w.width).step_by(W) {
+        let anchor = anchor.as_deref_mut();
+        if w.tree.sub_modes.len() == 2 {
+            pair3::<W, FMA, FOLD_FMA>(w, leaves.clone(), slab, panel, c0, anchor);
+        } else {
+            pair_deep::<W>(w, leaves.clone(), slab, c0);
+            fold_slab::<W, FOLD_FMA>(w, slab, c0, anchor);
+        }
+    }
+}
+
+/// `acc = x · a + acc` across `W` lanes, fused iff `FMA`: one link of the
+/// mTTV's chain.
+#[inline(always)]
+fn fold_row<const W: usize, const FMA: bool>(acc: &mut [f64; W], x: &[f64], a: &[f64]) {
+    let (x, a) = (&x[..W], &a[..W]);
+    for q in 0..W {
+        acc[q] = if FMA {
+            x[q].mul_add(a[q], acc[q])
+        } else {
+            acc[q] + x[q] * a[q]
+        };
+    }
+}
+
+/// Lanes `c0..c0 + W` of the anchor row from a finished slab: per lane one
+/// chain from +0.0 over the slab rows `b` ascending, as the mTTV's `gemv`
+/// contracts the pair's position 1.
+#[inline(always)]
+fn fold_slab<const W: usize, const FMA: bool>(
+    w: &PairWalk,
+    slab: &[f64],
+    c0: usize,
+    anchor: Option<&mut [f64]>,
+) {
+    let (Some(fac), Some(anchor)) = (w.fold, anchor) else {
+        return;
+    };
+    let mut acc = [0.0; W];
+    for (x, a) in slab.chunks_exact(w.width).zip(fac.chunks_exact(w.width)) {
+        fold_row::<W, FMA>(&mut acc, &x[c0..], &a[c0..]);
+    }
+    anchor[c0..][..W].copy_from_slice(&acc);
+}
+
+/// `y += v · x` over `W` lanes, fused iff `FMA` — the semi-sparse TTM's row
+/// operation.
+#[inline(always)]
+fn axpy<const W: usize, const FMA: bool>(y: &mut [f64], v: f64, x: &[f64]) {
+    let (y, x) = (&mut y[..W], &x[..W]);
+    for q in 0..W {
         if FMA {
             y[q] = v.mul_add(x[q], y[q]);
         } else {
@@ -914,146 +1112,178 @@ fn axpy<const FMA: bool>(y: &mut [f64], v: f64, x: &[f64]) {
     }
 }
 
-/// `y += x`, then `x = 0`.
+/// `W` lanes of every row of `slab` (rows of `width`) from lane `c0` set
+/// to +0.0.
 #[inline(always)]
-fn flush(y: &mut [f64], x: &mut [f64]) {
-    for q in 0..y.len() {
-        y[q] += x[q];
-        x[q] = 0.0;
+fn zero_lanes<const W: usize>(slab: &mut [f64], width: usize, c0: usize) {
+    for row in slab.chunks_exact_mut(width) {
+        row[c0..][..W].fill(0.0);
     }
 }
 
-/// The order-3 pair walk: for each output row `(a, b)`, the contributions
-/// `v · A_k[c]` in ascending `c`, accumulated as `csf_ttm` does — from
-/// `+0.0` per KC panel of `c`, fused iff `FMA`, each panel added into the
-/// row with one `+=` (panels without a nonzero contribute an exact +0.0
-/// and are skipped, as there). `acc` (at least `r` long) holds a panel.
+/// The order-3 pair walk of one root, lanes `c0..c0 + W`: for each output
+/// row `(a, b)`, the contributions `v · A_k[c]` in ascending `c`,
+/// accumulated as `csf_ttm` does — from `+0.0` per KC panel of `c`, fused
+/// iff `FMA`, each panel added into the row with one `+` onto the row's
+/// +0.0 start (panels without a nonzero contribute an exact +0.0 and are
+/// skipped, as there). With an `anchor` row, its lanes too.
 #[inline(always)]
-fn pair3<const FMA: bool>(
+fn pair3<const W: usize, const FMA: bool, const FOLD_FMA: bool>(
     w: &PairWalk,
-    roots: Range<usize>,
-    row0: usize,
-    out: &mut [f64],
-    r: usize,
-    acc: &mut [f64],
+    leaves: Range<usize>,
+    slab: &mut [f64],
+    panel: &mut Vec<f64>,
+    c0: usize,
+    anchor: Option<&mut [f64]>,
 ) {
-    let acc = &mut acc[..r];
     let tree = w.tree;
     let (mid, leaf) = (&tree.coords[0], &tree.coords[1]);
     // The contracted mode is the sub-mode `j` is not.
     let fac = w.factors[tree.sub_modes[1 - w.js]].data();
-    let slab_len = w.sj * r;
-    let mut scratch: Vec<f64> = Vec::new();
-    for root in roots {
-        let slab = &mut out[(tree.roots[root] as usize - row0) * slab_len..][..slab_len];
-        let (mut e, end) = (tree.spans[root], tree.spans[root + 1]);
-        if w.js == 0 {
-            // `j` in the middle: a run of equal middle coordinates is one
-            // output row, its leaves the contracted coordinates —
-            // `csf_ttm`'s row loop.
-            while e < end {
-                let b = mid[e];
-                let row = &mut slab[b as usize * r..][..r];
-                let mut panel_end = 0;
-                while e < end && mid[e] == b {
-                    let c = leaf[e] as usize;
-                    if c >= panel_end {
-                        if panel_end != 0 {
-                            flush(row, acc);
-                        }
-                        panel_end = (c / w.kc + 1) * w.kc;
-                    }
-                    axpy::<FMA>(acc, tree.vals[e], &fac[c * r..][..r]);
-                    e += 1;
-                }
-                if panel_end != 0 {
-                    flush(row, acc);
-                }
-            }
-            continue;
-        }
+    let width = w.width;
+    let (mut e, end) = (leaves.start, leaves.end);
+    if w.js == 1 {
         // `j` at the leaves: the middle coordinates are the contracted
-        // ones, ascending, and each leaf scatters into its row. The root's
-        // first panel accumulates in the slab itself, which starts at +0.0
-        // as a panel accumulator does; each later one in `scratch`, flushed
-        // into the slab at the panel's end by re-walking its leaves (a row
-        // seen twice adds an exact +0.0 the second time).
-        e = scatter_panel::<FMA>(tree, fac, w.kc, e..end, slab, r);
+        // ones, ascending, and each leaf scatters into its row. The first
+        // panel accumulates in the slab itself, zeroed here as a panel
+        // accumulator starts; each later one in `panel`, flushed into the
+        // slab at the panel's end by re-walking its leaves (a row seen
+        // twice adds an exact +0.0 the second time).
+        zero_lanes::<W>(slab, width, c0);
+        if e < end {
+            e = scatter_panel::<W, FMA>(w, fac, e..end, slab, c0);
+        }
         while e < end {
-            if scratch.is_empty() {
-                scratch = vec![0.0; slab_len];
+            if panel.is_empty() {
+                *panel = vec![0.0; slab.len()];
             }
             let start = e;
-            e = scatter_panel::<FMA>(tree, fac, w.kc, e..end, &mut scratch, r);
+            e = scatter_panel::<W, FMA>(w, fac, e..end, panel, c0);
             for &b in &leaf[start..e] {
-                let b = b as usize * r;
-                flush(&mut slab[b..][..r], &mut scratch[b..][..r]);
+                let b = b as usize * width + c0;
+                let (y, x) = (&mut slab[b..][..W], &mut panel[b..][..W]);
+                for q in 0..W {
+                    y[q] += x[q];
+                    x[q] = 0.0;
+                }
             }
         }
+        return fold_slab::<W, FOLD_FMA>(w, slab, c0, anchor);
+    }
+    // `j` in the middle: a run of equal middle coordinates is one output
+    // row, its leaves the contracted coordinates — `csf_ttm`'s row loop;
+    // a row without a leaf is +0.0. The panel accumulator stays in
+    // registers, and so does the anchor's chain, which takes each row as
+    // it is finished. (One loop over every row: a loop that only zeroes
+    // rows would become a `memset` call, and the chain would spill around
+    // it.)
+    let fold = if anchor.is_some() { w.fold } else { None };
+    let mut folded = [0.0; W];
+    for b in 0..w.sj {
+        let row = &mut slab[b * width + c0..][..W];
+        if e < end && mid[e] as usize == b {
+            let mut acc = [0.0; W];
+            let mut panel_end = 0;
+            let mut first = true;
+            while e < end && mid[e] as usize == b {
+                let c = leaf[e] as usize;
+                if c >= panel_end {
+                    if panel_end != 0 {
+                        flush_panel(row, &mut acc, first);
+                        first = false;
+                    }
+                    panel_end = (c / w.kc + 1) * w.kc;
+                }
+                axpy::<W, FMA>(&mut acc, tree.vals[e], &fac[c * width + c0..]);
+                e += 1;
+            }
+            flush_panel(row, &mut acc, first);
+        } else {
+            row.fill(0.0);
+        }
+        if let Some(a) = fold {
+            fold_row::<W, FOLD_FMA>(&mut folded, row, &a[b * width + c0..]);
+        }
+    }
+    if let Some(anchor) = anchor {
+        anchor[c0..][..W].copy_from_slice(&folded);
+    }
+}
+
+/// Add a finished panel into its row and restart it at +0.0. The first
+/// panel adds onto the row's +0.0 start, which the row does not hold yet.
+#[inline(always)]
+fn flush_panel<const W: usize>(row: &mut [f64], acc: &mut [f64; W], first: bool) {
+    for q in 0..W {
+        let y = if first { 0.0 } else { row[q] };
+        row[q] = y + acc[q];
+        acc[q] = 0.0;
     }
 }
 
 /// Scatter the leaves in `leaves` that share the first one's KC panel of
-/// the middle coordinate into the rows of `target`; returns the first leaf
-/// past it.
+/// the middle coordinate into lanes `c0..c0 + W` of the rows of `target`;
+/// returns the first leaf past it.
 #[inline(always)]
-fn scatter_panel<const FMA: bool>(
-    tree: &CsfTree,
+fn scatter_panel<const W: usize, const FMA: bool>(
+    w: &PairWalk,
     fac: &[f64],
-    kc: usize,
     leaves: Range<usize>,
     target: &mut [f64],
-    r: usize,
+    c0: usize,
 ) -> usize {
+    let tree = w.tree;
     let (mid, leaf) = (&tree.coords[0], &tree.coords[1]);
-    let panel_end = (mid[leaves.start] as usize / kc + 1) * kc;
+    let panel_end = (mid[leaves.start] as usize / w.kc + 1) * w.kc;
     let mut e = leaves.start;
     while e < leaves.end && (mid[e] as usize) < panel_end {
-        let x = &fac[mid[e] as usize * r..][..r];
-        let b = leaf[e] as usize * r;
-        axpy::<FMA>(&mut target[b..][..r], tree.vals[e], x);
+        let x = &fac[mid[e] as usize * w.width + c0..];
+        let b = leaf[e] as usize * w.width + c0;
+        axpy::<W, FMA>(&mut target[b..], tree.vals[e], x);
         e += 1;
     }
     e
 }
 
-/// The pair walk at order 4 and up, the pointwise oracle's sequence: per
-/// leaf `p = v`, `p *= row` for every sub-mode but `j` in ascending mode
-/// order, then `out[a, b] += p` — unfused, in the tree's (lexicographic)
-/// order. `p` is at least `r` long.
+/// The pair walk of one root at order 4 and up, lanes `c0..c0 + W`, the
+/// pointwise oracle's sequence: per leaf `p = v`, `p *= row` for every
+/// sub-mode but `j` in ascending mode order, then `out[a, b] += p` —
+/// unfused, in the tree's (lexicographic) order, onto a slab zeroed here.
+/// A run of leaves on one row `b` adds into it in registers.
 #[inline(always)]
-fn pair_deep(
-    w: &PairWalk,
-    roots: Range<usize>,
-    row0: usize,
-    out: &mut [f64],
-    r: usize,
-    p: &mut [f64],
-) {
-    let p = &mut p[..r];
+fn pair_deep<const W: usize>(w: &PairWalk, leaves: Range<usize>, slab: &mut [f64], c0: usize) {
     let tree = w.tree;
-    let slab_len = w.sj * r;
-    for root in roots {
-        let slab = &mut out[(tree.roots[root] as usize - row0) * slab_len..][..slab_len];
-        for e in tree.spans[root]..tree.spans[root + 1] {
-            p.fill(tree.vals[e]);
-            let mut b = 0;
-            for (s, (coords, &m)) in tree.coords.iter().zip(&tree.sub_modes).enumerate() {
-                let x = coords[e] as usize;
-                if s == w.js {
-                    b = x;
-                    continue;
-                }
-                let row = w.factors[m].row(x);
-                for q in 0..r {
-                    p[q] *= row[q];
-                }
+    let width = w.width;
+    zero_lanes::<W>(slab, width, c0);
+    let mut row = usize::MAX;
+    let mut acc = [0.0; W];
+    for e in leaves {
+        let mut p = [tree.vals[e]; W];
+        let mut b = 0;
+        for (s, (coords, &m)) in tree.coords.iter().zip(&tree.sub_modes).enumerate() {
+            let x = coords[e] as usize;
+            if s == w.js {
+                b = x;
+                continue;
             }
-            let y = &mut slab[b * r..][..r];
-            for q in 0..r {
-                y[q] += p[q];
+            let f = &w.factors[m].data()[x * width + c0..][..W];
+            for q in 0..W {
+                p[q] *= f[q];
             }
         }
+        if b != row {
+            if row != usize::MAX {
+                slab[row * width + c0..][..W].copy_from_slice(&acc);
+            }
+            row = b;
+            acc.copy_from_slice(&slab[b * width + c0..][..W]);
+        }
+        for q in 0..W {
+            acc[q] += p[q];
+        }
+    }
+    if row != usize::MAX {
+        slab[row * width + c0..][..W].copy_from_slice(&acc);
     }
 }
 
@@ -1472,26 +1702,33 @@ mod tests {
 
     /// A PP build over the forest on the clone for `level`, as `pp_tree`
     /// runs it: the walk of every pair `(i, j)`, `i < j`, drawn from `ws`,
-    /// then the anchors `M^(n)` — mode 0 contracting position 1 of
-    /// `𝓜^(0,1)` with `A^(1)`, every other mode position 0 of `𝓜^(0,n)`
-    /// with `A^(0)`.
+    /// with the anchor `M^(0)` folded into the walk of `𝓜^(0,1)`, then
+    /// every other anchor `M^(n)` contracting position 0 of `𝓜^(0,n)` with
+    /// `A^(0)`.
     fn forest_build(
         level: SimdLevel,
         ws: &Workspace,
         csf: &CsfTensor,
         factors: &[Matrix],
-    ) -> (Vec<DenseTensor>, Vec<DenseTensor>) {
+    ) -> (Vec<DenseTensor>, Vec<Vec<f64>>) {
         let order = csf.order();
+        let mut anchors = Vec::new();
         let pairs: Vec<DenseTensor> = (0..order)
             .flat_map(|i| (i + 1..order).map(move |j| (i, j)))
-            .map(|(i, j)| pair_at(level, ws, csf, factors, i, j))
-            .collect();
-        let anchors = (0..order)
-            .map(|n| match n {
-                0 => mttv_in(ws, &pairs[0], 1, &factors[1]).tensor,
-                _ => mttv_in(ws, &pairs[n - 1], 0, &factors[0]).tensor,
+            .map(|(i, j)| {
+                let (pair, anchor) = pair_at(level, ws, csf, factors, i, j, (i, j) == (0, 1));
+                anchors.extend(anchor.map(|a| a.data().to_vec()));
+                pair
             })
             .collect();
+        for n in 1..order {
+            anchors.push(
+                mttv_in(ws, &pairs[n - 1], 0, &factors[0])
+                    .tensor
+                    .data()
+                    .to_vec(),
+            );
+        }
         (pairs, anchors)
     }
 
@@ -1585,8 +1822,11 @@ mod tests {
                 // Every length the build draws is held from here on.
                 drop(forest_build(best, &ws, &csf, &factors));
                 for &level in levels.iter().filter(|&&l| l <= best) {
+                    // The walk folds anchor 0 at the level's fusion; the
+                    // mTTV runs the others at the CPU's.
                     let want = &want_pairs[usize::from(fuses(level))];
-                    let anchors = want_anchors(want, fuses(best));
+                    let mut anchors = want_anchors(want, fuses(best));
+                    anchors[0] = fold_oracle(&want[0], 1, &full[1], fuses(level));
                     for width in [1, 2, 4] {
                         let _w = rayon::scoped_num_threads(width);
                         let misses = ws.stats().misses;
@@ -1597,7 +1837,7 @@ mod tests {
                             assert!(lanes_eq(got.data(), want.data(), r), "{what} pair {key:?}");
                         }
                         for (n, (got, want)) in got_anchors.iter().zip(&anchors).enumerate() {
-                            assert!(lanes_eq(got.data(), want, r), "{what} anchor {n}");
+                            assert!(lanes_eq(got, want, r), "{what} anchor {n}");
                         }
                     }
                 }

@@ -29,8 +29,11 @@
 //!   tree period is dropped by [`Workspace::end_sweep`].
 //! * **Stale contents are safe.** [`Workspace::draw`] hands a recycled
 //!   buffer out as it is: its takers are the β = 0 GEMM calls, which store
-//!   `0.0 + α·acc` without reading C. Accumulating kernels take
-//!   [`Workspace::draw_zeroed`]. Debug builds fill a returning buffer with
+//!   `0.0 + α·acc` without reading C, and the sparse PP pair walk
+//!   (`sparse::csf_pair_in`), whose pool tasks write every row of their
+//!   blocks, zero rows included. Accumulating kernels — the mTTV and the
+//!   semi-sparse TTM, mTTV and densify — take [`Workspace::draw_zeroed`],
+//!   whose fill of a recycled buffer runs serially on the calling thread. Debug builds fill a returning buffer with
 //!   NaN and pool every length, so the whole test suite runs over poisoned
 //!   memory; release builds let requests under 1 MiB go straight to the
 //!   allocator, which never maps those fresh. A miss is a fresh, known-zero
