@@ -29,6 +29,7 @@ use crate::par_common::ParState;
 use crate::result::{AlsOutput, AlsReport, SweepKind};
 use crate::session::{Progress, Step};
 use pp_comm::{Collectives, RankCtx};
+use pp_dtree::correct::{drifted, first_order_correction, second_order_correction};
 use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
 use pp_dtree::Kernel;
 use pp_grid::{DistTensor, ProcGrid};
@@ -261,18 +262,23 @@ impl ParSession {
                 .stats
                 .record(Kernel::Hadamard, h0.elapsed(), 0);
 
-            // Local first-order corrections (line 6) + anchor.
-            let c0 = Instant::now();
+            // Local first-order corrections (line 6) + anchor, each against
+            // a drift that is not exactly zero.
             let mut m_local = snap.ops.firsts[n].clone();
-            for i in 0..n_modes {
-                if i == n {
+            for i in (0..n_modes).filter(|&i| i != n) {
+                let c0 = Instant::now();
+                let d_p = self.st.dist_factors[i].p().sub(&snap.p_p[i]);
+                if !drifted(&d_p) {
                     continue;
                 }
-                let d_p = self.st.dist_factors[i].p().sub(&snap.p_p[i]);
-                let u = pp_dtree::correct::first_order_correction(&snap.ops, n, i, &d_p);
+                let u = first_order_correction(&snap.ops, n, i, &d_p);
                 m_local.axpy(1.0, &u);
+                let flops = 2 * snap.ops.pair(n, i).dense().len() as u64;
+                self.st
+                    .engine
+                    .stats
+                    .record(Kernel::Mttv, c0.elapsed(), flops);
             }
-            self.st.engine.stats.record(Kernel::Mttv, c0.elapsed(), 0);
 
             // Reduce-Scatter the corrected MTTKRP (line 9).
             let r0 = Instant::now();
@@ -282,12 +288,8 @@ impl ParSession {
             // Second-order correction (lines 10-11) on Q rows.
             let v0 = Instant::now();
             let d_grams = d_grams_global(ctx, &self.st, &snap);
-            let v_q = pp_dtree::correct::second_order_correction(
-                self.st.dist_factors[n].q(),
-                &self.st.grams,
-                &d_grams,
-                n,
-            );
+            let v_q =
+                second_order_correction(self.st.dist_factors[n].q(), &self.st.grams, &d_grams, n);
             m_q.axpy(1.0, &v_q);
             self.st
                 .engine

@@ -31,14 +31,14 @@ use crate::fitness::{fitness_from_residual, relative_residual};
 use crate::init::init_factors;
 use crate::nonneg::hals_update;
 use crate::result::{AlsOutput, AlsReport, SweepKind, SweepRecord};
-use pp_dtree::correct::{approx_mttkrp, d_gram};
+use pp_dtree::correct::{approx_mttkrp, correction_flops, d_gram};
 use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
 use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel, KernelStats, TreePolicy};
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
 use pp_tensor::sparse::SparseTensor;
 use pp_tensor::{DenseTensor, Matrix, Workspace};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which update rule the session runs each sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -449,6 +449,12 @@ impl AlsSession {
         self.progress.report()
     }
 
+    /// The kernel ledger so far: what [`AlsSession::finish`] seals into
+    /// the report.
+    pub fn stats(&self) -> &KernelStats {
+        &self.engine.stats
+    }
+
     /// Current factor matrices.
     pub fn factors(&self) -> &[Matrix] {
         self.fs.factors()
@@ -836,6 +842,21 @@ impl AlsSession {
         (secs, fitness)
     }
 
+    /// The ledger of mode `n`'s approximated MTTKRP, which took `elapsed`:
+    /// one mTTV call per first-order correction that ran, with its flops,
+    /// sharing the time; with none run, the time is the second-order
+    /// correction's Hadamard work.
+    fn record_corrections(&mut self, ops: &PpOperators, n: usize, elapsed: Duration) {
+        let flops: Vec<u64> = correction_flops(ops, &self.d_factors, n).collect();
+        if flops.is_empty() {
+            self.engine.stats.record(Kernel::Hadamard, elapsed, 0);
+        }
+        let share = elapsed / flops.len().max(1) as u32;
+        for f in flops {
+            self.engine.stats.record(Kernel::Mttv, share, f);
+        }
+    }
+
     /// PP initialization (Alg. 2 lines 6-9): freeze `A_p`, zero `dA`,
     /// build the pair operators, and enter the approximated regime. It
     /// carries the previous sweep's fitness.
@@ -894,7 +915,7 @@ impl AlsSession {
                 &d_grams,
                 n,
             );
-            self.engine.stats.record(Kernel::Mttv, c0.elapsed(), 0);
+            self.record_corrections(&ops, n, c0.elapsed());
 
             let s0 = Instant::now();
             let a_new = match self.kind {

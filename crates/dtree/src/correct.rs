@@ -13,6 +13,17 @@
 //! `V^(n) = A^(n) · Σ_{i<j, i,j≠n} dS^(i) ∗ dS^(j) ∗ (∗_{k≠i,j,n} S^(k))`
 //!
 //! with `dS^(i) = A^(i)ᵀ dA^(i)` (Eq. 8).
+//!
+//! A first-order correction runs only against a drift that is not exactly
+//! zero ([`drifted`]): the first approximated sweep after a PP
+//! initialization meets `dA^(i) = 0` for every mode `i` it has not updated
+//! yet, half of its corrections. Skipping them is bitwise neutral. On
+//! finite operators the skipped mTTV is all +0.0 (every product is ±0.0,
+//! and its chain from +0.0 stays +0.0). The sum it would be added to does
+//! not hold −0.0: the anchor and every correction are chains from +0.0,
+//! and a sum of two values that are not −0.0 is not −0.0. (A fused chain
+//! can round to −0.0 only where a product underflows below the smallest
+//! subnormal.)
 
 use crate::pp_tree::PpOperators;
 use pp_tensor::kernels::mttv::mttv;
@@ -34,6 +45,28 @@ pub fn first_order_correction(
     let rows = out.tensor.dim(0);
     let r = out.tensor.dim(1);
     Matrix::from_vec(rows, r, out.tensor.into_vec())
+}
+
+/// Whether a first-order correction against `d_factor_i` runs: the one
+/// rule both sessions' approximated steps skip corrections by (module
+/// docs).
+pub fn drifted(d_factor_i: &Matrix) -> bool {
+    d_factor_i.data().iter().any(|&x| x != 0.0)
+}
+
+/// The mTTV flops of each first-order correction [`approx_mttkrp`] runs
+/// for mode `n`, in partner order: `2 · |𝓜p^(n,i)|` for every `i ≠ n`
+/// whose drift is not exactly zero.
+pub fn correction_flops<'a>(
+    ops: &'a PpOperators,
+    d_factors: &'a [Matrix],
+    n: usize,
+) -> impl Iterator<Item = u64> + 'a {
+    d_factors
+        .iter()
+        .enumerate()
+        .filter(move |&(i, d)| i != n && drifted(d))
+        .map(move |(i, _)| 2 * ops.pair(n, i).dense().len() as u64)
 }
 
 /// `dS^(i) = A^(i)ᵀ dA^(i)` (Eq. 8).
@@ -77,7 +110,9 @@ pub fn second_order_correction(
     a_n.matmul(&inner)
 }
 
-/// Assemble `˜M^(n)` (Eq. 5) from the operators and the current state.
+/// Assemble `˜M^(n)` (Eq. 5) from the operators and the current state,
+/// skipping the first-order corrections against an exactly zero drift
+/// ([`drifted`]).
 ///
 /// * `ops` — PP operators from [`crate::pp_tree::build_pp_operators`];
 /// * `d_factors[i] = A^(i) − A_p^(i)`;
@@ -92,7 +127,7 @@ pub fn approx_mttkrp(
 ) -> Matrix {
     let mut m = ops.firsts[n].clone();
     for (i, d) in d_factors.iter().enumerate() {
-        if i == n {
+        if i == n || !drifted(d) {
             continue;
         }
         let u = first_order_correction(ops, n, i, d);

@@ -8,7 +8,7 @@
 //! threshold (K·s·R = 1600·40·8 ≈ 5×10⁵ ≥ 2¹⁶), so the N-thread run
 //! really exercises the pooled parallel paths.
 
-use parallel_pp::core::{AlsConfig, AlsSession, SessionKind};
+use parallel_pp::core::{AlsConfig, AlsSession, SessionKind, Step, SweepKind};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::{KernelStats, TreePolicy};
 
@@ -208,5 +208,90 @@ fn kernel_ledger_counts_every_ttm_once_at_any_width() {
         assert!(one.ttm_count > 0, "{policy:?}: no TTM ran");
         assert_eq!(one.gemm_packed_flops, one.ttm_flops, "{policy:?}");
         assert_eq!(ledger_counts(&one), ledger_counts(&four), "{policy:?}");
+    }
+}
+
+/// Each sweep of a session run to its end: its kind, then the mTTV calls
+/// and flops the ledger recorded during it.
+fn mttv_per_sweep(mut session: AlsSession) -> Vec<(SweepKind, u64, u64)> {
+    let mut sweeps = Vec::new();
+    let mut before = (0, 0);
+    while let Step::Swept(rec) = session.step() {
+        let s = session.stats();
+        sweeps.push((rec.kind, s.mttv_count - before.0, s.mttv_flops - before.1));
+        before = (s.mttv_count, s.mttv_flops);
+    }
+    sweeps
+}
+
+#[test]
+fn pp_ledger_counts_the_corrections_that_run_at_any_width() {
+    // An approximated sweep runs one first-order correction per ordered
+    // pair of modes, 2·|𝓜^(n,i)| flops each, except against a drift that
+    // is exactly zero: the first one after a PP-init meets dA^(i) = 0 for
+    // every mode it has not updated yet, so it runs N(N−1)/2 fewer. A
+    // sparse PP-init contracts N − 1 anchors (the walk of 𝓜^(0,1) folds
+    // the first). Every per-sweep count repeats at widths 1 and 4.
+    let _serial = override_lock();
+    let rank = 8;
+    let dense3 = noisy_rank(&[40, 40, 40], 6, 0.05, 55);
+    let dense4 = noisy_rank(&[14, 13, 12, 11], 5, 0.05, 57);
+    let (sparse3, _) = parallel_pp::datagen::sparse::sparse_lowrank(&[40, 36, 30], 4, 0.12, 77);
+    let cfg = |threads: usize| {
+        AlsConfig::new(rank)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_max_sweeps(18)
+            .with_tol(0.0)
+            .with_pp_tol(0.5)
+            .with_threads(threads)
+    };
+    let session = |case: usize, w: usize| match case {
+        0 => AlsSession::new(&dense3, &cfg(w), SessionKind::Pp),
+        1 => AlsSession::new(&dense4, &cfg(w), SessionKind::Pp),
+        _ => AlsSession::new_sparse(&sparse3, &cfg(w), SessionKind::Pp),
+    };
+    let shapes: [&[usize]; 3] = [&[40, 40, 40], &[14, 13, 12, 11], &[40, 36, 30]];
+    for (case, dims) in shapes.into_iter().enumerate() {
+        let order = dims.len() as u64;
+        // Σ over the corrections of a sweep: all ordered pairs, or only
+        // those whose partner came first.
+        let flops = |first_after_init: bool| -> u64 {
+            let mut sum = 0;
+            for (n, &sn) in dims.iter().enumerate() {
+                for (i, &si) in dims.iter().enumerate() {
+                    if i != n && (!first_after_init || i < n) {
+                        sum += 2 * (sn * si * rank) as u64;
+                    }
+                }
+            }
+            sum
+        };
+        let one = mttv_per_sweep(session(case, 1));
+        let inits = one.iter().filter(|s| s.0 == SweepKind::PpInit).count();
+        assert!(inits >= 2, "{dims:?}: {inits} PP-inits; loosen pp_tol");
+        for (k, &(kind, calls, fl)) in one.iter().enumerate() {
+            let after_init = k > 0 && one[k - 1].0 == SweepKind::PpInit;
+            match kind {
+                SweepKind::PpApprox if after_init => {
+                    assert_eq!(
+                        (calls, fl),
+                        (order * (order - 1) / 2, flops(true)),
+                        "{dims:?} {k}"
+                    );
+                }
+                SweepKind::PpApprox => {
+                    assert_eq!(
+                        (calls, fl),
+                        (order * (order - 1), flops(false)),
+                        "{dims:?} {k}"
+                    );
+                }
+                SweepKind::PpInit if case == 2 => {
+                    assert_eq!(calls, order - 1, "{dims:?} sweep {k}");
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(one, mttv_per_sweep(session(case, 4)), "{dims:?}");
     }
 }
