@@ -1146,9 +1146,9 @@ fn pair3<const W: usize, const FMA: bool, const FOLD_FMA: bool>(
         // `j` at the leaves: the middle coordinates are the contracted
         // ones, ascending, and each leaf scatters into its row. The first
         // panel accumulates in the slab itself, zeroed here as a panel
-        // accumulator starts; each later one in `panel`, flushed into the
-        // slab at the panel's end by re-walking its leaves (a row seen
-        // twice adds an exact +0.0 the second time).
+        // accumulator starts; each later one in `panel`, added into the
+        // slab row by row at the panel's end (a row the panel missed adds
+        // an exact +0.0).
         zero_lanes::<W>(slab, width, c0);
         if e < end {
             e = scatter_panel::<W, FMA>(w, fac, e..end, slab, c0);
@@ -1157,11 +1157,12 @@ fn pair3<const W: usize, const FMA: bool, const FOLD_FMA: bool>(
             if panel.is_empty() {
                 *panel = vec![0.0; slab.len()];
             }
-            let start = e;
             e = scatter_panel::<W, FMA>(w, fac, e..end, panel, c0);
-            for &b in &leaf[start..e] {
-                let b = b as usize * width + c0;
-                let (y, x) = (&mut slab[b..][..W], &mut panel[b..][..W]);
+            for (y, x) in slab
+                .chunks_exact_mut(width)
+                .zip(panel.chunks_exact_mut(width))
+            {
+                let (y, x) = (&mut y[c0..][..W], &mut x[c0..][..W]);
                 for q in 0..W {
                     y[q] += x[q];
                     x[q] = 0.0;
