@@ -848,12 +848,15 @@ impl AlsSession {
     /// correction's Hadamard work.
     fn record_corrections(&mut self, ops: &PpOperators, n: usize, elapsed: Duration) {
         let flops: Vec<u64> = correction_flops(ops, &self.d_factors, n).collect();
-        if flops.is_empty() {
-            self.engine.stats.record(Kernel::Hadamard, elapsed, 0);
-        }
-        let share = elapsed / flops.len().max(1) as u32;
-        for f in flops {
-            self.engine.stats.record(Kernel::Mttv, share, f);
+        match flops.len() {
+            0 => self.engine.stats.record(Kernel::Hadamard, elapsed, 0),
+            k => {
+                for f in flops {
+                    self.engine
+                        .stats
+                        .record(Kernel::Mttv, elapsed / k as u32, f);
+                }
+            }
         }
     }
 

@@ -61,6 +61,10 @@ mod tests {
             }
         }
         assert!(par.report.count(SweepKind::PpApprox) >= 1);
+        // One rule skips corrections in both sessions, so the ledgers count
+        // the same mTTVs: a rank's local drift is exactly zero where the
+        // global one is.
+        assert_eq!(seq.report.stats.mttv_count, par.report.stats.mttv_count);
     }
 
     #[test]
