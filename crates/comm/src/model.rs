@@ -27,32 +27,6 @@ pub enum Method {
     PpApproxRef,
 }
 
-impl Method {
-    /// Human-readable label matching the paper's tables and figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Method::Dt => "DT",
-            Method::Msdt => "MSDT",
-            Method::PpInit => "PP-init",
-            Method::PpInitRef => "PP-init-ref",
-            Method::PpApprox => "PP-approx",
-            Method::PpApproxRef => "PP-approx-ref",
-        }
-    }
-
-    /// All variants in Table I's row order.
-    pub fn all() -> [Method; 6] {
-        [
-            Method::Dt,
-            Method::Msdt,
-            Method::PpInit,
-            Method::PpInitRef,
-            Method::PpApprox,
-            Method::PpApproxRef,
-        ]
-    }
-}
-
 /// Leading-order cost terms for one full ALS sweep of MTTKRP calculations.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepCost {
@@ -152,12 +126,6 @@ pub fn sweep_cost(method: Method, n_order: usize, s: f64, r: f64, p: f64) -> Swe
     }
 }
 
-/// Weak-scaling helper: global mode size for a fixed per-process local mode
-/// size `s_local` on `p` processes (`s = s_local · P^{1/N}`).
-pub fn weak_scaling_global_s(s_local: f64, p: f64, n_order: usize) -> f64 {
-    s_local * p.powf(1.0 / n_order as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,19 +169,16 @@ mod tests {
     }
 
     #[test]
-    fn weak_scaling_s() {
-        let s = weak_scaling_global_s(400.0, 8.0, 3);
-        assert!((s - 800.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn modeled_time_positive_and_ordered() {
         let m = CostModel::stampede2_like();
-        let dt = sweep_cost(Method::Dt, 3, 1600.0, 400.0, 64.0).modeled_time(&m);
-        let ms = sweep_cost(Method::Msdt, 3, 1600.0, 400.0, 64.0).modeled_time(&m);
-        let pp = sweep_cost(Method::PpApprox, 3, 1600.0, 400.0, 64.0).modeled_time(&m);
-        assert!(dt > 0.0 && ms > 0.0 && pp > 0.0);
-        assert!(ms < dt, "MSDT must be modeled faster than DT");
-        assert!(pp < ms, "PP-approx must be modeled faster than MSDT");
+        // s = 1600 on 4×4×4, and the paper's largest order-3 point: s_local
+        // = 400 on the 8×8×16 grid, so s = 400·1024^{1/3} and P = 1024.
+        for (s, p) in [(1600.0, 64.0), (400.0 * 1024f64.cbrt(), 1024.0)] {
+            let time = |method| sweep_cost(method, 3, s, 400.0, p).modeled_time(&m);
+            let (dt, ms, pp) = (time(Method::Dt), time(Method::Msdt), time(Method::PpApprox));
+            assert!(dt > 0.0 && ms > 0.0 && pp > 0.0);
+            assert!(ms < dt, "P={p}: MSDT must be modeled faster than DT");
+            assert!(pp < ms, "P={p}: PP-approx must be modeled faster than MSDT");
+        }
     }
 }

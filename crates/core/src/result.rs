@@ -57,20 +57,6 @@ impl AlsReport {
         self.sweeps.iter().filter(|s| s.kind == kind).count()
     }
 
-    /// Mean seconds per sweep of a given kind (Table IV columns).
-    pub fn mean_secs(&self, kind: SweepKind) -> f64 {
-        let (sum, n) = self
-            .sweeps
-            .iter()
-            .filter(|s| s.kind == kind)
-            .fold((0.0, 0usize), |(a, c), s| (a + s.secs, c + 1));
-        if n == 0 {
-            f64::NAN
-        } else {
-            sum / n as f64
-        }
-    }
-
     /// Total wall-clock seconds.
     pub fn total_secs(&self) -> f64 {
         self.sweeps.last().map_or(0.0, |s| s.cumulative_secs)
@@ -82,14 +68,6 @@ impl AlsReport {
             .iter()
             .find(|s| s.fitness >= target)
             .map(|s| s.cumulative_secs)
-    }
-
-    /// The (time, fitness) series for fitness-vs-time plots (Fig. 5).
-    pub fn fitness_series(&self) -> Vec<(f64, f64)> {
-        self.sweeps
-            .iter()
-            .map(|s| (s.cumulative_secs, s.fitness))
-            .collect()
     }
 }
 
@@ -128,20 +106,8 @@ mod tests {
         };
         assert_eq!(report.count(SweepKind::Exact), 1);
         assert_eq!(report.count(SweepKind::PpApprox), 2);
-        assert!((report.mean_secs(SweepKind::PpApprox) - 0.2).abs() < 1e-12);
-        assert!(report.mean_secs(SweepKind::Exact) == 1.0);
         assert_eq!(report.total_secs(), 1.9);
         assert_eq!(report.time_to_fitness(0.65), Some(1.9));
         assert_eq!(report.time_to_fitness(0.9), None);
-        assert!(report.mean_secs(SweepKind::PpInit) == 0.5);
-    }
-
-    #[test]
-    fn fitness_series_shape() {
-        let report = AlsReport {
-            sweeps: vec![rec(SweepKind::Exact, 1.0, 0.4, 1.0)],
-            ..Default::default()
-        };
-        assert_eq!(report.fitness_series(), vec![(1.0, 0.4)]);
     }
 }

@@ -102,8 +102,18 @@ mod tests {
         };
         let (t, _, _) = collinearity_tensor(&cfg, 11);
         let out = pp(&t, &pp_cfg(6).with_max_sweeps(60));
-        let exact_mean = out.report.mean_secs(SweepKind::Exact);
-        let approx_mean = out.report.mean_secs(SweepKind::PpApprox);
+        let mean_secs = |kind| {
+            let secs: Vec<f64> = out
+                .report
+                .sweeps
+                .iter()
+                .filter(|s| s.kind == kind)
+                .map(|s| s.secs)
+                .collect();
+            secs.iter().sum::<f64>() / secs.len() as f64
+        };
+        let (exact_mean, approx_mean) =
+            (mean_secs(SweepKind::Exact), mean_secs(SweepKind::PpApprox));
         if out.report.count(SweepKind::PpApprox) >= 3 {
             assert!(
                 approx_mean < exact_mean,

@@ -141,29 +141,6 @@ impl KernelStats {
         self.semisparse_ttv_flops += delta.ttv_flops;
         self.semisparse_entries_visited += delta.entries_visited;
     }
-
-    /// Scale all timings (e.g. to average over sweeps).
-    pub fn scaled(&self, factor: f64) -> KernelStats {
-        KernelStats {
-            ttm_secs: self.ttm_secs * factor,
-            mttv_secs: self.mttv_secs * factor,
-            hadamard_secs: self.hadamard_secs * factor,
-            solve_secs: self.solve_secs * factor,
-            other_secs: self.other_secs * factor,
-            ..*self
-        }
-    }
-
-    /// The five-category breakdown of Fig. 3c–f.
-    pub fn five_way(&self) -> [(&'static str, f64); 5] {
-        [
-            ("TTM", self.ttm_secs),
-            ("mTTV", self.mttv_secs),
-            ("hadamard", self.hadamard_secs),
-            ("solve", self.solve_secs),
-            ("others", self.other_secs),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -179,40 +156,10 @@ mod tests {
         assert!((s.total_secs() - 0.175).abs() < 1e-9);
         assert_eq!(s.ttm_flops, 1000);
         assert_eq!(s.ttm_count, 1);
-    }
-
-    #[test]
-    fn add_and_scale() {
-        let mut a = KernelStats::default();
-        a.record(Kernel::Hadamard, Duration::from_millis(10), 0);
         let mut b = KernelStats::default();
-        b.record(Kernel::Hadamard, Duration::from_millis(30), 0);
-        a.add(&b);
-        assert!((a.hadamard_secs - 0.04).abs() < 1e-9);
-        let half = a.scaled(0.5);
-        assert!((half.hadamard_secs - 0.02).abs() < 1e-9);
-    }
-
-    #[test]
-    fn five_way_sums_to_the_total() {
-        let mut s = KernelStats::default();
-        for (i, k) in [
-            Kernel::Ttm,
-            Kernel::Mttv,
-            Kernel::Hadamard,
-            Kernel::Solve,
-            Kernel::Other,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            s.record(k, Duration::from_millis(10 * (i as u64 + 1)), 0);
-        }
-        let five = s.five_way();
-        let labels: Vec<&str> = five.iter().map(|&(l, _)| l).collect();
-        assert_eq!(labels, ["TTM", "mTTV", "hadamard", "solve", "others"]);
-        assert!((five[1].1 - 0.02).abs() < 1e-9);
-        let sum: f64 = five.iter().map(|&(_, v)| v).sum();
-        assert!((sum - s.total_secs()).abs() < 1e-12);
+        b.record(Kernel::Solve, Duration::from_millis(30), 0);
+        s.add(&b);
+        assert!((s.solve_secs - 0.055).abs() < 1e-9);
+        assert_eq!((s.ttm_flops, s.mttv_flops), (1000, 500));
     }
 }

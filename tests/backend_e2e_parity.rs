@@ -130,7 +130,7 @@ fn ref_pp_corrections_identical_across_backends() {
             for n in 0..3 {
                 let _ = st.update_mode_exact(ctx, &c2, n);
             }
-            let ops = ref_pp_init(ctx, &mut st, &c2);
+            let ops = ref_pp_init(ctx, &mut st);
             let p_p: Vec<Matrix> = st.dist_factors.iter().map(|f| f.p().clone()).collect();
             for n in 0..3 {
                 let mut q = st.dist_factors[n].q().clone();

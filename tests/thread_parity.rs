@@ -211,17 +211,137 @@ fn kernel_ledger_counts_every_ttm_once_at_any_width() {
     }
 }
 
-/// Each sweep of a session run to its end: its kind, then the mTTV calls
-/// and flops the ledger recorded during it.
-fn mttv_per_sweep(mut session: AlsSession) -> Vec<(SweepKind, u64, u64)> {
+/// One sweep of a session: its kind and what the kernel ledger recorded
+/// during it.
+#[derive(Debug, PartialEq)]
+struct SweepLedger {
+    kind: SweepKind,
+    mttv_calls: u64,
+    mttv_flops: u64,
+    ttm_flops: u64,
+}
+
+/// Each sweep of a session run to its end.
+fn ledger_per_sweep(mut session: AlsSession) -> Vec<SweepLedger> {
     let mut sweeps = Vec::new();
-    let mut before = (0, 0);
+    let mut before = KernelStats::default();
     while let Step::Swept(rec) = session.step() {
-        let s = session.stats();
-        sweeps.push((rec.kind, s.mttv_count - before.0, s.mttv_flops - before.1));
-        before = (s.mttv_count, s.mttv_flops);
+        let s = *session.stats();
+        sweeps.push(SweepLedger {
+            kind: rec.kind,
+            mttv_calls: s.mttv_count - before.mttv_count,
+            mttv_flops: s.mttv_flops - before.mttv_flops,
+            ttm_flops: s.ttm_flops - before.ttm_flops,
+        });
+        before = s;
     }
     sweeps
+}
+
+/// Σ of one ledger column over a run's first `sweeps` sweeps.
+fn sum_over(run: &[SweepLedger], sweeps: usize, col: fn(&SweepLedger) -> u64) -> u64 {
+    run[..sweeps].iter().map(col).sum()
+}
+
+#[test]
+fn paper_table1_msdt_ttm_flops_are_n_over_2n_minus_2_of_dt() {
+    // Table I: DT runs two first-level TTMs per sweep, MSDT runs N per
+    // N − 1 sweeps, each 2·s^N·R flops on an equal-extent input. So over
+    // any k·(N − 1) exact sweeps from the first, 2(N − 1)·MSDT = N·DT
+    // holds exactly, at every pool width. MSDT also runs more mTTV flops
+    // than DT at N ≥ 4 (printed): that is the lower-order term the table
+    // drops.
+    let _serial = override_lock();
+    let rank = 8;
+    for dims in [&[24usize; 3][..], &[12; 4], &[8; 5]] {
+        let n = dims.len();
+        let t = noisy_rank(dims, 6, 0.05, 93);
+        for threads in [1, 4] {
+            let run = |policy| {
+                let cfg = AlsConfig::new(rank)
+                    .with_policy(policy)
+                    .with_max_sweeps(2 * (n - 1))
+                    .with_tol(0.0)
+                    .with_threads(threads);
+                ledger_per_sweep(AlsSession::new(&t, &cfg, SessionKind::Exact))
+            };
+            let (dt, msdt) = (run(TreePolicy::Standard), run(TreePolicy::MultiSweep));
+            for k in 1..=2 {
+                let w = k * (n - 1);
+                let (dt_ttm, ms_ttm) = (
+                    sum_over(&dt, w, |s| s.ttm_flops),
+                    sum_over(&msdt, w, |s| s.ttm_flops),
+                );
+                let (dt_mttv, ms_mttv) = (
+                    sum_over(&dt, w, |s| s.mttv_flops),
+                    sum_over(&msdt, w, |s| s.mttv_flops),
+                );
+                println!(
+                    "Table I, N={n}, {w} sweeps, width {threads}: TTM flops DT {dt_ttm}, MSDT {ms_ttm} \
+                     (MSDT/DT {:.4}, N/(2(N-1)) {:.4}); mTTV flops DT {dt_mttv}, MSDT {ms_mttv}",
+                    ms_ttm as f64 / dt_ttm as f64,
+                    n as f64 / (2 * (n - 1)) as f64,
+                );
+                assert!(dt_ttm > 0, "N={n}: no TTM ran");
+                assert_eq!(
+                    2 * (n as u64 - 1) * ms_ttm,
+                    n as u64 * dt_ttm,
+                    "N={n}, {w} sweeps, width {threads}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn paper_fig3_per_sweep_flops_order_pp_approx_msdt_dt() {
+    // Fig. 3's ordering, on flops (the kernel ledger's TTM + mTTV): at
+    // s ≫ R an approximated sweep (N(N − 1) corrections of 2·s²·R flops)
+    // costs less than an MSDT sweep, which costs less than a DT sweep.
+    // MSDT's cost varies from sweep to sweep, so the exact methods are
+    // averaged over a window of 2(N − 1) sweeps.
+    let (dims, rank) = ([40usize; 3], 8);
+    let t = noisy_rank(&dims, 6, 0.05, 55);
+    let cfg = |policy| {
+        AlsConfig::new(rank)
+            .with_policy(policy)
+            .with_max_sweeps(18)
+            .with_tol(0.0)
+            .with_pp_tol(0.5)
+    };
+    let flops = |s: &SweepLedger| s.ttm_flops + s.mttv_flops;
+    let w = 2 * (dims.len() - 1);
+    let exact = |policy| {
+        let cfg = cfg(policy).with_max_sweeps(w);
+        sum_over(
+            &ledger_per_sweep(AlsSession::new(&t, &cfg, SessionKind::Exact)),
+            w,
+            flops,
+        )
+    };
+    let (dt, msdt) = (exact(TreePolicy::Standard), exact(TreePolicy::MultiSweep));
+    let pp = ledger_per_sweep(AlsSession::new(
+        &t,
+        &cfg(TreePolicy::MultiSweep),
+        SessionKind::Pp,
+    ));
+    // The largest approximated sweep: one that runs every correction.
+    let approx = pp
+        .iter()
+        .filter(|s| s.kind == SweepKind::PpApprox)
+        .map(flops)
+        .max()
+        .expect("PP regime never engaged; loosen pp_tol");
+    println!(
+        "Fig. 3 (flops per sweep), {dims:?} R={rank}: DT {}, MSDT {}, PP-approx {approx}",
+        dt / w as u64,
+        msdt / w as u64,
+    );
+    assert!(
+        approx * (w as u64) < msdt,
+        "PP-approx {approx} vs MSDT {msdt}/{w}"
+    );
+    assert!(msdt < dt, "MSDT {msdt} vs DT {dt} over {w} sweeps");
 }
 
 #[test]
@@ -266,12 +386,13 @@ fn pp_ledger_counts_the_corrections_that_run_at_any_width() {
             }
             sum
         };
-        let one = mttv_per_sweep(session(case, 1));
-        let inits = one.iter().filter(|s| s.0 == SweepKind::PpInit).count();
+        let one = ledger_per_sweep(session(case, 1));
+        let inits = one.iter().filter(|s| s.kind == SweepKind::PpInit).count();
         assert!(inits >= 2, "{dims:?}: {inits} PP-inits; loosen pp_tol");
-        for (k, &(kind, calls, fl)) in one.iter().enumerate() {
-            let after_init = k > 0 && one[k - 1].0 == SweepKind::PpInit;
-            match kind {
+        for (k, s) in one.iter().enumerate() {
+            let (calls, fl) = (s.mttv_calls, s.mttv_flops);
+            let after_init = k > 0 && one[k - 1].kind == SweepKind::PpInit;
+            match s.kind {
                 SweepKind::PpApprox if after_init => {
                     assert_eq!(
                         (calls, fl),
@@ -292,6 +413,6 @@ fn pp_ledger_counts_the_corrections_that_run_at_any_width() {
                 _ => {}
             }
         }
-        assert_eq!(one, mttv_per_sweep(session(case, 4)), "{dims:?}");
+        assert_eq!(one, ledger_per_sweep(session(case, 4)), "{dims:?}");
     }
 }
