@@ -48,3 +48,19 @@ pub use cost::{CostCounters, CostLedger, CostModel, CostReport};
 pub use model::{sweep_cost, Method, SweepCost};
 pub use p2p::{P2p, TransportCounters};
 pub use runtime::{RankCtx, RunOutput, Runtime};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn modeled_ordering_holds_at_paper_scale() {
+        // The paper's largest order-3 point: s_local = 400 on the 8×8×16
+        // grid, so s = 400·1024^{1/3} on P = 1024 processes, R = 400.
+        let m = CostModel::stampede2_like();
+        let s = 400.0 * 1024f64.cbrt();
+        let time = |method| sweep_cost(method, 3, s, 400.0, 1024.0).modeled_time(&m);
+        let (dt, ms, pp) = (time(Method::Dt), time(Method::Msdt), time(Method::PpApprox));
+        assert!(ms < dt && pp < ms, "dt={dt} ms={ms} pp={pp}");
+    }
+}

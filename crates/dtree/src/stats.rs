@@ -156,10 +156,23 @@ mod tests {
         assert!((s.total_secs() - 0.175).abs() < 1e-9);
         assert_eq!(s.ttm_flops, 1000);
         assert_eq!(s.ttm_count, 1);
+    }
+
+    #[test]
+    fn add_and_scale() {
+        let mut a = KernelStats::default();
+        a.record(Kernel::Hadamard, Duration::from_millis(10), 0);
         let mut b = KernelStats::default();
-        b.record(Kernel::Solve, Duration::from_millis(30), 0);
-        s.add(&b);
-        assert!((s.solve_secs - 0.055).abs() < 1e-9);
-        assert_eq!((s.ttm_flops, s.mttv_flops), (1000, 500));
+        b.record(Kernel::Hadamard, Duration::from_millis(30), 0);
+        b.record(Kernel::Ttm, Duration::from_millis(5), 700);
+        a.add(&b);
+        assert!((a.hadamard_secs - 0.04).abs() < 1e-9);
+        assert_eq!((a.ttm_flops, a.ttm_count), (700, 1));
+        // Adding a ledger to a copy of itself scales every field by two.
+        let mut doubled = a;
+        doubled.add(&a);
+        assert!((doubled.hadamard_secs - 0.08).abs() < 1e-9);
+        assert!((doubled.total_secs() - 2.0 * a.total_secs()).abs() < 1e-9);
+        assert_eq!((doubled.ttm_flops, doubled.ttm_count), (1400, 2));
     }
 }
