@@ -15,6 +15,9 @@
 //! * the PP-approx sweep's horizontal communication stays within a
 //!   constant factor of the exact sweep's (the core claim behind
 //!   Algorithm 4: approximated steps do **not** add communication).
+//!
+//! `paper_table1_comm_counts_per_sweep_kind` pins the same column exactly:
+//! each sweep kind's ledger messages and words on two grids.
 
 use parallel_pp::comm::model::{sweep_cost, Method};
 use parallel_pp::comm::{CostCounters, RankCtx, Runtime};
@@ -27,7 +30,7 @@ use parallel_pp::dtree::correct::first_order_correction;
 use parallel_pp::dtree::pp_tree::build_pp_operators;
 use parallel_pp::dtree::TreePolicy;
 use parallel_pp::grid::{DistTensor, ProcGrid};
-use parallel_pp::tensor::Matrix;
+use parallel_pp::tensor::{DenseTensor, Matrix};
 use std::sync::Arc;
 
 const S: usize = 16;
@@ -253,5 +256,112 @@ fn paper_table2_pp_approx_sends_fewer_messages_than_the_reference() {
         assert_eq!(ours, (0, vec![ours_approx; 2]), "grid {grid:?}");
         assert_eq!(theirs, (ref_init, vec![ref_approx; 2]), "grid {grid:?}");
         assert!(ours.0 < theirs.0 && ours_approx < ref_approx);
+    }
+}
+
+/// Rank 0's ledger and sweep kinds after a `kind` run of `cfg.max_sweeps`
+/// sweeps on `grid_dims`. Set-up and the final gather cost the same at any
+/// budget, so the difference of two budgets is the extra sweeps' traffic.
+fn measure_run(
+    t: &Arc<DenseTensor>,
+    grid_dims: &[usize],
+    cfg: &AlsConfig,
+    kind: ParKind,
+) -> (Vec<SweepKind>, CostCounters) {
+    let (t, grid, cfg) = (t.clone(), ProcGrid::new(grid_dims.to_vec()), cfg.clone());
+    let out = Runtime::new(grid.size()).run(move |ctx| {
+        let local = DistTensor::from_global(&t, &grid, ctx.rank());
+        let report = ParSession::new(ctx, &grid, &local, &cfg, kind)
+            .run(ctx)
+            .report;
+        report.sweeps.iter().map(|s| s.kind).collect::<Vec<_>>()
+    });
+    (out.results[0].clone(), out.costs[0])
+}
+
+/// Rank 0's (messages, words) in sweep `k` of a `kind` run.
+fn sweep_traffic(
+    t: &Arc<DenseTensor>,
+    grid_dims: &[usize],
+    cfg: &AlsConfig,
+    kind: ParKind,
+    k: usize,
+) -> (u64, u64) {
+    let run = |sweeps| measure_run(t, grid_dims, &cfg.clone().with_max_sweeps(sweeps), kind).1;
+    let (a, b) = (run(k), run(k + 1));
+    (b.messages - a.messages, b.comm_words - a.comm_words)
+}
+
+#[test]
+fn paper_table1_comm_counts_per_sweep_kind() {
+    // Table I's communication column as exact per-sweep counts on rank 0's
+    // ledger (a collective over p ranks charges ⌈log₂ max(p, 2)⌉ messages,
+    // an All-Reduce twice that; a Reduce-Scatter or All-Gather charges its
+    // whole buffer in words, an All-Reduce twice its payload). The R = 3
+    // runs below, on P = 4 with world log 2:
+    //
+    // * exact sweep, per mode: Reduce-Scatter and All-Gather of the padded
+    //   P rows over the mode slice, one R² Gram All-Reduce, the solve
+    //   barrier; then one scalar fitness All-Reduce. DT and MSDT issue the
+    //   same collectives: MSDT changes only the local contractions (§IV).
+    // * a PP session's exact sweep adds one 2-scalar drift All-Reduce per
+    //   mode (Alg. 4's gate).
+    // * PP-init: one barrier, no words — the operators are built locally.
+    // * PP-approx, per mode: the exact sweep's collectives plus N R²
+    //   All-Reduces of the dS matrices (Eq. 8), then the fitness and the
+    //   drift All-Reduces.
+    //
+    // On 2×2×1 (s 12): exact 8 + 8 + 10 messages + 4 = 30; words 54 + 54 +
+    // 90 + 2 = 200. PP exact + 3·(4, 4). Approx messages 20 + 20 + 22 + 4
+    // + 12 = 78, words 108 + 108 + 144 + 2 + 12 = 374.
+    // On 2×1×2×1 (s 8): exact 8 + 10 + 8 + 10 + 4 = 40 messages, 42 + 66 +
+    // 42 + 66 + 2 = 218 words. PP exact + 4·(4, 4). Approx 36 + 4·16 + 4 +
+    // 16 = 120 messages, 216 + 4·72 + 2 + 16 = 522 words.
+    type Counts = (u64, u64);
+    let cases: [(&[usize], usize, usize, [Counts; 4]); 2] = [
+        // grid, order, s, [exact (DT = MSDT), PP exact, PP-init, PP-approx]
+        (&[2, 2, 1], 3, 12, [(30, 200), (42, 212), (2, 0), (78, 374)]),
+        (
+            &[2, 1, 2, 1],
+            4,
+            8,
+            [(40, 218), (56, 234), (2, 0), (120, 522)],
+        ),
+    ];
+    for (grid, order, s, [exact, pp_exact, pp_init, pp_approx]) in cases {
+        let ccfg = CollinearityConfig {
+            s,
+            r: 3,
+            order,
+            lo: 0.5,
+            hi: 0.7,
+        };
+        let t = Arc::new(collinearity_tensor(&ccfg, 3).0);
+        let dt = AlsConfig::new(3).with_tol(1e-12);
+        let msdt = dt.clone().with_policy(TreePolicy::MultiSweep);
+        let pp = msdt.clone().with_pp_tol(0.3);
+        let (kinds, _) = measure_run(&t, grid, &pp.clone().with_max_sweeps(30), ParKind::Pp);
+        let init = kinds
+            .iter()
+            .position(|&k| k == SweepKind::PpInit)
+            .expect("PP regime must activate for this cross-check");
+        assert_eq!(kinds[init + 1], SweepKind::PpApprox, "grid {grid:?}");
+        let got_dt = sweep_traffic(&t, grid, &dt, ParKind::Exact, 1);
+        let got_msdt = sweep_traffic(&t, grid, &msdt, ParKind::Exact, 1);
+        let got = [
+            got_dt,
+            sweep_traffic(&t, grid, &pp, ParKind::Pp, 0),
+            sweep_traffic(&t, grid, &pp, ParKind::Pp, init),
+            sweep_traffic(&t, grid, &pp, ParKind::Pp, init + 1),
+        ];
+        println!(
+            "Table I comm, grid {grid:?}: (messages, words) per sweep: DT {got_dt:?}, MSDT {got_msdt:?}, PP exact {:?}, PP-init {:?}, PP-approx {:?}",
+            got[1], got[2], got[3]
+        );
+        assert_eq!(
+            got_dt, got_msdt,
+            "grid {grid:?}: MSDT changes no communication"
+        );
+        assert_eq!(got, [exact, pp_exact, pp_init, pp_approx], "grid {grid:?}");
     }
 }
