@@ -171,3 +171,36 @@ fn convergence_matches_under_stepping() {
     }
     assert_identical(&a, &s.finish());
 }
+
+/// A PPCK v3 checkpoint committed as bytes, written by
+/// `AlsSession::checkpoint_bytes` from `pause_inside_pp_regime_matches`'s
+/// run paused after five sweeps (exact, exact, PP-init, two approximated):
+/// inside the approximated regime, with a nonzero drift, a frozen
+/// reference and pair operators. Resumed and run to the end, it must give
+/// the uninterrupted run bit for bit — so the format and the regime's
+/// state keep their meaning across changes to the code that reads them.
+#[test]
+fn committed_mid_regime_checkpoint_resumes_bitwise() {
+    let _serial = override_lock();
+    let t = noisy_rank(&[10, 9, 11], 3, 0.05, 7);
+    let cfg = AlsConfig::new(3)
+        .with_policy(TreePolicy::MultiSweep)
+        .with_pp_tol(0.3)
+        .with_max_sweeps(40)
+        .with_tol(1e-9);
+    let a = AlsSession::new(&t, &cfg, SessionKind::Pp).run();
+    let bytes = include_bytes!("golden/pp_mid_regime.ppck");
+    let (mut s, tag) = AlsSession::resume_from_bytes(bytes, &t).unwrap();
+    assert_eq!(tag, 0x7070_6d69_6472_6567);
+    assert_eq!(s.sweeps_done(), 5);
+    while let Step::Swept(_) = s.step() {}
+    let b = s.finish();
+    assert_identical(&a, &b);
+    // The final factors' digest, pinned when the fixture was written.
+    let digest = b
+        .factors
+        .iter()
+        .flat_map(|f| f.data())
+        .fold(0u64, |d, x| (d ^ x.to_bits()).wrapping_mul(0x100_0000_01b3));
+    assert_eq!(digest, 0x0bd6_1d8f_9046_6395);
+}
