@@ -17,8 +17,11 @@
 //! A [`ParSession`] is the SPMD analogue of [`crate::session::AlsSession`]:
 //! every rank owns one session wrapping its [`ParState`] (local tensor
 //! block, dimension-tree engine + cache, distributed factors, replicated
-//! Grams) plus the sweep trace and — for [`ParKind::Pp`] — the PP regime
-//! snapshot. [`ParSession::step`] advances exactly one sweep **in
+//! Grams) plus the sweep trace and — for [`ParKind::Pp`] — the PP regime,
+//! the one crate-private type the sequential session runs too. Its one
+//! per-session hook, measuring drift, is an All-Reduce here; as there, no
+//! ε lets PP start before an exact sweep has measured drift.
+//! [`ParSession::step`] advances exactly one sweep **in
 //! lockstep**: all ranks of a grid must step their sessions together,
 //! because a sweep issues the same sequence of collectives on every rank.
 //! The step boundary is a full BSP superstep, so pausing between steps is
@@ -27,10 +30,10 @@
 use crate::config::AlsConfig;
 use crate::par_common::ParState;
 use crate::result::{AlsOutput, AlsReport, SweepKind};
-use crate::session::{Progress, Step};
+use crate::session::{PpRegime, Progress, Step};
 use pp_comm::{Collectives, RankCtx};
 use pp_dtree::correct::{drifted, first_order_correction, second_order_correction};
-use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
+use pp_dtree::pp_tree::build_pp_operators;
 use pp_dtree::Kernel;
 use pp_grid::{DistTensor, ProcGrid};
 use pp_tensor::matrix::hadamard_chain_skip;
@@ -46,21 +49,12 @@ pub enum ParKind {
     Pp,
 }
 
-/// Snapshot of the factors at PP initialization (the `A_p` reference).
-struct PpSnapshot {
-    /// Reference P blocks (for local first-order corrections).
-    p_p: Vec<Matrix>,
-    /// Reference Q blocks (for dA bookkeeping and norms).
-    q_p: Vec<Matrix>,
-    /// The local PP operators.
-    ops: PpOperators,
-}
-
-/// `dS^(i) = A^(i)ᵀ dA^(i)` from Q blocks, All-Reduced to global (Eq. 8).
-fn d_grams_global(ctx: &mut RankCtx, st: &ParState, snap: &PpSnapshot) -> Vec<Matrix> {
+/// `dS^(i) = A^(i)ᵀ dA^(i)` from Q blocks against the reference Q blocks
+/// `q_p`, All-Reduced to global (Eq. 8).
+fn d_grams_global(ctx: &mut RankCtx, st: &ParState, q_p: &[Matrix]) -> Vec<Matrix> {
     (0..st.n_modes())
         .map(|i| {
-            let dq = st.dist_factors[i].q().sub(&snap.q_p[i]);
+            let dq = st.dist_factors[i].q().sub(&q_p[i]);
             let local = st.dist_factors[i].q().t_matmul(&dq);
             let summed = ctx.comm.all_reduce_sum(local.data());
             Matrix::from_vec(local.rows(), local.cols(), summed)
@@ -88,12 +82,10 @@ pub struct ParSession {
     /// All rank-local numerical state (public so diagnostics can inspect
     /// it, like `ParState` itself).
     pub st: ParState,
-    /// Relative drift of the most recent sweep (Alg. 2 line 2 initializes
-    /// dA ← A, i.e. drift 1, so PP never fires before the first sweep).
-    last_drift: Vec<f64>,
-    snap: Option<PpSnapshot>,
-    /// Whether the next step is a PP approximated sweep.
-    in_pp: bool,
+    /// A PP session's regime. Its reference is this rank's P blocks, for
+    /// the local first-order corrections, then its Q blocks, for the drift
+    /// and the `dS` matrices.
+    pp: Option<PpRegime>,
     progress: Progress,
 }
 
@@ -114,15 +106,11 @@ impl ParSession {
             );
         }
         let _threads = cfg.thread_guard();
-        let st = ParState::init(ctx, grid, local, cfg);
-        let n_modes = st.n_modes();
         ParSession {
             cfg: cfg.clone(),
             kind,
-            st,
-            last_drift: vec![1.0; n_modes],
-            snap: None,
-            in_pp: false,
+            st: ParState::init(ctx, grid, local, cfg),
+            pp: (kind == ParKind::Pp).then(PpRegime::default),
             progress: Progress::new(),
         }
     }
@@ -155,30 +143,34 @@ impl ParSession {
         }
         let _threads = self.cfg.thread_guard();
 
-        let (kind, (secs, fitness)) = match self.kind {
-            ParKind::Pp if self.in_pp => (SweepKind::PpApprox, self.pp_approx_sweep(ctx)),
-            ParKind::Pp if self.pp_gate_open() => (SweepKind::PpInit, self.pp_init(ctx)),
-            _ => (SweepKind::Exact, self.exact_sweep(ctx)),
+        let kind = self.pp.as_ref().map_or(SweepKind::Exact, PpRegime::next);
+        let q_before = (self.pp.is_some() && kind == SweepKind::Exact).then(|| self.q_blocks());
+        let (secs, fitness) = match kind {
+            SweepKind::PpApprox => self.pp_approx_sweep(ctx),
+            SweepKind::PpInit => self.pp_init(ctx),
+            SweepKind::Exact => self.exact_sweep(ctx),
         };
         self.st.engine.end_sweep();
         let rec = self.progress.push(kind, secs, fitness, self.cfg.tol);
-        // Post-approx drift gate (Alg. 4 line 17), measured only when the
-        // sweep did not converge: `drift` issues collectives, so every rank
-        // must reach it under the same condition (fitness is replicated).
-        if kind == SweepKind::PpApprox && !self.progress.converged() {
-            let snap = self.snap.as_ref().expect("approx sweep requires snapshot");
-            self.last_drift = drift(ctx, &self.st, &snap.q_p);
-            if !self.pp_gate_open() {
-                self.in_pp = false;
-            }
+        // The drift of an exact sweep is against the Q blocks it started
+        // from, of an approximated one against the reference. `drift`
+        // issues collectives, and the regime measures only under conditions
+        // every rank shares (the sweep kind and the replicated fitness).
+        if let Some(pp) = &mut self.pp {
+            let (st, eps, n_modes) = (&self.st, self.cfg.pp_tol, self.st.n_modes());
+            pp.after(kind, self.progress.converged(), |pp| {
+                let q_p = q_before
+                    .as_deref()
+                    .unwrap_or_else(|| &pp.reference[n_modes..]);
+                drift(ctx, st, q_p).iter().all(|&d| d < eps)
+            });
         }
         Step::Swept(rec)
     }
 
-    /// The PP activation gate on the last measured drift: every mode's
-    /// relative drift below ε.
-    fn pp_gate_open(&self) -> bool {
-        self.last_drift.iter().all(|&d| d < self.cfg.pp_tol)
+    /// This rank's Q blocks.
+    fn q_blocks(&self) -> Vec<Matrix> {
+        self.st.dist_factors.iter().map(|f| f.q().clone()).collect()
     }
 
     /// Run to completion and produce the output.
@@ -199,16 +191,10 @@ impl ParSession {
         }
     }
 
-    /// One exact sweep (Alg. 3 lines 10-19). For PP sessions this also
-    /// refreshes the drift against the pre-sweep Q blocks. Returns the
-    /// sweep's seconds and fitness.
+    /// One exact sweep (Alg. 3 lines 10-19). Returns the sweep's seconds
+    /// and fitness.
     fn exact_sweep(&mut self, ctx: &mut RankCtx) -> (f64, f64) {
         let n_modes = self.st.n_modes();
-        let q_before: Option<Vec<Matrix>> = if self.kind == ParKind::Pp {
-            Some(self.st.dist_factors.iter().map(|f| f.q().clone()).collect())
-        } else {
-            None
-        };
         let t0 = Instant::now();
         let mut last: Option<(Matrix, Matrix)> = None;
         for n in 0..n_modes {
@@ -219,11 +205,7 @@ impl ParSession {
         }
         let (gamma_last, m_q_last) = last.unwrap();
         let fitness = self.st.fitness(ctx, &gamma_last, &m_q_last);
-        let secs = t0.elapsed().as_secs_f64();
-        if let Some(q_before) = q_before {
-            self.last_drift = drift(ctx, &self.st, &q_before);
-        }
-        (secs, fitness)
+        (t0.elapsed().as_secs_f64(), fitness)
     }
 
     /// PP initialization (Alg. 4 line 2): local operator construction,
@@ -231,27 +213,24 @@ impl ParSession {
     /// carries the previous sweep's fitness.
     fn pp_init(&mut self, ctx: &mut RankCtx) -> (f64, f64) {
         let t0 = Instant::now();
-        // The operators of the regime being left go back to the workspace
-        // before the build draws from it.
-        self.snap = None;
-        self.snap = Some(PpSnapshot {
-            p_p: self.st.dist_factors.iter().map(|f| f.p().clone()).collect(),
-            q_p: self.st.dist_factors.iter().map(|f| f.q().clone()).collect(),
-            ops: build_pp_operators(&mut self.st.input, &self.st.fs_local, &mut self.st.engine),
+        let p_blocks = self.st.dist_factors.iter().map(|f| f.p().clone());
+        let reference = p_blocks.chain(self.q_blocks()).collect();
+        let st = &mut self.st;
+        let pp = self.pp.as_mut().expect("PP-init in a PP session");
+        pp.enter(reference, || {
+            build_pp_operators(&mut st.input, &st.fs_local, &mut st.engine)
         });
         ctx.comm.barrier();
-        let secs = t0.elapsed().as_secs_f64();
-        self.in_pp = true;
-        (secs, self.progress.last_fitness())
+        (t0.elapsed().as_secs_f64(), self.progress.last_fitness())
     }
 
     /// One PP approximated sweep (Alg. 4 lines 3-17): local first-order
     /// corrections, Reduce-Scatter, global second-order correction.
     fn pp_approx_sweep(&mut self, ctx: &mut RankCtx) -> (f64, f64) {
         let n_modes = self.st.n_modes();
-        // Taken out for the sweep so the operator reads borrow disjointly
-        // from the factor/Gram updates.
-        let snap = self.snap.take().expect("approx sweep requires snapshot");
+        let pp = self.pp.as_ref().expect("approximated sweep under PP");
+        let ops = pp.ops.as_ref().expect("PP regime requires operators");
+        let (p_p, q_p) = pp.reference.split_at(n_modes);
         let sweep_t0 = Instant::now();
         let mut last: Option<(Matrix, Matrix)> = None;
         for n in 0..n_modes {
@@ -264,16 +243,16 @@ impl ParSession {
 
             // Local first-order corrections (line 6) + anchor, each against
             // a drift that is not exactly zero.
-            let mut m_local = snap.ops.firsts[n].clone();
+            let mut m_local = ops.firsts[n].clone();
             for i in (0..n_modes).filter(|&i| i != n) {
                 let c0 = Instant::now();
-                let d_p = self.st.dist_factors[i].p().sub(&snap.p_p[i]);
+                let d_p = self.st.dist_factors[i].p().sub(&p_p[i]);
                 if !drifted(&d_p) {
                     continue;
                 }
-                let u = first_order_correction(&snap.ops, n, i, &d_p);
+                let u = first_order_correction(ops, n, i, &d_p);
                 m_local.axpy(1.0, &u);
-                let flops = 2 * snap.ops.pair(n, i).dense().len() as u64;
+                let flops = 2 * ops.pair(n, i).dense().len() as u64;
                 self.st
                     .engine
                     .stats
@@ -287,7 +266,7 @@ impl ParSession {
 
             // Second-order correction (lines 10-11) on Q rows.
             let v0 = Instant::now();
-            let d_grams = d_grams_global(ctx, &self.st, &snap);
+            let d_grams = d_grams_global(ctx, &self.st, q_p);
             let v_q =
                 second_order_correction(self.st.dist_factors[n].q(), &self.st.grams, &d_grams, n);
             m_q.axpy(1.0, &v_q);
@@ -302,7 +281,6 @@ impl ParSession {
                 last = Some((gamma, m_q));
             }
         }
-        self.snap = Some(snap);
         let (gamma_last, m_q_last) = last.unwrap();
         let fitness = self.st.fitness(ctx, &gamma_last, &m_q_last);
         let secs = sweep_t0.elapsed().as_secs_f64();

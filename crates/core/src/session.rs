@@ -4,8 +4,7 @@
 //! An [`AlsSession`] owns *all* state a CP decomposition needs between
 //! sweeps — the input tensor in its one stored layout, the dimension-tree
 //! engine with its intermediate cache, the versioned factors, the
-//! replicated Gram matrices, the PP regime state (`A_p` reference, `dA`
-//! drifts, pair operators), and the fitness trace.
+//! replicated Gram matrices, the PP regime, and the fitness trace.
 //! [`AlsSession::step`] advances **exactly one sweep** (an exact ALS
 //! sweep, a PP initialization, or a PP approximated sweep — the same
 //! categories as [`crate::result::SweepKind`]), [`AlsSession::run`] steps
@@ -17,7 +16,13 @@
 //! The trace and the stop rule (the Δ criterion, the sweep budget, the
 //! sealed report and their checkpoint bytes) are one crate-private type,
 //! `Progress`, shared with [`crate::par_session::ParSession`] and, through
-//! its inner session, [`crate::stream::StreamingSession`].
+//! its inner session, [`crate::stream::StreamingSession`]. Alg. 2's PP
+//! regime is another, `PpRegime`, shared the same way: the drift gate, the
+//! frozen reference, the pair operators and the decisions between exact
+//! sweeps, PP initializations and approximated sweeps. Its gate stays
+//! closed until an exact sweep has measured drift, at the start and after
+//! every streaming arrival, so no ε lets PP start from the initial
+//! `dA ← A`.
 //!
 //! Sessions are what make decompositions *schedulable*: a session between
 //! steps holds no pool resource (every contraction runs to completion
@@ -38,7 +43,7 @@ use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
 use pp_tensor::sparse::SparseTensor;
 use pp_tensor::{DenseTensor, Matrix, Workspace};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which update rule the session runs each sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,6 +181,12 @@ impl Progress {
         self.converged
     }
 
+    /// Whether a sweep has carried a fresh fitness since the start or the
+    /// last [`Progress::reopen`].
+    pub(crate) fn has_reference(&self) -> bool {
+        self.fitness_old != f64::NEG_INFINITY
+    }
+
     pub(crate) fn is_finished(&self, max_sweeps: usize) -> bool {
         self.finished || self.sweeps_done >= max_sweeps
     }
@@ -219,14 +230,153 @@ impl Progress {
     }
 }
 
-/// Phase of the PP regime between steps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PpPhase {
-    /// Top of Alg. 2's outer loop: evaluate the dA gate; a step either
-    /// performs the PP initialization (gate open) or an exact sweep.
-    Gate,
-    /// Inside the approximated regime: a step performs one PP sweep.
-    Approx,
+/// Alg. 2's pairwise-perturbation regime, the one encoding every PP
+/// session runs: whether it is approximating, the drift gate's last
+/// verdict, the frozen reference and the pair operators, and the
+/// decisions between them — gate → PP-init, approximated sweeps while the
+/// gate holds, exact sweeps once it closes. Measuring drift is the one
+/// per-session hook ([`PpRegime::after`]).
+#[derive(Default)]
+pub(crate) struct PpRegime {
+    /// Whether the next sweep is approximated.
+    approx: bool,
+    /// The drift gate's last verdict: every mode's drift under ε. Closed
+    /// until an exact sweep has measured drift since the start or the last
+    /// reset, so the regime never opens on Alg. 2 line 2's `dA ← A`,
+    /// whatever ε.
+    open: bool,
+    /// `dA^(i)` of the most recent sweep, where the corrections read it
+    /// whole (the sequential session; Alg. 2 line 2 starts it at `A`). The
+    /// parallel session forms its drift block by block and keeps none.
+    pub(crate) drift: Vec<Matrix>,
+    /// The frozen reference of the current regime: `A_p`, or this rank's
+    /// P blocks followed by its Q blocks.
+    pub(crate) reference: Vec<Matrix>,
+    /// Pair operators `𝓜p^(i,j)` of the current regime.
+    pub(crate) ops: Option<PpOperators>,
+}
+
+impl PpRegime {
+    /// A regime at its gate whose drift starts from `drift`.
+    pub(crate) fn new(drift: Vec<Matrix>) -> Self {
+        PpRegime {
+            drift,
+            ..Self::default()
+        }
+    }
+
+    /// The kind of sweep the next `step` runs.
+    pub(crate) fn next(&self) -> SweepKind {
+        match (self.approx, self.open) {
+            (true, _) => SweepKind::PpApprox,
+            (false, true) => SweepKind::PpInit,
+            (false, false) => SweepKind::Exact,
+        }
+    }
+
+    /// PP initialization (Alg. 2 lines 6-9): freeze `reference`, zero the
+    /// drift, build the operators and enter the approximated regime. A
+    /// regime re-entered drops the operators it is leaving first: their
+    /// buffers go back to the workspace the build draws from.
+    pub(crate) fn enter(&mut self, reference: Vec<Matrix>, build: impl FnOnce() -> PpOperators) {
+        self.reference = reference;
+        self.drift.iter_mut().for_each(Matrix::fill_zero);
+        self.ops = None;
+        self.ops = Some(build());
+        self.approx = true;
+    }
+
+    /// The tail of a PP session's `step` once a `kind` sweep ran. Alg. 2
+    /// measures drift after every exact sweep (line 20) and after an
+    /// approximated sweep that did not converge (line 16); `measure` is
+    /// the session's hook and says whether every mode's drift is under ε.
+    /// A regime whose gate closed is left, so the next sweep is exact.
+    pub(crate) fn after(
+        &mut self,
+        kind: SweepKind,
+        converged: bool,
+        measure: impl FnOnce(&Self) -> bool,
+    ) {
+        if kind == SweepKind::Exact || (kind == SweepKind::PpApprox && !converged) {
+            self.open = measure(self);
+            self.approx &= self.open;
+        }
+    }
+
+    /// Back to the gate against a grown tensor (a streaming arrival): the
+    /// reference and the operators describe the old one, and the drift
+    /// restarts from the extended `factors`.
+    pub(crate) fn reset(&mut self, factors: &[Matrix]) {
+        *self = Self::new(factors.to_vec());
+    }
+
+    /// Elements the pair operators hold.
+    pub(crate) fn memory_elems(&self) -> usize {
+        self.ops.as_ref().map_or(0, |o| o.memory_elems())
+    }
+
+    /// The drift, the reference and the operators, after a checkpoint's
+    /// Grams. The phase byte sits beside the session kind, and the gate's
+    /// verdict is not stored: the reader re-measures it.
+    fn write(&self, w: &mut Writer) {
+        w.matrices(&self.drift);
+        w.matrices(&self.reference);
+        match &self.ops {
+            None => w.bool_(false),
+            Some(ops) => {
+                w.bool_(true);
+                let mut keys: Vec<(usize, usize)> = ops.pairs.keys().copied().collect();
+                keys.sort_unstable();
+                w.usize_(keys.len());
+                for (i, j) in keys {
+                    w.usize_(i);
+                    w.usize_(j);
+                    w.intermediate(&ops.pairs[&(i, j)]);
+                }
+                w.matrices(&ops.firsts);
+                w.usize_(ops.fresh_ttms);
+            }
+        }
+    }
+
+    /// The inverse of [`PpRegime::write`], for a regime whose phase byte
+    /// read `approx`.
+    fn read(r: &mut Reader, approx: bool) -> Result<Self, String> {
+        let (drift, reference) = (r.matrices()?, r.matrices()?);
+        let ops = if r.bool_()? {
+            let n_pairs = r.usize_()?;
+            let mut pairs = std::collections::HashMap::with_capacity(n_pairs);
+            for _ in 0..n_pairs {
+                let i = r.usize_()?;
+                let j = r.usize_()?;
+                pairs.insert((i, j), r.intermediate()?);
+            }
+            let firsts = r.matrices()?;
+            let fresh_ttms = r.usize_()?;
+            Some(PpOperators {
+                pairs,
+                firsts,
+                fresh_ttms,
+            })
+        } else {
+            None
+        };
+        Ok(PpRegime {
+            approx,
+            open: false,
+            drift,
+            reference,
+            ops,
+        })
+    }
+}
+
+/// The sequential drift gate: `‖dA^(i)‖F < ε‖A^(i)‖F` for every mode.
+fn drift_under(drift: &[Matrix], fs: &FactorState, eps: f64) -> bool {
+    drift
+        .iter()
+        .zip(fs.factors())
+        .all(|(d, a)| d.norm() < eps * a.norm())
 }
 
 /// The sweep-to-sweep state a streaming arrival mutates, borrowed
@@ -234,16 +384,12 @@ pub(crate) enum PpPhase {
 /// and dimension-tree cache in one coherent transaction.
 pub(crate) struct StreamParts<'a> {
     pub(crate) cfg: &'a mut AlsConfig,
-    pub(crate) kind: SessionKind,
     pub(crate) input: &'a mut InputTensor,
     pub(crate) engine: &'a mut DimTreeEngine,
     pub(crate) fs: &'a mut FactorState,
     pub(crate) grams: &'a mut Vec<Matrix>,
     pub(crate) t_norm_sq: &'a mut f64,
-    pub(crate) d_factors: &'a mut Vec<Matrix>,
-    pub(crate) factors_p: &'a mut Vec<Matrix>,
-    pub(crate) ops: &'a mut Option<PpOperators>,
-    pub(crate) phase: &'a mut PpPhase,
+    pub(crate) pp: &'a mut Option<PpRegime>,
     pub(crate) progress: &'a mut Progress,
 }
 
@@ -256,14 +402,8 @@ pub struct AlsSession {
     fs: FactorState,
     grams: Vec<Matrix>,
     t_norm_sq: f64,
-    /// `dA^(i)` over the most recent sweep (PP only; Alg. 2 line 2
-    /// initializes it to `A` so PP never fires before the first sweep).
-    d_factors: Vec<Matrix>,
-    /// The frozen `A_p` reference of the current PP regime.
-    factors_p: Vec<Matrix>,
-    /// Pair operators `𝓜p^(i,j)` of the current PP regime.
-    ops: Option<PpOperators>,
-    phase: PpPhase,
+    /// A PP session's regime, its drift starting from `A` (Alg. 2 line 2).
+    pp: Option<PpRegime>,
     progress: Progress,
 }
 
@@ -348,11 +488,7 @@ impl AlsSession {
         let engine = DimTreeEngine::new(cfg.policy, init.len());
         let fs = FactorState::new(init);
         let grams: Vec<Matrix> = fs.factors().iter().map(|a| a.gram()).collect();
-        let d_factors = if kind == SessionKind::Pp {
-            fs.factors().to_vec()
-        } else {
-            Vec::new()
-        };
+        let pp = (kind == SessionKind::Pp).then(|| PpRegime::new(fs.factors().to_vec()));
 
         AlsSession {
             cfg: cfg.clone(),
@@ -362,10 +498,7 @@ impl AlsSession {
             fs,
             grams,
             t_norm_sq,
-            d_factors,
-            factors_p: Vec::new(),
-            ops: None,
-            phase: PpPhase::Gate,
+            pp,
             progress: Progress::new(),
         }
     }
@@ -478,7 +611,7 @@ impl AlsSession {
     /// cache-memory metric the batch scheduler's admission control budgets
     /// against.
     pub fn cache_memory_elems(&self) -> usize {
-        self.engine.cache_memory_elems() + self.ops.as_ref().map_or(0, |o| o.memory_elems())
+        self.engine.cache_memory_elems() + self.pp.as_ref().map_or(0, PpRegime::memory_elems)
     }
 
     /// Serialize the complete sweep-to-sweep state as a `PPCK` checkpoint
@@ -487,6 +620,9 @@ impl AlsSession {
     /// opaque caller fingerprint (e.g. of the job spec) returned verbatim
     /// by [`AlsSession::resume_from_bytes`].
     pub fn checkpoint_bytes(&self, tag: u64) -> Vec<u8> {
+        // A session without PP writes the fields of a regime never entered.
+        let off = PpRegime::default();
+        let pp = self.pp.as_ref().unwrap_or(&off);
         let mut w = Writer::new();
         w.u64_(tag);
         // Config.
@@ -510,10 +646,7 @@ impl AlsSession {
             SessionKind::Pp => 1,
             SessionKind::NonNeg => 2,
         });
-        w.u8_(match self.phase {
-            PpPhase::Gate => 0,
-            PpPhase::Approx => 1,
-        });
+        w.bool_(pp.approx);
         // Input binding: the tensor itself is rebuilt from its dataset
         // spec at resume; only its fingerprint travels. Sparse inputs use
         // a domain-separated fingerprint so a dense checkpoint can never
@@ -527,24 +660,7 @@ impl AlsSession {
         w.matrices(self.fs.factors());
         w.u64s(self.fs.versions());
         w.matrices(&self.grams);
-        w.matrices(&self.d_factors);
-        w.matrices(&self.factors_p);
-        match &self.ops {
-            None => w.bool_(false),
-            Some(ops) => {
-                w.bool_(true);
-                let mut keys: Vec<(usize, usize)> = ops.pairs.keys().copied().collect();
-                keys.sort_unstable();
-                w.usize_(keys.len());
-                for (i, j) in keys {
-                    w.usize_(i);
-                    w.usize_(j);
-                    w.intermediate(&ops.pairs[&(i, j)]);
-                }
-                w.matrices(&ops.firsts);
-                w.usize_(ops.fresh_ttms);
-            }
-        }
+        pp.write(&mut w);
         // The engine's intermediate cache: restoring it is what keeps the
         // resumed run's contraction schedule (and hence its flop trace)
         // identical to the uninterrupted one.
@@ -638,11 +754,7 @@ impl AlsSession {
             2 => SessionKind::NonNeg,
             v => return Err(format!("invalid session kind {v}")),
         };
-        let phase = match r.u8_()? {
-            0 => PpPhase::Gate,
-            1 => PpPhase::Approx,
-            v => return Err(format!("invalid PP phase {v}")),
-        };
+        let approx = r.bool_()?;
         let fp = r.u64_()?;
         if fp != fp_expected {
             return Err("input tensor does not match the checkpoint (fingerprint mismatch)".into());
@@ -656,26 +768,7 @@ impl AlsSession {
         }
         let fs = FactorState::from_parts(factors, versions);
         let grams = r.matrices()?;
-        let d_factors = r.matrices()?;
-        let factors_p = r.matrices()?;
-        let ops = if r.bool_()? {
-            let n_pairs = r.usize_()?;
-            let mut pairs = std::collections::HashMap::with_capacity(n_pairs);
-            for _ in 0..n_pairs {
-                let i = r.usize_()?;
-                let j = r.usize_()?;
-                pairs.insert((i, j), r.intermediate()?);
-            }
-            let firsts = r.matrices()?;
-            let fresh_ttms = r.usize_()?;
-            Some(PpOperators {
-                pairs,
-                firsts,
-                fresh_ttms,
-            })
-        } else {
-            None
-        };
+        let mut pp = PpRegime::read(&mut r, approx)?;
         let n_cached = r.usize_()?;
         let mut cached = Vec::with_capacity(n_cached);
         for _ in 0..n_cached {
@@ -686,6 +779,10 @@ impl AlsSession {
         if !r.exhausted() {
             return Err("checkpoint has trailing bytes".into());
         }
+        // The gate's verdict is not stored: it is the gate over the stored
+        // drift once a sweep of this window has measured one, which is when
+        // the Δ criterion holds a reference fitness.
+        pp.open = progress.has_reference() && drift_under(&pp.drift, &fs, cfg.pp_tol);
 
         // Rebuild the runtime-only pieces (input layout / CSF trees,
         // engine) exactly as construction does, then reinstall the cached
@@ -706,10 +803,7 @@ impl AlsSession {
                 fs,
                 grams,
                 t_norm_sq,
-                d_factors,
-                factors_p,
-                ops,
-                phase,
+                pp: (kind == SessionKind::Pp).then_some(pp),
                 progress,
             },
             tag,
@@ -723,16 +817,12 @@ impl AlsSession {
     pub(crate) fn stream_parts(&mut self) -> StreamParts<'_> {
         StreamParts {
             cfg: &mut self.cfg,
-            kind: self.kind,
             input: &mut self.input,
             engine: &mut self.engine,
             fs: &mut self.fs,
             grams: &mut self.grams,
             t_norm_sq: &mut self.t_norm_sq,
-            d_factors: &mut self.d_factors,
-            factors_p: &mut self.factors_p,
-            ops: &mut self.ops,
-            phase: &mut self.phase,
+            pp: &mut self.pp,
             progress: &mut self.progress,
         }
     }
@@ -744,21 +834,19 @@ impl AlsSession {
         }
         let _threads = self.cfg.thread_guard();
 
-        let (kind, (secs, fitness)) = match (self.kind, self.phase) {
-            (SessionKind::Pp, PpPhase::Approx) => (SweepKind::PpApprox, self.pp_approx_sweep()),
-            (SessionKind::Pp, PpPhase::Gate) if self.pp_gate_open() => {
-                (SweepKind::PpInit, self.pp_init())
-            }
-            _ => (SweepKind::Exact, self.exact_sweep()),
+        let kind = self.pp.as_ref().map_or(SweepKind::Exact, PpRegime::next);
+        let (secs, fitness) = match kind {
+            SweepKind::PpApprox => self.pp_approx_sweep(),
+            SweepKind::PpInit => self.pp_init(),
+            SweepKind::Exact => self.exact_sweep(),
         };
         self.engine.end_sweep();
         let rec = self.progress.push(kind, secs, fitness, self.cfg.tol);
-        // Drift gate after an approximated sweep that did not converge
-        // (Alg. 2 line 16): leaving the regime falls through to an exact
-        // sweep, which is exactly what `PpPhase::Gate` does next step (the
-        // gate re-evaluates the same condition that just failed).
-        if kind == SweepKind::PpApprox && !self.progress.converged() && !self.pp_gate_open() {
-            self.phase = PpPhase::Gate;
+        if let Some(pp) = &mut self.pp {
+            let (fs, eps) = (&self.fs, self.cfg.pp_tol);
+            pp.after(kind, self.progress.converged(), |pp| {
+                drift_under(&pp.drift, fs, eps)
+            });
         }
         Step::Swept(rec)
     }
@@ -775,12 +863,6 @@ impl AlsSession {
             factors: self.fs.factors().to_vec(),
             report: self.progress.seal(self.engine.take_stats()),
         }
-    }
-
-    /// The PP activation gate: `‖dA^(i)‖F < ε‖A^(i)‖F` for every mode.
-    fn pp_gate_open(&self) -> bool {
-        (0..self.fs.order())
-            .all(|i| self.d_factors[i].norm() < self.cfg.pp_tol * self.fs.factor(i).norm())
     }
 
     /// Eq. (3) fitness from the last mode's `Γ` and `M`.
@@ -802,11 +884,7 @@ impl AlsSession {
     fn exact_sweep(&mut self) -> (f64, f64) {
         let n_modes = self.fs.order();
         let sweep_t0 = Instant::now();
-        let before: Option<Vec<Matrix>> = if self.kind == SessionKind::Pp {
-            Some(self.fs.factors().to_vec())
-        } else {
-            None
-        };
+        let before = self.pp.is_some().then(|| self.fs.factors().to_vec());
         let mut last_gamma: Option<Matrix> = None;
         let mut last_m: Option<Matrix> = None;
         for n in 0..n_modes {
@@ -832,9 +910,9 @@ impl AlsSession {
                 last_m = Some(m);
             }
         }
-        if let Some(before) = before {
+        if let (Some(pp), Some(before)) = (&mut self.pp, before) {
             for (n, b) in before.iter().enumerate() {
-                self.d_factors[n] = self.fs.factor(n).sub(b);
+                pp.drift[n] = self.fs.factor(n).sub(b);
             }
         }
         let secs = sweep_t0.elapsed().as_secs_f64();
@@ -842,53 +920,26 @@ impl AlsSession {
         (secs, fitness)
     }
 
-    /// The ledger of mode `n`'s approximated MTTKRP, which took `elapsed`:
-    /// one mTTV call per first-order correction that ran, with its flops,
-    /// sharing the time; with none run, the time is the second-order
-    /// correction's Hadamard work.
-    fn record_corrections(&mut self, ops: &PpOperators, n: usize, elapsed: Duration) {
-        let flops: Vec<u64> = correction_flops(ops, &self.d_factors, n).collect();
-        match flops.len() {
-            0 => self.engine.stats.record(Kernel::Hadamard, elapsed, 0),
-            k => {
-                for f in flops {
-                    self.engine
-                        .stats
-                        .record(Kernel::Mttv, elapsed / k as u32, f);
-                }
-            }
-        }
-    }
-
-    /// PP initialization (Alg. 2 lines 6-9): freeze `A_p`, zero `dA`,
-    /// build the pair operators, and enter the approximated regime. It
+    /// PP initialization (Alg. 2 lines 6-9) on the current factors. It
     /// carries the previous sweep's fitness.
     fn pp_init(&mut self) -> (f64, f64) {
         let t0 = Instant::now();
-        self.factors_p = self.fs.factors().to_vec();
-        for d in self.d_factors.iter_mut() {
-            d.fill_zero();
-        }
-        // A regime re-entered drops the operators it is leaving first:
-        // their buffers go back to the workspace the build draws from.
-        self.ops = None;
-        self.ops = Some(build_pp_operators(
-            &mut self.input,
-            &self.fs,
-            &mut self.engine,
-        ));
-        let secs = t0.elapsed().as_secs_f64();
-        self.phase = PpPhase::Approx;
-        (secs, self.progress.last_fitness())
+        let pp = self.pp.as_mut().expect("PP-init in a PP session");
+        pp.enter(self.fs.factors().to_vec(), || {
+            build_pp_operators(&mut self.input, &self.fs, &mut self.engine)
+        });
+        (t0.elapsed().as_secs_f64(), self.progress.last_fitness())
     }
 
     /// One PP approximated sweep (Alg. 2 lines 10-17): Eq. (5) first- plus
     /// second-order corrections in place of tensor contractions.
     fn pp_approx_sweep(&mut self) -> (f64, f64) {
         let n_modes = self.fs.order();
-        // Taken out for the duration so the borrow checker sees the reads
-        // of `ops` as disjoint from the factor/Gram updates.
-        let ops = self.ops.take().expect("PP regime requires operators");
+        let pp = self
+            .pp
+            .as_mut()
+            .expect("approximated sweep in a PP session");
+        let ops = pp.ops.as_ref().expect("PP regime requires operators");
         let sweep_t0 = Instant::now();
         let mut last_gamma: Option<Matrix> = None;
         let mut last_m: Option<Matrix> = None;
@@ -900,7 +951,7 @@ impl AlsSession {
             .fs
             .factors()
             .iter()
-            .zip(self.d_factors.iter())
+            .zip(pp.drift.iter())
             .map(|(a, d)| d_gram(a, d))
             .collect();
         self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
@@ -910,27 +961,27 @@ impl AlsSession {
             self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
 
             let c0 = Instant::now();
-            let m = approx_mttkrp(
-                &ops,
-                &self.d_factors,
-                self.fs.factors(),
-                &self.grams,
-                &d_grams,
-                n,
-            );
-            self.record_corrections(&ops, n, c0.elapsed());
+            let m = approx_mttkrp(ops, &pp.drift, self.fs.factors(), &self.grams, &d_grams, n);
+            // One mTTV call per first-order correction that ran, sharing the
+            // time; with none run, the time is the second-order correction's
+            // Hadamard work.
+            let (elapsed, stats) = (c0.elapsed(), &mut self.engine.stats);
+            let flops: Vec<u64> = correction_flops(ops, &pp.drift, n).collect();
+            match flops.len() {
+                0 => stats.record(Kernel::Hadamard, elapsed, 0),
+                k => flops
+                    .into_iter()
+                    .for_each(|f| stats.record(Kernel::Mttv, elapsed / k as u32, f)),
+            }
 
             let s0 = Instant::now();
-            let a_new = match self.kind {
-                SessionKind::NonNeg => hals_update(self.fs.factor(n), &m, &gamma, 2),
-                _ => solve_gram(&gamma, &m).0,
-            };
+            let a_new = solve_gram(&gamma, &m).0;
             self.engine.stats.record(Kernel::Solve, s0.elapsed(), 0);
 
-            self.d_factors[n] = a_new.sub(&self.factors_p[n]);
+            pp.drift[n] = a_new.sub(&pp.reference[n]);
             self.grams[n] = a_new.gram();
             let h0 = Instant::now();
-            d_grams[n] = d_gram(&a_new, &self.d_factors[n]);
+            d_grams[n] = d_gram(&a_new, &pp.drift[n]);
             self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
             self.fs.update(n, a_new);
             if n == n_modes - 1 {
@@ -938,7 +989,6 @@ impl AlsSession {
                 last_m = Some(m);
             }
         }
-        self.ops = Some(ops);
         let secs = sweep_t0.elapsed().as_secs_f64();
         let fitness = self.trace_fitness(last_gamma.as_ref().unwrap(), last_m.as_ref().unwrap());
         (secs, fitness)

@@ -12,9 +12,9 @@
 //! onto the cached intermediate in place ([`DimTreeEngine::extend_mode`]
 //! with [`CacheUpdate::Incremental`]) — an arrival costs in proportion to
 //! the slice, not the tensor. Deeper intermediates and PP pair operators
-//! are dropped: the PP regime re-enters through the ordinary §IV drift
-//! gate once the factors settle around the extended tensor (see DESIGN.md
-//! §1j).
+//! are dropped: the PP regime resets to its gate, which stays closed until
+//! an exact sweep on the extended tensor has measured drift, and re-enters
+//! once the factors settle around it (see DESIGN.md §1j).
 //!
 //! The correctness contract is the one the rest of the repo uses
 //! everywhere: the incremental path is **bit-identical** to the
@@ -173,8 +173,9 @@ impl StreamingSession {
     /// mode. New rows of the evolving-mode factor are warm-started from
     /// the least-squares fit of the slice against the frozen other
     /// factors; the dimension-tree cache is extended per `self.update`;
-    /// the PP regime resets to its gate (Alg. 2 line 2) so operators are
-    /// rebuilt only once the drift criterion re-opens.
+    /// the PP regime resets to its gate (Alg. 2 line 2), so the window
+    /// starts with an exact sweep and operators are rebuilt only once the
+    /// drift criterion re-opens.
     pub fn arrive(&mut self, slice: &DenseTensor) {
         let e = self.evolving;
         let update = self.update;
@@ -225,28 +226,22 @@ impl StreamingSession {
         let gamma = hadamard_chain_skip(p.grams, e);
         let new_rows = solve_gram(&gamma, &m_slice).0;
 
-        // PP regime reset (Alg. 2 line 2 against the extended tensor):
-        // the frozen reference A_p and its pair operators describe the old
-        // tensor, so drop them and re-enter through the drift gate. Before
-        // the cache extension, because an order-3 pair operator *is* a
-        // cached first-level intermediate, and a shared payload would be
-        // copied rather than extended in place.
-        *p.ops = None;
-        p.factors_p.clear();
-        *p.phase = crate::session::PpPhase::Gate;
-
         // Extend the input, the factor, its Gram, and the tree cache —
         // in that order, so `extend_mode` sees post-bump versions and the
         // extended layouts it delta-contracts against.
         p.input.append(&slice_input);
         p.fs.extend_rows(e, &new_rows);
         p.grams[e] = p.fs.factor(e).gram();
+        // The PP regime restarts at its gate against the extended tensor
+        // (Alg. 2 line 2). Before the cache extension, because an order-3
+        // pair operator *is* a cached first-level intermediate, and a
+        // shared payload would be copied rather than extended in place.
+        if let Some(pp) = p.pp {
+            pp.reset(p.fs.factors());
+        }
         p.engine
             .extend_mode(p.input, p.fs, e, &mut slice_input, update);
         *p.t_norm_sq += slice_norm_sq;
-        if p.kind == SessionKind::Pp {
-            *p.d_factors = p.fs.factors().to_vec();
-        }
 
         // Open the next sweep window.
         p.cfg.max_sweeps = p.progress.reopen(sweeps_per_arrival);

@@ -3,14 +3,17 @@
 
 use parallel_pp::comm::Runtime;
 use parallel_pp::core::{
-    AlsConfig, AlsOutput, AlsSession, ParKind, ParSession, SessionKind, SolveStrategy, SweepKind,
+    AlsConfig, AlsOutput, AlsSession, ParKind, ParSession, SessionKind, SolveStrategy,
+    StreamingSession, SweepKind, SweepRecord,
 };
 use parallel_pp::datagen::chemistry::{density_fitting_tensor, ChemistryConfig};
 use parallel_pp::datagen::coil::{coil_tensor, CoilConfig};
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
 use parallel_pp::datagen::lowrank::noisy_rank;
-use parallel_pp::datagen::timelapse::{timelapse_tensor, TimelapseConfig};
-use parallel_pp::dtree::TreePolicy;
+use parallel_pp::datagen::timelapse::{
+    timelapse_tensor, TimelapseConfig, TimelapseStream, TIME_MODE,
+};
+use parallel_pp::dtree::{CacheUpdate, TreePolicy};
 use parallel_pp::grid::{DistTensor, ProcGrid};
 use parallel_pp::tensor::DenseTensor;
 use std::sync::Arc;
@@ -283,5 +286,123 @@ fn order4_parallel_grid_with_padding() {
     });
     for (a, b) in seq.report.sweeps.iter().zip(out.results[0].sweeps.iter()) {
         assert!((a.fitness - b.fitness).abs() < 1e-8);
+    }
+}
+
+/// Alg. 2 line 2 starts the drift at `dA ← A`, which a gate with ε ≥ 1
+/// would pass. The regime must still wait for an exact sweep to measure
+/// drift: every window of `trace` (split at `window_starts`) begins with
+/// one, and no sweep carries a NaN fitness (a PP-init's is the previous
+/// sweep's). The regime does open.
+fn assert_exact_sweep_opens_every_window(trace: &[SweepRecord], window_starts: &[usize]) {
+    for &w in window_starts {
+        assert_eq!(trace[w].kind, SweepKind::Exact, "window at sweep {w}");
+    }
+    assert!(trace.iter().all(|s| !s.fitness.is_nan()), "{trace:?}");
+    assert!(trace.iter().any(|s| s.kind == SweepKind::PpInit));
+}
+
+fn pp_tol_edge_tensor() -> DenseTensor {
+    let ccfg = CollinearityConfig {
+        s: 12,
+        r: 3,
+        order: 3,
+        lo: 0.5,
+        hi: 0.7,
+    };
+    collinearity_tensor(&ccfg, 3).0
+}
+
+#[test]
+fn pp_waits_for_an_exact_sweep_at_any_pp_tol() {
+    let t = pp_tol_edge_tensor();
+    for eps in [2.0, f64::INFINITY] {
+        let cfg = AlsConfig::new(3)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(eps)
+            .with_max_sweeps(8)
+            .with_tol(0.0);
+        let a = AlsSession::new(&t, &cfg, SessionKind::Pp).run();
+        assert_exact_sweep_opens_every_window(&a.report.sweeps, &[0]);
+        // A resumed session re-measures the gate it does not store: closed
+        // before the first sweep, open after it.
+        for cut in 0..3 {
+            let mut s = AlsSession::new(&t, &cfg, SessionKind::Pp);
+            for _ in 0..cut {
+                let _ = s.step();
+            }
+            let (s, _) = AlsSession::resume_from_bytes(&s.checkpoint_bytes(0), &t).unwrap();
+            let b = s.run();
+            let kinds = |o: &AlsOutput| o.report.sweeps.iter().map(|s| s.kind).collect::<Vec<_>>();
+            assert_eq!(kinds(&a), kinds(&b), "ε {eps}, cut {cut}");
+        }
+    }
+}
+
+#[test]
+fn parallel_pp_waits_for_an_exact_sweep_at_any_pp_tol() {
+    let t = Arc::new(pp_tol_edge_tensor());
+    let grid = ProcGrid::new(vec![2, 1, 1]);
+    for eps in [2.0, f64::INFINITY] {
+        let cfg = AlsConfig::new(3)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(eps)
+            .with_max_sweeps(8)
+            .with_tol(0.0);
+        let (t2, g2) = (t.clone(), grid.clone());
+        let out = Runtime::new(2).run(move |ctx| {
+            let local = DistTensor::from_global(&t2, &g2, ctx.rank());
+            ParSession::new(ctx, &g2, &local, &cfg, ParKind::Pp)
+                .run(ctx)
+                .report
+        });
+        let trace = &out.results[0].sweeps;
+        assert_exact_sweep_opens_every_window(trace, &[0]);
+    }
+}
+
+#[test]
+fn streamed_pp_waits_for_an_exact_sweep_in_every_window() {
+    let tl = TimelapseConfig {
+        height: 12,
+        width: 10,
+        bands: 8,
+        times: 7,
+        materials: 3,
+        noise: 1e-3,
+    };
+    let feed = TimelapseStream::new(&tl, 5, 3, 2).unwrap();
+    for eps in [2.0, f64::INFINITY] {
+        let cfg = AlsConfig::new(4)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(eps)
+            .with_tol(0.0);
+        let new = || {
+            let (kind, update) = (SessionKind::Pp, CacheUpdate::Incremental);
+            StreamingSession::new(&feed.initial(), &cfg, kind, TIME_MODE, 3, update)
+        };
+        let mut s = new();
+        s.run_window();
+        let mut starts = vec![0];
+        for i in 0..feed.n_arrivals() {
+            s.arrive(&feed.slice(i));
+            starts.push(s.sweeps_done());
+            s.run_window();
+        }
+        assert_exact_sweep_opens_every_window(&s.report().sweeps, &starts);
+        // A checkpoint taken on arrival resumes with the gate closed.
+        let mut cut = new();
+        cut.run_window();
+        cut.arrive(&feed.slice(0));
+        let bytes = cut.checkpoint_bytes(0);
+        let (mut r, _) = StreamingSession::resume_from_bytes(&bytes, |e| feed.prefix(e)).unwrap();
+        r.run_window();
+        for i in 1..feed.n_arrivals() {
+            r.arrive(&feed.slice(i));
+            r.run_window();
+        }
+        let kinds =
+            |s: &StreamingSession| s.report().sweeps.iter().map(|s| s.kind).collect::<Vec<_>>();
+        assert_eq!(kinds(&s), kinds(&r), "ε {eps}");
     }
 }
