@@ -216,7 +216,7 @@ impl ParSession {
         let p_blocks = self.st.dist_factors.iter().map(|f| f.p().clone());
         let reference = p_blocks.chain(self.q_blocks()).collect();
         let st = &mut self.st;
-        let pp = self.pp.as_mut().expect("PP-init in a PP session");
+        let pp = self.pp.as_mut().expect("PP-init under PP");
         pp.enter(reference, || {
             build_pp_operators(&mut st.input, &st.fs_local, &mut st.engine)
         });

@@ -924,7 +924,7 @@ impl AlsSession {
     /// carries the previous sweep's fitness.
     fn pp_init(&mut self) -> (f64, f64) {
         let t0 = Instant::now();
-        let pp = self.pp.as_mut().expect("PP-init in a PP session");
+        let pp = self.pp.as_mut().expect("PP-init under PP");
         pp.enter(self.fs.factors().to_vec(), || {
             build_pp_operators(&mut self.input, &self.fs, &mut self.engine)
         });
@@ -935,10 +935,7 @@ impl AlsSession {
     /// second-order corrections in place of tensor contractions.
     fn pp_approx_sweep(&mut self) -> (f64, f64) {
         let n_modes = self.fs.order();
-        let pp = self
-            .pp
-            .as_mut()
-            .expect("approximated sweep in a PP session");
+        let pp = self.pp.as_mut().expect("approximated sweep under PP");
         let ops = pp.ops.as_ref().expect("PP regime requires operators");
         let sweep_t0 = Instant::now();
         let mut last_gamma: Option<Matrix> = None;
