@@ -204,3 +204,39 @@ fn committed_mid_regime_checkpoint_resumes_bitwise() {
         .fold(0u64, |d, x| (d ^ x.to_bits()).wrapping_mul(0x100_0000_01b3));
     assert_eq!(digest, 0x0bd6_1d8f_9046_6395);
 }
+
+/// `tests/golden/sparse_msdt_mid_run.ppck` holds a sparse `msdt` session
+/// (`sparse_lowrank(&[18, 16, 14], 3, 0.06, 6)`, R 3, multi-sweep, tol 0,
+/// 10 sweeps) paused after three exact sweeps, written by a build whose
+/// sparse msdt ran the semi-sparse TTM chain: its cache holds that chain's
+/// intermediates (representation tag 1) and its stats block the chain's
+/// counters. Whatever the session runs on now, the file must keep
+/// resuming: same tag, same three sweeps, then on to the cap.
+#[test]
+fn committed_sparse_msdt_checkpoint_resumes() {
+    let _serial = override_lock();
+    let sp = parallel_pp::datagen::sparse::sparse_lowrank(&[18, 16, 14], 3, 0.06, 6).0;
+    let bytes = include_bytes!("golden/sparse_msdt_mid_run.ppck");
+    let (mut s, tag) = AlsSession::resume_from_bytes_sparse(bytes, &sp).unwrap();
+    assert_eq!(tag, 0x7370_6d73_6474_3033);
+    assert_eq!(s.sweeps_done(), 3);
+    let stored: Vec<_> = s
+        .report()
+        .sweeps
+        .iter()
+        .map(|r| (r.kind, r.fitness.to_bits()))
+        .collect();
+    let exact = parallel_pp::core::SweepKind::Exact;
+    assert_eq!(
+        stored,
+        [
+            (exact, 0x3faa_9c44_3f7a_b0f0),
+            (exact, 0x3fb2_f534_9d44_8b78),
+            (exact, 0x3fb6_3287_2786_8ea8),
+        ]
+    );
+    while let Step::Swept(_) = s.step() {}
+    let out = s.finish();
+    assert_eq!(out.report.sweeps.len(), 10);
+    assert!(out.report.sweeps.iter().all(|r| r.fitness.is_finite()));
+}
