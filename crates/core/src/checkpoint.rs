@@ -20,7 +20,7 @@
 //! bytes do not match.
 
 use crate::result::{SweepKind, SweepRecord};
-use pp_dtree::{Intermediate, KernelStats, Payload};
+use pp_dtree::{Intermediate, KernelStats};
 use pp_tensor::{DenseTensor, Matrix, SemiSparseTensor, Shape};
 use std::path::Path;
 use std::sync::Arc;
@@ -30,7 +30,10 @@ pub(crate) const MAGIC: [u8; 4] = *b"PPCK";
 /// vs semi-sparse) and the semi-sparse kernel counters to the stats block.
 /// Format 3 dropped the fields the program can no longer set: the
 /// lookahead and fitness-tracking config bytes, and the transpose and
-/// speculation counters of the stats block.
+/// speculation counters of the stats block. Sessions no longer make
+/// semi-sparse intermediates, and the layout kept its slots for them: the
+/// writer emits tag 0 only and zeros for the three semi-sparse counters,
+/// and the reader validates a tag-1 entry and drops it.
 pub(crate) const VERSION: u32 = 3;
 
 /// Write checkpoint `bytes` to `path` through a temporary file and a
@@ -159,6 +162,9 @@ impl Writer {
         }
     }
 
+    // The two field kinds only a semi-sparse entry (tag 1) holds; only the
+    // tests still write one.
+    #[cfg(test)]
     pub(crate) fn u32s(&mut self, vs: &[u32]) {
         self.usize_(vs.len());
         for &v in vs {
@@ -166,6 +172,7 @@ impl Writer {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn f64s(&mut self, vs: &[f64]) {
         self.usize_(vs.len());
         for &v in vs {
@@ -176,20 +183,9 @@ impl Writer {
     pub(crate) fn intermediate(&mut self, e: &Intermediate) {
         self.usizes(&e.mode_order);
         self.u64s(&e.versions);
-        // Representation tag: 0 = dense, 1 = semi-sparse.
-        match &e.payload {
-            Payload::Dense(t) => {
-                self.u8_(0);
-                self.tensor(t);
-            }
-            Payload::SemiSparse(ss) => {
-                self.u8_(1);
-                self.usizes(ss.dims());
-                self.usize_(ss.rank());
-                self.u32s(ss.inds());
-                self.f64s(ss.panels());
-            }
-        }
+        // Representation tag: 0 = dense (1, semi-sparse, is read only).
+        self.u8_(0);
+        self.tensor(&e.tensor);
     }
 
     pub(crate) fn stats(&mut self, s: &KernelStats) {
@@ -207,9 +203,10 @@ impl Writer {
         self.u64_(s.gemm_generic_calls);
         self.u64_(s.sparse_mttkrp_flops);
         self.u64_(s.sparse_fibers_visited);
-        self.u64_(s.semisparse_ttm_flops);
-        self.u64_(s.semisparse_ttv_flops);
-        self.u64_(s.semisparse_entries_visited);
+        // The three retired semi-sparse counter slots.
+        for _ in 0..3 {
+            self.u64_(0);
+        }
     }
 
     /// Length-prefixed opaque byte blob — lets one checkpoint nest another
@@ -396,31 +393,34 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.f64_()).collect()
     }
 
-    pub(crate) fn intermediate(&mut self) -> Result<Intermediate, String> {
+    /// A cached intermediate, or `None` for a semi-sparse one (tag 1, made
+    /// by builds whose sparse `msdt` ran the semi-sparse chain): it is
+    /// decoded and validated, then dropped, so its session resumes with
+    /// the entry recomputed or never needed.
+    pub(crate) fn intermediate(&mut self) -> Result<Option<Intermediate>, String> {
         let mode_order = self.usizes()?;
         let versions = self.u64s()?;
-        let payload = match self.u8_()? {
-            0 => Payload::Dense(Arc::new(self.tensor()?)),
+        match self.u8_()? {
+            0 => Ok(Some(Intermediate {
+                tensor: Arc::new(self.tensor()?),
+                mode_order,
+                versions,
+            })),
             1 => {
                 let dims = self.usizes()?;
                 let r = self.usize_()?;
                 let inds = self.u32s()?;
                 let panels = self.f64s()?;
-                let ss = SemiSparseTensor::from_parts(dims, inds, panels, r)
+                SemiSparseTensor::from_parts(dims, inds, panels, r)
                     .map_err(|e| format!("inconsistent semi-sparse intermediate: {e}"))?;
-                Payload::SemiSparse(Arc::new(ss))
+                Ok(None)
             }
-            v => return Err(format!("invalid intermediate representation tag {v}")),
-        };
-        Ok(Intermediate {
-            payload,
-            mode_order,
-            versions,
-        })
+            v => Err(format!("invalid intermediate representation tag {v}")),
+        }
     }
 
     pub(crate) fn stats(&mut self) -> Result<KernelStats, String> {
-        Ok(KernelStats {
+        let stats = KernelStats {
             ttm_secs: self.f64_()?,
             mttv_secs: self.f64_()?,
             hadamard_secs: self.f64_()?,
@@ -435,10 +435,12 @@ impl<'a> Reader<'a> {
             gemm_generic_calls: self.u64_()?,
             sparse_mttkrp_flops: self.u64_()?,
             sparse_fibers_visited: self.u64_()?,
-            semisparse_ttm_flops: self.u64_()?,
-            semisparse_ttv_flops: self.u64_()?,
-            semisparse_entries_visited: self.u64_()?,
-        })
+        };
+        // The three retired semi-sparse counter slots.
+        for _ in 0..3 {
+            self.u64_()?;
+        }
+        Ok(stats)
     }
 
     /// Length-prefixed opaque byte blob (see [`Writer::bytes`]).
@@ -610,7 +612,7 @@ mod tests {
         };
         let decode = |bytes: &[u8]| Reader::open(bytes).unwrap().intermediate();
         let good = decode(&encode(&[0, 1, 2, 3])).expect("well-formed payload");
-        assert!(good.payload.is_semisparse());
+        assert!(good.is_none(), "a well-formed semi-sparse entry is dropped");
         let e = decode(&encode(&[0, 1, 2, 9]))
             .err()
             .expect("index 9 ≥ extent 4");

@@ -252,7 +252,7 @@ impl ParSession {
                 }
                 let u = first_order_correction(ops, n, i, &d_p);
                 m_local.axpy(1.0, &u);
-                let flops = 2 * ops.pair(n, i).dense().len() as u64;
+                let flops = 2 * ops.pair(n, i).tensor.len() as u64;
                 self.st
                     .engine
                     .stats

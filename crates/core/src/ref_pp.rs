@@ -57,7 +57,7 @@ pub fn ref_pp_init(ctx: &mut RankCtx, st: &mut ParState) -> PpOperators {
     let ops = build_pp_operators(&mut st.input, &st.fs_local, &mut st.engine);
     // One redistribution per materialized operator.
     for pair in ops.pairs.values() {
-        redistribute(ctx, pair.dense().data());
+        redistribute(ctx, pair.tensor.data());
     }
     for first in &ops.firsts {
         redistribute(ctx, first.data());

@@ -349,7 +349,8 @@ impl PpRegime {
             for _ in 0..n_pairs {
                 let i = r.usize_()?;
                 let j = r.usize_()?;
-                pairs.insert((i, j), r.intermediate()?);
+                let pair = r.intermediate()?.ok_or("PP pair operator is not dense")?;
+                pairs.insert((i, j), pair);
             }
             let firsts = r.matrices()?;
             let fresh_ttms = r.usize_()?;
@@ -413,17 +414,6 @@ fn dense_input(t: &DenseTensor, evolving: Option<usize>) -> InputTensor {
     match evolving {
         Some(e) => InputTensor::evolving(t, e),
         None => InputTensor::new(t.clone()),
-    }
-}
-
-/// The sparse input a session sweeps over, at construction and at resume
-/// alike: the semi-sparse chain's TTM plans for exact ALS on the
-/// multi-sweep tree (`msdt`), the CSF forest otherwise — `dt`'s direct
-/// MTTKRP, and `pp`'s, whose pair operators are walks of the same trees.
-fn sparse_input(sp: &SparseTensor, policy: TreePolicy, kind: SessionKind) -> InputTensor {
-    match (policy, kind) {
-        (TreePolicy::MultiSweep, SessionKind::Exact) => InputTensor::new_sparse_chained(sp.clone()),
-        _ => InputTensor::new_sparse(sp.clone()),
     }
 }
 
@@ -507,19 +497,18 @@ impl AlsSession {
     /// initialization. Three method combinations are admitted:
     ///
     /// * `Exact` + [`TreePolicy::Standard`] (the `dt` method): every MTTKRP
-    ///   routes through the direct CSF kernel.
-    /// * `Exact` + [`TreePolicy::MultiSweep`] (the `msdt` method): the
-    ///   dimension tree runs over **semi-sparse** intermediates (dense rank
-    ///   panels on the surviving fiber structure) — the input is never
-    ///   densified.
+    ///   routes through the direct CSF kernel over the input's forest.
+    /// * `Exact` + [`TreePolicy::MultiSweep`] (the `msdt` method): the same
+    ///   kernel, bit for bit — MSDT amortizes dense first-level TTMs, and
+    ///   the CSF MTTKRP leaves nothing to amortize.
     /// * `Pp` + [`TreePolicy::MultiSweep`] (the `pp` method): exact sweeps
     ///   run the direct CSF kernel, as `dt` does, and each PP pair operator
     ///   is one walk of a fiber tree of the same forest; only the
     ///   operator-sized pair tensors are dense.
     ///
-    /// Non-negative ALS is not supported on sparse inputs. Sparse PP keeps
-    /// the multi-sweep policy its jobs have always carried; a checkpoint's
-    /// policy and kind determine how the input is rebuilt at resume.
+    /// The input is never densified. Non-negative ALS is not supported on
+    /// sparse inputs. Sparse PP keeps the multi-sweep policy its jobs have
+    /// always carried.
     pub fn new_sparse(sp: &SparseTensor, cfg: &AlsConfig, kind: SessionKind) -> Self {
         assert_ne!(
             kind,
@@ -538,7 +527,7 @@ impl AlsSession {
         let n_modes = sp.order();
         assert!(n_modes >= 2);
         let _threads = cfg.thread_guard();
-        let input = sparse_input(sp, cfg.policy, kind);
+        let input = InputTensor::new_sparse(sp.clone());
         Self::from_input(input, sp.norm_sq(), cfg, kind, init)
     }
 
@@ -691,7 +680,7 @@ impl AlsSession {
         t: &DenseTensor,
         evolving: Option<usize>,
     ) -> Result<(AlsSession, u64), String> {
-        Self::resume_core(bytes, tensor_fingerprint(t), t.order(), |_, _| {
+        Self::resume_core(bytes, tensor_fingerprint(t), t.order(), || {
             dense_input(t, evolving)
         })
     }
@@ -703,8 +692,8 @@ impl AlsSession {
         bytes: &[u8],
         sp: &SparseTensor,
     ) -> Result<(AlsSession, u64), String> {
-        Self::resume_core(bytes, sparse_fingerprint(sp), sp.order(), |cfg, kind| {
-            sparse_input(sp, cfg.policy, kind)
+        Self::resume_core(bytes, sparse_fingerprint(sp), sp.order(), || {
+            InputTensor::new_sparse(sp.clone())
         })
     }
 
@@ -715,7 +704,7 @@ impl AlsSession {
         bytes: &[u8],
         fp_expected: u64,
         order: usize,
-        build_input: impl FnOnce(&AlsConfig, SessionKind) -> InputTensor,
+        build_input: impl FnOnce() -> InputTensor,
     ) -> Result<(AlsSession, u64), String> {
         let mut r = Reader::open(bytes)?;
         let tag = r.u64_()?;
@@ -772,7 +761,9 @@ impl AlsSession {
         let n_cached = r.usize_()?;
         let mut cached = Vec::with_capacity(n_cached);
         for _ in 0..n_cached {
-            cached.push(r.intermediate()?);
+            // A retired entry reads as `None` and is dropped (see
+            // `Reader::intermediate`).
+            cached.extend(r.intermediate()?);
         }
         let engine_stats = r.stats()?;
         let progress = Progress::read(&mut r)?;
@@ -787,7 +778,7 @@ impl AlsSession {
         // Rebuild the runtime-only pieces (input layout / CSF trees,
         // engine) exactly as construction does, then reinstall the cached
         // intermediates and stats the checkpoint captured.
-        let input = build_input(&cfg, kind);
+        let input = build_input();
         let mut engine = DimTreeEngine::new(cfg.policy, n_modes);
         for e in cached {
             engine.cache_mut().insert(e);
@@ -1267,31 +1258,11 @@ mod tests {
     }
 
     #[test]
-    fn sparse_msdt_session_matches_densified_bitwise() {
-        // MSDT over the semi-sparse chain must reproduce — bit for bit —
-        // the dense MSDT session on the densified tensor, while never
-        // densifying the input (dense-volume GEMM flops stay absent).
-        let (sp, _) = pp_datagen::sparse::sparse_lowrank(&[10, 9, 8], 2, 0.15, 17);
-        let cfg = AlsConfig::new(2)
-            .with_policy(TreePolicy::MultiSweep)
-            .with_max_sweeps(7)
-            .with_tol(0.0);
-        let a = AlsSession::new(&sp.to_dense(), &cfg, SessionKind::Exact).run();
-        let b = AlsSession::new_sparse(&sp, &cfg, SessionKind::Exact).run();
-        assert_bitwise(&a, &b);
-        let s = &b.report.stats;
-        assert!(s.semisparse_ttm_flops > 0, "first levels must be sparse");
-        assert!(s.semisparse_ttv_flops > 0, "lower levels must be sparse");
-        assert_eq!(s.sparse_mttkrp_flops, 0, "direct CSF kernel not used");
-    }
-
-    #[test]
     fn sparse_pp_exact_sweeps_match_sparse_dt_bitwise() {
         // PP on a sparse input runs its exact sweeps on the CSF forest, as
         // DT does: up to the first PP initialization the two sessions (same
         // rank and seed) give the same trace and factors, bit for bit. The
-        // pair operators are fiber walks of the same forest; nothing runs
-        // on the semi-sparse chain.
+        // pair operators are fiber walks of the same forest.
         let (sp, _) = pp_datagen::sparse::sparse_lowrank(&[9, 8, 7], 2, 0.2, 29);
         let cfg = AlsConfig::new(2)
             .with_policy(TreePolicy::MultiSweep)
@@ -1325,13 +1296,12 @@ mod tests {
         assert_bitwise(&dt, &head);
         let s = &pp.report.stats;
         assert!(s.sparse_mttkrp_flops > 0);
-        assert_eq!(s.semisparse_ttm_flops + s.semisparse_ttv_flops, 0);
     }
 
     #[test]
     fn sparse_pp_checkpoint_mid_regime_is_bit_identical() {
-        // Stop inside the PP regime, serialize (semi-sparse cache
-        // entries and dense pair operators both travel), resume, finish:
+        // Stop inside the PP regime, serialize (the dense pair operators
+        // travel; the forest caches nothing), resume, finish:
         // the completed run must match the uninterrupted one bit for bit.
         let (sp, _) = pp_datagen::sparse::sparse_lowrank(&[9, 8, 7], 2, 0.2, 29);
         let cfg = AlsConfig::new(2)

@@ -8,64 +8,26 @@
 //! one cache, which is what lets MSDT amortize first-level TTMs across
 //! sweeps and lets PP initialization reuse a first-level intermediate from
 //! the preceding exact sweep (paper footnote 1).
+//!
+//! Every intermediate is a dense tensor. A sparse input never fills the
+//! cache: its MTTKRPs and PP pair operators are walks of the CSF forest
+//! (`crate::input`).
 
 use crate::modeset::ModeSet;
-use pp_tensor::semisparse::SsPattern;
-use pp_tensor::{DenseTensor, SemiSparseTensor};
+use pp_tensor::DenseTensor;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The tensor data of an intermediate: representation is a *planning
-/// dimension*, not an assumption. Dense inputs produce dense
-/// intermediates; sparse inputs produce semi-sparse ones (dense along the
-/// rank, sparse in the surviving fiber structure), and every consumer —
-/// the contraction chains, MSDT superset reuse, PP operator construction
-/// — dispatches on this enum instead of densifying.
-///
-/// Payloads sit behind `Arc`s: intermediates are multi-MB and flow between
-/// the cache and the contraction chain on every MTTKRP, so cache hits and
-/// inserts must be reference bumps, not copies.
-#[derive(Clone)]
-pub enum Payload {
-    /// Dense `[extent of mode_order[0], ..., R]` tensor (rank trailing).
-    Dense(Arc<DenseTensor>),
-    /// Semi-sparse: surviving levels follow `mode_order`, rank panels dense.
-    SemiSparse(Arc<SemiSparseTensor>),
-}
-
-impl Payload {
-    /// The payload's memory footprint in f64-equivalent words (the Table I
-    /// auxiliary-memory metric).
-    pub fn memory_words(&self) -> usize {
-        match self {
-            Payload::Dense(t) => t.len(),
-            Payload::SemiSparse(ss) => ss.memory_words(),
-        }
-    }
-
-    /// The dense tensor, panicking on a semi-sparse payload — for
-    /// consumers with a hard dense contract (PP pair operators feeding
-    /// Eq. 6 corrections).
-    pub fn dense(&self) -> &DenseTensor {
-        match self {
-            Payload::Dense(t) => t,
-            Payload::SemiSparse(_) => panic!("expected a dense intermediate"),
-        }
-    }
-
-    /// True for the semi-sparse representation.
-    pub fn is_semisparse(&self) -> bool {
-        matches!(self, Payload::SemiSparse(_))
-    }
-}
 
 /// A cached contraction intermediate with its provenance.
 #[derive(Clone)]
 pub struct Intermediate {
-    /// Tensor data in either representation.
-    pub payload: Payload,
-    /// Original tensor modes in the layout order of the payload's leading
-    /// dims (dense) or levels (semi-sparse).
+    /// Dense `[extent of mode_order[0], ..., R]` tensor (rank trailing),
+    /// behind an `Arc`: intermediates are multi-MB and flow between the
+    /// cache and the contraction chain on every MTTKRP, so cache hits and
+    /// inserts must be reference bumps, not copies.
+    pub tensor: Arc<DenseTensor>,
+    /// Original tensor modes in the layout order of the tensor's leading
+    /// dims.
     pub mode_order: Vec<usize>,
     /// Factor versions contracted in; meaningful for modes ∉ the set.
     pub versions: Vec<u64>,
@@ -95,14 +57,10 @@ impl Intermediate {
             .all(|(j, &v)| set.contains(j) || self.versions[j] == v)
     }
 
-    /// The dense payload (panics on semi-sparse) — see [`Payload::dense`].
-    pub fn dense(&self) -> &DenseTensor {
-        self.payload.dense()
-    }
-
-    /// Memory footprint in f64-equivalent words.
+    /// Memory footprint in f64 elements (the Table I auxiliary-memory
+    /// metric).
     pub fn memory_words(&self) -> usize {
-        self.payload.memory_words()
+        self.tensor.len()
     }
 }
 
@@ -149,7 +107,7 @@ impl InterCache {
     }
 
     /// Remove and return the entry for `set`, if present (streaming cache
-    /// surgery: delta-extension takes the old payload out, eviction drops
+    /// surgery: delta-extension takes the old tensor out, eviction drops
     /// entries whose extent along the evolving mode went stale).
     pub fn remove(&mut self, set: ModeSet) -> Option<Intermediate> {
         self.map.remove(&set)
@@ -170,24 +128,9 @@ impl InterCache {
         self.map.clear();
     }
 
-    /// Total f64-equivalent words held (auxiliary-memory metric of
-    /// Table I) — semi-sparse entries count index words at true size, and
-    /// a pattern several entries share is counted once.
+    /// Total f64 elements held (auxiliary-memory metric of Table I).
     pub fn memory_elems(&self) -> usize {
-        let mut seen: Vec<*const SsPattern> = Vec::new();
-        self.map
-            .values()
-            .map(|e| match &e.payload {
-                Payload::SemiSparse(ss) if seen.contains(&Arc::as_ptr(ss.pattern())) => {
-                    ss.panels().len()
-                }
-                Payload::SemiSparse(ss) => {
-                    seen.push(Arc::as_ptr(ss.pattern()));
-                    ss.memory_words()
-                }
-                Payload::Dense(t) => t.len(),
-            })
-            .sum()
+        self.map.values().map(Intermediate::memory_words).sum()
     }
 
     /// Drop entries invalid under `current` versions.
@@ -213,7 +156,7 @@ mod tests {
     fn dummy(modes: &[usize], versions: Vec<u64>) -> Intermediate {
         let dims: Vec<usize> = modes.iter().map(|_| 2).chain([3]).collect();
         Intermediate {
-            payload: Payload::Dense(Arc::new(DenseTensor::zeros(Shape::new(dims)))),
+            tensor: Arc::new(DenseTensor::zeros(Shape::new(dims))),
             mode_order: modes.to_vec(),
             versions,
         }

@@ -40,7 +40,7 @@ pub fn first_order_correction(
     assert_ne!(n, i);
     let pair = ops.pair(n, i);
     let pos = pair.position_of(i);
-    let out = mttv(pair.dense(), pos, d_factor_i);
+    let out = mttv(&pair.tensor, pos, d_factor_i);
     debug_assert_eq!(out.tensor.order(), 2);
     let rows = out.tensor.dim(0);
     let r = out.tensor.dim(1);
@@ -66,7 +66,7 @@ pub fn correction_flops<'a>(
         .iter()
         .enumerate()
         .filter(move |&(i, d)| i != n && drifted(d))
-        .map(move |(i, _)| 2 * ops.pair(n, i).dense().len() as u64)
+        .map(move |(i, _)| 2 * ops.pair(n, i).tensor.len() as u64)
 }
 
 /// `dS^(i) = A^(i)ᵀ dA^(i)` (Eq. 8).

@@ -20,14 +20,19 @@
 //! version and cache validity is checked against version vectors, both
 //! policies compute exactly the same `M^(n)` values (up to floating-point
 //! associativity) — MSDT is lossless, as the paper states.
+//!
+//! A sparse input never enters the tree. Under either policy each MTTKRP
+//! is one direct CSF MTTKRP over the input's forest: what MSDT amortizes is
+//! the dense first-level TTM, and a CSF MTTKRP costs `O(nnz · R)` per mode
+//! with nothing left to amortize. Sparse `msdt` and `dt` therefore run the
+//! same kernel, bit for bit, and leave the cache empty.
 
-use crate::cache::{InterCache, Intermediate, Payload};
+use crate::cache::{InterCache, Intermediate};
 use crate::factor::FactorState;
 use crate::input::InputTensor;
 use crate::modeset::ModeSet;
 use crate::stats::{Kernel, KernelStats};
 use pp_tensor::kernels::mttv::mttv_in;
-use pp_tensor::semisparse::{ss_mttv_in, thread_ss_counters};
 use pp_tensor::{Matrix, Workspace};
 use std::sync::Arc;
 use std::time::Instant;
@@ -148,36 +153,24 @@ impl DimTreeEngine {
     pub fn mttkrp(&mut self, input: &mut InputTensor, fs: &FactorState, n: usize) -> Matrix {
         assert_eq!(fs.order(), self.n_modes);
         assert!(n < self.n_modes);
-        // Direct-CSF fast path: one sparse MTTKRP replaces the whole
-        // contraction chain — flops scale with nnz, not the dense volume,
-        // and there are no intermediates worth caching (the cache stays
-        // empty, so `cache_memory_elems` reports 0). Chain-planned sparse
-        // inputs (`csf` absent) fall through to the dimension tree below,
-        // whose contractions produce semi-sparse intermediates — the input
-        // is never densified.
+        // Sparse input: one direct CSF MTTKRP replaces the whole
+        // contraction chain, under either policy — flops scale with nnz,
+        // not the dense volume, and there are no intermediates worth
+        // caching (the cache stays empty, so `cache_memory_elems` reports
+        // 0).
         if let Some(sp) = input.sparse() {
-            if let Some(csf) = &sp.csf {
-                let s0 = pp_tensor::sparse::thread_sparse_counters();
-                let t0 = Instant::now();
-                let m = pp_tensor::sparse::sparse_mttkrp(csf, fs.factors(), n);
-                let delta = pp_tensor::sparse::thread_sparse_counters().since(&s0);
-                self.stats.record(Kernel::Ttm, t0.elapsed(), delta.flops);
-                self.stats.add_sparse_delta(&delta);
-                return m;
-            }
+            let s0 = pp_tensor::sparse::thread_sparse_counters();
+            let t0 = Instant::now();
+            let m = pp_tensor::sparse::sparse_mttkrp(&sp.csf, fs.factors(), n);
+            let delta = pp_tensor::sparse::thread_sparse_counters().since(&s0);
+            self.stats.record(Kernel::Ttm, t0.elapsed(), delta.flops);
+            self.stats.add_sparse_delta(&delta);
+            return m;
         }
         let inter = self.obtain(input, fs, n);
         debug_assert_eq!(inter.mode_order, vec![n]);
-        match &inter.payload {
-            Payload::Dense(t) => {
-                let rows = t.dim(0);
-                let r = t.dim(1);
-                Matrix::from_vec(rows, r, t.data().to_vec())
-            }
-            // Scatter the surviving rows; rows with no nonzeros are exact
-            // +0.0 in the dense chain too, so this is bit-identical.
-            Payload::SemiSparse(ss) => ss.to_matrix(input.dim(n)),
-        }
+        let t = &inter.tensor;
+        Matrix::from_vec(t.dim(0), t.dim(1), t.data().to_vec())
     }
 
     /// Walk the contraction chain down to `{n}`.
@@ -206,14 +199,12 @@ impl DimTreeEngine {
         k: usize,
     ) -> Intermediate {
         let g0 = pp_tensor::gemm::thread_gemm_counters();
-        let s0 = thread_ss_counters();
         let fl = input.contract_mode_in(&self.workspace, k, fs.factor(k));
         self.stats
             .add_gemm_delta(&pp_tensor::gemm::thread_gemm_counters().since(&g0));
-        self.stats.add_ss_delta(&thread_ss_counters().since(&s0));
         self.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
         Intermediate {
-            payload: fl.payload,
+            tensor: Arc::new(fl.tensor),
             mode_order: fl.mode_order,
             versions: fs.versions().to_vec(),
         }
@@ -270,10 +261,7 @@ impl DimTreeEngine {
             if !set.contains(e) {
                 continue;
             }
-            if set.len() == self.n_modes - 1
-                && inter.valid_for(&versions)
-                && !inter.payload.is_semisparse()
-            {
+            if set.len() == self.n_modes - 1 && inter.valid_for(&versions) {
                 extendable.push(set);
             } else {
                 drop_keys.push(set);
@@ -285,21 +273,20 @@ impl DimTreeEngine {
         for set in extendable {
             let k = full.minus(set).min().expect("one contracted mode");
             let old = self.cache.remove(set).expect("extendable entry present");
-            let appended = match (update, old.payload) {
-                (CacheUpdate::Incremental, Payload::Dense(mut grown))
-                    if old.mode_order.first() == Some(&e) =>
-                {
+            let appended =
+                if update == CacheUpdate::Incremental && old.mode_order.first() == Some(&e) {
                     let delta = self.contract_recorded(slice, fs, k);
                     (delta.mode_order == old.mode_order).then(|| {
-                        Arc::make_mut(&mut grown).append_leading(delta.dense());
+                        let mut grown = old.tensor;
+                        Arc::make_mut(&mut grown).append_leading(&delta.tensor);
                         Intermediate {
-                            payload: Payload::Dense(grown),
+                            tensor: grown,
                             ..delta
                         }
                     })
-                }
-                _ => None,
-            };
+                } else {
+                    None
+                };
             let inter = match appended {
                 Some(inter) => inter,
                 None => self.contract_recorded(input, fs, k),
@@ -320,30 +307,15 @@ impl DimTreeEngine {
         cache_it: bool,
     ) -> Intermediate {
         let pos = current.position_of(j);
-        let payload = match &current.payload {
-            Payload::Dense(t) => {
-                let t0 = Instant::now();
-                let out = mttv_in(&self.workspace, t, pos, fs.factor(j));
-                self.stats.record(Kernel::Mttv, t0.elapsed(), out.flops);
-                Payload::Dense(Arc::new(out.tensor))
-            }
-            Payload::SemiSparse(ss) => {
-                let s0 = thread_ss_counters();
-                let t0 = Instant::now();
-                let out = ss_mttv_in(&self.workspace, ss, pos, fs.factor(j));
-                let elapsed = t0.elapsed();
-                let d = thread_ss_counters().since(&s0);
-                self.stats.record(Kernel::Mttv, elapsed, d.ttv_flops);
-                self.stats.add_ss_delta(&d);
-                Payload::SemiSparse(Arc::new(out))
-            }
-        };
+        let t0 = Instant::now();
+        let out = mttv_in(&self.workspace, &current.tensor, pos, fs.factor(j));
+        self.stats.record(Kernel::Mttv, t0.elapsed(), out.flops);
         let mut mode_order = current.mode_order.clone();
         mode_order.remove(pos);
         let mut versions = current.versions;
         versions[j] = fs.version(j);
         let next = Intermediate {
-            payload,
+            tensor: Arc::new(out.tensor),
             mode_order,
             versions,
         };
@@ -777,8 +749,8 @@ mod tests {
                 assert_eq!(x.mode_order, y.mode_order);
                 assert_eq!(x.versions, y.versions);
                 assert_eq!(
-                    x.dense().data(),
-                    y.dense().data(),
+                    x.tensor.data(),
+                    y.tensor.data(),
                     "{policy:?} e={e}: incremental payload != recompute payload"
                 );
             }
@@ -889,7 +861,7 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.mode_order, y.mode_order);
-            assert_eq!(x.dense().data(), y.dense().data());
+            assert_eq!(x.tensor.data(), y.tensor.data());
         }
     }
 

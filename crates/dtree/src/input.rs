@@ -14,47 +14,32 @@
 //! `[e, others ascending]`, so appending a slice is a tail append and every
 //! intermediate that keeps `e` keeps it in front. The layout is a pure
 //! function of (order, `e`) — never of arrival history.
+//!
+//! A **sparse** input ([`InputTensor::new_sparse`]) stores no dense layout
+//! and makes no first-level contraction: it holds the sorted COO and the
+//! CSF forest (one fiber tree per mode), and every method runs on the
+//! forest — each MTTKRP is one direct sparse MTTKRP, and each PP pair
+//! operator one walk of a tree.
 
-use crate::cache::Payload;
 use pp_tensor::kernels::ttm::ttm_at_in;
-use pp_tensor::semisparse::{csf_ttm_in, TtmPlan};
 use pp_tensor::sparse::{CsfTensor, SparseTensor};
 use pp_tensor::transpose::{move_mode_first, permute};
 use pp_tensor::{DenseTensor, Matrix, Workspace};
 use std::borrow::Cow;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A sparse input: the sorted-coordinate ingest form plus either the CSF
-/// forest the direct sparse-MTTKRP fast path and the PP pair walks run
-/// over (`method=dt` and `pp`), or per-mode semi-sparse TTM plans that let
-/// the dimension-tree engine plan first-level contractions over the sparse
-/// representation (`msdt`).
+/// A sparse input: the sorted-coordinate ingest form plus the CSF forest
+/// the direct sparse MTTKRP and the PP pair walks run over.
 pub struct SparseInput {
     /// Sorted COO form (fingerprinting, norms, densify-for-oracle).
     pub coo: SparseTensor,
-    /// The per-mode fiber forest (direct-kernel inputs; `None` when the
-    /// input plans dimension-tree chains instead).
-    pub csf: Option<CsfTensor>,
-    /// Per-mode semi-sparse TTM plans (chain-planned inputs; empty for
-    /// direct-kernel inputs).
-    pub plans: Vec<TtmPlan>,
-}
-
-impl SparseInput {
-    /// Auxiliary structure memory in f64-equivalent words (forest, or
-    /// plans with their grouped nonzero values and memoized patterns) —
-    /// the admission-control estimate.
-    pub fn memory_words(&self) -> usize {
-        self.csf.as_ref().map_or(0, |c| c.memory_words())
-            + self.plans.iter().map(|p| p.memory_words()).sum::<usize>()
-    }
+    /// The per-mode fiber forest.
+    pub csf: CsfTensor,
 }
 
 /// The CP input tensor in its one stored layout, with a uniform "contract
 /// one mode" entry point. A sparse-backed input stores no dense layout; the
-/// engine routes its MTTKRPs through the CSF kernel or the semi-sparse
-/// chain instead.
+/// engine routes its MTTKRPs through the CSF kernel instead.
 pub struct InputTensor {
     /// `mode_order[k]` = which original tensor mode sits at position `k`
     /// of the stored layout (canonical for fixed and sparse inputs).
@@ -67,12 +52,11 @@ pub struct InputTensor {
 
 /// Outcome of a first-level contraction.
 pub struct FirstLevel {
-    /// The intermediate `𝓜^(rest)` in either representation, rank
-    /// trailing.
-    pub payload: Payload,
+    /// The intermediate `𝓜^(rest)`, rank trailing.
+    pub tensor: DenseTensor,
     /// Original tensor modes of the result, in the result's layout order.
     pub mode_order: Vec<usize>,
-    /// Flops spent (useful flops for semi-sparse: `2 · nnz · R`).
+    /// Flops spent.
     pub flops: u64,
     /// Contraction time.
     pub ttm_time: Duration,
@@ -89,46 +73,23 @@ impl InputTensor {
         }
     }
 
-    /// Wrap a sparse input (no dense layout).
-    fn sparse_backed(sp: SparseInput) -> Self {
-        InputTensor {
-            mode_order: (0..sp.coo.order()).collect(),
-            dense: None,
-            sparse: Some(sp),
-            evolving: None,
-        }
-    }
-
     /// Wrap a sparse tensor: builds the CSF forest (one fiber tree per
     /// mode) the engine's sparse MTTKRP fast path and the PP pair walks
     /// run over. No dense layout is materialized.
     pub fn new_sparse(sp: SparseTensor) -> Self {
         let csf = CsfTensor::build(&sp);
-        Self::sparse_backed(SparseInput {
-            coo: sp,
-            csf: Some(csf),
-            plans: Vec::new(),
-        })
+        InputTensor {
+            mode_order: (0..sp.order()).collect(),
+            dense: None,
+            sparse: Some(SparseInput { coo: sp, csf }),
+            evolving: None,
+        }
     }
 
-    /// Wrap a sparse tensor for **dimension-tree planning**: instead of
-    /// the CSF forest, build one semi-sparse TTM plan per mode, so every
-    /// first-level contraction the standard/MSDT chains or the PP operator
-    /// tree asks for executes over the sparse representation — the `msdt`
-    /// method on sparse inputs. The input is never densified.
+    /// The same as [`InputTensor::new_sparse`]: every sparse input runs on
+    /// the CSF forest, whatever the tree policy.
     pub fn new_sparse_chained(sp: SparseTensor) -> Self {
-        let plans = crate::par_collect(sp.order(), |m| TtmPlan::build(&sp, m));
-        Self::sparse_backed(SparseInput {
-            coo: sp,
-            csf: None,
-            plans,
-        })
-    }
-
-    /// Whether this sparse input plans dimension-tree chains (semi-sparse
-    /// intermediates) rather than the direct CSF kernel.
-    pub fn is_sparse_chained(&self) -> bool {
-        self.sparse.as_ref().is_some_and(|sp| !sp.plans.is_empty())
+        Self::new_sparse(sp)
     }
 
     /// The sparse backing, when this input is sparse.
@@ -234,35 +195,18 @@ impl InputTensor {
     }
 
     /// [`InputTensor::contract_mode`] with the result drawn from `ws`.
-    /// Panics on a direct-CSF sparse input, whose MTTKRPs bypass the
-    /// dimension tree and so never ask for a first-level contraction.
+    /// Panics on a sparse input, whose MTTKRPs bypass the dimension tree
+    /// and so never ask for a first-level contraction.
     pub fn contract_mode_in(&self, ws: &Workspace, mode: usize, factor: &Matrix) -> FirstLevel {
         assert!(mode < self.order());
         let t0 = Instant::now();
-        let (payload, mode_order) = match &self.sparse {
-            Some(sp) => {
-                assert!(
-                    !sp.plans.is_empty(),
-                    "first-level contraction on a direct-CSF sparse input (engine bug)"
-                );
-                // Semi-sparse TTM over the plan for `mode`. The result's
-                // surviving levels keep the canonical ascending mode order
-                // (the plan's stable sort preserves it).
-                let ss = csf_ttm_in(ws, &sp.coo, &sp.plans[mode], factor);
-                let rest = (0..self.order()).filter(|&m| m != mode).collect();
-                (Payload::SemiSparse(Arc::new(ss)), rest)
-            }
-            None => {
-                // Contract the mode where it sits; the rest keep their order.
-                let at = self.position(mode);
-                let mut rest = self.mode_order.clone();
-                rest.remove(at);
-                let t = ttm_at_in(ws, self.layout(), at, factor);
-                (Payload::Dense(Arc::new(t)), rest)
-            }
-        };
+        // Contract the mode where it sits; the rest keep their order.
+        let at = self.position(mode);
+        let mut mode_order = self.mode_order.clone();
+        mode_order.remove(at);
+        let tensor = ttm_at_in(ws, self.layout(), at, factor);
         FirstLevel {
-            payload,
+            tensor,
             mode_order,
             flops: 2 * self.len() as u64 * factor.cols() as u64,
             ttm_time: t0.elapsed(),
@@ -329,7 +273,7 @@ mod tests {
             .map(|m0| fl.mode_order.iter().position(|x| x == m0).unwrap())
             .collect();
         perm.push(m); // rank mode stays last
-        permute(fl.payload.dense(), &perm)
+        permute(&fl.tensor, &perm)
     }
 
     /// One tensor of each order 2–5.
@@ -396,7 +340,7 @@ mod tests {
                 let a = factor(base.dim(mode), 2);
                 let fl = input.contract_mode(mode, &a);
                 let want = ttm(&base, mode, &a).tensor;
-                assert_eq!(fl.payload.dense().data(), want.data(), "mode {mode}");
+                assert_eq!(fl.tensor.data(), want.data(), "mode {mode}");
             }
         }
     }
@@ -441,7 +385,7 @@ mod tests {
                     let rest: Vec<usize> = (0..base.order()).filter(|&m| m != mode).collect();
                     assert_eq!(fl.mode_order, rest);
                     let want = ttm(&base, mode, &a).tensor;
-                    assert_eq!(fl.payload.dense().data(), want.data(), "mode {mode}");
+                    assert_eq!(fl.tensor.data(), want.data(), "mode {mode}");
                 }
             }
         }

@@ -53,7 +53,7 @@ where
         .collect()
 }
 
-pub use cache::{InterCache, Intermediate, Payload};
+pub use cache::{InterCache, Intermediate};
 pub use engine::{CacheUpdate, DimTreeEngine, TreePolicy};
 pub use factor::FactorState;
 pub use input::InputTensor;

@@ -21,14 +21,13 @@
 //! deterministic key order (so traces and cache contents are identical for
 //! any thread count).
 //!
-//! A sparse input held as the CSF forest (`InputTensor::new_sparse`, the
-//! input of sparse `dt` and `pp` sessions) skips the tree: each pair
-//! operator is one walk of a fiber tree
+//! A sparse input (`InputTensor::new_sparse`, held as the CSF forest)
+//! skips the tree: each pair operator is one walk of a fiber tree
 //! ([`pp_tensor::sparse::csf_pair_in`]), the walk of `(0, 1)` folds the
 //! anchor of mode 0 in ([`pp_tensor::sparse::csf_pair_anchored_in`]), the
 //! other anchors follow as above, and the cache is left alone.
 
-use crate::cache::{Intermediate, Payload};
+use crate::cache::Intermediate;
 use crate::engine::DimTreeEngine;
 use crate::factor::FactorState;
 use crate::input::InputTensor;
@@ -36,7 +35,6 @@ use crate::modeset::ModeSet;
 use crate::par_collect;
 use crate::stats::Kernel;
 use pp_tensor::kernels::mttv::mttv_in;
-use pp_tensor::semisparse::{ss_mttv_in, thread_ss_counters};
 use pp_tensor::sparse::{csf_pair_anchored_in, csf_pair_in};
 use pp_tensor::{CsfTensor, Matrix, Workspace};
 use std::collections::HashMap;
@@ -102,8 +100,8 @@ pub fn build_pp_operators_with(
 ) -> PpOperators {
     let n_modes = fs.order();
     assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
-    if let Some(csf) = input.sparse().and_then(|sp| sp.csf.as_ref()) {
-        let (pairs, first) = forest_pairs(csf, fs, engine);
+    if let Some(sp) = input.sparse() {
+        let (pairs, first) = forest_pairs(&sp.csf, fs, engine);
         let mut firsts = vec![first];
         firsts.extend(anchors(&pairs, fs, engine, 1));
         return PpOperators {
@@ -154,13 +152,10 @@ pub fn build_pp_operators_with(
         for &(dur, flops) in &done.steps {
             engine.stats.record(Kernel::Mttv, dur, flops);
         }
-        engine.stats.semisparse_ttv_flops += done.ss_flops;
-        engine.stats.semisparse_entries_visited += done.ss_entries;
-        let inter = densify_pair(done.inter, &ws);
         if memory == PpTreeMemory::Full {
-            engine.cache_mut().insert(inter.clone());
+            engine.cache_mut().insert(done.inter.clone());
         }
-        pairs.insert(done.key, inter);
+        pairs.insert(done.key, done.inter);
     }
 
     let firsts = anchors(&pairs, fs, engine, 0);
@@ -174,7 +169,7 @@ pub fn build_pp_operators_with(
 /// Every pair operator of a sparse input held as the CSF forest, and the
 /// anchor `Mp^(0)`: one walk of tree `i` per pair `(i, j)`, each split over
 /// the pool by root, the walk of `(0, 1)` folding the anchor as it goes. No
-/// first-level TTM, cached intermediate or densified payload is involved.
+/// first-level TTM or cached intermediate is involved.
 fn forest_pairs(
     csf: &CsfTensor,
     fs: &FactorState,
@@ -203,7 +198,7 @@ fn forest_pairs(
                 .stats
                 .record(Kernel::Ttm, t0.elapsed(), flops + fold_flops);
             let inter = Intermediate {
-                payload: Payload::Dense(Arc::new(t)),
+                tensor: Arc::new(t),
                 mode_order: vec![i, j],
                 versions: fs.versions().to_vec(),
             };
@@ -231,7 +226,7 @@ fn anchors(
         let pair = &pairs[&key];
         let pos = pair.position_of(partner);
         let t0 = Instant::now();
-        let out = mttv_in(&ws, pair.dense(), pos, fs.factor(partner));
+        let out = mttv_in(&ws, &pair.tensor, pos, fs.factor(partner));
         (t0.elapsed(), out.flops, out.tensor)
     });
     let mut firsts = Vec::with_capacity(n_modes);
@@ -261,22 +256,6 @@ struct PairDone {
     key: (usize, usize),
     inter: Intermediate,
     steps: Vec<(Duration, u64)>,
-    /// Semi-sparse mTTV flops performed on the chain (0 on dense inputs).
-    ss_flops: u64,
-    /// Semi-sparse entries visited on the chain.
-    ss_entries: u64,
-}
-
-/// Pair operators have a hard dense contract — the approximated step's
-/// first-order corrections and the anchors below run dense mTTVs over
-/// them — so a pair completed on the semi-sparse chain is scattered dense
-/// here. This densifies an *operator* (`s_i · s_j · R` words, factor-matrix
-/// scale), never the input tensor.
-fn densify_pair(mut inter: Intermediate, ws: &Workspace) -> Intermediate {
-    if let Payload::SemiSparse(ss) = &inter.payload {
-        inter.payload = Payload::Dense(Arc::new(ss.to_dense_in(ws)));
-    }
-    inter
 }
 
 /// Contract every mode outside `key` out of `start` (batched TTVs). Pure
@@ -290,36 +269,18 @@ fn finish_pair(
     let set = ModeSet::from_modes([key.0, key.1]);
     let mut current = start;
     let mut steps = Vec::new();
-    let mut ss_flops = 0u64;
-    let mut ss_entries = 0u64;
     while current.set().len() > 2 {
         let gone = current.set().minus(set).min().unwrap();
         let pos = current.position_of(gone);
-        let payload = match &current.payload {
-            Payload::Dense(t) => {
-                let t0 = Instant::now();
-                let out = mttv_in(ws, t, pos, fs.factor(gone));
-                steps.push((t0.elapsed(), out.flops));
-                Payload::Dense(Arc::new(out.tensor))
-            }
-            Payload::SemiSparse(ss) => {
-                // Counters land on this pool worker's thread-locals;
-                // account explicitly so Phase C can merge them.
-                let flops = 2 * ss.n_entries() as u64 * ss.rank() as u64;
-                let t0 = Instant::now();
-                let out = ss_mttv_in(ws, ss, pos, fs.factor(gone));
-                steps.push((t0.elapsed(), flops));
-                ss_flops += flops;
-                ss_entries += ss.n_entries() as u64;
-                Payload::SemiSparse(Arc::new(out))
-            }
-        };
+        let t0 = Instant::now();
+        let out = mttv_in(ws, &current.tensor, pos, fs.factor(gone));
+        steps.push((t0.elapsed(), out.flops));
         let mut mode_order = current.mode_order.clone();
         mode_order.remove(pos);
         let mut versions = current.versions;
         versions[gone] = fs.version(gone);
         current = Intermediate {
-            payload,
+            tensor: Arc::new(out.tensor),
             mode_order,
             versions,
         };
@@ -329,8 +290,6 @@ fn finish_pair(
         key,
         inter: current,
         steps,
-        ss_flops,
-        ss_entries,
     }
 }
 
@@ -375,12 +334,10 @@ fn first_level_ttm(
     fresh_ttms: &mut usize,
 ) -> Intermediate {
     *fresh_ttms += 1;
-    let s0 = thread_ss_counters();
     let fl = input.contract_mode_in(engine.workspace(), contract, fs.factor(contract));
-    engine.stats.add_ss_delta(&thread_ss_counters().since(&s0));
     engine.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
     let inter = Intermediate {
-        payload: fl.payload,
+        tensor: Arc::new(fl.tensor),
         mode_order: fl.mode_order,
         versions: fs.versions().to_vec(),
     };
@@ -432,8 +389,7 @@ fn obtain_pp_start(
     let n_modes = fs.order();
 
     if let Some(c) = engine.cache_mut().get_valid(set, fs.versions()) {
-        let cached = c.clone();
-        return PairStart::Done(stand_in_dense(engine, cached));
+        return PairStart::Done(c.clone());
     }
 
     let choice = pick_parent_mode(engine, fs, set, n_modes);
@@ -442,22 +398,9 @@ fn obtain_pp_start(
         // Order-3 tensors: the pair is itself a first-level intermediate.
         let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms);
         debug_assert_eq!(inter.set(), set);
-        return PairStart::Done(stand_in_dense(engine, inter));
+        return PairStart::Done(inter);
     }
     PairStart::From(obtain_pp(input, fs, engine, parent_set, fresh_ttms))
-}
-
-/// Densify a first-level or cached pair and release its semi-sparse copy
-/// from the cache: the dense operator stands in for it from here on. No
-/// later contraction could have read the entry — a build looks each pair
-/// set up once, and the first approximated sweep bumps every factor, which
-/// invalidates whatever the cache holds — so only memory changes: the
-/// panels go back to the workspace as the last reference drops here.
-fn stand_in_dense(engine: &mut DimTreeEngine, pair: Intermediate) -> Intermediate {
-    if pair.payload.is_semisparse() {
-        engine.cache_mut().remove(pair.set());
-    }
-    densify_pair(pair, engine.workspace())
 }
 
 /// Level-combined construction, Phase A (paper §IV): secure the pair's
@@ -514,30 +457,15 @@ fn contract_step(
     expect: ModeSet,
 ) -> Intermediate {
     let pos = parent.position_of(gone);
-    let payload = match &parent.payload {
-        Payload::Dense(t) => {
-            let t0 = Instant::now();
-            let out = mttv_in(engine.workspace(), t, pos, fs.factor(gone));
-            engine.stats.record(Kernel::Mttv, t0.elapsed(), out.flops);
-            Payload::Dense(Arc::new(out.tensor))
-        }
-        Payload::SemiSparse(ss) => {
-            let s0 = thread_ss_counters();
-            let t0 = Instant::now();
-            let out = ss_mttv_in(engine.workspace(), ss, pos, fs.factor(gone));
-            let elapsed = t0.elapsed();
-            let d = thread_ss_counters().since(&s0);
-            engine.stats.record(Kernel::Mttv, elapsed, d.ttv_flops);
-            engine.stats.add_ss_delta(&d);
-            Payload::SemiSparse(Arc::new(out))
-        }
-    };
+    let t0 = Instant::now();
+    let out = mttv_in(engine.workspace(), &parent.tensor, pos, fs.factor(gone));
+    engine.stats.record(Kernel::Mttv, t0.elapsed(), out.flops);
     let mut mode_order = parent.mode_order.clone();
     mode_order.remove(pos);
     let mut versions = parent.versions;
     versions[gone] = fs.version(gone);
     let inter = Intermediate {
-        payload,
+        tensor: Arc::new(out.tensor),
         mode_order,
         versions,
     };
@@ -554,7 +482,6 @@ mod tests {
     use pp_tensor::kernels::naive::mttkrp as naive_mttkrp;
     use pp_tensor::kernels::ttm::ttm;
     use pp_tensor::rng::{seeded, uniform_matrix, uniform_tensor};
-    use pp_tensor::semisparse::ss_mttv;
     use pp_tensor::{DenseTensor, SparseTensor};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, FactorState) {
@@ -606,9 +533,9 @@ mod tests {
                 let want = oracle_pair(&t, &fs, i, j);
                 // Canonicalize got's layout to (i, j, R).
                 let got_t = if got.mode_order == vec![i, j] {
-                    got.dense().clone()
+                    (*got.tensor).clone()
                 } else {
-                    pp_tensor::transpose::swap_first_two(got.dense())
+                    pp_tensor::transpose::swap_first_two(&got.tensor)
                 };
                 assert!(got_t.max_abs_diff(&want) < 1e-9, "pair ({i},{j}) mismatch");
             }
@@ -686,11 +613,11 @@ mod tests {
         for (key, a) in &full.pairs {
             let b = &combined.pairs[key];
             let at = if a.mode_order == b.mode_order {
-                a.dense().clone()
+                (*a.tensor).clone()
             } else {
-                pp_tensor::transpose::swap_first_two(a.dense())
+                pp_tensor::transpose::swap_first_two(&a.tensor)
             };
-            assert!(at.max_abs_diff(b.dense()) < 1e-10, "pair {key:?}");
+            assert!(at.max_abs_diff(&b.tensor) < 1e-10, "pair {key:?}");
         }
         for (a, b) in full.firsts.iter().zip(combined.firsts.iter()) {
             assert!(a.max_abs_diff(b) < 1e-10);
@@ -722,7 +649,7 @@ mod tests {
         for (key, a) in &serial.pairs {
             let b = &parallel.pairs[key];
             assert_eq!(a.mode_order, b.mode_order, "pair {key:?} layout");
-            assert_eq!(a.dense().data(), b.dense().data(), "pair {key:?} data");
+            assert_eq!(a.tensor.data(), b.tensor.data(), "pair {key:?} data");
         }
         for (a, b) in serial.firsts.iter().zip(parallel.firsts.iter()) {
             assert_eq!(a.data(), b.data());
@@ -785,7 +712,7 @@ mod tests {
             for (key, a) in &fresh.pairs {
                 let b = &rebuilt.pairs[key];
                 assert_eq!(a.mode_order, b.mode_order, "pair {key:?} layout");
-                assert_eq!(a.dense().data(), b.dense().data(), "pair {key:?} data");
+                assert_eq!(a.tensor.data(), b.tensor.data(), "pair {key:?} data");
             }
             for (a, b) in fresh.firsts.iter().zip(&rebuilt.firsts) {
                 assert_eq!(a.data(), b.data());
@@ -798,16 +725,16 @@ mod tests {
             );
             assert_eq!(a.ttm_count * 2, b.ttm_count, "two builds, same walks each");
             assert_eq!(a.mttv_count * 2, b.mttv_count);
-            assert_eq!(a.semisparse_ttm_flops + a.semisparse_ttv_flops, 0);
         }
     }
 
     #[test]
     fn forest_operators_match_the_chains() {
-        // The same operators from either sparse input: bit for bit at
-        // order 3, where a pair walk replays the chain's one TTM (and the
-        // anchors contract identical pairs), to 1e-12 relative above, where
-        // the chain contracts a TTM first and then mTTVs.
+        // The forest's operators against the dense tree's on the densified
+        // tensor: bit for bit at order 3, where a pair walk replays the one
+        // TTM of the dense chain (and the anchors contract identical
+        // pairs), to 1e-12 relative above, where the dense chain contracts
+        // a TTM first and then mTTVs.
         for dims in [vec![9usize, 8, 7], vec![6, 5, 4, 5], vec![5, 4, 3, 4, 3]] {
             let (sp, fs) = sparse_setup(&dims, 4, 75);
             let n_modes = dims.len();
@@ -816,43 +743,25 @@ mod tests {
                 build_pp_operators(&mut input, &fs, &mut engine)
             };
             let forest = build(InputTensor::new_sparse(sp.clone()));
-            let chain = build(InputTensor::new_sparse_chained(sp));
+            let chain = build(InputTensor::new(sp.to_dense()));
             let tol = if n_modes == 3 { 0.0 } else { 1e-12 };
             for (key, a) in &forest.pairs {
                 let b = &chain.pairs[key];
                 assert_eq!(a.mode_order, vec![key.0, key.1]);
                 let bt = if b.mode_order == a.mode_order {
-                    b.dense().clone()
+                    (*b.tensor).clone()
                 } else {
-                    pp_tensor::transpose::swap_first_two(b.dense())
+                    pp_tensor::transpose::swap_first_two(&b.tensor)
                 };
                 let scale = bt.norm();
                 assert!(
-                    a.dense().max_abs_diff(&bt) <= tol * scale,
+                    a.tensor.max_abs_diff(&bt) <= tol * scale,
                     "{dims:?} pair {key:?}"
                 );
             }
             for (a, b) in forest.firsts.iter().zip(&chain.firsts) {
                 assert!(a.max_abs_diff(b) <= tol * b.norm(), "{dims:?} anchor");
             }
-        }
-    }
-
-    #[test]
-    fn mttv_memo_is_built_once_under_par_collect() {
-        // Pool workers racing for a pattern's first mTTV plan at one
-        // position must all end up with the one child pattern a single
-        // build produced (the pair chains of Phase B do exactly this).
-        // (At whatever width the pool has — pinning one here would overlap
-        // the pins of the thread-count test; pp-tensor forces the race with
-        // a barrier.)
-        let (sp, fs) = sparse_setup(&[9, 8, 7, 6], 4, 73);
-        let plan = pp_tensor::TtmPlan::build(&sp, 3);
-        let ss = pp_tensor::semisparse::csf_ttm(&sp, &plan, fs.factor(3));
-        let results = par_collect(8, |_| ss_mttv(&ss, 0, fs.factor(0)));
-        for r in &results {
-            assert!(Arc::ptr_eq(r.pattern(), results[0].pattern()));
-            assert_eq!(r.panels(), results[0].panels());
         }
     }
 

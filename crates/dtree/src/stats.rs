@@ -60,16 +60,6 @@ pub struct KernelStats {
     pub sparse_mttkrp_flops: u64,
     /// Leaf-parent fibers visited by the sparse CSF MTTKRP fast path.
     pub sparse_fibers_visited: u64,
-    /// Useful flops issued by semi-sparse TTM contractions (`2·nnz·R` per
-    /// call) — the first-level contractions of PP/MSDT on sparse inputs.
-    /// Sampled from the calling thread's `pp_tensor::semisparse` counters.
-    pub semisparse_ttm_flops: u64,
-    /// Useful flops issued by semi-sparse mTTV contractions (`2·E·R` per
-    /// call) — the lower dimension-tree levels on sparse inputs.
-    pub semisparse_ttv_flops: u64,
-    /// Sparse entries (surviving fiber tuples) visited by semi-sparse
-    /// kernels across all calls.
-    pub semisparse_entries_visited: u64,
 }
 
 impl KernelStats {
@@ -114,9 +104,6 @@ impl KernelStats {
         self.gemm_generic_calls += other.gemm_generic_calls;
         self.sparse_mttkrp_flops += other.sparse_mttkrp_flops;
         self.sparse_fibers_visited += other.sparse_fibers_visited;
-        self.semisparse_ttm_flops += other.semisparse_ttm_flops;
-        self.semisparse_ttv_flops += other.semisparse_ttv_flops;
-        self.semisparse_entries_visited += other.semisparse_entries_visited;
     }
 
     /// Fold a packed-GEMM counter delta (from
@@ -132,14 +119,6 @@ impl KernelStats {
     pub fn add_sparse_delta(&mut self, delta: &pp_tensor::sparse::SparseCounters) {
         self.sparse_mttkrp_flops += delta.flops;
         self.sparse_fibers_visited += delta.fibers_visited;
-    }
-
-    /// Fold a semi-sparse kernel counter delta (from
-    /// `pp_tensor::semisparse::thread_ss_counters`) into the ledger.
-    pub fn add_ss_delta(&mut self, delta: &pp_tensor::semisparse::SsCounters) {
-        self.semisparse_ttm_flops += delta.ttm_flops;
-        self.semisparse_ttv_flops += delta.ttv_flops;
-        self.semisparse_entries_visited += delta.entries_visited;
     }
 }
 

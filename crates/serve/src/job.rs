@@ -461,38 +461,24 @@ impl JobSpec {
     /// retain two mode-sets across a sweep boundary), plus the PP pair
     /// operators and anchors for PP jobs.
     pub fn est_cache_elems(&self) -> usize {
-        // Sparse jobs: the footprint depends on the method, not just the
-        // nonzero count. Density-aware by construction: for the planted
-        // sparse model `nnz = volume · density`.
+        // Sparse jobs scale with the nonzero count, density-aware by
+        // construction: for the planted sparse model `nnz = volume ·
+        // density`.
         let dims = self.dataset.dims();
         if let Some(nnz) = self.dataset.est_nnz() {
             let order = dims.len();
-            // The CSF forest (dt and pp): one fiber tree per mode, each at
-            // most `order` index levels of `nnz` entries plus the value
-            // array — and no dimension-tree cache at all (the direct
+            // Every method holds the CSF forest: one fiber tree per mode,
+            // each at most `order` index levels of `nnz` entries plus the
+            // value array — and no dimension-tree cache at all (the direct
             // kernel bypasses the tree).
             let forest = order * (order + 1) * nnz;
-            return match self.method {
-                JobMethod::Msdt => {
-                    // Semi-sparse chain: per-mode TTM plans — output tuples,
-                    // group pointers and contracted coordinates
-                    // (O(order·nnz) index words each), the `nnz` values laid
-                    // out in group order, and the mTTV plans memoized under
-                    // each output pattern (per surviving position a
-                    // permutation, pointers and a child pattern, each over at
-                    // most `nnz` tuples) — plus the cached semi-sparse
-                    // intermediates: at most `nnz` surviving tuples, each an
-                    // R-panel (tuples are shared with the plan's pattern),
-                    // held twice across the MSDT sweep boundary.
-                    let plans = forest + order * nnz + order * (order - 1) * nnz;
-                    plans + 2 * nnz * (self.rank + order)
-                }
-                // PP walks its pair operators out of the forest: dense
-                // s_i·s_j·R blocks (operator-sized, not input-sized) plus
-                // the s_i·R anchors.
-                JobMethod::Pp => forest + self.pp_operator_elems(),
-                _ => forest,
-            };
+            // PP walks its pair operators out of the forest: dense
+            // s_i·s_j·R blocks (operator-sized, not input-sized) plus the
+            // s_i·R anchors.
+            if self.method == JobMethod::Pp {
+                return forest + self.pp_operator_elems();
+            }
+            return forest;
         }
         // Streaming jobs grow toward the full horizon (`dims` is the final
         // extent), so the reservation is sized for it up front.
@@ -1260,10 +1246,9 @@ mod tests {
         j.method = JobMethod::Pp;
         let pp_extra = (10 + 8 + 12) * 4 + (10 * 8 + 10 * 12 + 8 * 12) * 4;
         assert_eq!(j.est_cache_elems(), 2 * 10 * 12 * 4 + pp_extra);
-        // Sparse estimates scale with nnz, not volume, and are
-        // per-method: dt holds only the CSF forest, msdt the TTM plans
-        // and cached semi-sparse intermediates instead, pp the forest
-        // plus the dense pair operators and anchors.
+        // Sparse estimates scale with nnz, not volume: dt and msdt hold
+        // only the CSF forest, pp the forest plus the dense pair operators
+        // and anchors.
         let legacy = 3 * 7 * 500; // the old method-blind formula
         j.method = JobMethod::Dt;
         j.dataset = DatasetSpec::SparsePowerlaw {
@@ -1277,10 +1262,8 @@ mod tests {
             j.est_cache_elems() < legacy,
             "dt must reserve less than the old formula (no tree cache)"
         );
-        // Plans: index structure, values in group order, memoized mTTV plans.
-        let plans = 3 * 4 * 500 + 3 * 500 + 3 * 2 * 500;
         j.method = JobMethod::Msdt;
-        assert_eq!(j.est_cache_elems(), plans + 2 * 500 * (4 + 3));
+        assert_eq!(j.est_cache_elems(), 3 * 4 * 500);
         j.method = JobMethod::Pp;
         let sparse_pp = 3 * 4 * 500 + (100 + 100 + 100) * 4 + 3 * (100 * 100) * 4;
         assert_eq!(j.est_cache_elems(), sparse_pp);
@@ -1305,10 +1288,8 @@ mod tests {
     #[test]
     fn sparse_pp_estimate_is_the_forest_plus_the_operators() {
         // A sparse PP session holds the CSF forest dt holds, plus its pair
-        // operators and anchors — no TTM plan and no cached semi-sparse
-        // intermediate. At the 512×512×256, 0.8 % density, rank-16 scale
-        // that is about 15 M elements (the chain's plans and residents
-        // would add some 25 M more).
+        // operators and anchors. At the 512×512×256, 0.8 % density,
+        // rank-16 scale that is about 15 M elements.
         let mut j = JobSpec::new("x");
         j.rank = 16;
         j.dataset = DatasetSpec::SparseLowrank {
@@ -1325,10 +1306,7 @@ mod tests {
         assert_eq!(j.est_cache_elems(), forest + pairs + anchors);
         assert!((14_000_000..16_000_000).contains(&j.est_cache_elems()));
         j.method = JobMethod::Msdt;
-        assert!(
-            j.est_cache_elems() > 2 * forest,
-            "msdt still charges the chain"
-        );
+        assert_eq!(j.est_cache_elems(), forest, "msdt holds what dt holds");
     }
 
     #[test]

@@ -344,10 +344,9 @@ impl Tenant {
             };
             Tenant::Stream { session, feed }
         } else if spec.dataset.is_sparse() {
-            // The tensor never densifies: dt runs the direct CSF kernel
-            // over the standard tree; pp and msdt run the semi-sparse TTM
-            // chain over the multi-sweep tree (the policy in `als_cfg`
-            // selects the input shape inside the session).
+            // The tensor never densifies: every method runs on the CSF
+            // forest (dt and msdt the direct kernel, pp its exact sweeps
+            // too and its pair operators as walks of the same trees).
             let sp = spec.dataset.build_sparse();
             Tenant::Batch(match resume {
                 Some(path) => resumed(path, spec, |bytes| {

@@ -115,8 +115,8 @@ fn sparse_jobs_checkpoint_and_resume_bitwise() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Sparse jobs on the semi-sparse chain: PP and MSDT next to a direct-CSF
-/// dt tenant (the methods PR 8 unlocked for sparse datasets).
+/// Sparse jobs of every admitted method, all on the CSF forest: PP and
+/// MSDT next to a dt tenant.
 const SPARSE_METHODS_MANIFEST: &str = "\
 job name=sp-pp dataset=sparse-lowrank dims=14x12x10 gen-rank=3 density=0.08 data-seed=7 method=pp rank=3 sweeps=16 pp-tol=0.5 tol=0.0
 job name=sp-ms dataset=sparse-powerlaw dims=20x16x12 nnz=250 skew=1.5 data-seed=8 method=msdt rank=3 sweeps=5 tol=0.0

@@ -6,9 +6,15 @@
 //! the sparse fiber structure of the surviving modes: each surviving
 //! coordinate tuple that had at least one nonzero under it carries an
 //! R-wide dense value panel. This is exactly the first-level intermediate
-//! `𝓜^(S)` of a dimension tree (Eq. 4) — which is how PP and MSDT run on
-//! sparse inputs without densifying them (Phan et al.'s structure-
-//! exploiting CP-gradient contractions, arXiv:1204.1586).
+//! `𝓜^(S)` of a dimension tree (Eq. 4), kept sparse (Phan et al.'s
+//! structure-exploiting CP-gradient contractions, arXiv:1204.1586).
+//!
+//! No session runs these kernels: every sparse method runs on the CSF
+//! forest of [`crate::sparse`], whose MTTKRP costs `O(nnz · R)` per mode
+//! and leaves the dimension tree nothing to amortize. They remain as rungs
+//! of the benchmark's kernel ladder ([`TtmPlan::build`], [`csf_ttm`],
+//! [`ss_mttv`]) and as an independent second association for the forest's
+//! pair walks in the parity tests.
 //!
 //! # Symbolic / numeric split
 //!
@@ -28,9 +34,9 @@
 //!   position is not the last level — canonical order already groups
 //!   that one), the group pointers, and the child pattern. The sort and
 //!   the grouping therefore run once per (pattern, position) for the life
-//!   of the input: every later sweep and PP pair chain reuses them. A
-//!   tensor rebuilt by [`SemiSparseTensor::from_parts`] (checkpoint
-//!   resume) starts with an empty memo and refills it on first use.
+//!   of the pattern: every later call at that position reuses them. A
+//!   tensor rebuilt by [`SemiSparseTensor::from_parts`] starts with an
+//!   empty memo and refills it on first use.
 //! * The numeric phase streams through `#[target_feature]` clones
 //!   dispatched on `simd_level()`, rank-specialised for `R ∈ {8, 16, 32}`
 //!   like [`crate::kernels::mttv`] — so every fused multiply-add is one
@@ -70,7 +76,6 @@ use crate::simd::{simd_level, SimdLevel};
 use crate::sparse::SparseTensor;
 use crate::workspace::{Buffer, Workspace};
 use rayon::prelude::*;
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -245,7 +250,8 @@ pub struct SemiSparseTensor {
 }
 
 impl SemiSparseTensor {
-    /// Assemble from stored parts (checkpoint restore), checking what the
+    /// Assemble from stored parts (the checkpoint reader validates the
+    /// semi-sparse entries older checkpoints hold), checking what the
     /// kernels rely on: consistent lengths, every coordinate inside its
     /// extent, tuples strictly ascending. The pattern starts with an empty
     /// memo.
@@ -332,27 +338,20 @@ impl SemiSparseTensor {
     }
 
     /// Memory footprint in f64-equivalent words (index words counted at
-    /// their true size) — the admission-control estimate. Includes the
-    /// pattern, which other tensors may share; aggregate views count it
-    /// once per distinct [`SemiSparseTensor::pattern`].
+    /// their true size). Includes the pattern, which other tensors may
+    /// share.
     pub fn memory_words(&self) -> usize {
         self.pattern.memory_words() + self.panels.len()
     }
 
-    /// Densify: scatter the panels into a `[dims..., R]` dense tensor
-    /// (the oracle path for parity tests, and PP pair operators).
+    /// Densify: scatter the panels into a `[dims..., R]` dense tensor (the
+    /// oracle path for parity tests).
     pub fn to_dense(&self) -> DenseTensor {
-        self.to_dense_in(&Workspace::unpooled())
-    }
-
-    /// [`SemiSparseTensor::to_dense`] with the (zero-filled) output drawn
-    /// from `ws`.
-    pub fn to_dense_in(&self, ws: &Workspace) -> DenseTensor {
         let mut dims = self.dims().to_vec();
         dims.push(self.r);
         let shape = Shape::new(dims);
         let strides = shape.strides();
-        let mut t = DenseTensor::from_buffer(shape.clone(), ws.draw_zeroed(shape.len()));
+        let mut t = DenseTensor::zeros(shape);
         let data = t.data_mut();
         for e in 0..self.n_entries() {
             let base: usize = self
@@ -458,72 +457,6 @@ impl TtmPlan {
     }
 }
 
-/// Per-thread semi-sparse kernel counters, sampled around engine calls
-/// exactly like [`crate::sparse::SparseCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SsCounters {
-    /// [`csf_ttm`] invocations.
-    pub ttm_calls: u64,
-    /// Useful TTM flops: `2 · nnz · R` per call.
-    pub ttm_flops: u64,
-    /// [`ss_mttv`] invocations.
-    pub ttv_calls: u64,
-    /// Useful mTTV flops: `2 · E_in · R` per call.
-    pub ttv_flops: u64,
-    /// Input entries (sparse fibers) visited across all calls.
-    pub entries_visited: u64,
-}
-
-impl SsCounters {
-    const ZERO: SsCounters = SsCounters {
-        ttm_calls: 0,
-        ttm_flops: 0,
-        ttv_calls: 0,
-        ttv_flops: 0,
-        entries_visited: 0,
-    };
-
-    /// Delta between two snapshots of the same thread's counters.
-    pub fn since(&self, earlier: &SsCounters) -> SsCounters {
-        SsCounters {
-            ttm_calls: self.ttm_calls - earlier.ttm_calls,
-            ttm_flops: self.ttm_flops - earlier.ttm_flops,
-            ttv_calls: self.ttv_calls - earlier.ttv_calls,
-            ttv_flops: self.ttv_flops - earlier.ttv_flops,
-            entries_visited: self.entries_visited - earlier.entries_visited,
-        }
-    }
-}
-
-thread_local! {
-    static SS_COUNTERS: Cell<SsCounters> = const { Cell::new(SsCounters::ZERO) };
-}
-
-/// Snapshot the calling thread's semi-sparse counters.
-pub fn thread_ss_counters() -> SsCounters {
-    SS_COUNTERS.with(|c| c.get())
-}
-
-fn bump_ttm(flops: u64, entries: u64) {
-    SS_COUNTERS.with(|c| {
-        let mut v = c.get();
-        v.ttm_calls += 1;
-        v.ttm_flops += flops;
-        v.entries_visited += entries;
-        c.set(v);
-    });
-}
-
-fn bump_ttv(flops: u64, entries: u64) {
-    SS_COUNTERS.with(|c| {
-        let mut v = c.get();
-        v.ttv_calls += 1;
-        v.ttv_flops += flops;
-        v.entries_visited += entries;
-        c.set(v);
-    });
-}
-
 /// Entry-block oversubscription for the parallel output partition (same
 /// policy as the sparse MTTKRP's row blocks).
 const ENTRY_BLOCK_OVERSUB: usize = 4;
@@ -576,23 +509,13 @@ enum TtmPath {
 /// fuse) flushed with one `+=` per panel — and skipped structural zeros
 /// are exact no-ops (module docs). `plan` must have been built from `sp`.
 pub fn csf_ttm(sp: &SparseTensor, plan: &TtmPlan, factor: &Matrix) -> SemiSparseTensor {
-    csf_ttm_in(&Workspace::unpooled(), sp, plan, factor)
-}
-
-/// [`csf_ttm`] with the panels drawn from `ws` — zero-filled: both
-/// accumulation paths add into them.
-pub fn csf_ttm_in(
-    ws: &Workspace,
-    sp: &SparseTensor,
-    plan: &TtmPlan,
-    factor: &Matrix,
-) -> SemiSparseTensor {
     assert_eq!(factor.rows(), plan.k_dim, "factor rows");
     assert_eq!(sp.dim(plan.mode), plan.k_dim, "plan/tensor mismatch");
     assert_eq!(sp.nnz(), plan.vals.len(), "plan/tensor mismatch");
     let r = factor.cols();
     let nnz = plan.vals.len();
-    let mut panels = ws.draw_zeroed(plan.n_out() * r);
+    // Zero-filled: both accumulation paths add into the panels.
+    let mut panels = Workspace::unpooled().draw_zeroed(plan.n_out() * r);
 
     // The dense dispatch this call mirrors: m·n·k of the matricized GEMM.
     let dense_work = plan.dense_rows.saturating_mul(r).saturating_mul(plan.k_dim);
@@ -605,8 +528,6 @@ pub fn csf_ttm_in(
     for_entry_blocks(&mut panels, r, nnz * r, |e0, out| {
         ttm_block(plan, fac, r, path, e0, out)
     });
-
-    bump_ttm(2 * nnz as u64 * r as u64, nnz as u64);
     SemiSparseTensor {
         pattern: plan.pattern.clone(),
         panels,
@@ -746,16 +667,6 @@ fn ttm_rows<const FMA: bool>(
 /// row operation. The grouping comes from the pattern's memo (module
 /// docs); results at one position share one child pattern.
 pub fn ss_mttv(ss: &SemiSparseTensor, pos: usize, factor: &Matrix) -> SemiSparseTensor {
-    ss_mttv_in(&Workspace::unpooled(), ss, pos, factor)
-}
-
-/// [`ss_mttv`] with the (zero-filled) panels drawn from `ws`.
-pub fn ss_mttv_in(
-    ws: &Workspace,
-    ss: &SemiSparseTensor,
-    pos: usize,
-    factor: &Matrix,
-) -> SemiSparseTensor {
     let l = ss.levels();
     assert!(l >= 2, "contraction needs at least two surviving levels");
     assert!(pos < l, "pos {pos} out of range ({l} levels)");
@@ -768,14 +679,12 @@ pub fn ss_mttv_in(
     );
     let e_in = ss.n_entries();
     let plan = ss.pattern.mttv_plan(pos);
-    let mut panels = ws.draw_zeroed(plan.child.n_entries() * r);
+    let mut panels = Workspace::unpooled().draw_zeroed(plan.child.n_entries() * r);
 
     let fac = factor.data();
     for_entry_blocks(&mut panels, r, e_in * r, |e0, out| {
         mttv_block(ss, plan, pos, fac, e0, out)
     });
-
-    bump_ttv(2 * e_in as u64 * r as u64, e_in as u64);
     SemiSparseTensor {
         pattern: plan.child.clone(),
         panels,
@@ -1179,24 +1088,6 @@ mod tests {
         let e = parts(&[3, 4], &[2, 3, 0, 1], 4, 2).unwrap_err();
         assert!(e.contains("ascending"), "{e}");
         assert!(parts(&[3, 4], &[1, 1, 1, 1], 4, 2).is_err(), "duplicate");
-    }
-
-    #[test]
-    fn counters_accumulate_per_call() {
-        let sp = random_sparse(&[6, 5, 4], 30, 21);
-        let factors = factors_for(&[6, 5, 4], 4, 22);
-        let plan = TtmPlan::build(&sp, 2);
-        let before = thread_ss_counters();
-        let ss = csf_ttm(&sp, &plan, &factors[2]);
-        let d = thread_ss_counters().since(&before);
-        assert_eq!(d.ttm_calls, 1);
-        assert_eq!(d.ttm_flops, 2 * sp.nnz() as u64 * 4);
-        assert_eq!(d.entries_visited, sp.nnz() as u64);
-        let before = thread_ss_counters();
-        let _ = ss_mttv(&ss, 1, &factors[1]);
-        let d = thread_ss_counters().since(&before);
-        assert_eq!(d.ttv_calls, 1);
-        assert_eq!(d.ttv_flops, 2 * ss.n_entries() as u64 * 4);
     }
 
     #[test]

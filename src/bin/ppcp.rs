@@ -528,23 +528,14 @@ fn run_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
     Ok(0)
 }
 
-/// The sparse kernel counter lines: the direct CSF MTTKRP (dt, and pp's
-/// exact sweeps) and the semi-sparse TTM/TTV chain (msdt) — whichever
-/// actually ran.
+/// The sparse kernel counter line: the direct CSF MTTKRP every sparse
+/// method runs (each sweep of dt and msdt, pp's exact sweeps).
 fn print_sparse_counters(stats: &parallel_pp::dtree::KernelStats) {
     if stats.sparse_mttkrp_flops > 0 {
         println!(
             "sparse MTTKRP (CSF): {:.2} Gflop, {} fibers visited",
             stats.sparse_mttkrp_flops as f64 / 1e9,
             stats.sparse_fibers_visited,
-        );
-    }
-    if stats.semisparse_ttm_flops > 0 || stats.semisparse_ttv_flops > 0 {
-        println!(
-            "semi-sparse chain: {:.2} Gflop TTM + {:.2} Gflop TTV, {} entries visited",
-            stats.semisparse_ttm_flops as f64 / 1e9,
-            stats.semisparse_ttv_flops as f64 / 1e9,
-            stats.semisparse_entries_visited,
         );
     }
 }

@@ -313,12 +313,12 @@ macro_rules! golden_case {
     };
 }
 
-/// Sparse golden cases: MSDT over the semi-sparse chain, DT over the
-/// direct CSF MTTKRP, and PP over the same forest (exact sweeps on the CSF
+/// Sparse golden cases, all on the CSF forest: DT and MSDT over the direct
+/// CSF MTTKRP, and PP over the same forest (exact sweeps on the CSF
 /// MTTKRP, pair operators from fiber walks). The input never densifies
-/// inside the session; the MSDT traces pin the representation-polymorphic
-/// planner and the DT traces (at rank 8, a rank-specialised width of the
-/// CSF walk) pin the sparse MTTKRP kernel, bit for bit.
+/// inside the session; the DT traces (at rank 8, a rank-specialised width
+/// of the CSF walk) and the MSDT traces (rank 3) pin the sparse MTTKRP
+/// kernel, bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SparseDataset {
     /// `powerlaw_sparse(&[24, 20, 16], 800, 1.8, 5)`.
@@ -379,15 +379,11 @@ fn run_sparse_case(method: Method, dataset: SparseDataset) -> (AlsReport, Vec<Ma
         other => unreachable!("no sparse golden case for {other:?}"),
     };
     // The traces pin a run that stayed sparse end to end: the CSF kernel's
-    // counters (DT, and PP's exact sweeps) or the chain's (MSDT) must be
-    // live.
-    let stats = &out.report.stats;
-    let sparse_flops = if method == Method::Msdt {
-        stats.semisparse_ttm_flops
-    } else {
-        stats.sparse_mttkrp_flops
-    };
-    assert!(sparse_flops > 0, "sparse case densified its input");
+    // counters (every method; PP's from its exact sweeps) must be live.
+    assert!(
+        out.report.stats.sparse_mttkrp_flops > 0,
+        "sparse case densified its input"
+    );
     (out.report, out.factors)
 }
 

@@ -324,7 +324,7 @@ fn check_evolving_input(dims: &[usize], e: usize, appends: usize, r: usize, seed
             .map(|m| fl.mode_order.iter().position(|x| x == m).unwrap())
             .collect();
         perm.push(fl.mode_order.len());
-        let got = permute(fl.payload.dense(), &perm);
+        let got = permute(&fl.tensor, &perm);
         let want = ttm(&t, mode, a).tensor;
         assert_eq!(got.data(), want.data(), "e={e} mode {mode}");
     }
@@ -342,6 +342,6 @@ fn check_evolving_input(dims: &[usize], e: usize, appends: usize, r: usize, seed
         let g = grown.contract_mode_in(&ws, mode, a);
         let w = whole.contract_mode_in(&ws, mode, a);
         assert_eq!(g.mode_order, w.mode_order);
-        assert_eq!(g.payload.dense().data(), w.payload.dense().data());
+        assert_eq!(g.tensor.data(), w.tensor.data());
     }
 }

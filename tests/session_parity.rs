@@ -220,6 +220,7 @@ fn committed_sparse_msdt_checkpoint_resumes() {
     let (mut s, tag) = AlsSession::resume_from_bytes_sparse(bytes, &sp).unwrap();
     assert_eq!(tag, 0x7370_6d73_6474_3033);
     assert_eq!(s.sweeps_done(), 3);
+    assert_eq!(s.cache_memory_elems(), 0);
     let stored: Vec<_> = s
         .report()
         .sweeps

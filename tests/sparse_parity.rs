@@ -6,13 +6,12 @@
 //! makes `PP_NUM_THREADS` a pure performance knob for sparse inputs.
 //!
 //! The PP pair walk over the same forest is pinned the same way: at
-//! order 3 against the semi-sparse TTM it replaces, above against the
-//! pointwise pair oracle of `tests/common`.
+//! order 3 against the semi-sparse TTM, above against the pointwise pair
+//! oracle of `tests/common`.
 
 use parallel_pp::core::{AlsConfig, AlsSession, SessionKind};
 use parallel_pp::datagen::powerlaw_sparse;
-use parallel_pp::dtree::pp_tree::build_pp_operators;
-use parallel_pp::dtree::{DimTreeEngine, FactorState, InputTensor, TreePolicy};
+use parallel_pp::dtree::TreePolicy;
 use parallel_pp::tensor::gemm::{panel_kc, small_work_limit};
 use parallel_pp::tensor::kernels::mttv::mttv;
 use parallel_pp::tensor::kernels::naive::mttkrp_pointwise;
@@ -20,7 +19,6 @@ use parallel_pp::tensor::kernels::ttm::ttm;
 use parallel_pp::tensor::rng::{seeded, uniform_matrix};
 use parallel_pp::tensor::semisparse::{csf_ttm, semisparse_mttkrp, ss_mttv, TtmPlan};
 use parallel_pp::tensor::sparse::{csf_pair_in, sparse_mttkrp, CsfTensor, SparseTensor};
-use parallel_pp::tensor::transpose::swap_first_two;
 use parallel_pp::tensor::{Matrix, Workspace};
 use proptest::prelude::*;
 
@@ -306,8 +304,9 @@ fn order3_pair_walk_matches_the_semisparse_ttm_bitwise() {
 }
 
 /// At orders 4 and 5 the pair walk is the pointwise oracle's, bit for bit,
-/// at every pool width, and agrees with the semi-sparse chain (a TTM, then
-/// mTTVs: another association) to 1e-12 relative.
+/// at every pool width, and agrees with the semi-sparse chain (`csf_ttm` of
+/// one mode outside the pair, then `ss_mttv` of the others: another
+/// association) to 1e-12 relative.
 #[test]
 fn deep_pair_walk_matches_the_pointwise_oracle_and_the_chain() {
     let _serial = override_lock();
@@ -316,19 +315,23 @@ fn deep_pair_walk_matches_the_pointwise_oracle_and_the_chain() {
         let order = dims.len();
         let sp = powerlaw_sparse(dims, samples, 1.0, 11);
         let csf = CsfTensor::build(&sp);
+        let plans: Vec<TtmPlan> = (0..order).map(|k| TtmPlan::build(&sp, k)).collect();
         for &r in PAIR_RANKS {
             let factors = factors_for(dims, r, 200 + r as u64);
-            let fs = FactorState::new(factors.clone());
-            let mut input = InputTensor::new_sparse_chained(sp.clone());
-            let mut engine = DimTreeEngine::new(TreePolicy::MultiSweep, order);
-            let chain = build_pp_operators(&mut input, &fs, &mut engine);
             for (i, j) in pairs(order) {
                 let want = pair_pointwise(&sp, &factors, i, j);
-                let chained = chain.pair(i, j);
-                let chained = match chained.mode_order[..] {
-                    [a, _] if a == i => chained.dense().clone(),
-                    _ => swap_first_two(chained.dense()),
-                };
+                // Levels stay in ascending mode order, so the survivors
+                // are (i, j): the layout of `want`.
+                let mut rest: Vec<usize> = (0..order).filter(|&m| m != i && m != j).collect();
+                let k = rest.remove(0);
+                let mut levels: Vec<usize> = (0..order).filter(|&m| m != k).collect();
+                let mut ss = csf_ttm(&sp, &plans[k], &factors[k]);
+                for &m in rest.iter().rev() {
+                    let pos = levels.iter().position(|&x| x == m).unwrap();
+                    ss = ss_mttv(&ss, pos, &factors[m]);
+                    levels.remove(pos);
+                }
+                let chained = ss.to_dense();
                 let scale = want.data().iter().fold(0.0f64, |a, x| a.max(x.abs()));
                 let diff = chained.max_abs_diff(&want);
                 assert!(
@@ -371,4 +374,36 @@ fn dt_session_visits_the_pinned_fiber_count() {
         out.report.stats.sparse_fibers_visited,
         4 * (3580 + 3580 + 3355)
     );
+}
+
+/// Sparse `msdt` runs the forest `dt` runs: on both golden sparse datasets
+/// a multi-sweep exact session and a standard one at the same rank, seed
+/// and sweep count give the same sweep kinds, fitness bits and factors,
+/// and the multi-sweep one caches nothing.
+#[test]
+fn sparse_msdt_is_sparse_dt_bitwise() {
+    let _serial = override_lock();
+    let datasets = [
+        powerlaw_sparse(&[24, 20, 16], 800, 1.8, 5),
+        parallel_pp::datagen::sparse::sparse_lowrank(&[18, 16, 14], 3, 0.06, 6).0,
+    ];
+    for sp in &datasets {
+        for rank in [3, 8] {
+            let run = |policy: TreePolicy| {
+                let cfg = AlsConfig::new(rank)
+                    .with_policy(policy)
+                    .with_max_sweeps(10)
+                    .with_tol(0.0);
+                let mut s = AlsSession::new_sparse(sp, &cfg, SessionKind::Exact);
+                while let parallel_pp::core::Step::Swept(_) = s.step() {
+                    assert_eq!(s.cache_memory_elems(), 0, "{policy:?} cached");
+                }
+                s.finish()
+            };
+            let msdt = run(TreePolicy::MultiSweep);
+            assert_eq!(msdt.report.sweeps.len(), 10);
+            assert!(msdt.report.stats.sparse_mttkrp_flops > 0);
+            common::assert_identical(&msdt, &run(TreePolicy::Standard));
+        }
+    }
 }

@@ -90,10 +90,10 @@ fn pp_cp_als_trace_identical_under_1_and_n_threads() {
 
 #[test]
 fn sparse_msdt_trace_identical_under_1_and_n_threads() {
-    // The semi-sparse chain (csf_ttm + ss_mttv) partitions its output
-    // panels disjointly, so MSDT on a sparse input must be bitwise
-    // deterministic across pool widths. Density is chosen so the entry
-    // count crosses the kernels' parallel-work threshold.
+    // MSDT on a sparse input runs the CSF forest, whose MTTKRP writes
+    // each output row from one task, so it must be bitwise deterministic
+    // across pool widths. Density is chosen so the nonzero count crosses
+    // the kernel's parallel-work threshold.
     let _serial = override_lock();
     let (sp, _) = parallel_pp::datagen::sparse::sparse_lowrank(&[40, 36, 30], 4, 0.12, 71);
     let run = |threads: usize| {
@@ -109,10 +109,9 @@ fn sparse_msdt_trace_identical_under_1_and_n_threads() {
         .run()
     };
     let serial = run(1);
-    assert!(
-        serial.report.stats.semisparse_ttm_flops > 0,
-        "semi-sparse chain never ran"
-    );
+    let stats = &serial.report.stats;
+    assert!(stats.sparse_mttkrp_flops > 0, "CSF forest never ran");
+    assert_eq!(stats.mttv_count, 0, "no tree levels on the forest");
     assert_identical(&serial, &run(4));
 }
 
@@ -148,7 +147,7 @@ fn sparse_pp_trace_identical_under_1_and_n_threads() {
 /// Every count of the kernel ledger. The destructuring names each field,
 /// so a field added to `KernelStats` does not compile here until it is
 /// sorted into a count (compared) or a wall time (not).
-fn ledger_counts(s: &KernelStats) -> [(&'static str, u64); 12] {
+fn ledger_counts(s: &KernelStats) -> [(&'static str, u64); 9] {
     let KernelStats {
         ttm_secs: _,
         mttv_secs: _,
@@ -164,9 +163,6 @@ fn ledger_counts(s: &KernelStats) -> [(&'static str, u64); 12] {
         gemm_generic_calls,
         sparse_mttkrp_flops,
         sparse_fibers_visited,
-        semisparse_ttm_flops,
-        semisparse_ttv_flops,
-        semisparse_entries_visited,
     } = *s;
     [
         ("ttm_flops", ttm_flops),
@@ -178,9 +174,6 @@ fn ledger_counts(s: &KernelStats) -> [(&'static str, u64); 12] {
         ("gemm_generic_calls", gemm_generic_calls),
         ("sparse_mttkrp_flops", sparse_mttkrp_flops),
         ("sparse_fibers_visited", sparse_fibers_visited),
-        ("semisparse_ttm_flops", semisparse_ttm_flops),
-        ("semisparse_ttv_flops", semisparse_ttv_flops),
-        ("semisparse_entries_visited", semisparse_entries_visited),
     ]
 }
 
