@@ -36,6 +36,12 @@ pub(crate) const MAGIC: [u8; 4] = *b"PPCK";
 /// and the reader validates a tag-1 entry and drops it.
 pub(crate) const VERSION: u32 = 3;
 
+/// `u64` slots of the stats block after the kernel ledger's nine fields,
+/// kept so version 3 reads on: five once held the packed-GEMM and CSF
+/// kernel counters, three the semi-sparse counters. The writer fills
+/// them with zeros and the reader skips them.
+pub(crate) const RETIRED_STATS_SLOTS: usize = 8;
+
 /// Write checkpoint `bytes` to `path` through a temporary file and a
 /// rename, so a torn write never shadows the previous good checkpoint.
 pub fn write_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -198,13 +204,7 @@ impl Writer {
         self.u64_(s.mttv_flops);
         self.u64_(s.ttm_count);
         self.u64_(s.mttv_count);
-        self.u64_(s.gemm_packed_flops);
-        self.u64_(s.gemm_fixed_n_calls);
-        self.u64_(s.gemm_generic_calls);
-        self.u64_(s.sparse_mttkrp_flops);
-        self.u64_(s.sparse_fibers_visited);
-        // The three retired semi-sparse counter slots.
-        for _ in 0..3 {
+        for _ in 0..RETIRED_STATS_SLOTS {
             self.u64_(0);
         }
     }
@@ -430,14 +430,8 @@ impl<'a> Reader<'a> {
             mttv_flops: self.u64_()?,
             ttm_count: self.u64_()?,
             mttv_count: self.u64_()?,
-            gemm_packed_flops: self.u64_()?,
-            gemm_fixed_n_calls: self.u64_()?,
-            gemm_generic_calls: self.u64_()?,
-            sparse_mttkrp_flops: self.u64_()?,
-            sparse_fibers_visited: self.u64_()?,
         };
-        // The three retired semi-sparse counter slots.
-        for _ in 0..3 {
+        for _ in 0..RETIRED_STATS_SLOTS {
             self.u64_()?;
         }
         Ok(stats)

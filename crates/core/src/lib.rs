@@ -25,7 +25,7 @@
 //! * [`checkpoint`] — the `PPCK` codec sessions are saved and resumed in;
 //! * [`fitness`] — the amortized residual formula (Eq. 3);
 //! * [`nonneg`] — the HALS column update of nonnegative CP;
-//! * [`init`] — factor initialization strategies;
+//! * [`init`] — the seeded uniform factor initialization;
 //! * [`config`] / [`result`] — run configuration and reports.
 //!
 //! # Example
@@ -81,7 +81,7 @@ mod planc;
 mod pp_als;
 
 pub use config::{AlsConfig, SolveStrategy};
-pub use init::{init_factors, init_factors_with, InitStrategy};
+pub use init::init_factors;
 pub use par_session::{ParKind, ParSession};
 pub use result::{AlsOutput, AlsReport, SweepKind, SweepRecord};
 pub use session::{AlsSession, SessionKind, Step, StopReason};

@@ -431,33 +431,12 @@ impl AlsSession {
         kind: SessionKind,
         evolving: Option<usize>,
     ) -> Self {
-        let init = init_factors(t.shape().dims(), cfg.rank, cfg.seed);
-        Self::build(t, cfg, kind, init, evolving)
-    }
-
-    /// New session from caller-provided initial factors.
-    pub fn with_init(
-        t: &DenseTensor,
-        cfg: &AlsConfig,
-        kind: SessionKind,
-        init: Vec<Matrix>,
-    ) -> Self {
-        Self::build(t, cfg, kind, init, None)
-    }
-
-    fn build(
-        t: &DenseTensor,
-        cfg: &AlsConfig,
-        kind: SessionKind,
-        init: Vec<Matrix>,
-        evolving: Option<usize>,
-    ) -> Self {
         let n_modes = t.order();
         assert!(n_modes >= 2);
         if kind == SessionKind::Pp {
             assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
         }
-        assert_eq!(init.len(), n_modes);
+        let init = init_factors(t.shape().dims(), cfg.rank, cfg.seed);
         let _threads = cfg.thread_guard();
 
         // ‖T‖² is one serial pass; it rides beside the layout construction.
@@ -1194,9 +1173,12 @@ mod tests {
         for (a, b) in out.factors.iter().zip(&factors) {
             assert_eq!(a.data(), b.data());
         }
-        // The sparse path never materializes tree intermediates.
-        assert_eq!(out.report.stats.mttv_count, 0);
-        assert!(out.report.stats.sparse_mttkrp_flops > 0);
+        // The sparse path never materializes tree intermediates: every
+        // MTTKRP is one CSF MTTKRP of nnz·R·N flops.
+        let stats = &out.report.stats;
+        assert_eq!(stats.mttv_count, 0);
+        assert_eq!(stats.ttm_count, 3 * sweeps as u64);
+        assert_eq!(stats.ttm_flops, stats.ttm_count * sp.nnz() as u64 * 3 * 3);
     }
 
     #[test]
@@ -1294,8 +1276,10 @@ mod tests {
             report: s.report().clone(),
         };
         assert_bitwise(&dt, &head);
-        let s = &pp.report.stats;
-        assert!(s.sparse_mttkrp_flops > 0);
+        // Before the regime opens only the forest's MTTKRPs ran.
+        let (nnz, rank) = (s.input_nnz().unwrap() as u64, cfg.rank as u64);
+        assert_eq!(s.stats().ttm_count, 3 * exact as u64);
+        assert_eq!(s.stats().ttm_flops, s.stats().ttm_count * nnz * rank * 3);
     }
 
     #[test]

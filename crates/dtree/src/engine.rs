@@ -159,12 +159,11 @@ impl DimTreeEngine {
         // caching (the cache stays empty, so `cache_memory_elems` reports
         // 0).
         if let Some(sp) = input.sparse() {
-            let s0 = pp_tensor::sparse::thread_sparse_counters();
             let t0 = Instant::now();
             let m = pp_tensor::sparse::sparse_mttkrp(&sp.csf, fs.factors(), n);
-            let delta = pp_tensor::sparse::thread_sparse_counters().since(&s0);
-            self.stats.record(Kernel::Ttm, t0.elapsed(), delta.flops);
-            self.stats.add_sparse_delta(&delta);
+            // Per nonzero and rank column: N − 1 multiplies and one add.
+            let flops = sp.csf.nnz() as u64 * m.cols() as u64 * self.n_modes as u64;
+            self.stats.record(Kernel::Ttm, t0.elapsed(), flops);
             return m;
         }
         let inter = self.obtain(input, fs, n);
@@ -192,16 +191,14 @@ impl DimTreeEngine {
 
     /// Contract mode `k` out of `input` on this thread, with the kernel
     /// ledger updated; the result carries the current factor versions.
-    fn contract_recorded(
+    /// Every first-level TTM, the PP tree's too, runs through here.
+    pub(crate) fn contract_recorded(
         &mut self,
         input: &mut InputTensor,
         fs: &FactorState,
         k: usize,
     ) -> Intermediate {
-        let g0 = pp_tensor::gemm::thread_gemm_counters();
         let fl = input.contract_mode_in(&self.workspace, k, fs.factor(k));
-        self.stats
-            .add_gemm_delta(&pp_tensor::gemm::thread_gemm_counters().since(&g0));
         self.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
         Intermediate {
             tensor: Arc::new(fl.tensor),
@@ -606,7 +603,8 @@ mod tests {
         assert_eq!(input.layout_count(), 1);
         let s = engine.take_stats();
         assert!(s.ttm_count > 0);
-        assert_eq!(s.gemm_packed_flops, s.ttm_flops);
+        // Each TTM is 2·len·R, whichever mode it contracts.
+        assert_eq!(s.ttm_flops, s.ttm_count * 2 * 625 * 2);
     }
 
     #[test]
@@ -640,6 +638,7 @@ mod tests {
         }
         let sp = SparseTensor::from_coo(dims.to_vec(), inds, vals);
         let dense = sp.to_dense();
+        let nnz = sp.nnz() as u64;
         let mut input = InputTensor::new_sparse(sp);
         assert!(input.is_sparse());
         let mut fs = {
@@ -661,9 +660,7 @@ mod tests {
         let s = engine.take_stats();
         assert_eq!(s.ttm_count, 6, "one CSF call per MTTKRP");
         assert_eq!(s.mttv_count, 0, "no dense tree levels on the sparse path");
-        assert!(s.sparse_mttkrp_flops > 0);
-        assert!(s.sparse_fibers_visited > 0);
-        assert_eq!(s.ttm_flops, s.sparse_mttkrp_flops);
+        assert_eq!(s.ttm_flops, 6 * nnz * 3 * 3, "nnz·R·N per call");
         assert_eq!(engine.cache_memory_elems(), 0, "sparse path caches nothing");
     }
 

@@ -334,13 +334,7 @@ fn first_level_ttm(
     fresh_ttms: &mut usize,
 ) -> Intermediate {
     *fresh_ttms += 1;
-    let fl = input.contract_mode_in(engine.workspace(), contract, fs.factor(contract));
-    engine.stats.record(Kernel::Ttm, fl.ttm_time, fl.flops);
-    let inter = Intermediate {
-        tensor: Arc::new(fl.tensor),
-        mode_order: fl.mode_order,
-        versions: fs.versions().to_vec(),
-    };
+    let inter = engine.contract_recorded(input, fs, contract);
     engine.cache_mut().insert(inter.clone());
     inter
 }

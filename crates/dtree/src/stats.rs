@@ -2,6 +2,12 @@
 //! Fig. 3c–f time breakdown: TTM, mTTV, Hadamard, solve, and others. The
 //! figure also has a transpose bucket (folded into mTTV); it has no
 //! counterpart here, because every first-level contraction runs in place.
+//!
+//! This is the one flop count of a run. The kernels count nothing
+//! themselves: each contraction is recorded once, by the code that runs
+//! it, with the flops of its shape — a dense first-level TTM `2·len·R`, a
+//! CSF MTTKRP `nnz·R·N`, a CSF pair walk `(N−1)·nnz·R` (Table I's TTM
+//! column is `ttm_flops`).
 
 use std::time::Duration;
 
@@ -46,20 +52,6 @@ pub struct KernelStats {
     pub mttv_flops: u64,
     pub ttm_count: u64,
     pub mttv_count: u64,
-    /// Flops issued through the packed GEMM engine by engine kernel calls
-    /// (sampled from the calling thread's `pp_tensor::gemm` counters).
-    pub gemm_packed_flops: u64,
-    /// Packed-GEMM calls that hit a rank-specialized fixed-`n`
-    /// micro-kernel (`n ∈ {8, 16, 32}`).
-    pub gemm_fixed_n_calls: u64,
-    /// Packed-GEMM calls on the generic-width panel path.
-    pub gemm_generic_calls: u64,
-    /// Useful flops issued by the sparse CSF MTTKRP fast path
-    /// (`nnz · R · N` per call; sampled from the calling thread's
-    /// `pp_tensor::sparse` counters like the GEMM counters above).
-    pub sparse_mttkrp_flops: u64,
-    /// Leaf-parent fibers visited by the sparse CSF MTTKRP fast path.
-    pub sparse_fibers_visited: u64,
 }
 
 impl KernelStats {
@@ -99,26 +91,6 @@ impl KernelStats {
         self.mttv_flops += other.mttv_flops;
         self.ttm_count += other.ttm_count;
         self.mttv_count += other.mttv_count;
-        self.gemm_packed_flops += other.gemm_packed_flops;
-        self.gemm_fixed_n_calls += other.gemm_fixed_n_calls;
-        self.gemm_generic_calls += other.gemm_generic_calls;
-        self.sparse_mttkrp_flops += other.sparse_mttkrp_flops;
-        self.sparse_fibers_visited += other.sparse_fibers_visited;
-    }
-
-    /// Fold a packed-GEMM counter delta (from
-    /// `pp_tensor::gemm::thread_gemm_counters`) into the ledger.
-    pub fn add_gemm_delta(&mut self, delta: &pp_tensor::gemm::GemmCounters) {
-        self.gemm_packed_flops += delta.flops;
-        self.gemm_fixed_n_calls += delta.fixed_n_calls;
-        self.gemm_generic_calls += delta.generic_calls;
-    }
-
-    /// Fold a sparse-kernel counter delta (from
-    /// `pp_tensor::sparse::thread_sparse_counters`) into the ledger.
-    pub fn add_sparse_delta(&mut self, delta: &pp_tensor::sparse::SparseCounters) {
-        self.sparse_mttkrp_flops += delta.flops;
-        self.sparse_fibers_visited += delta.fibers_visited;
     }
 }
 

@@ -38,11 +38,15 @@
 //! bit-identical for any thread count
 //! (`crates/tensor/tests/pool_determinism.rs`) and equal, bit for bit, the
 //! contract written out as a scalar loop (`tests/gemm_packed_parity.rs`).
+//!
+//! **No counters.** The kernel counts nothing: whoever runs a contraction
+//! records its flops in the one kernel ledger, `pp_dtree::KernelStats`
+//! (a first-level TTM is `2·len·R`, whatever GEMM path it takes).
 
 use crate::matrix::Matrix;
 use crate::simd::{simd_level, SimdLevel};
 use rayon::prelude::*;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 /// Transpose flag for a GEMM operand.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,46 +99,7 @@ const PAR_WORK_THRESHOLD: usize = 1 << 16;
 /// at negligible cost (one atomic op per chunk).
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Per-thread tally of GEMM activity, sampled by the dimension-tree
-/// engine (`KernelStats`) and the benchmark. Counters are
-/// thread-local and bumped by the *calling* thread once per call, so a
-/// driver thread sampling [`thread_gemm_counters`] around a kernel call
-/// sees exactly its own calls even while other ranks compute concurrently.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GemmCounters {
-    /// GEMM invocations (any path).
-    pub calls: u64,
-    /// Multiply-add flops issued (`2·m·n·k` per call).
-    pub flops: u64,
-    /// Strip-kernel calls at a power-of-two rank width (`n ∈ {8, 16, 32}`;
-    /// a ledger category checkpoints and `KernelStats` carry, not a
-    /// separate code path).
-    pub fixed_n_calls: u64,
-    /// Every other call (including the small-size serial path).
-    pub generic_calls: u64,
-}
-
-impl GemmCounters {
-    const ZERO: GemmCounters = GemmCounters {
-        calls: 0,
-        flops: 0,
-        fixed_n_calls: 0,
-        generic_calls: 0,
-    };
-
-    /// Component-wise difference against an earlier snapshot.
-    pub fn since(&self, earlier: &GemmCounters) -> GemmCounters {
-        GemmCounters {
-            calls: self.calls.saturating_sub(earlier.calls),
-            flops: self.flops.saturating_sub(earlier.flops),
-            fixed_n_calls: self.fixed_n_calls.saturating_sub(earlier.fixed_n_calls),
-            generic_calls: self.generic_calls.saturating_sub(earlier.generic_calls),
-        }
-    }
-}
-
 thread_local! {
-    static COUNTERS: Cell<GemmCounters> = const { Cell::new(GemmCounters::ZERO) };
     /// Reusable operand buffers. `PACK_A` holds one copied block of a
     /// *transposed* A (at most `MC × KC` doubles; never allocated for an
     /// untransposed A) and is borrowed by whichever thread executes a row
@@ -143,12 +108,6 @@ thread_local! {
     /// caller participating in its own batch never re-borrows.
     static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Snapshot of this thread's GEMM counters (monotonic; diff two
-/// snapshots with [`GemmCounters::since`]).
-pub fn thread_gemm_counters() -> GemmCounters {
-    COUNTERS.with(|c| c.get())
 }
 
 /// Run `f` on a zeroable scratch slice of `len` f64s, reusing the given
@@ -283,7 +242,7 @@ pub fn gemm_slice(
 ///   product boundaries, so a batch of many small products never pays a
 ///   dispatch per product, and nothing fans out inside anything else.
 ///
-/// The batch counts as one call of shape `batch·m × n × k`.
+/// The batch is one product of shape `batch·m × n × k`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_batched(
     batch: usize,
@@ -301,32 +260,14 @@ pub(crate) fn gemm_batched(
     c_rows: usize,
     c_cols: usize,
 ) {
-    let Some((m, n, k)) = gemm_core(
+    gemm_core(
         batch, ta, tb, alpha, a, a_rows, a_cols, b, b_rows, b_cols, beta, c, c_rows, c_cols, KC,
-    ) else {
-        return;
-    };
-    // "Fixed" is a strip-kernel call at n ∈ {8, 16, 32}; everything else,
-    // the small serial path included, is a generic call.
-    let fixed = m * n * k >= SMALL_WORK && matches!(n, 8 | 16 | 32);
-    COUNTERS.with(|c| {
-        let mut v = c.get();
-        v.calls += 1;
-        v.flops += gemm_flops(m, n, k);
-        if fixed {
-            v.fixed_n_calls += 1;
-        } else {
-            v.generic_calls += 1;
-        }
-        c.set(v);
-    });
+    );
 }
 
-/// The products themselves; returns the logical `(m, n, k)` of their
-/// stacked product (`m` summed over the batch) unless the shape was
-/// degenerate (nothing multiplied, nothing to count). `kc_c` is always
-/// [`KC`] outside this module's tests, which use shallow panels to cross
-/// many panel boundaries with small operands.
+/// The products themselves. `kc_c` is always [`KC`] outside this
+/// module's tests, which use shallow panels to cross many panel boundaries
+/// with small operands.
 #[allow(clippy::too_many_arguments)]
 fn gemm_core(
     batch: usize,
@@ -344,27 +285,29 @@ fn gemm_core(
     c_rows: usize,
     c_cols: usize,
     kc_c: usize,
-) -> Option<(usize, usize, usize)> {
+) {
     let (m, n, k) = check_shapes(
         batch, ta, tb, a, a_rows, a_cols, b, b_rows, b_cols, c, c_rows, c_cols,
     );
     if batch == 0 || m == 0 || n == 0 {
-        return None;
+        return;
     }
     if k == 0 {
         beta_scale(c, beta);
-        return None;
+        return;
     }
 
     // One product over the stacked rows of every slab: row `i` of C is row
     // `i % m` of product `i / m`.
     let (a_len, rows) = (a_rows * a_cols, batch * m);
     let work = rows * n * k;
+    #[cfg(test)]
+    tally::count(work);
     if work < SMALL_WORK {
         for (a, c) in a.chunks_exact(a_len).zip(c.chunks_exact_mut(m * n)) {
             small_serial(ta, tb, alpha, a, a_cols, b, b_cols, beta, c, m, n, k);
         }
-        return Some((rows, n, k));
+        return;
     }
 
     let ldb = n.next_multiple_of(NV);
@@ -406,7 +349,6 @@ fn gemm_core(
             run(pb);
         });
     }
-    Some((rows, n, k))
 }
 
 /// Lay `op(B)` out as `k × ldb` row-major, columns `n..ldb` zero, so the
@@ -762,10 +704,28 @@ fn small_serial(
     }
 }
 
-/// Flop count of a GEMM with the given logical dimensions (`2·m·n·k`).
-#[inline]
-pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
-    2 * (m as u64) * (n as u64) * (k as u64)
+/// Products this thread has run and their multiply-adds, for the tests
+/// that check which calls route through this kernel (a batch is one
+/// product over its stacked rows).
+#[cfg(test)]
+pub(crate) mod tally {
+    use std::cell::Cell;
+
+    thread_local! {
+        static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn count(work: usize) {
+        TALLY.with(|t| {
+            let (products, madds) = t.get();
+            t.set((products + 1, madds + work as u64));
+        });
+    }
+
+    /// `(products, multiply-adds)` run on this thread so far.
+    pub(crate) fn read() -> (u64, u64) {
+        TALLY.with(Cell::get)
+    }
 }
 
 /// The numeric contract as a scalar loop (shared with the integration
@@ -983,23 +943,6 @@ mod tests {
         let mut c = Matrix::from_fn(2, 3, |_, _| 1.0);
         gemm(Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c);
         assert_eq!(c.data(), &[0.0; 6]);
-    }
-
-    #[test]
-    fn counters_attribute_fixed_and_generic_calls() {
-        let before = thread_gemm_counters();
-        let a = test_mat(40, 64, 1);
-        let b16 = test_mat(64, 16, 2);
-        let mut c = Matrix::zeros(40, 16);
-        gemm(Trans::No, Trans::No, 1.0, &a, &b16, 0.0, &mut c);
-        let b24 = test_mat(64, 24, 3);
-        let mut c24 = Matrix::zeros(40, 24);
-        gemm(Trans::No, Trans::No, 1.0, &a, &b24, 0.0, &mut c24);
-        let d = thread_gemm_counters().since(&before);
-        assert_eq!(d.calls, 2);
-        assert_eq!(d.fixed_n_calls, 1);
-        assert_eq!(d.generic_calls, 1);
-        assert_eq!(d.flops, gemm_flops(40, 16, 64) + gemm_flops(40, 24, 64));
     }
 
     /// Panel depth places the roundings and nothing else: at any depth the

@@ -343,16 +343,15 @@ mod tests {
     #[test]
     fn ttm_at_credits_one_product() {
         // However many slabs, the stacked product is one GEMM call with
-        // the whole contraction's flops.
+        // the whole contraction's multiply-adds.
         let t = seq_tensor(vec![4, 9, 8, 7]);
         for p in 0..4 {
             let a = Matrix::from_fn(t.dim(p), 8, |i, j| (i + j) as f64);
-            let before = crate::gemm::thread_gemm_counters();
+            let (products, madds) = crate::gemm::tally::read();
             let _ = ttm_at(&t, p, &a);
-            let d = crate::gemm::thread_gemm_counters().since(&before);
-            assert_eq!(d.calls, 1);
-            assert_eq!(d.fixed_n_calls, 1);
-            assert_eq!(d.flops, 2 * t.len() as u64 * 8);
+            let (after, after_madds) = crate::gemm::tally::read();
+            assert_eq!(after - products, 1);
+            assert_eq!(after_madds - madds, t.len() as u64 * 8);
         }
     }
 

@@ -288,25 +288,26 @@ mod tests {
     #[test]
     fn solve_path_routes_through_packed_gemm() {
         // Gram formation and the pseudo-inverse fallback must issue their
-        // matmuls through the packed engine, where the flop counters (and
-        // the perf work) live.
+        // matmuls through the packed engine, where the perf work lives.
         let a = Matrix::from_fn(40, 16, |i, j| ((i * 7 + j * 3) % 13) as f64 / 6.0 - 1.0);
-        let before = crate::gemm::thread_gemm_counters();
-        let g = a.gram(); // 16×16 via Trans::Yes GEMM (fixed-n width)
-        let d1 = crate::gemm::thread_gemm_counters().since(&before);
-        assert_eq!(d1.calls, 1);
-        assert_eq!(d1.flops, crate::gemm::gemm_flops(16, 16, 40));
+        let (products, madds) = crate::gemm::tally::read();
+        let _ = a.gram(); // 16×16 via a Trans::Yes GEMM
+        let (after, after_madds) = crate::gemm::tally::read();
+        assert_eq!(after - products, 1);
+        assert_eq!(after_madds - madds, 16 * 16 * 40);
 
         let u: Vec<f64> = (0..3).map(|i| (i + 1) as f64).collect();
         let sing = Matrix::from_fn(3, 3, |i, j| u[i] * u[j]);
         let m = Matrix::from_fn(4, 3, |i, j| (i + j) as f64);
-        let before = crate::gemm::thread_gemm_counters();
+        let (products, _) = crate::gemm::tally::read();
         let (_, method) = solve_gram(&sing, &m);
         assert_eq!(method, SolveMethod::PseudoInverse);
-        let d2 = crate::gemm::thread_gemm_counters().since(&before);
         // pinv_sym's V·diag·Vᵀ plus the M·Γ⁺ product.
-        assert!(d2.calls >= 2, "pinv path must go through gemm ({d2:?})");
-        let _ = g;
+        let calls = crate::gemm::tally::read().0 - products;
+        assert!(
+            calls >= 2,
+            "pinv path must go through gemm ({calls} products)"
+        );
     }
 
     #[test]

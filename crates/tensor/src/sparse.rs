@@ -35,8 +35,7 @@
 //! a classic CSF tree (one node per distinct coordinate prefix, each with
 //! a child span) are gone: at the 2–4 leaves per fiber of the sparse
 //! benchmark tensors, 4 bytes per leaf cost less than the 12 per fiber
-//! they replace. The number of fibers (distinct leaf-parent prefixes) is
-//! counted once at build for the kernel counters.
+//! they replace.
 //!
 //! # One walk at vector width
 //!
@@ -84,7 +83,6 @@ use crate::shape::Shape;
 use crate::simd::{simd_level, SimdLevel};
 use crate::workspace::Workspace;
 use rayon::prelude::*;
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -305,17 +303,9 @@ pub struct CsfTree {
     coords: Vec<Vec<u32>>,
     /// Leaf values.
     vals: Vec<f64>,
-    /// Distinct leaf-parent prefixes: the root and every sub-mode but the
-    /// last (the roots themselves at order 2).
-    fibers: usize,
 }
 
 impl CsfTree {
-    /// Number of leaf-parent fibers (the unit of the kernel counters).
-    pub fn fiber_count(&self) -> usize {
-        self.fibers
-    }
-
     /// Run `f(roots, row0, block, side)` over `out`, rows of `row_len`
     /// indexed by the root coordinate, and `side`, empty or one row per row
     /// of `out`: on every root at once, or — from `work` (`nnz · R`) of
@@ -446,7 +436,6 @@ impl TreeBuild {
             spans: Vec::with_capacity(roots + 1),
             coords,
             vals: Vec::with_capacity(nnz),
-            fibers: 0,
         };
         let counts = match n {
             0 => Vec::new(),
@@ -470,7 +459,6 @@ impl TreeBuild {
             spans,
             coords,
             vals,
-            fibers,
         } = &mut self.tree;
         let (heads, last) = coords.split_at_mut(sub_modes.len() - 1);
         let last = &mut last[0];
@@ -494,75 +482,18 @@ impl TreeBuild {
                 _ => *slot as usize,
             };
             let idx = sp.idx(e);
-            // A fresh root or a fresh coordinate in any mode but the last
-            // opens a fiber.
-            let mut fresh = roots.last() != Some(&idx[*n]);
-            if fresh {
+            if roots.last() != Some(&idx[*n]) {
                 roots.push(idx[*n]);
                 spans.push(p);
             }
             for (c, &m) in heads.iter_mut().zip(sub_modes.iter()) {
-                fresh = fresh || c.last() != Some(&idx[m]);
                 c.push(idx[m]);
             }
-            *fibers += fresh as usize;
             *slot = idx[sub_modes[sub_modes.len() - 1]];
             vals.push(sp.vals()[e]);
         }
         spans.push(sp.nnz());
     }
-}
-
-/// Per-thread sparse-kernel counters, sampled around engine calls exactly
-/// like [`crate::gemm::GemmCounters`]: the kernel entry point runs on the
-/// sampling thread (pool workers only fill output blocks), so a driver
-/// sees its own calls even while other sessions compute concurrently.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SparseCounters {
-    /// Sparse MTTKRP invocations.
-    pub calls: u64,
-    /// Useful flops issued: `nnz · R · N` per call (`N−1` multiplies plus
-    /// one accumulate per nonzero per rank column).
-    pub flops: u64,
-    /// Leaf-parent fibers visited across all calls.
-    pub fibers_visited: u64,
-}
-
-impl SparseCounters {
-    const ZERO: SparseCounters = SparseCounters {
-        calls: 0,
-        flops: 0,
-        fibers_visited: 0,
-    };
-
-    /// Delta between two snapshots of the same thread's counters.
-    pub fn since(&self, earlier: &SparseCounters) -> SparseCounters {
-        SparseCounters {
-            calls: self.calls - earlier.calls,
-            flops: self.flops - earlier.flops,
-            fibers_visited: self.fibers_visited - earlier.fibers_visited,
-        }
-    }
-}
-
-thread_local! {
-    static SPARSE_COUNTERS: Cell<SparseCounters> = const { Cell::new(SparseCounters::ZERO) };
-}
-
-/// Snapshot the calling thread's sparse-kernel counters (diff two
-/// snapshots with [`SparseCounters::since`]).
-pub fn thread_sparse_counters() -> SparseCounters {
-    SPARSE_COUNTERS.with(|c| c.get())
-}
-
-fn bump_counters(flops: u64, fibers: u64) {
-    SPARSE_COUNTERS.with(|c| {
-        let mut v = c.get();
-        v.calls += 1;
-        v.flops += flops;
-        v.fibers_visited += fibers;
-        c.set(v);
-    });
 }
 
 /// Rank-block oversubscription factor for the parallel row partition
@@ -618,10 +549,6 @@ fn mttkrp_at(level: SimdLevel, csf: &CsfTensor, factors: &[Matrix], n: usize) ->
         &mut [],
         csf.nnz() * r,
         |roots, row0, block, _| walk_block(level, tree, factors, roots, row0, block, width),
-    );
-    bump_counters(
-        csf.nnz() as u64 * r as u64 * order as u64,
-        tree.fiber_count() as u64,
     );
     if width == r {
         out
@@ -1453,10 +1380,9 @@ mod tests {
 
     #[test]
     fn csf_counts_fibers() {
-        // Entries (0,1,0) (0,1,1) (0,3,1) (2,0,0) (2,2,1). Tree 0 has roots
-        // {0, 2} and fibers (0,1) (0,3) (2,0) (2,2); tree 1 roots {0..3},
-        // one fiber each; tree 2 roots {0, 1} and fibers (0,0) (0,2) (1,0)
-        // (1,2).
+        // Entries (0,1,0) (0,1,1) (0,3,1) (2,0,0) (2,2,1). The root level
+        // is the one fiber level a flat tree keeps: tree 0 roots {0, 2},
+        // tree 1 roots {0..3}, tree 2 roots {0, 1}.
         let sp = SparseTensor::from_coo(
             vec![3, 4, 2],
             vec![0, 1, 0, 0, 1, 1, 0, 3, 1, 2, 0, 0, 2, 2, 1],
@@ -1464,8 +1390,8 @@ mod tests {
         );
         let csf = CsfTensor::build(&sp);
         assert_eq!(csf.nnz(), 5);
-        let fibers: Vec<usize> = (0..3).map(|n| csf.tree(n).fiber_count()).collect();
-        assert_eq!(fibers, [4, 4, 4]);
+        let roots: Vec<Vec<u32>> = (0..3).map(|n| csf.tree(n).roots.clone()).collect();
+        assert_eq!(roots, [vec![0, 2], vec![0, 1, 2, 3], vec![0, 1]]);
         // Per tree: 4 B per root, 8 B per span bound (roots + 1), 4 B per
         // leaf in each of two sub-modes, 8 B per value.
         let bytes: usize = [2, 4, 2]
@@ -1564,7 +1490,7 @@ mod tests {
     /// with empty root rows — gives the pointwise oracle's bits on every
     /// clone the CPU runs, at the walk's own widths, padded ones and
     /// 32-lane blocks, on pooled root blocks at widths 1, 2 and 4 (every
-    /// `nnz · R` is above `PAR_THRESHOLD`). The fiber counts are pinned.
+    /// `nnz · R` is above `PAR_THRESHOLD`).
     /// Each rank runs the first `R` columns of one set of rank-40 factors:
     /// the oracle computes every column on its own, so one call at rank 40
     /// holds the oracle's bits for all of them.
@@ -1579,19 +1505,17 @@ mod tests {
             SimdLevel::Avx512,
         ];
         let best = simd_level();
-        let cases: [(&[usize], f64, &[usize]); 4] = [
-            (&[96, 80, 64], 1.0, &[2858, 2858, 2630]),
-            (&[96, 80, 64], 2.0, &[2356, 2356, 2126]),
-            (&[700, 600], 1.0, &[600, 514]),
-            (&[40, 32, 24, 16], 1.0, &[3297, 3297, 3297, 3186]),
+        let cases: [(&[usize], f64); 4] = [
+            (&[96, 80, 64], 1.0),
+            (&[96, 80, 64], 2.0),
+            (&[700, 600], 1.0),
+            (&[40, 32, 24, 16], 1.0),
         ];
-        for (case, (dims, skew, fibers)) in cases.into_iter().enumerate() {
+        for (case, (dims, skew)) in cases.into_iter().enumerate() {
             let samples = dims.iter().product::<usize>() / 80;
             let sp = holey_sparse(dims, samples, skew, 50 + case as u64);
             assert!(sp.nnz() * 5 > PAR_THRESHOLD, "{dims:?}: {} nnz", sp.nnz());
             let csf = CsfTensor::build(&sp);
-            let got: Vec<usize> = (0..dims.len()).map(|n| csf.tree(n).fiber_count()).collect();
-            assert_eq!(got, fibers, "{dims:?} skew {skew}");
             let dense = sp.to_dense();
             let full = factors_for(dims, 40, 60 + case as u64);
             for n in 0..dims.len() {
@@ -1902,7 +1826,7 @@ mod tests {
                 for (a, b) in serial.trees.iter().zip(&wide.trees) {
                     assert_eq!(a.vals, b.vals, "{dims:?} width {width}");
                     assert_eq!((&a.roots, &a.spans), (&b.roots, &b.spans));
-                    assert_eq!((&a.coords, a.fibers), (&b.coords, b.fibers));
+                    assert_eq!(a.coords, b.coords);
                 }
             }
         }
@@ -1922,18 +1846,5 @@ mod tests {
         let got = sparse_mttkrp(&csf, &factors, 0);
         let want = mttkrp_pointwise(&one.to_dense(), &factors, 0);
         assert_eq!(got.data(), want.data());
-    }
-
-    #[test]
-    fn counters_accumulate_per_call() {
-        let sp = random_sparse(&[6, 5, 4], 30, 11);
-        let csf = CsfTensor::build(&sp);
-        let factors = factors_for(&[6, 5, 4], 4, 12);
-        let before = thread_sparse_counters();
-        let _ = sparse_mttkrp(&csf, &factors, 0);
-        let d = thread_sparse_counters().since(&before);
-        assert_eq!(d.calls, 1);
-        assert_eq!(d.flops, csf.nnz() as u64 * 4 * 3);
-        assert_eq!(d.fibers_visited, csf.tree(0).fiber_count() as u64);
     }
 }

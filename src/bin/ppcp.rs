@@ -249,8 +249,7 @@ fn sweep_summary(report: &AlsReport) -> String {
 }
 
 /// The end-of-run report of a single decomposition: summary, the kernel
-/// counter lines of whichever path ran, and under `--trace` the fitness
-/// trace.
+/// ledger's counts, and under `--trace` the fitness trace.
 fn print_report(report: &AlsReport, job: &JobSpec, trace: bool) {
     let stream = job.stream.is_some();
     println!(
@@ -264,15 +263,10 @@ fn print_report(report: &AlsReport, job: &JobSpec, trace: bool) {
         },
     );
     let stats = &report.stats;
-    if !stream && !job.dataset.is_sparse() {
-        println!(
-            "packed GEMM (engine TTMs): {:.2} Gflop, {} fixed-n / {} generic calls",
-            stats.gemm_packed_flops as f64 / 1e9,
-            stats.gemm_fixed_n_calls,
-            stats.gemm_generic_calls,
-        );
-    }
-    print_sparse_counters(stats);
+    println!(
+        "kernel ledger: TTM {} flops in {} calls, mTTV {} flops in {} calls",
+        stats.ttm_flops, stats.ttm_count, stats.mttv_flops, stats.mttv_count,
+    );
     if trace {
         for s in &report.sweeps {
             println!(
@@ -526,18 +520,6 @@ fn run_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
     };
     print_report(&report, job, cli.trace);
     Ok(0)
-}
-
-/// The sparse kernel counter line: the direct CSF MTTKRP every sparse
-/// method runs (each sweep of dt and msdt, pp's exact sweeps).
-fn print_sparse_counters(stats: &parallel_pp::dtree::KernelStats) {
-    if stats.sparse_mttkrp_flops > 0 {
-        println!(
-            "sparse MTTKRP (CSF): {:.2} Gflop, {} fibers visited",
-            stats.sparse_mttkrp_flops as f64 / 1e9,
-            stats.sparse_fibers_visited,
-        );
-    }
 }
 
 fn grid_for(t: &DenseTensor, p: usize) -> ProcGrid {

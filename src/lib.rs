@@ -41,8 +41,7 @@ pub use pp_tensor as tensor;
 pub mod prelude {
     pub use pp_comm::{Backend, Collectives, CommWorld, CostModel, Runtime};
     pub use pp_core::{
-        AlsConfig, AlsSession, InitStrategy, ParKind, ParSession, SessionKind, SolveStrategy, Step,
-        SweepKind,
+        AlsConfig, AlsSession, ParKind, ParSession, SessionKind, SolveStrategy, Step, SweepKind,
     };
     pub use pp_dtree::TreePolicy;
     pub use pp_grid::{DistTensor, ProcGrid};

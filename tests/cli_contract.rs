@@ -3,6 +3,8 @@
 //! * a CLI run **is** a one-job manifest — `ppcp <flags>` and `ppcp batch`
 //!   on the line spelling the same keys agree sweep for sweep, dense,
 //!   sparse and streaming;
+//! * the `kernel ledger:` line a single run prints is its report's
+//!   `KernelStats` counts;
 //! * every argument error exits 2 and names the flag or key on stderr;
 //! * `--help` / `--version` short-circuit in all three modes;
 //! * a distributed run (`--ranks P`) prints the same on either collective
@@ -50,6 +52,17 @@ fn summary(text: &str, marker: &str) -> String {
     line[from..to].to_string()
 }
 
+/// The one-job manifest line spelling `flags` (`--key value` is the token
+/// `key=value`), after the tokens only a manifest needs.
+fn manifest_line(name: &str, manifest_only: &str, flags: &str) -> String {
+    let words: Vec<&str> = flags.split_whitespace().collect();
+    let tokens: Vec<String> = words
+        .chunks(2)
+        .map(|kv| format!("{}={}", kv[0].trim_start_matches("--"), kv[1]))
+        .collect();
+    format!("job name={name} {manifest_only} {}\n", tokens.join(" "))
+}
+
 /// `(kind, fitness)` of every `--trace` line of a single run.
 fn trace(text: &str) -> Vec<(String, String)> {
     text.lines()
@@ -95,12 +108,7 @@ fn a_cli_run_is_a_one_job_manifest() {
         let steps = trace(&single);
         assert!(steps.len() >= 6, "{name}: {single}");
 
-        let words: Vec<&str> = flags.split_whitespace().collect();
-        let tokens: Vec<String> = words
-            .chunks(2)
-            .map(|kv| format!("{}={}", kv[0].trim_start_matches("--"), kv[1]))
-            .collect();
-        let line = format!("job name={name} {manifest_only} {}\n", tokens.join(" "));
+        let line = manifest_line(name, manifest_only, flags);
         let manifest = dir.join(format!("{name}.manifest"));
         std::fs::write(&manifest, &line).unwrap();
         let batch = ok(&format!(
@@ -136,6 +144,63 @@ fn a_cli_run_is_a_one_job_manifest() {
         assert_eq!(printed, fitness, "{name}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `kernel ledger:` line of a single run is the report's kernel
+/// ledger: its four integers are the `report.stats` counts of the library
+/// run of the same manifest line — PP-init's TTMs included, on dense and
+/// sparse input, and a stream's arrivals.
+#[test]
+fn the_ledger_line_is_the_reports_kernel_counts() {
+    let cases = [
+        (
+            "dense-pp",
+            "",
+            "--dataset collinearity --s 16 --r 3 --lo 0.5 --hi 0.7 --data-seed 3 --method pp \
+             --rank 3 --sweeps 12 --tol 0 --pp-tol 0.3 --seed 5",
+            "",
+        ),
+        (
+            "sparse-pp",
+            "",
+            "--dataset sparse-lowrank --dims 20x18x16 --gen-rank 3 --density 0.05 --data-seed 4 \
+             --method pp --rank 3 --sweeps 16 --tol 0 --pp-tol 0.5 --seed 9",
+            "",
+        ),
+        (
+            "stream",
+            "stream",
+            "--height 12 --width 10 --bands 8 --times 7 --materials 3 --noise 1e-3 \
+             --data-seed 17 --initial-times 3 --arrive 2 --sweeps-per-arrival 3 \
+             --update incremental --method pp --rank 4 --tol 1e-5 --pp-tol 0.1 --seed 42",
+            "dataset=timelapse stream=on",
+        ),
+    ];
+    for (name, mode, flags, manifest_only) in cases {
+        let single = ok(&format!("{mode} {flags}"));
+        let line = single
+            .lines()
+            .find_map(|l| l.strip_prefix("kernel ledger: "))
+            .unwrap_or_else(|| panic!("{name}: no ledger line in {single}"));
+        let printed: Vec<u64> = line
+            .split_whitespace()
+            .filter_map(|w| w.parse().ok())
+            .collect();
+
+        let report =
+            run_sequential(&parse_manifest(&manifest_line(name, manifest_only, flags)).unwrap());
+        let out = report.jobs[0].output.as_ref().expect("job completes");
+        let s = &out.report.stats;
+        assert_eq!(
+            printed,
+            [s.ttm_flops, s.ttm_count, s.mttv_flops, s.mttv_count],
+            "{name}: {line}"
+        );
+        if name != "stream" {
+            let kind = parallel_pp::core::SweepKind::PpInit;
+            assert!(out.report.count(kind) > 0, "{name}: PP regime never opened");
+        }
+    }
 }
 
 #[test]

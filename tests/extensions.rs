@@ -1,12 +1,8 @@
 //! Integration tests for the production extensions: nonnegative CP on the
-//! image workloads, initialization strategies feeding a session, and
-//! higher-order parallel runs.
+//! image workloads and higher-order parallel runs.
 
 use parallel_pp::comm::Runtime;
-use parallel_pp::core::{
-    init_factors_with, AlsConfig, AlsOutput, AlsSession, InitStrategy, ParKind, ParSession,
-    SessionKind,
-};
+use parallel_pp::core::{AlsConfig, AlsOutput, AlsSession, ParKind, ParSession, SessionKind};
 use parallel_pp::datagen::coil::{coil_tensor, CoilConfig};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::datagen::timelapse::{timelapse_tensor, TimelapseConfig};
@@ -65,25 +61,6 @@ fn nncp_on_timelapse_close_to_unconstrained() {
         nn.report.final_fitness,
         un.report.final_fitness
     );
-}
-
-#[test]
-fn every_init_strategy_feeds_als() {
-    let t = noisy_rank(&[10, 9, 8], 3, 0.05, 3);
-    for s in [
-        InitStrategy::Uniform,
-        InitStrategy::Gaussian,
-        InitStrategy::SketchedRange,
-    ] {
-        let init = init_factors_with(&t, 3, 7, s);
-        let cfg = AlsConfig::new(3).with_max_sweeps(50).with_tol(1e-7);
-        let out = AlsSession::with_init(&t, &cfg, SessionKind::Exact, init).run();
-        assert!(
-            out.report.final_fitness > 0.9,
-            "{s:?} fitness {}",
-            out.report.final_fitness
-        );
-    }
 }
 
 #[test]

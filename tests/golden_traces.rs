@@ -19,7 +19,9 @@
 //! ```
 
 use parallel_pp::comm::Runtime;
-use parallel_pp::core::{AlsConfig, AlsReport, AlsSession, ParKind, ParSession, SessionKind};
+use parallel_pp::core::{
+    AlsConfig, AlsReport, AlsSession, ParKind, ParSession, SessionKind, SweepKind,
+};
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::TreePolicy;
@@ -378,10 +380,16 @@ fn run_sparse_case(method: Method, dataset: SparseDataset) -> (AlsReport, Vec<Ma
         .run(),
         other => unreachable!("no sparse golden case for {other:?}"),
     };
-    // The traces pin a run that stayed sparse end to end: the CSF kernel's
-    // counters (every method; PP's from its exact sweeps) must be live.
-    assert!(
-        out.report.stats.sparse_mttkrp_flops > 0,
+    // The traces pin a run that stayed sparse end to end: the ledger holds
+    // the forest's TTMs and nothing else — nnz·R·N per MTTKRP of an exact
+    // sweep and, per PP-init, three pair walks of (N−1)·nnz·R plus the
+    // anchor's fold into 𝓜^(0,1), 2·s₀·s₁·R.
+    let (nnz, r, dims) = (sp.nnz() as u64, out.factors[0].cols() as u64, sp.dims());
+    let count = |kind| out.report.count(kind) as u64;
+    let pp_init = 3 * 2 * nnz * r + 2 * (dims[0] * dims[1]) as u64 * r;
+    assert_eq!(
+        out.report.stats.ttm_flops,
+        count(SweepKind::Exact) * 3 * nnz * r * 3 + count(SweepKind::PpInit) * pp_init,
         "sparse case densified its input"
     );
     (out.report, out.factors)

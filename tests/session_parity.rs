@@ -11,7 +11,7 @@ mod common;
 use common::{assert_identical, override_lock};
 use parallel_pp::core::{AlsConfig, AlsOutput, AlsSession, SessionKind, Step, StopReason};
 use parallel_pp::datagen::lowrank::noisy_rank;
-use parallel_pp::dtree::TreePolicy;
+use parallel_pp::dtree::{KernelStats, TreePolicy};
 use parallel_pp::serve::JobMethod;
 use parallel_pp::tensor::DenseTensor;
 use proptest::prelude::*;
@@ -240,4 +240,77 @@ fn committed_sparse_msdt_checkpoint_resumes() {
     let out = s.finish();
     assert_eq!(out.report.sweeps.len(), 10);
     assert!(out.report.sweeps.iter().all(|r| r.fitness.is_finite()));
+}
+
+/// Every match in `bytes` of a stats block whose ledger counts are `s`'s,
+/// as the eight `u64` slots that follow the nine ledger fields (PPCK v3
+/// keeps them, retired).
+fn retired_stats_slots(bytes: &[u8], s: &KernelStats) -> Vec<[u64; 8]> {
+    let key: Vec<u8> = [s.ttm_flops, s.mttv_flops, s.ttm_count, s.mttv_count]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    (0..bytes.len() - key.len())
+        .filter(|&at| bytes[at..].starts_with(&key))
+        .map(|at| std::array::from_fn(|i| word(at + key.len() + 8 * i)))
+        .collect()
+}
+
+/// PPCK v3's stats block keeps eight retired `u64` slots after the kernel
+/// ledger. A checkpoint written now holds zeros in all eight; the two
+/// committed fixtures, written while some of those counters were live,
+/// hold their values there, and resume (their kinds and fitness bits are
+/// pinned by the two tests above) with the ledger they stored.
+#[test]
+fn ppck_retired_stats_slots_are_written_as_zeros_and_skipped() {
+    let _serial = override_lock();
+    let t = noisy_rank(&[10, 9, 11], 3, 0.05, 7);
+    let cfg = AlsConfig::new(3)
+        .with_policy(TreePolicy::MultiSweep)
+        .with_pp_tol(0.3)
+        .with_max_sweeps(40)
+        .with_tol(1e-9);
+    let sp = parallel_pp::datagen::sparse::sparse_lowrank(&[18, 16, 14], 3, 0.06, 6).0;
+    let sparse_cfg = AlsConfig::new(3)
+        .with_policy(TreePolicy::MultiSweep)
+        .with_max_sweeps(10)
+        .with_tol(0.0);
+
+    let mut dense = AlsSession::new(&t, &cfg, SessionKind::Pp);
+    let mut sparse = AlsSession::new_sparse(&sp, &sparse_cfg, SessionKind::Exact);
+    for (s, sweeps) in [(&mut dense, 5), (&mut sparse, 3)] {
+        for _ in 0..sweeps {
+            let _ = s.step();
+        }
+        let bytes = s.checkpoint_bytes(1);
+        assert_eq!(retired_stats_slots(&bytes, s.stats()), [[0; 8]]);
+    }
+
+    // The dense fixture's packed-GEMM slots read 17 820 flops in 3 calls
+    // against the ledger's 29 700 in 5 TTMs: the PP-init's TTMs were
+    // never sampled. The sparse one holds the semi-sparse chain's three.
+    let dense_bytes: &[u8] = include_bytes!("golden/pp_mid_regime.ppck");
+    let sparse_bytes: &[u8] = include_bytes!("golden/sparse_msdt_mid_run.ppck");
+    let fixtures = [
+        (
+            dense_bytes,
+            AlsSession::resume_from_bytes(dense_bytes, &t),
+            ([29700, 10710, 5, 18], [17820, 0, 3, 0, 0, 0, 0, 0]),
+        ),
+        (
+            sparse_bytes,
+            AlsSession::resume_from_bytes_sparse(sparse_bytes, &sp),
+            ([7140, 8796, 5, 9], [0, 0, 0, 0, 0, 7140, 8796, 2656]),
+        ),
+    ];
+    for (bytes, resumed, (ledger, slots)) in fixtures {
+        let (s, _) = resumed.unwrap();
+        let st = s.stats();
+        assert_eq!(
+            [st.ttm_flops, st.mttv_flops, st.ttm_count, st.mttv_count],
+            ledger
+        );
+        assert_eq!(retired_stats_slots(bytes, st), [slots]);
+    }
 }

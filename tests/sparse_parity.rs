@@ -352,14 +352,11 @@ fn deep_pair_walk_matches_the_pointwise_oracle_and_the_chain() {
 }
 
 /// A `dt` session on a `sparse3`-like tensor (uniform at 1 %, 96×80×64)
-/// visits a pinned number of leaf-parent fibers: each sweep walks every
-/// tree once, and the count is the forest's, whatever layout carries it.
+/// records a pinned kernel ledger: each of four sweeps runs one CSF
+/// MTTKRP per mode, `nnz·R·N` flops each, and nothing else.
 #[test]
-fn dt_session_visits_the_pinned_fiber_count() {
+fn dt_session_records_the_pinned_ttm_ledger() {
     let (sp, _) = parallel_pp::datagen::sparse::sparse_lowrank(&[96, 80, 64], 6, 0.01, 37);
-    let csf = CsfTensor::build(&sp);
-    let per_sweep: Vec<usize> = (0..3).map(|n| csf.tree(n).fiber_count()).collect();
-    assert_eq!(per_sweep, [3580, 3580, 3355]);
     let out = AlsSession::new_sparse(
         &sp,
         &AlsConfig::new(8)
@@ -369,11 +366,10 @@ fn dt_session_visits_the_pinned_fiber_count() {
         SessionKind::Exact,
     )
     .run();
-    // Four sweeps, each walking the three trees once.
-    assert_eq!(
-        out.report.stats.sparse_fibers_visited,
-        4 * (3580 + 3580 + 3355)
-    );
+    let stats = &out.report.stats;
+    assert_eq!(stats.ttm_count, 12);
+    assert_eq!(stats.ttm_flops, 12 * sp.nnz() as u64 * 8 * 3);
+    assert_eq!((stats.mttv_count, stats.mttv_flops), (0, 0));
 }
 
 /// Sparse `msdt` runs the forest `dt` runs: on both golden sparse datasets
@@ -402,7 +398,9 @@ fn sparse_msdt_is_sparse_dt_bitwise() {
             };
             let msdt = run(TreePolicy::MultiSweep);
             assert_eq!(msdt.report.sweeps.len(), 10);
-            assert!(msdt.report.stats.sparse_mttkrp_flops > 0);
+            let stats = &msdt.report.stats;
+            assert_eq!(stats.ttm_count, 30, "one CSF MTTKRP per mode and sweep");
+            assert_eq!(stats.ttm_flops, 30 * (sp.nnz() * rank * 3) as u64);
             common::assert_identical(&msdt, &run(TreePolicy::Standard));
         }
     }
