@@ -208,8 +208,9 @@ impl DenseTensor {
 
     /// Grow the leading mode in place: append `other` (same trailing
     /// extents) after `self`'s last leading index. Row-major storage makes
-    /// this a tail copy of `other`'s buffer — amortised O(`other`): the
-    /// buffer reserves geometrically and moves once per doubling — values
+    /// this a tail copy of `other`'s buffer: the buffer reserves
+    /// geometrically, and from 2 MiB up a move hands its pages over (one
+    /// page-table entry per huge page) instead of copying them — values
     /// verbatim, so the result is bit-identical to a tensor built whole.
     /// A buffer a clone shares is copied once first, as any write does.
     /// The primitive behind streaming growth along an evolving mode.

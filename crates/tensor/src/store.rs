@@ -6,20 +6,26 @@
 //!   allocator's mood (an mTTV read 0.6 or 1.4–2.0 ms with its input at 32
 //!   or 16 bytes mod 64).
 //! * **At or above it** (Linux on x86-64 / aarch64) it is a private anonymous `mmap`, trimmed
-//!   so it starts on a 2 MiB boundary, with `MADV_HUGEPAGE` over its whole
-//!   2 MiB pages: fresh memory then costs one fault per 2 MiB instead of
-//!   one per 4 KiB, and `munmap` gives it back in as many steps. The tail
-//!   past the last whole huge page stays small pages, so resident memory
-//!   does not round up. A refused `madvise` (THP `never`, an old kernel) is
-//!   ignored: the mapping is then ordinary memory, which is what the
-//!   allocator served before.
+//!   so it starts on a 2 MiB boundary, with `MADV_HUGEPAGE` over all of
+//!   it: fresh memory then costs one fault per 2 MiB instead of one per
+//!   4 KiB, and `munmap` gives it back in as many steps. The tail past the
+//!   last whole huge page cannot hold one (a huge page must lie inside the
+//!   mapping), so it stays small pages and resident memory does not round
+//!   up. A refused `madvise` (THP `never`, an old kernel) is ignored: the
+//!   mapping is then ordinary memory, which is what the allocator served
+//!   before.
 //! * **Fresh memory is known zero.** [`Store::zeroed`] never writes to a
 //!   mapping (anonymous pages arrive zeroed), so a tensor of zeros that is
 //!   only partly written touches only those pages.
-//! * **Growth is geometric.** [`Store::extend_from_slice`] reserves twice
-//!   the capacity when it runs out and moves once per doubling (map, copy,
-//!   unmap — `mremap` could move a huge-page region off its 2 MiB boundary);
-//!   reserved pages that were never written are not resident.
+//! * **Growth is geometric, and a mapping grows by moving its pages.**
+//!   [`Store::extend_from_slice`] reserves twice the capacity when it runs
+//!   out. A mapped store reserves a 2 MiB-aligned destination and
+//!   `mremap`s its pages there, so only the appended tail is copied and the
+//!   old and the new copy are never resident together; the destination is
+//!   on the 2 MiB grid, so each huge page moves whole instead of splitting.
+//!   A store under the rule, a target that does not map, and a move the
+//!   kernel refuses take the copy (allocate, copy, release). Reserved
+//!   pages that were never written are not resident.
 //!
 //! Every `unsafe` block of the storage layer is in this file. Each raw
 //! pointer site has a debug-assert shadow: alignment and `len ≤ cap` where
@@ -122,11 +128,37 @@ impl Store {
             .checked_add(src.len())
             .expect("store length overflows usize");
         if need > self.cap {
-            let mut grown = Store::with_capacity(need.max(self.cap.saturating_mul(2)));
-            grown.write_tail(self);
-            *self = grown; // drops (releases) the old allocation
+            self.grow(need.max(self.cap.saturating_mul(2)));
         }
         self.write_tail(src);
+    }
+
+    /// Move to an allocation for `cap > self.cap` elements, keeping the
+    /// initialised ones: a mapping's pages move (module docs), anything
+    /// else is copied.
+    fn grow(&mut self, cap: usize) {
+        let (old, new) = (bytes_of(self.cap), bytes_of(cap));
+        if is_mapped(old) {
+            let from = self.ptr.as_ptr() as usize;
+            // Unregistered first: once the pages move, another thread may be
+            // handed the old address.
+            shadow::released(from, old);
+            match NonNull::new(sys::remap(self.ptr.as_ptr().cast(), old, new).cast::<f64>()) {
+                Some(ptr) => {
+                    shadow::made(ptr.as_ptr() as usize, new);
+                    self.ptr = ptr;
+                    self.cap = cap;
+                    return;
+                }
+                // The old mapping is still whole, and still ours.
+                None => shadow::made(from, old),
+            }
+        }
+        #[cfg(test)]
+        tally::copied(bytes_of(self.len));
+        let mut grown = Store::with_capacity(cap);
+        grown.write_tail(self);
+        *self = grown; // drops (releases) the old allocation
     }
 
     /// Elements this store can hold before it moves.
@@ -283,10 +315,19 @@ mod sys {
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
         fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        fn mremap(
+            old_addr: *mut c_void,
+            old_len: usize,
+            new_len: usize,
+            flags: c_int,
+            ...
+        ) -> *mut c_void;
     }
     const PROT_READ_WRITE: c_int = 0x1 | 0x2;
     const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
     const MADV_HUGEPAGE: c_int = 14;
+    const MREMAP_MAYMOVE: c_int = 1;
+    const MREMAP_FIXED: c_int = 2;
 
     /// The length actually mapped for `bytes` of data.
     fn mapped_len(bytes: usize) -> usize {
@@ -295,11 +336,10 @@ mod sys {
             .expect("store capacity overflows usize")
     }
 
-    /// A fresh (zero) private mapping of at least `bytes`, starting on a
-    /// 2 MiB boundary, huge-page advised over its whole huge pages. Null
-    /// when the kernel refuses the mapping.
-    pub(super) fn map(bytes: usize) -> *mut u8 {
-        let len = mapped_len(bytes);
+    /// A fresh (zero) private mapping of exactly `len` bytes (a multiple
+    /// of the granule), starting on a 2 MiB boundary. Null when the kernel
+    /// refuses the mapping.
+    fn reserve(len: usize) -> *mut u8 {
         let Some(span) = len.checked_add(HUGE_BYTES) else {
             return std::ptr::null_mut();
         };
@@ -336,15 +376,73 @@ mod sys {
                 munmap(start.wrapping_add(len).cast(), tail);
             }
         }
-        let whole = bytes - bytes % HUGE_BYTES;
-        // SAFETY: `[start, start + whole)` lies inside the mapping kept
-        // above (`whole ≤ bytes ≤ len`). The advice changes how the kernel
-        // backs the range, not its contents; a refusal (THP off or absent)
-        // leaves an ordinary mapping, so the result is ignored.
-        unsafe {
-            madvise(start.cast(), whole, MADV_HUGEPAGE);
+        start
+    }
+
+    /// A fresh (zero) private mapping of at least `bytes`, starting on a
+    /// 2 MiB boundary, huge-page advised as a whole. Null when the kernel
+    /// refuses the mapping.
+    pub(super) fn map(bytes: usize) -> *mut u8 {
+        let len = mapped_len(bytes);
+        let start = reserve(len);
+        if !start.is_null() {
+            // SAFETY: `[start, start + len)` is the mapping just made. The
+            // advice changes how the kernel backs the range, not its
+            // contents; a refusal (THP off or absent) leaves an ordinary
+            // mapping, so the result is ignored. Advising the tail past the
+            // last whole huge page too keeps the mapping one VMA, which is
+            // what lets [`remap`] move it with one call.
+            unsafe {
+                madvise(start.cast(), len, MADV_HUGEPAGE);
+            }
         }
         start
+    }
+
+    /// Move what [`map`]`(old)` returned at `start` to a fresh 2 MiB-aligned
+    /// mapping as [`map`]`(new)` would make it (`new > old`): the pages
+    /// move, nothing is copied, and `[start, start + old)` is gone. Null
+    /// when the kernel refuses; the old mapping is then whole and unmoved.
+    pub(super) fn remap(start: *mut u8, old: usize, new: usize) -> *mut u8 {
+        assert!(new > old, "a store only grows");
+        debug_assert!((start as usize).is_multiple_of(HUGE_BYTES));
+        let len = mapped_len(new);
+        let dest = reserve(len);
+        if dest.is_null() {
+            return dest;
+        }
+        #[allow(unused_mut)]
+        let mut flags = MREMAP_MAYMOVE | MREMAP_FIXED;
+        #[cfg(test)]
+        if super::tally::move_refused() {
+            flags = MREMAP_FIXED; // without MAYMOVE: EINVAL
+        }
+        // SAFETY: `[start, start + mapped_len(old))` lies in one VMA
+        // (`map` advises it whole) and is owned by the caller, which forms
+        // no reference into it while the call runs and none after a
+        // success; `[dest, dest + len)` was reserved just above, so
+        // MREMAP_FIXED replaces only memory this function owns, and the two
+        // ranges are disjoint. The move keeps the contents and the
+        // huge-page advice; both ends are 2 MiB aligned, so huge pages move
+        // whole. On failure the kernel leaves the source whole; the
+        // reservation is then left alone — the kernel may have unmapped it
+        // first, and the range may belong to another thread by now — at the
+        // cost of its address space only (it is never touched, so never
+        // resident).
+        let moved = unsafe {
+            mremap(
+                start.cast(),
+                mapped_len(old),
+                len,
+                flags,
+                dest.cast::<c_void>(),
+            )
+        };
+        if moved as isize == -1 {
+            return std::ptr::null_mut();
+        }
+        debug_assert_eq!(moved.cast::<u8>(), dest);
+        dest
     }
 
     /// Unmap what [`map`]`(bytes)` returned.
@@ -368,6 +466,40 @@ mod sys {
     }
     pub(super) fn unmap(_start: *mut u8, _bytes: usize) {
         unreachable!("is_mapped is false on this target")
+    }
+    pub(super) fn remap(_start: *mut u8, _old: usize, _new: usize) -> *mut u8 {
+        unreachable!("is_mapped is false on this target")
+    }
+}
+
+/// Bytes this thread's growth has copied, and a refusal to inject into its
+/// next move, for the tests that check which growth moves pages.
+#[cfg(test)]
+mod tally {
+    use std::cell::Cell;
+
+    thread_local! {
+        static COPIED: Cell<usize> = const { Cell::new(0) };
+        static REFUSE_MOVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn copied(bytes: usize) {
+        COPIED.with(|c| c.set(c.get() + bytes));
+    }
+
+    /// Bytes copied by growth on this thread since the last call.
+    pub(super) fn take_copied() -> usize {
+        COPIED.with(Cell::take)
+    }
+
+    /// Make this thread's next `mremap` fail.
+    pub(super) fn refuse_next_move() {
+        REFUSE_MOVE.with(|r| r.set(true));
+    }
+
+    /// Whether this move is to fail (once per [`refuse_next_move`]).
+    pub(super) fn move_refused() -> bool {
+        REFUSE_MOVE.with(Cell::take)
     }
 }
 
@@ -447,6 +579,57 @@ mod tests {
         if MAPS {
             assert_eq!(addr(&s) % HUGE_BYTES, 0);
         }
+    }
+
+    #[test]
+    fn growth_copies_into_a_mapping_once_then_moves_pages() {
+        let whole = ramp(9 * RULE + 5);
+        tally::take_copied();
+        // Heap to mapping: the old length is copied, once.
+        let mut s = Store::copy_of(&whole[..RULE / 2]);
+        s.extend_from_slice(&whole[RULE / 2..RULE + 3]);
+        assert!(is_mapped(bytes_of(s.capacity())));
+        assert_eq!(tally::take_copied(), bytes_of(RULE / 2));
+        // Mapping to mapping, at capacities off the 2 MiB grid (a tail
+        // past the last whole huge page moves along with the rest).
+        let (mut at, mut moves) = (RULE + 3, 0);
+        for next in [2 * RULE + 77, 4 * RULE + 1, 9 * RULE + 5] {
+            let cap = s.capacity();
+            s.extend_from_slice(&whole[at..next]);
+            assert_ne!(s.capacity() % RULE, 0, "a capacity on the 2 MiB grid");
+            moves += usize::from(s.capacity() != cap);
+            assert_eq!(&*s, &whole[..next]);
+            if MAPS {
+                assert_eq!(addr(&s) % HUGE_BYTES, 0, "length {next}");
+            }
+            at = next;
+        }
+        assert_eq!(moves, 3);
+        if MAPS {
+            assert_eq!(tally::take_copied(), 0, "a mapping's growth copied");
+        }
+    }
+
+    #[test]
+    fn a_refused_move_copies_and_keeps_every_element() {
+        let whole = ramp(5 * RULE + 11);
+        let mut s = Store::copy_of(&whole[..RULE + 11]);
+        tally::take_copied();
+        tally::refuse_next_move();
+        s.extend_from_slice(&whole[RULE + 11..2 * RULE]);
+        assert_eq!(&*s, &whole[..2 * RULE]);
+        assert_eq!(tally::take_copied(), bytes_of(RULE + 11));
+        if MAPS {
+            assert!(!tally::move_refused(), "the move did not run");
+            assert_eq!(addr(&s) % HUGE_BYTES, 0);
+        }
+        // The copy is an ordinary mapping: the next growth moves it.
+        s.extend_from_slice(&whole[2 * RULE..]);
+        assert_eq!(&*s, &whole[..]);
+        if MAPS {
+            assert_eq!(tally::take_copied(), 0);
+        }
+        tally::move_refused();
     }
 
     #[test]

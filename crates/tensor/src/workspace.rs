@@ -257,8 +257,9 @@ impl Buffer {
     }
 
     /// Append `src` in place, reserving geometrically (one move per
-    /// doubling). The buffer leaves its workspace first: its length stops
-    /// matching its class.
+    /// doubling). A buffer of 2 MiB or more moves its pages rather than
+    /// its bytes, so only `src` is copied. The buffer leaves its workspace
+    /// first: its length stops matching its class.
     pub fn extend_from_slice(&mut self, src: &[f64]) {
         self.leave();
         match &mut self.data {

@@ -187,3 +187,55 @@ fn checkpoint_mid_stream_resumes_bit_identically() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+/// Incremental == recompute, bitwise, where the input and every cached
+/// first-level intermediate are their own huge-page mappings, so each
+/// arrival grows them by moving pages (`pp_tensor`'s store) rather than by
+/// copying: a 16×16×16 frame at rank 16 (every first-level contraction is
+/// as large as the input), 64 initial steps (2 MiB, the size rule) and
+/// three arrivals of 32, so the input's capacity doubles twice
+/// (64 → 128 → 256 steps) and every arrival extends a mapped intermediate.
+#[test]
+fn incremental_matches_recompute_at_mapped_sizes() {
+    /// `MAP_MIN_BYTES` of `pp_tensor`'s store: from here up a store is a
+    /// mapping of its own.
+    const MAP_MIN_BYTES: usize = 2 << 20;
+    let _serial = override_lock();
+    let (frame, rank, initial, arrive, n_arrivals) = ([16, 16, 16], 16, 64, 32, 3);
+    let frame_elems: usize = frame.iter().product();
+    let tcfg = TimelapseConfig {
+        height: frame[0],
+        width: frame[1],
+        bands: frame[2],
+        times: initial + arrive * n_arrivals,
+        materials: 3,
+        noise: 1e-3,
+    };
+    // The input and the smallest first-level intermediate start mapped...
+    let input_bytes = initial * frame_elems * std::mem::size_of::<f64>();
+    assert!(input_bytes >= MAP_MIN_BYTES);
+    let smallest_first_level = input_bytes / frame.iter().max().unwrap() * rank;
+    assert!(smallest_first_level >= MAP_MIN_BYTES);
+    // ...and the input outgrows its capacity twice (each move doubles it).
+    assert!(initial + arrive <= 2 * initial && tcfg.times > 2 * initial);
+    // TTM flops the incremental arm saves by extending one first-level
+    // intermediate at every arrival instead of recontracting it.
+    let one_per_arrival: u64 = (0..n_arrivals)
+        .map(|i| (2 * (initial + i * arrive) * frame_elems * rank) as u64)
+        .sum();
+    let feed = TimelapseStream::new(&tcfg, 4242, initial, arrive).unwrap();
+    for kind in [SessionKind::Exact, SessionKind::Pp] {
+        let cfg = AlsConfig::new(rank)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_tol(0.0)
+            .with_pp_tol(0.3);
+        let a = drive(&feed, &cfg, kind, 2, CacheUpdate::Incremental);
+        let b = drive(&feed, &cfg, kind, 2, CacheUpdate::Recompute);
+        assert_identical(&a, &b);
+        let saved = b.report.stats.ttm_flops - a.report.stats.ttm_flops;
+        assert!(
+            saved >= one_per_arrival,
+            "{kind:?}: the cache was extended for {saved} of {one_per_arrival} flops"
+        );
+    }
+}
