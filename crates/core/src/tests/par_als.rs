@@ -3,8 +3,9 @@
 
 mod tests {
     use crate::config::SolveStrategy;
-    use crate::{AlsConfig, AlsOutput, AlsSession, ParKind, ParSession, SessionKind};
-    use pp_comm::Runtime;
+    use crate::{AlsConfig, AlsOutput, AlsSession, ParKind, ParSession, SessionKind, SweepKind};
+    use pp_comm::{Backend, Runtime};
+    use pp_datagen::collinearity::{collinearity_tensor, CollinearityConfig};
     use pp_datagen::lowrank::noisy_rank;
     use pp_dtree::TreePolicy;
     use pp_grid::{DistTensor, ProcGrid};
@@ -98,12 +99,74 @@ mod tests {
         }
     }
 
+    /// A one-rank `ParSession` is the sequential session, bit for bit: the
+    /// sweep kinds, every fitness bit, every factor element and the four
+    /// kernel-ledger counts, for DT, DT with the replicated solve, MSDT and
+    /// PP, at orders 3 and 4, at pool widths 1 and 4, on both backends.
     #[test]
-    fn single_rank_grid_works() {
-        let cfg = AlsConfig::new(2).with_max_sweeps(4).with_tol(0.0);
-        let (seq, par) = run_parallel(&[5, 6, 4], &[1, 1, 1], cfg, 19);
-        for (a, b) in seq.report.sweeps.iter().zip(par.report.sweeps.iter()) {
-            assert!((a.fitness - b.fitness).abs() < 1e-9);
+    fn one_rank_par_session_is_the_sequential_session() {
+        let tensors = [(14, 3), (8, 4)].map(|(s, order)| {
+            let ccfg = CollinearityConfig {
+                s,
+                r: 4,
+                order,
+                lo: 0.5,
+                hi: 0.7,
+            };
+            Arc::new(collinearity_tensor(&ccfg, 3).0)
+        });
+        let dt = AlsConfig::new(4).with_max_sweeps(30).with_tol(0.0);
+        let msdt = dt.clone().with_policy(TreePolicy::MultiSweep);
+        let cases = [
+            (dt.clone(), SessionKind::Exact, ParKind::Exact),
+            (
+                dt.clone().with_solve(SolveStrategy::Replicated),
+                SessionKind::Exact,
+                ParKind::Exact,
+            ),
+            (msdt.clone(), SessionKind::Exact, ParKind::Exact),
+            (msdt.with_pp_tol(0.3), SessionKind::Pp, ParKind::Pp),
+        ];
+        for t in &tensors {
+            let grid = ProcGrid::new(vec![1; t.order()]);
+            for (cfg, kind, par_kind) in &cases {
+                for threads in [1, 4] {
+                    let cfg = cfg.clone().with_threads(threads);
+                    let seq = AlsSession::new(t, &cfg, *kind).run();
+                    if *kind == SessionKind::Pp {
+                        assert!(seq.report.count(SweepKind::PpApprox) > 0);
+                    }
+                    for backend in [Backend::Rendezvous, Backend::P2p] {
+                        let label =
+                            format!("{kind:?} {:?} width {threads} {backend:?}", cfg.policy);
+                        let (t, grid, cfg, kind) =
+                            (t.clone(), grid.clone(), cfg.clone(), *par_kind);
+                        let par = Runtime::with_backend(1, backend)
+                            .run(move |ctx| {
+                                let local = DistTensor::from_global(&t, &grid, ctx.rank());
+                                ParSession::new(ctx, &grid, &local, &cfg, kind).run(ctx)
+                            })
+                            .results
+                            .remove(0);
+                        assert_eq!(seq.report.sweeps.len(), par.report.sweeps.len(), "{label}");
+                        for (a, b) in seq.report.sweeps.iter().zip(&par.report.sweeps) {
+                            assert_eq!(a.kind, b.kind, "{label}");
+                            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits(), "{label}");
+                        }
+                        for (a, b) in seq.factors.iter().zip(&par.factors) {
+                            assert_eq!(a.data(), b.data(), "{label}");
+                        }
+                        let ledger = |s: &pp_dtree::KernelStats| {
+                            [s.ttm_flops, s.ttm_count, s.mttv_flops, s.mttv_count]
+                        };
+                        assert_eq!(
+                            ledger(&seq.report.stats),
+                            ledger(&par.report.stats),
+                            "{label}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
