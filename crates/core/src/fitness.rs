@@ -27,8 +27,13 @@ pub fn relative_residual(
     m_last: &Matrix,
     a_last: &Matrix,
 ) -> f64 {
-    let model_norm_sq = gamma_last.inner(gram_last);
-    let cross = m_last.inner(a_last);
+    residual_from_inners(t_norm_sq, gamma_last.inner(gram_last), m_last.inner(a_last))
+}
+
+/// [`relative_residual`] from its two inner products: `‖[[A…]]‖²` and
+/// `⟨T, [[A…]]⟩`, the latter summed over the ranks when the rows of
+/// `M^(N)` and `A^(N)` are spread over a grid.
+pub(crate) fn residual_from_inners(t_norm_sq: f64, model_norm_sq: f64, cross: f64) -> f64 {
     let resid_sq = (t_norm_sq + model_norm_sq - 2.0 * cross).max(0.0);
     (resid_sq / t_norm_sq.max(1e-300)).sqrt()
 }

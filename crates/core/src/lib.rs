@@ -14,8 +14,9 @@
 //!   [`ParKind::Exact`]; with the standard tree and
 //!   [`SolveStrategy::Replicated`] it is the PLANC baseline) and the
 //!   communication-efficient parallel PP algorithm (Alg. 4,
-//!   [`ParKind::Pp`]), one session per rank stepped in lockstep over
-//!   [`par_common`]'s per-rank state;
+//!   [`ParKind::Pp`]), one session per rank stepped in lockstep. Each
+//!   runs the sequential session's sweep on its tensor block, against
+//!   [`par_common`]'s grid context instead of one rank's;
 //! * [`ref_pp`] — the Cyclops-style reference PP parallelization the paper
 //!   compares against in Table II (per-contraction tensor redistribution,
 //!   fully replicated correction collectives);

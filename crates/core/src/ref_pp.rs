@@ -17,14 +17,15 @@
 //! the communication overhead the paper's Table II quantifies.
 //! `tests/comm_cost_crosscheck.rs` counts it on the comm ledger: per
 //! approximated sweep and at initialization, against
-//! [`build_pp_operators`] plus locally summed corrections, both followed by
-//! the same Reduce-Scatter. A wall-clock comparison composes the same two
-//! calls.
+//! [`ParSession::build_pp_operators`] plus locally summed corrections, both
+//! followed by the same Reduce-Scatter. A wall-clock comparison composes
+//! the same two calls.
 
 use crate::par_common::ParState;
+use crate::ParSession;
 use pp_comm::{Collectives, RankCtx};
 use pp_dtree::correct::first_order_correction;
-use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
+use pp_dtree::pp_tree::PpOperators;
 use pp_tensor::Matrix;
 
 /// Round-trip an intermediate's buffer through an All-to-All — the
@@ -48,13 +49,12 @@ fn redistribute(ctx: &mut RankCtx, data: &[f64]) {
 /// same local operators as Algorithm 4, then pays one redistribution per
 /// operator (pairs and anchors) plus a full replication of every factor
 /// matrix, mimicking the general-contraction data movement.
-pub fn ref_pp_init(ctx: &mut RankCtx, st: &mut ParState) -> PpOperators {
+pub fn ref_pp_init(ctx: &mut RankCtx, s: &mut ParSession) -> PpOperators {
     // Cyclops-style: factor matrices replicated in full before contracting.
-    for i in 0..st.n_modes() {
-        let q = st.dist_factors[i].q().data().to_vec();
-        let _ = ctx.comm.all_gather(&q);
+    for f in &s.st.dist_factors {
+        let _ = ctx.comm.all_gather(f.q().data());
     }
-    let ops = build_pp_operators(&mut st.input, &st.fs_local, &mut st.engine);
+    let ops = s.build_pp_operators();
     // One redistribution per materialized operator.
     for pair in ops.pairs.values() {
         redistribute(ctx, pair.tensor.data());
@@ -97,6 +97,7 @@ pub fn ref_pp_approx_correction(
 mod tests {
     use super::*;
     use crate::config::AlsConfig;
+    use crate::ParKind;
     use pp_comm::Runtime;
     use pp_datagen::lowrank::noisy_rank;
     use pp_grid::{DistTensor, ProcGrid};
@@ -106,30 +107,24 @@ mod tests {
     fn both_variants_produce_same_corrections() {
         let t = Arc::new(noisy_rank(&[8, 6, 8], 2, 0.05, 5));
         let grid = ProcGrid::new(vec![2, 1, 2]);
-        let cfg = AlsConfig::new(2).with_max_sweeps(4);
+        let cfg = AlsConfig::new(2).with_max_sweeps(4).with_tol(0.0);
         let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
         let out = Runtime::from_env(4).run(move |ctx| {
             let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-            let mut st = ParState::init(ctx, &g2, &local, &c2);
-            for n in 0..3 {
-                let _ = st.update_mode_exact(ctx, &c2, n);
-            }
-            let ops = build_pp_operators(&mut st.input, &st.fs_local, &mut st.engine);
-            let p_p: Vec<Matrix> = st.dist_factors.iter().map(|f| f.p().clone()).collect();
-            // Perturb factors.
-            for n in 0..3 {
-                let mut q = st.dist_factors[n].q().clone();
-                q.scale(1.01);
-                st.commit_update(ctx, n, q);
-            }
+            let mut s = ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact);
+            let _ = s.step(ctx);
+            let ops = s.build_pp_operators();
+            let p_p: Vec<Matrix> = s.st.dist_factors.iter().map(|f| f.p().clone()).collect();
+            // Move the factors with one more sweep.
+            let _ = s.step(ctx);
             // Ours: local sums.
             let mut ours = ops.firsts[0].clone();
             for (i, p_ref) in p_p.iter().enumerate().take(3).skip(1) {
-                let d_p = st.dist_factors[i].p().sub(p_ref);
+                let d_p = s.st.dist_factors[i].p().sub(p_ref);
                 ours.axpy(1.0, &first_order_correction(&ops, 0, i, &d_p));
             }
             // Reference path.
-            let theirs = ref_pp_approx_correction(ctx, &st, &ops, &p_p, 0);
+            let theirs = ref_pp_approx_correction(ctx, &s.st, &ops, &p_p, 0);
             ours.max_abs_diff(&theirs)
         });
         for diff in out.results {

@@ -13,15 +13,24 @@
 //! `tests/session_parity.rs` checks arbitrary pause/resume schedules
 //! against `run`.
 //!
+//! The sweeps are written once, here: the exact sweep (DT, MSDT, or the
+//! HALS update of nonnegative CP), Alg. 2's PP initialization and
+//! approximated sweep, Eq. (3)'s fitness and the drift gate. They run
+//! against a crate-private grid context, `Grid`, that says where this
+//! rank's rows of each factor live and issues Alg. 3's collectives. A
+//! sequential session steps them on `OneRank`, where every collective is
+//! the identity and nothing is charged; each rank of a
+//! [`crate::par_session::ParSession`] runs the same sweep on the session
+//! of its tensor block against its processor grid. A one-rank
+//! `ParSession` is therefore the sequential session bit for bit.
+//!
 //! The trace and the stop rule (the Δ criterion, the sweep budget, the
 //! sealed report and their checkpoint bytes) are one crate-private type,
-//! `Progress`, shared with [`crate::par_session::ParSession`] and, through
-//! its inner session, [`crate::stream::StreamingSession`]. Alg. 2's PP
-//! regime is another, `PpRegime`, shared the same way: the drift gate, the
-//! frozen reference, the pair operators and the decisions between exact
-//! sweeps, PP initializations and approximated sweeps. Its gate stays
-//! closed until an exact sweep has measured drift, at the start and after
-//! every streaming arrival, so no ε lets PP start from the initial
+//! `Progress`. Alg. 2's PP regime is another, `PpRegime`: the drift gate,
+//! the frozen reference, the pair operators and the decisions between
+//! exact sweeps, PP initializations and approximated sweeps. Its gate
+//! stays closed until an exact sweep has measured drift, at the start and
+//! after every streaming arrival, so no ε lets PP start from the initial
 //! `dA ← A`.
 //!
 //! Sessions are what make decompositions *schedulable*: a session between
@@ -32,17 +41,18 @@
 
 use crate::checkpoint::{sparse_fingerprint, tensor_fingerprint, Reader, Writer};
 use crate::config::{AlsConfig, SolveStrategy};
-use crate::fitness::{fitness_from_residual, relative_residual};
+use crate::fitness::{fitness_from_residual, residual_from_inners};
 use crate::init::init_factors;
 use crate::nonneg::hals_update;
 use crate::result::{AlsOutput, AlsReport, SweepKind, SweepRecord};
-use pp_dtree::correct::{approx_mttkrp, correction_flops, d_gram};
+use pp_dtree::correct::{d_gram, drifted, first_order_correction, second_order_correction};
 use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
 use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel, KernelStats, TreePolicy};
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
 use pp_tensor::sparse::SparseTensor;
 use pp_tensor::{DenseTensor, Matrix, Workspace};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Which update rule the session runs each sweep.
@@ -165,20 +175,8 @@ impl Progress {
         self.report
     }
 
-    pub(crate) fn report(&self) -> &AlsReport {
-        &self.report
-    }
-
     pub(crate) fn last_fitness(&self) -> f64 {
         self.report.sweeps.last().map_or(f64::NAN, |s| s.fitness)
-    }
-
-    pub(crate) fn sweeps_done(&self) -> usize {
-        self.sweeps_done
-    }
-
-    pub(crate) fn converged(&self) -> bool {
-        self.converged
     }
 
     /// Whether a sweep has carried a fresh fitness since the start or the
@@ -234,8 +232,8 @@ impl Progress {
 /// session runs: whether it is approximating, the drift gate's last
 /// verdict, the frozen reference and the pair operators, and the
 /// decisions between them — gate → PP-init, approximated sweeps while the
-/// gate holds, exact sweeps once it closes. Measuring drift is the one
-/// per-session hook ([`PpRegime::after`]).
+/// gate holds, exact sweeps once it closes. Drift is measured on the grid
+/// the session steps against ([`PpRegime::gate`]).
 #[derive(Default)]
 pub(crate) struct PpRegime {
     /// Whether the next sweep is approximated.
@@ -245,12 +243,11 @@ pub(crate) struct PpRegime {
     /// reset, so the regime never opens on Alg. 2 line 2's `dA ← A`,
     /// whatever ε.
     open: bool,
-    /// `dA^(i)` of the most recent sweep, where the corrections read it
-    /// whole (the sequential session; Alg. 2 line 2 starts it at `A`). The
-    /// parallel session forms its drift block by block and keeps none.
+    /// `dA^(i)` of the most recent sweep, in the rows the local
+    /// contractions read: the whole factor on one rank, this rank's P
+    /// block on a grid (Alg. 2 line 2 starts it at `A`).
     pub(crate) drift: Vec<Matrix>,
-    /// The frozen reference of the current regime: `A_p`, or this rank's
-    /// P blocks followed by its Q blocks.
+    /// The frozen reference `A_p` of the current regime, in the same rows.
     pub(crate) reference: Vec<Matrix>,
     /// Pair operators `𝓜p^(i,j)` of the current regime.
     pub(crate) ops: Option<PpOperators>,
@@ -288,19 +285,26 @@ impl PpRegime {
 
     /// The tail of a PP session's `step` once a `kind` sweep ran. Alg. 2
     /// measures drift after every exact sweep (line 20) and after an
-    /// approximated sweep that did not converge (line 16); `measure` is
-    /// the session's hook and says whether every mode's drift is under ε.
-    /// A regime whose gate closed is left, so the next sweep is exact.
-    pub(crate) fn after(
-        &mut self,
-        kind: SweepKind,
-        converged: bool,
-        measure: impl FnOnce(&Self) -> bool,
-    ) {
+    /// approximated sweep that did not converge (line 16), conditions every
+    /// rank of a grid shares; `measure` is the gate. A regime whose gate
+    /// closed is left, so the next sweep is exact.
+    fn after(&mut self, kind: SweepKind, converged: bool, measure: impl FnOnce(&Self) -> bool) {
         if kind == SweepKind::Exact || (kind == SweepKind::PpApprox && !converged) {
             self.open = measure(self);
             self.approx &= self.open;
         }
+    }
+
+    /// The drift gate: `‖dA^(i)‖F < ε‖A^(i)‖F` for every mode, from this
+    /// rank's rows summed over the grid. Every mode's sum is issued: on a
+    /// grid each is a collective, so the gate never stops at the first
+    /// failing mode.
+    fn gate(&self, grid: &mut impl Grid, fs: &FactorState, eps: f64) -> bool {
+        self.drift.iter().enumerate().fold(true, |under, (i, d)| {
+            let (d, a) = (grid.own_rows(i, d), grid.own_rows(i, fs.factor(i)));
+            let sq = grid.sum(vec![d.norm_sq(), a.norm_sq()]);
+            under & (sq[0].sqrt() < eps * sq[1].sqrt())
+        })
     }
 
     /// Back to the gate against a grown tensor (a streaming arrival): the
@@ -372,40 +376,87 @@ impl PpRegime {
     }
 }
 
-/// The sequential drift gate: `‖dA^(i)‖F < ε‖A^(i)‖F` for every mode.
-fn drift_under(drift: &[Matrix], fs: &FactorState, eps: f64) -> bool {
-    drift
-        .iter()
-        .zip(fs.factors())
-        .all(|(d, a)| d.norm() < eps * a.norm())
+/// The grid context a sweep runs against: which rows of each factor this
+/// rank owns, and the collectives of Algorithms 3 and 4. On one rank
+/// ([`OneRank`]) every collective is the identity; a rank of a processor
+/// grid runs [`crate::par_common::OnGrid`].
+pub(crate) trait Grid {
+    /// The element-wise sum of `v` over every rank (All-Reduce).
+    fn sum(&mut self, v: Vec<f64>) -> Vec<f64>;
+    /// Mode `n`'s local MTTKRP summed over its slice, this rank's rows of
+    /// it kept (Reduce-Scatter, Alg. 3 line 14).
+    fn reduce_scatter(&mut self, n: usize, m: Matrix) -> Matrix;
+    /// This rank's rows of `local`, a mode-`n` matrix in the rows the
+    /// local contractions read.
+    fn own_rows<'a>(&self, n: usize, local: &'a Matrix) -> Cow<'a, Matrix>;
+    /// Install this rank's new rows of mode `n`'s factor: returns the
+    /// global Gram (All-Reduce) and the new local rows (All-Gather), Alg. 3
+    /// lines 17-18.
+    fn commit(&mut self, n: usize, rows: Matrix) -> (Matrix, Matrix);
+    /// Charge a normal-equation solve of `rows` rows, synchronizing when
+    /// the solve is distributed.
+    fn solve_cost(&mut self, cfg: &AlsConfig, rows: usize);
+    /// Synchronize every rank.
+    fn barrier(&mut self);
+    /// Forward the kernel flops in `stats` not yet charged to the rank's
+    /// cost ledger.
+    fn charge(&mut self, stats: &KernelStats);
 }
 
-/// The sweep-to-sweep state a streaming arrival mutates, borrowed
-/// disjointly so [`crate::stream`] can extend the input, factors, Grams,
-/// and dimension-tree cache in one coherent transaction.
-pub(crate) struct StreamParts<'a> {
-    pub(crate) cfg: &'a mut AlsConfig,
-    pub(crate) input: &'a mut InputTensor,
-    pub(crate) engine: &'a mut DimTreeEngine,
-    pub(crate) fs: &'a mut FactorState,
-    pub(crate) grams: &'a mut Vec<Matrix>,
-    pub(crate) t_norm_sq: &'a mut f64,
-    pub(crate) pp: &'a mut Option<PpRegime>,
-    pub(crate) progress: &'a mut Progress,
+/// The one-rank grid context: this rank owns every row, every collective
+/// is the identity, and there is no cost ledger to charge.
+pub(crate) struct OneRank;
+
+impl Grid for OneRank {
+    fn sum(&mut self, v: Vec<f64>) -> Vec<f64> {
+        v
+    }
+
+    fn reduce_scatter(&mut self, _: usize, m: Matrix) -> Matrix {
+        m
+    }
+
+    fn own_rows<'a>(&self, _: usize, local: &'a Matrix) -> Cow<'a, Matrix> {
+        Cow::Borrowed(local)
+    }
+
+    fn commit(&mut self, _: usize, rows: Matrix) -> (Matrix, Matrix) {
+        (rows.gram(), rows)
+    }
+
+    fn solve_cost(&mut self, _: &AlsConfig, _: usize) {}
+
+    fn barrier(&mut self) {}
+
+    fn charge(&mut self, _: &KernelStats) {}
+}
+
+/// `m` summed over every rank.
+fn sum_matrix(grid: &mut impl Grid, m: &Matrix) -> Matrix {
+    Matrix::from_vec(m.rows(), m.cols(), grid.sum(m.data().to_vec()))
 }
 
 /// A resumable CP-ALS / PP-CP-ALS / NNCP run. See the module docs.
+///
+/// The fields are the crate's: a streaming arrival
+/// ([`crate::stream::StreamingSession::arrive`]) rewrites several of them
+/// as one transaction, and the invariants between them (Gram ↔ factor,
+/// cache ↔ versions) are the crate's to keep.
 pub struct AlsSession {
-    cfg: AlsConfig,
-    kind: SessionKind,
-    input: InputTensor,
-    engine: DimTreeEngine,
-    fs: FactorState,
-    grams: Vec<Matrix>,
-    t_norm_sq: f64,
+    pub(crate) cfg: AlsConfig,
+    pub(crate) kind: SessionKind,
+    /// The tensor, or on a grid this rank's block of it.
+    pub(crate) input: InputTensor,
+    pub(crate) engine: DimTreeEngine,
+    /// The factors, or on a grid this rank's P blocks of them.
+    pub(crate) fs: FactorState,
+    /// The global Gram matrices `S^(i)`.
+    pub(crate) grams: Vec<Matrix>,
+    /// The global `‖T‖²_F`.
+    pub(crate) t_norm_sq: f64,
     /// A PP session's regime, its drift starting from `A` (Alg. 2 line 2).
-    pp: Option<PpRegime>,
-    progress: Progress,
+    pub(crate) pp: Option<PpRegime>,
+    pub(crate) progress: Progress,
 }
 
 /// The dense input a session sweeps over: one layout for either tree, led
@@ -431,32 +482,39 @@ impl AlsSession {
         kind: SessionKind,
         evolving: Option<usize>,
     ) -> Self {
-        let n_modes = t.order();
-        assert!(n_modes >= 2);
-        if kind == SessionKind::Pp {
-            assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
-        }
         let init = init_factors(t.shape().dims(), cfg.rank, cfg.seed);
         let _threads = cfg.thread_guard();
 
         // ‖T‖² is one serial pass; it rides beside the layout construction.
         let (input, t_norm_sq) = rayon::join(|| dense_input(t, evolving), || t.norm_sq());
-        Self::from_input(input, t_norm_sq, cfg, kind, init)
+        Self::from_input(input, t_norm_sq, cfg, kind, init, &mut OneRank)
     }
 
     /// The one place a fresh session is assembled: `input` is whatever the
     /// caller's tensor kind and tree policy produced (the input-specific
-    /// asserts stay with the callers).
-    fn from_input(
+    /// asserts stay with the callers), `init` its rows of the initial
+    /// factors and `norm_sq` its share of `‖T‖²`. The Grams (Alg. 3 line
+    /// 7) and `‖T‖²` are summed over `grid`.
+    pub(crate) fn from_input(
         input: InputTensor,
-        t_norm_sq: f64,
+        norm_sq: f64,
         cfg: &AlsConfig,
         kind: SessionKind,
         init: Vec<Matrix>,
+        grid: &mut impl Grid,
     ) -> Self {
+        assert!(init.len() >= 2);
+        let pp_order = kind != SessionKind::Pp || init.len() >= 3;
+        assert!(pp_order, "pairwise perturbation needs order ≥ 3");
         let engine = DimTreeEngine::new(cfg.policy, init.len());
         let fs = FactorState::new(init);
-        let grams: Vec<Matrix> = fs.factors().iter().map(|a| a.gram()).collect();
+        let grams = (0..fs.order())
+            .map(|i| {
+                let local = grid.own_rows(i, fs.factor(i)).gram();
+                sum_matrix(grid, &local)
+            })
+            .collect();
+        let t_norm_sq = grid.sum(vec![norm_sq])[0];
         let pp = (kind == SessionKind::Pp).then(|| PpRegime::new(fs.factors().to_vec()));
 
         AlsSession {
@@ -500,14 +558,11 @@ impl AlsSession {
                 TreePolicy::MultiSweep,
                 "sparse PP runs over the multi-sweep tree policy"
             );
-            assert!(sp.order() >= 3, "pairwise perturbation needs order ≥ 3");
         }
         let init = init_factors(sp.dims(), cfg.rank, cfg.seed);
-        let n_modes = sp.order();
-        assert!(n_modes >= 2);
         let _threads = cfg.thread_guard();
         let input = InputTensor::new_sparse(sp.clone());
-        Self::from_input(input, sp.norm_sq(), cfg, kind, init)
+        Self::from_input(input, sp.norm_sq(), cfg, kind, init, &mut OneRank)
     }
 
     /// Stored nonzeros of a sparse input; `None` over a dense tensor.
@@ -527,7 +582,7 @@ impl AlsSession {
 
     /// Sweeps performed so far (PP initializations count, as in Alg. 2).
     pub fn sweeps_done(&self) -> usize {
-        self.progress.sweeps_done()
+        self.progress.sweeps_done
     }
 
     /// Whether stepping has stopped (converged or out of budget).
@@ -537,7 +592,7 @@ impl AlsSession {
 
     /// Whether the Δ criterion has been met.
     pub fn converged(&self) -> bool {
-        self.progress.converged()
+        self.progress.converged
     }
 
     /// Fitness after the most recent sweep (NaN before the first).
@@ -547,7 +602,7 @@ impl AlsSession {
 
     /// The trace accumulated so far.
     pub fn report(&self) -> &AlsReport {
-        self.progress.report()
+        &self.progress.report
     }
 
     /// The kernel ledger so far: what [`AlsSession::finish`] seals into
@@ -659,7 +714,7 @@ impl AlsSession {
         t: &DenseTensor,
         evolving: Option<usize>,
     ) -> Result<(AlsSession, u64), String> {
-        Self::resume_core(bytes, tensor_fingerprint(t), t.order(), || {
+        Self::resume_core(bytes, tensor_fingerprint(t), t.shape().dims(), || {
             dense_input(t, evolving)
         })
     }
@@ -671,18 +726,19 @@ impl AlsSession {
         bytes: &[u8],
         sp: &SparseTensor,
     ) -> Result<(AlsSession, u64), String> {
-        Self::resume_core(bytes, sparse_fingerprint(sp), sp.order(), || {
+        Self::resume_core(bytes, sparse_fingerprint(sp), sp.dims(), || {
             InputTensor::new_sparse(sp.clone())
         })
     }
 
     /// Shared resume path: decode the checkpoint, verify the expected
-    /// input fingerprint and order, and rebuild the runtime-only pieces
-    /// with the caller-supplied input constructor.
+    /// input fingerprint and that every stored matrix fits the input's
+    /// `dims` and the rank, and rebuild the runtime-only pieces with the
+    /// caller-supplied input constructor.
     fn resume_core(
         bytes: &[u8],
         fp_expected: u64,
-        order: usize,
+        dims: &[usize],
         build_input: impl FnOnce() -> InputTensor,
     ) -> Result<(AlsSession, u64), String> {
         let mut r = Reader::open(bytes)?;
@@ -728,15 +784,28 @@ impl AlsSession {
             return Err("input tensor does not match the checkpoint (fingerprint mismatch)".into());
         }
         let t_norm_sq = r.f64_()?;
-        let factors = r.matrices()?;
-        let versions = r.u64s()?;
-        let n_modes = factors.len();
-        if n_modes != order || n_modes != versions.len() {
-            return Err("checkpoint factor count does not match the tensor order".into());
+        let (factors, versions, grams) = (r.matrices()?, r.u64s()?, r.matrices()?);
+        let mut pp = PpRegime::read(&mut r, approx)?;
+        // Factor i is dims[i] × R and each Gram R × R. A PP list is empty or
+        // holds one factor-shaped matrix per mode, and not empty where the
+        // session's phase reads it.
+        let n = dims.len();
+        let fit = |m: &Matrix, rows: usize| (m.rows(), m.cols()) == (rows, rank);
+        let fits = |ms: &[Matrix], empty: bool| {
+            empty && ms.is_empty() || ms.len() == n && ms.iter().zip(dims).all(|(m, &d)| fit(m, d))
+        };
+        let (is_pp, approx) = (kind == SessionKind::Pp, kind == SessionKind::Pp && approx);
+        if !fits(&factors, false)
+            || versions.len() != n
+            || grams.len() != n
+            || grams.iter().any(|g| !fit(g, rank))
+            || !fits(&pp.drift, !is_pp)
+            || !fits(&pp.reference, !approx)
+            || approx && pp.ops.is_none()
+        {
+            return Err("checkpoint matrices do not fit the tensor's dims and the rank".into());
         }
         let fs = FactorState::from_parts(factors, versions);
-        let grams = r.matrices()?;
-        let mut pp = PpRegime::read(&mut r, approx)?;
         let n_cached = r.usize_()?;
         let mut cached = Vec::with_capacity(n_cached);
         for _ in 0..n_cached {
@@ -752,13 +821,13 @@ impl AlsSession {
         // The gate's verdict is not stored: it is the gate over the stored
         // drift once a sweep of this window has measured one, which is when
         // the Δ criterion holds a reference fitness.
-        pp.open = progress.has_reference() && drift_under(&pp.drift, &fs, cfg.pp_tol);
+        pp.open = progress.has_reference() && pp.gate(&mut OneRank, &fs, cfg.pp_tol);
 
         // Rebuild the runtime-only pieces (input layout / CSF trees,
         // engine) exactly as construction does, then reinstall the cached
         // intermediates and stats the checkpoint captured.
         let input = build_input();
-        let mut engine = DimTreeEngine::new(cfg.policy, n_modes);
+        let mut engine = DimTreeEngine::new(cfg.policy, n);
         for e in cached {
             engine.cache_mut().insert(e);
         }
@@ -780,43 +849,36 @@ impl AlsSession {
         ))
     }
 
-    /// Disjoint mutable borrows of everything a streaming arrival rewrites
-    /// (see [`crate::stream::StreamingSession::arrive`]). Kept out of the
-    /// public API: the invariants between these fields (Gram ↔ factor,
-    /// cache ↔ versions) are the session's to maintain.
-    pub(crate) fn stream_parts(&mut self) -> StreamParts<'_> {
-        StreamParts {
-            cfg: &mut self.cfg,
-            input: &mut self.input,
-            engine: &mut self.engine,
-            fs: &mut self.fs,
-            grams: &mut self.grams,
-            t_norm_sq: &mut self.t_norm_sq,
-            pp: &mut self.pp,
-            progress: &mut self.progress,
-        }
-    }
-
     /// Advance exactly one sweep. Idempotent once the session is finished.
     pub fn step(&mut self) -> Step {
+        self.step_on(&mut OneRank)
+    }
+
+    /// [`AlsSession::step`] against `grid`: the one sweep body. On a
+    /// processor grid every rank steps together, since a sweep issues the
+    /// same collectives on every rank; the regime measures drift only
+    /// under conditions every rank shares (the sweep kind and the
+    /// replicated fitness).
+    pub(crate) fn step_on(&mut self, grid: &mut impl Grid) -> Step {
         if let Some(reason) = self.progress.stop(self.cfg.max_sweeps) {
             return Step::Done(reason);
         }
         let _threads = self.cfg.thread_guard();
 
         let kind = self.pp.as_ref().map_or(SweepKind::Exact, PpRegime::next);
-        let (secs, fitness) = match kind {
-            SweepKind::PpApprox => self.pp_approx_sweep(),
-            SweepKind::PpInit => self.pp_init(),
-            SweepKind::Exact => self.exact_sweep(),
+        let t0 = Instant::now();
+        let fitness = match kind {
+            SweepKind::PpApprox => self.pp_approx_sweep(grid),
+            SweepKind::PpInit => self.pp_init(grid),
+            SweepKind::Exact => self.exact_sweep(grid),
         };
+        let secs = t0.elapsed().as_secs_f64();
         self.engine.end_sweep();
+        grid.charge(&self.engine.stats);
         let rec = self.progress.push(kind, secs, fitness, self.cfg.tol);
         if let Some(pp) = &mut self.pp {
             let (fs, eps) = (&self.fs, self.cfg.pp_tol);
-            pp.after(kind, self.progress.converged(), |pp| {
-                drift_under(&pp.drift, fs, eps)
-            });
+            pp.after(kind, self.progress.converged, |pp| pp.gate(grid, fs, eps));
         }
         Step::Swept(rec)
     }
@@ -835,130 +897,140 @@ impl AlsSession {
         }
     }
 
-    /// Eq. (3) fitness from the last mode's `Γ` and `M`.
-    fn trace_fitness(&self, gamma_last: &Matrix, m_last: &Matrix) -> f64 {
+    /// Eq. (3) fitness from the last mode's `Γ` and this rank's rows of its
+    /// `M`; `⟨M, A⟩` is summed over the grid.
+    fn fitness(&self, grid: &mut impl Grid, gamma_last: &Matrix, m_last: &Matrix) -> f64 {
         let n = self.fs.order() - 1;
-        let r = relative_residual(
-            self.t_norm_sq,
-            gamma_last,
-            &self.grams[n],
-            m_last,
-            self.fs.factor(n),
-        );
-        fitness_from_residual(r)
+        let cross = m_last.inner(&grid.own_rows(n, self.fs.factor(n)));
+        let cross = grid.sum(vec![cross])[0];
+        let model = gamma_last.inner(&self.grams[n]);
+        fitness_from_residual(residual_from_inners(self.t_norm_sq, model, cross))
     }
 
-    /// One exact sweep (Alg. 1 lines 5-10), shared by every kind. For PP
-    /// sessions it additionally refreshes `dA` against the pre-sweep
-    /// factors (Alg. 2 line 20). Returns the sweep's seconds and fitness.
-    fn exact_sweep(&mut self) -> (f64, f64) {
-        let n_modes = self.fs.order();
-        let sweep_t0 = Instant::now();
-        let before = self.pp.is_some().then(|| self.fs.factors().to_vec());
-        let mut last_gamma: Option<Matrix> = None;
-        let mut last_m: Option<Matrix> = None;
-        for n in 0..n_modes {
+    /// Update mode `n` from `Γ` and this rank's rows of `M` — the normal
+    /// equations, or the HALS columns of nonnegative CP — and install the
+    /// result on the grid. A PP session refreshes `dA^(n)`: against the
+    /// reference in an approximated sweep (Alg. 2 line 14), against the
+    /// factor it replaces in an exact one (line 20).
+    fn update_mode(&mut self, grid: &mut impl Grid, n: usize, gamma: &Matrix, m: &Matrix) {
+        let s0 = Instant::now();
+        let rows = match self.kind {
+            SessionKind::NonNeg => hals_update(&grid.own_rows(n, self.fs.factor(n)), m, gamma, 2),
+            _ => {
+                grid.solve_cost(&self.cfg, m.rows());
+                solve_gram(gamma, m).0
+            }
+        };
+        self.engine.stats.record(Kernel::Solve, s0.elapsed(), 0);
+
+        let c0 = Instant::now();
+        let (gram, local) = grid.commit(n, rows);
+        self.grams[n] = gram;
+        self.engine.stats.record(Kernel::Other, c0.elapsed(), 0);
+        if let Some(pp) = &mut self.pp {
+            let from = if pp.approx {
+                &pp.reference[n]
+            } else {
+                self.fs.factor(n)
+            };
+            pp.drift[n] = local.sub(from);
+        }
+        self.fs.update(n, local);
+    }
+
+    /// One exact sweep (Alg. 1 lines 5-10, Alg. 3 lines 10-19), shared by
+    /// every kind. Returns the sweep's fitness.
+    fn exact_sweep(&mut self, grid: &mut impl Grid) -> f64 {
+        let mut last = None;
+        for n in 0..self.fs.order() {
             let h0 = Instant::now();
             let gamma = hadamard_chain_skip(&self.grams, n);
             self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
 
             let m = self.engine.mttkrp(&mut self.input, &self.fs, n);
-
-            let s0 = Instant::now();
-            let a_new = match self.kind {
-                SessionKind::NonNeg => hals_update(self.fs.factor(n), &m, &gamma, 2),
-                _ => solve_gram(&gamma, &m).0,
-            };
-            self.engine.stats.record(Kernel::Solve, s0.elapsed(), 0);
-
-            let g0 = Instant::now();
-            self.grams[n] = a_new.gram();
-            self.engine.stats.record(Kernel::Other, g0.elapsed(), 0);
-            self.fs.update(n, a_new);
-            if n == n_modes - 1 {
-                last_gamma = Some(gamma);
-                last_m = Some(m);
-            }
+            let r0 = Instant::now();
+            let m = grid.reduce_scatter(n, m);
+            self.engine.stats.record(Kernel::Other, r0.elapsed(), 0);
+            self.update_mode(grid, n, &gamma, &m);
+            last = Some((gamma, m));
         }
-        if let (Some(pp), Some(before)) = (&mut self.pp, before) {
-            for (n, b) in before.iter().enumerate() {
-                pp.drift[n] = self.fs.factor(n).sub(b);
-            }
-        }
-        let secs = sweep_t0.elapsed().as_secs_f64();
-        let fitness = self.trace_fitness(last_gamma.as_ref().unwrap(), last_m.as_ref().unwrap());
-        (secs, fitness)
+        let (gamma, m) = last.expect("a tensor has modes");
+        self.fitness(grid, &gamma, &m)
     }
 
-    /// PP initialization (Alg. 2 lines 6-9) on the current factors. It
-    /// carries the previous sweep's fitness.
-    fn pp_init(&mut self) -> (f64, f64) {
-        let t0 = Instant::now();
+    /// PP initialization (Alg. 2 lines 6-9, Alg. 4 line 2) on the current
+    /// factors: the operators are built locally, then a barrier makes the
+    /// regime switch a superstep boundary. It carries the previous sweep's
+    /// fitness.
+    fn pp_init(&mut self, grid: &mut impl Grid) -> f64 {
         let pp = self.pp.as_mut().expect("PP-init under PP");
         pp.enter(self.fs.factors().to_vec(), || {
             build_pp_operators(&mut self.input, &self.fs, &mut self.engine)
         });
-        (t0.elapsed().as_secs_f64(), self.progress.last_fitness())
+        grid.barrier();
+        self.progress.last_fitness()
     }
 
-    /// One PP approximated sweep (Alg. 2 lines 10-17): Eq. (5) first- plus
-    /// second-order corrections in place of tensor contractions.
-    fn pp_approx_sweep(&mut self) -> (f64, f64) {
+    /// This rank's share of `dS^(k) = A^(k)ᵀ dA^(k)` (Eq. 8).
+    fn d_gram_local(&self, grid: &impl Grid, k: usize) -> Matrix {
+        let drift = &self.pp.as_ref().expect("PP regime").drift[k];
+        d_gram(
+            &grid.own_rows(k, self.fs.factor(k)),
+            &grid.own_rows(k, drift),
+        )
+    }
+
+    /// One PP approximated sweep (Alg. 2 lines 10-17, Alg. 4 lines 3-17):
+    /// Eq. (5)'s first-order corrections on the local rows, summed over the
+    /// slice, plus the second-order correction on this rank's rows.
+    /// Returns the sweep's fitness.
+    fn pp_approx_sweep(&mut self, grid: &mut impl Grid) -> f64 {
         let n_modes = self.fs.order();
-        let pp = self.pp.as_mut().expect("approximated sweep under PP");
-        let ops = pp.ops.as_ref().expect("PP regime requires operators");
-        let sweep_t0 = Instant::now();
-        let mut last_gamma: Option<Matrix> = None;
-        let mut last_m: Option<Matrix> = None;
-        // Each `dS^(k)` depends only on mode k's factor and update, so the
-        // N of them are formed once and mode n's is refreshed after its
-        // update, not all N at every mode step.
+        // Each local `dS^(k)` depends only on mode k's factor and drift, so
+        // the N of them are formed once and mode n's is refreshed after its
+        // update; every mode step sums all N over the grid.
         let h0 = Instant::now();
-        let mut d_grams: Vec<Matrix> = self
-            .fs
-            .factors()
-            .iter()
-            .zip(pp.drift.iter())
-            .map(|(a, d)| d_gram(a, d))
-            .collect();
+        let mut d_local: Vec<Matrix> = (0..n_modes).map(|k| self.d_gram_local(grid, k)).collect();
         self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
+        let mut last = None;
         for n in 0..n_modes {
             let h0 = Instant::now();
             let gamma = hadamard_chain_skip(&self.grams, n);
             self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
 
-            let c0 = Instant::now();
-            let m = approx_mttkrp(ops, &pp.drift, self.fs.factors(), &self.grams, &d_grams, n);
-            // One mTTV call per first-order correction that ran, sharing the
-            // time; with none run, the time is the second-order correction's
-            // Hadamard work.
-            let (elapsed, stats) = (c0.elapsed(), &mut self.engine.stats);
-            let flops: Vec<u64> = correction_flops(ops, &pp.drift, n).collect();
-            match flops.len() {
-                0 => stats.record(Kernel::Hadamard, elapsed, 0),
-                k => flops
-                    .into_iter()
-                    .for_each(|f| stats.record(Kernel::Mttv, elapsed / k as u32, f)),
+            // The anchor plus one first-order correction per mode whose
+            // drift is not exactly zero.
+            let pp = self.pp.as_ref().expect("approximated sweep under PP");
+            let ops = pp.ops.as_ref().expect("PP regime requires operators");
+            let mut m = ops.firsts[n].clone();
+            for (i, d) in pp.drift.iter().enumerate() {
+                if i == n || !drifted(d) {
+                    continue;
+                }
+                let c0 = Instant::now();
+                m.axpy(1.0, &first_order_correction(ops, n, i, d));
+                let flops = 2 * ops.pair(n, i).tensor.len() as u64;
+                self.engine.stats.record(Kernel::Mttv, c0.elapsed(), flops);
             }
+            let r0 = Instant::now();
+            let mut m = grid.reduce_scatter(n, m);
+            self.engine.stats.record(Kernel::Other, r0.elapsed(), 0);
 
-            let s0 = Instant::now();
-            let a_new = solve_gram(&gamma, &m).0;
-            self.engine.stats.record(Kernel::Solve, s0.elapsed(), 0);
+            let v0 = Instant::now();
+            let d_grams: Vec<Matrix> = d_local.iter().map(|d| sum_matrix(grid, d)).collect();
+            let a = grid.own_rows(n, self.fs.factor(n));
+            let v = second_order_correction(&a, &self.grams, &d_grams, n);
+            m.axpy(1.0, &v);
+            self.engine.stats.record(Kernel::Hadamard, v0.elapsed(), 0);
 
-            pp.drift[n] = a_new.sub(&pp.reference[n]);
-            self.grams[n] = a_new.gram();
+            self.update_mode(grid, n, &gamma, &m);
             let h0 = Instant::now();
-            d_grams[n] = d_gram(&a_new, &pp.drift[n]);
+            d_local[n] = self.d_gram_local(grid, n);
             self.engine.stats.record(Kernel::Hadamard, h0.elapsed(), 0);
-            self.fs.update(n, a_new);
-            if n == n_modes - 1 {
-                last_gamma = Some(gamma);
-                last_m = Some(m);
-            }
+            last = Some((gamma, m));
         }
-        let secs = sweep_t0.elapsed().as_secs_f64();
-        let fitness = self.trace_fitness(last_gamma.as_ref().unwrap(), last_m.as_ref().unwrap());
-        (secs, fitness)
+        let (gamma, m) = last.expect("a tensor has modes");
+        self.fitness(grid, &gamma, &m)
     }
 }
 
@@ -966,6 +1038,7 @@ impl AlsSession {
 mod tests {
     use super::*;
     use crate::checkpoint;
+    use crate::fitness::relative_residual;
     use pp_datagen::collinearity::{collinearity_tensor, CollinearityConfig};
     use pp_datagen::lowrank::noisy_rank;
 
@@ -1131,6 +1204,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
         let err = checkpoint::read_file(&path).unwrap_err();
         assert!(err.contains("job.ppck"), "{err}");
+    }
+
+    #[test]
+    fn resume_refuses_matrices_that_do_not_fit_the_input() {
+        // Well-formed checkpoints (valid frame and checksum) whose
+        // matrices do not fit the tensor and the rank are refused at
+        // resume, not resumed into a panic in `step`.
+        let t = noisy_rank(&[7, 6, 5], 3, 0.05, 13);
+        let cfg = AlsConfig::new(3)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(0.5)
+            .with_max_sweeps(8)
+            .with_tol(0.0);
+        type Edit = fn(&mut AlsSession);
+        let forge = |edit: Edit| {
+            let mut s = AlsSession::new(&t, &cfg, SessionKind::Pp);
+            let _ = s.step();
+            edit(&mut s);
+            s.checkpoint_bytes(0)
+        };
+        let cases: [(&str, Edit); 5] = [
+            ("a Gram dropped", |s| drop(s.grams.pop())),
+            ("a 3 × 3 factor for a 7-row mode", |s| {
+                let mut factors = s.fs.factors().to_vec();
+                factors[0] = Matrix::zeros(3, 3);
+                s.fs = FactorState::from_parts(factors, s.fs.versions().to_vec());
+            }),
+            ("a drift dropped", |s| {
+                drop(s.pp.as_mut().unwrap().drift.pop());
+            }),
+            ("a reference of the wrong shape", |s| {
+                s.pp.as_mut().unwrap().reference = vec![Matrix::zeros(3, 3); 3];
+            }),
+            ("an approximated sweep without operators", |s| {
+                s.pp.as_mut().unwrap().approx = true;
+            }),
+        ];
+        for (what, edit) in cases {
+            match AlsSession::resume_from_bytes(&forge(edit), &t) {
+                Err(e) => assert!(e.contains("checkpoint"), "{what}: {e}"),
+                Ok(_) => panic!("{what}: resumed"),
+            }
+        }
+        // The unedited checkpoint resumes.
+        assert!(AlsSession::resume_from_bytes(&forge(|_| {}), &t).is_ok());
     }
 
     #[test]

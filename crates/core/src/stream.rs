@@ -180,7 +180,7 @@ impl StreamingSession {
         let e = self.evolving;
         let update = self.update;
         let sweeps_per_arrival = self.sweeps_per_arrival;
-        let p = self.session.stream_parts();
+        let p = &mut self.session;
         let _threads = p.cfg.thread_guard();
         assert_eq!(
             slice.order(),
@@ -223,7 +223,7 @@ impl StreamingSession {
         let fs_slice = FactorState::new(init);
         let mut scratch = DimTreeEngine::new(TreePolicy::Standard, order).with_caching_disabled();
         let m_slice = scratch.mttkrp(&mut slice_input, &fs_slice, e);
-        let gamma = hadamard_chain_skip(p.grams, e);
+        let gamma = hadamard_chain_skip(&p.grams, e);
         let new_rows = solve_gram(&gamma, &m_slice).0;
 
         // Extend the input, the factor, its Gram, and the tree cache —
@@ -236,12 +236,12 @@ impl StreamingSession {
         // (Alg. 2 line 2). Before the cache extension, because an order-3
         // pair operator *is* a cached first-level intermediate, and a
         // shared payload would be copied rather than extended in place.
-        if let Some(pp) = p.pp {
+        if let Some(pp) = &mut p.pp {
             pp.reset(p.fs.factors());
         }
         p.engine
-            .extend_mode(p.input, p.fs, e, &mut slice_input, update);
-        *p.t_norm_sq += slice_norm_sq;
+            .extend_mode(&mut p.input, &p.fs, e, &mut slice_input, update);
+        p.t_norm_sq += slice_norm_sq;
 
         // Open the next sweep window.
         p.cfg.max_sweeps = p.progress.reopen(sweeps_per_arrival);

@@ -48,25 +48,10 @@ pub fn first_order_correction(
 }
 
 /// Whether a first-order correction against `d_factor_i` runs: the one
-/// rule both sessions' approximated steps skip corrections by (module
-/// docs).
+/// rule the sessions' approximated sweep and [`approx_mttkrp`] skip
+/// corrections by (module docs).
 pub fn drifted(d_factor_i: &Matrix) -> bool {
     d_factor_i.data().iter().any(|&x| x != 0.0)
-}
-
-/// The mTTV flops of each first-order correction [`approx_mttkrp`] runs
-/// for mode `n`, in partner order: `2 · |𝓜p^(n,i)|` for every `i ≠ n`
-/// whose drift is not exactly zero.
-pub fn correction_flops<'a>(
-    ops: &'a PpOperators,
-    d_factors: &'a [Matrix],
-    n: usize,
-) -> impl Iterator<Item = u64> + 'a {
-    d_factors
-        .iter()
-        .enumerate()
-        .filter(move |&(i, d)| i != n && drifted(d))
-        .map(move |(i, _)| 2 * ops.pair(n, i).tensor.len() as u64)
 }
 
 /// `dS^(i) = A^(i)ᵀ dA^(i)` (Eq. 8).

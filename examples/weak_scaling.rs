@@ -5,8 +5,7 @@
 //! Run: `cargo run --release --example weak_scaling`
 
 use parallel_pp::comm::{Collectives, CostModel, CostReport, Runtime};
-use parallel_pp::core::par_common::ParState;
-use parallel_pp::core::AlsConfig;
+use parallel_pp::core::{AlsConfig, ParKind, ParSession};
 use parallel_pp::dtree::TreePolicy;
 use parallel_pp::grid::{DistTensor, ProcGrid};
 use parallel_pp::tensor::rng::{seeded, uniform_tensor};
@@ -24,24 +23,22 @@ fn main() {
         let dims: Vec<usize> = (0..3).map(|i| s_local * grid.dim(i)).collect();
         let mut rng = seeded(3);
         let t = Arc::new(uniform_tensor(&dims, &mut rng));
-        let cfg = AlsConfig::new(rank).with_policy(TreePolicy::MultiSweep);
+        let cfg = AlsConfig::new(rank)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_tol(0.0);
 
         let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
         let out = Runtime::new(p).run(move |ctx| {
             let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-            let mut st = ParState::init(ctx, &g2, &local, &c2);
+            let mut s = ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact);
             // Warm-up.
-            for n in 0..3 {
-                let _ = st.update_mode_exact(ctx, &c2, n);
-            }
+            let _ = s.step(ctx);
             ctx.comm.ledger().reset();
             ctx.comm.barrier();
             let t0 = Instant::now();
             let sweeps = 3;
             for _ in 0..sweeps {
-                for n in 0..3 {
-                    let _ = st.update_mode_exact(ctx, &c2, n);
-                }
+                let _ = s.step(ctx);
             }
             ctx.comm.barrier();
             t0.elapsed().as_secs_f64() / sweeps as f64

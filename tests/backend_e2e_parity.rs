@@ -11,7 +11,6 @@
 //! are poisoned awake), not hang.
 
 use parallel_pp::comm::{Backend, CostCounters, Runtime};
-use parallel_pp::core::par_common::ParState;
 use parallel_pp::core::ref_pp::{ref_pp_approx_correction, ref_pp_init};
 use parallel_pp::core::{AlsConfig, AlsReport, ParKind, ParSession, SolveStrategy};
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
@@ -126,20 +125,15 @@ fn ref_pp_corrections_identical_across_backends() {
         let (t2, g2, c2) = (t.clone(), grid.clone(), cfg.clone());
         let out = Runtime::with_backend(4, backend).run(move |ctx| {
             let local = DistTensor::from_global(&t2, &g2, ctx.rank());
-            let mut st = ParState::init(ctx, &g2, &local, &c2);
-            for n in 0..3 {
-                let _ = st.update_mode_exact(ctx, &c2, n);
-            }
-            let ops = ref_pp_init(ctx, &mut st);
-            let p_p: Vec<Matrix> = st.dist_factors.iter().map(|f| f.p().clone()).collect();
-            for n in 0..3 {
-                let mut q = st.dist_factors[n].q().clone();
-                q.scale(1.01);
-                st.commit_update(ctx, n, q);
-            }
+            let mut s = ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact);
+            let _ = s.step(ctx);
+            let ops = ref_pp_init(ctx, &mut s);
+            let p_p: Vec<Matrix> = s.st.dist_factors.iter().map(|f| f.p().clone()).collect();
+            // Move the factors with one more sweep.
+            let _ = s.step(ctx);
             let mut bits = Vec::new();
             for n in 0..3 {
-                let m = ref_pp_approx_correction(ctx, &st, &ops, &p_p, n);
+                let m = ref_pp_approx_correction(ctx, &s.st, &ops, &p_p, n);
                 bits.extend(m.data().iter().map(|x| x.to_bits()));
             }
             bits

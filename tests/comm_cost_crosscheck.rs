@@ -21,13 +21,11 @@
 
 use parallel_pp::comm::model::{sweep_cost, Method};
 use parallel_pp::comm::{CostCounters, RankCtx, Runtime};
-use parallel_pp::core::par_common::ParState;
 use parallel_pp::core::ref_pp::{ref_pp_approx_correction, ref_pp_init};
 use parallel_pp::core::{AlsConfig, ParKind, ParSession, SweepKind};
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::correct::first_order_correction;
-use parallel_pp::dtree::pp_tree::build_pp_operators;
 use parallel_pp::dtree::TreePolicy;
 use parallel_pp::grid::{DistTensor, ProcGrid};
 use parallel_pp::tensor::{DenseTensor, Matrix};
@@ -184,35 +182,32 @@ fn pp_messages(grid_dims: &[usize], reference: bool) -> (u64, Vec<u64>) {
     let grid = ProcGrid::new(grid_dims.to_vec());
     let dims: Vec<usize> = grid_dims.iter().map(|g| 3 * g).collect();
     let t = Arc::new(noisy_rank(&dims, 3, 0.05, 17));
-    let cfg = AlsConfig::new(3).with_policy(TreePolicy::MultiSweep);
+    let cfg = AlsConfig::new(3)
+        .with_policy(TreePolicy::MultiSweep)
+        .with_tol(0.0);
     let messages = |ctx: &RankCtx| ctx.comm.ledger().snapshot().messages;
     let out = Runtime::from_env(grid.size()).run(move |ctx| {
         let local = DistTensor::from_global(&t, &grid, ctx.rank());
-        let mut st = ParState::init(ctx, &grid, &local, &cfg);
-        let n_modes = st.n_modes();
-        for n in 0..n_modes {
-            let _ = st.update_mode_exact(ctx, &cfg, n);
-        }
+        let mut s = ParSession::new(ctx, &grid, &local, &cfg, ParKind::Exact);
+        let n_modes = s.st.n_modes();
+        let _ = s.step(ctx);
         let before = messages(ctx);
         let ops = if reference {
-            ref_pp_init(ctx, &mut st)
+            ref_pp_init(ctx, &mut s)
         } else {
-            build_pp_operators(&mut st.input, &st.fs_local, &mut st.engine)
+            s.build_pp_operators()
         };
         let init = messages(ctx) - before;
-        let p_p: Vec<Matrix> = st.dist_factors.iter().map(|f| f.p().clone()).collect();
+        let p_p: Vec<Matrix> = s.st.dist_factors.iter().map(|f| f.p().clone()).collect();
         let mut approx = Vec::new();
         for _ in 0..2 {
             // Move every factor, so each correction has a drift to act on.
-            for n in 0..n_modes {
-                let mut q = st.dist_factors[n].q().clone();
-                q.scale(1.0 + 1e-3);
-                st.commit_update(ctx, n, q);
-            }
+            let _ = s.step(ctx);
             let before = messages(ctx);
+            let st = &s.st;
             for n in 0..n_modes {
                 let m_local = if reference {
-                    ref_pp_approx_correction(ctx, &st, &ops, &p_p, n)
+                    ref_pp_approx_correction(ctx, st, &ops, &p_p, n)
                 } else {
                     let mut m = ops.firsts[n].clone();
                     for (i, p_ref) in p_p.iter().enumerate().filter(|&(i, _)| i != n) {
@@ -364,4 +359,67 @@ fn paper_table1_comm_counts_per_sweep_kind() {
         );
         assert_eq!(got, [exact, pp_exact, pp_init, pp_approx], "grid {grid:?}");
     }
+}
+
+#[test]
+fn paper_kernel_flops_reach_the_rank_ledger_in_their_sweep() {
+    // Every sweep forwards its kernel flops (the `KernelStats` TTM and mTTV
+    // counts) to the rank's cost ledger before it returns, so each sweep
+    // kind's ledger flops are its kernels' plus the solves and the
+    // All-Reduce sums. On 2×2×1 (s 12, R 3, ε 0.3), rank 0: a PP-init
+    // charges its pair-operator TTMs alone; an approximated sweep charges
+    // 355 flops of solves and sums beside its first-order corrections,
+    // half of which run in the first sweep after the init (the other
+    // modes' drift is still zero). An exact sweep charges its TTMs and
+    // 274 flops of solves and sums.
+    let ccfg = CollinearityConfig {
+        s: 12,
+        r: 3,
+        order: 3,
+        lo: 0.5,
+        hi: 0.7,
+    };
+    let t = Arc::new(collinearity_tensor(&ccfg, 3).0);
+    let grid = ProcGrid::new(vec![2, 2, 1]);
+    let cfg = AlsConfig::new(3)
+        .with_policy(TreePolicy::MultiSweep)
+        .with_pp_tol(0.3)
+        .with_tol(1e-12);
+    // Rank 0's sweep kinds, ledger flops and kernel flops after `sweeps`.
+    let run = |sweeps: usize| {
+        let (t, grid, cfg) = (t.clone(), grid.clone(), cfg.clone().with_max_sweeps(sweeps));
+        let mut out = Runtime::new(grid.size()).run(move |ctx| {
+            let local = DistTensor::from_global(&t, &grid, ctx.rank());
+            ParSession::new(ctx, &grid, &local, &cfg, ParKind::Pp)
+                .run(ctx)
+                .report
+        });
+        let report = out.results.remove(0);
+        let kinds: Vec<SweepKind> = report.sweeps.iter().map(|s| s.kind).collect();
+        let kernel = report.stats.ttm_flops + report.stats.mttv_flops;
+        (kinds, out.costs[0].flops, kernel)
+    };
+    let (kinds, _, _) = run(30);
+    let init = kinds
+        .iter()
+        .position(|&k| k == SweepKind::PpInit)
+        .expect("PP regime must activate for this cross-check");
+    assert_eq!(kinds[init + 1..init + 3], [SweepKind::PpApprox; 2]);
+    // (ledger, kernel) flops of sweep k, for the exact sweep before the
+    // init, the init and the two approximated sweeps after it.
+    let delta = |k: usize| {
+        let ((_, l0, k0), (_, l1, k1)) = (run(k), run(k + 1));
+        (l1 - l0, k1 - k0)
+    };
+    let got = [init - 1, init, init + 1, init + 2].map(delta);
+    println!(
+        "rank-0 ledger flops per sweep (ledger, kernels): PP exact {:?}, PP-init {:?}, PP-approx {:?} then {:?}",
+        got[0], got[1], got[2], got[3]
+    );
+    let [exact, pp_init, approx1, approx2] = got;
+    assert_eq!(pp_init, (6048, 6048));
+    assert_eq!(approx1, (355 + 1080, 1080));
+    assert_eq!(approx2, (355 + 2160, 2160));
+    assert_eq!(kinds[init - 1], SweepKind::Exact);
+    assert_eq!(exact, (274 + 6048, 6048));
 }
