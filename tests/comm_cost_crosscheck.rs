@@ -404,6 +404,7 @@ fn paper_kernel_flops_reach_the_rank_ledger_in_their_sweep() {
         .iter()
         .position(|&k| k == SweepKind::PpInit)
         .expect("PP regime must activate for this cross-check");
+    assert_eq!(kinds[init - 1], SweepKind::Exact);
     assert_eq!(kinds[init + 1..init + 3], [SweepKind::PpApprox; 2]);
     // (ledger, kernel) flops of sweep k, for the exact sweep before the
     // init, the init and the two approximated sweeps after it.
@@ -420,6 +421,5 @@ fn paper_kernel_flops_reach_the_rank_ledger_in_their_sweep() {
     assert_eq!(pp_init, (6048, 6048));
     assert_eq!(approx1, (355 + 1080, 1080));
     assert_eq!(approx2, (355 + 2160, 2160));
-    assert_eq!(kinds[init - 1], SweepKind::Exact);
     assert_eq!(exact, (274 + 6048, 6048));
 }
