@@ -169,4 +169,91 @@ mod tests {
             }
         }
     }
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `(factor digest, fitness digest)` per tensor, grid and kind, in the
+    /// loop order of `leading_mode_grids_keep_their_digests`.
+    const LEADING_MODE_DIGESTS: [(u64, u64); 12] = [
+        (0x6ae9_357f_3800_21b2, 0x1902_cef0_a165_7c52), // 16^3 on 2x1.., dt
+        (0x7112_53e5_95c6_34f1, 0xc818_8a5d_1360_d9b7), // 16^3 on 2x1.., msdt
+        (0xf3ba_8385_52fa_3f44, 0xf89e_1182_6d51_1ff3), // 16^3 on 2x1.., pp
+        (0x8cc2_ed57_72ea_6284, 0xc6d0_d0d9_e976_7024), // 16^3 on 4x1.., dt
+        (0xcfbd_6bbe_0437_f6f5, 0xe6c3_1372_2783_073c), // 16^3 on 4x1.., msdt
+        (0xa18d_aeff_3254_2709, 0xb856_35ef_e8d1_876c), // 16^3 on 4x1.., pp
+        (0xc136_0c79_0b17_e80f, 0x7e5b_cab6_1d27_3950), // 8^4 on 2x1.., dt
+        (0xda24_e211_9d29_c32a, 0x37bf_afd7_eb9b_c03d), // 8^4 on 2x1.., msdt
+        (0xc5b9_601f_4505_8caf, 0x79cb_8a77_3b92_0b68), // 8^4 on 2x1.., pp
+        (0xe128_9dd6_5eb2_e7c3, 0x53c1_50fb_0fff_6461), // 8^4 on 4x1.., dt
+        (0x64e6_0960_b07a_c84c, 0xf0c0_4031_2d1e_9420), // 8^4 on 4x1.., msdt
+        (0x6d9a_91c6_f3f4_bfc9, 0xd4f5_36b1_3833_5809), // 8^4 on 4x1.., pp
+    ];
+
+    /// On P×1×1 grids without padding every block is one contiguous run of
+    /// the global tensor. Pin what such runs compute — the factor bits and
+    /// the fitness bits of rank 0 — for DT, MSDT and PP, on both backends,
+    /// whether the global is placed on the store or an adopted `Vec`.
+    #[test]
+    fn leading_mode_grids_keep_their_digests() {
+        let tensors = [(16, 3), (8, 4)].map(|(s, order)| {
+            let ccfg = CollinearityConfig {
+                s,
+                r: 4,
+                order,
+                lo: 0.5,
+                hi: 0.7,
+            };
+            collinearity_tensor(&ccfg, 5).0
+        });
+        let dt = AlsConfig::new(4).with_max_sweeps(16).with_tol(0.0);
+        let msdt = dt.clone().with_policy(TreePolicy::MultiSweep);
+        let kinds = [
+            (dt, ParKind::Exact),
+            (msdt.clone(), ParKind::Exact),
+            (msdt.with_pp_tol(0.3), ParKind::Pp),
+        ];
+        let mut got = Vec::new();
+        for t in &tensors {
+            let adopted = pp_tensor::DenseTensor::from_vec(t.shape().clone(), t.data().to_vec());
+            let globals = [Arc::new(t.clone()), Arc::new(adopted)];
+            for p in [2, 4] {
+                let mut dims = vec![1; t.order()];
+                dims[0] = p;
+                let grid = ProcGrid::new(dims);
+                for (cfg, kind) in &kinds {
+                    let mut digests = Vec::new();
+                    for global in &globals {
+                        for backend in [Backend::Rendezvous, Backend::P2p] {
+                            let (t, grid, cfg, kind) =
+                                (global.clone(), grid.clone(), cfg.clone(), *kind);
+                            let out = Runtime::with_backend(p, backend)
+                                .run(move |ctx| {
+                                    let local = DistTensor::from_global(&t, &grid, ctx.rank());
+                                    ParSession::new(ctx, &grid, &local, &cfg, kind).run(ctx)
+                                })
+                                .results
+                                .remove(0);
+                            if kind == ParKind::Pp {
+                                assert!(out.report.count(SweepKind::PpApprox) > 0);
+                            }
+                            let factors = out
+                                .factors
+                                .iter()
+                                .flat_map(|f| f.data().iter().map(|x| x.to_bits()));
+                            let fitness = out.report.sweeps.iter().map(|s| s.fitness.to_bits());
+                            digests.push((fnv(factors), fnv(fitness)));
+                        }
+                    }
+                    assert!(digests.iter().all(|d| *d == digests[0]), "{digests:x?}");
+                    got.push(digests[0]);
+                }
+            }
+        }
+        assert_eq!(got, LEADING_MODE_DIGESTS, "{got:#x?}");
+    }
 }
