@@ -47,7 +47,9 @@ use crate::nonneg::hals_update;
 use crate::result::{AlsOutput, AlsReport, SweepKind, SweepRecord};
 use pp_dtree::correct::{d_gram, drifted, first_order_correction, second_order_correction};
 use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
-use pp_dtree::{DimTreeEngine, FactorState, InputTensor, Kernel, KernelStats, TreePolicy};
+use pp_dtree::{
+    DimTreeEngine, FactorState, InputTensor, Intermediate, Kernel, KernelStats, TreePolicy,
+};
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
 use pp_tensor::sparse::SparseTensor;
@@ -226,6 +228,21 @@ impl Progress {
             finished: r.bool_()?,
         })
     }
+}
+
+/// Whether a stored intermediate is laid out as its mode set says: modes of
+/// an order-`dims.len()` input, each once, extents `dims[m]` in `mode_order`
+/// then the rank, and one factor version per mode.
+fn laid_out(e: &Intermediate, dims: &[usize], rank: usize) -> bool {
+    let mut seen = vec![false; dims.len()];
+    let distinct = e
+        .mode_order
+        .iter()
+        .all(|&m| m < dims.len() && !std::mem::replace(&mut seen[m], true));
+    let extents = e.mode_order.iter().map(|&m| dims[m]).chain([rank]);
+    distinct
+        && e.versions.len() == dims.len()
+        && e.tensor.shape().dims().iter().copied().eq(extents)
 }
 
 /// Alg. 2's pairwise-perturbation regime, the one encoding every PP
@@ -788,11 +805,22 @@ impl AlsSession {
         let mut pp = PpRegime::read(&mut r, approx)?;
         // Factor i is dims[i] × R and each Gram R × R. A PP list is empty or
         // holds one factor-shaped matrix per mode, and not empty where the
-        // session's phase reads it.
+        // session's phase reads it. Operators, present wherever the phase
+        // reads them, are one `Mp^(i)` per mode and all N(N−1)/2 pairs,
+        // each laid out as its two modes say.
         let n = dims.len();
         let fit = |m: &Matrix, rows: usize| (m.rows(), m.cols()) == (rows, rank);
         let fits = |ms: &[Matrix], empty: bool| {
             empty && ms.is_empty() || ms.len() == n && ms.iter().zip(dims).all(|(m, &d)| fit(m, d))
+        };
+        let ops_fit = |ops: &PpOperators| {
+            fits(&ops.firsts, false)
+                && ops.pairs.len() == n * (n - 1) / 2
+                && ops.pairs.iter().all(|(&(i, j), e)| {
+                    i < j
+                        && matches!(e.mode_order[..], [a, b] if (a.min(b), a.max(b)) == (i, j))
+                        && laid_out(e, dims, rank)
+                })
         };
         let (is_pp, approx) = (kind == SessionKind::Pp, kind == SessionKind::Pp && approx);
         if !fits(&factors, false)
@@ -802,6 +830,7 @@ impl AlsSession {
             || !fits(&pp.drift, !is_pp)
             || !fits(&pp.reference, !approx)
             || approx && pp.ops.is_none()
+            || !pp.ops.as_ref().is_none_or(ops_fit)
         {
             return Err("checkpoint matrices do not fit the tensor's dims and the rank".into());
         }
@@ -811,7 +840,12 @@ impl AlsSession {
         for _ in 0..n_cached {
             // A retired entry reads as `None` and is dropped (see
             // `Reader::intermediate`).
-            cached.extend(r.intermediate()?);
+            if let Some(e) = r.intermediate()? {
+                if !laid_out(&e, dims, rank) {
+                    return Err("a cached intermediate does not fit its mode set".into());
+                }
+                cached.push(e);
+            }
         }
         let engine_stats = r.stats()?;
         let progress = Progress::read(&mut r)?;
@@ -1249,6 +1283,91 @@ mod tests {
         }
         // The unedited checkpoint resumes.
         assert!(AlsSession::resume_from_bytes(&forge(|_| {}), &t).is_ok());
+    }
+
+    #[test]
+    fn resume_refuses_operators_and_intermediates_that_do_not_fit() {
+        // Mid-regime checkpoints with a valid checksum whose PP operators
+        // or cached intermediates are misshapen are refused at resume, not
+        // resumed into a panic in the first `step`.
+        let t = noisy_rank(&[7, 6, 5], 3, 0.05, 13);
+        let cfg = AlsConfig::new(3)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(0.5)
+            .with_max_sweeps(30)
+            .with_tol(0.0);
+        let mut mid = AlsSession::new(&t, &cfg, SessionKind::Pp);
+        while mid.pp.as_ref().unwrap().ops.is_none() {
+            assert!(
+                matches!(mid.step(), Step::Swept(_)),
+                "the regime never opened"
+            );
+        }
+        let bytes = mid.checkpoint_bytes(0);
+        type Edit = fn(&mut AlsSession);
+        let forge = |edit: Edit| {
+            let (mut s, _) = AlsSession::resume_from_bytes(&bytes, &t).unwrap();
+            edit(&mut s);
+            s.checkpoint_bytes(0)
+        };
+        fn ops(s: &mut AlsSession) -> &mut PpOperators {
+            s.pp.as_mut().unwrap().ops.as_mut().unwrap()
+        }
+        fn cached(s: &AlsSession) -> Intermediate {
+            s.engine.cache().entries_sorted()[0].clone()
+        }
+        let cases: [(&str, Edit); 8] = [
+            ("a 2 × 3 Mp^(0) for a 7-row mode", |s| {
+                ops(s).firsts[0] = Matrix::zeros(2, 3)
+            }),
+            ("an Mp^(n) dropped", |s| drop(ops(s).firsts.pop())),
+            ("a pair operator dropped", |s| {
+                drop(ops(s).pairs.remove(&(0, 1)));
+            }),
+            ("pair (0, 2) filed under (0, 1)", |s| {
+                let pair = ops(s).pairs[&(0, 2)].clone();
+                ops(s).pairs.insert((0, 1), pair);
+            }),
+            ("a pair operator of swapped extents", |s| {
+                let pair = ops(s).pairs.get_mut(&(1, 2)).unwrap();
+                pair.tensor = std::sync::Arc::new(DenseTensor::zeros(vec![5, 6, 3]));
+                pair.mode_order = vec![1, 2];
+            }),
+            ("a cached intermediate one row short", |s| {
+                let mut e = cached(s);
+                let mut dims = e.tensor.shape().dims().to_vec();
+                dims[0] -= 1;
+                e.tensor = std::sync::Arc::new(DenseTensor::zeros(dims));
+                s.engine.cache_mut().insert(e);
+            }),
+            ("a cached intermediate over a mode the input lacks", |s| {
+                let mut e = cached(s);
+                e.mode_order[0] = 3;
+                s.engine.cache_mut().insert(e);
+            }),
+            ("a cached intermediate without one factor's version", |s| {
+                let mut e = cached(s);
+                e.versions.pop();
+                s.engine.cache_mut().insert(e);
+            }),
+        ];
+        for (what, edit) in cases {
+            match AlsSession::resume_from_bytes(&forge(edit), &t) {
+                Err(e) => assert!(
+                    e.contains("checkpoint") || e.contains("cached"),
+                    "{what}: {e}"
+                ),
+                Ok(_) => panic!("{what}: resumed"),
+            }
+        }
+        // The unedited checkpoint resumes and runs to the end as the
+        // uninterrupted session does.
+        let (mut resumed, _) = AlsSession::resume_from_bytes(&forge(|_| {}), &t).unwrap();
+        while let Step::Swept(_) = resumed.step() {}
+        assert_bitwise(
+            &resumed.finish(),
+            &AlsSession::new(&t, &cfg, SessionKind::Pp).run(),
+        );
     }
 
     #[test]
