@@ -1,5 +1,8 @@
 //! Distributed dense tensors: each rank owns one padded block of the global
-//! tensor, indexed by its grid coordinates (`𝓣_𝒫(x)` of §II-A).
+//! tensor, indexed by its grid coordinates (`𝓣_𝒫(x)` of §II-A). The ranks
+//! are threads of one process, so a block that is one contiguous run of the
+//! global (a grid split along the leading mode only, without padding) shares
+//! the global's storage; every other block is a copy.
 
 use crate::dist::BlockDist;
 use crate::grid::ProcGrid;
@@ -21,7 +24,11 @@ pub struct DistTensor {
 }
 
 impl DistTensor {
-    /// Extract rank `rank`'s local block from a replicated global tensor.
+    /// Rank `rank`'s local block of a replicated global tensor. A block
+    /// that is one run of the global — the whole block, no padding — shares
+    /// the global's storage ([`DenseTensor::share_run`]: a refcount bump,
+    /// where the run keeps the store's placement). Any other block is
+    /// copied out, one contiguous run at a time, onto a fresh store.
     pub fn from_global(t: &DenseTensor, grid: &ProcGrid, rank: usize) -> Self {
         assert_eq!(t.order(), grid.order(), "tensor/grid order mismatch");
         let coords = grid.coords_of(rank);
@@ -29,12 +36,22 @@ impl DistTensor {
             .map(|k| BlockDist::new(t.dim(k), grid.dim(k)))
             .collect();
         let local_shape = Shape::new(dists.iter().map(|d| d.block()).collect::<Vec<_>>());
-        // Padding stays the zeros the block is born as; real entries come
-        // over one contiguous run at a time.
-        let mut local = DenseTensor::zeros(local_shape);
-        let (src, dst) = (t.data(), local.data_mut());
+        // A run that covers the whole block is its only one.
+        let mut whole = None;
         for_each_run(&dists, &coords, |l, g, len| {
-            dst[l..l + len].copy_from_slice(&src[g..g + len]);
+            if l == 0 && len == local_shape.len() {
+                whole = Some(g);
+            }
+        });
+        let shared = whole.and_then(|g| t.share_run(g, local_shape.clone()));
+        let local = shared.unwrap_or_else(|| {
+            // Padding stays the zeros the block is born as.
+            let mut local = DenseTensor::zeros(local_shape);
+            let (src, dst) = (t.data(), local.data_mut());
+            for_each_run(&dists, &coords, |l, g, len| {
+                dst[l..l + len].copy_from_slice(&src[g..g + len]);
+            });
+            local
         });
         DistTensor {
             global_shape: t.shape().clone(),
@@ -156,28 +173,46 @@ mod tests {
 
     #[test]
     fn run_copies_equal_the_element_walk_bit_for_bit() {
-        let cases: [(&[usize], &[usize]); 9] = [
-            (&[5, 4, 3], &[2, 1, 1]), // padded, one run per block
-            (&[5, 4, 3], &[2, 1, 2]), // padded first and last
-            (&[5, 4, 3], &[1, 2, 1]), // unpadded middle split
-            (&[5, 4, 3], &[3, 3, 2]), // padded everywhere
-            (&[6, 4, 2], &[2, 1, 1]), // unpadded
-            (&[5, 3], &[2, 2]),       // padded
-            (&[4, 6], &[2, 2]),       // unpadded
-            (&[3, 2], &[5, 1]),       // more owners than rows: empty blocks
-            (&[7], &[3]),
+        // Per rank: whether its block is one run of a store-backed global
+        // that starts on a cache line, hence shared.
+        let cases: [(&[usize], &[usize], &[bool]); 13] = [
+            (&[5, 4, 3], &[2, 1, 1], &[true, false]), // rank 1 padded
+            (&[5, 4, 3], &[2, 1, 2], &[false; 4]),    // padded first and last
+            (&[5, 4, 3], &[1, 2, 1], &[false; 2]),    // unpadded middle split
+            (&[5, 4, 3], &[3, 3, 2], &[false; 18]),   // padded everywhere
+            (&[6, 4, 2], &[2, 1, 1], &[true, true]),  // unpadded
+            (&[6, 3, 1], &[2, 1, 1], &[true, false]), // rank 1 off a cache line
+            (&[5, 3], &[2, 2], &[false; 4]),          // padded
+            (&[4, 6], &[2, 2], &[false; 4]),          // unpadded
+            (&[3, 2], &[5, 1], &[true, false, false, false, false]), // empty blocks
+            (&[7], &[3], &[true, false, false]),
+            (&[5, 4, 3], &[1, 1, 1], &[true]),
+            (&[4, 6], &[1, 1], &[true]),
+            (&[7], &[1], &[true]),
         ];
-        for (dims, grid) in cases {
-            let t = seq_tensor(dims.to_vec());
+        for (dims, grid, shares) in cases {
+            let adopted = seq_tensor(dims.to_vec());
+            let placed = adopted.clone();
             let grid = ProcGrid::new(grid.to_vec());
-            for rank in 0..grid.size() {
-                let got = DistTensor::from_global(&t, &grid, rank);
-                let want = from_global_walk(&t, &grid, rank);
-                assert_eq!(got.local().shape(), want.shape());
-                let bits = |x: &DenseTensor| -> Vec<u64> {
-                    x.data().iter().map(|v| v.to_bits()).collect()
-                };
-                assert_eq!(bits(got.local()), bits(&want), "{dims:?} rank {rank}");
+            assert_eq!(shares.len(), grid.size());
+            for (t, on_store) in [(&placed, true), (&adopted, false)] {
+                for (rank, &shared) in shares.iter().enumerate() {
+                    let got = DistTensor::from_global(t, &grid, rank);
+                    let want = from_global_walk(t, &grid, rank);
+                    let what = format!("{dims:?} rank {rank}, on the store: {on_store}");
+                    assert_eq!(got.local().shape(), want.shape());
+                    let bits = |x: &DenseTensor| -> Vec<u64> {
+                        x.data().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(got.local()), bits(&want), "{what}");
+                    let at = got.local().data().as_ptr();
+                    if on_store && shared {
+                        let origin = t.data()[rank * want.len()..].as_ptr();
+                        assert_eq!(at, origin, "{what}: shares the global");
+                    } else {
+                        assert!(!t.data().as_ptr_range().contains(&at), "{what}: a copy");
+                    }
+                }
             }
         }
     }

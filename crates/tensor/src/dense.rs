@@ -1,6 +1,7 @@
 //! Dense, row-major `f64` tensors with copy-on-write storage.
 
 use crate::shape::Shape;
+use crate::store::{is_mapped, ALIGN, HUGE_BYTES};
 use crate::workspace::Buffer;
 use std::sync::Arc;
 
@@ -16,36 +17,56 @@ use std::sync::Arc;
 ///
 /// Storage is copy-on-write. A clone shares the buffer (a refcount bump),
 /// except that an adopted `Vec` is copied onto the store, so a clone is
-/// always placed. The first write through either side of a shared buffer
-/// ([`DenseTensor::data_mut`], `set`, `axpy`, `scale`, `fill_zero`,
+/// always placed. [`DenseTensor::share_run`] shares one contiguous run of
+/// a buffer the same way. The first write through either side of a shared
+/// buffer ([`DenseTensor::data_mut`], `set`, `axpy`, `scale`, `fill_zero`,
 /// `append_leading`) copies it onto a fresh store, and the other side never
-/// sees the write. A sole owner writes in place.
-#[derive(PartialEq)]
+/// sees the write; a run that is not its whole buffer moves onto a store of
+/// its own first even when it is the buffer's last holder. A sole owner of
+/// a whole buffer writes in place.
 pub struct DenseTensor {
     shape: Shape,
-    data: Arc<Buffer>,
+    buf: Arc<Buffer>,
+    /// Where the tensor's elements start in `buf`; they run for
+    /// `shape.len()`.
+    start: usize,
 }
 
 impl Clone for DenseTensor {
     fn clone(&self) -> Self {
-        let data = if self.data.is_adopted() {
-            Arc::new(Buffer::clone(&self.data))
-        } else {
-            Arc::clone(&self.data)
-        };
+        if self.buf.is_adopted() {
+            return DenseTensor::whole(self.shape.clone(), Buffer::copy_of(self.data()));
+        }
         DenseTensor {
             shape: self.shape.clone(),
-            data,
+            buf: Arc::clone(&self.buf),
+            start: self.start,
         }
     }
 }
 
+/// Contents, not storage: a run equals the tensor it was copied to.
+impl PartialEq for DenseTensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data() == other.data()
+    }
+}
+
 impl DenseTensor {
+    /// A tensor that is all of `buf`.
+    fn whole(shape: Shape, buf: Buffer) -> Self {
+        DenseTensor {
+            shape,
+            buf: Arc::new(buf),
+            start: 0,
+        }
+    }
+
     /// All-zeros tensor of the given shape.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        let data = Arc::new(Buffer::zeroed(shape.len()));
-        DenseTensor { shape, data }
+        let buf = Buffer::zeroed(shape.len());
+        DenseTensor::whole(shape, buf)
     }
 
     /// Build a tensor from a function of the multi-index.
@@ -74,10 +95,34 @@ impl DenseTensor {
             data.len(),
             shape
         );
-        DenseTensor {
+        DenseTensor::whole(shape, data)
+    }
+
+    /// Share elements `[start, start + shape.len())` of this tensor as a
+    /// tensor of `shape`, without a copy: the buffer's refcount goes up, and
+    /// a write to either side goes as for a clone. Only where the run keeps
+    /// the placement promise: the buffer is a store (never an adopted
+    /// `Vec`, whose clone would copy all of it) and the run starts on a
+    /// cache line, and from the size rule up on a huge page. `None`
+    /// otherwise, and when the run does not fit in this tensor.
+    pub fn share_run(&self, start: usize, shape: impl Into<Shape>) -> Option<DenseTensor> {
+        let shape = shape.into();
+        let run = self.data().get(start..start.checked_add(shape.len())?)?;
+        let bytes = std::mem::size_of_val(run);
+        let align = if is_mapped(bytes) { HUGE_BYTES } else { ALIGN };
+        let placed = (run.as_ptr() as usize).is_multiple_of(align);
+        (placed && !self.buf.is_adopted()).then(|| DenseTensor {
             shape,
-            data: Arc::new(data),
-        }
+            buf: Arc::clone(&self.buf),
+            start: self.start + start,
+        })
+    }
+
+    /// Whether the tensor's elements are its whole buffer (not a run of a
+    /// longer one).
+    #[inline]
+    fn is_whole(&self) -> bool {
+        self.start == 0 && self.buf.len() == self.shape.len()
     }
 
     /// The tensor's shape.
@@ -101,19 +146,19 @@ impl DenseTensor {
     /// Total element count.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.shape.len()
     }
 
     /// True when the tensor holds no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Immutable view of the flat row-major buffer.
     #[inline]
     pub fn data(&self) -> &[f64] {
-        &self.data
+        &self.buf[self.start..self.start + self.shape.len()]
     }
 
     /// Mutable view of the flat row-major buffer. If a clone shares the
@@ -124,23 +169,31 @@ impl DenseTensor {
     }
 
     /// The one way to write: the buffer itself when this tensor is its
-    /// sole owner, a fresh store copy of it otherwise.
+    /// sole owner, a fresh store copy of it otherwise. A run of a longer
+    /// buffer first moves onto a store holding only the run.
     #[inline]
     fn buffer_mut(&mut self) -> &mut Buffer {
-        Arc::make_mut(&mut self.data)
+        if !self.is_whole() {
+            *self = DenseTensor::whole(self.shape.clone(), Buffer::copy_of(self.data()));
+        }
+        Arc::make_mut(&mut self.buf)
     }
 
     /// Consume the tensor, returning its elements: without a copy when the
     /// tensor is the sole owner of a [`DenseTensor::from_vec`] buffer, by
-    /// copy otherwise (a store, or a buffer a clone still shares).
+    /// copy otherwise (a store, a run of a buffer, or a buffer a clone
+    /// still shares).
     pub fn into_vec(self) -> Vec<f64> {
-        Arc::try_unwrap(self.data).map_or_else(|shared| shared.to_vec(), Buffer::into_vec)
+        if !self.is_whole() {
+            return self.data().to_vec();
+        }
+        Arc::try_unwrap(self.buf).map_or_else(|shared| shared.to_vec(), Buffer::into_vec)
     }
 
     /// Element access by multi-index.
     #[inline]
     pub fn get(&self, idx: &[usize]) -> f64 {
-        self.data[self.shape.linearize(idx)]
+        self.data()[self.shape.linearize(idx)]
     }
 
     /// Element assignment by multi-index.
@@ -157,15 +210,15 @@ impl DenseTensor {
 
     /// Squared Frobenius norm.
     pub fn norm_sq(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum()
+        self.data().iter().map(|x| x * x).sum()
     }
 
     /// Inner product `<self, other>` (shapes must match).
     pub fn inner(&self, other: &DenseTensor) -> f64 {
         assert_eq!(self.shape, other.shape, "inner product shape mismatch");
-        self.data
+        self.data()
             .iter()
-            .zip(other.data.iter())
+            .zip(other.data())
             .map(|(a, b)| a * b)
             .sum()
     }
@@ -173,7 +226,7 @@ impl DenseTensor {
     /// `self += alpha * other` (shapes must match).
     pub fn axpy(&mut self, alpha: f64, other: &DenseTensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        for (a, b) in self.buffer_mut().iter_mut().zip(other.data.iter()) {
+        for (a, b) in self.buffer_mut().iter_mut().zip(other.data()) {
             *a += alpha * b;
         }
     }
@@ -196,14 +249,11 @@ impl DenseTensor {
         let shape = shape.into();
         assert_eq!(
             shape.len(),
-            self.data.len(),
+            self.len(),
             "reshape to {} changes element count",
             shape
         );
-        DenseTensor {
-            shape,
-            data: self.data,
-        }
+        DenseTensor { shape, ..self }
     }
 
     /// Grow the leading mode in place: append `other` (same trailing
@@ -223,7 +273,7 @@ impl DenseTensor {
             "append_leading trailing-extent mismatch"
         );
         dims[0] += other.dim(0);
-        self.buffer_mut().extend_from_slice(&other.data);
+        self.buffer_mut().extend_from_slice(other.data());
         self.shape = Shape::new(dims);
     }
 
@@ -241,10 +291,11 @@ impl DenseTensor {
         let mut dims = self.shape.dims().to_vec();
         dims[axis] = len;
         let mut out = DenseTensor::zeros(dims);
+        let src = self.data();
         if len * inner > 0 {
             for (o, run) in out.data_mut().chunks_exact_mut(len * inner).enumerate() {
                 let base = o * src_block + start * inner;
-                run.copy_from_slice(&self.data[base..base + len * inner]);
+                run.copy_from_slice(&src[base..base + len * inner]);
             }
         }
         out
@@ -253,9 +304,9 @@ impl DenseTensor {
     /// Maximum absolute difference against another tensor of the same shape.
     pub fn max_abs_diff(&self, other: &DenseTensor) -> f64 {
         assert_eq!(self.shape, other.shape, "max_abs_diff shape mismatch");
-        self.data
+        self.data()
             .iter()
-            .zip(other.data.iter())
+            .zip(other.data())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
@@ -263,7 +314,7 @@ impl DenseTensor {
 
 impl std::fmt::Debug for DenseTensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DenseTensor({}, {} elems)", self.shape, self.data.len())
+        write!(f, "DenseTensor({}, {} elems)", self.shape, self.len())
     }
 }
 
@@ -310,6 +361,22 @@ mod tests {
             assert_placed(&permute(&t, &[0, 1, 2]), "identity permute");
             assert_placed(&move_mode_first(&t, 1), "move_mode_first");
             assert_placed(&move_mode_last(&t, 0), "move_mode_last");
+            // A shared run keeps the promise, or is not shared.
+            let n = t.len();
+            assert_placed(&t.share_run(0, dims.clone()).unwrap(), "share_run whole");
+            assert!(
+                t.share_run(1, vec![n - 1]).is_none(),
+                "share_run off a line"
+            );
+            let tail = HUGE_BYTES / 8;
+            let mut shared = 0;
+            for (start, len) in [(8, n - 8), (n / 2, n / 2), (tail, n.saturating_sub(tail))] {
+                if let Some(run) = t.share_run(start, vec![len]) {
+                    assert_placed(&run, "share_run");
+                    shared += 1;
+                }
+            }
+            assert!(shared > 0, "a placed run is shared");
 
             let factor = |rows| Matrix::from_fn(rows, r, |i, j| ((i + 2 * j) % 5) as f64 - 2.0);
             let ws = Workspace::new();
@@ -464,6 +531,106 @@ mod tests {
                 }
             }
         }
+        // Shared runs: the two halves of a global, each on a cache line and
+        // the large ones on a huge page.
+        for rows in [3, HUGE_BYTES / (8 * 64)] {
+            let global =
+                DenseTensor::from_fn(vec![2 * rows, 64], |idx| (idx[0] * 64 + idx[1]) as f64);
+            let run_len = rows * 64;
+            for (name, write) in writes {
+                for half in [0, 1] {
+                    for last_holder in [false, true] {
+                        let g = global.clone();
+                        let runs = [0, run_len].map(|at| {
+                            g.share_run(at, vec![rows, 64])
+                                .expect("a placed run is shared")
+                        });
+                        let [mut writer, sibling] = if half == 0 {
+                            runs
+                        } else {
+                            let [a, b] = runs;
+                            [b, a]
+                        };
+                        let at = g.data()[half * run_len..].as_ptr();
+                        assert_eq!(writer.data().as_ptr(), at, "a run shares the store");
+                        let mut alone = g.slice_along(0, half * rows, rows);
+                        write(&mut alone);
+                        let (g_at, sibling_at) = (g.data().as_ptr(), sibling.data().as_ptr());
+                        let (want_g, want_sibling) = (bits(&g), bits(&sibling));
+                        let held = if last_holder {
+                            drop((g, sibling));
+                            None
+                        } else {
+                            Some((g, sibling))
+                        };
+                        write(&mut writer);
+                        let what = format!("{name} on run {half} of {rows} rows");
+                        assert_ne!(writer.data().as_ptr(), at, "{what}: the writer moves");
+                        assert_eq!(
+                            (
+                                writer.start,
+                                writer.buf.len(),
+                                Arc::strong_count(&writer.buf)
+                            ),
+                            (0, writer.len(), 1),
+                            "{what}: the new buffer holds only the run"
+                        );
+                        assert_eq!(bits(&writer), bits(&alone), "{what}: the write itself");
+                        assert_placed(&writer, &what);
+                        if let Some((g, sibling)) = held {
+                            assert_eq!(bits(&g), want_g, "{what}: the global's bits");
+                            assert_eq!(bits(&sibling), want_sibling, "{what}: the sibling's");
+                            assert_eq!(g.data().as_ptr(), g_at, "{what}: the global stays");
+                            assert_eq!(sibling.data().as_ptr(), sibling_at, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_reads_through_every_view_and_compares_by_contents() {
+        let g = DenseTensor::from_fn(vec![4, 16], |idx| (idx[0] * 16 + idx[1]) as f64 - 9.5);
+        let run = g.share_run(32, vec![2, 16]).unwrap();
+        let copy = g.slice_along(0, 2, 2);
+        assert_eq!(run.data(), &g.data()[32..]);
+        assert_eq!((run.len(), run.is_empty()), (32, false));
+        assert_eq!(format!("{run:?}"), "DenseTensor(2x16, 32 elems)");
+        // Equality is contents and shape, never storage.
+        assert_eq!(run, copy);
+        assert_ne!(run, g.slice_along(0, 0, 2));
+        assert_ne!(run, copy.clone().reshape(vec![4, 8]));
+        assert_eq!(run.clone().into_vec(), g.data()[32..].to_vec());
+        // A reshape keeps sharing; a run of a run adds the offsets.
+        let flat = run.clone().reshape(vec![4, 8]);
+        assert_eq!(flat.data().as_ptr(), run.data().as_ptr());
+        assert_eq!(flat.get(&[3, 7]), g.data()[63]);
+        let row = flat.share_run(16, vec![16]).unwrap();
+        assert_eq!(row.data(), &g.data()[48..]);
+        assert_eq!(row.slice_along(0, 2, 3).data(), &g.data()[50..53]);
+        // Growth reads the run and writes a store of its own.
+        let mut grown = run.clone();
+        grown.append_leading(&g.slice_along(0, 0, 1));
+        assert_eq!(grown.data()[..32], g.data()[32..]);
+        assert_eq!(grown.data()[32..], g.data()[..16]);
+        assert_eq!(run.data(), &g.data()[32..], "the run itself is untouched");
+        // Not shared: off a cache line, past the end, an adopted `Vec`.
+        assert!(g.share_run(1, vec![16]).is_none());
+        assert!(g.share_run(56, vec![16]).is_none());
+        assert!(g.share_run(usize::MAX, vec![16]).is_none());
+        let adopted = DenseTensor::from_vec(vec![4, 16], g.data().to_vec());
+        assert!(adopted.share_run(0, vec![2, 16]).is_none());
+        // A run from the size rule up only on a huge page.
+        let big = DenseTensor::zeros(vec![3 * HUGE_BYTES / 8]);
+        let huge = HUGE_BYTES / 8;
+        assert!(big.share_run(huge, vec![huge]).is_some());
+        assert_eq!(
+            big.share_run(8, vec![huge]).is_some(),
+            !is_mapped(HUGE_BYTES),
+            "a mapped-size run off a huge page is copied"
+        );
+        assert!(big.share_run(8, vec![huge - 8]).is_some());
     }
 
     #[test]

@@ -240,6 +240,14 @@ impl Buffer {
         Workspace::unpooled().draw_zeroed(len)
     }
 
+    /// A copy of `src` in a fresh store, with no home.
+    pub(crate) fn copy_of(src: &[f64]) -> Buffer {
+        Buffer {
+            data: Data::Store(Store::copy_of(src)),
+            home: None,
+        }
+    }
+
     /// Whether this is a caller's `Vec`, adopted as it lay (no alignment
     /// promise), rather than a store.
     pub(crate) fn is_adopted(&self) -> bool {
@@ -330,10 +338,7 @@ impl DerefMut for Buffer {
 /// A copy is a fresh store: it belongs to whoever asked for it.
 impl Clone for Buffer {
     fn clone(&self) -> Self {
-        Buffer {
-            data: Data::Store(Store::copy_of(self)),
-            home: None,
-        }
+        Buffer::copy_of(self)
     }
 }
 
