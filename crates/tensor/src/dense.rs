@@ -541,16 +541,12 @@ mod tests {
                 for half in [0, 1] {
                     for last_holder in [false, true] {
                         let g = global.clone();
-                        let runs = [0, run_len].map(|at| {
+                        let mut runs = [0, run_len].map(|at| {
                             g.share_run(at, vec![rows, 64])
                                 .expect("a placed run is shared")
                         });
-                        let [mut writer, sibling] = if half == 0 {
-                            runs
-                        } else {
-                            let [a, b] = runs;
-                            [b, a]
-                        };
+                        runs.swap(0, half);
+                        let [mut writer, sibling] = runs;
                         let at = g.data()[half * run_len..].as_ptr();
                         assert_eq!(writer.data().as_ptr(), at, "a run shares the store");
                         let mut alone = g.slice_along(0, half * rows, rows);
