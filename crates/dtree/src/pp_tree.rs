@@ -759,6 +759,97 @@ mod tests {
         }
     }
 
+    /// FNV-1a over 64-bit words.
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Digest of every pair operator (in key order, layout included) and
+    /// every anchor, bit for bit.
+    fn ops_digest(ops: &PpOperators) -> u64 {
+        let mut keys: Vec<(usize, usize)> = ops.pairs.keys().copied().collect();
+        keys.sort_unstable();
+        let pairs = keys.into_iter().flat_map(|key| {
+            let p = &ops.pairs[&key];
+            let layout = p.mode_order.iter().map(|&m| m as u64);
+            layout.chain(p.tensor.data().iter().map(|x| x.to_bits()))
+        });
+        let anchors = ops
+            .firsts
+            .iter()
+            .flat_map(|m| m.data().iter().map(|x| x.to_bits()));
+        fnv(pairs.chain(anchors))
+    }
+
+    /// The cache states a build starts from: what an exact sweep of each
+    /// policy leaves behind (each MSDT phase leaves a different first-level
+    /// root), and a streaming input after one MSDT sweep.
+    #[derive(Clone, Copy, Debug)]
+    enum Start {
+        Cold,
+        DtSweeps(usize),
+        MsdtSweeps(usize),
+        Evolving(usize),
+    }
+
+    /// `(operator digest, fresh TTMs)` per order and start, in the loop
+    /// order of `operators_keep_their_digests_from_every_start`.
+    const OPERATOR_DIGESTS: [(u64, usize); 12] = [
+        (0x2760_d162_fd76_eced, 3), // order 4, Cold
+        (0x8b02_7cda_1036_4246, 2), // order 4, DtSweeps(1)
+        (0x69a9_84d2_5548_811f, 2), // order 4, MsdtSweeps(1)
+        (0x5220_27ae_7c38_cedc, 2), // order 4, MsdtSweeps(2)
+        (0xd00e_2de8_3470_4e37, 2), // order 4, MsdtSweeps(3)
+        (0x2cd5_3fcc_d555_05e1, 2), // order 4, Evolving(2)
+        (0x9e1b_0bad_f167_80a9, 3), // order 5, Cold
+        (0xcfc2_e87c_d422_db70, 2), // order 5, DtSweeps(1)
+        (0x85d8_4e78_c41f_325b, 3), // order 5, MsdtSweeps(1)
+        (0x07d7_28ab_8e0a_77c9, 2), // order 5, MsdtSweeps(2)
+        (0x7b0f_891e_2049_8567, 2), // order 5, MsdtSweeps(3)
+        (0xe844_fd09_99e4_089b, 3), // order 5, Evolving(3)
+    ];
+
+    #[test]
+    fn operators_keep_their_digests_from_every_start() {
+        // How the build schedules its contractions and what it keeps
+        // cached may change; which parent every pair descends from, and so
+        // every bit of every operator, may not.
+        let mut got = Vec::new();
+        for dims in [vec![5usize, 4, 6, 3], vec![4, 3, 5, 3, 4]] {
+            let n_modes = dims.len();
+            let starts = [
+                Start::Cold,
+                Start::DtSweeps(1),
+                Start::MsdtSweeps(1),
+                Start::MsdtSweeps(2),
+                Start::MsdtSweeps(3),
+                Start::Evolving(n_modes - 2),
+            ];
+            for start in starts {
+                let (t, mut fs) = setup(&dims, 3, 23);
+                let (mut input, policy, sweeps) = match start {
+                    Start::Cold => (InputTensor::new(t), TreePolicy::MultiSweep, 0),
+                    Start::DtSweeps(k) => (InputTensor::new(t), TreePolicy::Standard, k),
+                    Start::MsdtSweeps(k) => (InputTensor::new(t), TreePolicy::MultiSweep, k),
+                    Start::Evolving(e) => (InputTensor::evolving(&t, e), TreePolicy::MultiSweep, 1),
+                };
+                let mut engine = DimTreeEngine::new(policy, n_modes);
+                let mut rng = seeded(29);
+                for _ in 0..sweeps {
+                    for (n, &d) in dims.iter().enumerate() {
+                        let _ = engine.mttkrp(&mut input, &fs, n);
+                        fs.update(n, uniform_matrix(d, 3, &mut rng));
+                    }
+                }
+                let ops = build_pp_operators(&mut input, &fs, &mut engine);
+                got.push((ops_digest(&ops), ops.fresh_ttms));
+            }
+        }
+        assert_eq!(got, OPERATOR_DIGESTS);
+    }
+
     #[test]
     fn operator_memory_accounting() {
         let dims = [4, 5, 6];
