@@ -48,7 +48,8 @@ use crate::result::{AlsOutput, AlsReport, SweepKind, SweepRecord};
 use pp_dtree::correct::{d_gram, drifted, first_order_correction, second_order_correction};
 use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
 use pp_dtree::{
-    DimTreeEngine, FactorState, InputTensor, Intermediate, Kernel, KernelStats, TreePolicy,
+    DimTreeEngine, FactorState, InputTensor, InterCache, Intermediate, Kernel, KernelStats,
+    TreePolicy,
 };
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
@@ -639,6 +640,11 @@ impl AlsSession {
         self.engine.workspace()
     }
 
+    /// The engine's intermediate cache.
+    pub fn cache(&self) -> &InterCache {
+        self.engine.cache()
+    }
+
     /// Suspend point: a no-op. A session between steps already holds no
     /// pool resource, since every contraction finishes inside
     /// [`AlsSession::step`]; the call stays for embedders that mark where
@@ -658,8 +664,17 @@ impl AlsSession {
     /// (versioned binary format with an FNV-1a integrity check — see
     /// [`crate::checkpoint`], whose `write_file` stores it). `tag` is an
     /// opaque caller fingerprint (e.g. of the job spec) returned verbatim
-    /// by [`AlsSession::resume_from_bytes`].
+    /// by [`AlsSession::resume_from_bytes`]. Of the cached intermediates
+    /// only the valid ones are written: a stale one can never be read
+    /// again, since versions only move forward.
     pub fn checkpoint_bytes(&self, tag: u64) -> Vec<u8> {
+        let mut entries = self.engine.cache().entries_sorted();
+        entries.retain(|e| e.valid_for(self.fs.versions()));
+        self.checkpoint_with(tag, &entries)
+    }
+
+    /// [`AlsSession::checkpoint_bytes`] with the given cache `entries`.
+    fn checkpoint_with(&self, tag: u64, entries: &[&Intermediate]) -> Vec<u8> {
         // A session without PP writes the fields of a regime never entered.
         let off = PpRegime::default();
         let pp = self.pp.as_ref().unwrap_or(&off);
@@ -704,7 +719,6 @@ impl AlsSession {
         // The engine's intermediate cache: restoring it is what keeps the
         // resumed run's contraction schedule (and hence its flop trace)
         // identical to the uninterrupted one.
-        let entries = self.engine.cache().entries_sorted();
         w.usize_(entries.len());
         for e in entries {
             w.intermediate(e);
@@ -1308,7 +1322,8 @@ mod tests {
         let forge = |edit: Edit| {
             let (mut s, _) = AlsSession::resume_from_bytes(&bytes, &t).unwrap();
             edit(&mut s);
-            s.checkpoint_bytes(0)
+            // Every entry, as a writer that did not check validity would.
+            s.checkpoint_with(0, &s.engine.cache().entries_sorted())
         };
         fn ops(s: &mut AlsSession) -> &mut PpOperators {
             s.pp.as_mut().unwrap().ops.as_mut().unwrap()
@@ -1363,6 +1378,40 @@ mod tests {
         // The unedited checkpoint resumes and runs to the end as the
         // uninterrupted session does.
         let (mut resumed, _) = AlsSession::resume_from_bytes(&forge(|_| {}), &t).unwrap();
+        while let Step::Swept(_) = resumed.step() {}
+        assert_bitwise(
+            &resumed.finish(),
+            &AlsSession::new(&t, &cfg, SessionKind::Pp).run(),
+        );
+    }
+
+    #[test]
+    fn checkpoints_carry_only_valid_intermediates() {
+        // Inside an approximated regime the cache still holds what the
+        // factor updates made stale (at order 3, the pair operators, which
+        // `ops` writes too). A checkpoint leaves those out, and the resumed
+        // run is the uninterrupted one.
+        let t = noisy_rank(&[7, 6, 5], 3, 0.05, 13);
+        let cfg = AlsConfig::new(3)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(0.5)
+            .with_max_sweeps(30)
+            .with_tol(0.0);
+        let mut mid = AlsSession::new(&t, &cfg, SessionKind::Pp);
+        while mid.report().sweeps.last().map(|r| r.kind) != Some(SweepKind::PpApprox) {
+            assert!(
+                matches!(mid.step(), Step::Swept(_)),
+                "the regime never opened"
+            );
+        }
+        let cached = mid.engine.cache().entries_sorted();
+        let valid = cached
+            .iter()
+            .filter(|e| e.valid_for(mid.fs.versions()))
+            .count();
+        assert!(valid < cached.len(), "nothing went stale");
+        let (mut resumed, _) = AlsSession::resume_from_bytes(&mid.checkpoint_bytes(0), &t).unwrap();
+        assert_eq!(resumed.engine.cache().len(), valid);
         while let Step::Swept(_) = resumed.step() {}
         assert_bitwise(
             &resumed.finish(),

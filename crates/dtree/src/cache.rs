@@ -138,6 +138,11 @@ impl InterCache {
         self.map.retain(|_, e| e.valid_for(current));
     }
 
+    /// Keep only the entries that pass `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Intermediate) -> bool) {
+        self.map.retain(|_, e| keep(e));
+    }
+
     /// All cached intermediates in deterministic (mode-set) order —
     /// checkpoint serialization must not depend on `HashMap` iteration
     /// order or two checkpoints of the same state would differ bytewise.

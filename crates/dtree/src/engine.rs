@@ -150,6 +150,18 @@ impl DimTreeEngine {
     /// Compute `M^(n) = T_(n) · ⨀_{j≠n} A^(j)` for mode `n` using the
     /// configured tree policy. Factors are read at their current versions,
     /// so calling this in sweep order reproduces exact ALS.
+    ///
+    /// Before anything is drawn, the cache drops what no later read can
+    /// use: stale entries, entries whose mode set lacks `n` (they
+    /// contracted `A^(n)`, which the caller updates next, and cannot serve
+    /// `{n}`), and under the standard tree entries on none of the chains of
+    /// the modes they can still serve. So when the tree moves to a new
+    /// subtree, the old first-level buffer is back in the workspace before
+    /// the new TTM draws. This assumes the ALS order every sweep runs —
+    /// `mttkrp(n)`, update `A^(n)`, `mttkrp(n + 1 mod N)` — under which the
+    /// schedule, and so every bit, is that of a cache that kept them. A
+    /// caller that breaks the order still gets exact results and pays only
+    /// a recontraction.
     pub fn mttkrp(&mut self, input: &mut InputTensor, fs: &FactorState, n: usize) -> Matrix {
         assert_eq!(fs.order(), self.n_modes);
         assert!(n < self.n_modes);
@@ -166,10 +178,35 @@ impl DimTreeEngine {
             self.stats.record(Kernel::Ttm, t0.elapsed(), flops);
             return m;
         }
+        self.evict_dead(fs, n);
         let inter = self.obtain(input, fs, n);
         debug_assert_eq!(inter.mode_order, vec![n]);
         let t = &inter.tensor;
         Matrix::from_vec(t.dim(0), t.dim(1), t.data().to_vec())
+    }
+
+    /// Drop the cached intermediates no MTTKRP from `n` on can read (see
+    /// [`DimTreeEngine::mttkrp`]): the stale ones, and those the coming
+    /// MTTKRPs pass by. A valid entry stays valid through the updates of
+    /// its own modes, so the MTTKRPs that may still read it are those of
+    /// its members from `n` on, up to the first mode it contracted away.
+    /// MSDT can start from any superset of the target, the standard tree
+    /// only from a node of the target's chain.
+    fn evict_dead(&mut self, fs: &FactorState, n: usize) {
+        let (policy, n_modes) = (self.policy, self.n_modes);
+        self.cache.retain(|inter| {
+            let set = inter.set();
+            let mut readers = (n..n + n_modes)
+                .map(|m| m % n_modes)
+                .take_while(|&m| set.contains(m));
+            inter.valid_for(fs.versions())
+                && match policy {
+                    TreePolicy::MultiSweep => readers.next().is_some(),
+                    TreePolicy::Standard => {
+                        readers.any(|m| standard_chain(n_modes, m).contains(&set))
+                    }
+                }
+        });
     }
 
     /// Walk the contraction chain down to `{n}`.

@@ -131,6 +131,11 @@ impl InputTensor {
         }
     }
 
+    /// The mode a streaming input grows along ([`InputTensor::evolving`]).
+    pub(crate) fn evolving_mode(&self) -> Option<usize> {
+        self.evolving
+    }
+
     /// Tensor order.
     pub fn order(&self) -> usize {
         self.mode_order.len()

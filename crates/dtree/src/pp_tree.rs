@@ -14,12 +14,23 @@
 //! reused when its factor versions still match (the paper's footnote 1:
 //! only 2 of the 3 first-level contractions are recomputed for N = 4).
 //!
-//! Construction runs in three phases: a sequential walk secures shared
-//! parents in the cache, then the per-pair contraction chains — which are
-//! independent given the frozen factors — fan out over the persistent
-//! rayon pool, and finally stats/cache bookkeeping merges back in
-//! deterministic key order (so traces and cache contents are identical for
-//! any thread count).
+//! Construction plans first, then builds one first-level root at a time.
+//! The plan walks the tree over mode sets only, seeded with the valid
+//! cached sets, and fixes the parent every node descends from — and with
+//! it every bit of every operator. The build then takes the roots in turn,
+//! those found cached first: it contracts the root's planned nodes, fans
+//! the root's pairs out over the persistent rayon pool (their last
+//! contractions are independent given the frozen factors), merges the
+//! bookkeeping back in key order (so traces and cache contents are
+//! identical for any thread count), and drops the root from the cache.
+//! A cached first-level set the plan never reads is dropped before the
+//! first TTM. So one first-level intermediate is live at a time, as Table I
+//! prices a tree, and none outlives the build — the approximated sweeps'
+//! factor updates would leave it stale anyway. Two exceptions keep roots:
+//! at order 3 the roots *are* the pair operators, and on a growing input
+//! ([`InputTensor::evolving`]) the roots that keep the evolving mode stay,
+//! because an arrival right after the build delta-extends exactly those
+//! (`DimTreeEngine::extend_mode`) and the next exact sweep reads them.
 //!
 //! A sparse input (`InputTensor::new_sparse`, held as the CSF forest)
 //! skips the tree: each pair operator is one walk of a fiber tree
@@ -37,7 +48,7 @@ use crate::stats::Kernel;
 use pp_tensor::kernels::mttv::mttv_in;
 use pp_tensor::sparse::{csf_pair_anchored_in, csf_pair_in};
 use pp_tensor::{CsfTensor, Matrix, Workspace};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,35 +79,12 @@ impl PpOperators {
     }
 }
 
-/// How aggressively the PP tree caches its intermediate levels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PpTreeMemory {
-    /// Cache every tree level — the flop-optimal schedule of Fig. 1b
-    /// (auxiliary memory `O((s^N/P)^{(N-1)/N} R)`, Table I).
-    Full,
-    /// "Combine" the inner levels (paper §IV): keep only first-level
-    /// intermediates and the pair operators, recontracting the path from
-    /// the first level for every pair. Saves the inner-level memory at the
-    /// cost of `O((l+2)(l+1)/4)` extra lower-level flops.
-    CombineInner,
-}
-
 /// Build all PP operators for the current factors (which become the
 /// reference factors `A^(n)_p` of the approximated step).
 pub fn build_pp_operators(
     input: &mut InputTensor,
     fs: &FactorState,
     engine: &mut DimTreeEngine,
-) -> PpOperators {
-    build_pp_operators_with(input, fs, engine, PpTreeMemory::Full)
-}
-
-/// [`build_pp_operators`] with an explicit memory policy.
-pub fn build_pp_operators_with(
-    input: &mut InputTensor,
-    fs: &FactorState,
-    engine: &mut DimTreeEngine,
-    memory: PpTreeMemory,
 ) -> PpOperators {
     let n_modes = fs.order();
     assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
@@ -110,52 +98,77 @@ pub fn build_pp_operators_with(
             fresh_ttms: 0,
         };
     }
-    let mut fresh_ttms = 0usize;
 
-    // ---- Phase A (sequential): secure each pair's starting intermediate.
-    // First-level TTMs mutate `input` (layout caching) and the shared
-    // version-checked cache is single-writer, so this walk stays serial —
-    // it is also where cross-pair sharing happens, so the work is small.
-    let mut ready: Vec<((usize, usize), Intermediate)> = Vec::new();
-    let mut deferred: Vec<((usize, usize), Intermediate)> = Vec::new();
-    for i in 0..n_modes {
-        for j in i + 1..n_modes {
-            let set = ModeSet::from_modes([i, j]);
-            match memory {
-                PpTreeMemory::Full => {
-                    match obtain_pp_start(input, fs, engine, (i, j), &mut fresh_ttms) {
-                        PairStart::Done(inter) => ready.push(((i, j), inter)),
-                        PairStart::From(start) => deferred.push(((i, j), start)),
-                    }
-                }
-                PpTreeMemory::CombineInner => {
-                    let first = combined_start(input, fs, engine, set, &mut fresh_ttms);
-                    deferred.push(((i, j), first));
-                }
-            }
+    // ---- Plan (module docs), then drop what it never reads: stale
+    // entries, and first-level sets no pair descends from.
+    engine.cache_mut().evict_stale(fs.versions());
+    let cached: Vec<ModeSet> = engine
+        .cache()
+        .entries_sorted()
+        .iter()
+        .map(|e| e.set())
+        .collect();
+    let plan = Plan::new(n_modes, &cached);
+    let evolving = input.evolving_mode();
+    let releasable = |set: ModeSet| {
+        n_modes > 3 && set.len() == n_modes - 1 && evolving.is_none_or(|e| !set.contains(e))
+    };
+    for &set in &cached {
+        if releasable(set) && !plan.reads(set) {
+            engine.cache_mut().remove(set);
         }
     }
 
-    // ---- Phase B (parallel): finish each deferred pair with its chain of
-    // batched TTVs. The (i, j) chains are independent (they only read the
-    // frozen factors and their own starting intermediate), so they fan out
-    // over the persistent pool.
+    // ---- Build, one root at a time.
     let ws = engine.workspace().clone();
-    let finished = par_collect(deferred.len(), |k| {
-        let (key, start) = &deferred[k];
-        finish_pair(*key, start.clone(), fs, &ws)
-    });
+    let mut fresh_ttms = 0usize;
+    let mut pairs = HashMap::new();
+    for root in plan.roots() {
+        // The root's planned nodes, parents first, on this thread: the
+        // cache is single-writer, and pairs share these nodes.
+        for (set, made) in plan.nodes_under(root) {
+            let inter = match made {
+                Made::Ttm(k) => {
+                    fresh_ttms += 1;
+                    engine.contract_recorded(input, fs, k)
+                }
+                Made::Step { parent, gone } => {
+                    let parent = cached_node(engine, fs, parent);
+                    let (inter, dur, flops) = contract_out(&ws, fs, &parent, gone);
+                    engine.stats.record(Kernel::Mttv, dur, flops);
+                    inter
+                }
+            };
+            debug_assert_eq!(inter.set(), set);
+            engine.cache_mut().insert(inter);
+        }
 
-    // ---- Phase C (sequential): merge bookkeeping in deterministic order.
-    let mut pairs: HashMap<(usize, usize), Intermediate> = ready.into_iter().collect();
-    for done in finished {
-        for &(dur, flops) in &done.steps {
+        // The root's pairs: found whole, or one batched TTV below their
+        // start. Those TTVs read only the frozen factors and their own
+        // start, so they fan out over the pool.
+        let mut deferred = Vec::new();
+        for ((i, j), start) in plan.pairs_under(root) {
+            let inter = cached_node(engine, fs, start);
+            match start.minus(ModeSet::from_modes([i, j])).min() {
+                None => {
+                    pairs.insert((i, j), inter);
+                }
+                Some(gone) => deferred.push(((i, j), inter, gone)),
+            }
+        }
+        let finished = par_collect(deferred.len(), |k| {
+            let (_, start, gone) = &deferred[k];
+            contract_out(&ws, fs, start, *gone)
+        });
+        // Bookkeeping merges back in key order.
+        for ((key, _, _), (inter, dur, flops)) in deferred.into_iter().zip(finished) {
             engine.stats.record(Kernel::Mttv, dur, flops);
+            engine.cache_mut().insert(inter.clone());
+            pairs.insert(key, inter);
         }
-        if memory == PpTreeMemory::Full {
-            engine.cache_mut().insert(done.inter.clone());
+        if releasable(root) {
+            engine.cache_mut().remove(root);
         }
-        pairs.insert(done.key, done.inter);
     }
 
     let firsts = anchors(&pairs, fs, engine, 0);
@@ -241,231 +254,189 @@ fn anchors(
     firsts
 }
 
-/// How a pair operator's construction proceeds after Phase A.
-enum PairStart {
-    /// Already complete (cache hit, or produced directly by a TTM).
-    Done(Intermediate),
-    /// Finish by contracting the modes outside the pair out of this
-    /// intermediate (cache-independent, safe to run in parallel).
-    From(Intermediate),
+/// How the build makes a tree node it does not find cached.
+#[derive(Clone, Copy)]
+enum Made {
+    /// A first-level TTM contracting this mode out of the input.
+    Ttm(usize),
+    /// One batched TTV contracting `gone` out of the node `parent`.
+    Step { parent: ModeSet, gone: usize },
 }
 
-/// One pair's deferred contraction chain, with kernel bookkeeping to merge
-/// back into the engine on the coordinating thread.
-struct PairDone {
-    key: (usize, usize),
-    inter: Intermediate,
-    steps: Vec<(Duration, u64)>,
-}
-
-/// Contract every mode outside `key` out of `start` (batched TTVs). Pure
-/// function of the frozen factors — no cache or stats access.
-fn finish_pair(
-    key: (usize, usize),
-    start: Intermediate,
-    fs: &FactorState,
-    ws: &Workspace,
-) -> PairDone {
-    let set = ModeSet::from_modes([key.0, key.1]);
-    let mut current = start;
-    let mut steps = Vec::new();
-    while current.set().len() > 2 {
-        let gone = current.set().minus(set).min().unwrap();
-        let pos = current.position_of(gone);
-        let t0 = Instant::now();
-        let out = mttv_in(ws, &current.tensor, pos, fs.factor(gone));
-        steps.push((t0.elapsed(), out.flops));
-        let mut mode_order = current.mode_order.clone();
-        mode_order.remove(pos);
-        let mut versions = current.versions;
-        versions[gone] = fs.version(gone);
-        current = Intermediate {
-            tensor: Arc::new(out.tensor),
-            mode_order,
-            versions,
-        };
-    }
-    debug_assert_eq!(current.set(), set);
-    PairDone {
-        key,
-        inter: current,
-        steps,
-    }
-}
-
-/// Choose the mode `c` to re-add so the parent `S ∪ {c}` is PP-form,
-/// preferring (a) an already-cached parent, (b) the full set (TTM), then
-/// (c) extending the block upward, (d) downward.
-fn pick_parent_mode(
-    engine: &mut DimTreeEngine,
-    fs: &FactorState,
-    set: ModeSet,
+/// The build's walk over mode sets: the node every pair's operator is
+/// finished from and how each node the cache lacks is made. Every choice
+/// depends only on which sets are there, so the plan is the walk a build
+/// that contracted as it went would take.
+struct Plan {
     n_modes: usize,
-) -> usize {
-    let candidates: Vec<usize> = (0..n_modes)
-        .filter(|&c| !set.contains(c) && set.with(c).is_pp_form())
-        .collect();
-    debug_assert!(!candidates.is_empty(), "PP-form sets always extend");
+    /// The sets there without a contraction: the cached ones, then every
+    /// planned node.
+    have: HashSet<ModeSet>,
+    /// The nodes to contract, parents before children.
+    nodes: Vec<(ModeSet, Made)>,
+    /// Per pair, in key order, the node its operator is finished from: the
+    /// pair's own set when it is cached or one TTM from the input, else its
+    /// parent.
+    starts: Vec<((usize, usize), ModeSet)>,
+}
 
-    let cached_choice = candidates.iter().copied().find(|&c| {
-        engine
-            .cache_mut()
-            .get_valid(set.with(c), fs.versions())
-            .is_some()
-    });
-    cached_choice.unwrap_or_else(|| {
-        if set.len() == n_modes - 1 {
-            // Parent is the input tensor.
-            ModeSet::full(n_modes).minus(set).min().unwrap()
+impl Plan {
+    /// Plan every pair, in key order, over the `cached` sets.
+    fn new(n_modes: usize, cached: &[ModeSet]) -> Plan {
+        let mut plan = Plan {
+            n_modes,
+            have: cached.iter().copied().collect(),
+            nodes: Vec::new(),
+            starts: Vec::new(),
+        };
+        for i in 0..n_modes {
+            for j in i + 1..n_modes {
+                let start = plan.start(ModeSet::from_modes([i, j]));
+                plan.starts.push(((i, j), start));
+            }
+        }
+        plan
+    }
+
+    /// Choose the mode `c` to re-add so the parent `S ∪ {c}` is PP-form,
+    /// preferring (a) a parent that is there, (b) the full set (TTM), then
+    /// (c) extending the block upward, (d) downward.
+    fn parent_mode(&self, set: ModeSet) -> usize {
+        let candidates: Vec<usize> = (0..self.n_modes)
+            .filter(|&c| !set.contains(c) && set.with(c).is_pp_form())
+            .collect();
+        debug_assert!(!candidates.is_empty(), "PP-form sets always extend");
+        let there = candidates
+            .iter()
+            .copied()
+            .find(|&c| self.have.contains(&set.with(c)));
+        there.unwrap_or_else(|| {
+            if set.len() == self.n_modes - 1 {
+                // Parent is the input tensor.
+                ModeSet::full(self.n_modes).minus(set).min().unwrap()
+            } else {
+                let above = candidates.iter().copied().find(|&c| c > set.max().unwrap());
+                above.unwrap_or_else(|| *candidates.last().unwrap())
+            }
+        })
+    }
+
+    /// Secure the PP-form `set`: there already, or planned after its parent.
+    fn obtain(&mut self, set: ModeSet) {
+        debug_assert!(set.is_pp_form(), "PP tree only builds PP-form sets");
+        if self.have.contains(&set) {
+            return;
+        }
+        let gone = self.parent_mode(set);
+        let parent = set.with(gone);
+        let made = if parent == ModeSet::full(self.n_modes) {
+            Made::Ttm(gone)
         } else {
-            let above = candidates.iter().copied().find(|&c| c > set.max().unwrap());
-            above.unwrap_or_else(|| *candidates.last().unwrap())
+            self.obtain(parent);
+            Made::Step { parent, gone }
+        };
+        self.nodes.push((set, made));
+        self.have.insert(set);
+    }
+
+    /// The node the pair `set` is finished from (see `starts`), secured.
+    fn start(&mut self, set: ModeSet) -> ModeSet {
+        if self.have.contains(&set) {
+            return set;
         }
-    })
-}
-
-/// First-level TTM contracting `contract` out of the input tensor, with
-/// stats recorded and the result cached.
-fn first_level_ttm(
-    input: &mut InputTensor,
-    fs: &FactorState,
-    engine: &mut DimTreeEngine,
-    contract: usize,
-    fresh_ttms: &mut usize,
-) -> Intermediate {
-    *fresh_ttms += 1;
-    let inter = engine.contract_recorded(input, fs, contract);
-    engine.cache_mut().insert(inter.clone());
-    inter
-}
-
-/// Memoized construction of a PP-form intermediate, sharing the engine
-/// cache (and therefore reusing exact-sweep leftovers when valid).
-fn obtain_pp(
-    input: &mut InputTensor,
-    fs: &FactorState,
-    engine: &mut DimTreeEngine,
-    set: ModeSet,
-    fresh_ttms: &mut usize,
-) -> Intermediate {
-    debug_assert!(set.is_pp_form(), "PP tree only builds PP-form sets");
-    let n_modes = fs.order();
-
-    if let Some(c) = engine.cache_mut().get_valid(set, fs.versions()) {
-        return c.clone();
+        let parent = set.with(self.parent_mode(set));
+        if parent == ModeSet::full(self.n_modes) {
+            // Order 3: the pair is itself a first-level intermediate.
+            self.obtain(set);
+            set
+        } else {
+            self.obtain(parent);
+            parent
+        }
     }
 
-    let choice = pick_parent_mode(engine, fs, set, n_modes);
-    let parent_set = set.with(choice);
-    if parent_set == ModeSet::full(n_modes) {
-        // The parent is the input tensor itself: a single first-level TTM
-        // contracting `choice` produces exactly `set`.
-        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms);
-        debug_assert_eq!(inter.set(), set);
-        return inter;
+    /// The node `set`'s tree grows from: a TTM, or a set found cached.
+    fn root_of(&self, mut set: ModeSet) -> ModeSet {
+        while let Some((_, Made::Step { parent, .. })) = self.nodes.iter().find(|(s, _)| *s == set)
+        {
+            set = *parent;
+        }
+        set
     }
 
-    let parent = obtain_pp(input, fs, engine, parent_set, fresh_ttms);
-    contract_step(fs, engine, parent, choice, set)
-}
-
-/// Phase-A entry for one pair under [`PpTreeMemory::Full`]: return the pair
-/// directly when it is cached or one TTM away from the input, else secure
-/// its (cached) parent and defer the final contraction.
-fn obtain_pp_start(
-    input: &mut InputTensor,
-    fs: &FactorState,
-    engine: &mut DimTreeEngine,
-    key: (usize, usize),
-    fresh_ttms: &mut usize,
-) -> PairStart {
-    let set = ModeSet::from_modes([key.0, key.1]);
-    let n_modes = fs.order();
-
-    if let Some(c) = engine.cache_mut().get_valid(set, fs.versions()) {
-        return PairStart::Done(c.clone());
+    /// The roots in build order: the ones found cached first, then the
+    /// TTMs, each in the order the walk reached it. Running a cached root
+    /// later would hold it beside a fresh one.
+    fn roots(&self) -> Vec<ModeSet> {
+        let mut roots: Vec<ModeSet> = Vec::new();
+        for &(_, start) in &self.starts {
+            let root = self.root_of(start);
+            if !roots.contains(&root) {
+                roots.push(root);
+            }
+        }
+        roots.sort_by_key(|&root| self.nodes.iter().any(|&(s, _)| s == root));
+        roots
     }
 
-    let choice = pick_parent_mode(engine, fs, set, n_modes);
-    let parent_set = set.with(choice);
-    if parent_set == ModeSet::full(n_modes) {
-        // Order-3 tensors: the pair is itself a first-level intermediate.
-        let inter = first_level_ttm(input, fs, engine, choice, fresh_ttms);
-        debug_assert_eq!(inter.set(), set);
-        return PairStart::Done(inter);
+    /// The planned nodes under `root`, parents first.
+    fn nodes_under(&self, root: ModeSet) -> impl Iterator<Item = (ModeSet, Made)> + '_ {
+        self.nodes
+            .iter()
+            .copied()
+            .filter(move |&(set, _)| self.root_of(set) == root)
     }
-    PairStart::From(obtain_pp(input, fs, engine, parent_set, fresh_ttms))
-}
 
-/// Level-combined construction, Phase A (paper §IV): secure the pair's
-/// first-level parent. The pair then descends from it by contracting all
-/// other modes in one deferred pass ([`finish_pair`]) without caching the
-/// inner levels. First-level intermediates are still cached (and reused
-/// across pairs and from the preceding exact sweep).
-fn combined_start(
-    input: &mut InputTensor,
-    fs: &FactorState,
-    engine: &mut DimTreeEngine,
-    set: ModeSet,
-    fresh_ttms: &mut usize,
-) -> Intermediate {
-    let n_modes = fs.order();
-    debug_assert_eq!(set.len(), 2);
-    let full = ModeSet::full(n_modes);
+    /// The pairs under `root`, in key order, with their starts.
+    fn pairs_under(&self, root: ModeSet) -> impl Iterator<Item = ((usize, usize), ModeSet)> + '_ {
+        self.starts
+            .iter()
+            .copied()
+            .filter(move |&(_, start)| self.root_of(start) == root)
+    }
 
-    // Pick the first-level parent: a cached valid (N−1)-set containing the
-    // pair if one exists, else contract a mode outside the pair (preferring
-    // one whose resulting set is PP-form so the cached entry stays useful).
-    let parent_sets: Vec<ModeSet> = (0..n_modes)
-        .filter(|&c| !set.contains(c))
-        .map(|c| full.without(c))
-        .collect();
-    let cached = parent_sets
-        .iter()
-        .copied()
-        .find(|&s| engine.cache_mut().get_valid(s, fs.versions()).is_some());
-    match cached {
-        Some(s) => engine
-            .cache_mut()
-            .get_valid(s, fs.versions())
-            .unwrap()
-            .clone(),
-        None => {
-            let target = parent_sets
+    /// Whether the build reads the cached `set`.
+    fn reads(&self, set: ModeSet) -> bool {
+        self.starts.iter().any(|&(_, start)| start == set)
+            || self
+                .nodes
                 .iter()
-                .copied()
-                .find(|s| s.is_pp_form())
-                .unwrap_or(parent_sets[0]);
-            let k = full.minus(target).min().unwrap();
-            first_level_ttm(input, fs, engine, k, fresh_ttms)
-        }
+                .any(|(_, made)| matches!(made, Made::Step { parent, .. } if *parent == set))
     }
 }
 
-/// Contract `gone` out of `parent` with a batched TTV, cache, and return.
-fn contract_step(
+/// The planned node `set`, which the cache holds at this point of the build.
+fn cached_node(engine: &mut DimTreeEngine, fs: &FactorState, set: ModeSet) -> Intermediate {
+    engine
+        .cache_mut()
+        .get_valid(set, fs.versions())
+        .expect("a planned node is cached before it is read")
+        .clone()
+}
+
+/// Contract `gone` out of `parent` with one batched TTV. A pure function of
+/// the frozen factors — no cache or stats access, so pairs run it in
+/// parallel; the caller books the kernel's time and flops.
+fn contract_out(
+    ws: &Workspace,
     fs: &FactorState,
-    engine: &mut DimTreeEngine,
-    parent: Intermediate,
+    parent: &Intermediate,
     gone: usize,
-    expect: ModeSet,
-) -> Intermediate {
+) -> (Intermediate, Duration, u64) {
     let pos = parent.position_of(gone);
     let t0 = Instant::now();
-    let out = mttv_in(engine.workspace(), &parent.tensor, pos, fs.factor(gone));
-    engine.stats.record(Kernel::Mttv, t0.elapsed(), out.flops);
+    let out = mttv_in(ws, &parent.tensor, pos, fs.factor(gone));
+    let elapsed = t0.elapsed();
     let mut mode_order = parent.mode_order.clone();
     mode_order.remove(pos);
-    let mut versions = parent.versions;
+    let mut versions = parent.versions.clone();
     versions[gone] = fs.version(gone);
     let inter = Intermediate {
         tensor: Arc::new(out.tensor),
         mode_order,
         versions,
     };
-    debug_assert_eq!(inter.set(), expect);
-    engine.cache_mut().insert(inter.clone());
-    inter
+    (inter, elapsed, out.flops)
 }
 
 #[cfg(test)]
@@ -587,42 +558,6 @@ mod tests {
         }
         let ops = build_pp_operators(&mut input, &fs, &mut engine);
         assert_eq!(ops.fresh_ttms, 4 - 2);
-    }
-
-    #[test]
-    fn combined_levels_matches_full_tree() {
-        // §IV memory knob: the level-combined build must produce identical
-        // operators while caching fewer intermediates.
-        let dims = [4, 5, 3, 4];
-        let (t, fs) = setup(&dims, 2, 13);
-
-        let mut in1 = InputTensor::new(t.clone());
-        let mut e1 = DimTreeEngine::new(TreePolicy::Standard, 4);
-        let full = build_pp_operators_with(&mut in1, &fs, &mut e1, PpTreeMemory::Full);
-
-        let mut in2 = InputTensor::new(t);
-        let mut e2 = DimTreeEngine::new(TreePolicy::Standard, 4);
-        let combined = build_pp_operators_with(&mut in2, &fs, &mut e2, PpTreeMemory::CombineInner);
-
-        for (key, a) in &full.pairs {
-            let b = &combined.pairs[key];
-            let at = if a.mode_order == b.mode_order {
-                (*a.tensor).clone()
-            } else {
-                pp_tensor::transpose::swap_first_two(&a.tensor)
-            };
-            assert!(at.max_abs_diff(&b.tensor) < 1e-10, "pair {key:?}");
-        }
-        for (a, b) in full.firsts.iter().zip(combined.firsts.iter()) {
-            assert!(a.max_abs_diff(b) < 1e-10);
-        }
-        // The combined build must hold strictly less cached state.
-        assert!(
-            e2.cache_memory_elems() < e1.cache_memory_elems(),
-            "combined {} vs full {}",
-            e2.cache_memory_elems(),
-            e1.cache_memory_elems()
-        );
     }
 
     #[test]

@@ -196,6 +196,14 @@ impl Workspace {
         drop(released); // unmapping happens outside the lock
     }
 
+    /// The most buffers of exactly `len` elements ever out at once, while
+    /// that class has been kept (0 for a class never drawn or dropped by
+    /// [`Workspace::end_sweep`]).
+    pub fn class_high_water(&self, len: usize) -> usize {
+        let Some(shared) = &self.shared else { return 0 };
+        shared.lock().classes.get(&len).map_or(0, |c| c.high)
+    }
+
     /// Current counters.
     pub fn stats(&self) -> WorkspaceStats {
         let Some(shared) = &self.shared else {
