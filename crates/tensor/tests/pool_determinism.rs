@@ -8,7 +8,7 @@
 use pp_tensor::gemm::{gemm, panel_kc, small_work_limit, Trans};
 use pp_tensor::kernels::krp::khatri_rao;
 use pp_tensor::kernels::mttv::mttv;
-use pp_tensor::kernels::ttm::{ttm, ttm_at, ttm_first};
+use pp_tensor::kernels::ttm::{ttm, ttm_at, ttm_at_in, ttm_first};
 use pp_tensor::rng::{seeded, uniform_matrix, uniform_tensor};
 use pp_tensor::semisparse::{csf_ttm, semisparse_mttkrp, ss_mttv, TtmPlan};
 use pp_tensor::sparse::{sparse_mttkrp, CsfTensor, SparseTensor};
@@ -435,4 +435,113 @@ fn first_level_contractions_agree_bitwise_at_every_whole_vector_rank() {
             });
         }
     }
+}
+
+/// FNV-1a over the bits of a tensor's elements.
+fn digest(t: &pp_tensor::DenseTensor) -> u64 {
+    t.data().iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Shapes of the first-level TTM pin, orders 3–5. Each has an extent of
+/// 300 (two 256-deep panels) and row counts the goldens' small tensors
+/// never reach: slabs of 29, 287, 41 and 55 rows straddle the 192-row
+/// blocks, and the batch-1 and many-slab positions of orders 4 and 5 give
+/// row chunks of several blocks at every width.
+const TTM_PIN_SHAPES: [&[usize]; 3] = [&[300, 23, 29], &[3, 300, 7, 41], &[2, 3, 300, 5, 11]];
+/// Every column-block width of the strip kernel: ragged 5, 12 and 24, one
+/// whole 32-wide block, and two blocks at 40.
+const TTM_PIN_RANKS: [usize; 5] = [5, 12, 24, 32, 40];
+
+/// Digest of the output bits per shape, position and rank, in the loop
+/// order of `ttm_at_keeps_its_digests_at_every_position_and_width`.
+const TTM_DIGESTS: [u64; 60] = [
+    0xc3c6_159d_0636_cef3, // 300x23x29 p=0 R=5
+    0xeafa_3438_41bb_478c, // 300x23x29 p=0 R=12
+    0xfb19_e631_19ed_7351, // 300x23x29 p=0 R=24
+    0x837a_790b_ac54_96d8, // 300x23x29 p=0 R=32
+    0xc34e_2009_eb82_d415, // 300x23x29 p=0 R=40
+    0x260d_934b_f4e1_ac4d, // 300x23x29 p=1 R=5
+    0xd4ac_4cae_50b0_6198, // 300x23x29 p=1 R=12
+    0x7239_a009_3f43_a4c5, // 300x23x29 p=1 R=24
+    0xa774_cdda_d222_6d8f, // 300x23x29 p=1 R=32
+    0x26b3_f0ba_966e_9f6a, // 300x23x29 p=1 R=40
+    0x9e35_daa1_7883_2d85, // 300x23x29 p=2 R=5
+    0xfb78_07fa_ad2b_8918, // 300x23x29 p=2 R=12
+    0x3979_808b_f5ed_9931, // 300x23x29 p=2 R=24
+    0xadb1_51b4_b3bc_1c73, // 300x23x29 p=2 R=32
+    0xf321_207b_f0d9_0cd1, // 300x23x29 p=2 R=40
+    0x4a07_802c_746e_0f8f, // 3x300x7x41 p=0 R=5
+    0xd255_f767_e444_d302, // 3x300x7x41 p=0 R=12
+    0x13e3_9213_e09f_cb49, // 3x300x7x41 p=0 R=24
+    0x6a69_2aed_3b19_4e00, // 3x300x7x41 p=0 R=32
+    0xe30f_7c42_fcad_6de6, // 3x300x7x41 p=0 R=40
+    0x19db_66ce_e84d_d711, // 3x300x7x41 p=1 R=5
+    0x7ee7_77c6_9279_f084, // 3x300x7x41 p=1 R=12
+    0xf3e9_e1da_caf8_10d1, // 3x300x7x41 p=1 R=24
+    0xf563_f401_2658_1d16, // 3x300x7x41 p=1 R=32
+    0x366d_b98b_1ec0_27b1, // 3x300x7x41 p=1 R=40
+    0x502f_46a5_dad6_c436, // 3x300x7x41 p=2 R=5
+    0x9560_0d38_3d51_f288, // 3x300x7x41 p=2 R=12
+    0x9dbd_ce26_45e0_8537, // 3x300x7x41 p=2 R=24
+    0x34bb_40e4_42bc_430d, // 3x300x7x41 p=2 R=32
+    0xccd8_1d11_727e_6a10, // 3x300x7x41 p=2 R=40
+    0x4f9f_1277_332f_23a4, // 3x300x7x41 p=3 R=5
+    0x2ec6_4997_3a81_d549, // 3x300x7x41 p=3 R=12
+    0x7233_cb86_862d_6e5d, // 3x300x7x41 p=3 R=24
+    0x621e_6467_5b46_1de1, // 3x300x7x41 p=3 R=32
+    0xfb40_8f05_58fa_e370, // 3x300x7x41 p=3 R=40
+    0x2121_a5f4_371d_2b2d, // 2x3x300x5x11 p=0 R=5
+    0x2a76_1e1f_5af6_795f, // 2x3x300x5x11 p=0 R=12
+    0x543a_6067_ee0a_e359, // 2x3x300x5x11 p=0 R=24
+    0x8f94_0951_04da_39e0, // 2x3x300x5x11 p=0 R=32
+    0x05b4_0750_fa62_2b70, // 2x3x300x5x11 p=0 R=40
+    0x0f67_035d_9752_ab0a, // 2x3x300x5x11 p=1 R=5
+    0xc993_bc9c_6cab_8d0b, // 2x3x300x5x11 p=1 R=12
+    0x81c5_caed_e44c_7436, // 2x3x300x5x11 p=1 R=24
+    0x5d73_b42e_945e_b3e0, // 2x3x300x5x11 p=1 R=32
+    0x4ba4_21b4_f7b5_db80, // 2x3x300x5x11 p=1 R=40
+    0x2a4b_f416_3c25_b101, // 2x3x300x5x11 p=2 R=5
+    0x239a_5829_bec6_4658, // 2x3x300x5x11 p=2 R=12
+    0x2a4f_8461_75e8_46de, // 2x3x300x5x11 p=2 R=24
+    0x8e59_e2d3_63b6_4040, // 2x3x300x5x11 p=2 R=32
+    0x85c8_6edb_c261_4853, // 2x3x300x5x11 p=2 R=40
+    0x0493_4cfd_b68f_5edf, // 2x3x300x5x11 p=3 R=5
+    0x6834_ceb0_38de_e658, // 2x3x300x5x11 p=3 R=12
+    0x4983_a45c_6762_ab82, // 2x3x300x5x11 p=3 R=24
+    0xe41e_7f60_9a66_302f, // 2x3x300x5x11 p=3 R=32
+    0xda28_8cec_d12d_5ee6, // 2x3x300x5x11 p=3 R=40
+    0x85b4_501c_b7b7_4a4e, // 2x3x300x5x11 p=4 R=5
+    0xbe36_8e60_7711_54b0, // 2x3x300x5x11 p=4 R=12
+    0x1def_1a27_72b5_7043, // 2x3x300x5x11 p=4 R=24
+    0xf8fe_73a4_aec4_70cc, // 2x3x300x5x11 p=4 R=32
+    0x57ed_9d75_c516_a437, // 2x3x300x5x11 p=4 R=40
+];
+
+#[test]
+fn ttm_at_keeps_its_digests_at_every_position_and_width() {
+    // How the strip GEMM walks, copies, prefetches or streams its operands
+    // may change; no bit of any first-level TTM may. One pooled workspace
+    // serves every call, so outputs land in recycled (in debug builds
+    // NaN-poisoned) buffers.
+    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ws = pp_tensor::Workspace::new();
+    let mut rng = seeded(4099);
+    let mut got = Vec::new();
+    for dims in TTM_PIN_SHAPES {
+        let t = uniform_tensor(dims, &mut rng);
+        for (p, &s) in dims.iter().enumerate() {
+            for r in TTM_PIN_RANKS {
+                let fac = uniform_matrix(s, r, &mut rng);
+                let at = |threads| with_threads(threads, || digest(&ttm_at_in(&ws, &t, p, &fac)));
+                let d = at(1);
+                for threads in [2, 4] {
+                    assert_eq!(at(threads), d, "{dims:?} p={p} R={r} at {threads} threads");
+                }
+                got.push(d);
+            }
+        }
+    }
+    assert_eq!(got, TTM_DIGESTS, "{got:#018x?}");
 }
