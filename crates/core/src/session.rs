@@ -332,9 +332,11 @@ impl PpRegime {
         *self = Self::new(factors.to_vec());
     }
 
-    /// Elements the pair operators hold.
-    pub(crate) fn memory_elems(&self) -> usize {
-        self.ops.as_ref().map_or(0, |o| o.memory_elems())
+    /// Elements the pair operators hold beyond the buffers `cache` holds.
+    pub(crate) fn memory_elems_beside(&self, cache: &InterCache) -> usize {
+        self.ops
+            .as_ref()
+            .map_or(0, |o| o.memory_elems_beside(cache))
     }
 
     /// The drift, the reference and the operators, after a checkpoint's
@@ -653,11 +655,17 @@ impl AlsSession {
 
     /// Auxiliary memory this session currently holds, in f64 elements:
     /// the engine's intermediate cache, the buffers its workspace holds
-    /// for reuse, and any PP pair operators. This is the Table I
+    /// for reuse, and any PP operators — each buffer once, though a dense
+    /// pair operator sits in the cache too. This is the Table I
     /// cache-memory metric the batch scheduler's admission control budgets
     /// against.
     pub fn cache_memory_elems(&self) -> usize {
-        self.engine.cache_memory_elems() + self.pp.as_ref().map_or(0, PpRegime::memory_elems)
+        let cache = self.engine.cache();
+        self.engine.cache_memory_elems()
+            + self
+                .pp
+                .as_ref()
+                .map_or(0, |pp| pp.memory_elems_beside(cache))
     }
 
     /// Serialize the complete sweep-to-sweep state as a `PPCK` checkpoint

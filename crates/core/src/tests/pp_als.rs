@@ -6,7 +6,7 @@
 //! contractions) until some `dA` drifts past ε.
 
 mod tests {
-    use crate::{AlsConfig, AlsOutput, AlsSession, SessionKind, SweepKind};
+    use crate::{AlsConfig, AlsOutput, AlsSession, SessionKind, Step, SweepKind};
     use pp_datagen::collinearity::{collinearity_tensor, CollinearityConfig};
     use pp_datagen::lowrank::noisy_rank;
     use pp_dtree::TreePolicy;
@@ -22,6 +22,62 @@ mod tests {
             .with_pp_tol(0.3)
             .with_max_sweeps(80)
             .with_tol(1e-9)
+    }
+
+    /// After a dense PP-init the session's memory figure counts every
+    /// buffer once: the pair operators the engine's cache holds as well
+    /// (every one the build made) are not added a second time.
+    #[test]
+    fn cache_memory_counts_each_buffer_once_after_pp_init() {
+        for (order, s) in [(3, 14), (4, 8)] {
+            let cfg = CollinearityConfig {
+                s,
+                r: 4,
+                order,
+                lo: 0.5,
+                hi: 0.7,
+            };
+            let (t, _, _) = collinearity_tensor(&cfg, 3);
+            let mut session = AlsSession::new(&t, &pp_cfg(4), SessionKind::Pp);
+            loop {
+                match session.step() {
+                    Step::Swept(rec) if rec.kind == SweepKind::PpInit => break,
+                    Step::Swept(_) => {}
+                    Step::Done(why) => panic!("order {order}: no PP-init before {why:?}"),
+                }
+            }
+            let ops = session.pp.as_ref().and_then(|pp| pp.ops.as_ref());
+            let ops = ops.expect("a PP-init leaves its operators");
+            let cached: Vec<_> = session.cache().entries_sorted();
+            let is_cached = |data: &[f64]| {
+                cached
+                    .iter()
+                    .any(|e| e.tensor.data().as_ptr() == data.as_ptr())
+            };
+            let shared = ops
+                .pairs
+                .values()
+                .filter(|p| is_cached(p.tensor.data()))
+                .count();
+            assert!(shared > 0, "order {order}: no pair operator is cached");
+            let mut seen = Vec::new();
+            let buffers = cached.iter().map(|e| e.tensor.data());
+            let buffers = buffers.chain(ops.pairs.values().map(|p| p.tensor.data()));
+            let buffers = buffers.chain(ops.firsts.iter().map(|m| m.data()));
+            let mut distinct = 0;
+            for data in buffers {
+                if !seen.contains(&data.as_ptr()) {
+                    seen.push(data.as_ptr());
+                    distinct += data.len();
+                }
+            }
+            let held = session.workspace().stats().held_elems;
+            assert_eq!(
+                session.cache_memory_elems(),
+                distinct + held,
+                "order {order}"
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! anchor of mode 0 in ([`pp_tensor::sparse::csf_pair_anchored_in`]), the
 //! other anchors follow as above, and the cache is left alone.
 
-use crate::cache::Intermediate;
+use crate::cache::{InterCache, Intermediate};
 use crate::engine::DimTreeEngine;
 use crate::factor::FactorState;
 use crate::input::InputTensor;
@@ -76,6 +76,24 @@ impl PpOperators {
     pub fn memory_elems(&self) -> usize {
         self.pairs.values().map(|p| p.memory_words()).sum::<usize>()
             + self.firsts.iter().map(|m| m.data().len()).sum::<usize>()
+    }
+
+    /// [`PpOperators::memory_elems`] less the pair operators whose buffer
+    /// `cache` holds too: a dense build caches every pair it makes and
+    /// keeps the same buffer here, so a sum over both counts it once.
+    pub fn memory_elems_beside(&self, cache: &InterCache) -> usize {
+        let cached: Vec<*const f64> = cache
+            .entries_sorted()
+            .iter()
+            .map(|e| e.tensor.data().as_ptr())
+            .collect();
+        let shared: usize = self
+            .pairs
+            .values()
+            .filter(|p| cached.contains(&p.tensor.data().as_ptr()))
+            .map(Intermediate::memory_words)
+            .sum();
+        self.memory_elems() - shared
     }
 }
 
