@@ -39,13 +39,12 @@ pub struct AlsConfig {
     /// Results are bit-identical for any value — this is a pure
     /// performance knob.
     ///
-    /// Contract: the pin is a process-global *scoped* override
-    /// ([`rayon::scoped_num_threads`]) released when the driver returns,
-    /// including on panic. Nested runs compose (innermost pin wins, outer
-    /// pin restored), and concurrent runs pinning the **same** width —
-    /// every rank of a simulated parallel run — compose regardless of
-    /// drop order. Concurrent runs pinning *different* widths are
-    /// contradictory and trip a debug assertion.
+    /// Contract: the pin is a *scoped* override of the stepping thread's
+    /// width ([`rayon::scoped_num_threads`]) released when the driver
+    /// returns, including on panic. Nested runs compose (innermost pin
+    /// wins, outer pin restored), and runs on different threads never see
+    /// each other's pins: every rank of a simulated parallel run, or two
+    /// sessions stepped at once at different widths, runs at its own.
     pub threads: Option<usize>,
 }
 

@@ -3,7 +3,7 @@
 //! single-process baseline every parallel variant is validated against.
 
 mod tests {
-    use crate::{AlsConfig, AlsOutput, AlsSession, SessionKind};
+    use crate::{AlsConfig, AlsOutput, AlsSession, SessionKind, Step};
     use pp_datagen::lowrank::{exact_rank, noisy_rank};
     use pp_dtree::TreePolicy;
     use pp_tensor::kernels::naive::dense_relative_residual;
@@ -11,6 +11,55 @@ mod tests {
 
     fn exact_als(t: &DenseTensor, cfg: &AlsConfig) -> AlsOutput {
         AlsSession::new(t, cfg, SessionKind::Exact).run()
+    }
+
+    /// Pool widths are per thread: two sessions stepping at once on two
+    /// threads, pinned to widths 1 and 2, each read their own width
+    /// between every pair of sweeps and end with their solo run's bits
+    /// (the width moves only the chunking, never a bit).
+    #[test]
+    fn concurrent_sessions_keep_their_own_pool_widths() {
+        let t = noisy_rank(&[30, 28, 26], 8, 0.1, 41);
+        let cfg = |w| {
+            AlsConfig::new(8)
+                .with_max_sweeps(6)
+                .with_tol(0.0)
+                .with_threads(w)
+        };
+        let bits = |out: AlsOutput| -> Vec<u64> {
+            let fits = out.report.sweeps.iter().map(|s| s.fitness.to_bits());
+            let factors = out
+                .factors
+                .iter()
+                .flat_map(|f| f.data().iter().map(|x| x.to_bits()));
+            fits.chain(factors).collect()
+        };
+        let solo = [1, 2].map(|w| bits(exact_als(&t, &cfg(w))));
+        let barrier = std::sync::Barrier::new(2);
+        let (t, cfg, barrier) = (&t, &cfg, &barrier);
+        std::thread::scope(|scope| {
+            let runs = [1, 2].map(|w| {
+                scope.spawn(move || {
+                    let _pin = rayon::scoped_num_threads(w);
+                    let mut session = AlsSession::new(t, &cfg(w), SessionKind::Exact);
+                    loop {
+                        barrier.wait();
+                        assert_eq!(rayon::current_num_threads(), w, "width {w} between sweeps");
+                        if let Step::Done(_) = session.step() {
+                            break;
+                        }
+                    }
+                    bits(session.finish())
+                })
+            });
+            for (w, (run, want)) in [1, 2].into_iter().zip(runs.into_iter().zip(&solo)) {
+                assert_eq!(
+                    &run.join().unwrap(),
+                    want,
+                    "the width-{w} session left its solo bits"
+                );
+            }
+        });
     }
 
     #[test]

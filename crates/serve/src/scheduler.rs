@@ -814,11 +814,14 @@ pub fn run_batch(specs: &[JobSpec], cfg: &ServeConfig) -> Result<BatchReport, St
         let _quiet = silence_panic_hook();
         drive(&sh, 0);
     } else {
+        // Drivers run at the caller's pool width (widths are per thread).
+        let width = rayon::current_num_threads();
         std::thread::scope(|scope| {
             let drivers: Vec<_> = (0..cfg.drivers)
                 .map(|driver| {
                     let sh = &sh;
                     scope.spawn(move || {
+                        let _width = rayon::scoped_num_threads(width);
                         let _quiet = silence_panic_hook();
                         drive(sh, driver);
                     })

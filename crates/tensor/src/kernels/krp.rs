@@ -298,7 +298,6 @@ mod tests {
         // sides of `PAR_ELEMS`. Random entries with flipped signs and zeros
         // make any change of product order, summation order or fusion
         // visible, signed zeros included.
-        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = crate::rng::seeded(36);
         let shapes: [&[usize]; 12] = [
             &[7],

@@ -481,7 +481,6 @@ mod tests {
         // power of two, and inputs on both sides of `PAR_ELEMS`. Random
         // entries make any change of summation order or fusion visible;
         // every 17th is zero, so signed zeros are produced too.
-        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = seeded(33);
         for r in [8usize, 16, 32, 5, 24] {
             let shapes: [&[usize]; 8] = [

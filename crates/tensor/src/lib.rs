@@ -53,12 +53,6 @@ pub use shape::Shape;
 pub use sparse::{CsfTensor, SparseTensor};
 pub use workspace::{Workspace, WorkspaceStats};
 
-/// Held by every unit test that pins the pool width: the pin is
-/// process-global, so two tests pinning different widths at once would run
-/// at each other's width and drop their guards out of order.
-#[cfg(test)]
-pub(crate) static WIDTH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Commonly used items, for glob import in downstream crates and examples.
 pub mod prelude {
     pub use crate::dense::DenseTensor;

@@ -1496,7 +1496,6 @@ mod tests {
     /// holds the oracle's bits for all of them.
     #[test]
     fn walk_at_sparse3_statistics_matches_the_oracle_at_every_level_and_width() {
-        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let levels = [
             SimdLevel::Scalar,
             #[cfg(target_arch = "x86_64")]
@@ -1670,7 +1669,6 @@ mod tests {
     /// `csf_ttm` (order 3) and `mttv_in` at the CPU's fusion.
     #[test]
     fn pair_walks_and_anchors_match_the_oracle_from_recycled_buffers() {
-        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let levels = [
             SimdLevel::Scalar,
             #[cfg(target_arch = "x86_64")]
@@ -1809,7 +1807,6 @@ mod tests {
     fn forest_builds_alike_at_any_width() {
         // The trees build in parallel into arrays sized on the calling
         // thread: the same arrays at every pool width.
-        let _pin = crate::WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for (dims, nnz) in [
             (vec![9, 7], 40usize),
             (vec![8, 6, 5], 150),

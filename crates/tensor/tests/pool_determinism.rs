@@ -13,14 +13,8 @@ use pp_tensor::rng::{seeded, uniform_matrix, uniform_tensor};
 use pp_tensor::semisparse::{csf_ttm, semisparse_mttkrp, ss_mttv, TtmPlan};
 use pp_tensor::sparse::{sparse_mttkrp, CsfTensor, SparseTensor};
 use pp_tensor::Matrix;
-use std::sync::Mutex;
 
 mod common;
-
-/// The thread override is process-global and the test harness runs tests
-/// concurrently, so pinning must be serialized — otherwise one test's
-/// "1-thread" baseline could silently run wide under another's pin.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run `f` under a pinned pool width and return its result.
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -30,7 +24,6 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 
 #[test]
 fn gemm_bit_identical_across_thread_counts() {
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded(42);
     // Big enough to clear the parallel-work threshold (m·n·k ≥ 2^16).
     let a = uniform_matrix(96, 64, &mut rng);
@@ -62,7 +55,6 @@ fn gemm_packed_tall_skinny_bit_identical_1_vs_4_threads() {
     // element, global k-panel order) must make the outputs bitwise equal
     // anyway. Covers a 12×16 strip, an 8×24 strip, and a transposed-A
     // operand (copied blocks) at 6×32.
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded(99);
     let m = 1031; // prime, ≫ MC
     let k = 96;
@@ -107,7 +99,6 @@ fn assert_gemm_is_the_contract(
     (ta, tb): (Trans, Trans),
     (alpha, beta): (f64, f64),
 ) {
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded((m * 131 + n * 17 + k) as u64);
     let (ar, ac) = match ta {
         Trans::No => (m, k),
@@ -197,7 +188,6 @@ fn gemm_every_panel_count_and_scaling_is_the_contract() {
 fn gemm_beta_zero_never_reads_c() {
     // β = 0 overwrites: NaNs in C must not survive, and a product of −0.0
     // comes out +0.0 — what zero-filling and then accumulating gave.
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded(5);
     let (m, n, k) = (211, 24, 300);
     let b = uniform_matrix(k, n, &mut rng);
@@ -227,7 +217,6 @@ fn gemm_beta_zero_never_reads_c() {
 
 #[test]
 fn khatri_rao_bit_identical_across_thread_counts() {
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded(7);
     let a = uniform_matrix(60, 32, &mut rng);
     let b = uniform_matrix(50, 32, &mut rng);
@@ -244,7 +233,6 @@ fn khatri_rao_bit_identical_across_thread_counts() {
 
 #[test]
 fn mttv_bit_identical_across_thread_counts() {
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded(13);
     // 64 · 48 · 24 = 73_728 elements ≥ the 64K parallel threshold.
     let inter = uniform_tensor(&[64, 48, 24], &mut rng);
@@ -284,7 +272,6 @@ fn ttm_first_batched_bit_identical_1_vs_4_threads() {
     // cut across slab boundaries at thread-count-dependent places — many
     // small slabs, or `[2, 300, 300]`'s two large ones. Which worker runs
     // which rows must not show.
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded(31);
     for dims in [vec![5, 40, 7, 41], vec![2, 300, 300], vec![3, 5, 40, 7, 9]] {
         let t = uniform_tensor(&dims, &mut rng);
@@ -332,7 +319,6 @@ fn sparse_mttkrp_bit_identical_1_vs_4_threads() {
     // so 4 threads genuinely takes the pooled path while 1 thread takes
     // the serial fallback — outputs must still match bit for bit. R = 16
     // and 32 are widths of the CSF walk, R = 12 runs zero-padded to 16.
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dims = [101usize, 64, 32];
     let sp = lcg_sparse(&dims, 1500, 0x5EED_1234);
     let mut rng = seeded(78);
@@ -364,7 +350,6 @@ fn semisparse_chain_bit_identical_across_thread_counts() {
     // boundaries off group boundaries at every width. R = 16 runs the
     // rank-specialised bodies, R = 5 the generic ones; both clear the 2^14
     // parallel threshold on the first level.
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dims = [53usize, 47, 31, 11];
     let sp = lcg_sparse(&dims, 6000, 0xC0FF_EE11);
     for r in [16usize, 5] {
@@ -407,7 +392,6 @@ fn first_level_contractions_agree_bitwise_at_every_whole_vector_rank() {
     // and the semi-sparse TTM — which replays the GEMM's panel order on CSF
     // groups — equals the dense TTM of the densified tensor, three KC
     // panels deep, at any thread count.
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded(57);
     let t = uniform_tensor(&[3, 40, 7, 41], &mut rng);
     let deep = [5usize, 7, 2 * panel_kc() + 5];
@@ -525,7 +509,6 @@ fn ttm_at_keeps_its_digests_at_every_position_and_width() {
     // may change; no bit of any first-level TTM may. One pooled workspace
     // serves every call, so outputs land in recycled (in debug builds
     // NaN-poisoned) buffers.
-    let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ws = pp_tensor::Workspace::new();
     let mut rng = seeded(4099);
     let mut got = Vec::new();

@@ -490,6 +490,8 @@ fn run_mode(cli: &Cli, job: &JobSpec) -> Result<i32, String> {
         };
         let t = Arc::new(t);
         let out = Runtime::with_backend(cli.ranks, cli.backend).run(move |ctx| {
+            // Pool widths are per thread: a rank pins its own.
+            let _threads = cfg.threads.map(rayon::scoped_num_threads);
             let local = DistTensor::from_global(&t, &grid, ctx.rank());
             ParSession::new(ctx, &grid, &local, &cfg, kind)
                 .run(ctx)
@@ -573,7 +575,8 @@ fn main() {
         return;
     }
     // Dataset generation runs outside any session, so `--threads` also pins
-    // the pool for the whole process here.
+    // the pool for this thread here; batch mode's drivers inherit the pin,
+    // and each rank of a `--ranks` run pins it again.
     let _threads = cli.threads.map(rayon::scoped_num_threads);
     let code = match (cli.mode, &cli.job) {
         (Mode::Batch, _) => run_batch_mode(&cli),

@@ -1,22 +1,10 @@
 //! Helpers shared by the end-to-end parity suites: bitwise run comparison
-//! and serialization of sections that pin the process-global pool width,
-//! plus the pointwise oracle of the PP pair walk. Each suite uses a subset.
+//! and the pointwise oracle of the PP pair walk. Each suite uses a subset.
 #![allow(dead_code)]
 
 use parallel_pp::core::AlsOutput;
 use parallel_pp::tensor::sparse::SparseTensor;
 use parallel_pp::tensor::{DenseTensor, Matrix, Shape};
-use std::sync::Mutex;
-
-/// The thread override is process-global and the test harness runs tests
-/// concurrently, so pinned sections must be serialized — otherwise one
-/// test's "1-thread" baseline could silently run wide under another's pin.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Take the override lock (poison-tolerant).
-pub fn override_lock() -> std::sync::MutexGuard<'static, ()> {
-    OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Assert two driver runs are **bitwise identical**: same sweep schedule,
 /// bit-equal fitness trace, bit-equal factors.

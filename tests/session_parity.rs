@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{assert_identical, override_lock};
+use common::assert_identical;
 use parallel_pp::core::{AlsConfig, AlsOutput, AlsSession, SessionKind, Step, StopReason};
 use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::{KernelStats, TreePolicy};
@@ -67,7 +67,6 @@ proptest! {
         seed in 0u64..500,
     ) {
         let method = nth_method(method_idx);
-        let _serial = override_lock();
         let t = noisy_rank(&[8, 7, 6], 3, 0.05, seed);
         let cfg = config(method, 3, 8).with_seed(seed);
         let a = run(&t, &cfg, method);
@@ -93,7 +92,6 @@ proptest! {
     ) {
         let method_a = nth_method(method_a_idx);
         let method_b = nth_method(method_b_idx);
-        let _serial = override_lock();
         let ta = noisy_rank(&[8, 6, 7], 3, 0.05, seed);
         let tb = noisy_rank(&[6, 7, 6], 2, 0.05, seed.wrapping_add(7));
         let cfg_a = config(method_a, 3, 6).with_seed(seed);
@@ -121,7 +119,6 @@ proptest! {
 /// after the PP-init sweep, resume, and still match the uninterrupted run.
 #[test]
 fn pause_inside_pp_regime_matches() {
-    let _serial = override_lock();
     let t = noisy_rank(&[10, 9, 11], 3, 0.05, 7);
     let cfg = AlsConfig::new(3)
         .with_policy(TreePolicy::MultiSweep)
@@ -151,7 +148,6 @@ fn pause_inside_pp_regime_matches() {
 /// output is the uninterrupted run's.
 #[test]
 fn convergence_matches_under_stepping() {
-    let _serial = override_lock();
     let (t, _) = parallel_pp::datagen::lowrank::exact_rank(&[7, 7, 7], 2, 5);
     let cfg = AlsConfig::new(2).with_max_sweeps(300).with_tol(1e-5);
     let a = AlsSession::new(&t, &cfg, SessionKind::Exact).run();
@@ -181,7 +177,6 @@ fn convergence_matches_under_stepping() {
 /// state keep their meaning across changes to the code that reads them.
 #[test]
 fn committed_mid_regime_checkpoint_resumes_bitwise() {
-    let _serial = override_lock();
     let t = noisy_rank(&[10, 9, 11], 3, 0.05, 7);
     let cfg = AlsConfig::new(3)
         .with_policy(TreePolicy::MultiSweep)
@@ -214,7 +209,6 @@ fn committed_mid_regime_checkpoint_resumes_bitwise() {
 /// resuming: same tag, same three sweeps, then on to the cap.
 #[test]
 fn committed_sparse_msdt_checkpoint_resumes() {
-    let _serial = override_lock();
     let sp = parallel_pp::datagen::sparse::sparse_lowrank(&[18, 16, 14], 3, 0.06, 6).0;
     let bytes = include_bytes!("golden/sparse_msdt_mid_run.ppck");
     let (mut s, tag) = AlsSession::resume_from_bytes_sparse(bytes, &sp).unwrap();
@@ -264,7 +258,6 @@ fn retired_stats_slots(bytes: &[u8], s: &KernelStats) -> Vec<[u64; 8]> {
 /// pinned by the two tests above) with the ledger they stored.
 #[test]
 fn ppck_retired_stats_slots_are_written_as_zeros_and_skipped() {
-    let _serial = override_lock();
     let t = noisy_rank(&[10, 9, 11], 3, 0.05, 7);
     let cfg = AlsConfig::new(3)
         .with_policy(TreePolicy::MultiSweep)

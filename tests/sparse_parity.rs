@@ -23,7 +23,7 @@ use parallel_pp::tensor::{Matrix, Workspace};
 use proptest::prelude::*;
 
 mod common;
-use common::{override_lock, pair_pointwise};
+use common::pair_pointwise;
 
 /// Shape menus spanning orders 3 to 5, with ragged/prime extents so fiber
 /// boundaries never align with chunk boundaries. Sample counts run from
@@ -269,7 +269,6 @@ fn pairs(order: usize) -> impl Iterator<Item = (usize, usize)> {
 /// every pool width.
 #[test]
 fn order3_pair_walk_matches_the_semisparse_ttm_bitwise() {
-    let _serial = override_lock();
     let deep = 2 * panel_kc() + 5;
     let small: &[usize] = &[3, 4, 2];
     let cases: [(&[usize], usize); 5] = [
@@ -309,7 +308,6 @@ fn order3_pair_walk_matches_the_semisparse_ttm_bitwise() {
 /// association) to 1e-12 relative.
 #[test]
 fn deep_pair_walk_matches_the_pointwise_oracle_and_the_chain() {
-    let _serial = override_lock();
     let cases: [(&[usize], usize); 2] = [(&[12, 9, 10, 8], 6000), (&[9, 8, 7, 6, 5], 6000)];
     for (dims, samples) in cases {
         let order = dims.len();
@@ -378,7 +376,6 @@ fn dt_session_records_the_pinned_ttm_ledger() {
 /// and the multi-sweep one caches nothing.
 #[test]
 fn sparse_msdt_is_sparse_dt_bitwise() {
-    let _serial = override_lock();
     let datasets = [
         powerlaw_sparse(&[24, 20, 16], 800, 1.8, 5),
         parallel_pp::datagen::sparse::sparse_lowrank(&[18, 16, 14], 3, 0.06, 6).0,

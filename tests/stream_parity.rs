@@ -21,7 +21,7 @@ use parallel_pp::tensor::DenseTensor;
 use proptest::prelude::*;
 
 mod common;
-use common::{assert_identical, override_lock};
+use common::assert_identical;
 
 /// Drive the whole arrival schedule under one cache-update policy.
 fn drive(
@@ -125,7 +125,6 @@ proptest! {
 
 #[test]
 fn streamed_trace_identical_under_1_and_n_threads() {
-    let _serial = override_lock();
     let feed = midsize_feed();
     for kind in [SessionKind::Exact, SessionKind::Pp] {
         let run = |threads: usize| {
@@ -141,7 +140,6 @@ fn streamed_trace_identical_under_1_and_n_threads() {
 
 #[test]
 fn checkpoint_mid_stream_resumes_bit_identically() {
-    let _serial = override_lock();
     let feed = midsize_feed();
     let cfg = AlsConfig::new(6).with_tol(0.0).with_pp_tol(0.3);
     let spa = 3;
@@ -200,7 +198,6 @@ fn incremental_matches_recompute_at_mapped_sizes() {
     /// `MAP_MIN_BYTES` of `pp_tensor`'s store: from here up a store is a
     /// mapping of its own.
     const MAP_MIN_BYTES: usize = 2 << 20;
-    let _serial = override_lock();
     let (frame, rank, initial, arrive, n_arrivals) = ([16, 16, 16], 16, 64, 32, 3);
     let frame_elems: usize = frame.iter().product();
     let tcfg = TimelapseConfig {

@@ -13,11 +13,10 @@ use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::{KernelStats, TreePolicy};
 
 mod common;
-use common::{assert_identical, override_lock};
+use common::assert_identical;
 
 #[test]
 fn cp_als_trace_identical_under_1_and_n_threads() {
-    let _serial = override_lock();
     let t = noisy_rank(&[40, 40, 40], 6, 0.05, 21);
     let run = |threads: usize| {
         AlsSession::new(
@@ -37,7 +36,6 @@ fn cp_als_trace_identical_under_1_and_n_threads() {
 
 #[test]
 fn msdt_cp_als_trace_identical_under_1_and_n_threads() {
-    let _serial = override_lock();
     let t = noisy_rank(&[40, 40, 40], 6, 0.05, 33);
     let run = |threads: usize| {
         AlsSession::new(
@@ -58,7 +56,6 @@ fn msdt_cp_als_trace_identical_under_1_and_n_threads() {
 
 #[test]
 fn pp_cp_als_trace_identical_under_1_and_n_threads() {
-    let _serial = override_lock();
     let t = noisy_rank(&[40, 40, 40], 6, 0.05, 55);
     let run = |threads: usize| {
         AlsSession::new(
@@ -94,7 +91,6 @@ fn sparse_msdt_trace_identical_under_1_and_n_threads() {
     // each output row from one task, so it must be bitwise deterministic
     // across pool widths. Density is chosen so the nonzero count crosses
     // the kernel's parallel-work threshold.
-    let _serial = override_lock();
     let (sp, _) = parallel_pp::datagen::sparse::sparse_lowrank(&[40, 36, 30], 4, 0.12, 71);
     let run = |threads: usize| {
         AlsSession::new_sparse(
@@ -119,7 +115,6 @@ fn sparse_msdt_trace_identical_under_1_and_n_threads() {
 
 #[test]
 fn sparse_pp_trace_identical_under_1_and_n_threads() {
-    let _serial = override_lock();
     let (sp, _) = parallel_pp::datagen::sparse::sparse_lowrank(&[40, 36, 30], 4, 0.12, 77);
     let run = |threads: usize| {
         AlsSession::new_sparse(
@@ -174,7 +169,6 @@ fn kernel_ledger_counts_every_ttm_once_at_any_width() {
     // Every first-level TTM of a dense exact session contracts one mode
     // of the whole input, so each carries 2·len·R flops, and every count
     // repeats exactly across pool widths.
-    let _serial = override_lock();
     let t = noisy_rank(&[64, 60, 56], 6, 0.05, 91);
     for policy in [TreePolicy::Standard, TreePolicy::MultiSweep] {
         let run = |threads: usize| {
@@ -236,7 +230,6 @@ fn paper_table1_msdt_ttm_flops_are_n_over_2n_minus_2_of_dt() {
     // holds exactly, at every pool width. MSDT also runs more mTTV flops
     // than DT at N ≥ 4 (printed): that is the lower-order term the table
     // drops.
-    let _serial = override_lock();
     let rank = 8;
     for dims in [&[24usize; 3][..], &[12; 4], &[8; 5]] {
         let n = dims.len();
@@ -337,7 +330,6 @@ fn pp_ledger_counts_the_corrections_that_run_at_any_width() {
     // every mode it has not updated yet, so it runs N(N−1)/2 fewer. A
     // sparse PP-init contracts N − 1 anchors (the walk of 𝓜^(0,1) folds
     // the first). Every per-sweep count repeats at widths 1 and 4.
-    let _serial = override_lock();
     let rank = 8;
     let dense3 = noisy_rank(&[40, 40, 40], 6, 0.05, 55);
     let dense4 = noisy_rank(&[14, 13, 12, 11], 5, 0.05, 57);

@@ -21,7 +21,7 @@ use parallel_pp::dtree::{CacheUpdate, TreePolicy};
 use parallel_pp::tensor::{DenseTensor, Workspace, WorkspaceStats};
 
 mod common;
-use common::{assert_identical, override_lock};
+use common::assert_identical;
 
 /// The memory bound, checked wherever a test looks at the counters.
 fn assert_bounded(s: &WorkspaceStats) {
@@ -97,7 +97,6 @@ fn msdt_session_stops_missing_once_its_classes_are_warm() {
 fn pp_second_init_finds_the_first_inits_buffers() {
     // One pool thread: the N anchor mTTVs of an init are drawn from one
     // class, and how many are out at once is otherwise up to the pool.
-    let _serial = override_lock();
     let (t, cfg) = pp_case();
     let mut session = AlsSession::new(&t, &cfg.with_threads(1), SessionKind::Pp);
     let ws = session.workspace().clone();
