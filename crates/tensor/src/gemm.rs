@@ -7,23 +7,30 @@
 //! width; `n > 32` in column blocks — in registers across a `KC` panel of
 //! `k`:
 //!
-//! * an untransposed `op(A)` is **not packed**: the kernel broadcasts
-//!   straight from `TM` row-major rows of A. With `n = rank` every A
-//!   element feeds a single strip, so a packing pass would cost as much
-//!   memory traffic as the product itself;
+//! * `op(A)` is **never packed**: with `n = rank` every A element feeds a
+//!   single strip, so a packing pass costs as much memory traffic as the
+//!   product itself. The kernel broadcasts straight from where A lies, and
+//!   keeps its stream ahead of the FMAs with software prefetch;
+//! * an untransposed `op(A)` is read from `TM` row-major rows per strip;
+//!   every 8 steps of `l` a strip hints one line of each of the next
+//!   strip's rows into L1, so a strip starts on a panel already fetched;
 //! * a transposed `op(A)` (stored `k × m`, or a batch of such slabs whose
-//!   rows stack) is copied `MC × kc` block by block, `l` outermost — each
-//!   source page is visited once per block in contiguous runs of up to `MC`
-//!   doubles — and broadcast from the copy;
+//!   rows stack) is streamed: a row chunk is cut into tiles of up to
+//!   `ACC_TILE / ldb` rows inside one slab, and each tile reads its
+//!   slab's stored rows a chunk of `LC` at a time, each strip broadcasting
+//!   its `TM` contiguous elements of a stored row in place and hinting the
+//!   same rows `PF_AHEAD` elements on. The strip's accumulators go to an
+//!   L2-resident accumulator tile between chunks and come back for the
+//!   next — an exact store and load, so the arithmetic is the contract's;
 //! * `op(B)` is laid out once per call as `k × ⌈n/8⌉·8` row-major,
 //!   zero-padded — or used in place when it already is (`Trans::No`,
 //!   `8 | n`: the ALS factor matrix);
 //! * C is touched once per `KC` panel; with `β = 0` the first panel stores
 //!   `0.0 + α·acc` without reading (or pre-zeroing) C.
 //!
-//! Tile shape (`TM` per strip width, `MC`) is a constant of the SIMD level
-//! (`simd.rs`); nothing about it is configurable, and nothing about it is
-//! visible in the result:
+//! Tile shape (`TM` per strip width, `MC`, `LC`, the accumulator tile) is a
+//! constant of the SIMD level (`simd.rs`); nothing about it is
+//! configurable, and nothing about it is visible in the result:
 //!
 //! **Determinism.** Each output element is produced by the same arithmetic
 //! whatever the tile shape, chunking or thread count: one scalar
@@ -44,7 +51,7 @@
 //! (a first-level TTM is `2·len·R`, whatever GEMM path it takes).
 
 use crate::matrix::Matrix;
-use crate::simd::{simd_level, SimdLevel};
+use crate::simd::{prefetch, simd_level, SimdLevel};
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -60,13 +67,31 @@ pub enum Trans {
 /// Depth of one k panel. Part of the numeric contract, not a tuning knob:
 /// it decides where each element's running sum is rounded into C.
 const KC: usize = 256;
-/// Rows per copied block of a transposed A: a multiple of every strip
-/// height, sized so an `MC × KC` block (384 KiB) stays L2-resident.
+/// Rows per block of an untransposed A: a multiple of every strip height,
+/// sized so an `MC × KC` block (384 KiB) stays L2-resident across the
+/// column blocks of a wide `op(B)`.
 const MC: usize = 192;
-/// Least common multiple of the strip heights in use (6, 8, 12): the
-/// leading dimension of a copied A block is rounded up to it, so a short
-/// last strip reads zeros instead of running off the row.
+/// Least common multiple of the strip heights in use (6, 8, 12): the rows
+/// of a transposed A's accumulator tile are a multiple of it, so every
+/// strip, the short last one too, has its accumulator rows there.
 const TM_LCM: usize = 24;
+/// The tallest strip.
+const TM_MAX: usize = 12;
+/// Stored rows of a transposed A streamed per chunk: each accumulator goes
+/// to the tile and back once per chunk. A chunk's rows lie a whole stored
+/// row apart; where that stride is a multiple of [`ALIAS_STRIDE`] bytes
+/// they all fall in one set of the 16-way L2 (and of L1), and a chunk
+/// keeps to [`LC_ALIASED`] of them.
+const LC: usize = 32;
+const LC_ALIASED: usize = 8;
+/// Stride (bytes) from which a transposed A's stored rows share L2 sets.
+const ALIAS_STRIDE: usize = 64 << 10;
+/// How far ahead along its stored rows a transposed-A strip hints lines
+/// in (eight lines; several strips' worth of latency).
+const PF_AHEAD: usize = 64;
+/// Doubles in a transposed A's accumulator tile (192 KiB, L2-resident):
+/// 768 rows of C at rank 32, 3072 at rank 8.
+const ACC_TILE: usize = 32 * 768;
 /// Column granule: strip widths are multiples of it (one AVX-512 vector).
 const NV: usize = 8;
 
@@ -100,13 +125,14 @@ const PAR_WORK_THRESHOLD: usize = 1 << 16;
 const CHUNKS_PER_THREAD: usize = 4;
 
 thread_local! {
-    /// Reusable operand buffers. `PACK_A` holds one copied block of a
-    /// *transposed* A (at most `MC × KC` doubles; never allocated for an
-    /// untransposed A) and is borrowed by whichever thread executes a row
-    /// chunk; `PACK_B` holds a re-laid-out `op(B)` and is borrowed by the
-    /// calling thread for the duration of the call. Distinct keys, so a
-    /// caller participating in its own batch never re-borrows.
-    static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Reusable operand buffers. `ACC` holds a transposed A's accumulator
+    /// tile and short-strip pad (at most [`ACC_TILE`] + `LC × TM_MAX`
+    /// doubles; never allocated for an untransposed A) and is borrowed by
+    /// whichever thread executes a row chunk; `PACK_B` holds a re-laid-out
+    /// `op(B)` and is borrowed by the calling thread for the duration of
+    /// the call. Distinct keys, so a caller participating in its own batch
+    /// never re-borrows.
+    static ACC: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -395,45 +421,126 @@ struct Product<'a> {
 }
 
 /// Rows `[row0, row0 + c_chunk.len()/n)` of the product, on the calling
-/// thread. Borrows the A-block scratch (empty unless A is transposed) and
-/// enters the clone of [`chunk_body`] compiled for this CPU.
+/// thread. Borrows the accumulator scratch (empty unless A is transposed)
+/// and enters the clone of [`chunk_body`] compiled for this CPU.
 fn row_chunk(p: &Product, row0: usize, c_chunk: &mut [f64]) {
-    let a_len = match p.ta {
+    let scratch = match p.ta {
         Trans::No => 0,
-        Trans::Yes => MC.min(c_chunk.len() / p.n).next_multiple_of(TM_LCM) * p.kc.min(p.k),
+        Trans::Yes => tile_rows(p.ldb, c_chunk.len() / p.n) * p.ldb + LC * TM_MAX,
     };
-    with_scratch(&PACK_A, a_len, |a_blk| match simd_level() {
+    with_scratch(&ACC, scratch, |scratch| match simd_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `simd_level` returned this variant only after
         // `is_x86_feature_detected!` confirmed the features are present.
-        SimdLevel::Avx512 => unsafe { chunk_avx512(p, row0, c_chunk, a_blk) },
+        SimdLevel::Avx512 => unsafe { chunk_avx512(p, row0, c_chunk, scratch) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — AVX2+FMA were detected at runtime.
-        SimdLevel::Avx2 => unsafe { chunk_avx2(p, row0, c_chunk, a_blk) },
-        SimdLevel::Scalar => chunk_body::<false, false>(p, row0, c_chunk, a_blk),
+        SimdLevel::Avx2 => unsafe { chunk_avx2(p, row0, c_chunk, scratch) },
+        SimdLevel::Scalar => chunk_body::<false, false>(p, row0, c_chunk, scratch),
     })
+}
+
+/// Rows of C per accumulator tile of a transposed A: as many as
+/// [`ACC_TILE`] doubles hold at row width `ldb`, a multiple of every strip
+/// height, and no more than a chunk of `rows` rows needs.
+fn tile_rows(ldb: usize, rows: usize) -> usize {
+    (ACC_TILE / ldb / TM_LCM).max(1).min(rows.div_ceil(TM_LCM)) * TM_LCM
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-fn chunk_avx512(p: &Product, row0: usize, c_chunk: &mut [f64], a_blk: &mut [f64]) {
-    chunk_body::<true, true>(p, row0, c_chunk, a_blk)
+fn chunk_avx512(p: &Product, row0: usize, c_chunk: &mut [f64], scratch: &mut [f64]) {
+    chunk_body::<true, true>(p, row0, c_chunk, scratch)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn chunk_avx2(p: &Product, row0: usize, c_chunk: &mut [f64], a_blk: &mut [f64]) {
-    chunk_body::<true, false>(p, row0, c_chunk, a_blk)
+fn chunk_avx2(p: &Product, row0: usize, c_chunk: &mut [f64], scratch: &mut [f64]) {
+    chunk_body::<true, false>(p, row0, c_chunk, scratch)
 }
 
-/// Where a strip reads `op(A)` from.
-#[derive(Clone, Copy)]
-enum ASrc<'a> {
-    /// Untransposed A, offset to the block's first row and the panel's
-    /// first column: element `(i, l)` at `a[i·lda + l]`.
-    Rows { a: &'a [f64], lda: usize },
-    /// The `l`-major copy of a transposed block: `(i, l)` at `buf[l·ld + i]`.
-    Cols { buf: &'a [f64], ld: usize },
+/// One row chunk, by where `op(A)` is stored. `WIDE` selects the tile
+/// table: 32-register AVX-512 holds strips up to 32 wide (24 accumulator
+/// registers at every width), the 16-register levels run 6 × 8 strips (12
+/// accumulators).
+#[inline(always)]
+fn chunk_body<const FMA: bool, const WIDE: bool>(
+    p: &Product,
+    row0: usize,
+    c_chunk: &mut [f64],
+    scratch: &mut [f64],
+) {
+    match p.ta {
+        Trans::No => rows_body::<FMA, WIDE>(p, row0, c_chunk),
+        Trans::Yes => cols_body::<FMA, WIDE>(p, row0, c_chunk, scratch),
+    }
+}
+
+/// How the first panel's `α·acc` meets C; every later panel adds.
+fn panel_store(kp: usize, beta: f64) -> Store {
+    if kp > 0 || beta == 1.0 {
+        Store::Add
+    } else if beta == 0.0 {
+        Store::Overwrite
+    } else {
+        Store::Scale(beta)
+    }
+}
+
+/// Run the strip kernel `$f` at the register tile of a `$w`-wide column
+/// block: `TM × NP` with `NP = ⌈w/8⌉·8` on the wide table, `6 × 8` on the
+/// narrow one.
+macro_rules! by_tile {
+    ($wide:expr, $w:expr, $f:ident::<$fma:ident>($($arg:expr),*)) => {
+        match ($wide, $w.div_ceil(NV)) {
+            (true, 4) => $f::<$fma, 6, 32>($($arg),*),
+            (true, 3) => $f::<$fma, 8, 24>($($arg),*),
+            (true, 2) => $f::<$fma, 12, 16>($($arg),*),
+            (true, _) => $f::<$fma, 12, 8>($($arg),*),
+            (false, _) => $f::<$fma, 6, 8>($($arg),*),
+        }
+    };
+}
+
+/// Untransposed A: `KC` panels outermost (so `op(B)` streams once), `MC`
+/// row blocks inside, then column blocks × strips, broadcasting straight
+/// from A's stored rows.
+#[inline(always)]
+fn rows_body<const FMA: bool, const WIDE: bool>(p: &Product, row0: usize, c_chunk: &mut [f64]) {
+    let n = p.n;
+    let rows = c_chunk.len() / n;
+    let mut kp = 0;
+    while kp < p.k {
+        let kc = p.kc.min(p.k - kp);
+        let store = panel_store(kp, p.beta);
+        let b_panel = &p.b[kp * p.ldb..(kp + kc) * p.ldb];
+        let mut ip = 0;
+        while ip < rows {
+            let mc = MC.min(rows - ip);
+            let c_blk = &mut c_chunk[ip * n..(ip + mc) * n];
+            let mut j0 = 0;
+            while j0 < n {
+                let w = if WIDE { 4 * NV } else { NV }.min(n - j0);
+                let blk = Block {
+                    a: &p.a[(row0 + ip) * p.lda + kp..],
+                    lda: p.lda,
+                    mc,
+                    kc,
+                    b: &b_panel[j0..],
+                    ldb: p.ldb,
+                    alpha: p.alpha,
+                    store,
+                    n,
+                    j0,
+                    w,
+                };
+                by_tile!(WIDE, w, strips::<FMA>(&blk, c_blk));
+                j0 += w;
+            }
+            ip += mc;
+        }
+        kp += kc;
+    }
 }
 
 /// How a panel's `α·acc` meets C.
@@ -449,10 +556,13 @@ enum Store {
     Add,
 }
 
-/// One `mc`-row block of `op(A)` against one column block of one panel of
-/// `op(B)`: the unit [`strips`] cuts into register strips.
+/// One `mc`-row block of an untransposed `op(A)` against one column block
+/// of one panel of `op(B)`: the unit [`strips`] cuts into register strips.
 struct Block<'a> {
-    a: ASrc<'a>,
+    /// A from the block's first row and the panel's first column on:
+    /// element `(i, l)` at `a[i·lda + l]`.
+    a: &'a [f64],
+    lda: usize,
     mc: usize,
     kc: usize,
     /// `op(B)` from the panel's first row and the block's first column on;
@@ -467,96 +577,16 @@ struct Block<'a> {
     w: usize,
 }
 
-/// Panel loop of one row chunk: `KC` panels outermost (so `op(B)` streams
-/// once), `MC` row blocks inside, then column blocks × strips.
-/// `WIDE` selects the tile table: 32-register AVX-512 holds strips up to
-/// 32 wide (24 accumulator registers at every width), the 16-register
-/// levels run 6 × 8 strips (12 accumulators).
-#[inline(always)]
-fn chunk_body<const FMA: bool, const WIDE: bool>(
-    p: &Product,
-    row0: usize,
-    c_chunk: &mut [f64],
-    a_blk: &mut [f64],
-) {
-    let n = p.n;
-    let rows = c_chunk.len() / n;
-    let mut kp = 0;
-    while kp < p.k {
-        let kc = p.kc.min(p.k - kp);
-        let store = if kp > 0 || p.beta == 1.0 {
-            Store::Add
-        } else if p.beta == 0.0 {
-            Store::Overwrite
-        } else {
-            Store::Scale(p.beta)
-        };
-        let b_panel = &p.b[kp * p.ldb..(kp + kc) * p.ldb];
-        let mut ip = 0;
-        while ip < rows {
-            let mc = MC.min(rows - ip);
-            let c_blk = &mut c_chunk[ip * n..(ip + mc) * n];
-            let a = match p.ta {
-                Trans::No => ASrc::Rows {
-                    a: &p.a[(row0 + ip) * p.lda + kp..],
-                    lda: p.lda,
-                },
-                Trans::Yes => {
-                    // Stored k×m per product: row l of the block is one
-                    // contiguous run per product its rows fall in.
-                    let ld = mc.next_multiple_of(TM_LCM);
-                    for (l, dst) in a_blk[..ld * kc].chunks_exact_mut(ld).enumerate() {
-                        let (mut i, mut d) = (row0 + ip, 0);
-                        while d < mc {
-                            let (slab, j) = (i / p.slab_rows, i % p.slab_rows);
-                            let run = (p.slab_rows - j).min(mc - d);
-                            let at = slab * p.slab_len + (kp + l) * p.lda + j;
-                            dst[d..d + run].copy_from_slice(&p.a[at..at + run]);
-                            (i, d) = (i + run, d + run);
-                        }
-                        dst[mc..].fill(0.0);
-                    }
-                    ASrc::Cols {
-                        buf: &a_blk[..ld * kc],
-                        ld,
-                    }
-                }
-            };
-            let mut j0 = 0;
-            while j0 < n {
-                let w = if WIDE { 4 * NV } else { NV }.min(n - j0);
-                let blk = Block {
-                    a,
-                    mc,
-                    kc,
-                    b: &b_panel[j0..],
-                    ldb: p.ldb,
-                    alpha: p.alpha,
-                    store,
-                    n,
-                    j0,
-                    w,
-                };
-                match (WIDE, w.div_ceil(NV)) {
-                    (true, 4) => strips::<FMA, 6, 32>(&blk, c_blk),
-                    (true, 3) => strips::<FMA, 8, 24>(&blk, c_blk),
-                    (true, 2) => strips::<FMA, 12, 16>(&blk, c_blk),
-                    (true, _) => strips::<FMA, 12, 8>(&blk, c_blk),
-                    (false, _) => strips::<FMA, 6, 8>(&blk, c_blk),
-                }
-                j0 += w;
-            }
-            ip += mc;
-        }
-        kp += kc;
-    }
-}
-
-/// The register-tiled core. For each `TM`-row strip of the block:
-/// `acc[i][j] = Σ_l a(i, l) · b(l, j)` over the panel — one scalar
-/// accumulator per element starting at 0, `l` strictly ascending, the
-/// arithmetic contract the determinism argument rests on — then one
+/// The register-tiled core of an untransposed A. For each `TM`-row strip
+/// of the block: `acc[i][j] = Σ_l a(i, l) · b(l, j)` over the panel — one
+/// scalar accumulator per element starting at 0, `l` strictly ascending,
+/// the arithmetic contract the determinism argument rests on — then one
 /// `α·acc` store per real element.
+///
+/// A is read where it is stored, so nothing but the strip's own loads
+/// pulls it in: every [`NV`] `l` the loop hints one line of each of the
+/// *next* strip's `TM` rows into L1, and a strip starts on a panel the
+/// previous strip has already fetched.
 ///
 /// The `TM × NP` accumulator block must live in vector registers for the
 /// whole `l` loop, and in safe Rust that is a property of how the code is
@@ -569,82 +599,342 @@ fn chunk_body<const FMA: bool, const WIDE: bool>(
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // `l` indexes all TM rows at once
 fn strips<const FMA: bool, const TM: usize, const NP: usize>(blk: &Block, c_blk: &mut [f64]) {
-    let &Block { mc, kc, ldb, .. } = blk;
+    let &Block {
+        a,
+        lda,
+        mc,
+        kc,
+        ldb,
+        ..
+    } = blk;
     debug_assert!(blk.b.len() >= (kc - 1) * ldb + NP);
     let mut i0 = 0;
     while i0 < mc {
         let tm = TM.min(mc - i0);
         let mut acc = [[0.0f64; NP]; TM];
-        // Lockstep iterators and `let-else` exits that never fire: nothing
-        // in the `l` loops can panic.
+        // A short last strip re-reads its last real row; the extra
+        // accumulator rows are never stored.
+        let rows: [&[f64]; TM] = std::array::from_fn(|i| {
+            let at = (i0 + i.min(tm - 1)) * lda;
+            &a[at..at + kc]
+        });
+        // The next strip's rows; past A's last row, the last row again.
+        let last = (a.len() - kc) / lda;
+        let next: [&[f64]; TM] = std::array::from_fn(|i| {
+            let at = (i0 + TM + i).min(last) * lda;
+            &a[at..at + kc]
+        });
+        // Lockstep iterators and a `let-else` exit that never fires:
+        // nothing in the `l` loop can panic.
         let mut b_rows = blk.b.chunks(ldb);
-        match blk.a {
-            ASrc::Rows { a, lda } => {
-                // A short last strip re-reads its last real row; the extra
-                // accumulator rows are never stored.
-                let rows: [&[f64]; TM] = std::array::from_fn(|i| {
-                    let at = (i0 + i.min(tm - 1)) * lda;
-                    &a[at..at + kc]
-                });
-                for l in 0..kc {
-                    let Some(brow) = b_rows.next().and_then(<[f64]>::first_chunk::<NP>) else {
-                        break;
-                    };
-                    for i in 0..TM {
-                        fma_row::<FMA, NP>(rows[i][l], brow, &mut acc[i]);
-                    }
+        for l in 0..kc {
+            let Some(brow) = b_rows.next().and_then(<[f64]>::first_chunk::<NP>) else {
+                break;
+            };
+            if l % NV == 0 {
+                for row in next {
+                    prefetch(row, l);
                 }
             }
-            ASrc::Cols { buf, ld } => {
-                // `ld` is a multiple of every TM, so a short last strip
-                // reads the block's zero padding.
-                debug_assert!(i0 + TM <= ld && buf.len() >= kc * ld);
-                let mut a_cols = buf[i0..].chunks(ld);
-                for _ in 0..kc {
-                    let Some(brow) = b_rows.next().and_then(<[f64]>::first_chunk::<NP>) else {
-                        break;
-                    };
-                    let Some(acol) = a_cols.next().and_then(<[f64]>::first_chunk::<TM>) else {
-                        break;
-                    };
-                    for i in 0..TM {
-                        fma_row::<FMA, NP>(acol[i], brow, &mut acc[i]);
-                    }
-                }
-            }
+            fma_rows::<FMA, TM, NP>(&rows, l, brow, &mut acc);
         }
-        // Scale through constant indices (`j` outermost keeps the
-        // vectorizer on the unit-stride axis), then let the ragged store
-        // index the scaled copy at run time.
-        let mut out = [[0.0f64; NP]; TM];
-        for j in 0..NP {
-            for i in 0..TM {
-                out[i][j] = blk.alpha * acc[i][j];
-            }
-        }
-        for (i, orow) in out.iter().enumerate().take(tm) {
-            let at = (i0 + i) * blk.n + blk.j0;
-            let crow = &mut c_blk[at..at + blk.w];
-            match blk.store {
-                Store::Overwrite => {
-                    for (cv, ov) in crow.iter_mut().zip(orow) {
-                        *cv = 0.0 + ov;
-                    }
-                }
-                Store::Scale(beta) => {
-                    for (cv, ov) in crow.iter_mut().zip(orow) {
-                        *cv = *cv * beta + ov;
-                    }
-                }
-                Store::Add => {
-                    for (cv, ov) in crow.iter_mut().zip(orow) {
-                        *cv += ov;
-                    }
-                }
-            }
-        }
+        store_strip(
+            &acc,
+            blk.alpha,
+            blk.store,
+            c_blk,
+            [i0, tm],
+            [blk.n, blk.j0, blk.w],
+        );
         i0 += TM;
     }
+}
+
+/// Transposed A (stored `k × m` per product): no copy. The chunk's rows
+/// are cut into tiles that stay inside one product, of at most as many
+/// rows as an L2-resident accumulator tile ([`ACC_TILE`] doubles) holds,
+/// and each tile streams its product's stored rows `LC` at a time
+/// (`LC_ALIASED` where the rows share cache sets):
+/// [`col_strips`] broadcasts each strip's `TM` elements of a stored row
+/// where they lie, and an accumulator leaves its register only between
+/// chunks, to the tile and back — an exact store and load, so every
+/// element is still one accumulator from 0 with `l` ascending through the
+/// panel. A small product is one tile, read front to back.
+#[inline(always)]
+fn cols_body<const FMA: bool, const WIDE: bool>(
+    p: &Product,
+    row0: usize,
+    c_chunk: &mut [f64],
+    scratch: &mut [f64],
+) {
+    let n = p.n;
+    let rows = c_chunk.len() / n;
+    let (acc, pad) = scratch.split_at_mut(scratch.len() - LC * TM_MAX);
+    let tw = acc.len() / p.ldb;
+    let depth = match (p.lda * std::mem::size_of::<f64>()) % ALIAS_STRIDE {
+        0 => LC_ALIASED,
+        _ => LC,
+    };
+    let mut r = 0;
+    while r < rows {
+        // Row `row0 + r` of C is row `j` of product `slab`.
+        let (slab, j) = ((row0 + r) / p.slab_rows, (row0 + r) % p.slab_rows);
+        let tr = tw.min(p.slab_rows - j).min(rows - r);
+        let c_tile = &mut c_chunk[r * n..(r + tr) * n];
+        let mut kp = 0;
+        while kp < p.k {
+            let kc = p.kc.min(p.k - kp);
+            let store = panel_store(kp, p.beta);
+            let mut l0 = kp;
+            while l0 < kp + kc {
+                let lc = depth.min(kp + kc - l0);
+                let (mut j0, mut off) = (0, 0);
+                while j0 < n {
+                    let w = if WIDE { 4 * NV } else { NV }.min(n - j0);
+                    let np = w.next_multiple_of(NV);
+                    let ch = ColChunk {
+                        a: p.a,
+                        lda: p.lda,
+                        at: slab * p.slab_len + j,
+                        tr,
+                        l0,
+                        lc,
+                        b: p.b,
+                        ldb: p.ldb,
+                        first: l0 == kp,
+                        last: (l0 + lc == kp + kc).then_some(store),
+                        alpha: p.alpha,
+                        n,
+                        j0,
+                        w,
+                    };
+                    let acc_blk = &mut acc[off * tw..(off + np) * tw];
+                    by_tile!(WIDE, w, col_strips::<FMA>(&ch, acc_blk, pad, c_tile));
+                    (j0, off) = (j0 + w, off + np);
+                }
+                l0 += lc;
+            }
+            kp += kc;
+        }
+        r += tr;
+    }
+}
+
+/// One `l`-chunk of a tile of a transposed A against one column block:
+/// the unit [`col_strips`] cuts into register strips.
+struct ColChunk<'a> {
+    /// The whole stored A, `k × lda` per product: element `(i, l)` of the
+    /// tile (its `tr` rows of one product) lies at `a[at + l·lda + i]`.
+    a: &'a [f64],
+    lda: usize,
+    at: usize,
+    tr: usize,
+    /// The chunk's first `l` and depth (`1..=LC`, within one panel).
+    l0: usize,
+    lc: usize,
+    /// The whole `op(B)`, rows `ldb` apart.
+    b: &'a [f64],
+    ldb: usize,
+    /// First chunk of its panel: the accumulators start at 0.
+    first: bool,
+    /// Last chunk of its panel: `α·acc` meets C this way instead of going
+    /// back to the tile.
+    last: Option<Store>,
+    alpha: f64,
+    /// Row length of C, and the column block's first column and real
+    /// width in it.
+    n: usize,
+    j0: usize,
+    w: usize,
+}
+
+/// The register-tiled core of a transposed A. For each `TM`-row strip of
+/// the tile: load its accumulators from the tile (or start them at 0), run
+/// the chunk's `l` ascending, then put them back — or, on the panel's last
+/// chunk, store `α·acc` into C. `acc` is indexed by constants only, and
+/// the `l` loop walks the chunk's rows of `op(B)` and one offset into A
+/// that steps a stored row at a time, leaving by a `let-else` that never
+/// fires: no bookkeeping beyond that, and nothing in it can panic (the
+/// register rule of [`strips`]).
+///
+/// A strip broadcasts its `TM` elements of a stored row where they lie. A
+/// short strip at the tile's end reads on past it into the stored row's
+/// next elements, which feed accumulator rows that are never stored in C;
+/// only where that would run off the end of A does it read from `pad`,
+/// copied and zero-filled. Before its FMAs a strip hints its lines of the
+/// same rows `PF_AHEAD` elements on — past the tile's end, of the next
+/// chunk's rows — so the stream arrives while the chunk computes.
+#[inline(always)]
+fn col_strips<const FMA: bool, const TM: usize, const NP: usize>(
+    ch: &ColChunk,
+    acc_tile: &mut [f64],
+    pad: &mut [f64],
+    c_tile: &mut [f64],
+) {
+    let &ColChunk {
+        a,
+        lda,
+        at: tile_at,
+        tr,
+        l0,
+        lc,
+        ..
+    } = ch;
+    debug_assert!((1..=LC).contains(&lc) && TM <= TM_MAX);
+    let brows: [&[f64; NP]; LC] = std::array::from_fn(|l| {
+        let at = (l0 + l.min(lc - 1)) * ch.ldb + ch.j0;
+        ch.b[at..].first_chunk().expect("op(B) row")
+    });
+    let (pad, _) = pad.as_chunks_mut::<TM>();
+    let (tile, _) = acc_tile.as_chunks_mut::<NP>();
+    let (tile, _) = tile[..tr.next_multiple_of(TM)].as_chunks_mut::<TM>();
+    for (s, acc_rows) in tile.iter_mut().enumerate() {
+        let i0 = s * TM;
+        let tm = TM.min(tr - i0);
+        let at = tile_at + l0 * lda + i0;
+        // Where the strip's `TM` elements of each stored row start, and
+        // their stride: in place, or for a short strip at the very end of
+        // A zero-padded copies.
+        let (src, at, ld): (&[f64], usize, usize) = if at + (lc - 1) * lda + TM <= a.len() {
+            (a, at, lda)
+        } else {
+            for (l, row) in pad.iter_mut().enumerate().take(lc) {
+                let src = &a[at + l * lda..at + l * lda + tm];
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v = src.get(i).copied().unwrap_or(0.0);
+                }
+            }
+            (pad.as_flattened(), 0, TM)
+        };
+        let ahead = i0 + PF_AHEAD;
+        let (row, col) = if ahead < tr {
+            (l0, ahead)
+        } else {
+            (l0 + lc, ahead - tr)
+        };
+        let first = tile_at + row * lda + col;
+        if col < tr && first + (lc - 1) * lda + TM <= a.len() {
+            for l in 0..lc {
+                for i in (0..TM).step_by(NV) {
+                    prefetch(a, first + l * lda + i);
+                }
+            }
+        }
+        // Element by element: a whole-array copy becomes a `memcpy`
+        // into a stack array, and the vectorizer then gathers from it.
+        let mut acc = [[0.0f64; NP]; TM];
+        if !ch.first {
+            for i in 0..TM {
+                for j in 0..NP {
+                    acc[i][j] = acc_rows[i][j];
+                }
+            }
+        }
+        let mut at = at;
+        for brow in &brows[..lc] {
+            let Some(arow) = src.get(at..).and_then(<[f64]>::first_chunk::<TM>) else {
+                break;
+            };
+            fma_strip::<FMA, TM, NP>(arow, brow, &mut acc);
+            at += ld;
+        }
+        match ch.last {
+            Some(store) => {
+                store_strip(&acc, ch.alpha, store, c_tile, [i0, tm], [ch.n, ch.j0, ch.w]);
+            }
+            None => {
+                for i in 0..TM {
+                    for j in 0..NP {
+                        acc_rows[i][j] = acc[i][j];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `α·acc` of a strip's first `tm` rows into rows `i0..` of `c`, columns
+/// `j0..j0 + w` of rows `n` long, the way `store` says; padded lanes and
+/// rows are never stored.
+#[inline(always)]
+fn store_strip<const TM: usize, const NP: usize>(
+    acc: &[[f64; NP]; TM],
+    alpha: f64,
+    store: Store,
+    c: &mut [f64],
+    [i0, tm]: [usize; 2],
+    [n, j0, w]: [usize; 3],
+) {
+    // Scale through constant indices (`j` outermost keeps the vectorizer
+    // on the unit-stride axis), then let the ragged store index the scaled
+    // copy at run time.
+    let mut out = [[0.0f64; NP]; TM];
+    for j in 0..NP {
+        for i in 0..TM {
+            out[i][j] = alpha * acc[i][j];
+        }
+    }
+    for (i, orow) in out.iter().enumerate().take(tm) {
+        let at = (i0 + i) * n + j0;
+        let crow = &mut c[at..at + w];
+        match store {
+            Store::Overwrite => {
+                for (cv, ov) in crow.iter_mut().zip(orow) {
+                    *cv = 0.0 + ov;
+                }
+            }
+            Store::Scale(beta) => {
+                for (cv, ov) in crow.iter_mut().zip(orow) {
+                    *cv = *cv * beta + ov;
+                }
+            }
+            Store::Add => {
+                for (cv, ov) in crow.iter_mut().zip(orow) {
+                    *cv += ov;
+                }
+            }
+        }
+    }
+}
+
+/// `acc[i][j] += arow[i] · brow[j]` over a whole strip, written out row by
+/// row. As a loop over `i` it is one the vectorizer may take *across* the
+/// rows when `TM` is a whole vector (as `8 × 24` is): it then gathers and
+/// scatters the accumulators through memory on every step.
+#[inline(always)]
+fn fma_strip<const FMA: bool, const TM: usize, const NP: usize>(
+    arow: &[f64; TM],
+    brow: &[f64; NP],
+    acc: &mut [[f64; NP]; TM],
+) {
+    debug_assert!(TM <= TM_MAX);
+    macro_rules! rows {
+        ($($i:literal)*) => {
+            $(if $i < TM {
+                fma_row::<FMA, NP>(arow[$i], brow, &mut acc[$i]);
+            })*
+        };
+    }
+    rows!(0 1 2 3 4 5 6 7 8 9 10 11);
+}
+
+/// [`fma_strip`] with strip row `i`'s element at `rows[i][l]`.
+#[inline(always)]
+fn fma_rows<const FMA: bool, const TM: usize, const NP: usize>(
+    rows: &[&[f64]; TM],
+    l: usize,
+    brow: &[f64; NP],
+    acc: &mut [[f64; NP]; TM],
+) {
+    debug_assert!(TM <= TM_MAX);
+    macro_rules! rows {
+        ($($i:literal)*) => {
+            $(if $i < TM {
+                fma_row::<FMA, NP>(rows[$i][l], brow, &mut acc[$i]);
+            })*
+        };
+    }
+    rows!(0 1 2 3 4 5 6 7 8 9 10 11);
 }
 
 /// `acc[j] += a · b[j]` across one strip row.
@@ -1011,14 +1301,15 @@ mod tests {
         }
     }
 
-    /// `op(A)` untransposed is read in place: the A scratch is never
-    /// allocated. Transposed, it holds one copied block, at most `MC × KC`.
+    /// `op(A)` is read in place either way: untransposed, the scratch is
+    /// never allocated; transposed, it holds one accumulator tile and the
+    /// short-strip pad, at most `ACC_TILE + LC × TM_MAX` doubles.
     #[test]
     fn a_scratch_is_only_for_transposed_a() {
         // A fresh thread owns fresh thread-locals; the products stay below
         // the pool threshold, so they run on it.
         std::thread::spawn(|| {
-            let capacity = || PACK_A.with(|buf| buf.borrow().capacity());
+            let capacity = || ACC.with(|buf| buf.borrow().capacity());
             let (m, n, k) = (50, 4, 300);
             assert!((SMALL_WORK..PAR_WORK_THRESHOLD).contains(&(m * n * k)));
             let b = test_mat(k, n, 2);
@@ -1032,7 +1323,7 @@ mod tests {
                 0.0,
                 &mut c,
             );
-            assert_eq!(capacity(), 0, "Trans::No must not touch the A scratch");
+            assert_eq!(capacity(), 0, "Trans::No must not touch the scratch");
             gemm(
                 Trans::Yes,
                 Trans::No,
@@ -1042,7 +1333,7 @@ mod tests {
                 0.0,
                 &mut c,
             );
-            assert!((1..=MC * KC).contains(&capacity()));
+            assert!((1..=ACC_TILE + LC * TM_MAX).contains(&capacity()));
         })
         .join()
         .unwrap();

@@ -75,3 +75,24 @@ pub(crate) fn simd_level() -> SimdLevel {
         SimdLevel::Scalar
     }
 }
+
+/// Hint the cache line holding `s[at]` into L1 ahead of its load. A
+/// prefetch reads nothing into a register, cannot fault and changes no
+/// value, so a kernel may issue it on any element of an operand it reads;
+/// callers keep `at` inside the slice all the same (debug-asserted), so a
+/// hint never names memory the kernel was not handed.
+#[inline(always)]
+pub(crate) fn prefetch(s: &[f64], at: usize) {
+    debug_assert!(
+        at < s.len(),
+        "prefetch of element {at} of a slice of {}",
+        s.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` only hints the cache: it dereferences nothing
+    // and never faults, and the address lies inside `s` (asserted above).
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(s.as_ptr().wrapping_add(at).cast());
+    }
+}
