@@ -597,7 +597,6 @@ struct Block<'a> {
 /// that the `vfmadd231pd` runs of `chunk_avx512` have no stack stores
 /// between them.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)] // `l` indexes all TM rows at once
 fn strips<const FMA: bool, const TM: usize, const NP: usize>(blk: &Block, c_blk: &mut [f64]) {
     let &Block {
         a,

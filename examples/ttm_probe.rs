@@ -9,9 +9,8 @@
 //! `ttm_at`), position `N−1` its untransposed one (`ttm_last`).
 //!
 //! Run: `cargo run --release --example ttm_probe -- [--widths 1,2]
-//!       [--warmup-s 2] [--reps 10] [--shapes 0,1,2 | --dims 8x56x56@24]`
-//! (`--shapes` picks rows of the table below, `--dims` times one shape of
-//! its own at rank `R`).
+//!       [--dims 128x256x256@32]` (`--dims` times one shape of its own at
+//! rank `R` in place of the table below).
 
 use parallel_pp::tensor::kernels::ttm::ttm_at_in;
 use parallel_pp::tensor::rng::{seeded, uniform_matrix, uniform_tensor};
@@ -27,8 +26,10 @@ const SHAPES: [(&[usize], usize); 3] = [
     (&[64, 64, 32, 40], 16),
 ];
 
-/// Calls per measurement by default; the best is reported.
+/// Calls per measurement; the best is reported.
 const REPS: usize = 10;
+/// Untimed calls before the first measurement.
+const WARMUP: Duration = Duration::from_secs(2);
 
 /// FNV-1a over the bits of a tensor's elements.
 fn digest(t: &DenseTensor) -> u64 {
@@ -39,10 +40,8 @@ fn digest(t: &DenseTensor) -> u64 {
 
 fn main() {
     let mut widths = vec![1, 2];
-    let mut warmup = Duration::from_secs(2);
     let mut shapes: Vec<(Vec<usize>, usize)> =
         SHAPES.iter().map(|&(d, r)| (d.to_vec(), r)).collect();
-    let mut reps = REPS;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let value = args
@@ -55,13 +54,6 @@ fn main() {
                     .map(|w| w.parse().expect("width"))
                     .collect()
             }
-            "--warmup-s" => warmup = Duration::from_secs_f64(value.parse().expect("seconds")),
-            "--shapes" => {
-                let pick = value
-                    .split(',')
-                    .map(|i| i.parse::<usize>().expect("shape index"));
-                shapes = pick.map(|i| (SHAPES[i].0.to_vec(), SHAPES[i].1)).collect();
-            }
             "--dims" => {
                 // `AxBxC@R`: one shape of your own.
                 let (dims, r) = value.split_once('@').expect("dims as AxBxC@R");
@@ -71,7 +63,6 @@ fn main() {
                     .collect();
                 shapes = vec![(dims, r.parse().expect("rank"))];
             }
-            "--reps" => reps = value.parse().expect("repetitions"),
             _ => panic!("unknown flag {flag}"),
         }
     }
@@ -94,7 +85,7 @@ fn main() {
             // The first seconds of a process run slow (page faults, clock
             // ramp): spin on the first shape before timing anything.
             let start = Instant::now();
-            while start.elapsed() < warmup {
+            while start.elapsed() < WARMUP {
                 drop(ttm_at_in(&ws, &t, 0, &facs[0]));
             }
             warm = false;
@@ -105,7 +96,7 @@ fn main() {
                 let _width = rayon::scoped_num_threads(w);
                 let mut best = f64::INFINITY;
                 let mut bits = 0;
-                for _ in 0..reps {
+                for _ in 0..REPS {
                     let start = Instant::now();
                     let out = ttm_at_in(&ws, &t, p, fac);
                     best = best.min(start.elapsed().as_secs_f64());
