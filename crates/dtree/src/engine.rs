@@ -570,6 +570,19 @@ mod tests {
     }
 
     #[test]
+    fn standard_sweeps_match_oracle_order5() {
+        sweep_matches_oracle(TreePolicy::Standard, &[4, 3, 5, 3, 4], 2);
+    }
+
+    /// The blocks a rank of a P×1×… grid holds: mode 0 shorter than the
+    /// rest.
+    #[test]
+    fn standard_sweeps_match_oracle_on_rank_blocks() {
+        sweep_matches_oracle(TreePolicy::Standard, &[4, 8, 8], 3);
+        sweep_matches_oracle(TreePolicy::Standard, &[2, 8, 8, 8], 2);
+    }
+
+    #[test]
     fn msdt_sweeps_match_oracle_order3() {
         sweep_matches_oracle(TreePolicy::MultiSweep, &[5, 6, 4], 3);
     }
@@ -584,34 +597,43 @@ mod tests {
         sweep_matches_oracle(TreePolicy::MultiSweep, &[3, 3, 3, 3, 3], 2);
     }
 
+    /// The kernel ledger of `sweeps` steady-state sweeps over `dims` at
+    /// rank 2 (one warm-up sweep is not counted).
+    fn sweep_stats(policy: TreePolicy, dims: &[usize], sweeps: usize) -> KernelStats {
+        let (t, mut fs) = setup(dims, 2, 3);
+        let mut input = InputTensor::new(t);
+        let mut engine = DimTreeEngine::new(policy, dims.len());
+        let mut rng = seeded(11);
+        for sweep in 0..=sweeps {
+            if sweep == 1 {
+                engine.take_stats();
+            }
+            for (n, &d) in dims.iter().enumerate() {
+                let _ = engine.mttkrp(&mut input, &fs, n);
+                fs.update(n, uniform_matrix(d, 2, &mut rng));
+            }
+        }
+        engine.take_stats()
+    }
+
     /// Count first-level TTMs per sweep in steady state: DT does 2, MSDT
     /// does N/(N-1) on average.
     fn ttm_counts(policy: TreePolicy, n_modes: usize, sweeps: usize) -> u64 {
-        let dims = vec![6; n_modes];
-        let (t, mut fs) = setup(&dims, 2, 3);
-        let mut input = InputTensor::new(t);
-        let mut engine = DimTreeEngine::new(policy, n_modes);
-        let mut rng = seeded(11);
-        // Warm up one sweep, then count.
-        for n in 0..n_modes {
-            let m = engine.mttkrp(&mut input, &fs, n);
-            let _ = m;
-            fs.update(n, uniform_matrix(6, 2, &mut rng));
-        }
-        engine.take_stats();
-        for _ in 0..sweeps {
-            for n in 0..n_modes {
-                let _ = engine.mttkrp(&mut input, &fs, n);
-                fs.update(n, uniform_matrix(6, 2, &mut rng));
-            }
-        }
-        engine.take_stats().ttm_count
+        sweep_stats(policy, &vec![6; n_modes], sweeps).ttm_count
     }
 
     #[test]
     fn dt_does_two_ttms_per_sweep() {
         assert_eq!(ttm_counts(TreePolicy::Standard, 3, 4), 8);
         assert_eq!(ttm_counts(TreePolicy::Standard, 4, 3), 6);
+        // On uneven extents too, and each TTM reads the whole tensor once:
+        // 2·len·R flops, whichever mode it contracts.
+        for dims in [vec![4usize, 8, 6], vec![2, 8, 8, 8], vec![4, 3, 5, 3, 4]] {
+            let s = sweep_stats(TreePolicy::Standard, &dims, 3);
+            let len: usize = dims.iter().product();
+            assert_eq!(s.ttm_count, 6, "{dims:?}");
+            assert_eq!(s.ttm_flops, 6 * 2 * len as u64 * 2, "{dims:?}");
+        }
     }
 
     #[test]
