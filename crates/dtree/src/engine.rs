@@ -6,10 +6,12 @@
 //! chain of intermediates they walk:
 //!
 //! * [`TreePolicy::Standard`] follows the canonical binary dimension tree
-//!   of Fig. 1a: within each sweep two first-level TTMs are performed
-//!   (contracting the last and the first mode), and lower intermediates are
-//!   shared between neighbouring output modes. Leading cost `4 s^N R` per
-//!   sweep.
+//!   of Fig. 1a: within each sweep two first-level TTMs are performed (one
+//!   for each half of the top split, contracting a mode of the other
+//!   half), and lower intermediates are shared between neighbouring output
+//!   modes. Within each run of the split the larger extent is contracted
+//!   first ([`standard_chain`]); on a cubic tensor that is the last mode
+//!   and the first. Leading cost `4 s^N R` per sweep.
 //! * [`TreePolicy::MultiSweep`] (MSDT, Fig. 2) contracts first the mode
 //!   whose factor was updated most recently, so the first-level
 //!   intermediate survives the next `N−1` MTTKRPs — across sweep
@@ -34,6 +36,7 @@ use crate::modeset::ModeSet;
 use crate::stats::{Kernel, KernelStats};
 use pp_tensor::kernels::mttv::mttv_in;
 use pp_tensor::{Matrix, Workspace};
+use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -194,6 +197,7 @@ impl DimTreeEngine {
     /// only from a node of the target's chain.
     fn evict_dead(&mut self, fs: &FactorState, n: usize) {
         let (policy, n_modes) = (self.policy, self.n_modes);
+        let extents = extents(fs);
         self.cache.retain(|inter| {
             let set = inter.set();
             let mut readers = (n..n + n_modes)
@@ -203,7 +207,7 @@ impl DimTreeEngine {
                 && match policy {
                     TreePolicy::MultiSweep => readers.next().is_some(),
                     TreePolicy::Standard => {
-                        readers.any(|m| standard_chain(n_modes, m).contains(&set))
+                        readers.any(|m| standard_chain(&extents, m).contains(&set))
                     }
                 }
         });
@@ -367,7 +371,7 @@ impl DimTreeEngine {
         n: usize,
     ) -> Intermediate {
         let target = ModeSet::single(n);
-        let chain = standard_chain(self.n_modes, n);
+        let chain = standard_chain(&extents(fs), n);
         debug_assert_eq!(*chain.last().unwrap(), target);
 
         // Deepest chain node with a valid cached intermediate.
@@ -443,33 +447,50 @@ impl DimTreeEngine {
     }
 }
 
-/// Canonical binary dimension-tree chain (Fig. 1a): the sequence of mode
-/// sets from the first level down to `{n}`, each step removing one mode.
-pub fn standard_chain(n_modes: usize, n: usize) -> Vec<ModeSet> {
+/// Canonical binary dimension-tree chain (Fig. 1a) over a tensor of the
+/// given mode extents: the sequence of mode sets from the first level down
+/// to `{n}`, each step removing one mode.
+///
+/// The split is Fig. 1a's: `[lo, hi)` halves at `mid = lo + ⌈(hi−lo)/2⌉`,
+/// and the chain contracts away the run on the side without `n`. Within
+/// that run the modes go in descending extent, so each step keeps the
+/// smaller intermediate and the next step walks the fewer rows. Ties keep
+/// the order of the tree's drawing: descending above the split, ascending
+/// below it — so on a cubic tensor this is Fig. 1a exactly. The order
+/// depends only on the run, never on `n`: every mode on one side of a
+/// split shares every node above it, and a DT sweep still does two
+/// first-level TTMs.
+pub fn standard_chain(extents: &[usize], n: usize) -> Vec<ModeSet> {
     let mut chain = Vec::new();
     let mut lo = 0usize;
-    let mut hi = n_modes;
-    let mut set = ModeSet::full(n_modes);
+    let mut hi = extents.len();
+    let mut set = ModeSet::full(hi);
     while hi - lo > 1 {
         let mid = lo + (hi - lo).div_ceil(2);
+        let mut run: Vec<usize> = if n < mid {
+            (mid..hi).rev().collect()
+        } else {
+            (lo..mid).collect()
+        };
+        run.sort_by_key(|&m| Reverse(extents[m]));
+        for m in run {
+            set = set.without(m);
+            chain.push(set);
+        }
         if n < mid {
-            // Contract away modes hi-1 down to mid.
-            for m in (mid..hi).rev() {
-                set = set.without(m);
-                chain.push(set);
-            }
             hi = mid;
         } else {
-            // Contract away modes lo up to mid-1.
-            for m in lo..mid {
-                set = set.without(m);
-                chain.push(set);
-            }
             lo = mid;
         }
     }
     debug_assert_eq!(*chain.last().unwrap(), ModeSet::single(n));
     chain
+}
+
+/// The extent of every mode: the rows of the factors the session holds
+/// (on a grid, the block's).
+fn extents(fs: &FactorState) -> Vec<usize> {
+    fs.factors().iter().map(Matrix::rows).collect()
 }
 
 /// MSDT greedy chain: repeatedly remove the mode whose factor will be
@@ -512,13 +533,13 @@ mod tests {
     #[test]
     fn standard_chain_matches_fig1a() {
         // N=4, 0-based. M^(0): {0,1,2} → {0,1} → {0}.
-        let sets: Vec<Vec<usize>> = standard_chain(4, 0)
+        let sets: Vec<Vec<usize>> = standard_chain(&[5; 4], 0)
             .iter()
             .map(|s| s.iter().collect())
             .collect();
         assert_eq!(sets, vec![vec![0, 1, 2], vec![0, 1], vec![0]]);
         // M^(2): {1,2,3} → {2,3} → {2}.
-        let sets: Vec<Vec<usize>> = standard_chain(4, 2)
+        let sets: Vec<Vec<usize>> = standard_chain(&[5; 4], 2)
             .iter()
             .map(|s| s.iter().collect())
             .collect();
