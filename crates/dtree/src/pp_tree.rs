@@ -757,7 +757,7 @@ mod tests {
         (0xd00e_2de8_3470_4e37, 2), // order 4, MsdtSweeps(3)
         (0x2cd5_3fcc_d555_05e1, 2), // order 4, Evolving(2)
         (0x9e1b_0bad_f167_80a9, 3), // order 5, Cold
-        (0xcfc2_e87c_d422_db70, 2), // order 5, DtSweeps(1)
+        (0xb94d_21bb_a6ff_15ce, 2), // order 5, DtSweeps(1)
         (0x85d8_4e78_c41f_325b, 3), // order 5, MsdtSweeps(1)
         (0x07d7_28ab_8e0a_77c9, 2), // order 5, MsdtSweeps(2)
         (0x7b0f_891e_2049_8567, 2), // order 5, MsdtSweeps(3)
