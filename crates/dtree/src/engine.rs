@@ -546,6 +546,74 @@ mod tests {
         assert_eq!(sets, vec![vec![1, 2, 3], vec![2, 3], vec![2]]);
     }
 
+    /// The modes each chain contracts away, in order.
+    fn removed(extents: &[usize], n: usize) -> Vec<usize> {
+        let mut set = ModeSet::full(extents.len());
+        standard_chain(extents, n)
+            .into_iter()
+            .map(|next| {
+                let m = set.minus(next).min().unwrap();
+                set = next;
+                m
+            })
+            .collect()
+    }
+
+    #[test]
+    fn standard_chain_contracts_the_larger_extent_first_in_each_run() {
+        // (extents, n, modes removed): each run of the split goes largest
+        // first; ties keep Fig. 1a's order (descending above the split,
+        // ascending below it).
+        let cases: [(&[usize], usize, &[usize]); 9] = [
+            (&[4, 8, 8], 0, &[2, 1]),
+            (&[4, 8, 8], 2, &[1, 0]),
+            (&[8, 8, 4], 2, &[0, 1]),
+            (&[2, 8, 8, 8], 0, &[3, 2, 1]),
+            (&[2, 8, 8, 8], 3, &[1, 0, 2]),
+            (&[3, 4, 6, 5], 1, &[2, 3, 0]),
+            (&[3, 4, 6, 5], 2, &[1, 0, 3]),
+            (&[4, 3, 5, 3, 4], 0, &[4, 3, 2, 1]),
+            (&[4, 3, 5, 3, 4], 4, &[2, 0, 1, 3]),
+        ];
+        for (extents, n, want) in cases {
+            assert_eq!(removed(extents, n), want, "{extents:?}, mode {n}");
+        }
+        // Whatever the extents, two modes walk the same nodes until their
+        // chains part, and the last node they share is the subtree of Fig.
+        // 1a that holds both (a range of modes): the run order depends on
+        // the run, not on the mode. Modes in different halves of the top
+        // split share nothing, so a sweep still does two first-level TTMs.
+        let extent_cases: [&[usize]; 5] = [
+            &[4, 8, 8],
+            &[2, 8, 8, 8],
+            &[3, 4, 6, 5],
+            &[4, 3, 5, 3, 4],
+            &[2, 7, 3, 9, 5],
+        ];
+        for extents in extent_cases {
+            let n_modes = extents.len();
+            let chains: Vec<Vec<ModeSet>> =
+                (0..n_modes).map(|n| standard_chain(extents, n)).collect();
+            for (n, a) in chains.iter().enumerate() {
+                for (m, b) in chains.iter().enumerate() {
+                    let label = format!("{extents:?}, modes {n} and {m}");
+                    let prefix = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+                    assert!(a[prefix..].iter().all(|s| !b.contains(s)), "{label}");
+                    let same_half = (n < n_modes.div_ceil(2)) == (m < n_modes.div_ceil(2));
+                    assert_eq!(prefix > 0, same_half, "{label}");
+                    if prefix > 0 {
+                        let last = a[prefix - 1];
+                        let (lo, hi) = (last.min().unwrap(), last.iter().max().unwrap());
+                        assert!(last.contains(n) && last.contains(m), "{label}");
+                        assert_eq!(last.len(), hi - lo + 1, "{label}: not a subtree");
+                    }
+                }
+            }
+            let roots: std::collections::BTreeSet<ModeSet> = chains.iter().map(|c| c[0]).collect();
+            assert_eq!(roots.len(), 2, "{extents:?}");
+        }
+    }
+
     #[test]
     fn greedy_chain_contracts_previous_mode_first() {
         // For n, the first removal is n-1 (mod N).
@@ -619,9 +687,9 @@ mod tests {
     }
 
     /// The kernel ledger of `sweeps` steady-state sweeps over `dims` at
-    /// rank 2 (one warm-up sweep is not counted).
-    fn sweep_stats(policy: TreePolicy, dims: &[usize], sweeps: usize) -> KernelStats {
-        let (t, mut fs) = setup(dims, 2, 3);
+    /// rank `r` (one warm-up sweep is not counted).
+    fn sweep_stats(policy: TreePolicy, dims: &[usize], r: usize, sweeps: usize) -> KernelStats {
+        let (t, mut fs) = setup(dims, r, 3);
         let mut input = InputTensor::new(t);
         let mut engine = DimTreeEngine::new(policy, dims.len());
         let mut rng = seeded(11);
@@ -631,7 +699,7 @@ mod tests {
             }
             for (n, &d) in dims.iter().enumerate() {
                 let _ = engine.mttkrp(&mut input, &fs, n);
-                fs.update(n, uniform_matrix(d, 2, &mut rng));
+                fs.update(n, uniform_matrix(d, r, &mut rng));
             }
         }
         engine.take_stats()
@@ -640,7 +708,7 @@ mod tests {
     /// Count first-level TTMs per sweep in steady state: DT does 2, MSDT
     /// does N/(N-1) on average.
     fn ttm_counts(policy: TreePolicy, n_modes: usize, sweeps: usize) -> u64 {
-        sweep_stats(policy, &vec![6; n_modes], sweeps).ttm_count
+        sweep_stats(policy, &vec![6; n_modes], 2, sweeps).ttm_count
     }
 
     #[test]
@@ -650,10 +718,40 @@ mod tests {
         // On uneven extents too, and each TTM reads the whole tensor once:
         // 2·len·R flops, whichever mode it contracts.
         for dims in [vec![4usize, 8, 6], vec![2, 8, 8, 8], vec![4, 3, 5, 3, 4]] {
-            let s = sweep_stats(TreePolicy::Standard, &dims, 3);
+            let s = sweep_stats(TreePolicy::Standard, &dims, 2, 3);
             let len: usize = dims.iter().product();
             assert_eq!(s.ttm_count, 6, "{dims:?}");
             assert_eq!(s.ttm_flops, 6 * 2 * len as u64 * 2, "{dims:?}");
+        }
+    }
+
+    /// A DT sweep computes every node of every chain once: one TTM per
+    /// first-level node, and one mTTV of `2·|parent|·R` flops per edge below
+    /// it, where `|parent|` is the product of its modes' extents.
+    #[test]
+    fn dt_mttv_flops_are_the_walked_chains() {
+        // Per sweep at R 4 on a rank's block. The fixed-order chain read
+        // 1 024 and 6 400: it contracted mode 0 first below the split.
+        for (dims, mttv_flops) in [(vec![4usize, 8, 8], 768u64), (vec![2, 8, 8, 8], 3_328)] {
+            let r = 4;
+            let mut edges = std::collections::BTreeSet::new();
+            for n in 0..dims.len() {
+                let chain = standard_chain(&dims, n);
+                edges.extend(chain.windows(2).map(|w| (w[0], w[1])));
+            }
+            let modeled: u64 = edges
+                .iter()
+                .map(|(parent, _)| {
+                    2 * r as u64 * parent.iter().map(|m| dims[m] as u64).product::<u64>()
+                })
+                .sum();
+            assert_eq!(modeled, mttv_flops, "{dims:?}");
+            let s = sweep_stats(TreePolicy::Standard, &dims, r, 2);
+            let len: usize = dims.iter().product();
+            assert_eq!(s.mttv_flops, 2 * modeled, "{dims:?}");
+            assert_eq!(s.mttv_count, 2 * edges.len() as u64, "{dims:?}");
+            assert_eq!(s.ttm_count, 4, "{dims:?}");
+            assert_eq!(s.ttm_flops, 4 * 2 * len as u64 * r as u64, "{dims:?}");
         }
     }
 

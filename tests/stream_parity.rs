@@ -15,6 +15,7 @@
 use parallel_pp::core::checkpoint;
 use parallel_pp::core::{AlsConfig, AlsOutput, SessionKind, StreamingSession};
 use parallel_pp::datagen::timelapse::{TimelapseConfig, TimelapseStream, TIME_MODE};
+use parallel_pp::dtree::engine::standard_chain;
 use parallel_pp::dtree::{CacheUpdate, TreePolicy};
 use parallel_pp::tensor::transpose::permute;
 use parallel_pp::tensor::DenseTensor;
@@ -184,6 +185,47 @@ fn checkpoint_mid_stream_resumes_bit_identically() {
         "{err}"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// The standard tree contracts the larger extent of a run first, so a
+/// growing time mode can overtake its run's other member and flip the
+/// chain mid-stream: on a 6×6×4 frame the time mode (2 → 10 steps) passes
+/// the 4 bands, and modes 0 and 1 stop contracting the bands first. The
+/// flip costs a recontraction, never an entry: incremental == recompute
+/// and 1 thread == 4 threads, bit for bit, across it.
+#[test]
+fn standard_chain_flips_mid_stream_bit_for_bit() {
+    let tcfg = TimelapseConfig {
+        height: 6,
+        width: 6,
+        bands: 4,
+        times: 10,
+        materials: 2,
+        noise: 1e-2,
+    };
+    let (initial, arrive) = (2, 2);
+    let chain = |times: usize| standard_chain(&[6, 6, 4, times], 0);
+    assert_ne!(
+        chain(initial)[0],
+        chain(tcfg.times)[0],
+        "the chain must flip"
+    );
+    let feed = TimelapseStream::new(&tcfg, 31, initial, arrive).unwrap();
+    for kind in [SessionKind::Exact, SessionKind::Pp] {
+        let run = |threads: usize, update: CacheUpdate| {
+            let cfg = AlsConfig::new(8)
+                .with_policy(TreePolicy::Standard)
+                .with_tol(0.0)
+                .with_pp_tol(0.3)
+                .with_seed(5)
+                .with_threads(threads);
+            drive(&feed, &cfg, kind, 2, update)
+        };
+        let base = run(1, CacheUpdate::Incremental);
+        assert_identical(&base, &run(1, CacheUpdate::Recompute));
+        assert_identical(&base, &run(4, CacheUpdate::Incremental));
+        assert_identical(&base, &run(4, CacheUpdate::Recompute));
+    }
 }
 
 /// Incremental == recompute, bitwise, where the input and every cached

@@ -259,7 +259,8 @@ fn one_first_level_intermediate_is_live_at_a_time() {
     // never has two buffers out — except at order 3, where the roots are
     // the pair operators: the regime holds them until the next PP
     // initialization replaces them, beside one exact sweep's root between
-    // regimes.
+    // regimes. On an uneven order-3 block the standard tree's two roots
+    // have one length, so one class serves both.
     for order in [3usize, 4] {
         let (t, s, r) = live_peak_case(order);
         let first_level = s.pow(order as u32 - 1) * r;
@@ -308,4 +309,24 @@ fn one_first_level_intermediate_is_live_at_a_time() {
             assert_eq!(ws.stats().live_elems, 0, "{label}");
         }
     }
+
+    // A rank's block of a 2×1×1 grid: mode 0 half as long as the others.
+    // Mode 2's chain contracts mode 1 first, so its root {0,2} is as long
+    // as modes 0 and 1's root {0,1}, and both are drawn from one class —
+    // where contracting mode 0 first kept a second, twice as long, class.
+    let (a, b, r) = (32, 64, 64);
+    let t = noisy_rank(&[a, b, b], 8, 0.1, 5);
+    let cfg = AlsConfig::new(r)
+        .with_policy(TreePolicy::Standard)
+        .with_tol(0.0)
+        .with_max_sweeps(3);
+    let mut session = AlsSession::new(&t, &cfg, SessionKind::Exact);
+    let ws = session.workspace().clone();
+    while let Step::Swept(_) = session.step() {
+        assert_bounded(&ws.stats());
+        assert_eq!(ws.class_high_water(a * b * r), 1, "{a}x{b}x{b}");
+        assert_eq!(ws.class_high_water(b * b * r), 0, "{a}x{b}x{b}");
+    }
+    drop(session.finish());
+    assert_eq!(ws.stats().live_elems, 0);
 }
