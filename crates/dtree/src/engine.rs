@@ -730,8 +730,7 @@ mod tests {
     /// it, where `|parent|` is the product of its modes' extents.
     #[test]
     fn dt_mttv_flops_are_the_walked_chains() {
-        // Per sweep at R 4 on a rank's block. The fixed-order chain read
-        // 1 024 and 6 400: it contracted mode 0 first below the split.
+        // Per sweep at R 4 on a rank's block.
         for (dims, mttv_flops) in [(vec![4usize, 8, 8], 768u64), (vec![2, 8, 8, 8], 3_328)] {
             let r = 4;
             let mut edges = std::collections::BTreeSet::new();

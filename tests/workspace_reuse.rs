@@ -312,8 +312,8 @@ fn one_first_level_intermediate_is_live_at_a_time() {
 
     // A rank's block of a 2×1×1 grid: mode 0 half as long as the others.
     // Mode 2's chain contracts mode 1 first, so its root {0,2} is as long
-    // as modes 0 and 1's root {0,1}, and both are drawn from one class —
-    // where contracting mode 0 first kept a second, twice as long, class.
+    // as modes 0 and 1's root {0,1}, and both are drawn from one class.
+    // Contracting mode 0 first would keep a second class, twice as long.
     let (a, b, r) = (32, 64, 64);
     let t = noisy_rank(&[a, b, b], 8, 0.1, 5);
     let cfg = AlsConfig::new(r)
