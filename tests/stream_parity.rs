@@ -278,3 +278,67 @@ fn incremental_matches_recompute_at_mapped_sizes() {
         );
     }
 }
+
+/// FNV-1a 64 over the bit patterns of every factor entry (mode order),
+/// then of every sweep's fitness.
+fn run_digest(out: &AlsOutput) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let factors = out.factors.iter().flat_map(|f| f.data().iter());
+    let fitness = out.report.sweeps.iter().map(|s| &s.fitness);
+    for x in factors.chain(fitness) {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The arrivals of [`incremental_matches_recompute_at_mapped_sizes`]'s kind,
+/// pinned to digests of their bits: a 16×16×16 frame at rank 16, 64
+/// initial steps (2 MiB) and two arrivals of 96 steps (3 MiB, over the size
+/// rule). The first slice's run of the grown input starts 2 MiB in, on a
+/// huge-page boundary, and the second's 5 MiB in, off one, so an arrival
+/// that lays its slice into the input's tail reads it back in place once
+/// and falls back to a separate layout once. Every run — incremental and
+/// recompute, one pool thread and four — must read the same digest.
+#[test]
+fn mapped_arrivals_keep_their_digests_on_and_off_the_huge_page_grid() {
+    const MAP_MIN_BYTES: usize = 2 << 20;
+    let (frame, rank, initial, arrive, n_arrivals) = ([16, 16, 16], 16, 64, 96, 2);
+    let step_bytes = frame.iter().product::<usize>() * std::mem::size_of::<f64>();
+    let tails: Vec<usize> = (0..n_arrivals)
+        .map(|i| (initial + i * arrive) * step_bytes)
+        .collect();
+    assert!(arrive * step_bytes >= MAP_MIN_BYTES, "a mapped-size slice");
+    assert_eq!(tails[0] % MAP_MIN_BYTES, 0, "the first tail on the grid");
+    assert_ne!(tails[1] % MAP_MIN_BYTES, 0, "the second tail off it");
+    let tcfg = TimelapseConfig {
+        height: frame[0],
+        width: frame[1],
+        bands: frame[2],
+        times: initial + arrive * n_arrivals,
+        materials: 3,
+        noise: 1e-3,
+    };
+    let feed = TimelapseStream::new(&tcfg, 4243, initial, arrive).unwrap();
+    for (kind, want) in [
+        (SessionKind::Exact, 0xaa65_9938_1827_9050_u64),
+        (SessionKind::Pp, 0x906d_afd1_472c_2bef_u64),
+    ] {
+        for threads in [1, 4] {
+            for update in [CacheUpdate::Incremental, CacheUpdate::Recompute] {
+                let cfg = AlsConfig::new(rank)
+                    .with_policy(TreePolicy::MultiSweep)
+                    .with_tol(0.0)
+                    .with_pp_tol(0.3)
+                    .with_threads(threads);
+                let got = run_digest(&drive(&feed, &cfg, kind, 2, update));
+                assert_eq!(
+                    got, want,
+                    "{kind:?}, {threads} threads, {update:?}: {got:#018x}"
+                );
+            }
+        }
+    }
+}
