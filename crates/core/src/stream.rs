@@ -5,15 +5,20 @@
 //! slices arrive, the time-mode factor gains warm-started rows, and ALS
 //! resumes on the extended tensor. The interesting part is what does *not*
 //! get recomputed or moved. The input is stored **evolving-mode-major**
-//! ([`InputTensor::evolving`]): every layout leads with the evolving mode,
-//! so absorbing a slice is a tail append per layout, and first-level
+//! ([`pp_dtree::InputTensor::evolving`]): every layout leads with the
+//! evolving mode, so absorbing a slice is one tail append — the slice is
+//! laid out straight into the input's grown tail and read back from there
+//! ([`pp_dtree::InputTensor::append_evolving`]) — and first-level
 //! dimension-tree contractions over mode sets that contain the evolving
 //! mode are extended by contracting **only the new slice** and appending
 //! onto the cached intermediate in place ([`DimTreeEngine::extend_mode`]
 //! with [`CacheUpdate::Incremental`]) — an arrival costs in proportion to
-//! the slice, not the tensor. Deeper intermediates and PP pair operators
-//! are dropped: the PP regime resets to its gate, which stays closed until
-//! an exact sweep on the extended tensor has measured drift, and re-enters
+//! the slice, not the tensor. The session's workspace outlives every
+//! arrival: the intermediates whose length an arrival changes re-length
+//! the buffers it holds instead of mapping fresh memory. Deeper
+//! intermediates and PP pair operators are dropped: the PP regime resets
+//! to its gate, which stays closed until an exact sweep on the extended
+//! tensor has measured drift, and re-enters
 //! once the factors settle around it (see DESIGN.md §1j).
 //!
 //! The correctness contract is the one the rest of the repo uses
@@ -30,7 +35,7 @@ use crate::checkpoint::{fnv1a, Reader, Writer};
 use crate::config::AlsConfig;
 use crate::result::AlsReport;
 use crate::session::{AlsSession, SessionKind, Step};
-use pp_dtree::{CacheUpdate, DimTreeEngine, FactorState, InputTensor, TreePolicy};
+use pp_dtree::{CacheUpdate, DimTreeEngine, FactorState, TreePolicy};
 use pp_tensor::matrix::hadamard_chain_skip;
 use pp_tensor::solve::solve_gram;
 use pp_tensor::{DenseTensor, Matrix};
@@ -170,12 +175,14 @@ impl StreamingSession {
 
     /// Append `slice` along the evolving mode and open a fresh sweep
     /// window. The slice must match the session's dims on every other
-    /// mode. New rows of the evolving-mode factor are warm-started from
-    /// the least-squares fit of the slice against the frozen other
-    /// factors; the dimension-tree cache is extended per `self.update`;
-    /// the PP regime resets to its gate (Alg. 2 line 2), so the window
-    /// starts with an exact sweep and operators are rebuilt only once the
-    /// drift criterion re-opens.
+    /// mode. It is laid out once, straight into the input's grown tail
+    /// ([`pp_dtree::InputTensor::append_evolving`]), and read from there.
+    /// New rows of the evolving-mode factor are warm-started from the
+    /// least-squares fit of the slice against the frozen other factors; the
+    /// dimension-tree cache is extended per `self.update`, on the session's
+    /// own workspace, which the arrival keeps; the PP regime resets to its
+    /// gate (Alg. 2 line 2), so the window starts with an exact sweep and
+    /// operators are rebuilt only once the drift criterion re-opens.
     pub fn arrive(&mut self, slice: &DenseTensor) {
         let e = self.evolving;
         let update = self.update;
@@ -198,11 +205,15 @@ impl StreamingSession {
         }
         assert!(slice.dim(e) > 0, "arriving slice must be non-empty");
 
-        // The slice, laid out like the input — once, for the warm start,
-        // the input append and the cache extension alike (its norm, one
-        // serial pass, rides beside).
+        // The slice, laid out straight into the input's grown tail — once,
+        // for the input, the warm start and the cache extension alike (its
+        // norm, one serial pass, rides beside). `slice_input` is that tail
+        // where it is placed, a copy of it where not; it holds the input's
+        // storage and is dropped when this arrival returns, so the next
+        // append grows the input in place.
+        let input = &mut p.input;
         let (mut slice_input, slice_norm_sq) =
-            rayon::join(|| InputTensor::evolving(slice, e), || slice.norm_sq());
+            rayon::join(|| input.append_evolving(slice), || slice.norm_sq());
 
         // Warm-start rows for the evolving mode: solve the normal
         // equations of the slice against the frozen other factors —
@@ -226,10 +237,9 @@ impl StreamingSession {
         let gamma = hadamard_chain_skip(&p.grams, e);
         let new_rows = solve_gram(&gamma, &m_slice).0;
 
-        // Extend the input, the factor, its Gram, and the tree cache —
-        // in that order, so `extend_mode` sees post-bump versions and the
-        // extended layouts it delta-contracts against.
-        p.input.append(&slice_input);
+        // Extend the factor, its Gram, and the tree cache — in that order,
+        // so `extend_mode` sees post-bump versions (the input already
+        // holds the slice).
         p.fs.extend_rows(e, &new_rows);
         p.grams[e] = p.fs.factor(e).gram();
         // The PP regime restarts at its gate against the extended tensor
@@ -414,6 +424,43 @@ mod tests {
         // The streamed factorization stays a sensible decomposition of the
         // final tensor (warm starts did not derail ALS).
         assert!(ss.last_fitness() > 0.8, "fitness {}", ss.last_fitness());
+    }
+
+    #[test]
+    fn an_arrival_leaves_the_input_to_grow_in_place() {
+        // The slice is read back from a shared run of the input's tail.
+        // That view must be gone when `arrive` returns: if it outlived the
+        // arrival, the next append would find the input's storage shared
+        // and copy all of it to a new address. Arrivals of one step after
+        // the first (which doubles the capacity, 8 → 16 steps) fit, so the
+        // input stays where it is through every later one.
+        let cfg_t = TimelapseConfig {
+            times: 15,
+            ..stream_cfg()
+        };
+        let stream = TimelapseStream::new(&cfg_t, 13, 8, 1).unwrap();
+        let cfg = AlsConfig::new(4).with_tol(0.0);
+        let mut ss = StreamingSession::new(
+            &stream.initial(),
+            &cfg,
+            SessionKind::Exact,
+            TIME_MODE,
+            1,
+            CacheUpdate::Incremental,
+        );
+        ss.run_window();
+        let at = |ss: &StreamingSession| ss.session.input.dense().unwrap().data().as_ptr();
+        ss.arrive(&stream.slice(0));
+        let grown = at(&ss);
+        for i in 1..stream.n_arrivals() {
+            ss.arrive(&stream.slice(i));
+            assert_eq!(at(&ss), grown, "arrival {i} moved the input");
+            ss.run_window();
+        }
+        assert_eq!(
+            ss.session.input.canonical().data(),
+            stream.prefix(15).data()
+        );
     }
 
     #[test]

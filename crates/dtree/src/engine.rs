@@ -251,11 +251,12 @@ impl DimTreeEngine {
     /// Streaming arrival along original mode `e`: refresh the intermediate
     /// cache after the input tensor grew by `slice`.
     ///
-    /// Preconditions: the caller has already grown `input`
-    /// ([`InputTensor::append`] of this same `slice`) and extended +
-    /// version-bumped mode `e`'s factor in `fs`. `slice` is the arriving
-    /// slice laid out like `input` ([`InputTensor::evolving`] along the
-    /// same mode), so a contraction picks the same kernel on both.
+    /// Preconditions: the caller has already grown `input` by this same
+    /// `slice` and extended + version-bumped mode `e`'s factor in `fs`.
+    /// `slice` is the arriving slice laid out like `input` — what
+    /// [`InputTensor::append_evolving`] returned, or
+    /// [`InputTensor::evolving`] along the same mode — so a contraction
+    /// picks the same kernel on both.
     ///
     /// First-level entries whose mode set *contains* `e` and whose
     /// contracted-away factors are still current are the reusable ones:
@@ -272,8 +273,14 @@ impl DimTreeEngine {
     /// bitwise-identical caches — that equality is the streaming
     /// correctness contract. Every other entry containing `e` (lower tree
     /// levels with a stale extent) is evicted, and entries not containing
-    /// `e` are invalid via the version bump and swept out. The engine's
-    /// workspace is dropped for good: see the first lines of the body.
+    /// `e` are invalid via the version bump and swept out.
+    ///
+    /// The engine keeps its workspace through the arrival: an extended
+    /// entry grows in place and stays in the pool under its new length,
+    /// and the draws of the lengths that change re-length held buffers
+    /// ([`Workspace`] docs). The slice contractions are drawn from the
+    /// pool too and given back (freed) before this returns: nothing
+    /// draws their length again.
     pub fn extend_mode(
         &mut self,
         input: &mut InputTensor,
@@ -283,13 +290,6 @@ impl DimTreeEngine {
         update: CacheUpdate,
     ) {
         assert!(e < self.n_modes);
-        // A growing input has nothing for an exact-length pool: every
-        // intermediate that keeps `e` changes length with each arrival.
-        // From the first arrival on the engine allocates as it did without
-        // one; what the old pool held is freed here, what is still out
-        // frees when dropped.
-        self.workspace = Workspace::unpooled();
-
         let versions = fs.versions().to_vec();
         let full = ModeSet::full(self.n_modes);
         let mut extendable: Vec<ModeSet> = Vec::new();
@@ -308,12 +308,14 @@ impl DimTreeEngine {
         for set in drop_keys {
             self.cache.remove(set);
         }
+        let mut slice_lens = Vec::new();
         for set in extendable {
             let k = full.minus(set).min().expect("one contracted mode");
             let old = self.cache.remove(set).expect("extendable entry present");
             let appended =
                 if update == CacheUpdate::Incremental && old.mode_order.first() == Some(&e) {
                     let delta = self.contract_recorded(slice, fs, k);
+                    slice_lens.push(delta.tensor.len());
                     (delta.mode_order == old.mode_order).then(|| {
                         let mut grown = old.tensor;
                         Arc::make_mut(&mut grown).append_leading(&delta.tensor);
@@ -334,6 +336,9 @@ impl DimTreeEngine {
             }
         }
         self.cache.evict_stale(&versions);
+        for len in slice_lens {
+            self.workspace.release(len);
+        }
     }
 
     /// One batched-TTV step: contract mode `j` out of `current`.
@@ -892,8 +897,7 @@ mod tests {
                 .iter()
                 .filter(|i| i.set().contains(e) && i.set().len() == dims.len() - 1)
                 .count();
-            let mut slice_input = InputTensor::evolving(&slice, e);
-            input.append(&slice_input);
+            let mut slice_input = input.append_evolving(&slice);
             fs.extend_rows(e, &extra_e);
             engine.take_stats();
             engine.extend_mode(&mut input, &fs, e, &mut slice_input, update);

@@ -13,7 +13,9 @@
 //! ([`InputTensor::evolving`]) grows along one mode `e` and is stored
 //! `[e, others ascending]`, so appending a slice is a tail append and every
 //! intermediate that keeps `e` keeps it in front. The layout is a pure
-//! function of (order, `e`) — never of arrival history.
+//! function of (order, `e`) — never of arrival history. An arriving slice
+//! is laid out straight into the input's grown tail
+//! ([`InputTensor::append_evolving`]), and read back from there.
 //!
 //! A **sparse** input ([`InputTensor::new_sparse`]) stores no dense layout
 //! and makes no first-level contraction: it holds the sorted COO and the
@@ -23,7 +25,7 @@
 
 use pp_tensor::kernels::ttm::ttm_at_in;
 use pp_tensor::sparse::{CsfTensor, SparseTensor};
-use pp_tensor::transpose::{move_mode_first, permute};
+use pp_tensor::transpose::{move_mode_first, move_mode_first_into, permute};
 use pp_tensor::{DenseTensor, Matrix, Workspace};
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -112,9 +114,8 @@ impl InputTensor {
     /// (see the module docs), built from the borrowed tensor in one
     /// de-interleaving pass. Used alike for the initial tensor, a tensor
     /// rebuilt at resume, and each arriving slice — the slice's layout then
-    /// mirrors the input's, so [`InputTensor::append`] is a tail append and
-    /// a slice contraction is the row-for-row sub-computation of the full
-    /// one.
+    /// mirrors the input's, so an append is a tail append and a slice
+    /// contraction is the row-for-row sub-computation of the full one.
     pub fn evolving(t: &DenseTensor, e: usize) -> Self {
         let order = t.order();
         assert!(
@@ -134,6 +135,11 @@ impl InputTensor {
     /// The mode a streaming input grows along ([`InputTensor::evolving`]).
     pub(crate) fn evolving_mode(&self) -> Option<usize> {
         self.evolving
+    }
+
+    /// The stored dense layout (`None` when sparse-backed).
+    pub fn dense(&self) -> Option<&DenseTensor> {
+        self.dense.as_ref()
     }
 
     /// Tensor order.
@@ -221,26 +227,51 @@ impl InputTensor {
     /// Grow original mode `e` by appending `slice` (given in the canonical
     /// ascending-mode layout). An input not yet laid out for growth along
     /// `e` re-lays itself out once through [`InputTensor::evolving`]; from
-    /// then on every call is the O(slice) [`InputTensor::append`]. Dense
-    /// inputs only.
+    /// then on every call is the O(slice) [`InputTensor::append_evolving`].
+    /// Dense inputs only.
     pub fn extend_mode(&mut self, e: usize, slice: &DenseTensor) {
         assert!(self.sparse.is_none(), "streaming growth is dense-only");
         assert_eq!(slice.order(), self.order(), "slice order mismatch");
         if self.evolving != Some(e) {
             *self = InputTensor::evolving(&self.canonical(), e);
         }
-        self.append(&InputTensor::evolving(slice, e));
+        self.append_evolving(slice);
     }
 
-    /// Append a slice laid out like this input ([`InputTensor::evolving`]
-    /// along the same mode): a tail append, in place.
-    pub fn append(&mut self, slice: &InputTensor) {
-        assert!(
-            self.evolving.is_some() && self.evolving == slice.evolving,
-            "append needs two inputs laid out along the same evolving mode"
-        );
+    /// Grow a streaming input along its evolving mode by `slice` (given in
+    /// the canonical ascending-mode layout), laid out straight into the
+    /// input's grown tail: one de-interleaving pass, a tail append in
+    /// place. Returns the slice as an input laid out like this one — a
+    /// shared run of that tail ([`DenseTensor::share_run`]) where the run
+    /// is placed, a copy of it where it is not (a run of 2 MiB or more off
+    /// a huge page). The shared run holds this input's storage: drop it
+    /// before the next append, or that append copies the whole input.
+    pub fn append_evolving(&mut self, slice: &DenseTensor) -> InputTensor {
+        let e = self
+            .evolving
+            .expect("append_evolving needs an input laid out along an evolving mode");
+        assert_eq!(slice.order(), self.order(), "slice order mismatch");
+        for (k, &m) in self.mode_order.iter().enumerate().skip(1) {
+            assert_eq!(
+                slice.dim(m),
+                self.layout().dim(k),
+                "slice extent of mode {m}"
+            );
+        }
         let layout = self.dense.as_mut().expect("evolving inputs are dense");
-        layout.append_leading(slice.layout());
+        let (at, rows) = (layout.len(), slice.dim(e));
+        layout.append_leading_with(rows, |tail| move_mode_first_into(slice, e, tail));
+        let mut dims = layout.shape().dims().to_vec();
+        dims[0] = rows;
+        let tail = layout
+            .share_run(at, dims)
+            .unwrap_or_else(|| layout.slice_along(0, layout.dim(0) - rows, rows));
+        InputTensor {
+            mode_order: self.mode_order.clone(),
+            dense: Some(tail),
+            sparse: None,
+            evolving: Some(e),
+        }
     }
 }
 
@@ -434,6 +465,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_appended_slice_reads_back_from_the_inputs_tail() {
+        // 4×3×5 along mode 1: 20 elements a step, so a tail starts on a
+        // cache line (8 elements) every second step and is shared there;
+        // elsewhere it is a copy. Either way it is the slice's layout.
+        let whole = seq_tensor(vec![4, 6, 5]);
+        let e = 1;
+        let mut input = InputTensor::evolving(&whole.slice_along(e, 0, 2), e);
+        for (i, rows) in [(2, 1), (3, 2), (5, 1)] {
+            let slice = whole.slice_along(e, i, rows);
+            let tail = input.append_evolving(&slice);
+            let want = InputTensor::evolving(&slice, e);
+            assert_eq!(tail.mode_order, want.mode_order);
+            assert_eq!(tail.layout(), want.layout(), "step {i}");
+            let at = input.layout().data()[i * 20..].as_ptr();
+            let shared = tail.layout().data().as_ptr() == at;
+            assert_eq!(shared, (i * 20) % 8 == 0, "step {i}");
+        }
+        assert_eq!(input.canonical().data(), whole.data());
     }
 
     #[test]

@@ -277,6 +277,19 @@ impl DenseTensor {
         self.shape = Shape::new(dims);
     }
 
+    /// [`DenseTensor::append_leading`] of `rows` leading indices that
+    /// `fill` writes straight into the grown tail: it gets the tail with
+    /// unspecified contents (`rows` times the trailing volume) and must
+    /// write all of it. Nothing is laid out elsewhere first.
+    pub fn append_leading_with(&mut self, rows: usize, fill: impl FnOnce(&mut [f64])) {
+        let mut dims = self.shape.dims().to_vec();
+        assert!(!dims.is_empty(), "append_leading needs a leading mode");
+        dims[0] += rows;
+        let n = dims[1..].iter().product::<usize>() * rows;
+        self.buffer_mut().extend_with(n, fill);
+        self.shape = Shape::new(dims);
+    }
+
     /// Copy out the sub-tensor covering indices `[start, start+len)` of
     /// mode `axis` (all other modes in full).
     pub fn slice_along(&self, axis: usize, start: usize, len: usize) -> DenseTensor {

@@ -32,12 +32,15 @@ pub fn gaussian_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     })
 }
 
-/// Tensor with i.i.d. uniform `[0,1)` entries.
+/// Tensor with i.i.d. uniform `[0,1)` entries, drawn in row-major order
+/// straight into the tensor store (huge pages from 2 MiB up), so kernels
+/// tested or timed on it see the placement every session's tensors have.
 pub fn uniform_tensor(dims: &[usize], rng: &mut impl Rng) -> DenseTensor {
-    let shape = Shape::new(dims.to_vec());
-    let len = shape.len();
-    let data: Vec<f64> = (0..len).map(|_| rng.random::<f64>()).collect();
-    DenseTensor::from_vec(shape, data)
+    let mut t = DenseTensor::zeros(dims.to_vec());
+    t.data_mut()
+        .iter_mut()
+        .for_each(|x| *x = rng.random::<f64>());
+    t
 }
 
 /// Tensor with i.i.d. standard Gaussian entries.
@@ -146,6 +149,10 @@ mod tests {
         let mut rng = seeded(9);
         let t = uniform_tensor(&[3, 4, 5], &mut rng);
         assert_eq!(t.len(), 60);
+        // The same values, in the same order, as drawn one by one.
+        let mut again = seeded(9);
+        let want: Vec<f64> = (0..60).map(|_| again.random::<f64>()).collect();
+        assert_eq!(t.data(), &want[..]);
         let g = gaussian_tensor(&[2, 3], &mut rng);
         assert_eq!(g.len(), 6);
     }

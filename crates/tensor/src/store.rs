@@ -26,6 +26,16 @@
 //!   A store under the rule, a target that does not map, and a move the
 //!   kernel refuses take the copy (allocate, copy, release). Reserved
 //!   pages that were never written are not resident.
+//!   [`Store::extend_with`] appends the same way but lets its caller write
+//!   the new tail in place, so nothing is laid out twice.
+//! * **A mapping can change its length, and gives pages back when it
+//!   shrinks.** [`Store::relength`] (the workspace's re-length of a held
+//!   buffer) grows a mapped store by the same page move, so only the new
+//!   tail faults in, and shrinks one by unmapping every granule past the
+//!   new length, so resident memory falls with it. Either way the prefix
+//!   keeps its contents and nothing is copied. Every element of a mapping's
+//!   capacity is initialised — zero as mapped, or written since — which is
+//!   what lets a length grow over it.
 //!
 //! Every `unsafe` block of the storage layer is in this file. Each raw
 //! pointer site has a debug-assert shadow: alignment and `len ≤ cap` where
@@ -133,6 +143,54 @@ impl Store {
         self.write_tail(src);
     }
 
+    /// Append `n` elements that `fill` writes in place, growing as
+    /// [`Store::extend_from_slice`] does. `fill` gets the new tail with
+    /// unspecified contents and must write all of it.
+    pub(crate) fn extend_with(&mut self, n: usize, fill: impl FnOnce(&mut [f64])) {
+        let need = self
+            .len
+            .checked_add(n)
+            .expect("store length overflows usize");
+        if need > self.cap {
+            self.grow(need.max(self.cap.saturating_mul(2)));
+        }
+        if !is_mapped(bytes_of(self.cap)) {
+            // SAFETY: `len + n ≤ cap` (grown just above), so the range is
+            // inside the allocation `self` owns; a heap allocation's room
+            // past `len` may be uninitialised, and zeroing it makes the
+            // slice formed below initialised. A mapping needs no write
+            // (module docs).
+            unsafe { std::ptr::write_bytes(self.ptr.as_ptr().add(self.len), 0, n) }
+        }
+        let at = self.len;
+        self.len = need;
+        fill(&mut self[at..]);
+    }
+
+    /// Make a mapped store `len` elements long, `len` itself of mapped
+    /// size: the first `min(len, self.len)` elements keep their values,
+    /// the rest are unspecified. Growing past the capacity moves the pages
+    /// as [`Store::extend_from_slice`] does; shrinking unmaps the granules
+    /// past the new length (module docs). Nothing is copied.
+    pub(crate) fn relength(&mut self, len: usize) {
+        let (old, new) = (bytes_of(self.cap), bytes_of(len));
+        assert!(
+            is_mapped(old) && is_mapped(new),
+            "only a mapping re-lengths"
+        );
+        if len > self.cap {
+            self.grow(len);
+        } else {
+            let at = self.ptr.as_ptr() as usize;
+            shadow::released(at, old);
+            sys::trim(self.ptr.as_ptr().cast(), old, new);
+            shadow::made(at, new);
+            self.cap = len;
+        }
+        // The whole capacity of a mapping is initialised (module docs).
+        self.len = len;
+    }
+
     /// Move to an allocation for `cap > self.cap` elements, keeping the
     /// initialised ones: a mapping's pages move (module docs), anything
     /// else is copied.
@@ -165,6 +223,13 @@ impl Store {
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.cap
+    }
+
+    /// Bytes of this store's pages that are resident, from `mincore`
+    /// (mapped stores only).
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        sys::resident(self.ptr.as_ptr().cast(), bytes_of(self.cap))
     }
 
     /// Copy `src` behind the initialised elements; the room must be there.
@@ -287,6 +352,13 @@ mod shadow {
             );
         }
     }
+
+    /// The size the registry holds for `addr` (always `None` in release
+    /// builds, which keep no registry).
+    #[cfg(test)]
+    pub(super) fn bytes_at(addr: usize) -> Option<usize> {
+        live().get(&addr).copied()
+    }
 }
 
 #[cfg(all(
@@ -315,6 +387,10 @@ mod sys {
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
         fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        #[cfg(test)]
+        fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
+        #[cfg(test)]
+        fn sysconf(name: c_int) -> std::ffi::c_long;
         fn mremap(
             old_addr: *mut c_void,
             old_len: usize,
@@ -445,6 +521,39 @@ mod sys {
         dest
     }
 
+    /// Shorten what [`map`]`(old)` returned at `start` to what
+    /// [`map`]`(new)` would have kept (`new ≤ old`): the granules past the
+    /// new length are unmapped, and their pages leave the resident set.
+    pub(super) fn trim(start: *mut u8, old: usize, new: usize) {
+        debug_assert!((start as usize).is_multiple_of(HUGE_BYTES) && new <= old);
+        let (keep, had) = (mapped_len(new), mapped_len(old));
+        if keep < had {
+            // SAFETY: `[start + keep, start + had)` is the granule-aligned
+            // end of the mapping `map(old)` kept, owned by the caller
+            // (`Store::relength`, through `&mut`), which forms no reference
+            // past the new length afterwards. What stays is exactly what
+            // `map(new)` keeps, so `unmap(start, new)` later releases it.
+            let rc = unsafe { munmap(start.wrapping_add(keep).cast(), had - keep) };
+            debug_assert_eq!(rc, 0, "munmap of a store's tail failed");
+        }
+    }
+
+    /// Resident bytes of what [`map`]`(bytes)` returned at `start`.
+    #[cfg(test)]
+    pub(super) fn resident(start: *mut u8, bytes: usize) -> usize {
+        const SC_PAGESIZE: c_int = 30;
+        // SAFETY: `sysconf` reads a constant of the running kernel.
+        let page = usize::try_from(unsafe { sysconf(SC_PAGESIZE) }).expect("page size");
+        let len = mapped_len(bytes);
+        let mut pages = vec![0u8; len.div_ceil(page)];
+        // SAFETY: `[start, start + len)` is one live mapping (the caller's
+        // store) and starts on a page; `pages` has one byte per page of it,
+        // which is what `mincore` writes.
+        let rc = unsafe { mincore(start.cast(), len, pages.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore of a store failed");
+        pages.iter().filter(|&&p| p & 1 == 1).count() * page
+    }
+
     /// Unmap what [`map`]`(bytes)` returned.
     pub(super) fn unmap(start: *mut u8, bytes: usize) {
         debug_assert!((start as usize).is_multiple_of(HUGE_BYTES));
@@ -470,12 +579,19 @@ mod sys {
     pub(super) fn remap(_start: *mut u8, _old: usize, _new: usize) -> *mut u8 {
         unreachable!("is_mapped is false on this target")
     }
+    pub(super) fn trim(_start: *mut u8, _old: usize, _new: usize) {
+        unreachable!("is_mapped is false on this target")
+    }
+    #[cfg(test)]
+    pub(super) fn resident(_start: *mut u8, _bytes: usize) -> usize {
+        unreachable!("is_mapped is false on this target")
+    }
 }
 
 /// Bytes this thread's growth has copied, and a refusal to inject into its
 /// next move, for the tests that check which growth moves pages.
 #[cfg(test)]
-mod tally {
+pub(crate) mod tally {
     use std::cell::Cell;
 
     thread_local! {
@@ -488,7 +604,7 @@ mod tally {
     }
 
     /// Bytes copied by growth on this thread since the last call.
-    pub(super) fn take_copied() -> usize {
+    pub(crate) fn take_copied() -> usize {
         COPIED.with(Cell::take)
     }
 
@@ -630,6 +746,96 @@ mod tests {
             assert_eq!(tally::take_copied(), 0);
         }
         tally::move_refused();
+    }
+
+    #[test]
+    fn a_relength_that_grows_keeps_the_prefix_and_copies_nothing() {
+        if !MAPS {
+            return;
+        }
+        let whole = ramp(3 * RULE + 11);
+        for from in [RULE, 2 * RULE + 5] {
+            let mut s = Store::copy_of(&whole[..from]);
+            tally::take_copied();
+            s.relength(3 * RULE + 11);
+            assert_eq!(tally::take_copied(), 0, "a re-length copied");
+            assert_eq!((s.len(), s.capacity()), (3 * RULE + 11, 3 * RULE + 11));
+            assert_eq!(
+                &s[..from],
+                &whole[..from],
+                "the prefix moved with its pages"
+            );
+            assert!(s[from..].iter().all(|&x| x == 0.0), "the new tail is fresh");
+            assert_eq!(addr(&s) % HUGE_BYTES, 0);
+            assert_eq!(shadow::bytes_at(addr(&s)).is_some(), cfg!(debug_assertions));
+            s.copy_from_slice(&whole); // every new page is writable
+        }
+    }
+
+    #[test]
+    fn a_relength_that_shrinks_unmaps_its_tail() {
+        if !MAPS {
+            return;
+        }
+        let mut s = Store::copy_of(&ramp(3 * RULE));
+        let at = addr(&s);
+        assert!(s.resident_bytes() >= 3 * MAP_MIN_BYTES - (64 << 10));
+        for len in [2 * RULE + 4096, RULE] {
+            s.relength(len);
+            assert_eq!((addr(&s), s.len(), s.capacity()), (at, len, len));
+            assert_eq!(&s[..], &ramp(3 * RULE)[..len], "the prefix stays");
+            // At most the granule (64 KiB) past the new length stays mapped.
+            let kept = bytes_of(len).next_multiple_of(64 << 10);
+            let resident = s.resident_bytes();
+            assert!(resident <= kept, "{resident} resident past {kept}");
+            assert!(resident >= bytes_of(len) - 4096, "the prefix is resident");
+        }
+        // And it grows back over the unmapped granules, zero.
+        s.relength(2 * RULE);
+        assert!(s[RULE..].iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn the_registry_follows_every_relength() {
+        if !(MAPS && cfg!(debug_assertions)) {
+            return;
+        }
+        let mut s = Store::zeroed(2 * RULE);
+        for len in [3 * RULE + 8, RULE + 8, RULE, 5 * RULE] {
+            let before = (addr(&s), bytes_of(s.capacity()));
+            s.relength(len);
+            if addr(&s) != before.0 {
+                assert_eq!(shadow::bytes_at(before.0), None, "the old address is gone");
+            }
+            assert_eq!(shadow::bytes_at(addr(&s)), Some(bytes_of(len)));
+        }
+        // The drop releases the last size, which the registry checks.
+        let at = addr(&s);
+        drop(s);
+        assert_eq!(shadow::bytes_at(at), None);
+    }
+
+    #[test]
+    fn extend_with_writes_the_tail_in_place() {
+        let whole = ramp(3 * RULE + 7);
+        // Under the rule, across it, and between two mapped capacities.
+        for cut in [5, RULE / 2, RULE + 3] {
+            let mut s = Store::copy_of(&whole[..cut]);
+            let mut at = cut;
+            for step in [RULE / 4 + 1, RULE, 2 * RULE] {
+                let next = (at + step).min(whole.len());
+                s.extend_with(next - at, |tail| {
+                    assert_eq!(tail.len(), next - at);
+                    tail.copy_from_slice(&whole[at..next]);
+                });
+                at = next;
+            }
+            assert_eq!(&*s, &whole[..at], "cut {cut}");
+        }
+        let mut s = Store::default();
+        s.extend_with(0, |tail| assert!(tail.is_empty()));
+        s.extend_with(3, |tail| tail.copy_from_slice(&[1.0, 2.0, 3.0]));
+        assert_eq!(&*s, &[1.0, 2.0, 3.0]);
     }
 
     #[test]

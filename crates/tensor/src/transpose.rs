@@ -2,7 +2,8 @@
 //! odometer gather over the output for general permutations
 //! ([`permute`]), and a de-interleaving pass over the input for the one
 //! permutation the streaming layouts are built from, "rotate a mode to the
-//! front" ([`move_mode_first`]).
+//! front" ([`move_mode_first`], or [`move_mode_first_into`] a caller's
+//! memory).
 //!
 //! Tensor transposes matter for two algorithms here: the PP initialization
 //! step needs them for orders ≥ 4, and MSDT needs them to contract the input
@@ -140,17 +141,32 @@ pub fn move_mode_first(t: &DenseTensor, mode: usize) -> DenseTensor {
     let n = t.order();
     assert!(mode < n, "mode {mode} out of range for order {n}");
     let out_shape = t.shape().permuted(&perm_mode_first(n, mode));
+    if t.shape().dims()[..mode].iter().product::<usize>() == 1 || t.is_empty() {
+        // Already leading (or nothing to move): shares `t`'s storage.
+        return t.clone().reshape(out_shape);
+    }
+    let mut out = DenseTensor::zeros(out_shape);
+    move_mode_first_into(t, mode, out.data_mut());
+    out
+}
+
+/// [`move_mode_first`] written into `out` (`t.len()` elements, any
+/// contents), e.g. the grown tail of a streaming input: every element of
+/// `out` is written, a verbatim copy, the same at any thread count.
+pub fn move_mode_first_into(t: &DenseTensor, mode: usize, out: &mut [f64]) {
+    let n = t.order();
+    assert!(mode < n, "mode {mode} out of range for order {n}");
+    assert_eq!(out.len(), t.len(), "move_mode_first_into output length");
     let dims = t.shape().dims();
     let a: usize = dims[..mode].iter().product();
     let e = dims[mode];
     let b: usize = dims[mode + 1..].iter().product();
+    let src = t.data();
     if a == 1 || t.is_empty() {
-        // Already leading (or nothing to move): shares `t`'s storage.
-        return t.clone().reshape(out_shape);
+        out.copy_from_slice(src);
+        return;
     }
 
-    let src = t.data();
-    let mut out = DenseTensor::zeros(out_shape);
     let nthreads = rayon::current_num_threads().max(1);
     let a_per_block = if t.len() >= PAR_ELEMS && nthreads > 1 {
         a.div_ceil(nthreads * 4)
@@ -161,7 +177,7 @@ pub fn move_mode_first(t: &DenseTensor, mode: usize) -> DenseTensor {
 
     // pieces[j][x] = the rows of output slab `x` that block `j` fills.
     let mut pieces: Vec<Vec<&mut [f64]>> = (0..blocks).map(|_| Vec::with_capacity(e)).collect();
-    for slab in out.data_mut().chunks_mut(a * b) {
+    for slab in out.chunks_mut(a * b) {
         let mut rest = slab;
         for block in pieces.iter_mut() {
             let (head, tail) = rest.split_at_mut((a_per_block * b).min(rest.len()));
@@ -191,7 +207,6 @@ pub fn move_mode_first(t: &DenseTensor, mode: usize) -> DenseTensor {
             }
         }
     });
-    out
 }
 
 /// Swap the first two modes of a tensor (used to obtain `𝓜p^(i,n)` from
@@ -306,6 +321,10 @@ mod tests {
                 let want = permute(&t, &perm_mode_first(dims.len(), mode));
                 assert_eq!(got.shape().dims(), want.shape().dims());
                 assert_eq!(got.data(), want.data(), "dims {dims:?} mode {mode}");
+                // Into stale memory: every element is written.
+                let mut into = vec![f64::NAN; t.len()];
+                move_mode_first_into(&t, mode, &mut into);
+                assert_eq!(&into[..], want.data(), "into, dims {dims:?} mode {mode}");
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Where a sweep's page faults go: run every job of a benchmark manifest
 //! as a solo session for a few warm laps and print, per sweep,
-//! `kind : ms / minor faults / workspace misses / huge of resident MiB` — plus the
+//! `kind : ms / minor faults / workspace draws / misses / huge of resident
+//! MiB` — plus the
 //! session's set-up, each streaming arrival, and `finish` — under a header
 //! naming the transparent-huge-page mode the kernel runs with.
 //!
@@ -10,8 +11,10 @@
 //! at the end of the phase, i.e. how much of the resident process is backed
 //! by 2 MiB pages (the tensor store asks for them from 2 MiB up; with THP
 //! `never` it reads 0 and the fault counts are those of 4 KiB pages). Elsewhere than Linux the columns
-//! read `-`. Workspace misses are draws that had to allocate
-//! ([`WorkspaceStats::misses`]).
+//! read `-`. Workspace draws are the pooled requests of the phase
+//! ([`WorkspaceStats::draws`]), misses the draws among them that had to
+//! allocate ([`WorkspaceStats::misses`]): a phase that draws and misses
+//! nothing mapped no intermediate fresh.
 //!
 //! Run: `cargo run --release --example fault_probe --
 //!       benchmark/workloads/dense4-pp.manifest [--seed S] [--laps K]`
@@ -19,7 +22,7 @@
 use parallel_pp::core::{AlsSession, Step, StreamingSession, SweepKind};
 use parallel_pp::datagen::timelapse::TIME_MODE;
 use parallel_pp::serve::{parse_manifest, JobSpec};
-use parallel_pp::tensor::{DenseTensor, Workspace};
+use parallel_pp::tensor::{DenseTensor, Workspace, WorkspaceStats};
 use std::time::Instant;
 
 /// Field 10 (`minflt`) of `/proc/self/stat`, or `None` where there is no
@@ -52,11 +55,11 @@ fn thp_mode() -> Option<String> {
     Some(modes[open + 1..close].to_string())
 }
 
-/// Wall time, fault and miss counters at one instant.
+/// Wall time, fault and workspace counters at one instant.
 struct Mark {
     at: Instant,
     faults: Option<u64>,
-    misses: u64,
+    pool: WorkspaceStats,
 }
 
 impl Mark {
@@ -64,7 +67,7 @@ impl Mark {
         Mark {
             at: Instant::now(),
             faults: minor_faults(),
-            misses: ws.map_or(0, |w| w.stats().misses),
+            pool: ws.map(Workspace::stats).unwrap_or_default(),
         }
     }
 
@@ -76,11 +79,14 @@ impl Mark {
             (Some(a), Some(b)) => (b - a).to_string(),
             _ => "-".into(),
         };
-        let misses = now.misses - self.misses;
+        let draws = now.pool.draws - self.pool.draws;
+        let misses = now.pool.misses - self.pool.misses;
         let memory = resident_and_huge_mib().map_or("-".into(), |(rss, huge)| {
             format!("{huge:.0} of {rss:.0} MiB huge")
         });
-        println!("  {label:<10}: {ms:8.2} ms / {faults:>7} faults / {misses:>3} misses / {memory}");
+        println!(
+            "  {label:<10}: {ms:8.2} ms / {faults:>7} faults / {draws:>3} draws / {misses:>3} misses / {memory}"
+        );
         now
     }
 }

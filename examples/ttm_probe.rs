@@ -72,11 +72,10 @@ fn main() {
     let mut warm = true;
     for (dims, r) in shapes {
         // On the tensor store, as a session's input is (2 MiB huge pages
-        // from 2 MiB up): a `Vec`'s 4 KiB pages would scatter the cache
-        // sets that long power-of-two row strides otherwise share.
-        let mut t = DenseTensor::zeros(dims.clone());
-        t.data_mut()
-            .copy_from_slice(uniform_tensor(&dims, &mut rng).data());
+        // from 2 MiB up; `uniform_tensor` builds there): a `Vec`'s 4 KiB
+        // pages would scatter the cache sets that long power-of-two row
+        // strides otherwise share.
+        let t = uniform_tensor(&dims, &mut rng);
         let facs: Vec<_> = dims
             .iter()
             .map(|&s| uniform_matrix(s, r, &mut rng))

@@ -175,21 +175,25 @@ fn a_resumed_session_starts_with_an_empty_workspace() {
 }
 
 #[test]
-fn a_growing_input_gives_up_its_pool_at_the_first_arrival() {
+fn a_growing_input_keeps_its_pool_through_every_arrival() {
     // Every intermediate that keeps the evolving mode changes length with
-    // each arrival, so an exact-length pool has nothing for it: the first
-    // window is pooled like any session's, and from the first arrival on
-    // nothing is drawn, nothing is held, and nothing that contains the
-    // evolving extent can be left behind.
+    // each arrival. The pool serves the new lengths of 2 MiB and more by
+    // re-lengthing what it holds, so after the first window no sweep maps
+    // fresh memory: each draws from the pool and none misses. From 16
+    // steps on, every first level (the smallest is 16·64·16·16 doubles)
+    // is 2 MiB or more, and release builds pool nothing shorter than
+    // 1 MiB; debug builds pool every length, and the short intermediates
+    // that keep the time mode miss at every arrival — a re-length is for
+    // mappings only — so there only the draws are counted.
     let tl = TimelapseConfig {
         height: 64,
         width: 64,
         bands: 16,
-        times: 14,
+        times: 22,
         materials: 6,
         noise: 0.01,
     };
-    let feed = TimelapseStream::new(&tl, 5, 8, 3).expect("schedule");
+    let feed = TimelapseStream::new(&tl, 5, 16, 3).expect("schedule");
     let cfg = AlsConfig::new(16)
         .with_policy(TreePolicy::MultiSweep)
         .with_tol(0.0);
@@ -201,26 +205,40 @@ fn a_growing_input_gives_up_its_pool_at_the_first_arrival() {
         2,
         CacheUpdate::Incremental,
     );
-    let first_window: Workspace = s.session().workspace().clone();
+    let ws: Workspace = s.session().workspace().clone();
     s.run_window();
-    let warm = first_window.stats();
+    let warm = ws.stats();
     assert_bounded(&warm);
     // 64·64·8·16 first levels: pooled in release builds too.
     assert!(warm.draws > 0 && warm.live_elems > 0, "{warm:?}");
     // What is held is charged to the tenant (the admission metric).
     assert!(s.cache_memory_elems() >= warm.held_elems);
 
+    let mut per_sweep = Vec::new();
     for i in 0..feed.n_arrivals() {
         s.arrive(&feed.slice(i));
-        s.run_window();
-        assert_eq!(s.session().workspace().stats(), WorkspaceStats::default());
+        let mut seen = ws.stats();
+        while let Step::Swept(_) = s.step() {
+            let now = ws.stats();
+            assert_bounded(&now);
+            per_sweep.push((now.draws - seen.draws, now.misses - seen.misses));
+            seen = now;
+        }
     }
-    // The first window's buffers: extended entries left the pool as they
-    // grew, evicted ones came back to it (this test's handle keeps it
-    // alive; without one they are freed), none is still out.
-    assert_eq!(first_window.stats().draws, warm.draws);
-    assert_eq!(first_window.stats().live_elems, 0);
+    assert_eq!(per_sweep.len(), 4);
+    let misses_count = !cfg!(debug_assertions);
+    assert!(
+        per_sweep
+            .iter()
+            .all(|&(draws, misses)| draws > 0 && (misses == 0 || !misses_count)),
+        "draws and misses per sweep after the first window: {per_sweep:?}"
+    );
+    let s_end = ws.stats();
+    // As measured, in debug and release builds and at 1 and 4 threads:
+    // only mapped lengths re-length, and those are drawn alike in both.
+    assert_eq!(s_end.relengths, 4, "{s_end:?}");
     drop(s.finish());
+    assert_eq!(ws.stats().live_elems, 0, "nothing stays out");
 }
 
 #[test]
@@ -329,4 +347,69 @@ fn one_first_level_intermediate_is_live_at_a_time() {
     }
     drop(session.finish());
     assert_eq!(ws.stats().live_elems, 0);
+}
+
+#[test]
+fn batch_sessions_never_relength() {
+    // A batch session's intermediates recur at their lengths, so every
+    // draw of a mapped size finds its own class once warm, and the first
+    // draws of each length find nothing else held: the re-length rule
+    // never fires. Pinned at sizes where it could — first levels of 2 MiB
+    // and more (76²·48 and 24³·20 doubles) — for dt, msdt and pp at orders
+    // 3 and 4, and for sparse pp, whose pair operators (160·160·32 and
+    // 160·96·32 doubles) are mapped too.
+    for (order, s, r) in [(3usize, 76usize, 48usize), (4, 24, 20)] {
+        let ccfg = CollinearityConfig {
+            s,
+            r,
+            order,
+            lo: 0.6,
+            hi: 0.8,
+        };
+        let t = collinearity_tensor(&ccfg, 3).0;
+        for (policy, kind) in [
+            (TreePolicy::Standard, SessionKind::Exact),
+            (TreePolicy::MultiSweep, SessionKind::Exact),
+            (TreePolicy::MultiSweep, SessionKind::Pp),
+            (TreePolicy::Standard, SessionKind::Pp),
+        ] {
+            let cfg = AlsConfig::new(r)
+                .with_policy(policy)
+                .with_pp_tol(0.2)
+                .with_tol(0.0)
+                .with_seed(7)
+                .with_max_sweeps(10);
+            let mut session = AlsSession::new(&t, &cfg, kind);
+            let ws = session.workspace().clone();
+            let mut kinds = Vec::new();
+            while let Step::Swept(rec) = session.step() {
+                kinds.push(rec.kind);
+            }
+            if kind == SessionKind::Pp {
+                assert!(kinds.contains(&SweepKind::PpInit), "{kinds:?}");
+            }
+            let st = ws.stats();
+            assert_eq!(
+                st.relengths, 0,
+                "order {order}, {policy:?}, {kind:?}: {st:?}"
+            );
+        }
+    }
+    let (sp, _) = sparse_lowrank(&[160, 160, 96], 8, 0.01, 17);
+    let cfg = AlsConfig::new(32)
+        .with_policy(TreePolicy::MultiSweep)
+        .with_pp_tol(0.2)
+        .with_tol(0.0)
+        .with_seed(7)
+        .with_max_sweeps(10);
+    let mut session = AlsSession::new_sparse(&sp, &cfg, SessionKind::Pp);
+    let ws = session.workspace().clone();
+    let mut inits = 0;
+    while let Step::Swept(rec) = session.step() {
+        inits += usize::from(rec.kind == SweepKind::PpInit);
+    }
+    assert!(inits >= 2, "the second init finds the first's operators");
+    let st = ws.stats();
+    assert!(st.draws > st.misses, "{st:?}");
+    assert_eq!(st.relengths, 0, "sparse pp: {st:?}");
 }
