@@ -154,6 +154,7 @@ impl Store {
         if need > self.cap {
             self.grow(need.max(self.cap.saturating_mul(2)));
         }
+        debug_assert!(need <= self.cap);
         if !is_mapped(bytes_of(self.cap)) {
             // SAFETY: `len + n ≤ cap` (grown just above), so the range is
             // inside the allocation `self` owns; a heap allocation's room
