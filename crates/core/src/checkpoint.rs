@@ -621,6 +621,49 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_keep_their_values() {
+        // A resume compares the stored fingerprint against the rebuilt
+        // input's, so its value is part of the PPCK format. Dense: order 1,
+        // order 3 and a shape with an empty mode. Sparse tensors need
+        // order ≥ 2 and positive extents: order 2, order 3, and a tensor
+        // with no stored entry.
+        let fill = |idx: &[usize]| {
+            let lin = idx.iter().fold(0usize, |a, &i| a * 7 + i);
+            (lin as f64 * 0.37).sin() - 0.25
+        };
+        for (dims, want) in [
+            (vec![5usize], 0xbb1d_dcb8_d356_bd78u64),
+            (vec![4, 3, 5], 0xd355_6b17_103e_8a07),
+            (vec![3, 0, 2], 0x2928_a835_48f5_e007),
+        ] {
+            let t = DenseTensor::from_fn(dims.clone(), fill);
+            let got = tensor_fingerprint(&t);
+            assert_eq!(got, want, "dense {dims:?}: {got:#018x}");
+        }
+        use pp_tensor::sparse::SparseTensor;
+        for (dims, inds, want) in [
+            (
+                vec![4usize, 6],
+                vec![0usize, 5, 3, 1, 0, 5, 2, 2],
+                0xd13c_b6b8_f1a8_333cu64,
+            ),
+            (
+                vec![3, 4, 2],
+                vec![2, 3, 1, 0, 0, 0, 1, 2, 1],
+                0x5d3a_e18d_a1a2_2089,
+            ),
+            (vec![3, 4, 2], vec![], 0xa5fd_e8ee_5510_002b),
+        ] {
+            let vals = (0..inds.len() / dims.len())
+                .map(|e| 1.5 - e as f64 * 0.75)
+                .collect();
+            let t = SparseTensor::from_coo(dims.clone(), inds, vals);
+            let got = sparse_fingerprint(&t);
+            assert_eq!(got, want, "sparse {dims:?}: {got:#018x}");
+        }
+    }
+
+    #[test]
     fn implausible_counts_fail_without_allocating() {
         // u64::MAX as a count must be rejected by the plausibility bound,
         // not attempted as an allocation.
