@@ -57,25 +57,45 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, String> {
 
 /// FNV-1a 64-bit over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.0
 }
 
-/// FNV-1a 64-bit fingerprint of a tensor (dims then element bits).
+/// An FNV-1a 64-bit state, fed bytes as they come: a fingerprint hashes
+/// the tensor where it lies instead of encoding it into a copy first.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// `v`'s little-endian bytes, as [`Writer::u64_`] lays them out.
+    fn u64_(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// FNV-1a 64-bit fingerprint of a tensor (dims then element bits, each a
+/// little-endian `u64`, as a checkpoint lays them out).
 pub fn tensor_fingerprint(t: &DenseTensor) -> u64 {
-    let mut w = Writer::new();
-    w.usize_(t.order());
+    let mut h = Fnv::new();
+    h.u64_(t.order() as u64);
     for &d in t.shape().dims() {
-        w.usize_(d);
+        h.u64_(d as u64);
     }
     for &x in t.data() {
-        w.f64_(x);
+        h.u64_(x.to_bits());
     }
-    fnv1a(&w.buf)
+    h.0
 }
 
 /// FNV-1a 64-bit fingerprint of a sparse tensor (dims, nnz, sorted
@@ -83,20 +103,20 @@ pub fn tensor_fingerprint(t: &DenseTensor) -> u64 {
 /// by a leading tag so a sparse tensor can never collide with the dense
 /// tensor it densifies to.
 pub fn sparse_fingerprint(t: &pp_tensor::sparse::SparseTensor) -> u64 {
-    let mut w = Writer::new();
-    w.u64_(u64::from_le_bytes(*b"PPSPARSE"));
-    w.usize_(t.order());
+    let mut h = Fnv::new();
+    h.u64_(u64::from_le_bytes(*b"PPSPARSE"));
+    h.u64_(t.order() as u64);
     for &d in t.dims() {
-        w.usize_(d);
+        h.u64_(d as u64);
     }
-    w.usize_(t.nnz());
+    h.u64_(t.nnz() as u64);
     for &i in t.inds() {
-        w.u64_(i as u64);
+        h.u64_(i as u64);
     }
     for &x in t.vals() {
-        w.f64_(x);
+        h.u64_(x.to_bits());
     }
-    fnv1a(&w.buf)
+    h.0
 }
 
 /// Little-endian payload builder.

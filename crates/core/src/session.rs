@@ -505,8 +505,13 @@ impl AlsSession {
         let init = init_factors(t.shape().dims(), cfg.rank, cfg.seed);
         let _threads = cfg.thread_guard();
 
-        // ‖T‖² is one serial pass; it rides beside the layout construction.
-        let (input, t_norm_sq) = rayon::join(|| dense_input(t, evolving), || t.norm_sq());
+        // ‖T‖² is the tensor's own: remembered when its writer handed it
+        // over or an earlier session asked. Else it is one serial pass,
+        // which rides beside the layout construction and is remembered.
+        let (input, t_norm_sq) = match t.remembered_norm_sq() {
+            Some(norm_sq) => (dense_input(t, evolving), norm_sq),
+            None => rayon::join(|| dense_input(t, evolving), || t.norm_sq()),
+        };
         Self::from_input(input, t_norm_sq, cfg, kind, init, &mut OneRank)
     }
 
@@ -618,6 +623,24 @@ impl AlsSession {
     /// Fitness after the most recent sweep (NaN before the first).
     pub fn last_fitness(&self) -> f64 {
         self.progress.last_fitness()
+    }
+
+    /// Eq. (3)'s fitness of the current factors, exactly: one exact
+    /// last-mode MTTKRP on a scratch engine with caching disabled (as a
+    /// streaming arrival's warm start runs), with the session's ‖T‖².
+    /// Neither the session's cache, nor its workspace, nor its kernel
+    /// ledger sees that MTTKRP, so stepping on runs bit for bit as
+    /// without the call. After an exact sweep it is
+    /// [`AlsSession::last_fitness`] up to rounding; after a PP-approx sweep
+    /// that value is an estimate from the approximated MTTKRP, and this is
+    /// the fitness it estimates.
+    pub fn exact_fitness(&mut self) -> f64 {
+        let _threads = self.cfg.thread_guard();
+        let n = self.fs.order() - 1;
+        let mut scratch = DimTreeEngine::new(TreePolicy::Standard, n + 1).with_caching_disabled();
+        let m = scratch.mttkrp(&mut self.input, &self.fs, n);
+        let gamma = hadamard_chain_skip(&self.grams, n);
+        self.fitness(&mut OneRank, &gamma, &m)
     }
 
     /// The trace accumulated so far.
@@ -823,6 +846,11 @@ impl AlsSession {
             return Err("input tensor does not match the checkpoint (fingerprint mismatch)".into());
         }
         let t_norm_sq = r.f64_()?;
+        if !(t_norm_sq.is_finite() && t_norm_sq >= 0.0) {
+            return Err(format!(
+                "checkpoint norm {t_norm_sq} is not a squared norm (finite, ≥ 0)"
+            ));
+        }
         let (factors, versions, grams) = (r.matrices()?, r.u64s()?, r.matrices()?);
         let mut pp = PpRegime::read(&mut r, approx)?;
         // Factor i is dims[i] × R and each Gram R × R. A PP list is empty or
@@ -1129,6 +1157,32 @@ mod tests {
     }
 
     #[test]
+    fn a_session_reads_the_remembered_norm_and_leaves_it_for_the_next() {
+        // The collinearity generator hands no norm over; the first session
+        // computes it in the caller's tensor, with the serial pass's bits,
+        // and later sessions read it from there.
+        let cc = CollinearityConfig {
+            s: 9,
+            r: 3,
+            order: 3,
+            lo: 0.6,
+            hi: 0.8,
+        };
+        let (t, _, _) = collinearity_tensor(&cc, 5);
+        assert_eq!(t.remembered_norm_sq(), None);
+        let serial: f64 = t.data().iter().map(|x| x * x).sum();
+        let cfg = AlsConfig::new(3).with_max_sweeps(2);
+        let first = AlsSession::new(&t, &cfg, SessionKind::Exact);
+        assert_eq!(first.t_norm_sq.to_bits(), serial.to_bits());
+        assert_eq!(
+            t.remembered_norm_sq().map(f64::to_bits),
+            Some(serial.to_bits())
+        );
+        let second = AlsSession::new(&t, &cfg, SessionKind::Pp);
+        assert_eq!(second.t_norm_sq.to_bits(), serial.to_bits());
+    }
+
+    #[test]
     fn a_session_sweeps_the_callers_buffer() {
         // No copy at construction or resume, and none later: a write would
         // have moved the session onto a store of its own.
@@ -1305,6 +1359,121 @@ mod tests {
         }
         // The unedited checkpoint resumes.
         assert!(AlsSession::resume_from_bytes(&forge(|_| {}), &t).is_ok());
+    }
+
+    /// Step `s` to its end, calling [`AlsSession::exact_fitness`] after
+    /// every sweep when `probe` is set: the output, and each probed sweep's
+    /// kind, traced fitness and exact fitness.
+    fn run_probed(mut s: AlsSession, probe: bool) -> (AlsOutput, Vec<(SweepKind, f64, f64)>) {
+        let mut rows = Vec::new();
+        while let Step::Swept(rec) = s.step() {
+            if probe {
+                rows.push((rec.kind, rec.fitness, s.exact_fitness()));
+            }
+        }
+        (s.finish(), rows)
+    }
+
+    /// `probed` ran as `plain` did: every bit of the trace and factors, and
+    /// the kernel ledger's counts.
+    fn assert_unprobed(plain: &AlsOutput, probed: &AlsOutput) {
+        assert_bitwise(plain, probed);
+        let (a, b) = (&plain.report.stats, &probed.report.stats);
+        assert_eq!(
+            (a.ttm_flops, a.ttm_count, a.mttv_flops, a.mttv_count),
+            (b.ttm_flops, b.ttm_count, b.mttv_flops, b.mttv_count)
+        );
+    }
+
+    #[test]
+    fn exact_fitness_changes_no_bit_of_the_run_and_is_the_exact_sweeps_fitness() {
+        // After every sweep of dt, msdt and pp; on the exact methods it
+        // agrees with the traced fitness, which came from another
+        // contraction of the same MTTKRP.
+        let t = noisy_rank(&[9, 8, 7], 4, 0.05, 21);
+        let dt = AlsConfig::new(4).with_max_sweeps(12).with_tol(0.0);
+        let msdt = dt.clone().with_policy(TreePolicy::MultiSweep);
+        let pp = msdt.clone().with_pp_tol(0.5);
+        for (cfg, kind) in [
+            (&dt, SessionKind::Exact),
+            (&msdt, SessionKind::Exact),
+            (&pp, SessionKind::Pp),
+        ] {
+            let what = format!("{kind:?} {:?}", cfg.policy);
+            let (plain, _) = run_probed(AlsSession::new(&t, cfg, kind), false);
+            let (probed, rows) = run_probed(AlsSession::new(&t, cfg, kind), true);
+            assert_unprobed(&plain, &probed);
+            assert_eq!(rows.len(), 12, "{what}");
+            if kind == SessionKind::Pp {
+                let approx = rows.iter().filter(|r| r.0 == SweepKind::PpApprox).count();
+                assert!(approx > 0, "{what}: no approximated sweep");
+                continue;
+            }
+            for (sweep, &(_, traced, exact)) in rows.iter().enumerate() {
+                assert!(
+                    (traced - exact).abs() <= 1e-12,
+                    "{what} sweep {sweep}: traced {traced}, exact {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_fitness_beside_the_pp_estimates_at_collinearity_0_6_to_0_8() {
+        // Measured, not asserted (ROADMAP 1(a)): the run that stops 0.12
+        // below DT in the Fig. 4 record (s 40, R 8, tensor seed 1004, seed
+        // 4, `pp_tol` 0.2, tol 1e-5). Each sweep's traced fitness beside
+        // the exact one; at a PP-approx sweep the traced value is Eq. (3)
+        // fed the approximated MTTKRP. The probe changes no bit of the run.
+        let cc = CollinearityConfig {
+            s: 40,
+            r: 8,
+            order: 3,
+            lo: 0.6,
+            hi: 0.8,
+        };
+        let (t, _, _) = collinearity_tensor(&cc, 1004);
+        let cfg = AlsConfig::new(8)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_tol(1e-5)
+            .with_max_sweeps(200)
+            .with_seed(4)
+            .with_pp_tol(0.2);
+        let (plain, _) = run_probed(AlsSession::new(&t, &cfg, SessionKind::Pp), false);
+        let (probed, rows) = run_probed(AlsSession::new(&t, &cfg, SessionKind::Pp), true);
+        assert_unprobed(&plain, &probed);
+        println!("sweep kind traced exact traced-exact");
+        for (sweep, (kind, traced, exact)) in rows.iter().enumerate() {
+            println!(
+                "{sweep} {kind:?} {traced:.9} {exact:.9} {:+.3e}",
+                traced - exact
+            );
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_stored_norm_that_is_not_a_squared_norm() {
+        // A checksum-valid checkpoint whose ‖T‖² is negative or not finite
+        // is refused at resume: every fitness of the run divides by it.
+        let t = noisy_rank(&[7, 6, 5], 3, 0.05, 13);
+        let cfg = AlsConfig::new(3).with_max_sweeps(6).with_tol(0.0);
+        let mut s = AlsSession::new(&t, &cfg, SessionKind::Exact);
+        s.step();
+        let forge = |norm_sq: f64| {
+            let (mut s, _) = AlsSession::resume_from_bytes(&s.checkpoint_bytes(0), &t).unwrap();
+            s.t_norm_sq = norm_sq;
+            s.checkpoint_bytes(0)
+        };
+        for bad in [-1.0, -1e-300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            match AlsSession::resume_from_bytes(&forge(bad), &t) {
+                Err(e) => assert!(e.contains("norm"), "‖T‖² {bad}: {e}"),
+                Ok(_) => panic!("‖T‖² {bad}: resumed"),
+            }
+        }
+        // Zero is a squared norm (of the zero tensor), as is the one stored.
+        for good in [0.0, -0.0, t.norm_sq()] {
+            assert!(AlsSession::resume_from_bytes(&forge(good), &t).is_ok());
+        }
     }
 
     #[test]

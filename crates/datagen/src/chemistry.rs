@@ -81,6 +81,8 @@ impl ChemistryConfig {
 
 /// Generate the order-3 density-fitting surrogate `𝓓 ∈ R^{E × n × n}`
 /// (auxiliary mode first, matching the paper's 4520 × 280 × 280 layout).
+/// With noise, the tensor remembers its ‖T‖², summed as the noise is
+/// added.
 pub fn density_fitting_tensor(cfg: &ChemistryConfig, seed: u64) -> DenseTensor {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
@@ -149,9 +151,7 @@ pub fn density_fitting_tensor(cfg: &ChemistryConfig, seed: u64) -> DenseTensor {
         let norm = t.norm();
         let mut rng2 = seeded(seed ^ 0xabcd_ef01);
         let noise_scale = cfg.noise * norm / (t.len() as f64).sqrt();
-        for x in t.data_mut() {
-            *x += noise_scale * (rng2.random::<f64>() - 0.5) * 2.0;
-        }
+        t.map_norm_sq(|x| x + noise_scale * (rng2.random::<f64>() - 0.5) * 2.0);
     }
     t
 }
@@ -166,6 +166,14 @@ mod tests {
             n_aux: 30,
             ..ChemistryConfig::default()
         }
+    }
+
+    #[test]
+    fn the_noise_pass_hands_over_the_serial_norm() {
+        let t = density_fitting_tensor(&small_cfg(), 5);
+        let serial: f64 = t.data().iter().map(|x| x * x).sum();
+        let handed = t.remembered_norm_sq().expect("the noise pass sums it");
+        assert_eq!(handed.to_bits(), serial.to_bits());
     }
 
     #[test]

@@ -21,14 +21,15 @@ pub fn exact_rank(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matr
 }
 
 /// An exact-rank tensor plus i.i.d. Gaussian noise scaled so that
-/// `‖noise‖_F = noise_level · ‖signal‖_F`.
+/// `‖noise‖_F = noise_level · ‖signal‖_F`. With noise, the tensor
+/// remembers its ‖T‖², summed as the noise is added.
 pub fn noisy_rank(dims: &[usize], r: usize, noise_level: f64, seed: u64) -> DenseTensor {
     let (mut t, _) = exact_rank(dims, r, seed);
     if noise_level > 0.0 {
         let mut rng = seeded(seed ^ 0x9e37_79b9_7f4a_7c15);
         let noise = gaussian_tensor(dims, &mut rng);
         let scale = noise_level * t.norm() / noise.norm().max(1e-300);
-        t.axpy(scale, &noise);
+        t.axpy_norm_sq(scale, &noise);
     }
     t
 }
@@ -59,5 +60,15 @@ mod tests {
         let a = noisy_rank(&[4, 4, 4], 2, 0.05, 7);
         let b = noisy_rank(&[4, 4, 4], 2, 0.05, 7);
         assert_eq!(a.data(), b.data());
+    }
+
+    #[test]
+    fn the_noise_axpy_hands_over_the_serial_norm() {
+        let t = noisy_rank(&[6, 5, 7], 3, 0.05, 9);
+        let serial: f64 = t.data().iter().map(|x| x * x).sum();
+        let handed = t.remembered_norm_sq().expect("the axpy sums it");
+        assert_eq!(handed.to_bits(), serial.to_bits());
+        // Without noise no pass runs after the reconstruction.
+        assert_eq!(noisy_rank(&[6, 5, 7], 3, 0.0, 9).remembered_norm_sq(), None);
     }
 }

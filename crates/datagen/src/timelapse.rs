@@ -74,7 +74,8 @@ impl TimelapseConfig {
     }
 }
 
-/// Render the tensor `height × width × bands × times`.
+/// Render the tensor `height × width × bands × times`. With noise, the
+/// tensor remembers its ‖T‖², summed as the noise is added.
 pub fn timelapse_tensor(cfg: &TimelapseConfig, seed: u64) -> DenseTensor {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
@@ -179,9 +180,7 @@ pub fn timelapse_tensor(cfg: &TimelapseConfig, seed: u64) -> DenseTensor {
     if cfg.noise > 0.0 {
         let norm = t.norm();
         let scale = cfg.noise * norm / (t.len() as f64).sqrt();
-        for x in t.data_mut() {
-            *x += scale * (rng.random::<f64>() - 0.5) * 2.0;
-        }
+        t.map_norm_sq(|x| x + scale * (rng.random::<f64>() - 0.5) * 2.0);
     }
     t
 }
@@ -291,6 +290,18 @@ mod tests {
         let t = timelapse_tensor(&tiny(), 1);
         assert_eq!(t.shape().dims(), &[12, 14, 8, 5]);
         assert!(t.norm() > 0.0);
+    }
+
+    #[test]
+    fn the_noise_pass_hands_over_the_serial_norm() {
+        let noisy = TimelapseConfig {
+            noise: 0.02,
+            ..tiny()
+        };
+        let t = timelapse_tensor(&noisy, 3);
+        let serial: f64 = t.data().iter().map(|x| x * x).sum();
+        let handed = t.remembered_norm_sq().expect("the noise pass sums it");
+        assert_eq!(handed.to_bits(), serial.to_bits());
     }
 
     #[test]

@@ -1,9 +1,30 @@
 //! Dense, row-major `f64` tensors with copy-on-write storage.
+//!
+//! A tensor remembers its squared Frobenius norm ‖T‖² once something has
+//! computed it: CP-ALS reads it once per run (the fitness of Eq. (3)), and
+//! one serial pass over a large input is all of a session's set-up. The
+//! value is always the bits of that pass, the elements' squares summed
+//! from the first to the last with one accumulator; nothing
+//! re-associates it.
+//!
+//! * [`DenseTensor::norm_sq`] computes it on first call and keeps it;
+//!   [`DenseTensor::remembered_norm_sq`] reads it without a pass.
+//! * A writer whose own last pass is serial and in element order hands it
+//!   over from that pass: [`DenseTensor::axpy_norm_sq`],
+//!   [`DenseTensor::map_norm_sq`], and [`crate::rng::gaussian_tensor`].
+//! * A clone carries it, and [`DenseTensor::reshape`] keeps it.
+//! * A new tensor starts without it, a shared run
+//!   ([`DenseTensor::share_run`]) and a slice
+//!   ([`DenseTensor::slice_along`]) too.
+//! * Every write forgets it: they all go through one private path
+//!   (`data_mut`, `set`, `axpy`, `scale`, `fill_zero`, `append_leading`,
+//!   `append_leading_with`), which drops it before it hands the buffer
+//!   out.
 
 use crate::shape::Shape;
 use crate::store::{is_mapped, ALIGN, HUGE_BYTES};
 use crate::workspace::Buffer;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A dense tensor of `f64` values in row-major layout.
 ///
@@ -30,17 +51,27 @@ pub struct DenseTensor {
     /// Where the tensor's elements start in `buf`; they run for
     /// `shape.len()`.
     start: usize,
+    /// ‖T‖² of the elements, once computed or handed over (see the module
+    /// docs); every write empties it.
+    norm_sq: OnceLock<f64>,
 }
 
 impl Clone for DenseTensor {
     fn clone(&self) -> Self {
-        if self.buf.is_adopted() {
-            return DenseTensor::whole(self.shape.clone(), Buffer::copy_of(self.data()));
-        }
+        let placed = if self.buf.is_adopted() {
+            DenseTensor::whole(self.shape.clone(), Buffer::copy_of(self.data()))
+        } else {
+            DenseTensor {
+                shape: self.shape.clone(),
+                buf: Arc::clone(&self.buf),
+                start: self.start,
+                norm_sq: OnceLock::new(),
+            }
+        };
+        // The same elements: the same ‖T‖².
         DenseTensor {
-            shape: self.shape.clone(),
-            buf: Arc::clone(&self.buf),
-            start: self.start,
+            norm_sq: self.norm_sq.clone(),
+            ..placed
         }
     }
 }
@@ -59,6 +90,7 @@ impl DenseTensor {
             shape,
             buf: Arc::new(buf),
             start: 0,
+            norm_sq: OnceLock::new(),
         }
     }
 
@@ -115,6 +147,7 @@ impl DenseTensor {
             shape,
             buf: Arc::clone(&self.buf),
             start: self.start + start,
+            norm_sq: OnceLock::new(),
         })
     }
 
@@ -170,9 +203,11 @@ impl DenseTensor {
 
     /// The one way to write: the buffer itself when this tensor is its
     /// sole owner, a fresh store copy of it otherwise. A run of a longer
-    /// buffer first moves onto a store holding only the run.
+    /// buffer first moves onto a store holding only the run. The caller
+    /// may write anything, so the remembered ‖T‖² goes.
     #[inline]
     fn buffer_mut(&mut self) -> &mut Buffer {
+        self.norm_sq.take();
         if !self.is_whole() {
             *self = DenseTensor::whole(self.shape.clone(), Buffer::copy_of(self.data()));
         }
@@ -208,9 +243,34 @@ impl DenseTensor {
         self.norm_sq().sqrt()
     }
 
-    /// Squared Frobenius norm.
+    /// Squared Frobenius norm: one serial pass on the first call, the
+    /// remembered value after (see the module docs).
     pub fn norm_sq(&self) -> f64 {
+        *self.norm_sq.get_or_init(|| self.serial_norm_sq())
+    }
+
+    /// The pass: every element's square, summed in element order with one
+    /// accumulator.
+    fn serial_norm_sq(&self) -> f64 {
         self.data().iter().map(|x| x * x).sum()
+    }
+
+    /// The remembered ‖T‖², if there is one: what [`DenseTensor::norm_sq`]
+    /// returns without a pass.
+    pub fn remembered_norm_sq(&self) -> Option<f64> {
+        self.norm_sq.get().copied()
+    }
+
+    /// Remember `norm_sq`, which a writer summed in its last pass over the
+    /// elements, in [`DenseTensor::norm_sq`]'s order; returns it. Debug
+    /// builds check it against that pass.
+    pub(crate) fn remember_norm_sq(&self, norm_sq: f64) -> f64 {
+        debug_assert_eq!(
+            norm_sq.to_bits(),
+            self.serial_norm_sq().to_bits(),
+            "a handed-over ‖T‖² is not the serial sum"
+        );
+        *self.norm_sq.get_or_init(|| norm_sq)
     }
 
     /// Inner product `<self, other>` (shapes must match).
@@ -231,6 +291,38 @@ impl DenseTensor {
         }
     }
 
+    /// [`DenseTensor::axpy`] that sums the result's squares in the same
+    /// pass, in element order: returns ‖self‖² after the update, and
+    /// remembers it.
+    pub fn axpy_norm_sq(&mut self, alpha: f64, other: &DenseTensor) -> f64 {
+        assert_eq!(self.shape, other.shape, "axpy shape mismatch");
+        let norm_sq = self
+            .buffer_mut()
+            .iter_mut()
+            .zip(other.data())
+            .map(|(a, b)| {
+                *a += alpha * b;
+                *a * *a
+            })
+            .sum();
+        self.remember_norm_sq(norm_sq)
+    }
+
+    /// Replace every element `x`, in element order, by `f(x)`, summing the
+    /// results' squares in the same pass: returns the new ‖self‖², and
+    /// remembers it.
+    pub fn map_norm_sq(&mut self, mut f: impl FnMut(f64) -> f64) -> f64 {
+        let norm_sq = self
+            .buffer_mut()
+            .iter_mut()
+            .map(|x| {
+                *x = f(*x);
+                *x * *x
+            })
+            .sum();
+        self.remember_norm_sq(norm_sq)
+    }
+
     /// Scale every element by `alpha`.
     pub fn scale(&mut self, alpha: f64) {
         for x in self.buffer_mut().iter_mut() {
@@ -244,7 +336,8 @@ impl DenseTensor {
         self.buffer_mut().fill(0.0);
     }
 
-    /// Reinterpret the buffer under a new shape with the same element count.
+    /// Reinterpret the buffer under a new shape with the same element
+    /// count; a remembered ‖T‖² stays.
     pub fn reshape(self, shape: impl Into<Shape>) -> DenseTensor {
         let shape = shape.into();
         assert_eq!(
@@ -699,6 +792,153 @@ mod tests {
         assert!((t.norm_sq() - 30.0).abs() < 1e-12);
         let u = DenseTensor::from_vec(vec![2, 2], vec![1.0, 1.0, 1.0, 1.0]);
         assert!((t.inner(&u) - 10.0).abs() < 1e-12);
+    }
+
+    /// The bits of one serial pass over `t`'s elements.
+    fn serial_norm_sq(t: &DenseTensor) -> u64 {
+        t.data().iter().map(|x| x * x).sum::<f64>().to_bits()
+    }
+
+    /// `t` remembers no ‖T‖²; asked, it computes and keeps the serial sum.
+    fn assert_forgot(t: &DenseTensor, what: &str) {
+        assert_eq!(t.remembered_norm_sq(), None, "{what}: still remembered");
+        assert_eq!(t.norm_sq().to_bits(), serial_norm_sq(t), "{what}");
+        let kept = t.remembered_norm_sq().map(f64::to_bits);
+        assert_eq!(kept, Some(serial_norm_sq(t)), "{what}: kept");
+    }
+
+    /// Values whose squares sum to other bits in another order.
+    fn uneven(dims: Vec<usize>) -> DenseTensor {
+        let mut lin = 0;
+        DenseTensor::from_fn(dims, |_| {
+            lin += 1;
+            (lin as f64 * 0.37).sin() * 10f64.powi(lin % 7 - 3)
+        })
+    }
+
+    #[test]
+    fn every_write_forgets_the_remembered_norm() {
+        type Write = fn(&mut DenseTensor);
+        let writes: [(&str, Write); 7] = [
+            ("data_mut", |t| t.data_mut()[3] = 7.5),
+            ("set", |t| t.set(&[0, 1, 2], -2.25)),
+            ("axpy", |t| {
+                let u = uneven(t.shape().dims().to_vec());
+                t.axpy(0.5, &u)
+            }),
+            ("scale", |t| t.scale(2.0)),
+            ("fill_zero", DenseTensor::fill_zero),
+            ("append_leading", |t| {
+                let head = t.slice_along(0, 0, 1);
+                t.append_leading(&head)
+            }),
+            ("append_leading_with", |t| {
+                t.append_leading_with(2, |tail| tail.fill(3.0));
+            }),
+        ];
+        for (what, write) in writes {
+            // Sole owner of a store, of an adopted `Vec`, and a side of a
+            // shared buffer.
+            let store = uneven(vec![3, 4, 5]);
+            let adopted = DenseTensor::from_vec(vec![3, 4, 5], store.data().to_vec());
+            for (start, mut t) in [("store", store.clone()), ("adopted", adopted)] {
+                let other = t.clone();
+                for shared in [true, false] {
+                    let what = format!("{what} on a {start}, shared {shared}");
+                    let before = t.norm_sq();
+                    assert_eq!(t.remembered_norm_sq(), Some(before), "{what}");
+                    let held = shared.then(|| t.clone());
+                    write(&mut t);
+                    assert_forgot(&t, &what);
+                    if let Some(held) = held {
+                        assert_eq!(held.remembered_norm_sq(), Some(before), "{what}");
+                    }
+                    t = other.clone();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_carries_the_norm_and_a_write_to_one_side_forgets_only_there() {
+        for t in [
+            uneven(vec![4, 3, 5]),
+            DenseTensor::from_vec(vec![4, 3, 5], uneven(vec![4, 3, 5]).into_vec()),
+        ] {
+            let norm = t.norm_sq();
+            assert_eq!(norm.to_bits(), serial_norm_sq(&t));
+            let mut c = t.clone();
+            assert_eq!(c.remembered_norm_sq(), Some(norm), "the clone carries it");
+            c.scale(3.0);
+            assert_forgot(&c, "the written clone");
+            assert_eq!(t.remembered_norm_sq(), Some(norm), "the other side");
+            let mut t = t;
+            let c = t.clone();
+            t.data_mut()[0] = -1.0;
+            assert_forgot(&t, "the written original");
+            assert_eq!(c.remembered_norm_sq(), Some(norm), "the clone");
+            assert_eq!(norm.to_bits(), serial_norm_sq(&c));
+        }
+    }
+
+    #[test]
+    fn reshape_keeps_the_norm_and_runs_and_slices_start_without_it() {
+        let t = uneven(vec![4, 6, 8]);
+        let norm = t.norm_sq();
+        let r = t.clone().reshape(vec![24, 8]);
+        assert_eq!(r.remembered_norm_sq(), Some(norm), "reshape");
+        for (start, len) in [(0, t.len()), (8, t.len() - 8), (64, 64)] {
+            let run = t.share_run(start, vec![len]).expect("a placed run");
+            assert_forgot(&run, &format!("share_run {start}+{len}"));
+        }
+        assert_forgot(&t.slice_along(1, 1, 3), "slice_along");
+        assert_forgot(&t.slice_along(0, 0, 4), "slice_along whole");
+        assert_eq!(t.remembered_norm_sq(), Some(norm));
+    }
+
+    #[test]
+    fn a_fused_pass_hands_over_the_serial_norm() {
+        let u = uneven(vec![5, 4, 3]);
+        // A sole owner, a side of a shared buffer, and a run of a longer one.
+        for start in ["store", "shared", "run"] {
+            let held = uneven(vec![if start == "run" { 7 } else { 5 }, 4, 3]);
+            held.norm_sq();
+            let fresh = || match start {
+                "store" => uneven(vec![5, 4, 3]),
+                "shared" => held.clone(),
+                _ => held.share_run(16, vec![5, 4, 3]).expect("a placed run"),
+            };
+            let mut t = fresh();
+            let got = t.axpy_norm_sq(-0.75, &u);
+            let mut want = fresh();
+            want.axpy(-0.75, &u);
+            assert_eq!(t.data(), want.data(), "axpy_norm_sq on a {start}");
+            assert_eq!(
+                got.to_bits(),
+                serial_norm_sq(&t),
+                "axpy_norm_sq on a {start}"
+            );
+            assert_eq!(t.remembered_norm_sq(), Some(got));
+
+            let mut t = fresh();
+            let mut k = 0.0;
+            let got = t.map_norm_sq(|x| {
+                k += 1.0;
+                x * 1.5 - k
+            });
+            assert_eq!(
+                got.to_bits(),
+                serial_norm_sq(&t),
+                "map_norm_sq on a {start}"
+            );
+            assert_eq!(t.remembered_norm_sq(), Some(got));
+            let kept = held.remembered_norm_sq().map(f64::to_bits);
+            assert_eq!(kept, Some(serial_norm_sq(&held)), "the other side");
+        }
+        // The empty sum keeps its sign, as `Iterator::sum` gives it.
+        let mut e = DenseTensor::zeros(vec![3, 0]);
+        let got = e.map_norm_sq(|x| x);
+        assert_eq!(got.to_bits(), serial_norm_sq(&e));
     }
 
     #[test]

@@ -43,19 +43,26 @@ pub fn uniform_tensor(dims: &[usize], rng: &mut impl Rng) -> DenseTensor {
     t
 }
 
-/// Tensor with i.i.d. standard Gaussian entries.
+/// Tensor with i.i.d. standard Gaussian entries. Its ‖T‖² is summed as
+/// the entries are drawn, and the tensor remembers it.
 pub fn gaussian_tensor(dims: &[usize], rng: &mut impl Rng) -> DenseTensor {
     let shape = Shape::new(dims.to_vec());
     let len = shape.len();
     let mut data = Vec::with_capacity(len);
+    // The empty sum is `-0.0`, as `Iterator::sum` has it.
+    let mut norm_sq = -0.0;
     while data.len() < len {
         let (z0, z1) = box_muller(rng);
         data.push(z0);
+        norm_sq += z0 * z0;
         if data.len() < len {
             data.push(z1);
+            norm_sq += z1 * z1;
         }
     }
-    DenseTensor::from_vec(shape, data)
+    let t = DenseTensor::from_vec(shape, data);
+    t.remember_norm_sq(norm_sq);
+    t
 }
 
 fn box_muller(rng: &mut impl Rng) -> (f64, f64) {
@@ -155,5 +162,16 @@ mod tests {
         assert_eq!(t.data(), &want[..]);
         let g = gaussian_tensor(&[2, 3], &mut rng);
         assert_eq!(g.len(), 6);
+    }
+
+    #[test]
+    fn gaussian_tensor_hands_over_the_serial_norm() {
+        // Even and odd lengths, and the empty sum.
+        for dims in [vec![4usize, 6], vec![3, 5, 7], vec![2, 0]] {
+            let t = gaussian_tensor(&dims, &mut seeded(11));
+            let serial: f64 = t.data().iter().map(|x| x * x).sum();
+            let handed = t.remembered_norm_sq().expect("the draw sums it");
+            assert_eq!(handed.to_bits(), serial.to_bits(), "{dims:?}");
+        }
     }
 }
