@@ -21,6 +21,7 @@
 
 use crate::result::{SweepKind, SweepRecord};
 use pp_dtree::{Intermediate, KernelStats};
+use pp_tensor::fnv::Fnv;
 use pp_tensor::{DenseTensor, Matrix, SemiSparseTensor, Shape};
 use std::path::Path;
 use std::sync::Arc;
@@ -59,64 +60,23 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, String> {
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.bytes(bytes);
-    h.0
-}
-
-/// An FNV-1a 64-bit state, fed bytes as they come: a fingerprint hashes
-/// the tensor where it lies instead of encoding it into a copy first.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// `v`'s little-endian bytes, as [`Writer::u64_`] lays them out.
-    fn u64_(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
+    h.finish()
 }
 
 /// FNV-1a 64-bit fingerprint of a tensor (dims then element bits, each a
-/// little-endian `u64`, as a checkpoint lays them out).
+/// little-endian `u64`, as a checkpoint lays them out): the tensor's
+/// [`DenseTensor::fingerprint`], hashed once and remembered by it (and
+/// by clones made after) until a write.
 pub fn tensor_fingerprint(t: &DenseTensor) -> u64 {
-    let mut h = Fnv::new();
-    h.u64_(t.order() as u64);
-    for &d in t.shape().dims() {
-        h.u64_(d as u64);
-    }
-    for &x in t.data() {
-        h.u64_(x.to_bits());
-    }
-    h.0
+    t.fingerprint()
 }
 
 /// FNV-1a 64-bit fingerprint of a sparse tensor (dims, nnz, sorted
-/// coordinates, value bits). Domain-separated from the dense fingerprint
-/// by a leading tag so a sparse tensor can never collide with the dense
-/// tensor it densifies to.
+/// coordinates, value bits), domain-separated from the dense fingerprint:
+/// the tensor's [`pp_tensor::SparseTensor::fingerprint`], hashed once and
+/// kept with its entries.
 pub fn sparse_fingerprint(t: &pp_tensor::sparse::SparseTensor) -> u64 {
-    let mut h = Fnv::new();
-    h.u64_(u64::from_le_bytes(*b"PPSPARSE"));
-    h.u64_(t.order() as u64);
-    for &d in t.dims() {
-        h.u64_(d as u64);
-    }
-    h.u64_(t.nnz() as u64);
-    for &i in t.inds() {
-        h.u64_(i as u64);
-    }
-    for &x in t.vals() {
-        h.u64_(x.to_bits());
-    }
-    h.0
+    t.fingerprint()
 }
 
 /// Little-endian payload builder.

@@ -246,6 +246,18 @@ fn laid_out(e: &Intermediate, dims: &[usize], rank: usize) -> bool {
         && e.tensor.shape().dims().iter().copied().eq(extents)
 }
 
+/// `Err` naming `what` when `xs` holds a NaN or an infinity: a resumed run
+/// would carry it through every later sweep to a silently wrong answer.
+fn refuse_non_finite(xs: &[f64], what: impl FnOnce() -> String) -> Result<(), String> {
+    match xs.iter().find(|x| !x.is_finite()) {
+        None => Ok(()),
+        Some(x) => Err(format!(
+            "checkpoint {} holds {x}, not a finite value",
+            what()
+        )),
+    }
+}
+
 /// Alg. 2's pairwise-perturbation regime, the one encoding every PP
 /// session runs: whether it is approximating, the drift gate's last
 /// verdict, the frozen reference and the pair operators, and the
@@ -592,7 +604,7 @@ impl AlsSession {
 
     /// Stored nonzeros of a sparse input; `None` over a dense tensor.
     pub fn input_nnz(&self) -> Option<usize> {
-        self.input.sparse().map(|sp| sp.coo.nnz())
+        self.input.sparse().map(SparseTensor::nnz)
     }
 
     /// The session's update rule.
@@ -738,7 +750,7 @@ impl AlsSession {
         // a domain-separated fingerprint so a dense checkpoint can never
         // resume against a sparse tensor (or vice versa).
         w.u64_(match self.input.sparse() {
-            Some(sp) => sparse_fingerprint(&sp.coo),
+            Some(sp) => sparse_fingerprint(sp),
             None => tensor_fingerprint(&self.input.canonical()),
         });
         w.f64_(self.t_norm_sq);
@@ -884,6 +896,27 @@ impl AlsSession {
         {
             return Err("checkpoint matrices do not fit the tensor's dims and the rank".into());
         }
+        let lists = [
+            ("factor", &factors),
+            ("Gram", &grams),
+            ("PP drift", &pp.drift),
+            ("PP reference", &pp.reference),
+        ];
+        for (what, ms) in lists {
+            for (i, m) in ms.iter().enumerate() {
+                refuse_non_finite(m.data(), || format!("{what} {i}"))?;
+            }
+        }
+        if let Some(ops) = &pp.ops {
+            for (i, m) in ops.firsts.iter().enumerate() {
+                refuse_non_finite(m.data(), || format!("PP operator Mp^({i})"))?;
+            }
+            let mut pairs: Vec<_> = ops.pairs.iter().collect();
+            pairs.sort_unstable_by_key(|&(&key, _)| key);
+            for ((i, j), e) in pairs {
+                refuse_non_finite(e.tensor.data(), || format!("PP pair operator ({i}, {j})"))?;
+            }
+        }
         let fs = FactorState::from_parts(factors, versions);
         let n_cached = r.usize_()?;
         let mut cached = Vec::with_capacity(n_cached);
@@ -894,6 +927,9 @@ impl AlsSession {
                 if !laid_out(&e, dims, rank) {
                     return Err("a cached intermediate does not fit its mode set".into());
                 }
+                refuse_non_finite(e.tensor.data(), || {
+                    format!("cached intermediate of modes {:?}", e.mode_order)
+                })?;
                 cached.push(e);
             }
         }
@@ -907,9 +943,10 @@ impl AlsSession {
         // the Δ criterion holds a reference fitness.
         pp.open = progress.has_reference() && pp.gate(&mut OneRank, &fs, cfg.pp_tol);
 
-        // Rebuild the runtime-only pieces (input layout / CSF trees,
-        // engine) exactly as construction does, then reinstall the cached
-        // intermediates and stats the checkpoint captured.
+        // Rebuild the runtime-only pieces (the input layout, or a sparse
+        // input over the tensor's own forest; the engine) exactly as
+        // construction does, then reinstall the cached intermediates and
+        // stats the checkpoint captured.
         let input = build_input();
         let mut engine = DimTreeEngine::new(cfg.policy, n);
         for e in cached {
@@ -1563,6 +1600,82 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_state_that_is_not_finite() {
+        // A mid-regime checkpoint with a valid checksum and a NaN or ±Inf in
+        // any stored matrix is refused at resume, naming the matrix; before,
+        // it resumed and ran to a silently wrong answer.
+        let t = noisy_rank(&[7, 6, 5], 3, 0.05, 13);
+        let cfg = AlsConfig::new(3)
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(0.5)
+            .with_max_sweeps(30)
+            .with_tol(0.0);
+        let mut mid = AlsSession::new(&t, &cfg, SessionKind::Pp);
+        while mid.pp.as_ref().unwrap().ops.is_none() {
+            assert!(
+                matches!(mid.step(), Step::Swept(_)),
+                "the regime never opened"
+            );
+        }
+        let regime = mid.pp.as_ref().unwrap();
+        assert!(!regime.reference.is_empty() && !regime.drift.is_empty());
+        assert!(!mid.engine.cache().is_empty(), "no cached intermediate");
+        let bytes = mid.checkpoint_bytes(0);
+        type Edit = fn(&mut AlsSession, f64);
+        let forge = |edit: Edit, bad: f64| {
+            let (mut s, _) = AlsSession::resume_from_bytes(&bytes, &t).unwrap();
+            edit(&mut s, bad);
+            s.checkpoint_with(0, &s.engine.cache().entries_sorted())
+        };
+        fn pp(s: &mut AlsSession) -> &mut PpRegime {
+            s.pp.as_mut().unwrap()
+        }
+        let cases: [(&str, Edit); 7] = [
+            ("factor 1", |s, bad| {
+                let mut m = s.fs.factor(1).clone();
+                m.data_mut()[4] = bad;
+                s.fs.overwrite_same_version(1, m);
+            }),
+            ("Gram 2", |s, bad| s.grams[2].data_mut()[3] = bad),
+            ("PP drift 0", |s, bad| pp(s).drift[0].data_mut()[5] = bad),
+            ("PP reference 1", |s, bad| {
+                pp(s).reference[1].data_mut()[0] = bad
+            }),
+            ("PP operator Mp^(2)", |s, bad| {
+                pp(s).ops.as_mut().unwrap().firsts[2].data_mut()[2] = bad
+            }),
+            ("PP pair operator (0, 2)", |s, bad| {
+                let ops = pp(s).ops.as_mut().unwrap();
+                let pair = ops.pairs.get_mut(&(0, 2)).unwrap();
+                std::sync::Arc::make_mut(&mut pair.tensor).data_mut()[1] = bad;
+            }),
+            ("cached intermediate of modes", |s, bad| {
+                let mut e = s.engine.cache().entries_sorted()[0].clone();
+                let mut tensor = (*e.tensor).clone();
+                tensor.data_mut()[7] = bad;
+                e.tensor = std::sync::Arc::new(tensor);
+                s.engine.cache_mut().insert(e);
+            }),
+        ];
+        for (what, edit) in cases {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                match AlsSession::resume_from_bytes(&forge(edit, bad), &t) {
+                    Err(e) => assert!(
+                        e.contains(what) && e.contains("not a finite value"),
+                        "{what} {bad}: {e}"
+                    ),
+                    Ok(_) => panic!("{what} {bad}: resumed"),
+                }
+            }
+        }
+        // The same edit with a finite value resumes.
+        for (what, edit) in cases {
+            let resumed = AlsSession::resume_from_bytes(&forge(edit, 0.5), &t);
+            assert!(resumed.is_ok(), "{what} 0.5: {:?}", resumed.err());
+        }
+    }
+
+    #[test]
     fn checkpoints_carry_only_valid_intermediates() {
         // Inside an approximated regime the cache still holds what the
         // factor updates made stale (at order 3, the pair operators, which
@@ -1684,6 +1797,97 @@ mod tests {
         let dense_bytes = d.checkpoint_bytes(2);
         let err = resume_err(AlsSession::resume_from_bytes_sparse(&dense_bytes, &sp));
         assert!(err.contains("fingerprint"), "{err}");
+    }
+
+    /// The forest a sparse session sweeps over.
+    fn forest_of(s: &AlsSession) -> *const pp_tensor::CsfTensor {
+        s.input.sparse().expect("a sparse input").csf()
+    }
+
+    #[test]
+    fn sparse_sessions_read_the_tensors_one_forest() {
+        // Sessions over a tensor and over a clone of it, of every sparse
+        // method, and one resumed from a checkpoint, all sweep the forest
+        // the tensor keeps: no set-up builds another.
+        let (sp, _) = pp_datagen::sparse::sparse_lowrank(&[12, 10, 9], 2, 0.2, 5);
+        let forest: *const pp_tensor::CsfTensor = sp.csf();
+        let clone = sp.clone();
+        let exact = AlsConfig::new(2).with_max_sweeps(4).with_tol(0.0);
+        let multi = exact.clone().with_policy(TreePolicy::MultiSweep);
+        let mut sessions = vec![
+            AlsSession::new_sparse(&sp, &exact, SessionKind::Exact),
+            AlsSession::new_sparse(&clone, &exact, SessionKind::Exact),
+            AlsSession::new_sparse(&clone, &multi, SessionKind::Exact),
+            AlsSession::new_sparse(&sp, &multi.clone().with_pp_tol(0.5), SessionKind::Pp),
+        ];
+        for s in &mut sessions {
+            assert!(std::ptr::eq(forest_of(s), forest));
+            let _ = s.step();
+        }
+        let bytes = sessions[0].checkpoint_bytes(0);
+        let (resumed, _) = AlsSession::resume_from_bytes_sparse(&bytes, &clone).unwrap();
+        assert!(std::ptr::eq(forest_of(&resumed), forest), "resumed");
+        assert_eq!(sp.norm_sq().to_bits(), resumed.t_norm_sq.to_bits());
+    }
+
+    #[test]
+    fn sessions_opened_at_once_on_one_tensor_build_one_forest() {
+        // Two threads open sessions on one tensor at once, at pool widths 1
+        // and 2: neither waits forever, both sweep one forest, and each
+        // run's trace is a lone run's bit for bit, over a forest of its own.
+        let dims = [40, 36, 32];
+        let cfg = AlsConfig::new(4).with_max_sweeps(5).with_tol(0.0);
+        for width in [1, 2] {
+            let cfg = cfg.clone().with_threads(width);
+            let (sp, _) = pp_datagen::sparse::sparse_lowrank(&dims, 4, 0.05, 21);
+            let (lone_tensor, _) = pp_datagen::sparse::sparse_lowrank(&dims, 4, 0.05, 21);
+            let lone = AlsSession::new_sparse(&lone_tensor, &cfg, SessionKind::Exact).run();
+            let barrier = std::sync::Barrier::new(2);
+            let runs: Vec<(usize, AlsOutput)> = std::thread::scope(|s| {
+                let open = || {
+                    barrier.wait();
+                    let mut session = AlsSession::new_sparse(&sp, &cfg, SessionKind::Exact);
+                    let forest = forest_of(&session) as usize;
+                    while let Step::Swept(_) = session.step() {}
+                    (forest, session.finish())
+                };
+                let handles = [s.spawn(open), s.spawn(open)];
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(runs[0].0, runs[1].0, "width {width}: two forests");
+            assert_eq!(runs[0].0, sp.csf() as *const _ as usize);
+            for (_, run) in &runs {
+                assert_bitwise(run, &lone);
+            }
+        }
+    }
+
+    #[test]
+    fn a_forest_built_at_width_2_serves_a_width_1_session_alike() {
+        // The forest is the tensor's, built at whatever width its first
+        // caller runs: a width-1 session over one built at width 2 and one
+        // over one built at width 1 agree bit for bit, for dt and pp.
+        let dims = [30, 28, 26];
+        let built_at = |width: usize| {
+            let (sp, _) = pp_datagen::sparse::sparse_lowrank(&dims, 3, 0.08, 33);
+            let _w = rayon::scoped_num_threads(width);
+            sp.csf();
+            sp
+        };
+        let (narrow, wide) = (built_at(1), built_at(2));
+        let exact = AlsConfig::new(3)
+            .with_max_sweeps(8)
+            .with_tol(0.0)
+            .with_threads(1);
+        let pp = exact
+            .clone()
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(0.5);
+        for (cfg, kind) in [(exact, SessionKind::Exact), (pp, SessionKind::Pp)] {
+            let a = AlsSession::new_sparse(&narrow, &cfg, kind).run();
+            let b = AlsSession::new_sparse(&wide, &cfg, kind).run();
+            assert_bitwise(&a, &b);
+        }
     }
 
     #[test]

@@ -175,9 +175,9 @@ impl DimTreeEngine {
         // 0).
         if let Some(sp) = input.sparse() {
             let t0 = Instant::now();
-            let m = pp_tensor::sparse::sparse_mttkrp(&sp.csf, fs.factors(), n);
+            let m = pp_tensor::sparse::sparse_mttkrp(sp.csf(), fs.factors(), n);
             // Per nonzero and rank column: N − 1 multiplies and one add.
-            let flops = sp.csf.nnz() as u64 * m.cols() as u64 * self.n_modes as u64;
+            let flops = sp.nnz() as u64 * m.cols() as u64 * self.n_modes as u64;
             self.stats.record(Kernel::Ttm, t0.elapsed(), flops);
             return m;
         }

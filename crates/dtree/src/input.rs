@@ -18,26 +18,18 @@
 //! ([`InputTensor::append_evolving`]), and read back from there.
 //!
 //! A **sparse** input ([`InputTensor::new_sparse`]) stores no dense layout
-//! and makes no first-level contraction: it holds the sorted COO and the
-//! CSF forest (one fiber tree per mode), and every method runs on the
-//! forest — each MTTKRP is one direct sparse MTTKRP, and each PP pair
-//! operator one walk of a tree.
+//! and makes no first-level contraction: it holds the sorted COO, whose
+//! CSF forest (one fiber tree per mode) the tensor itself keeps, so every
+//! input over one tensor or its clones reads one forest. Every method runs
+//! on the forest — each MTTKRP is one direct sparse MTTKRP, and each PP
+//! pair operator one walk of a tree.
 
 use pp_tensor::kernels::ttm::ttm_at_in;
-use pp_tensor::sparse::{CsfTensor, SparseTensor};
+use pp_tensor::sparse::SparseTensor;
 use pp_tensor::transpose::{move_mode_first, move_mode_first_into, permute};
 use pp_tensor::{DenseTensor, Matrix, Workspace};
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
-
-/// A sparse input: the sorted-coordinate ingest form plus the CSF forest
-/// the direct sparse MTTKRP and the PP pair walks run over.
-pub struct SparseInput {
-    /// Sorted COO form (fingerprinting, norms, densify-for-oracle).
-    pub coo: SparseTensor,
-    /// The per-mode fiber forest.
-    pub csf: CsfTensor,
-}
 
 /// The CP input tensor in its one stored layout, with a uniform "contract
 /// one mode" entry point. A sparse-backed input stores no dense layout; the
@@ -47,7 +39,7 @@ pub struct InputTensor {
     /// of the stored layout (canonical for fixed and sparse inputs).
     mode_order: Vec<usize>,
     dense: Option<DenseTensor>,
-    sparse: Option<SparseInput>,
+    sparse: Option<SparseTensor>,
     /// The mode a streaming input grows along; it heads the layout.
     evolving: Option<usize>,
 }
@@ -75,15 +67,16 @@ impl InputTensor {
         }
     }
 
-    /// Wrap a sparse tensor: builds the CSF forest (one fiber tree per
+    /// Wrap a sparse tensor: reads the CSF forest (one fiber tree per
     /// mode) the engine's sparse MTTKRP fast path and the PP pair walks
-    /// run over. No dense layout is materialized.
+    /// run over, which the tensor builds on its first request and keeps
+    /// ([`SparseTensor::csf`]). No dense layout is materialized.
     pub fn new_sparse(sp: SparseTensor) -> Self {
-        let csf = CsfTensor::build(&sp);
+        sp.csf();
         InputTensor {
             mode_order: (0..sp.order()).collect(),
             dense: None,
-            sparse: Some(SparseInput { coo: sp, csf }),
+            sparse: Some(sp),
             evolving: None,
         }
     }
@@ -94,8 +87,9 @@ impl InputTensor {
         Self::new_sparse(sp)
     }
 
-    /// The sparse backing, when this input is sparse.
-    pub fn sparse(&self) -> Option<&SparseInput> {
+    /// The sparse tensor, when this input is sparse; its forest is
+    /// [`SparseTensor::csf`].
+    pub fn sparse(&self) -> Option<&SparseTensor> {
         self.sparse.as_ref()
     }
 
@@ -162,7 +156,7 @@ impl InputTensor {
     /// Extent of original mode `m`.
     pub fn dim(&self, m: usize) -> usize {
         match &self.sparse {
-            Some(sp) => sp.coo.dim(m),
+            Some(sp) => sp.dim(m),
             None => self.layout().dim(self.position(m)),
         }
     }
@@ -189,7 +183,7 @@ impl InputTensor {
     /// Stored elements: dense volume, or `nnz` when sparse.
     pub fn len(&self) -> usize {
         match &self.sparse {
-            Some(sp) => sp.coo.nnz(),
+            Some(sp) => sp.nnz(),
             None => self.layout().len(),
         }
     }

@@ -107,7 +107,7 @@ pub fn build_pp_operators(
     let n_modes = fs.order();
     assert!(n_modes >= 3, "pairwise perturbation needs order ≥ 3");
     if let Some(sp) = input.sparse() {
-        let (pairs, first) = forest_pairs(&sp.csf, fs, engine);
+        let (pairs, first) = forest_pairs(sp.csf(), fs, engine);
         let mut firsts = vec![first];
         firsts.extend(anchors(&pairs, fs, engine, 1));
         return PpOperators {

@@ -1,26 +1,38 @@
 //! Dense, row-major `f64` tensors with copy-on-write storage.
 //!
-//! A tensor remembers its squared Frobenius norm ‖T‖² once something has
-//! computed it: CP-ALS reads it once per run (the fitness of Eq. (3)), and
-//! one serial pass over a large input is all of a session's set-up. The
-//! value is always the bits of that pass, the elements' squares summed
-//! from the first to the last with one accumulator; nothing
-//! re-associates it.
+//! A tensor remembers two passes over its elements once something has made
+//! them. Each is a whole pass over a large input, and a session or a
+//! checkpoint would otherwise make it again every time.
 //!
-//! * [`DenseTensor::norm_sq`] computes it on first call and keeps it;
-//!   [`DenseTensor::remembered_norm_sq`] reads it without a pass.
-//! * A writer whose own last pass is serial and in element order hands it
-//!   over from that pass: [`DenseTensor::axpy_norm_sq`],
+//! * Its squared Frobenius norm ‖T‖²: CP-ALS reads it once per run (the
+//!   fitness of Eq. (3)), and the pass is all of a session's set-up. The
+//!   value is always the bits of that pass, the elements' squares summed
+//!   from the first to the last with one accumulator; nothing
+//!   re-associates it. [`DenseTensor::norm_sq`] computes it on first call
+//!   and keeps it; [`DenseTensor::remembered_norm_sq`] reads it without a
+//!   pass. A writer whose own last pass is serial and in element order
+//!   hands it over from that pass: [`DenseTensor::axpy_norm_sq`],
 //!   [`DenseTensor::map_norm_sq`], and [`crate::rng::gaussian_tensor`].
-//! * A clone carries it, and [`DenseTensor::reshape`] keeps it.
-//! * A new tensor starts without it, a shared run
+//! * Its fingerprint ([`DenseTensor::fingerprint`]): FNV-1a over the dims
+//!   and the element bits, what a checkpoint stores to bind itself to its
+//!   input (about 1.7 ns a byte).
+//!
+//! Each is kept in the tensor itself, beside the buffer, so remembering
+//! costs no allocation:
+//!
+//! * A clone carries both, as they were when it was made; what either side
+//!   computes later stays with that side.
+//! * [`DenseTensor::reshape`] keeps the norm and forgets the fingerprint,
+//!   which hashes the dims.
+//! * A new tensor starts without either, a shared run
 //!   ([`DenseTensor::share_run`]) and a slice
 //!   ([`DenseTensor::slice_along`]) too.
-//! * Every write forgets it: they all go through one private path
+//! * Every write forgets both: they all go through one private path
 //!   (`data_mut`, `set`, `axpy`, `scale`, `fill_zero`, `append_leading`,
-//!   `append_leading_with`), which drops it before it hands the buffer
+//!   `append_leading_with`), which drops them before it hands the buffer
 //!   out.
 
+use crate::fnv::Fnv;
 use crate::shape::Shape;
 use crate::store::{is_mapped, ALIGN, HUGE_BYTES};
 use crate::workspace::Buffer;
@@ -51,27 +63,33 @@ pub struct DenseTensor {
     /// Where the tensor's elements start in `buf`; they run for
     /// `shape.len()`.
     start: usize,
-    /// ‖T‖² of the elements, once computed or handed over (see the module
-    /// docs); every write empties it.
+    /// What is remembered of the elements (see the module docs); every
+    /// write empties it.
+    known: Remembered,
+}
+
+/// The passes over a tensor's elements that it remembers once made.
+#[derive(Default, Clone)]
+struct Remembered {
+    /// ‖T‖², once computed or handed over.
     norm_sq: OnceLock<f64>,
+    /// [`DenseTensor::fingerprint`], once computed.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Clone for DenseTensor {
     fn clone(&self) -> Self {
-        let placed = if self.buf.is_adopted() {
-            DenseTensor::whole(self.shape.clone(), Buffer::copy_of(self.data()))
+        let (buf, start) = if self.buf.is_adopted() {
+            (Arc::new(Buffer::copy_of(self.data())), 0)
         } else {
-            DenseTensor {
-                shape: self.shape.clone(),
-                buf: Arc::clone(&self.buf),
-                start: self.start,
-                norm_sq: OnceLock::new(),
-            }
+            (Arc::clone(&self.buf), self.start)
         };
-        // The same elements: the same ‖T‖².
+        // The same elements: the same remembered passes.
         DenseTensor {
-            norm_sq: self.norm_sq.clone(),
-            ..placed
+            shape: self.shape.clone(),
+            buf,
+            start,
+            known: self.known.clone(),
         }
     }
 }
@@ -90,7 +108,7 @@ impl DenseTensor {
             shape,
             buf: Arc::new(buf),
             start: 0,
-            norm_sq: OnceLock::new(),
+            known: Remembered::default(),
         }
     }
 
@@ -147,7 +165,7 @@ impl DenseTensor {
             shape,
             buf: Arc::clone(&self.buf),
             start: self.start + start,
-            norm_sq: OnceLock::new(),
+            known: Remembered::default(),
         })
     }
 
@@ -204,10 +222,10 @@ impl DenseTensor {
     /// The one way to write: the buffer itself when this tensor is its
     /// sole owner, a fresh store copy of it otherwise. A run of a longer
     /// buffer first moves onto a store holding only the run. The caller
-    /// may write anything, so the remembered ‖T‖² goes.
+    /// may write anything, so what it remembers goes.
     #[inline]
     fn buffer_mut(&mut self) -> &mut Buffer {
-        self.norm_sq.take();
+        self.known = Remembered::default();
         if !self.is_whole() {
             *self = DenseTensor::whole(self.shape.clone(), Buffer::copy_of(self.data()));
         }
@@ -246,7 +264,7 @@ impl DenseTensor {
     /// Squared Frobenius norm: one serial pass on the first call, the
     /// remembered value after (see the module docs).
     pub fn norm_sq(&self) -> f64 {
-        *self.norm_sq.get_or_init(|| self.serial_norm_sq())
+        *self.known.norm_sq.get_or_init(|| self.serial_norm_sq())
     }
 
     /// The pass: every element's square, summed in element order with one
@@ -258,7 +276,7 @@ impl DenseTensor {
     /// The remembered ‖T‖², if there is one: what [`DenseTensor::norm_sq`]
     /// returns without a pass.
     pub fn remembered_norm_sq(&self) -> Option<f64> {
-        self.norm_sq.get().copied()
+        self.known.norm_sq.get().copied()
     }
 
     /// Remember `norm_sq`, which a writer summed in its last pass over the
@@ -270,7 +288,25 @@ impl DenseTensor {
             self.serial_norm_sq().to_bits(),
             "a handed-over ‖T‖² is not the serial sum"
         );
-        *self.norm_sq.get_or_init(|| norm_sq)
+        *self.known.norm_sq.get_or_init(|| norm_sq)
+    }
+
+    /// FNV-1a 64-bit fingerprint of the tensor: its order, each extent and
+    /// each element's bits, every one a little-endian `u64`, as a
+    /// checkpoint lays them out. One pass on the first call, the
+    /// remembered value after (see the module docs).
+    pub fn fingerprint(&self) -> u64 {
+        *self.known.fingerprint.get_or_init(|| {
+            let mut h = Fnv::new();
+            h.u64_(self.order() as u64);
+            for &d in self.shape.dims() {
+                h.u64_(d as u64);
+            }
+            for &x in self.data() {
+                h.u64_(x.to_bits());
+            }
+            h.finish()
+        })
     }
 
     /// Inner product `<self, other>` (shapes must match).
@@ -337,7 +373,8 @@ impl DenseTensor {
     }
 
     /// Reinterpret the buffer under a new shape with the same element
-    /// count; a remembered ‖T‖² stays.
+    /// count; a remembered ‖T‖² stays, the fingerprint (which hashes the
+    /// dims) goes.
     pub fn reshape(self, shape: impl Into<Shape>) -> DenseTensor {
         let shape = shape.into();
         assert_eq!(
@@ -346,7 +383,15 @@ impl DenseTensor {
             "reshape to {} changes element count",
             shape
         );
-        DenseTensor { shape, ..self }
+        let known = Remembered {
+            norm_sq: self.known.norm_sq.clone(),
+            fingerprint: OnceLock::new(),
+        };
+        DenseTensor {
+            shape,
+            known,
+            ..self
+        }
     }
 
     /// Grow the leading mode in place: append `other` (same trailing
@@ -799,12 +844,34 @@ mod tests {
         t.data().iter().map(|x| x * x).sum::<f64>().to_bits()
     }
 
-    /// `t` remembers no ‖T‖²; asked, it computes and keeps the serial sum.
+    /// The fingerprint `t` remembers, if any.
+    fn remembered_print(t: &DenseTensor) -> Option<u64> {
+        t.known.fingerprint.get().copied()
+    }
+
+    /// The fingerprint of `t`, hashed here without the tensor's help.
+    fn fresh_fingerprint(t: &DenseTensor) -> u64 {
+        let mut h = Fnv::new();
+        h.u64_(t.order() as u64);
+        for &d in t.shape().dims() {
+            h.u64_(d as u64);
+        }
+        for &x in t.data() {
+            h.u64_(x.to_bits());
+        }
+        h.finish()
+    }
+
+    /// `t` remembers no ‖T‖² and no fingerprint; asked, it computes and
+    /// keeps the serial sum and the hash of its elements.
     fn assert_forgot(t: &DenseTensor, what: &str) {
         assert_eq!(t.remembered_norm_sq(), None, "{what}: still remembered");
+        assert_eq!(remembered_print(t), None, "{what}: fingerprint");
         assert_eq!(t.norm_sq().to_bits(), serial_norm_sq(t), "{what}");
         let kept = t.remembered_norm_sq().map(f64::to_bits);
         assert_eq!(kept, Some(serial_norm_sq(t)), "{what}: kept");
+        assert_eq!(t.fingerprint(), fresh_fingerprint(t), "{what}");
+        assert_eq!(remembered_print(t), Some(fresh_fingerprint(t)));
     }
 
     /// Values whose squares sum to other bits in another order.
@@ -847,11 +914,13 @@ mod tests {
                     let what = format!("{what} on a {start}, shared {shared}");
                     let before = t.norm_sq();
                     assert_eq!(t.remembered_norm_sq(), Some(before), "{what}");
+                    let print = t.fingerprint();
                     let held = shared.then(|| t.clone());
                     write(&mut t);
                     assert_forgot(&t, &what);
                     if let Some(held) = held {
                         assert_eq!(held.remembered_norm_sq(), Some(before), "{what}");
+                        assert_eq!(remembered_print(&held), Some(print), "{what}");
                     }
                     t = other.clone();
                 }
@@ -882,11 +951,38 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_carries_the_fingerprint_it_was_made_with() {
+        // What the original remembered when the clone was made, the clone
+        // remembers; what one side computes after stays on that side.
+        for t in [
+            uneven(vec![4, 3, 5]),
+            DenseTensor::from_vec(vec![4, 3, 5], uneven(vec![4, 3, 5]).into_vec()),
+        ] {
+            let early = t.clone();
+            let print = t.fingerprint();
+            assert_eq!(print, fresh_fingerprint(&t));
+            assert_eq!(remembered_print(&early), None, "made before");
+            let mut late = t.clone();
+            assert_eq!(remembered_print(&late), Some(print), "made after");
+            late.scale(-1.0);
+            assert_forgot(&late, "the written clone");
+            assert_eq!(remembered_print(&t), Some(print), "the other side");
+            assert_eq!(early.fingerprint(), print);
+        }
+    }
+
+    #[test]
     fn reshape_keeps_the_norm_and_runs_and_slices_start_without_it() {
         let t = uneven(vec![4, 6, 8]);
         let norm = t.norm_sq();
+        let print = t.fingerprint();
         let r = t.clone().reshape(vec![24, 8]);
         assert_eq!(r.remembered_norm_sq(), Some(norm), "reshape");
+        // The fingerprint hashes the dims: the reshaped tensor's is its own.
+        assert_eq!(remembered_print(&r), None, "reshape");
+        assert_eq!(r.fingerprint(), fresh_fingerprint(&r));
+        assert_ne!(r.fingerprint(), print);
+        assert_eq!(remembered_print(&t), Some(print), "the original");
         for (start, len) in [(0, t.len()), (8, t.len() - 8), (64, 64)] {
             let run = t.share_run(start, vec![len]).expect("a placed run");
             assert_forgot(&run, &format!("share_run {start}+{len}"));

@@ -33,6 +33,7 @@
 //! ```
 
 pub mod dense;
+pub mod fnv;
 pub mod gemm;
 pub mod kernels;
 pub mod matrix;

@@ -75,8 +75,30 @@
 //! ([`csf_pair_anchored_in`]): each slab row, as it is finished, takes its
 //! link of the anchor row's chain, in the order of the mTTV that used to
 //! re-read the whole operator after the walk.
+//!
+//! # What a tensor keeps
+//!
+//! A [`SparseTensor`] is immutable, and its clones share one entry list.
+//! Beside the entries it keeps what every session over it would otherwise
+//! derive again, each made once, on the first request, and then read by
+//! every clone and every session:
+//!
+//! * the CSF forest ([`SparseTensor::csf`]), built by [`CsfTensor::build`]
+//!   (which itself always builds afresh);
+//! * ‖T‖² ([`SparseTensor::norm_sq`]), the values' squares summed in
+//!   stored order;
+//! * the checkpoint fingerprint ([`SparseTensor::fingerprint`]).
+//!
+//! The price is memory: a tensor that has been asked for its forest keeps
+//! it for as long as any clone of it lives, after its sessions end — about
+//! 48 bytes per nonzero at order 3 (26 MB on the 537 k nonzeros of the
+//! `sparse3` benchmark tensor), on top of the entries' own 20 bytes. A
+//! session used to hold a forest of its own for its whole life, and the
+//! allocator kept the freed arrays between sessions, so a process's peak
+//! is the same.
 
 use crate::dense::DenseTensor;
+use crate::fnv::Fnv;
 use crate::gemm::{panel_kc, small_work_limit};
 use crate::matrix::Matrix;
 use crate::shape::Shape;
@@ -84,19 +106,41 @@ use crate::simd::{simd_level, SimdLevel};
 use crate::workspace::Workspace;
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A sparse tensor in sorted-coordinate (COO) form: lexicographically
 /// sorted index tuples with duplicate coordinates merged (summed in sorted
 /// order) and explicit zeros dropped at ingest. It is immutable, so a
-/// clone shares the entries: a session over a caller's tensor copies none.
-#[derive(Clone, Debug)]
+/// clone shares the entries and everything derived from them (its CSF
+/// forest, ‖T‖², its fingerprint; see the module docs): a session over a
+/// caller's tensor copies and rebuilds none of it.
+#[derive(Clone)]
 pub struct SparseTensor {
+    shared: Arc<Entries>,
+}
+
+/// The entries of a [`SparseTensor`] and what is derived from them once.
+struct Entries {
     dims: Vec<usize>,
     /// `nnz × order` flattened index tuples, lexicographically sorted.
-    inds: Arc<Vec<u32>>,
+    inds: Vec<u32>,
     /// Values aligned with `inds` chunks.
-    vals: Arc<Vec<f64>>,
+    vals: Vec<f64>,
+    /// The CSF forest, once built.
+    forest: OnceLock<CsfTensor>,
+    /// ‖T‖², once summed.
+    norm_sq: OnceLock<f64>,
+    /// The checkpoint fingerprint, once hashed.
+    fingerprint: OnceLock<u64>,
+}
+
+impl std::fmt::Debug for SparseTensor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SparseTensor")
+            .field("dims", &self.shared.dims)
+            .field("nnz", &self.nnz())
+            .finish()
+    }
 }
 
 /// The stable lexicographic order of the `dims.len()`-wide tuples in
@@ -188,9 +232,14 @@ impl SparseTensor {
             }
         }
         SparseTensor {
-            dims,
-            inds: Arc::new(inds),
-            vals: Arc::new(vals),
+            shared: Arc::new(Entries {
+                dims,
+                inds,
+                vals,
+                forest: OnceLock::new(),
+                norm_sq: OnceLock::new(),
+                fingerprint: OnceLock::new(),
+            }),
         }
     }
 
@@ -211,13 +260,13 @@ impl SparseTensor {
 
     /// Densify (the oracle path for parity tests and benchmarks).
     pub fn to_dense(&self) -> DenseTensor {
-        let shape = Shape::new(self.dims.clone());
+        let shape = Shape::new(self.dims().to_vec());
         let strides = shape.strides();
         let mut t = DenseTensor::zeros(shape);
         let data = t.data_mut();
-        let order = self.dims.len();
-        for (e, &v) in self.vals.iter().enumerate() {
-            let lin: usize = self.inds[e * order..(e + 1) * order]
+        for (e, &v) in self.vals().iter().enumerate() {
+            let lin: usize = self
+                .idx(e)
                 .iter()
                 .zip(strides.iter())
                 .map(|(&i, &s)| i as usize * s)
@@ -229,55 +278,94 @@ impl SparseTensor {
 
     /// Tensor order.
     pub fn order(&self) -> usize {
-        self.dims.len()
+        self.dims().len()
     }
 
     /// Mode extents.
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        &self.shared.dims
     }
 
     /// Extent of mode `m`.
     pub fn dim(&self, m: usize) -> usize {
-        self.dims[m]
+        self.dims()[m]
     }
 
     /// Number of stored (nonzero) entries.
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        self.vals().len()
     }
 
     /// True when no nonzeros are stored.
     pub fn is_empty(&self) -> bool {
-        self.vals.is_empty()
+        self.vals().is_empty()
     }
 
     /// `nnz / ∏ dims` (dense volume computed in f64 to avoid overflow).
     pub fn density(&self) -> f64 {
-        let vol: f64 = self.dims.iter().map(|&d| d as f64).product();
-        self.vals.len() as f64 / vol
+        let vol: f64 = self.dims().iter().map(|&d| d as f64).product();
+        self.nnz() as f64 / vol
     }
 
     /// Stored values, in lexicographic coordinate order.
     pub fn vals(&self) -> &[f64] {
-        &self.vals
+        &self.shared.vals
     }
 
     /// Flattened sorted index tuples (`nnz × order`).
     pub fn inds(&self) -> &[u32] {
-        &self.inds
+        &self.shared.inds
     }
 
     /// Index tuple of stored entry `e`.
     pub fn idx(&self, e: usize) -> &[u32] {
-        let order = self.dims.len();
-        &self.inds[e * order..(e + 1) * order]
+        let order = self.order();
+        &self.inds()[e * order..(e + 1) * order]
+    }
+
+    /// The CSF forest the sparse MTTKRP and the PP pair walks run over:
+    /// built by [`CsfTensor::build`] on the first call, by whichever
+    /// thread asks first (a concurrent caller waits for it), and then read
+    /// by every clone, made before or after (see the module docs). The
+    /// forest is the same at any pool width.
+    pub fn csf(&self) -> &CsfTensor {
+        self.shared.forest.get_or_init(|| CsfTensor::build(self))
     }
 
     /// Squared Frobenius norm — bit-identical to densifying first:
-    /// the sum skips only `+0.0` terms of a nonnegative running sum.
+    /// the sum skips only `+0.0` terms of a nonnegative running sum. One
+    /// serial pass over the values on the first call, the remembered value
+    /// after.
     pub fn norm_sq(&self) -> f64 {
-        self.vals.iter().map(|v| v * v).sum()
+        *self
+            .shared
+            .norm_sq
+            .get_or_init(|| self.vals().iter().map(|v| v * v).sum())
+    }
+
+    /// FNV-1a 64-bit fingerprint of the tensor, what a checkpoint stores
+    /// to bind itself to its input: a `PPSPARSE` tag, the order, the dims,
+    /// nnz, the sorted coordinates and the value bits, each a little-endian
+    /// `u64`. The tag separates it from the dense fingerprint of the
+    /// tensor this one densifies to. Hashed on the first call, remembered
+    /// after.
+    pub fn fingerprint(&self) -> u64 {
+        *self.shared.fingerprint.get_or_init(|| {
+            let mut h = Fnv::new();
+            h.u64_(u64::from_le_bytes(*b"PPSPARSE"));
+            h.u64_(self.order() as u64);
+            for &d in self.dims() {
+                h.u64_(d as u64);
+            }
+            h.u64_(self.nnz() as u64);
+            for &i in self.inds() {
+                h.u64_(i as u64);
+            }
+            for &x in self.vals() {
+                h.u64_(x.to_bits());
+            }
+            h.finish()
+        })
     }
 
     /// Frobenius norm.
@@ -1826,6 +1914,82 @@ mod tests {
                     assert_eq!(a.coords, b.coords);
                 }
             }
+        }
+    }
+
+    /// `a` and `b` hold the same trees, array for array.
+    fn assert_same_trees(a: &CsfTensor, b: &CsfTensor, what: &str) {
+        for (a, b) in a.trees.iter().zip(&b.trees) {
+            assert_eq!(a.vals, b.vals, "{what}");
+            assert_eq!(
+                (&a.roots, &a.spans, &a.coords),
+                (&b.roots, &b.spans, &b.coords),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tensor_keeps_one_forest_for_every_clone() {
+        // Asked from the tensor or any clone, before or after the clone was
+        // made, the forest is one forest, and it is `CsfTensor::build`'s.
+        let sp = random_sparse(&[8, 6, 5], 150, 43);
+        let early = sp.clone();
+        let first: *const CsfTensor = early.csf();
+        let late = sp.clone();
+        for (what, t) in [("original", &sp), ("early", &early), ("late", &late)] {
+            assert!(std::ptr::eq(t.csf(), first), "{what}");
+        }
+        let fresh = CsfTensor::build(&sp);
+        assert!(!std::ptr::eq(&fresh, first), "build stays a fresh build");
+        assert_same_trees(&fresh, sp.csf(), "a fresh build");
+        // Another tensor with the same entries has its own.
+        let twin = random_sparse(&[8, 6, 5], 150, 43);
+        assert!(!std::ptr::eq(twin.csf(), first));
+    }
+
+    #[test]
+    fn threads_that_ask_at_once_get_one_forest() {
+        // Two threads ask one tensor at once, each at its own pool width:
+        // one forest, and it is the one a lone serial build gives.
+        let dims = [96, 80, 64];
+        for width in [1, 2] {
+            let sp = holey_sparse(&dims, dims.iter().product::<usize>() / 80, 2.0, 44);
+            let barrier = std::sync::Barrier::new(2);
+            let seen: Vec<usize> = std::thread::scope(|s| {
+                let ask = || {
+                    let _w = rayon::scoped_num_threads(width);
+                    barrier.wait();
+                    sp.csf() as *const CsfTensor as usize
+                };
+                let handles = [s.spawn(ask), s.spawn(ask)];
+                handles.map(|h| h.join().unwrap()).to_vec()
+            });
+            assert_eq!(seen[0], seen[1], "width {width}");
+            let lone = {
+                let _w = rayon::scoped_num_threads(1);
+                CsfTensor::build(&sp)
+            };
+            assert_same_trees(&lone, sp.csf(), &format!("width {width}"));
+        }
+    }
+
+    #[test]
+    fn the_remembered_norm_is_the_serial_sum() {
+        // Empty, and at `sparse3`-like statistics (uniform and skewed),
+        // the first call and every later one on any clone give the bits of
+        // one pass over the values in stored order.
+        let dims = [96, 80, 64];
+        let samples = dims.iter().product::<usize>() / 80;
+        for sp in [
+            SparseTensor::from_coo(dims.to_vec(), vec![], vec![]),
+            holey_sparse(&dims, samples, 1.0, 45),
+            holey_sparse(&dims, samples, 2.0, 46),
+        ] {
+            let serial: f64 = sp.vals().iter().map(|v| v * v).sum();
+            assert_eq!(sp.norm_sq().to_bits(), serial.to_bits(), "{sp:?}");
+            assert_eq!(sp.clone().norm_sq().to_bits(), serial.to_bits());
+            assert_eq!(sp.norm_sq().to_bits(), serial.to_bits());
         }
     }
 
