@@ -849,17 +849,10 @@ mod tests {
         t.known.fingerprint.get().copied()
     }
 
-    /// The fingerprint of `t`, hashed here without the tensor's help.
+    /// The fingerprint of `t`'s elements, hashed by a new tensor that
+    /// remembers nothing.
     fn fresh_fingerprint(t: &DenseTensor) -> u64 {
-        let mut h = Fnv::new();
-        h.u64_(t.order() as u64);
-        for &d in t.shape().dims() {
-            h.u64_(d as u64);
-        }
-        for &x in t.data() {
-            h.u64_(x.to_bits());
-        }
-        h.finish()
+        DenseTensor::from_vec(t.shape().clone(), t.data().to_vec()).fingerprint()
     }
 
     /// `t` remembers no ‖T‖² and no fingerprint; asked, it computes and
