@@ -25,6 +25,8 @@
 //!   the session to a `PPCK` checkpoint file; a batch killed mid-flight
 //!   resumes from the directory bit-identically, and a graceful drain
 //!   ([`ServeConfig::stop_after_turns`]) parks in-flight jobs on purpose;
+//! * jobs that name the same sparse dataset open over one build of it,
+//!   so it is generated and its CSF forest built once per batch;
 //! * jobs that converge exit early and free their admission slot for the
 //!   next pending job; a job that panics (bad manifest entry, degenerate
 //!   tensor, injected fault) is isolated and reported without killing the

@@ -49,6 +49,18 @@
 //! parks all in-flight jobs to disk mid-batch and reports them as
 //! [`JobStatus::Parked`].
 //!
+//! **Shared sparse datasets.** Jobs of one batch that name the same
+//! sparse dataset (a rank sweep, restarts from several seeds, dt beside
+//! pp) open their sessions over one built [`SparseTensor`], and so over
+//! one CSF forest, one ‖T‖² and one fingerprint: the tensor is generated
+//! and indexed by whichever of them opens first, fresh or resumed. The
+//! batch keeps it until the last of those jobs is completed, failed or
+//! parked. A live tenant's session holds the same entries, so the kept
+//! tensor costs memory of its own only while no job of the group has a
+//! live session (one has finished, the next is not yet admitted). A
+//! sparse dataset named once, and every dense or streaming one, is built
+//! by its own job as before.
+//!
 //! **Fairness.** A tenant between turns holds no pool slot: every
 //! contraction of a sweep finishes inside its [`Tenant::step`], so there
 //! is nothing to settle when a turn ends.
@@ -57,8 +69,10 @@ use crate::job::{JobSpec, SchedPolicy};
 use pp_core::checkpoint::{self, fnv1a};
 use pp_core::{AlsConfig, AlsOutput, AlsSession, Step, StreamingSession, SweepKind};
 use pp_datagen::timelapse::{TimelapseStream, TIME_MODE};
+use pp_tensor::sparse::SparseTensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, Once};
 use std::time::Instant;
 
@@ -325,6 +339,17 @@ impl Tenant {
         als_cfg: &AlsConfig,
         checkpoint: Option<&Path>,
     ) -> Result<Tenant, String> {
+        Tenant::open_over(spec, als_cfg, checkpoint, None)
+    }
+
+    /// [`Tenant::open`], over `built` — `spec`'s sparse dataset, already
+    /// built — when there is one.
+    fn open_over(
+        spec: &JobSpec,
+        als_cfg: &AlsConfig,
+        checkpoint: Option<&Path>,
+        built: Option<SparseTensor>,
+    ) -> Result<Tenant, String> {
         let kind = spec.method.session_kind();
         let resume = checkpoint.filter(|p| p.exists());
         let tenant = if let Some(stream) = spec.stream {
@@ -347,7 +372,7 @@ impl Tenant {
             // The tensor never densifies: every method runs on the CSF
             // forest (dt and msdt the direct kernel, pp its exact sweeps
             // too and its pair operators as walks of the same trees).
-            let sp = spec.dataset.build_sparse();
+            let sp = built.unwrap_or_else(|| spec.dataset.build_sparse());
             Tenant::Batch(match resume {
                 Some(path) => resumed(path, spec, |bytes| {
                     AlsSession::resume_from_bytes_sparse(bytes, &sp)
@@ -439,6 +464,74 @@ fn resumed<S>(
     Ok(session)
 }
 
+/// The sparse datasets that more than one job of a batch names, each
+/// built once and shared by those jobs (module docs, "Shared sparse
+/// datasets").
+struct Shelf {
+    /// Job index → its group, when another job names the same sparse
+    /// dataset.
+    group: Vec<Option<usize>>,
+    groups: Vec<Group>,
+}
+
+struct Group {
+    /// The built dataset, from the first open of any of the group's jobs
+    /// until the last of them settles.
+    tensor: Mutex<Option<SparseTensor>>,
+    /// Jobs of the group not yet settled.
+    unsettled: AtomicUsize,
+}
+
+impl Shelf {
+    fn new(specs: &[JobSpec]) -> Shelf {
+        let mut group = vec![None; specs.len()];
+        let mut groups = Vec::new();
+        let named = |j: usize| specs[j].stream.is_none() && specs[j].dataset.is_sparse();
+        for i in 0..specs.len() {
+            if !named(i) || group[i].is_some() {
+                continue;
+            }
+            let same: Vec<usize> = (i..specs.len())
+                .filter(|&j| named(j) && specs[j].dataset == specs[i].dataset)
+                .collect();
+            if same.len() > 1 {
+                for &j in &same {
+                    group[j] = Some(groups.len());
+                }
+                groups.push(Group {
+                    tensor: Mutex::new(None),
+                    unsettled: AtomicUsize::new(same.len()),
+                });
+            }
+        }
+        Shelf { group, groups }
+    }
+
+    /// Job `idx`'s dataset, built on the group's first request (a job of
+    /// the same group asking meanwhile waits for it), or `None` when no
+    /// other job names it.
+    fn tensor(&self, idx: usize, spec: &JobSpec) -> Option<SparseTensor> {
+        let group = &self.groups[self.group[idx]?];
+        let mut kept = group.tensor.lock().unwrap_or_else(|e| e.into_inner());
+        Some(
+            kept.get_or_insert_with(|| spec.dataset.build_sparse())
+                .clone(),
+        )
+    }
+
+    /// Job `idx` reached a terminal status: the last of its group lets
+    /// the dataset go. No job of the group is opening then, so the lock is
+    /// free.
+    fn settle(&self, idx: usize) {
+        if let Some(g) = self.group[idx] {
+            let group = &self.groups[g];
+            if group.unsettled.fetch_sub(1, Ordering::AcqRel) == 1 {
+                *group.tensor.lock().unwrap_or_else(|e| e.into_inner()) = None;
+            }
+        }
+    }
+}
+
 /// An admitted job holding a live session, waiting for its next turn.
 struct ReadyJob {
     idx: usize,
@@ -477,8 +570,17 @@ struct SchedState {
 struct Shared<'a> {
     specs: &'a [JobSpec],
     cfg: &'a ServeConfig,
+    shelf: Shelf,
     state: Mutex<SchedState>,
     cv: Condvar,
+}
+
+impl Shared<'_> {
+    /// Record job `idx`'s terminal result.
+    fn settle(&self, st: &mut SchedState, idx: usize, result: JobResult) {
+        st.results[idx] = Some(result);
+        self.shelf.settle(idx);
+    }
 }
 
 impl SchedState {
@@ -529,7 +631,8 @@ fn construct(sh: &Shared<'_>, idx: usize) -> Result<(Tenant, usize), String> {
         .as_ref()
         .map(|d| checkpoint_path(d, idx));
     catch_unwind(AssertUnwindSafe(|| {
-        Tenant::open(spec, &als_cfg, ckpt.as_deref())
+        let built = sh.shelf.tensor(idx, spec);
+        Tenant::open_over(spec, &als_cfg, ckpt.as_deref(), built)
     }))
     .map_err(panic_message)
     .and_then(|r| r)
@@ -584,12 +687,13 @@ fn admit_loop<'g>(
                 st.ready.push(job);
             }
             Err(error) => {
-                st.results[idx] = Some(JobResult {
+                let result = JobResult {
                     name: sh.specs[idx].name.clone(),
                     status: JobStatus::Failed { error },
                     output: None,
                     secs,
-                });
+                };
+                sh.settle(&mut st, idx, result);
             }
         }
         sh.cv.notify_all();
@@ -611,12 +715,13 @@ fn drain<'g>(
     while st.next_pending < sh.specs.len() {
         let idx = st.next_pending;
         st.next_pending += 1;
-        st.results[idx] = Some(JobResult {
+        let result = JobResult {
             name: sh.specs[idx].name.clone(),
             status: JobStatus::Parked,
             output: None,
             secs: 0.0,
-        });
+        };
+        sh.settle(&mut st, idx, result);
     }
     loop {
         if let Some(job) = st.ready.pop() {
@@ -636,12 +741,13 @@ fn drain<'g>(
             };
             st = lock_state(sh);
             st.running -= 1;
-            st.results[job.idx] = Some(JobResult {
+            let result = JobResult {
                 name: sh.specs[job.idx].name.clone(),
                 status,
                 output: None,
                 secs: job.secs,
-            });
+            };
+            sh.settle(&mut st, job.idx, result);
             sh.cv.notify_all();
         } else if st.running > 0 || st.admitting > 0 {
             st = sh.cv.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -758,7 +864,7 @@ fn drive(sh: &Shared<'_>, driver: usize) {
                 st = lock_state(sh);
                 st.running -= 1;
                 st.running_elems -= prev_elems;
-                st.results[idx] = Some(result);
+                sh.settle(&mut st, idx, result);
                 sh.cv.notify_all();
             }
             Err(error) => {
@@ -774,7 +880,7 @@ fn drive(sh: &Shared<'_>, driver: usize) {
                 st = lock_state(sh);
                 st.running -= 1;
                 st.running_elems -= prev_elems;
-                st.results[job.idx] = Some(result);
+                sh.settle(&mut st, job.idx, result);
                 sh.cv.notify_all();
             }
         }
@@ -795,6 +901,7 @@ pub fn run_batch(specs: &[JobSpec], cfg: &ServeConfig) -> Result<BatchReport, St
     let sh = Shared {
         specs,
         cfg,
+        shelf: Shelf::new(specs),
         state: Mutex::new(SchedState {
             next_pending: 0,
             ready: Vec::new(),
@@ -1377,5 +1484,47 @@ mod tests {
             assert!(j.parked(), "{}: {:?}", j.name, j.status);
             assert!(j.output.is_none());
         }
+    }
+
+    #[test]
+    fn jobs_naming_one_sparse_dataset_share_one_build_until_the_last_settles() {
+        let sparse = |name: &str, seed: u64| {
+            let mut j = quick_job(name, JobMethod::Dt, 2);
+            j.dataset = DatasetSpec::SparseLowrank {
+                dims: vec![12, 10, 8],
+                gen_rank: 3,
+                density: 0.1,
+                seed,
+            };
+            j
+        };
+        let jobs = vec![
+            sparse("a", 5),
+            quick_job("dense", JobMethod::Dt, 2),
+            sparse("a-again", 5),
+            sparse("b", 6),
+            stream_job("live", JobMethod::Msdt, 1),
+            sparse("a-third", 5),
+        ];
+        let shelf = Shelf::new(&jobs);
+        assert_eq!(shelf.group, [Some(0), None, Some(0), None, None, Some(0)]);
+        assert!(
+            shelf.tensor(3, &jobs[3]).is_none(),
+            "named once: its own build"
+        );
+        let first = shelf.tensor(0, &jobs[0]).unwrap();
+        for idx in [2, 5] {
+            let again = shelf.tensor(idx, &jobs[idx]).unwrap();
+            assert!(std::ptr::eq(again.csf(), first.csf()), "job {idx}");
+        }
+        let kept = || shelf.groups[0].tensor.lock().unwrap().is_some();
+        shelf.settle(0);
+        shelf.settle(5);
+        assert!(kept(), "job 2 has not settled");
+        // A resume between settles reads the same build.
+        let resumed = shelf.tensor(2, &jobs[2]).unwrap();
+        assert!(std::ptr::eq(resumed.csf(), first.csf()));
+        shelf.settle(2);
+        assert!(!kept(), "the last settle lets the dataset go");
     }
 }

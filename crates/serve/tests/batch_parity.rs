@@ -164,3 +164,37 @@ fn narrow_window_matches_too() {
         assert_bitwise(&spec.name, &solo(spec), result.output.as_ref().unwrap());
     }
 }
+
+/// Three jobs over one sparse dataset (a rank sweep and a pp run), one
+/// over another: the first three open over one built tensor.
+const SHARED_SPARSE_MANIFEST: &str = "\
+job name=sh-r3 dataset=sparse-lowrank dims=16x14x12 gen-rank=3 density=0.08 data-seed=21 method=dt rank=3 sweeps=6 tol=0.0
+job name=sh-r4 dataset=sparse-lowrank dims=16x14x12 gen-rank=3 density=0.08 data-seed=21 method=msdt rank=4 sweeps=6 tol=0.0
+job name=sh-pp dataset=sparse-lowrank dims=16x14x12 gen-rank=3 density=0.08 data-seed=21 method=pp rank=3 sweeps=12 pp-tol=0.5 tol=0.0
+job name=other dataset=sparse-lowrank dims=16x14x12 gen-rank=3 density=0.08 data-seed=22 method=dt rank=3 sweeps=6 tol=0.0
+";
+
+#[test]
+fn jobs_sharing_a_sparse_dataset_match_solo_bitwise() {
+    // Straight through at one and two drivers, and drained mid-batch then
+    // resumed: each job's trace is its solo run's over its own build.
+    let jobs = parse_manifest(SHARED_SPARSE_MANIFEST).unwrap();
+    for drivers in [1, 2] {
+        let report = run_batch(&jobs, &ServeConfig::new(4).with_drivers(drivers)).unwrap();
+        assert_eq!(report.completed(), 4, "drivers {drivers}");
+        for (spec, result) in jobs.iter().zip(report.jobs.iter()) {
+            assert_bitwise(&spec.name, &solo(spec), result.output.as_ref().unwrap());
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("pp-serve-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig::new(2).with_checkpoint_dir(&dir);
+    let drained = run_batch(&jobs, &cfg.clone().with_stop_after_turns(5)).unwrap();
+    assert_eq!(drained.parked(), 4);
+    let resumed = run_batch(&jobs, &cfg).unwrap();
+    assert_eq!(resumed.completed(), 4);
+    for (spec, result) in jobs.iter().zip(resumed.jobs.iter()) {
+        assert_bitwise(&spec.name, &solo(spec), result.output.as_ref().unwrap());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
