@@ -1863,34 +1863,6 @@ mod tests {
     }
 
     #[test]
-    fn a_forest_built_at_width_2_serves_a_width_1_session_alike() {
-        // The forest is the tensor's, built at whatever width its first
-        // caller runs: a width-1 session over one built at width 2 and one
-        // over one built at width 1 agree bit for bit, for dt and pp.
-        let dims = [30, 28, 26];
-        let built_at = |width: usize| {
-            let (sp, _) = pp_datagen::sparse::sparse_lowrank(&dims, 3, 0.08, 33);
-            let _w = rayon::scoped_num_threads(width);
-            sp.csf();
-            sp
-        };
-        let (narrow, wide) = (built_at(1), built_at(2));
-        let exact = AlsConfig::new(3)
-            .with_max_sweeps(8)
-            .with_tol(0.0)
-            .with_threads(1);
-        let pp = exact
-            .clone()
-            .with_policy(TreePolicy::MultiSweep)
-            .with_pp_tol(0.5);
-        for (cfg, kind) in [(exact, SessionKind::Exact), (pp, SessionKind::Pp)] {
-            let a = AlsSession::new_sparse(&narrow, &cfg, kind).run();
-            let b = AlsSession::new_sparse(&wide, &cfg, kind).run();
-            assert_bitwise(&a, &b);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "nncp")]
     fn sparse_session_rejects_nonneg_kind() {
         let (sp, _) = pp_datagen::sparse::sparse_lowrank(&[6, 6, 6], 2, 0.3, 3);

@@ -89,6 +89,10 @@
 //!   stored order;
 //! * the checkpoint fingerprint ([`SparseTensor::fingerprint`]).
 //!
+//! That pays where sessions reuse one tensor: several sessions a caller
+//! opens over it, or the jobs of a `pp-serve` batch that name the same
+//! sparse dataset, which the scheduler builds once for all of them.
+//!
 //! The price is memory: a tensor that has been asked for its forest keeps
 //! it for as long as any clone of it lives, after its sessions end — about
 //! 48 bytes per nonzero at order 3 (26 MB on the 537 k nonzeros of the
@@ -1894,11 +1898,13 @@ mod tests {
     #[test]
     fn forest_builds_alike_at_any_width() {
         // The trees build in parallel into arrays sized on the calling
-        // thread: the same arrays at every pool width.
+        // thread: the same arrays at every pool width, built fresh or
+        // kept by a tensor whose first caller ran at that width.
         for (dims, nnz) in [
             (vec![9, 7], 40usize),
             (vec![8, 6, 5], 150),
             (vec![5, 4, 3, 4], 120),
+            (vec![30, 28, 26], 1750),
         ] {
             let sp = random_sparse(&dims, nnz, 41);
             let serial = {
@@ -1907,12 +1913,10 @@ mod tests {
             };
             for width in [2, 4] {
                 let _w = rayon::scoped_num_threads(width);
-                let wide = CsfTensor::build(&sp);
-                for (a, b) in serial.trees.iter().zip(&wide.trees) {
-                    assert_eq!(a.vals, b.vals, "{dims:?} width {width}");
-                    assert_eq!((&a.roots, &a.spans), (&b.roots, &b.spans));
-                    assert_eq!(a.coords, b.coords);
-                }
+                let what = format!("{dims:?} width {width}");
+                assert_same_trees(&serial, &CsfTensor::build(&sp), &what);
+                let kept = random_sparse(&dims, nnz, 41);
+                assert_same_trees(&serial, kept.csf(), &what);
             }
         }
     }
