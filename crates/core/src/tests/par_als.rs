@@ -256,4 +256,85 @@ mod tests {
         }
         assert_eq!(got, LEADING_MODE_DIGESTS, "{got:#x?}");
     }
+
+    /// `(factor digest, fitness digest)` of rank 0 per shape and kind, in
+    /// the loop order of `padded_grids_keep_their_digests`.
+    const PADDED_DIGESTS: [(u64, u64); 9] = [
+        (0x9e9a_d85d_f726_46bd, 0xf475_df84_40ae_923a), // 7x5x9 on 2x2x2, dt
+        (0xbe4c_afce_5375_a1f7, 0x50df_2763_35dd_2fd9), // 7x5x9 on 2x2x2, msdt
+        (0xf52b_dc0b_be70_d84f, 0x0098_7427_ff15_8be9), // 7x5x9 on 2x2x2, pp
+        (0x3d3d_bc9a_1b95_6f29, 0x956d_b70a_d240_1833), // 13x11x10 on 2x2x1, dt
+        (0x9f75_a14c_0525_92fe, 0x914e_a1cb_d0ae_f0d4), // 13x11x10 on 2x2x1, msdt
+        (0xc8fb_422e_791e_d014, 0x2bf5_6d8c_3b1b_5b08), // 13x11x10 on 2x2x1, pp
+        (0xedee_6262_42c8_b139, 0xd924_a467_767c_8dd8), // 5x7x6x3 on 2x1x3x1, dt
+        (0xa06d_6dfd_bf9c_7fd2, 0xf227_6967_031f_597b), // 5x7x6x3 on 2x1x3x1, msdt
+        (0x9ba4_1e7e_fc18_a81c, 0x0efe_c04c_9f37_0e98), // 5x7x6x3 on 2x1x3x1, pp
+    ];
+
+    /// Rank 0's comm ledger `[messages, words, flops]` for the same runs.
+    const PADDED_LEDGERS: [[u64; 3]; 9] = [
+        [672, 2_280, 15_498],   // 7x5x9 on 2x2x2, dt
+        [672, 2_280, 13_650],   // 7x5x9 on 2x2x2, msdt
+        [1_458, 4_066, 11_510], // 7x5x9 on 2x2x2, pp
+        [448, 3_144, 86_772],   // 13x11x10 on 2x2x1, dt
+        [448, 3_144, 71_484],   // 13x11x10 on 2x2x1, msdt
+        [972, 4_870, 42_053],   // 13x11x10 on 2x2x1, pp
+        [894, 3_132, 33_581],   // 5x7x6x3 on 2x1x3x1, dt
+        [894, 3_132, 30_779],   // 5x7x6x3 on 2x1x3x1, msdt
+        [1_932, 5_492, 24_271], // 5x7x6x3 on 2x1x3x1, pp
+    ];
+
+    /// Padded grids, and grids with several ranks per slice, are checked
+    /// against the sequential session only to 1e-8 above. Pin what they
+    /// compute — rank 0's factor bits, fitness bits and comm ledger
+    /// (messages, words, flops) — for DT, MSDT and PP on both backends.
+    #[test]
+    fn padded_grids_keep_their_digests() {
+        let shapes: [(&[usize], &[usize]); 3] = [
+            (&[7, 5, 9], &[2, 2, 2]),
+            (&[13, 11, 10], &[2, 2, 1]),
+            (&[5, 7, 6, 3], &[2, 1, 3, 1]),
+        ];
+        let dt = AlsConfig::new(3).with_max_sweeps(14).with_tol(0.0);
+        let msdt = dt.clone().with_policy(TreePolicy::MultiSweep);
+        let kinds = [
+            (dt, ParKind::Exact),
+            (msdt.clone(), ParKind::Exact),
+            (msdt.with_pp_tol(0.5), ParKind::Pp),
+        ];
+        let mut got = Vec::new();
+        for (dims, grid_dims) in shapes {
+            let t = Arc::new(noisy_rank(dims, 3, 0.1, 56));
+            let grid = ProcGrid::new(grid_dims.to_vec());
+            for (cfg, kind) in &kinds {
+                let mut digests = Vec::new();
+                for backend in [Backend::Rendezvous, Backend::P2p] {
+                    let (t, grid, cfg, kind) = (t.clone(), grid.clone(), cfg.clone(), *kind);
+                    let mut run = Runtime::with_backend(grid.size(), backend).run(move |ctx| {
+                        let local = DistTensor::from_global(&t, &grid, ctx.rank());
+                        ParSession::new(ctx, &grid, &local, &cfg, kind).run(ctx)
+                    });
+                    let out = run.results.remove(0);
+                    if kind == ParKind::Pp {
+                        assert!(out.report.count(SweepKind::PpApprox) > 0);
+                    }
+                    let factors = out
+                        .factors
+                        .iter()
+                        .flat_map(|f| f.data().iter().map(|x| x.to_bits()));
+                    let fitness = out.report.sweeps.iter().map(|s| s.fitness.to_bits());
+                    let ledger = run.costs[0];
+                    digests.push((
+                        (fnv(factors), fnv(fitness)),
+                        [ledger.messages, ledger.comm_words, ledger.flops],
+                    ));
+                }
+                assert!(digests.iter().all(|d| *d == digests[0]), "{digests:x?}");
+                got.push(digests[0]);
+            }
+        }
+        let (digests, ledgers): (Vec<_>, Vec<_>) = got.into_iter().unzip();
+        assert_eq!(digests, PADDED_DIGESTS, "{digests:#x?}");
+        assert_eq!(ledgers, PADDED_LEDGERS, "{ledgers:?}");
+    }
 }
