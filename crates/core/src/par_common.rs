@@ -16,52 +16,58 @@ use pp_tensor::Matrix;
 use std::borrow::Cow;
 
 /// One rank's place on the processor grid: its mode-slice communicators
-/// and its blocks of the distributed factors.
+/// and its place in each distributed factor. The factor rows themselves
+/// (the P blocks) are the block session's.
 pub struct ParState {
     pub grid: ProcGrid,
     /// Mode-slice communicators, one per tensor mode.
     pub slices: Vec<Communicator>,
-    /// Distributed factors (Q + P blocks).
+    /// This rank's place in each distributed factor.
     pub dist_factors: Vec<DistFactor>,
     /// Kernel flops already forwarded to the rank's cost ledger.
     flops_charged: u64,
 }
 
 impl ParState {
-    /// Take this rank's place (Alg. 3 lines 1-6). Every rank generates the
-    /// same seeded global factors and takes its blocks, which is
-    /// communication-free and bitwise consistent with the sequential init.
-    pub fn init(ctx: &mut RankCtx, grid: &ProcGrid, local: &DistTensor, cfg: &AlsConfig) -> Self {
+    /// Take this rank's place (Alg. 3 lines 1-6) and return it with this
+    /// rank's initial P blocks. Every rank generates the same seeded global
+    /// factors and takes its blocks, which is communication-free and
+    /// bitwise consistent with the sequential init.
+    pub fn init(
+        ctx: &mut RankCtx,
+        grid: &ProcGrid,
+        local: &DistTensor,
+        cfg: &AlsConfig,
+    ) -> (Self, Vec<Matrix>) {
         let n_modes = grid.order();
         assert_eq!(local.global_shape().order(), n_modes);
         let coords = grid.coords_of(ctx.rank());
         let slices: Vec<_> = (0..n_modes)
             .map(|i| grid.slice_comm(&ctx.comm, i))
             .collect();
-        let globals = init_factors(local.global_shape().dims(), cfg.rank, cfg.seed);
-        let dist_factors = (0..n_modes)
+        let dist_factors: Vec<_> = (0..n_modes)
             .map(|i| {
                 let layout = FactorLayout::new(local.global_shape().dim(i), grid, i, cfg.rank);
-                DistFactor::from_global(&globals[i], layout, coords[i], slices[i].rank())
+                DistFactor::new(layout, coords[i], slices[i].rank())
             })
             .collect();
-        ParState {
+        let globals = init_factors(local.global_shape().dims(), cfg.rank, cfg.seed);
+        let p_blocks = (dist_factors.iter().zip(&globals))
+            .map(|(f, g)| f.p_block(g))
+            .collect();
+        let st = ParState {
             grid: grid.clone(),
             slices,
             dist_factors,
             flops_charged: 0,
-        }
-    }
-
-    /// Tensor order.
-    pub fn n_modes(&self) -> usize {
-        self.dist_factors.len()
+        };
+        (st, p_blocks)
     }
 }
 
 /// The grid context of one rank's sweep: its world communicator and its
 /// place on the grid. The local rows are P blocks, this rank's own rows
-/// its Q blocks.
+/// their Q rows.
 pub(crate) struct OnGrid<'a> {
     pub(crate) ctx: &'a mut RankCtx,
     pub(crate) st: &'a mut ParState,
@@ -76,25 +82,12 @@ impl Grid for OnGrid<'_> {
         self.st.dist_factors[n].reduce_scatter_rows(&m, &self.st.slices[n])
     }
 
-    /// A Q block is the rows of its P block at this rank's slice position
-    /// (the All-Gather concatenates the slice's Q blocks in that order),
-    /// zero past the block.
     fn own_rows<'a>(&self, n: usize, local: &'a Matrix) -> Cow<'a, Matrix> {
-        let f = &self.st.dist_factors[n];
-        let (l, r) = (f.layout(), local.cols());
-        let lo = (f.slice_pos() * l.sub).min(l.block);
-        let hi = (lo + l.sub).min(l.block);
-        let mut rows = Matrix::zeros(l.sub, r);
-        rows.data_mut()[..(hi - lo) * r].copy_from_slice(&local.data()[lo * r..hi * r]);
-        Cow::Owned(rows)
+        Cow::Owned(self.st.dist_factors[n].q_rows(local))
     }
 
     fn commit(&mut self, n: usize, rows: Matrix) -> (Matrix, Matrix) {
-        let f = &mut self.st.dist_factors[n];
-        f.set_q(rows);
-        let gram = f.gram_allreduce(&self.ctx.comm);
-        f.refresh_p(&self.st.slices[n]);
-        (gram, f.p().clone())
+        self.st.dist_factors[n].commit(rows, &self.ctx.comm, &self.st.slices[n])
     }
 
     fn solve_cost(&mut self, cfg: &AlsConfig, rows: usize) {

@@ -19,6 +19,10 @@
 //! engine and cache, P blocks, replicated Grams, the trace and — for
 //! [`ParKind::Pp`] — the PP regime) and steps it against its
 //! [`ParState`], the grid context whose collectives are Algorithms 3 and 4.
+//! The block session's factors are the rank's one copy of its P blocks
+//! ([`ParSession::factors`]); the grid context holds only their geometry
+//! and cuts the Q rows from them where a solve, a Gram or the final
+//! gather needs them.
 //! Measuring drift is an All-Reduce here; as in the sequential session, no
 //! ε lets PP start before an exact sweep has measured drift.
 //! [`ParSession::step`] advances exactly one sweep **in
@@ -30,12 +34,13 @@
 
 use crate::config::AlsConfig;
 use crate::par_common::{OnGrid, ParState};
-use crate::result::{AlsOutput, AlsReport};
+use crate::result::AlsOutput;
 use crate::session::{AlsSession, SessionKind, Step};
 use pp_comm::RankCtx;
 use pp_dtree::pp_tree::{build_pp_operators, PpOperators};
 use pp_dtree::InputTensor;
 use pp_grid::{DistTensor, ProcGrid};
+use pp_tensor::Matrix;
 
 /// Which parallel algorithm the session runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,8 +75,7 @@ impl ParSession {
             ParKind::Pp => SessionKind::Pp,
         };
         let _threads = cfg.thread_guard();
-        let mut st = ParState::init(ctx, grid, local, cfg);
-        let p_blocks = st.dist_factors.iter().map(|f| f.p().clone()).collect();
+        let (mut st, p_blocks) = ParState::init(ctx, grid, local, cfg);
         let input = InputTensor::new(local.local().clone());
         let norm_sq = local.local().norm_sq();
         let grid = &mut OnGrid { ctx, st: &mut st };
@@ -79,27 +83,9 @@ impl ParSession {
         ParSession { st, block }
     }
 
-    /// The session's algorithm.
-    pub fn kind(&self) -> ParKind {
-        match self.block.kind() {
-            SessionKind::Pp => ParKind::Pp,
-            _ => ParKind::Exact,
-        }
-    }
-
-    /// Sweeps performed so far.
-    pub fn sweeps_done(&self) -> usize {
-        self.block.sweeps_done()
-    }
-
-    /// Whether stepping has stopped.
-    pub fn is_finished(&self) -> bool {
-        self.block.is_finished()
-    }
-
-    /// The trace accumulated so far.
-    pub fn report(&self) -> &AlsReport {
-        self.block.report()
+    /// This rank's P blocks of the current factors, one per mode.
+    pub fn factors(&self) -> &[Matrix] {
+        self.block.factors()
     }
 
     /// Advance exactly one sweep. Collective-lockstep: every rank of the
@@ -121,8 +107,8 @@ impl ParSession {
     pub fn finish(self, ctx: &mut RankCtx) -> AlsOutput {
         let _threads = self.block.config().thread_guard();
         let st = &self.st;
-        let factors = (st.dist_factors.iter().enumerate())
-            .map(|(n, f)| f.gather_global(&ctx.comm, &st.grid, n))
+        let factors = (st.dist_factors.iter().zip(self.factors()).enumerate())
+            .map(|(n, (f, p))| f.gather_global(p, &ctx.comm, &st.grid, n))
             .collect();
         AlsOutput {
             factors,

@@ -21,7 +21,6 @@
 //! followed by the same Reduce-Scatter. A wall-clock comparison composes
 //! the same two calls.
 
-use crate::par_common::ParState;
 use crate::ParSession;
 use pp_comm::{Collectives, RankCtx};
 use pp_dtree::correct::first_order_correction;
@@ -51,8 +50,8 @@ fn redistribute(ctx: &mut RankCtx, data: &[f64]) {
 /// matrix, mimicking the general-contraction data movement.
 pub fn ref_pp_init(ctx: &mut RankCtx, s: &mut ParSession) -> PpOperators {
     // Cyclops-style: factor matrices replicated in full before contracting.
-    for f in &s.st.dist_factors {
-        let _ = ctx.comm.all_gather(f.q().data());
+    for (f, p) in s.st.dist_factors.iter().zip(s.factors()) {
+        let _ = ctx.comm.all_gather(f.q_rows(p).data());
     }
     let ops = s.build_pp_operators();
     // One redistribution per materialized operator.
@@ -71,18 +70,17 @@ pub fn ref_pp_init(ctx: &mut RankCtx, s: &mut ParSession) -> PpOperators {
 /// sweep), instead of being summed locally and Reduce-Scattered once.
 pub fn ref_pp_approx_correction(
     ctx: &mut RankCtx,
-    st: &ParState,
+    s: &ParSession,
     ops: &PpOperators,
     p_p: &[Matrix],
     n: usize,
 ) -> Matrix {
-    let n_modes = st.n_modes();
     let mut m_local = ops.firsts[n].clone();
-    for (i, p_ref) in p_p.iter().enumerate().take(n_modes) {
+    for (i, (p, p_ref)) in s.factors().iter().zip(p_p).enumerate() {
         if i == n {
             continue;
         }
-        let d_p = st.dist_factors[i].p().sub(p_ref);
+        let d_p = p.sub(p_ref);
         let u = first_order_correction(ops, n, i, &d_p);
         // Reference pattern: reduce every correction separately across the
         // whole machine (then keep our own slice-summed copy so the final
@@ -114,17 +112,17 @@ mod tests {
             let mut s = ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact);
             let _ = s.step(ctx);
             let ops = s.build_pp_operators();
-            let p_p: Vec<Matrix> = s.st.dist_factors.iter().map(|f| f.p().clone()).collect();
+            let p_p = s.factors().to_vec();
             // Move the factors with one more sweep.
             let _ = s.step(ctx);
             // Ours: local sums.
             let mut ours = ops.firsts[0].clone();
             for (i, p_ref) in p_p.iter().enumerate().take(3).skip(1) {
-                let d_p = s.st.dist_factors[i].p().sub(p_ref);
+                let d_p = s.factors()[i].sub(p_ref);
                 ours.axpy(1.0, &first_order_correction(&ops, 0, i, &d_p));
             }
             // Reference path.
-            let theirs = ref_pp_approx_correction(ctx, &s.st, &ops, &p_p, 0);
+            let theirs = ref_pp_approx_correction(ctx, &s, &ops, &p_p, 0);
             ours.max_abs_diff(&theirs)
         });
         for diff in out.results {

@@ -4,11 +4,12 @@
 mod tests {
     use crate::config::SolveStrategy;
     use crate::{AlsConfig, AlsOutput, AlsSession, ParKind, ParSession, SessionKind, SweepKind};
-    use pp_comm::{Backend, Runtime};
+    use pp_comm::{Backend, Collectives, Runtime};
     use pp_datagen::collinearity::{collinearity_tensor, CollinearityConfig};
     use pp_datagen::lowrank::noisy_rank;
     use pp_dtree::TreePolicy;
-    use pp_grid::{DistTensor, ProcGrid};
+    use pp_grid::{DistTensor, FactorLayout, ProcGrid};
+    use pp_tensor::Matrix;
     use std::sync::Arc;
 
     fn run_parallel(
@@ -336,5 +337,63 @@ mod tests {
         let (digests, ledgers): (Vec<_>, Vec<_>) = got.into_iter().unzip();
         assert_eq!(digests, PADDED_DIGESTS, "{digests:#x?}");
         assert_eq!(ledgers, PADDED_LEDGERS, "{ledgers:?}");
+    }
+
+    /// A rank keeps only its P blocks, and its Q rows are cut from them:
+    /// on the padded 2×2×2 grid, after every step of DT and PP, the Q rows
+    /// of every rank's `factors()`, gathered and placed by the Q layout,
+    /// are exactly what `finish` then returns.
+    #[test]
+    fn q_rows_of_the_p_blocks_are_the_finished_factors() {
+        let dims = [7, 5, 9];
+        let t = Arc::new(noisy_rank(&dims, 3, 0.1, 56));
+        let grid = ProcGrid::new(vec![2, 2, 2]);
+        let dt = AlsConfig::new(3).with_max_sweeps(8).with_tol(0.0);
+        let pp = dt
+            .clone()
+            .with_policy(TreePolicy::MultiSweep)
+            .with_pp_tol(0.5);
+        for (cfg, kind) in [(dt, ParKind::Exact), (pp, ParKind::Pp)] {
+            for steps in 1..=cfg.max_sweeps {
+                let (t, g, c) = (t.clone(), grid.clone(), cfg.clone());
+                let (q_rows, out) = Runtime::from_env(g.size())
+                    .run(move |ctx| {
+                        let local = DistTensor::from_global(&t, &g, ctx.rank());
+                        let mut s = ParSession::new(ctx, &g, &local, &c, kind);
+                        for _ in 0..steps {
+                            let _ = s.step(ctx);
+                        }
+                        let q_rows: Vec<_> = (s.st.dist_factors.iter().zip(s.factors()))
+                            .map(|(f, p)| ctx.comm.all_gather_v(f.q_rows(p).data()))
+                            .collect();
+                        (q_rows, s.finish(ctx))
+                    })
+                    .results
+                    .remove(0);
+                if kind == ParKind::Pp && steps == cfg.max_sweeps {
+                    assert!(out.report.count(SweepKind::PpApprox) > 0);
+                }
+                for (n, blocks) in q_rows.iter().enumerate() {
+                    let layout = FactorLayout::new(dims[n], &grid, n, 3);
+                    let mut placed = Matrix::from_fn(dims[n], 3, |_, _| f64::NAN);
+                    for (rank, block) in blocks.iter().enumerate() {
+                        let coord = grid.coords_of(rank)[n];
+                        let members = grid.slice_members(n, rank);
+                        let pos = members.iter().position(|&m| m == rank).unwrap();
+                        for (l, row) in block.chunks(3).enumerate() {
+                            if let Some(g) = layout.global_row(coord, pos, l) {
+                                placed.row_mut(g).copy_from_slice(row);
+                            } else {
+                                assert!(row.iter().all(|&x| x == 0.0), "{kind:?} mode {n}");
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        placed, out.factors[n],
+                        "{kind:?} after {steps} steps, mode {n}"
+                    );
+                }
+            }
+        }
     }
 }

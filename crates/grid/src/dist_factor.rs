@@ -9,7 +9,10 @@
 //! * **P layout** — all ranks sharing grid coordinate `x_i` redundantly own
 //!   the same `⌈s_i/I_i⌉` rows; local MTTKRPs read P blocks.
 //!
-//! `refresh_p` (lines 8/18 of Alg. 3) is an All-Gather within the slice;
+//! A rank stores only its P block; its Q block is the P block's rows at
+//! the rank's slice position, so [`DistFactor`] holds the geometry alone.
+//! `commit` (Alg. 3 lines 17–18) All-Reduces the Gram of a new Q
+//! block and All-Gathers the slice's Q blocks into the new P block;
 //! `reduce_scatter_rows` (line 14) sums local MTTKRP contributions over the
 //! slice and scatters Q rows. All padding rows are zero, so they are inert
 //! in every contraction, Gram matrix, and solve.
@@ -74,8 +77,10 @@ impl FactorLayout {
     }
 }
 
-/// One rank's view of a distributed factor matrix: its Q block and its
-/// slice-replicated P block.
+/// One rank's place in a distributed factor matrix: the layout, its grid
+/// coordinate and its slice position. The rows themselves are the
+/// caller's: a rank keeps its P block, and its Q block is that P block's
+/// rows at the slice position ([`DistFactor::q_rows`]).
 #[derive(Clone)]
 pub struct DistFactor {
     layout: FactorLayout,
@@ -83,43 +88,15 @@ pub struct DistFactor {
     coord: usize,
     /// This rank's position within its mode slice (0-based, by world rank).
     slice_pos: usize,
-    /// Q block: `sub × R`, zero-padded.
-    q: Matrix,
-    /// P block: `block × R`, zero-padded; refreshed by [`DistFactor::refresh_p`].
-    p: Matrix,
 }
 
 impl DistFactor {
-    /// Build from a replicated global factor matrix (used at initialization:
-    /// every rank generates the same seeded random matrix and takes its
-    /// rows, which matches Alg. 3 without a scatter).
-    pub fn from_global(
-        global: &Matrix,
-        layout: FactorLayout,
-        coord: usize,
-        slice_pos: usize,
-    ) -> Self {
-        assert_eq!(global.rows(), layout.global_rows);
-        assert_eq!(global.cols(), layout.rank_cols);
-        let r = layout.rank_cols;
-        let mut q = Matrix::zeros(layout.sub, r);
-        for l in 0..layout.sub {
-            if let Some(g) = layout.global_row(coord, slice_pos, l) {
-                q.row_mut(l).copy_from_slice(global.row(g));
-            }
-        }
-        let mut p = Matrix::zeros(layout.block, r);
-        for l in 0..layout.block {
-            if let Some(g) = layout.global_p_row(coord, l) {
-                p.row_mut(l).copy_from_slice(global.row(g));
-            }
-        }
+    /// This rank's place in a factor of `layout`.
+    pub fn new(layout: FactorLayout, coord: usize, slice_pos: usize) -> Self {
         DistFactor {
             layout,
             coord,
             slice_pos,
-            q,
-            p,
         }
     }
 
@@ -128,55 +105,54 @@ impl DistFactor {
         &self.layout
     }
 
-    /// Grid coordinate of this rank for the factor's mode.
-    pub fn coord(&self) -> usize {
-        self.coord
-    }
-
-    /// Slice position of this rank.
-    pub fn slice_pos(&self) -> usize {
-        self.slice_pos
-    }
-
-    /// The Q block (`sub × R`).
-    pub fn q(&self) -> &Matrix {
-        &self.q
-    }
-
-    /// The P block (`block × R`), valid after the last `refresh_p`.
-    pub fn p(&self) -> &Matrix {
-        &self.p
-    }
-
-    /// Replace the Q block (after a solve). Padding rows of the new block
-    /// must be zero; enforced here by re-zeroing rows beyond the range.
-    pub fn set_q(&mut self, mut q: Matrix) {
-        assert_eq!(q.rows(), self.layout.sub);
-        assert_eq!(q.cols(), self.layout.rank_cols);
-        for l in 0..self.layout.sub {
-            if self
-                .layout
-                .global_row(self.coord, self.slice_pos, l)
-                .is_none()
-            {
-                q.row_mut(l).fill(0.0);
+    /// This rank's P block (`block × R`, zero-padded) of a replicated
+    /// global factor (used at initialization: every rank generates the
+    /// same seeded random matrix and takes its rows, which matches Alg. 3
+    /// without a scatter).
+    pub fn p_block(&self, global: &Matrix) -> Matrix {
+        assert_eq!(global.rows(), self.layout.global_rows);
+        assert_eq!(global.cols(), self.layout.rank_cols);
+        let mut p = Matrix::zeros(self.layout.block, self.layout.rank_cols);
+        for l in 0..self.layout.block {
+            if let Some(g) = self.layout.global_p_row(self.coord, l) {
+                p.row_mut(l).copy_from_slice(global.row(g));
             }
         }
-        self.q = q;
+        p
     }
 
-    /// All-Gather the Q blocks within the mode slice to refresh the
-    /// replicated P block (Alg. 3 lines 8 and 18).
-    pub fn refresh_p<C: Collectives>(&mut self, slice: &C) {
-        assert_eq!(slice.size(), self.layout.slice_size);
-        let gathered = slice.all_gather(self.q.data());
-        let r = self.layout.rank_cols;
-        debug_assert_eq!(gathered.len(), self.layout.sub * self.layout.slice_size * r);
+    /// This rank's Q block (`sub × R`) of its P block `p`: the rows at its
+    /// slice position (the All-Gather concatenates the slice's Q blocks in
+    /// that order), zero past the block.
+    pub fn q_rows(&self, p: &Matrix) -> Matrix {
+        let (l, r) = (&self.layout, p.cols());
+        let lo = (self.slice_pos * l.sub).min(l.block);
+        let hi = (lo + l.sub).min(l.block);
+        let mut rows = Matrix::zeros(l.sub, r);
+        rows.data_mut()[..(hi - lo) * r].copy_from_slice(&p.data()[lo * r..hi * r]);
+        rows
+    }
+
+    /// Install this rank's new Q block `q` (after a solve): zero its
+    /// padding rows, All-Reduce the Gram `S^(i) = A^(i)ᵀ A^(i)` over
+    /// `world` (Alg. 3 line 17) and All-Gather the slice's Q blocks into
+    /// the new P block (line 18). Returns `(Gram, P block)`.
+    pub fn commit<C: Collectives>(&self, mut q: Matrix, world: &C, slice: &C) -> (Matrix, Matrix) {
+        let (l, r) = (&self.layout, self.layout.rank_cols);
+        assert_eq!((q.rows(), q.cols()), (l.sub, r));
+        assert_eq!(slice.size(), l.slice_size);
+        for row in 0..l.sub {
+            if l.global_row(self.coord, self.slice_pos, row).is_none() {
+                q.row_mut(row).fill(0.0);
+            }
+        }
+        let local = q.gram();
+        let gram = Matrix::from_vec(r, r, world.all_reduce_sum(local.data()));
         // The concatenation covers ≥ block rows; keep the first `block`.
-        let mut p = Matrix::zeros(self.layout.block, r);
-        p.data_mut()
-            .copy_from_slice(&gathered[..self.layout.block * r]);
-        self.p = p;
+        let mut gathered = slice.all_gather(q.data());
+        debug_assert_eq!(gathered.len(), l.sub * l.slice_size * r);
+        gathered.truncate(l.block * r);
+        (gram, Matrix::from_vec(l.block, r, gathered))
     }
 
     /// Reduce-Scatter local MTTKRP contributions (`block × R`, this rank's
@@ -195,20 +171,17 @@ impl DistFactor {
         Matrix::from_vec(self.layout.sub, r, mine)
     }
 
-    /// Gram matrix `S^(i) = A^(i)ᵀ A^(i)` from Q blocks: local Gram plus an
-    /// All-Reduce over the world communicator (Alg. 3 lines 7/17). Padding
-    /// rows are zero and contribute nothing.
-    pub fn gram_allreduce<C: Collectives>(&self, world: &C) -> Matrix {
-        let local = self.q.gram();
-        let summed = world.all_reduce_sum(local.data());
-        Matrix::from_vec(local.rows(), local.cols(), summed)
-    }
-
-    /// Reassemble the global factor matrix from Q blocks (diagnostic /
-    /// test utility; gathers over the world communicator).
-    pub fn gather_global<C: Collectives>(&self, world: &C, grid: &ProcGrid, mode: usize) -> Matrix {
+    /// Reassemble the global factor matrix from the Q rows of every rank's
+    /// P block `p` (gathers over the world communicator).
+    pub fn gather_global<C: Collectives>(
+        &self,
+        p: &Matrix,
+        world: &C,
+        grid: &ProcGrid,
+        mode: usize,
+    ) -> Matrix {
         let r = self.layout.rank_cols;
-        let blocks = world.all_gather_v(self.q.data());
+        let blocks = world.all_gather_v(self.q_rows(p).data());
         let mut out = Matrix::zeros(self.layout.global_rows, r);
         for (rank, block) in blocks.iter().enumerate() {
             let coords = grid.coords_of(rank);
@@ -255,51 +228,93 @@ mod tests {
     }
 
     #[test]
-    fn from_global_q_and_p_agree_with_global() {
+    fn p_block_and_q_rows_agree_with_global() {
         let grid = ProcGrid::new(vec![2, 2]);
         let layout = FactorLayout::new(5, &grid, 0, 3);
         let g = global_factor(5, 3);
-        let f = DistFactor::from_global(&g, layout, 1, 1);
+        let f = DistFactor::new(layout, 1, 1);
+        let p = f.p_block(&g);
+        let q = f.q_rows(&p);
         for l in 0..layout.sub {
             match layout.global_row(1, 1, l) {
-                Some(gr) => assert_eq!(f.q().row(l), g.row(gr)),
-                None => assert!(f.q().row(l).iter().all(|&x| x == 0.0)),
+                Some(gr) => assert_eq!(q.row(l), g.row(gr)),
+                None => assert!(q.row(l).iter().all(|&x| x == 0.0)),
             }
         }
         for l in 0..layout.block {
             match layout.global_p_row(1, l) {
-                Some(gr) => assert_eq!(f.p().row(l), g.row(gr)),
-                None => assert!(f.p().row(l).iter().all(|&x| x == 0.0)),
+                Some(gr) => assert_eq!(p.row(l), g.row(gr)),
+                None => assert!(p.row(l).iter().all(|&x| x == 0.0)),
             }
         }
     }
 
+    /// Every rank of a `grid` commits its Q rows of `g` on `mode`, with
+    /// `poison` written into each padding row first; returns each rank's
+    /// `(coordinate, Gram, P block)`.
+    fn commit_all(
+        grid: &Arc<ProcGrid>,
+        g: &Arc<Matrix>,
+        mode: usize,
+        poison: f64,
+    ) -> Vec<(usize, Matrix, Matrix)> {
+        let (grid, g) = (grid.clone(), g.clone());
+        let out = Runtime::new(grid.size()).run(move |ctx| {
+            let layout = FactorLayout::new(g.rows(), &grid, mode, g.cols());
+            let coord = grid.coords_of(ctx.rank())[mode];
+            let slice = grid.slice_comm(&ctx.comm, mode);
+            let f = DistFactor::new(layout, coord, slice.rank());
+            let mut q = f.q_rows(&f.p_block(&g));
+            for l in 0..layout.sub {
+                if layout.global_row(coord, slice.rank(), l).is_none() {
+                    q.row_mut(l).fill(poison);
+                }
+            }
+            let (gram, p) = f.commit(q, &ctx.comm, &slice);
+            (coord, gram, p)
+        });
+        out.results
+    }
+
     #[test]
-    fn refresh_p_reconstructs_slice_block() {
+    fn commit_reconstructs_slice_block() {
         // Grid 2x2, factor on mode 0 with 5 rows: slices {0,1} and {2,3}.
         let grid = Arc::new(ProcGrid::new(vec![2, 2]));
         let g = Arc::new(global_factor(5, 2));
-        let grid2 = grid.clone();
-        let g2 = g.clone();
-        let out = Runtime::new(4).run(move |ctx| {
-            let layout = FactorLayout::new(5, &grid2, 0, 2);
-            let coords = grid2.coords_of(ctx.rank());
-            let slice = grid2.slice_comm(&ctx.comm, 0);
-            let mut f = DistFactor::from_global(&g2, layout, coords[0], slice.rank());
-            // Wipe P, then rebuild it from Q blocks.
-            let zero = Matrix::zeros(layout.block, 2);
-            f.p = zero;
-            f.refresh_p(&slice);
-            f
-        });
-        for (rank, f) in out.results.iter().enumerate() {
-            let coords = grid.coords_of(rank);
-            for l in 0..f.layout().block {
-                match f.layout().global_p_row(coords[0], l) {
-                    Some(gr) => assert_eq!(f.p().row(l), g.row(gr), "rank {rank} row {l}"),
-                    None => assert!(f.p().row(l).iter().all(|&x| x == 0.0)),
-                }
-            }
+        for (rank, (coord, _, p)) in commit_all(&grid, &g, 0, 0.0).iter().enumerate() {
+            let layout = FactorLayout::new(5, &grid, 0, 2);
+            assert_eq!(
+                *p,
+                DistFactor::new(layout, *coord, 0).p_block(&g),
+                "rank {rank}"
+            );
+        }
+    }
+
+    #[test]
+    fn commit_gram_matches_global_gram() {
+        let grid = Arc::new(ProcGrid::new(vec![2, 2]));
+        let g = Arc::new(global_factor(5, 3));
+        let want = g.gram();
+        for (_, got, _) in commit_all(&grid, &g, 1, 0.0) {
+            assert!(got.max_abs_diff(&want) < 1e-10);
+        }
+    }
+
+    /// Padding rows of a committed Q block are zeroed before the Gram and
+    /// the gather: the Gram is the real rows' and the P block's padding
+    /// rows are zero. Both kinds of padding occur: past the block within a
+    /// slice (7 rows, 2 slices of 3 ranks: 6 Q rows for 4 P rows) and past
+    /// the global rows (the second block holds rows 4–6 and one pad).
+    #[test]
+    fn commit_zeroes_padding_rows() {
+        let grid = Arc::new(ProcGrid::new(vec![2, 3]));
+        let g = Arc::new(global_factor(7, 2));
+        let want = g.gram();
+        let layout = FactorLayout::new(7, &grid, 0, 2);
+        for (coord, gram, p) in commit_all(&grid, &g, 0, 1e3) {
+            assert_eq!(gram, want);
+            assert_eq!(p, DistFactor::new(layout, coord, 0).p_block(&g));
         }
     }
 
@@ -312,8 +327,7 @@ mod tests {
                 let layout = FactorLayout::new(4, &grid, 0, 2);
                 let coords = grid.coords_of(ctx.rank());
                 let slice = grid.slice_comm(&ctx.comm, 0);
-                let g = global_factor(4, 2);
-                let f = DistFactor::from_global(&g, layout, coords[0], slice.rank());
+                let f = DistFactor::new(layout, coords[0], slice.rank());
                 // Every rank contributes an all-ones block; sum = slice size.
                 let ones = Matrix::from_fn(layout.block, 2, |_, _| 1.0);
                 let q = f.reduce_scatter_rows(&ones, &slice);
@@ -328,27 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_allreduce_matches_global_gram() {
-        let grid = Arc::new(ProcGrid::new(vec![2, 2]));
-        let g = Arc::new(global_factor(5, 3));
-        let out = Runtime::new(4).run({
-            let grid = grid.clone();
-            let g = g.clone();
-            move |ctx| {
-                let layout = FactorLayout::new(5, &grid, 1, 3);
-                let coords = grid.coords_of(ctx.rank());
-                let slice = grid.slice_comm(&ctx.comm, 1);
-                let f = DistFactor::from_global(&g, layout, coords[1], slice.rank());
-                f.gram_allreduce(&ctx.comm)
-            }
-        });
-        let want = g.gram();
-        for got in out.results {
-            assert!(got.max_abs_diff(&want) < 1e-10);
-        }
-    }
-
-    #[test]
     fn gather_global_roundtrip() {
         let grid = Arc::new(ProcGrid::new(vec![2, 3]));
         let g = Arc::new(global_factor(7, 2));
@@ -359,8 +352,8 @@ mod tests {
                 let layout = FactorLayout::new(7, &grid, 0, 2);
                 let coords = grid.coords_of(ctx.rank());
                 let slice = grid.slice_comm(&ctx.comm, 0);
-                let f = DistFactor::from_global(&g, layout, coords[0], slice.rank());
-                f.gather_global(&ctx.comm, &grid, 0)
+                let f = DistFactor::new(layout, coords[0], slice.rank());
+                f.gather_global(&f.p_block(&g), &ctx.comm, &grid, 0)
             }
         });
         for got in out.results {

@@ -2,10 +2,11 @@
 //!
 //! The data-distribution layer of Algorithm 3 of the paper: an order-`N`
 //! logical processor grid ([`ProcGrid`]), padded block distributions
-//! ([`BlockDist`]), per-rank tensor blocks ([`DistTensor`]), and factor
-//! matrices in the dual Q (rows over all ranks) / P (slice-replicated)
-//! layouts ([`DistFactor`]) with their All-Gather / Reduce-Scatter
-//! transitions.
+//! ([`BlockDist`]), per-rank tensor blocks ([`DistTensor`]), and a rank's
+//! place in the dual Q (rows over all ranks) / P (slice-replicated)
+//! layouts of a factor matrix ([`DistFactor`]): the caller keeps the P
+//! block, and `DistFactor` cuts its Q rows and runs the All-Gather /
+//! Reduce-Scatter transitions.
 
 pub mod dist;
 pub mod dist_factor;

@@ -16,7 +16,7 @@ use parallel_pp::core::{AlsConfig, AlsReport, ParKind, ParSession, SolveStrategy
 use parallel_pp::datagen::collinearity::{collinearity_tensor, CollinearityConfig};
 use parallel_pp::dtree::TreePolicy;
 use parallel_pp::grid::{DistTensor, ProcGrid};
-use parallel_pp::tensor::{DenseTensor, Matrix};
+use parallel_pp::tensor::DenseTensor;
 use std::sync::Arc;
 
 fn workload() -> DenseTensor {
@@ -128,12 +128,12 @@ fn ref_pp_corrections_identical_across_backends() {
             let mut s = ParSession::new(ctx, &g2, &local, &c2, ParKind::Exact);
             let _ = s.step(ctx);
             let ops = ref_pp_init(ctx, &mut s);
-            let p_p: Vec<Matrix> = s.st.dist_factors.iter().map(|f| f.p().clone()).collect();
+            let p_p = s.factors().to_vec();
             // Move the factors with one more sweep.
             let _ = s.step(ctx);
             let mut bits = Vec::new();
             for n in 0..3 {
-                let m = ref_pp_approx_correction(ctx, &s.st, &ops, &p_p, n);
+                let m = ref_pp_approx_correction(ctx, &s, &ops, &p_p, n);
                 bits.extend(m.data().iter().map(|x| x.to_bits()));
             }
             bits

@@ -28,7 +28,7 @@ use parallel_pp::datagen::lowrank::noisy_rank;
 use parallel_pp::dtree::correct::first_order_correction;
 use parallel_pp::dtree::TreePolicy;
 use parallel_pp::grid::{DistTensor, ProcGrid};
-use parallel_pp::tensor::{DenseTensor, Matrix};
+use parallel_pp::tensor::DenseTensor;
 use std::sync::Arc;
 
 const S: usize = 16;
@@ -189,7 +189,7 @@ fn pp_messages(grid_dims: &[usize], reference: bool) -> (u64, Vec<u64>) {
     let out = Runtime::from_env(grid.size()).run(move |ctx| {
         let local = DistTensor::from_global(&t, &grid, ctx.rank());
         let mut s = ParSession::new(ctx, &grid, &local, &cfg, ParKind::Exact);
-        let n_modes = s.st.n_modes();
+        let n_modes = s.factors().len();
         let _ = s.step(ctx);
         let before = messages(ctx);
         let ops = if reference {
@@ -198,7 +198,7 @@ fn pp_messages(grid_dims: &[usize], reference: bool) -> (u64, Vec<u64>) {
             s.build_pp_operators()
         };
         let init = messages(ctx) - before;
-        let p_p: Vec<Matrix> = s.st.dist_factors.iter().map(|f| f.p().clone()).collect();
+        let p_p = s.factors().to_vec();
         let mut approx = Vec::new();
         for _ in 0..2 {
             // Move every factor, so each correction has a drift to act on.
@@ -207,11 +207,11 @@ fn pp_messages(grid_dims: &[usize], reference: bool) -> (u64, Vec<u64>) {
             let st = &s.st;
             for n in 0..n_modes {
                 let m_local = if reference {
-                    ref_pp_approx_correction(ctx, st, &ops, &p_p, n)
+                    ref_pp_approx_correction(ctx, &s, &ops, &p_p, n)
                 } else {
                     let mut m = ops.firsts[n].clone();
                     for (i, p_ref) in p_p.iter().enumerate().filter(|&(i, _)| i != n) {
-                        let d_p = st.dist_factors[i].p().sub(p_ref);
+                        let d_p = s.factors()[i].sub(p_ref);
                         m.axpy(1.0, &first_order_correction(&ops, n, i, &d_p));
                     }
                     m

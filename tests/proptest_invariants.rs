@@ -237,10 +237,10 @@ proptest! {
             let layout = FactorLayout::new(gl.rows(), &gr, 0, gl.cols());
             let coords = gr.coords_of(ctx.rank());
             let slice = gr.slice_comm(&ctx.comm, 0);
-            let mut f = DistFactor::from_global(&gl, layout, coords[0], slice.rank());
-            // Rebuild P from Q and re-gather the global matrix.
-            f.refresh_p(&slice);
-            f.gather_global(&ctx.comm, &gr, 0)
+            let f = DistFactor::new(layout, coords[0], slice.rank());
+            // Commit the Q rows (rebuilding P) and re-gather the global matrix.
+            let (_, p) = f.commit(f.q_rows(&f.p_block(&gl)), &ctx.comm, &slice);
+            f.gather_global(&p, &ctx.comm, &gr, 0)
         });
         for got in out.results {
             prop_assert!(got.max_abs_diff(&global) < 1e-12);
