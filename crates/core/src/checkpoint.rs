@@ -294,15 +294,30 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64_()?).map_err(|_| "usize overflow".to_string())
     }
 
-    /// Bounded element count for a field about to be allocated: any real
-    /// session is far below this, so larger values mean corruption the
-    /// checksum did not catch (or a hostile file) — fail, don't OOM.
-    fn count(&mut self, what: &str) -> Result<usize, String> {
+    /// The count of a field about to be allocated, whose elements take at
+    /// least `elem_bytes` of the payload each. A count the checksum let
+    /// through (a hostile file) can then never ask for more memory than
+    /// the payload's remaining bytes could fill — fail, don't abort.
+    pub(crate) fn count(&mut self, what: &str, elem_bytes: usize) -> Result<usize, String> {
         let n = self.usize_()?;
-        if n > (1 << 32) {
-            return Err(format!("implausible {what} count {n}"));
+        self.fits(n, elem_bytes, || format!("{what} count {n}"))
+    }
+
+    /// `n` if `n` elements of `elem_bytes` each fit in the payload left.
+    fn fits(
+        &self,
+        n: usize,
+        elem_bytes: usize,
+        what: impl Fn() -> String,
+    ) -> Result<usize, String> {
+        let left = self.buf.len() - self.pos;
+        match n.checked_mul(elem_bytes) {
+            Some(bytes) if bytes <= left => Ok(n),
+            _ => Err(format!(
+                "implausible {}: more than the {left} payload bytes left",
+                what()
+            )),
         }
-        Ok(n)
     }
 
     pub(crate) fn f64_(&mut self) -> Result<f64, String> {
@@ -315,9 +330,7 @@ impl<'a> Reader<'a> {
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| "matrix size overflow".to_string())?;
-        if n > (1 << 32) {
-            return Err(format!("implausible matrix size {rows}x{cols}"));
-        }
+        self.fits(n, 8, || format!("matrix size {rows}x{cols}"))?;
         let mut data = Vec::with_capacity(n);
         for _ in 0..n {
             data.push(self.f64_()?);
@@ -326,12 +339,12 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn matrices(&mut self) -> Result<Vec<Matrix>, String> {
-        let n = self.count("matrix")?;
+        let n = self.count("matrix", 16)?;
         (0..n).map(|_| self.matrix()).collect()
     }
 
     pub(crate) fn tensor(&mut self) -> Result<DenseTensor, String> {
-        let order = self.count("tensor mode")?;
+        let order = self.count("tensor mode", 8)?;
         let dims: Vec<usize> = (0..order)
             .map(|_| self.usize_())
             .collect::<Result<_, _>>()?;
@@ -339,9 +352,7 @@ impl<'a> Reader<'a> {
             .iter()
             .try_fold(1usize, |a, &d| a.checked_mul(d))
             .ok_or_else(|| "tensor size overflow".to_string())?;
-        if n > (1 << 32) {
-            return Err(format!("implausible tensor size {dims:?}"));
-        }
+        self.fits(n, 8, || format!("tensor size {dims:?}"))?;
         let mut data = Vec::with_capacity(n);
         for _ in 0..n {
             data.push(self.f64_()?);
@@ -350,12 +361,12 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.count("u64")?;
+        let n = self.count("u64", 8)?;
         (0..n).map(|_| self.u64_()).collect()
     }
 
     pub(crate) fn usizes(&mut self) -> Result<Vec<usize>, String> {
-        let n = self.count("usize")?;
+        let n = self.count("usize", 8)?;
         (0..n).map(|_| self.usize_()).collect()
     }
 
@@ -364,12 +375,12 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn u32s(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.count("u32")?;
+        let n = self.count("u32", 4)?;
         (0..n).map(|_| self.u32_()).collect()
     }
 
     pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.count("f64")?;
+        let n = self.count("f64", 8)?;
         (0..n).map(|_| self.f64_()).collect()
     }
 
@@ -419,7 +430,7 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed opaque byte blob (see [`Writer::bytes`]).
     pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        let n = self.count("byte")?;
+        let n = self.count("byte", 1)?;
         Ok(self.take(n)?.to_vec())
     }
 
@@ -559,13 +570,15 @@ mod tests {
         assert_eq!(r.u64_().unwrap(), 0xdead);
         assert!(r.exhausted());
 
-        // A blob whose declared length exceeds the payload must error.
+        // A blob whose declared length exceeds the payload must error,
+        // before anything is allocated: the count is bounded by the bytes
+        // left.
         let mut w2 = Writer::new();
         w2.usize_(1 << 20); // length prefix with no data behind it
         let bytes2 = w2.frame();
         let mut r2 = Reader::open(&bytes2).unwrap();
         let e = r2.bytes().expect_err("oversized blob length");
-        assert!(e.contains("mid-field"), "{e}");
+        assert!(e.contains("implausible byte count 1048576"), "{e}");
     }
 
     #[test]
@@ -654,5 +667,38 @@ mod tests {
         assert!(r.u64s().expect_err("count").contains("implausible"));
         let mut r2 = Reader::open(&bytes).unwrap();
         assert!(r2.bytes().expect_err("blob count").contains("implausible"));
+    }
+
+    /// Dims whose product passed the old `1 << 32` bound still asked the
+    /// allocator for 32 GiB, which aborts the process; now a size beyond
+    /// the payload left is an `Err` naming the field.
+    #[test]
+    fn forged_dims_beyond_the_payload_are_errors() {
+        let mut w = Writer::new();
+        w.usize_(1 << 16);
+        w.usize_(1 << 16);
+        w.f64_(1.0);
+        let bytes = w.frame();
+        let err = Reader::open(&bytes).unwrap().matrix().expect_err("matrix");
+        assert!(err.contains("matrix size 65536x65536"), "{err}");
+        let mut w = Writer::new();
+        w.usize_(2);
+        w.usize_(1 << 16);
+        w.usize_(1 << 16);
+        let bytes = w.frame();
+        let err = Reader::open(&bytes).unwrap().tensor().expect_err("tensor");
+        assert!(err.contains("tensor size [65536, 65536]"), "{err}");
+        // Counts are bounded by their element size: four u32s fit in 16
+        // bytes, and a fifth does not.
+        for (n, ok) in [(4, true), (5, false)] {
+            let mut w = Writer::new();
+            w.usize_(n);
+            for _ in 0..16 {
+                w.u8_(7);
+            }
+            let bytes = w.frame();
+            let got = Reader::open(&bytes).unwrap().u32s();
+            assert_eq!(got.is_ok(), ok, "{got:?}");
+        }
     }
 }

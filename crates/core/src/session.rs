@@ -210,7 +210,7 @@ impl Progress {
 
     /// The inverse of [`Progress::write`].
     pub(crate) fn read(r: &mut Reader) -> Result<Self, String> {
-        let n_sweeps = r.usize_()?;
+        let n_sweeps = r.count("sweep", 25)?;
         let mut sweeps = Vec::with_capacity(n_sweeps);
         for _ in 0..n_sweeps {
             sweeps.push(r.sweep()?);
@@ -380,7 +380,7 @@ impl PpRegime {
     fn read(r: &mut Reader, approx: bool) -> Result<Self, String> {
         let (drift, reference) = (r.matrices()?, r.matrices()?);
         let ops = if r.bool_()? {
-            let n_pairs = r.usize_()?;
+            let n_pairs = r.count("PP pair operator", 16)?;
             let mut pairs = std::collections::HashMap::with_capacity(n_pairs);
             for _ in 0..n_pairs {
                 let i = r.usize_()?;
@@ -918,7 +918,7 @@ impl AlsSession {
             }
         }
         let fs = FactorState::from_parts(factors, versions);
-        let n_cached = r.usize_()?;
+        let n_cached = r.count("cached entry", 17)?;
         let mut cached = Vec::with_capacity(n_cached);
         for _ in 0..n_cached {
             // A retired entry reads as `None` and is dropped (see
@@ -1964,5 +1964,49 @@ mod tests {
             assert_eq!(rec.fitness.to_bits(), s.last_fitness().to_bits());
         }
         assert_eq!(n, 5);
+    }
+
+    /// A forged count at each of the three session-level sites — sweeps,
+    /// PP pair operators, cached entries — that the checksum lets through
+    /// is an `Err` naming the field, not an allocation that aborts the
+    /// process.
+    #[test]
+    fn forged_session_counts_are_errors() {
+        let forged = 1u64 << 40;
+        let mut w = checkpoint::Writer::new();
+        w.u64_(forged);
+        let bytes = w.frame();
+        let mut r = checkpoint::Reader::open(&bytes).unwrap();
+        let err = Progress::read(&mut r).err().expect("sweep count");
+        assert!(err.contains("sweep count"), "{err}");
+
+        let mut w = checkpoint::Writer::new();
+        w.matrices(&[]);
+        w.matrices(&[]);
+        w.bool_(true);
+        w.u64_(forged);
+        let bytes = w.frame();
+        let mut r = checkpoint::Reader::open(&bytes).unwrap();
+        let err = PpRegime::read(&mut r, true).err().expect("pair count");
+        assert!(err.contains("PP pair operator count"), "{err}");
+
+        // A fresh session caches nothing, so its cached-entry count sits
+        // right before the kernel stats and the progress, which end the
+        // payload.
+        let t = noisy_rank(&[8, 6, 7], 3, 0.05, 13);
+        let cfg = AlsConfig::new(3).with_max_sweeps(3).with_tol(0.0);
+        let s = AlsSession::new(&t, &cfg, SessionKind::Exact);
+        let mut bytes = s.checkpoint_bytes(0);
+        let mut tail = checkpoint::Writer::new();
+        tail.stats(&s.engine.stats);
+        s.progress.write(&mut tail);
+        let at = bytes.len() - (tail.frame().len() - 24) - 8;
+        bytes[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+        let sum = checkpoint::fnv1a(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        let err = AlsSession::resume_from_bytes(&bytes, &t)
+            .err()
+            .expect("cached count");
+        assert!(err.contains("cached entry count"), "{err}");
     }
 }
